@@ -116,6 +116,14 @@
 //     estimates, BFS levels) still produce exact sequential answers;
 //     float accumulators (PRD, BC path counts) match up to summation
 //     order.
+//   - The graph backend changes none of the above: a compressed View
+//     replays every neighbor list in stored order, so runs on it are
+//     bit-identical to runs on the plain CSR exactly where the engine is
+//     deterministic (any workers=1 run, pull-mode PageRank at any worker
+//     count) and agree with them like two plain runs agree elsewhere
+//     (parallel push: integer results exact, PRD/BC within summation
+//     order — internal/apps/differential_test.go holds them to a
+//     relative L1 of 1e-9).
 //   - Tracing forces the sequential path: any run with a Tracer attached
 //     is deterministic regardless of Workers, so cache-simulator traces
 //     never depend on scheduling.

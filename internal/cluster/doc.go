@@ -35,11 +35,47 @@
 //     sets partition the vertex space, so the merged k-best of the
 //     union is exact and bit-identical to single-node answers.
 //   - sssp: the router owns the distance array and runs frontier
-//     exchange — each round scatters the frontier only to shards that
-//     home a frontier vertex (POST /v1/shard/relax), gathers improved
-//     tentative distances, and repeats until the frontier drains.
-//     Results are cached per (epoch, source) with single-flight
-//     coalescing.
+//     exchange (below) until the frontier drains. Results are cached per
+//     (epoch, source) with single-flight coalescing.
+//
+// # SSSP frontier exchange
+//
+// A distributed Bellman-Ford in rounds. Each round the router sends
+// every shard the frontier vertices that shard homes (Placement.Homes),
+// with their settled distances; the shard relaxes those vertices'
+// out-edges and answers with one candidate distance per destination it
+// reached; the router folds all candidates into its distance array, and
+// the vertices that improved are the next frontier.
+//
+// The wire: both directions of POST /v1/shard/relax carry one
+// server.RelaxFrame, the single codec both ends import —
+//
+//	"RLX" 0x01    magic and format version
+//	count         entries that follow (at most 1<<20)
+//	relaxed       out-edges the shard scanned (0 in requests)
+//	count × { gap, dist }
+//
+// every integer a shortest-form uvarint, gap the vertex ID's distance
+// to the previous entry's (the ID itself for the first; at least 1
+// after), so IDs are strictly ascending, and dist below
+// server.RelaxInf. The decoder validates all of it against the vertex
+// count and accepts exactly the frames the encoder produces.
+//
+// The ID-space rule: frames speak original IDs, the one coordinate
+// system independently reordered shards share. A shard translates only
+// at the boundary — perm[v] once per frontier vertex in, inv[u] once
+// per candidate out — and relaxes in its snapshot's own order in
+// between, so per-edge candidate writes land where its reordering
+// packed the hot vertices. Both ends keep dense per-vertex state (the
+// shard a pooled candidate array, the router a queued-this-round
+// bitset) and emit by sweeping it, which is what makes both lists
+// ascending without a sort.
+//
+// The stateless contract: a relax call reads its frame and the pinned
+// snapshot and nothing else, and leaves nothing behind. Any member of a
+// shard can serve any round, so a member dying mid-query costs one
+// retried hop, not the query. The price is that a shard cannot drop
+// candidates the router already beats; it returns them all.
 //
 // # Epoch-consistent cutover
 //
@@ -56,9 +92,9 @@
 //
 // Each shard has one or more members (replicas serving identical
 // data). A request tries the shard's active member first; a transport
-// error or 5xx fails over to the next member and, on success, promotes
-// it to active — client-visible errors (4xx) pass through verbatim and
-// never fail over. A background health loop probes members and keeps
+// error (a reply cut short mid-body included) or 5xx fails over to the
+// next member and, on success, promotes it to active — client-visible
+// errors (4xx) pass through verbatim and never fail over. A background health loop probes members and keeps
 // the active index pointing at a live one, so a killed primary costs at
 // most the requests in flight on it, which the per-request failover
 // retries on the replica: the selftest asserts zero lost requests

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"math/bits"
 	"net/http"
 	"sort"
 	"strconv"
@@ -52,6 +53,7 @@ type epochState struct {
 // slot is one shard's member set and its routing state.
 type slot struct {
 	endpoints  []string
+	span       string // this shard's trace span name, "shard<i>"
 	active     atomic.Int32
 	healthy    atomic.Bool
 	promotions atomic.Uint64
@@ -84,6 +86,9 @@ type Router struct {
 
 	fanouts     atomic.Uint64
 	shardErrors atomic.Uint64
+	// Relax frame bytes the SSSP exchange sent to and received from shards.
+	relaxBytesOut atomic.Uint64
+	relaxBytesIn  atomic.Uint64
 
 	// ssspMu guards a small per-epoch SSSP result cache: the frontier
 	// exchange is the router's only multi-round (expensive) query, and
@@ -133,8 +138,8 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 		started:   time.Now(),
 		stop:      make(chan struct{}),
 	}
-	for _, eps := range cfg.Endpoints {
-		sl := &slot{endpoints: append([]string(nil), eps...)}
+	for i, eps := range cfg.Endpoints {
+		sl := &slot{endpoints: append([]string(nil), eps...), span: fmt.Sprintf("shard%d", i)}
 		sl.healthy.Store(true)
 		rt.slots = append(rt.slots, sl)
 	}
@@ -208,9 +213,12 @@ func (rt *Router) PublishEpoch(ctx context.Context, specs []server.BuildSpec) (u
 }
 
 // awaitSnapshot polls one member until the named snapshot is published,
-// failing fast if its build pipeline reports failure.
+// failing fast if its build pipeline reports failure. The poll interval
+// doubles from 1ms to a 25ms cap, so a fast build costs the barrier its
+// build time and not a fixed tick on top.
 func (rt *Router) awaitSnapshot(ctx context.Context, ep, name string) (server.SnapshotInfo, error) {
-	for {
+	const maxWait = 25 * time.Millisecond
+	for wait := time.Millisecond; ; wait = min(2*wait, maxWait) {
 		var info server.SnapshotInfo
 		err := rt.get(ctx, ep+"/v1/snapshots/"+name, &info)
 		if err == nil {
@@ -229,7 +237,7 @@ func (rt *Router) awaitSnapshot(ctx context.Context, ep, name string) (server.Sn
 		select {
 		case <-ctx.Done():
 			return server.SnapshotInfo{}, ctx.Err()
-		case <-time.After(25 * time.Millisecond):
+		case <-time.After(wait):
 		}
 	}
 }
@@ -258,8 +266,11 @@ func (rt *Router) roundTrip(req *http.Request, out any) error {
 	if err != nil {
 		return err
 	}
-	raw, _ := io.ReadAll(resp.Body)
+	raw, err := io.ReadAll(resp.Body)
 	resp.Body.Close()
+	if err != nil {
+		return fmt.Errorf("%s %s: reading reply: %w", req.Method, req.URL, err)
+	}
 	if resp.StatusCode >= 400 {
 		return fmt.Errorf("%s %s: %d %s", req.Method, req.URL, resp.StatusCode, strings.TrimSpace(string(raw)))
 	}
@@ -273,9 +284,11 @@ func (rt *Router) roundTrip(req *http.Request, out any) error {
 // per-request failover: members are tried starting at the active one,
 // and a member that answers after the active one failed is promoted on
 // the spot — routing around a dead shard costs the requests in flight
-// nothing but a retry. traceID is forwarded as X-Trace-Id so the shard
-// adopts the router's trace identity.
-func (rt *Router) shardCall(ctx context.Context, s int, method, pathAndQuery string, body []byte, traceID string, out any) error {
+// nothing but a retry. A reply that breaks off mid-body counts as a
+// failed member like a refused connection does. traceID is forwarded as
+// X-Trace-Id so the shard adopts the router's trace identity. The reply
+// body lands in reply; a non-nil body is sent as a relax frame.
+func (rt *Router) shardCall(ctx context.Context, s int, method, pathAndQuery string, body []byte, traceID string, reply *bytes.Buffer) error {
 	sl := rt.slots[s]
 	start := int(sl.active.Load())
 	var lastErr error
@@ -291,13 +304,18 @@ func (rt *Router) shardCall(ctx context.Context, s int, method, pathAndQuery str
 			return err
 		}
 		if body != nil {
-			req.Header.Set("Content-Type", "application/json")
+			req.Header.Set("Content-Type", "application/octet-stream")
 		}
 		if traceID != "" {
 			req.Header.Set("X-Trace-Id", traceID)
 		}
 		rt.fanouts.Add(1)
 		resp, err := rt.client.Do(req)
+		if err == nil {
+			reply.Reset()
+			_, err = reply.ReadFrom(resp.Body)
+			resp.Body.Close()
+		}
 		if err != nil {
 			sl.errors.Add(1)
 			rt.shardErrors.Add(1)
@@ -307,17 +325,15 @@ func (rt *Router) shardCall(ctx context.Context, s int, method, pathAndQuery str
 			}
 			continue
 		}
-		raw, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
 		if resp.StatusCode >= 500 {
 			sl.errors.Add(1)
 			rt.shardErrors.Add(1)
-			lastErr = fmt.Errorf("shard %d (%s): %d %s", s, ep, resp.StatusCode, strings.TrimSpace(string(raw)))
+			lastErr = fmt.Errorf("shard %d (%s): %d %s", s, ep, resp.StatusCode, bytes.TrimSpace(reply.Bytes()))
 			continue
 		}
 		if resp.StatusCode >= 400 {
 			// Client-owned error: the shard is fine, do not fail over.
-			return &shardStatusError{status: resp.StatusCode, body: strings.TrimSpace(string(raw))}
+			return &shardStatusError{status: resp.StatusCode, body: string(bytes.TrimSpace(reply.Bytes()))}
 		}
 		if idx != start {
 			sl.active.Store(int32(idx))
@@ -326,9 +342,6 @@ func (rt *Router) shardCall(ctx context.Context, s int, method, pathAndQuery str
 				slog.Int("shard", s), slog.String("endpoint", ep))
 		}
 		sl.healthy.Store(true)
-		if out != nil {
-			return json.Unmarshal(raw, out)
-		}
 		return nil
 	}
 	sl.healthy.Store(false)
@@ -543,8 +556,12 @@ func (rt *Router) fanout(ctx context.Context, tr *obs.Trace, shards []int, pathA
 		go func(i, s int) {
 			defer wg.Done()
 			shardStart := time.Now()
-			errs[i] = rt.shardCall(ctx, s, "GET", pathAndQuery, nil, tr.IDString(), outs[i])
-			tr.Accumulate(fmt.Sprintf("shard%d", s), shardStart)
+			var reply bytes.Buffer
+			errs[i] = rt.shardCall(ctx, s, "GET", pathAndQuery, nil, tr.IDString(), &reply)
+			if errs[i] == nil {
+				errs[i] = json.Unmarshal(reply.Bytes(), outs[i])
+			}
+			tr.Accumulate(rt.slots[s].span, shardStart)
 		}(i, s)
 	}
 	wg.Wait()
@@ -758,7 +775,7 @@ func (rt *Router) handleTopK(w http.ResponseWriter, r *http.Request) {
 const maxSSSPRounds = 1 << 20
 
 // ssspInf marks "unreached" in router-side distance vectors.
-const ssspInf = int64(1) << 62
+const ssspInf = server.RelaxInf
 
 // ssspEntry is one cached source's distances; once collapses concurrent
 // requests for the same source onto a single frontier exchange.
@@ -809,81 +826,113 @@ func (rt *Router) clusterSSSP(es *epochState, src graph.VertexID, tr *obs.Trace)
 	return ent.dist, ent.rounds, ent.err
 }
 
+// relaxLeg is one shard's side of the frontier exchange; runSSSP keeps
+// one per shard for the whole query, so rounds reuse its buffers.
+type relaxLeg struct {
+	req, resp server.RelaxFrame
+	body      []byte       // req encoded
+	reply     bytes.Buffer // the shard's answer, resp encoded
+	err       error
+}
+
 // runSSSP is the router half of the distributed Bellman-Ford: it owns
-// the distance vector and the frontier, each round scatters the
-// frontier to exactly the shards holding any frontier vertex's
-// out-edges (POST /v1/shard/relax), and gathers their relaxation
-// candidates, keeping improvements as the next frontier. Distances are
-// exact; the round count depends on the scatter schedule and is
-// excluded from the cluster-vs-single-node equivalence contract.
+// the distance vector and the frontier, each round scatters to every
+// shard the frontier vertices whose out-edges it holds (POST
+// /v1/shard/relax, one RelaxFrame each way), and gathers the shards'
+// relaxation candidates, keeping improvements as the next frontier.
+// Shards are stateless: everything a round needs travels in its frame.
+// Distances are exact; the round count depends on the scatter schedule
+// and is excluded from the cluster-vs-single-node equivalence contract.
 func (rt *Router) runSSSP(ctx context.Context, es *epochState, src graph.VertexID, tr *obs.Trace) ([]int64, int, error) {
-	n := rt.placement.NumVertices
+	p := rt.placement
+	n := p.NumVertices
 	dist := make([]int64, n)
 	for i := range dist {
 		dist[i] = ssspInf
 	}
 	dist[src] = 0
-	frontier := [][2]int64{{int64(src), 0}}
+	frontier := []graph.VertexID{src}   // ascending
+	queued := make([]uint64, (n+63)/64) // bitset: improved this round
+	legs := make([]relaxLeg, p.Shards)
+	path := "/v1/shard/relax?snapshot=" + es.snapshot
+	traceID := tr.IDString()
 	rounds := 0
 	for len(frontier) > 0 {
 		rounds++
 		if rounds > maxSSSPRounds {
 			return nil, 0, fmt.Errorf("sssp did not converge after %d rounds", maxSSSPRounds)
 		}
-		// Scatter: only shards holding out-edges of any frontier vertex.
-		var mask uint64
-		for _, fd := range frontier {
-			mask |= rt.placement.Homes[fd[0]]
+		// Scatter: each shard gets the frontier vertices it homes.
+		fanStart := time.Now()
+		for s := range legs {
+			legs[s].req.IDs, legs[s].req.Dists = legs[s].req.IDs[:0], legs[s].req.Dists[:0]
 		}
-		shards := []int{}
-		for s := 0; s < rt.placement.Shards; s++ {
-			if mask&(1<<s) != 0 {
-				shards = append(shards, s)
+		for _, v := range frontier {
+			for homes := p.Homes[v]; homes != 0; homes &= homes - 1 {
+				req := &legs[bits.TrailingZeros64(homes)].req
+				req.IDs = append(req.IDs, v)
+				req.Dists = append(req.Dists, dist[v])
 			}
 		}
-		body, _ := json.Marshal(relaxWire{Frontier: frontier})
-		parts := make([]struct {
-			Updates [][2]int64 `json:"updates"`
-		}, len(shards))
 		var wg sync.WaitGroup
-		errs := make([]error, len(shards))
-		fanStart := time.Now()
-		for i, s := range shards {
+		for s := range legs {
+			leg := &legs[s]
+			if len(leg.req.IDs) == 0 {
+				continue
+			}
+			leg.body = leg.req.AppendTo(leg.body[:0])
 			wg.Add(1)
-			go func(i, s int) {
+			go func() {
 				defer wg.Done()
 				shardStart := time.Now()
-				errs[i] = rt.shardCall(ctx, s, "POST",
-					"/v1/shard/relax?snapshot="+es.snapshot, body, tr.IDString(), &parts[i])
-				tr.Accumulate(fmt.Sprintf("shard%d", s), shardStart)
-			}(i, s)
+				leg.err = rt.shardCall(ctx, s, "POST", path, leg.body, traceID, &leg.reply)
+				if leg.err == nil {
+					if err := leg.resp.Decode(leg.reply.Bytes(), n); err != nil {
+						leg.err = fmt.Errorf("cluster: shard %d: %w", s, err)
+					}
+				}
+				tr.Accumulate(rt.slots[s].span, shardStart)
+			}()
 		}
 		wg.Wait()
 		tr.Accumulate("fanout", fanStart)
-		if err := errors.Join(errs...); err != nil {
-			return nil, 0, err
-		}
-		// Gather: fold candidates, keep improvements as the next frontier.
+		// Gather: fold candidates into dist, queueing each improved vertex
+		// once; sweeping the queue yields the next frontier ascending.
 		mergeStart := time.Now()
-		frontier = frontier[:0]
-		improved := map[int64]int{}
-		for _, p := range parts {
-			for _, u := range p.Updates {
-				if u[1] < dist[u[0]] {
-					dist[u[0]] = u[1]
-					if at, ok := improved[u[0]]; ok {
-						// Already queued this round with a larger distance:
-						// update in place.
-						frontier[at][1] = u[1]
-					} else {
-						improved[u[0]] = len(frontier)
-						frontier = append(frontier, [2]int64{u[0], u[1]})
-					}
+		var sent, received, relaxed uint64
+		for s := range legs {
+			leg := &legs[s]
+			if len(leg.req.IDs) == 0 {
+				continue
+			}
+			if leg.err != nil {
+				return nil, 0, leg.err
+			}
+			sent += uint64(len(leg.body))
+			received += uint64(leg.reply.Len())
+			relaxed += leg.resp.Relaxed
+			for i, v := range leg.resp.IDs {
+				if d := leg.resp.Dists[i]; d < dist[v] {
+					dist[v] = d
+					queued[v>>6] |= 1 << (v & 63)
 				}
 			}
 		}
+		frontier = frontier[:0]
+		for w, word := range queued {
+			if word == 0 {
+				continue
+			}
+			queued[w] = 0
+			for ; word != 0; word &= word - 1 {
+				frontier = append(frontier, graph.VertexID(w<<6+bits.TrailingZeros64(word)))
+			}
+		}
+		rt.relaxBytesOut.Add(sent)
+		rt.relaxBytesIn.Add(received)
+		tr.AddWire(sent, received)
 		tr.Accumulate("merge", mergeStart)
-		tr.Round(0)
+		tr.Round(relaxed)
 	}
 	return dist, rounds, nil
 }
@@ -942,9 +991,4 @@ func (rt *Router) handleSSSP(w http.ResponseWriter, r *http.Request) {
 		res["distance"] = d
 	}
 	writeJSON(w, http.StatusOK, res)
-}
-
-// relaxWire mirrors the shard's relax request body.
-type relaxWire struct {
-	Frontier [][2]int64 `json:"frontier"`
 }

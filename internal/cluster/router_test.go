@@ -334,6 +334,7 @@ func TestClusterPromExposition(t *testing.T) {
 		"graphd_cluster_requests_total",
 		"graphd_cluster_request_latency_seconds",
 		"graphd_cluster_fanout_total",
+		"graphd_cluster_relax_bytes_total",
 		"graphd_cluster_shard_healthy",
 		"graphd_cluster_shard_epoch_lag",
 		"graphd_cluster_promotions_total",
@@ -342,5 +343,97 @@ func TestClusterPromExposition(t *testing.T) {
 		if _, ok := families[fam]; !ok {
 			t.Fatalf("family %q missing from exposition:\n%s", fam, body)
 		}
+	}
+}
+
+// cutShort is a member that dies mid-reply: it promises a body and
+// closes the connection after part of it.
+func cutShort(t *testing.T) string {
+	t.Helper()
+	hs, url, err := serveOnLoopback(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		conn, buf, err := w.(http.Hijacker).Hijack()
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		buf.WriteString("HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: 64\r\n\r\n{\"degree\":")
+		buf.Flush()
+		conn.Close()
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { hs.Close() })
+	return url
+}
+
+// TestTruncatedReplyFailsOver: a reply that breaks off mid-body is a
+// dead member, not an answer — the data plane retries it on the replica
+// and promotes that one, the control plane reports it as an error.
+func TestTruncatedReplyFailsOver(t *testing.T) {
+	bad := cutShort(t)
+	hs, good, err := serveOnLoopback(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		io.WriteString(w, `{"degree":7}`)
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hs.Close()
+	rt, err := NewRouter(RouterConfig{
+		Placement:   &Placement{NumVertices: 1, Shards: 1, Owner: []int32{0}, Homes: []uint64{1}},
+		Endpoints:   [][]string{{bad, good}},
+		HealthEvery: time.Hour, // keep the health loop out of the promotion count
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+
+	if err := rt.get(ctx, bad+"/healthz", nil); err == nil {
+		t.Error("control-plane call accepted a reply cut short mid-body")
+	}
+	var reply bytes.Buffer
+	if err := rt.shardCall(ctx, 0, "GET", "/v1/query/degree?v=0", nil, "", &reply); err != nil {
+		t.Fatalf("no failover past the truncated reply: %v", err)
+	}
+	if got := reply.String(); got != `{"degree":7}` {
+		t.Errorf("reply %q: the truncated member's bytes leaked into the answer", got)
+	}
+	sl := rt.slots[0]
+	if sl.activeEndpoint() != good || sl.promotions.Load() != 1 || sl.errors.Load() != 1 {
+		t.Errorf("active %s (want %s), %d promotions, %d errors", sl.activeEndpoint(), good, sl.promotions.Load(), sl.errors.Load())
+	}
+}
+
+// TestClusterSSSPTrace: ?debug=trace on a router SSSP shows the shape
+// of the frontier exchange — its rounds, the edges the shards relaxed
+// and the relax-frame bytes each way — and /metrics counts the same
+// bytes.
+func TestClusterSSSPTrace(t *testing.T) {
+	g := genGraph(t, "sd", "tiny")
+	cl := startCluster(t, g, LocalOptions{Shards: 2})
+	var wrapped struct {
+		Trace    obs.TraceView `json:"trace"`
+		Response struct {
+			Rounds int `json:"rounds"`
+		} `json:"response"`
+	}
+	if code := httpJSON(t, cl.RouterURL+"/v1/query/sssp?src=0&debug=trace", &wrapped); code != 200 {
+		t.Fatalf("sssp: %d", code)
+	}
+	tr := wrapped.Trace
+	if tr.Rounds == 0 || tr.Rounds != wrapped.Response.Rounds {
+		t.Errorf("trace has %d rounds, the reply %d", tr.Rounds, wrapped.Response.Rounds)
+	}
+	if tr.Edges == 0 || tr.WireOutBytes == 0 || tr.WireInBytes == 0 {
+		t.Errorf("trace lacks the exchange's shape: %d edges, %d bytes out, %d in", tr.Edges, tr.WireOutBytes, tr.WireInBytes)
+	}
+	var rep RouterReport
+	httpJSON(t, cl.RouterURL+"/metrics", &rep)
+	if rep.RelaxBytesOut != tr.WireOutBytes || rep.RelaxBytesIn != tr.WireInBytes {
+		t.Errorf("metrics count %d/%d relax bytes out/in, the only SSSP's trace %d/%d",
+			rep.RelaxBytesOut, rep.RelaxBytesIn, tr.WireOutBytes, tr.WireInBytes)
 	}
 }

@@ -184,6 +184,8 @@ type RouterReport struct {
 	MaxReplicas   int                  `json:"max_replicas"`
 	Fanouts       uint64               `json:"fanout_requests"`
 	ShardErrors   uint64               `json:"shard_errors"`
+	RelaxBytesOut uint64               `json:"relax_bytes_out"` // relax-frame bytes the SSSP exchange sent to shards
+	RelaxBytesIn  uint64               `json:"relax_bytes_in"`  // and received from them
 	Promotions    uint64               `json:"promotions"`
 	Routes        map[string]RouteStat `json:"routes"`
 	PerShard      []ShardStatus        `json:"per_shard"`
@@ -197,6 +199,8 @@ func (rt *Router) report() RouterReport {
 		MaxReplicas:   rt.placement.MaxReplicas,
 		Fanouts:       rt.fanouts.Load(),
 		ShardErrors:   rt.shardErrors.Load(),
+		RelaxBytesOut: rt.relaxBytesOut.Load(),
+		RelaxBytesIn:  rt.relaxBytesIn.Load(),
 		Routes:        make(map[string]RouteStat),
 	}
 	es := rt.epoch.Load()
@@ -289,6 +293,9 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 	p.Counter("graphd_cluster_fanout_total", "Shard sub-requests issued by the router.")
 	p.Sample("graphd_cluster_fanout_total", nil, float64(rep.Fanouts))
+	p.Counter("graphd_cluster_relax_bytes_total", "Relax frame bytes of the SSSP frontier exchange, by direction (out = router to shards).")
+	p.Sample("graphd_cluster_relax_bytes_total", []obs.Label{{Name: "dir", Value: "out"}}, float64(rep.RelaxBytesOut))
+	p.Sample("graphd_cluster_relax_bytes_total", []obs.Label{{Name: "dir", Value: "in"}}, float64(rep.RelaxBytesIn))
 
 	p.Gauge("graphd_cluster_shard_healthy", "Shard reachability (1 = some member answering).")
 	p.Gauge("graphd_cluster_shard_epoch", "Last cluster epoch every member of the shard acked.")

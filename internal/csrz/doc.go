@@ -17,12 +17,19 @@
 // signed + zig-zag, not sorted-ascending), and decoding replays exactly
 // that order. This is a contract, not an implementation detail: the
 // engine's float accumulations (PageRank's pull sums, BC's dependency
-// sums) are evaluated in neighbor-list order, so order preservation is
-// what makes compressed runs bit-identical to plain runs — checksums are
-// pinned against the plain backend in the differential tests. Both
-// directions also keep the plain n+1 edge-index arrays, so parallel
-// chunk balancing (par.BalancedBounds) splits work at exactly the same
-// vertex boundaries as the plain backend.
+// sums) are evaluated in neighbor-list order, so order preservation
+// makes a compressed run bit-identical to a plain run wherever the
+// engine itself is deterministic — every workers=1 run and pull-mode
+// PageRank at any worker count: checksum, value vector and traversal
+// shape are pinned against the plain backend in
+// internal/apps/differential_test.go. Parallel push rounds (PRD, SSSP,
+// BC, Radii at workers>1) claim vertices and add floats in scheduling
+// order on either backend, so there the test pins what the engine
+// guarantees: SSSP distances and Radii exact, PRD and BC within a
+// relative L1 of 1e-9 of the plain run. Both directions also keep the
+// plain n+1 edge-index arrays, so parallel chunk balancing
+// (par.BalancedBounds) splits work at exactly the same vertex
+// boundaries as the plain backend.
 //
 // # Mmap retirement rules
 //

@@ -57,6 +57,12 @@ func NewAdjBuffer(g View) AdjBuffer {
 	return AdjBuffer{st: st}
 }
 
+// Rebind points a at g, keeping its decode buffer: a pooled AdjBuffer
+// serves one View after another without growing a fresh buffer for each.
+func (a *AdjBuffer) Rebind(g View) {
+	a.st, _ = g.(NeighborStreamer)
+}
+
 // Out returns v's out-neighbors of g (read-only, valid until the next
 // call on this buffer).
 func (a *AdjBuffer) Out(g View, v VertexID) []VertexID {

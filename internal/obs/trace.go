@@ -56,8 +56,11 @@ type Trace struct {
 	spans  []Span
 	rounds int
 	edges  uint64
-	status int
-	total  time.Duration
+	// wireOut/wireIn count the payload bytes the request exchanged with
+	// other processes on its way (the router's relax frames).
+	wireOut, wireIn uint64
+	status          int
+	total           time.Duration
 }
 
 // traceSeed and traceCtr generate process-unique trace IDs: a splitmix64
@@ -204,6 +207,18 @@ func (t *Trace) Round(edges uint64) {
 	t.mu.Unlock()
 }
 
+// AddWire records payload bytes the request sent to and received from
+// other processes (the router's SSSP exchange calls it once per round).
+func (t *Trace) AddWire(sent, received uint64) {
+	if t == nil {
+		return
+	}
+	t.mu.Lock()
+	t.wireOut += sent
+	t.wireIn += received
+	t.mu.Unlock()
+}
+
 // Finish seals the trace with the response status and total duration.
 func (t *Trace) Finish(status int, total time.Duration) {
 	if t == nil {
@@ -239,6 +254,10 @@ type TraceView struct {
 	// Rounds/Edges summarize the traversal when the request ran one.
 	Rounds int    `json:"rounds,omitempty"`
 	Edges  uint64 `json:"edges,omitempty"`
+	// WireOutBytes/WireInBytes are the payload bytes the request exchanged
+	// with other processes (a router's relax frames to and from shards).
+	WireOutBytes uint64 `json:"wire_out_bytes,omitempty"`
+	WireInBytes  uint64 `json:"wire_in_bytes,omitempty"`
 	// Detailed marks the sampled tier (per-round stats were recorded).
 	Detailed bool `json:"detailed,omitempty"`
 }
@@ -251,15 +270,17 @@ func (t *Trace) View() TraceView {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return TraceView{
-		ID:       t.IDString(),
-		Route:    t.route,
-		Start:    t.start.UTC().Format("2006-01-02T15:04:05.000Z07:00"),
-		Status:   t.status,
-		TotalUs:  us(t.total),
-		Spans:    append([]Span(nil), t.spans...),
-		Rounds:   t.rounds,
-		Edges:    t.edges,
-		Detailed: t.detailed,
+		ID:           t.IDString(),
+		Route:        t.route,
+		Start:        t.start.UTC().Format("2006-01-02T15:04:05.000Z07:00"),
+		Status:       t.status,
+		TotalUs:      us(t.total),
+		Spans:        append([]Span(nil), t.spans...),
+		Rounds:       t.rounds,
+		Edges:        t.edges,
+		WireOutBytes: t.wireOut,
+		WireInBytes:  t.wireIn,
+		Detailed:     t.detailed,
 	}
 }
 

@@ -22,6 +22,16 @@ type snapExpectation struct {
 	rank0    float64
 }
 
+// hotSwapMeta is what TestConcurrentQueriesDuringHotSwap reads off a reply.
+type hotSwapMeta struct {
+	Snapshot string  `json:"snapshot"`
+	Epoch    uint64  `json:"epoch"`
+	Vertices int     `json:"vertices"`
+	Edges    int     `json:"edges"`
+	Rank     float64 `json:"rank"`
+	Vertex   *uint32 `json:"vertex"`
+}
+
 // TestConcurrentQueriesDuringHotSwap hammers the query endpoints from
 // many goroutines while snapshots are rebuilt and hot-swapped
 // underneath them. Run under -race this doubles as the data-race proof.
@@ -72,6 +82,33 @@ func TestConcurrentQueriesDuringHotSwap(t *testing.T) {
 		}
 	}
 
+	// check validates one reply against the snapshot its epoch names;
+	// false means that epoch has not been recorded (yet).
+	check := func(c int, url string, meta hotSwapMeta) bool {
+		expectMu.Lock()
+		want, ok := expected[meta.Epoch]
+		expectMu.Unlock()
+		if !ok {
+			return false
+		}
+		if meta.Snapshot != want.name || meta.Vertices != want.vertices || meta.Edges != want.edges {
+			reportErr("client %d: torn response from %s: got %s/%d/%d, epoch %d was published as %s/%d/%d",
+				c, url, meta.Snapshot, meta.Vertices, meta.Edges, meta.Epoch,
+				want.name, want.vertices, want.edges)
+		} else if meta.Vertex != nil && *meta.Vertex == 0 && meta.Rank != 0 && meta.Rank != want.rank0 {
+			reportErr("client %d: rank of v0 from epoch %d is %v, precomputed %v",
+				c, meta.Epoch, meta.Rank, want.rank0)
+		}
+		return true
+	}
+	type lateReply struct {
+		c    int
+		url  string
+		meta hotSwapMeta
+	}
+	var lateMu sync.Mutex
+	var late []lateReply
+
 	var wg sync.WaitGroup
 	for c := 0; c < clients; c++ {
 		wg.Add(1)
@@ -98,34 +135,17 @@ func TestConcurrentQueriesDuringHotSwap(t *testing.T) {
 					reportErr("client %d: GET %s -> %d %s", c, url, rec.Code, rec.Body.String())
 					continue
 				}
-				var meta struct {
-					Snapshot string  `json:"snapshot"`
-					Epoch    uint64  `json:"epoch"`
-					Vertices int     `json:"vertices"`
-					Edges    int     `json:"edges"`
-					Rank     float64 `json:"rank"`
-					Vertex   *uint32 `json:"vertex"`
-				}
+				var meta hotSwapMeta
 				if err := json.Unmarshal(rec.Body.Bytes(), &meta); err != nil {
 					reportErr("client %d: bad JSON from %s: %v", c, url, err)
 					continue
 				}
-				expectMu.Lock()
-				want, ok := expected[meta.Epoch]
-				expectMu.Unlock()
-				if !ok {
-					reportErr("client %d: response from unpublished epoch %d", c, meta.Epoch)
-					continue
-				}
-				if meta.Snapshot != want.name || meta.Vertices != want.vertices || meta.Edges != want.edges {
-					reportErr("client %d: torn response from %s: got %s/%d/%d, epoch %d was published as %s/%d/%d",
-						c, url, meta.Snapshot, meta.Vertices, meta.Edges, meta.Epoch,
-						want.name, want.vertices, want.edges)
-					continue
-				}
-				if meta.Vertex != nil && *meta.Vertex == 0 && meta.Rank != 0 && meta.Rank != want.rank0 {
-					reportErr("client %d: rank of v0 from epoch %d is %v, precomputed %v",
-						c, meta.Epoch, meta.Rank, want.rank0)
+				if !check(c, url, meta) {
+					// Build publishes an epoch before the rebuilder gets to
+					// record it: judge this reply once everyone has stopped.
+					lateMu.Lock()
+					late = append(late, lateReply{c, url, meta})
+					lateMu.Unlock()
 				}
 			}
 		}(c)
@@ -170,6 +190,11 @@ func TestConcurrentQueriesDuringHotSwap(t *testing.T) {
 	time.Sleep(duration)
 	close(stop)
 	wg.Wait()
+	for _, l := range late {
+		if !check(l.c, l.url, l.meta) {
+			reportErr("client %d: response from unpublished epoch %d", l.c, l.meta.Epoch)
+		}
+	}
 
 	if failures.Load() > 0 {
 		t.Errorf("%d/%d responses failed or inconsistent", failures.Load(), responses.Load())

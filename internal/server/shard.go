@@ -12,20 +12,30 @@ package server
 //     share.
 //   - POST /v1/shard/relax is one hop of distributed SSSP: the router
 //     owns the distance vector and frontier, shards relax the frontier
-//     edges they hold and return candidate distances. Original-ID space
-//     on both sides, always.
+//     edges they hold and return candidate distances. Both directions
+//     carry one binary RelaxFrame (relaxframe.go has the layout) in
+//     original-ID space. The ID-space rule: IDs are translated only at
+//     the boundary — perm[v] once per frontier vertex coming in, inv[u]
+//     once per candidate going out — and every per-edge access in
+//     between stays in the snapshot's own (reordered) space, so the
+//     candidate writes land where the reordering packed the hot
+//     vertices. The stateless contract: a call reads nothing but its
+//     frame and the pinned snapshot and leaves nothing behind, so any
+//     member of a shard can answer any round of any query.
 //
 // Relax calls skip heat accounting: frontier traffic is router-driven
 // bulk work, and charging it would drown the organic per-vertex signal
 // heat exists to surface.
 
 import (
-	"encoding/json"
+	"bytes"
 	"fmt"
+	"math/bits"
 	"net/http"
-	"slices"
+	"sync"
 
 	"graphreorder/internal/graph"
+	"graphreorder/internal/reorder"
 )
 
 // idSpace is a query's vertex-ID coordinate system. The zero value is
@@ -78,25 +88,81 @@ func (sp idSpace) key() string {
 	return ""
 }
 
-// maxRelaxFrontier bounds one relax call's frontier; a router's frontier
-// for even the large datasets stays far below this.
-const maxRelaxFrontier = 1 << 20
+// relaxScratch is the working state of one relax call. Calls borrow it
+// from relaxPool, so a shard's steady state allocates nothing per hop;
+// what a call dirties it cleans again before returning, which is all
+// that survives between calls.
+type relaxScratch struct {
+	// cand[u] is the smallest candidate distance found for snapshot-space
+	// vertex u, RelaxInf in every slot between calls.
+	cand []int64
+	// emit is a bitset over original IDs, all zero between calls: the
+	// vertices holding a candidate, so a word sweep yields them ascending.
+	emit []uint64
+	adj  graph.AdjBuffer
 
-// relaxRequest is one SSSP relaxation hop. Frontier holds [vertex,
-// distance] pairs in original-ID space: vertices whose distance settled
-// this round, as the router's global view has them.
-type relaxRequest struct {
-	Frontier [][2]int64 `json:"frontier"`
+	body     bytes.Buffer // request bytes
+	in, out  RelaxFrame
+	outBytes []byte
 }
 
-// relaxResponse returns the candidate updates this shard's edges
-// produce: [vertex, distance] pairs (original-ID space, ascending by
-// vertex, one minimal candidate per vertex). The router folds them into
-// its distance vector and builds the next frontier from the winners.
-type relaxResponse struct {
-	queryMeta
-	Relaxed int        `json:"relaxed"`
-	Updates [][2]int64 `json:"updates"`
+var relaxPool = sync.Pool{New: func() any { return new(relaxScratch) }}
+
+// relax scans the out-edges of the frontier in sc.in on g and fills
+// sc.out with the minimal candidate distance per destination, ascending
+// by original ID. perm (original to snapshot space) and inv (its
+// inverse) are nil when g is in original order.
+func (sc *relaxScratch) relax(g graph.View, perm, inv reorder.Permutation) {
+	in, out := &sc.in, &sc.out
+	n := g.NumVertices()
+	if old := len(sc.cand); old < n {
+		sc.cand = append(sc.cand, make([]int64, n-old)...)
+		for i := old; i < n; i++ {
+			sc.cand[i] = RelaxInf
+		}
+		sc.emit = append(sc.emit, make([]uint64, (n+63)/64-len(sc.emit))...)
+	}
+	cand := sc.cand[:n]
+	sc.adj.Rebind(g)
+	out.Relaxed = 0
+	for i, v := range in.IDs {
+		if perm != nil {
+			v = perm[v]
+		}
+		d := in.Dists[i]
+		nbrs, wts := sc.adj.Out(g, v), g.OutWeights(v)
+		out.Relaxed += uint64(len(nbrs))
+		for j, nb := range nbrs {
+			nd := d + int64(wts[j])
+			if c := cand[nb]; nd < c {
+				if c == RelaxInf { // first candidate for nb: mark it for the sweep
+					o := nb
+					if inv != nil {
+						o = inv[nb]
+					}
+					sc.emit[o>>6] |= 1 << (o & 63)
+				}
+				cand[nb] = nd
+			}
+		}
+	}
+	out.IDs, out.Dists = out.IDs[:0], out.Dists[:0]
+	for w, word := range sc.emit[:(n+63)/64] {
+		if word == 0 {
+			continue
+		}
+		sc.emit[w] = 0
+		for ; word != 0; word &= word - 1 {
+			o := graph.VertexID(w<<6 + bits.TrailingZeros64(word))
+			u := o
+			if perm != nil {
+				u = perm[o]
+			}
+			out.IDs = append(out.IDs, o)
+			out.Dists = append(out.Dists, cand[u])
+			cand[u] = RelaxInf
+		}
+	}
 }
 
 // handleShardRelax relaxes the out-edges of the posted frontier against
@@ -114,55 +180,33 @@ func (s *Server) handleShardRelax(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "snapshot %q is unweighted; relax needs edge weights", snap.name)
 		return
 	}
-	var body relaxRequest
-	if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
-		writeError(w, http.StatusBadRequest, "bad relax body: %v", err)
-		return
+	sc := relaxPool.Get().(*relaxScratch)
+	err := sc.hop(w, r, snap)
+	// Not deferred: a panic half-way through relax must not hand the pool
+	// a scratch whose candidate slots were never reset.
+	relaxPool.Put(sc)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "%v", err)
 	}
-	if len(body.Frontier) > maxRelaxFrontier {
-		writeError(w, http.StatusBadRequest, "frontier too large: %d vertices (max %d)", len(body.Frontier), maxRelaxFrontier)
-		return
+}
+
+// hop answers one relax call on snap: it reads and validates the request
+// frame, relaxes, and writes the response frame. An error means nothing
+// was written and the request is at fault.
+func (sc *relaxScratch) hop(w http.ResponseWriter, r *http.Request, snap *Snapshot) error {
+	sc.body.Reset()
+	if _, err := sc.body.ReadFrom(http.MaxBytesReader(w, r.Body, int64(maxRelaxFrameBytes))); err != nil {
+		return fmt.Errorf("reading relax frame: %w", err)
 	}
-	n := snap.graph.NumVertices()
-	inv := snap.invPerm()
-	best := make(map[graph.VertexID]int64)
-	relaxed := 0
-	for _, fd := range body.Frontier {
-		if fd[0] < 0 || fd[0] >= int64(n) {
-			writeError(w, http.StatusBadRequest, "frontier vertex %d out of range [0,%d)", fd[0], n)
-			return
-		}
-		v, d := graph.VertexID(fd[0]), fd[1]
-		cur := v
-		if snap.perm != nil {
-			cur = snap.perm[v]
-		}
-		nbrs := snap.graph.OutNeighbors(cur)
-		wts := snap.graph.OutWeights(cur)
-		relaxed += len(nbrs)
-		for i, nb := range nbrs {
-			out := nb
-			if inv != nil {
-				out = inv[nb]
-			}
-			nd := d + int64(wts[i])
-			if b, ok := best[out]; !ok || nd < b {
-				best[out] = nd
-			}
-		}
+	if err := sc.in.Decode(sc.body.Bytes(), snap.graph.NumVertices()); err != nil {
+		return err
 	}
-	res := relaxResponse{
-		queryMeta: metaFor(snap),
-		Relaxed:   relaxed,
-		Updates:   make([][2]int64, 0, len(best)),
+	sc.relax(snap.graph, snap.perm, snap.invPerm())
+	if len(sc.out.IDs) > maxRelaxFrontier {
+		return fmt.Errorf("relax produced %d candidates (max %d per frame)", len(sc.out.IDs), maxRelaxFrontier)
 	}
-	for v, d := range best {
-		res.Updates = append(res.Updates, [2]int64{int64(v), d})
-	}
-	// Deterministic wire order, and the router can fold sorted updates
-	// without re-sorting.
-	slices.SortFunc(res.Updates, func(a, b [2]int64) int {
-		return int(a[0] - b[0])
-	})
-	writeJSON(w, http.StatusOK, res)
+	sc.outBytes = sc.out.AppendTo(sc.outBytes[:0])
+	w.Header().Set("Content-Type", "application/octet-stream")
+	w.Write(sc.outBytes)
+	return nil
 }

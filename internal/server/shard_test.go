@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/http/httptest"
 	"path/filepath"
@@ -256,52 +255,48 @@ func TestTopKOwnedFilter(t *testing.T) {
 func TestShardRelax(t *testing.T) {
 	s, g := shardTestServer(t, nil)
 	h := s.Handler()
-
-	// Relaxing [[0,0]] must yield exactly orig-vertex 0's out-edges with
-	// their weights as distances, minimized per target, ascending.
-	type relaxResp struct {
-		Relaxed int        `json:"relaxed"`
-		Updates [][2]int64 `json:"updates"`
+	const url = "/v1/shard/relax?snapshot=shard"
+	post := func(f RelaxFrame) (int, string) {
+		return do(t, h, "POST", url, string(f.AppendTo(nil)))
 	}
-	var rr relaxResp
-	code, body := do(t, h, "POST", "/v1/shard/relax?snapshot=shard", `{"frontier":[[0,0]]}`)
+
+	// Relaxing vertex 0 at distance 0 must yield exactly orig-vertex 0's
+	// out-edges with their weights as distances, minimized per target,
+	// ascending (the decoder rejects anything else).
+	code, body := post(RelaxFrame{IDs: []graph.VertexID{0}, Dists: []int64{0}})
 	if code != 200 {
 		t.Fatalf("relax: %d %s", code, body)
 	}
-	if err := json.Unmarshal([]byte(body), &rr); err != nil {
+	var rr RelaxFrame
+	if err := rr.Decode([]byte(body), g.NumVertices()); err != nil {
 		t.Fatal(err)
 	}
 	nbrs, wts := g.OutNeighbors(0), g.OutWeights(0)
-	want := map[int64]int64{}
+	want := map[graph.VertexID]int64{}
 	for i, nb := range nbrs {
 		d := int64(wts[i])
-		if b, ok := want[int64(nb)]; !ok || d < b {
-			want[int64(nb)] = d
+		if b, ok := want[nb]; !ok || d < b {
+			want[nb] = d
 		}
 	}
-	if rr.Relaxed != len(nbrs) {
+	if rr.Relaxed != uint64(len(nbrs)) {
 		t.Errorf("relaxed %d edges, want %d", rr.Relaxed, len(nbrs))
 	}
-	if len(rr.Updates) != len(want) {
-		t.Fatalf("%d updates, want %d", len(rr.Updates), len(want))
+	if len(rr.IDs) != len(want) {
+		t.Fatalf("%d candidates, want %d", len(rr.IDs), len(want))
 	}
-	var prev int64 = -1
-	for _, u := range rr.Updates {
-		if u[0] <= prev {
-			t.Errorf("updates not strictly ascending at %d", u[0])
-		}
-		prev = u[0]
-		if d, ok := want[u[0]]; !ok || d != u[1] {
-			t.Errorf("update %v, want distance %d", u, want[u[0]])
+	for i, v := range rr.IDs {
+		if d, ok := want[v]; !ok || d != rr.Dists[i] {
+			t.Errorf("candidate (%d, %d), want distance %d", v, rr.Dists[i], want[v])
 		}
 	}
 
 	// Bad inputs.
-	if code, _ := do(t, h, "POST", "/v1/shard/relax?snapshot=shard", `{"frontier":[[999999999,0]]}`); code != 400 {
+	if code, _ := post(RelaxFrame{IDs: []graph.VertexID{999999999}, Dists: []int64{0}}); code != 400 {
 		t.Errorf("out-of-range frontier: %d", code)
 	}
-	if code, _ := do(t, h, "POST", "/v1/shard/relax?snapshot=shard", `not json`); code != 400 {
-		t.Errorf("malformed body: %d", code)
+	if code, _ := do(t, h, "POST", url, "not a frame"); code != 400 {
+		t.Errorf("malformed frame: %d", code)
 	}
 }
 
