@@ -4,15 +4,19 @@
 // only at periodic intervals so its cost is amortized over many queries.
 //
 // The package provides a batched-update graph whose snapshots are the
-// static CSR graphs the rest of the library consumes, and a Reorderer
-// that owns the periodic-reordering policy. The paper's intuition —
-// adding or removing some edges does not drastically change the degree
-// distribution, so hot-vertex classification stays valid between
-// reorderings — is exactly what the staleness policy encodes.
+// static CSR graphs the rest of the library consumes — an edge list under
+// a flat, pointer-free (src, dst) multiset index, ~25 bytes per edge in
+// all — and a Reorderer that owns the periodic-reordering policy. The
+// paper's intuition — adding or removing some edges does not drastically
+// change the degree distribution, so hot-vertex classification stays
+// valid between reorderings — is exactly what the staleness policy
+// encodes.
 package dynamic
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 
 	"graphreorder/internal/graph"
 	"graphreorder/internal/reorder"
@@ -25,10 +29,14 @@ type Update struct {
 	Edge   graph.Edge
 }
 
-// edgeKey identifies one (src, dst) multiset bucket in the edge index.
+// edgeKey identifies one (src, dst) multiset bucket in a batch's
+// validation delta.
 type edgeKey struct {
 	src, dst graph.VertexID
 }
+
+// maxEdges bounds the edge list: index links are uint32(position + 1).
+const maxEdges = math.MaxUint32 - 1
 
 // Graph is a directed multigraph under batched mutation. It is not safe
 // for concurrent use. Snapshots are cached until the next mutation.
@@ -39,12 +47,23 @@ type edgeKey struct {
 // (src, dst) → positions multiset index, and per-vertex degrees are
 // maintained incrementally so degree-distribution checks (the paper's
 // hot-vertex classification) never need to materialize a snapshot.
+//
+// The index is flat and pointer-free — three slices the collector never
+// scans, ~12 bytes per edge on top of the 12-byte edge list. A link is
+// an edge position plus one, 0 meaning none. table is an open-addressing
+// (linear probing, load <= 1/2) hash set of the distinct (src, dst) keys:
+// a slot holds the link of the key's most recently inserted instance,
+// and the key itself is read from edges through that link rather than
+// stored. next chains every instance to the next older one of its key.
 type Graph struct {
 	n        int
 	edges    []graph.Edge
 	weighted bool
 
-	index  map[edgeKey][]int // positions in edges holding each (src, dst) instance
+	table  []uint32 // len is a power of two, 1<<(64-shift)
+	shift  uint
+	keys   int      // occupied table slots
+	next   []uint32 // parallel to edges
 	outDeg []int32
 	inDeg  []int32
 
@@ -52,21 +71,26 @@ type Graph struct {
 	batches  int          // mutation batches applied since creation
 }
 
-// FromGraph starts a dynamic graph from a static snapshot.
+// FromGraph starts a dynamic graph from a static snapshot. It panics on
+// a graph of more than 2^32-2 edges, which the index cannot address.
 func FromGraph(g *graph.Graph) *Graph {
 	edges := g.Edges()
+	if len(edges) > maxEdges {
+		panic(fmt.Sprintf("dynamic: %d edges exceed the index limit %d", len(edges), maxEdges))
+	}
 	d := &Graph{
 		n:        g.NumVertices(),
 		edges:    edges,
 		weighted: g.Weighted(),
-		index:    make(map[edgeKey][]int, len(edges)),
+		next:     make([]uint32, len(edges)),
 		outDeg:   make([]int32, g.NumVertices()),
 		inDeg:    make([]int32, g.NumVertices()),
 		snapshot: g,
 	}
+	// Sized for every edge being a distinct key, so linking never rehashes.
+	d.rehash(1 << bits.Len(uint(2*len(edges))|7))
 	for i, e := range edges {
-		k := edgeKey{e.Src, e.Dst}
-		d.index[k] = append(d.index[k], i)
+		d.link(i)
 		d.outDeg[e.Src]++
 		d.inDeg[e.Dst]++
 	}
@@ -96,9 +120,10 @@ func (d *Graph) AvgDegree() float64 {
 	return float64(len(d.edges)) / float64(d.n)
 }
 
-// Count returns how many (src, dst) edge instances are present.
+// Count returns how many (src, dst) edge instances are present, in time
+// proportional to the answer.
 func (d *Graph) Count(src, dst graph.VertexID) int {
-	return len(d.index[edgeKey{src, dst}])
+	return d.count(src, dst, math.MaxInt)
 }
 
 // AddVertices grows the vertex space by k and returns the first new ID.
@@ -146,6 +171,7 @@ func (d *Graph) ApplyGrow(addVertices int, batch []Update) (graph.VertexID, erro
 	// work at all here.
 	n := d.n + addVertices
 	var delta map[edgeKey]int
+	inserts := 0
 	for i, u := range batch {
 		if int(u.Edge.Src) >= n || int(u.Edge.Dst) >= n {
 			return 0, fmt.Errorf("dynamic: edge %d->%d outside vertex space [0,%d)",
@@ -153,6 +179,9 @@ func (d *Graph) ApplyGrow(addVertices int, batch []Update) (graph.VertexID, erro
 		}
 		k := edgeKey{u.Edge.Src, u.Edge.Dst}
 		if !u.Remove {
+			if inserts++; len(d.edges)+inserts > maxEdges {
+				return 0, fmt.Errorf("dynamic: batch grows the graph past %d edges", maxEdges)
+			}
 			if delta != nil {
 				delta[k]++
 			}
@@ -164,7 +193,7 @@ func (d *Graph) ApplyGrow(addVertices int, batch []Update) (graph.VertexID, erro
 				delta[edgeKey{p.Edge.Src, p.Edge.Dst}]++
 			}
 		}
-		if len(d.index[k])+delta[k] <= 0 {
+		if need := 1 - delta[k]; need > 0 && d.count(k.src, k.dst, need) < need {
 			return 0, fmt.Errorf("dynamic: removing absent edge %d->%d", u.Edge.Src, u.Edge.Dst)
 		}
 		delta[k]--
@@ -185,41 +214,108 @@ func (d *Graph) ApplyGrow(addVertices int, batch []Update) (graph.VertexID, erro
 }
 
 func (d *Graph) insert(e graph.Edge) {
-	k := edgeKey{e.Src, e.Dst}
-	d.index[k] = append(d.index[k], len(d.edges))
+	if 2*(d.keys+1) > len(d.table) {
+		d.rehash(2 * len(d.table))
+	}
 	d.edges = append(d.edges, e)
+	d.next = append(d.next, 0)
+	d.link(len(d.edges) - 1)
 	d.outDeg[e.Src]++
 	d.inDeg[e.Dst]++
 }
 
-// remove deletes one (src, dst) instance, which validation has proven
-// present: pop its position from the index bucket, swap the last edge
-// into the hole, and repoint the moved edge's index entry.
+// remove deletes the most recently inserted (src, dst) instance, which
+// validation has proven present: unlink it from the head of its chain,
+// swap the last edge into the hole, and repoint the one link that
+// addressed the moved edge.
 func (d *Graph) remove(src, dst graph.VertexID) {
-	k := edgeKey{src, dst}
-	ids := d.index[k]
-	pos := ids[len(ids)-1]
-	if len(ids) == 1 {
-		delete(d.index, k)
+	i := d.slot(src, dst)
+	pos := int(d.table[i]) - 1
+	if older := d.next[pos]; older != 0 {
+		d.table[i] = older
 	} else {
-		d.index[k] = ids[:len(ids)-1]
+		d.vacate(i)
 	}
 	last := len(d.edges) - 1
-	moved := d.edges[last]
-	d.edges[pos] = moved
-	d.edges = d.edges[:last]
 	if pos != last {
-		mk := edgeKey{moved.Src, moved.Dst}
-		mids := d.index[mk]
-		for i := len(mids) - 1; i >= 0; i-- {
-			if mids[i] == last {
-				mids[i] = pos
-				break
-			}
+		moved := d.edges[last]
+		link := &d.table[d.slot(moved.Src, moved.Dst)]
+		for *link != uint32(last+1) {
+			link = &d.next[*link-1]
 		}
+		*link = uint32(pos + 1)
+		d.edges[pos], d.next[pos] = moved, d.next[last]
 	}
+	d.edges, d.next = d.edges[:last], d.next[:last]
 	d.outDeg[src]--
 	d.inDeg[dst]--
+}
+
+// home returns the table slot (src, dst) hashes to.
+func (d *Graph) home(src, dst graph.VertexID) int {
+	h := (uint64(src)<<32 | uint64(dst)) * 0x9E3779B97F4A7C15
+	h = (h ^ h>>32) * 0xD6E8FEB86659FD93
+	return int(h >> d.shift)
+}
+
+// slot returns the table slot holding (src, dst), or the empty slot that
+// would take it. The load bound guarantees an empty slot exists.
+func (d *Graph) slot(src, dst graph.VertexID) int {
+	mask := len(d.table) - 1
+	for i := d.home(src, dst); ; i = (i + 1) & mask {
+		if l := d.table[i]; l == 0 || d.edges[l-1].Src == src && d.edges[l-1].Dst == dst {
+			return i
+		}
+	}
+}
+
+// count walks the (src, dst) chain and returns its length, or limit if
+// the chain is at least that long.
+func (d *Graph) count(src, dst graph.VertexID, limit int) int {
+	n := 0
+	for l := d.table[d.slot(src, dst)]; l != 0 && n < limit; l = d.next[l-1] {
+		n++
+	}
+	return n
+}
+
+// link makes edges[pos] the newest instance of its key.
+func (d *Graph) link(pos int) {
+	i := d.slot(d.edges[pos].Src, d.edges[pos].Dst)
+	if d.table[i] == 0 {
+		d.keys++
+	}
+	d.next[pos] = d.table[i]
+	d.table[i] = uint32(pos + 1)
+}
+
+// vacate empties slot i by backward-shift deletion: each later entry of
+// the probe run moves into the hole when the hole lies on its own probe
+// path, so lookups never need tombstones.
+func (d *Graph) vacate(i int) {
+	mask := len(d.table) - 1
+	for j := (i + 1) & mask; d.table[j] != 0; j = (j + 1) & mask {
+		e := &d.edges[d.table[j]-1]
+		if (j-d.home(e.Src, e.Dst))&mask >= (j-i)&mask {
+			d.table[i] = d.table[j]
+			i = j
+		}
+	}
+	d.table[i] = 0
+	d.keys--
+}
+
+// rehash rebuilds the table at the given power-of-two size.
+func (d *Graph) rehash(size int) {
+	old := d.table
+	d.table = make([]uint32, size)
+	d.shift = uint(64 - bits.TrailingZeros(uint(size)))
+	for _, l := range old {
+		if l != 0 {
+			e := &d.edges[l-1]
+			d.table[d.slot(e.Src, e.Dst)] = l
+		}
+	}
 }
 
 // RestoreBatches overrides the batch counter, aligning it with an

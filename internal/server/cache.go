@@ -45,6 +45,14 @@ type cacheEntry struct {
 	meta queryMeta
 }
 
+// entryCost is what caching a payload of the given size keeps resident:
+// the payload, both key strings, and ~320 bytes of bookkeeping (the
+// cacheEntry and its list element, the boxed value header, one slot in
+// each of the two maps).
+func entryCost(key, staleKey string, payload int64) int64 {
+	return payload + int64(len(key)+len(staleKey)) + 320
+}
+
 func newResultCache(maxBytes int64) *resultCache {
 	if maxBytes < 1 {
 		maxBytes = 1
@@ -83,7 +91,7 @@ func (c *resultCache) getStale(staleKey string) (any, queryMeta, bool) {
 	return e.val, e.meta, true
 }
 
-// add inserts val at the given approximate cost in bytes. Values larger
+// add inserts val at the given cost in bytes (see entryCost). Values larger
 // than the whole budget are not cached at all — and if the key was
 // already cached at a smaller cost, that entry is dropped rather than
 // left serving the superseded value. A non-empty staleKey also indexes

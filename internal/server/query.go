@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"fmt"
+	"math"
 	"slices"
 
 	"graphreorder"
@@ -80,24 +81,51 @@ func queryNeighbors(sp idSpace, v graph.VertexID, dir string, limit int) (neighb
 		Dir:       dir,
 		Degree:    len(nbrs),
 	}
-	// Copy out of the shared CSR so the JSON encoder never aliases
-	// snapshot memory after release. In orig space, translate the full
-	// list and re-sort before truncating: the adjacency is sorted in
-	// current IDs, and a limit must keep the lowest *wire* IDs for the
-	// answer to be stable across orderings (and mergeable by a router).
-	out := make([]graph.VertexID, len(nbrs))
-	for i, nb := range nbrs {
-		out[i] = sp.out(nb)
-	}
-	if sp.orig {
-		slices.Sort(out)
-	}
-	if limit > 0 && len(out) > limit {
-		out = out[:limit]
+	keep := len(nbrs)
+	if limit > 0 && keep > limit {
+		keep = limit
 		res.Truncated = true
 	}
+	// Copy out of the shared CSR so the JSON encoder never aliases
+	// snapshot memory after release — only the keep entries the reply
+	// carries, never the whole adjacency of a hub.
+	out := make([]graph.VertexID, keep)
 	res.Neighbors = out
+	if !sp.orig {
+		copy(out, nbrs)
+		return res, nil
+	}
+	// Orig space: the adjacency is sorted in current IDs, and a limit must
+	// keep the lowest *wire* IDs for the answer to be stable across
+	// orderings (and mergeable by a router). out is a max-heap of the keep
+	// lowest seen so far; a later neighbor only ever replaces its root.
+	for i, nb := range nbrs[:keep] {
+		out[i] = sp.out(nb)
+	}
+	for i := keep/2 - 1; i >= 0; i-- {
+		siftDown(out, i)
+	}
+	for _, nb := range nbrs[keep:] {
+		if w := sp.out(nb); w < out[0] {
+			out[0] = w
+			siftDown(out, 0)
+		}
+	}
+	slices.Sort(out)
 	return res, nil
+}
+
+// siftDown restores the max-heap property of h below index i.
+func siftDown(h []graph.VertexID, i int) {
+	for c := 2*i + 1; c < len(h); i, c = c, 2*c+1 {
+		if c+1 < len(h) && h[c+1] > h[c] {
+			c++
+		}
+		if h[c] <= h[i] {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+	}
 }
 
 type degreeResult struct {
@@ -242,11 +270,70 @@ type ssspResult struct {
 	MaxDistance int64          `json:"max_distance"`
 }
 
+// distVector is an SSSP distance vector stored at the narrowest fixed
+// width that holds its largest finite distance plus an unreachable
+// sentinel (the width's maximum value). Exactly one slice is non-nil.
+type distVector struct {
+	u16 []uint16
+	u32 []uint32
+	i64 []int64
+}
+
+// packDistances narrows dist, whose largest finite entry is maxDistance.
+// The int64 form keeps dist itself.
+func packDistances(dist []int64, maxDistance int64) distVector {
+	switch {
+	case maxDistance < math.MaxUint16:
+		return distVector{u16: narrow[uint16](dist)}
+	case maxDistance < math.MaxUint32:
+		return distVector{u32: narrow[uint32](dist)}
+	}
+	return distVector{i64: dist}
+}
+
+// narrow truncates every distance to T; infDistance is all ones in the
+// low 63 bits, so it lands on T's maximum, the sentinel.
+func narrow[T uint16 | uint32](dist []int64) []T {
+	out := make([]T, len(dist))
+	for i, dv := range dist {
+		out[i] = T(dv)
+	}
+	return out
+}
+
+// at returns vertex i's distance, or (0, false) when it is unreachable.
+// An index past the end reads as unreachable: a stale (older-epoch)
+// vector may predate the vertex.
+func (v distVector) at(i int) (int64, bool) {
+	var dv, sentinel int64
+	switch {
+	case i >= v.len():
+		return 0, false
+	case v.u16 != nil:
+		dv, sentinel = int64(v.u16[i]), math.MaxUint16
+	case v.u32 != nil:
+		dv, sentinel = int64(v.u32[i]), math.MaxUint32
+	default:
+		dv, sentinel = v.i64[i], infDistance
+	}
+	if dv == sentinel {
+		return 0, false
+	}
+	return dv, true
+}
+
+func (v distVector) len() int { return len(v.u16) + len(v.u32) + len(v.i64) }
+
+// bytes is the vector's resident size.
+func (v distVector) bytes() int64 {
+	return int64(2*len(v.u16) + 4*len(v.u32) + 8*len(v.i64))
+}
+
 // ssspDistances is the cached payload: the full distance vector plus the
 // summary, computed once per (epoch, source) — cache hits serve the
 // summary without rescanning the O(n) vector.
 type ssspDistances struct {
-	dist        []int64
+	dist        distVector
 	rounds      int
 	reached     int
 	unreachable int
@@ -263,8 +350,9 @@ func computeSSSP(ctx context.Context, s *Snapshot, src graph.VertexID, workers i
 	if err != nil {
 		return ssspDistances{}, err
 	}
-	d := ssspDistances{dist: res.Distances(), rounds: res.Iterations}
-	for _, dv := range d.dist {
+	dist := res.Distances()
+	d := ssspDistances{rounds: res.Iterations}
+	for _, dv := range dist {
 		if dv == apps.InfDistance {
 			d.unreachable++
 		} else {
@@ -274,6 +362,7 @@ func computeSSSP(ctx context.Context, s *Snapshot, src graph.VertexID, workers i
 			}
 		}
 	}
+	d.dist = packDistances(dist, d.maxDistance)
 	return d, nil
 }
 

@@ -35,8 +35,9 @@ type Config struct {
 	// the traversal cooperatively within one round and frees its pool
 	// slot immediately.
 	QueryTimeout time.Duration
-	// CacheBytes is the approximate byte budget of the LRU result cache
-	// (SSSP distance vectors dominate at 8 bytes/vertex); 0 means 256 MiB.
+	// CacheBytes is the byte budget of the LRU result cache, charged what
+	// an entry keeps resident (SSSP distance vectors dominate, at 2, 4 or
+	// 8 bytes/vertex depending on the largest distance); 0 means 256 MiB.
 	CacheBytes int64
 	// AllowPathLoads permits POST /v1/snapshots specs that read graph
 	// files from the server's filesystem.
@@ -699,7 +700,7 @@ func (s *Server) handleSSSP(w http.ResponseWriter, r *http.Request) {
 			if err != nil {
 				return nil, 0, err
 			}
-			return d, int64(len(d.dist)) * 8, nil
+			return d, d.dist.bytes(), nil
 		})
 	if err != nil {
 		writeHeavyError(w, err)
@@ -714,13 +715,7 @@ func (s *Server) handleSSSP(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	res := ssspTargetResult{ssspResult: summary, Target: target}
-	// A stale (older-epoch) vector may predate the target vertex.
-	if tcur := sp.in(target); int(tcur) < len(d.dist) {
-		if dv := d.dist[tcur]; dv != infDistance {
-			res.Reachable = true
-			res.Distance = dv
-		}
-	}
+	res.Distance, res.Reachable = d.dist.at(int(sp.in(target)))
 	writeJSON(w, http.StatusOK, res)
 }
 
@@ -780,8 +775,8 @@ type heavyOutcome struct {
 // aborts its traversal cooperatively within one round. Coalesced waiters
 // share the leader's computation and therefore its fate — if the leader's
 // context dies mid-traversal they see its error and the next request
-// recomputes. fn returns the result and its approximate size in bytes
-// (the cache charge).
+// recomputes. fn returns the result and its payload size in bytes (the
+// cache charges that plus the entry's own overhead).
 //
 // route names the caller for the per-route breaker and shed counters;
 // kindKey is the epoch-free cache key ("topk|10"). When fresh compute
@@ -863,7 +858,7 @@ func (s *Server) runHeavy(ctx context.Context, snap *Snapshot, route, kindKey st
 			v, cost, err := runWorker(ctx, fn)
 			tr.Observe("compute", busy)
 			if err == nil {
-				s.cache.add(key, kindKey, v, cost, metaFor(snap))
+				s.cache.add(key, kindKey, v, entryCost(key, kindKey, cost), metaFor(snap))
 			}
 			return v, err
 		})

@@ -96,6 +96,7 @@ type Snapshot struct {
 	onDiskBytes      int64
 	ratio            float64
 
+	store   *Store       // set by publish, before readers can see the snapshot
 	refs    atomic.Int64 // queries currently using this snapshot
 	retired atomic.Bool  // removed from the table; draining until refs hit 0
 	// closeOnce guards the munmap of an OpenFile-loaded compressed
@@ -436,14 +437,20 @@ func (st *Store) registerDraining(s *Snapshot) {
 // that outlive the acquiring request (e.g. a singleflight leader whose
 // waiters have all timed out). The returned release is idempotent. The
 // last release of a retired snapshot also runs its close step — see
-// maybeClose.
+// maybeClose — and takes it off the store's draining list, which would
+// otherwise pin the whole dead snapshot until the next publish.
 func (s *Snapshot) retain() func() {
 	s.refs.Add(1)
 	var once sync.Once
 	return func() {
 		once.Do(func() {
-			if s.refs.Add(-1) == 0 {
+			if s.refs.Add(-1) == 0 && s.retired.Load() {
 				s.maybeClose()
+				if st := s.store; st != nil {
+					st.mu.Lock()
+					st.sweepDrainedLocked()
+					st.mu.Unlock()
+				}
 			}
 		})
 	}
@@ -1084,6 +1091,7 @@ func (st *Store) publish(snap *Snapshot, activate bool) bool {
 	if snap.heat == nil && st.heatSample >= 0 {
 		snap.heat = obs.NewHeat(snap.graph.NumVertices(), st.heatSample)
 	}
+	snap.store = st
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if _, mid := st.dropping[snap.name]; mid {

@@ -81,8 +81,13 @@ func TestStoreRebuildReplacesCurrentInPlace(t *testing.T) {
 		t.Errorf("draining = %d, want 1 (v1 still referenced)", st.DrainingCount())
 	}
 	release()
-	if st.DrainingCount() != 0 {
-		t.Errorf("draining = %d after release, want 0", st.DrainingCount())
+	// The last release itself unpins the retired snapshot: it must not
+	// wait for the next publish (or DrainingCount's own sweep).
+	st.mu.Lock()
+	pinned := len(st.draining)
+	st.mu.Unlock()
+	if pinned != 0 || st.DrainingCount() != 0 {
+		t.Errorf("draining = %d after release, want 0", pinned)
 	}
 }
 
