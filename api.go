@@ -12,7 +12,6 @@ import (
 	"graphreorder/internal/gen"
 	"graphreorder/internal/graph"
 	"graphreorder/internal/ligra"
-	"graphreorder/internal/par"
 	"graphreorder/internal/reorder"
 	"graphreorder/internal/stats"
 	"graphreorder/internal/trace"
@@ -30,9 +29,9 @@ type (
 	GraphView = graph.View
 	// CompressedGraph is the delta+varint compressed CSR backend
 	// (internal/csrz): 2–4× smaller adjacency after a locality-improving
-	// reordering, streamed (never materialized) neighbor decode in
-	// EdgeMap, and an mmap-able on-disk form (.csrz) for zero-copy
-	// loading. Build one with CompressGraph or load one with OpenCSRZ.
+	// reordering, one neighbor list at a time decoded into a reused
+	// per-worker buffer in EdgeMap, and an mmap-able on-disk form (.csrz)
+	// for zero-copy loading. Build one with CompressGraph or load one with OpenCSRZ.
 	CompressedGraph = csrz.Graph
 	// CompressionStats describes a compressed graph's space behavior
 	// (resident vs plain bytes, realized ratio).
@@ -224,153 +223,8 @@ func ReorderContext(ctx context.Context, g *Graph, t Technique, kind DegreeKind)
 	return reorder.PlanOf(t).ApplyContext(ctx, g, kind, 1)
 }
 
-// Engine bundles execution options for the multicore execution engine.
-// The zero value runs on every core.
-//
-// Deprecated: Engine predates the context-aware Run API. Use Run with
-// WithWorkers, which adds cancellation, per-round progress and a
-// structured Result. Every Engine method is a thin wrapper over Run and
-// produces bit-identical results.
-type Engine struct {
-	// Workers is the number of worker goroutines EdgeMap and the bulk
-	// vertex passes may use: 0 means GOMAXPROCS, 1 forces the sequential
-	// engine. Pull-based traversals are bit-identical at any worker count;
-	// push-based ones compute the same frontiers and results up to
-	// floating-point summation order (see doc.go for the determinism
-	// contract).
-	Workers int
-}
-
-// Parallel returns an Engine using every core (GOMAXPROCS workers).
-//
-// Deprecated: Run defaults to GOMAXPROCS workers.
-func Parallel() Engine { return Engine{} }
-
-// Sequential returns an Engine pinned to the deterministic single-worker
-// path.
-//
-// Deprecated: use Run with WithWorkers(1).
-func Sequential() Engine { return Engine{Workers: 1} }
-
-func (e Engine) workers() int { return par.Resolve(e.Workers) }
-
-// run dispatches an Engine method through the canonical Run path. The
-// wrappers preserve the historical crash-on-misuse behaviour of the
-// positional API (which dereferenced a nil graph) by panicking on the
-// input errors Run reports.
-func (e Engine) run(g *Graph, app App, opts ...RunOption) *Result {
-	res, err := Run(context.Background(), g, app, append(opts, WithWorkers(e.workers()))...)
-	if err != nil {
-		panic(err)
-	}
-	return res
-}
-
-// Reorder applies a technique using the engine's worker count for the CSR
-// rebuild (the rebuilt graph is bit-identical at any worker count; only
-// the measured RebuildTime changes).
-func (e Engine) Reorder(g *Graph, t Technique, kind DegreeKind) (ReorderResult, error) {
-	return reorder.PlanOf(t).ApplyWorkers(g, kind, e.workers())
-}
-
-// PageRank runs pull-based PageRank (damping 0.85) until convergence or
-// maxIters (0 = default); returns ranks and iterations executed.
-//
-// Deprecated: use Run(ctx, g, AppPR, WithMaxIters(maxIters), ...).
-func (e Engine) PageRank(g *Graph, maxIters int) ([]float64, int) {
-	res := e.run(g, AppPR, WithMaxIters(maxIters))
-	return res.Ranks(), res.Iterations
-}
-
-// PageRankDelta runs push-based incremental PageRank; returns ranks and
-// iterations executed.
-//
-// Deprecated: use Run(ctx, g, AppPRD, WithMaxIters(maxIters), ...).
-func (e Engine) PageRankDelta(g *Graph, maxIters int) ([]float64, int) {
-	res := e.run(g, AppPRD, WithMaxIters(maxIters))
-	return res.Ranks(), res.Iterations
-}
-
-// ShortestPaths runs frontier-based Bellman-Ford from root on a weighted
-// graph.
-//
-// Deprecated: use Run(ctx, g, AppSSSP, WithRoot(root), ...).
-func (e Engine) ShortestPaths(g *Graph, root VertexID) ([]int64, error) {
-	res, err := Run(context.Background(), g, AppSSSP, WithRoot(root), WithWorkers(e.workers()))
-	if err != nil {
-		return nil, err
-	}
-	return res.Distances(), nil
-}
-
-// Betweenness computes single-source betweenness-centrality dependency
-// scores from root (Brandes' algorithm).
-//
-// Deprecated: use Run(ctx, g, AppBC, WithRoot(root), ...).
-func (e Engine) Betweenness(g *Graph, root VertexID) []float64 {
-	return e.run(g, AppBC, WithRoot(root)).Dependencies()
-}
-
-// Radii estimates per-vertex eccentricity with up to 64 simultaneous
-// BFS sources; -1 marks vertices none of the samples reached.
-//
-// Deprecated: use Run(ctx, g, AppRadii, WithSamples(samples), ...).
-func (e Engine) Radii(g *Graph, samples []VertexID) []int32 {
-	if len(samples) == 0 {
-		// Preserved degenerate case of the positional API: no samples
-		// means nothing is reached. (Run requires WithSamples instead.)
-		radii := make([]int32, g.NumVertices())
-		for i := range radii {
-			radii[i] = -1
-		}
-		return radii
-	}
-	return e.run(g, AppRadii, WithSamples(samples)).Eccentricities()
-}
-
-// PageRank runs pull-based PageRank on the sequential engine; see
-// Engine.PageRank to use multiple cores.
-//
-// Deprecated: use Run(ctx, g, AppPR, WithWorkers(1), ...).
-func PageRank(g *Graph, maxIters int) ([]float64, int) {
-	return Sequential().PageRank(g, maxIters)
-}
-
-// PageRankDelta runs push-based incremental PageRank on the sequential
-// engine.
-//
-// Deprecated: use Run(ctx, g, AppPRD, WithWorkers(1), ...).
-func PageRankDelta(g *Graph, maxIters int) ([]float64, int) {
-	return Sequential().PageRankDelta(g, maxIters)
-}
-
-// InfDistance marks unreachable vertices in ShortestPaths results.
+// InfDistance marks unreachable vertices in Result.Distances.
 const InfDistance = apps.InfDistance
-
-// ShortestPaths runs frontier-based Bellman-Ford from root on a weighted
-// graph, sequentially.
-//
-// Deprecated: use Run(ctx, g, AppSSSP, WithRoot(root), WithWorkers(1)).
-func ShortestPaths(g *Graph, root VertexID) ([]int64, error) {
-	return Sequential().ShortestPaths(g, root)
-}
-
-// Betweenness computes single-source betweenness-centrality dependency
-// scores from root (Brandes' algorithm), sequentially.
-//
-// Deprecated: use Run(ctx, g, AppBC, WithRoot(root), WithWorkers(1)).
-func Betweenness(g *Graph, root VertexID) []float64 {
-	return Sequential().Betweenness(g, root)
-}
-
-// Radii estimates per-vertex eccentricity with up to 64 simultaneous
-// BFS sources, sequentially; -1 marks vertices none of the samples
-// reached.
-//
-// Deprecated: use Run(ctx, g, AppRadii, WithSamples(samples), WithWorkers(1)).
-func Radii(g *Graph, samples []VertexID) []int32 {
-	return Sequential().Radii(g, samples)
-}
 
 // Dynamic (evolving-graph) types, re-exported from internal/dynamic —
 // the paper's §VIII-B deployment: a stream of edge updates interleaved

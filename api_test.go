@@ -96,15 +96,22 @@ func TestTechniqueConstructorsAndReorder(t *testing.T) {
 }
 
 func TestApplicationsViaFacade(t *testing.T) {
-	g, err := GenerateDataset("wl", "tiny")
-	if err != nil {
-		t.Fatal(err)
+	g, root := testGraph(t)
+	ctx := context.Background()
+	run := func(app App, opts ...RunOption) *Result {
+		t.Helper()
+		res, err := Run(ctx, g, app, append(opts, WithWorkers(1))...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
 	}
-	ranks, iters := PageRank(g, 10)
-	if iters == 0 || len(ranks) != g.NumVertices() {
+	pr := run(AppPR, WithMaxIters(10))
+	ranks := pr.Ranks()
+	if pr.Iterations == 0 || len(ranks) != g.NumVertices() {
 		t.Fatal("PageRank did nothing")
 	}
-	prd, _ := PageRankDelta(g, 10)
+	prd := run(AppPRD, WithMaxIters(10)).Ranks()
 	var d float64
 	for i := range ranks {
 		d += math.Abs(ranks[i] - prd[i])
@@ -113,16 +120,7 @@ func TestApplicationsViaFacade(t *testing.T) {
 		t.Errorf("PR and PRD diverge: L1=%v", d)
 	}
 
-	var root VertexID
-	for v := 0; v < g.NumVertices(); v++ {
-		if g.OutDegree(VertexID(v)) > g.OutDegree(root) {
-			root = VertexID(v)
-		}
-	}
-	dist, err := ShortestPaths(g, root)
-	if err != nil {
-		t.Fatal(err)
-	}
+	dist := run(AppSSSP, WithRoot(root)).Distances()
 	if dist[root] != 0 {
 		t.Error("root distance nonzero")
 	}
@@ -136,12 +134,10 @@ func TestApplicationsViaFacade(t *testing.T) {
 		t.Error("SSSP reached nothing")
 	}
 
-	dep := Betweenness(g, root)
-	if len(dep) != g.NumVertices() {
+	if dep := run(AppBC, WithRoot(root)).Dependencies(); len(dep) != g.NumVertices() {
 		t.Error("BC length wrong")
 	}
-	radii := Radii(g, []VertexID{root})
-	if radii[root] != 0 {
+	if radii := run(AppRadii, WithSamples([]VertexID{root})).Eccentricities(); radii[root] != 0 {
 		t.Errorf("radii[root] = %d, want 0", radii[root])
 	}
 }

@@ -6,7 +6,6 @@ package graphreorder
 // use cmd/reprobench at -scale medium/large (see EXPERIMENTS.md).
 
 import (
-	"context"
 	"io"
 	"testing"
 
@@ -55,36 +54,6 @@ func BenchmarkFig11SSSPTraversals(b *testing.B)  { benchExperiment(b, "fig11") }
 func BenchmarkTable12Amortization(b *testing.B)  { benchExperiment(b, "table12") }
 func BenchmarkAblationGroups(b *testing.B)       { benchExperiment(b, "ablation-groups") }
 func BenchmarkAblationGorderDBG(b *testing.B)    { benchExperiment(b, "ablation-gorderdbg") }
-
-// BenchmarkRunVsLegacy measures the dispatch overhead of the
-// context-aware Run API against the deprecated positional facade on the
-// same workload (sequential PageRank, 5 iterations). Both paths execute
-// the identical core, so any difference is pure option-processing and
-// Result-assembly cost; CI runs this to keep the facade's dispatch cost
-// at ~0 (the acceptance bar is <= 2%).
-func BenchmarkRunVsLegacy(b *testing.B) {
-	g, err := GenerateDataset("sd", "tiny")
-	if err != nil {
-		b.Fatal(err)
-	}
-	ctx := context.Background()
-	b.Run("Run", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := Run(ctx, g, AppPR, WithWorkers(1), WithMaxIters(5)); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("Legacy", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if ranks, _ := PageRank(g, 5); len(ranks) == 0 {
-				b.Fatal("no ranks")
-			}
-		}
-	})
-}
 
 // BenchmarkDBGEndToEnd measures the library's core loop — generate,
 // reorder with DBG, rebuild — at Small scale, reporting allocations.

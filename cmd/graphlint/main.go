@@ -1,16 +1,16 @@
 // Command graphlint is the repo's contract checker: a multichecker over
 // the project-specific analyzers in internal/analysis/... that enforce
-// the determinism, pooled-lifecycle, snapshot-publication, context-flow
-// and deprecation contracts the compiler cannot see. CI runs it as a
+// the determinism, pooled-lifecycle, snapshot-publication and
+// context-flow contracts the compiler cannot see. CI runs it as a
 // hard gate; see the README "Static analysis" section.
 //
 // Usage:
 //
-//	graphlint [-maporder] [-bitsetrelease] [-atomicswap] [-ctxflow] [-nodeprecated] [packages]
+//	graphlint [-maporder] [-bitsetrelease] [-atomicswap] [-ctxflow] [packages]
 //
 // With no analyzer flags every analyzer runs; with one or more flags
-// only those run (so CI can gate a single contract, e.g. `graphlint
-// -nodeprecated ./...`). Packages default to ./... relative to the
+// only those run (so one contract can be checked alone, e.g. `graphlint
+// -ctxflow ./...`). Packages default to ./... relative to the
 // current directory. Exit status is 1 if any finding is reported, 2 on
 // a driver error.
 package main
@@ -25,7 +25,6 @@ import (
 	"graphreorder/internal/analysis/bitsetrelease"
 	"graphreorder/internal/analysis/ctxflow"
 	"graphreorder/internal/analysis/maporder"
-	"graphreorder/internal/analysis/nodeprecated"
 )
 
 func main() {
@@ -34,7 +33,6 @@ func main() {
 		bitsetrelease.Analyzer,
 		atomicswap.Analyzer,
 		ctxflow.Analyzer,
-		nodeprecated.Analyzer,
 	}
 	selected := make(map[string]*bool, len(all))
 	for _, a := range all {

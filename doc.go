@@ -47,11 +47,6 @@
 // RunByIDContext, and graphd's query layer, which passes each request's
 // context straight through to Run.
 //
-// The pre-Run entry points (Engine, PageRank, PageRankDelta,
-// ShortestPaths, Betweenness, Radii) remain as deprecated thin wrappers
-// over Run with bit-identical results and ~0 dispatch overhead
-// (BenchmarkRunVsLegacy); see README.md for the migration table.
-//
 // # Reordering pipelines, quality metrics and the advisor
 //
 // Reordering techniques compose into pipelines: ComposeTechniques (or a
@@ -59,8 +54,8 @@
 // stages left to right, each stage seeing the graph as relabeled by its
 // predecessors, with the stage permutations composed into one. A
 // Pipeline is itself a Technique; the single-technique entry points
-// (Reorder, ReorderContext, Engine.Reorder) are thin wrappers over
-// one-stage pipelines, so the two forms are interchangeable. Pipeline
+// (Reorder, ReorderContext) are thin wrappers over one-stage
+// pipelines, so the two forms are interchangeable. Pipeline
 // cancellation is phase-grained like ReorderContext's: the context is
 // checked between stages and before the CSR rebuild, never mid-stage.
 //
@@ -90,12 +85,12 @@
 // # Workers and the determinism contract
 //
 // The execution engine is multicore. The Workers knob appears on
-// Run's WithWorkers option, Engine.Workers, harness.Options.Workers,
+// Run's WithWorkers option, harness.Options.Workers,
 // apps.Input.Workers and ligra.EdgeMapOpts.Workers, and means the same
 // thing everywhere: how many goroutines a traversal or CSR build may
 // use. In the internal layers the zero value (and 1) pins the
-// sequential engine; on the public entry points (Run, Engine) 0 means
-// GOMAXPROCS because they are the explicit "use the cores" surface, and
+// sequential engine; on the public entry point (Run) 0 means
+// GOMAXPROCS because it is the explicit "use the cores" surface, and
 // WithWorkers(1) pins the deterministic sequential engine. What
 // parallelism does to reproducibility is spelled out per path:
 //

@@ -6,7 +6,7 @@
 // using nothing but the standard library and the go command.
 //
 // The analyzers themselves live in subpackages (maporder, bitsetrelease,
-// atomicswap, ctxflow, nodeprecated); cmd/graphlint is the multichecker
+// atomicswap, ctxflow); cmd/graphlint is the multichecker
 // driver that CI runs as a hard gate. See doc.go for the contract each
 // analyzer enforces and the //lint:allow escape hatch.
 package analysis

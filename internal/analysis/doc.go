@@ -6,7 +6,7 @@
 // build cache's export data via go/importer, so the suite runs offline
 // with full go/types fidelity.
 //
-// The five analyzers encode contracts the test suite can only probe,
+// The four analyzers encode contracts the test suite can only probe,
 // not prove:
 //
 //   - maporder: nondeterministic map iteration must not reach ordered
@@ -21,9 +21,6 @@
 //   - ctxflow: HTTP handlers and everything reachable from them thread
 //     the request context; context.Background()/TODO() in a request path
 //     is a deliberate act that needs an annotation.
-//   - nodeprecated: the deprecated pre-Run facade (Engine, PageRank, ...)
-//     and the pre-Plan reorder API (reorder.Apply*) stay out of non-test
-//     code, through aliases and dot-imports the old grep could not see.
 //
 // Intentional exceptions are annotated at the offending line (or the
 // line above) with:

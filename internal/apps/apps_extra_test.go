@@ -14,14 +14,14 @@ import (
 
 func TestPageRankEmptyAndSingleton(t *testing.T) {
 	empty, _ := graph.Build(nil)
-	if rank, iters, edges := PageRank(empty, 5, 1, nil); rank != nil || iters != 0 || edges != 0 {
+	if out := mustRun(t, runPR, Input{Graph: empty, MaxIters: 5}); out.Values.([]float64) != nil || out.Iterations != 0 || out.EdgesTraversed != 0 {
 		t.Error("empty graph mishandled")
 	}
 	single, err := graph.BuildWith(nil, graph.BuildOptions{NumVertices: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rank, _, _ := PageRank(single, 5, 1, nil)
+	rank := mustRun(t, runPR, Input{Graph: single, MaxIters: 5}).Values.([]float64)
 	if len(rank) != 1 || rank[0] <= 0 {
 		t.Errorf("singleton rank = %v", rank)
 	}
@@ -38,7 +38,7 @@ func TestPageRankDanglingMassBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rank, _, _ := PageRank(g, 30, 1, nil)
+	rank := mustRun(t, runPR, Input{Graph: g, MaxIters: 30}).Values.([]float64)
 	for v, r := range rank {
 		if r <= 0 || r > 1 {
 			t.Errorf("rank[%d] = %v out of (0,1]", v, r)
@@ -57,7 +57,8 @@ func TestPRDFrontierShrinks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, iters, edges := PageRankDelta(g, 50, 1, nil)
+	out := mustRun(t, runPRD, Input{Graph: g, MaxIters: 50})
+	iters, edges := out.Iterations, out.EdgesTraversed
 	if iters == 50 {
 		t.Error("PRD did not converge within 50 iterations on a tiny graph")
 	}
@@ -78,10 +79,8 @@ func TestSSSPSelfLoopAndZeroWeightSafe(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dist, rounds, _, err := SSSP(g, 0, 1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	distOut := mustRun(t, runSSSP, Input{Graph: g, Roots: []graph.VertexID{0}})
+	dist, rounds := distOut.Values.([]int64), distOut.Iterations
 	if dist[0] != 0 || dist[1] != 1 || dist[2] != 2 {
 		t.Errorf("dist = %v", dist)
 	}
@@ -102,10 +101,8 @@ func TestSSSPOnRoadChainDepth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dist, rounds, _, err := SSSP(g, 0, 1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	distOut := mustRun(t, runSSSP, Input{Graph: g, Roots: []graph.VertexID{0}})
+	dist, rounds := distOut.Values.([]int64), distOut.Iterations
 	if dist[n-1] != int64(2*(n-1)) {
 		t.Errorf("end distance %d, want %d", dist[n-1], 2*(n-1))
 	}
@@ -121,7 +118,8 @@ func TestBCDisconnectedRootOnlyComponent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dep, rounds, _ := BC(g, 0, 1, nil)
+	depOut := mustRun(t, runBC, Input{Graph: g, Roots: []graph.VertexID{0}})
+	dep, rounds := depOut.Values.([]float64), depOut.Iterations
 	if rounds != 1 {
 		t.Errorf("rounds = %d, want 1 (immediate empty frontier)", rounds)
 	}
@@ -141,7 +139,7 @@ func TestBCDirectionSwitchingConsistency(t *testing.T) {
 		t.Fatal(err)
 	}
 	root := hubVertex(g)
-	got, _, _ := BC(g, root, 1, nil)
+	got := mustRun(t, runBC, Input{Graph: g, Roots: []graph.VertexID{root}}).Values.([]float64)
 	want := refBCSingle(g, root)
 	for v := range want {
 		diff := got[v] - want[v]
@@ -163,13 +161,15 @@ func TestRadiiSampleCapAt64(t *testing.T) {
 	for i := range samples {
 		samples[i] = graph.VertexID(i % g.NumVertices())
 	}
-	radii, rounds, _ := Radii(g, samples, 1, nil)
+	radiiOut := mustRun(t, runRadii, Input{Graph: g, Roots: samples})
+	radii, rounds := radiiOut.Values.([]int32), radiiOut.Iterations
 	if len(radii) != g.NumVertices() {
 		t.Fatal("radii length wrong")
 	}
 	// Samples beyond 64 are ignored: the result must be identical to
 	// passing exactly the first 64.
-	radii64, rounds64, _ := Radii(g, samples[:64], 1, nil)
+	radii64Out := mustRun(t, runRadii, Input{Graph: g, Roots: samples[:64]})
+	radii64, rounds64 := radii64Out.Values.([]int32), radii64Out.Iterations
 	if rounds != rounds64 {
 		t.Fatalf("rounds %d != %d with truncated samples", rounds, rounds64)
 	}
@@ -192,7 +192,8 @@ func TestRadiiEstimateBoundedByDiameter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	radii, rounds, _ := Radii(g, []graph.VertexID{0, 5, 9}, 1, nil)
+	radiiOut := mustRun(t, runRadii, Input{Graph: g, Roots: []graph.VertexID{0, 5, 9}})
+	radii, rounds := radiiOut.Values.([]int32), radiiOut.Iterations
 	if rounds > n+1 {
 		t.Errorf("rounds %d exceed cycle length", rounds)
 	}

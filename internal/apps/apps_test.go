@@ -9,6 +9,17 @@ import (
 	"graphreorder/internal/reorder"
 )
 
+// mustRun executes one application's run function and fails the test on
+// an input error.
+func mustRun(t testing.TB, run func(Input) (Output, error), in Input) Output {
+	t.Helper()
+	out, err := run(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 // diamond returns a small weighted DAG with known shortest paths:
 //
 //	0 -(1)-> 1 -(1)-> 3
@@ -30,10 +41,7 @@ func diamond(t *testing.T) *graph.Graph {
 
 func TestSSSPDiamond(t *testing.T) {
 	g := diamond(t)
-	dist, _, _, err := SSSP(g, 0, 1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	dist := mustRun(t, runSSSP, Input{Graph: g, Roots: []graph.VertexID{0}}).Values.([]int64)
 	want := []int64{0, 1, 4, 2, 4}
 	for v, d := range want {
 		if dist[v] != d {
@@ -48,10 +56,7 @@ func TestSSSPUnreachable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dist, _, _, err := SSSP(g, 0, 1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	dist := mustRun(t, runSSSP, Input{Graph: g, Roots: []graph.VertexID{0}}).Values.([]int64)
 	if dist[2] != InfDistance || dist[3] != InfDistance {
 		t.Error("unreachable vertices should stay at InfDistance")
 	}
@@ -59,7 +64,7 @@ func TestSSSPUnreachable(t *testing.T) {
 
 func TestSSSPRequiresWeights(t *testing.T) {
 	g, _ := graph.Build([]graph.Edge{{Src: 0, Dst: 1}})
-	if _, _, _, err := SSSP(g, 0, 1, nil); err == nil {
+	if _, err := runSSSP(Input{Graph: g, Roots: []graph.VertexID{0}}); err == nil {
 		t.Error("unweighted graph accepted")
 	}
 }
@@ -101,10 +106,7 @@ func TestSSSPAgainstDijkstra(t *testing.T) {
 		t.Fatal(err)
 	}
 	root := hubVertex(g)
-	got, _, _, err := SSSP(g, root, 1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := mustRun(t, runSSSP, Input{Graph: g, Roots: []graph.VertexID{root}}).Values.([]int64)
 	want := refDijkstra(g, root)
 	for v := range want {
 		if got[v] != want[v] {
@@ -129,7 +131,8 @@ func TestPageRankProperties(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rank, iters, edges := PageRank(g, 0, 1, nil)
+	rankOut := mustRun(t, runPR, Input{Graph: g})
+	rank, iters, edges := rankOut.Values.([]float64), rankOut.Iterations, rankOut.EdgesTraversed
 	if iters == 0 || edges == 0 {
 		t.Fatal("PageRank did nothing")
 	}
@@ -157,7 +160,7 @@ func TestPageRankOnCycleIsUniform(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rank, _, _ := PageRank(g, 50, 1, nil)
+	rank := mustRun(t, runPR, Input{Graph: g, MaxIters: 50}).Values.([]float64)
 	for v, r := range rank {
 		if math.Abs(r-1.0/float64(n)) > 1e-6 {
 			t.Errorf("rank[%d] = %v, want %v", v, r, 1.0/float64(n))
@@ -170,8 +173,8 @@ func TestPageRankDeltaConvergesNearPageRank(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pr, _, _ := PageRank(g, 50, 1, nil)
-	prd, _, _ := PageRankDelta(g, 50, 1, nil)
+	pr := mustRun(t, runPR, Input{Graph: g, MaxIters: 50}).Values.([]float64)
+	prd := mustRun(t, runPRD, Input{Graph: g, MaxIters: 50}).Values.([]float64)
 	var prSum, prdSum, diff float64
 	for v := range pr {
 		prSum += pr[v]
@@ -191,7 +194,8 @@ func TestBCPathCountsOnDiamond(t *testing.T) {
 	// Dependencies from root 0 (Brandes): delta(3) = 1 (for vertex 4),
 	// delta(1) = delta(2) = 1/2 * (1 + 1) = 1 each.
 	g := diamond(t)
-	dep, rounds, _ := BC(g, 0, 1, nil)
+	depOut := mustRun(t, runBC, Input{Graph: g, Roots: []graph.VertexID{0}})
+	dep, rounds := depOut.Values.([]float64), depOut.Iterations
 	if rounds < 3 {
 		t.Fatalf("BC rounds = %d, want >= 3", rounds)
 	}
@@ -249,7 +253,7 @@ func TestBCAgainstReference(t *testing.T) {
 		t.Fatal(err)
 	}
 	root := hubVertex(g)
-	got, _, _ := BC(g, root, 1, nil)
+	got := mustRun(t, runBC, Input{Graph: g, Roots: []graph.VertexID{root}}).Values.([]float64)
 	want := refBCSingle(g, root)
 	for v := range want {
 		if math.Abs(got[v]-want[v]) > 1e-6*(1+math.Abs(want[v])) {
@@ -268,7 +272,8 @@ func TestRadiiChain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	radii, rounds, _ := Radii(g, []graph.VertexID{0}, 1, nil)
+	radiiOut := mustRun(t, runRadii, Input{Graph: g, Roots: []graph.VertexID{0}})
+	radii, rounds := radiiOut.Values.([]int32), radiiOut.Iterations
 	want := []int32{0, 1, 2, 3}
 	for v, w := range want {
 		if radii[v] != w {
@@ -290,7 +295,7 @@ func TestRadiiMultiSourceTakesUnion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	radii, _, _ := Radii(g, []graph.VertexID{0, 3}, 1, nil)
+	radii := mustRun(t, runRadii, Input{Graph: g, Roots: []graph.VertexID{0, 3}}).Values.([]int32)
 	for v, r := range radii {
 		if r < 0 {
 			t.Errorf("vertex %d unreached", v)
@@ -300,8 +305,8 @@ func TestRadiiMultiSourceTakesUnion(t *testing.T) {
 
 func TestRadiiEmptyAndNoSamples(t *testing.T) {
 	empty, _ := graph.Build(nil)
-	if r, rounds, edges := Radii(empty, nil, 1, nil); len(r) != 0 || rounds != 0 || edges != 0 {
-		t.Error("empty graph mishandled")
+	if _, err := runRadii(Input{Graph: empty}); err == nil {
+		t.Error("Radii without a sample accepted")
 	}
 }
 
@@ -330,7 +335,7 @@ func TestAllSpecsRunAndChecksumsAreOrderingInvariant(t *testing.T) {
 			t.Fatalf("%s: traversed no edges", spec.Name)
 		}
 		for _, tech := range techniques {
-			res, err := reorder.Apply(g, tech, spec.ReorderDegree)
+			res, err := reorder.PlanOf(tech).Apply(g, spec.ReorderDegree)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -406,7 +411,7 @@ func BenchmarkPageRank(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		PageRank(g, 5, 1, nil)
+		mustRun(b, runPR, Input{Graph: g, MaxIters: 5})
 	}
 }
 
@@ -418,7 +423,7 @@ func BenchmarkSSSP(b *testing.B) {
 	root := hubVertex(g)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, _, err := SSSP(g, root, 1, nil); err != nil {
+		if _, err := runSSSP(Input{Graph: g, Roots: []graph.VertexID{root}}); err != nil {
 			b.Fatal(err)
 		}
 	}

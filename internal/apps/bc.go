@@ -8,22 +8,6 @@ import (
 	"graphreorder/internal/par"
 )
 
-// BC computes betweenness-centrality dependency scores from a single
-// root. Returns the dependency scores, the number of BFS rounds, and
-// edges examined.
-//
-// Deprecated: positional convenience wrapper over the Input/Output run
-// path (runBC); prefer building an Input, which additionally carries
-// cancellation and progress observation.
-func BC(g *graph.Graph, root graph.VertexID, workers int, tracer ligra.Tracer) ([]float64, int, uint64) {
-	out, err := runBC(Input{Graph: g, Roots: []graph.VertexID{root}, Workers: workers, Tracer: tracer})
-	if err != nil {
-		panic(err) // nil graph or out-of-range root; the pre-Input API crashed here too
-	}
-	dep, _ := out.Values.([]float64)
-	return dep, out.Iterations, out.EdgesTraversed
-}
-
 // runBC uses Brandes' algorithm in the Ligra formulation (Table VII): a
 // forward BFS with pull-push direction switching accumulates
 // shortest-path counts per level, then a backward sweep over the BFS DAG

@@ -51,9 +51,11 @@ var appTestWorkers = []int{2, 4, 8}
 
 func TestPageRankParallelBitIdentical(t *testing.T) {
 	g := parallelTestGraph(t, false)
-	want, wantIters, wantEdges := PageRank(g, 8, 1, nil)
+	wantOut := mustRun(t, runPR, Input{Graph: g, MaxIters: 8})
+	want, wantIters, wantEdges := wantOut.Values.([]float64), wantOut.Iterations, wantOut.EdgesTraversed
 	for _, w := range appTestWorkers {
-		got, iters, edges := PageRank(g, 8, w, nil)
+		gotOut := mustRun(t, runPR, Input{Graph: g, MaxIters: 8, Workers: w})
+		got, iters, edges := gotOut.Values.([]float64), gotOut.Iterations, gotOut.EdgesTraversed
 		if iters != wantIters || edges != wantEdges {
 			t.Errorf("workers=%d: iters/edges %d/%d, want %d/%d", w, iters, edges, wantIters, wantEdges)
 		}
@@ -67,9 +69,11 @@ func TestPageRankParallelBitIdentical(t *testing.T) {
 
 func TestPageRankDeltaParallelEquivalent(t *testing.T) {
 	g := parallelTestGraph(t, false)
-	want, wantIters, _ := PageRankDelta(g, 10, 1, nil)
+	wantOut := mustRun(t, runPRD, Input{Graph: g, MaxIters: 10})
+	want, wantIters := wantOut.Values.([]float64), wantOut.Iterations
 	for _, w := range appTestWorkers {
-		got, iters, _ := PageRankDelta(g, 10, w, nil)
+		gotOut := mustRun(t, runPRD, Input{Graph: g, MaxIters: 10, Workers: w})
+		got, iters := gotOut.Values.([]float64), gotOut.Iterations
 		if iters != wantIters {
 			t.Errorf("workers=%d: %d iters, want %d", w, iters, wantIters)
 		}
@@ -84,15 +88,9 @@ func TestPageRankDeltaParallelEquivalent(t *testing.T) {
 func TestSSSPParallelExactDistances(t *testing.T) {
 	g := parallelTestGraph(t, true)
 	root := pickRoot(g)
-	want, _, _, err := SSSP(g, root, 1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := mustRun(t, runSSSP, Input{Graph: g, Roots: []graph.VertexID{root}}).Values.([]int64)
 	for _, w := range appTestWorkers {
-		got, _, _, err := SSSP(g, root, w, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
+		got := mustRun(t, runSSSP, Input{Graph: g, Roots: []graph.VertexID{root}, Workers: w}).Values.([]int64)
 		// Bellman-Ford converges to the unique shortest distances; rounds
 		// may differ (in-round propagation is interleaving-dependent) but
 		// distances may not.
@@ -105,9 +103,11 @@ func TestSSSPParallelExactDistances(t *testing.T) {
 func TestBCParallelEquivalent(t *testing.T) {
 	g := parallelTestGraph(t, false)
 	root := pickRoot(g)
-	want, wantRounds, _ := BC(g, root, 1, nil)
+	wantOut := mustRun(t, runBC, Input{Graph: g, Roots: []graph.VertexID{root}})
+	want, wantRounds := wantOut.Values.([]float64), wantOut.Iterations
 	for _, w := range appTestWorkers {
-		got, rounds, _ := BC(g, root, w, nil)
+		gotOut := mustRun(t, runBC, Input{Graph: g, Roots: []graph.VertexID{root}, Workers: w})
+		got, rounds := gotOut.Values.([]float64), gotOut.Iterations
 		if rounds != wantRounds {
 			t.Errorf("workers=%d: %d BFS rounds, want %d", w, rounds, wantRounds)
 		}
@@ -130,9 +130,11 @@ func TestRadiiParallelExact(t *testing.T) {
 			samples = append(samples, v)
 		}
 	}
-	want, wantRounds, _ := Radii(g, samples, 1, nil)
+	wantOut := mustRun(t, runRadii, Input{Graph: g, Roots: samples})
+	want, wantRounds := wantOut.Values.([]int32), wantOut.Iterations
 	for _, w := range appTestWorkers {
-		got, rounds, _ := Radii(g, samples, w, nil)
+		gotOut := mustRun(t, runRadii, Input{Graph: g, Roots: samples, Workers: w})
+		got, rounds := gotOut.Values.([]int32), gotOut.Iterations
 		if rounds != wantRounds {
 			t.Errorf("workers=%d: %d rounds, want %d", w, rounds, wantRounds)
 		}

@@ -15,22 +15,6 @@ const (
 	prMaxIters  = 20
 )
 
-// PageRank computes PageRank with pull-based dense iterations until the
-// L1 rank delta falls below tol*N or maxIters is reached. Returns the rank
-// vector and the number of iterations executed.
-//
-// Deprecated: positional convenience wrapper over the Input/Output run
-// path (runPR); prefer building an Input, which additionally carries
-// cancellation, tolerance and progress observation.
-func PageRank(g *graph.Graph, maxIters, workers int, tracer ligra.Tracer) ([]float64, int, uint64) {
-	out, err := runPR(Input{Graph: g, MaxIters: maxIters, Workers: workers, Tracer: tracer})
-	if err != nil {
-		panic(err) // nil graph; the pre-Input API crashed here too
-	}
-	ranks, _ := out.Values.([]float64)
-	return ranks, out.Iterations, out.EdgesTraversed
-}
-
 // runPR is the paper's PR workload: each iteration makes one pass to fill
 // the contribution array, then one dense pull pass whose reads of
 // contrib[src] are the irregular Property Array accesses the reordering

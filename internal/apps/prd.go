@@ -16,22 +16,6 @@ const (
 	prdMaxIters = 20
 )
 
-// PageRankDelta computes PageRank incrementally: only vertices whose rank
-// changed enough push their delta to out-neighbors. Returns the rank
-// vector, iterations executed and edges examined.
-//
-// Deprecated: positional convenience wrapper over the Input/Output run
-// path (runPRD); prefer building an Input, which additionally carries
-// cancellation, tolerance and progress observation.
-func PageRankDelta(g *graph.Graph, maxIters, workers int, tracer ligra.Tracer) ([]float64, int, uint64) {
-	out, err := runPRD(Input{Graph: g, MaxIters: maxIters, Workers: workers, Tracer: tracer})
-	if err != nil {
-		panic(err) // nil graph; the pre-Input API crashed here too
-	}
-	ranks, _ := out.Values.([]float64)
-	return ranks, out.Iterations, out.EdgesTraversed
-}
-
 // runPRD is push-based, so the irregular Property Array accesses are
 // *writes* to nghSum[dst] — the behaviour behind the coherence traffic of
 // Fig. 9. With workers > 1 the push pass runs on multiple cores and the

@@ -12,41 +12,15 @@ import (
 // Ligra implementation the paper evaluates).
 const radiiSamples = 64
 
-// Radii estimates the radius (eccentricity) of every vertex. Returns the
-// per-vertex estimates (-1 marks vertices no sample reached), rounds
-// executed and edges examined.
-//
-// Deprecated: positional convenience wrapper over the Input/Output run
-// path (runRadii); prefer building an Input, which additionally carries
-// cancellation and progress observation.
-func Radii(g *graph.Graph, samples []graph.VertexID, workers int, tracer ligra.Tracer) ([]int32, int, uint64) {
-	out, err := radiiCompute(Input{Graph: g, Roots: samples, Workers: workers, Tracer: tracer})
-	if err != nil {
-		panic(err) // nil graph; the pre-Input API crashed here too
-	}
-	radii, _ := out.Values.([]int32)
-	return radii, out.Iterations, out.EdgesTraversed
-}
-
-func runRadii(in Input) (Output, error) {
-	if err := checkInput(in, 1); err != nil {
-		return Output{}, err
-	}
-	return radiiCompute(in)
-}
-
-// radiiCompute runs radiiSamples parallel BFS's encoded as per-vertex
+// runRadii runs radiiSamples parallel BFS's encoded as per-vertex
 // bitmasks (Magnien et al.; Table VII). A vertex's radius estimate is the
 // last round in which its visited mask grew. Pull-push direction
 // switching, out-degree reordering (Table VIII). With workers > 1 mask
 // growth becomes an atomic OR; the radius estimates are identical to the
 // sequential run (mask unions are order-independent).
-//
-// Unlike the other apps it tolerates an empty sample set (every radius
-// stays -1), which the deprecated positional wrapper relies on.
-func radiiCompute(in Input) (Output, error) {
-	if in.Graph == nil {
-		return Output{}, checkInput(in, 0)
+func runRadii(in Input) (Output, error) {
+	if err := checkInput(in, 1); err != nil {
+		return Output{}, err
 	}
 	g := in.Graph
 	samples := in.Roots
@@ -61,9 +35,6 @@ func radiiCompute(in Input) (Output, error) {
 	nextVisited := make([]uint64, n)
 	for v := range radii {
 		radii[v] = -1
-	}
-	if n == 0 || len(samples) == 0 {
-		return rec.output(radii, 0), nil
 	}
 	if len(samples) > radiiSamples {
 		samples = samples[:radiiSamples]

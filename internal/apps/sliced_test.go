@@ -13,13 +13,14 @@ func TestSlicedPageRankMatchesPageRank(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, iters, _ := PageRank(g, 8, 1, nil)
+	wantOut := mustRun(t, runPR, Input{Graph: g, MaxIters: 8})
+	want, iters := wantOut.Values.([]float64), wantOut.Iterations
 	for _, slice := range []int{0, 64, 1000, g.NumVertices(), g.NumVertices() * 2} {
 		got, gotIters, edges := SlicedPageRank(g, slice, 8)
 		if gotIters != iters {
 			// PageRank may stop early on its tolerance; SlicedPageRank
 			// runs fixed iterations, so compare a fixed-iteration run.
-			want, _, _ = PageRank(g, gotIters, 1, nil)
+			want = mustRun(t, runPR, Input{Graph: g, MaxIters: gotIters}).Values.([]float64)
 		}
 		if edges == 0 {
 			t.Fatalf("slice=%d: traversed no edges", slice)

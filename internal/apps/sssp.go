@@ -12,21 +12,6 @@ import (
 // InfDistance marks unreachable vertices in SSSP results.
 const InfDistance = math.MaxInt64
 
-// SSSP computes single-source shortest paths from root. Returns the
-// distance vector, rounds executed and edges examined.
-//
-// Deprecated: positional convenience wrapper over the Input/Output run
-// path (runSSSP); prefer building an Input, which additionally carries
-// cancellation and progress observation.
-func SSSP(g *graph.Graph, root graph.VertexID, workers int, tracer ligra.Tracer) ([]int64, int, uint64, error) {
-	out, err := runSSSP(Input{Graph: g, Roots: []graph.VertexID{root}, Workers: workers, Tracer: tracer})
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	dist, _ := out.Values.([]int64)
-	return dist, out.Iterations, out.EdgesTraversed, nil
-}
-
 // runSSSP is frontier-based Bellman-Ford over out-edges (push-only,
 // Table VIII), as in Ligra's BellmanFord. Weights must be present and
 // non-negative.

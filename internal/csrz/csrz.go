@@ -2,6 +2,7 @@ package csrz
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"graphreorder/internal/graph"
@@ -128,23 +129,35 @@ func (g *Graph) AppendInNeighbors(v graph.VertexID, buf []graph.VertexID) []grap
 	return appendList(buf, g.inData[g.inOff[v]:g.inOff[v+1]], v, g.InDegree(v))
 }
 
+// appendList is the bulk decoder: it appends the deg neighbors of v that
+// data encodes to buf. The buffer grows once, to the list's length, and
+// the varint loop stores into it by index. data was validated at
+// construction (Encode) or load (ReadCSRZ/OpenFile), so the only bounds
+// checks are the slices' own.
 func appendList(buf []graph.VertexID, data []byte, v graph.VertexID, deg int) []graph.VertexID {
-	it := AdjIter{data: data, prev: int64(v), rem: deg}
-	for {
-		u, ok := it.Next()
-		if !ok {
-			return buf
+	base := len(buf)
+	buf = slices.Grow(buf, deg)[:base+deg]
+	prev := int64(v)
+	i := 0
+	for k := base; k < len(buf); k++ {
+		c := data[i]
+		i++
+		x := uint64(c & 0x7f)
+		for s := uint(7); c >= 0x80; s += 7 {
+			c = data[i]
+			i++
+			x |= uint64(c&0x7f) << s
 		}
-		buf = append(buf, u)
+		prev += unzigzag(x)
+		buf[k] = graph.VertexID(uint32(prev))
 	}
+	return buf
 }
 
-// OutEdgeIndex returns the out-direction edge-offset array (length n+1,
-// identical semantics to graph.Graph.OutIndex). Read-only.
-func (g *Graph) OutEdgeIndex() []uint64 { return g.outIdx }
-
-// InEdgeIndex returns the in-direction edge-offset array. Read-only.
-func (g *Graph) InEdgeIndex() []uint64 { return g.inIdx }
+// InIndex returns the in-direction edge-offset array (length n+1, the
+// same array and name as graph.Graph.InIndex); the engine balances
+// parallel pull chunks by it on either backend. Read-only.
+func (g *Graph) InIndex() []uint64 { return g.inIdx }
 
 // OutIter returns a streaming decoder over v's out-neighbors. The
 // iterator reads the compressed bytes in place — nothing is materialized.

@@ -107,24 +107,57 @@ func TestEncodePreservesUnsortedOrder(t *testing.T) {
 	assertSameView(t, g, z)
 }
 
+// TestIteratorMatchesNeighbors pins the two decoders against the plain
+// lists and against each other: the streaming AdjIter and the bulk
+// Append*Neighbors must both replay a list in stored order, and the bulk
+// one must do so appended onto a non-empty buffer (whose contents it
+// keeps) and into one too small for the list (which it grows).
 func TestIteratorMatchesNeighbors(t *testing.T) {
-	g := testGraph(t, "lj", false)
-	z := Encode(g)
-	for v := 0; v < g.NumVertices(); v++ {
-		id := graph.VertexID(v)
-		it := z.OutIter(id)
-		want := g.OutNeighbors(id)
-		if it.Remaining() != len(want) {
-			t.Fatalf("vertex %d: Remaining %d want %d", v, it.Remaining(), len(want))
+	for name, g := range map[string]*graph.Graph{"lj": testGraph(t, "lj", false), "unsorted": shuffledGraph(t)} {
+		z := Encode(g)
+		if len(z.outData) <= z.m || len(z.inData) <= z.m {
+			t.Fatalf("%s: no multi-byte varint in the encoding; the test would not cover them", name)
 		}
-		for i, w := range want {
-			u, ok := it.Next()
-			if !ok || u != w {
-				t.Fatalf("vertex %d: iter[%d] = %d,%v want %d", v, i, u, ok, w)
+		maxDeg := 0
+		for v := 0; v < g.NumVertices(); v++ {
+			id := graph.VertexID(v)
+			maxDeg = max(maxDeg, g.OutDegree(id), g.InDegree(id))
+			for _, dir := range []struct {
+				name   string
+				want   []graph.VertexID
+				it     AdjIter
+				append func(graph.VertexID, []graph.VertexID) []graph.VertexID
+			}{
+				{"out", g.OutNeighbors(id), z.OutIter(id), z.AppendOutNeighbors},
+				{"in", g.InNeighbors(id), z.InIter(id), z.AppendInNeighbors},
+			} {
+				it, want := dir.it, dir.want
+				if it.Remaining() != len(want) {
+					t.Fatalf("%s vertex %d %s: Remaining %d want %d", name, v, dir.name, it.Remaining(), len(want))
+				}
+				for i, w := range want {
+					u, ok := it.Next()
+					if !ok || u != w {
+						t.Fatalf("%s vertex %d %s: iter[%d] = %d,%v want %d", name, v, dir.name, i, u, ok, w)
+					}
+				}
+				if _, ok := it.Next(); ok {
+					t.Fatalf("%s vertex %d %s: iterator did not terminate", name, v, dir.name)
+				}
+
+				const sentinel = graph.VertexID(0xFFFFFFFF)
+				onto := dir.append(id, []graph.VertexID{sentinel, sentinel})
+				if len(onto) != 2+len(want) || onto[0] != sentinel || onto[1] != sentinel || !equalIDs(onto[2:], want) {
+					t.Fatalf("%s vertex %d %s: append onto a non-empty buffer = %v want prefix + %v", name, v, dir.name, onto, want)
+				}
+				small := make([]graph.VertexID, 0, len(want)/2)
+				if got := dir.append(id, small); !equalIDs(got, want) {
+					t.Fatalf("%s vertex %d %s: append into a short buffer = %v want %v", name, v, dir.name, got, want)
+				}
 			}
 		}
-		if _, ok := it.Next(); ok {
-			t.Fatalf("vertex %d: iterator did not terminate", v)
+		if name == "lj" && maxDeg < 64 {
+			t.Fatalf("lj: largest list has %d neighbors; no hub list covered", maxDeg)
 		}
 	}
 }

@@ -15,7 +15,11 @@
 //
 // Encoding preserves the stored order of every neighbor list (deltas are
 // signed + zig-zag, not sorted-ascending), and decoding replays exactly
-// that order. This is a contract, not an implementation detail: the
+// that order through either decoder: the bulk Append{Out,In}Neighbors,
+// which fills a caller's buffer in one pass and is what feeds the
+// engine's EdgeMap kernels (through graph.AdjBuffer, one reused buffer
+// per worker), and the streaming AdjIter, which materializes nothing and
+// suits a reader that may stop early. This is a contract, not an implementation detail: the
 // engine's float accumulations (PageRank's pull sums, BC's dependency
 // sums) are evaluated in neighbor-list order, so order preservation
 // makes a compressed run bit-identical to a plain run wherever the

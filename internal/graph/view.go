@@ -13,10 +13,10 @@ package graph
 // results.
 //
 // Hot loops should not assume the returned slices are free: a compressed
-// View materializes them per call. The engine type-switches to streaming
-// decode paths (see internal/ligra) and other per-edge consumers should
-// go through an AdjBuffer, which borrows the sub-slice on plain graphs
-// and reuses one decode buffer on streamed ones.
+// View allocates and decodes them per call. Per-edge consumers — the
+// engine's two EdgeMap kernels first among them — go through an
+// AdjBuffer, which borrows the sub-slice on plain graphs and reuses one
+// decode buffer on NeighborStreamer backends.
 type View interface {
 	NumVertices() int
 	NumEdges() int

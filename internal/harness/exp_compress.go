@@ -77,7 +77,7 @@ func (r *Runner) CompressTable() error {
 	}
 	t.Note("pred ratio is computed from the permutation alone (exact varint cost, out direction);")
 	t.Note("real ratio is the encoder's out-direction result — the two match by construction.")
-	t.Note("both dirs is the serving snapshot's adjacency saving; overhead is PR's streaming-decode cost.")
+	t.Note("both dirs is the serving snapshot's adjacency saving; overhead is PR's decode cost.")
 	t.Render(r.out())
 	return nil
 }

@@ -13,11 +13,36 @@ import (
 	"graphreorder/internal/graph"
 )
 
-// TestEdgeMapCompressedPushPullParity pins the dispatch contract: the
-// streaming-decode EdgeMap loops over a compressed graph must produce the
-// same frontier as the plain CSR loops, in every direction, sequential
-// and parallel, and the heap-backed and memory-mapped forms of the same
-// snapshot must be indistinguishable.
+// wrappedView is a View that is neither *graph.Graph nor *csrz.Graph.
+// Embedding the interface (not the *graph.Graph behind it) promotes the
+// View methods only, so the engine finds neither a NeighborStreamer nor
+// an in-edge index and parallel pull takes its even-chunk split.
+type wrappedView struct{ graph.View }
+
+// visitLog is a Tracer that records, in order, every vertex a traversal
+// visits (edge false, src == dst) and every edge it examines.
+type visitLog []visit
+
+type visit struct {
+	src, dst   graph.VertexID
+	edge, pull bool
+}
+
+func (l *visitLog) VertexVisited(v graph.VertexID, pull bool) {
+	*l = append(*l, visit{v, v, false, pull})
+}
+
+func (l *visitLog) EdgeExamined(src, dst graph.VertexID, pull bool) {
+	*l = append(*l, visit{src, dst, true, pull})
+}
+
+// TestEdgeMapCompressedPushPullParity pins the backend contract: the one
+// pair of kernels must produce the same frontier whatever feeds it
+// neighbor lists — the plain CSR, a compressed graph (heap-backed and
+// memory-mapped forms of one snapshot must be indistinguishable) or a
+// View of some other concrete type — in every direction, sequential and
+// parallel, and a tracer must see the same visits and edges in the same
+// order on the compressed backend as on the plain one.
 func TestEdgeMapCompressedPushPullParity(t *testing.T) {
 	g, err := gen.Generate(gen.MustDataset("wl", gen.Tiny))
 	if err != nil {
@@ -42,11 +67,39 @@ func TestEdgeMapCompressedPushPullParity(t *testing.T) {
 		}
 	}
 	want := bfsLevels(g, root, Auto)
+	backends := map[string]graph.View{"csrz-heap": cz, "csrz-mmap": mapped, "wrapped": wrappedView{g}}
 	for _, dir := range []Direction{Push, Pull, Auto} {
-		for name, backend := range map[string]graph.View{"heap": cz, "mmap": mapped} {
+		for name, backend := range backends {
 			if got := bfsLevels(backend, root, dir); !reflect.DeepEqual(got, want) {
-				t.Errorf("csrz-%s direction %d: BFS levels diverge from plain", name, dir)
+				t.Errorf("%s direction %d: BFS levels diverge from plain", name, dir)
 			}
+		}
+	}
+
+	n := g.NumVertices()
+	fns := EdgeMapFns{Update: func(_, dst graph.VertexID) bool { return dst%3 == 0 }}
+	for _, dir := range []Direction{Push, Pull} {
+		for _, workers := range []int{1, runtime.GOMAXPROCS(0), 4} {
+			round := func(backend graph.View) []graph.VertexID {
+				out := EdgeMap(backend, NewVertexSet(n, root, root+1), fns, EdgeMapOpts{Dir: dir, Workers: workers})
+				defer out.Release()
+				return sortedMembers(out)
+			}
+			if got, want := round(wrappedView{g}), round(g); !reflect.DeepEqual(got, want) {
+				t.Errorf("wrapped direction %d workers %d: frontier diverges from plain", dir, workers)
+			}
+		}
+		trace := func(backend graph.View) visitLog {
+			var log visitLog
+			EdgeMap(backend, NewVertexSet(n, root, root+1), fns, EdgeMapOpts{Dir: dir, Trace: &log}).Release()
+			return log
+		}
+		plain := trace(g)
+		if len(plain) == 0 {
+			t.Fatalf("direction %d: tracer saw nothing", dir)
+		}
+		if got := trace(cz); !reflect.DeepEqual(got, plain) {
+			t.Errorf("direction %d: traced visit/edge sequence on csrz diverges from plain", dir)
 		}
 	}
 }

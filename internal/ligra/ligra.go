@@ -7,7 +7,9 @@
 // The engine runs sequentially by default and goes multicore when
 // EdgeMapOpts.Workers > 1, matching the original Ligra (a parallel
 // framework) and the paper's fully-parallelized skew-aware
-// implementations (§V-C). The two modes differ in mechanism:
+// implementations (§V-C). There is one kernel per direction, over any
+// graph.View; a parallel round runs the same kernel over a partition of
+// the round's work, and the two directions partition differently:
 //
 //   - Pull mode partitions the destination-vertex range into contiguous
 //     chunks aligned to 64 vertices. Every destination is owned by exactly
@@ -20,15 +22,14 @@
 //     interleaving ("frontier-order-independent": the same set, any
 //     order). Update functions must be safe for concurrent invocation.
 //
-// Tracing (EdgeMapOpts.Trace != nil) always falls back to the sequential
-// path so cache-simulator traces stay deterministic.
+// Tracing (EdgeMapOpts.Trace != nil) always runs at one worker, on every
+// backend, so cache-simulator traces stay deterministic.
 package ligra
 
 import (
 	"context"
 	"math/bits"
 
-	"graphreorder/internal/csrz"
 	"graphreorder/internal/graph"
 	"graphreorder/internal/par"
 )
@@ -335,13 +336,13 @@ func WriteTracer(tr Tracer) PropertyWriteTracer {
 // and checks membership of the source. The returned set is pooled; the
 // caller may Release it once done.
 //
-// g may be any graph.View. The plain *graph.Graph keeps its original
-// slice-ranging loops; the compressed *csrz.Graph gets streaming-decode
-// loops that walk the varint adjacency in place (see edgemap_csrz.go);
-// anything else runs generic loops through a graph.AdjBuffer. All
+// g may be any graph.View: there is one push kernel and one pull kernel,
+// and each sees a neighbor list as a []VertexID handed over by a
+// per-worker graph.AdjBuffer — the stored sub-slice on a plain
+// *graph.Graph, a reused decode buffer on a compressed *csrz.Graph. All
 // backends produce bit-identical frontiers and property updates because
-// every path enumerates each neighbor list in stored order and pull-mode
-// destination ownership is 64-aligned on every path.
+// a list is enumerated in stored order whatever produced it, and
+// pull-mode destination ownership is 64-aligned on every backend.
 //
 // When opts.Ctx is non-nil and already done, EdgeMap returns nil instead
 // of a frontier (see EdgeMapOpts.Ctx); no other call path returns nil.
@@ -366,58 +367,57 @@ func EdgeMap(g graph.View, frontier *VertexSet, fns EdgeMapFns, opts EdgeMapOpts
 			dir = Push
 		}
 	}
-	switch cg := g.(type) {
-	case *graph.Graph:
-		if dir == Pull {
-			if workers > 1 {
-				return edgeMapDensePar(cg, frontier, fns, workers)
-			}
-			return edgeMapDense(cg, frontier, fns, opts.Trace)
-		}
-		if workers > 1 {
-			return edgeMapSparsePar(cg, frontier, fns, workers)
-		}
-		return edgeMapSparse(cg, frontier, fns, opts.Trace)
-	case *csrz.Graph:
-		// The streaming loops have no tracer hooks; tracing (which already
-		// pins workers = 1) takes the generic buffered path below.
-		if opts.Trace == nil {
-			if dir == Pull {
-				if workers > 1 {
-					return edgeMapDenseParCZ(cg, frontier, fns, workers)
-				}
-				return edgeMapDenseCZ(cg, frontier, fns)
-			}
-			if workers > 1 {
-				return edgeMapSparseParCZ(cg, frontier, fns, workers)
-			}
-			return edgeMapSparseCZ(cg, frontier, fns)
-		}
-	}
 	if dir == Pull {
-		if workers > 1 {
-			return edgeMapDenseParGeneric(g, frontier, fns, workers)
-		}
-		return edgeMapDenseGeneric(g, frontier, fns, opts.Trace)
+		return edgeMapPull(g, frontier, fns, workers, opts.Trace)
 	}
-	if workers > 1 {
-		return edgeMapSparseParGeneric(g, frontier, fns, workers)
-	}
-	return edgeMapSparseGeneric(g, frontier, fns, opts.Trace)
+	return edgeMapPush(g, frontier, fns, workers, opts.Trace)
 }
 
-func edgeMapSparse(g *graph.Graph, frontier *VertexSet, fns EdgeMapFns, tr Tracer) *VertexSet {
-	cond := fns.Cond
-	out := newPooledSparse(g.NumVertices())
-	claimedBox := getScratchBitset(g.NumVertices())
-	claimed := *claimedBox
+// edgeMapPush partitions the frontier's member list across workers. Each
+// chunk runs pushRange into its own buffer and the buffers are
+// concatenated in chunk order; at one worker the whole list is one chunk
+// appended straight onto the output.
+func edgeMapPush(g graph.View, frontier *VertexSet, fns EdgeMapFns, workers int, tr Tracer) *VertexSet {
+	n := g.NumVertices()
 	members, mbuf := frontierMembers(frontier)
+	claimedBox := getScratchBitset(n)
+	claimed := *claimedBox
+	out := newPooledSparse(n)
+	if workers <= 1 {
+		out.sparse = pushRange(g, members, fns, tr, claimed, false, out.sparse)
+	} else {
+		out.sparse = gatherIDs(len(members), workers, out.sparse, func(lo, hi int, local []graph.VertexID) []graph.VertexID {
+			return pushRange(g, members[lo:hi], fns, tr, claimed, true, local)
+		})
+	}
+	putScratchBitset(claimedBox)
+	putIDBuf(mbuf)
+	out.count = len(out.sparse)
+	return out
+}
+
+// pushRange is the push kernel: it scans the out-edges of members and
+// appends every destination an update hit, once, to out. claimed
+// deduplicates across all chunks of the round; shared says other workers
+// are claiming too, so a slot is taken with compare-and-swap instead of a
+// plain test and set.
+func pushRange(g graph.View, members []graph.VertexID, fns EdgeMapFns, tr Tracer, claimed Bitset, shared bool, out []graph.VertexID) []graph.VertexID {
+	cond := fns.Cond
+	weighted := fns.UpdateWeighted != nil && g.Weighted()
+	var own graph.AdjBuffer
+	adj, pooled := &own, getAdjBuffer(g)
+	if pooled != nil {
+		adj = pooled
+	}
 	for _, u := range members {
 		if tr != nil {
 			tr.VertexVisited(u, false)
 		}
-		nbrs := g.OutNeighbors(u)
-		ws := g.OutWeights(u)
+		nbrs := adj.Out(g, u)
+		var ws []uint32
+		if weighted {
+			ws = g.OutWeights(u)
+		}
 		for i, dst := range nbrs {
 			if tr != nil {
 				tr.EdgeExamined(u, dst, false)
@@ -435,28 +435,78 @@ func edgeMapSparse(g *graph.Graph, frontier *VertexSet, fns EdgeMapFns, tr Trace
 			} else {
 				hit = fns.Update(u, dst)
 			}
-			if hit && !claimed.Has(dst) {
+			if !hit {
+				continue
+			}
+			if shared {
+				if claimed.TrySetAtomic(dst) {
+					out = append(out, dst)
+				}
+			} else if !claimed.Has(dst) {
 				claimed.Set(dst)
-				out.sparse = append(out.sparse, dst)
+				out = append(out, dst)
 			}
 		}
 	}
-	putScratchBitset(claimedBox)
-	putIDBuf(mbuf)
-	out.count = len(out.sparse)
+	putAdjBuffer(pooled)
 	return out
 }
 
-func edgeMapDense(g *graph.Graph, frontier *VertexSet, fns EdgeMapFns, tr Tracer) *VertexSet {
+// inEdgeIndexer is implemented by the backends that keep the n+1 in-edge
+// offset array (*graph.Graph and *csrz.Graph): parallel pull balances its
+// chunks by in-edge count through it.
+type inEdgeIndexer interface {
+	InIndex() []uint64
+}
+
+// pullChunksPerWorker oversubscribes pull chunks to smooth residual
+// imbalance left by edge-balanced splitting.
+const pullChunksPerWorker = 4
+
+// edgeMapPull partitions the destination range into 64-aligned chunks,
+// balanced by in-edge count where the backend exposes its index and even
+// otherwise, and runs pullRange over each. The output is the same under
+// any 64-aligned chunking — every destination is fully processed by one
+// worker — so the balancing only spreads the work.
+func edgeMapPull(g graph.View, frontier *VertexSet, fns EdgeMapFns, workers int, tr Tracer) *VertexSet {
+	n := g.NumVertices()
+	// Build the membership bitmap before spawning: bits() lazily mutates
+	// sparse frontiers and must not race.
+	inFrontier := frontier.bits()
+	out := newPooledDense(n)
+	next := out.dense
+	if workers <= 1 {
+		pullRange(g, inFrontier, next, fns, tr, 0, n)
+	} else {
+		body := func(lo, hi int) { pullRange(g, inFrontier, next, fns, tr, lo, hi) }
+		if ix, ok := g.(inEdgeIndexer); ok {
+			par.ForBounds(par.BalancedBounds(ix.InIndex(), n, workers*pullChunksPerWorker, 64), workers, body)
+		} else {
+			par.For(n, workers, 64, body)
+		}
+	}
+	out.count = next.Count()
+	return out
+}
+
+// pullRange is the pull kernel: for every destination in [lo, hi) that
+// passes Cond it scans the in-edges whose source is in the frontier and
+// sets the destination's bit in next when an update hits. Callers hand
+// out 64-aligned ranges, so the words of next a range writes are its
+// own: no atomics.
+func pullRange(g graph.View, inFrontier, next Bitset, fns EdgeMapFns, tr Tracer, lo, hi int) {
 	update := fns.UpdatePull
 	if update == nil {
 		update = fns.Update
 	}
 	cond := fns.Cond
-	inFrontier := frontier.bits()
-	out := newPooledDense(g.NumVertices())
-	next := out.dense
-	for v := 0; v < g.NumVertices(); v++ {
+	weighted := fns.UpdateWeighted != nil && g.Weighted()
+	var own graph.AdjBuffer
+	adj, pooled := &own, getAdjBuffer(g)
+	if pooled != nil {
+		adj = pooled
+	}
+	for v := lo; v < hi; v++ {
 		dst := graph.VertexID(v)
 		if cond != nil && !cond(dst) {
 			continue
@@ -464,8 +514,11 @@ func edgeMapDense(g *graph.Graph, frontier *VertexSet, fns EdgeMapFns, tr Tracer
 		if tr != nil {
 			tr.VertexVisited(dst, true)
 		}
-		srcs := g.InNeighbors(dst)
-		ws := g.InWeights(dst)
+		srcs := adj.In(g, dst)
+		var ws []uint32
+		if weighted {
+			ws = g.InWeights(dst)
+		}
 		for i, src := range srcs {
 			if tr != nil {
 				tr.EdgeExamined(src, dst, true)
@@ -493,8 +546,7 @@ func edgeMapDense(g *graph.Graph, frontier *VertexSet, fns EdgeMapFns, tr Tracer
 			}
 		}
 	}
-	out.count = next.Count()
-	return out
+	putAdjBuffer(pooled)
 }
 
 // VertexMap applies f to every member of the frontier and returns the set

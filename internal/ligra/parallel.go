@@ -7,17 +7,6 @@ import (
 	"graphreorder/internal/par"
 )
 
-// Parallel EdgeMap. Push partitions the frontier member list and claims
-// output slots with CAS on a word-level bitset; pull partitions the
-// destination-vertex range into contiguous chunks aligned to 64 vertices
-// and balanced by in-edge count, so no atomics are needed and the result
-// is bit-identical to the sequential pull (see the package comment for the
-// determinism contract).
-
-// pullChunksPerWorker oversubscribes pull chunks to smooth residual
-// imbalance left by edge-balanced splitting.
-const pullChunksPerWorker = 4
-
 // gatherIDs partitions [0, n) across workers, runs gather over each chunk
 // with a pooled scratch buffer, and appends the per-chunk results to out
 // in chunk order before recycling the buffers. Concatenating in chunk
@@ -38,96 +27,6 @@ func gatherIDs(n, workers int, out []graph.VertexID, gather func(lo, hi int, loc
 		out = append(out, *buf...)
 		putIDBuf(buf)
 	}
-	return out
-}
-
-func edgeMapSparsePar(g *graph.Graph, frontier *VertexSet, fns EdgeMapFns, workers int) *VertexSet {
-	n := g.NumVertices()
-	cond := fns.Cond
-	members, mbuf := frontierMembers(frontier)
-	claimedBox := getScratchBitset(n)
-	claimed := *claimedBox
-
-	out := newPooledSparse(n)
-	out.sparse = gatherIDs(len(members), workers, out.sparse, func(lo, hi int, local []graph.VertexID) []graph.VertexID {
-		for _, u := range members[lo:hi] {
-			nbrs := g.OutNeighbors(u)
-			ws := g.OutWeights(u)
-			for i, dst := range nbrs {
-				if cond != nil && !cond(dst) {
-					continue
-				}
-				var hit bool
-				if fns.UpdateWeighted != nil {
-					var w uint32
-					if ws != nil {
-						w = ws[i]
-					}
-					hit = fns.UpdateWeighted(u, dst, w)
-				} else {
-					hit = fns.Update(u, dst)
-				}
-				if hit && claimed.TrySetAtomic(dst) {
-					local = append(local, dst)
-				}
-			}
-		}
-		return local
-	})
-	putScratchBitset(claimedBox)
-	putIDBuf(mbuf)
-	out.count = len(out.sparse)
-	return out
-}
-
-func edgeMapDensePar(g *graph.Graph, frontier *VertexSet, fns EdgeMapFns, workers int) *VertexSet {
-	n := g.NumVertices()
-	update := fns.UpdatePull
-	if update == nil {
-		update = fns.Update
-	}
-	cond := fns.Cond
-	// Build the membership bitmap before spawning: bits() lazily mutates
-	// sparse frontiers and must not race.
-	inFrontier := frontier.bits()
-	out := newPooledDense(n)
-	next := out.dense
-
-	bounds := par.BalancedBounds(g.InIndex(), n, workers*pullChunksPerWorker, 64)
-	par.ForBounds(bounds, workers, func(lo, hi int) {
-		for v := lo; v < hi; v++ {
-			dst := graph.VertexID(v)
-			if cond != nil && !cond(dst) {
-				continue
-			}
-			srcs := g.InNeighbors(dst)
-			ws := g.InWeights(dst)
-			for i, src := range srcs {
-				if !inFrontier.Has(src) {
-					continue
-				}
-				var hit bool
-				if fns.UpdateWeighted != nil {
-					var w uint32
-					if ws != nil {
-						w = ws[i]
-					}
-					hit = fns.UpdateWeighted(src, dst, w)
-				} else {
-					hit = update(src, dst)
-				}
-				if hit {
-					// Chunk bounds are 64-aligned, so this word is owned
-					// exclusively by the current chunk: no atomics needed.
-					next.Set(dst)
-				}
-				if cond != nil && !cond(dst) {
-					break
-				}
-			}
-		}
-	})
-	out.count = next.Count()
 	return out
 }
 

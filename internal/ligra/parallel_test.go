@@ -5,6 +5,7 @@ import (
 	"sort"
 	"testing"
 
+	"graphreorder/internal/csrz"
 	"graphreorder/internal/gen"
 	"graphreorder/internal/graph"
 	"graphreorder/internal/rng"
@@ -244,31 +245,31 @@ func TestSparseHasUsesLookup(t *testing.T) {
 }
 
 // TestEdgeMapSteadyStateZeroAlloc proves the scratch pool claim: once the
-// pool is warm, sequential EdgeMap iterations allocate nothing in either
-// direction when the caller releases the sets it is done with.
+// pool is warm, one-worker EdgeMap iterations allocate nothing in either
+// direction when the caller releases the sets it is done with — on the
+// plain backend, and on the compressed one, whose decode buffers are
+// pooled too.
 func TestEdgeMapSteadyStateZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; exact counts only hold without -race")
 	}
-	g := skewedGraph(t, false)
-	n := g.NumVertices()
+	plain := skewedGraph(t, false)
+	n := plain.NumVertices()
 	fns := EdgeMapFns{Update: func(_, dst graph.VertexID) bool { return dst%2 == 0 }}
-	frontier := NewVertexSet(n, 1, 2, 3, 4, 5)
-	// Warm the pool.
-	EdgeMap(g, frontier, fns, EdgeMapOpts{Dir: Push}).Release()
-	push := testing.AllocsPerRun(20, func() {
-		EdgeMap(g, frontier, fns, EdgeMapOpts{Dir: Push}).Release()
-	})
-	if push > 0 {
-		t.Errorf("steady-state push EdgeMap allocates %.1f objects/op, want 0", push)
-	}
-	full := FullVertexSet(n)
-	EdgeMap(g, full, fns, EdgeMapOpts{Dir: Pull}).Release()
-	pull := testing.AllocsPerRun(20, func() {
-		EdgeMap(g, full, fns, EdgeMapOpts{Dir: Pull}).Release()
-	})
-	if pull > 0 {
-		t.Errorf("steady-state pull EdgeMap allocates %.1f objects/op, want 0", pull)
+	for name, g := range map[string]graph.View{"plain": plain, "csrz": csrz.Encode(plain)} {
+		for _, round := range []struct {
+			dir      Direction
+			frontier *VertexSet
+		}{{Push, NewVertexSet(n, 1, 2, 3, 4, 5)}, {Pull, FullVertexSet(n)}} {
+			opts := EdgeMapOpts{Dir: round.dir}
+			EdgeMap(g, round.frontier, fns, opts).Release() // warm the pool
+			allocs := testing.AllocsPerRun(20, func() {
+				EdgeMap(g, round.frontier, fns, opts).Release()
+			})
+			if allocs > 0 {
+				t.Errorf("%s: steady-state EdgeMap (direction %d) allocates %.1f objects/op, want 0", name, round.dir, allocs)
+			}
+		}
 	}
 }
 

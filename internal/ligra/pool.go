@@ -6,8 +6,8 @@ import (
 	"graphreorder/internal/graph"
 )
 
-// The frontier pool. An EdgeMap call needs an output VertexSet plus a
-// transient claim bitset (push) or nothing beyond the output (pull); both
+// The frontier pool. An EdgeMap call needs an output VertexSet, a
+// transient claim bitset (push) and one neighbor buffer per worker; all
 // are recycled here so steady-state iterations of an application loop
 // allocate nothing once the pool is warm. Capacity is retained across
 // uses and regrown on demand, so a pool shared by graphs of different
@@ -17,6 +17,7 @@ var (
 	vsPool     = sync.Pool{New: func() any { return new(VertexSet) }}
 	bitsetPool = sync.Pool{New: func() any { return new(Bitset) }}
 	idBufPool  = sync.Pool{New: func() any { return new([]graph.VertexID) }}
+	adjPool    = sync.Pool{New: func() any { return new(graph.AdjBuffer) }}
 )
 
 // newPooledSparse returns an empty pooled sparse set over n vertices.
@@ -76,6 +77,31 @@ func getIDBuf() *[]graph.VertexID { return idBufPool.Get().(*[]graph.VertexID) }
 func putIDBuf(p *[]graph.VertexID) {
 	if p != nil {
 		idBufPool.Put(p)
+	}
+}
+
+// getAdjBuffer returns a pooled neighbor buffer bound to g when g decodes
+// its lists (a graph.NeighborStreamer): the buffer keeps the decode
+// storage of whichever graph it served last, so a warm pool decodes
+// without allocating. A plain graph lends sub-slices and needs no
+// storage: it gets nil, and the caller reads it through a zero AdjBuffer
+// of its own. One per goroutine; hand it back to putAdjBuffer.
+func getAdjBuffer(g graph.View) *graph.AdjBuffer {
+	if _, decodes := g.(graph.NeighborStreamer); !decodes {
+		return nil
+	}
+	a := adjPool.Get().(*graph.AdjBuffer)
+	a.Rebind(g)
+	return a
+}
+
+// putAdjBuffer recycles a buffer from getAdjBuffer; nil is ignored. The
+// buffer is unbound first, so the pool does not keep a retired snapshot's
+// graph reachable.
+func putAdjBuffer(a *graph.AdjBuffer) {
+	if a != nil {
+		a.Rebind(nil)
+		adjPool.Put(a)
 	}
 }
 

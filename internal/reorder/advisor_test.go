@@ -133,11 +133,11 @@ func TestAutoTechnique(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	auto, err := Apply(pl, Auto{}, graph.OutDegree)
+	auto, err := PlanOf(Auto{}).Apply(pl, graph.OutDegree)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dbg, err := Apply(pl, NewDBG(), graph.OutDegree)
+	dbg, err := PlanOf(NewDBG()).Apply(pl, graph.OutDegree)
 	if err != nil {
 		t.Fatal(err)
 	}

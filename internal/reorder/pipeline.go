@@ -148,7 +148,9 @@ func (p *Plan) Apply(g *graph.Graph, kind graph.DegreeKind) (Result, error) {
 
 // ApplyWorkers is Apply with an explicit worker count for the CSR rebuild
 // (0 or 1 pins the sequential rebuild so measured RebuildTime is
-// host-independent; negative means GOMAXPROCS).
+// host-independent; negative means GOMAXPROCS; parallel rebuilds are
+// capped at 16 workers — see graph.BuildOptions.Workers). The rebuilt
+// graph is bit-identical at every worker count.
 func (p *Plan) ApplyWorkers(g *graph.Graph, kind graph.DegreeKind, workers int) (Result, error) {
 	return p.ApplyContext(context.Background(), g, kind, workers)
 }

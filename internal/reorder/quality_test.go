@@ -152,7 +152,7 @@ func TestApplyAttachesQuality(t *testing.T) {
 		t.Fatal(err)
 	}
 	orig := Evaluate(g, graph.OutDegree, nil)
-	res, err := Apply(g, NewDBG(), graph.OutDegree)
+	res, err := PlanOf(NewDBG()).Apply(g, graph.OutDegree)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +215,7 @@ func TestPredictedRatioIsHonest(t *testing.T) {
 	}
 	check("identity", Evaluate(g, graph.OutDegree, nil), g)
 	for _, tech := range []Technique{NewDBG(), HubCluster{}, RandomVertex{Seed: 3}} {
-		res, err := Apply(g, tech, graph.OutDegree)
+		res, err := PlanOf(tech).Apply(g, graph.OutDegree)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -24,7 +24,6 @@
 package reorder
 
 import (
-	"context"
 	"fmt"
 	"time"
 
@@ -117,36 +116,6 @@ type Result struct {
 	// Quality measures the new layout's hot-vertex packing and neighbor
 	// locality (computed outside the timed phases).
 	Quality QualityReport
-}
-
-// Apply computes the permutation for g under t and relabels the graph,
-// measuring both phases. The rebuild runs sequentially so the measured
-// RebuildTime does not depend on the host's core count; ApplyWorkers opts
-// into the multicore rebuild.
-//
-// Apply and its variants are thin wrappers over single-stage plans; new
-// code should build a Plan (Compose, PlanOf, ParsePlan) and use its
-// methods directly.
-func Apply(g *graph.Graph, t Technique, kind graph.DegreeKind) (Result, error) {
-	return PlanOf(t).ApplyContext(context.Background(), g, kind, 1)
-}
-
-// ApplyWorkers is Apply with an explicit worker count for the CSR rebuild
-// (0 or 1 pins the sequential rebuild so measured RebuildTime is
-// host-independent; negative means GOMAXPROCS; parallel rebuilds are
-// capped at 16 workers — see graph.BuildOptions.Workers). The rebuilt
-// graph is bit-identical at every worker count.
-func ApplyWorkers(g *graph.Graph, t Technique, kind graph.DegreeKind, workers int) (Result, error) {
-	return PlanOf(t).ApplyContext(context.Background(), g, kind, workers)
-}
-
-// ApplyContext is ApplyWorkers under a context. Cancellation is
-// cooperative and phase-grained: the context is checked before the
-// permutation computation and again before the CSR rebuild (the two
-// phases the paper's Fig. 10 cost accounting separates), so a deadline
-// aborts between phases with ctx.Err() but never tears a phase apart.
-func ApplyContext(ctx context.Context, g *graph.Graph, t Technique, kind graph.DegreeKind, workers int) (Result, error) {
-	return PlanOf(t).ApplyContext(ctx, g, kind, workers)
 }
 
 // degreeBasedPermute adapts a DegreeBased implementation to the Technique

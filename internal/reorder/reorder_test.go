@@ -416,7 +416,7 @@ func TestApplyMeasuresAndRelabels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Apply(g, NewDBG(), graph.OutDegree)
+	res, err := PlanOf(NewDBG()).Apply(g, graph.OutDegree)
 	if err != nil {
 		t.Fatal(err)
 	}

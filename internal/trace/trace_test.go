@@ -90,7 +90,7 @@ func TestReorderingReducesL3MPKIOnUnstructured(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := reorder.Apply(g, reorder.NewDBG(), pr.ReorderDegree)
+	res, err := reorder.PlanOf(reorder.NewDBG()).Apply(g, pr.ReorderDegree)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestFineGrainReorderingHurtsL1OnStructured(t *testing.T) {
 	pr, _ := apps.ByName("PR")
 	machine := MachineFor(gen.Small)
 	simulate := func(tech reorder.Technique) cachesim.Stats {
-		res, err := reorder.Apply(g, tech, pr.ReorderDegree)
+		res, err := reorder.PlanOf(tech).Apply(g, pr.ReorderDegree)
 		if err != nil {
 			t.Fatal(err)
 		}

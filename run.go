@@ -171,7 +171,7 @@ type Result struct {
 	Checksum float64
 	// Wall is the end-to-end Run time, option processing and validation
 	// included; Compute is the traversal itself. Their difference is the
-	// API's dispatch overhead (benchmarked by BenchmarkRunVsLegacy).
+	// API's dispatch overhead.
 	Wall    time.Duration
 	Compute time.Duration
 

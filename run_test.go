@@ -3,7 +3,6 @@ package graphreorder
 import (
 	"context"
 	"errors"
-	"math"
 	"runtime"
 	"testing"
 	"time"
@@ -328,110 +327,6 @@ func TestReorderContext(t *testing.T) {
 	for v := range base.Perm {
 		if base.Perm[v] != res.Perm[v] {
 			t.Fatalf("ReorderContext permutation diverges at %d", v)
-		}
-	}
-}
-
-// TestDeprecatedWrapperParity is the differential acceptance test: every
-// deprecated facade wrapper must return bit-identical results to the
-// equivalent Run call. At workers=1 every app is deterministic, so
-// equality is exact. At workers=N the integer-state apps (SSSP, Radii)
-// and pull-based PR remain bit-identical by the determinism contract;
-// PRD and BC accumulate floats in interleaving-dependent order, so two
-// independent parallel executions agree only up to summation order and
-// are compared within float tolerance.
-func TestDeprecatedWrapperParity(t *testing.T) {
-	g, root := testGraph(t)
-	ctx := context.Background()
-	samples := []VertexID{root, 0, 1}
-	const workersN = 4
-
-	for _, workers := range []int{1, workersN} {
-		e := Engine{Workers: workers}
-		exact := workers == 1
-
-		// PR: bit-identical at any worker count (pull-based).
-		wRanks, wIters := e.PageRank(g, 10)
-		rPR, err := Run(ctx, g, AppPR, WithWorkers(workers), WithMaxIters(10))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if wIters != rPR.Iterations {
-			t.Errorf("workers=%d PR iterations: wrapper %d, Run %d", workers, wIters, rPR.Iterations)
-		}
-		mustEqualFloats(t, "PR", workers, wRanks, rPR.Ranks(), true)
-
-		// PRD: floats accumulate in summation order under parallel push.
-		wPRD, _ := e.PageRankDelta(g, 10)
-		rPRD, err := Run(ctx, g, AppPRD, WithWorkers(workers), WithMaxIters(10))
-		if err != nil {
-			t.Fatal(err)
-		}
-		mustEqualFloats(t, "PRD", workers, wPRD, rPRD.Ranks(), exact)
-
-		// SSSP: integer distances, exact at any worker count.
-		wDist, err := e.ShortestPaths(g, root)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rSSSP, err := Run(ctx, g, AppSSSP, WithWorkers(workers), WithRoot(root))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for v := range wDist {
-			if wDist[v] != rSSSP.Distances()[v] {
-				t.Fatalf("workers=%d SSSP dist[%d]: wrapper %d, Run %d", workers, v, wDist[v], rSSSP.Distances()[v])
-			}
-		}
-
-		// BC: float path counts, summation-order sensitive when parallel.
-		wBC := e.Betweenness(g, root)
-		rBC, err := Run(ctx, g, AppBC, WithWorkers(workers), WithRoot(root))
-		if err != nil {
-			t.Fatal(err)
-		}
-		mustEqualFloats(t, "BC", workers, wBC, rBC.Dependencies(), exact)
-
-		// Radii: integer estimates, exact at any worker count.
-		wRad := e.Radii(g, samples)
-		rRad, err := Run(ctx, g, AppRadii, WithWorkers(workers), WithSamples(samples))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for v := range wRad {
-			if wRad[v] != rRad.Eccentricities()[v] {
-				t.Fatalf("workers=%d Radii[%d]: wrapper %d, Run %d", workers, v, wRad[v], rRad.Eccentricities()[v])
-			}
-		}
-	}
-
-	// The sequential top-level facade equals Run at workers=1.
-	ranks, _ := PageRank(g, 10)
-	rPR, err := Run(ctx, g, AppPR, WithWorkers(1), WithMaxIters(10))
-	if err != nil {
-		t.Fatal(err)
-	}
-	mustEqualFloats(t, "PageRank()", 1, ranks, rPR.Ranks(), true)
-}
-
-// mustEqualFloats compares two vectors bit-exactly, or within a relative
-// tolerance when exact is false (parallel float accumulation).
-func mustEqualFloats(t *testing.T, app string, workers int, a, b []float64, exact bool) {
-	t.Helper()
-	if len(a) != len(b) {
-		t.Fatalf("workers=%d %s: length %d vs %d", workers, app, len(a), len(b))
-	}
-	for v := range a {
-		if a[v] == b[v] {
-			continue
-		}
-		if exact {
-			t.Fatalf("workers=%d %s: [%d] = %v vs %v (want bit-identical)", workers, app, v, a[v], b[v])
-		}
-		diff := math.Abs(a[v] - b[v])
-		scale := math.Max(math.Abs(a[v]), math.Abs(b[v]))
-		if diff > 1e-9*math.Max(scale, 1) {
-			t.Fatalf("workers=%d %s: [%d] = %v vs %v (beyond summation-order tolerance)", workers, app, v, a[v], b[v])
 		}
 	}
 }
