@@ -42,6 +42,15 @@ type Input struct {
 	// epsilon (default 0.01). 0 means the per-app default; ignored by
 	// SSSP, BC and Radii, which run to frontier exhaustion.
 	Tolerance float64
+	// InitialRanks, when non-nil, is the rank vector PR starts from in
+	// place of the uniform 1/N — typically the ranks of a slightly
+	// different graph over the same vertices, from which the iteration
+	// reaches the same fixed point in fewer rounds. Its length must be the
+	// vertex count. It is read, never modified; the convergence test and
+	// its reduction are the ones a cold run uses, so for a given start the
+	// result is still bit-identical at any worker count. Ignored by every
+	// application but PR.
+	InitialRanks []float64
 	// Workers is the number of goroutines EdgeMap and the bulk vertex
 	// passes may use; values <= 1 run sequentially. Ignored (sequential)
 	// while Tracer is set, so simulator traces stay deterministic.

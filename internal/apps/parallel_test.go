@@ -3,6 +3,7 @@ package apps
 import (
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"graphreorder/internal/gen"
@@ -167,5 +168,64 @@ func TestSpecsRunParallel(t *testing.T) {
 		if math.Abs(par.Checksum-seq.Checksum) > 1e-6*(math.Abs(seq.Checksum)+1) {
 			t.Errorf("%s: parallel checksum %g, sequential %g", spec.Name, par.Checksum, seq.Checksum)
 		}
+	}
+}
+
+// TestPageRankWarmStart: started from the converged ranks of the graph
+// four edges ago, PR stops within two iterations, loses no mass, lands no
+// farther from the fixed point than a cold run does, and — the start
+// being an input like any other — is bit-identical at every worker count.
+func TestPageRankWarmStart(t *testing.T) {
+	base := parallelTestGraph(t, false)
+	n := base.NumVertices()
+	edges := base.Edges()
+	for v := 0; v < n; v++ { // a ring: no dangling vertex, so mass is conserved
+		edges = append(edges, graph.Edge{Src: graph.VertexID(v), Dst: graph.VertexID((v + 1) % n)})
+	}
+	g, err := graph.BuildWith(edges, graph.BuildOptions{NumVertices: n, SortNeighbors: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hub := pickRoot(g)
+	patched, err := g.Patch([]graph.EdgeEdit{
+		{Src: hub, Dst: 1}, {Src: 2, Dst: hub}, {Src: 3, Dst: 4},
+		{Src: hub, Dst: g.OutNeighbors(hub)[0], Remove: true},
+	}, n, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := mustRun(t, runPR, Input{Graph: g}).Values.([]float64)
+	start := slices.Clone(before)
+
+	warmOut := mustRun(t, runPR, Input{Graph: patched, InitialRanks: start})
+	coldOut := mustRun(t, runPR, Input{Graph: patched})
+	exact := mustRun(t, runPR, Input{Graph: patched, Tolerance: 1e-12, MaxIters: 500}).Values.([]float64)
+	warm, cold := warmOut.Values.([]float64), coldOut.Values.([]float64)
+	if !slices.Equal(start, before) {
+		t.Error("PR modified its InitialRanks")
+	}
+	if warmOut.Iterations > 2 || coldOut.Iterations <= warmOut.Iterations {
+		t.Errorf("warm start took %d iterations (cold: %d), want <= 2", warmOut.Iterations, coldOut.Iterations)
+	}
+	if math.Abs(warmOut.Checksum-1) > 1e-9 {
+		t.Errorf("warm start mass = %.12f, want 1 within 1e-9", warmOut.Checksum)
+	}
+	l1 := func(a, b []float64) (d float64) {
+		for i := range a {
+			d += math.Abs(a[i] - b[i])
+		}
+		return d
+	}
+	if w, c := l1(warm, exact), l1(cold, exact); w > c {
+		t.Errorf("warm start is %.3g (L1) from the fixed point, the cold run %.3g", w, c)
+	}
+	for _, w := range appTestWorkers {
+		got := mustRun(t, runPR, Input{Graph: patched, InitialRanks: start, Workers: w})
+		if got.Iterations != warmOut.Iterations || !reflect.DeepEqual(got.Values, warmOut.Values) {
+			t.Errorf("workers=%d: warm-started ranks not bit-identical to sequential", w)
+		}
+	}
+	if _, err := runPR(Input{Graph: patched, InitialRanks: start[:n-1]}); err == nil {
+		t.Error("PR accepted initial ranks of the wrong length")
 	}
 }

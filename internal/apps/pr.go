@@ -1,6 +1,7 @@
 package apps
 
 import (
+	"fmt"
 	"math"
 
 	"graphreorder/internal/graph"
@@ -27,6 +28,9 @@ func runPR(in Input) (Output, error) {
 	}
 	g := in.Graph
 	n := g.NumVertices()
+	if in.InitialRanks != nil && len(in.InitialRanks) != n {
+		return Output{}, fmt.Errorf("apps: %d initial ranks for %d vertices", len(in.InitialRanks), n)
+	}
 	rec := in.newRecorder()
 	if n == 0 {
 		return rec.output([]float64(nil), 0), nil
@@ -46,8 +50,12 @@ func runPR(in Input) (Output, error) {
 	rank := make([]float64, n)
 	contrib := make([]float64, n)
 	sum := make([]float64, n)
-	for v := range rank {
-		rank[v] = 1.0 / float64(n)
+	if in.InitialRanks != nil {
+		copy(rank, in.InitialRanks)
+	} else {
+		for v := range rank {
+			rank[v] = 1.0 / float64(n)
+		}
 	}
 	base := (1 - prDamping) / float64(n)
 	full := ligra.FullVertexSet(n)

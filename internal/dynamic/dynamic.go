@@ -11,6 +11,34 @@
 // change the degree distribution, so hot-vertex classification stays
 // valid between reorderings — is exactly what the staleness policy
 // encodes.
+//
+// A few edge updates do not change most of the CSR either, so between
+// refreshes nothing is rebuilt. Beside its edge list a Graph keeps an
+// edit log: every edge instance inserted or removed since, in order,
+// under absolute sequence numbers. A reader that remembers the log
+// position its CSR reflects — the Graph's own cached Snapshot, a
+// Reorderer's View — brings that CSR up to date with graph.Patch, which
+// copies the untouched adjacency lists and re-merges only the edited
+// ones, and is defined to produce exactly the arrays a full rebuild
+// would. That definition needs a canonical order: every list is sorted
+// by (neighbor, weight) in original vertex order, so a CSR is a function
+// of the edge multiset alone — not of the order the edge list is in,
+// which removals (swap with last) and rollbacks scramble.
+//
+// The full rebuild remains the fallback, taken whenever patching is not
+// well-defined or not worth it: the reader's position has been trimmed
+// off the log, its delta exceeds about an eighth of the edge count, the
+// vertex space shrank under it (a rollback) or, for a View, changed at
+// all, or its CSR was not built by this package (FromGraph accepts
+// graphs with lists in any order). The log is bounded: it retains the
+// last max(1024, edges/8) edits, 16 bytes each — at most two bytes per
+// edge — plus, while a Mark is outstanding, everything after that mark
+// so RollbackTo can always undo it.
+//
+// Graphs handed out are never touched again: Snapshot and View return
+// freshly allocated CSRs, a patch never writes into or reuses the arrays
+// of the graph it patches, and callers may keep any number of old
+// results for as long as they like.
 package dynamic
 
 import (
@@ -38,8 +66,16 @@ type edgeKey struct {
 // maxEdges bounds the edge list: index links are uint32(position + 1).
 const maxEdges = math.MaxUint32 - 1
 
+// minLogRetain is the edit-log retention of a small graph; larger graphs
+// retain an eighth of their edge count.
+const minLogRetain = 1024
+
+// noPin is Graph.pin while no Mark is outstanding.
+const noPin = math.MaxUint64
+
 // Graph is a directed multigraph under batched mutation. It is not safe
-// for concurrent use. Snapshots are cached until the next mutation.
+// for concurrent use. The last snapshot is cached, and patched from the
+// edit log rather than rebuilt when a later Snapshot finds it stale.
 //
 // A batch is atomic: Apply either installs every update in the batch or
 // leaves the graph exactly as it was, and the cached snapshot always
@@ -67,8 +103,26 @@ type Graph struct {
 	outDeg []int32
 	inDeg  []int32
 
-	snapshot *graph.Graph // nil when stale
-	batches  int          // mutation batches applied since creation
+	// log[i] is edit number logBase+i of the graph's history: one entry
+	// per edge instance inserted or removed (a removal records the weight
+	// of the instance it took), rollbacks included — RollbackTo appends
+	// the inverse edits instead of truncating, so positions only grow
+	// and every reader, however far along, can patch its way forward.
+	log       []graph.EdgeEdit
+	logBase   uint64
+	logRetain int    // retention override (tests); 0 means max(minLogRetain, edges/8)
+	pin       uint64 // edits from here on are never trimmed: the last Mark, or noPin
+
+	// snapshot is the CSR as of log position snapSeq. canonical reports
+	// that this package built it, so its lists are in canonical order and
+	// it can be patched; a foreign one (FromGraph) is dropped by the first
+	// mutation instead.
+	snapshot  *graph.Graph
+	snapSeq   uint64
+	canonical bool
+	builds    int // full CSR builds from the edge list
+
+	batches int // mutation batches applied since creation
 }
 
 // FromGraph starts a dynamic graph from a static snapshot. It panics on
@@ -86,6 +140,7 @@ func FromGraph(g *graph.Graph) *Graph {
 		outDeg:   make([]int32, g.NumVertices()),
 		inDeg:    make([]int32, g.NumVertices()),
 		snapshot: g,
+		pin:      noPin,
 	}
 	// Sized for every edge being a distinct key, so linking never rehashes.
 	d.rehash(1 << bits.Len(uint(2*len(edges))|7))
@@ -134,8 +189,16 @@ func (d *Graph) AddVertices(k int) graph.VertexID {
 		return first
 	}
 	d.grow(k)
-	d.snapshot = nil
+	d.touch()
 	return first
+}
+
+// touch notes a mutation: a foreign snapshot cannot be patched forward,
+// so it is released; a canonical one stays as the base of the next patch.
+func (d *Graph) touch() {
+	if !d.canonical {
+		d.snapshot = nil
+	}
 }
 
 func (d *Graph) grow(k int) {
@@ -209,7 +272,8 @@ func (d *Graph) ApplyGrow(addVertices int, batch []Update) (graph.VertexID, erro
 		}
 	}
 	d.batches++
-	d.snapshot = nil
+	d.touch()
+	d.trimLog()
 	return first, nil
 }
 
@@ -222,6 +286,7 @@ func (d *Graph) insert(e graph.Edge) {
 	d.link(len(d.edges) - 1)
 	d.outDeg[e.Src]++
 	d.inDeg[e.Dst]++
+	d.log = append(d.log, graph.EdgeEdit{Src: e.Src, Dst: e.Dst, Weight: e.Weight})
 }
 
 // remove deletes the most recently inserted (src, dst) instance, which
@@ -231,6 +296,7 @@ func (d *Graph) insert(e graph.Edge) {
 func (d *Graph) remove(src, dst graph.VertexID) {
 	i := d.slot(src, dst)
 	pos := int(d.table[i]) - 1
+	d.log = append(d.log, graph.EdgeEdit{Src: src, Dst: dst, Weight: d.edges[pos].Weight, Remove: true})
 	if older := d.next[pos]; older != 0 {
 		d.table[i] = older
 	} else {
@@ -330,11 +396,125 @@ func (d *Graph) RestoreBatches(n int) {
 	}
 }
 
-// Snapshot materializes the current graph as static CSR (cached until the
-// next mutation).
+// seq returns the current edit-log position: the number of edits in the
+// graph's history.
+func (d *Graph) seq() uint64 { return d.logBase + uint64(len(d.log)) }
+
+func (d *Graph) retain() int {
+	if d.logRetain > 0 {
+		return d.logRetain
+	}
+	return max(minLogRetain, len(d.edges)/8)
+}
+
+// editsSince returns the edits that take a reader from log position seq
+// to the current one. It reports false when the reader must rebuild
+// instead: its position has been trimmed, or the delta is past the
+// retention bound (a pinned log can be longer), where a rebuild is the
+// cheaper way forward. The slice aliases the log; it is valid until the
+// next mutation.
+func (d *Graph) editsSince(seq uint64) ([]graph.EdgeEdit, bool) {
+	if seq < d.logBase || d.seq()-seq > uint64(d.retain()) {
+		return nil, false
+	}
+	return d.log[seq-d.logBase:], true
+}
+
+// trimLog drops the oldest edits once the log outgrows its retention,
+// down to half of it so the copy is amortized — but never an edit a
+// Mark still needs.
+func (d *Graph) trimLog() {
+	retain := d.retain()
+	if len(d.log) <= retain {
+		return
+	}
+	drop := uint64(len(d.log) - retain/2)
+	if d.pin != noPin {
+		drop = min(drop, d.pin-d.logBase)
+	}
+	if drop == 0 {
+		return
+	}
+	d.log = append(d.log[:0], d.log[drop:]...)
+	d.logBase += drop
+}
+
+// Mark is a point in a Graph's history that RollbackTo can return to.
+type Mark struct {
+	of         *Graph
+	seq        uint64
+	n, batches int
+}
+
+// Mark returns the current point of the graph's history and pins the
+// edit log there: edits applied from now on are kept, whatever the
+// retention bound, until the next Mark call moves the pin — so a caller
+// that marks each state it may have to return to (graphd marks every
+// published one) can always roll back to its latest mark, and holds
+// back no more log than it has applied since.
+func (d *Graph) Mark() Mark {
+	d.pin = d.seq()
+	return Mark{of: d, seq: d.pin, n: d.n, batches: d.batches}
+}
+
+// RollbackTo returns the graph to the state it had at m: the edits
+// applied since are undone in reverse order (so every (src, dst) bucket
+// gets back the instances, and the removal order, it had), vertex growth
+// since is taken back, and the batch counter is restored. The undo is
+// itself logged — readers of the log patch across a rollback like across
+// any other edit — and the edge list may come back in a different order,
+// which no snapshot depends on. It fails, changing nothing, for a mark of
+// another graph or one whose edits have been trimmed (only the latest
+// Mark is pinned).
+func (d *Graph) RollbackTo(m Mark) error {
+	if m.of != d || m.seq < d.logBase || m.seq > d.seq() {
+		return fmt.Errorf("dynamic: mark at edit %d is not (or no longer) in this graph's log [%d,%d]",
+			m.seq, d.logBase, d.seq())
+	}
+	// The edits to undo may touch vertices of a growth that an earlier
+	// rollback already took back: give them room for the replay.
+	room := max(d.n, m.n)
+	for _, e := range d.log[m.seq-d.logBase:] {
+		room = max(room, int(e.Src)+1, int(e.Dst)+1)
+	}
+	d.grow(room - d.n)
+	for s := d.seq(); s > m.seq; s-- {
+		if e := d.log[s-1-d.logBase]; e.Remove {
+			d.insert(graph.Edge{Src: e.Src, Dst: e.Dst, Weight: e.Weight})
+		} else {
+			d.remove(e.Src, e.Dst)
+		}
+	}
+	d.n, d.outDeg, d.inDeg = m.n, d.outDeg[:m.n], d.inDeg[:m.n]
+	d.batches = m.batches
+	d.touch()
+	return nil
+}
+
+// Snapshot materializes the current graph as static CSR in canonical
+// order — every adjacency list sorted by (neighbor, weight) — so the
+// result depends on the edge multiset only. The result is cached; when
+// the graph has changed since, the cached CSR is patched from the edit
+// log (a copy plus work proportional to the edits), and rebuilt from the
+// edge list only when it cannot be: no cached CSR, a foreign one
+// (FromGraph's argument, which is returned as it is until the first
+// mutation), a delta the log no longer covers, or a vertex space that
+// shrank. Either way the result is a fresh graph equal, array for
+// array, to the rebuild; graphs returned earlier are never modified.
 func (d *Graph) Snapshot() (*graph.Graph, error) {
-	if d.snapshot != nil {
-		return d.snapshot, nil
+	if s := d.snapshot; s != nil {
+		if d.snapSeq == d.seq() && s.NumVertices() == d.n {
+			return s, nil
+		}
+		// A stale snapshot is a canonical one: touch dropped any other.
+		if edits, ok := d.editsSince(d.snapSeq); ok && s.NumVertices() <= d.n {
+			// An error means log and CSR disagree (or the log crosses a
+			// rolled-back growth); the rebuild below is always right.
+			if g, err := s.Patch(edits, d.n, nil); err == nil {
+				d.snapshot, d.snapSeq = g, d.seq()
+				return g, nil
+			}
+		}
 	}
 	g, err := graph.BuildWith(d.edges, graph.BuildOptions{
 		NumVertices:   d.n,
@@ -344,7 +524,8 @@ func (d *Graph) Snapshot() (*graph.Graph, error) {
 	if err != nil {
 		return nil, err
 	}
-	d.snapshot = g
+	d.snapshot, d.snapSeq, d.canonical = g, d.seq(), true
+	d.builds++
 	return g, nil
 }
 
@@ -395,18 +576,29 @@ type Reorderer struct {
 
 	// Workers is the worker count for the CSR rebuilds a View performs
 	// (refresh relabel and stale-permutation relabel alike); 0 or 1 pins
-	// the sequential rebuild.
+	// the sequential rebuild. Patching a view is sequential.
 	Workers int
 
-	perm            reorder.Permutation
-	view            *graph.Graph
-	batchesAtPerm   int
-	lastViewBatches int
-	hotAtPerm       []bool // hot classification when the ordering was computed
+	perm reorder.Permutation
+	inv  reorder.Permutation // perm's inverse, computed when the first patch needs it
+
+	// view is the reordered CSR of viewOf as of its log position viewSeq;
+	// viewCanonical reports that its lists are in canonical order (those
+	// of a canonical snapshot, relabeled), so it can be patched.
+	view          *graph.Graph
+	viewOf        *Graph
+	viewSeq       uint64
+	viewCanonical bool
+
+	batchesAtPerm int
+	hotAtPerm     []bool // hot classification when the ordering was computed
 	// Refreshes counts how many times the ordering was recomputed.
 	Refreshes int
-	// Relabels counts cheap stale-permutation relabels between refreshes.
+	// Relabels counts cheap stale-permutation views between refreshes;
+	// Patches of them patched the previous view from the edit log instead
+	// of relabeling a rebuilt snapshot.
 	Relabels int
+	Patches  int
 	// GainSkips counts policy-due refreshes skipped because the predicted
 	// packing-factor gain was below Policy.MinRefreshGain.
 	GainSkips int
@@ -426,14 +618,54 @@ func NewReorderer(tech reorder.Technique, kind graph.DegreeKind, policy Policy) 
 // Seed installs an externally computed ordering of d as the Reorderer's
 // current state, so the first View does not redo work the caller already
 // performed (e.g. a snapshot-build pipeline that reordered the graph
-// itself). view must be d's current snapshot relabeled by perm.
+// itself). view must be d's current snapshot relabeled by perm — the
+// graph d.Snapshot() returns, not merely an equal edge set: while that
+// is still the foreign graph d was created from, the seeded view's lists
+// are in that graph's order and the first View after a mutation relabels
+// a rebuilt snapshot instead of patching it.
 func (r *Reorderer) Seed(d *Graph, view *graph.Graph, perm reorder.Permutation) {
-	r.perm = perm
-	r.view = view
-	r.batchesAtPerm = d.Batches()
-	r.lastViewBatches = d.Batches()
-	r.hotAtPerm = d.hotVector(r.kind)
+	r.setPerm(d, perm)
+	r.setView(d, view, d.snapshot == nil || d.canonical)
 	r.Refreshes++
+}
+
+func (r *Reorderer) setPerm(d *Graph, perm reorder.Permutation) {
+	r.perm, r.inv = perm, nil
+	r.batchesAtPerm = d.Batches()
+	r.hotAtPerm = d.hotVector(r.kind)
+}
+
+func (r *Reorderer) setView(d *Graph, view *graph.Graph, canonical bool) {
+	r.view, r.viewOf, r.viewSeq, r.viewCanonical = view, d, d.seq(), canonical
+}
+
+// patchView brings the view up to date from d's edit log, translating
+// the edits into view IDs; under perm the view's lists are ordered by
+// original ID, which is what the inverse permutation as rank says. It
+// returns nil when the view has to be relabeled from a snapshot instead.
+func (r *Reorderer) patchView(d *Graph) *graph.Graph {
+	if r.view == nil || r.viewOf != d || !r.viewCanonical {
+		return nil
+	}
+	edits, ok := d.editsSince(r.viewSeq)
+	if !ok {
+		return nil
+	}
+	moved := make([]graph.EdgeEdit, len(edits))
+	for i, e := range edits {
+		if int(e.Src) >= len(r.perm) || int(e.Dst) >= len(r.perm) {
+			return nil // the log crosses a vertex growth that was rolled back
+		}
+		moved[i] = graph.EdgeEdit{Src: r.perm[e.Src], Dst: r.perm[e.Dst], Weight: e.Weight, Remove: e.Remove}
+	}
+	if r.inv == nil {
+		r.inv = r.perm.Inverse()
+	}
+	view, err := r.view.Patch(moved, len(r.perm), r.inv)
+	if err != nil {
+		return nil // log and view disagree; the relabel is always right
+	}
+	return view
 }
 
 // hotDrift returns the fraction of vertices whose hot/cold class changed
@@ -452,17 +684,23 @@ func (r *Reorderer) hotDrift(d *Graph) float64 {
 	return float64(changed) / float64(d.n)
 }
 
-// View returns the reordered snapshot of d, refreshing the ordering if
-// the policy says it is due. The returned permutation maps d's vertex IDs
-// to the view's IDs (needed to translate query roots).
+// View returns the reordered snapshot of d — d.Snapshot() relabeled by
+// the returned permutation, array for array — refreshing the ordering if
+// the policy says it is due. The permutation maps d's vertex IDs to the
+// view's IDs (needed to translate query roots).
+//
+// Only a refresh (and the MinRefreshGain gate before one) materializes
+// the original-order snapshot. Between refreshes the previous view is
+// patched from d's edit log through the stale permutation, at a cost of
+// one copy of the CSR plus work proportional to the edits; the
+// stale-permutation relabel of a rebuilt or patched snapshot is the
+// fallback when the log does not cover the delta or the previous view is
+// not in canonical order (see Seed). Views returned earlier are never
+// modified.
 func (r *Reorderer) View(d *Graph) (*graph.Graph, reorder.Permutation, error) {
-	g, err := d.Snapshot()
-	if err != nil {
-		return nil, nil, err
-	}
 	// A missing ordering or a changed vertex space forces a refresh; the
 	// quality gate below must not override either.
-	forced := r.batchesAtPerm < 0 || len(r.perm) != g.NumVertices()
+	forced := r.batchesAtPerm < 0 || len(r.perm) != d.NumVertices()
 	due := forced ||
 		(r.policy.Every > 0 && d.Batches()-r.batchesAtPerm >= r.policy.Every)
 	if !due && r.policy.MaxHotDrift > 0 && d.Batches() != r.batchesAtPerm {
@@ -471,37 +709,50 @@ func (r *Reorderer) View(d *Graph) (*graph.Graph, reorder.Permutation, error) {
 	if due && !forced && r.policy.MinRefreshGain > 0 {
 		// Advisor gate: measure the snapshot's packing under the stale
 		// permutation; if a fresh hub-packing ordering cannot beat it by
-		// the configured factor, the cheap relabel below suffices.
+		// the configured factor, the cheap path below suffices.
+		g, err := d.Snapshot()
+		if err != nil {
+			return nil, nil, err
+		}
 		if reorder.Evaluate(g, r.kind, r.perm).PackingGain() < r.policy.MinRefreshGain {
 			due = false
 			r.GainSkips++
 		}
 	}
 	if due {
+		g, err := d.Snapshot()
+		if err != nil {
+			return nil, nil, err
+		}
 		res, err := reorder.PlanOf(r.tech).ApplyWorkers(g, r.kind, r.Workers)
 		if err != nil {
 			return nil, nil, err
 		}
-		r.perm = res.Perm
-		r.view = res.Graph
+		r.setPerm(d, res.Perm)
+		r.setView(d, res.Graph, d.canonical)
 		r.LastQuality = res.Quality
-		r.batchesAtPerm = d.Batches()
-		r.lastViewBatches = d.Batches()
-		r.hotAtPerm = d.hotVector(r.kind)
 		r.Refreshes++
 		return r.view, r.perm, nil
 	}
-	if r.view == nil || d.Batches() != r.lastViewBatches {
-		// Stale permutation, fresh edges: relabel the current snapshot
-		// with the old permutation (cheap compared to recomputing it, and
-		// exactly the reuse §VIII-B argues for).
+	if r.view != nil && r.viewOf == d && r.viewSeq == d.seq() {
+		return r.view, r.perm, nil
+	}
+	// Stale permutation, fresh edges — exactly the reuse §VIII-B argues
+	// for.
+	if view := r.patchView(d); view != nil {
+		r.setView(d, view, true)
+		r.Patches++
+	} else {
+		g, err := d.Snapshot()
+		if err != nil {
+			return nil, nil, err
+		}
 		view, err := g.RelabelWorkers(r.perm, r.Workers)
 		if err != nil {
 			return nil, nil, err
 		}
-		r.view = view
-		r.lastViewBatches = d.Batches()
-		r.Relabels++
+		r.setView(d, view, d.canonical)
 	}
+	r.Relabels++
 	return r.view, r.perm, nil
 }

@@ -9,6 +9,7 @@ import (
 
 	"graphreorder/internal/gen"
 	"graphreorder/internal/graph"
+	"graphreorder/internal/reorder"
 	"graphreorder/internal/rng"
 )
 
@@ -24,6 +25,8 @@ type refGraph struct {
 	outDeg   []int32
 	inDeg    []int32
 	batches  int
+	// undo holds every instance inserted or removed, for rollback.
+	undo []Update
 }
 
 func refFromGraph(g *graph.Graph) *refGraph {
@@ -71,21 +74,65 @@ func (r *refGraph) applyGrow(addVertices int, batch []Update) error {
 		if u.Remove {
 			r.remove(u.Edge.Src, u.Edge.Dst)
 		} else {
-			k := edgeKey{u.Edge.Src, u.Edge.Dst}
-			r.index[k] = append(r.index[k], len(r.edges))
-			r.edges = append(r.edges, u.Edge)
-			r.outDeg[u.Edge.Src]++
-			r.inDeg[u.Edge.Dst]++
+			r.insert(u.Edge)
 		}
 	}
 	r.batches++
 	return nil
 }
 
+func (r *refGraph) insert(e graph.Edge) {
+	k := edgeKey{e.Src, e.Dst}
+	r.index[k] = append(r.index[k], len(r.edges))
+	r.edges = append(r.edges, e)
+	r.outDeg[e.Src]++
+	r.inDeg[e.Dst]++
+	r.undo = append(r.undo, Update{Edge: e})
+}
+
+// refMark is a deep copy of the model: what a rollback must restore, as a
+// multiset (and, per bucket, in removal order) — not as an edge list.
+type refMark struct {
+	undoLen    int
+	n, batches int
+	buckets    map[edgeKey][]uint32 // weights, oldest instance first
+}
+
+func (r *refGraph) mark() refMark {
+	m := refMark{undoLen: len(r.undo), n: r.n, batches: r.batches, buckets: make(map[edgeKey][]uint32)}
+	for k, ids := range r.index {
+		for _, pos := range ids {
+			m.buckets[k] = append(m.buckets[k], r.edges[pos].Weight)
+		}
+	}
+	return m
+}
+
+// rollbackTo undoes the model's own history in reverse, like the real
+// graph, so the two edge lists stay comparable position by position; the
+// caller holds the result against the mark's deep copy.
+func (r *refGraph) rollbackTo(m refMark) {
+	room := max(r.n, m.n)
+	for _, u := range r.undo[m.undoLen:] {
+		room = max(room, int(u.Edge.Src)+1, int(u.Edge.Dst)+1)
+	}
+	r.outDeg = append(r.outDeg, make([]int32, room-r.n)...)
+	r.inDeg = append(r.inDeg, make([]int32, room-r.n)...)
+	for i := len(r.undo) - 1; i >= m.undoLen; i-- {
+		if u := r.undo[i]; u.Remove {
+			r.insert(u.Edge)
+		} else {
+			r.remove(u.Edge.Src, u.Edge.Dst)
+		}
+	}
+	r.n, r.outDeg, r.inDeg, r.batches = m.n, r.outDeg[:m.n], r.inDeg[:m.n], m.batches
+}
+
 func (r *refGraph) remove(src, dst graph.VertexID) {
 	k := edgeKey{src, dst}
 	ids := r.index[k]
 	pos := ids[len(ids)-1]
+	r.undo = append(r.undo, Update{Remove: true, Edge: r.edges[pos]})
 	if len(ids) == 1 {
 		delete(r.index, k)
 	} else {
@@ -127,9 +174,10 @@ func csrBytes(t *testing.T, g *graph.Graph) []byte {
 	return buf.Bytes()
 }
 
-// checkAgainstModel compares everything observable — and the edge list
-// itself, which fixes the CSR an unstable neighbor sort produces.
-func checkAgainstModel(t *testing.T, step string, d *Graph, r *refGraph) {
+// checkAgainstModel compares everything observable, the edge list itself
+// included; withSnapshot also holds Snapshot() to the rebuild of the
+// model's edge list, array for array.
+func checkAgainstModel(t *testing.T, step string, d *Graph, r *refGraph, withSnapshot bool) {
 	t.Helper()
 	if d.NumVertices() != r.n || d.NumEdges() != len(r.edges) || d.Batches() != r.batches {
 		t.Fatalf("%s: n/m/batches = %d/%d/%d, model %d/%d/%d", step,
@@ -155,6 +203,9 @@ func checkAgainstModel(t *testing.T, step string, d *Graph, r *refGraph) {
 			t.Fatalf("%s: Count(%d,%d) = %d, model %d", step, k.src, k.dst, got, len(r.index[k]))
 		}
 	}
+	if !withSnapshot {
+		return
+	}
 	snap, err := d.Snapshot()
 	if err != nil {
 		t.Fatal(err)
@@ -165,28 +216,133 @@ func checkAgainstModel(t *testing.T, step string, d *Graph, r *refGraph) {
 }
 
 // TestIndexMatchesMapModel drives the flat index and the map model with
-// the same seeded schedules of insert / remove / grow batches and
-// requires identical state after every batch, failed ones included.
+// the same seeded schedules of insert / remove / grow / rollback batches
+// and requires identical state after every batch, failed ones included —
+// and, now that snapshots and views are patched from the edit log, that
+// Snapshot() is the rebuild of the model's edge list and View() that
+// rebuild relabeled, array for array, whichever path produced them: the
+// schedules differ in how far the cached snapshot lags, whether the log
+// is trimmed under the readers (a 16-entry retention), and whether the
+// graph started from a foreign CSR with unsorted lists. Every graph the
+// package hands out is kept and re-checked at the end: no later patch
+// may have touched it.
 func TestIndexMatchesMapModel(t *testing.T) {
-	for seed := uint64(1); seed <= 6; seed++ {
+	for _, sched := range []struct {
+		seed      uint64
+		retain    int  // edit-log retention override
+		snapEvery int  // Snapshot() is called on every snapEvery-th step only
+		foreign   bool // start from a CSR with lists in edge-list order
+	}{
+		{seed: 1, snapEvery: 1},
+		{seed: 2, snapEvery: 1, retain: 16},
+		{seed: 3, snapEvery: 5, foreign: true},
+		{seed: 4, snapEvery: 3, retain: 16},
+		{seed: 5, snapEvery: 7},
+		{seed: 6, snapEvery: 2, foreign: true},
+	} {
+		seed := sched.seed
 		rnd := rng.New(seed)
 		// A small vertex space makes parallel edges, probe-run collisions
-		// and table growth (8 slots at the start) all common.
+		// and table growth (8 slots at the start) all common; vertex 0 is a
+		// hub that a quarter of all endpoints land on.
 		n := 6 + rnd.Intn(20)
-		vertex := func() graph.VertexID { return graph.VertexID(rnd.Intn(n)) }
+		vertex := func() graph.VertexID {
+			if rnd.Intn(4) == 0 {
+				return 0
+			}
+			return graph.VertexID(rnd.Intn(n))
+		}
 		weight := func() uint32 { return uint32(1 + rnd.Intn(1000)) } // parallel edges get distinct weights
 		var initial []graph.Edge
 		for i := rnd.Intn(40); i > 0; i-- {
 			initial = append(initial, graph.Edge{Src: vertex(), Dst: vertex(), Weight: weight()})
 		}
-		g, err := graph.BuildWith(initial, graph.BuildOptions{NumVertices: n, Weighted: true, SortNeighbors: true})
+		g, err := graph.BuildWith(initial, graph.BuildOptions{NumVertices: n, Weighted: true, SortNeighbors: !sched.foreign})
 		if err != nil {
 			t.Fatal(err)
 		}
 		d, r := FromGraph(g), refFromGraph(g)
-		checkAgainstModel(t, fmt.Sprintf("seed %d start", seed), d, r)
+		d.logRetain = sched.retain
+		rr := NewReorderer(reorder.NewDBG(), graph.OutDegree, Policy{Every: 8})
 
+		type kept struct {
+			g     *graph.Graph
+			bytes []byte
+		}
+		var retained []kept
+		keep := func(g *graph.Graph) {
+			if len(retained) == 0 || retained[len(retained)-1].g != g {
+				retained = append(retained, kept{g, csrBytes(t, g)})
+			}
+		}
+		check := func(step string, withSnapshot bool) {
+			t.Helper()
+			checkAgainstModel(t, step, d, r, withSnapshot)
+			view, perm, err := rr.View(d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := r.snapshot(t).RelabelWorkers(perm, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(csrBytes(t, view), csrBytes(t, want)) {
+				t.Fatalf("%s: view differs from the model's snapshot relabeled", step)
+			}
+			keep(view)
+			if withSnapshot {
+				snap, _ := d.Snapshot()
+				keep(snap)
+			}
+		}
+		if !sched.foreign {
+			check(fmt.Sprintf("seed %d start", seed), true)
+		}
+
+		var (
+			mark      Mark
+			modelMark refMark
+			marked    bool
+			rollbacks int
+		)
 		for step := 0; step < 150; step++ {
+			name := fmt.Sprintf("seed %d step %d", seed, step)
+			switch c := rnd.Intn(12); {
+			case c == 0: // a state to return to
+				mark, modelMark, marked = d.Mark(), r.mark(), true
+			case c == 1 && marked:
+				if err := d.RollbackTo(mark); err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				r.rollbackTo(modelMark)
+				n = r.n
+				rollbacks++
+				// Against the deep copy: the multiset, and per bucket the
+				// order removals will take instances in.
+				if d.NumVertices() != modelMark.n || d.Batches() != modelMark.batches || d.keys != len(modelMark.buckets) {
+					t.Fatalf("%s: rollback left n/batches/keys %d/%d/%d, marked %d/%d/%d", name,
+						d.NumVertices(), d.Batches(), d.keys, modelMark.n, modelMark.batches, len(modelMark.buckets))
+				}
+				for k, want := range modelMark.buckets {
+					var got []uint32
+					for l := d.table[d.slot(k.src, k.dst)]; l != 0; l = d.next[l-1] {
+						got = append(got, d.edges[l-1].Weight)
+					}
+					slices.Reverse(got)
+					if !slices.Equal(got, want) {
+						t.Fatalf("%s: bucket %v holds weights %v after rollback, marked %v", name, k, got, want)
+					}
+				}
+				check(name+" (rollback)", true)
+			case c == 2: // growth outside a batch
+				k := 1 + rnd.Intn(2)
+				d.AddVertices(k)
+				r.n += k
+				r.outDeg = append(r.outDeg, make([]int32, k)...)
+				r.inDeg = append(r.inDeg, make([]int32, k)...)
+				n += k
+			}
+
 			var batch []Update
 			grow := 0
 			if rnd.Intn(10) == 0 {
@@ -218,12 +374,38 @@ func TestIndexMatchesMapModel(t *testing.T) {
 			_, gotErr := d.ApplyGrow(grow, batch)
 			wantErr := r.applyGrow(grow, batch)
 			if (gotErr == nil) != (wantErr == nil) {
-				t.Fatalf("seed %d step %d: error %v, model %v", seed, step, gotErr, wantErr)
+				t.Fatalf("%s: error %v, model %v", name, gotErr, wantErr)
 			}
 			if wantErr != nil {
 				n -= grow // a failed batch does not even grow
 			}
-			checkAgainstModel(t, fmt.Sprintf("seed %d step %d", seed, step), d, r)
+			check(name, step%sched.snapEvery == 0)
+		}
+
+		for i, k := range retained {
+			if !bytes.Equal(csrBytes(t, k.g), k.bytes) {
+				t.Fatalf("seed %d: graph %d of %d handed out was modified afterwards", seed, i, len(retained))
+			}
+		}
+		t.Logf("seed %d: %d full builds, %d of %d stale views patched, %d refreshes, %d rollbacks, %d graphs retained",
+			seed, d.builds, rr.Patches, rr.Relabels, rr.Refreshes, rollbacks, len(retained))
+		if rollbacks == 0 || rr.Patches == 0 {
+			t.Errorf("seed %d: schedule exercised %d rollbacks and %d patched views", seed, rollbacks, rr.Patches)
+		}
+		if sched.retain == 0 {
+			// With the default retention the log always covers the readers:
+			// the snapshot is rebuilt once (FromGraph's argument is foreign),
+			// then only when a rollback shrank the vertex space under it or
+			// left a rolled-back growth in the log, and a stale view is
+			// relabeled rather than patched for the same reasons only.
+			if d.builds > 1+rollbacks {
+				t.Errorf("seed %d: %d full builds for %d rollbacks", seed, d.builds, rollbacks)
+			}
+			if relabeled := rr.Relabels - rr.Patches; relabeled > 1+rollbacks {
+				t.Errorf("seed %d: %d stale views relabeled for %d rollbacks", seed, relabeled, rollbacks)
+			}
+		} else if d.logBase == 0 {
+			t.Errorf("seed %d: a %d-entry retention never trimmed the log", seed, sched.retain)
 		}
 	}
 }

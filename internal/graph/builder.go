@@ -19,7 +19,12 @@ type BuildOptions struct {
 	// Weighted records edge weights; when false weights are discarded.
 	Weighted bool
 	// SortNeighbors sorts each adjacency list by neighbor ID, the layout
-	// real CSR toolchains (GAP, Ligra) produce. Defaults to true in Build.
+	// real CSR toolchains (GAP, Ligra) produce, and parallel edges of one
+	// neighbor by weight — so the CSR is a function of the edge multiset,
+	// not of the order the edge list happens to be in (which is what lets
+	// Patch define its result as "equal to the rebuild"). No application
+	// result depends on the tie-break: parallel edges share both endpoints.
+	// Defaults to true in Build.
 	SortNeighbors bool
 	// Workers is the number of goroutines CSR construction may use: 0 or 1
 	// (the zero value) pins the sequential path, negative means GOMAXPROCS,
@@ -122,30 +127,61 @@ func buildCSR(edges []Edge, n int, weighted, reverse, sortNbrs bool) ([]uint64, 
 	}
 
 	if sortNbrs {
-		for v := 0; v < n; v++ {
-			lo, hi := index[v], index[v+1]
-			if hi-lo < 2 {
-				continue
-			}
-			seg := adj[lo:hi]
-			if ws == nil {
-				slices.Sort(seg)
-			} else {
-				wseg := ws[lo:hi]
-				sort.Sort(&nbrWeightSort{seg, wseg})
-			}
-		}
+		sortLists(index, adj, ws, 0, n)
 	}
 	return index, adj, ws
 }
 
+// packedSortMax is the longest weighted list sorted through a scratch
+// array of packed keys; the few longer ones (hubs) are sorted in place,
+// so the scratch stays a quarter of a megabyte per worker however skewed
+// the graph.
+const packedSortMax = 1 << 15
+
+// sortLists sorts the adjacency lists of vertices [lo, hi) in place, by
+// the total order (neighbor, weight): the sort is unstable, so anything
+// less than a total order would leave the layout of parallel edges to
+// its internals and to the order of the edge list. A weighted list is
+// sorted as packed (neighbor << 32 | weight) keys, which orders exactly
+// so and spares the sort an interface call per comparison.
+func sortLists(index []uint64, adj []VertexID, ws []uint32, lo, hi int) {
+	var keys []uint64
+	for v := lo; v < hi; v++ {
+		s, e := index[v], index[v+1]
+		if e-s < 2 {
+			continue
+		}
+		seg := adj[s:e]
+		if ws == nil {
+			slices.Sort(seg)
+			continue
+		}
+		wseg := ws[s:e]
+		if len(seg) > packedSortMax {
+			sort.Sort(&nbrWeightSort{seg, wseg})
+			continue
+		}
+		keys = keys[:0]
+		for i, nbr := range seg {
+			keys = append(keys, uint64(nbr)<<32|uint64(wseg[i]))
+		}
+		slices.Sort(keys)
+		for i, k := range keys {
+			seg[i], wseg[i] = VertexID(k>>32), uint32(k)
+		}
+	}
+}
+
+// nbrWeightSort is the same total order over the two arrays in place.
 type nbrWeightSort struct {
 	nbrs []VertexID
 	ws   []uint32
 }
 
-func (s *nbrWeightSort) Len() int           { return len(s.nbrs) }
-func (s *nbrWeightSort) Less(i, j int) bool { return s.nbrs[i] < s.nbrs[j] }
+func (s *nbrWeightSort) Len() int { return len(s.nbrs) }
+func (s *nbrWeightSort) Less(i, j int) bool {
+	return s.nbrs[i] < s.nbrs[j] || s.nbrs[i] == s.nbrs[j] && s.ws[i] < s.ws[j]
+}
 func (s *nbrWeightSort) Swap(i, j int) {
 	s.nbrs[i], s.nbrs[j] = s.nbrs[j], s.nbrs[i]
 	s.ws[i], s.ws[j] = s.ws[j], s.ws[i]

@@ -2,8 +2,6 @@ package graph
 
 import (
 	"fmt"
-	"slices"
-	"sort"
 
 	"graphreorder/internal/par"
 )
@@ -128,19 +126,7 @@ func buildCSRPar(edges []Edge, n int, weighted, reverse, sortNbrs bool, workers 
 func sortAdjacency(index []uint64, adj []VertexID, ws []uint32, n, workers int) {
 	vb := par.BalancedBounds(index, n, workers*4, 1)
 	par.ForBounds(vb, workers, func(lo, hi int) {
-		for v := lo; v < hi; v++ {
-			s, e := index[v], index[v+1]
-			if e-s < 2 {
-				continue
-			}
-			seg := adj[s:e]
-			if ws == nil {
-				slices.Sort(seg)
-			} else {
-				wseg := ws[s:e]
-				sort.Sort(&nbrWeightSort{seg, wseg})
-			}
-		}
+		sortLists(index, adj, ws, lo, hi)
 	})
 }
 

@@ -21,6 +21,32 @@
 // only through at/len/bytes, so the target lookup and the stale-epoch
 // fallback never see the width.
 //
+// # Live snapshots
+//
+// A mutable snapshot republishes itself after every write batch
+// (live.go). Three things hold for what it publishes. Published arrays
+// are never reused: a publish between refreshes patches the previous
+// epoch's CSR into freshly allocated arrays (graph.Patch) and nothing of
+// a snapshot that was ever published — CSR, ranks, permutation — is
+// written again or recycled into a later epoch, because Snapshot.Graph
+// hands those arrays out without a reference count. Ranks are warm: a
+// live snapshot's PageRank starts from the previous epoch's vector, so it
+// is within PageRank's tolerance of a cold computation on the same graph
+// (each stops after an iteration that moved the vector by less than
+// tol*n, which bounds its L1 distance to the fixed point by
+// tol*n*d/(1-d)), not bit-equal to it; a built, rebuilt or recovered
+// snapshot starts cold, as does the publish after a vertex-space change
+// or a rollback. And a failed publish rolls the dynamic graph back by
+// undoing its edit log to the last published state's mark
+// (dynamic.Graph.RollbackTo): no copy of the graph is kept for it.
+//
+// A publish is the stage list publishStages. Each stage is a span on the
+// trace of every write the publish carries ("apply" precedes them, once
+// per batch) and a sample of graphd_publish_stage_seconds{stage}; the
+// view span's suffix — view.patch, view.relabel, view.refresh — names
+// the path dynamic.Reorderer.View took, and the trace's round count is
+// the precompute's iteration count.
+//
 // # Instrumentation contract
 //
 // Every route is registered through Server.instrument, which owns the
@@ -59,7 +85,9 @@
 //     exposition 0.0.4 under content negotiation (Accept: text/plain or
 //     ?format=prometheus). A new counter must appear in both, and the
 //     Prometheus side must keep passing obs.ValidateExposition — the
-//     in-repo checker CI scrapes through cmd/promcheck.
+//     in-repo checker CI scrapes through cmd/promcheck. (One family is
+//     Prometheus-only: graphd_publish_stage_seconds, whose other reader
+//     is the traced write itself.)
 //
 //   - Per-vertex heat telemetry is opt-out (Config.HeatSample < 0).
 //     Handlers that resolve real vertices record them through

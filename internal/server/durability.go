@@ -307,13 +307,11 @@ func (st *Store) bumpEpochFloor(floor uint64) {
 // the refresher goroutine (and newLiveGraph before the refresher
 // starts).
 type durableLog struct {
-	d            *durability
-	name         string
-	log          *wal.Log
-	sinceCkpt    int
-	lastGoodBase *graph.Graph // original-order graph at the last good publish
-	lastGoodSeq  int          // dyn.Batches() at that point
-	lastGoodOff  int64        // WAL offset at that point
+	d           *durability
+	name        string
+	log         *wal.Log
+	sinceCkpt   int
+	lastGoodOff int64 // WAL offset at the last good publish (liveGraph.mark's)
 }
 
 // openDurableLog sets up a live graph's durable state. For a fresh
@@ -344,11 +342,6 @@ func (st *Store) openDurableLog(name string, dyn *dynamic.Graph, source string, 
 	if err := dl.writeCheckpoint(st, dyn, source); err != nil {
 		st.logger.Warn("initial checkpoint failed", "snapshot", name, "err", err)
 	}
-	base, err := dyn.Snapshot()
-	if err == nil {
-		dl.lastGoodBase = base
-	}
-	dl.lastGoodSeq = dyn.Batches()
 	dl.lastGoodOff = dl.log.Offset()
 	return dl
 }
@@ -397,15 +390,6 @@ func (dl *durableLog) commit(st *Store, epoch uint64, dyn *dynamic.Graph, source
 		}
 	}
 	return nil
-}
-
-// noteGood records the post-publish state as the rollback target.
-func (dl *durableLog) noteGood(dyn *dynamic.Graph) {
-	if base, err := dyn.Snapshot(); err == nil {
-		dl.lastGoodBase = base
-	}
-	dl.lastGoodSeq = dyn.Batches()
-	dl.lastGoodOff = dl.log.Offset()
 }
 
 // finalize is the graceful-shutdown path: fold everything into a final

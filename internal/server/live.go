@@ -15,6 +15,7 @@ import (
 	"graphreorder/internal/dynamic"
 	"graphreorder/internal/faultinject"
 	"graphreorder/internal/graph"
+	"graphreorder/internal/obs"
 	"graphreorder/internal/reorder"
 	"graphreorder/internal/stats"
 )
@@ -32,8 +33,11 @@ import (
 //
 // The refresher applies the paper's §VIII-B policy (dynamic.Policy): a
 // full re-reorder only every K batches (or when the hot-set drifts, if
-// enabled), a cheap stale-permutation relabel for every publish in
-// between.
+// enabled); every publish in between patches the previous epoch's CSR
+// from the batch (dynamic.Reorderer.View) and warm-starts PageRank from
+// the previous epoch's ranks, so its cost is a copy of the CSR plus work
+// proportional to the batch. What it publishes is still a brand-new
+// snapshot: no array of a published snapshot is ever written or reused.
 
 const (
 	// maxMutateUpdates bounds one request's batch size.
@@ -105,6 +109,7 @@ type mutateReq struct {
 	updates     []dynamic.Update
 	addVertices int
 	enqueued    time.Time
+	trace       *obs.Trace       // the request's trace (nil-safe): the publish stages land on it
 	reply       chan mutateReply // buffered(1): the refresher never blocks on it
 }
 
@@ -139,12 +144,17 @@ type liveGraph struct {
 	reord *dynamic.Reorderer
 
 	// dur is the durable (WAL + checkpoint) state, nil when durability
-	// is off. Rollback targets live inside it when set; lastGoodBase &
-	// co. below mirror them for the durability-off case so a failed
-	// publish rolls back either way.
-	dur          *durableLog
-	lastGoodBase *graph.Graph
-	lastGoodSeq  int
+	// is off. mark is the last successfully published state of dyn, the
+	// target a failed publish rolls back to (by undoing the edit log — no
+	// copy of the graph is held for it).
+	dur  *durableLog
+	mark dynamic.Mark
+
+	// lastRanks and lastPerm are the ranks and permutation of the last
+	// published snapshot: the next precompute's warm start. Nil after a
+	// rollback, which makes the next precompute start cold.
+	lastRanks []float64
+	lastPerm  reorder.Permutation
 
 	// crashed marks a simulated crash (CrashLive): the refresher then
 	// abandons its WAL without flushing and skips the final checkpoint,
@@ -200,8 +210,8 @@ func newLiveGraph(st *Store, spec BuildSpec, base, reordered *graph.Graph, snap 
 		lg.dyn.RestoreBatches(int(recovered.batches))
 	}
 	lg.dur = st.openDurableLog(lg.name, lg.dyn, lg.source, recovered == nil)
-	lg.lastGoodBase = base
-	lg.lastGoodSeq = lg.dyn.Batches()
+	lg.mark = lg.dyn.Mark()
+	lg.lastRanks, lg.lastPerm = snap.ranks, perm
 	lg.wg.Add(1)
 	go lg.loop()
 	return lg
@@ -278,6 +288,7 @@ func (lg *liveGraph) process(reqs []*mutateReq) {
 		res MutateResult
 	}
 	ok := make([]appliedReq, 0, len(reqs))
+	traces := make([]*obs.Trace, 0, len(reqs))
 	for _, req := range reqs {
 		start := time.Now()
 		// WAL first: the batch must be on the log before it can touch the
@@ -314,13 +325,16 @@ func (lg *liveGraph) process(reqs []*mutateReq) {
 		if req.addVertices > 0 {
 			res.FirstNewVertex = first
 		}
+		lg.store.writes.stage("apply").Observe(time.Since(start))
+		req.trace.Observe("apply", start)
 		ok = append(ok, appliedReq{req, res})
+		traces = append(traces, req.trace)
 	}
 	if len(ok) == 0 {
 		return
 	}
 	pubStart := time.Now()
-	snap, refreshed, err := lg.publish()
+	snap, refreshed, err := lg.publish(traces)
 	pubMs := msSince(pubStart)
 	if err != nil {
 		// Publishing failed (snapshot build or precompute): roll the
@@ -374,19 +388,18 @@ func (lg *liveGraph) process(reqs []*mutateReq) {
 
 // rollback restores the dynamic graph to the last successfully
 // published (and durably committed) state after a failed publish, and
-// rewinds the WAL to match. The reorderer keeps its permutation: if the
-// vertex space rolled back underneath it, the next View detects the
-// size mismatch and forces a refresh.
+// rewinds the WAL to match. The reorderer keeps its permutation and its
+// view: the undo is on the edit log like any other edit, and if the
+// vertex space rolled back underneath it the next View detects the size
+// mismatch and forces a refresh.
 func (lg *liveGraph) rollback() {
-	base, seq := lg.lastGoodBase, lg.lastGoodSeq
-	if lg.dur != nil && lg.dur.lastGoodBase != nil {
-		base, seq = lg.dur.lastGoodBase, lg.dur.lastGoodSeq
-	}
-	if base == nil {
+	if err := lg.dyn.RollbackTo(lg.mark); err != nil {
+		// The mark pins its log, so this is a bug, not a condition.
+		lg.store.logger.Error("rollback failed, failed batches stay applied", "snapshot", lg.name, "err", err)
 		return
 	}
-	lg.dyn = dynamic.FromGraph(base)
-	lg.dyn.RestoreBatches(seq)
+	lg.mark = lg.dyn.Mark()
+	lg.lastRanks, lg.lastPerm = nil, nil
 	if lg.dur != nil {
 		lg.dur.log.Rewind(lg.dur.lastGoodOff)
 	}
@@ -394,66 +407,170 @@ func (lg *liveGraph) rollback() {
 
 // noteGood records the just-published state as the rollback target.
 func (lg *liveGraph) noteGood() {
-	if base, err := lg.dyn.Snapshot(); err == nil {
-		lg.lastGoodBase = base
-	}
-	lg.lastGoodSeq = lg.dyn.Batches()
+	lg.mark = lg.dyn.Mark()
 	if lg.dur != nil {
-		lg.dur.noteGood(lg.dyn)
+		lg.dur.lastGoodOff = lg.dur.log.Offset()
 	}
 }
 
+// publishStageNames are the values of graphd_publish_stage_seconds'
+// stage label and the span names a traced write shows: "apply" once per
+// batch, then the publishStages in order, the view span tagged with the
+// path the Reorderer took (patch the previous view from the edit log,
+// relabel a snapshot with the stale permutation, or refresh the ordering).
+var publishStageNames = [...]string{
+	"apply", "view.patch", "view.relabel", "view.refresh", "evaluate", "precompute", "encode", "swap"}
+
+// publishJob carries one publish through publishStages: each stage reads
+// what the earlier ones left and adds its own product.
+type publishJob struct {
+	lg     *liveGraph
+	traces []*obs.Trace             // of the coalesced write requests
+	took   map[string]time.Duration // per finished stage
+
+	g         *graph.Graph // the reordered CSR this epoch serves
+	perm      reorder.Permutation
+	refreshed bool
+	quality   reorder.QualityReport
+	run       *graphreorder.Result
+	cz        *csrz.Graph // the compressed encoding, on a compressed pipeline
+	snap      *Snapshot
+}
+
+// publishStages is what a publish does, in order. A stage returns a tag
+// for its span (the view's path) or "".
+var publishStages = []struct {
+	name string
+	run  func(*publishJob) (tag string, err error)
+}{
+	{"view", (*publishJob).view},
+	{"evaluate", (*publishJob).evaluate},
+	{"precompute", (*publishJob).precompute},
+	{"encode", (*publishJob).encode},
+	{"swap", (*publishJob).swap},
+}
+
 // publish materializes the current dynamic state as an immutable
-// snapshot — re-reordered if the policy says so, relabeled with the
-// stale permutation otherwise — precomputes its ranks, and hot-swaps it
-// into the store under a fresh epoch.
-func (lg *liveGraph) publish() (*Snapshot, bool, error) {
+// snapshot — re-reordered if the policy says so, the previous view
+// patched (or relabeled with the stale permutation) otherwise —
+// precomputes its ranks, and hot-swaps it into the store under a fresh
+// epoch. Every stage is a span on the traces of the writes it carries
+// and a sample of graphd_publish_stage_seconds.
+func (lg *liveGraph) publish(traces []*obs.Trace) (*Snapshot, bool, error) {
 	// The "live.publish" point lets robustness tests force a publish
 	// failure and observe the rollback path.
 	if err := faultinject.Fire("live.publish"); err != nil {
 		return nil, false, err
 	}
-	refreshesBefore := lg.reord.Refreshes
-	viewStart := time.Now()
-	g, perm, err := lg.reord.View(lg.dyn)
-	if err != nil {
-		return nil, false, err
+	p := &publishJob{lg: lg, traces: traces, took: make(map[string]time.Duration, len(publishStages))}
+	for _, st := range publishStages {
+		start := time.Now()
+		tag, err := st.run(p)
+		if err != nil {
+			return nil, false, err
+		}
+		p.took[st.name] = time.Since(start)
+		span := st.name
+		if tag != "" {
+			span += "." + tag
+		}
+		lg.store.writes.stage(span).Observe(p.took[st.name])
+		for _, tr := range traces {
+			tr.Observe(span, start)
+		}
 	}
-	viewTime := time.Since(viewStart)
-	refreshed := lg.reord.Refreshes > refreshesBefore
+	return p.snap, p.refreshed, nil
+}
 
-	// Every published layout carries fresh quality metrics — reusing the
-	// report the refresh already computed, evaluating only on relabel
-	// publishes. An "auto" snapshot that just re-reordered also
-	// re-advises, so its recorded verdict follows the evolving degree
-	// distribution.
-	quality := lg.reord.LastQuality
-	if !refreshed {
-		quality = reorder.Evaluate(g, lg.kind, nil)
+func (p *publishJob) view() (string, error) {
+	r := p.lg.reord
+	refreshes, patches := r.Refreshes, r.Patches
+	g, perm, err := r.View(p.lg.dyn)
+	if err != nil {
+		return "", err
 	}
-	if refreshed && lg.techName == "auto" {
+	p.g, p.perm = g, perm
+	switch {
+	case r.Refreshes > refreshes:
+		p.refreshed = true
+		return "refresh", nil
+	case r.Patches > patches:
+		return "patch", nil
+	}
+	return "relabel", nil
+}
+
+// evaluate attaches fresh quality metrics to the layout — reusing the
+// report a refresh already computed, evaluating only on the stale path.
+// An "auto" snapshot that just re-reordered also re-advises, so its
+// recorded verdict follows the evolving degree distribution.
+func (p *publishJob) evaluate() (string, error) {
+	lg := p.lg
+	if !p.refreshed {
+		p.quality = reorder.Evaluate(p.g, lg.kind, nil)
+		return "", nil
+	}
+	p.quality = lg.reord.LastQuality
+	if lg.techName == "auto" {
 		if pre, err := lg.dyn.Snapshot(); err == nil {
 			rec := reorder.Advise(pre, lg.kind)
 			lg.advised, lg.adviceReason = rec.Spec, rec.Reason
 		}
 	}
+	return "", nil
+}
 
-	preStart := time.Now()
+// precompute runs PageRank from the previous epoch's ranks, which a
+// small batch leaves within an iteration or two of the new fixed point.
+// The result is within PageRank's tolerance of a cold run on the same
+// graph, not bit-equal to it. The iteration count lands on the traces as
+// their round count.
+func (p *publishJob) precompute() (string, error) {
+	lg := p.lg
 	//lint:allow ctxflow epoch rebuild must complete even if the triggering request dies
-	run, err := graphreorder.Run(context.Background(), g, graphreorder.AppPR,
-		graphreorder.WithMaxIters(lg.maxIters), graphreorder.WithWorkers(lg.workers))
-	if err != nil {
-		return nil, false, err
-	}
+	run, err := graphreorder.Run(context.Background(), p.g, graphreorder.AppPR,
+		graphreorder.WithMaxIters(lg.maxIters), graphreorder.WithWorkers(lg.workers),
+		graphreorder.WithInitialRanks(lg.warmStart(p.perm)),
+		graphreorder.WithProgress(func(rs graphreorder.RoundStats) {
+			for _, tr := range p.traces {
+				tr.Round(rs.Edges)
+			}
+		}))
+	p.run = run
+	return "", err
+}
 
-	// A compressed pipeline re-encodes the fresh layout before it goes
-	// live: readers hot-swap between compressed epochs exactly as they do
-	// between plain ones (results stay bit-identical either way).
-	var view graph.View = g
-	var cz *csrz.Graph
-	if lg.backend == backendCompressed {
-		cz = csrz.Encode(g)
-		view = cz
+// warmStart returns the last published ranks in the ID space of perm, or
+// nil (a cold start) when there are none or the vertex space changed.
+func (lg *liveGraph) warmStart(perm reorder.Permutation) []float64 {
+	if len(lg.lastRanks) != len(perm) || len(perm) == 0 {
+		return nil
+	}
+	if &perm[0] == &lg.lastPerm[0] {
+		return lg.lastRanks // stale path: same permutation, same IDs
+	}
+	ranks := make([]float64, len(perm))
+	for v, id := range perm {
+		ranks[id] = lg.lastRanks[lg.lastPerm[v]]
+	}
+	return ranks
+}
+
+// encode re-encodes the fresh layout on a compressed pipeline before it
+// goes live: readers hot-swap between compressed epochs exactly as they
+// do between plain ones.
+func (p *publishJob) encode() (string, error) {
+	if p.lg.backend == backendCompressed {
+		p.cz = csrz.Encode(p.g)
+	}
+	return "", nil
+}
+
+func (p *publishJob) swap() (string, error) {
+	lg := p.lg
+	var view graph.View = p.g
+	if p.cz != nil {
+		view = p.cz
 	}
 	snap := &Snapshot{
 		epoch:          lg.store.nextID.Add(1),
@@ -461,37 +578,39 @@ func (lg *liveGraph) publish() (*Snapshot, bool, error) {
 		graph:          view,
 		technique:      lg.techName,
 		degree:         lg.kind,
-		perm:           perm,
+		perm:           p.perm,
 		source:         lg.source,
 		live:           true,
-		cz:             cz,
-		quality:        quality,
+		cz:             p.cz,
+		quality:        p.quality,
 		advised:        lg.advised,
 		adviceReason:   lg.adviceReason,
-		ranks:          run.Ranks(),
-		rankIters:      run.Iterations,
-		rankSum:        run.Checksum,
+		ranks:          p.run.Ranks(),
+		rankIters:      p.run.Iterations,
+		rankSum:        p.run.Checksum,
 		built:          time.Now(),
-		precomputeTime: time.Since(preStart),
+		precomputeTime: p.took["precompute"],
 	}
 	snap.finishBackend()
-	if refreshed {
-		snap.reorderTime = viewTime
+	if p.refreshed {
+		snap.reorderTime = p.took["view"]
 	} else {
-		snap.rebuildTime = viewTime
+		snap.rebuildTime = p.took["view"]
 	}
 	if !lg.store.publish(snap, false) {
 		// The name is being dropped out from under us: the batch cannot
 		// be acknowledged as visible.
-		return nil, false, errLiveClosed
+		return "", errLiveClosed
 	}
+	p.snap = snap
+	lg.lastRanks, lg.lastPerm = snap.ranks, p.perm
 	lg.store.writes.publishes.Add(1)
-	if refreshed {
+	if p.refreshed {
 		lg.store.writes.refreshes.Add(1)
 	} else {
 		lg.store.writes.relabels.Add(1)
 	}
-	return snap, refreshed, nil
+	return "", nil
 }
 
 func msSince(t time.Time) float64 {
@@ -594,6 +713,17 @@ type writeStats struct {
 	refreshes atomic.Uint64
 	relabels  atomic.Uint64
 	lat       stats.LatencyHist
+	stages    [len(publishStageNames)]stats.LatencyHist
+}
+
+// stage returns the histogram of one publish stage.
+func (w *writeStats) stage(name string) *stats.LatencyHist {
+	for i, n := range publishStageNames {
+		if n == name {
+			return &w.stages[i]
+		}
+	}
+	panic("server: unknown publish stage " + name)
 }
 
 // WriteStats reports the dynamic-update pipeline's counters for /metrics.

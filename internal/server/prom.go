@@ -139,6 +139,11 @@ func (s *Server) writePromMetrics(w http.ResponseWriter) {
 	p.Sample("graphd_relabels_total", nil, float64(rep.Writes.Relabels))
 	p.Summary("graphd_write_latency_seconds", "Write latency: enqueue to published receipt.")
 	writeLatencySummary(p, "graphd_write_latency_seconds", nil, &s.store.writes.lat)
+	p.Summary("graphd_publish_stage_seconds", "Time per stage of a live publish: apply once per batch, the rest once per publish, the view stage by the path it took.")
+	for i, stage := range publishStageNames {
+		writeLatencySummary(p, "graphd_publish_stage_seconds",
+			[]obs.Label{{Name: "stage", Value: stage}}, &s.store.writes.stages[i])
+	}
 
 	p.Counter("graphd_wal_records_total", "Write-ahead-log records appended.")
 	p.Sample("graphd_wal_records_total", nil, float64(rep.WAL.Records))

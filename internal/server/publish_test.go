@@ -1,0 +1,220 @@
+package server
+
+import (
+	"encoding/json"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"slices"
+	"strings"
+	"testing"
+	"time"
+
+	"graphreorder"
+	"graphreorder/internal/graph"
+	"graphreorder/internal/obs"
+	"graphreorder/internal/rng"
+)
+
+// TestPublishStagesTraced: a traced write shows where it went — one span
+// per publish stage in order, the view span tagged with its path, the
+// precompute's iteration count as the trace's rounds — and every stage
+// lands in graphd_publish_stage_seconds, which is exported (at zero) even
+// before the first write so a promcheck -require on it holds anywhere.
+func TestPublishStagesTraced(t *testing.T) {
+	s := liveServer(t, "dbg", 3)
+	h := s.Handler()
+	scrape := func() string {
+		req := httptest.NewRequest("GET", "/metrics?format=prometheus", nil)
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if _, _, err := obs.ValidateExposition(strings.NewReader(rec.Body.String())); err != nil {
+			t.Fatalf("exposition invalid: %v", err)
+		}
+		return rec.Body.String()
+	}
+	for _, stage := range publishStageNames {
+		if want := fmt.Sprintf(`graphd_publish_stage_seconds_count{stage=%q} 0`, stage); !strings.Contains(scrape(), want) {
+			t.Fatalf("before any write, /metrics lacks %s", want)
+		}
+	}
+
+	paths := map[string]int{}
+	for i := 0; i < 7; i++ {
+		body := fmt.Sprintf(`{"updates":[{"src":%d,"dst":%d,"weight":3}]}`, i, i+1)
+		req := httptest.NewRequest("POST", "/v1/snapshots/live/edges?debug=trace", strings.NewReader(body))
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("write %d: %d %s", i, rec.Code, rec.Body.String())
+		}
+		var out struct {
+			Trace    obs.TraceView `json:"trace"`
+			Response MutateResult  `json:"response"`
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
+			t.Fatal(err)
+		}
+		var names []string
+		for _, sp := range out.Trace.Spans {
+			names = append(names, sp.Name)
+		}
+		if len(names) < 6 || !strings.HasPrefix(names[1], "view.") {
+			t.Fatalf("write %d: spans %v, want apply, view.*, evaluate, precompute, encode, swap", i, names)
+		}
+		view := names[1]
+		names[1] = "view"
+		if got := strings.Join(names[:6], " "); got != "apply view evaluate precompute encode swap" {
+			t.Fatalf("write %d: spans %q", i, got)
+		}
+		if (view == "view.refresh") != out.Response.Refreshed {
+			t.Fatalf("write %d: span %s, receipt refreshed=%v", i, view, out.Response.Refreshed)
+		}
+		snap := s.store.Current()
+		if out.Trace.Rounds != snap.rankIters || out.Trace.Rounds < 1 {
+			t.Fatalf("write %d: trace shows %d rounds, snapshot took %d PageRank iterations",
+				i, out.Trace.Rounds, snap.rankIters)
+		}
+		paths[view]++
+	}
+	// The build's base graph is foreign to the dynamic graph, so the first
+	// write relabels a rebuilt snapshot; from then on views are patched,
+	// and every third batch refreshes.
+	if paths["view.relabel"] != 1 || paths["view.refresh"] != 2 || paths["view.patch"] != 4 {
+		t.Fatalf("view paths %v, want 1 relabel, 2 refreshes, 4 patches", paths)
+	}
+	text := scrape()
+	for stage, want := range map[string]int{"apply": 7, "view.patch": 4, "view.relabel": 1, "view.refresh": 2,
+		"evaluate": 7, "precompute": 7, "encode": 7, "swap": 7} {
+		if line := fmt.Sprintf(`graphd_publish_stage_seconds_count{stage=%q} %d`, stage, want); !strings.Contains(text, line) {
+			t.Errorf("/metrics lacks %s", line)
+		}
+	}
+}
+
+// TestLiveRanksWarmStartWithinTolerance: a live snapshot's ranks come
+// from a warm start, so they are not bit-equal to a cold computation of
+// the same graph — but both stopped on the same test (an iteration that
+// moved the vector by less than tol*n), which puts either within
+// tol*n*d/(1-d) of the fixed point. Checked across stale-path publishes
+// and refreshes (where the ranks move to the new permutation) alike.
+func TestLiveRanksWarmStartWithinTolerance(t *testing.T) {
+	s := liveServer(t, "dbg", 3)
+	h := s.Handler()
+	r := rng.New(9)
+	// Every published snapshot is kept, as a reader may keep it, and held
+	// to what it was when published once all the later publishes are done.
+	type published struct {
+		snap  *Snapshot
+		edges []graph.Edge
+		ranks []float64
+	}
+	var kept []published
+	defer func() {
+		for _, p := range kept {
+			if !slices.Equal(p.snap.graph.(*graph.Graph).Edges(), p.edges) || !slices.Equal(p.snap.ranks, p.ranks) {
+				t.Errorf("epoch %d was modified after it was published", p.snap.epoch)
+			}
+		}
+	}()
+	for i := 0; i < 8; i++ {
+		snap := s.store.Current()
+		n := snap.graph.NumVertices()
+		var res MutateResult
+		code, body := postJSON(t, h, "/v1/snapshots/live/edges", MutateRequest{Updates: []MutateUpdate{
+			{Src: uint32(r.Intn(n)), Dst: uint32(r.Intn(n)), Weight: 2},
+			{Src: uint32(r.Intn(n)), Dst: uint32(r.Intn(n)), Weight: 2},
+		}}, &res)
+		if code != http.StatusOK {
+			t.Fatalf("write %d: %d %s", i, code, body)
+		}
+		snap = s.store.Current()
+		kept = append(kept, published{snap, snap.graph.(*graph.Graph).Edges(), slices.Clone(snap.ranks)})
+		exact, err := graphreorder.Run(nil, snap.graph, graphreorder.AppPR,
+			graphreorder.WithTolerance(1e-12), graphreorder.WithMaxIters(200), graphreorder.WithWorkers(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cold, err := graphreorder.Run(nil, snap.graph, graphreorder.AppPR, graphreorder.WithWorkers(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		bound := 1e-7 * float64(n) * 0.85 / 0.15
+		if d := l1(snap.ranks, exact.Ranks()); d > bound {
+			t.Errorf("write %d (refreshed=%v): served ranks are %.3g (L1) from the fixed point, want <= %.3g",
+				i, res.Refreshed, d, bound)
+		}
+		if d := l1(snap.ranks, cold.Ranks()); d > 2*bound || d == 0 {
+			t.Errorf("write %d (refreshed=%v): served ranks are %.3g (L1) from a cold run, want in (0, %.3g]",
+				i, res.Refreshed, d, 2*bound)
+		}
+		if snap.rankIters > 3 {
+			t.Errorf("write %d (refreshed=%v): warm precompute took %d iterations", i, res.Refreshed, snap.rankIters)
+		}
+	}
+}
+
+func l1(a, b []float64) float64 {
+	var d float64
+	for i := range a {
+		if a[i] > b[i] {
+			d += a[i] - b[i]
+		} else {
+			d += b[i] - a[i]
+		}
+	}
+	return d
+}
+
+// BenchmarkLivePublish drives 4-edge write batches straight into the
+// handler of a mutable sd/small snapshot (DBG, refresh every 8, nothing
+// reading beside it) and reports the mean of every publish stage in
+// milliseconds per occurrence, from the same histograms /metrics exports
+// — the per-stage table of EXPERIMENTS.md "Publish path".
+func BenchmarkLivePublish(b *testing.B) {
+	s := New(Config{Workers: 2, QueryTimeout: 30 * time.Second})
+	defer s.store.CloseLive()
+	snap, err := s.store.Build(BuildSpec{Name: "live", Dataset: "sd", Scale: "small", Technique: "dbg", Mutable: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	h := s.Handler()
+	n := snap.graph.NumVertices()
+	r := rng.New(17)
+	write := func() {
+		var sb strings.Builder
+		sb.WriteString(`{"updates":[`)
+		for j := 0; j < 4; j++ {
+			if j > 0 {
+				sb.WriteByte(',')
+			}
+			fmt.Fprintf(&sb, `{"src":%d,"dst":%d,"weight":%d}`, r.Intn(n), r.Intn(n), 1+r.Intn(9))
+		}
+		sb.WriteString(`]}`)
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/snapshots/live/edges", strings.NewReader(sb.String())))
+		if rec.Code != http.StatusOK {
+			b.Fatalf("write: %d %s", rec.Code, rec.Body.String())
+		}
+	}
+	write() // the first publish relabels the build's foreign base; not the steady state
+	var sum [len(publishStageNames)]time.Duration
+	var count [len(publishStageNames)]uint64
+	for i := range sum {
+		sum[i], count[i] = s.store.writes.stages[i].Sum(), s.store.writes.stages[i].Count()
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		write()
+	}
+	b.StopTimer()
+	for i, stage := range publishStageNames {
+		// Per occurrence: a view path is taken by some publishes only.
+		if k := s.store.writes.stages[i].Count() - count[i]; k > 0 {
+			ms := float64((s.store.writes.stages[i].Sum() - sum[i]).Microseconds()) / 1000
+			b.ReportMetric(ms/float64(k), stage+"-ms")
+		}
+	}
+	cur := s.store.Current()
+	b.ReportMetric(float64(cur.rankIters), "last-pr-iters")
+}

@@ -509,6 +509,7 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 		updates:     updates,
 		addVertices: body.AddVertices,
 		enqueued:    time.Now(),
+		trace:       obs.FromContext(r.Context()),
 		reply:       make(chan mutateReply, 1),
 	}
 	if err := lg.enqueue(req); err != nil {

@@ -214,14 +214,10 @@ func TestFlightGroupCoalesces(t *testing.T) {
 			results[i] = c.val
 		}(i)
 	}
-	// Wait until the leader is registered, then let everyone pile in.
-	for {
-		g.mu.Lock()
-		registered := len(g.m) == 1
-		g.mu.Unlock()
-		if registered {
-			break
-		}
+	// Hold the leader until every other caller has joined its flight: one
+	// that arrived after the leader finished would, correctly, lead a
+	// flight of its own.
+	for g.coalesced.Load() < waiters-1 {
 		time.Sleep(time.Millisecond)
 	}
 	close(gate)

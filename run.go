@@ -93,6 +93,7 @@ type runConfig struct {
 	workers   int
 	maxIters  int
 	tolerance float64
+	initial   []float64
 	root      VertexID
 	hasRoot   bool
 	samples   []VertexID
@@ -123,6 +124,15 @@ func WithMaxIters(n int) RunOption {
 // exhaustion.
 func WithTolerance(tol float64) RunOption {
 	return func(c *runConfig) { c.tolerance = tol }
+}
+
+// WithInitialRanks makes PR start from ranks instead of the uniform
+// vector — a warm start from the ranks of a slightly different graph
+// over the same vertices converges to the same fixed point (within the
+// tolerance) in fewer iterations. ranks must have one entry per vertex,
+// or Run fails; it is not modified. Ignored by every application but PR.
+func WithInitialRanks(ranks []float64) RunOption {
+	return func(c *runConfig) { c.initial = ranks }
 }
 
 // WithRoot sets the source vertex of root-dependent applications (SSSP,
@@ -230,7 +240,7 @@ func (r *Result) Eccentricities() []int32 {
 // A nil ctx means context.Background().
 //
 // Tuning goes through functional options (WithWorkers, WithMaxIters,
-// WithTolerance, WithRoot, WithSamples, WithTracer, WithProgress). The
+// WithTolerance, WithInitialRanks, WithRoot, WithSamples, WithTracer, WithProgress). The
 // default worker count is GOMAXPROCS; WithWorkers(1) pins the
 // deterministic sequential engine.
 func Run(ctx context.Context, g GraphView, app App, opts ...RunOption) (*Result, error) {
@@ -251,13 +261,14 @@ func Run(ctx context.Context, g GraphView, app App, opts ...RunOption) (*Result,
 		}
 	}
 	in := apps.Input{
-		Ctx:       ctx,
-		Graph:     g,
-		MaxIters:  cfg.maxIters,
-		Tolerance: cfg.tolerance,
-		Workers:   par.Resolve(cfg.workers),
-		Tracer:    cfg.tracer,
-		Progress:  cfg.progress,
+		Ctx:          ctx,
+		Graph:        g,
+		MaxIters:     cfg.maxIters,
+		Tolerance:    cfg.tolerance,
+		InitialRanks: cfg.initial,
+		Workers:      par.Resolve(cfg.workers),
+		Tracer:       cfg.tracer,
+		Progress:     cfg.progress,
 	}
 	if cfg.tracer != nil {
 		in.Workers = 1 // traces stay deterministic
