@@ -443,8 +443,12 @@ func runClusterSelftest(cfg clusterConfig, g *graph.Graph) int {
 	if !checkEquivalence("post-kill") {
 		return 1
 	}
-	fmt.Printf("cluster: %d shards × %d members, balance %.4f, %d promotions, epoch %d\n",
-		rep.Shards, cfg.replicas, cl.Balance.Balance, rep.Promotions, rep.Epoch)
+	hitPct := 0.0
+	if lookups := rep.CacheHits + rep.CacheMisses; lookups > 0 {
+		hitPct = 100 * float64(rep.CacheHits) / float64(lookups)
+	}
+	fmt.Printf("cluster: %d shards × %d members, balance %.4f, %d promotions, epoch %d, reply cache %.1f%% of %d point reads\n",
+		rep.Shards, cfg.replicas, cl.Balance.Balance, rep.Promotions, rep.Epoch, hitPct, rep.CacheHits+rep.CacheMisses)
 	fmt.Printf("selftest OK: %d requests across a mid-run shard kill, zero requests lost, merged answers bit-identical to single node\n",
 		res.Requests)
 	return 0

@@ -35,8 +35,8 @@
 //     sets partition the vertex space, so the merged k-best of the
 //     union is exact and bit-identical to single-node answers.
 //   - sssp: the router owns the distance array and runs frontier
-//     exchange (below) until the frontier drains. Results are cached per
-//     (epoch, source) with single-flight coalescing.
+//     exchange (below) until the frontier drains. Each epoch keeps the
+//     distance vectors of a few sources, with single-flight coalescing.
 //
 // # SSSP frontier exchange
 //
@@ -86,7 +86,63 @@
 // name, so a request is served entirely at one epoch — no torn reads
 // across shards, and a failed build on any member leaves the previous
 // epoch serving untouched. Per-shard acked epochs and the resulting
-// epoch lag are exported in /metrics.
+// epoch lag are exported in /metrics. Publishes run one at a time, so
+// epochs become the serving one in the order they were numbered.
+//
+// # An epoch is immutable, and only the router knows who still reads it
+//
+// Data changes only by publishing, so every reply is a pure function of
+// (epoch, request). The router's record of an epoch (epochState) is
+// therefore also the owner of everything derived from it:
+//
+//   - The reply cache: a byte-budgeted LRU (server.ResultCache, the one
+//     LRU of both tiers) of the encoded 200 bodies of neighbors, degree,
+//     rank and topk, keyed by the handler's parsed parameters — the
+//     order and spelling of a query string do not matter, and no epoch is
+//     in the key. A hit is one lookup and one Write of the bytes the miss
+//     sent; the X-Cache: hit|miss header is the only difference. Errors
+//     are never cached; ?debug=trace wraps the same bytes in an envelope
+//     built per request, whose trace shows the lookup as a "cache" span.
+//   - The SSSP distance vectors of up to 16 sources.
+//
+// Both are reachable only through the epochState a request acquired, so
+// nothing cached can answer across epochs by construction, and a cutover
+// needs no invalidation pass: the pointer swap drops the only path to
+// the old epoch's caches. A store that loses the race with a cutover
+// lands in the dead epoch's cache and is collected with it. What a cache
+// entry may outlive is its members, never its epoch: a reply cached
+// before a shard's primary died is still the right answer and is served
+// without asking the shard; the first read that has to be computed fails
+// over and promotes as usual.
+//
+// The lifecycle contract — who drops an epoch's snapshots, and when. The
+// router counts references per epoch: one for being the serving epoch,
+// one per request in flight (taken in serving(), which never revives an
+// epoch whose count reached zero and retries on the successor instead),
+// one per running SSSP exchange. The publish that supersedes an epoch
+// releases its serving reference; whoever releases the last one retires
+// the epoch, on its own goroutine, exactly once:
+//
+//   - drain before drop: no snapshot of an epoch is deleted while a
+//     reference to it is held. A request parked on a stalled member
+//     across any number of publishes completes at the epoch it started
+//     on, and retires that epoch as it returns (the last reader of a dead
+//     epoch pays for the sweep; its reply is written after it);
+//   - when nothing is pinned at the swap, the superseded epoch is retired
+//     before PublishEpoch returns;
+//   - retiring first has every member activate the serving epoch — a
+//     member's own "current" follows the cluster, so the boot epoch does
+//     not stay undroppable — then sweeps by listing: every "<base>@k" a
+//     member holds with k below the serving epoch is deleted unless an
+//     undrained epoch still pins it. Orphans of failed publishes and
+//     deletes an unreachable member missed go with the next sweep;
+//     "<base>@k" above the serving epoch is a rollout in progress and is
+//     left alone;
+//   - best effort, counted: a failed member call adds to
+//     graphd_cluster_retire_errors_total and never fails the publish,
+//     which has already swapped. graphd_cluster_epochs_retired_total
+//     counts retirements; in steady state every member lists exactly one
+//     "<base>@*".
 //
 // # Failure handling
 //

@@ -10,6 +10,8 @@ import (
 	"log/slog"
 	"math/bits"
 	"net/http"
+	"net/url"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -41,13 +43,69 @@ type RouterConfig struct {
 	Logger *slog.Logger
 }
 
-// epochState is the immutable record behind the router's atomic epoch
-// pointer: the cutover makes exactly one pointer swap, so every request
-// sees either the old epoch in full or the new one in full.
+// epochState is the record behind the router's atomic epoch pointer: the
+// cutover makes exactly one pointer swap, so every request sees either
+// the old epoch in full or the new one in full. Identity (epoch,
+// snapshot, edges) never changes after the swap; everything else that is
+// per-epoch — the reply cache, the SSSP distances, the reference count
+// the retirement waits on — lives here too, guarded on its own, and is
+// reachable only through the epochState a request acquired. So nothing
+// cached can answer across epochs, and retiring an epoch needs no
+// invalidation pass: the swap drops the only path to its caches.
 type epochState struct {
 	epoch    uint64
 	snapshot string // shard snapshot name "<base>@<epoch>", pinned on every shard call
 	edges    int    // total edges across shards (response metadata)
+
+	// refs counts the holders pinning this epoch's snapshots on the
+	// members: one for being the serving epoch (released by the publish
+	// that supersedes it), one per request in flight, one per running
+	// SSSP exchange. It only ever reaches zero once, after the epoch was
+	// superseded; whoever takes it there retires the epoch.
+	refs atomic.Int64
+
+	// replies holds the encoded 200 bodies of the point routes, keyed by
+	// the handler's parsed parameters.
+	replies *server.ResultCache
+
+	// sssp holds the distance vectors of a few hot sources: the frontier
+	// exchange is the router's only multi-round (expensive) query, and
+	// hot sources repeat. Vectors are cached, not responses, so any
+	// ?target= is answered from one compute.
+	ssspMu sync.Mutex
+	sssp   map[graph.VertexID]*ssspEntry
+}
+
+// replyCacheBytes is each epoch's reply-cache budget. A point reply is
+// under 1 KiB, so this holds tens of thousands of distinct hot reads; a
+// cutover leaves at most the old epoch's cache beside the new one until
+// the old epoch drains.
+const replyCacheBytes = 32 << 20
+
+func newEpochState(epoch uint64, snapshot string, edges int) *epochState {
+	es := &epochState{
+		epoch:    epoch,
+		snapshot: snapshot,
+		edges:    edges,
+		replies:  server.NewResultCache(replyCacheBytes),
+		sssp:     make(map[graph.VertexID]*ssspEntry),
+	}
+	es.refs.Store(1) // the serving reference
+	return es
+}
+
+// acquire takes a reference unless the epoch already drained; a drained
+// epoch's snapshots may be gone from the members, so it is never revived.
+func (es *epochState) acquire() bool {
+	for {
+		n := es.refs.Load()
+		if n == 0 {
+			return false
+		}
+		if es.refs.CompareAndSwap(n, n+1) {
+			return true
+		}
+	}
 }
 
 // slot is one shard's member set and its routing state.
@@ -76,6 +134,7 @@ type Router struct {
 	cfg       RouterConfig
 	placement *Placement
 	slots     []*slot
+	allShards []int // 0..len(slots)-1, the fan-out set of reads that touch in-edges
 	client    *http.Client
 	logger    *slog.Logger
 	metrics   *routerMetrics
@@ -83,20 +142,24 @@ type Router struct {
 
 	epoch     atomic.Pointer[epochState]
 	nextEpoch atomic.Uint64
+	// publishMu admits one rollout at a time, so epochs become the
+	// serving one in the order they were numbered.
+	publishMu sync.Mutex
+	// retireMu orders a cutover's swap against a retirement's sweep and
+	// guards superseded, the epochs swapped out but not yet drained.
+	retireMu   sync.Mutex
+	superseded []*epochState
 
 	fanouts     atomic.Uint64
 	shardErrors atomic.Uint64
 	// Relax frame bytes the SSSP exchange sent to and received from shards.
 	relaxBytesOut atomic.Uint64
 	relaxBytesIn  atomic.Uint64
-
-	// ssspMu guards a small per-epoch SSSP result cache: the frontier
-	// exchange is the router's only multi-round (expensive) query, and
-	// hot sources repeat. Distance vectors are cached, not responses, so
-	// any ?target= is answered from one compute.
-	ssspMu    sync.Mutex
-	ssspEpoch uint64
-	sssp      map[graph.VertexID]*ssspEntry
+	// Reply-cache lookups across all epochs, and the retirement's tally.
+	cacheHits     atomic.Uint64
+	cacheMisses   atomic.Uint64
+	epochsRetired atomic.Uint64
+	retireErrors  atomic.Uint64
 
 	stopOnce sync.Once
 	stop     chan struct{}
@@ -142,6 +205,7 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 		sl := &slot{endpoints: append([]string(nil), eps...), span: fmt.Sprintf("shard%d", i)}
 		sl.healthy.Store(true)
 		rt.slots = append(rt.slots, sl)
+		rt.allShards = append(rt.allShards, i)
 	}
 	rt.wg.Add(1)
 	go rt.healthLoop()
@@ -170,11 +234,16 @@ func (rt *Router) Current() (uint64, string) {
 // member acks the build, then atomically swap the serving epoch. Reads
 // keep hitting the previous epoch's snapshots — pinned by name — for
 // the whole rollout; the new epoch becomes visible all at once or, on
-// error or ctx expiry, not at all.
+// error or ctx expiry, not at all. The epoch it supersedes is retired
+// (see retire) before PublishEpoch returns, unless a request still pins
+// it; a retirement that fails is counted, never reported as a failed
+// publish.
 func (rt *Router) PublishEpoch(ctx context.Context, specs []server.BuildSpec) (uint64, error) {
 	if len(specs) != len(rt.slots) {
 		return 0, fmt.Errorf("cluster: %d build specs for %d shards", len(specs), len(rt.slots))
 	}
+	rt.publishMu.Lock()
+	defer rt.publishMu.Unlock()
 	e := rt.nextEpoch.Add(1)
 	name := fmt.Sprintf("%s@%d", rt.cfg.BaseName, e)
 	for i, sl := range rt.slots {
@@ -204,12 +273,96 @@ func (rt *Router) PublishEpoch(ctx context.Context, specs []server.BuildSpec) (u
 		}
 		sl.ackedEpoch.Store(e)
 	}
-	rt.epoch.Store(&epochState{epoch: e, snapshot: name, edges: edges})
-	rt.ssspMu.Lock()
-	rt.ssspEpoch, rt.sssp = e, nil // old epoch's distances are stale
-	rt.ssspMu.Unlock()
+	next := newEpochState(e, name, edges)
+	rt.retireMu.Lock()
+	old := rt.epoch.Swap(next)
+	if old != nil {
+		rt.superseded = append(rt.superseded, old)
+	}
+	rt.retireMu.Unlock()
 	rt.logger.Info("cluster epoch published", slog.Uint64("epoch", e), slog.String("snapshot", name))
+	if old != nil {
+		rt.release(old) // the serving reference
+	}
 	return e, nil
+}
+
+// release drops one reference to es. The last one out of a superseded
+// epoch retires it, on the releasing goroutine: a cutover with nothing
+// in flight has retired the old epoch when PublishEpoch returns, a
+// request that outlived its epoch retires it as it returns.
+func (rt *Router) release(es *epochState) {
+	if es.refs.Add(-1) == 0 {
+		rt.retire(es)
+	}
+}
+
+// retire runs once per epoch, when it is superseded and drained. It makes
+// the members follow the cluster — each activates the serving epoch, so
+// its own "current" is never an epoch the router has left — and then
+// sweeps them: every "<base>@k" a member lists with k below the serving
+// epoch goes, unless an undrained epoch still pins it. Sweeping by
+// listing also collects what earlier retirements missed and what failed
+// publishes left half-built. Best effort: a member that cannot be
+// reached is counted and swept again by the next retirement.
+func (rt *Router) retire(dead *epochState) {
+	// The releasing request may be long gone; the sweep is the router's.
+	//lint:allow ctxflow retirement outlives the request that released the last reference
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	rt.retireMu.Lock()
+	defer rt.retireMu.Unlock()
+	serving := rt.epoch.Load()
+	pinned := make(map[string]bool)
+	var undrained []*epochState
+	for _, es := range rt.superseded {
+		if es.refs.Load() > 0 {
+			pinned[es.snapshot] = true
+			undrained = append(undrained, es)
+		}
+	}
+	rt.superseded = undrained
+
+	var dropped, failed uint64
+	for _, sl := range rt.slots {
+		for _, ep := range sl.endpoints {
+			if err := rt.post(ctx, ep+"/v1/snapshots/"+serving.snapshot+"/activate", nil, nil); err != nil {
+				failed++
+			}
+			var list struct {
+				Snapshots []server.SnapshotInfo `json:"snapshots"`
+			}
+			if err := rt.get(ctx, ep+"/v1/snapshots", &list); err != nil {
+				failed++
+				continue
+			}
+			for _, snap := range list.Snapshots {
+				k, ours := rt.epochOf(snap.Name)
+				if !ours || k >= serving.epoch || pinned[snap.Name] {
+					continue
+				}
+				if err := rt.call(ctx, "DELETE", ep+"/v1/snapshots/"+snap.Name, nil, nil); err != nil {
+					failed++
+					continue
+				}
+				dropped++
+			}
+		}
+	}
+	rt.epochsRetired.Add(1)
+	rt.retireErrors.Add(failed)
+	rt.logger.Info("cluster epoch retired", slog.Uint64("epoch", dead.epoch),
+		slog.Uint64("snapshots_dropped", dropped), slog.Uint64("member_errors", failed))
+}
+
+// epochOf parses a member snapshot name of the form "<base>@<k>".
+func (rt *Router) epochOf(name string) (uint64, bool) {
+	suffix, ok := strings.CutPrefix(name, rt.cfg.BaseName+"@")
+	if !ok {
+		return 0, false
+	}
+	k, err := strconv.ParseUint(suffix, 10, 64)
+	return k, err == nil
 }
 
 // awaitSnapshot polls one member until the named snapshot is published,
@@ -242,23 +395,29 @@ func (rt *Router) awaitSnapshot(ctx context.Context, ep, name string) (server.Sn
 	}
 }
 
-// get/post are plain (non-failover) member calls used by the control
-// plane (publish, health).
-func (rt *Router) get(ctx context.Context, url string, out any) error {
-	req, err := http.NewRequestWithContext(ctx, "GET", url, nil)
+// call is a plain (non-failover) member call, used by the control plane
+// (publish, retire, health); get and post are its common shapes.
+func (rt *Router) call(ctx context.Context, method, url string, body []byte, out any) error {
+	var rd io.Reader
+	if body != nil {
+		rd = bytes.NewReader(body)
+	}
+	req, err := http.NewRequestWithContext(ctx, method, url, rd)
 	if err != nil {
 		return err
+	}
+	if body != nil {
+		req.Header.Set("Content-Type", "application/json")
 	}
 	return rt.roundTrip(req, out)
 }
 
+func (rt *Router) get(ctx context.Context, url string, out any) error {
+	return rt.call(ctx, "GET", url, nil, out)
+}
+
 func (rt *Router) post(ctx context.Context, url string, body []byte, out any) error {
-	req, err := http.NewRequestWithContext(ctx, "POST", url, bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	return rt.roundTrip(req, out)
+	return rt.call(ctx, "POST", url, body, out)
 }
 
 func (rt *Router) roundTrip(req *http.Request, out any) error {
@@ -458,18 +617,25 @@ func (rt *Router) Handler() http.Handler {
 	return mux
 }
 
-// serving returns the current epoch state or writes the 503 every
-// graphd client already understands.
+// serving pins the serving epoch for one request, or writes the 503 every
+// graphd client already understands. The caller releases what it gets.
+// An epoch that drained between the load and the acquire has been
+// superseded, so the retry finds its successor.
 func (rt *Router) serving(w http.ResponseWriter) *epochState {
-	es := rt.epoch.Load()
-	if es == nil {
-		writeError(w, http.StatusServiceUnavailable, "no cluster epoch published yet")
+	for {
+		es := rt.epoch.Load()
+		if es == nil {
+			writeError(w, http.StatusServiceUnavailable, "no cluster epoch published yet")
+			return nil
+		}
+		if es.acquire() {
+			return es
+		}
 	}
-	return es
 }
 
-func (rt *Router) vertexParam(r *http.Request, key string) (graph.VertexID, error) {
-	raw := r.URL.Query().Get(key)
+func (rt *Router) vertexParam(q url.Values, key string) (graph.VertexID, error) {
+	raw := q.Get(key)
 	if raw == "" {
 		return 0, fmt.Errorf("missing required parameter %q", key)
 	}
@@ -533,39 +699,44 @@ func (rt *Router) handleSnapshots(w http.ResponseWriter, r *http.Request) {
 // their source's out-edges were placed).
 func (rt *Router) shardsFor(v graph.VertexID, allShards bool) []int {
 	if allShards {
-		out := make([]int, len(rt.slots))
-		for i := range out {
-			out[i] = i
-		}
-		return out
+		return rt.allShards
 	}
 	return rt.placement.HomesOf(v)
 }
 
-// fanout issues one GET against every listed shard concurrently and
-// decodes each response into outs[i]. The trace gets one accumulated
+// fanout issues one GET against every listed shard and decodes each
+// reply into its element of the result. The first shard is asked on the
+// caller's goroutine and only the others get one of their own, so a read
+// with a single authority (a rank, the out-edges of an unreplicated
+// vertex) costs no goroutine at all. The trace gets one accumulated
 // "fanout" span plus a per-shard breakdown span; errors abort the whole
 // query (a partial merge would be a silently wrong answer).
-func (rt *Router) fanout(ctx context.Context, tr *obs.Trace, shards []int, pathAndQuery string, outs []any) error {
+func fanout[T any](ctx context.Context, rt *Router, shards []int, pathAndQuery string) ([]T, error) {
+	tr := obs.FromContext(ctx)
 	start := time.Now()
 	defer tr.Accumulate("fanout", start)
+	parts := make([]T, len(shards))
 	errs := make([]error, len(shards))
-	var wg sync.WaitGroup
-	for i, s := range shards {
-		wg.Add(1)
-		go func(i, s int) {
-			defer wg.Done()
-			shardStart := time.Now()
-			var reply bytes.Buffer
-			errs[i] = rt.shardCall(ctx, s, "GET", pathAndQuery, nil, tr.IDString(), &reply)
-			if errs[i] == nil {
-				errs[i] = json.Unmarshal(reply.Bytes(), outs[i])
-			}
-			tr.Accumulate(rt.slots[s].span, shardStart)
-		}(i, s)
+	ask := func(i int) {
+		shardStart := time.Now()
+		var reply bytes.Buffer
+		errs[i] = rt.shardCall(ctx, shards[i], "GET", pathAndQuery, nil, tr.IDString(), &reply)
+		if errs[i] == nil {
+			errs[i] = json.Unmarshal(reply.Bytes(), &parts[i])
+		}
+		tr.Accumulate(rt.slots[shards[i]].span, shardStart)
 	}
+	var wg sync.WaitGroup
+	for i := 1; i < len(shards); i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ask(i)
+		}()
+	}
+	ask(0)
 	wg.Wait()
-	return errors.Join(errs...)
+	return parts, errors.Join(errs...)
 }
 
 func writeShardError(w http.ResponseWriter, err error) {
@@ -583,10 +754,67 @@ func writeShardError(w http.ResponseWriter, err error) {
 	writeError(w, http.StatusBadGateway, "%v", err)
 }
 
+// pointKey renders a point read's parsed parameters as its reply-cache
+// key: the route's letter, the number (vertex or k), and whatever else
+// the route takes. Parsed, not raw — "?v=1&dir=out", "?dir=out&v=1" and
+// "?v=01" are one entry.
+func pointKey(route byte, num uint64, rest ...string) string {
+	var buf [48]byte
+	key := strconv.AppendUint(append(buf[:0], route), num, 10)
+	for _, s := range rest {
+		key = append(append(key, '|'), s...)
+	}
+	return string(key)
+}
+
+// servePoint answers one point read at epoch es: from the epoch's reply
+// cache when the same parsed request was answered before, else by
+// running merge and caching the encoded reply. An epoch is immutable, so
+// the bytes of a hit are the bytes the miss sent; only the X-Cache header
+// tells them apart. Errors are never cached, and neither is anything
+// about one request's trace: ?debug=trace wraps the same bytes outside.
+func (rt *Router) servePoint(w http.ResponseWriter, r *http.Request, es *epochState, key string, merge func() (any, error)) {
+	tr := obs.FromContext(r.Context())
+	lookup := time.Now()
+	hit, ok := es.replies.Get(key)
+	tr.Observe("cache", lookup)
+	var body []byte
+	if ok {
+		rt.cacheHits.Add(1)
+		body = hit.([]byte)
+		w.Header().Set("X-Cache", "hit")
+	} else {
+		rt.cacheMisses.Add(1)
+		reply, err := merge()
+		if err != nil {
+			writeShardError(w, err)
+			return
+		}
+		if body, err = json.Marshal(reply); err != nil {
+			writeError(w, http.StatusInternalServerError, "%v", err)
+			return
+		}
+		body = append(body, '\n')
+		// A store that loses the race with a cutover lands in the dead
+		// epoch's cache and dies with it.
+		es.replies.Add(key, body, server.EntryCost(key, "", int64(len(body))))
+		w.Header().Set("X-Cache", "miss")
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.Write(body)
+}
+
 type shardNeighbors struct {
 	Degree    int              `json:"degree"`
 	Truncated bool             `json:"truncated"`
 	Neighbors []graph.VertexID `json:"neighbors"`
+}
+
+type neighborsReply struct {
+	clusterMeta
+	Vertex graph.VertexID `json:"vertex"`
+	Dir    string         `json:"dir"`
+	shardNeighbors
 }
 
 func (rt *Router) handleNeighbors(w http.ResponseWriter, r *http.Request) {
@@ -594,53 +822,53 @@ func (rt *Router) handleNeighbors(w http.ResponseWriter, r *http.Request) {
 	if es == nil {
 		return
 	}
-	v, err := rt.vertexParam(r, "v")
+	defer rt.release(es)
+	q := r.URL.Query()
+	v, err := rt.vertexParam(q, "v")
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	dir := r.URL.Query().Get("dir")
+	dir := q.Get("dir")
 	if dir == "" {
 		dir = "out"
 	}
-	limit, _ := strconv.Atoi(r.URL.Query().Get("limit"))
-	shards := rt.shardsFor(v, dir != "out")
-	q := fmt.Sprintf("/v1/query/neighbors?snapshot=%s&ids=orig&v=%d&dir=%s", es.snapshot, v, dir)
-	if limit > 0 {
-		// Each shard's list is ascending, so the merged first `limit`
-		// need only each shard's first `limit`.
-		q += fmt.Sprintf("&limit=%d", limit)
-	}
-	parts := make([]shardNeighbors, len(shards))
-	outs := make([]any, len(shards))
-	for i := range parts {
-		outs[i] = &parts[i]
-	}
-	tr := obs.FromContext(r.Context())
-	if err := rt.fanout(r.Context(), tr, shards, q, outs); err != nil {
-		writeShardError(w, err)
-		return
-	}
-	mergeStart := time.Now()
-	degree, truncated := 0, false
-	merged := []graph.VertexID{}
-	for _, p := range parts {
-		degree += p.Degree
-		truncated = truncated || p.Truncated
-		merged = append(merged, p.Neighbors...)
-	}
-	sort.Slice(merged, func(i, j int) bool { return merged[i] < merged[j] })
-	if limit > 0 && len(merged) > limit {
-		merged = merged[:limit]
-		truncated = true
-	}
-	tr.Observe("merge", mergeStart)
-	writeJSON(w, http.StatusOK, map[string]any{
-		"snapshot": es.snapshot, "epoch": es.epoch,
-		"vertices": rt.placement.NumVertices, "edges": es.edges,
-		"vertex": v, "dir": dir, "degree": degree,
-		"truncated": truncated, "neighbors": merged,
+	limit, _ := strconv.Atoi(q.Get("limit"))
+	limit = max(limit, 0)
+	rt.servePoint(w, r, es, pointKey('n', uint64(v), dir, strconv.Itoa(limit)), func() (any, error) {
+		path := fmt.Sprintf("/v1/query/neighbors?snapshot=%s&ids=orig&v=%d&dir=%s", es.snapshot, v, dir)
+		if limit > 0 {
+			// Each shard's list is ascending, so the merged first `limit`
+			// need only each shard's first `limit`.
+			path += fmt.Sprintf("&limit=%d", limit)
+		}
+		parts, err := fanout[shardNeighbors](r.Context(), rt, rt.shardsFor(v, dir != "out"), path)
+		if err != nil {
+			return nil, err
+		}
+		mergeStart := time.Now()
+		reply := neighborsReply{clusterMeta: rt.metaFor(es), Vertex: v, Dir: dir}
+		reply.Neighbors = []graph.VertexID{}
+		for _, p := range parts {
+			reply.Degree += p.Degree
+			reply.Truncated = reply.Truncated || p.Truncated
+			reply.Neighbors = append(reply.Neighbors, p.Neighbors...)
+		}
+		slices.Sort(reply.Neighbors)
+		if limit > 0 && len(reply.Neighbors) > limit {
+			reply.Neighbors = reply.Neighbors[:limit]
+			reply.Truncated = true
+		}
+		obs.FromContext(r.Context()).Observe("merge", mergeStart)
+		return reply, nil
 	})
+}
+
+type degreeReply struct {
+	clusterMeta
+	Vertex graph.VertexID `json:"vertex"`
+	Kind   string         `json:"kind"`
+	Degree int            `json:"degree"`
 }
 
 func (rt *Router) handleDegree(w http.ResponseWriter, r *http.Request) {
@@ -648,38 +876,38 @@ func (rt *Router) handleDegree(w http.ResponseWriter, r *http.Request) {
 	if es == nil {
 		return
 	}
-	v, err := rt.vertexParam(r, "v")
+	defer rt.release(es)
+	q := r.URL.Query()
+	v, err := rt.vertexParam(q, "v")
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	kind := r.URL.Query().Get("kind")
+	kind := q.Get("kind")
 	if kind == "" {
 		kind = "out"
 	}
-	shards := rt.shardsFor(v, kind != "out")
-	q := fmt.Sprintf("/v1/query/degree?snapshot=%s&ids=orig&v=%d&kind=%s", es.snapshot, v, kind)
-	parts := make([]struct {
-		Degree int `json:"degree"`
-	}, len(shards))
-	outs := make([]any, len(shards))
-	for i := range parts {
-		outs[i] = &parts[i]
-	}
-	tr := obs.FromContext(r.Context())
-	if err := rt.fanout(r.Context(), tr, shards, q, outs); err != nil {
-		writeShardError(w, err)
-		return
-	}
-	degree := 0
-	for _, p := range parts {
-		degree += p.Degree
-	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"snapshot": es.snapshot, "epoch": es.epoch,
-		"vertices": rt.placement.NumVertices, "edges": es.edges,
-		"vertex": v, "kind": kind, "degree": degree,
+	rt.servePoint(w, r, es, pointKey('d', uint64(v), kind), func() (any, error) {
+		path := fmt.Sprintf("/v1/query/degree?snapshot=%s&ids=orig&v=%d&kind=%s", es.snapshot, v, kind)
+		parts, err := fanout[struct {
+			Degree int `json:"degree"`
+		}](r.Context(), rt, rt.shardsFor(v, kind != "out"), path)
+		if err != nil {
+			return nil, err
+		}
+		reply := degreeReply{clusterMeta: rt.metaFor(es), Vertex: v, Kind: kind}
+		for _, p := range parts {
+			reply.Degree += p.Degree
+		}
+		return reply, nil
 	})
+}
+
+type rankReply struct {
+	clusterMeta
+	Vertex graph.VertexID `json:"vertex"`
+	Rank   float64        `json:"rank"`
+	Iters  int            `json:"iters"`
 }
 
 func (rt *Router) handleRank(w http.ResponseWriter, r *http.Request) {
@@ -687,27 +915,23 @@ func (rt *Router) handleRank(w http.ResponseWriter, r *http.Request) {
 	if es == nil {
 		return
 	}
-	v, err := rt.vertexParam(r, "v")
+	defer rt.release(es)
+	v, err := rt.vertexParam(r.URL.Query(), "v")
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	// Rank lookups have exactly one authority: the owner shard.
-	owner := rt.placement.OwnerOf(v)
-	var part struct {
-		Rank  float64 `json:"rank"`
-		Iters int     `json:"iters"`
-	}
-	tr := obs.FromContext(r.Context())
-	q := fmt.Sprintf("/v1/query/rank?snapshot=%s&ids=orig&v=%d", es.snapshot, v)
-	if err := rt.fanout(r.Context(), tr, []int{owner}, q, []any{&part}); err != nil {
-		writeShardError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"snapshot": es.snapshot, "epoch": es.epoch,
-		"vertices": rt.placement.NumVertices, "edges": es.edges,
-		"vertex": v, "rank": part.Rank, "iters": part.Iters,
+	rt.servePoint(w, r, es, pointKey('r', uint64(v)), func() (any, error) {
+		// Rank lookups have exactly one authority: the owner shard.
+		path := fmt.Sprintf("/v1/query/rank?snapshot=%s&ids=orig&v=%d", es.snapshot, v)
+		parts, err := fanout[struct {
+			Rank  float64 `json:"rank"`
+			Iters int     `json:"iters"`
+		}](r.Context(), rt, []int{rt.placement.OwnerOf(v)}, path)
+		if err != nil {
+			return nil, err
+		}
+		return rankReply{clusterMeta: rt.metaFor(es), Vertex: v, Rank: parts[0].Rank, Iters: parts[0].Iters}, nil
 	})
 }
 
@@ -716,56 +940,54 @@ type rankedVertex struct {
 	Rank   float64        `json:"rank"`
 }
 
+type topKReply struct {
+	clusterMeta
+	K   int            `json:"k"`
+	Top []rankedVertex `json:"top"`
+}
+
 func (rt *Router) handleTopK(w http.ResponseWriter, r *http.Request) {
 	es := rt.serving(w)
 	if es == nil {
 		return
 	}
-	k, err := strconv.Atoi(r.URL.Query().Get("k"))
-	if r.URL.Query().Get("k") == "" {
-		k, err = 10, nil
-	}
-	if err != nil || k < 1 || k > 10000 {
-		writeError(w, http.StatusBadRequest, "bad k (want 1..10000)")
-		return
-	}
-	// Every shard returns its owned top-k; the owned sets partition the
-	// vertices, so the global top-k is exactly the k best of the union.
-	shards := rt.shardsFor(0, true)
-	q := fmt.Sprintf("/v1/query/topk?snapshot=%s&ids=orig&k=%d", es.snapshot, k)
-	parts := make([]struct {
-		Top []rankedVertex `json:"top"`
-	}, len(shards))
-	outs := make([]any, len(shards))
-	for i := range parts {
-		outs[i] = &parts[i]
-	}
-	tr := obs.FromContext(r.Context())
-	if err := rt.fanout(r.Context(), tr, shards, q, outs); err != nil {
-		writeShardError(w, err)
-		return
-	}
-	mergeStart := time.Now()
-	merged := []rankedVertex{}
-	for _, p := range parts {
-		merged = append(merged, p.Top...)
-	}
-	// Highest rank first, lower original ID on ties: the single-node
-	// orig-space order.
-	sort.Slice(merged, func(i, j int) bool {
-		if merged[i].Rank != merged[j].Rank {
-			return merged[i].Rank > merged[j].Rank
+	defer rt.release(es)
+	k := 10
+	if raw := r.URL.Query().Get("k"); raw != "" {
+		var err error
+		if k, err = strconv.Atoi(raw); err != nil || k < 1 || k > 10000 {
+			writeError(w, http.StatusBadRequest, "bad k (want 1..10000)")
+			return
 		}
-		return merged[i].Vertex < merged[j].Vertex
-	})
-	if len(merged) > k {
-		merged = merged[:k]
 	}
-	tr.Observe("merge", mergeStart)
-	writeJSON(w, http.StatusOK, map[string]any{
-		"snapshot": es.snapshot, "epoch": es.epoch,
-		"vertices": rt.placement.NumVertices, "edges": es.edges,
-		"k": k, "top": merged,
+	rt.servePoint(w, r, es, pointKey('t', uint64(k)), func() (any, error) {
+		// Every shard returns its owned top-k; the owned sets partition the
+		// vertices, so the global top-k is exactly the k best of the union.
+		path := fmt.Sprintf("/v1/query/topk?snapshot=%s&ids=orig&k=%d", es.snapshot, k)
+		parts, err := fanout[struct {
+			Top []rankedVertex `json:"top"`
+		}](r.Context(), rt, rt.allShards, path)
+		if err != nil {
+			return nil, err
+		}
+		mergeStart := time.Now()
+		merged := []rankedVertex{}
+		for _, p := range parts {
+			merged = append(merged, p.Top...)
+		}
+		// Highest rank first, lower original ID on ties: the single-node
+		// orig-space order.
+		sort.Slice(merged, func(i, j int) bool {
+			if merged[i].Rank != merged[j].Rank {
+				return merged[i].Rank > merged[j].Rank
+			}
+			return merged[i].Vertex < merged[j].Vertex
+		})
+		if len(merged) > k {
+			merged = merged[:k]
+		}
+		obs.FromContext(r.Context()).Observe("merge", mergeStart)
+		return topKReply{clusterMeta: rt.metaFor(es), K: k, Top: merged}, nil
 	})
 }
 
@@ -786,29 +1008,50 @@ type ssspEntry struct {
 	err    error
 }
 
-// clusterSSSP returns the distance vector from src at epoch es, from
-// cache or by running the scatter-gather frontier exchange (at most one
-// compute per source, concurrent callers coalesce). Failed computes are
-// evicted so the next request retries.
+// maxCachedSSSPSources bounds an epoch's SSSP cache; sources past it are
+// computed per request.
+const maxCachedSSSPSources = 16
+
+// ssspEntryFor returns the epoch's entry for src, making one if need be,
+// and whether the epoch keeps it (the cache has room).
+func (es *epochState) ssspEntryFor(src graph.VertexID) (*ssspEntry, bool) {
+	es.ssspMu.Lock()
+	defer es.ssspMu.Unlock()
+	ent := es.sssp[src]
+	if ent != nil {
+		return ent, true
+	}
+	ent = &ssspEntry{}
+	kept := len(es.sssp) < maxCachedSSSPSources
+	if kept {
+		es.sssp[src] = ent
+	}
+	return ent, kept
+}
+
+// forgetSSSP evicts a failed compute so the next request retries.
+func (es *epochState) forgetSSSP(src graph.VertexID, ent *ssspEntry) {
+	es.ssspMu.Lock()
+	defer es.ssspMu.Unlock()
+	if es.sssp[src] == ent {
+		delete(es.sssp, src)
+	}
+}
+
+// clusterSSSP returns the distance vector from src at epoch es, from the
+// epoch's cache or by running the scatter-gather frontier exchange (at
+// most one compute per source, concurrent callers coalesce). Failed
+// computes are evicted so the next request retries.
 func (rt *Router) clusterSSSP(es *epochState, src graph.VertexID, tr *obs.Trace) ([]int64, int, error) {
-	const maxCachedSources = 16
-	rt.ssspMu.Lock()
-	if rt.ssspEpoch != es.epoch {
-		rt.ssspEpoch, rt.sssp = es.epoch, nil
-	}
-	if rt.sssp == nil {
-		rt.sssp = make(map[graph.VertexID]*ssspEntry)
-	}
-	ent := rt.sssp[src]
-	cache := ent != nil || len(rt.sssp) < maxCachedSources
-	if ent == nil {
-		ent = &ssspEntry{}
-		if cache {
-			rt.sssp[src] = ent
-		}
-	}
-	rt.ssspMu.Unlock()
+	ent, kept := es.ssspEntryFor(src)
 	ent.once.Do(func() {
+		// The exchange pins the epoch on its own account: it answers every
+		// caller that coalesced onto it, whichever of them returns first.
+		if !es.acquire() {
+			ent.err = fmt.Errorf("cluster: epoch %d is retired", es.epoch)
+			return
+		}
+		defer rt.release(es)
 		// Detach from the leader's request context: a coalesced compute
 		// must not die with whichever client happened to start it.
 		//lint:allow ctxflow coalesced SSSP outlives the request that triggered it
@@ -816,12 +1059,8 @@ func (rt *Router) clusterSSSP(es *epochState, src graph.VertexID, tr *obs.Trace)
 		defer cancel()
 		ent.dist, ent.rounds, ent.err = rt.runSSSP(ctx, es, src, tr)
 	})
-	if ent.err != nil && cache {
-		rt.ssspMu.Lock()
-		if rt.sssp[src] == ent {
-			delete(rt.sssp, src)
-		}
-		rt.ssspMu.Unlock()
+	if ent.err != nil && kept {
+		es.forgetSSSP(src, ent)
 	}
 	return ent.dist, ent.rounds, ent.err
 }
@@ -942,15 +1181,17 @@ func (rt *Router) handleSSSP(w http.ResponseWriter, r *http.Request) {
 	if es == nil {
 		return
 	}
-	src, err := rt.vertexParam(r, "src")
+	defer rt.release(es)
+	q := r.URL.Query()
+	src, err := rt.vertexParam(q, "src")
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	var target graph.VertexID
-	hasTarget := r.URL.Query().Get("target") != ""
+	hasTarget := q.Get("target") != ""
 	if hasTarget {
-		if target, err = rt.vertexParam(r, "target"); err != nil {
+		if target, err = rt.vertexParam(q, "target"); err != nil {
 			writeError(w, http.StatusBadRequest, "%v", err)
 			return
 		}

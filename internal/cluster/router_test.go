@@ -201,17 +201,9 @@ func TestClusterCutover(t *testing.T) {
 	if e, name := cl.Router.Current(); e != 1 || name != "cluster@1" {
 		t.Fatalf("boot epoch: %d %q", e, name)
 	}
-	specs := make([]server.BuildSpec, 2)
-	for s := range specs {
-		specs[s] = server.BuildSpec{
-			Path:      cl.Layout.GraphPaths[s],
-			RanksPath: cl.Layout.RankPaths[s],
-			Technique: "auto",
-		}
-	}
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
-	if _, err := cl.Router.PublishEpoch(ctx, specs); err != nil {
+	if _, err := cl.Router.PublishEpoch(ctx, layoutSpecs(cl)); err != nil {
 		t.Fatal(err)
 	}
 	if e, name := cl.Router.Current(); e != 2 || name != "cluster@2" {
@@ -335,6 +327,11 @@ func TestClusterPromExposition(t *testing.T) {
 		"graphd_cluster_request_latency_seconds",
 		"graphd_cluster_fanout_total",
 		"graphd_cluster_relax_bytes_total",
+		"graphd_cluster_cache_hits_total",
+		"graphd_cluster_cache_misses_total",
+		"graphd_cluster_cache_bytes",
+		"graphd_cluster_epochs_retired_total",
+		"graphd_cluster_retire_errors_total",
 		"graphd_cluster_shard_healthy",
 		"graphd_cluster_shard_epoch_lag",
 		"graphd_cluster_promotions_total",

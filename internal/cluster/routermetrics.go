@@ -103,7 +103,8 @@ func (b *debugBuffer) emit(tr *obs.Trace) {
 }
 
 func wantsDebugTrace(r *http.Request) bool {
-	return r.URL.Query().Get("debug") == "trace"
+	// Every request passes here; only one that mentions debug pays a parse.
+	return strings.Contains(r.URL.RawQuery, "debug=") && r.URL.Query().Get("debug") == "trace"
 }
 
 // instrument wraps a handler with the router's observability: per-route
@@ -186,6 +187,11 @@ type RouterReport struct {
 	ShardErrors   uint64               `json:"shard_errors"`
 	RelaxBytesOut uint64               `json:"relax_bytes_out"` // relax-frame bytes the SSSP exchange sent to shards
 	RelaxBytesIn  uint64               `json:"relax_bytes_in"`  // and received from them
+	CacheHits     uint64               `json:"cache_hits"`      // point reads answered from an epoch's reply cache
+	CacheMisses   uint64               `json:"cache_misses"`    // and those that went to the shards
+	CacheBytes    int64                `json:"cache_bytes"`     // the serving epoch's reply cache, as charged
+	EpochsRetired uint64               `json:"epochs_retired"`  // superseded epochs drained and swept off the members
+	RetireErrors  uint64               `json:"retire_errors"`   // member calls those sweeps could not complete
 	Promotions    uint64               `json:"promotions"`
 	Routes        map[string]RouteStat `json:"routes"`
 	PerShard      []ShardStatus        `json:"per_shard"`
@@ -201,12 +207,17 @@ func (rt *Router) report() RouterReport {
 		ShardErrors:   rt.shardErrors.Load(),
 		RelaxBytesOut: rt.relaxBytesOut.Load(),
 		RelaxBytesIn:  rt.relaxBytesIn.Load(),
+		CacheHits:     rt.cacheHits.Load(),
+		CacheMisses:   rt.cacheMisses.Load(),
+		EpochsRetired: rt.epochsRetired.Load(),
+		RetireErrors:  rt.retireErrors.Load(),
 		Routes:        make(map[string]RouteStat),
 	}
 	es := rt.epoch.Load()
 	if es != nil {
 		rep.Epoch = es.epoch
 		rep.Snapshot = es.snapshot
+		rep.CacheBytes = es.replies.Bytes()
 	}
 	rt.metrics.mu.Lock()
 	names := make([]string, 0, len(rt.metrics.routes))
@@ -296,6 +307,17 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	p.Counter("graphd_cluster_relax_bytes_total", "Relax frame bytes of the SSSP frontier exchange, by direction (out = router to shards).")
 	p.Sample("graphd_cluster_relax_bytes_total", []obs.Label{{Name: "dir", Value: "out"}}, float64(rep.RelaxBytesOut))
 	p.Sample("graphd_cluster_relax_bytes_total", []obs.Label{{Name: "dir", Value: "in"}}, float64(rep.RelaxBytesIn))
+
+	p.Counter("graphd_cluster_cache_hits_total", "Point reads answered from an epoch's reply cache.")
+	p.Sample("graphd_cluster_cache_hits_total", nil, float64(rep.CacheHits))
+	p.Counter("graphd_cluster_cache_misses_total", "Point reads that went to the shards.")
+	p.Sample("graphd_cluster_cache_misses_total", nil, float64(rep.CacheMisses))
+	p.Gauge("graphd_cluster_cache_bytes", "Bytes charged to the serving epoch's reply cache.")
+	p.Sample("graphd_cluster_cache_bytes", nil, float64(rep.CacheBytes))
+	p.Counter("graphd_cluster_epochs_retired_total", "Superseded epochs drained and swept off the members.")
+	p.Sample("graphd_cluster_epochs_retired_total", nil, float64(rep.EpochsRetired))
+	p.Counter("graphd_cluster_retire_errors_total", "Member calls an epoch retirement could not complete.")
+	p.Sample("graphd_cluster_retire_errors_total", nil, float64(rep.RetireErrors))
 
 	p.Gauge("graphd_cluster_shard_healthy", "Shard reachability (1 = some member answering).")
 	p.Gauge("graphd_cluster_shard_epoch", "Last cluster epoch every member of the shard acked.")

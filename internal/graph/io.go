@@ -56,10 +56,11 @@ func (f Format) String() string {
 // binary magic from the first bytes of the stream. It reports which format
 // it found so writers can mirror the input encoding.
 func ReadAuto(r io.Reader) (*Graph, Format, error) {
+	remaining := remainingBytes(r) // asked before bufio hides the Seeker
 	br := bufio.NewReaderSize(r, ioChunkBytes)
 	head, err := br.Peek(8)
 	if len(head) == 8 && binary.LittleEndian.Uint64(head) == binaryMagic {
-		g, err := ReadBinary(br)
+		g, err := readBinary(br, remaining)
 		return g, FormatBinary, err
 	}
 	if err != nil && err != io.EOF {
@@ -170,7 +171,33 @@ func WriteBinary(w io.Writer, g *Graph) error {
 // sort directly from it (scanning sources in ascending order, so
 // in-neighbor lists come out source-sorted without an explicit sort).
 func ReadBinary(r io.Reader) (*Graph, error) {
-	br := bufio.NewReaderSize(r, ioChunkBytes)
+	return readBinary(bufio.NewReaderSize(r, ioChunkBytes), remainingBytes(r))
+}
+
+// remainingBytes reports how many bytes r has left to give when r can
+// tell (an io.Seeker: a file, a bytes.Reader), or -1.
+func remainingBytes(r io.Reader) int64 {
+	s, ok := r.(io.Seeker)
+	if !ok {
+		return -1
+	}
+	cur, err := s.Seek(0, io.SeekCurrent)
+	if err != nil {
+		return -1 // a pipe
+	}
+	end, err := s.Seek(0, io.SeekEnd)
+	if err != nil {
+		return -1
+	}
+	if _, err := s.Seek(cur, io.SeekStart); err != nil {
+		return -1 // the reads that follow fail on their own
+	}
+	return end - cur
+}
+
+// readBinary decodes a graph from br, which stands at the header;
+// remaining is the stream's length from there, or -1 when unknown.
+func readBinary(br *bufio.Reader, remaining int64) (*Graph, error) {
 	var hdr [40]byte
 	if _, err := io.ReadFull(br, hdr[:]); err != nil {
 		return nil, fmt.Errorf("graph: reading header: %w", err)
@@ -190,17 +217,29 @@ func ReadBinary(r io.Reader) (*Graph, error) {
 
 	// The dimensions are still untrusted at this point: a corrupt header
 	// could claim n=2^31 on a 50-byte file, and preallocating n+1 uint64s
-	// up front would commit 16 GiB before the first read fails. The grow
-	// variants allocate as data actually arrives, so a truncated or lying
-	// file costs at most ~2x the bytes it really contains.
-	outIndex, err := readUint64sGrow(br, n+1)
+	// up front would commit 16 GiB before the first read fails. A stream
+	// of known length settles it here: a header that claims more payload
+	// than is left is rejected before anything is allocated, and one that
+	// does not gets each array allocated once at its final size. A stream
+	// of unknown length grows its arrays as data actually arrives, so a
+	// truncated or lying one costs at most ~2x the bytes it really holds.
+	payload := int64(n+1)*8 + int64(m)*4
+	if flags&1 != 0 {
+		payload += int64(m) * 4
+	}
+	sized := remaining >= 0
+	if sized && remaining-int64(len(hdr)) < payload {
+		return nil, fmt.Errorf("graph: header claims %d payload bytes (n=%d m=%d), %d remain: %w",
+			payload, n, m, remaining-int64(len(hdr)), io.ErrUnexpectedEOF)
+	}
+	outIndex, err := readUint64s(br, n+1, sized)
 	if err != nil {
 		return nil, fmt.Errorf("graph: reading index: %w", err)
 	}
 	if err := validateIndex(outIndex, m, "out"); err != nil {
 		return nil, err
 	}
-	outEdges, err := readUint32sGrow(br, m)
+	outEdges, err := readUint32s(br, m, sized)
 	if err != nil {
 		return nil, fmt.Errorf("graph: reading edges: %w", err)
 	}
@@ -211,7 +250,7 @@ func ReadBinary(r io.Reader) (*Graph, error) {
 	}
 	var outWeights []uint32
 	if flags&1 != 0 {
-		outWeights, err = readUint32sGrow(br, m)
+		outWeights, err = readUint32s(br, m, sized)
 		if err != nil {
 			return nil, fmt.Errorf("graph: reading weights: %w", err)
 		}
@@ -282,48 +321,19 @@ func writeSlice[T uint32 | uint64](w io.Writer, vals []T, size int, put func([]b
 	return nil
 }
 
-// readSlice fills dst by streaming through a fixed scratch buffer, size
-// bytes per element decoded with get.
-func readSlice[T uint32 | uint64](r io.Reader, dst []T, size int, get func([]byte) T) error {
-	var buf [ioChunkBytes]byte
-	perChunk := ioChunkBytes / size
-	for len(dst) > 0 {
-		chunk := min(len(dst), perChunk)
-		if _, err := io.ReadFull(r, buf[:chunk*size]); err != nil {
-			return err
-		}
-		for i := range dst[:chunk] {
-			dst[i] = get(buf[i*size:])
-		}
-		dst = dst[chunk:]
-	}
-	return nil
-}
-
-func writeUint64s(w io.Writer, vals []uint64) error {
-	return writeSlice(w, vals, 8, binary.LittleEndian.PutUint64)
-}
-
-func writeUint32s(w io.Writer, vals []uint32) error {
-	return writeSlice(w, vals, 4, binary.LittleEndian.PutUint32)
-}
-
-func readUint64s(r io.Reader, dst []uint64) error {
-	return readSlice(r, dst, 8, binary.LittleEndian.Uint64)
-}
-
-func readUint32s(r io.Reader, dst []uint32) error {
-	return readSlice(r, dst, 4, binary.LittleEndian.Uint32)
-}
-
-// readSliceGrow reads count elements like readSlice but lets the
-// destination grow with append instead of preallocating count elements,
+// readSlice reads count elements by streaming through a fixed scratch
+// buffer, size bytes per element decoded with get. With trusted set the
+// destination is allocated once at count; otherwise it grows with append,
 // bounding the allocation by the bytes actually read: header dimensions
 // are attacker-controlled until the payload backs them up.
-func readSliceGrow[T uint32 | uint64](r io.Reader, count, size int, get func([]byte) T) ([]T, error) {
+func readSlice[T uint32 | uint64](r io.Reader, count, size int, trusted bool, get func([]byte) T) ([]T, error) {
 	var buf [ioChunkBytes]byte
 	perChunk := ioChunkBytes / size
-	dst := make([]T, 0, min(count, perChunk))
+	initial := min(count, perChunk)
+	if trusted {
+		initial = count
+	}
+	dst := make([]T, 0, initial)
 	for len(dst) < count {
 		chunk := min(count-len(dst), perChunk)
 		if _, err := io.ReadFull(r, buf[:chunk*size]); err != nil {
@@ -336,10 +346,18 @@ func readSliceGrow[T uint32 | uint64](r io.Reader, count, size int, get func([]b
 	return dst, nil
 }
 
-func readUint64sGrow(r io.Reader, count int) ([]uint64, error) {
-	return readSliceGrow(r, count, 8, binary.LittleEndian.Uint64)
+func writeUint64s(w io.Writer, vals []uint64) error {
+	return writeSlice(w, vals, 8, binary.LittleEndian.PutUint64)
 }
 
-func readUint32sGrow(r io.Reader, count int) ([]uint32, error) {
-	return readSliceGrow(r, count, 4, binary.LittleEndian.Uint32)
+func writeUint32s(w io.Writer, vals []uint32) error {
+	return writeSlice(w, vals, 4, binary.LittleEndian.PutUint32)
+}
+
+func readUint64s(r io.Reader, count int, trusted bool) ([]uint64, error) {
+	return readSlice(r, count, 8, trusted, binary.LittleEndian.Uint64)
+}
+
+func readUint32s(r io.Reader, count int, trusted bool) ([]uint32, error) {
+	return readSlice(r, count, 4, trusted, binary.LittleEndian.Uint32)
 }

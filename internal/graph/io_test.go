@@ -3,7 +3,9 @@ package graph
 import (
 	"bytes"
 	"encoding/binary"
+	"io"
 	"reflect"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -224,6 +226,67 @@ func TestReadBinaryTruncated(t *testing.T) {
 			t.Errorf("truncated at %d/%d bytes: accepted", cut, len(good))
 		}
 	}
+}
+
+// allocatedBy reports the heap bytes fn allocated.
+func allocatedBy(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestReadBinarySizedReader: a reader that can tell its length settles
+// the header's claim up front — a lying header is refused before anything
+// is allocated, an honest one gets each array allocated once — and a
+// reader that cannot still loads the same graph on the growing path.
+func TestReadBinarySizedReader(t *testing.T) {
+	var lying [40]byte
+	binary.LittleEndian.PutUint64(lying[0:], binaryMagic)
+	binary.LittleEndian.PutUint64(lying[8:], binaryVersion)
+	binary.LittleEndian.PutUint64(lying[16:], 1<<31)
+	binary.LittleEndian.PutUint64(lying[24:], 1<<38)
+	var err error
+	if got := allocatedBy(func() { _, err = ReadBinary(bytes.NewReader(lying[:])) }); err == nil || got > 1<<20 {
+		t.Errorf("lying header on a sized reader: err %v after allocating %d bytes", err, got)
+	}
+	if _, _, err := ReadAuto(bytes.NewReader(lying[:])); err == nil {
+		t.Error("ReadAuto accepted the lying header")
+	}
+
+	g := buildRandom(t, 17, 1<<14, 1<<18, true)
+	var buf bytes.Buffer
+	if err := WriteBinary(&buf, g); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	// A load keeps the payload, an in-CSR of the same size and the
+	// in-CSR's cursor array; chunk buffers and the bufio are the slack.
+	keeps := uint64(2*(len(data)-40) + 8*g.NumVertices())
+	var sized, unsized, auto *Graph
+	sizedBytes := allocatedBy(func() { sized, err = ReadBinary(bytes.NewReader(data)) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	unsizedBytes := allocatedBy(func() { unsized, err = ReadBinary(struct{ io.Reader }{bytes.NewReader(data)}) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	autoBytes := allocatedBy(func() { auto, _, err = ReadAuto(bytes.NewReader(data)) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	const slack = 1 << 20
+	if sizedBytes > keeps+slack || autoBytes > keeps+slack {
+		t.Errorf("sized load allocated %d (ReadAuto %d) bytes for a graph that keeps %d", sizedBytes, autoBytes, keeps)
+	}
+	if unsizedBytes <= sizedBytes {
+		t.Errorf("growing path allocated %d bytes, the sized one %d: the sized path is not taken", unsizedBytes, sizedBytes)
+	}
+	requireSameGraph(t, g, sized, "sized reader")
+	requireSameGraph(t, g, unsized, "unsized reader")
+	requireSameGraph(t, g, auto, "ReadAuto on a sized reader")
 }
 
 func TestReadBinaryPreservesAdjacencyOrder(t *testing.T) {

@@ -6,13 +6,15 @@ import (
 	"sync/atomic"
 )
 
-// resultCache is a mutex-guarded LRU over fully-materialized query
+// ResultCache is a mutex-guarded LRU over fully-materialized query
 // results, bounded by an approximate byte budget — entries carry their
 // own cost, so a handful of O(n) SSSP distance vectors cannot grow the
-// cache without bound the way an entry-count limit would. Keys embed
-// the snapshot epoch, so entries for a replaced snapshot simply age
-// out — a hot-swap never serves stale answers and needs no
-// invalidation pass.
+// cache without bound the way an entry-count limit would. It is the one
+// LRU of both serving tiers. A node keeps one for its lifetime and
+// embeds the snapshot epoch in every key, so entries for a replaced
+// snapshot simply age out — a hot-swap never serves stale answers and
+// needs no invalidation pass; the cluster router keeps one per epoch
+// (internal/cluster) and lets it die with the epoch.
 //
 // A secondary index keyed by the epoch-free part of the key ("topk|10")
 // points at the most recently cached entry for those parameters,
@@ -20,7 +22,7 @@ import (
 // fresh compute is shed or a breaker is open, the previous epoch's
 // result can still be served — explicitly marked stale, carrying the
 // metadata of the snapshot that actually produced it.
-type resultCache struct {
+type ResultCache struct {
 	mu       sync.Mutex
 	maxBytes int64
 	curBytes int64
@@ -45,19 +47,21 @@ type cacheEntry struct {
 	meta queryMeta
 }
 
-// entryCost is what caching a payload of the given size keeps resident:
+// EntryCost is what caching a payload of the given size keeps resident:
 // the payload, both key strings, and ~320 bytes of bookkeeping (the
 // cacheEntry and its list element, the boxed value header, one slot in
 // each of the two maps).
-func entryCost(key, staleKey string, payload int64) int64 {
+func EntryCost(key, staleKey string, payload int64) int64 {
 	return payload + int64(len(key)+len(staleKey)) + 320
 }
 
-func newResultCache(maxBytes int64) *resultCache {
+// NewResultCache returns an empty cache that holds at most maxBytes of
+// entry cost.
+func NewResultCache(maxBytes int64) *ResultCache {
 	if maxBytes < 1 {
 		maxBytes = 1
 	}
-	return &resultCache{
+	return &ResultCache{
 		maxBytes: maxBytes,
 		ll:       list.New(),
 		items:    make(map[string]*list.Element),
@@ -65,7 +69,8 @@ func newResultCache(maxBytes int64) *resultCache {
 	}
 }
 
-func (c *resultCache) get(key string) (any, bool) {
+// Get returns the value cached under key and marks it most recently used.
+func (c *ResultCache) Get(key string) (any, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.items[key]
@@ -80,7 +85,7 @@ func (c *resultCache) get(key string) (any, bool) {
 
 // getStale returns the most recent cached result for an epoch-free key,
 // along with the metadata of the (possibly old) snapshot it came from.
-func (c *resultCache) getStale(staleKey string) (any, queryMeta, bool) {
+func (c *ResultCache) getStale(staleKey string) (any, queryMeta, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e, ok := c.stale[staleKey]
@@ -91,12 +96,19 @@ func (c *resultCache) getStale(staleKey string) (any, queryMeta, bool) {
 	return e.val, e.meta, true
 }
 
-// add inserts val at the given cost in bytes (see entryCost). Values larger
-// than the whole budget are not cached at all — and if the key was
-// already cached at a smaller cost, that entry is dropped rather than
-// left serving the superseded value. A non-empty staleKey also indexes
-// the entry as the degradation fallback for its parameters.
-func (c *resultCache) add(key, staleKey string, val any, cost int64, meta queryMeta) {
+// Add inserts val at the given cost in bytes (see EntryCost), evicting
+// least recently used entries past the budget. Values larger than the
+// whole budget are not cached at all — and if the key was already cached
+// at a smaller cost, that entry is dropped rather than left serving the
+// superseded value.
+func (c *ResultCache) Add(key string, val any, cost int64) {
+	c.addFallback(key, "", val, cost, queryMeta{})
+}
+
+// addFallback is Add for a node's epoch-keyed entries: a non-empty
+// staleKey also indexes the entry as the degradation fallback for its
+// parameters, answering as the snapshot meta names.
+func (c *ResultCache) addFallback(key, staleKey string, val any, cost int64, meta queryMeta) {
 	if cost < 1 {
 		cost = 1
 	}
@@ -131,7 +143,7 @@ func (c *resultCache) add(key, staleKey string, val any, cost int64, meta queryM
 
 // removeLocked evicts one entry, dropping its stale-index pointer if it
 // is still the latest for its parameters. Callers hold c.mu.
-func (c *resultCache) removeLocked(el *list.Element) {
+func (c *ResultCache) removeLocked(el *list.Element) {
 	entry := el.Value.(*cacheEntry)
 	c.ll.Remove(el)
 	delete(c.items, entry.key)
@@ -141,13 +153,15 @@ func (c *resultCache) removeLocked(el *list.Element) {
 	}
 }
 
-func (c *resultCache) len() int {
+// Len returns the number of cached entries.
+func (c *ResultCache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.ll.Len()
 }
 
-func (c *resultCache) bytes() int64 {
+// Bytes returns the summed cost of the cached entries.
+func (c *ResultCache) Bytes() int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.curBytes

@@ -138,7 +138,7 @@ func TestSSSPTargetRepliesUnchanged(t *testing.T) {
 			}
 		}
 		key := fmt.Sprintf("%d|sssp|0", snap.epoch)
-		v, ok := s.cache.get(key)
+		v, ok := s.cache.Get(key)
 		if !ok {
 			t.Fatalf("%s: SSSP result not cached", name)
 		}
@@ -146,13 +146,13 @@ func TestSSSPTargetRepliesUnchanged(t *testing.T) {
 		if vec.bytes() != wantBytes[name]*int64(n) {
 			t.Errorf("%s: cached vector is %d B for %d vertices, want %d B/vertex", name, vec.bytes(), n, wantBytes[name])
 		}
-		wantCache += entryCost(key, "sssp|0", vec.bytes())
+		wantCache += EntryCost(key, "sssp|0", vec.bytes())
 	}
 	// The cache is charged what it holds, and /metrics reports that figure.
 	var rep MetricsReport
 	get(t, h, "/metrics", &rep)
-	if rep.Cache.Bytes != wantCache || s.cache.bytes() != wantCache {
-		t.Errorf("cache bytes: /metrics %d, cache %d, want %d", rep.Cache.Bytes, s.cache.bytes(), wantCache)
+	if rep.Cache.Bytes != wantCache || s.cache.Bytes() != wantCache {
+		t.Errorf("cache bytes: /metrics %d, cache %d, want %d", rep.Cache.Bytes, s.cache.Bytes(), wantCache)
 	}
 }
 

@@ -15,7 +15,7 @@
 // under context deadlines, with duplicate in-flight requests coalesced
 // (singleflight) and results kept in an LRU keyed by
 // (snapshot epoch, app, params). The LRU is bounded in bytes and charges
-// an entry what it keeps resident (entryCost): an SSSP result is cached
+// an entry what it keeps resident (EntryCost): an SSSP result is cached
 // as a distVector — uint16, uint32 or int64 per vertex, the narrowest
 // that holds the largest distance plus an unreachable sentinel — read
 // only through at/len/bytes, so the target lookup and the stale-epoch

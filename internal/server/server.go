@@ -133,7 +133,7 @@ func (c Config) withDefaults() Config {
 type Server struct {
 	cfg      Config
 	store    *Store
-	cache    *resultCache
+	cache    *ResultCache
 	flight   *flightGroup
 	pool     *workPool
 	metrics  *metricsSet
@@ -158,7 +158,7 @@ func New(cfg Config) *Server {
 	return &Server{
 		cfg:      cfg,
 		store:    store,
-		cache:    newResultCache(cfg.CacheBytes),
+		cache:    NewResultCache(cfg.CacheBytes),
 		flight:   newFlightGroup(),
 		pool:     newWorkPool(cfg.MaxConcurrent),
 		metrics:  newMetricsSet(),
@@ -336,8 +336,8 @@ func (s *Server) metricsReport() MetricsReport {
 		UptimeSeconds: time.Since(s.started).Seconds(),
 		Routes:        s.metrics.report(),
 		Cache: CacheStats{
-			Entries:     s.cache.len(),
-			Bytes:       s.cache.bytes(),
+			Entries:     s.cache.Len(),
+			Bytes:       s.cache.Bytes(),
 			Hits:        s.cache.hits.Load(),
 			Misses:      s.cache.misses.Load(),
 			Coalesced:   s.flight.coalesced.Load(),
@@ -789,7 +789,7 @@ func (s *Server) runHeavy(ctx context.Context, snap *Snapshot, route, kindKey st
 	tr := obs.FromContext(ctx)
 	key := fmt.Sprintf("%d|%s", snap.epoch, kindKey)
 	cacheStart := time.Now()
-	v, ok := s.cache.get(key)
+	v, ok := s.cache.Get(key)
 	tr.Observe("cache", cacheStart)
 	if ok {
 		meta := metaFor(snap)
@@ -859,7 +859,7 @@ func (s *Server) runHeavy(ctx context.Context, snap *Snapshot, route, kindKey st
 			v, cost, err := runWorker(ctx, fn)
 			tr.Observe("compute", busy)
 			if err == nil {
-				s.cache.add(key, kindKey, v, entryCost(key, kindKey, cost), metaFor(snap))
+				s.cache.addFallback(key, kindKey, v, EntryCost(key, kindKey, cost), metaFor(snap))
 			}
 			return v, err
 		})

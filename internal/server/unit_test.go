@@ -10,34 +10,28 @@ import (
 	"time"
 )
 
-// addT inserts without a stale index or metadata — shorthand for the
-// accounting tests, which only care about LRU/byte behavior.
-func (c *resultCache) addT(key string, val any, cost int64) {
-	c.add(key, "", val, cost, queryMeta{})
-}
-
 func TestResultCacheLRU(t *testing.T) {
-	c := newResultCache(2) // byte budget of 2; unit-cost entries below
-	c.addT("a", 1, 1)
-	c.addT("b", 2, 1)
-	if v, ok := c.get("a"); !ok || v != 1 {
+	c := NewResultCache(2) // byte budget of 2; unit-cost entries below
+	c.Add("a", 1, 1)
+	c.Add("b", 2, 1)
+	if v, ok := c.Get("a"); !ok || v != 1 {
 		t.Fatal("a missing")
 	}
-	c.addT("c", 3, 1) // evicts b (a was just touched)
-	if _, ok := c.get("b"); ok {
+	c.Add("c", 3, 1) // evicts b (a was just touched)
+	if _, ok := c.Get("b"); ok {
 		t.Fatal("b should have been evicted")
 	}
-	if _, ok := c.get("a"); !ok {
+	if _, ok := c.Get("a"); !ok {
 		t.Fatal("a should have survived")
 	}
-	if _, ok := c.get("c"); !ok {
+	if _, ok := c.Get("c"); !ok {
 		t.Fatal("c missing")
 	}
-	if c.len() != 2 || c.bytes() != 2 {
-		t.Fatalf("len = %d bytes = %d, want 2/2", c.len(), c.bytes())
+	if c.Len() != 2 || c.Bytes() != 2 {
+		t.Fatalf("len = %d bytes = %d, want 2/2", c.Len(), c.Bytes())
 	}
-	c.addT("a", 10, 1) // update in place
-	if v, _ := c.get("a"); v != 10 {
+	c.Add("a", 10, 1) // update in place
+	if v, _ := c.Get("a"); v != 10 {
 		t.Fatal("update lost")
 	}
 	if got := c.hits.Load(); got != 4 {
@@ -49,33 +43,33 @@ func TestResultCacheLRU(t *testing.T) {
 }
 
 func TestResultCacheByteBudget(t *testing.T) {
-	c := newResultCache(100)
-	c.addT("big", "x", 60)
-	c.addT("mid", "y", 50) // 110 > 100: evicts big
-	if _, ok := c.get("big"); ok {
+	c := NewResultCache(100)
+	c.Add("big", "x", 60)
+	c.Add("mid", "y", 50) // 110 > 100: evicts big
+	if _, ok := c.Get("big"); ok {
 		t.Fatal("budget not enforced")
 	}
-	if c.bytes() != 50 {
-		t.Fatalf("bytes = %d, want 50", c.bytes())
+	if c.Bytes() != 50 {
+		t.Fatalf("bytes = %d, want 50", c.Bytes())
 	}
 	// An entry larger than the whole budget is refused outright.
-	c.addT("huge", "z", 1000)
-	if _, ok := c.get("huge"); ok {
+	c.Add("huge", "z", 1000)
+	if _, ok := c.Get("huge"); ok {
 		t.Fatal("over-budget entry cached")
 	}
-	if _, ok := c.get("mid"); !ok {
+	if _, ok := c.Get("mid"); !ok {
 		t.Fatal("mid evicted by refused entry")
 	}
 	// Updating an entry re-charges its cost.
-	c.addT("mid", "y2", 90)
-	if c.bytes() != 90 {
-		t.Fatalf("bytes after recharge = %d, want 90", c.bytes())
+	c.Add("mid", "y2", 90)
+	if c.Bytes() != 90 {
+		t.Fatalf("bytes after recharge = %d, want 90", c.Bytes())
 	}
 }
 
 // auditBytes recomputes the cache's byte total from scratch and checks
 // it against the maintained counter and the budget invariant.
-func auditBytes(t *testing.T, c *resultCache) {
+func auditBytes(t *testing.T, c *ResultCache) {
 	t.Helper()
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -98,38 +92,38 @@ func auditBytes(t *testing.T, c *resultCache) {
 // existing key at a larger cost must recharge the byte counter and evict
 // LRU entries if the new total exceeds the budget.
 func TestResultCacheUpdateEviction(t *testing.T) {
-	c := newResultCache(10)
-	c.addT("a", 1, 4)
-	c.addT("b", 2, 4)
+	c := NewResultCache(10)
+	c.Add("a", 1, 4)
+	c.Add("b", 2, 4)
 	auditBytes(t, c)
 	// Re-add "a" at cost 8: total would be 12 > 10, and since the update
 	// moved "a" to the front, "b" is the LRU victim.
-	c.addT("a", 3, 8)
+	c.Add("a", 3, 8)
 	auditBytes(t, c)
-	if _, ok := c.get("b"); ok {
+	if _, ok := c.Get("b"); ok {
 		t.Fatal("b should have been evicted by a's recharge")
 	}
-	if v, ok := c.get("a"); !ok || v != 3 {
+	if v, ok := c.Get("a"); !ok || v != 3 {
 		t.Fatalf("a = %v, %v; want 3, true", v, ok)
 	}
-	if c.bytes() != 8 {
-		t.Fatalf("bytes = %d, want 8", c.bytes())
+	if c.Bytes() != 8 {
+		t.Fatalf("bytes = %d, want 8", c.Bytes())
 	}
 	// Shrinking an entry's cost must release budget.
-	c.addT("a", 4, 2)
+	c.Add("a", 4, 2)
 	auditBytes(t, c)
-	if c.bytes() != 2 {
-		t.Fatalf("bytes after shrink = %d, want 2", c.bytes())
+	if c.Bytes() != 2 {
+		t.Fatalf("bytes after shrink = %d, want 2", c.Bytes())
 	}
 	// An update that itself exceeds the whole budget is refused and must
 	// drop the now-superseded cached value rather than keep serving it.
-	c.addT("a", 5, 100)
+	c.Add("a", 5, 100)
 	auditBytes(t, c)
-	if _, ok := c.get("a"); ok {
+	if _, ok := c.Get("a"); ok {
 		t.Fatal("over-budget update left a stale value cached")
 	}
-	if c.bytes() != 0 {
-		t.Fatalf("bytes after refused update = %d, want 0", c.bytes())
+	if c.Bytes() != 0 {
+		t.Fatalf("bytes after refused update = %d, want 0", c.Bytes())
 	}
 }
 
@@ -137,14 +131,14 @@ func TestResultCacheUpdateEviction(t *testing.T) {
 // workload (inserts, updates larger and smaller, evictions) and audits
 // the byte counter after every operation.
 func TestResultCacheAccountingNeverDrifts(t *testing.T) {
-	c := newResultCache(64)
+	c := NewResultCache(64)
 	for i := 0; i < 500; i++ {
 		key := fmt.Sprintf("k%d", i%13)
 		cost := int64(1 + (i*7)%40)
-		c.addT(key, i, cost)
+		c.Add(key, i, cost)
 		auditBytes(t, c)
 		if i%3 == 0 {
-			c.get(fmt.Sprintf("k%d", (i*5)%13))
+			c.Get(fmt.Sprintf("k%d", (i*5)%13))
 		}
 	}
 }
@@ -153,7 +147,7 @@ func TestResultCacheAccountingNeverDrifts(t *testing.T) {
 // under -race it proves the locking discipline, and the final audit
 // proves no lost updates in the byte accounting.
 func TestResultCacheConcurrent(t *testing.T) {
-	c := newResultCache(1 << 10)
+	c := NewResultCache(1 << 10)
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -162,9 +156,9 @@ func TestResultCacheConcurrent(t *testing.T) {
 			for i := 0; i < 1000; i++ {
 				key := fmt.Sprintf("k%d", (w*31+i)%17)
 				if i%2 == 0 {
-					c.addT(key, i, int64(1+(i+w)%100))
+					c.Add(key, i, int64(1+(i+w)%100))
 				} else {
-					c.get(key)
+					c.Get(key)
 				}
 			}
 		}(w)
