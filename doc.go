@@ -101,27 +101,36 @@
 //   - Pull-mode EdgeMap is bit-identical at every worker count: the
 //     destination range is partitioned into contiguous 64-aligned chunks,
 //     each destination is owned by one worker, and per-destination
-//     accumulation runs in CSR order. PageRank's rank vector is therefore
-//     reproducible to the last bit on any core count.
+//     accumulation runs in stored in-list order. PageRank's rank vector
+//     is therefore reproducible to the last bit on any core count — and
+//     so is PageRank-Delta's: the paper's PRD is push-only (Table VIII)
+//     and that is what a traced run *simulates*, but what an untraced run
+//     *executes* is destination-owned, every round a dense pull over
+//     per-vertex contributions that are zero off the frontier, so no
+//     float is ever added by compare-and-swap.
 //   - Push-mode EdgeMap is frontier-order-independent: the output
 //     frontier is the same *set* at every worker count (claimed via
 //     compare-and-swap on a word-level bitset), but its member order — and
 //     the order in which update functions observe edges — depends on
 //     interleaving. Integer-state applications (SSSP distances, Radii
 //     estimates, BFS levels) still produce exact sequential answers;
-//     float accumulators (PRD, BC path counts) match up to summation
-//     order.
+//     the one float accumulator left on this path (BC path counts in its
+//     push rounds) matches up to summation order.
 //   - The graph backend changes none of the above: a compressed View
 //     replays every neighbor list in stored order, so runs on it are
 //     bit-identical to runs on the plain CSR exactly where the engine is
-//     deterministic (any workers=1 run, pull-mode PageRank at any worker
-//     count) and agree with them like two plain runs agree elsewhere
-//     (parallel push: integer results exact, PRD/BC within summation
-//     order — internal/apps/differential_test.go holds them to a
-//     relative L1 of 1e-9).
+//     deterministic (any workers=1 run, PR and PRD at any worker count)
+//     and agree with them like two plain runs agree elsewhere (parallel
+//     push: SSSP and Radii exact, BC within summation order —
+//     internal/apps/differential_test.go holds all of it at workers
+//     1/2/4 on plain, csrz-heap and csrz-mmap, BC to a relative L1 of
+//     1e-9).
 //   - Tracing forces the sequential path: any run with a Tracer attached
 //     is deterministic regardless of Workers, so cache-simulator traces
-//     never depend on scheduling.
+//     never depend on scheduling. A traced run also goes edge by edge in
+//     the paper's directions, where an untraced one hands the engine
+//     whole-list callbacks; the two forms reach the same frontiers and —
+//     PRD's summation order apart — the same values.
 //   - Cancellation does not perturb determinism: the per-round context
 //     poll happens between rounds, so an uncanceled run executes exactly
 //     the rounds it always did, and a canceled run returns ctx.Err()

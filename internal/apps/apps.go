@@ -6,6 +6,26 @@
 // Computation direction and the degree kind used for reordering follow
 // Table VIII: BC and Radii are pull-push with out-degree reordering, PR is
 // pull-only with out-degree, SSSP and PRD are push-only with in-degree.
+//
+// Every application has two forms of its edge function. A traced run
+// (Input.Tracer, always one worker) goes edge by edge through
+// ligra.EdgeMapFns' per-edge fields, in exactly the paper's directions, so
+// the cache simulator replays the access stream Table VIII describes. An
+// untraced run, at any worker count, hands the engine list callbacks
+// (PullList, PushList) that loop over a whole neighbor list with their
+// sums in registers; push lists synchronize with atomics, and one worker
+// runs the same body once. The two forms differ for PRD alone: it is
+// *simulated* push-only, as in Table VIII, and *executed*
+// destination-owned — every round a dense pull (see runPRD).
+//
+// What is deterministic follows from who owns a destination. Pull rounds
+// give each destination to one worker, which adds in stored in-list
+// order: PR and PRD are bit-identical at any worker count and on every
+// backend. Parallel push claims vertices in scheduling order: SSSP
+// distances and Radii estimates are exact all the same (min and OR do not
+// care about order) though their round and edge counts may differ, and
+// BC, whose push rounds add path counts by compare-and-swap, matches the
+// one-worker run up to floating-point summation order.
 package apps
 
 import (

@@ -6,12 +6,12 @@ import (
 	"unsafe"
 )
 
-// Atomic property-array primitives for the parallel push paths. Push-mode
-// EdgeMap invokes update functions concurrently, so the irregular writes
-// the paper studies (nghSum accumulation in PRD, distance relaxation in
-// SSSP, path-count accumulation in BC, visited-mask growth in Radii)
-// become CAS loops here. Pull-mode updates stay plain: each destination is
-// owned by exactly one worker.
+// Atomic property-array primitives for the push paths. Push-mode EdgeMap
+// invokes update functions concurrently, so the irregular writes the
+// paper studies (distance relaxation in SSSP, path-count accumulation in
+// BC, visited-mask growth in Radii) become CAS loops here. Pull-mode
+// updates stay plain: each destination is owned by exactly one worker —
+// which is how PRD's nghSum accumulation left this file.
 
 // atomicAddFloat64 adds v to *p with a CAS loop on the float's bits.
 func atomicAddFloat64(p *float64, v float64) {
@@ -33,6 +33,20 @@ func atomicMinInt64(p *int64, v int64) bool {
 		}
 		if atomic.CompareAndSwapInt64(p, old, v) {
 			return true
+		}
+	}
+}
+
+// atomicOrUint64 ORs mask into *p and returns the value it replaced. It
+// is a CAS loop — what the value-returning atomic.OrUint64 lowers to on
+// amd64 anyway — because go1.24.0 miscompiles that intrinsic when its
+// result is used inside a loop (a register it clobbers is assumed live:
+// list elements were silently skipped).
+func atomicOrUint64(p *uint64, mask uint64) uint64 {
+	for {
+		old := atomic.LoadUint64(p)
+		if old|mask == old || atomic.CompareAndSwapUint64(p, old, old|mask) {
+			return old
 		}
 	}
 }

@@ -13,9 +13,9 @@ import (
 // shortest-path counts per level, then a backward sweep over the BFS DAG
 // accumulates dependencies.
 //
-// With workers > 1, push rounds claim levels with CAS and accumulate path
-// counts with atomic float adds (results match the sequential run up to
-// summation order); pull rounds and the backward sweep partition
+// Push rounds claim levels with CAS and accumulate path counts with
+// atomic float adds, so with workers > 1 results match the sequential run
+// up to summation order; pull rounds and the backward sweep partition
 // destinations/level members, whose updates are single-owner and need no
 // atomics.
 func runBC(in Input) (Output, error) {
@@ -58,67 +58,83 @@ func runBC(in Input) (Output, error) {
 		}
 		depth++
 		d := depth
+		inFrontier := frontier.Bits()
 		fns := ligra.EdgeMapFns{
-			// Push: first touch claims the vertex for this level; later
-			// touches from the same level add path counts.
-			Update: func(src, dst graph.VertexID) bool {
-				if level[dst] == -1 {
-					level[dst] = d
-					numPaths[dst] = numPaths[src]
-					if wt != nil {
-						wt.PropertyWritten(dst)
-					}
-					return true
-				}
-				if level[dst] == d {
-					numPaths[dst] += numPaths[src]
-					if wt != nil {
-						wt.PropertyWritten(dst)
-					}
-				}
-				return false
-			},
-			// Pull: accumulate from all frontier in-neighbors; activation
-			// happens on the first accumulation.
-			UpdatePull: func(src, dst graph.VertexID) bool {
-				first := level[dst] == -1
-				if first {
-					level[dst] = d
-				}
-				if level[dst] == d {
-					numPaths[dst] += numPaths[src]
-				}
-				return first || level[dst] == d
-			},
-			Cond: func(dst graph.VertexID) bool { return level[dst] == -1 || level[dst] == d },
-		}
-		if workers > 1 {
-			// Parallel push claims a destination's level with CAS; exactly
-			// one claimer returns true, and same-level contributors (the
-			// claimer included) add path counts atomically. numPaths[src]
-			// and level[src] belong to the previous level and are stable.
-			fns.Update = func(src, dst graph.VertexID) bool {
-				for {
+			// Push claims a destination's level with CAS; exactly one
+			// claimer reports it, and same-level contributors (the claimer
+			// included) add path counts atomically — the same body at any
+			// worker count. numPaths[src] belongs to the previous level
+			// and is stable.
+			PushList: func(src graph.VertexID, dsts, hits []graph.VertexID) []graph.VertexID {
+				paths := numPaths[src]
+				for _, dst := range dsts {
 					l := atomic.LoadInt32(&level[dst])
 					if l == -1 {
 						if atomic.CompareAndSwapInt32(&level[dst], -1, d) {
-							atomicAddFloat64(&numPaths[dst], numPaths[src])
-							return true
+							hits = append(hits, dst)
 						}
-						continue
+						l = d // whoever won the claim, it was for this level
 					}
 					if l == d {
-						atomicAddFloat64(&numPaths[dst], numPaths[src])
+						atomicAddFloat64(&numPaths[dst], paths)
+					}
+				}
+				return hits
+			},
+			// Pull: an unvisited destination sums the path counts of its
+			// in-neighbors on the frontier, in stored order, and joins
+			// this level if it has any. It has one owner: plain accesses.
+			PullList: func(dst graph.VertexID, srcs []graph.VertexID) bool {
+				var paths float64
+				found := false
+				for _, src := range srcs {
+					if inFrontier.Has(src) {
+						paths += numPaths[src]
+						found = true
+					}
+				}
+				if found {
+					level[dst] = d
+					numPaths[dst] = paths
+				}
+				return found
+			},
+			Cond: func(dst graph.VertexID) bool { return level[dst] == -1 },
+		}
+		if in.Tracer != nil {
+			fns = ligra.EdgeMapFns{
+				// Push: first touch claims the vertex for this level; later
+				// touches from the same level add path counts.
+				Update: func(src, dst graph.VertexID) bool {
+					if level[dst] == -1 {
+						level[dst] = d
+						numPaths[dst] = numPaths[src]
+						if wt != nil {
+							wt.PropertyWritten(dst)
+						}
+						return true
+					}
+					if level[dst] == d {
+						numPaths[dst] += numPaths[src]
+						if wt != nil {
+							wt.PropertyWritten(dst)
+						}
 					}
 					return false
-				}
-			}
-			// Pull destinations are single-owner: plain updates stay, only
-			// Cond switches to atomic loads because parallel push rounds
-			// may interleave with it across rounds.
-			fns.Cond = func(dst graph.VertexID) bool {
-				l := atomic.LoadInt32(&level[dst])
-				return l == -1 || l == d
+				},
+				// Pull: accumulate from all frontier in-neighbors; activation
+				// happens on the first accumulation.
+				UpdatePull: func(src, dst graph.VertexID) bool {
+					first := level[dst] == -1
+					if first {
+						level[dst] = d
+					}
+					if level[dst] == d {
+						numPaths[dst] += numPaths[src]
+					}
+					return first || level[dst] == d
+				},
+				Cond: func(dst graph.VertexID) bool { return level[dst] == -1 || level[dst] == d },
 			}
 		}
 		next := ligra.EdgeMap(g, frontier, fns, ligra.EdgeMapOpts{Trace: in.Tracer, Workers: workers, Ctx: in.Ctx})

@@ -12,18 +12,22 @@ import (
 	"graphreorder/internal/graph"
 )
 
-// TestAppsBitIdenticalOnCompressedBackend is the compressed backend's
-// differential gate: every application must compute the same answer on
-// the plain CSR, the heap-backed compressed graph, and a memory-mapped
-// .csrz file of the same layout. The codec preserves stored neighbor
-// order, so wherever the engine itself is deterministic — every
-// workers=1 run, and pull-mode PR at any worker count — the contract is
-// bit-identity: checksum, full value vector and traversal shape.
-// Parallel push (PRD, SSSP, BC, Radii at workers>1) claims vertices and
-// adds floats in scheduling order on every backend, plain included, so
-// there the integer results (SSSP distances, Radii) must still be exact,
-// the float ones (PRD, BC) agree to a relative L1 of 1e-9, and the
-// traversal shape is not compared.
+// TestAppsBitIdenticalOnCompressedBackend is the determinism contract,
+// backend by backend and worker count by worker count: every application
+// must compute the same answer on the plain CSR, the heap-backed
+// compressed graph, and a memory-mapped .csrz file of the same layout,
+// at 1, 2 and 4 workers. The codec preserves stored neighbor order and
+// the engine hands every backend's lists to the same two kernels, so
+// wherever the engine itself is deterministic the contract is
+// bit-identity with the one-worker run on the plain graph: checksum, full
+// value vector and traversal shape (iterations, edges). That is every
+// workers=1 run, and PR and PRD at any worker count — both are
+// destination-owned, each sum added by one worker in stored in-list
+// order. Parallel push (SSSP, BC, Radii at workers>1) claims vertices in
+// scheduling order on every backend, plain included: the integer results
+// (SSSP distances, Radii) must still be exact, BC — whose push rounds add
+// path counts by compare-and-swap — agrees to a relative L1 of 1e-9, and
+// the traversal shape is not compared.
 func TestAppsBitIdenticalOnCompressedBackend(t *testing.T) {
 	g, err := gen.Generate(gen.MustDataset("lj", gen.Tiny))
 	if err != nil {
@@ -48,40 +52,42 @@ func TestAppsBitIdenticalOnCompressedBackend(t *testing.T) {
 	backends := []struct {
 		name string
 		g    graph.View
-	}{{"csrz-heap", cz}, {"csrz-mmap", mapped}}
+	}{{"plain", g}, {"csrz-heap", cz}, {"csrz-mmap", mapped}}
 
 	for _, spec := range All() {
-		for _, workers := range []int{1, 4} {
-			base, err := spec.Run(Input{Graph: g, Roots: roots, Workers: workers})
-			if err != nil {
-				t.Fatalf("%s/plain/w%d: %v", spec.Name, workers, err)
-			}
-			scheduled := workers > 1 && spec.Name != "PR"
+		ref, err := spec.Run(Input{Graph: g, Roots: roots, Workers: 1})
+		if err != nil {
+			t.Fatalf("%s/plain/w1: %v", spec.Name, err)
+		}
+		destinationOwned := spec.Name == "PR" || spec.Name == "PRD"
+		for _, workers := range []int{1, 2, 4} {
+			scheduled := workers > 1 && !destinationOwned
 			for _, be := range backends {
 				out, err := spec.Run(Input{Graph: be.g, Roots: roots, Workers: workers})
 				if err != nil {
 					t.Fatalf("%s/%s/w%d: %v", spec.Name, be.name, workers, err)
 				}
 				name := fmt.Sprintf("%s/%s/w%d", spec.Name, be.name, workers)
-				want, floats := base.Values.([]float64)
+				want, floats := ref.Values.([]float64)
 				if scheduled && floats {
 					if d := relL1(out.Values.([]float64), want); d > 1e-9 {
-						t.Errorf("%s: value vector differs from plain backend by relative L1 %g", name, d)
+						t.Errorf("%s: value vector differs from plain/w1 by relative L1 %g", name, d)
 					}
 					continue
 				}
-				if out.Checksum != base.Checksum {
-					t.Errorf("%s: checksum %v != plain %v", name, out.Checksum, base.Checksum)
+				if out.Checksum != ref.Checksum {
+					t.Errorf("%s: checksum %v != plain/w1 %v", name, out.Checksum, ref.Checksum)
 				}
-				if !reflect.DeepEqual(out.Values, base.Values) {
-					t.Errorf("%s: value vector differs from plain backend", name)
+				if !reflect.DeepEqual(out.Values, ref.Values) {
+					t.Errorf("%s: value vector differs from plain/w1", name)
 				}
 				if scheduled {
 					continue
 				}
-				if out.Iterations != base.Iterations || out.EdgesTraversed != base.EdgesTraversed {
-					t.Errorf("%s: traversal shape (%d iters, %d edges) != plain (%d, %d)",
-						name, out.Iterations, out.EdgesTraversed, base.Iterations, base.EdgesTraversed)
+				if out.Iterations != ref.Iterations || out.EdgesTraversed != ref.EdgesTraversed ||
+					!reflect.DeepEqual(out.Frontiers, ref.Frontiers) {
+					t.Errorf("%s: traversal shape (%d iters, %d edges) != plain/w1 (%d, %d)",
+						name, out.Iterations, out.EdgesTraversed, ref.Iterations, ref.EdgesTraversed)
 				}
 			}
 		}
@@ -102,4 +108,60 @@ func relL1(got, want []float64) float64 {
 		return diff
 	}
 	return diff / norm
+}
+
+// pushCounter is a write-tracking Tracer that counts events by direction.
+type pushCounter struct {
+	pushEdges, pullEdges, visits, writes uint64
+}
+
+func (c *pushCounter) VertexVisited(graph.VertexID, bool) { c.visits++ }
+func (c *pushCounter) PropertyWritten(graph.VertexID)     { c.writes++ }
+func (c *pushCounter) EdgeExamined(_, _ graph.VertexID, pull bool) {
+	if pull {
+		c.pullEdges++
+	} else {
+		c.pushEdges++
+	}
+}
+
+// TestTracedAndExecutedFormsAgree pins the two forms of every application
+// against each other: a traced run goes edge by edge in the paper's
+// directions (Table VIII), an untraced one through list callbacks, and
+// both must walk the same frontiers to the same answer — bit for bit,
+// except PRD, whose traced form is the paper's push-only scatter (every
+// examined edge a push edge followed by a property write, EdgesTraversed
+// of them) while the executed form is destination-owned: same frontiers,
+// ranks equal up to the order the per-destination sums are added in.
+func TestTracedAndExecutedFormsAgree(t *testing.T) {
+	g := parallelTestGraph(t, true)
+	roots := []graph.VertexID{pickRoot(g), 5, 9, 100, 200, 300}
+	for _, spec := range All() {
+		var c pushCounter
+		traced, err := spec.Run(Input{Graph: g, Roots: roots, MaxIters: 10, Tracer: &c, Workers: 4})
+		if err != nil {
+			t.Fatalf("%s traced: %v", spec.Name, err)
+		}
+		executed, err := spec.Run(Input{Graph: g, Roots: roots, MaxIters: 10})
+		if err != nil {
+			t.Fatalf("%s: %v", spec.Name, err)
+		}
+		if !reflect.DeepEqual(executed.Frontiers, traced.Frontiers) || executed.EdgesTraversed != traced.EdgesTraversed {
+			t.Errorf("%s: executed form walks frontiers %v (%d edges), traced %v (%d)",
+				spec.Name, executed.Frontiers, executed.EdgesTraversed, traced.Frontiers, traced.EdgesTraversed)
+		}
+		if spec.Name != "PRD" {
+			if !reflect.DeepEqual(executed.Values, traced.Values) {
+				t.Errorf("%s: executed form's values differ from the traced form's", spec.Name)
+			}
+			continue
+		}
+		if c.pullEdges != 0 || c.pushEdges != traced.EdgesTraversed || c.writes != c.pushEdges {
+			t.Errorf("traced PRD: %d push edges, %d pull edges, %d writes; want %d push edges, each written, and no pull",
+				c.pushEdges, c.pullEdges, c.writes, traced.EdgesTraversed)
+		}
+		if d := relL1(executed.Values.([]float64), traced.Values.([]float64)); d > 1e-9 {
+			t.Errorf("executed PRD ranks differ from the traced run's by relative L1 %g", d)
+		}
+	}
 }

@@ -16,12 +16,27 @@ const (
 	prMaxIters  = 20
 )
 
+// gatherSum is the pull callback PR and PRD share: into[dst] becomes the
+// sum of contrib over dst's whole in-list, added from zero in stored
+// order in a register; no destination joins the output frontier.
+func gatherSum(into, contrib []float64) func(dst graph.VertexID, srcs []graph.VertexID) bool {
+	return func(dst graph.VertexID, srcs []graph.VertexID) bool {
+		var s float64
+		for _, src := range srcs {
+			s += contrib[src]
+		}
+		into[dst] = s
+		return false
+	}
+}
+
 // runPR is the paper's PR workload: each iteration makes one pass to fill
 // the contribution array, then one dense pull pass whose reads of
 // contrib[src] are the irregular Property Array accesses the reordering
 // techniques target (§II-C). workers > 1 parallelizes both passes; the
-// pull pass partitions destinations, so sum[dst] accumulates in CSR order
-// and the rank vector is bit-identical to the sequential run.
+// pull pass partitions destinations, so sum[dst] accumulates in stored
+// in-list order and the rank vector is bit-identical to the sequential
+// run, traced or not.
 func runPR(in Input) (Output, error) {
 	if err := checkInput(in, 0); err != nil {
 		return Output{}, err
@@ -60,6 +75,17 @@ func runPR(in Input) (Output, error) {
 	base := (1 - prDamping) / float64(n)
 	full := ligra.FullVertexSet(n)
 	defer full.Release()
+	// The frontier is every vertex, so a destination's sum is its whole
+	// in-list, added in stored order from zero. A traced run goes edge by
+	// edge so the simulator sees every examination; the additions are the
+	// same ones in the same order.
+	pull := ligra.EdgeMapFns{PullList: gatherSum(sum, contrib)}
+	if in.Tracer != nil {
+		pull = ligra.EdgeMapFns{UpdatePull: func(src, dst graph.VertexID) bool {
+			sum[dst] += contrib[src]
+			return false
+		}}
+	}
 	// Fixed-size L1 reduction chunks (worker-count independent; see the
 	// apply pass below).
 	const l1ChunkSize = 8192
@@ -82,12 +108,8 @@ func runPR(in Input) (Output, error) {
 			}
 		})
 		// Dense pull pass: the irregular reads.
-		out := ligra.EdgeMap(g, full, ligra.EdgeMapFns{
-			UpdatePull: func(src, dst graph.VertexID) bool {
-				sum[dst] += contrib[src]
-				return false
-			},
-		}, ligra.EdgeMapOpts{Dir: ligra.Pull, Trace: in.Tracer, Workers: workers, Ctx: in.Ctx})
+		out := ligra.EdgeMap(g, full, pull,
+			ligra.EdgeMapOpts{Dir: ligra.Pull, Trace: in.Tracer, Workers: workers, Ctx: in.Ctx})
 		if out == nil {
 			return Output{}, in.Ctx.Err()
 		}

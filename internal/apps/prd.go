@@ -16,11 +16,21 @@ const (
 	prdMaxIters = 20
 )
 
-// runPRD is push-based, so the irregular Property Array accesses are
-// *writes* to nghSum[dst] — the behaviour behind the coherence traffic of
-// Fig. 9. With workers > 1 the push pass runs on multiple cores and the
-// nghSum accumulation becomes an atomic float add; the result matches the
-// sequential run up to floating-point summation order.
+// runPRD is PageRank-Delta. The paper runs it push-only (Table VIII): the
+// irregular Property Array accesses are unconditional *writes* to
+// nghSum[dst], the behaviour behind the coherence traffic of Fig. 9, and
+// that is what a traced run (Input.Tracer, one worker) still executes edge
+// by edge, so the simulator sees the paper's access stream.
+//
+// An untraced run computes the same sums destination-owned instead: every
+// round is a dense pull in which each destination adds contrib[src] over
+// its whole in-list — delta/degree for the members of the frontier, zero
+// for everyone else, so the frontier needs no test per edge and the
+// division happens once per vertex. One worker owns a destination and
+// adds in stored in-list order, so the result is bit-identical at any
+// worker count and on every backend, and nothing is added by
+// compare-and-swap. The price is that a round scans every edge however
+// small the frontier has become.
 func runPRD(in Input) (Output, error) {
 	if err := checkInput(in, 0); err != nil {
 		return Output{}, err
@@ -44,78 +54,80 @@ func runPRD(in Input) (Output, error) {
 		workers = 1
 	}
 	rank := make([]float64, n)
-	delta := make([]float64, n)
 	nghSum := make([]float64, n)
+	// contrib[v] is what v sends along each out-edge this round: its delta
+	// over its out-degree while it is active, zero otherwise.
+	contrib := make([]float64, n)
 	oneOverN := 1.0 / float64(n)
-	for v := range delta {
-		delta[v] = oneOverN
-		rank[v] = 0
-	}
-	wt := ligra.WriteTracer(in.Tracer)
-	// Push pass: scatter each active vertex's delta to its out-neighbors.
-	// Irregular writes into nghSum — plain when sequential, CAS adds when
-	// the frontier is partitioned across workers.
-	update := func(src, dst graph.VertexID) bool {
-		if d := g.OutDegree(src); d > 0 {
-			nghSum[dst] += delta[src] / float64(d)
+	par.For(n, workers, 1, func(lo, hi int) {
+		for v := lo; v < hi; v++ {
+			if d := g.OutDegree(graph.VertexID(v)); d > 0 {
+				contrib[v] = oneOverN / float64(d)
+			}
+		}
+	})
+	fns := ligra.EdgeMapFns{PullList: gatherSum(nghSum, contrib)}
+	dir := ligra.Pull
+	if in.Tracer != nil {
+		wt := ligra.WriteTracer(in.Tracer)
+		// Push pass: scatter each active vertex's share to its
+		// out-neighbors, an irregular write per edge.
+		fns = ligra.EdgeMapFns{Update: func(src, dst graph.VertexID) bool {
+			nghSum[dst] += contrib[src]
 			if wt != nil {
 				wt.PropertyWritten(dst)
 			}
+			return false
+		}}
+		dir = ligra.Push
+	}
+	// Absorb pass: fold the round's sum into the rank, clear it for the
+	// next push round, and keep the vertices whose new delta is a large
+	// enough fraction of their rank. Run over the full set it is a dense
+	// VertexMap: 64-aligned chunks, the same frontier at any worker count.
+	first := true
+	absorb := func(v graph.VertexID) bool {
+		delta := prDamping * nghSum[v]
+		nghSum[v] = 0
+		if first {
+			// First round computes the full first-iteration rank, then
+			// the delta is measured against the initial 1/n mass, as in
+			// Ligra's PR_Vertex_F_FirstRound.
+			delta += (1 - prDamping) * oneOverN
+			rank[v] += delta
+			delta -= oneOverN
+		} else {
+			rank[v] += delta
+		}
+		contrib[v] = 0
+		if math.Abs(delta) > epsilon*rank[v] && delta != 0 {
+			if d := g.OutDegree(v); d > 0 {
+				contrib[v] = delta / float64(d)
+			}
+			return true
 		}
 		return false
 	}
-	if workers > 1 {
-		update = func(src, dst graph.VertexID) bool {
-			if d := g.OutDegree(src); d > 0 {
-				atomicAddFloat64(&nghSum[dst], delta[src]/float64(d))
-			}
-			return false
-		}
-	}
+	full := ligra.FullVertexSet(n)
+	defer full.Release()
 	frontier := ligra.FullVertexSet(n)
 	for iters := 0; iters < maxIters && !frontier.Empty(); iters++ {
 		if err := in.canceled(); err != nil {
 			frontier.Release()
 			return Output{}, err
 		}
-		par.For(n, workers, 1, func(lo, hi int) {
-			for v := lo; v < hi; v++ {
-				nghSum[v] = 0
-			}
-		})
+		// The edges that carry a delta this round, in either direction.
 		roundEdges := frontier.OutEdgeSum(g, workers)
-		out := ligra.EdgeMap(g, frontier, ligra.EdgeMapFns{Update: update},
-			ligra.EdgeMapOpts{Dir: ligra.Push, Trace: in.Tracer, Workers: workers, Ctx: in.Ctx})
+		out := ligra.EdgeMap(g, frontier, fns,
+			ligra.EdgeMapOpts{Dir: dir, Trace: in.Tracer, Workers: workers, Ctx: in.Ctx})
 		if out == nil {
 			frontier.Release()
 			return Output{}, in.Ctx.Err()
 		}
 		out.Release()
-
-		// Absorb deltas and build the next frontier: vertices whose new
-		// delta is a large enough fraction of their rank. Sequential so the
-		// frontier keeps ascending order and the run stays deterministic.
-		var next []graph.VertexID
-		for v := 0; v < n; v++ {
-			var nd float64
-			if iters == 0 {
-				// First round computes the full first-iteration rank, then
-				// the delta is measured against the initial 1/n mass, as in
-				// Ligra's PR_Vertex_F_FirstRound.
-				nd = (1-prDamping)*oneOverN + prDamping*nghSum[v]
-				rank[v] += nd
-				delta[v] = nd - oneOverN
-			} else {
-				nd = prDamping * nghSum[v]
-				rank[v] += nd
-				delta[v] = nd
-			}
-			if math.Abs(delta[v]) > epsilon*rank[v] && delta[v] != 0 {
-				next = append(next, graph.VertexID(v))
-			}
-		}
 		frontier.Release()
-		frontier = ligra.NewVertexSet(n, next...)
+		frontier = ligra.VertexMapPar(full, absorb, workers)
+		first = false
 		rec.round(frontier.Len(), roundEdges)
 	}
 	frontier.Release()

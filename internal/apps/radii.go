@@ -15,9 +15,9 @@ const radiiSamples = 64
 // runRadii runs radiiSamples parallel BFS's encoded as per-vertex
 // bitmasks (Magnien et al.; Table VII). A vertex's radius estimate is the
 // last round in which its visited mask grew. Pull-push direction
-// switching, out-degree reordering (Table VIII). With workers > 1 mask
-// growth becomes an atomic OR; the radius estimates are identical to the
-// sequential run (mask unions are order-independent).
+// switching, out-degree reordering (Table VIII). Push rounds grow masks
+// with an atomic OR; the radius estimates at workers > 1 are identical to
+// the sequential run (mask unions are order-independent).
 func runRadii(in Input) (Output, error) {
 	if err := checkInput(in, 1); err != nil {
 		return Output{}, err
@@ -56,37 +56,59 @@ func runRadii(in Input) (Output, error) {
 		round++
 		r := round
 		copy(nextVisited, visited)
-		update := func(src, dst graph.VertexID) bool {
-			grow := visited[src] &^ nextVisited[dst]
-			if grow == 0 {
-				return false
-			}
-			first := nextVisited[dst] == visited[dst]
-			nextVisited[dst] |= grow
-			radii[dst] = r
-			if wt != nil {
-				wt.PropertyWritten(dst)
-			}
-			return first
-		}
-		if workers > 1 {
-			update = func(src, dst graph.VertexID) bool {
-				if visited[src]&^atomic.LoadUint64(&nextVisited[dst]) == 0 {
+		fns := ligra.EdgeMapFns{
+			// Push grows a destination's mask with an atomic OR — the same
+			// body at any worker count. Exactly one grower observes the
+			// mask still at its start-of-round value: that one reports dst.
+			PushList: func(src graph.VertexID, dsts, hits []graph.VertexID) []graph.VertexID {
+				mask := visited[src]
+				for _, dst := range dsts {
+					old := atomicOrUint64(&nextVisited[dst], mask)
+					if mask&^old == 0 {
+						continue
+					}
+					atomic.StoreInt32(&radii[dst], r)
+					if old == visited[dst] {
+						hits = append(hits, dst)
+					}
+				}
+				return hits
+			},
+			// Pull ORs the masks of all in-neighbors into a register and
+			// writes the destination once, if it grew. No frontier test: a
+			// source off the frontier has not grown since the round that
+			// delivered its mask to every out-neighbor, so ORing it again
+			// changes nothing.
+			PullList: func(dst graph.VertexID, srcs []graph.VertexID) bool {
+				before := nextVisited[dst]
+				mask := before
+				for _, src := range srcs {
+					mask |= visited[src]
+				}
+				if mask == before {
 					return false
 				}
-				old := atomic.OrUint64(&nextVisited[dst], visited[src])
-				grow := visited[src] &^ old
+				nextVisited[dst] = mask
+				radii[dst] = r
+				return true
+			},
+		}
+		if in.Tracer != nil {
+			fns = ligra.EdgeMapFns{Update: func(src, dst graph.VertexID) bool {
+				grow := visited[src] &^ nextVisited[dst]
 				if grow == 0 {
 					return false
 				}
-				atomic.StoreInt32(&radii[dst], r)
-				// Exactly one grower observes the mask still at its
-				// start-of-round value: that claim adds dst to the output
-				// frontier (EdgeMap deduplicates regardless).
-				return old == visited[dst]
-			}
+				first := nextVisited[dst] == visited[dst]
+				nextVisited[dst] |= grow
+				radii[dst] = r
+				if wt != nil {
+					wt.PropertyWritten(dst)
+				}
+				return first
+			}}
 		}
-		next := ligra.EdgeMap(g, frontier, ligra.EdgeMapFns{Update: update},
+		next := ligra.EdgeMap(g, frontier, fns,
 			ligra.EdgeMapOpts{Trace: in.Tracer, Workers: workers, Ctx: in.Ctx})
 		if next == nil {
 			frontier.Release()

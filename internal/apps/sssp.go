@@ -19,11 +19,11 @@ const InfDistance = math.MaxInt64
 // The irregular Property Array accesses are reads of dist[dst] followed by
 // *conditional* writes — SSSP pushes an update only when it found a
 // shorter path, which is why it generates far less write sharing than PRD
-// (§VI-C of the paper). With workers > 1 relaxation becomes an atomic min;
-// the final distance vector is identical to the sequential one (Bellman-
-// Ford converges to the unique shortest distances), though round and
-// edge counts may differ because in-round propagation depends on
-// interleaving.
+// (§VI-C of the paper). Relaxation is an atomic min (a plain compare and
+// store on the traced path); with workers > 1 the final distance vector
+// is identical to the sequential one (Bellman-Ford converges to the
+// unique shortest distances), though round and edge counts may differ
+// because in-round propagation depends on interleaving.
 func runSSSP(in Input) (Output, error) {
 	if err := checkInput(in, 1); err != nil {
 		return Output{}, err
@@ -44,23 +44,34 @@ func runSSSP(in Input) (Output, error) {
 		dist[v] = InfDistance
 	}
 	dist[root] = 0
-	wt := ligra.WriteTracer(in.Tracer)
-	update := func(src, dst graph.VertexID, w uint32) bool {
-		nd := dist[src] + int64(w)
-		if nd < dist[dst] {
-			dist[dst] = nd
-			if wt != nil {
-				wt.PropertyWritten(dst)
+	// Relax a vertex's whole out-list per call. dist[src] is read once:
+	// only a self-loop could lower it during the scan, and a non-negative
+	// one never does; a concurrent lowering by another worker re-queues
+	// src, so nothing is lost to the stale read. The atomic min is the
+	// same body at any worker count.
+	fns := ligra.EdgeMapFns{PushList: func(src graph.VertexID, dsts, hits []graph.VertexID) []graph.VertexID {
+		ws := g.OutWeights(src)[:len(dsts)]
+		d := atomic.LoadInt64(&dist[src])
+		for i, dst := range dsts {
+			if atomicMinInt64(&dist[dst], d+int64(ws[i])) {
+				hits = append(hits, dst)
 			}
-			return true
 		}
-		return false
-	}
-	if workers > 1 {
-		update = func(src, dst graph.VertexID, w uint32) bool {
-			nd := atomic.LoadInt64(&dist[src]) + int64(w)
-			return atomicMinInt64(&dist[dst], nd)
-		}
+		return hits
+	}}
+	if in.Tracer != nil {
+		wt := ligra.WriteTracer(in.Tracer)
+		fns = ligra.EdgeMapFns{UpdateWeighted: func(src, dst graph.VertexID, w uint32) bool {
+			nd := dist[src] + int64(w)
+			if nd < dist[dst] {
+				dist[dst] = nd
+				if wt != nil {
+					wt.PropertyWritten(dst)
+				}
+				return true
+			}
+			return false
+		}}
 	}
 	frontier := ligra.NewVertexSet(n, root)
 	for rounds := 0; !frontier.Empty() && rounds <= n; rounds++ {
@@ -69,7 +80,7 @@ func runSSSP(in Input) (Output, error) {
 			return Output{}, err
 		}
 		roundEdges := frontier.OutEdgeSum(g, workers)
-		next := ligra.EdgeMap(g, frontier, ligra.EdgeMapFns{UpdateWeighted: update},
+		next := ligra.EdgeMap(g, frontier, fns,
 			ligra.EdgeMapOpts{Dir: ligra.Push, Trace: in.Tracer, Workers: workers, Ctx: in.Ctx})
 		if next == nil {
 			frontier.Release()

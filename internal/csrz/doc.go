@@ -23,14 +23,16 @@
 // engine's float accumulations (PageRank's pull sums, BC's dependency
 // sums) are evaluated in neighbor-list order, so order preservation
 // makes a compressed run bit-identical to a plain run wherever the
-// engine itself is deterministic — every workers=1 run and pull-mode
-// PageRank at any worker count: checksum, value vector and traversal
-// shape are pinned against the plain backend in
-// internal/apps/differential_test.go. Parallel push rounds (PRD, SSSP,
-// BC, Radii at workers>1) claim vertices and add floats in scheduling
-// order on either backend, so there the test pins what the engine
-// guarantees: SSSP distances and Radii exact, PRD and BC within a
-// relative L1 of 1e-9 of the plain run. Both directions also keep the
+// engine itself is deterministic — every workers=1 run, and the
+// destination-owned PageRank and PageRank-Delta at any worker count:
+// checksum, value vector and traversal shape are pinned against the
+// one-worker plain run in internal/apps/differential_test.go, heap-backed
+// and memory-mapped, at 1, 2 and 4 workers. Parallel push rounds (SSSP,
+// BC, Radii at workers>1) claim vertices in scheduling order on either
+// backend, so there the test pins what the engine guarantees: SSSP
+// distances and Radii exact, BC — the one application that still adds
+// floats by compare-and-swap — within a relative L1 of 1e-9. Both
+// directions also keep the
 // plain n+1 edge-index arrays, so parallel chunk balancing
 // (par.BalancedBounds) splits work at exactly the same vertex
 // boundaries as the plain backend.

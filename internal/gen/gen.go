@@ -254,7 +254,10 @@ func communityEdges(cfg Config) ([]graph.Edge, []uint32, error) {
 	r := rng.NewStream(cfg.Seed, 2)
 
 	// Carve communities with Pareto-distributed sizes.
-	type community struct{ start, size int }
+	type community struct {
+		start, size int
+		zipf        rng.ZipfDist // destination ranks inside it, built once
+	}
 	var comms []community
 	commOf := make([]uint32, n)
 	start := 0
@@ -269,7 +272,7 @@ func communityEdges(cfg Config) ([]graph.Edge, []uint32, error) {
 		for v := start; v < start+size; v++ {
 			commOf[v] = uint32(len(comms))
 		}
-		comms = append(comms, community{start, size})
+		comms = append(comms, community{start, size, rng.NewZipfDist(size, zipfS)})
 		start += size
 	}
 
@@ -305,7 +308,7 @@ func communityEdges(cfg Config) ([]graph.Edge, []uint32, error) {
 				// vertex's community has exactly that distribution.
 				target = comms[commOf[r.Intn(n)]]
 			}
-			rank := r.Zipf(target.size, zipfS)
+			rank := r.ZipfOf(target.zipf)
 			dst := graph.VertexID(target.start + rank)
 			if int(dst) == v && target.size > 1 {
 				dst = graph.VertexID(target.start + (rank+1)%target.size)

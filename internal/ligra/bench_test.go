@@ -23,23 +23,71 @@ func benchGraph(b *testing.B) *graph.Graph {
 	return g
 }
 
-func benchEdgeMap(b *testing.B, g graph.View, frontier *VertexSet, dir Direction, workers int) {
-	b.Helper()
-	fns := EdgeMapFns{Update: func(_, dst graph.VertexID) bool { return dst%4 == 0 }}
-	opts := EdgeMapOpts{Dir: dir, Workers: workers}
-	EdgeMap(g, frontier, fns, opts).Release() // warm the pool
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		EdgeMap(g, frontier, fns, opts).Release()
+// benchFns are the two forms of one update: activate every destination
+// whose ID is a multiple of four. The per-edge form reaches the kernels
+// through the adapter; the list form runs the equivalent loop itself,
+// frontier test included, so the difference between the two is the cost
+// of going edge by edge through a function value.
+func benchFns(frontier *VertexSet, lists bool) EdgeMapFns {
+	if !lists {
+		return EdgeMapFns{Update: func(_, dst graph.VertexID) bool { return dst%4 == 0 }}
+	}
+	inFrontier := frontier.Bits()
+	return EdgeMapFns{
+		PullList: func(dst graph.VertexID, srcs []graph.VertexID) bool {
+			joined := false
+			for _, src := range srcs {
+				if inFrontier.Has(src) && dst%4 == 0 {
+					joined = true
+				}
+			}
+			return joined
+		},
+		PushList: func(_ graph.VertexID, dsts, hits []graph.VertexID) []graph.VertexID {
+			for _, dst := range dsts {
+				if dst%4 == 0 {
+					hits = append(hits, dst)
+				}
+			}
+			return hits
+		},
+	}
+}
+
+// benchEdgeMap runs the four sub-benchmarks of one direction on one
+// backend — per-edge and list callbacks, one worker and GOMAXPROCS — and
+// reports ns/edge next to ns/op: a pull examines every in-edge, a push
+// the frontier's out-edges.
+func benchEdgeMap(b *testing.B, g graph.View, frontier *VertexSet, dir Direction) {
+	edges := uint64(g.NumEdges())
+	if dir == Push {
+		edges = frontier.OutEdgeSum(g, 1)
+	}
+	for _, bc := range []struct {
+		name    string
+		lists   bool
+		workers int
+	}{
+		{"seq", false, 1}, {"par", false, runtime.GOMAXPROCS(0)},
+		{"list/seq", true, 1}, {"list/par", true, runtime.GOMAXPROCS(0)},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			fns := benchFns(frontier, bc.lists)
+			opts := EdgeMapOpts{Dir: dir, Workers: bc.workers}
+			EdgeMap(g, frontier, fns, opts).Release() // warm the pool
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				EdgeMap(g, frontier, fns, opts).Release()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(edges), "ns/edge")
+		})
 	}
 }
 
 func BenchmarkEdgeMapPull(b *testing.B) {
 	g := benchGraph(b)
-	frontier := FullVertexSet(g.NumVertices())
-	b.Run("seq", func(b *testing.B) { benchEdgeMap(b, g, frontier, Pull, 1) })
-	b.Run("par", func(b *testing.B) { benchEdgeMap(b, g, frontier, Pull, runtime.GOMAXPROCS(0)) })
+	benchEdgeMap(b, g, FullVertexSet(g.NumVertices()), Pull)
 }
 
 // BenchmarkEdgeMapPullCompressed is BenchmarkEdgeMapPull over the
@@ -49,9 +97,7 @@ func BenchmarkEdgeMapPull(b *testing.B) {
 // TestEdgeMapSteadyStateZeroAlloc, not by timing this.
 func BenchmarkEdgeMapPullCompressed(b *testing.B) {
 	cz := csrz.Encode(benchGraph(b))
-	frontier := FullVertexSet(cz.NumVertices())
-	b.Run("seq", func(b *testing.B) { benchEdgeMap(b, cz, frontier, Pull, 1) })
-	b.Run("par", func(b *testing.B) { benchEdgeMap(b, cz, frontier, Pull, runtime.GOMAXPROCS(0)) })
+	benchEdgeMap(b, cz, FullVertexSet(cz.NumVertices()), Pull)
 }
 
 // benchPushFrontier is every eighth vertex: a sparse frontier large
@@ -66,14 +112,10 @@ func benchPushFrontier(n int) *VertexSet {
 
 func BenchmarkEdgeMapPush(b *testing.B) {
 	g := benchGraph(b)
-	frontier := benchPushFrontier(g.NumVertices())
-	b.Run("seq", func(b *testing.B) { benchEdgeMap(b, g, frontier, Push, 1) })
-	b.Run("par", func(b *testing.B) { benchEdgeMap(b, g, frontier, Push, runtime.GOMAXPROCS(0)) })
+	benchEdgeMap(b, g, benchPushFrontier(g.NumVertices()), Push)
 }
 
 func BenchmarkEdgeMapPushCompressed(b *testing.B) {
 	cz := csrz.Encode(benchGraph(b))
-	frontier := benchPushFrontier(cz.NumVertices())
-	b.Run("seq", func(b *testing.B) { benchEdgeMap(b, cz, frontier, Push, 1) })
-	b.Run("par", func(b *testing.B) { benchEdgeMap(b, cz, frontier, Push, runtime.GOMAXPROCS(0)) })
+	benchEdgeMap(b, cz, benchPushFrontier(cz.NumVertices()), Push)
 }

@@ -8,8 +8,13 @@
 // EdgeMapOpts.Workers > 1, matching the original Ligra (a parallel
 // framework) and the paper's fully-parallelized skew-aware
 // implementations (§V-C). There is one kernel per direction, over any
-// graph.View; a parallel round runs the same kernel over a partition of
-// the round's work, and the two directions partition differently:
+// graph.View, and it works at list granularity: it calls back once per
+// vertex with that vertex's whole neighbor list (EdgeMapFns.PullList,
+// PushList), so the loop over the edges — and whatever it can keep in
+// registers — belongs to the application; per-edge update functions are
+// served by a small adapter of the same shape. A parallel round runs the
+// same kernel over a partition of the round's work, and the two
+// directions partition differently:
 //
 //   - Pull mode partitions the destination-vertex range into contiguous
 //     chunks aligned to 64 vertices. Every destination is owned by exactly
@@ -236,7 +241,14 @@ func (s *VertexSet) computeOutEdges(g graph.View, workers int) uint64 {
 	return sum
 }
 
-// EdgeMapFns carries the per-edge callbacks of an EdgeMap.
+// EdgeMapFns carries the callbacks of an EdgeMap. The kernels work one
+// neighbor list at a time: PullList and PushList receive a whole list and
+// run their own loop over it, which is what an application's hot path
+// wants — one indirect call per vertex, sums kept in registers. The
+// per-edge fields (Update, UpdatePull, UpdateWeighted) are served by an
+// adapter that is itself a list callback looping over them, and are what
+// traced runs, tests and probes use. Each direction takes its list
+// callback when set and the per-edge fields otherwise.
 type EdgeMapFns struct {
 	// Update processes edge src->dst in push mode (src in frontier) and is
 	// expected to return true when dst becomes a member of the output
@@ -255,12 +267,142 @@ type EdgeMapFns struct {
 	// additionally receives the edge weight (0 on unweighted graphs). The
 	// same concurrency contract as Update applies in parallel push mode.
 	UpdateWeighted func(src, dst graph.VertexID, w uint32) bool
-	// Cond gates destinations: edges into dst with Cond(dst) == false are
-	// skipped. In pull mode Cond is rechecked as the in-edges of dst are
-	// scanned, enabling early exit once dst saturates (e.g. BFS parent
-	// found). Nil means always true. In parallel push mode Cond may be
-	// invoked concurrently.
+	// Cond gates destinations. In pull mode the kernel skips every dst
+	// with Cond(dst) == false, whichever callback runs. Per edge it is the
+	// per-edge adapter that applies it: push skips edges into such a dst,
+	// pull rechecks it as the in-edges of dst are scanned, enabling early
+	// exit once dst saturates (e.g. BFS parent found). A list callback
+	// tests what it needs itself. Nil means always true. In parallel push
+	// mode Cond may be invoked concurrently.
 	Cond func(dst graph.VertexID) bool
+	// PullList, if non-nil, is the pull-mode callback: called once per
+	// destination that passes Cond, with dst's whole in-list in stored
+	// order, and returns whether dst joins the output frontier. The list
+	// is not filtered by the frontier — the caller holds the frontier
+	// (VertexSet.Bits) and tests membership where its update needs it —
+	// and is only valid during the call. A callback that wants weights
+	// reads g.InWeights(dst), aligned index for index. Every destination
+	// belongs to one worker, so writes to dst state need no atomics.
+	PullList func(dst graph.VertexID, srcs []graph.VertexID) bool
+	// PushList, if non-nil, is the push-mode callback: called once per
+	// frontier member with src's whole out-list in stored order (weights:
+	// g.OutWeights(src)). It appends every destination its update hit to
+	// hits and returns the extended slice; a destination may be appended
+	// more than once, in a round or in a call, and the kernel keeps the
+	// first. hits is the kernel's reused output buffer: append to it, do
+	// not read or keep it. With Workers > 1 PushList is invoked
+	// concurrently and must synchronize its own writes (atomics).
+	//
+	// A list callback scans its list itself, so a Tracer sees the vertices
+	// it is called for and none of its edges; traced runs use the per-edge
+	// fields.
+	PushList func(src graph.VertexID, dsts []graph.VertexID, hits []graph.VertexID) []graph.VertexID
+}
+
+// perEdge adapts the per-edge fields of an EdgeMapFns to the list
+// granularity the kernels call: its two methods have the shape of
+// PullList and PushList and hold the loop over single edges — the
+// tracer's EdgeExamined, the frontier test, the per-edge Cond.
+type perEdge struct {
+	g          graph.View
+	update     func(src, dst graph.VertexID) bool
+	weighted   func(src, dst graph.VertexID, w uint32) bool
+	cond       func(dst graph.VertexID) bool
+	inFrontier Bitset // pull only
+	tr         Tracer
+	hits       []graph.VertexID // push only
+}
+
+func newPerEdge(g graph.View, fns EdgeMapFns, pull bool, inFrontier Bitset, tr Tracer) perEdge {
+	update := fns.Update
+	if pull && fns.UpdatePull != nil {
+		update = fns.UpdatePull
+	}
+	return perEdge{g: g, update: update, weighted: fns.UpdateWeighted, cond: fns.Cond, inFrontier: inFrontier, tr: tr}
+}
+
+// pullList offers dst every in-edge whose source is in the frontier.
+func (p *perEdge) pullList(dst graph.VertexID, srcs []graph.VertexID) bool {
+	var ws []uint32
+	if p.weighted != nil {
+		ws = p.g.InWeights(dst)
+	}
+	joined := false
+	for i, src := range srcs {
+		if p.tr != nil {
+			p.tr.EdgeExamined(src, dst, true)
+		}
+		if !p.inFrontier.Has(src) {
+			continue
+		}
+		// Kept inline in both loops: as a method it is beyond the inliner
+		// and costs a call per edge.
+		var hit bool
+		if p.weighted != nil {
+			var w uint32
+			if ws != nil {
+				w = ws[i]
+			}
+			hit = p.weighted(src, dst, w)
+		} else {
+			hit = p.update(src, dst)
+		}
+		if hit {
+			joined = true
+		}
+		// Early exit: once dst stops satisfying Cond (e.g. it has been
+		// claimed), the rest of its in-edges are skipped, as in Ligra.
+		if p.cond != nil && !p.cond(dst) {
+			break
+		}
+	}
+	return joined
+}
+
+// pushList offers every out-edge of src whose destination passes Cond and
+// appends the destinations hit to p.hits — a field, not a parameter, so
+// the loops do not carry a slice across their calls.
+func (p *perEdge) pushList(src graph.VertexID, dsts []graph.VertexID) {
+	if p.tr == nil && p.cond == nil && p.weighted == nil {
+		// Nothing to test per edge. The general loop reloads and tests
+		// three callbacks per edge, which on a full-frontier push made
+		// this path 15 % slower than the inner loop it replaced
+		// (EXPERIMENTS.md "List-granular kernels", where half the
+		// out-lists have five edges or fewer). pullList measured within
+		// 7 % of its old loop as it is and has no such branch.
+		update := p.update
+		for _, dst := range dsts {
+			if update(src, dst) {
+				p.hits = append(p.hits, dst)
+			}
+		}
+		return
+	}
+	var ws []uint32
+	if p.weighted != nil {
+		ws = p.g.OutWeights(src)
+	}
+	for i, dst := range dsts {
+		if p.tr != nil {
+			p.tr.EdgeExamined(src, dst, false)
+		}
+		if p.cond != nil && !p.cond(dst) {
+			continue
+		}
+		var hit bool
+		if p.weighted != nil {
+			var w uint32
+			if ws != nil {
+				w = ws[i]
+			}
+			hit = p.weighted(src, dst, w)
+		} else {
+			hit = p.update(src, dst)
+		}
+		if hit {
+			p.hits = append(p.hits, dst)
+		}
+	}
 }
 
 // Direction forces a traversal direction in EdgeMapOpts.
@@ -333,11 +475,12 @@ func WriteTracer(tr Tracer) PropertyWriteTracer {
 // EdgeMap applies fns over the edges leaving the frontier, returning the
 // next frontier, per the Ligra model. Push mode scans out-edges of
 // frontier members; pull mode scans in-edges of all vertices passing Cond
-// and checks membership of the source. The returned set is pooled; the
+// (membership of the source is tested per edge for the per-edge update
+// functions, and left to a PullList). The returned set is pooled; the
 // caller may Release it once done.
 //
 // g may be any graph.View: there is one push kernel and one pull kernel,
-// and each sees a neighbor list as a []VertexID handed over by a
+// and each passes a neighbor list on as a []VertexID handed over by a
 // per-worker graph.AdjBuffer — the stored sub-slice on a plain
 // *graph.Graph, a reused decode buffer on a compressed *csrz.Graph. All
 // backends produce bit-identical frontiers and property updates because
@@ -396,14 +539,17 @@ func edgeMapPush(g graph.View, frontier *VertexSet, fns EdgeMapFns, workers int,
 	return out
 }
 
-// pushRange is the push kernel: it scans the out-edges of members and
-// appends every destination an update hit, once, to out. claimed
-// deduplicates across all chunks of the round; shared says other workers
-// are claiming too, so a slot is taken with compare-and-swap instead of a
-// plain test and set.
+// pushRange is the push kernel: it hands the out-list of every member to
+// the push callback, which appends the destinations its update hit to
+// out, and keeps the first hit of each destination. claimed deduplicates
+// across all chunks of the round; shared says other workers are claiming
+// too, so a slot is taken with compare-and-swap instead of a plain test
+// and set. out doubles as the callback's scratch: the hits of one list
+// are compacted in place, so nothing is allocated per vertex and every
+// worker reuses the buffer it already owns.
 func pushRange(g graph.View, members []graph.VertexID, fns EdgeMapFns, tr Tracer, claimed Bitset, shared bool, out []graph.VertexID) []graph.VertexID {
-	cond := fns.Cond
-	weighted := fns.UpdateWeighted != nil && g.Weighted()
+	list := fns.PushList
+	edges := newPerEdge(g, fns, false, nil, tr)
 	var own graph.AdjBuffer
 	adj, pooled := &own, getAdjBuffer(g)
 	if pooled != nil {
@@ -413,40 +559,28 @@ func pushRange(g graph.View, members []graph.VertexID, fns EdgeMapFns, tr Tracer
 		if tr != nil {
 			tr.VertexVisited(u, false)
 		}
-		nbrs := adj.Out(g, u)
-		var ws []uint32
-		if weighted {
-			ws = g.OutWeights(u)
+		kept := len(out)
+		if list != nil {
+			out = list(u, adj.Out(g, u), out)
+		} else {
+			edges.hits = out
+			edges.pushList(u, adj.Out(g, u))
+			out = edges.hits
 		}
-		for i, dst := range nbrs {
-			if tr != nil {
-				tr.EdgeExamined(u, dst, false)
-			}
-			if cond != nil && !cond(dst) {
-				continue
-			}
-			var hit bool
-			if fns.UpdateWeighted != nil {
-				var w uint32
-				if ws != nil {
-					w = ws[i]
-				}
-				hit = fns.UpdateWeighted(u, dst, w)
-			} else {
-				hit = fns.Update(u, dst)
-			}
-			if !hit {
-				continue
-			}
+		for _, dst := range out[kept:] {
+			first := false
 			if shared {
-				if claimed.TrySetAtomic(dst) {
-					out = append(out, dst)
-				}
+				first = claimed.TrySetAtomic(dst)
 			} else if !claimed.Has(dst) {
 				claimed.Set(dst)
-				out = append(out, dst)
+				first = true
+			}
+			if first {
+				out[kept] = dst
+				kept++
 			}
 		}
+		out = out[:kept]
 	}
 	putAdjBuffer(pooled)
 	return out
@@ -489,18 +623,15 @@ func edgeMapPull(g graph.View, frontier *VertexSet, fns EdgeMapFns, workers int,
 	return out
 }
 
-// pullRange is the pull kernel: for every destination in [lo, hi) that
-// passes Cond it scans the in-edges whose source is in the frontier and
-// sets the destination's bit in next when an update hits. Callers hand
-// out 64-aligned ranges, so the words of next a range writes are its
+// pullRange is the pull kernel: it hands the in-list of every destination
+// in [lo, hi) that passes Cond to the pull callback and sets the
+// destination's bit in next when the callback says it joined. Callers
+// hand out 64-aligned ranges, so the words of next a range writes are its
 // own: no atomics.
 func pullRange(g graph.View, inFrontier, next Bitset, fns EdgeMapFns, tr Tracer, lo, hi int) {
-	update := fns.UpdatePull
-	if update == nil {
-		update = fns.Update
-	}
+	list := fns.PullList
+	edges := newPerEdge(g, fns, true, inFrontier, tr)
 	cond := fns.Cond
-	weighted := fns.UpdateWeighted != nil && g.Weighted()
 	var own graph.AdjBuffer
 	adj, pooled := &own, getAdjBuffer(g)
 	if pooled != nil {
@@ -514,36 +645,14 @@ func pullRange(g graph.View, inFrontier, next Bitset, fns EdgeMapFns, tr Tracer,
 		if tr != nil {
 			tr.VertexVisited(dst, true)
 		}
-		srcs := adj.In(g, dst)
-		var ws []uint32
-		if weighted {
-			ws = g.InWeights(dst)
+		var joined bool
+		if list != nil {
+			joined = list(dst, adj.In(g, dst))
+		} else {
+			joined = edges.pullList(dst, adj.In(g, dst))
 		}
-		for i, src := range srcs {
-			if tr != nil {
-				tr.EdgeExamined(src, dst, true)
-			}
-			if !inFrontier.Has(src) {
-				continue
-			}
-			var hit bool
-			if fns.UpdateWeighted != nil {
-				var w uint32
-				if ws != nil {
-					w = ws[i]
-				}
-				hit = fns.UpdateWeighted(src, dst, w)
-			} else {
-				hit = update(src, dst)
-			}
-			if hit {
-				next.Set(dst)
-			}
-			// Early exit: once dst stops satisfying Cond (e.g. it has been
-			// claimed), the rest of its in-edges are skipped, as in Ligra.
-			if cond != nil && !cond(dst) {
-				break
-			}
+		if joined {
+			next.Set(dst)
 		}
 	}
 	putAdjBuffer(pooled)

@@ -246,28 +246,49 @@ func TestSparseHasUsesLookup(t *testing.T) {
 
 // TestEdgeMapSteadyStateZeroAlloc proves the scratch pool claim: once the
 // pool is warm, one-worker EdgeMap iterations allocate nothing in either
-// direction when the caller releases the sets it is done with — on the
-// plain backend, and on the compressed one, whose decode buffers are
-// pooled too.
+// direction when the caller releases the sets it is done with — through
+// the per-edge adapter and through list callbacks alike (the adapter is a
+// value on the kernel's stack, and a push callback's hits go into the
+// output buffer the round already owns), on the plain backend and on the
+// compressed one, whose decode buffers are pooled too.
 func TestEdgeMapSteadyStateZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; exact counts only hold without -race")
 	}
 	plain := skewedGraph(t, false)
 	n := plain.NumVertices()
-	fns := EdgeMapFns{Update: func(_, dst graph.VertexID) bool { return dst%2 == 0 }}
+	callbacks := map[string]EdgeMapFns{
+		"per-edge": {Update: func(_, dst graph.VertexID) bool { return dst%2 == 0 }},
+		"list": {
+			PullList: func(dst graph.VertexID, srcs []graph.VertexID) bool { return dst%2 == 0 && len(srcs) > 0 },
+			PushList: func(_ graph.VertexID, dsts, hits []graph.VertexID) []graph.VertexID {
+				for _, dst := range dsts {
+					if dst%2 == 0 {
+						hits = append(hits, dst)
+					}
+				}
+				return hits
+			},
+		},
+	}
 	for name, g := range map[string]graph.View{"plain": plain, "csrz": csrz.Encode(plain)} {
-		for _, round := range []struct {
-			dir      Direction
-			frontier *VertexSet
-		}{{Push, NewVertexSet(n, 1, 2, 3, 4, 5)}, {Pull, FullVertexSet(n)}} {
-			opts := EdgeMapOpts{Dir: round.dir}
-			EdgeMap(g, round.frontier, fns, opts).Release() // warm the pool
-			allocs := testing.AllocsPerRun(20, func() {
-				EdgeMap(g, round.frontier, fns, opts).Release()
-			})
-			if allocs > 0 {
-				t.Errorf("%s: steady-state EdgeMap (direction %d) allocates %.1f objects/op, want 0", name, round.dir, allocs)
+		for kind, fns := range callbacks {
+			for _, round := range []struct {
+				dir      Direction
+				frontier *VertexSet
+			}{{Push, benchPushFrontier(n)}, {Pull, FullVertexSet(n)}} {
+				opts := EdgeMapOpts{Dir: round.dir}
+				warm := EdgeMap(g, round.frontier, fns, opts)
+				if warm.Len() < 64 {
+					t.Fatalf("%s/%s direction %d: %d members out, too few to grow a buffer", name, kind, round.dir, warm.Len())
+				}
+				warm.Release()
+				allocs := testing.AllocsPerRun(20, func() {
+					EdgeMap(g, round.frontier, fns, opts).Release()
+				})
+				if allocs > 0 {
+					t.Errorf("%s/%s: steady-state EdgeMap (direction %d) allocates %.1f objects/op, want 0", name, kind, round.dir, allocs)
+				}
 			}
 		}
 	}

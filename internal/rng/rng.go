@@ -140,23 +140,46 @@ func (r *Rand) Exp(lambda float64) float64 {
 // per sample (no precomputed tables), which matters when drawing hundreds
 // of millions of edges.
 func (r *Rand) Zipf(n int, s float64) int {
+	return r.ZipfOf(NewZipfDist(n, s))
+}
+
+// ZipfDist is the part of a Zipf draw that depends on (n, s) alone — one
+// of the sampler's two math.Pow calls. A caller drawing many ranks from
+// the same distribution builds it once; the draws are bit-identical to
+// Zipf(n, s).
+type ZipfDist struct {
+	n      int
+	span   float64 // (n+1)^(1-s) - 1
+	invExp float64 // 1/(1-s)
+}
+
+// NewZipfDist precomputes the distribution Zipf(n, s) samples.
+func NewZipfDist(n int, s float64) ZipfDist {
 	if n <= 1 {
-		return 0
+		return ZipfDist{n: n}
 	}
 	if s == 1 {
 		s = 1.0000001 // avoid the harmonic singularity
 	}
-	u := r.Float64()
-	nf := float64(n)
-	// Continuous bounded Pareto on [1, n+1): invert the CDF.
 	oneMinusS := 1 - s
-	x := math.Pow(u*(math.Pow(nf+1, oneMinusS)-1)+1, 1/oneMinusS)
+	return ZipfDist{n: n, span: math.Pow(float64(n)+1, oneMinusS) - 1, invExp: 1 / oneMinusS}
+}
+
+// ZipfOf samples a rank of d. Like Zipf, it draws nothing when the
+// distribution has at most one rank.
+func (r *Rand) ZipfOf(d ZipfDist) int {
+	if d.n <= 1 {
+		return 0
+	}
+	u := r.Float64()
+	// Continuous bounded Pareto on [1, n+1): invert the CDF.
+	x := math.Pow(u*d.span+1, d.invExp)
 	k := int(x) - 1
 	if k < 0 {
 		k = 0
 	}
-	if k >= n {
-		k = n - 1
+	if k >= d.n {
+		k = d.n - 1
 	}
 	return k
 }
