@@ -1,5 +1,7 @@
 package csrz
 
+import "math/bits"
+
 // Neighbor lists are stored as byte-aligned LEB128 varints of zig-zag
 // signed deltas: the first entry is delta(v, nbr[0]) and each subsequent
 // entry is delta(nbr[i-1], nbr[i]). Deltas are signed because Relabel
@@ -32,12 +34,7 @@ func appendUvarint(b []byte, x uint64) []byte {
 
 // uvarintLen returns the encoded size of x in bytes (1..10).
 func uvarintLen(x uint64) int {
-	n := 1
-	for x >= 0x80 {
-		x >>= 7
-		n++
-	}
-	return n
+	return (bits.Len64(x|1) + 6) / 7
 }
 
 // deltaLen returns the encoded size in bytes of the zig-zag delta

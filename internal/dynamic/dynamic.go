@@ -714,7 +714,7 @@ func (r *Reorderer) View(d *Graph) (*graph.Graph, reorder.Permutation, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		if reorder.Evaluate(g, r.kind, r.perm).PackingGain() < r.policy.MinRefreshGain {
+		if reorder.EvaluatePacking(g, r.kind, r.perm, reorder.QualityOptions{}).PackingGain() < r.policy.MinRefreshGain {
 			due = false
 			r.GainSkips++
 		}

@@ -101,8 +101,7 @@ func GenerateWithCommunities(cfg Config) (*graph.Graph, []uint32, error) {
 		NumVertices:   cfg.NumVertices,
 		Weighted:      cfg.Weighted,
 		SortNeighbors: true,
-		// Dataset synthesis is untimed setup and the parallel build is
-		// bit-identical, so use the cores.
+		// The parallel build is bit-identical, so use the cores.
 		Workers: -1,
 	})
 	if err != nil {

@@ -14,7 +14,7 @@ import (
 // compare ns/op for the multicore speedup and B/op for the direct
 // relabel's zero edge-list claim).
 
-func benchEdges(b *testing.B) ([]graph.Edge, *graph.Graph) {
+func benchEdges(b testing.TB) ([]graph.Edge, *graph.Graph) {
 	b.Helper()
 	g, err := gen.Generate(gen.MustDataset("sd", gen.Small))
 	if err != nil {
@@ -66,4 +66,34 @@ func BenchmarkRelabel(b *testing.B) {
 	}
 	b.Run("seq", run(1))
 	b.Run("par", run(runtime.GOMAXPROCS(0)))
+}
+
+// TestRelabelAllocatesOutputPlusOrderN is the count behind "a relabel
+// carries no per-worker O(N) state": beyond the arrays of the graph it
+// returns, a parallel RelabelWorkers on sd/small allocates the N-byte
+// permutation check and little else, however many workers it is given.
+func TestRelabelAllocatesOutputPlusOrderN(t *testing.T) {
+	_, g := benchEdges(t)
+	n, m := g.NumVertices(), g.NumEdges()
+	perm := make([]graph.VertexID, n)
+	for i := range perm {
+		perm[i] = graph.VertexID(n - 1 - i)
+	}
+	output := 2*8*(n+1) + 2*4*m
+	if g.Weighted() {
+		output += 2 * 4 * m
+	}
+	for _, workers := range []int{2, 8} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := g.RelabelWorkers(perm, workers); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		extra := int(after.TotalAlloc-before.TotalAlloc) - output
+		t.Logf("workers=%d: output %d B + %d B (N = %d)", workers, output, extra, n)
+		if extra > 2*n+16<<10 {
+			t.Errorf("workers=%d: %d B beyond the output arrays, want <= 2N + 16 KiB = %d", workers, extra, 2*n+16<<10)
+		}
+	}
 }

@@ -28,11 +28,14 @@ type BuildOptions struct {
 	SortNeighbors bool
 	// Workers is the number of goroutines CSR construction may use: 0 or 1
 	// (the zero value) pins the sequential path, negative means GOMAXPROCS,
-	// and every parallel request is capped at 16 because each build worker
-	// carries an O(N) counting array. Parallel builds are bit-identical to
-	// sequential ones (count/prefix/scatter over contiguous edge chunks
-	// preserves edge order per vertex), so opting in changes timing and
-	// transient memory only.
+	// and every parallel request is capped at 16. Parallel builds are
+	// bit-identical to sequential ones (count/prefix/scatter over
+	// contiguous chunks preserves edge order per vertex), so opting in
+	// changes timing and transient memory only: each counting pass holds
+	// N 8-byte cursors per chunk, with chunks <= min(Workers, M/2N), so at
+	// most 4 B x M — one adjacency array of the graph being built — at any
+	// worker count (8 M vertices, 160 M edges: 128 MB at two workers, 640 MB
+	// at sixteen).
 	Workers int
 }
 
@@ -80,56 +83,17 @@ func BuildWith(edges []Edge, opts BuildOptions) (*Graph, error) {
 
 	workers := buildWorkers(opts.Workers, len(edges))
 	g := &Graph{n: n, m: len(edges)}
-	if workers > 1 {
-		g.outIndex, g.outEdges, g.outWeights = buildCSRPar(edges, n, opts.Weighted, false, opts.SortNeighbors, workers)
-		g.inIndex, g.inEdges, g.inWeights = buildCSRPar(edges, n, opts.Weighted, true, opts.SortNeighbors, workers)
+	g.outIndex, g.outEdges, g.outWeights = buildCSR(edges, n, opts.Weighted, false, workers)
+	if opts.SortNeighbors {
+		// Sources ascend and each sorted out-list holds its parallel edges
+		// in weight order, so the transpose emits every in-list already in
+		// the (neighbor, weight) order: one direction is sorted, not two.
+		sortAdjacency(g.outIndex, g.outEdges, g.outWeights, workers)
+		g.inIndex, g.inEdges, g.inWeights = transposeCSR(g.outIndex, g.outEdges, g.outWeights, workers)
 	} else {
-		g.outIndex, g.outEdges, g.outWeights = buildCSR(edges, n, opts.Weighted, false, opts.SortNeighbors)
-		g.inIndex, g.inEdges, g.inWeights = buildCSR(edges, n, opts.Weighted, true, opts.SortNeighbors)
+		g.inIndex, g.inEdges, g.inWeights = buildCSR(edges, n, opts.Weighted, true, workers)
 	}
 	return g, nil
-}
-
-// buildCSR lays out one direction of the CSR with a counting sort. When
-// reverse is true the in-CSR is built (keyed by Dst, storing Src). The
-// parallel counterpart is buildCSRPar.
-func buildCSR(edges []Edge, n int, weighted, reverse, sortNbrs bool) ([]uint64, []VertexID, []uint32) {
-	index := make([]uint64, n+1)
-	for _, e := range edges {
-		key := e.Src
-		if reverse {
-			key = e.Dst
-		}
-		index[key+1]++
-	}
-	for i := 1; i <= n; i++ {
-		index[i] += index[i-1]
-	}
-
-	adj := make([]VertexID, len(edges))
-	var ws []uint32
-	if weighted {
-		ws = make([]uint32, len(edges))
-	}
-	cursor := make([]uint64, n)
-	copy(cursor, index[:n])
-	for _, e := range edges {
-		key, val := e.Src, e.Dst
-		if reverse {
-			key, val = e.Dst, e.Src
-		}
-		pos := cursor[key]
-		cursor[key]++
-		adj[pos] = val
-		if weighted {
-			ws[pos] = e.Weight
-		}
-	}
-
-	if sortNbrs {
-		sortLists(index, adj, ws, 0, n)
-	}
-	return index, adj, ws
 }
 
 // packedSortMax is the longest weighted list sorted through a scratch
@@ -201,21 +165,18 @@ func dedupEdges(edges []Edge) []Edge {
 	return out
 }
 
-// Relabel applies a vertex permutation and returns the relabeled graph.
-// newID[v] is the new ID of original vertex v; newID must be a bijection on
-// [0, N). Edges are rewritten as (newID[src] -> newID[dst]) and both CSRs
-// are rebuilt so arrays are physically laid out in new-ID order — exactly
-// the "reorder vertices in memory" step of the paper (§II-E).
-//
-// The rebuild scatters straight from the old CSR into the new one (no
-// intermediate edge list — the former implementation generated 16 bytes
-// of garbage per edge per reorder) and runs sequentially, keeping
-// measured rebuild times host-independent; RelabelWorkers opts into the
-// multicore rebuild (bit-identical output). Adjacency lists are
-// deliberately NOT re-sorted: no algorithm in this repository depends on
-// neighbor order, and the per-vertex sort would roughly double the CSR
-// rebuild that already dominates reordering cost (Table XI / Fig. 10
-// accounting).
+// Relabel applies a vertex permutation and returns the relabeled graph:
+// newID[v] is the new ID of original vertex v and must be a bijection on
+// [0, N). Relabel renames, preserving every list's order in both
+// directions — the out- and in-list of newID[v] are v's lists with each
+// neighbor renamed — and lays the arrays out in new-ID order, the "reorder
+// vertices in memory" step of the paper (§II-E). So g.Relabel(p).Relabel(q)
+// equals g.Relabel(q∘p) array for array, and a list sorted by neighbor ID
+// before is sorted by the neighbor's old ID after: lists are deliberately
+// not re-sorted, which would roughly double the CSR rebuild that already
+// dominates reordering cost (Table XI / Fig. 10). It runs sequentially,
+// keeping measured rebuild times host-independent; RelabelWorkers opts
+// into the cores.
 func (g *Graph) Relabel(newID []VertexID) (*Graph, error) {
 	return g.RelabelWorkers(newID, 1)
 }

@@ -263,44 +263,11 @@ func readBinary(br *bufio.Reader, remaining int64) (*Graph, error) {
 		outEdges:   outEdges,
 		outWeights: outWeights,
 	}
-	g.inIndex, g.inEdges, g.inWeights = buildInCSRFromOut(n, outIndex, outEdges, outWeights)
+	g.inIndex, g.inEdges, g.inWeights = transposeCSR(outIndex, outEdges, outWeights, 1)
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
 	return g, nil
-}
-
-// buildInCSRFromOut derives the in-CSR from a validated out-CSR with a
-// counting sort: count in-degrees, prefix-sum, then scatter sources in
-// ascending order so each in-neighbor list is sorted by source.
-func buildInCSRFromOut(n int, outIndex []uint64, outEdges []VertexID, outWeights []uint32) ([]uint64, []VertexID, []uint32) {
-	inIndex := make([]uint64, n+1)
-	for _, dst := range outEdges {
-		inIndex[dst+1]++
-	}
-	for i := 1; i <= n; i++ {
-		inIndex[i] += inIndex[i-1]
-	}
-	inEdges := make([]VertexID, len(outEdges))
-	var inWeights []uint32
-	if outWeights != nil {
-		inWeights = make([]uint32, len(outWeights))
-	}
-	cursor := make([]uint64, n)
-	copy(cursor, inIndex[:n])
-	for v := 0; v < n; v++ {
-		lo, hi := outIndex[v], outIndex[v+1]
-		for i := lo; i < hi; i++ {
-			dst := outEdges[i]
-			pos := cursor[dst]
-			cursor[dst]++
-			inEdges[pos] = VertexID(v)
-			if inWeights != nil {
-				inWeights[pos] = outWeights[i]
-			}
-		}
-	}
-	return inIndex, inEdges, inWeights
 }
 
 // writeSlice streams vals through a fixed scratch buffer, size bytes per

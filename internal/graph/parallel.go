@@ -6,19 +6,19 @@ import (
 	"graphreorder/internal/par"
 )
 
-// Parallel CSR construction and relabeling, following the count/prefix/
-// scatter pattern of internal/reorder.ParallelDBG: workers own contiguous
-// input chunks, a sequential prefix pass turns per-(chunk, key) counts
-// into scatter offsets, and because chunk order preserves input order the
-// output is bit-identical to the sequential construction.
+// CSR construction and relabeling kernels. A build is a counting sort:
+// workers own contiguous input chunks, a sequential prefix pass turns
+// per-(chunk, key) counts into scatter offsets, and because chunk order
+// preserves input order the output is the same at every worker count (one
+// chunk is the sequential build). A relabel needs no counters: every list
+// is copied whole into the segment its renamed owner gets.
 
 // parallelBuildThreshold is the edge count below which goroutine fan-out
 // costs more than it saves and construction stays sequential.
 const parallelBuildThreshold = 1 << 13
 
 // maxBuildWorkers bounds CSR-construction parallelism regardless of the
-// request: each build worker carries an O(N) uint64 counting array, so an
-// uncapped many-core host would balloon transient memory.
+// request; countingChunks bounds the O(N) cursor arrays they carry.
 const maxBuildWorkers = 16
 
 // buildWorkers normalizes a requested worker count for CSR construction:
@@ -55,11 +55,45 @@ func evenBounds(n, parts int) []int {
 	return bounds
 }
 
-// buildCSRPar is the parallel counterpart of buildCSR: per-chunk counting,
-// a sequential prefix pass over (key-major, chunk-minor), and a parallel
-// scatter replaying each chunk against its own cursor array.
-func buildCSRPar(edges []Edge, n int, weighted, reverse, sortNbrs bool, workers int) ([]uint64, []VertexID, []uint32) {
-	bounds := evenBounds(len(edges), workers)
+// countingChunks is how many chunks a counting pass over m edges into n
+// keys is split into. Each chunk carries n uint64 cursors and the prefix
+// over them is sequential, so chunks x n is held to m/2: the cursors of a
+// build never take more memory than one adjacency array of its output
+// (4 B x M), and a graph too sparse for that is counted by fewer workers
+// than were asked for.
+func countingChunks(workers, n, m int) int {
+	if n > 0 && workers > m/(2*n) {
+		workers = m / (2 * n)
+	}
+	return max(workers, 1)
+}
+
+// prefixCounts turns per-chunk key counts into scatter cursors, in place,
+// and returns the CSR index. The prefix runs key-major, chunk-minor: chunk
+// c's cursor for key k starts after all edges of earlier keys plus earlier
+// chunks of k, which is exactly the position a sequential counting sort
+// assigns.
+func prefixCounts(counts [][]uint64, n int) []uint64 {
+	index := make([]uint64, n+1)
+	var running uint64
+	for k := 0; k < n; k++ {
+		index[k] = running
+		for _, cnt := range counts {
+			c := cnt[k]
+			cnt[k] = running
+			running += c
+		}
+	}
+	index[n] = running
+	return index
+}
+
+// buildCSR lays out one direction of the CSR with a counting sort over
+// contiguous chunks of the edge list (one chunk is the sequential build).
+// When reverse is true the in-CSR is built (keyed by Dst, storing Src).
+// Within a list, edges keep their edge-list order.
+func buildCSR(edges []Edge, n int, weighted, reverse bool, workers int) ([]uint64, []VertexID, []uint32) {
+	bounds := evenBounds(len(edges), countingChunks(workers, n, len(edges)))
 	numChunks := len(bounds) - 1
 
 	counts := make([][]uint64, numChunks)
@@ -76,21 +110,7 @@ func buildCSRPar(edges []Edge, n int, weighted, reverse, sortNbrs bool, workers 
 			counts[c] = cnt
 		}
 	})
-
-	// Prefix over (key-major, chunk-minor): chunk c's cursor for key k
-	// starts after all edges of earlier keys plus earlier chunks of k,
-	// which is exactly the position the sequential counting sort assigns.
-	index := make([]uint64, n+1)
-	var running uint64
-	for k := 0; k < n; k++ {
-		index[k] = running
-		for c := 0; c < numChunks; c++ {
-			cnt := counts[c][k]
-			counts[c][k] = running
-			running += cnt
-		}
-	}
-	index[n] = running
+	index := prefixCounts(counts, n)
 
 	adj := make([]VertexID, len(edges))
 	var ws []uint32
@@ -114,17 +134,57 @@ func buildCSRPar(edges []Edge, n int, weighted, reverse, sortNbrs bool, workers 
 			}
 		}
 	})
-
-	if sortNbrs {
-		sortAdjacency(index, adj, ws, n, workers)
-	}
 	return index, adj, ws
+}
+
+// transposeCSR returns the opposite direction of a CSR: the same counting
+// sort, fed from the lists instead of an edge list, over edge-balanced
+// vertex ranges. Every output list holds its neighbors in ascending order,
+// parallel edges in the order the input list had them.
+func transposeCSR(index []uint64, adj []VertexID, ws []uint32, workers int) ([]uint64, []VertexID, []uint32) {
+	n := len(index) - 1
+	bounds := par.BalancedBounds(index, n, countingChunks(workers, n, len(adj)), 1)
+	numChunks := len(bounds) - 1
+
+	counts := make([][]uint64, numChunks)
+	par.For(numChunks, workers, 1, func(clo, chi int) {
+		for c := clo; c < chi; c++ {
+			cnt := make([]uint64, n)
+			for _, nbr := range adj[index[bounds[c]]:index[bounds[c+1]]] {
+				cnt[nbr]++
+			}
+			counts[c] = cnt
+		}
+	})
+	tIndex := prefixCounts(counts, n)
+
+	tAdj := make([]VertexID, len(adj))
+	var tWs []uint32
+	if ws != nil {
+		tWs = make([]uint32, len(ws))
+	}
+	par.For(numChunks, workers, 1, func(clo, chi int) {
+		for c := clo; c < chi; c++ {
+			cursor := counts[c]
+			for v := bounds[c]; v < bounds[c+1]; v++ {
+				for i := index[v]; i < index[v+1]; i++ {
+					pos := cursor[adj[i]]
+					cursor[adj[i]]++
+					tAdj[pos] = VertexID(v)
+					if ws != nil {
+						tWs[pos] = ws[i]
+					}
+				}
+			}
+		}
+	})
+	return tIndex, tAdj, tWs
 }
 
 // sortAdjacency sorts each vertex's neighbor segment in place,
 // parallelized over edge-balanced vertex ranges.
-func sortAdjacency(index []uint64, adj []VertexID, ws []uint32, n, workers int) {
-	vb := par.BalancedBounds(index, n, workers*4, 1)
+func sortAdjacency(index []uint64, adj []VertexID, ws []uint32, workers int) {
+	vb := par.BalancedBounds(index, len(index)-1, workers*4, 1)
 	par.ForBounds(vb, workers, func(lo, hi int) {
 		sortLists(index, adj, ws, lo, hi)
 	})
@@ -133,10 +193,8 @@ func sortAdjacency(index []uint64, adj []VertexID, ws []uint32, n, workers int) 
 // RelabelWorkers is Relabel with an explicit worker count, following the
 // same rules as BuildOptions.Workers: 0 or 1 sequential, negative means
 // GOMAXPROCS, parallel requests capped at 16, small graphs always
-// sequential. Both paths scatter directly from the old CSR into the new
-// one — no intermediate edge list is materialized — and every worker
-// count yields the same graph the sequential edge-list rebuild used to
-// produce.
+// sequential. Every worker count yields the same graph, and beyond the
+// output arrays it allocates O(N) bytes, whatever the worker count.
 func (g *Graph) RelabelWorkers(newID []VertexID, workers int) (*Graph, error) {
 	if len(newID) != g.n {
 		return nil, fmt.Errorf("graph: permutation has length %d, want %d", len(newID), g.n)
@@ -149,96 +207,48 @@ func (g *Graph) RelabelWorkers(newID []VertexID, workers int) (*Graph, error) {
 		seen[id] = true
 	}
 	workers = buildWorkers(workers, g.m)
-	n, m := g.n, g.m
-	ng := &Graph{n: n, m: m}
-	weighted := g.Weighted()
+	// The four large arrays are allocated before anything small: a reorder
+	// usually replaces a layout of the same shape, and taken in this order
+	// they fit the holes it left, where an index array taken in between
+	// splits one and sends the last of them to fresh memory (batch-sd peak
+	// RSS 455 vs 483 MiB; EXPERIMENTS.md "Lightweight reorder").
+	ng := &Graph{n: g.n, m: g.m, outEdges: make([]VertexID, g.m), inEdges: make([]VertexID, g.m)}
+	if g.Weighted() {
+		ng.outWeights, ng.inWeights = make([]uint32, g.m), make([]uint32, g.m)
+	}
+	ng.outIndex = relabelLists(g.outIndex, g.outEdges, g.outWeights, newID, ng.outEdges, ng.outWeights, workers)
+	ng.inIndex = relabelLists(g.inIndex, g.inEdges, g.inWeights, newID, ng.inEdges, ng.inWeights, workers)
+	return ng, nil
+}
 
-	// Out-CSR. The new adjacency list of newID[v] is exactly old v's list
-	// with endpoints renamed, so each old vertex owns a disjoint output
-	// segment: scatter degrees, prefix, then copy segments in parallel.
-	outIndex := make([]uint64, n+1)
+// relabelLists renames one direction of a CSR into newAdj and newWs and
+// returns its index. The new list of newID[v] is old v's list with every
+// neighbor renamed, in the same order, so each old vertex owns a disjoint
+// output segment: scatter the degrees, prefix, then copy the segments
+// over edge-balanced vertex ranges — one sequential read and write per
+// edge and one newID gather.
+func relabelLists(index []uint64, adj []VertexID, ws []uint32, newID, newAdj []VertexID, newWs []uint32, workers int) []uint64 {
+	n := len(newID)
+	newIndex := make([]uint64, n+1)
 	par.For(n, workers, 1, func(lo, hi int) {
 		for v := lo; v < hi; v++ {
-			outIndex[newID[v]+1] = uint64(g.OutDegree(VertexID(v)))
+			newIndex[newID[v]+1] = index[v+1] - index[v]
 		}
 	})
 	for i := 1; i <= n; i++ {
-		outIndex[i] += outIndex[i-1]
+		newIndex[i] += newIndex[i-1]
 	}
-	outEdges := make([]VertexID, m)
-	var outWs []uint32
-	if weighted {
-		outWs = make([]uint32, m)
-	}
-	outBounds := par.BalancedBounds(g.outIndex, n, workers*4, 1)
-	par.ForBounds(outBounds, workers, func(lo, hi int) {
+	par.ForBounds(par.BalancedBounds(index, n, workers*4, 1), workers, func(lo, hi int) {
 		for v := lo; v < hi; v++ {
-			base := outIndex[newID[v]]
-			nbrs := g.OutNeighbors(VertexID(v))
-			ws := g.OutWeights(VertexID(v))
-			for i, dst := range nbrs {
-				outEdges[base+uint64(i)] = newID[dst]
-				if ws != nil {
-					outWs[base+uint64(i)] = ws[i]
-				}
+			s, e, base := index[v], index[v+1], newIndex[newID[v]]
+			out := newAdj[base : base+(e-s)]
+			for i, nbr := range adj[s:e] {
+				out[i] = newID[nbr]
+			}
+			if ws != nil {
+				copy(newWs[base:], ws[s:e])
 			}
 		}
 	})
-	ng.outIndex, ng.outEdges, ng.outWeights = outIndex, outEdges, outWs
-
-	// In-CSR: a counting sort keyed by newID[dst] over the edges in old
-	// out-CSR enumeration order — the same order the sequential rebuild
-	// fed to its counting sort, so in-neighbor lists come out identical.
-	// Chunks are contiguous old-vertex ranges, balanced by out-edge count.
-	inBounds := par.BalancedBounds(g.outIndex, n, workers, 1)
-	numChunks := len(inBounds) - 1
-	counts := make([][]uint64, numChunks)
-	par.ForChunks(numChunks, workers, 1, func(_, clo, chi int) {
-		for c := clo; c < chi; c++ {
-			cnt := make([]uint64, n)
-			for v := inBounds[c]; v < inBounds[c+1]; v++ {
-				for _, dst := range g.OutNeighbors(VertexID(v)) {
-					cnt[newID[dst]]++
-				}
-			}
-			counts[c] = cnt
-		}
-	})
-	inIndex := make([]uint64, n+1)
-	var running uint64
-	for k := 0; k < n; k++ {
-		inIndex[k] = running
-		for c := 0; c < numChunks; c++ {
-			cnt := counts[c][k]
-			counts[c][k] = running
-			running += cnt
-		}
-	}
-	inIndex[n] = running
-	inEdges := make([]VertexID, m)
-	var inWs []uint32
-	if weighted {
-		inWs = make([]uint32, m)
-	}
-	par.ForChunks(numChunks, workers, 1, func(_, clo, chi int) {
-		for c := clo; c < chi; c++ {
-			cursor := counts[c]
-			for v := inBounds[c]; v < inBounds[c+1]; v++ {
-				nv := newID[v]
-				nbrs := g.OutNeighbors(VertexID(v))
-				ws := g.OutWeights(VertexID(v))
-				for i, dst := range nbrs {
-					k := newID[dst]
-					pos := cursor[k]
-					cursor[k]++
-					inEdges[pos] = nv
-					if ws != nil {
-						inWs[pos] = ws[i]
-					}
-				}
-			}
-		}
-	})
-	ng.inIndex, ng.inEdges, ng.inWeights = inIndex, inEdges, inWs
-	return ng, nil
+	return newIndex
 }

@@ -1,7 +1,9 @@
 package graph
 
 import (
+	"cmp"
 	"reflect"
+	"slices"
 	"testing"
 
 	"graphreorder/internal/rng"
@@ -89,9 +91,134 @@ func TestBuildParallelBitIdentical(t *testing.T) {
 	}
 }
 
-// TestRelabelParallelBitIdentical: the direct CSR-to-CSR scatter must
-// reproduce what the old edge-list rebuild produced, at every worker
-// count, on weighted multigraphs with self loops.
+// csrOfSorted lays out one direction of a CSR from edge triples already in
+// list order: key picks the vertex that owns the edge, val its neighbor.
+func csrOfSorted(edges []Edge, n int, weighted bool, key, val func(Edge) VertexID) ([]uint64, []VertexID, []uint32) {
+	index := make([]uint64, n+1)
+	adj := make([]VertexID, 0, len(edges))
+	var ws []uint32
+	if weighted {
+		ws = make([]uint32, 0, len(edges))
+	}
+	for _, e := range edges {
+		index[key(e)+1]++
+		adj = append(adj, val(e))
+		if weighted {
+			ws = append(ws, e.Weight)
+		}
+	}
+	for v := 0; v < n; v++ {
+		index[v+1] += index[v]
+	}
+	return index, adj, ws
+}
+
+// TestBuildMatchesSortedTriples holds the sorted build against an oracle
+// that shares nothing with it: the edge triples sorted as (src, dst, w)
+// are the out-CSR and sorted as (dst, src, w) the in-CSR, array for array,
+// at every worker count — on a multigraph with duplicates and self loops
+// plus one vertex whose out- and in-list are both past packedSortMax.
+func TestBuildMatchesSortedTriples(t *testing.T) {
+	const n = 500
+	src, dst := func(e Edge) VertexID { return e.Src }, func(e Edge) VertexID { return e.Dst }
+	for _, weighted := range []bool{false, true} {
+		edges := randomEdges(n, parallelBuildThreshold+2000, weighted, 0xC7)
+		r := rng.NewStream(0xC7, 1)
+		for i := 0; i < packedSortMax+100; i++ {
+			w := uint32(0)
+			if weighted {
+				w = uint32(1 + r.Intn(5))
+			}
+			edges = append(edges,
+				Edge{Src: 7, Dst: VertexID(r.Intn(40)), Weight: w},
+				Edge{Src: VertexID(r.Intn(40)), Dst: 7, Weight: w})
+		}
+		for i := len(edges) - 1; i > 0; i-- {
+			j := r.Intn(i + 1)
+			edges[i], edges[j] = edges[j], edges[i]
+		}
+
+		want := &Graph{n: n, m: len(edges)}
+		sorted := slices.Clone(edges)
+		slices.SortFunc(sorted, func(a, b Edge) int {
+			return cmp.Or(cmp.Compare(a.Src, b.Src), cmp.Compare(a.Dst, b.Dst), cmp.Compare(a.Weight, b.Weight))
+		})
+		want.outIndex, want.outEdges, want.outWeights = csrOfSorted(sorted, n, weighted, src, dst)
+		slices.SortFunc(sorted, func(a, b Edge) int {
+			return cmp.Or(cmp.Compare(a.Dst, b.Dst), cmp.Compare(a.Src, b.Src), cmp.Compare(a.Weight, b.Weight))
+		})
+		want.inIndex, want.inEdges, want.inWeights = csrOfSorted(sorted, n, weighted, dst, src)
+		if want.OutDegree(7) <= packedSortMax || want.InDegree(7) <= packedSortMax {
+			t.Fatal("no list reaches the in-place sort")
+		}
+
+		for _, w := range []int{1, 2, 3, 7} {
+			got, err := BuildWith(edges, BuildOptions{NumVertices: n, Weighted: weighted, SortNeighbors: true, Workers: w})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := got.Validate(); err != nil {
+				t.Fatalf("workers=%d: %v", w, err)
+			}
+			graphsEqual(t, "build vs sorted triples", want, got)
+		}
+	}
+}
+
+// randomPerm returns a seeded random permutation of [0, n).
+func randomPerm(n int, seed uint64) []VertexID {
+	perm := make([]VertexID, n)
+	for i := range perm {
+		perm[i] = VertexID(i)
+	}
+	r := rng.NewStream(seed, 5)
+	for i := n - 1; i > 0; i-- {
+		j := r.Intn(i + 1)
+		perm[i], perm[j] = perm[j], perm[i]
+	}
+	return perm
+}
+
+// TestRelabelComposes: Relabel renames and keeps every list's order in
+// both directions, so relabeling twice is relabeling once by the composed
+// permutation, array for array — whatever order the lists were in.
+func TestRelabelComposes(t *testing.T) {
+	const n = 700
+	for _, weighted := range []bool{false, true} {
+		for _, sortNbrs := range []bool{true, false} {
+			edges := randomEdges(n, parallelBuildThreshold+3000, weighted, 0xD2)
+			g, err := BuildWith(edges, BuildOptions{NumVertices: n, Weighted: weighted, SortNeighbors: sortNbrs})
+			if err != nil {
+				t.Fatal(err)
+			}
+			p, q := randomPerm(n, 6), randomPerm(n, 7)
+			qp := make([]VertexID, n)
+			for v := range qp {
+				qp[v] = q[p[v]]
+			}
+			for _, w := range []int{1, 3} {
+				once, err := g.RelabelWorkers(qp, w)
+				if err != nil {
+					t.Fatal(err)
+				}
+				mid, err := g.RelabelWorkers(p, w)
+				if err != nil {
+					t.Fatal(err)
+				}
+				twice, err := mid.RelabelWorkers(q, w)
+				if err != nil {
+					t.Fatal(err)
+				}
+				graphsEqual(t, "relabel(p) then relabel(q) vs relabel(q∘p)", once, twice)
+			}
+		}
+	}
+}
+
+// TestRelabelParallelBitIdentical: on a canonically ordered graph the
+// list-by-list copy must reproduce what the old edge-list rebuild
+// produced, at every worker count, on weighted multigraphs with self
+// loops.
 func TestRelabelParallelBitIdentical(t *testing.T) {
 	const n = 700
 	for _, weighted := range []bool{false, true} {
@@ -100,16 +227,7 @@ func TestRelabelParallelBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Random permutation.
-		perm := make([]VertexID, n)
-		for i := range perm {
-			perm[i] = VertexID(i)
-		}
-		r := rng.NewStream(5, 5)
-		for i := n - 1; i > 0; i-- {
-			j := r.Intn(i + 1)
-			perm[i], perm[j] = perm[j], perm[i]
-		}
+		perm := randomPerm(n, 5)
 		want := relabelViaEdgeList(t, g, perm)
 		for _, w := range []int{1, 2, 3, 8} {
 			got, err := g.RelabelWorkers(perm, w)

@@ -88,7 +88,7 @@ func AdviseConfig(g *graph.Graph, kind graph.DegreeKind, cfg AdvisorConfig) Reco
 		return rec
 	}
 	skew := stats.ComputeSkew(g, kind)
-	q := EvaluateOpts(g, kind, nil, cfg.Quality)
+	q := EvaluatePacking(g, kind, nil, cfg.Quality)
 	rec.HotFrac = skew.HotFrac
 	rec.EdgeCoverage = skew.EdgeCoverage
 	rec.CurrentPacking = q.PackingFactor

@@ -161,8 +161,9 @@ func (p *Plan) ApplyWorkers(g *graph.Graph, kind graph.DegreeKind, workers int) 
 // between phases with ctx.Err() but never tears a phase apart. The
 // returned Result carries the relabeled graph, the composed permutation,
 // both phase timings (the paper's Fig. 10 cost split), and the ordering-
-// quality report of the new layout — measured outside the timed phases,
-// so ReorderTime/RebuildTime stay comparable with earlier releases.
+// quality report of the new layout — evaluated on the same worker count
+// (the report does not depend on it) outside the timed phases, so
+// ReorderTime/RebuildTime stay comparable with earlier releases.
 func (p *Plan) ApplyContext(ctx context.Context, g *graph.Graph, kind graph.DegreeKind, workers int) (Result, error) {
 	if err := ctx.Err(); err != nil {
 		return Result{}, err
@@ -187,6 +188,6 @@ func (p *Plan) ApplyContext(ctx context.Context, g *graph.Graph, kind graph.Degr
 		Perm:        perm,
 		ReorderTime: reorderTime,
 		RebuildTime: rebuildTime,
-		Quality:     Evaluate(relabeled, kind, nil),
+		Quality:     evaluate(relabeled, kind, nil, QualityOptions{}, workers),
 	}, nil
 }

@@ -1,10 +1,11 @@
 package reorder
 
 import (
-	"math"
+	"sync/atomic"
 
 	"graphreorder/internal/csrz"
 	"graphreorder/internal/graph"
+	"graphreorder/internal/par"
 	"graphreorder/internal/stats"
 )
 
@@ -91,11 +92,9 @@ type QualityReport struct {
 	AvgNeighborGap float64
 	// PredictedAdjBytes is the exact number of bytes the out-direction
 	// adjacency would occupy under the csrz delta+varint codec in this
-	// layout. It is computed in the same O(E) pass as AvgNeighborGap by
-	// summing csrz.DeltaCost over every list, and it is exact (not an
-	// estimate) because Relabel preserves within-list neighbor order —
-	// the relabeled list the encoder would see is precisely the
-	// perm-mapped list this pass walks.
+	// layout: the sum of csrz.DeltaCost over every perm-mapped list, taken
+	// in the same O(E) pass as AvgNeighborGap. Relabel keeps every list's
+	// order, so that is the list the encoder would see.
 	PredictedAdjBytes int64
 	// PredictedRatio is the predicted out-direction compression ratio:
 	// plain 4-bytes-per-edge adjacency over PredictedAdjBytes. This is
@@ -124,15 +123,92 @@ func (q QualityReport) PackingGain() float64 {
 // the paper's default block arithmetic. perm maps g's vertex IDs to
 // layout positions; nil means g's current ID order is the layout (the
 // common case after Relabel, where the reordered graph's IDs are the
-// layout). Cost is one O(V) pass over the degrees plus one O(E) pass over
-// the edges; nothing is materialized. g may be any backend — evaluating
-// an already-compressed csrz view streams its lists through an AdjBuffer.
+// layout). Cost is EvaluatePacking's O(V) pass over the degrees plus one
+// O(E) pass over the out-lists, split across the cores; its sums are
+// integers, so the report is the same at any core count. Nothing is
+// materialized. g may be any backend — evaluating an already-compressed
+// csrz view streams its lists through an AdjBuffer.
 func Evaluate(g graph.View, kind graph.DegreeKind, perm Permutation) QualityReport {
 	return EvaluateOpts(g, kind, perm, QualityOptions{})
 }
 
 // EvaluateOpts is Evaluate with explicit block/hot-threshold options.
 func EvaluateOpts(g graph.View, kind graph.DegreeKind, perm Permutation, opts QualityOptions) QualityReport {
+	return evaluate(g, kind, perm, opts, -1)
+}
+
+// evaluate is EvaluateOpts on the given number of workers (negative
+// means GOMAXPROCS, 0 or 1 the calling goroutine).
+func evaluate(g graph.View, kind graph.DegreeKind, perm Permutation, opts QualityOptions, workers int) QualityReport {
+	rep := EvaluatePacking(g, kind, perm, opts)
+	e := g.NumEdges()
+	if e == 0 {
+		return rep
+	}
+	if workers < 0 {
+		workers = par.Resolve(workers)
+	}
+	// Mean neighbor gap and predicted compressed adjacency bytes under
+	// the layout, in one pass. The varint accumulation mirrors
+	// csrz.encodeDirection: first neighbor delta-coded against the
+	// source position, each subsequent one against its predecessor.
+	var gapSum, adjBytes atomic.Int64
+	par.ForBounds(outEdgeBounds(g, workers), workers, func(lo, hi int) {
+		var gaps, predicted int64
+		adj := graph.NewAdjBuffer(g)
+		for v := lo; v < hi; v++ {
+			srcPos := uint32(v)
+			if perm != nil {
+				srcPos = perm[v]
+			}
+			prev := srcPos
+			for _, dst := range adj.Out(g, graph.VertexID(v)) {
+				dstPos := dst
+				if perm != nil {
+					dstPos = perm[dst]
+				}
+				if dstPos > srcPos {
+					gaps += int64(dstPos - srcPos)
+				} else {
+					gaps += int64(srcPos - dstPos)
+				}
+				predicted += int64(csrz.DeltaCost(prev, dstPos))
+				prev = dstPos
+			}
+		}
+		gapSum.Add(gaps)
+		adjBytes.Add(predicted)
+	})
+	rep.AvgNeighborGap = float64(gapSum.Load()) / float64(e)
+	rep.PredictedAdjBytes = adjBytes.Load()
+	rep.PredictedRatio = float64(e) * 4 / float64(rep.PredictedAdjBytes)
+	return rep
+}
+
+// outEdgeBounds splits g's vertices into contiguous ranges of roughly
+// equal out-edge count, four per worker, as a boundary list from 0 to N;
+// one worker gets the whole range without looking at a degree.
+func outEdgeBounds(g graph.View, workers int) []int {
+	n := g.NumVertices()
+	bounds := []int{0}
+	if workers > 1 {
+		per, acc := (g.NumEdges()+workers*4-1)/(workers*4), 0
+		for v := 0; v < n-1; v++ {
+			if acc += g.OutDegree(graph.VertexID(v)); acc >= per {
+				bounds = append(bounds, v+1)
+				acc = 0
+			}
+		}
+	}
+	return append(bounds, n)
+}
+
+// EvaluatePacking is the O(V) half of EvaluateOpts: everything in the
+// report that follows from the degrees and the permutation alone — the
+// hot set, the packing factors (so PackingGain) and the hub working set.
+// It reads no adjacency and leaves AvgNeighborGap and the Predicted*
+// fields zero.
+func EvaluatePacking(g graph.View, kind graph.DegreeKind, perm Permutation, opts QualityOptions) QualityReport {
 	opts = opts.withDefaults()
 	n := g.NumVertices()
 	rep := QualityReport{
@@ -177,35 +253,6 @@ func EvaluateOpts(g graph.View, kind graph.DegreeKind, perm Permutation, opts Qu
 		rep.PackingUtilization = rep.PackingFactor / rep.IdealPackingFactor
 		rep.HubWorkingSetBytes = int64(blocksWithHot) * int64(opts.BlockBytes)
 		rep.MinHubWorkingSetBytes = int64(minBlocks) * int64(opts.BlockBytes)
-	}
-
-	// Mean neighbor gap and predicted compressed adjacency bytes under
-	// the layout, in one pass. The varint accumulation mirrors
-	// csrz.encodeDirection: first neighbor delta-coded against the
-	// source position, each subsequent one against its predecessor.
-	if e := g.NumEdges(); e > 0 {
-		var sum float64
-		var predicted int64
-		adj := graph.NewAdjBuffer(g)
-		for v := 0; v < n; v++ {
-			srcPos := int64(v)
-			if perm != nil {
-				srcPos = int64(perm[v])
-			}
-			prev := uint32(srcPos)
-			for _, dst := range adj.Out(g, graph.VertexID(v)) {
-				dstPos := int64(dst)
-				if perm != nil {
-					dstPos = int64(perm[dst])
-				}
-				sum += math.Abs(float64(srcPos - dstPos))
-				predicted += int64(csrz.DeltaCost(prev, uint32(dstPos)))
-				prev = uint32(dstPos)
-			}
-		}
-		rep.AvgNeighborGap = sum / float64(e)
-		rep.PredictedAdjBytes = predicted
-		rep.PredictedRatio = float64(e) * 4 / float64(predicted)
 	}
 	return rep
 }

@@ -165,6 +165,51 @@ func TestApplyAttachesQuality(t *testing.T) {
 	}
 }
 
+// TestEvaluateSplitIsExact: the O(E) half sums integers over edge-balanced
+// ranges, so the report is equal field for field (== on the floats) at
+// any worker count, on both backends, with and without a permutation; the
+// gap equals the one-edge-at-a-time float sum it replaced, and the O(V)
+// half alone equals the full report's packing fields.
+func TestEvaluateSplitIsExact(t *testing.T) {
+	g, err := gen.Generate(gen.MustDataset("sd", gen.Tiny))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dbg, err := NewDBG().Permute(g, graph.OutDegree)
+	if err != nil {
+		t.Fatal(err)
+	}
+	views := map[string]graph.View{"plain": g, "csrz": csrz.Encode(g)}
+	for _, perm := range []Permutation{nil, dbg} {
+		pos := func(v graph.VertexID) float64 {
+			if perm != nil {
+				v = perm[v]
+			}
+			return float64(v)
+		}
+		var gapSum float64
+		for _, e := range g.Edges() {
+			gapSum += math.Abs(pos(e.Src) - pos(e.Dst))
+		}
+		for name, view := range views {
+			want := evaluate(view, graph.OutDegree, perm, QualityOptions{}, 1)
+			if want.AvgNeighborGap != gapSum/float64(g.NumEdges()) || want.PredictedAdjBytes == 0 {
+				t.Errorf("%s: gap %v, want %v (adjacency bytes %d)", name, want.AvgNeighborGap, gapSum/float64(g.NumEdges()), want.PredictedAdjBytes)
+			}
+			for _, w := range []int{2, 4, -1} {
+				if got := evaluate(view, graph.OutDegree, perm, QualityOptions{}, w); got != want {
+					t.Errorf("%s, %d workers: %+v, one worker %+v", name, w, got, want)
+				}
+			}
+			packing := want
+			packing.AvgNeighborGap, packing.PredictedAdjBytes, packing.PredictedRatio = 0, 0, 0
+			if got := EvaluatePacking(view, graph.OutDegree, perm, QualityOptions{}); got != packing {
+				t.Errorf("%s: packing half %+v, full report %+v", name, got, want)
+			}
+		}
+	}
+}
+
 // BenchmarkEvaluate pins the cost of the quality metrics on sd/small —
 // CI runs it so Evaluate stays cheap enough to attach to every Apply
 // without burdening the snapshot-build hot path.
