@@ -74,7 +74,6 @@ func main() {
 		chaos    = flag.Bool("chaos", false, "selftest: crash the live graph mid-run, recover it from the WAL, and verify every acked write survived (implies a write mix and durability)")
 		trace    = flag.Float64("trace-sample", 0.05, "fraction of requests getting detailed traces (per-round stats + request log; <0 disables tracing entirely, ?debug=trace always traces)")
 		slowMs   = flag.Int("slow-ms", 250, "record traces slower than this (or 5xx) in the /debug/slow ring (<0 disables)")
-		heatN    = flag.Int("heat-sample", 1, "per-vertex heat telemetry: count every N-th touch (1 = exact, <0 disables)")
 		pprof    = flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/")
 		showVer  = flag.Bool("version", false, "print version and exit")
 
@@ -163,7 +162,6 @@ func main() {
 		MinRefreshGain: *minGain,
 		TraceSample:    *trace,
 		SlowThreshold:  time.Duration(*slowMs) * time.Millisecond,
-		HeatSample:     *heatN,
 		Pprof:          *pprof,
 		Version:        version,
 		Logger:         slog.New(slog.NewTextHandler(os.Stderr, nil)),
@@ -506,7 +504,6 @@ func runSelftest(srv *server.Server, base server.BuildSpec, clients int, duratio
 	}
 
 	fmt.Print(res.String())
-	printHeat(baseURL, base.Name)
 	var metrics server.MetricsReport
 	if resp, err := http.Get(baseURL + "/metrics"); err == nil {
 		json.NewDecoder(resp.Body).Decode(&metrics)
@@ -567,41 +564,6 @@ func runSelftest(srv *server.Server, base server.BuildSpec, clients int, duratio
 	fmt.Printf("selftest OK: %d requests, %d hot-swaps, zero requests lost\n",
 		res.Requests, metrics.Snapshots.Swaps)
 	return 0
-}
-
-// printHeat summarizes the per-vertex heat telemetry the selftest load
-// produced on the initial snapshot: how concentrated the observed
-// traffic was, and how far it diverged from the degree-predicted hot
-// set the layout optimizes for.
-func printHeat(baseURL, name string) {
-	var heat struct {
-		Enabled  bool   `json:"enabled"`
-		Touches  uint64 `json:"touches"`
-		Distinct int    `json:"distinct"`
-		HotSet   *struct {
-			Overlap      int     `json:"overlap"`
-			ObservedSize int     `json:"observed_size"`
-			Divergence   float64 `json:"hot_set_divergence"`
-		} `json:"hot_set"`
-	}
-	resp, err := http.Get(baseURL + "/v1/snapshots/" + name + "/heat?k=8")
-	if err != nil || resp.StatusCode != http.StatusOK {
-		if resp != nil {
-			resp.Body.Close()
-		}
-		return
-	}
-	json.NewDecoder(resp.Body).Decode(&heat)
-	resp.Body.Close()
-	if !heat.Enabled {
-		return
-	}
-	line := fmt.Sprintf("heat: %d touches across %d vertices", heat.Touches, heat.Distinct)
-	if hs := heat.HotSet; hs != nil {
-		line += fmt.Sprintf("; observed hot set overlaps predicted %d/%d (divergence %.2f)",
-			hs.Overlap, hs.ObservedSize, hs.Divergence)
-	}
-	fmt.Println(line)
 }
 
 func fatal(err error) {

@@ -96,8 +96,8 @@
 //
 //   - CSR construction and Relabel are bit-identical at every worker
 //     count: workers count/prefix/scatter over contiguous input chunks
-//     (the pattern of reorder.ParallelDBG), which preserves the sequential
-//     edge order exactly.
+//     (internal/graph's buildCSR and relabelLists), which preserves the
+//     sequential edge order exactly.
 //   - Pull-mode EdgeMap is bit-identical at every worker count: the
 //     destination range is partitioned into contiguous 64-aligned chunks,
 //     each destination is owned by one worker, and per-destination

@@ -144,6 +144,19 @@
 //     counts retirements; in steady state every member lists exactly one
 //     "<base>@*".
 //
+// # Instrumentation contract
+//
+// Every route is registered through obs.Instrument.Wrap (mounted in
+// Handler) — the front door a node mounts too; internal/server/doc.go
+// states the contract. The router fills in the registry alone: no
+// sampler, so its only detailed traces are the ?debug=trace ones; no
+// slow ring and no request log, so it has no /debug/slow. Its own spans
+// are "cache", "fanout", "merge" and one "shard<i>" per shard asked; a
+// handler adding a wait point wraps it in tr.Observe or tr.Accumulate.
+// /metrics renders the per-route families from the shared registry
+// under the graphd_cluster prefix; routermetrics.go holds only what a
+// node has no counterpart for.
+//
 // # Failure handling
 //
 // Each shard has one or more members (replicas serving identical

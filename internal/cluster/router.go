@@ -137,7 +137,7 @@ type Router struct {
 	allShards []int // 0..len(slots)-1, the fan-out set of reads that touch in-edges
 	client    *http.Client
 	logger    *slog.Logger
-	metrics   *routerMetrics
+	metrics   *obs.MetricsSet
 	started   time.Time
 
 	epoch     atomic.Pointer[epochState]
@@ -197,7 +197,7 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 		placement: cfg.Placement,
 		client:    client,
 		logger:    cfg.Logger,
-		metrics:   newRouterMetrics(),
+		metrics:   obs.NewMetricsSet(),
 		started:   time.Now(),
 		stop:      make(chan struct{}),
 	}
@@ -603,8 +603,11 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 // loadtest harness) work against a cluster unchanged.
 func (rt *Router) Handler() http.Handler {
 	mux := http.NewServeMux()
+	// The same front door a node mounts, with no sampler, slow ring or
+	// request log: the router's only detailed traces are ?debug=trace.
+	in := &obs.Instrument{Metrics: rt.metrics}
 	route := func(pattern, name string, h http.HandlerFunc) {
-		mux.HandleFunc(pattern, rt.instrument(name, h))
+		mux.HandleFunc(pattern, in.Wrap(name, h))
 	}
 	route("GET /healthz", "healthz", rt.handleHealthz)
 	route("GET /metrics", "metrics", rt.handleMetrics)
@@ -833,8 +836,14 @@ func (rt *Router) handleNeighbors(w http.ResponseWriter, r *http.Request) {
 	if dir == "" {
 		dir = "out"
 	}
-	limit, _ := strconv.Atoi(q.Get("limit"))
-	limit = max(limit, 0)
+	limit := 0
+	if raw := q.Get("limit"); raw != "" {
+		if limit, err = strconv.Atoi(raw); err != nil {
+			writeError(w, http.StatusBadRequest, "bad limit: %v", err)
+			return
+		}
+		limit = max(limit, 0)
+	}
 	rt.servePoint(w, r, es, pointKey('n', uint64(v), dir, strconv.Itoa(limit)), func() (any, error) {
 		path := fmt.Sprintf("/v1/query/neighbors?snapshot=%s&ids=orig&v=%d&dir=%s", es.snapshot, v, dir)
 		if limit > 0 {

@@ -170,6 +170,13 @@ func TestClusterEquivalence(t *testing.T) {
 		}
 	}
 
+	// A malformed limit is the node's 400 and message, not "no limit".
+	wantCode, _, wantBody := httpRaw(t, baseQ+"/neighbors?v=0&limit=abc&snapshot=base")
+	gotCode, _, gotBody := httpRaw(t, clQ+"/neighbors?v=0&limit=abc")
+	if wantCode != http.StatusBadRequest || gotCode != wantCode || !bytes.Equal(gotBody, wantBody) {
+		t.Fatalf("limit=abc: baseline %d %s cluster %d %s", wantCode, wantBody, gotCode, gotBody)
+	}
+
 	var wantTop, gotTop topkView
 	httpJSON(t, baseQ+"/topk?k=16&snapshot=base", &wantTop)
 	httpJSON(t, clQ+"/topk?k=16", &gotTop)

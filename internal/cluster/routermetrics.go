@@ -1,158 +1,13 @@
 package cluster
 
 import (
-	"bytes"
-	"encoding/json"
 	"net/http"
-	"sort"
 	"strconv"
-	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"graphreorder/internal/obs"
 	"graphreorder/internal/server"
-	"graphreorder/internal/stats"
 )
-
-// routeMetrics is one route's counters on the router.
-type routeMetrics struct {
-	requests atomic.Uint64
-	errors   atomic.Uint64
-	lat      stats.LatencyHist
-}
-
-type routerMetrics struct {
-	mu     sync.Mutex
-	routes map[string]*routeMetrics
-}
-
-func newRouterMetrics() *routerMetrics {
-	return &routerMetrics{routes: make(map[string]*routeMetrics)}
-}
-
-func (m *routerMetrics) route(name string) *routeMetrics {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	rm := m.routes[name]
-	if rm == nil {
-		rm = &routeMetrics{}
-		m.routes[name] = rm
-	}
-	return rm
-}
-
-// statusWriter records the response status for metrics and traces.
-type statusWriter struct {
-	http.ResponseWriter
-	code int
-}
-
-func (w *statusWriter) WriteHeader(c int) {
-	if w.code == 0 {
-		w.code = c
-	}
-	w.ResponseWriter.WriteHeader(c)
-}
-
-func (w *statusWriter) status() int {
-	if w.code == 0 {
-		return http.StatusOK
-	}
-	return w.code
-}
-
-// debugBuffer holds the response so ?debug=trace can wrap it together
-// with the finished trace — same envelope graphd itself uses, so one
-// debugging workflow covers both tiers.
-type debugBuffer struct {
-	sw   *statusWriter
-	code int
-	buf  bytes.Buffer
-}
-
-func (b *debugBuffer) Header() http.Header { return b.sw.Header() }
-
-func (b *debugBuffer) WriteHeader(c int) {
-	if b.code == 0 {
-		b.code = c
-	}
-}
-
-func (b *debugBuffer) Write(p []byte) (int, error) { return b.buf.Write(p) }
-
-func (b *debugBuffer) status() int {
-	if b.code == 0 {
-		return http.StatusOK
-	}
-	return b.code
-}
-
-func (b *debugBuffer) emit(tr *obs.Trace) {
-	var resp any
-	if json.Valid(b.buf.Bytes()) {
-		resp = json.RawMessage(b.buf.Bytes())
-	} else {
-		resp = b.buf.String()
-	}
-	out, _ := json.Marshal(map[string]any{"trace": tr.View(), "response": resp})
-	b.sw.Header().Set("Content-Type", "application/json")
-	b.sw.WriteHeader(b.status())
-	b.sw.Write(append(out, '\n'))
-}
-
-func wantsDebugTrace(r *http.Request) bool {
-	// Every request passes here; only one that mentions debug pays a parse.
-	return strings.Contains(r.URL.RawQuery, "debug=") && r.URL.Query().Get("debug") == "trace"
-}
-
-// instrument wraps a handler with the router's observability: per-route
-// counters and latency, a Trace that adopts an inbound X-Trace-Id (so
-// client → router → shard is one trace identity end to end), the
-// X-Trace-Id response header, and the ?debug=trace envelope carrying
-// the fanout/merge/per-shard span breakdown.
-func (rt *Router) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
-	rm := rt.metrics.route(route)
-	return func(w http.ResponseWriter, r *http.Request) {
-		debug := wantsDebugTrace(r)
-		tr := obs.NewTraceWithID(route, debug, obs.ParseTraceID(r.Header.Get("X-Trace-Id")))
-		w.Header().Set("X-Trace-Id", tr.IDString())
-		r = r.WithContext(obs.WithTrace(r.Context(), tr))
-		sw := &statusWriter{ResponseWriter: w}
-		start := time.Now()
-		var buf *debugBuffer
-		if debug {
-			buf = &debugBuffer{sw: sw}
-			h(buf, r)
-		} else {
-			h(sw, r)
-		}
-		total := time.Since(start)
-		status := sw.status()
-		if buf != nil {
-			status = buf.status()
-		}
-		tr.Finish(status, total)
-		rm.requests.Add(1)
-		if status >= 400 {
-			rm.errors.Add(1)
-		}
-		rm.lat.Observe(total)
-		if buf != nil {
-			buf.emit(tr)
-		}
-	}
-}
-
-// RouteStat is one route's JSON metrics entry.
-type RouteStat struct {
-	Requests uint64  `json:"requests"`
-	Errors   uint64  `json:"errors"`
-	MeanUs   float64 `json:"mean_us"`
-	P50Us    float64 `json:"p50_us"`
-	P99Us    float64 `json:"p99_us"`
-}
 
 // ShardStatus is one shard's routing and quality state as /metrics
 // reports it.
@@ -177,24 +32,24 @@ type ShardStatus struct {
 
 // RouterReport is the router's JSON /metrics document.
 type RouterReport struct {
-	UptimeSeconds float64              `json:"uptime_seconds"`
-	Epoch         uint64               `json:"epoch"`
-	Snapshot      string               `json:"snapshot,omitempty"`
-	Shards        int                  `json:"shards"`
-	Strategy      string               `json:"strategy"`
-	MaxReplicas   int                  `json:"max_replicas"`
-	Fanouts       uint64               `json:"fanout_requests"`
-	ShardErrors   uint64               `json:"shard_errors"`
-	RelaxBytesOut uint64               `json:"relax_bytes_out"` // relax-frame bytes the SSSP exchange sent to shards
-	RelaxBytesIn  uint64               `json:"relax_bytes_in"`  // and received from them
-	CacheHits     uint64               `json:"cache_hits"`      // point reads answered from an epoch's reply cache
-	CacheMisses   uint64               `json:"cache_misses"`    // and those that went to the shards
-	CacheBytes    int64                `json:"cache_bytes"`     // the serving epoch's reply cache, as charged
-	EpochsRetired uint64               `json:"epochs_retired"`  // superseded epochs drained and swept off the members
-	RetireErrors  uint64               `json:"retire_errors"`   // member calls those sweeps could not complete
-	Promotions    uint64               `json:"promotions"`
-	Routes        map[string]RouteStat `json:"routes"`
-	PerShard      []ShardStatus        `json:"per_shard"`
+	UptimeSeconds float64                   `json:"uptime_seconds"`
+	Epoch         uint64                    `json:"epoch"`
+	Snapshot      string                    `json:"snapshot,omitempty"`
+	Shards        int                       `json:"shards"`
+	Strategy      string                    `json:"strategy"`
+	MaxReplicas   int                       `json:"max_replicas"`
+	Fanouts       uint64                    `json:"fanout_requests"`
+	ShardErrors   uint64                    `json:"shard_errors"`
+	RelaxBytesOut uint64                    `json:"relax_bytes_out"` // relax-frame bytes the SSSP exchange sent to shards
+	RelaxBytesIn  uint64                    `json:"relax_bytes_in"`  // and received from them
+	CacheHits     uint64                    `json:"cache_hits"`      // point reads answered from an epoch's reply cache
+	CacheMisses   uint64                    `json:"cache_misses"`    // and those that went to the shards
+	CacheBytes    int64                     `json:"cache_bytes"`     // the serving epoch's reply cache, as charged
+	EpochsRetired uint64                    `json:"epochs_retired"`  // superseded epochs drained and swept off the members
+	RetireErrors  uint64                    `json:"retire_errors"`   // member calls those sweeps could not complete
+	Promotions    uint64                    `json:"promotions"`
+	Routes        map[string]obs.RouteStats `json:"routes"`
+	PerShard      []ShardStatus             `json:"per_shard"`
 }
 
 func (rt *Router) report() RouterReport {
@@ -211,7 +66,7 @@ func (rt *Router) report() RouterReport {
 		CacheMisses:   rt.cacheMisses.Load(),
 		EpochsRetired: rt.epochsRetired.Load(),
 		RetireErrors:  rt.retireErrors.Load(),
-		Routes:        make(map[string]RouteStat),
+		Routes:        rt.metrics.Report(),
 	}
 	es := rt.epoch.Load()
 	if es != nil {
@@ -219,24 +74,6 @@ func (rt *Router) report() RouterReport {
 		rep.Snapshot = es.snapshot
 		rep.CacheBytes = es.replies.Bytes()
 	}
-	rt.metrics.mu.Lock()
-	names := make([]string, 0, len(rt.metrics.routes))
-	for name := range rt.metrics.routes {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		rm := rt.metrics.routes[name]
-		snap := rm.lat.Snapshot()
-		rep.Routes[name] = RouteStat{
-			Requests: rm.requests.Load(),
-			Errors:   rm.errors.Load(),
-			MeanUs:   float64(rm.lat.Mean().Nanoseconds()) / 1000,
-			P50Us:    float64(snap.P50.Nanoseconds()) / 1000,
-			P99Us:    float64(snap.P99.Nanoseconds()) / 1000,
-		}
-	}
-	rt.metrics.mu.Unlock()
 	for s, sl := range rt.slots {
 		st := ShardStatus{
 			Shard:      s,
@@ -264,19 +101,8 @@ func (rt *Router) report() RouterReport {
 	return rep
 }
 
-// wantsPrometheus mirrors graphd's format negotiation so the same
-// scrape_config works against shards and router alike.
-func wantsPrometheus(r *http.Request) bool {
-	if f := r.URL.Query().Get("format"); f != "" {
-		return f == "prometheus"
-	}
-	accept := r.Header.Get("Accept")
-	return strings.Contains(accept, "text/plain") ||
-		strings.Contains(accept, "application/openmetrics-text")
-}
-
 func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if !wantsPrometheus(r) {
+	if !obs.WantsPrometheus(r) {
 		writeJSON(w, http.StatusOK, rt.report())
 		return
 	}
@@ -291,16 +117,7 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	p.Gauge("graphd_cluster_epoch", "Serving cluster epoch (0 before the first publish).")
 	p.Sample("graphd_cluster_epoch", nil, float64(rep.Epoch))
 
-	p.Counter("graphd_cluster_requests_total", "Router requests served, by route.")
-	p.Counter("graphd_cluster_request_errors_total", "Router requests answered with status >= 400, by route.")
-	p.Summary("graphd_cluster_request_latency_seconds", "Router request latency by route (bucketed quantiles, conservative).")
-	for _, name := range obs.SortedKeys(rep.Routes) {
-		labels := []obs.Label{{Name: "route", Value: name}}
-		rs := rep.Routes[name]
-		p.Sample("graphd_cluster_requests_total", labels, float64(rs.Requests))
-		p.Sample("graphd_cluster_request_errors_total", labels, float64(rs.Errors))
-		writeRouterLatency(p, "graphd_cluster_request_latency_seconds", labels, &rt.metrics.route(name).lat)
-	}
+	rt.metrics.WriteProm(p, "graphd_cluster")
 
 	p.Counter("graphd_cluster_fanout_total", "Shard sub-requests issued by the router.")
 	p.Sample("graphd_cluster_fanout_total", nil, float64(rep.Fanouts))
@@ -346,20 +163,4 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 
 	p.Flush()
-}
-
-// writeRouterLatency renders one LatencyHist as a Prometheus summary,
-// matching graphd's quantile set.
-func writeRouterLatency(p *obs.Prom, name string, labels []obs.Label, h *stats.LatencyHist) {
-	sec := func(ns int64) float64 { return float64(ns) / 1e9 }
-	snap := h.Snapshot()
-	q := func(quantile string, v int64) {
-		p.SummarySample(name, "", append(append([]obs.Label{}, labels...),
-			obs.Label{Name: "quantile", Value: quantile}), sec(v))
-	}
-	q("0.5", snap.P50.Nanoseconds())
-	q("0.9", snap.P90.Nanoseconds())
-	q("0.99", snap.P99.Nanoseconds())
-	p.SummarySample(name, "_sum", labels, sec(h.Sum().Nanoseconds()))
-	p.SummarySample(name, "_count", labels, float64(snap.Count))
 }

@@ -1,9 +1,11 @@
-// Package obs is graphd's observability layer: per-request traces with
-// span breakdowns, a bounded slow-query ring buffer, a sharded/sampled
-// per-vertex heat accumulator, and Prometheus text exposition (writer
-// plus a format validator usable as a CI gate).
+// Package obs is graphd's observability layer and the single owner of
+// request observability on both tiers: the Instrument front door every
+// node and router route is wrapped in, the per-route MetricsSet behind
+// /metrics, per-request traces with span breakdowns, a bounded
+// slow-query ring buffer, and Prometheus text exposition (writer plus a
+// format validator usable as a CI gate).
 //
-// The design contract, shared with the serving layer that embeds it:
+// The design contract, shared with the serving layers that mount it:
 //
 //   - Tracing is always-on but two-tier. Every traced request carries a
 //     Trace whose cost is a small allocation plus one monotonic clock

@@ -192,28 +192,3 @@ func TestEveryRegisteredSpecYieldsBijection(t *testing.T) {
 		}
 	}
 }
-
-// TestParallelTechniquesBijectionAcrossWorkers covers the worker knob on
-// the permutation computation itself (ParallelDBG), not just the rebuild.
-func TestParallelTechniquesBijectionAcrossWorkers(t *testing.T) {
-	g, err := gen.Generate(gen.MustDataset("sd", gen.Tiny))
-	if err != nil {
-		t.Fatal(err)
-	}
-	seq := NewParallelDBGFrom(NewDBG(), 1)
-	par := NewParallelDBGFrom(NewDBG(), 8)
-	ps, err := PlanOf(seq).Apply(g, graph.OutDegree)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pp, err := PlanOf(par).Apply(g, graph.OutDegree)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := pp.Perm.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(ps.Perm, pp.Perm) {
-		t.Error("ParallelDBG permutation differs across worker counts")
-	}
-}

@@ -49,10 +49,12 @@
 //
 // # Instrumentation contract
 //
-// Every route is registered through Server.instrument, which owns the
-// whole per-request observability pipeline; handlers never instrument
-// themselves. The contract, for anyone adding a route or a pipeline
-// stage:
+// Every route is registered through obs.Instrument.Wrap (mounted in
+// Handler), which owns the whole per-request observability pipeline;
+// handlers never instrument themselves. The cluster router mounts the
+// same front door, so what follows holds on both tiers, minus the parts
+// the router leaves unset (sampler, slow ring, request log). The
+// contract, for anyone adding a route or a pipeline stage:
 //
 //   - Tracing is two-tier. Unless Config.TraceSample is negative, every
 //     request carries an *obs.Trace in its context (obs.FromContext) and
@@ -76,7 +78,9 @@
 //
 //   - ?debug=trace returns the finished trace inline, wrapping the
 //     ordinary payload as {"trace": ..., "response": ...}; the inner
-//     response stays byte-identical to the unwrapped one. Requests
+//     response stays byte-identical to the unwrapped one, the handler's
+//     headers are kept, and a body that is not JSON (the Prometheus
+//     exposition) passes through unwrapped. Requests
 //     slower than Config.SlowThreshold (or answered >= 500) land in the
 //     bounded /debug/slow ring as obs.TraceView values.
 //
@@ -87,19 +91,12 @@
 //     Prometheus side must keep passing obs.ValidateExposition — the
 //     in-repo checker CI scrapes through cmd/promcheck. (One family is
 //     Prometheus-only: graphd_publish_stage_seconds, whose other reader
-//     is the traced write itself.)
+//     is the traced write itself.) The per-route families — requests,
+//     errors, latency — come from obs.MetricsSet on both tiers; the
+//     node appends graphd_requests_shed_total next to them, because
+//     only a node sheds.
 //
-//   - Per-vertex heat telemetry is opt-out (Config.HeatSample < 0).
-//     Handlers that resolve real vertices record them through
-//     snap.heat.Recorder()/Touch — bounded per request, sampled by
-//     stride, never on the error path. The accumulator is recreated at
-//     every publish so /v1/snapshots/{name}/heat always describes the
-//     serving layout's epoch, and its divergence against the
-//     degree-predicted hot set (reorder.QualityReport) is the live
-//     signal that the workload no longer matches what the layout was
-//     optimized for.
-//
-// The obs package holds the building blocks (Trace, Sampler, SlowRing,
-// Heat, the Prometheus writer and validator); this package decides
-// where they hook in.
+// The obs package holds the building blocks (Instrument, MetricsSet,
+// Trace, Sampler, SlowRing, the Prometheus writer and validator); this
+// package decides what to mount and adds the spans of its own stages.
 package server

@@ -748,6 +748,8 @@ type WriteStats struct {
 	MaxUs  float64 `json:"max_us"`
 }
 
+func us(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1000 }
+
 func (st *Store) writeStatsReport() WriteStats {
 	lat := st.writes.lat.Snapshot()
 	return WriteStats{

@@ -1,68 +1,42 @@
 package server
 
 import (
-	"bytes"
-	"encoding/json"
-	"log/slog"
-	"net/http"
-	"sort"
-	"strings"
 	"sync"
-	"sync/atomic"
-	"time"
 
 	"graphreorder/internal/obs"
-	"graphreorder/internal/stats"
 )
 
-// routeMetrics aggregates one route's request count, error count and
-// latency distribution (stats.LatencyHist, lock-free on the hot path).
-type routeMetrics struct {
-	requests atomic.Uint64
-	errors   atomic.Uint64
-	shed     atomic.Uint64 // admissions refused by load shedding / open breaker
-	lat      stats.LatencyHist
-}
-
-type metricsSet struct {
-	mu     sync.RWMutex
-	routes map[string]*routeMetrics
-}
-
-func newMetricsSet() *metricsSet {
-	return &metricsSet{routes: make(map[string]*routeMetrics)}
-}
-
-func (m *metricsSet) route(name string) *routeMetrics {
-	m.mu.RLock()
-	rm, ok := m.routes[name]
-	m.mu.RUnlock()
-	if ok {
-		return rm
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if rm, ok = m.routes[name]; ok {
-		return rm
-	}
-	rm = &routeMetrics{}
-	m.routes[name] = rm
-	return rm
-}
-
-// RouteStats is the JSON view of one route's metrics.
+// RouteStats is the JSON view of one route's metrics: the entry both
+// tiers share, plus the node's own shed count.
 type RouteStats struct {
-	Requests uint64 `json:"requests"`
-	Errors   uint64 `json:"errors"`
+	obs.RouteStats
 	// Shed counts requests this route refused at admission (predicted
 	// queue wait past the deadline, or breaker open) — including the
 	// ones that were then answered from the stale cache.
-	Shed   uint64  `json:"shed,omitempty"`
-	MeanUs float64 `json:"mean_us"`
-	P50Us  float64 `json:"p50_us"`
-	P90Us  float64 `json:"p90_us"`
-	P99Us  float64 `json:"p99_us"`
-	MaxUs  float64 `json:"max_us"`
+	Shed uint64 `json:"shed,omitempty"`
+}
+
+// shedCounters counts refused admissions per route. It sits beside the
+// shared registry rather than in it: a router never sheds, and its
+// exposition must not carry a series it can never increment.
+type shedCounters struct {
+	mu sync.Mutex
+	n  map[string]uint64
+}
+
+func (c *shedCounters) add(route string) {
+	c.mu.Lock()
+	if c.n == nil {
+		c.n = make(map[string]uint64)
+	}
+	c.n[route]++
+	c.mu.Unlock()
+}
+
+func (c *shedCounters) get(route string) uint64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.n[route]
 }
 
 // MetricsReport is the /metrics payload.
@@ -142,10 +116,6 @@ type CurrentSnapshotStats struct {
 	PlainAdjBytes    int64   `json:"plain_adj_bytes"`
 	DiskBytes        int64   `json:"disk_bytes"`
 	CompressionRatio float64 `json:"compression_ratio"`
-	// HotSetDivergence is the fraction of the observed (touch-ranked) hot
-	// set outside the degree-predicted one — absent until heat telemetry
-	// has seen traffic on this snapshot.
-	HotSetDivergence *float64 `json:"hot_set_divergence,omitempty"`
 }
 
 // snapshotStatsFor assembles SnapshotStats from a loaded table.
@@ -169,170 +139,4 @@ func snapshotStatsFor(tab *snapTable, st *Store) SnapshotStats {
 		}
 	}
 	return s
-}
-
-func us(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1000 }
-
-func (m *metricsSet) report() map[string]RouteStats {
-	m.mu.RLock()
-	names := make([]string, 0, len(m.routes))
-	for name := range m.routes {
-		names = append(names, name)
-	}
-	m.mu.RUnlock()
-	sort.Strings(names)
-	out := make(map[string]RouteStats, len(names))
-	for _, name := range names {
-		rm := m.route(name)
-		snap := rm.lat.Snapshot()
-		out[name] = RouteStats{
-			Requests: rm.requests.Load(),
-			Errors:   rm.errors.Load(),
-			Shed:     rm.shed.Load(),
-			MeanUs:   us(snap.Mean),
-			P50Us:    us(snap.P50),
-			P90Us:    us(snap.P90),
-			P99Us:    us(snap.P99),
-			MaxUs:    us(snap.Max),
-		}
-	}
-	return out
-}
-
-// statusWriter captures the response status for error accounting, and
-// the first-write instant so the trace's encode span covers JSON
-// serialization and the socket write.
-type statusWriter struct {
-	http.ResponseWriter
-	status     int
-	firstWrite time.Time
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	if w.firstWrite.IsZero() {
-		w.firstWrite = time.Now()
-	}
-	w.status = code
-	w.ResponseWriter.WriteHeader(code)
-}
-
-func (w *statusWriter) Write(p []byte) (int, error) {
-	if w.firstWrite.IsZero() {
-		w.firstWrite = time.Now()
-	}
-	return w.ResponseWriter.Write(p)
-}
-
-// instrument wraps a handler with per-route metrics collection and
-// request tracing. Every request gets span timing (unless tracing is
-// disabled); the sampled detailed tier — forced by ?debug=trace — adds
-// per-round traversal stats and a structured request log. ?debug=trace
-// additionally returns the trace inline, wrapped around the response.
-func (s *Server) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
-	rm := s.metrics.route(route)
-	return func(w http.ResponseWriter, r *http.Request) {
-		if !s.tracingEnabled() {
-			start := time.Now()
-			sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
-			h(sw, r)
-			rm.requests.Add(1)
-			if sw.status >= 400 {
-				rm.errors.Add(1)
-			}
-			rm.lat.Observe(time.Since(start))
-			return
-		}
-		debug := wantsDebugTrace(r)
-		// Adopt an inbound trace ID (a cluster router forwarding its own)
-		// so one request keeps one identity across the routing hop; a
-		// missing or malformed header means a fresh ID.
-		tr := obs.NewTraceWithID(route, debug || s.sampler.Sample(),
-			obs.ParseTraceID(r.Header.Get("X-Trace-Id")))
-		start := time.Now()
-		r = r.WithContext(obs.WithTrace(r.Context(), tr))
-		w.Header().Set("X-Trace-Id", tr.IDString())
-		sw := &statusWriter{status: http.StatusOK}
-		var buf *debugBuffer
-		if debug {
-			// Buffer the response so the trace (complete, encode span
-			// included for the buffered body) can wrap it.
-			buf = &debugBuffer{inner: w}
-			sw.ResponseWriter = buf
-		} else {
-			sw.ResponseWriter = w
-		}
-		h(sw, r)
-		total := time.Since(start)
-		if !sw.firstWrite.IsZero() {
-			tr.Observe("encode", sw.firstWrite)
-		}
-		tr.Finish(sw.status, total)
-		rm.requests.Add(1)
-		if sw.status >= 400 {
-			rm.errors.Add(1)
-		}
-		rm.lat.Observe(total)
-		if s.cfg.SlowThreshold > 0 && (total >= s.cfg.SlowThreshold || sw.status >= 500) {
-			s.slow.Add(tr.View())
-		}
-		if tr.Detailed() {
-			s.logger.LogAttrs(r.Context(), slog.LevelInfo, "request",
-				slog.String("trace", tr.IDString()),
-				slog.String("route", route),
-				slog.Int("status", sw.status),
-				slog.Float64("total_us", float64(total.Nanoseconds())/1000))
-		}
-		if buf != nil {
-			buf.emit(sw.status, tr.View())
-		}
-	}
-}
-
-// wantsDebugTrace checks for ?debug=trace without parsing the query on
-// the hot path.
-func wantsDebugTrace(r *http.Request) bool {
-	return strings.Contains(r.URL.RawQuery, "debug=trace")
-}
-
-// debugBuffer holds a ?debug=trace response so it can be re-emitted
-// wrapped in {"trace": ..., "response": ...}.
-type debugBuffer struct {
-	inner  http.ResponseWriter
-	body   bytes.Buffer
-	header http.Header
-}
-
-func (b *debugBuffer) Header() http.Header {
-	if b.header == nil {
-		b.header = make(http.Header)
-	}
-	return b.header
-}
-
-func (b *debugBuffer) WriteHeader(int) {}
-
-func (b *debugBuffer) Write(p []byte) (int, error) { return b.body.Write(p) }
-
-// debugResponse is the ?debug=trace wrapper: the original response body
-// verbatim under "response", the finished trace under "trace".
-type debugResponse struct {
-	Trace    obs.TraceView   `json:"trace"`
-	Response json.RawMessage `json:"response"`
-}
-
-func (b *debugBuffer) emit(status int, view obs.TraceView) {
-	raw := b.body.Bytes()
-	if !json.Valid(raw) {
-		// Non-JSON body (should not happen on these routes): pass it
-		// through untouched rather than corrupt it.
-		for k, v := range b.header {
-			b.inner.Header()[k] = v
-		}
-		b.inner.WriteHeader(status)
-		b.inner.Write(raw)
-		return
-	}
-	b.inner.Header().Set("Content-Type", "application/json")
-	b.inner.WriteHeader(status)
-	json.NewEncoder(b.inner).Encode(debugResponse{Trace: view, Response: raw})
 }

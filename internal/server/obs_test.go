@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"net/http/httptest"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -82,6 +81,16 @@ func TestDebugTraceInline(t *testing.T) {
 		if sp.Name == "compute" {
 			t.Error("cache hit still carries a compute span")
 		}
+	}
+
+	// The parameter is matched exactly, not as a substring of the query:
+	// a different key ending in "debug" gets the plain response.
+	var plain map[string]json.RawMessage
+	if code := get(t, h, "/v1/query/sssp?src=0&nodebug=trace", &plain); code != 200 {
+		t.Fatalf("sssp nodebug=trace: %d", code)
+	}
+	if _, wrapped := plain["trace"]; wrapped || plain["snapshot"] == nil {
+		t.Errorf("?nodebug=trace was taken for ?debug=trace: %v", plain)
 	}
 }
 
@@ -194,85 +203,6 @@ func TestPrometheusExposition(t *testing.T) {
 	}
 }
 
-// TestHeatEndpoint queries a fixed set of vertices and verifies the heat
-// telemetry ranks them hot, with a well-formed divergence comparison.
-func TestHeatEndpoint(t *testing.T) {
-	s := testServer(t)
-	h := s.Handler()
-	hot := []string{"3", "3", "3", "3", "7", "7", "7", "11", "11", "19"}
-	for _, v := range hot {
-		if code := get(t, h, "/v1/query/neighbors?v="+v+"&limit=1", nil); code != 200 {
-			t.Fatalf("neighbors %s: %d", v, code)
-		}
-	}
-	var res struct {
-		Snapshot string           `json:"snapshot"`
-		Enabled  bool             `json:"enabled"`
-		SampleN  int              `json:"sample_n"`
-		Touches  uint64           `json:"touches"`
-		Distinct int              `json:"distinct"`
-		Top      []obs.VertexHeat `json:"top"`
-		HotSet   *struct {
-			PredictedSize int     `json:"predicted_size"`
-			ObservedSize  int     `json:"observed_size"`
-			Overlap       int     `json:"overlap"`
-			Divergence    float64 `json:"hot_set_divergence"`
-		} `json:"hot_set"`
-	}
-	if code := get(t, h, "/v1/snapshots/main/heat?k=4", &res); code != 200 {
-		t.Fatalf("heat: %d", code)
-	}
-	if !res.Enabled || res.SampleN != 1 {
-		t.Fatalf("heat disabled or sampled: %+v", res)
-	}
-	if res.Touches == 0 || res.Distinct == 0 {
-		t.Fatalf("no touches recorded: %+v", res)
-	}
-	if len(res.Top) == 0 || res.Top[0].Vertex != 3 {
-		t.Errorf("hottest vertex = %+v, want vertex 3", res.Top)
-	}
-	if res.Top[0].Touches < 4 {
-		// Vertex 3 was queried 4 times, plus neighbor touches from others.
-		t.Errorf("vertex 3 touches = %d, want >= 4", res.Top[0].Touches)
-	}
-	if hs := res.HotSet; hs != nil {
-		if hs.Divergence < 0 || hs.Divergence > 1 {
-			t.Errorf("divergence out of range: %+v", hs)
-		}
-		if hs.Overlap > hs.ObservedSize {
-			t.Errorf("overlap exceeds observed set: %+v", hs)
-		}
-	}
-
-	if code := get(t, h, "/v1/snapshots/nosuch/heat", nil); code != 404 {
-		t.Errorf("heat on unknown snapshot: %d", code)
-	}
-	if code := get(t, h, "/v1/snapshots/main/heat?k=0", nil); code != 400 {
-		t.Errorf("heat k=0: %d", code)
-	}
-}
-
-// TestHeatDisabled proves a negative HeatSample turns the accumulator
-// off: the endpoint still answers, flagged disabled.
-func TestHeatDisabled(t *testing.T) {
-	s := New(Config{Workers: 1, QueryTimeout: 30 * time.Second, HeatSample: -1})
-	if _, err := s.store.Build(BuildSpec{Name: "main", Dataset: "uni", Scale: "tiny", Technique: "dbg"}); err != nil {
-		t.Fatal(err)
-	}
-	h := s.Handler()
-	get(t, h, "/v1/query/neighbors?v=0", nil)
-	var res struct {
-		Enabled bool   `json:"enabled"`
-		Touches uint64 `json:"touches"`
-	}
-	if code := get(t, h, "/v1/snapshots/main/heat", &res); code != 200 {
-		t.Fatalf("heat: %d", code)
-	}
-	if res.Enabled || res.Touches != 0 {
-		t.Errorf("heat not disabled: %+v", res)
-	}
-}
-
 // TestHealthzBuildInfo checks the health endpoint's build report.
 func TestHealthzBuildInfo(t *testing.T) {
 	s := New(Config{Workers: 1, QueryTimeout: 30 * time.Second, Version: "v1.2.3-test"})
@@ -309,39 +239,5 @@ func TestPprofGate(t *testing.T) {
 	on.Handler().ServeHTTP(rec, req)
 	if rec.Code != 200 || !strings.Contains(rec.Body.String(), "goroutine") {
 		t.Errorf("pprof with flag: %d", rec.Code)
-	}
-}
-
-// TestMetricsSetConcurrentRoute hammers route registration from many
-// goroutines: every caller for a name must get the same tracker.
-func TestMetricsSetConcurrentRoute(t *testing.T) {
-	m := newMetricsSet()
-	names := []string{"a", "b", "c", "d"}
-	const workers = 16
-	got := make([][]*routeMetrics, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			got[w] = make([]*routeMetrics, len(names))
-			for i, name := range names {
-				rm := m.route(name)
-				rm.requests.Add(1)
-				got[w][i] = rm
-			}
-		}(w)
-	}
-	wg.Wait()
-	for i, name := range names {
-		first := got[0][i]
-		for w := 1; w < workers; w++ {
-			if got[w][i] != first {
-				t.Fatalf("route %q: divergent trackers", name)
-			}
-		}
-		if n := first.requests.Load(); n != workers {
-			t.Errorf("route %q: %d requests, want %d", name, n, workers)
-		}
 	}
 }

@@ -2,10 +2,8 @@ package server
 
 import (
 	"net/http"
-	"strings"
 
 	"graphreorder/internal/obs"
-	"graphreorder/internal/stats"
 )
 
 // Prometheus exposition of /metrics. The JSON report stays the
@@ -15,19 +13,6 @@ import (
 // output is validated in tests and CI by obs.ValidateExposition, which
 // keeps the writer and the format checker honest against each other.
 
-// wantsPrometheus decides the exposition format: an explicit
-// ?format=prometheus, or an Accept header asking for text/plain or
-// OpenMetrics (what Prometheus scrapers send). Browsers and the JSON
-// tooling keep getting JSON.
-func wantsPrometheus(r *http.Request) bool {
-	if f := r.URL.Query().Get("format"); f != "" {
-		return f == "prometheus"
-	}
-	accept := r.Header.Get("Accept")
-	return strings.Contains(accept, "text/plain") ||
-		strings.Contains(accept, "application/openmetrics-text")
-}
-
 func (s *Server) writePromMetrics(w http.ResponseWriter) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	rep := s.metricsReport()
@@ -36,17 +21,10 @@ func (s *Server) writePromMetrics(w http.ResponseWriter) {
 	p.Gauge("graphd_uptime_seconds", "Seconds since the server started.")
 	p.Sample("graphd_uptime_seconds", nil, rep.UptimeSeconds)
 
-	p.Counter("graphd_requests_total", "Requests served, by route.")
-	p.Counter("graphd_request_errors_total", "Requests answered with status >= 400, by route.")
+	s.metrics.WriteProm(p, "graphd")
 	p.Counter("graphd_requests_shed_total", "Requests refused at admission, by route.")
-	p.Summary("graphd_request_latency_seconds", "Request latency by route (bucketed quantiles, conservative).")
 	for _, name := range obs.SortedKeys(rep.Routes) {
-		rs := rep.Routes[name]
-		labels := []obs.Label{{Name: "route", Value: name}}
-		p.Sample("graphd_requests_total", labels, float64(rs.Requests))
-		p.Sample("graphd_request_errors_total", labels, float64(rs.Errors))
-		p.Sample("graphd_requests_shed_total", labels, float64(rs.Shed))
-		writeLatencySummary(p, "graphd_request_latency_seconds", labels, &s.metrics.route(name).lat)
+		p.Sample("graphd_requests_shed_total", []obs.Label{{Name: "route", Value: name}}, float64(rep.Routes[name].Shed))
 	}
 
 	p.Gauge("graphd_cache_entries", "Result-cache entries.")
@@ -118,10 +96,6 @@ func (s *Server) writePromMetrics(w http.ResponseWriter) {
 		p.Gauge("graphd_snapshot_compression_ratio", "Plain over resident adjacency bytes of the current snapshot (1 = plain backend).")
 		p.Sample("graphd_snapshot_compression_ratio", nil, cur.CompressionRatio)
 	}
-	if div, ok := s.currentHotSetDivergence(); ok {
-		p.Gauge("graphd_hot_set_divergence", "Fraction of the observed hot set outside the degree-predicted one (current snapshot).")
-		p.Sample("graphd_hot_set_divergence", nil, div)
-	}
 
 	p.Counter("graphd_write_batches_total", "Applied write batches.")
 	p.Sample("graphd_write_batches_total", nil, float64(rep.Writes.Batches))
@@ -138,10 +112,10 @@ func (s *Server) writePromMetrics(w http.ResponseWriter) {
 	p.Counter("graphd_relabels_total", "Publishes that reused the stale permutation.")
 	p.Sample("graphd_relabels_total", nil, float64(rep.Writes.Relabels))
 	p.Summary("graphd_write_latency_seconds", "Write latency: enqueue to published receipt.")
-	writeLatencySummary(p, "graphd_write_latency_seconds", nil, &s.store.writes.lat)
+	obs.WriteLatencySummary(p, "graphd_write_latency_seconds", nil, &s.store.writes.lat)
 	p.Summary("graphd_publish_stage_seconds", "Time per stage of a live publish: apply once per batch, the rest once per publish, the view stage by the path it took.")
 	for i, stage := range publishStageNames {
-		writeLatencySummary(p, "graphd_publish_stage_seconds",
+		obs.WriteLatencySummary(p, "graphd_publish_stage_seconds",
 			[]obs.Label{{Name: "stage", Value: stage}}, &s.store.writes.stages[i])
 	}
 
@@ -171,42 +145,4 @@ func (s *Server) writePromMetrics(w http.ResponseWriter) {
 	p.Sample("graphd_gc_cycles_total", nil, float64(rep.Runtime.NumGC))
 
 	p.Flush()
-}
-
-// seconds converts one of the histogram's nanosecond durations for
-// exposition (Prometheus base unit is seconds).
-func seconds(ns int64) float64 { return float64(ns) / 1e9 }
-
-// writeLatencySummary renders one LatencyHist as a Prometheus summary:
-// the standard quantiles plus the exact _sum/_count pair.
-func writeLatencySummary(p *obs.Prom, name string, labels []obs.Label, h *stats.LatencyHist) {
-	q := func(quantile string, v int64) {
-		p.SummarySample(name, "", append(append([]obs.Label{}, labels...),
-			obs.Label{Name: "quantile", Value: quantile}), seconds(v))
-	}
-	snap := h.Snapshot()
-	q("0.5", snap.P50.Nanoseconds())
-	q("0.9", snap.P90.Nanoseconds())
-	q("0.99", snap.P99.Nanoseconds())
-	p.SummarySample(name, "_sum", labels, seconds(h.Sum().Nanoseconds()))
-	p.SummarySample(name, "_count", labels, float64(snap.Count))
-}
-
-// currentHotSetDivergence computes the divergence metric for the
-// current snapshot, when heat telemetry has observed any traffic.
-func (s *Server) currentHotSetDivergence() (float64, bool) {
-	snap, release := s.store.Acquire()
-	if snap == nil {
-		return 0, false
-	}
-	defer release()
-	if snap.heat == nil {
-		return 0, false
-	}
-	rep := snap.heat.Report(hotSetLimit(snap))
-	cmp := hotSetComparisonFor(snap, rep)
-	if cmp == nil {
-		return 0, false
-	}
-	return cmp.Divergence, true
 }

@@ -75,10 +75,6 @@ type Config struct {
 	// is recorded in the /debug/slow ring (server-fault responses are
 	// recorded regardless). 0 means 250ms; negative disables the ring.
 	SlowThreshold time.Duration
-	// HeatSample is the per-vertex heat telemetry stride: each query
-	// records every HeatSample-th vertex touch (1 records everything).
-	// 0 means 1; negative disables heat telemetry.
-	HeatSample int
 	// Pprof registers net/http/pprof handlers under /debug/pprof/ on the
 	// server's own mux. Off by default: profiling endpoints expose stack
 	// traces and should be opted into.
@@ -119,9 +115,6 @@ func (c Config) withDefaults() Config {
 	if c.SlowThreshold == 0 {
 		c.SlowThreshold = 250 * time.Millisecond
 	}
-	if c.HeatSample == 0 {
-		c.HeatSample = 1
-	}
 	if c.Logger == nil {
 		c.Logger = slog.New(slog.DiscardHandler)
 	}
@@ -136,7 +129,8 @@ type Server struct {
 	cache    *ResultCache
 	flight   *flightGroup
 	pool     *workPool
-	metrics  *metricsSet
+	metrics  *obs.MetricsSet
+	shed     shedCounters
 	breakers *breakerSet
 	sampler  *obs.Sampler
 	slow     *obs.SlowRing
@@ -153,7 +147,6 @@ func New(cfg Config) *Server {
 		MaxHotDrift:    cfg.MaxHotDrift,
 		MinRefreshGain: cfg.MinRefreshGain,
 	})
-	store.SetHeatSample(cfg.HeatSample)
 	store.SetLogger(cfg.Logger)
 	return &Server{
 		cfg:      cfg,
@@ -161,7 +154,7 @@ func New(cfg Config) *Server {
 		cache:    NewResultCache(cfg.CacheBytes),
 		flight:   newFlightGroup(),
 		pool:     newWorkPool(cfg.MaxConcurrent),
-		metrics:  newMetricsSet(),
+		metrics:  obs.NewMetricsSet(),
 		breakers: newBreakerSet(cfg.BreakerThreshold, cfg.BreakerCooldown),
 		sampler:  obs.NewSampler(cfg.TraceSample),
 		slow:     obs.NewSlowRing(0),
@@ -169,10 +162,6 @@ func New(cfg Config) *Server {
 		started:  time.Now(),
 	}
 }
-
-// tracingEnabled reports whether requests get traces at all (a negative
-// TraceSample switches span timing off, not just the detailed tier).
-func (s *Server) tracingEnabled() bool { return s.cfg.TraceSample >= 0 }
 
 // Store exposes the snapshot store (for bootstrapping and tests).
 func (s *Server) Store() *Store { return s.store }
@@ -203,8 +192,19 @@ func (s *Server) Shutdown(ctx context.Context) error {
 // Handler returns the routing table.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
+	// The request front door is obs.Instrument, shared with the cluster
+	// router. A negative TraceSample switches span timing off, not just
+	// the detailed tier.
+	in := &obs.Instrument{
+		Metrics:       s.metrics,
+		NoTrace:       s.cfg.TraceSample < 0,
+		Sampler:       s.sampler,
+		Slow:          s.slow,
+		SlowThreshold: s.cfg.SlowThreshold,
+		Logger:        s.logger,
+	}
 	route := func(pattern, name string, h http.HandlerFunc) {
-		mux.HandleFunc(pattern, s.instrument(name, h))
+		mux.HandleFunc(pattern, in.Wrap(name, h))
 	}
 	route("GET /healthz", "healthz", s.handleHealthz)
 	route("GET /metrics", "metrics", s.handleMetrics)
@@ -223,7 +223,6 @@ func (s *Server) Handler() http.Handler {
 	route("GET /v1/snapshots/builds", "snapshots.builds", s.handleSnapshotBuilds)
 	route("GET /v1/snapshots/{name}", "snapshots.get", s.handleSnapshotGet)
 	route("GET /v1/snapshots/{name}/resolve", "snapshots.resolve", s.handleSnapshotResolve)
-	route("GET /v1/snapshots/{name}/heat", "snapshots.heat", s.handleHeat)
 	route("POST /v1/snapshots/{name}/activate", "snapshots.activate", s.handleSnapshotActivate)
 	route("POST /v1/snapshots/{name}/edges", "snapshots.mutate", s.handleMutate)
 	route("DELETE /v1/snapshots/{name}", "snapshots.drop", s.handleSnapshotDrop)
@@ -326,15 +325,13 @@ func (s *Server) metricsReport() MetricsReport {
 	tab := s.store.tab.Load()
 	var mem runtime.MemStats
 	runtime.ReadMemStats(&mem)
-	snaps := snapshotStatsFor(tab, s.store)
-	if snaps.Current != nil {
-		if div, ok := s.currentHotSetDivergence(); ok {
-			snaps.Current.HotSetDivergence = &div
-		}
+	routes := make(map[string]RouteStats)
+	for name, rs := range s.metrics.Report() {
+		routes[name] = RouteStats{RouteStats: rs, Shed: s.shed.get(name)}
 	}
 	return MetricsReport{
 		UptimeSeconds: time.Since(s.started).Seconds(),
-		Routes:        s.metrics.report(),
+		Routes:        routes,
 		Cache: CacheStats{
 			Entries:     s.cache.Len(),
 			Bytes:       s.cache.Bytes(),
@@ -350,7 +347,7 @@ func (s *Server) metricsReport() MetricsReport {
 			Shed:     s.pool.shed.Load(),
 		},
 		Breakers:  s.breakers.report(),
-		Snapshots: snaps,
+		Snapshots: snapshotStatsFor(tab, s.store),
 		Writes:    s.store.writeStatsReport(),
 		WAL:       s.store.WALStatsReport(),
 		Runtime: RuntimeStats{
@@ -369,11 +366,23 @@ func (s *Server) metricsReport() MetricsReport {
 // the JSON report otherwise. The JSON form only ever gains keys — every
 // pre-existing field stays bit-compatible.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if wantsPrometheus(r) {
+	if obs.WantsPrometheus(r) {
 		s.writePromMetrics(w)
 		return
 	}
 	writeJSON(w, http.StatusOK, s.metricsReport())
+}
+
+// handleSlow serves the slow-query ring: the most recent traces that
+// crossed the slow threshold (or failed with a server fault), newest
+// first — graphd's built-in answer to "what was slow just now" with no
+// external collector in the loop.
+func (s *Server) handleSlow(w http.ResponseWriter, r *http.Request) {
+	writeJSON(w, http.StatusOK, map[string]any{
+		"threshold_ms": float64(s.cfg.SlowThreshold.Microseconds()) / 1000,
+		"total":        s.slow.Total(),
+		"traces":       s.slow.Snapshot(),
+	})
 }
 
 func (s *Server) handleSnapshotList(w http.ResponseWriter, r *http.Request) {
@@ -557,23 +566,8 @@ func (s *Server) handleNeighbors(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	// Heat is layout telemetry, so touches are always current-space.
-	rec := snap.heat.Recorder()
-	rec.Touch(int(sp.in(v)))
-	// Charge the first few neighbors too: a neighbor expansion reads
-	// their adjacency metadata, and capping the count keeps the touch
-	// cost independent of hub degree.
-	for i, nb := range res.Neighbors {
-		if i == maxNeighborTouches {
-			break
-		}
-		rec.Touch(int(sp.in(nb)))
-	}
 	writeJSON(w, http.StatusOK, res)
 }
-
-// maxNeighborTouches bounds heat accounting per neighbor expansion.
-const maxNeighborTouches = 8
 
 func (s *Server) handleDegree(w http.ResponseWriter, r *http.Request) {
 	snap, release := s.snapshotFor(w, r)
@@ -597,8 +591,6 @@ func (s *Server) handleDegree(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	res.Vertex = v
-	rec := snap.heat.Recorder()
-	rec.Touch(int(sp.in(v)))
 	writeJSON(w, http.StatusOK, res)
 }
 
@@ -618,8 +610,6 @@ func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	rec := snap.heat.Recorder()
-	rec.Touch(int(sp.in(v)))
 	res := queryRank(snap, sp.in(v))
 	res.Vertex = v
 	writeJSON(w, http.StatusOK, res)
@@ -652,15 +642,7 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 		writeHeavyError(w, err)
 		return
 	}
-	res := topKResult{queryMeta: out.meta, K: k, Top: out.val.([]rankedVertex)}
-	rec := snap.heat.Recorder()
-	for i, rv := range res.Top {
-		if i == 2*maxNeighborTouches {
-			break
-		}
-		rec.Touch(int(sp.in(rv.Vertex)))
-	}
-	writeJSON(w, http.StatusOK, res)
+	writeJSON(w, http.StatusOK, topKResult{queryMeta: out.meta, K: k, Top: out.val.([]rankedVertex)})
 }
 
 func (s *Server) handleSSSP(w http.ResponseWriter, r *http.Request) {
@@ -707,8 +689,6 @@ func (s *Server) handleSSSP(w http.ResponseWriter, r *http.Request) {
 		writeHeavyError(w, err)
 		return
 	}
-	rec := snap.heat.Recorder()
-	rec.Touch(int(cur))
 	d := out.val.(ssspDistances)
 	summary := d.summary(out.meta, src)
 	if !hasTarget {
@@ -920,7 +900,7 @@ func runWorker(ctx context.Context, fn func(ctx context.Context) (any, int64, er
 // cached result marked stale if one exists, otherwise surface the shed.
 func (s *Server) degrade(route, kindKey string, shed *shedError) (heavyOutcome, error) {
 	s.pool.shed.Add(1)
-	s.metrics.route(route).shed.Add(1)
+	s.shed.add(route)
 	if v, meta, ok := s.cache.getStale(kindKey); ok {
 		meta.Cached = true
 		meta.Stale = true

@@ -22,10 +22,6 @@ package server
 //     vertices. The stateless contract: a call reads nothing but its
 //     frame and the pinned snapshot and leaves nothing behind, so any
 //     member of a shard can answer any round of any query.
-//
-// Relax calls skip heat accounting: frontier traffic is router-driven
-// bulk work, and charging it would drown the organic per-vertex signal
-// heat exists to surface.
 
 import (
 	"bytes"

@@ -17,7 +17,6 @@ import (
 	"graphreorder/internal/dynamic"
 	"graphreorder/internal/gen"
 	"graphreorder/internal/graph"
-	"graphreorder/internal/obs"
 	"graphreorder/internal/reorder"
 )
 
@@ -71,12 +70,6 @@ type Snapshot struct {
 	// queries served in original-ID space (?ids=orig).
 	invOnce sync.Once
 	inv     reorder.Permutation
-
-	// heat accumulates per-vertex touch counts from live queries since
-	// this snapshot was published (nil when heat telemetry is disabled).
-	// Each epoch starts a fresh accumulator, so the observed hot set
-	// always describes the layout actually serving it.
-	heat *obs.Heat
 
 	built          time.Time
 	loadTime       time.Duration
@@ -324,10 +317,6 @@ type Store struct {
 	// (see durability.go); nil when durability is off.
 	durable *durability
 
-	// heatSample is the heat-telemetry stride applied to snapshots
-	// published afterwards: 0 means 1 (record every touch), negative
-	// disables heat accumulators entirely.
-	heatSample int
 	// logger receives the store's structured logs (refresher publishes,
 	// durability recovery); never nil after NewStore.
 	logger *slog.Logger
@@ -356,10 +345,6 @@ func NewStore(workers int) *Store {
 // SetRefreshPolicy sets the re-reordering policy applied to mutable
 // snapshots registered afterwards. Call before building them.
 func (st *Store) SetRefreshPolicy(p dynamic.Policy) { st.livePolicy = p }
-
-// SetHeatSample sets the heat-telemetry stride of snapshots published
-// afterwards (0 means 1: record every touch; negative disables heat).
-func (st *Store) SetHeatSample(n int) { st.heatSample = n }
 
 // SetLogger directs the store's structured logs (nil discards them).
 func (st *Store) SetLogger(l *slog.Logger) {
@@ -1085,12 +1070,6 @@ func (st *Store) buildFrom(spec BuildSpec, status *BuildStatus, g *graph.Graph, 
 // refused (false): the dropper already removed it from the table and a
 // late refresher publish must not resurrect it.
 func (st *Store) publish(snap *Snapshot, activate bool) bool {
-	// Every snapshot gets its heat accumulator here — build and live
-	// refresher publishes alike pass through publish, so there is exactly
-	// one place the telemetry decision lives.
-	if snap.heat == nil && st.heatSample >= 0 {
-		snap.heat = obs.NewHeat(snap.graph.NumVertices(), st.heatSample)
-	}
 	snap.store = st
 	st.mu.Lock()
 	defer st.mu.Unlock()
