@@ -158,7 +158,7 @@ func DBG() Technique { return reorder.NewDBG() }
 // DBGWithGroups returns DBG with k geometric degree groups (k >= 2);
 // larger k packs hot vertices tighter at the cost of more structure
 // disruption. Reachable by name as "dbg:<k>" in TechniqueByName.
-func DBGWithGroups(k int) (Technique, error) { return reorder.NewDBGGeometric(k, 0.5) }
+func DBGWithGroups(k int) (Technique, error) { return reorder.NewDBGGeometric(k) }
 
 // Sort returns full descending-degree sorting.
 func Sort() Technique { return reorder.SortTechnique{} }
@@ -239,7 +239,7 @@ type (
 	// EdgeUpdate is one edge insertion or removal in a batch.
 	EdgeUpdate = dynamic.Update
 	// RefreshPolicy says when a DynamicReorderer recomputes its
-	// ordering: every K batches, and/or when the hot-vertex set drifts.
+	// ordering: every K batches.
 	RefreshPolicy = dynamic.Policy
 	// DynamicReorderer maintains a reordered view of a DynamicGraph,
 	// reusing the stale permutation (cheap relabel) between refreshes.

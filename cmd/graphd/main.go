@@ -61,8 +61,6 @@ func main() {
 		allowFS  = flag.Bool("allow-path-loads", false, "allow POST /v1/snapshots specs that read server-side files")
 		mutable  = flag.Bool("mutable", true, "serve the initial snapshot as a live graph accepting POST /v1/snapshots/{name}/edges (default false for .csrz inputs so they serve zero-copy from the mapping; pass -mutable to decode one into a live graph)")
 		refresh  = flag.Int("refresh-every", 8, "live snapshots: full re-reorder every N write batches (relabel reuse in between; <0 disables)")
-		hotDrift = flag.Float64("max-hot-drift", 0, "live snapshots: also re-reorder when this fraction of vertices changed hot/cold class (0 disables)")
-		minGain  = flag.Float64("min-refresh-gain", 0, "live snapshots: skip a policy-due re-reorder (cheap relabel instead) unless the predicted packing-factor gain is at least this factor (0 disables the advisor gate)")
 		walDir   = flag.String("wal-dir", "", "durability directory for mutable snapshots (checkpoint + mutation WAL; empty = off). On startup, a mutable snapshot with durable state here is recovered from it instead of rebuilt")
 		fsync    = flag.String("fsync", "always", "WAL fsync policy: always|never|interval:<dur> (with -wal-dir)")
 		ckptN    = flag.Int("checkpoint-every", 16, "publishes between checkpoint rewrites (with -wal-dir; 1 = checkpoint every publish)")
@@ -158,8 +156,6 @@ func main() {
 		CacheBytes:     int64(*cacheMB) << 20,
 		AllowPathLoads: *allowFS,
 		RefreshEvery:   *refresh,
-		MaxHotDrift:    *hotDrift,
-		MinRefreshGain: *minGain,
 		TraceSample:    *trace,
 		SlowThreshold:  time.Duration(*slowMs) * time.Millisecond,
 		Pprof:          *pprof,

@@ -78,9 +78,8 @@
 // (registry spec "auto") is the advisor as a Technique. The advisor is
 // deterministic: equal graphs yield equal recommendations. graphd
 // consults it for BuildSpec.Technique "auto" (recording the verdict in
-// the snapshot status), re-advises live snapshots on every policy
-// refresh, and RefreshPolicy.MinRefreshGain uses the same packing
-// prediction to skip re-reorders whose gain would not clear the bar.
+// the snapshot status) and re-advises live snapshots on every policy
+// refresh.
 //
 // # Workers and the determinism contract
 //
@@ -146,9 +145,8 @@
 // DynamicGraph and DynamicReorderer implement the paper's §VIII-B
 // evolving-graph deployment: edge updates arrive in batches, queries run
 // against reordered snapshot views, and the ordering is refreshed only
-// when the RefreshPolicy says so (every K batches and/or on hot-set
-// drift), with a cheap stale-permutation relabel in between. The
-// contract, both in the library and in graphd's mutable snapshots:
+// when the RefreshPolicy says so (every K batches), with a cheap
+// stale-permutation relabel in between. The contract, both in the library and in graphd's mutable snapshots:
 //
 //   - Batches are atomic. Apply/ApplyGrow validates the whole batch
 //     (including vertex growth and the batch's own internal

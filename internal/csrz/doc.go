@@ -5,8 +5,9 @@
 //
 // Reordering is what makes this pay: conf_iiswc_FalduDG19-style
 // lightweight reordering shrinks the |neighbor - previous neighbor| gaps
-// that the varints encode, so "reorder, then compress" (the pipeline's
-// |compress stage) turns locality directly into bytes.
+// that the varints encode, so "reorder, then compress" (a reordering
+// Technique with BuildSpec.Backend "compressed") turns locality directly
+// into bytes.
 // reorder.QualityReport.PredictedRatio computes the exact post-relabel
 // out-direction varint cost from the same O(E) pass that measures
 // AvgNeighborGap, so the advisor can predict the ratio before encoding.

@@ -529,41 +529,11 @@ func (d *Graph) Snapshot() (*graph.Graph, error) {
 	return g, nil
 }
 
-// hotVector classifies every vertex as hot (degree >= average) under the
-// given degree kind, from the incrementally maintained degrees.
-func (d *Graph) hotVector(kind graph.DegreeKind) []bool {
-	avg := d.AvgDegree()
-	degs := d.outDeg
-	if kind == graph.InDegree {
-		degs = d.inDeg
-	}
-	hot := make([]bool, d.n)
-	for v := range hot {
-		hot[v] = float64(degs[v]) >= avg
-	}
-	return hot
-}
-
 // Policy configures when a Reorderer refreshes its ordering.
 type Policy struct {
 	// Every reorders after this many update batches; 0 disables periodic
 	// reordering (the ordering from the last explicit Refresh persists).
 	Every int
-	// MaxHotDrift, when positive, additionally refreshes as soon as the
-	// fraction of vertices whose hot/cold classification changed since
-	// the last reordering exceeds it. This quantifies §VIII-B's premise
-	// directly: the stale ordering is kept exactly while the hot set it
-	// was built for still holds.
-	MaxHotDrift float64
-	// MinRefreshGain, when positive, consults the ordering-quality
-	// metrics before a policy-due refresh: the full re-reorder is skipped
-	// (the cheap stale-permutation relabel happens instead) unless the
-	// predicted packing-factor gain of a fresh hub-packing ordering over
-	// the current stale layout is at least this factor. This is the
-	// paper's skew gate applied over time — mutations that do not degrade
-	// hot-vertex packing never trigger the expensive recompute. Refreshes
-	// forced by a vertex-space change are never skipped.
-	MinRefreshGain float64
 }
 
 // Reorderer maintains a reordered view of a dynamic graph under a
@@ -591,7 +561,6 @@ type Reorderer struct {
 	viewCanonical bool
 
 	batchesAtPerm int
-	hotAtPerm     []bool // hot classification when the ordering was computed
 	// Refreshes counts how many times the ordering was recomputed.
 	Refreshes int
 	// Relabels counts cheap stale-permutation views between refreshes;
@@ -599,9 +568,6 @@ type Reorderer struct {
 	// of relabeling a rebuilt snapshot.
 	Relabels int
 	Patches  int
-	// GainSkips counts policy-due refreshes skipped because the predicted
-	// packing-factor gain was below Policy.MinRefreshGain.
-	GainSkips int
 	// LastQuality is the ordering-quality report of the view produced by
 	// the most recent refresh (zero until the first refresh). Relabel
 	// reuses do not update it — consumers wanting the current layout's
@@ -632,7 +598,6 @@ func (r *Reorderer) Seed(d *Graph, view *graph.Graph, perm reorder.Permutation) 
 func (r *Reorderer) setPerm(d *Graph, perm reorder.Permutation) {
 	r.perm, r.inv = perm, nil
 	r.batchesAtPerm = d.Batches()
-	r.hotAtPerm = d.hotVector(r.kind)
 }
 
 func (r *Reorderer) setView(d *Graph, view *graph.Graph, canonical bool) {
@@ -668,57 +633,22 @@ func (r *Reorderer) patchView(d *Graph) *graph.Graph {
 	return view
 }
 
-// hotDrift returns the fraction of vertices whose hot/cold class changed
-// since the ordering was computed.
-func (r *Reorderer) hotDrift(d *Graph) float64 {
-	if len(r.hotAtPerm) != d.n || d.n == 0 {
-		return 1
-	}
-	now := d.hotVector(r.kind)
-	changed := 0
-	for v := range now {
-		if now[v] != r.hotAtPerm[v] {
-			changed++
-		}
-	}
-	return float64(changed) / float64(d.n)
-}
-
 // View returns the reordered snapshot of d — d.Snapshot() relabeled by
 // the returned permutation, array for array — refreshing the ordering if
 // the policy says it is due. The permutation maps d's vertex IDs to the
 // view's IDs (needed to translate query roots).
 //
-// Only a refresh (and the MinRefreshGain gate before one) materializes
-// the original-order snapshot. Between refreshes the previous view is
-// patched from d's edit log through the stale permutation, at a cost of
-// one copy of the CSR plus work proportional to the edits; the
-// stale-permutation relabel of a rebuilt or patched snapshot is the
-// fallback when the log does not cover the delta or the previous view is
-// not in canonical order (see Seed). Views returned earlier are never
-// modified.
+// Only a refresh materializes the original-order snapshot. Between
+// refreshes the previous view is patched from d's edit log through the
+// stale permutation, at a cost of one copy of the CSR plus work
+// proportional to the edits; the stale-permutation relabel of a rebuilt
+// or patched snapshot is the fallback when the log does not cover the
+// delta or the previous view is not in canonical order (see Seed). Views
+// returned earlier are never modified.
 func (r *Reorderer) View(d *Graph) (*graph.Graph, reorder.Permutation, error) {
-	// A missing ordering or a changed vertex space forces a refresh; the
-	// quality gate below must not override either.
-	forced := r.batchesAtPerm < 0 || len(r.perm) != d.NumVertices()
-	due := forced ||
+	// A missing ordering or a changed vertex space forces a refresh.
+	due := r.batchesAtPerm < 0 || len(r.perm) != d.NumVertices() ||
 		(r.policy.Every > 0 && d.Batches()-r.batchesAtPerm >= r.policy.Every)
-	if !due && r.policy.MaxHotDrift > 0 && d.Batches() != r.batchesAtPerm {
-		due = r.hotDrift(d) > r.policy.MaxHotDrift
-	}
-	if due && !forced && r.policy.MinRefreshGain > 0 {
-		// Advisor gate: measure the snapshot's packing under the stale
-		// permutation; if a fresh hub-packing ordering cannot beat it by
-		// the configured factor, the cheap path below suffices.
-		g, err := d.Snapshot()
-		if err != nil {
-			return nil, nil, err
-		}
-		if reorder.EvaluatePacking(g, r.kind, r.perm, reorder.QualityOptions{}).PackingGain() < r.policy.MinRefreshGain {
-			due = false
-			r.GainSkips++
-		}
-	}
 	if due {
 		g, err := d.Snapshot()
 		if err != nil {

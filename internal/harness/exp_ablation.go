@@ -17,7 +17,7 @@ func (r *Runner) AblationGroups() error {
 	var configs []ablationConfig
 	configs = append(configs, ablationConfig{"HubCluster (K=2)", reorder.HubCluster{}})
 	for _, k := range []int{4, 8, 16} {
-		d, err := reorder.NewDBGGeometric(k, 0.5)
+		d, err := reorder.NewDBGGeometric(k)
 		if err != nil {
 			return err
 		}
@@ -72,7 +72,7 @@ func techsOf(configs []ablationConfig) []reorder.Technique {
 func (r *Runner) AblationGorderDBG() error {
 	techs := []reorder.Technique{
 		reorder.Gorder{},
-		reorder.Composed{First: reorder.Gorder{}, Second: reorder.NewDBG(), DisplayName: "Gorder+DBG"},
+		reorder.Compose(reorder.Gorder{}, reorder.NewDBG()),
 		reorder.NewDBG(),
 	}
 	grid, _, err := r.speedupGrid(appNames(), gen.SkewedNames(), techs)

@@ -195,11 +195,10 @@ func (r *Runner) evaluatedTechniques() []reorder.Technique {
 }
 
 func isGorder(t reorder.Technique) bool {
-	switch t.(type) {
-	case reorder.Gorder:
-		return true
-	case reorder.Composed:
-		return true
+	for _, stage := range reorder.PlanOf(t).Stages() {
+		if _, ok := stage.(reorder.Gorder); ok {
+			return true
+		}
 	}
 	return false
 }

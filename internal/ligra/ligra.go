@@ -429,9 +429,6 @@ type EdgeMapOpts struct {
 	// into Ctx.Err(). One poll per round costs a few nanoseconds, so
 	// cancellation is free on the per-edge hot path.
 	Ctx context.Context
-	// DenseThresholdDiv is the divisor d in the switching rule
-	// "go dense when frontier out-edges + size > M/d"; 0 means 20.
-	DenseThresholdDiv int
 	// Workers is the number of worker goroutines the traversal may use;
 	// values <= 1 run sequentially. Ignored (sequential) while Trace is
 	// set, so simulator traces stay deterministic.
@@ -499,11 +496,9 @@ func EdgeMap(g graph.View, frontier *VertexSet, fns EdgeMapFns, opts EdgeMapOpts
 	}
 	dir := opts.Dir
 	if dir == Auto {
-		div := opts.DenseThresholdDiv
-		if div <= 0 {
-			div = 20
-		}
-		threshold := uint64(g.NumEdges() / div)
+		// Ligra's switching rule: go dense when the frontier's out-edges
+		// plus its size exceed M/20.
+		threshold := uint64(g.NumEdges() / 20)
 		if frontier.computeOutEdges(g, workers)+uint64(frontier.Len()) > threshold {
 			dir = Pull
 		} else {

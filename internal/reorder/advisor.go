@@ -15,38 +15,22 @@ import (
 // layout's remaining packing headroom (Table II), and recommend a
 // hub-aware pipeline only when both say reordering will pay.
 
-// AdvisorConfig tunes the advisor's gates. The zero value uses defaults
-// calibrated on the paper's dataset suite: the eight skewed datasets pass
-// all three gates, the no-skew pair (uniform, road) fails the skew gates.
-type AdvisorConfig struct {
-	// MaxHotFrac is the largest hot-vertex fraction still considered
+// The advisor's gates, calibrated on the paper's dataset suite: the eight
+// skewed datasets pass all three, the no-skew pair (uniform, road) fails
+// the skew gates.
+const (
+	// maxHotFrac is the largest hot-vertex fraction still considered
 	// skewed; above it (uniform-ish degree distributions classify about
 	// half the vertices hot) reordering has nothing to concentrate.
-	// 0 means 1/3.
-	MaxHotFrac float64
-	// MinEdgeCoverage is the smallest fraction of edges the hot set must
-	// cover for reordering to matter; 0 means 0.6.
-	MinEdgeCoverage float64
-	// MinPackingGain is the smallest predicted packing-factor improvement
+	maxHotFrac = 1.0 / 3
+	// minEdgeCoverage is the smallest fraction of edges the hot set must
+	// cover for reordering to matter.
+	minEdgeCoverage = 0.6
+	// minPackingGain is the smallest predicted packing-factor improvement
 	// (ideal / current) worth a reorder; below it the hot set is already
-	// packed. 0 means 1.25.
-	MinPackingGain float64
-	// Quality configures the block arithmetic of the packing estimate.
-	Quality QualityOptions
-}
-
-func (c AdvisorConfig) withDefaults() AdvisorConfig {
-	if c.MaxHotFrac <= 0 {
-		c.MaxHotFrac = 1.0 / 3
-	}
-	if c.MinEdgeCoverage <= 0 {
-		c.MinEdgeCoverage = 0.6
-	}
-	if c.MinPackingGain <= 0 {
-		c.MinPackingGain = 1.25
-	}
-	return c
-}
+	// packed.
+	minPackingGain = 1.25
+)
 
 // Recommendation is the advisor's verdict: a ready-to-run Plan plus the
 // evidence it was based on.
@@ -73,14 +57,8 @@ func (r Recommendation) Reorder() bool { return r.Spec != "original" }
 
 // Advise inspects g's degree skew and current hot-vertex packing and
 // recommends a reordering pipeline — or the identity, per the paper's
-// "reordering can hurt" finding — using the default gates.
+// "reordering can hurt" finding.
 func Advise(g *graph.Graph, kind graph.DegreeKind) Recommendation {
-	return AdviseConfig(g, kind, AdvisorConfig{})
-}
-
-// AdviseConfig is Advise with explicit gates.
-func AdviseConfig(g *graph.Graph, kind graph.DegreeKind, cfg AdvisorConfig) Recommendation {
-	cfg = cfg.withDefaults()
 	rec := Recommendation{Spec: "original", Plan: Compose(), PredictedGain: 1}
 
 	if g.NumVertices() == 0 || g.NumEdges() == 0 {
@@ -88,7 +66,7 @@ func AdviseConfig(g *graph.Graph, kind graph.DegreeKind, cfg AdvisorConfig) Reco
 		return rec
 	}
 	skew := stats.ComputeSkew(g, kind)
-	q := EvaluatePacking(g, kind, nil, cfg.Quality)
+	q := EvaluatePacking(g, kind, nil)
 	rec.HotFrac = skew.HotFrac
 	rec.EdgeCoverage = skew.EdgeCoverage
 	rec.CurrentPacking = q.PackingFactor
@@ -96,18 +74,18 @@ func AdviseConfig(g *graph.Graph, kind graph.DegreeKind, cfg AdvisorConfig) Reco
 	rec.PredictedGain = q.PackingGain()
 
 	switch {
-	case skew.HotFrac > cfg.MaxHotFrac:
+	case skew.HotFrac > maxHotFrac:
 		rec.Reason = fmt.Sprintf(
 			"degree distribution is not skewed (%.0f%% of vertices are hot, above the %.0f%% gate): hub packing would disrupt structure for no locality win",
-			100*skew.HotFrac, 100*cfg.MaxHotFrac)
-	case skew.EdgeCoverage < cfg.MinEdgeCoverage:
+			100*skew.HotFrac, 100*maxHotFrac)
+	case skew.EdgeCoverage < minEdgeCoverage:
 		rec.Reason = fmt.Sprintf(
 			"hot vertices cover only %.0f%% of edges (below the %.0f%% gate): too little traffic concentrates on hubs to reward packing them",
-			100*skew.EdgeCoverage, 100*cfg.MinEdgeCoverage)
-	case rec.PredictedGain < cfg.MinPackingGain:
+			100*skew.EdgeCoverage, 100*minEdgeCoverage)
+	case rec.PredictedGain < minPackingGain:
 		rec.Reason = fmt.Sprintf(
 			"hot vertices are already packed (packing factor %.2f of an ideal %.2f, gain %.2fx below the %.2fx gate)",
-			q.PackingFactor, q.IdealPackingFactor, rec.PredictedGain, cfg.MinPackingGain)
+			q.PackingFactor, q.IdealPackingFactor, rec.PredictedGain, minPackingGain)
 	default:
 		rec.Spec = "dbg"
 		rec.Plan = Compose(NewDBG())
@@ -122,15 +100,12 @@ func AdviseConfig(g *graph.Graph, kind graph.DegreeKind, cfg AdvisorConfig) Reco
 // the input graph and executes the recommended plan. Registered as
 // "auto" in the registry; on low-skew graphs it deliberately returns the
 // identity permutation.
-type Auto struct {
-	// Config tunes the advisor gates; the zero value uses defaults.
-	Config AdvisorConfig
-}
+type Auto struct{}
 
 // Name implements Technique.
 func (Auto) Name() string { return "Auto" }
 
 // Permute implements Technique.
-func (a Auto) Permute(g *graph.Graph, kind graph.DegreeKind) (Permutation, error) {
-	return AdviseConfig(g, kind, a.Config).Plan.Permute(g, kind)
+func (Auto) Permute(g *graph.Graph, kind graph.DegreeKind) (Permutation, error) {
+	return Advise(g, kind).Plan.Permute(g, kind)
 }

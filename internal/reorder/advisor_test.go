@@ -91,32 +91,6 @@ func TestAdvisorSkewedSuiteAndNoSkewSuite(t *testing.T) {
 	}
 }
 
-func TestAdvisorConfigGates(t *testing.T) {
-	g, err := gen.Generate(gen.MustDataset("pl", gen.Tiny))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// An unreachable packing-gain gate turns even a skewed graph away.
-	rec := AdviseConfig(g, graph.OutDegree, AdvisorConfig{MinPackingGain: 100})
-	if rec.Reorder() {
-		t.Errorf("gain gate 100x still advised %q", rec.Spec)
-	}
-	if !strings.Contains(rec.Reason, "already packed") {
-		t.Errorf("reason %q does not name the packing gate", rec.Reason)
-	}
-	// Relaxing every gate flips a uniform graph to reorder.
-	uni, err := gen.Generate(gen.MustDataset("uni", gen.Tiny))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec = AdviseConfig(uni, graph.OutDegree, AdvisorConfig{
-		MaxHotFrac: 0.99, MinEdgeCoverage: 0.01, MinPackingGain: 1.01,
-	})
-	if !rec.Reorder() {
-		t.Errorf("fully relaxed gates still advised original: %s", rec.Reason)
-	}
-}
-
 func TestAdvisorEmptyAndEdgeless(t *testing.T) {
 	empty, _ := graph.Build(nil)
 	if rec := Advise(empty, graph.OutDegree); rec.Reorder() {

@@ -3,7 +3,6 @@ package reorder
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"graphreorder/internal/graph"
 )
@@ -49,19 +48,23 @@ func NewDBGBounds(boundsOfA []float64) (*DBG, error) {
 	return &DBG{boundsOfA: cp}, nil
 }
 
+// maxGeometricGroups caps NewDBGGeometric's k: the spec arrives from
+// outside (-technique, POST /v1/snapshots) and sizes two allocations, and
+// past it the bounds overflow a float64 anyway.
+const maxGeometricGroups = 1024
+
 // NewDBGGeometric returns DBG with k geometric groups [0,C), [C,2C),
-// [2C,4C)... expressed relative to A via cOfA (Table V's formulation with
-// threshold C = cOfA*A). k must be >= 2.
-func NewDBGGeometric(k int, cOfA float64) (*DBG, error) {
-	if k < 2 || cOfA <= 0 {
-		return nil, fmt.Errorf("reorder: NewDBGGeometric(k=%d, cOfA=%v): need k>=2, cOfA>0", k, cOfA)
+// [2C,4C)... (Table V's formulation) with the paper's threshold C = A/2,
+// so k = 8 is NewDBG. k must be in [2, 1024].
+func NewDBGGeometric(k int) (*DBG, error) {
+	if k < 2 || k > maxGeometricGroups {
+		return nil, fmt.Errorf("reorder: NewDBGGeometric(k=%d): need k>=2 and k<=%d", k, maxGeometricGroups)
 	}
 	bounds := make([]float64, k)
-	// Hottest group first: bounds are cOfA*2^(k-2), ..., 2c, c, 0.
+	// Hottest group first: bounds are 2^(k-3), ..., 1, 0.5, 0.
 	for i := 0; i < k-1; i++ {
-		bounds[i] = cOfA * math.Pow(2, float64(k-2-i))
+		bounds[i] = 0.5 * math.Pow(2, float64(k-2-i))
 	}
-	bounds[k-1] = 0
 	return &DBG{boundsOfA: bounds}, nil
 }
 
@@ -84,27 +87,44 @@ func (d *DBG) Permute(g *graph.Graph, kind graph.DegreeKind) (Permutation, error
 // Listing 1: a stable two-pass counting layout — count group sizes, prefix
 // sum, then scatter vertices in original order. O(V), no sorting.
 func (d *DBG) PermuteDegrees(degs []uint32, avg float64) Permutation {
+	return stableGroupLayout(degs, d.groupFunc(avg), len(d.boundsOfA))
+}
+
+// groupFunc returns the group function for a dataset of average degree
+// avg: the index of the first (hottest) group whose lower bound the
+// degree reaches. The scan is linear — K is 8 in the evaluated
+// configuration.
+func (d *DBG) groupFunc(avg float64) func(uint32) int {
 	bounds := make([]uint32, len(d.boundsOfA))
 	for i, m := range d.boundsOfA {
-		b := m * avg
-		// Group bounds are degree thresholds; round up so a bound of
-		// exactly avg keeps the paper's "hot means degree >= A" rule.
-		bounds[i] = uint32(math.Ceil(b))
+		bounds[i] = degreeThreshold(m * avg)
 	}
-	return stableGroupLayout(degs, func(deg uint32) int {
-		// Group index: first (hottest) group whose lower bound <= deg.
-		// Linear scan is fine — K is 8 in the evaluated configuration.
+	return func(deg uint32) int {
 		for k, b := range bounds {
 			if deg >= b {
 				return k
 			}
 		}
 		return len(bounds) - 1
-	}, len(bounds))
+	}
 }
 
-// stableGroupLayout assigns new IDs so that all vertices of group 0 come
-// first (in original relative order), then group 1, etc.
+// degreeThreshold turns a group bound into the smallest degree that
+// reaches it: rounded up, so a bound of exactly avg keeps the paper's "hot
+// means degree >= A" rule, and saturated, so a bound past the uint32 range
+// (dbg:<k> with a large k) admits no vertex instead of converting to
+// garbage that may admit all of them.
+func degreeThreshold(bound float64) uint32 {
+	if bound = math.Ceil(bound); bound >= math.MaxUint32 {
+		return math.MaxUint32
+	}
+	return uint32(bound)
+}
+
+// stableGroupLayout is Table V's one algorithm, and the only function
+// that assigns IDs by degree: all vertices of group 0 come first (in
+// original relative order), then group 1, etc. Sort, HubSort, HubCluster
+// and DBG differ only in groupOf.
 func stableGroupLayout(degs []uint32, groupOf func(uint32) int, numGroups int) Permutation {
 	counts := make([]uint64, numGroups+1)
 	groups := make([]int32, len(degs))
@@ -129,25 +149,25 @@ func stableGroupLayout(degs []uint32, groupOf func(uint32) int, numGroups int) P
 // given degree array; used by Table V-style reporting and the ablation.
 func (d *DBG) GroupSizes(degs []uint32, avg float64) []int {
 	sizes := make([]int, len(d.boundsOfA))
-	bounds := make([]uint32, len(d.boundsOfA))
-	for i, m := range d.boundsOfA {
-		bounds[i] = uint32(math.Ceil(m * avg))
-	}
+	groupOf := d.groupFunc(avg)
 	for _, deg := range degs {
-		for k, b := range bounds {
-			if deg >= b {
-				sizes[k]++
-				break
-			}
-		}
+		sizes[groupOf(deg)]++
 	}
 	return sizes
 }
 
+// maxDegree returns the largest entry of degs (0 for none).
+func maxDegree(degs []uint32) int {
+	var m uint32
+	for _, d := range degs {
+		m = max(m, d)
+	}
+	return int(m)
+}
+
 // SortTechnique reorders all vertices by descending degree (the paper's
-// "Sort"). Equivalent to DBG with one group per distinct degree (Table V).
-// The implementation is a stable counting sort keyed by degree, so ties
-// preserve original order — matching Fig. 2(b).
+// "Sort"): DBG with one group per distinct degree (Table V). The stable
+// layout makes ties preserve original order — matching Fig. 2(b).
 type SortTechnique struct{}
 
 // Name implements Technique.
@@ -160,61 +180,15 @@ func (s SortTechnique) Permute(g *graph.Graph, kind graph.DegreeKind) (Permutati
 
 // PermuteDegrees implements DegreeBased.
 func (SortTechnique) PermuteDegrees(degs []uint32, _ float64) Permutation {
-	return sortDescStable(degs, nil)
-}
-
-// sortDescStable assigns new IDs by descending degree with stable ties.
-// When subset is non-nil, only vertices v with subset[v] participate; the
-// returned slice then holds, in order, the original IDs sorted by
-// descending degree (not a permutation — a layout order).
-func sortDescStable(degs []uint32, subset []bool) Permutation {
-	var maxDeg uint32
-	for v, d := range degs {
-		if subset != nil && !subset[v] {
-			continue
-		}
-		if d > maxDeg {
-			maxDeg = d
-		}
-	}
-	// Counting sort over descending degree buckets.
-	counts := make([]uint64, maxDeg+2)
-	for v, d := range degs {
-		if subset != nil && !subset[v] {
-			continue
-		}
-		bucket := maxDeg - d // descending
-		counts[bucket+1]++
-	}
-	for i := 1; i < len(counts); i++ {
-		counts[i] += counts[i-1]
-	}
-	if subset == nil {
-		perm := make(Permutation, len(degs))
-		for v, d := range degs {
-			bucket := maxDeg - d
-			perm[v] = graph.VertexID(counts[bucket])
-			counts[bucket]++
-		}
-		return perm
-	}
-	// Subset variant: emit the participating original IDs in sorted order.
-	order := make(Permutation, counts[len(counts)-1])
-	for v, d := range degs {
-		if !subset[v] {
-			continue
-		}
-		bucket := maxDeg - d
-		order[counts[bucket]] = graph.VertexID(v)
-		counts[bucket]++
-	}
-	return order
+	top := maxDegree(degs)
+	return stableGroupLayout(degs, func(deg uint32) int { return top - int(deg) }, top+1)
 }
 
 // HubSort is Hub Sorting (Zhang et al. [5], "frequency-based clustering")
-// expressed in the DBG framework per Table V: hot vertices (degree >= A)
-// are fully sorted by descending degree and placed first; cold vertices
-// keep their original relative order.
+// expressed in the DBG framework per Table V: one group per distinct hot
+// degree (degree >= A), so hot vertices are fully sorted by descending
+// degree and placed first, and one cold group, whose vertices keep their
+// original relative order.
 type HubSort struct{}
 
 // Name implements Technique.
@@ -227,27 +201,25 @@ func (h HubSort) Permute(g *graph.Graph, kind graph.DegreeKind) (Permutation, er
 
 // PermuteDegrees implements DegreeBased.
 func (HubSort) PermuteDegrees(degs []uint32, avg float64) Permutation {
-	hot := hotMask(degs, avg)
-	hotOrder := sortDescStable(degs, hot)
-	perm := make(Permutation, len(degs))
-	next := uint64(0)
-	for _, v := range hotOrder {
-		perm[v] = graph.VertexID(next)
-		next++
-	}
-	for v := range degs {
-		if !hot[v] {
-			perm[v] = graph.VertexID(next)
-			next++
+	top := maxDegree(degs)
+	// With no hot vertex the cold group is the only one.
+	hot := min(int(degreeThreshold(avg)), top+1)
+	cold := top - hot + 1
+	return stableGroupLayout(degs, func(deg uint32) int {
+		if int(deg) >= hot {
+			return top - int(deg)
 		}
-	}
-	return perm
+		return cold
+	}, cold+1)
 }
 
 // HubCluster is Hub Clustering (Balaji & Lucia [6]) expressed in the DBG
 // framework per Table V: DBG with exactly two groups — hot first, cold
 // second — and no sorting anywhere.
 type HubCluster struct{}
+
+// hubClusterGroups is HubCluster's grouping: [A,∞) and [0,A).
+var hubClusterGroups = &DBG{boundsOfA: []float64{1, 0}}
 
 // Name implements Technique.
 func (HubCluster) Name() string { return "HubCluster" }
@@ -259,52 +231,5 @@ func (h HubCluster) Permute(g *graph.Graph, kind graph.DegreeKind) (Permutation,
 
 // PermuteDegrees implements DegreeBased.
 func (HubCluster) PermuteDegrees(degs []uint32, avg float64) Permutation {
-	hotThreshold := uint32(math.Ceil(avg))
-	return stableGroupLayout(degs, func(deg uint32) int {
-		if deg >= hotThreshold {
-			return 0
-		}
-		return 1
-	}, 2)
-}
-
-func hotMask(degs []uint32, avg float64) []bool {
-	hot := make([]bool, len(degs))
-	for v, d := range degs {
-		if float64(d) >= avg {
-			hot[v] = true
-		}
-	}
-	return hot
-}
-
-// sortPermValidateHelper is used in tests via sort.Sort to double check
-// counting-sort results against the standard library on small inputs.
-type byDegDesc struct {
-	ids  []graph.VertexID
-	degs []uint32
-}
-
-func (s byDegDesc) Len() int { return len(s.ids) }
-func (s byDegDesc) Less(i, j int) bool {
-	if s.degs[s.ids[i]] != s.degs[s.ids[j]] {
-		return s.degs[s.ids[i]] > s.degs[s.ids[j]]
-	}
-	return s.ids[i] < s.ids[j]
-}
-func (s byDegDesc) Swap(i, j int) { s.ids[i], s.ids[j] = s.ids[j], s.ids[i] }
-
-// referenceSortDesc is a slow, obviously-correct descending stable sort
-// used by tests.
-func referenceSortDesc(degs []uint32) Permutation {
-	ids := make([]graph.VertexID, len(degs))
-	for i := range ids {
-		ids[i] = graph.VertexID(i)
-	}
-	sort.Stable(byDegDesc{ids, degs})
-	perm := make(Permutation, len(degs))
-	for pos, v := range ids {
-		perm[v] = graph.VertexID(pos)
-	}
-	return perm
+	return hubClusterGroups.PermuteDegrees(degs, avg)
 }

@@ -187,41 +187,6 @@ func (q *bucketQueue) popMax() (graph.VertexID, bool) {
 	return 0, false
 }
 
-// Composed applies First and then Second, composing the permutations —
-// the paper's Gorder+DBG configuration (§VII), which keeps most of
-// Gorder's locality while packing hot vertices contiguously.
-type Composed struct {
-	First, Second Technique
-	// DisplayName overrides Name(); empty means "First+Second".
-	DisplayName string
-}
-
-// Name implements Technique.
-func (c Composed) Name() string {
-	if c.DisplayName != "" {
-		return c.DisplayName
-	}
-	return c.First.Name() + "+" + c.Second.Name()
-}
-
-// Permute implements Technique. The second technique sees the graph as
-// relabeled by the first, and the two permutations are composed.
-func (c Composed) Permute(g *graph.Graph, kind graph.DegreeKind) (Permutation, error) {
-	p1, err := c.First.Permute(g, kind)
-	if err != nil {
-		return nil, err
-	}
-	g1, err := g.Relabel(p1)
-	if err != nil {
-		return nil, err
-	}
-	p2, err := c.Second.Permute(g1, kind)
-	if err != nil {
-		return nil, err
-	}
-	return p1.Compose(p2), nil
-}
-
 // sortByScrambledKey sorts ids by (degree descending, Mix64(id) ascending).
 // Lives here to keep the rng dependency in one file shared by the O-variant
 // models.

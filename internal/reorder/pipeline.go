@@ -19,47 +19,29 @@ import (
 // to execute a reordering: they time both phases and attach an
 // ordering-quality report to the Result.
 //
-// The empty plan is the identity ordering.
-//
-// A plan may additionally carry a terminal compress marker (the
-// "|compress" spec suffix): it does not change the permutation — it
-// tells the consumer (graphd's build path, the harness) to hand the
-// relabeled graph to the csrz codec, making "reorder first, then
-// compress" a first-class pipeline outcome.
+// The empty plan is the identity ordering, and the only spelling of it:
+// len(Stages()) == 0 is how a consumer asks "does this reorder at all".
 type Plan struct {
-	stages   []Technique
-	compress bool
+	stages []Technique
 }
 
 // Compose builds a Plan from stages, applied left to right. Nested plans
-// are flattened (a nested plan's compress marker is inherited) and nil
-// stages skipped, so Compose(PlanOf(a), b) chains cleanly.
+// are flattened and nil and IdentityTechnique stages dropped, so
+// Compose(PlanOf(a), b) chains cleanly and no plan relabels by the
+// identity.
 func Compose(stages ...Technique) *Plan {
 	p := &Plan{stages: make([]Technique, 0, len(stages))}
 	for _, s := range stages {
 		switch t := s.(type) {
-		case nil:
+		case nil, IdentityTechnique:
 		case *Plan:
 			p.stages = append(p.stages, t.stages...)
-			p.compress = p.compress || t.compress
 		default:
 			p.stages = append(p.stages, s)
 		}
 	}
 	return p
 }
-
-// WithCompression returns a copy of the plan with the terminal compress
-// marker set — the programmatic spelling of the "|compress" spec suffix.
-func (p *Plan) WithCompression() *Plan {
-	q := Compose(p)
-	q.compress = true
-	return q
-}
-
-// Compress reports whether the plan ends in the compress stage, i.e. the
-// consumer should encode the relabeled graph with the csrz codec.
-func (p *Plan) Compress() bool { return p.compress }
 
 // PlanOf wraps a single technique as a one-stage plan; a *Plan argument
 // is returned as-is. Nil means the identity plan.
@@ -76,23 +58,16 @@ func (p *Plan) Stages() []Technique {
 }
 
 // Name implements Technique: stage names joined by the spec separator
-// ("DBG|Gorder"), with "|Compress" appended when the plan carries the
-// compress marker; the empty plan is "Original" (or "Original|Compress").
+// ("DBG|Gorder"); the empty plan is "Original".
 func (p *Plan) Name() string {
-	var base string
 	if len(p.stages) == 0 {
-		base = IdentityTechnique{}.Name()
-	} else {
-		names := make([]string, len(p.stages))
-		for i, s := range p.stages {
-			names[i] = s.Name()
-		}
-		base = strings.Join(names, "|")
+		return IdentityTechnique{}.Name()
 	}
-	if p.compress {
-		base += "|Compress"
+	names := make([]string, len(p.stages))
+	for i, s := range p.stages {
+		names[i] = s.Name()
 	}
-	return base
+	return strings.Join(names, "|")
 }
 
 // Permute implements Technique: it runs the stages in order and returns
@@ -106,8 +81,7 @@ func (p *Plan) Permute(g *graph.Graph, kind graph.DegreeKind) (Permutation, erro
 // never torn apart). Intermediate relabels — a later stage must see the
 // graph in the order produced so far — use the given worker count; they
 // are charged to the permutation phase because they are part of
-// computing the composed permutation, matching the legacy Composed
-// technique's accounting.
+// computing the composed permutation.
 func (p *Plan) permuteContext(ctx context.Context, g *graph.Graph, kind graph.DegreeKind, workers int) (Permutation, error) {
 	if len(p.stages) == 0 {
 		return Identity(g.NumVertices()), nil
@@ -188,6 +162,6 @@ func (p *Plan) ApplyContext(ctx context.Context, g *graph.Graph, kind graph.Degr
 		Perm:        perm,
 		ReorderTime: reorderTime,
 		RebuildTime: rebuildTime,
-		Quality:     evaluate(relabeled, kind, nil, QualityOptions{}, workers),
+		Quality:     evaluate(relabeled, kind, nil, workers),
 	}, nil
 }

@@ -28,7 +28,8 @@ func TestParsePlanSpecs(t *testing.T) {
 			t.Errorf("ParsePlan(%q).Name() = %q, want %q", spec, p.Name(), want)
 		}
 	}
-	for _, bad := range []string{"", "|", "dbg|", "|gorder", "dbg||sort", "dbg|bogus"} {
+	// "compress" was a terminal marker stage; the backend is BuildSpec's.
+	for _, bad := range []string{"", "|", "dbg|", "|gorder", "dbg||sort", "dbg|bogus", "sort|compress", "compress"} {
 		if _, err := ParsePlan(bad); err == nil {
 			t.Errorf("ParsePlan(%q) accepted", bad)
 		}
@@ -48,9 +49,9 @@ func TestByNameParsesPipelinesAndParams(t *testing.T) {
 	if d.NumGroups() != 4 {
 		t.Errorf("dbg:4 has %d groups, want 4", d.NumGroups())
 	}
-	want, _ := NewDBGGeometric(4, 0.5)
+	want, _ := NewDBGGeometric(4)
 	if !reflect.DeepEqual(d.GroupBounds(), want.GroupBounds()) {
-		t.Errorf("dbg:4 bounds %v != NewDBGGeometric(4, 0.5) bounds %v",
+		t.Errorf("dbg:4 bounds %v != NewDBGGeometric(4) bounds %v",
 			d.GroupBounds(), want.GroupBounds())
 	}
 	for _, bad := range []string{"dbg:", "dbg:1", "dbg:0", "dbg:-3", "dbg:x"} {
@@ -91,6 +92,20 @@ func TestComposeFlattensAndPlanOf(t *testing.T) {
 	if got := Compose().Name(); got != "Original" {
 		t.Errorf("empty plan name = %q", got)
 	}
+	// The empty plan is the only identity: identity stages are dropped,
+	// whichever way they are spelled.
+	if got := Compose(IdentityTechnique{}, NewDBG(), IdentityTechnique{}).Name(); got != "DBG" {
+		t.Errorf("plan with identity stages = %q, want DBG", got)
+	}
+	for _, spec := range []string{"original", "none", "identity", "none|original"} {
+		p, err := ParsePlan(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := len(p.Stages()); n != 0 {
+			t.Errorf("ParsePlan(%q) has %d stages, want the empty plan", spec, n)
+		}
+	}
 }
 
 func TestPlanPermuteMatchesManualChaining(t *testing.T) {
@@ -98,22 +113,28 @@ func TestPlanPermuteMatchesManualChaining(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan := Compose(NewDBG(), Gorder{Window: 3})
-	got, err := plan.Permute(g, graph.OutDegree)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p1, _ := NewDBG().Permute(g, graph.OutDegree)
-	g1, _ := g.Relabel(p1)
-	p2, _ := (Gorder{Window: 3}).Permute(g1, graph.OutDegree)
-	want := p1.Compose(p2)
-	if !reflect.DeepEqual(got, want) {
-		t.Error("plan permutation != manual stage-by-stage composition")
-	}
-	// And it must agree with the legacy Composed technique.
-	legacy, _ := Composed{First: NewDBG(), Second: Gorder{Window: 3}}.Permute(g, graph.OutDegree)
-	if !reflect.DeepEqual(got, legacy) {
-		t.Error("plan permutation != legacy Composed")
+	for _, stages := range [][2]Technique{
+		{NewDBG(), Gorder{Window: 3}},
+		{HubCluster{}, NewDBG()},
+	} {
+		got, err := Compose(stages[0], stages[1]).Permute(g, graph.OutDegree)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p1, _ := stages[0].Permute(g, graph.OutDegree)
+		g1, _ := g.Relabel(p1)
+		p2, _ := stages[1].Permute(g1, graph.OutDegree)
+		if !reflect.DeepEqual(got, p1.Compose(p2)) {
+			t.Errorf("%s|%s: plan permutation != manual stage-by-stage composition",
+				stages[0].Name(), stages[1].Name())
+		}
+		gc, err := g.Relabel(got)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if gc.NumEdges() != g.NumEdges() {
+			t.Errorf("%s|%s: composition lost edges", stages[0].Name(), stages[1].Name())
+		}
 	}
 }
 

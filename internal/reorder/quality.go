@@ -19,51 +19,15 @@ import (
 // lets the advisor and the serving layer reason about whether a reordering
 // paid off (or would pay off) without running a single query.
 
-// QualityOptions configures the cache-block arithmetic of Evaluate.
-// The zero value uses the paper's constants: 64 B blocks, 8 B per-vertex
-// properties, and "hot" meaning degree >= the average degree.
-type QualityOptions struct {
-	// BlockBytes is the cache-line size; 0 means 64.
-	BlockBytes int
-	// PropertyBytes is the per-vertex property size; 0 means 8.
-	PropertyBytes int
-	// HotMultiple scales the hot threshold: a vertex is hot when its
-	// degree >= HotMultiple * average degree; 0 means 1.
-	HotMultiple float64
-}
-
-func (o QualityOptions) withDefaults() QualityOptions {
-	if o.BlockBytes <= 0 {
-		o.BlockBytes = stats.CacheBlockBytes
-	}
-	if o.PropertyBytes <= 0 {
-		o.PropertyBytes = stats.DefaultPropertyBytes
-	}
-	if o.HotMultiple <= 0 {
-		o.HotMultiple = 1
-	}
-	return o
-}
-
-// verticesPerBlock returns how many vertex properties share a cache block
-// (at least 1).
-func (o QualityOptions) verticesPerBlock() int {
-	per := o.BlockBytes / o.PropertyBytes
-	if per < 1 {
-		per = 1
-	}
-	return per
-}
-
 // QualityReport measures how well a vertex layout packs the hot working
-// set, per the paper's §IV analysis. All block arithmetic uses the options
-// the report was computed with (recorded in BlockBytes/PropertyBytes).
+// set, per the paper's §IV analysis. All block arithmetic uses the paper's
+// constants (recorded in BlockBytes/PropertyBytes).
 type QualityReport struct {
 	// BlockBytes and PropertyBytes record the arithmetic used.
 	BlockBytes    int
 	PropertyBytes int
 	// HotThresholdDeg is the degree at and above which a vertex counted
-	// as hot (HotMultiple * average degree).
+	// as hot (the average degree).
 	HotThresholdDeg float64
 	// HotVertices is how many vertices are hot under that threshold.
 	HotVertices int
@@ -120,7 +84,8 @@ func (q QualityReport) PackingGain() float64 {
 }
 
 // Evaluate computes the ordering-quality report for g under perm, using
-// the paper's default block arithmetic. perm maps g's vertex IDs to
+// the paper's block arithmetic: 64 B blocks, 8 B per-vertex properties,
+// and "hot" meaning degree >= the average degree. perm maps g's vertex IDs to
 // layout positions; nil means g's current ID order is the layout (the
 // common case after Relabel, where the reordered graph's IDs are the
 // layout). Cost is EvaluatePacking's O(V) pass over the degrees plus one
@@ -129,18 +94,13 @@ func (q QualityReport) PackingGain() float64 {
 // materialized. g may be any backend — evaluating an already-compressed
 // csrz view streams its lists through an AdjBuffer.
 func Evaluate(g graph.View, kind graph.DegreeKind, perm Permutation) QualityReport {
-	return EvaluateOpts(g, kind, perm, QualityOptions{})
+	return evaluate(g, kind, perm, -1)
 }
 
-// EvaluateOpts is Evaluate with explicit block/hot-threshold options.
-func EvaluateOpts(g graph.View, kind graph.DegreeKind, perm Permutation, opts QualityOptions) QualityReport {
-	return evaluate(g, kind, perm, opts, -1)
-}
-
-// evaluate is EvaluateOpts on the given number of workers (negative
-// means GOMAXPROCS, 0 or 1 the calling goroutine).
-func evaluate(g graph.View, kind graph.DegreeKind, perm Permutation, opts QualityOptions, workers int) QualityReport {
-	rep := EvaluatePacking(g, kind, perm, opts)
+// evaluate is Evaluate on the given number of workers (negative means
+// GOMAXPROCS, 0 or 1 the calling goroutine).
+func evaluate(g graph.View, kind graph.DegreeKind, perm Permutation, workers int) QualityReport {
+	rep := EvaluatePacking(g, kind, perm)
 	e := g.NumEdges()
 	if e == 0 {
 		return rep
@@ -203,25 +163,24 @@ func outEdgeBounds(g graph.View, workers int) []int {
 	return append(bounds, n)
 }
 
-// EvaluatePacking is the O(V) half of EvaluateOpts: everything in the
+// EvaluatePacking is the O(V) half of Evaluate: everything in the
 // report that follows from the degrees and the permutation alone — the
 // hot set, the packing factors (so PackingGain) and the hub working set.
 // It reads no adjacency and leaves AvgNeighborGap and the Predicted*
 // fields zero.
-func EvaluatePacking(g graph.View, kind graph.DegreeKind, perm Permutation, opts QualityOptions) QualityReport {
-	opts = opts.withDefaults()
+func EvaluatePacking(g graph.View, kind graph.DegreeKind, perm Permutation) QualityReport {
 	n := g.NumVertices()
 	rep := QualityReport{
-		BlockBytes:      opts.BlockBytes,
-		PropertyBytes:   opts.PropertyBytes,
-		HotThresholdDeg: opts.HotMultiple * g.AvgDegree(),
+		BlockBytes:      stats.CacheBlockBytes,
+		PropertyBytes:   stats.DefaultPropertyBytes,
+		HotThresholdDeg: g.AvgDegree(),
 	}
 	// An edgeless graph has average degree 0, which would classify every
 	// vertex as hot; there is no working set to pack, so report zeros.
 	if n == 0 || g.NumEdges() == 0 {
 		return rep
 	}
-	perBlock := opts.verticesPerBlock()
+	const perBlock = VerticesPerCacheBlock
 	degs := g.Degrees(kind)
 
 	// Hot-vertex count per block under the layout.
@@ -251,8 +210,8 @@ func EvaluatePacking(g graph.View, kind graph.DegreeKind, perm Permutation, opts
 		rep.PackingFactor = float64(hot) / float64(blocksWithHot)
 		rep.IdealPackingFactor = float64(hot) / float64(minBlocks)
 		rep.PackingUtilization = rep.PackingFactor / rep.IdealPackingFactor
-		rep.HubWorkingSetBytes = int64(blocksWithHot) * int64(opts.BlockBytes)
-		rep.MinHubWorkingSetBytes = int64(minBlocks) * int64(opts.BlockBytes)
+		rep.HubWorkingSetBytes = int64(blocksWithHot) * stats.CacheBlockBytes
+		rep.MinHubWorkingSetBytes = int64(minBlocks) * stats.CacheBlockBytes
 	}
 	return rep
 }

@@ -2,6 +2,7 @@ package reorder
 
 import (
 	"math"
+	"sync/atomic"
 	"testing"
 
 	"graphreorder/internal/csrz"
@@ -131,19 +132,6 @@ func TestEvaluateOptionsAndDegenerateGraphs(t *testing.T) {
 	if q.HotVertices != 0 || q.AvgNeighborGap != 0 {
 		t.Errorf("single-vertex report %+v", q)
 	}
-
-	g := qualityFixture(t)
-	// 16-byte properties: 4 vertices per block. Hubs 0 and 8 now sit in
-	// blocks 0 and 2; hot vertex 3 in block 0.
-	q = EvaluateOpts(g, graph.OutDegree, nil, QualityOptions{PropertyBytes: 16})
-	if q.PackingFactor != 1.5 || q.HubWorkingSetBytes != 128 {
-		t.Errorf("16B properties: %+v", q)
-	}
-	// Raising the hot threshold to 4x the average excludes vertex 3.
-	q = EvaluateOpts(g, graph.OutDegree, nil, QualityOptions{HotMultiple: 4})
-	if q.HotVertices != 2 {
-		t.Errorf("4x threshold: hot = %d, want 2", q.HotVertices)
-	}
 }
 
 func TestApplyAttachesQuality(t *testing.T) {
@@ -192,27 +180,90 @@ func TestEvaluateSplitIsExact(t *testing.T) {
 			gapSum += math.Abs(pos(e.Src) - pos(e.Dst))
 		}
 		for name, view := range views {
-			want := evaluate(view, graph.OutDegree, perm, QualityOptions{}, 1)
+			want := evaluate(view, graph.OutDegree, perm, 1)
 			if want.AvgNeighborGap != gapSum/float64(g.NumEdges()) || want.PredictedAdjBytes == 0 {
 				t.Errorf("%s: gap %v, want %v (adjacency bytes %d)", name, want.AvgNeighborGap, gapSum/float64(g.NumEdges()), want.PredictedAdjBytes)
 			}
 			for _, w := range []int{2, 4, -1} {
-				if got := evaluate(view, graph.OutDegree, perm, QualityOptions{}, w); got != want {
+				if got := evaluate(view, graph.OutDegree, perm, w); got != want {
 					t.Errorf("%s, %d workers: %+v, one worker %+v", name, w, got, want)
 				}
 			}
 			packing := want
 			packing.AvgNeighborGap, packing.PredictedAdjBytes, packing.PredictedRatio = 0, 0, 0
-			if got := EvaluatePacking(view, graph.OutDegree, perm, QualityOptions{}); got != packing {
+			if got := EvaluatePacking(view, graph.OutDegree, perm); got != packing {
 				t.Errorf("%s: packing half %+v, full report %+v", name, got, want)
 			}
 		}
 	}
 }
 
-// BenchmarkEvaluate pins the cost of the quality metrics on sd/small —
-// CI runs it so Evaluate stays cheap enough to attach to every Apply
-// without burdening the snapshot-build hot path.
+// countingView counts the adjacency lists read through it. It embeds the
+// plain graph, so it is not a NeighborStreamer and every list access of an
+// AdjBuffer arrives at the four methods below.
+type countingView struct {
+	*graph.Graph
+	outReads []atomic.Int32 // per vertex
+	others   atomic.Int64   // in-lists and weight lists
+}
+
+func (c *countingView) OutNeighbors(v graph.VertexID) []graph.VertexID {
+	c.outReads[v].Add(1)
+	return c.Graph.OutNeighbors(v)
+}
+
+func (c *countingView) InNeighbors(v graph.VertexID) []graph.VertexID {
+	c.others.Add(1)
+	return c.Graph.InNeighbors(v)
+}
+
+func (c *countingView) OutWeights(v graph.VertexID) []uint32 {
+	c.others.Add(1)
+	return c.Graph.OutWeights(v)
+}
+
+func (c *countingView) InWeights(v graph.VertexID) []uint32 {
+	c.others.Add(1)
+	return c.Graph.InWeights(v)
+}
+
+// TestEvaluateReadsEachOutListOnce is the exact successor of a timing
+// smoke test: Evaluate's cost is one read of every out-list and nothing
+// else of the adjacency, at any worker count, and EvaluatePacking — all
+// that Advise reads — touches no list at all.
+func TestEvaluateReadsEachOutListOnce(t *testing.T) {
+	g, err := gen.Generate(gen.MustDataset("sd", gen.Tiny))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dbg, err := NewDBG().Permute(g, graph.OutDegree)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, perm := range []Permutation{nil, dbg} {
+		for _, workers := range []int{1, 2, 4} {
+			view := &countingView{Graph: g, outReads: make([]atomic.Int32, g.NumVertices())}
+			EvaluatePacking(view, graph.OutDegree, perm)
+			for v := range view.outReads {
+				if n := view.outReads[v].Load(); n != 0 {
+					t.Fatalf("EvaluatePacking read out-list %d %d times", v, n)
+				}
+			}
+			evaluate(view, graph.OutDegree, perm, workers)
+			for v := range view.outReads {
+				if n := view.outReads[v].Load(); n != 1 {
+					t.Fatalf("%d workers: out-list %d read %d times, want 1", workers, v, n)
+				}
+			}
+			if n := view.others.Load(); n != 0 {
+				t.Errorf("%d workers: %d in-list or weight reads, want 0", workers, n)
+			}
+		}
+	}
+}
+
+// BenchmarkEvaluate measures the quality metrics on sd/small; what they
+// may read is pinned exactly by TestEvaluateReadsEachOutListOnce.
 func BenchmarkEvaluate(b *testing.B) {
 	g, err := gen.Generate(gen.MustDataset("sd", gen.Small))
 	if err != nil {

@@ -5,6 +5,7 @@ import (
 
 	"graphreorder/internal/graph"
 	"graphreorder/internal/rng"
+	"graphreorder/internal/stats"
 )
 
 // RandomVertex randomly permutes all vertices — the paper's "RV"
@@ -25,7 +26,7 @@ func (t RandomVertex) Permute(g *graph.Graph, _ graph.DegreeKind) (Permutation, 
 
 // VerticesPerCacheBlock is how many 8-byte vertex properties fit in a 64-byte
 // cache block — the paper's Table II arithmetic.
-const VerticesPerCacheBlock = 8
+const VerticesPerCacheBlock = stats.CacheBlockBytes / stats.DefaultPropertyBytes
 
 // RandomCacheBlock randomly permutes *blocks* of vertices while keeping the
 // order within each block — the paper's "RCB-n" configuration. With
@@ -81,14 +82,20 @@ func (t RandomCacheBlock) Permute(g *graph.Graph, _ graph.DegreeKind) (Permutati
 	return perm, nil
 }
 
-// chunkScramble rewrites a layout order by splitting it into nChunks
-// contiguous chunks and emitting the chunks in a deterministic scrambled
-// order. This models the coarse structure damage done by the authors'
-// original multi-pass implementations of HubSort/HubCluster, whose
-// parallel ID assignment did not keep a single global stable order
-// (see HubSortO/HubClusterO below and Fig. 5 of the paper).
-func chunkScramble(order []graph.VertexID, nChunks int, seed uint64) []graph.VertexID {
-	if nChunks < 2 || len(order) < nChunks {
+// scrambleChunks models the original implementations' parallel
+// assignment width.
+const scrambleChunks = 8
+
+// chunkScramble rewrites a layout order by splitting it into
+// scrambleChunks contiguous chunks and emitting the chunks in a
+// deterministic scrambled order. This models the coarse structure damage
+// done by the authors' original multi-pass implementations of
+// HubSort/HubCluster, whose parallel ID assignment did not keep a single
+// global stable order (see HubSortO/HubClusterO below and Fig. 5 of the
+// paper).
+func chunkScramble(order []graph.VertexID, seed uint64) []graph.VertexID {
+	const nChunks = scrambleChunks
+	if len(order) < nChunks {
 		return order
 	}
 	chunkPerm := rng.NewStream(seed, 0xC4A0).Perm(nChunks)
@@ -116,11 +123,7 @@ func chunkScramble(order []graph.VertexID, nChunks int, seed uint64) []graph.Ver
 // it preserve structure worse than the DBG-framework HubSort, and its
 // extra full-array pass makes it slower — matching the paper's finding
 // that the reimplementations dominate the originals.
-type HubSortO struct {
-	// Chunks models the original implementation's parallel assignment
-	// width; 0 means 8.
-	Chunks int
-}
+type HubSortO struct{}
 
 // Name implements Technique.
 func (HubSortO) Name() string { return "HubSort-O" }
@@ -131,41 +134,19 @@ func (t HubSortO) Permute(g *graph.Graph, kind graph.DegreeKind) (Permutation, e
 }
 
 // PermuteDegrees implements DegreeBased.
-func (t HubSortO) PermuteDegrees(degs []uint32, avg float64) Permutation {
-	chunks := t.Chunks
-	if chunks == 0 {
-		chunks = 8
-	}
-	hot := hotMask(degs, avg)
+func (HubSortO) PermuteDegrees(degs []uint32, avg float64) Permutation {
+	hot, cold := splitHotCold(degs, avg)
 	// Tie-scrambled hot sort: key on (degree desc, Mix64(id)) — an extra
-	// comparison-sort pass over scrambled keys, like the original's
-	// sort of (degree, id) pairs gathered in parallel.
-	hotOrder := scrambledSortDesc(degs, hot)
-	perm := make(Permutation, len(degs))
-	next := uint64(0)
-	for _, v := range hotOrder {
-		perm[v] = graph.VertexID(next)
-		next++
-	}
-	coldOrder := make([]graph.VertexID, 0, len(degs)-len(hotOrder))
-	for v := range degs {
-		if !hot[v] {
-			coldOrder = append(coldOrder, graph.VertexID(v))
-		}
-	}
-	for _, v := range chunkScramble(coldOrder, chunks, 0x05C1) {
-		perm[v] = graph.VertexID(next)
-		next++
-	}
-	return perm
+	// O(n log n) comparison-sort pass over scrambled keys, like the
+	// original's sort of (degree, id) pairs gathered in parallel.
+	sortByScrambledKey(hot, degs)
+	return layoutInOrder(len(degs), hot, chunkScramble(cold, 0x05C1))
 }
 
 // HubClusterO models the original Hub Clustering implementation: the same
 // two-group segregation as HubCluster, but with the coarse chunk
 // perturbation of both sequences from its parallel two-pass assignment.
-type HubClusterO struct {
-	Chunks int
-}
+type HubClusterO struct{}
 
 // Name implements Technique.
 func (HubClusterO) Name() string { return "HubCluster-O" }
@@ -176,44 +157,35 @@ func (t HubClusterO) Permute(g *graph.Graph, kind graph.DegreeKind) (Permutation
 }
 
 // PermuteDegrees implements DegreeBased.
-func (t HubClusterO) PermuteDegrees(degs []uint32, avg float64) Permutation {
-	chunks := t.Chunks
-	if chunks == 0 {
-		chunks = 8
-	}
-	hot := hotMask(degs, avg)
-	var hotOrder, coldOrder []graph.VertexID
-	for v := range degs {
-		if hot[v] {
-			hotOrder = append(hotOrder, graph.VertexID(v))
-		} else {
-			coldOrder = append(coldOrder, graph.VertexID(v))
-		}
-	}
-	perm := make(Permutation, len(degs))
-	next := uint64(0)
-	for _, v := range chunkScramble(hotOrder, chunks, 0x05C2) {
-		perm[v] = graph.VertexID(next)
-		next++
-	}
-	for _, v := range chunkScramble(coldOrder, chunks, 0x05C3) {
-		perm[v] = graph.VertexID(next)
-		next++
-	}
-	return perm
+func (HubClusterO) PermuteDegrees(degs []uint32, avg float64) Permutation {
+	hot, cold := splitHotCold(degs, avg)
+	return layoutInOrder(len(degs), chunkScramble(hot, 0x05C2), chunkScramble(cold, 0x05C3))
 }
 
-// scrambledSortDesc sorts the subset of vertices by descending degree with
-// ties broken by a hash of the ID (simulating an unstable parallel sort),
-// using an O(n log n) comparison sort to model the original's costlier
-// reordering pass.
-func scrambledSortDesc(degs []uint32, subset []bool) []graph.VertexID {
-	var ids []graph.VertexID
-	for v := range degs {
-		if subset[v] {
-			ids = append(ids, graph.VertexID(v))
+// splitHotCold returns the hot (degree >= avg) and the cold vertices,
+// each in original order.
+func splitHotCold(degs []uint32, avg float64) (hot, cold []graph.VertexID) {
+	for v, d := range degs {
+		if float64(d) >= avg {
+			hot = append(hot, graph.VertexID(v))
+		} else {
+			cold = append(cold, graph.VertexID(v))
 		}
 	}
-	sortByScrambledKey(ids, degs)
-	return ids
+	return hot, cold
+}
+
+// layoutInOrder returns the permutation that places the vertices of the
+// given sequences one after another; together they must hold each of the
+// n vertices once.
+func layoutInOrder(n int, seqs ...[]graph.VertexID) Permutation {
+	perm := make(Permutation, n)
+	next := graph.VertexID(0)
+	for _, seq := range seqs {
+		for _, v := range seq {
+			perm[v] = next
+			next++
+		}
+	}
+	return perm
 }

@@ -10,41 +10,26 @@ import (
 // Recognized single-stage names (case-insensitive): original, sort,
 // hubsort, hubcluster, hubsort-o, hubcluster-o, dbg, gorder, gorder+dbg,
 // rv, rcb-<n>, auto (the skew-gated advisor), and the parameterized
-// dbg:<k> (DBG with k geometric groups, k >= 2; dbg<k> is the legacy
-// spelling). Stages chain with "|" into a pipeline: "dbg|gorder" runs
-// DBG's coarse grouping first, then Gorder over the grouped layout.
+// dbg:<k> (DBG with k geometric groups, k >= 2). Stages chain with "|"
+// into a pipeline: "dbg|gorder" runs DBG's coarse grouping first, then
+// Gorder over the grouped layout.
 func ByName(name string) (Technique, error) {
-	if strings.Contains(name, "|") || isCompressSpec(name) {
+	if strings.Contains(name, "|") {
 		return ParsePlan(name)
 	}
 	return byNameSingle(name)
 }
 
-func isCompressSpec(part string) bool {
-	return strings.ToLower(strings.TrimSpace(part)) == "compress"
-}
-
 // ParsePlan parses a pipeline spec: one or more single-stage specs joined
-// by "|", applied left to right, optionally ending in the terminal
-// "compress" stage ("dbg|compress"; bare "compress" is the identity
-// ordering, compressed). A single stage parses to a one-stage plan, so
-// ParsePlan accepts everything ByName does. "compress" anywhere but last
-// is an error — it is not a reordering, it marks what happens to the
-// final layout.
+// by "|", applied left to right. A single stage parses to a one-stage
+// plan (the identity spellings to the empty one), so ParsePlan accepts
+// everything ByName does.
 func ParsePlan(spec string) (*Plan, error) {
 	parts := strings.Split(spec, "|")
-	compress := false
-	if isCompressSpec(parts[len(parts)-1]) {
-		compress = true
-		parts = parts[:len(parts)-1]
-	}
 	stages := make([]Technique, 0, len(parts))
 	for _, part := range parts {
 		if strings.TrimSpace(part) == "" {
 			return nil, fmt.Errorf("reorder: empty stage in pipeline spec %q", spec)
-		}
-		if isCompressSpec(part) {
-			return nil, fmt.Errorf("reorder: %q must be the final stage in pipeline spec %q", "compress", spec)
 		}
 		t, err := byNameSingle(part)
 		if err != nil {
@@ -52,9 +37,7 @@ func ParsePlan(spec string) (*Plan, error) {
 		}
 		stages = append(stages, t)
 	}
-	p := Compose(stages...)
-	p.compress = compress
-	return p, nil
+	return Compose(stages...), nil
 }
 
 // byNameSingle resolves one stage spec (no pipe).
@@ -78,7 +61,7 @@ func byNameSingle(name string) (Technique, error) {
 	case "gorder":
 		return Gorder{}, nil
 	case "gorder+dbg", "gorderdbg":
-		return Composed{First: Gorder{}, Second: NewDBG(), DisplayName: "Gorder+DBG"}, nil
+		return Compose(Gorder{}, NewDBG()), nil
 	case "rv", "random":
 		return RandomVertex{Seed: 1}, nil
 	case "auto":
@@ -91,20 +74,13 @@ func byNameSingle(name string) (Technique, error) {
 		}
 		return RandomCacheBlock{Seed: 1, Blocks: n}, nil
 	}
-	// dbg:<k> (and the legacy dbg<k>) selects DBG with k geometric groups.
+	// dbg:<k> selects DBG with k geometric groups.
 	if rest, ok := strings.CutPrefix(lower, "dbg:"); ok {
 		k, err := strconv.Atoi(rest)
 		if err != nil {
 			return nil, fmt.Errorf("reorder: bad DBG group count %q in %q (want an integer >= 2)", rest, name)
 		}
-		return NewDBGGeometric(k, 0.5)
-	}
-	if rest, ok := strings.CutPrefix(lower, "dbg"); ok {
-		k, err := strconv.Atoi(rest)
-		if err != nil || k < 2 {
-			return nil, fmt.Errorf("reorder: bad DBG group count in %q", name)
-		}
-		return NewDBGGeometric(k, 0.5)
+		return NewDBGGeometric(k)
 	}
 	return nil, fmt.Errorf("reorder: unknown technique %q", name)
 }

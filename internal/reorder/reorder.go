@@ -13,7 +13,14 @@
 // Skew-aware techniques depend only on the degree array; they additionally
 // implement DegreeBased, which both simplifies testing against the paper's
 // worked examples (Fig. 2 and Fig. 4) and makes the reordering cost model
-// transparent.
+// transparent. Per the paper's Table V, Sort, Hub Sorting, Hub Clustering
+// and DBG are one algorithm — assign each vertex a group from its degree,
+// lay the groups out hottest-first, keep the original order inside a
+// group (stableGroupLayout) — and differ only in the group function.
+//
+// The paper's constants are constants here: 64 B cache blocks, 8 B
+// per-vertex properties, "hot" meaning degree >= the average degree A,
+// DBG's eight groups and C = A/2 for dbg:<k>.
 //
 // Techniques compose into pipelines (Plan, Compose, ParsePlan — specs
 // like "dbg|gorder" or "dbg:8"), every executed plan reports its layout's

@@ -2,6 +2,7 @@ package reorder
 
 import (
 	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -122,7 +123,7 @@ func allTechniques() []Technique {
 		RandomVertex{Seed: 7},
 		RandomCacheBlock{Seed: 7, Blocks: 1},
 		RandomCacheBlock{Seed: 7, Blocks: 4},
-		Composed{First: Gorder{}, Second: NewDBG()},
+		Compose(Gorder{}, NewDBG()),
 	}
 }
 
@@ -201,11 +202,63 @@ func TestSortAgainstReference(t *testing.T) {
 		}
 		got := SortTechnique{}.PermuteDegrees(degs, 0)
 		want := referenceSortDesc(degs)
-		return reflect.DeepEqual(got, want)
+		if !reflect.DeepEqual(got, want) {
+			return false
+		}
+		// HubSort: the hot vertices as the reference sorts them (they are
+		// its first positions), then the cold ones in original order.
+		var avg float64
+		for _, d := range degs {
+			avg += float64(d) / float64(n)
+		}
+		next := 0
+		for _, d := range degs {
+			if float64(d) >= avg {
+				next++
+			}
+		}
+		for v, d := range degs {
+			if float64(d) < avg {
+				want[v] = graph.VertexID(next)
+				next++
+			}
+		}
+		return reflect.DeepEqual(HubSort{}.PermuteDegrees(degs, avg), want)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
 	}
+}
+
+// byDegDesc orders vertex IDs by (degree descending, ID ascending) for
+// sort.Stable.
+type byDegDesc struct {
+	ids  []graph.VertexID
+	degs []uint32
+}
+
+func (s byDegDesc) Len() int { return len(s.ids) }
+func (s byDegDesc) Less(i, j int) bool {
+	if s.degs[s.ids[i]] != s.degs[s.ids[j]] {
+		return s.degs[s.ids[i]] > s.degs[s.ids[j]]
+	}
+	return s.ids[i] < s.ids[j]
+}
+func (s byDegDesc) Swap(i, j int) { s.ids[i], s.ids[j] = s.ids[j], s.ids[i] }
+
+// referenceSortDesc is a slow, obviously-correct descending stable sort
+// the counting layout is checked against.
+func referenceSortDesc(degs []uint32) Permutation {
+	ids := make([]graph.VertexID, len(degs))
+	for i := range ids {
+		ids[i] = graph.VertexID(i)
+	}
+	sort.Stable(byDegDesc{ids, degs})
+	perm := make(Permutation, len(degs))
+	for pos, v := range ids {
+		perm[v] = graph.VertexID(pos)
+	}
+	return perm
 }
 
 func TestDBGEqualsHubClusterWithTwoGroups(t *testing.T) {
@@ -292,20 +345,53 @@ func TestNewDBGBoundsValidation(t *testing.T) {
 }
 
 func TestNewDBGGeometric(t *testing.T) {
-	d, err := NewDBGGeometric(4, 1)
+	d, err := NewDBGGeometric(4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// k=4, C=A: bounds 4A? No: cOfA*2^(k-2-i) = 4,2,1 then 0.
-	want := []float64{4, 2, 1, 0}
+	// k=4 with C = A/2: bounds 0.5*2^(k-2-i) = 2, 1, 0.5, then 0.
+	want := []float64{2, 1, 0.5, 0}
 	if !reflect.DeepEqual(d.GroupBounds(), want) {
 		t.Errorf("bounds = %v, want %v", d.GroupBounds(), want)
 	}
-	if _, err := NewDBGGeometric(1, 1); err == nil {
+	if _, err := NewDBGGeometric(1); err == nil {
 		t.Error("k=1 accepted")
 	}
-	if _, err := NewDBGGeometric(3, 0); err == nil {
-		t.Error("cOfA=0 accepted")
+	if _, err := NewDBGGeometric(maxGeometricGroups + 1); err == nil {
+		t.Error("k past the cap accepted")
+	}
+
+	// Large k: bounds past the uint32 range saturate instead of wrapping
+	// to a threshold every vertex reaches. One planted hub, A = 25: at
+	// k = 20 the top bound (2^17 A) already exceeds the hub's degree, so
+	// every larger k only adds empty groups above it.
+	r := rng.New(3)
+	degs := make([]uint32, 1000)
+	for i := range degs {
+		degs[i] = uint32(r.Intn(50))
+	}
+	const hub = 700
+	degs[hub] = 100000
+	base, err := NewDBGGeometric(20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	basePerm := base.PermuteDegrees(degs, 25)
+	for _, k := range []int{40, 64} {
+		d, err := NewDBGGeometric(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := d.PermuteDegrees(degs, 25)
+		if p[hub] != 0 {
+			t.Errorf("k=%d: hub landed at %d, want 0", k, p[hub])
+		}
+		if !reflect.DeepEqual(p, basePerm) {
+			t.Errorf("k=%d: permutation differs from k=20's", k)
+		}
+		if sizes := d.GroupSizes(degs, 25); sizes[0] != 0 {
+			t.Errorf("k=%d: hottest group holds %d vertices, want 0", k, sizes[0])
+		}
 	}
 }
 
@@ -498,32 +584,6 @@ func TestGorderHandlesDisconnectedAndEmpty(t *testing.T) {
 	}
 }
 
-func TestComposedEqualsSequentialApplication(t *testing.T) {
-	g, err := gen.Generate(gen.MustDataset("lj", gen.Tiny))
-	if err != nil {
-		t.Fatal(err)
-	}
-	comp := Composed{First: HubCluster{}, Second: NewDBG()}
-	pc, err := comp.Permute(g, graph.OutDegree)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p1, _ := HubCluster{}.Permute(g, graph.OutDegree)
-	g1, _ := g.Relabel(p1)
-	p2, _ := NewDBG().Permute(g1, graph.OutDegree)
-	want := p1.Compose(p2)
-	if !reflect.DeepEqual(pc, want) {
-		t.Error("Composed != manual sequential application")
-	}
-	gc, err := g.Relabel(pc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gc.NumEdges() != g.NumEdges() {
-		t.Error("composition lost edges")
-	}
-}
-
 func TestByName(t *testing.T) {
 	cases := map[string]string{
 		"original":     "Original",
@@ -534,7 +594,7 @@ func TestByName(t *testing.T) {
 		"hubcluster-o": "HubCluster-O",
 		"dbg":          "DBG",
 		"gorder":       "Gorder",
-		"gorder+dbg":   "Gorder+DBG",
+		"gorder+dbg":   "Gorder|DBG",
 		"rv":           "RV",
 		"rcb-2":        "RCB-2",
 		"DBG":          "DBG",
@@ -549,23 +609,12 @@ func TestByName(t *testing.T) {
 			t.Errorf("ByName(%q).Name() = %q, want %q", in, tech.Name(), want)
 		}
 	}
-	for _, bad := range []string{"", "bogus", "rcb-", "rcb-0", "dbg1", "dbgx"} {
+	// dbg4 was the legacy spelling of dbg:4; it is an unknown technique now.
+	for _, bad := range []string{"", "bogus", "rcb-", "rcb-0", "dbg4"} {
 		if _, err := ByName(bad); err == nil {
 			t.Errorf("ByName(%q) accepted", bad)
 		}
 	}
-	if got := ByNameMust(t, "dbg4"); got.Name() != "DBG" {
-		t.Errorf("dbg4 -> %q", got.Name())
-	}
-}
-
-func ByNameMust(t *testing.T, name string) Technique {
-	t.Helper()
-	tech, err := ByName(name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return tech
 }
 
 func TestEvaluatedSetShape(t *testing.T) {

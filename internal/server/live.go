@@ -32,8 +32,7 @@ import (
 // epoch-keyed result cache invalidates itself on every publish.
 //
 // The refresher applies the paper's §VIII-B policy (dynamic.Policy): a
-// full re-reorder only every K batches (or when the hot-set drifts, if
-// enabled); every publish in between patches the previous epoch's CSR
+// full re-reorder only every K batches; every publish in between patches the previous epoch's CSR
 // from the batch (dynamic.Reorderer.View) and warm-starts PageRank from
 // the previous epoch's ranks, so its cost is a copy of the CSR plus work
 // proportional to the batch. What it publishes is still a brand-new

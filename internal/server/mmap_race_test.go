@@ -201,9 +201,10 @@ func TestAcquireNeverReturnsUnmappedSnapshot(t *testing.T) {
 
 // TestBuildBackendResolution pins the backend-selection matrix: the
 // default for plain inputs is plain, the default for .csrz inputs is
-// compressed (zero-copy), an explicit Backend wins over both defaults, a
-// "|compress" pipeline stage forces the compressed backend, auto decides
-// by predicted ratio, and junk is rejected.
+// compressed (zero-copy), an explicit Backend wins over both defaults,
+// auto decides by predicted ratio, and junk is rejected. Every spelling of
+// "no reordering" publishes without a permutation, and a .csrz input
+// under one stays served from its mapping.
 func TestBuildBackendResolution(t *testing.T) {
 	path, _ := writeCSRZ(t, "uni")
 	st := NewStore(1)
@@ -212,19 +213,30 @@ func TestBuildBackendResolution(t *testing.T) {
 		name    string
 		spec    BuildSpec
 		backend string
+		noPerm  bool // serves the as-loaded order: no permutation kept
+		mapped  bool // serves the .csrz file's mapping zero-copy
 	}{
-		{"dataset-default", BuildSpec{Name: "a", Dataset: "uni", Scale: "tiny"}, backendPlain},
-		{"dataset-compressed", BuildSpec{Name: "b", Dataset: "uni", Scale: "tiny", Backend: "compressed"}, backendCompressed},
-		{"csrz-default", BuildSpec{Name: "c", Path: path, Technique: "original"}, backendCompressed},
-		{"csrz-plain", BuildSpec{Name: "d", Path: path, Technique: "original", Backend: "plain"}, backendPlain},
-		{"pipeline-compress", BuildSpec{Name: "e", Dataset: "uni", Scale: "tiny", Technique: "dbg|compress"}, backendCompressed},
+		{"dataset-default", BuildSpec{Name: "a", Dataset: "uni", Scale: "tiny"}, backendPlain, true, false},
+		{"dataset-compressed", BuildSpec{Name: "b", Dataset: "uni", Scale: "tiny", Backend: "compressed"}, backendCompressed, true, false},
+		{"csrz-default", BuildSpec{Name: "c", Path: path, Technique: "original"}, backendCompressed, true, true},
+		{"csrz-plain", BuildSpec{Name: "d", Path: path, Technique: "original", Backend: "plain"}, backendPlain, true, false},
+		{"dataset-dbg", BuildSpec{Name: "e", Dataset: "uni", Scale: "tiny", Technique: "dbg", Backend: "compressed"}, backendCompressed, false, false},
 		// uni's tiny predicted ratio is ~2x, above the auto threshold.
-		{"dataset-auto", BuildSpec{Name: "f", Dataset: "uni", Scale: "tiny", Backend: "auto"}, backendCompressed},
+		{"dataset-auto", BuildSpec{Name: "f", Dataset: "uni", Scale: "tiny", Backend: "auto"}, backendCompressed, true, false},
+		{"dataset-none", BuildSpec{Name: "g", Dataset: "uni", Scale: "tiny", Technique: "none"}, backendPlain, true, false},
+		{"dataset-identity", BuildSpec{Name: "h", Dataset: "uni", Scale: "tiny", Technique: "Identity"}, backendPlain, true, false},
+		{"csrz-none", BuildSpec{Name: "i", Path: path, Technique: "none"}, backendCompressed, true, true},
 	}
 	for _, tc := range cases {
 		snap, err := st.Build(tc.spec)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if (snap.perm == nil) != tc.noPerm {
+			t.Errorf("%s: permutation kept = %v, want %v", tc.name, snap.perm != nil, !tc.noPerm)
+		}
+		if snap.mmapBacked() != tc.mapped {
+			t.Errorf("%s: mmap-backed = %v, want %v", tc.name, snap.mmapBacked(), tc.mapped)
 		}
 		if snap.backend != tc.backend {
 			t.Errorf("%s: backend %q, want %q", tc.name, snap.backend, tc.backend)
@@ -243,5 +255,10 @@ func TestBuildBackendResolution(t *testing.T) {
 
 	if _, err := st.Build(BuildSpec{Name: "x", Dataset: "uni", Scale: "tiny", Backend: "bogus"}); err == nil {
 		t.Error("bogus backend accepted")
+	}
+	// The backend is spelled in Backend only: a compress stage is an
+	// unknown technique, not a plain snapshot published under that name.
+	if _, err := st.Build(BuildSpec{Name: "y", Dataset: "uni", Scale: "tiny", Technique: "sort|compress"}); err == nil {
+		t.Error("a compress stage accepted")
 	}
 }

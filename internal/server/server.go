@@ -48,15 +48,6 @@ type Config struct {
 	// relabel (§VIII-B amortization). 0 means 8; negative disables
 	// periodic re-reordering entirely.
 	RefreshEvery int
-	// MaxHotDrift additionally re-reorders a mutable snapshot as soon as
-	// the fraction of vertices whose hot/cold classification changed
-	// since the last reordering exceeds it (0 disables the check).
-	MaxHotDrift float64
-	// MinRefreshGain gates policy-due re-reorders of mutable snapshots on
-	// the ordering-quality advisor: the recompute is skipped (stale-
-	// permutation relabel instead) unless the predicted packing-factor
-	// gain is at least this factor (0 disables the gate).
-	MinRefreshGain float64
 	// BreakerThreshold is how many consecutive server-owned failures
 	// (pool saturation, sheds, server deadline burns, worker panics)
 	// trip a route's circuit breaker open; 0 means 5, negative disables
@@ -142,11 +133,7 @@ type Server struct {
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	store := NewStore(cfg.Workers)
-	store.SetRefreshPolicy(dynamic.Policy{
-		Every:          cfg.RefreshEvery,
-		MaxHotDrift:    cfg.MaxHotDrift,
-		MinRefreshGain: cfg.MinRefreshGain,
-	})
+	store.SetRefreshPolicy(dynamic.Policy{Every: cfg.RefreshEvery})
 	store.SetLogger(cfg.Logger)
 	return &Server{
 		cfg:      cfg,

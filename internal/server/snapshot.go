@@ -581,8 +581,8 @@ type BuildSpec struct {
 	Scale   string `json:"scale,omitempty"`
 	// Path loads a graph file (text edge list or binary, sniffed).
 	Path string `json:"path,omitempty"`
-	// Technique is a reordering technique name ("dbg", "sort", ...);
-	// empty or "original" serves the graph as loaded.
+	// Technique is a reordering spec ("dbg", "sort", "dbg|gorder", ...);
+	// empty, "original", "none" or "identity" serves the graph as loaded.
 	Technique string `json:"technique,omitempty"`
 	// Backend selects the serving representation: "plain" (dual-CSR
 	// uint32 arrays), "compressed" (csrz delta+varint adjacency —
@@ -590,8 +590,7 @@ type BuildSpec struct {
 	// "auto" (compressed when the layout's predicted compression ratio
 	// clears the gate). Empty means plain, except that a .csrz Path
 	// defaults to compressed — and serves the file's mapping zero-copy
-	// when no reordering or mutation forces a decode. A Technique plan
-	// ending in "|compress" forces the compressed backend.
+	// when no reordering or mutation forces a decode.
 	Backend string `json:"backend,omitempty"`
 	// Degree is the degree kind used for reordering: "in" or "out"
 	// (default "out", the paper's choice for pull-dominated apps).
@@ -865,7 +864,6 @@ func (st *Store) buildFrom(spec BuildSpec, status *BuildStatus, g *graph.Graph, 
 		techName = "original"
 	}
 	var (
-		tech         reorder.Technique = reorder.IdentityTechnique{}
 		perm         reorder.Permutation
 		reorderTime  time.Duration
 		rebuildTime  time.Duration
@@ -873,26 +871,21 @@ func (st *Store) buildFrom(spec BuildSpec, status *BuildStatus, g *graph.Graph, 
 		advised      string
 		adviceReason string
 	)
-	plan := reorder.Compose() // identity
-	if techName != "auto" && techName != "original" {
-		p, err := reorder.ParsePlan(techName)
-		if err != nil {
+	// The empty plan is the identity, however the spec spelled it; "auto"
+	// gets its plan from the advisor once the plain graph is at hand.
+	auto := techName == "auto"
+	plan := reorder.Compose()
+	if !auto {
+		if plan, err = reorder.ParsePlan(techName); err != nil {
 			return nil, err
 		}
-		plan = p
-		tech = p
 	}
-	if plan.Compress() {
-		// A "...|compress" plan makes the backend part of the technique
-		// spec; it overrides whatever the Backend field says.
-		backend = backendCompressed
-	}
+	var tech reorder.Technique = plan
 
 	// A .csrz load serves its mapped arrays directly only when nothing
 	// needs the plain form: reordering, the advisor, a mutation pipeline
 	// and the plain backend all decode first.
-	needPlain := len(plan.Stages()) > 0 || techName == "auto" ||
-		spec.Mutable || backend == backendPlain
+	needPlain := len(plan.Stages()) > 0 || auto || spec.Mutable || backend == backendPlain
 	if cz != nil && needPlain {
 		dg, derr := cz.Decode()
 		cz.Close()
@@ -908,7 +901,7 @@ func (st *Store) buildFrom(spec BuildSpec, status *BuildStatus, g *graph.Graph, 
 	// the skew-gated advisor, recording its verdict; pipeline specs like
 	// "dbg|gorder" run through the same plan path.
 	base := g
-	if techName == "auto" {
+	if auto {
 		rec := reorder.Advise(g, kind)
 		advised = rec.Spec
 		adviceReason = rec.Reason
