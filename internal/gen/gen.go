@@ -67,9 +67,9 @@ type Config struct {
 	Weighted bool
 
 	// Structured keeps community-local vertex IDs (ordering encodes the
-	// community structure). When false, vertex IDs are randomly shuffled
-	// after generation, destroying ordering locality while keeping the
-	// topology. Only meaningful for Community graphs.
+	// community structure). When false, vertex IDs are randomly permuted,
+	// destroying ordering locality while keeping the topology. Only
+	// meaningful for Community graphs.
 	Structured bool
 
 	// RMAT quadrant probabilities (A+B+C <= 1; D is the remainder).
@@ -137,16 +137,7 @@ func SynthesizeEdges(cfg Config) ([]graph.Edge, []uint32, error) {
 	default:
 		err = fmt.Errorf("gen: unknown Kind %d", cfg.Kind)
 	}
-	if err != nil {
-		return nil, nil, err
-	}
-	if cfg.Weighted {
-		r := rng.NewStream(cfg.Seed, weightStream())
-		for i := range edges {
-			edges[i].Weight = uint32(1 + r.Intn(63))
-		}
-	}
-	return edges, comm, nil
+	return edges, comm, err
 }
 
 // EdgeListDegrees computes per-vertex degrees of the given kind directly
@@ -167,9 +158,29 @@ func EdgeListDegrees(edges []graph.Edge, n int, kind graph.DegreeKind) []uint32 
 	return degs
 }
 
-// 0xw returns the stream index reserved for weight generation. Kept as a
-// function so the constant is documented in exactly one place.
-func weightStream() uint64 { return 0xEED5 }
+// weightStream is the stream index reserved for edge weights. The weights
+// are a stream of their own, one draw per edge in emission order, so a
+// generator draws each edge's weight as it appends the edge and no weight
+// depends on how the topology streams are consumed.
+const weightStream = 0xEED5
+
+// weigher draws edge weights, uniform in [1, 64), or zeros when the dataset
+// is unweighted.
+type weigher struct{ r *rng.Rand }
+
+func newWeigher(cfg Config) weigher {
+	if !cfg.Weighted {
+		return weigher{}
+	}
+	return weigher{rng.NewStream(cfg.Seed, weightStream)}
+}
+
+func (w weigher) next() uint32 {
+	if w.r == nil {
+		return 0
+	}
+	return uint32(1 + w.r.Intn(63))
+}
 
 func rmatEdges(cfg Config) ([]graph.Edge, error) {
 	a, b, c := cfg.A, cfg.B, cfg.C
@@ -185,7 +196,7 @@ func rmatEdges(cfg Config) ([]graph.Edge, error) {
 		levels++
 	}
 	m := int(float64(n) * cfg.AvgDegree)
-	r := rng.NewStream(cfg.Seed, 1)
+	r, w := rng.NewStream(cfg.Seed, 1), newWeigher(cfg)
 	edges := make([]graph.Edge, 0, m)
 	for len(edges) < m {
 		src, dst := 0, 0
@@ -208,7 +219,7 @@ func rmatEdges(cfg Config) ([]graph.Edge, error) {
 		if src >= n || dst >= n {
 			continue
 		}
-		edges = append(edges, graph.Edge{Src: graph.VertexID(src), Dst: graph.VertexID(dst)})
+		edges = append(edges, graph.Edge{Src: graph.VertexID(src), Dst: graph.VertexID(dst), Weight: w.next()})
 	}
 	return edges, nil
 }
@@ -289,6 +300,14 @@ func communityEdges(cfg Config) ([]graph.Edge, []uint32, error) {
 		deg[v] = d
 		sum += d
 	}
+	// An unstructured dataset shuffles vertex IDs: same topology, no
+	// ordering locality. The permutation is a stream of its own, so it is
+	// drawn first and every edge is emitted under its final IDs.
+	var perm []uint32
+	if !cfg.Structured {
+		perm = rng.NewStream(cfg.Seed, 3).Perm(n)
+	}
+	w := newWeigher(cfg)
 	targetM := cfg.AvgDegree * float64(n)
 	scale := targetM / sum
 	edges := make([]graph.Edge, 0, int(targetM)+n)
@@ -297,33 +316,34 @@ func communityEdges(cfg Config) ([]graph.Edge, []uint32, error) {
 		want := deg[v]*scale + carry
 		k := int(want)
 		carry = want - float64(k)
-		cv := comms[commOf[v]]
+		cv := &comms[commOf[v]]
+		src := graph.VertexID(v)
+		if perm != nil {
+			src = perm[v]
+		}
 		for i := 0; i < k; i++ {
-			var target community
+			var target *community
 			if r.Float64() < pIntra {
 				target = cv
 			} else {
 				// Size-weighted community choice: a uniformly random
 				// vertex's community has exactly that distribution.
-				target = comms[commOf[r.Intn(n)]]
+				target = &comms[commOf[r.Intn(n)]]
 			}
 			rank := r.ZipfOf(target.zipf)
 			dst := graph.VertexID(target.start + rank)
 			if int(dst) == v && target.size > 1 {
 				dst = graph.VertexID(target.start + (rank+1)%target.size)
 			}
-			edges = append(edges, graph.Edge{Src: graph.VertexID(v), Dst: dst})
+			if perm != nil {
+				dst = perm[dst]
+			}
+			edges = append(edges, graph.Edge{Src: src, Dst: dst, Weight: w.next()})
 		}
 	}
 
-	if !cfg.Structured {
-		// Shuffle vertex IDs: same topology, no ordering locality. The
-		// community labels are remapped to follow the vertices.
-		perm := rng.NewStream(cfg.Seed, 3).Perm(n)
-		for i := range edges {
-			edges[i].Src = perm[edges[i].Src]
-			edges[i].Dst = perm[edges[i].Dst]
-		}
+	if perm != nil {
+		// The community labels are remapped to follow the vertices.
 		shuffled := make([]uint32, n)
 		for v := 0; v < n; v++ {
 			shuffled[perm[v]] = commOf[v]
@@ -347,7 +367,7 @@ func roadEdges(cfg Config) ([]graph.Edge, error) {
 	if p > 1 {
 		p = 1
 	}
-	r := rng.NewStream(cfg.Seed, 4)
+	r, w := rng.NewStream(cfg.Seed, 4), newWeigher(cfg)
 	var edges []graph.Edge
 	at := func(x, y int) int { return y*side + x }
 	for y := 0; y < side; y++ {
@@ -357,10 +377,10 @@ func roadEdges(cfg Config) ([]graph.Edge, error) {
 				continue
 			}
 			if x+1 < side && at(x+1, y) < n && r.Float64() < p {
-				edges = append(edges, graph.Edge{Src: graph.VertexID(v), Dst: graph.VertexID(at(x+1, y))})
+				edges = append(edges, graph.Edge{Src: graph.VertexID(v), Dst: graph.VertexID(at(x+1, y)), Weight: w.next()})
 			}
 			if y+1 < side && at(x, y+1) < n && r.Float64() < p {
-				edges = append(edges, graph.Edge{Src: graph.VertexID(v), Dst: graph.VertexID(at(x, y+1))})
+				edges = append(edges, graph.Edge{Src: graph.VertexID(v), Dst: graph.VertexID(at(x, y+1)), Weight: w.next()})
 			}
 		}
 	}

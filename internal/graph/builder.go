@@ -2,8 +2,8 @@ package graph
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
-	"sort"
 )
 
 // BuildOptions controls edge-list to CSR conversion.
@@ -35,7 +35,8 @@ type BuildOptions struct {
 	// N 8-byte cursors per chunk, with chunks <= min(Workers, M/2N), so at
 	// most 4 B x M — one adjacency array of the graph being built — at any
 	// worker count (8 M vertices, 160 M edges: 128 MB at two workers, 640 MB
-	// at sixteen).
+	// at sixteen); sorting holds 16 B per edge of the longest list per
+	// worker.
 	Workers int
 }
 
@@ -56,22 +57,17 @@ func Build(edges []Edge) (*Graph, error) {
 // BuildWith converts an edge list to a dual-CSR Graph under opts.
 func BuildWith(edges []Edge, opts BuildOptions) (*Graph, error) {
 	n := opts.NumVertices
-	for _, e := range edges {
-		if int(e.Src) >= n {
-			n = int(e.Src) + 1
+	if n == 0 {
+		for _, e := range edges {
+			n = max(n, int(e.Src)+1, int(e.Dst)+1)
 		}
-		if int(e.Dst) >= n {
-			n = int(e.Dst) + 1
-		}
-	}
-	if opts.NumVertices != 0 && n > opts.NumVertices {
-		return nil, fmt.Errorf("graph: edge endpoint exceeds NumVertices=%d", opts.NumVertices)
 	}
 
 	if opts.RemoveSelfLoops {
 		kept := edges[:0:0] // fresh backing array; edges arg stays intact
 		for _, e := range edges {
-			if e.Src != e.Dst {
+			// An out-of-range self loop stays for buildCSR to reject.
+			if e.Src != e.Dst || int(e.Src) >= n {
 				kept = append(kept, e)
 			}
 		}
@@ -83,7 +79,11 @@ func BuildWith(edges []Edge, opts BuildOptions) (*Graph, error) {
 
 	workers := buildWorkers(opts.Workers, len(edges))
 	g := &Graph{n: n, m: len(edges)}
-	g.outIndex, g.outEdges, g.outWeights = buildCSR(edges, n, opts.Weighted, false, workers)
+	var inRange bool
+	g.outIndex, g.outEdges, g.outWeights, inRange = buildCSR(edges, n, opts.Weighted, false, workers)
+	if !inRange {
+		return nil, fmt.Errorf("graph: edge endpoint exceeds NumVertices=%d", opts.NumVertices)
+	}
 	if opts.SortNeighbors {
 		// Sources ascend and each sorted out-list holds its parallel edges
 		// in weight order, so the transpose emits every in-list already in
@@ -91,64 +91,132 @@ func BuildWith(edges []Edge, opts BuildOptions) (*Graph, error) {
 		sortAdjacency(g.outIndex, g.outEdges, g.outWeights, workers)
 		g.inIndex, g.inEdges, g.inWeights = transposeCSR(g.outIndex, g.outEdges, g.outWeights, workers)
 	} else {
-		g.inIndex, g.inEdges, g.inWeights = buildCSR(edges, n, opts.Weighted, true, workers)
+		g.inIndex, g.inEdges, g.inWeights, _ = buildCSR(edges, n, opts.Weighted, true, workers)
 	}
 	return g, nil
 }
 
-// packedSortMax is the longest weighted list sorted through a scratch
-// array of packed keys; the few longer ones (hubs) are sorted in place,
-// so the scratch stays a quarter of a megabyte per worker however skewed
-// the graph.
-const packedSortMax = 1 << 15
+// Lists are sorted as packed keys. radixSortMin is the shortest list
+// sorted by radix; below it a 2048-bucket count per digit costs more than
+// the comparisons it saves, and slices.Sort takes the list.
+const (
+	radixSortMin = 256
+	radixBits    = 11
+	radixBuckets = 1 << radixBits
+	radixDigits  = (64 + radixBits - 1) / radixBits
+)
+
+// listSorter is one worker's scratch for sorting adjacency lists: the
+// packed keys and the radix sort's second buffer, which grow to the
+// longest list the worker sorts (16 B per edge), and the digit counts.
+type listSorter struct {
+	keys, tmp []uint64
+	counts    *[radixDigits][radixBuckets]int
+}
 
 // sortLists sorts the adjacency lists of vertices [lo, hi) in place, by
-// the total order (neighbor, weight): the sort is unstable, so anything
-// less than a total order would leave the layout of parallel edges to
-// its internals and to the order of the edge list. A weighted list is
-// sorted as packed (neighbor << 32 | weight) keys, which orders exactly
-// so and spares the sort an interface call per comparison.
-func sortLists(index []uint64, adj []VertexID, ws []uint32, lo, hi int) {
-	var keys []uint64
+// the total order (neighbor, weight): anything less than a total order
+// would leave the layout of parallel edges to the sort's internals and to
+// the order of the edge list. A list is sorted as packed (neighbor << 32 |
+// weight) keys, which orders exactly so; a list already in order, as every
+// list of an edge list in CSR order is, costs one check.
+func (s *listSorter) sortLists(index []uint64, adj []VertexID, ws []uint32, lo, hi int) {
 	for v := lo; v < hi; v++ {
-		s, e := index[v], index[v+1]
-		if e-s < 2 {
+		seg := adj[index[v]:index[v+1]]
+		var wseg []uint32
+		if ws != nil {
+			wseg = ws[index[v]:index[v+1]]
+		}
+		if inOrder(seg, wseg) {
 			continue
 		}
-		seg := adj[s:e]
-		if ws == nil {
-			slices.Sort(seg)
-			continue
-		}
-		wseg := ws[s:e]
-		if len(seg) > packedSortMax {
-			sort.Sort(&nbrWeightSort{seg, wseg})
-			continue
-		}
-		keys = keys[:0]
+		keys := s.keys[:0]
 		for i, nbr := range seg {
-			keys = append(keys, uint64(nbr)<<32|uint64(wseg[i]))
+			k := uint64(nbr) << 32
+			if wseg != nil {
+				k |= uint64(wseg[i])
+			}
+			keys = append(keys, k)
 		}
-		slices.Sort(keys)
+		s.keys = keys
+		if len(keys) < radixSortMin {
+			slices.Sort(keys)
+		} else {
+			s.tmp = slices.Grow(s.tmp[:0], len(keys))[:len(keys)]
+			if s.counts == nil {
+				s.counts = new([radixDigits][radixBuckets]int)
+			}
+			radixSort(keys, s.tmp, s.counts)
+		}
 		for i, k := range keys {
-			seg[i], wseg[i] = VertexID(k>>32), uint32(k)
+			seg[i] = VertexID(k >> 32)
+			if wseg != nil {
+				wseg[i] = uint32(k)
+			}
 		}
 	}
 }
 
-// nbrWeightSort is the same total order over the two arrays in place.
-type nbrWeightSort struct {
-	nbrs []VertexID
-	ws   []uint32
+// inOrder reports whether a list is in (neighbor, weight) order.
+func inOrder(seg []VertexID, wseg []uint32) bool {
+	for i := 1; i < len(seg); i++ {
+		if seg[i-1] > seg[i] || seg[i-1] == seg[i] && wseg != nil && wseg[i-1] > wseg[i] {
+			return false
+		}
+	}
+	return true
 }
 
-func (s *nbrWeightSort) Len() int { return len(s.nbrs) }
-func (s *nbrWeightSort) Less(i, j int) bool {
-	return s.nbrs[i] < s.nbrs[j] || s.nbrs[i] == s.nbrs[j] && s.ws[i] < s.ws[j]
-}
-func (s *nbrWeightSort) Swap(i, j int) {
-	s.nbrs[i], s.nbrs[j] = s.nbrs[j], s.nbrs[i]
-	s.ws[i], s.ws[j] = s.ws[j], s.ws[i]
+// radixSort sorts keys ascending with tmp (as long as keys) as scratch: one
+// stable counting pass per 11-bit digit, least significant first, over only
+// bits that differ between keys (a graph's neighbor IDs and weights leave
+// most of the 64 constant: weights below 2^11 and IDs below 2^22 take three
+// passes). Equal keys are identical, so the result is slices.Sort's.
+func radixSort(keys, tmp []uint64, counts *[radixDigits][radixBuckets]int) {
+	if len(keys) < 2 {
+		return
+	}
+	var diff uint64
+	for _, k := range keys[1:] {
+		diff |= k ^ keys[0]
+	}
+	// Each digit starts at the lowest varying bit the digits before it
+	// leave uncovered, so the passes are as few as the varying bits allow.
+	var shifts [radixDigits]uint
+	nd := 0
+	for diff != 0 {
+		sh := uint(bits.TrailingZeros64(diff))
+		shifts[nd] = sh
+		nd++
+		diff &^= (radixBuckets - 1) << sh
+	}
+	for d := range nd {
+		clear(counts[d][:])
+	}
+	for _, k := range keys {
+		for d, sh := range shifts[:nd] {
+			counts[d][k>>sh&(radixBuckets-1)]++
+		}
+	}
+	src, dst := keys, tmp
+	for d, sh := range shifts[:nd] {
+		c := &counts[d]
+		sum := 0
+		for b, cnt := range c {
+			c[b] = sum
+			sum += cnt
+		}
+		for _, k := range src {
+			b := k >> sh & (radixBuckets - 1)
+			dst[c[b]] = k
+			c[b]++
+		}
+		src, dst = dst, src
+	}
+	if nd%2 == 1 {
+		// An odd number of passes left the result in tmp.
+		copy(keys, src)
+	}
 }
 
 func dedupEdges(edges []Edge) []Edge {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -62,6 +63,53 @@ func FuzzReadBinary(f *testing.F) {
 			!reflect.DeepEqual(g.inIndex, g2.inIndex) ||
 			!reflect.DeepEqual(g.inEdges, g2.inEdges) {
 			t.Fatal("write/read round trip diverged")
+		}
+	})
+}
+
+// FuzzSortLists holds the radix sort to slices.Sort on keys taken from the
+// fuzz bytes, eight a key (a short tail is zero-padded), and sortLists to
+// the same order on the (neighbor, weight) list those keys unpack to. Up
+// to twice radixSortMin keys, so sortLists takes both of its paths.
+func FuzzSortLists(f *testing.F) {
+	keyBytes := func(keys ...uint64) []byte {
+		b := make([]byte, 8*len(keys))
+		for i, k := range keys {
+			binary.LittleEndian.PutUint64(b[8*i:], k)
+		}
+		return b
+	}
+	f.Add(keyBytes(42<<32|7, 42<<32|7, 42<<32|7))       // equal keys: no digit varies
+	f.Add(keyBytes(0xdeadbeef<<32 | 0x12345678))        // one key
+	f.Add(keyBytes(5, 1<<33|2, 1<<60|7, 3, 1<<33|5, 0)) // bits 0-2, 33 and 60 vary: three passes, an odd number
+	f.Add(keyBytes(9<<32|1, 3<<32|1, 9<<32|1, 0<<32|1)) // only neighbor bits vary: one pass
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 8*2*radixSortMin {
+			return
+		}
+		keys := make([]uint64, (len(data)+7)/8)
+		for i := range keys {
+			var b [8]byte
+			copy(b[:], data[8*i:])
+			keys[i] = binary.LittleEndian.Uint64(b[:])
+		}
+		want := slices.Sorted(slices.Values(keys))
+
+		index := []uint64{0, uint64(len(keys))}
+		adj, ws := make([]VertexID, len(keys)), make([]uint32, len(keys))
+		for i, k := range keys {
+			adj[i], ws[i] = VertexID(k>>32), uint32(k)
+		}
+		new(listSorter).sortLists(index, adj, ws, 0, 1)
+		for i, k := range want {
+			if adj[i] != VertexID(k>>32) || ws[i] != uint32(k) {
+				t.Fatalf("sortLists: position %d holds (%d, %d), want (%d, %d)", i, adj[i], ws[i], k>>32, uint32(k))
+			}
+		}
+
+		radixSort(keys, make([]uint64, len(keys)), new([radixDigits][radixBuckets]int))
+		if !slices.Equal(keys, want) {
+			t.Fatalf("radixSort: %#x, want %#x", keys, want)
 		}
 	})
 }

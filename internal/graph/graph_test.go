@@ -3,6 +3,7 @@ package graph
 import (
 	"bytes"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -130,10 +131,32 @@ func TestBuildRemoveDuplicates(t *testing.T) {
 	}
 }
 
+// TestBuildNumVerticesTooSmall: an endpoint past NumVertices is an error
+// on the sequential and the parallel count pass, whether it is a source or
+// a destination, and also as a self loop the options would drop.
 func TestBuildNumVerticesTooSmall(t *testing.T) {
-	_, err := BuildWith([]Edge{{Src: 0, Dst: 9}}, BuildOptions{NumVertices: 5})
-	if err == nil {
-		t.Fatal("expected error for endpoint exceeding NumVertices")
+	long := make([]Edge, parallelBuildThreshold+100)
+	for i := range long {
+		long[i] = Edge{Src: VertexID(i % 5), Dst: VertexID((i + 1) % 5)}
+	}
+	for _, tc := range []struct {
+		name  string
+		edges []Edge
+		opts  BuildOptions
+	}{
+		{"destination", []Edge{{Src: 0, Dst: 9}}, BuildOptions{}},
+		{"source, last of many", append(slices.Clone(long), Edge{Src: 9, Dst: 0}), BuildOptions{SortNeighbors: true}},
+		{"destination, first of many", append([]Edge{{Src: 1, Dst: 5}}, long...), BuildOptions{Weighted: true}},
+		{"self loop", []Edge{{Src: 0, Dst: 1}, {Src: 7, Dst: 7}}, BuildOptions{RemoveSelfLoops: true}},
+	} {
+		for _, workers := range []int{1, 4} {
+			opts := tc.opts
+			opts.NumVertices, opts.Workers = 5, workers
+			_, err := BuildWith(tc.edges, opts)
+			if err == nil || err.Error() != "graph: edge endpoint exceeds NumVertices=5" {
+				t.Errorf("%s, workers=%d: error %v, want the NumVertices error", tc.name, workers, err)
+			}
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"graphreorder/internal/par"
 )
@@ -91,16 +92,23 @@ func prefixCounts(counts [][]uint64, n int) []uint64 {
 // buildCSR lays out one direction of the CSR with a counting sort over
 // contiguous chunks of the edge list (one chunk is the sequential build).
 // When reverse is true the in-CSR is built (keyed by Dst, storing Src).
-// Within a list, edges keep their edge-list order.
-func buildCSR(edges []Edge, n int, weighted, reverse bool, workers int) ([]uint64, []VertexID, []uint32) {
+// Within a list, edges keep their edge-list order. The count pass checks
+// every endpoint against n and buildCSR reports false, building nothing,
+// if one is out of range.
+func buildCSR(edges []Edge, n int, weighted, reverse bool, workers int) ([]uint64, []VertexID, []uint32, bool) {
 	bounds := evenBounds(len(edges), countingChunks(workers, n, len(edges)))
 	numChunks := len(bounds) - 1
 
 	counts := make([][]uint64, numChunks)
+	var outOfRange atomic.Bool
 	par.For(numChunks, workers, 1, func(clo, chi int) {
 		for c := clo; c < chi; c++ {
 			cnt := make([]uint64, n)
 			for _, e := range edges[bounds[c]:bounds[c+1]] {
+				if int(max(e.Src, e.Dst)) >= n {
+					outOfRange.Store(true)
+					return
+				}
 				key := e.Src
 				if reverse {
 					key = e.Dst
@@ -110,6 +118,9 @@ func buildCSR(edges []Edge, n int, weighted, reverse bool, workers int) ([]uint6
 			counts[c] = cnt
 		}
 	})
+	if outOfRange.Load() {
+		return nil, nil, nil, false
+	}
 	index := prefixCounts(counts, n)
 
 	adj := make([]VertexID, len(edges))
@@ -134,7 +145,7 @@ func buildCSR(edges []Edge, n int, weighted, reverse bool, workers int) ([]uint6
 			}
 		}
 	})
-	return index, adj, ws
+	return index, adj, ws, true
 }
 
 // transposeCSR returns the opposite direction of a CSR: the same counting
@@ -182,11 +193,19 @@ func transposeCSR(index []uint64, adj []VertexID, ws []uint32, workers int) ([]u
 }
 
 // sortAdjacency sorts each vertex's neighbor segment in place,
-// parallelized over edge-balanced vertex ranges.
+// parallelized over edge-balanced vertex ranges. Each range borrows one of
+// workers sorters and returns it, so the sort scratch is per worker, not
+// per range.
 func sortAdjacency(index []uint64, adj []VertexID, ws []uint32, workers int) {
 	vb := par.BalancedBounds(index, len(index)-1, workers*4, 1)
+	sorters := make(chan *listSorter, workers) // holds every sorter not in use
+	for range workers {
+		sorters <- new(listSorter)
+	}
 	par.ForBounds(vb, workers, func(lo, hi int) {
-		sortLists(index, adj, ws, lo, hi)
+		s := <-sorters
+		s.sortLists(index, adj, ws, lo, hi)
+		sorters <- s
 	})
 }
 

@@ -116,19 +116,33 @@ func csrOfSorted(edges []Edge, n int, weighted bool, key, val func(Edge) VertexI
 // TestBuildMatchesSortedTriples holds the sorted build against an oracle
 // that shares nothing with it: the edge triples sorted as (src, dst, w)
 // are the out-CSR and sorted as (dst, src, w) the in-CSR, array for array,
-// at every worker count — on a multigraph with duplicates and self loops
-// plus one vertex whose out- and in-list are both past packedSortMax.
+// at every worker count — on a multigraph with duplicates and self loops,
+// one vertex whose out- and in-list are both past radixSortMin, one whose
+// out-list arrives already sorted, and one whose out-list arrives in
+// neighbor order with its parallel edges in descending weight order.
+// Weights are absent, few (long runs of equal keys) or over the whole
+// uint32 range (every weight digit of the packed key varies).
 func TestBuildMatchesSortedTriples(t *testing.T) {
-	const n = 500
+	const n = 502 // randomEdges uses [0, 500); 500 and 501 are the hubs in neighbor order
 	src, dst := func(e Edge) VertexID { return e.Src }, func(e Edge) VertexID { return e.Dst }
-	for _, weighted := range []bool{false, true} {
-		edges := randomEdges(n, parallelBuildThreshold+2000, weighted, 0xC7)
+	for _, tc := range []struct {
+		name     string
+		weighted bool
+		weight   func(r *rng.Rand) uint32
+	}{
+		{"unweighted", false, func(*rng.Rand) uint32 { return 0 }},
+		{"few weights", true, func(r *rng.Rand) uint32 { return uint32(1 + r.Intn(5)) }},
+		{"uint32 weights", true, func(r *rng.Rand) uint32 { return r.Uint32() }},
+	} {
+		edges := randomEdges(n-2, parallelBuildThreshold+2000, tc.weighted, 0xC7)
 		r := rng.NewStream(0xC7, 1)
-		for i := 0; i < packedSortMax+100; i++ {
-			w := uint32(0)
-			if weighted {
-				w = uint32(1 + r.Intn(5))
+		if tc.weighted {
+			for i := range edges {
+				edges[i].Weight = tc.weight(r)
 			}
+		}
+		for i := 0; i < 4*radixSortMin; i++ {
+			w := tc.weight(r)
 			edges = append(edges,
 				Edge{Src: 7, Dst: VertexID(r.Intn(40)), Weight: w},
 				Edge{Src: VertexID(r.Intn(40)), Dst: 7, Weight: w})
@@ -137,30 +151,37 @@ func TestBuildMatchesSortedTriples(t *testing.T) {
 			j := r.Intn(i + 1)
 			edges[i], edges[j] = edges[j], edges[i]
 		}
+		for d := VertexID(0); d < n-2; d++ {
+			lo, hi := tc.weight(r), tc.weight(r)
+			lo, hi = min(lo, hi), max(lo, hi)
+			edges = append(edges,
+				Edge{Src: n - 2, Dst: d, Weight: lo}, Edge{Src: n - 2, Dst: d, Weight: hi},
+				Edge{Src: n - 1, Dst: d, Weight: hi}, Edge{Src: n - 1, Dst: d, Weight: lo})
+		}
 
 		want := &Graph{n: n, m: len(edges)}
 		sorted := slices.Clone(edges)
 		slices.SortFunc(sorted, func(a, b Edge) int {
 			return cmp.Or(cmp.Compare(a.Src, b.Src), cmp.Compare(a.Dst, b.Dst), cmp.Compare(a.Weight, b.Weight))
 		})
-		want.outIndex, want.outEdges, want.outWeights = csrOfSorted(sorted, n, weighted, src, dst)
+		want.outIndex, want.outEdges, want.outWeights = csrOfSorted(sorted, n, tc.weighted, src, dst)
 		slices.SortFunc(sorted, func(a, b Edge) int {
 			return cmp.Or(cmp.Compare(a.Dst, b.Dst), cmp.Compare(a.Src, b.Src), cmp.Compare(a.Weight, b.Weight))
 		})
-		want.inIndex, want.inEdges, want.inWeights = csrOfSorted(sorted, n, weighted, dst, src)
-		if want.OutDegree(7) <= packedSortMax || want.InDegree(7) <= packedSortMax {
-			t.Fatal("no list reaches the in-place sort")
+		want.inIndex, want.inEdges, want.inWeights = csrOfSorted(sorted, n, tc.weighted, dst, src)
+		if want.OutDegree(7) < radixSortMin || want.InDegree(7) < radixSortMin {
+			t.Fatal("no list reaches the radix sort")
 		}
 
 		for _, w := range []int{1, 2, 3, 7} {
-			got, err := BuildWith(edges, BuildOptions{NumVertices: n, Weighted: weighted, SortNeighbors: true, Workers: w})
+			got, err := BuildWith(edges, BuildOptions{NumVertices: n, Weighted: tc.weighted, SortNeighbors: true, Workers: w})
 			if err != nil {
 				t.Fatal(err)
 			}
 			if err := got.Validate(); err != nil {
-				t.Fatalf("workers=%d: %v", w, err)
+				t.Fatalf("%s, workers=%d: %v", tc.name, w, err)
 			}
-			graphsEqual(t, "build vs sorted triples", want, got)
+			graphsEqual(t, tc.name+": build vs sorted triples", want, got)
 		}
 	}
 }

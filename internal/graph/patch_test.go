@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"testing"
@@ -35,50 +36,64 @@ func sameArrays(a, b *Graph) error {
 // TestBuildIsFunctionOfEdgeMultiset: the same edges in a different order
 // — parallel edges of different weight included, which the neighbor-only
 // comparator left to the unstable sort — build the same arrays, on the
-// sequential and the parallel path.
+// sequential and the parallel path: shuffled, or sorted so that every list
+// arrives in order; with few weights, or weights over the whole uint32
+// range.
 func TestBuildIsFunctionOfEdgeMultiset(t *testing.T) {
-	r := rng.New(11)
 	const n = 64
-	edges := make([]Edge, 0, 2*packedSortMax)
-	endpoint := func(hub VertexID) VertexID {
-		if r.Intn(4) > 0 {
-			return hub
+	for _, tc := range []struct {
+		name   string
+		weight func(r *rng.Rand) uint32
+	}{
+		{"few weights", func(r *rng.Rand) uint32 { return uint32(1 + r.Intn(5)) }},
+		{"uint32 weights", func(r *rng.Rand) uint32 { return r.Uint32() }},
+	} {
+		r := rng.New(11)
+		edges := make([]Edge, 0, 2*parallelBuildThreshold)
+		endpoint := func(hub VertexID) VertexID {
+			if r.Intn(4) > 0 {
+				return hub
+			}
+			return VertexID(r.Intn(n))
 		}
-		return VertexID(r.Intn(n))
-	}
-	for len(edges) < cap(edges) {
-		// Few distinct endpoints, few weights: long runs of parallel edges
-		// whose weights differ and repeat. Vertex 0's out-list and vertex
-		// 1's in-list are past packedSortMax, the others far below it.
-		edges = append(edges, Edge{Src: endpoint(0), Dst: endpoint(1), Weight: uint32(1 + r.Intn(5))})
-	}
-	shuffled := slices.Clone(edges)
-	for i := len(shuffled) - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
-	}
-	var first *Graph
-	for _, list := range [][]Edge{edges, shuffled} {
-		for _, workers := range []int{1, 4} {
-			g, err := BuildWith(list, BuildOptions{NumVertices: n, Weighted: true, SortNeighbors: true, Workers: workers})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if g.OutDegree(0) <= packedSortMax || g.InDegree(1) <= packedSortMax || len(list) < parallelBuildThreshold {
-				t.Fatal("the graph does not reach the in-place sort or the parallel build")
-			}
-			for v := VertexID(0); v < n; v++ {
-				nbrs, ws := g.OutNeighbors(v), g.OutWeights(v)
-				for i := 1; i < len(nbrs); i++ {
-					if nbrs[i-1] > nbrs[i] || nbrs[i-1] == nbrs[i] && ws[i-1] > ws[i] {
-						t.Fatalf("workers=%d: out-list of %d is not in (neighbor, weight) order at %d", workers, v, i)
+		for len(edges) < cap(edges) {
+			// Few distinct endpoints: long runs of parallel edges, whose
+			// weights repeat when they are few. Vertex 0's out-list and
+			// vertex 1's in-list are past radixSortMin, most others below it.
+			edges = append(edges, Edge{Src: endpoint(0), Dst: endpoint(1), Weight: tc.weight(r)})
+		}
+		shuffled := slices.Clone(edges)
+		for i := len(shuffled) - 1; i > 0; i-- {
+			j := r.Intn(i + 1)
+			shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
+		}
+		sorted := slices.Clone(edges)
+		slices.SortFunc(sorted, func(a, b Edge) int {
+			return cmp.Or(cmp.Compare(a.Src, b.Src), cmp.Compare(a.Dst, b.Dst), cmp.Compare(a.Weight, b.Weight))
+		})
+		var first *Graph
+		for _, list := range [][]Edge{edges, shuffled, sorted} {
+			for _, workers := range []int{1, 4} {
+				g, err := BuildWith(list, BuildOptions{NumVertices: n, Weighted: true, SortNeighbors: true, Workers: workers})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if g.OutDegree(0) < radixSortMin || g.InDegree(1) < radixSortMin || len(list) < parallelBuildThreshold {
+					t.Fatal("the graph does not reach the radix sort or the parallel build")
+				}
+				for v := VertexID(0); v < n; v++ {
+					nbrs, ws := g.OutNeighbors(v), g.OutWeights(v)
+					for i := 1; i < len(nbrs); i++ {
+						if nbrs[i-1] > nbrs[i] || nbrs[i-1] == nbrs[i] && ws[i-1] > ws[i] {
+							t.Fatalf("%s, workers=%d: out-list of %d is not in (neighbor, weight) order at %d", tc.name, workers, v, i)
+						}
 					}
 				}
-			}
-			if first == nil {
-				first = g
-			} else if err := sameArrays(g, first); err != nil {
-				t.Fatalf("workers=%d: %v", workers, err)
+				if first == nil {
+					first = g
+				} else if err := sameArrays(g, first); err != nil {
+					t.Fatalf("%s, workers=%d: %v", tc.name, workers, err)
+				}
 			}
 		}
 	}

@@ -91,7 +91,7 @@ func (r *Rand) Uint64() uint64 {
 func (r *Rand) Uint32() uint32 { return uint32(r.Uint64() >> 32) }
 
 // Intn returns a uniform integer in [0, n). It panics if n <= 0.
-// Uses Lemire's multiply-shift rejection method to avoid modulo bias.
+// It is Uint64n: rejection on a modulo bound, so without modulo bias.
 func (r *Rand) Intn(n int) int {
 	if n <= 0 {
 		panic("rng: Intn called with n <= 0")
@@ -104,8 +104,8 @@ func (r *Rand) Uint64n(n uint64) uint64 {
 	if n == 0 {
 		panic("rng: Uint64n called with n == 0")
 	}
-	// Rejection sampling on the top bits: draw until the value falls in the
-	// largest multiple of n that fits in 64 bits.
+	// Rejection sampling: draw until the value falls below the largest
+	// multiple of n that fits in 64 bits, then reduce it modulo n.
 	max := ^uint64(0) - ^uint64(0)%n
 	for {
 		v := r.Uint64()
@@ -143,15 +143,26 @@ func (r *Rand) Zipf(n int, s float64) int {
 	return r.ZipfOf(NewZipfDist(n, s))
 }
 
-// ZipfDist is the part of a Zipf draw that depends on (n, s) alone — one
-// of the sampler's two math.Pow calls. A caller drawing many ranks from
-// the same distribution builds it once; the draws are bit-identical to
-// Zipf(n, s).
+// ZipfDist is the part of a Zipf draw that depends on (n, s) alone. A
+// caller drawing many ranks from the same distribution builds it once; the
+// draws are bit-identical to Zipf(n, s). A draw is one power b^(1/(1-s));
+// when 1/(1-s) is an integer, as it is for s = 0.95, 1.05 and 1.10, it
+// costs a few multiplies instead of a math.Pow (see floorIntPow).
 type ZipfDist struct {
 	n      int
 	span   float64 // (n+1)^(1-s) - 1
 	invExp float64 // 1/(1-s)
+	intExp int     // invExp rounded, when it is within 1e-12 of an integer 0 < |k| <= 64; else 0
+	eps    float64 // relative distance within which the intExp power and math.Pow's agree, with margin
 }
+
+// Bounds of the integer-exponent fast path: how near 1/(1-s) must lie to
+// an integer, and how large that integer may be (which bounds the number
+// of roundings in the power by squaring).
+const (
+	intExpTol = 1e-12
+	intExpMax = 64
+)
 
 // NewZipfDist precomputes the distribution Zipf(n, s) samples.
 func NewZipfDist(n int, s float64) ZipfDist {
@@ -162,7 +173,37 @@ func NewZipfDist(n int, s float64) ZipfDist {
 		s = 1.0000001 // avoid the harmonic singularity
 	}
 	oneMinusS := 1 - s
-	return ZipfDist{n: n, span: math.Pow(float64(n)+1, oneMinusS) - 1, invExp: 1 / oneMinusS}
+	d := ZipfDist{n: n, span: math.Pow(float64(n)+1, oneMinusS) - 1, invExp: 1 / oneMinusS}
+	k := math.Round(d.invExp)
+	if k == 0 || math.Abs(k) > intExpMax || math.Abs(d.invExp-k) > intExpTol {
+		return d
+	}
+	// The fast path computes f = b^k and math.Pow computes P = b^invExp;
+	// both are within a few roundings of their exact values, and the exact
+	// values differ by the exponent mismatch. With u = 2^-53 and x = P in
+	// [1, n+1), to first order:
+	//   - f: b^|k| by squaring rounds |k|-1 times counted with multiplicity
+	//     (a rounding in b^2 is raised to the |k|/2, and so on), plus one
+	//     reciprocal when k < 0: at most |k|·u.
+	//   - P: math.Pow squares for the same integer part with a non-unit
+	//     accumulator, multiplies in Exp(yf·Log(b)) for the fraction yf
+	//     (|yf| <= 1e-12, so within 2u) and takes one reciprocal: at most
+	//     (|k|+3)·u.
+	//   - b^k against b^invExp: |invExp-k|·|ln b| = |invExp-k|·ln(x)/|invExp|,
+	//     at most |invExp-k|·ln(n+1)/|invExp|.
+	// So |f - P| <= ((2|k|+3)·u + mismatch)·f. eps is that sum plus one u
+	// (for computing f·eps itself), times a margin of 10^4: if f·(1-eps)
+	// and f·(1+eps) have the same floor, P has it too.
+	d.intExp = int(k)
+	d.eps = 1e4 * (float64(2*abs(d.intExp)+4)*0x1p-53 + math.Abs(d.invExp-k)*math.Log(float64(n)+1)/math.Abs(d.invExp))
+	return d
+}
+
+func abs(x int) int {
+	if x < 0 {
+		return -x
+	}
+	return x
 }
 
 // ZipfOf samples a rank of d. Like Zipf, it draws nothing when the
@@ -171,17 +212,40 @@ func (r *Rand) ZipfOf(d ZipfDist) int {
 	if d.n <= 1 {
 		return 0
 	}
-	u := r.Float64()
-	// Continuous bounded Pareto on [1, n+1): invert the CDF.
-	x := math.Pow(u*d.span+1, d.invExp)
-	k := int(x) - 1
-	if k < 0 {
-		k = 0
+	return d.rank(r.Float64())
+}
+
+// rank maps u in [0, 1) to a rank: the continuous bounded Pareto on
+// [1, n+1), its CDF inverted at u, floored and shifted to [0, n).
+func (d ZipfDist) rank(u float64) int {
+	b := u*d.span + 1
+	x, ok := d.floorIntPow(b)
+	if !ok {
+		x = int(math.Pow(b, d.invExp))
 	}
-	if k >= d.n {
-		k = d.n - 1
+	return min(max(x-1, 0), d.n-1)
+}
+
+// floorIntPow returns floor(math.Pow(b, d.invExp)) computed as b^intExp,
+// and false when d has no integer exponent or the power lies too near an
+// integer to be sure of its floor — then only math.Pow decides.
+func (d ZipfDist) floorIntPow(b float64) (int, bool) {
+	if d.intExp == 0 {
+		return 0, false
 	}
-	return k
+	f := 1.0
+	for e := abs(d.intExp); e > 0; e >>= 1 {
+		if e&1 == 1 {
+			f *= b
+		}
+		b *= b
+	}
+	if d.intExp < 0 {
+		f = 1 / f
+	}
+	slack := f * d.eps
+	lo, hi := int(f-slack), int(f+slack)
+	return lo, lo == hi
 }
 
 // Perm returns a uniformly random permutation of [0, n) as a slice,

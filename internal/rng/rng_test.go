@@ -171,6 +171,82 @@ func TestZipfDegenerate(t *testing.T) {
 	}
 }
 
+// powRank is the Zipf rank by the math.Pow formula alone: the reference
+// the integer-exponent fast path must reproduce exactly.
+func powRank(d ZipfDist, u float64) int {
+	return min(max(int(math.Pow(u*d.span+1, d.invExp))-1, 0), d.n-1)
+}
+
+// TestZipfFastPathExact: for every exponent whose 1/(1-s) is an integer,
+// the rank drawn through b^k equals the math.Pow formula's — on a million
+// random u per (s, n), and on the u either side of the first 64 rank
+// boundaries and the last, found by bisection on the formula, where the
+// power lies as near an integer as a float64 u can put it. The fallback
+// must run (near the boundaries) and stay rare (on random draws); s = 1,
+// the harmonic special case, never takes the fast path.
+func TestZipfFastPathExact(t *testing.T) {
+	const draws = 1_000_000
+	var randomFallbacks, boundaryFallbacks, randomDraws int
+	for _, s := range []float64{0.95, 1.05, 1.10} {
+		for _, n := range []int{16, 1000, 49152, 1 << 20} {
+			d := NewZipfDist(n, s)
+			if d.intExp == 0 {
+				t.Fatalf("s=%v n=%d: no integer exponent recorded (1/(1-s) = %v)", s, n, d.invExp)
+			}
+			fellBack := func(u float64) bool {
+				_, ok := d.floorIntPow(u*d.span + 1)
+				if got, want := d.rank(u), powRank(d, u); got != want {
+					t.Fatalf("s=%v n=%d u=%v (%#x): rank %d, math.Pow formula %d",
+						s, n, u, math.Float64bits(u), got, want)
+				}
+				return !ok
+			}
+			r := New(uint64(n) ^ math.Float64bits(s))
+			for i := 0; i < draws; i++ {
+				if fellBack(r.Float64()) {
+					randomFallbacks++
+				}
+			}
+			randomDraws += draws
+			for j := 1; j < n; j++ {
+				if j > 64 && j < n-1 {
+					continue
+				}
+				// Bisect on the bits of u (monotone in u for u >= 0) for
+				// adjacent u with ranks either side of j.
+				lo, hi := uint64(0), math.Float64bits(1)
+				for hi-lo > 1 {
+					mid := lo + (hi-lo)/2
+					if powRank(d, math.Float64frombits(mid)) >= j {
+						hi = mid
+					} else {
+						lo = mid
+					}
+				}
+				for _, u := range []uint64{lo, hi} {
+					if fellBack(math.Float64frombits(u)) {
+						boundaryFallbacks++
+					}
+				}
+			}
+		}
+	}
+	t.Logf("fallbacks: %d of %d random draws, %d at the boundaries", randomFallbacks, randomDraws, boundaryFallbacks)
+	if randomFallbacks+boundaryFallbacks == 0 {
+		t.Error("the math.Pow fallback never ran")
+	}
+	if randomFallbacks*1000 >= randomDraws {
+		t.Errorf("the fallback ran on %d of %d random draws, want under 0.1 %%", randomFallbacks, randomDraws)
+	}
+
+	for _, n := range []int{16, 1000, 1 << 20} {
+		d := NewZipfDist(n, 1)
+		if _, ok := d.floorIntPow(0.5*d.span + 1); d.intExp != 0 || ok {
+			t.Errorf("s=1 n=%d: fast path taken (integer exponent %d)", n, d.intExp)
+		}
+	}
+}
+
 func TestPermIsBijection(t *testing.T) {
 	f := func(seed uint64) bool {
 		r := New(seed)
