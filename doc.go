@@ -102,11 +102,11 @@
 //     each destination is owned by one worker, and per-destination
 //     accumulation runs in stored in-list order. PageRank's rank vector
 //     is therefore reproducible to the last bit on any core count — and
-//     so is PageRank-Delta's: the paper's PRD is push-only (Table VIII)
-//     and that is what a traced run *simulates*, but what an untraced run
-//     *executes* is destination-owned, every round a dense pull over
+//     so is PageRank-Delta's: the paper's PRD is push-only (Table VIII),
+//     this one is destination-owned, every round a dense pull over
 //     per-vertex contributions that are zero off the frontier, so no
-//     float is ever added by compare-and-swap.
+//     float is ever added by compare-and-swap. A traced run executes and
+//     simulates that same pull, not the paper's scattered writes.
 //   - Push-mode EdgeMap is frontier-order-independent: the output
 //     frontier is the same *set* at every worker count (claimed via
 //     compare-and-swap on a word-level bitset), but its member order — and
@@ -126,10 +126,10 @@
 //     1e-9).
 //   - Tracing forces the sequential path: any run with a Tracer attached
 //     is deterministic regardless of Workers, so cache-simulator traces
-//     never depend on scheduling. A traced run also goes edge by edge in
-//     the paper's directions, where an untraced one hands the engine
-//     whole-list callbacks; the two forms reach the same frontiers and —
-//     PRD's summation order apart — the same values.
+//     never depend on scheduling. A traced run executes the same
+//     whole-list callbacks as an untraced one — the EdgeMap kernels
+//     report each list they hand over — so it equals the untraced
+//     one-worker run bit for bit.
 //   - Cancellation does not perturb determinism: the per-round context
 //     poll happens between rounds, so an uncanceled run executes exactly
 //     the rounds it always did, and a canceled run returns ctx.Err()

@@ -5,18 +5,18 @@
 //
 // Computation direction and the degree kind used for reordering follow
 // Table VIII: BC and Radii are pull-push with out-degree reordering, PR is
-// pull-only with out-degree, SSSP and PRD are push-only with in-degree.
+// pull-only with out-degree, SSSP and PRD reorder by in-degree and SSSP is
+// push-only. PRD departs from the table: the paper pushes, this package
+// runs every round as a destination-owned dense pull (see runPRD).
 //
-// Every application has two forms of its edge function. A traced run
-// (Input.Tracer, always one worker) goes edge by edge through
-// ligra.EdgeMapFns' per-edge fields, in exactly the paper's directions, so
-// the cache simulator replays the access stream Table VIII describes. An
-// untraced run, at any worker count, hands the engine list callbacks
-// (PullList, PushList) that loop over a whole neighbor list with their
-// sums in registers; push lists synchronize with atomics, and one worker
-// runs the same body once. The two forms differ for PRD alone: it is
-// *simulated* push-only, as in Table VIII, and *executed*
-// destination-owned — every round a dense pull (see runPRD).
+// Every application has one form of its edge function: list callbacks
+// (ligra.EdgeMapFns.PullList, PushList) that loop over a whole neighbor
+// list with their sums in registers; push lists synchronize with atomics,
+// and one worker runs the same body. A traced run (Input.Tracer, always
+// one worker) executes the same callbacks: the EdgeMap kernels report
+// every list they hand over, and a push callback that stores to a
+// destination reports the store (ligra.PropertyWriteTracer), so the cache
+// simulator replays what untraced runs execute.
 //
 // What is deterministic follows from who owns a destination. Pull rounds
 // give each destination to one worker, which adds in stored in-list
@@ -176,8 +176,9 @@ type Spec struct {
 	// NumRoots is how many root vertices a single run consumes (0 for
 	// rootless applications; Radii consumes a sample of 64).
 	NumRoots int
-	// PushDominated marks the two applications whose irregular accesses
-	// are writes (SSSP, PRD); Fig. 9 studies exactly these.
+	// PushDominated marks the two applications the paper runs push-only,
+	// whose irregular accesses are writes there (SSSP, PRD; Table VIII);
+	// Fig. 9 studies exactly these. PRD here pulls (see runPRD).
 	PushDominated bool
 	// Run executes the application.
 	Run func(Input) (Output, error)

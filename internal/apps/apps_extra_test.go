@@ -133,7 +133,7 @@ func TestBCDisconnectedRootOnlyComponent(t *testing.T) {
 func TestBCDirectionSwitchingConsistency(t *testing.T) {
 	// On a dataset big enough to trigger pull mode mid-BFS, the result
 	// must match the reference (which is push-only) — this exercises the
-	// UpdatePull path of BC.
+	// pull callback of BC.
 	g, err := gen.Generate(gen.MustDataset("kr", gen.Tiny))
 	if err != nil {
 		t.Fatal(err)

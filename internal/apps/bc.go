@@ -63,8 +63,8 @@ func runBC(in Input) (Output, error) {
 			// Push claims a destination's level with CAS; exactly one
 			// claimer reports it, and same-level contributors (the claimer
 			// included) add path counts atomically — the same body at any
-			// worker count. numPaths[src] belongs to the previous level
-			// and is stable.
+			// worker count; each add is a property write to a tracer.
+			// numPaths[src] belongs to the previous level and is stable.
 			PushList: func(src graph.VertexID, dsts, hits []graph.VertexID) []graph.VertexID {
 				paths := numPaths[src]
 				for _, dst := range dsts {
@@ -77,6 +77,9 @@ func runBC(in Input) (Output, error) {
 					}
 					if l == d {
 						atomicAddFloat64(&numPaths[dst], paths)
+						if wt != nil {
+							wt.PropertyWritten(dst)
+						}
 					}
 				}
 				return hits
@@ -100,42 +103,6 @@ func runBC(in Input) (Output, error) {
 				return found
 			},
 			Cond: func(dst graph.VertexID) bool { return level[dst] == -1 },
-		}
-		if in.Tracer != nil {
-			fns = ligra.EdgeMapFns{
-				// Push: first touch claims the vertex for this level; later
-				// touches from the same level add path counts.
-				Update: func(src, dst graph.VertexID) bool {
-					if level[dst] == -1 {
-						level[dst] = d
-						numPaths[dst] = numPaths[src]
-						if wt != nil {
-							wt.PropertyWritten(dst)
-						}
-						return true
-					}
-					if level[dst] == d {
-						numPaths[dst] += numPaths[src]
-						if wt != nil {
-							wt.PropertyWritten(dst)
-						}
-					}
-					return false
-				},
-				// Pull: accumulate from all frontier in-neighbors; activation
-				// happens on the first accumulation.
-				UpdatePull: func(src, dst graph.VertexID) bool {
-					first := level[dst] == -1
-					if first {
-						level[dst] = d
-					}
-					if level[dst] == d {
-						numPaths[dst] += numPaths[src]
-					}
-					return first || level[dst] == d
-				},
-				Cond: func(dst graph.VertexID) bool { return level[dst] == -1 || level[dst] == d },
-			}
 		}
 		next := ligra.EdgeMap(g, frontier, fns, ligra.EdgeMapOpts{Trace: in.Tracer, Workers: workers, Ctx: in.Ctx})
 		if next == nil {

@@ -125,16 +125,16 @@ func (c *pushCounter) EdgeExamined(_, _ graph.VertexID, pull bool) {
 	}
 }
 
-// TestTracedAndExecutedFormsAgree pins the two forms of every application
-// against each other: a traced run goes edge by edge in the paper's
-// directions (Table VIII), an untraced one through list callbacks, and
-// both must walk the same frontiers to the same answer — bit for bit,
-// except PRD, whose traced form is the paper's push-only scatter (every
-// examined edge a push edge followed by a property write, EdgesTraversed
-// of them) while the executed form is destination-owned: same frontiers,
-// ranks equal up to the order the per-destination sums are added in.
+// TestTracedAndExecutedFormsAgree pins the one-form contract: a traced
+// run executes the same callbacks as an untraced one, pinned to one worker
+// whatever it asks for, so it must equal the untraced one-worker run bit
+// for bit — values, frontiers, iterations and edges, PRD included. What
+// the tracer sees is what runs: PR and PRD pull every in-edge every round
+// and report no write, SSSP pushes the frontier's out-edges and reports
+// at most one write per edge.
 func TestTracedAndExecutedFormsAgree(t *testing.T) {
 	g := parallelTestGraph(t, true)
+	m := uint64(g.NumEdges())
 	roots := []graph.VertexID{pickRoot(g), 5, 9, 100, 200, 300}
 	for _, spec := range All() {
 		var c pushCounter
@@ -142,26 +142,29 @@ func TestTracedAndExecutedFormsAgree(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s traced: %v", spec.Name, err)
 		}
-		executed, err := spec.Run(Input{Graph: g, Roots: roots, MaxIters: 10})
+		executed, err := spec.Run(Input{Graph: g, Roots: roots, MaxIters: 10, Workers: 1})
 		if err != nil {
 			t.Fatalf("%s: %v", spec.Name, err)
 		}
-		if !reflect.DeepEqual(executed.Frontiers, traced.Frontiers) || executed.EdgesTraversed != traced.EdgesTraversed {
-			t.Errorf("%s: executed form walks frontiers %v (%d edges), traced %v (%d)",
-				spec.Name, executed.Frontiers, executed.EdgesTraversed, traced.Frontiers, traced.EdgesTraversed)
+		if !reflect.DeepEqual(executed.Values, traced.Values) || executed.Checksum != traced.Checksum {
+			t.Errorf("%s: traced values differ from the untraced one-worker run's", spec.Name)
 		}
-		if spec.Name != "PRD" {
-			if !reflect.DeepEqual(executed.Values, traced.Values) {
-				t.Errorf("%s: executed form's values differ from the traced form's", spec.Name)
+		if executed.Iterations != traced.Iterations || executed.EdgesTraversed != traced.EdgesTraversed ||
+			!reflect.DeepEqual(executed.Frontiers, traced.Frontiers) {
+			t.Errorf("%s: traced run walks frontiers %v (%d edges), untraced %v (%d)",
+				spec.Name, traced.Frontiers, traced.EdgesTraversed, executed.Frontiers, executed.EdgesTraversed)
+		}
+		switch spec.Name {
+		case "PR", "PRD":
+			if want := uint64(traced.Iterations) * m; c.pullEdges != want || c.pushEdges != 0 || c.writes != 0 {
+				t.Errorf("traced %s: %d pull edges, %d push edges, %d writes; want %d pull edges (every in-edge, %d rounds) and nothing else",
+					spec.Name, c.pullEdges, c.pushEdges, c.writes, want, traced.Iterations)
 			}
-			continue
-		}
-		if c.pullEdges != 0 || c.pushEdges != traced.EdgesTraversed || c.writes != c.pushEdges {
-			t.Errorf("traced PRD: %d push edges, %d pull edges, %d writes; want %d push edges, each written, and no pull",
-				c.pushEdges, c.pullEdges, c.writes, traced.EdgesTraversed)
-		}
-		if d := relL1(executed.Values.([]float64), traced.Values.([]float64)); d > 1e-9 {
-			t.Errorf("executed PRD ranks differ from the traced run's by relative L1 %g", d)
+		case "SSSP":
+			if c.pullEdges != 0 || c.pushEdges != traced.EdgesTraversed || c.writes == 0 || c.writes > c.pushEdges {
+				t.Errorf("traced SSSP: %d push edges, %d pull edges, %d writes; want %d push edges, no pull, 0 < writes <= edges",
+					c.pushEdges, c.pullEdges, c.writes, traced.EdgesTraversed)
+			}
 		}
 	}
 }

@@ -76,16 +76,8 @@ func runPR(in Input) (Output, error) {
 	full := ligra.FullVertexSet(n)
 	defer full.Release()
 	// The frontier is every vertex, so a destination's sum is its whole
-	// in-list, added in stored order from zero. A traced run goes edge by
-	// edge so the simulator sees every examination; the additions are the
-	// same ones in the same order.
+	// in-list, added in stored order from zero.
 	pull := ligra.EdgeMapFns{PullList: gatherSum(sum, contrib)}
-	if in.Tracer != nil {
-		pull = ligra.EdgeMapFns{UpdatePull: func(src, dst graph.VertexID) bool {
-			sum[dst] += contrib[src]
-			return false
-		}}
-	}
 	// Fixed-size L1 reduction chunks (worker-count independent; see the
 	// apply pass below).
 	const l1ChunkSize = 8192

@@ -16,21 +16,22 @@ const (
 	prdMaxIters = 20
 )
 
-// runPRD is PageRank-Delta. The paper runs it push-only (Table VIII): the
-// irregular Property Array accesses are unconditional *writes* to
-// nghSum[dst], the behaviour behind the coherence traffic of Fig. 9, and
-// that is what a traced run (Input.Tracer, one worker) still executes edge
-// by edge, so the simulator sees the paper's access stream.
+// runPRD is PageRank-Delta, computed destination-owned: every round is a
+// dense pull in which each destination adds contrib[src] over its whole
+// in-list — delta/degree for the members of the frontier, zero for
+// everyone else, so the frontier needs no test per edge and the division
+// happens once per vertex. One worker owns a destination and adds in
+// stored in-list order, so the result is bit-identical at any worker count
+// and on every backend, and nothing is added by compare-and-swap. The
+// price is that a round scans every edge however small the frontier has
+// become.
 //
-// An untraced run computes the same sums destination-owned instead: every
-// round is a dense pull in which each destination adds contrib[src] over
-// its whole in-list — delta/degree for the members of the frontier, zero
-// for everyone else, so the frontier needs no test per edge and the
-// division happens once per vertex. One worker owns a destination and
-// adds in stored in-list order, so the result is bit-identical at any
-// worker count and on every backend, and nothing is added by
-// compare-and-swap. The price is that a round scans every edge however
-// small the frontier has become.
+// This departs from the paper, which runs PRD push-only (Table VIII): its
+// irregular Property Array accesses are unconditional *writes* to
+// nghSum[dst], the behaviour behind the coherence traffic of Fig. 9. A
+// traced run (Input.Tracer, one worker) executes the same pull, so the
+// simulator sees the reads of contrib[src] this code makes, not the
+// paper's scattered writes.
 func runPRD(in Input) (Output, error) {
 	if err := checkInput(in, 0); err != nil {
 		return Output{}, err
@@ -67,22 +68,8 @@ func runPRD(in Input) (Output, error) {
 		}
 	})
 	fns := ligra.EdgeMapFns{PullList: gatherSum(nghSum, contrib)}
-	dir := ligra.Pull
-	if in.Tracer != nil {
-		wt := ligra.WriteTracer(in.Tracer)
-		// Push pass: scatter each active vertex's share to its
-		// out-neighbors, an irregular write per edge.
-		fns = ligra.EdgeMapFns{Update: func(src, dst graph.VertexID) bool {
-			nghSum[dst] += contrib[src]
-			if wt != nil {
-				wt.PropertyWritten(dst)
-			}
-			return false
-		}}
-		dir = ligra.Push
-	}
 	// Absorb pass: fold the round's sum into the rank, clear it for the
-	// next push round, and keep the vertices whose new delta is a large
+	// next round, and keep the vertices whose new delta is a large
 	// enough fraction of their rank. Run over the full set it is a dense
 	// VertexMap: 64-aligned chunks, the same frontier at any worker count.
 	first := true
@@ -116,10 +103,10 @@ func runPRD(in Input) (Output, error) {
 			frontier.Release()
 			return Output{}, err
 		}
-		// The edges that carry a delta this round, in either direction.
+		// The edges that carry a delta this round.
 		roundEdges := frontier.OutEdgeSum(g, workers)
 		out := ligra.EdgeMap(g, frontier, fns,
-			ligra.EdgeMapOpts{Dir: dir, Trace: in.Tracer, Workers: workers, Ctx: in.Ctx})
+			ligra.EdgeMapOpts{Dir: ligra.Pull, Trace: in.Tracer, Workers: workers, Ctx: in.Ctx})
 		if out == nil {
 			frontier.Release()
 			return Output{}, in.Ctx.Err()

@@ -58,8 +58,9 @@ func runRadii(in Input) (Output, error) {
 		copy(nextVisited, visited)
 		fns := ligra.EdgeMapFns{
 			// Push grows a destination's mask with an atomic OR — the same
-			// body at any worker count. Exactly one grower observes the
-			// mask still at its start-of-round value: that one reports dst.
+			// body at any worker count; each growth is a property write to
+			// a tracer. Exactly one grower observes the mask still at its
+			// start-of-round value: that one reports dst.
 			PushList: func(src graph.VertexID, dsts, hits []graph.VertexID) []graph.VertexID {
 				mask := visited[src]
 				for _, dst := range dsts {
@@ -68,6 +69,9 @@ func runRadii(in Input) (Output, error) {
 						continue
 					}
 					atomic.StoreInt32(&radii[dst], r)
+					if wt != nil {
+						wt.PropertyWritten(dst)
+					}
 					if old == visited[dst] {
 						hits = append(hits, dst)
 					}
@@ -92,21 +96,6 @@ func runRadii(in Input) (Output, error) {
 				radii[dst] = r
 				return true
 			},
-		}
-		if in.Tracer != nil {
-			fns = ligra.EdgeMapFns{Update: func(src, dst graph.VertexID) bool {
-				grow := visited[src] &^ nextVisited[dst]
-				if grow == 0 {
-					return false
-				}
-				first := nextVisited[dst] == visited[dst]
-				nextVisited[dst] |= grow
-				radii[dst] = r
-				if wt != nil {
-					wt.PropertyWritten(dst)
-				}
-				return first
-			}}
 		}
 		next := ligra.EdgeMap(g, frontier, fns,
 			ligra.EdgeMapOpts{Trace: in.Tracer, Workers: workers, Ctx: in.Ctx})

@@ -18,12 +18,13 @@ const InfDistance = math.MaxInt64
 //
 // The irregular Property Array accesses are reads of dist[dst] followed by
 // *conditional* writes — SSSP pushes an update only when it found a
-// shorter path, which is why it generates far less write sharing than PRD
-// (§VI-C of the paper). Relaxation is an atomic min (a plain compare and
-// store on the traced path); with workers > 1 the final distance vector
-// is identical to the sequential one (Bellman-Ford converges to the
-// unique shortest distances), though round and edge counts may differ
-// because in-round propagation depends on interleaving.
+// shorter path, which is why the paper finds it generates far less write
+// sharing than PRD (§VI-C); a traced run reports each successful
+// relaxation as a property write. Relaxation is an atomic min; with
+// workers > 1 the final distance vector is identical to the sequential
+// one (Bellman-Ford converges to the unique shortest distances), though
+// round and edge counts may differ because in-round propagation depends on
+// interleaving.
 func runSSSP(in Input) (Output, error) {
 	if err := checkInput(in, 1); err != nil {
 		return Output{}, err
@@ -49,30 +50,20 @@ func runSSSP(in Input) (Output, error) {
 	// one never does; a concurrent lowering by another worker re-queues
 	// src, so nothing is lost to the stale read. The atomic min is the
 	// same body at any worker count.
+	wt := ligra.WriteTracer(in.Tracer)
 	fns := ligra.EdgeMapFns{PushList: func(src graph.VertexID, dsts, hits []graph.VertexID) []graph.VertexID {
 		ws := g.OutWeights(src)[:len(dsts)]
 		d := atomic.LoadInt64(&dist[src])
 		for i, dst := range dsts {
 			if atomicMinInt64(&dist[dst], d+int64(ws[i])) {
 				hits = append(hits, dst)
+				if wt != nil {
+					wt.PropertyWritten(dst)
+				}
 			}
 		}
 		return hits
 	}}
-	if in.Tracer != nil {
-		wt := ligra.WriteTracer(in.Tracer)
-		fns = ligra.EdgeMapFns{UpdateWeighted: func(src, dst graph.VertexID, w uint32) bool {
-			nd := dist[src] + int64(w)
-			if nd < dist[dst] {
-				dist[dst] = nd
-				if wt != nil {
-					wt.PropertyWritten(dst)
-				}
-				return true
-			}
-			return false
-		}}
-	}
 	frontier := ligra.NewVertexSet(n, root)
 	for rounds := 0; !frontier.Empty() && rounds <= n; rounds++ {
 		if err := in.canceled(); err != nil {

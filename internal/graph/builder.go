@@ -11,11 +11,6 @@ type BuildOptions struct {
 	// NumVertices fixes N. If 0, N is 1 + the maximum vertex ID seen
 	// (0 for an empty edge list).
 	NumVertices int
-	// RemoveSelfLoops drops edges with Src == Dst.
-	RemoveSelfLoops bool
-	// RemoveDuplicates keeps a single copy of parallel edges (same
-	// src, dst); the first weight wins.
-	RemoveDuplicates bool
 	// Weighted records edge weights; when false weights are discarded.
 	Weighted bool
 	// SortNeighbors sorts each adjacency list by neighbor ID, the layout
@@ -61,20 +56,6 @@ func BuildWith(edges []Edge, opts BuildOptions) (*Graph, error) {
 		for _, e := range edges {
 			n = max(n, int(e.Src)+1, int(e.Dst)+1)
 		}
-	}
-
-	if opts.RemoveSelfLoops {
-		kept := edges[:0:0] // fresh backing array; edges arg stays intact
-		for _, e := range edges {
-			// An out-of-range self loop stays for buildCSR to reject.
-			if e.Src != e.Dst || int(e.Src) >= n {
-				kept = append(kept, e)
-			}
-		}
-		edges = kept
-	}
-	if opts.RemoveDuplicates {
-		edges = dedupEdges(edges)
 	}
 
 	workers := buildWorkers(opts.Workers, len(edges))
@@ -217,20 +198,6 @@ func radixSort(keys, tmp []uint64, counts *[radixDigits][radixBuckets]int) {
 		// An odd number of passes left the result in tmp.
 		copy(keys, src)
 	}
-}
-
-func dedupEdges(edges []Edge) []Edge {
-	seen := make(map[uint64]struct{}, len(edges))
-	out := make([]Edge, 0, len(edges))
-	for _, e := range edges {
-		key := uint64(e.Src)<<32 | uint64(e.Dst)
-		if _, dup := seen[key]; dup {
-			continue
-		}
-		seen[key] = struct{}{}
-		out = append(out, e)
-	}
-	return out
 }
 
 // Relabel applies a vertex permutation and returns the relabeled graph:

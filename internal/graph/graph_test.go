@@ -107,33 +107,11 @@ func TestBuildSingleVertexSelfLoop(t *testing.T) {
 	if g.NumVertices() != 1 || g.NumEdges() != 1 {
 		t.Fatalf("got %d vertices %d edges", g.NumVertices(), g.NumEdges())
 	}
-	g2, err := BuildWith([]Edge{{Src: 0, Dst: 0}}, BuildOptions{RemoveSelfLoops: true, NumVertices: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g2.NumEdges() != 0 {
-		t.Errorf("self-loop not removed: %d edges", g2.NumEdges())
-	}
-}
-
-func TestBuildRemoveDuplicates(t *testing.T) {
-	edges := []Edge{{0, 1, 5}, {0, 1, 9}, {1, 0, 1}, {0, 1, 7}}
-	g, err := BuildWith(edges, BuildOptions{RemoveDuplicates: true, Weighted: true, SortNeighbors: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.NumEdges() != 2 {
-		t.Fatalf("NumEdges = %d, want 2", g.NumEdges())
-	}
-	// First weight wins.
-	if ws := g.OutWeights(0); len(ws) != 1 || ws[0] != 5 {
-		t.Errorf("OutWeights(0) = %v, want [5]", ws)
-	}
 }
 
 // TestBuildNumVerticesTooSmall: an endpoint past NumVertices is an error
 // on the sequential and the parallel count pass, whether it is a source or
-// a destination, and also as a self loop the options would drop.
+// a destination.
 func TestBuildNumVerticesTooSmall(t *testing.T) {
 	long := make([]Edge, parallelBuildThreshold+100)
 	for i := range long {
@@ -147,7 +125,6 @@ func TestBuildNumVerticesTooSmall(t *testing.T) {
 		{"destination", []Edge{{Src: 0, Dst: 9}}, BuildOptions{}},
 		{"source, last of many", append(slices.Clone(long), Edge{Src: 9, Dst: 0}), BuildOptions{SortNeighbors: true}},
 		{"destination, first of many", append([]Edge{{Src: 1, Dst: 5}}, long...), BuildOptions{Weighted: true}},
-		{"self loop", []Edge{{Src: 0, Dst: 1}, {Src: 7, Dst: 7}}, BuildOptions{RemoveSelfLoops: true}},
 	} {
 		for _, workers := range []int{1, 4} {
 			opts := tc.opts

@@ -81,8 +81,9 @@ func (r *Runner) Fig8() error {
 const fig9Iters = 5
 
 // Fig9 regenerates Fig. 9: the break-up of L2 misses for the two
-// push-dominated applications (SSSP, PRD) with the original ordering and
-// after DBG, from the simulated dual-socket machine.
+// applications the paper runs push-only (SSSP, PRD) with the original
+// ordering and after DBG, from the simulated dual-socket machine. Each is
+// simulated as it executes, so PRD's row is a pull's.
 func (r *Runner) Fig9() error {
 	for _, cfg := range []struct {
 		title string
@@ -111,6 +112,8 @@ func (r *Runner) Fig9() error {
 		}
 		t.Note("Paper: PRD's snoop share (26.9-69.4%% original) far exceeds SSSP's (<15%%);")
 		t.Note("DBG converts off-chip accesses to on-chip, but for PRD mostly into snoop hits.")
+		t.Note("PRD is simulated as executed here: a destination-owned pull with no scattered")
+		t.Note("writes, where the paper pushes, so its snoop share is not the paper's.")
 		t.Render(r.out())
 	}
 	return nil

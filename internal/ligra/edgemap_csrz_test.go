@@ -89,19 +89,43 @@ func TestEdgeMapCompressedPushPullParity(t *testing.T) {
 				t.Errorf("wrapped direction %d workers %d: frontier diverges from plain", dir, workers)
 			}
 		}
+		// Traced, a list-callback round shows every edge of every list it
+		// hands over, in stored order, right after the list's vertex.
 		trace := func(backend graph.View) visitLog {
 			var log visitLog
-			EdgeMap(backend, NewVertexSet(n, root, root+1), fns, EdgeMapOpts{Dir: dir, Trace: &log}).Release()
+			EdgeMap(backend, NewVertexSet(n, root, root+1), listFns, EdgeMapOpts{Dir: dir, Trace: &log}).Release()
 			return log
 		}
-		plain := trace(g)
-		if len(plain) == 0 {
-			t.Fatalf("direction %d: tracer saw nothing", dir)
+		var want visitLog
+		if dir == Push {
+			for _, u := range []graph.VertexID{root, root + 1} {
+				want.VertexVisited(u, false)
+				for _, v := range g.OutNeighbors(u) {
+					want.EdgeExamined(u, v, false)
+				}
+			}
+		} else {
+			for v := graph.VertexID(0); int(v) < n; v++ {
+				want.VertexVisited(v, true)
+				for _, u := range g.InNeighbors(v) {
+					want.EdgeExamined(u, v, true)
+				}
+			}
 		}
-		if got := trace(cz); !reflect.DeepEqual(got, plain) {
-			t.Errorf("direction %d: traced visit/edge sequence on csrz diverges from plain", dir)
+		for name, backend := range map[string]graph.View{"plain": g, "csrz": cz} {
+			if got := trace(backend); !reflect.DeepEqual(got, want) {
+				t.Errorf("direction %d on %s: traced %d visits and edges, want the %d of the handed lists in order",
+					dir, name, len(got), len(want))
+			}
 		}
 	}
+}
+
+// listFns is a pair of list callbacks that read their lists and report
+// nothing, so a traced round's log is the kernel's alone.
+var listFns = EdgeMapFns{
+	PullList: func(graph.VertexID, []graph.VertexID) bool { return false },
+	PushList: func(_ graph.VertexID, _, hits []graph.VertexID) []graph.VertexID { return hits },
 }
 
 // TestEdgeMapCompressedParallelMatchesSequential checks one round of

@@ -27,8 +27,11 @@
 //     interleaving ("frontier-order-independent": the same set, any
 //     order). Update functions must be safe for concurrent invocation.
 //
-// Tracing (EdgeMapOpts.Trace != nil) always runs at one worker, on every
-// backend, so cache-simulator traces stay deterministic.
+// Tracing (EdgeMapOpts.Trace != nil) lives in the two kernels: they report
+// each list they hand to a callback, so what the cache simulator replays is
+// the traversal the callbacks execute, whichever form they take. A traced
+// EdgeMap always runs at one worker, on every backend, so the traces stay
+// deterministic.
 package ligra
 
 import (
@@ -244,11 +247,12 @@ func (s *VertexSet) computeOutEdges(g graph.View, workers int) uint64 {
 // EdgeMapFns carries the callbacks of an EdgeMap. The kernels work one
 // neighbor list at a time: PullList and PushList receive a whole list and
 // run their own loop over it, which is what an application's hot path
-// wants — one indirect call per vertex, sums kept in registers. The
-// per-edge fields (Update, UpdatePull, UpdateWeighted) are served by an
-// adapter that is itself a list callback looping over them, and are what
-// traced runs, tests and probes use. Each direction takes its list
-// callback when set and the per-edge fields otherwise.
+// wants — one indirect call per vertex, sums kept in registers. Each
+// direction takes its list callback when set; the per-edge fields (Update,
+// UpdatePull) are served otherwise, by an adapter that is itself a list
+// callback looping over them. A traced run reports the lists the kernels
+// hand over, not what a callback does with them (see Tracer), so the
+// callbacks an untraced run executes are the ones the simulator sees.
 type EdgeMapFns struct {
 	// Update processes edge src->dst in push mode (src in frontier) and is
 	// expected to return true when dst becomes a member of the output
@@ -263,10 +267,6 @@ type EdgeMapFns struct {
 	// destination is processed by exactly one worker, so updates that only
 	// write dst state are parallel-safe as written.
 	UpdatePull func(src, dst graph.VertexID) bool
-	// UpdateWeighted, if non-nil, replaces Update/UpdatePull and
-	// additionally receives the edge weight (0 on unweighted graphs). The
-	// same concurrency contract as Update applies in parallel push mode.
-	UpdateWeighted func(src, dst graph.VertexID, w uint32) bool
 	// Cond gates destinations. In pull mode the kernel skips every dst
 	// with Cond(dst) == false, whichever callback runs. Per edge it is the
 	// per-edge adapter that applies it: push skips edges into such a dst,
@@ -291,63 +291,39 @@ type EdgeMapFns struct {
 	// more than once, in a round or in a call, and the kernel keeps the
 	// first. hits is the kernel's reused output buffer: append to it, do
 	// not read or keep it. With Workers > 1 PushList is invoked
-	// concurrently and must synchronize its own writes (atomics).
-	//
-	// A list callback scans its list itself, so a Tracer sees the vertices
-	// it is called for and none of its edges; traced runs use the per-edge
-	// fields.
+	// concurrently and must synchronize its own writes (atomics). A
+	// callback that stores to a destination's property reports the store
+	// to a PropertyWriteTracer, if the run has one.
 	PushList func(src graph.VertexID, dsts []graph.VertexID, hits []graph.VertexID) []graph.VertexID
 }
 
 // perEdge adapts the per-edge fields of an EdgeMapFns to the list
 // granularity the kernels call: its two methods have the shape of
 // PullList and PushList and hold the loop over single edges — the
-// tracer's EdgeExamined, the frontier test, the per-edge Cond.
+// frontier test and the per-edge Cond.
 type perEdge struct {
-	g          graph.View
 	update     func(src, dst graph.VertexID) bool
-	weighted   func(src, dst graph.VertexID, w uint32) bool
 	cond       func(dst graph.VertexID) bool
-	inFrontier Bitset // pull only
-	tr         Tracer
+	inFrontier Bitset           // pull only
 	hits       []graph.VertexID // push only
 }
 
-func newPerEdge(g graph.View, fns EdgeMapFns, pull bool, inFrontier Bitset, tr Tracer) perEdge {
+func newPerEdge(fns EdgeMapFns, pull bool, inFrontier Bitset) perEdge {
 	update := fns.Update
 	if pull && fns.UpdatePull != nil {
 		update = fns.UpdatePull
 	}
-	return perEdge{g: g, update: update, weighted: fns.UpdateWeighted, cond: fns.Cond, inFrontier: inFrontier, tr: tr}
+	return perEdge{update: update, cond: fns.Cond, inFrontier: inFrontier}
 }
 
 // pullList offers dst every in-edge whose source is in the frontier.
 func (p *perEdge) pullList(dst graph.VertexID, srcs []graph.VertexID) bool {
-	var ws []uint32
-	if p.weighted != nil {
-		ws = p.g.InWeights(dst)
-	}
 	joined := false
-	for i, src := range srcs {
-		if p.tr != nil {
-			p.tr.EdgeExamined(src, dst, true)
-		}
+	for _, src := range srcs {
 		if !p.inFrontier.Has(src) {
 			continue
 		}
-		// Kept inline in both loops: as a method it is beyond the inliner
-		// and costs a call per edge.
-		var hit bool
-		if p.weighted != nil {
-			var w uint32
-			if ws != nil {
-				w = ws[i]
-			}
-			hit = p.weighted(src, dst, w)
-		} else {
-			hit = p.update(src, dst)
-		}
-		if hit {
+		if p.update(src, dst) {
 			joined = true
 		}
 		// Early exit: once dst stops satisfying Cond (e.g. it has been
@@ -361,16 +337,12 @@ func (p *perEdge) pullList(dst graph.VertexID, srcs []graph.VertexID) bool {
 
 // pushList offers every out-edge of src whose destination passes Cond and
 // appends the destinations hit to p.hits — a field, not a parameter, so
-// the loops do not carry a slice across their calls.
+// the loops do not carry a slice across their calls. Without a Cond the
+// loop tests nothing but the update: a nil test per edge cost ≈5 % on a
+// sparse push (EXPERIMENTS.md "Simulate what executes").
 func (p *perEdge) pushList(src graph.VertexID, dsts []graph.VertexID) {
-	if p.tr == nil && p.cond == nil && p.weighted == nil {
-		// Nothing to test per edge. The general loop reloads and tests
-		// three callbacks per edge, which on a full-frontier push made
-		// this path 15 % slower than the inner loop it replaced
-		// (EXPERIMENTS.md "List-granular kernels", where half the
-		// out-lists have five edges or fewer). pullList measured within
-		// 7 % of its old loop as it is and has no such branch.
-		update := p.update
+	update, cond := p.update, p.cond
+	if cond == nil {
 		for _, dst := range dsts {
 			if update(src, dst) {
 				p.hits = append(p.hits, dst)
@@ -378,28 +350,8 @@ func (p *perEdge) pushList(src graph.VertexID, dsts []graph.VertexID) {
 		}
 		return
 	}
-	var ws []uint32
-	if p.weighted != nil {
-		ws = p.g.OutWeights(src)
-	}
-	for i, dst := range dsts {
-		if p.tr != nil {
-			p.tr.EdgeExamined(src, dst, false)
-		}
-		if p.cond != nil && !p.cond(dst) {
-			continue
-		}
-		var hit bool
-		if p.weighted != nil {
-			var w uint32
-			if ws != nil {
-				w = ws[i]
-			}
-			hit = p.weighted(src, dst, w)
-		} else {
-			hit = p.update(src, dst)
-		}
-		if hit {
+	for _, dst := range dsts {
+		if cond(dst) && update(src, dst) {
 			p.hits = append(p.hits, dst)
 		}
 	}
@@ -439,28 +391,34 @@ type EdgeMapOpts struct {
 }
 
 // Tracer observes the memory behaviour of a traversal. Implemented by the
-// trace engine; the zero-overhead case is a nil Tracer.
+// trace engine; the zero-overhead case is a nil Tracer. The kernels report
+// every list they hand to a callback, whatever the callback's form: first
+// VertexVisited for the vertex that owns the list, then EdgeExamined for
+// every neighbor on it in stored order, then the callback runs.
 type Tracer interface {
-	// EdgeExamined is called for each edge scanned: src, dst and whether
-	// the traversal ran in pull mode.
+	// EdgeExamined is called for each edge of a handed list: src, dst and
+	// whether the traversal ran in pull mode.
 	EdgeExamined(src, dst graph.VertexID, pull bool)
-	// VertexVisited is called once per frontier vertex driving the scan.
+	// VertexVisited is called once per vertex whose list is handed over:
+	// a frontier member in push mode, a destination passing Cond in pull.
 	VertexVisited(v graph.VertexID, pull bool)
 }
 
 // PropertyWriteTracer is optionally implemented by tracers that model
-// actual property-array writes separately from edge examinations.
-// Applications call PropertyWritten(dst) from their update functions when
-// they really write dst's property — this is what lets the simulator
-// distinguish SSSP's conditional pushes from PRD's unconditional ones, the
-// contrast at the heart of Fig. 9 (§VI-C).
+// actual property-array writes separately from edge examinations. A push
+// callback calls PropertyWritten(dst) from its own body when it really
+// stores to dst's property — SSSP's successful relaxation, BC's path-count
+// add, Radii's growing mask — which is what separates a conditional
+// push's writes from its reads, the contrast at the heart of Fig. 9
+// (§VI-C). Pull callbacks write only the destination they own, and the
+// tracer charges that write per examined edge already.
 type PropertyWriteTracer interface {
 	Tracer
 	PropertyWritten(v graph.VertexID)
 }
 
 // WriteTracer extracts the optional write-tracking interface from a Tracer
-// once, so per-edge code avoids repeated type assertions. Returns nil when
+// once, so a callback avoids a type assertion per write. Returns nil when
 // tr is nil or does not track writes.
 func WriteTracer(tr Tracer) PropertyWriteTracer {
 	if wt, ok := tr.(PropertyWriteTracer); ok {
@@ -541,25 +499,30 @@ func edgeMapPush(g graph.View, frontier *VertexSet, fns EdgeMapFns, workers int,
 // too, so a slot is taken with compare-and-swap instead of a plain test
 // and set. out doubles as the callback's scratch: the hits of one list
 // are compacted in place, so nothing is allocated per vertex and every
-// worker reuses the buffer it already owns.
+// worker reuses the buffer it already owns. With a tracer, each list is
+// reported (Tracer) before the callback gets it.
 func pushRange(g graph.View, members []graph.VertexID, fns EdgeMapFns, tr Tracer, claimed Bitset, shared bool, out []graph.VertexID) []graph.VertexID {
 	list := fns.PushList
-	edges := newPerEdge(g, fns, false, nil, tr)
+	edges := newPerEdge(fns, false, nil)
 	var own graph.AdjBuffer
 	adj, pooled := &own, getAdjBuffer(g)
 	if pooled != nil {
 		adj = pooled
 	}
 	for _, u := range members {
+		dsts := adj.Out(g, u)
 		if tr != nil {
 			tr.VertexVisited(u, false)
+			for _, dst := range dsts {
+				tr.EdgeExamined(u, dst, false)
+			}
 		}
 		kept := len(out)
 		if list != nil {
-			out = list(u, adj.Out(g, u), out)
+			out = list(u, dsts, out)
 		} else {
 			edges.hits = out
-			edges.pushList(u, adj.Out(g, u))
+			edges.pushList(u, dsts)
 			out = edges.hits
 		}
 		for _, dst := range out[kept:] {
@@ -620,12 +583,13 @@ func edgeMapPull(g graph.View, frontier *VertexSet, fns EdgeMapFns, workers int,
 
 // pullRange is the pull kernel: it hands the in-list of every destination
 // in [lo, hi) that passes Cond to the pull callback and sets the
-// destination's bit in next when the callback says it joined. Callers
-// hand out 64-aligned ranges, so the words of next a range writes are its
-// own: no atomics.
+// destination's bit in next when the callback says it joined, reporting
+// each list to the tracer first, if there is one. Callers hand out
+// 64-aligned ranges, so the words of next a range writes are its own: no
+// atomics.
 func pullRange(g graph.View, inFrontier, next Bitset, fns EdgeMapFns, tr Tracer, lo, hi int) {
 	list := fns.PullList
-	edges := newPerEdge(g, fns, true, inFrontier, tr)
+	edges := newPerEdge(fns, true, inFrontier)
 	cond := fns.Cond
 	var own graph.AdjBuffer
 	adj, pooled := &own, getAdjBuffer(g)
@@ -637,14 +601,18 @@ func pullRange(g graph.View, inFrontier, next Bitset, fns EdgeMapFns, tr Tracer,
 		if cond != nil && !cond(dst) {
 			continue
 		}
+		srcs := adj.In(g, dst)
 		if tr != nil {
 			tr.VertexVisited(dst, true)
+			for _, src := range srcs {
+				tr.EdgeExamined(src, dst, true)
+			}
 		}
 		var joined bool
 		if list != nil {
-			joined = list(dst, adj.In(g, dst))
+			joined = list(dst, srcs)
 		} else {
-			joined = edges.pullList(dst, adj.In(g, dst))
+			joined = edges.pullList(dst, srcs)
 		}
 		if joined {
 			next.Set(dst)

@@ -214,14 +214,18 @@ func (r *recordingTracer) EdgeExamined(_, _ graph.VertexID, pull bool) {
 }
 func (r *recordingTracer) VertexVisited(_ graph.VertexID, _ bool) { r.vertices++ }
 
+// TestTracerSeesEveryPushEdge: a push callback that reads its list shows
+// the tracer each member, then each of its out-edges, in list order.
 func TestTracerSeesEveryPushEdge(t *testing.T) {
-	g := chainGraph(t, 5)
-	tr := &recordingTracer{}
-	EdgeMap(g, NewVertexSet(5, 0, 1), EdgeMapFns{
-		Update: func(_, _ graph.VertexID) bool { return false },
-	}, EdgeMapOpts{Dir: Push, Trace: tr})
-	if tr.pushEdges != 2 || tr.vertices != 2 {
-		t.Errorf("tracer saw %d edges / %d vertices, want 2/2", tr.pushEdges, tr.vertices)
+	g, err := graph.Build([]graph.Edge{{Src: 0, Dst: 1}, {Src: 0, Dst: 3}, {Src: 1, Dst: 2}, {Src: 3, Dst: 0}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var log visitLog
+	EdgeMap(g, NewVertexSet(4, 3, 0, 2), listFns, EdgeMapOpts{Dir: Push, Trace: &log})
+	want := visitLog{{3, 3, false, false}, {3, 0, true, false}, {0, 0, false, false}, {0, 1, true, false}, {0, 3, true, false}, {2, 2, false, false}}
+	if !reflect.DeepEqual(log, want) {
+		t.Errorf("tracer saw %v, want %v", log, want)
 	}
 }
 

@@ -13,7 +13,7 @@ import (
 
 // randomGraph builds a small multigraph with self-loops, parallel edges
 // and isolated vertices, its lists left in edge-list order.
-func randomGraph(t *testing.T, r *rng.Rand, weighted bool) *graph.Graph {
+func randomGraph(t *testing.T, r *rng.Rand) *graph.Graph {
 	t.Helper()
 	n := 1 + r.Intn(200)
 	edges := make([]graph.Edge, r.Intn(6*n))
@@ -21,11 +21,8 @@ func randomGraph(t *testing.T, r *rng.Rand, weighted bool) *graph.Graph {
 		// Squaring skews the endpoints towards low IDs: some long lists.
 		u, v := r.Intn(n), r.Intn(n)
 		edges[i] = graph.Edge{Src: graph.VertexID(u * u / n), Dst: graph.VertexID(v * v / n)}
-		if weighted {
-			edges[i].Weight = uint32(1 + r.Intn(9))
-		}
 	}
-	g, err := graph.BuildWith(edges, graph.BuildOptions{NumVertices: n, Weighted: weighted})
+	g, err := graph.BuildWith(edges, graph.BuildOptions{NumVertices: n})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,23 +57,20 @@ type listCase struct {
 	pullOnly bool
 }
 
-func edgeTerm(src, dst graph.VertexID, w uint32) uint64 {
-	return uint64(src+1)*uint64(w+3) ^ uint64(dst)
-}
+func edgeTerm(src, dst graph.VertexID) uint64 { return uint64(src+1)*3 ^ uint64(dst) }
 
-func edgeHits(src, dst graph.VertexID, w uint32) bool { return (uint32(src)+uint32(dst)+w)%3 == 0 }
+func edgeHits(src, dst graph.VertexID) bool { return (uint32(src)+uint32(dst))%3 == 0 }
 
 func skipFifths(dst graph.VertexID) bool { return dst%5 != 0 }
 
 var listCases = []listCase{
 	{
-		// Nothing but an update: no Cond, no weights, no tracer — the
-		// push adapter's short loop.
+		// Nothing but an update: no Cond.
 		name: "plain",
 		perEdge: func(g graph.View, acc []uint64, _ []int32) EdgeMapFns {
 			return EdgeMapFns{Update: func(src, dst graph.VertexID) bool {
-				atomic.AddUint64(&acc[dst], edgeTerm(src, dst, 0))
-				return edgeHits(src, dst, 0)
+				atomic.AddUint64(&acc[dst], edgeTerm(src, dst))
+				return edgeHits(src, dst)
 			}}
 		},
 		asLists: func(g graph.View, frontier *VertexSet, acc []uint64, _ []int32) EdgeMapFns {
@@ -86,16 +80,16 @@ var listCases = []listCase{
 					joined := false
 					for _, src := range srcs {
 						if inFrontier.Has(src) {
-							acc[dst] += edgeTerm(src, dst, 0)
-							joined = joined || edgeHits(src, dst, 0)
+							acc[dst] += edgeTerm(src, dst)
+							joined = joined || edgeHits(src, dst)
 						}
 					}
 					return joined
 				},
 				PushList: func(src graph.VertexID, dsts, hits []graph.VertexID) []graph.VertexID {
 					for _, dst := range dsts {
-						atomic.AddUint64(&acc[dst], edgeTerm(src, dst, 0))
-						if edgeHits(src, dst, 0) {
+						atomic.AddUint64(&acc[dst], edgeTerm(src, dst))
+						if edgeHits(src, dst) {
 							hits = append(hits, dst)
 						}
 					}
@@ -106,45 +100,37 @@ var listCases = []listCase{
 	},
 	{
 		// An order-independent accumulation (atomic integer adds) behind a
-		// Cond that depends on dst alone; weights read when there are any.
+		// Cond that depends on dst alone.
 		name: "accumulate",
 		perEdge: func(g graph.View, acc []uint64, _ []int32) EdgeMapFns {
-			return EdgeMapFns{Cond: skipFifths, UpdateWeighted: func(src, dst graph.VertexID, w uint32) bool {
-				atomic.AddUint64(&acc[dst], edgeTerm(src, dst, w))
-				return edgeHits(src, dst, w)
+			return EdgeMapFns{Cond: skipFifths, Update: func(src, dst graph.VertexID) bool {
+				atomic.AddUint64(&acc[dst], edgeTerm(src, dst))
+				return edgeHits(src, dst)
 			}}
 		},
 		asLists: func(g graph.View, frontier *VertexSet, acc []uint64, _ []int32) EdgeMapFns {
 			inFrontier := frontier.Bits()
-			weight := func(ws []uint32, i int) uint32 {
-				if ws == nil {
-					return 0
-				}
-				return ws[i]
-			}
 			return EdgeMapFns{
 				Cond: skipFifths,
 				PullList: func(dst graph.VertexID, srcs []graph.VertexID) bool {
-					ws := g.InWeights(dst)
 					var sum uint64
 					joined := false
-					for i, src := range srcs {
+					for _, src := range srcs {
 						if inFrontier.Has(src) {
-							sum += edgeTerm(src, dst, weight(ws, i))
-							joined = joined || edgeHits(src, dst, weight(ws, i))
+							sum += edgeTerm(src, dst)
+							joined = joined || edgeHits(src, dst)
 						}
 					}
 					acc[dst] += sum
 					return joined
 				},
 				PushList: func(src graph.VertexID, dsts, hits []graph.VertexID) []graph.VertexID {
-					ws := g.OutWeights(src)
-					for i, dst := range dsts {
+					for _, dst := range dsts {
 						if !skipFifths(dst) {
 							continue
 						}
-						atomic.AddUint64(&acc[dst], edgeTerm(src, dst, weight(ws, i)))
-						if edgeHits(src, dst, weight(ws, i)) {
+						atomic.AddUint64(&acc[dst], edgeTerm(src, dst))
+						if edgeHits(src, dst) {
 							hits = append(hits, dst)
 						}
 					}
@@ -189,15 +175,14 @@ var listCases = []listCase{
 }
 
 // TestListCallbacksMatchPerEdgeAdapter is the engine's differential test:
-// on random graphs and frontiers, in both directions, weighted and not,
-// on the plain and the compressed backend, at 1, 2 and 4 workers, a list
-// callback and the per-edge adapter around the equivalent per-edge
-// function must leave the same property arrays and return the same set.
+// on random graphs and frontiers, in both directions, on the plain and
+// the compressed backend, at 1, 2 and 4 workers, a list callback and the
+// per-edge adapter around the equivalent per-edge function must leave the
+// same property arrays and return the same set.
 func TestListCallbacksMatchPerEdgeAdapter(t *testing.T) {
 	r := rng.NewStream(0x115, 20)
 	for trial := 0; trial < 60; trial++ {
-		weighted := trial%2 == 1
-		plain := randomGraph(t, r, weighted)
+		plain := randomGraph(t, r)
 		n := plain.NumVertices()
 		frontier := randomFrontier(r, n)
 		backends := map[string]graph.View{"plain": plain, "csrz": csrz.Encode(plain)}
@@ -228,8 +213,8 @@ func TestListCallbacksMatchPerEdgeAdapter(t *testing.T) {
 					for _, lists := range []bool{false, true} {
 						for _, workers := range []int{1, 2, 4} {
 							set, acc, mark := run(g, lists, workers)
-							id := fmt.Sprintf("trial %d (n=%d m=%d weighted=%v) %s dir %d %s lists=%v workers=%d",
-								trial, n, plain.NumEdges(), weighted, c.name, dir, name, lists, workers)
+							id := fmt.Sprintf("trial %d (n=%d m=%d) %s dir %d %s lists=%v workers=%d",
+								trial, n, plain.NumEdges(), c.name, dir, name, lists, workers)
 							if !reflect.DeepEqual(set, wantSet) {
 								t.Fatalf("%s: output set %v, per-edge on plain at one worker %v", id, set, wantSet)
 							}

@@ -105,8 +105,16 @@ func TestEdgeMapPushParallelSameSet(t *testing.T) {
 		for _, withCond := range []bool{false, true} {
 			fns := degreeFns(g, withCond)
 			if weighted {
-				fns.UpdateWeighted = func(_, dst graph.VertexID, w uint32) bool { return (uint32(dst)+w)%2 == 0 }
-				fns.Update = nil
+				// Weights reach a list callback only, aligned with the list.
+				cond := fns.Cond
+				fns.PushList = func(src graph.VertexID, dsts, hits []graph.VertexID) []graph.VertexID {
+					for i, w := range g.OutWeights(src) {
+						if (uint32(dsts[i])+w)%2 == 0 && (cond == nil || cond(dsts[i])) {
+							hits = append(hits, dsts[i])
+						}
+					}
+					return hits
+				}
 			}
 			frontier := NewVertexSet(n, members...)
 			want := sortedMembers(EdgeMap(g, frontier, fns, EdgeMapOpts{Dir: Push}))

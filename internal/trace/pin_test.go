@@ -21,24 +21,24 @@ import (
 // A mismatch prints the row as it reads now.
 func TestSimulatedStatsPinned(t *testing.T) {
 	pinned := map[string]cachesim.Stats{
-		"sd/orig/BC":    {Instructions: 691696, Accesses: 230628, L1Misses: 53872, L2Misses: 29281, L3Misses: 28369, Served: [6]uint64{176756, 24591, 842, 70, 1339, 27030}},
-		"sd/dbg/BC":     {Instructions: 691696, Accesses: 230628, L1Misses: 46851, L2Misses: 24369, L3Misses: 23629, Served: [6]uint64{183777, 22482, 584, 156, 930, 22699}},
-		"sd/orig/SSSP":  {Instructions: 1973488, Accesses: 697236, L1Misses: 167908, L2Misses: 113260, L3Misses: 104677, Served: [6]uint64{529328, 54648, 2779, 5804, 10604, 94073}},
-		"sd/dbg/SSSP":   {Instructions: 1973488, Accesses: 697236, L1Misses: 155350, L2Misses: 92286, L3Misses: 84676, Served: [6]uint64{541886, 63064, 2217, 5393, 9243, 75433}},
+		"sd/orig/BC":    {Instructions: 691696, Accesses: 230628, L1Misses: 54489, L2Misses: 30028, L3Misses: 29143, Served: [6]uint64{176139, 24461, 868, 17, 1096, 28047}},
+		"sd/dbg/BC":     {Instructions: 691696, Accesses: 230628, L1Misses: 47471, L2Misses: 24977, L3Misses: 24338, Served: [6]uint64{183157, 22494, 619, 20, 780, 23558}},
+		"sd/orig/SSSP":  {Instructions: 1973488, Accesses: 697236, L1Misses: 172123, L2Misses: 114904, L3Misses: 106671, Served: [6]uint64{525113, 57219, 2944, 5289, 10250, 96421}},
+		"sd/dbg/SSSP":   {Instructions: 1973488, Accesses: 697236, L1Misses: 159626, L2Misses: 93833, L3Misses: 86425, Served: [6]uint64{537610, 65793, 2455, 4953, 9032, 77393}},
 		"sd/orig/PR":    {Instructions: 3244008, Accesses: 1124343, L1Misses: 230562, L2Misses: 141159, L3Misses: 137785, Served: [6]uint64{893781, 89403, 3374, 0, 4943, 132842}},
 		"sd/dbg/PR":     {Instructions: 3244008, Accesses: 1124343, L1Misses: 207289, L2Misses: 114955, L3Misses: 112443, Served: [6]uint64{917054, 92334, 2512, 0, 3576, 108867}},
-		"sd/orig/PRD":   {Instructions: 5037768, Accesses: 2320357, L1Misses: 357650, L2Misses: 327202, L3Misses: 205151, Served: [6]uint64{1962707, 30448, 476, 121575, 149223, 55928}},
-		"sd/dbg/PRD":    {Instructions: 5037768, Accesses: 2320357, L1Misses: 349677, L2Misses: 324573, L3Misses: 203131, Served: [6]uint64{1970680, 25104, 775, 120667, 148376, 54755}},
-		"sd/orig/Radii": {Instructions: 8663920, Accesses: 3002749, L1Misses: 600862, L2Misses: 286395, L3Misses: 277954, Served: [6]uint64{2401887, 314467, 8439, 2, 12483, 265471}},
-		"sd/dbg/Radii":  {Instructions: 8663920, Accesses: 3002749, L1Misses: 516585, L2Misses: 231683, L3Misses: 225695, Served: [6]uint64{2486164, 284902, 5988, 0, 8512, 217183}},
+		"sd/orig/PRD":   {Instructions: 5406680, Accesses: 1873905, L1Misses: 374720, L2Misses: 179056, L3Misses: 173748, Served: [6]uint64{1499185, 195664, 5308, 0, 7831, 165917}},
+		"sd/dbg/PRD":    {Instructions: 5406680, Accesses: 1873905, L1Misses: 373900, L2Misses: 177964, L3Misses: 174118, Served: [6]uint64{1500005, 195936, 3846, 0, 7469, 166649}},
+		"sd/orig/Radii": {Instructions: 8663920, Accesses: 3002749, L1Misses: 600861, L2Misses: 286395, L3Misses: 277954, Served: [6]uint64{2401888, 314466, 8439, 2, 12483, 265471}},
+		"sd/dbg/Radii":  {Instructions: 8663920, Accesses: 3002749, L1Misses: 516585, L2Misses: 231682, L3Misses: 225694, Served: [6]uint64{2486164, 284903, 5988, 0, 8511, 217183}},
 		"lj/orig/BC":    {Instructions: 129288, Accesses: 42528, L1Misses: 2454, L2Misses: 1048, L3Misses: 899, Served: [6]uint64{40074, 1406, 149, 0, 114, 785}},
 		"lj/dbg/BC":     {Instructions: 129288, Accesses: 42528, L1Misses: 2459, L2Misses: 1037, L3Misses: 893, Served: [6]uint64{40069, 1422, 144, 0, 118, 775}},
-		"lj/orig/SSSP":  {Instructions: 113064, Accesses: 38878, L1Misses: 3605, L2Misses: 2226, L3Misses: 1394, Served: [6]uint64{35273, 1379, 392, 440, 558, 836}},
-		"lj/dbg/SSSP":   {Instructions: 113064, Accesses: 38878, L1Misses: 4116, L2Misses: 2659, L3Misses: 1635, Served: [6]uint64{34762, 1457, 631, 393, 763, 872}},
+		"lj/orig/SSSP":  {Instructions: 113064, Accesses: 38878, L1Misses: 3646, L2Misses: 2274, L3Misses: 1422, Served: [6]uint64{35232, 1372, 461, 391, 558, 864}},
+		"lj/dbg/SSSP":   {Instructions: 113064, Accesses: 38878, L1Misses: 4150, L2Misses: 2688, L3Misses: 1644, Served: [6]uint64{34728, 1462, 679, 365, 768, 876}},
 		"lj/orig/PR":    {Instructions: 196608, Accesses: 66048, L1Misses: 4013, L2Misses: 1214, L3Misses: 1055, Served: [6]uint64{62035, 2799, 159, 0, 122, 933}},
 		"lj/dbg/PR":     {Instructions: 196608, Accesses: 66048, L1Misses: 4072, L2Misses: 1229, L3Misses: 1082, Served: [6]uint64{61976, 2843, 147, 0, 133, 949}},
-		"lj/orig/PRD":   {Instructions: 311344, Accesses: 138879, L1Misses: 12205, L2Misses: 9798, L3Misses: 4719, Served: [6]uint64{126674, 2407, 67, 5012, 4019, 700}},
-		"lj/dbg/PRD":    {Instructions: 311344, Accesses: 138879, L1Misses: 16346, L2Misses: 13942, L3Misses: 7724, Served: [6]uint64{122533, 2404, 119, 6099, 7028, 696}},
+		"lj/orig/PRD":   {Instructions: 327680, Accesses: 110080, L1Misses: 5518, L2Misses: 1049, L3Misses: 901, Served: [6]uint64{104562, 4469, 148, 0, 113, 788}},
+		"lj/dbg/PRD":    {Instructions: 327680, Accesses: 110080, L1Misses: 5855, L2Misses: 1064, L3Misses: 909, Served: [6]uint64{104225, 4791, 155, 0, 108, 801}},
 		"lj/orig/Radii": {Instructions: 524592, Accesses: 176222, L1Misses: 8779, L2Misses: 1056, L3Misses: 907, Served: [6]uint64{167443, 7723, 149, 0, 114, 793}},
 		"lj/dbg/Radii":  {Instructions: 524592, Accesses: 176222, L1Misses: 8443, L2Misses: 1043, L3Misses: 894, Served: [6]uint64{167779, 7400, 149, 0, 113, 781}},
 	}

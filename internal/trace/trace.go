@@ -1,10 +1,12 @@
 // Package trace turns real application executions into memory-access
-// streams for the cache simulator. It implements ligra.Tracer: as an
-// application's EdgeMap scans vertices and edges, the tracer converts each
-// event into the addresses the CSR layout of §II-B implies — Vertex Array
-// reads, sequential Edge Array reads, and the irregular Property Array
-// reads (pull) or writes (push) that the paper's reordering techniques
-// target — and feeds them to a simulated multi-core machine.
+// streams for the cache simulator. It implements ligra.Tracer: the EdgeMap
+// kernels report every neighbor list they hand to an application's
+// callbacks — the very callbacks an untraced run executes — and push
+// callbacks report the property writes they make. The tracer converts
+// each event into the addresses the CSR layout of §II-B implies — Vertex
+// Array reads, sequential Edge Array reads, and the irregular Property
+// Array reads (pull) or writes (push) that the paper's reordering
+// techniques target — and feeds them to a simulated multi-core machine.
 //
 // Work is attributed to simulated cores in contiguous chunks of the
 // driving vertex ID, modeling the chunked scheduling of the parallel
@@ -121,11 +123,12 @@ func (t *Tracer) EdgeExamined(src, dst graph.VertexID, pull bool) {
 	t.cursor++
 }
 
-// PropertyWritten implements ligra.PropertyWriteTracer: the application
-// actually stored to v's property. In push mode this is the scattered
-// write generating coherence traffic (§VI-C); in pull mode the write lands
-// in the sequential companion array (already charged by EdgeExamined), so
-// only push-mode writes are issued.
+// PropertyWritten implements ligra.PropertyWriteTracer: a push callback
+// actually stored to v's property. It arrives after the EdgeExamined
+// calls of the callback's whole list and is issued on the core of the
+// list's source: the scattered write generating coherence traffic
+// (§VI-C). A pull write lands in the sequential companion array, already
+// charged by EdgeExamined, so only push-mode writes are issued.
 func (t *Tracer) PropertyWritten(v graph.VertexID) {
 	if t.lastPull {
 		return

@@ -132,35 +132,6 @@ func TestFineGrainReorderingHurtsL1OnStructured(t *testing.T) {
 	}
 }
 
-func TestPRDHasMoreSnoopTrafficThanSSSP(t *testing.T) {
-	// Fig. 9's premise: PRD (unconditional pushes) generates a much larger
-	// snoop share than SSSP (conditional pushes).
-	g, err := gen.Generate(gen.MustDataset("wl", gen.Tiny))
-	if err != nil {
-		t.Fatal(err)
-	}
-	roots := []graph.VertexID{hub(g)}
-	machine := testMachine()
-	sssp, _ := apps.ByName("SSSP")
-	prd, _ := apps.ByName("PRD")
-	stSSSP, err := Simulate(sssp, g, roots, machine, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stPRD, err := Simulate(prd, g, nil, machine, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	snoopShare := func(st cachesim.Stats) float64 {
-		_, l, r, _ := st.L2MissBreakdown()
-		return l + r
-	}
-	if snoopShare(stPRD) <= snoopShare(stSSSP) {
-		t.Errorf("PRD snoop share %.3f not above SSSP's %.3f",
-			snoopShare(stPRD), snoopShare(stSSSP))
-	}
-}
-
 func hub(g *graph.Graph) graph.VertexID {
 	best := graph.VertexID(0)
 	for v := 0; v < g.NumVertices(); v++ {
