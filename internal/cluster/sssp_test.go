@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -104,6 +106,89 @@ func TestClusterSSSPDifferential(t *testing.T) {
 					cl.Close()
 				}
 			}
+		}
+	}
+}
+
+// TestClusterSSSPCoalesces pins the router's heavy path: K concurrent
+// clusterSSSP calls for one source at one epoch run one frontier exchange
+// and all get its rounds and distances, asking again sends no relax
+// frame, and the next epoch runs one exchange of its own. The reference
+// is runSSSP, the bare exchange: the relax bytes the router sends depend
+// only on the frontier sequence, so one exchange sends exactly what it
+// sent.
+func TestClusterSSSPCoalesces(t *testing.T) {
+	g := genGraph(t, "sd", "tiny")
+	cl := startCluster(t, g, LocalOptions{Shards: 2})
+	rt := cl.Router
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	const callers = 8
+	src := graph.VertexID(0)
+	sent := func(f func()) uint64 {
+		before := rt.relaxBytesOut.Load()
+		f()
+		return rt.relaxBytesOut.Load() - before
+	}
+	for epoch := 1; epoch <= 2; epoch++ {
+		if epoch > 1 {
+			if _, err := rt.PublishEpoch(ctx, layoutSpecs(cl)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		es := rt.epoch.Load()
+		var want []int64
+		var wantRounds int
+		one := sent(func() {
+			var err error
+			if want, wantRounds, err = rt.runSSSP(ctx, es, src, nil); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if one == 0 {
+			t.Fatalf("epoch %d: the reference exchange sent no relax bytes", epoch)
+		}
+		dists := make([][]int64, callers)
+		rounds := make([]int, callers)
+		errs := make([]error, callers)
+		got := sent(func() {
+			start := make(chan struct{})
+			var wg sync.WaitGroup
+			for i := range callers {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					<-start
+					dists[i], rounds[i], errs[i] = rt.clusterSSSP(es, src, nil)
+				}()
+			}
+			close(start)
+			wg.Wait()
+		})
+		if got != one {
+			t.Errorf("epoch %d: %d concurrent callers sent %d relax bytes, one exchange sends %d", epoch, callers, got, one)
+		}
+		for i := range callers {
+			if errs[i] != nil {
+				t.Fatalf("epoch %d caller %d: %v", epoch, i, errs[i])
+			}
+			if rounds[i] != wantRounds || !slices.Equal(dists[i], want) {
+				t.Errorf("epoch %d caller %d: %d rounds and distances equal %v, the exchange took %d",
+					epoch, i, rounds[i], slices.Equal(dists[i], want), wantRounds)
+			}
+		}
+		var again []int64
+		var againRounds int
+		if repeat := sent(func() {
+			var err error
+			if again, againRounds, err = rt.clusterSSSP(es, src, nil); err != nil {
+				t.Fatal(err)
+			}
+		}); repeat != 0 {
+			t.Errorf("epoch %d: asking again sent %d relax bytes, want 0", epoch, repeat)
+		}
+		if againRounds != wantRounds || !slices.Equal(again, want) {
+			t.Errorf("epoch %d: the repeat got %d rounds and other distances", epoch, againRounds)
 		}
 	}
 }
