@@ -201,14 +201,14 @@
 // traversal-heavy queries is deadline-aware: when the predicted queue
 // wait (EWMA service time x queue depth over pool width) exceeds the
 // request's remaining deadline, the request is refused immediately with
-// 503 + Retry-After instead of burning its deadline in line. A
-// per-route circuit breaker trips after consecutive server-owned
-// failures and probes half-open after a cooldown. Both refusal paths
-// fall back to graceful degradation first: if any epoch of the same
+// 503 + Retry-After instead of burning its deadline in line. A shed
+// falls back to graceful degradation first: if any epoch of the same
 // query is still cached, it is served marked "stale": true with the
-// metadata of the epoch that produced it. Worker panics are contained
-// to the failing request (500), and /metrics reports shed counts per
-// route, breaker states, stale serves and WAL activity. The
+// metadata of the epoch that produced it. Every refusal is one
+// request's alone: a worker panic is a 500 for the failing request, the
+// query timeout ends an overrun, and no shed, panic or timeout refuses
+// the request after it. /metrics reports shed counts per route, stale
+// serves and WAL activity. The
 // fault-injection points behind the chaos tests live in
 // internal/faultinject and compile to no-ops unless armed; `graphd
 // -selftest -chaos` kills and recovers the live graph mid-load and

@@ -35,8 +35,10 @@
 //     sets partition the vertex space, so the merged k-best of the
 //     union is exact and bit-identical to single-node answers.
 //   - sssp: the router owns the distance array and runs frontier
-//     exchange (below) until the frontier drains. Each epoch keeps the
-//     distance vectors of a few sources, with single-flight coalescing.
+//     exchange (below) until the frontier drains. The node's heavy path
+//     minus its pool: the epoch's reply cache, then the node's flight
+//     group (server.FlightGroup), so concurrent callers for one source
+//     share one exchange, then the exchange itself.
 //
 // # SSSP frontier exchange
 //
@@ -103,9 +105,11 @@
 //     sent; the X-Cache: hit|miss header is the only difference. Errors
 //     are never cached; ?debug=trace wraps the same bytes in an envelope
 //     built per request, whose trace shows the lookup as a "cache" span.
-//   - The SSSP distance vectors of up to 16 sources.
+//     The same LRU holds the SSSP distance vectors, keyed by source and
+//     charged 8 bytes per vertex, so hot sources stay as long as the
+//     byte budget allows; a failed exchange is never cached.
 //
-// Both are reachable only through the epochState a request acquired, so
+// It is reachable only through the epochState a request acquired, so
 // nothing cached can answer across epochs by construction, and a cutover
 // needs no invalidation pass: the pointer swap drops the only path to
 // the old epoch's caches. A store that loses the race with a cutover

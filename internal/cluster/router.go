@@ -47,8 +47,8 @@ type RouterConfig struct {
 // cutover makes exactly one pointer swap, so every request sees either
 // the old epoch in full or the new one in full. Identity (epoch,
 // snapshot, edges) never changes after the swap; everything else that is
-// per-epoch — the reply cache, the SSSP distances, the reference count
-// the retirement waits on — lives here too, guarded on its own, and is
+// per-epoch — the reply cache, the reference count the retirement waits
+// on — lives here too, guarded on its own, and is
 // reachable only through the epochState a request acquired. So nothing
 // cached can answer across epochs, and retiring an epoch needs no
 // invalidation pass: the swap drops the only path to its caches.
@@ -65,21 +65,17 @@ type epochState struct {
 	refs atomic.Int64
 
 	// replies holds the encoded 200 bodies of the point routes, keyed by
-	// the handler's parsed parameters.
+	// the handler's parsed parameters, and the SSSP distance vectors,
+	// keyed by source (see clusterSSSP).
 	replies *server.ResultCache
-
-	// sssp holds the distance vectors of a few hot sources: the frontier
-	// exchange is the router's only multi-round (expensive) query, and
-	// hot sources repeat. Vectors are cached, not responses, so any
-	// ?target= is answered from one compute.
-	ssspMu sync.Mutex
-	sssp   map[graph.VertexID]*ssspEntry
 }
 
 // replyCacheBytes is each epoch's reply-cache budget. A point reply is
-// under 1 KiB, so this holds tens of thousands of distinct hot reads; a
-// cutover leaves at most the old epoch's cache beside the new one until
-// the old epoch drains.
+// under 1 KiB and an SSSP vector 8 bytes per vertex, so this holds tens
+// of thousands of distinct hot reads beside a few dozen hot sources of a
+// graph of 100K vertices; a vector past the whole budget is not cached.
+// A cutover leaves at most the old epoch's cache beside the new one
+// until the old epoch drains.
 const replyCacheBytes = 32 << 20
 
 func newEpochState(epoch uint64, snapshot string, edges int) *epochState {
@@ -88,7 +84,6 @@ func newEpochState(epoch uint64, snapshot string, edges int) *epochState {
 		snapshot: snapshot,
 		edges:    edges,
 		replies:  server.NewResultCache(replyCacheBytes),
-		sssp:     make(map[graph.VertexID]*ssspEntry),
 	}
 	es.refs.Store(1) // the serving reference
 	return es
@@ -138,6 +133,7 @@ type Router struct {
 	client    *http.Client
 	logger    *slog.Logger
 	metrics   *obs.MetricsSet
+	flights   *server.FlightGroup // SSSP exchanges in flight, keyed "<epoch>|<reply-cache key>"
 	started   time.Time
 
 	epoch     atomic.Pointer[epochState]
@@ -198,6 +194,7 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 		client:    client,
 		logger:    cfg.Logger,
 		metrics:   obs.NewMetricsSet(),
+		flights:   server.NewFlightGroup(),
 		started:   time.Now(),
 		stop:      make(chan struct{}),
 	}
@@ -1008,70 +1005,56 @@ const maxSSSPRounds = 1 << 20
 // ssspInf marks "unreached" in router-side distance vectors.
 const ssspInf = server.RelaxInf
 
-// ssspEntry is one cached source's distances; once collapses concurrent
-// requests for the same source onto a single frontier exchange.
-type ssspEntry struct {
-	once   sync.Once
+// ssspVector is one source's distances and the rounds that found them,
+// as an epoch caches them.
+type ssspVector struct {
 	dist   []int64
 	rounds int
-	err    error
-}
-
-// maxCachedSSSPSources bounds an epoch's SSSP cache; sources past it are
-// computed per request.
-const maxCachedSSSPSources = 16
-
-// ssspEntryFor returns the epoch's entry for src, making one if need be,
-// and whether the epoch keeps it (the cache has room).
-func (es *epochState) ssspEntryFor(src graph.VertexID) (*ssspEntry, bool) {
-	es.ssspMu.Lock()
-	defer es.ssspMu.Unlock()
-	ent := es.sssp[src]
-	if ent != nil {
-		return ent, true
-	}
-	ent = &ssspEntry{}
-	kept := len(es.sssp) < maxCachedSSSPSources
-	if kept {
-		es.sssp[src] = ent
-	}
-	return ent, kept
-}
-
-// forgetSSSP evicts a failed compute so the next request retries.
-func (es *epochState) forgetSSSP(src graph.VertexID, ent *ssspEntry) {
-	es.ssspMu.Lock()
-	defer es.ssspMu.Unlock()
-	if es.sssp[src] == ent {
-		delete(es.sssp, src)
-	}
 }
 
 // clusterSSSP returns the distance vector from src at epoch es, from the
-// epoch's cache or by running the scatter-gather frontier exchange (at
-// most one compute per source, concurrent callers coalesce). Failed
-// computes are evicted so the next request retries.
+// epoch's reply cache or by running the scatter-gather frontier exchange:
+// the node's heavy path without its pool, cache → flight → compute.
+// Concurrent callers coalesce onto one exchange; a failed one is not
+// cached, so the next request retries. Vectors are cached, not
+// responses, so any ?target= is answered from one compute.
 func (rt *Router) clusterSSSP(es *epochState, src graph.VertexID, tr *obs.Trace) ([]int64, int, error) {
-	ent, kept := es.ssspEntryFor(src)
-	ent.once.Do(func() {
-		// The exchange pins the epoch on its own account: it answers every
-		// caller that coalesced onto it, whichever of them returns first.
-		if !es.acquire() {
-			ent.err = fmt.Errorf("cluster: epoch %d is retired", es.epoch)
-			return
+	key := pointKey('s', uint64(src))
+	v, ok := es.replies.Get(key)
+	if !ok {
+		call, _ := rt.flights.Do(strconv.FormatUint(es.epoch, 10)+"|"+key, func() (any, error) {
+			// A leader that starts after the previous one stored the vector
+			// and left the flight finds it here instead of computing twice.
+			if v, ok := es.replies.Get(key); ok {
+				return v, nil
+			}
+			// The exchange pins the epoch on its own account: it answers
+			// every caller that coalesced onto it, whichever returns first.
+			if !es.acquire() {
+				return nil, fmt.Errorf("cluster: epoch %d is retired", es.epoch)
+			}
+			defer rt.release(es)
+			// Detach from the leader's request context: a coalesced compute
+			// must not die with whichever client happened to start it.
+			//lint:allow ctxflow coalesced SSSP outlives the request that triggered it
+			ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
+			defer cancel()
+			dist, rounds, err := rt.runSSSP(ctx, es, src, tr)
+			if err != nil {
+				return nil, err
+			}
+			vec := ssspVector{dist: dist, rounds: rounds}
+			es.replies.Add(key, vec, server.EntryCost(key, "", 8*int64(len(dist))))
+			return vec, nil
+		})
+		<-call.Done()
+		var err error
+		if v, err = call.Result(); err != nil {
+			return nil, 0, err
 		}
-		defer rt.release(es)
-		// Detach from the leader's request context: a coalesced compute
-		// must not die with whichever client happened to start it.
-		//lint:allow ctxflow coalesced SSSP outlives the request that triggered it
-		ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
-		defer cancel()
-		ent.dist, ent.rounds, ent.err = rt.runSSSP(ctx, es, src, tr)
-	})
-	if ent.err != nil && kept {
-		es.forgetSSSP(src, ent)
 	}
-	return ent.dist, ent.rounds, ent.err
+	vec := v.(ssspVector)
+	return vec.dist, vec.rounds, nil
 }
 
 // relaxLeg is one shard's side of the frontier exchange; runSSSP keeps

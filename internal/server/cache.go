@@ -14,14 +14,15 @@ import (
 // embeds the snapshot epoch in every key, so entries for a replaced
 // snapshot simply age out — a hot-swap never serves stale answers and
 // needs no invalidation pass; the cluster router keeps one per epoch
-// (internal/cluster) and lets it die with the epoch.
+// (internal/cluster), holding point replies and SSSP distance vectors
+// side by side, and lets it die with the epoch.
 //
 // A secondary index keyed by the epoch-free part of the key ("topk|10")
 // points at the most recently cached entry for those parameters,
 // whatever its epoch. That is the graceful-degradation fallback: when
-// fresh compute is shed or a breaker is open, the previous epoch's
-// result can still be served — explicitly marked stale, carrying the
-// metadata of the snapshot that actually produced it.
+// fresh compute is shed, the previous epoch's result can still be
+// served — explicitly marked stale, carrying the metadata of the
+// snapshot that actually produced it.
 type ResultCache struct {
 	mu       sync.Mutex
 	maxBytes int64

@@ -65,8 +65,8 @@
 //     line per request.
 //
 //   - Spans name pipeline stages, not handlers. The stages a request can
-//     cross are "cache" (result-cache lookup), "admit" (breaker +
-//     predicted-wait admission), "queue" (waiting for a worker slot),
+//     cross are "cache" (result-cache lookup), "admit" (the
+//     predicted-wait shed check), "queue" (waiting for a worker slot),
 //     "compute" (the traversal itself), "flight" (a coalesced follower
 //     waiting on the singleflight leader) and "encode" (JSON
 //     serialization and socket write, measured from the first response

@@ -10,9 +10,9 @@ import (
 // tiers share, plus the node's own shed count.
 type RouteStats struct {
 	obs.RouteStats
-	// Shed counts requests this route refused at admission (predicted
-	// queue wait past the deadline, or breaker open) — including the
-	// ones that were then answered from the stale cache.
+	// Shed counts requests this route refused at admission because the
+	// predicted queue wait was past their deadline — including the ones
+	// that were then answered from the stale cache.
 	Shed uint64 `json:"shed,omitempty"`
 }
 
@@ -39,17 +39,28 @@ func (c *shedCounters) get(route string) uint64 {
 	return c.n[route]
 }
 
+// total is the pool-wide shed count: every shed is counted once, on its
+// route.
+func (c *shedCounters) total() uint64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var sum uint64
+	for _, n := range c.n {
+		sum += n
+	}
+	return sum
+}
+
 // MetricsReport is the /metrics payload.
 type MetricsReport struct {
-	UptimeSeconds float64                 `json:"uptime_seconds"`
-	Routes        map[string]RouteStats   `json:"routes"`
-	Cache         CacheStats              `json:"cache"`
-	Pool          PoolStats               `json:"pool"`
-	Breakers      map[string]BreakerStats `json:"breakers,omitempty"`
-	Snapshots     SnapshotStats           `json:"snapshots"`
-	Writes        WriteStats              `json:"writes"`
-	WAL           WALStats                `json:"wal"`
-	Runtime       RuntimeStats            `json:"runtime"`
+	UptimeSeconds float64               `json:"uptime_seconds"`
+	Routes        map[string]RouteStats `json:"routes"`
+	Cache         CacheStats            `json:"cache"`
+	Pool          PoolStats             `json:"pool"`
+	Snapshots     SnapshotStats         `json:"snapshots"`
+	Writes        WriteStats            `json:"writes"`
+	WAL           WALStats              `json:"wal"`
+	Runtime       RuntimeStats          `json:"runtime"`
 	// SlowTraces counts traces recorded in the /debug/slow ring (slower
 	// than the threshold, or server-fault responses), including evicted
 	// ones.
@@ -84,7 +95,7 @@ type PoolStats struct {
 	InUse    int    `json:"in_use"`
 	Rejected uint64 `json:"rejected"`
 	// Shed counts admissions refused because the predicted queue wait
-	// exceeded the request deadline (or a breaker was open).
+	// exceeded the request deadline: the sum of the routes' Shed.
 	Shed uint64 `json:"shed"`
 }
 

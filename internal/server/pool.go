@@ -21,7 +21,6 @@ import (
 type workPool struct {
 	sem      chan struct{}
 	rejected atomic.Uint64
-	shed     atomic.Uint64
 	waiting  atomic.Int64
 	avgNs    atomic.Int64 // EWMA of heavy-query service time
 }

@@ -49,24 +49,6 @@ func (s *Server) writePromMetrics(w http.ResponseWriter) {
 	p.Counter("graphd_pool_shed_total", "Heavy queries shed at admission.")
 	p.Sample("graphd_pool_shed_total", nil, float64(rep.Pool.Shed))
 
-	if len(rep.Breakers) > 0 {
-		p.Gauge("graphd_breaker_open", "Circuit-breaker state by route (1 = open, 0.5 = half-open, 0 = closed).")
-		p.Counter("graphd_breaker_opens_total", "Circuit-breaker trips by route.")
-		for _, name := range obs.SortedKeys(rep.Breakers) {
-			bs := rep.Breakers[name]
-			labels := []obs.Label{{Name: "route", Value: name}}
-			open := 0.0
-			switch bs.State {
-			case "open":
-				open = 1
-			case "half-open":
-				open = 0.5
-			}
-			p.Sample("graphd_breaker_open", labels, open)
-			p.Sample("graphd_breaker_opens_total", labels, float64(bs.Opens))
-		}
-	}
-
 	p.Gauge("graphd_snapshots_published", "Snapshots in the serving table.")
 	p.Sample("graphd_snapshots_published", nil, float64(rep.Snapshots.Published))
 	p.Gauge("graphd_snapshots_draining", "Retired snapshots with queries still in flight.")

@@ -39,8 +39,9 @@ type queryMeta struct {
 	Edges    int    `json:"edges"`
 	Cached   bool   `json:"cached,omitempty"`
 	// Stale marks a graceful-degradation answer: fresh compute was shed
-	// (or the route's breaker is open) and the response was served from
-	// an older epoch's cached result — Epoch above is that older epoch.
+	// (the predicted queue wait was past the deadline) and the response
+	// was served from an older epoch's cached result — Epoch above is
+	// that older epoch.
 	Stale bool `json:"stale,omitempty"`
 }
 

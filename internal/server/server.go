@@ -48,14 +48,6 @@ type Config struct {
 	// relabel (§VIII-B amortization). 0 means 8; negative disables
 	// periodic re-reordering entirely.
 	RefreshEvery int
-	// BreakerThreshold is how many consecutive server-owned failures
-	// (pool saturation, sheds, server deadline burns, worker panics)
-	// trip a route's circuit breaker open; 0 means 5, negative disables
-	// breakers.
-	BreakerThreshold int
-	// BreakerCooldown is how long an open breaker refuses fresh compute
-	// before admitting a probe; 0 means 5s.
-	BreakerCooldown time.Duration
 	// TraceSample is the fraction of requests promoted to the detailed
 	// trace tier (per-round traversal stats, structured request logs);
 	// every request still gets cheap span timing. 0 means 0.05; negative
@@ -92,14 +84,6 @@ func (c Config) withDefaults() Config {
 	} else if c.RefreshEvery < 0 {
 		c.RefreshEvery = 0 // dynamic.Policy: 0 disables periodic refresh
 	}
-	if c.BreakerThreshold == 0 {
-		c.BreakerThreshold = 5
-	} else if c.BreakerThreshold < 0 {
-		c.BreakerThreshold = 0 // breakerSet: 0 disables
-	}
-	if c.BreakerCooldown <= 0 {
-		c.BreakerCooldown = 5 * time.Second
-	}
 	if c.TraceSample == 0 {
 		c.TraceSample = 0.05
 	}
@@ -115,18 +99,17 @@ func (c Config) withDefaults() Config {
 // Server is the graphd HTTP service. Create with New, expose via
 // Handler, stop with Shutdown.
 type Server struct {
-	cfg      Config
-	store    *Store
-	cache    *ResultCache
-	flight   *flightGroup
-	pool     *workPool
-	metrics  *obs.MetricsSet
-	shed     shedCounters
-	breakers *breakerSet
-	sampler  *obs.Sampler
-	slow     *obs.SlowRing
-	logger   *slog.Logger
-	started  time.Time
+	cfg     Config
+	store   *Store
+	cache   *ResultCache
+	flight  *FlightGroup
+	pool    *workPool
+	metrics *obs.MetricsSet
+	shed    shedCounters
+	sampler *obs.Sampler
+	slow    *obs.SlowRing
+	logger  *slog.Logger
+	started time.Time
 }
 
 // New creates a Server with an empty snapshot store.
@@ -136,17 +119,16 @@ func New(cfg Config) *Server {
 	store.SetRefreshPolicy(dynamic.Policy{Every: cfg.RefreshEvery})
 	store.SetLogger(cfg.Logger)
 	return &Server{
-		cfg:      cfg,
-		store:    store,
-		cache:    NewResultCache(cfg.CacheBytes),
-		flight:   newFlightGroup(),
-		pool:     newWorkPool(cfg.MaxConcurrent),
-		metrics:  obs.NewMetricsSet(),
-		breakers: newBreakerSet(cfg.BreakerThreshold, cfg.BreakerCooldown),
-		sampler:  obs.NewSampler(cfg.TraceSample),
-		slow:     obs.NewSlowRing(0),
-		logger:   cfg.Logger,
-		started:  time.Now(),
+		cfg:     cfg,
+		store:   store,
+		cache:   NewResultCache(cfg.CacheBytes),
+		flight:  NewFlightGroup(),
+		pool:    newWorkPool(cfg.MaxConcurrent),
+		metrics: obs.NewMetricsSet(),
+		sampler: obs.NewSampler(cfg.TraceSample),
+		slow:    obs.NewSlowRing(0),
+		logger:  cfg.Logger,
+		started: time.Now(),
 	}
 }
 
@@ -331,9 +313,8 @@ func (s *Server) metricsReport() MetricsReport {
 			Capacity: s.pool.capacity(),
 			InUse:    s.pool.inUse(),
 			Rejected: s.pool.rejected.Load(),
-			Shed:     s.pool.shed.Load(),
+			Shed:     s.shed.total(),
 		},
-		Breakers:  s.breakers.report(),
 		Snapshots: snapshotStatsFor(tab, s.store),
 		Writes:    s.store.writeStatsReport(),
 		WAL:       s.store.WALStatsReport(),
@@ -734,9 +715,10 @@ type heavyOutcome struct {
 }
 
 // runHeavy is the serving path for traversal queries: result cache, then
-// admission control (circuit breaker, deadline-aware shedding), then
-// singleflight coalescing, then the bounded pool, then the traversal
-// itself — all under the request's own context. fn receives that context
+// deadline-aware shedding, then singleflight coalescing, then the bounded
+// pool, then the traversal itself — all under the request's own context.
+// Every refusal is this request's alone: nothing a shed, a panic or a
+// timeout leaves behind refuses the next request. fn receives that context
 // (QueryTimeout derived from it, so a tighter client deadline wins) and
 // must pass it straight through to the execution engine: there is no
 // private timeout plumbing around app execution, and a canceled request
@@ -746,12 +728,11 @@ type heavyOutcome struct {
 // recomputes. fn returns the result and its payload size in bytes (the
 // cache charges that plus the entry's own overhead).
 //
-// route names the caller for the per-route breaker and shed counters;
-// kindKey is the epoch-free cache key ("topk|10"). When fresh compute
-// is refused — predicted queue wait past the deadline, or breaker open
-// — the previous epoch's cached result is served marked stale; with no
-// fallback cached, the request fails fast with 503 + Retry-After
-// instead of burning its deadline in the queue.
+// route names the caller for the per-route shed counter; kindKey is the
+// epoch-free cache key ("topk|10"). When the predicted queue wait is
+// past the deadline, the previous epoch's cached result is served marked
+// stale; with no fallback cached, the request fails fast with 503 +
+// Retry-After instead of burning its deadline in the queue.
 func (s *Server) runHeavy(ctx context.Context, snap *Snapshot, route, kindKey string, fn func(ctx context.Context) (any, int64, error)) (heavyOutcome, error) {
 	tr := obs.FromContext(ctx)
 	key := fmt.Sprintf("%d|%s", snap.epoch, kindKey)
@@ -764,14 +745,6 @@ func (s *Server) runHeavy(ctx context.Context, snap *Snapshot, route, kindKey st
 		return heavyOutcome{val: v, meta: meta}, nil
 	}
 	admitStart := time.Now()
-	br := s.breakers.route(route)
-	if !br.allow() {
-		tr.Observe("admit", admitStart)
-		return s.degrade(route, kindKey, &shedError{
-			reason:     "circuit breaker open",
-			retryAfter: br.retryAfter(),
-		})
-	}
 	parentDeadline, hasParentDeadline := ctx.Deadline()
 	ctx, cancel := context.WithTimeout(ctx, s.cfg.QueryTimeout)
 	defer cancel()
@@ -786,7 +759,6 @@ func (s *Server) runHeavy(ctx context.Context, snap *Snapshot, route, kindKey st
 	// exceeds what is left of the deadline, queueing can only end in a
 	// timeout — shed now, before the wait burns the client's budget.
 	if wait := s.pool.predictWait(); wait > 0 && time.Until(effectiveDeadline) < wait {
-		br.record(false)
 		tr.Observe("admit", admitStart)
 		return s.degrade(route, kindKey, &shedError{
 			reason:     "predicted queue wait exceeds deadline",
@@ -807,7 +779,7 @@ func (s *Server) runHeavy(ctx context.Context, snap *Snapshot, route, kindKey st
 		// The closure runs only when this caller wins leadership, so the
 		// captured trace is the leader's own: queue and compute spans land
 		// on the request that actually did the work.
-		call, leader := s.flight.do(key, func() (any, error) {
+		call, leader := s.flight.Do(key, func() (any, error) {
 			defer releaseSnap()
 			queueStart := time.Now()
 			if err := s.pool.acquire(ctx); err != nil {
@@ -834,20 +806,20 @@ func (s *Server) runHeavy(ctx context.Context, snap *Snapshot, route, kindKey st
 			releaseSnap()
 		}
 		select {
-		case <-call.done:
+		case <-call.Done():
 			if !leader {
 				tr.Observe("flight", flightStart)
 			}
+			val, err := call.Result()
 			// A follower that coalesced onto a leader killed by the
 			// leader's own context retries while its context is live:
 			// the dead leader's cancellation is not this request's
 			// verdict. The loop is bounded by this request's deadline.
-			if !leader && isContextErr(call.err) && ctx.Err() == nil {
+			if !leader && isContextErr(err) && ctx.Err() == nil {
 				continue
 			}
-			br.record(!isServerFault(call.err, serverOwnsDeadline))
-			if call.err != nil {
-				return heavyOutcome{}, call.err
+			if err != nil {
+				return heavyOutcome{}, err
 			}
 			meta := metaFor(snap)
 			if !leader {
@@ -855,11 +827,8 @@ func (s *Server) runHeavy(ctx context.Context, snap *Snapshot, route, kindKey st
 				// shared result — report it as served from cache.
 				meta.Cached = true
 			}
-			return heavyOutcome{val: call.val, meta: meta}, nil
+			return heavyOutcome{val: val, meta: meta}, nil
 		case <-ctx.Done():
-			if serverOwnsDeadline {
-				br.record(false)
-			}
 			return heavyOutcome{}, ctx.Err()
 		}
 	}
@@ -886,7 +855,6 @@ func runWorker(ctx context.Context, fn func(ctx context.Context) (any, int64, er
 // degrade is the refused-admission path: serve the previous epoch's
 // cached result marked stale if one exists, otherwise surface the shed.
 func (s *Server) degrade(route, kindKey string, shed *shedError) (heavyOutcome, error) {
-	s.pool.shed.Add(1)
 	s.shed.add(route)
 	if v, meta, ok := s.cache.getStale(kindKey); ok {
 		meta.Cached = true
@@ -898,22 +866,6 @@ func (s *Server) degrade(route, kindKey string, shed *shedError) (heavyOutcome, 
 
 func isContextErr(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
-}
-
-// isServerFault classifies an error for the circuit breaker: pool
-// saturation, worker panics and server-owned deadline burns are the
-// server's fault; client cancellations and bad inputs are not.
-func isServerFault(err error, serverOwnsDeadline bool) bool {
-	switch {
-	case err == nil:
-		return false
-	case errors.Is(err, errPoolSaturated), errors.Is(err, errWorkerPanic):
-		return true
-	case errors.Is(err, context.DeadlineExceeded):
-		return serverOwnsDeadline
-	default:
-		return false
-	}
 }
 
 var (

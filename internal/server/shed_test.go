@@ -179,63 +179,36 @@ func TestStaleDegradationServesPreviousEpoch(t *testing.T) {
 	}
 }
 
-// TestBreakerTripsAndRecovers drives the per-route breaker through its
-// full lifecycle: consecutive worker failures open it, an open breaker
-// refuses with 503 + Retry-After without touching the pool, and after
-// the cooldown a half-open probe success closes it again.
-func TestBreakerTripsAndRecovers(t *testing.T) {
-	s := New(Config{
-		Workers: 1, QueryTimeout: 30 * time.Second,
-		BreakerThreshold: 2, BreakerCooldown: 50 * time.Millisecond,
-	})
-	if _, err := s.store.Build(BuildSpec{Name: "main", Dataset: "uni", Scale: "tiny", Technique: "dbg"}); err != nil {
+// TestShedsLeaveNoMarkOnAnIdlePool: a shed is one request's verdict.
+// Five deadline sheds in a row on one route change nothing for the
+// request after them: once a slot is free, a request with time to spare
+// is computed. Each shed is counted once, on its route and in the pool's
+// total alike.
+func TestShedsLeaveNoMarkOnAnIdlePool(t *testing.T) {
+	s := shedServer(t)
+	h := s.Handler()
+	for i := 0; i < 4; i++ {
+		s.pool.observe(300 * time.Millisecond)
+	}
+	if err := s.pool.acquire(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	h := s.Handler()
-
-	// Two injected worker failures (distinct sources dodge the cache).
-	faultinject.Enable("pool.worker", faultinject.Fault{Err: faultinject.ErrInjected, Count: 2})
-	defer faultinject.Reset()
-	for src := 0; src < 2; src++ {
-		code := get(t, h, "/v1/query/sssp?src="+strconv.Itoa(src), nil)
-		if code != http.StatusInternalServerError {
-			t.Fatalf("injected failure %d: status = %d, want 500", src, code)
+	const sheds = 5
+	for src := 0; src < sheds; src++ {
+		if code, _, _ := getWithDeadline(t, h, "/v1/query/sssp?src="+strconv.Itoa(src), 50*time.Millisecond, nil); code != http.StatusServiceUnavailable {
+			t.Fatalf("shed %d: status = %d, want 503", src, code)
 		}
 	}
+	s.pool.release()
 
-	// Breaker is now open: refused at admission, Retry-After attached.
-	req := httptest.NewRequest("GET", "/v1/query/sssp?src=2", nil)
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, req)
-	if rec.Code != http.StatusServiceUnavailable {
-		t.Fatalf("open breaker: status = %d, want 503", rec.Code)
+	var refused errorBody
+	if code, _, _ := getWithDeadline(t, h, "/v1/query/sssp?src="+strconv.Itoa(sheds), 5*time.Second, &refused); code != http.StatusOK {
+		t.Fatalf("after %d sheds, with the pool idle: status = %d (%s), want 200", sheds, code, refused.Error)
 	}
-	if rec.Header().Get("Retry-After") == "" {
-		t.Fatal("open breaker 503 without Retry-After")
-	}
-
 	var rep MetricsReport
 	get(t, h, "/metrics", &rep)
-	bs, ok := rep.Breakers["query.sssp"]
-	if !ok {
-		t.Fatal("breaker missing from /metrics")
-	}
-	if bs.Opens == 0 {
-		t.Errorf("breaker opens = 0 after trip")
-	}
-
-	// After the cooldown the half-open probe (fault exhausted) succeeds
-	// and the breaker closes; subsequent requests flow normally.
-	time.Sleep(80 * time.Millisecond)
-	if code := get(t, h, "/v1/query/sssp?src=3", nil); code != http.StatusOK {
-		t.Fatalf("half-open probe: status = %d, want 200", code)
-	}
-	if code := get(t, h, "/v1/query/sssp?src=4", nil); code != http.StatusOK {
-		t.Fatalf("post-recovery request: status = %d, want 200", code)
-	}
-	get(t, h, "/metrics", &rep)
-	if got := rep.Breakers["query.sssp"].State; got != "closed" {
-		t.Errorf("breaker state = %q after recovery, want closed", got)
+	if rep.Routes["query.sssp"].Shed != sheds || rep.Pool.Shed != sheds {
+		t.Errorf("route shed = %d, pool shed = %d, want %d each", rep.Routes["query.sssp"].Shed, rep.Pool.Shed, sheds)
 	}
 }
 

@@ -189,7 +189,7 @@ func TestWorkPoolRejectsDeadContext(t *testing.T) {
 }
 
 func TestFlightGroupCoalesces(t *testing.T) {
-	g := newFlightGroup()
+	g := NewFlightGroup()
 	var calls atomic.Int64
 	gate := make(chan struct{})
 	const waiters = 8
@@ -199,13 +199,13 @@ func TestFlightGroupCoalesces(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			c, _ := g.do("key", func() (any, error) {
+			c, _ := g.Do("key", func() (any, error) {
 				calls.Add(1)
 				<-gate
 				return "value", nil
 			})
-			<-c.done
-			results[i] = c.val
+			<-c.Done()
+			results[i], _ = c.Result()
 		}(i)
 	}
 	// Hold the leader until every other caller has joined its flight: one
@@ -228,8 +228,8 @@ func TestFlightGroupCoalesces(t *testing.T) {
 		t.Error("no coalesced waiters recorded")
 	}
 	// A later call with the same key runs fresh, as the leader.
-	c, leader := g.do("key", func() (any, error) { calls.Add(1); return "again", nil })
-	<-c.done
+	c, leader := g.Do("key", func() (any, error) { calls.Add(1); return "again", nil })
+	<-c.Done()
 	if calls.Load() != 2 || !leader {
 		t.Error("second round did not run as leader")
 	}
