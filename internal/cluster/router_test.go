@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -196,6 +197,63 @@ func TestClusterEquivalence(t *testing.T) {
 		httpJSON(t, clQ+q, &got)
 		if want != got {
 			t.Fatalf("%s: baseline %+v cluster %+v", q, want, got)
+		}
+	}
+}
+
+// replyPayload GETs a 200 reply and decodes it as a JSON object without
+// the keys that say which snapshot answered: a cluster and a single node
+// differ in them by construction.
+func replyPayload(t *testing.T, url string) map[string]any {
+	t.Helper()
+	code, _, body := httpRaw(t, url)
+	if code != http.StatusOK {
+		t.Fatalf("GET %s: status %d: %s", url, code, body)
+	}
+	var m map[string]any
+	if err := json.Unmarshal(body, &m); err != nil {
+		t.Fatalf("GET %s: %v\n%s", url, err, body)
+	}
+	for _, k := range []string{"snapshot", "epoch", "cached", "stale", "rounds"} {
+		delete(m, k)
+	}
+	if _, ok := m["neighbors"]; ok {
+		if _, ok := m["truncated"]; !ok {
+			m["truncated"] = false
+		}
+	}
+	return m
+}
+
+// TestClusterRepliesMatchNode: every read the router serves is the
+// node's reply, key for key, once the snapshot identity is set aside.
+func TestClusterRepliesMatchNode(t *testing.T) {
+	g := genGraph(t, "sd", "small")
+	cl := startCluster(t, g, LocalOptions{Shards: 3})
+	base := startBaseline(t, "sd", "small")
+	hub := graph.VertexID(0)
+	for v := graph.VertexID(0); int(v) < g.NumVertices(); v++ {
+		if g.OutDegree(v) > g.OutDegree(hub) {
+			hub = v
+		}
+	}
+	reached := g.OutNeighbors(hub)[0]
+	for _, q := range []string{
+		fmt.Sprintf("/neighbors?v=%d&dir=out", hub),
+		fmt.Sprintf("/neighbors?v=%d&dir=in", hub),
+		fmt.Sprintf("/neighbors?v=%d&limit=8", hub),
+		fmt.Sprintf("/degree?v=%d&kind=out", hub),
+		fmt.Sprintf("/degree?v=%d&kind=in", hub),
+		fmt.Sprintf("/degree?v=%d&kind=total", hub),
+		fmt.Sprintf("/rank?v=%d", hub),
+		"/topk?k=16",
+		fmt.Sprintf("/sssp?src=%d", hub),
+		fmt.Sprintf("/sssp?src=%d&target=%d", hub, reached),
+	} {
+		want := replyPayload(t, base+"/v1/query"+q+"&snapshot=base")
+		got := replyPayload(t, cl.RouterURL+"/v1/query"+q)
+		if !reflect.DeepEqual(want, got) {
+			t.Errorf("%s:\nnode   %v\nrouter %v", q, want, got)
 		}
 	}
 }
