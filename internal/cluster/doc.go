@@ -35,10 +35,20 @@
 //     sets partition the vertex space, so the merged k-best of the
 //     union is exact and bit-identical to single-node answers.
 //   - sssp: the router owns the distance array and runs frontier
-//     exchange (below) until the frontier drains. The node's heavy path
-//     minus its pool: the epoch's reply cache, then the node's flight
-//     group (server.FlightGroup), so concurrent callers for one source
-//     share one exchange, then the exchange itself.
+//     exchange (below) until the frontier drains. What it caches is the
+//     node's own server.SSSPDistances — the vector packed to 2, 4 or 8
+//     bytes per vertex, its summary computed once — so every reply, hit
+//     or miss, is that summary plus one lookup of ?target=.
+//
+// Replies are the node's types (server.NeighborsResult and the rest),
+// so a merged answer matches a single node's key for key because it is
+// built by the same code. Every read goes through one function, read:
+// the epoch's reply cache (below), then the node's flight group
+// (server.FlightGroup, keyed "<epoch>|<key>"), so concurrent misses of
+// one point read or one SSSP source share one compute, then the compute,
+// which pins the epoch and runs detached from the request that started
+// it under a time limit. A caller whose request ends stops waiting and
+// gets the 504 of a context error; the compute goes on for the others.
 //
 // # SSSP frontier exchange
 //
@@ -105,9 +115,11 @@
 //     sent; the X-Cache: hit|miss header is the only difference. Errors
 //     are never cached; ?debug=trace wraps the same bytes in an envelope
 //     built per request, whose trace shows the lookup as a "cache" span.
-//     The same LRU holds the SSSP distance vectors, keyed by source and
-//     charged 8 bytes per vertex, so hot sources stay as long as the
-//     byte budget allows; a failed exchange is never cached.
+//     Concurrent misses of one read coalesce onto one compute (read,
+//     above). The same LRU holds the SSSP distance vectors, keyed by
+//     source and charged at their packed width of 2, 4 or 8 bytes per
+//     vertex, so hot sources stay as long as the byte budget allows; a
+//     failed exchange is never cached.
 //
 // It is reachable only through the epochState a request acquired, so
 // nothing cached can answer across epochs by construction, and a cutover
@@ -123,7 +135,7 @@
 // router counts references per epoch: one for being the serving epoch,
 // one per request in flight (taken in serving(), which never revives an
 // epoch whose count reached zero and retries on the successor instead),
-// one per running SSSP exchange. The publish that supersedes an epoch
+// one per running compute. The publish that supersedes an epoch
 // releases its serving reference; whoever releases the last one retires
 // the epoch, on its own goroutine, exactly once:
 //
@@ -155,7 +167,8 @@
 // states the contract. The router fills in the registry alone: no
 // sampler, so its only detailed traces are the ?debug=trace ones; no
 // slow ring and no request log, so it has no /debug/slow. Its own spans
-// are "cache", "fanout", "merge" and one "shard<i>" per shard asked; a
+// are "cache", "flight" (a coalesced caller waiting on the compute),
+// "fanout", "merge" and one "shard<i>" per shard asked; a
 // handler adding a wait point wraps it in tr.Observe or tr.Accumulate.
 // /metrics renders the per-route families from the shared registry
 // under the graphd_cluster prefix; routermetrics.go holds only what a

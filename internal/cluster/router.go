@@ -10,7 +10,6 @@ import (
 	"log/slog"
 	"math/bits"
 	"net/http"
-	"net/url"
 	"slices"
 	"sort"
 	"strconv"
@@ -19,6 +18,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"graphreorder/internal/apps"
 	"graphreorder/internal/graph"
 	"graphreorder/internal/obs"
 	"graphreorder/internal/server"
@@ -60,22 +60,23 @@ type epochState struct {
 	// refs counts the holders pinning this epoch's snapshots on the
 	// members: one for being the serving epoch (released by the publish
 	// that supersedes it), one per request in flight, one per running
-	// SSSP exchange. It only ever reaches zero once, after the epoch was
+	// compute. It only ever reaches zero once, after the epoch was
 	// superseded; whoever takes it there retires the epoch.
 	refs atomic.Int64
 
 	// replies holds the encoded 200 bodies of the point routes, keyed by
 	// the handler's parsed parameters, and the SSSP distance vectors,
-	// keyed by source (see clusterSSSP).
+	// keyed by source (see read).
 	replies *server.ResultCache
 }
 
 // replyCacheBytes is each epoch's reply-cache budget. A point reply is
-// under 1 KiB and an SSSP vector 8 bytes per vertex, so this holds tens
-// of thousands of distinct hot reads beside a few dozen hot sources of a
-// graph of 100K vertices; a vector past the whole budget is not cached.
-// A cutover leaves at most the old epoch's cache beside the new one
-// until the old epoch drains.
+// under 1 KiB and an SSSP vector 2, 4 or 8 bytes per vertex (the node's
+// packed width, 2 on the repository's generated graphs), so this holds
+// tens of thousands of distinct hot reads beside a hundred hot sources
+// of a graph of 100K vertices; a vector past the whole budget is not
+// cached. A cutover leaves at most the old epoch's cache beside the new
+// one until the old epoch drains.
 const replyCacheBytes = 32 << 20
 
 func newEpochState(epoch uint64, snapshot string, edges int) *epochState {
@@ -133,7 +134,7 @@ type Router struct {
 	client    *http.Client
 	logger    *slog.Logger
 	metrics   *obs.MetricsSet
-	flights   *server.FlightGroup // SSSP exchanges in flight, keyed "<epoch>|<reply-cache key>"
+	flights   *server.FlightGroup // reads in flight, keyed "<epoch>|<reply-cache key>"
 	started   time.Time
 
 	epoch     atomic.Pointer[epochState]
@@ -569,15 +570,8 @@ func (rt *Router) probe(ctx context.Context, sl *slot, s int) bool {
 
 // ---- HTTP front-end ----
 
-type clusterMeta struct {
-	Snapshot string `json:"snapshot"`
-	Epoch    uint64 `json:"epoch"`
-	Vertices int    `json:"vertices"`
-	Edges    int    `json:"edges"`
-}
-
-func (rt *Router) metaFor(es *epochState) clusterMeta {
-	return clusterMeta{
+func (rt *Router) metaFor(es *epochState) server.QueryMeta {
+	return server.QueryMeta{
 		Snapshot: es.snapshot,
 		Epoch:    es.epoch,
 		Vertices: rt.placement.NumVertices,
@@ -632,21 +626,6 @@ func (rt *Router) serving(w http.ResponseWriter) *epochState {
 			return es
 		}
 	}
-}
-
-func (rt *Router) vertexParam(q url.Values, key string) (graph.VertexID, error) {
-	raw := q.Get(key)
-	if raw == "" {
-		return 0, fmt.Errorf("missing required parameter %q", key)
-	}
-	v, err := strconv.ParseUint(raw, 10, 32)
-	if err != nil {
-		return 0, fmt.Errorf("bad %s: %v", key, err)
-	}
-	if int(v) >= rt.placement.NumVertices {
-		return 0, fmt.Errorf("%s=%d out of range [0,%d)", key, v, rt.placement.NumVertices)
-	}
-	return graph.VertexID(v), nil
 }
 
 func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -754,10 +733,10 @@ func writeShardError(w http.ResponseWriter, err error) {
 	writeError(w, http.StatusBadGateway, "%v", err)
 }
 
-// pointKey renders a point read's parsed parameters as its reply-cache
-// key: the route's letter, the number (vertex or k), and whatever else
-// the route takes. Parsed, not raw — "?v=1&dir=out", "?dir=out&v=1" and
-// "?v=01" are one entry.
+// pointKey renders a read's parsed parameters as its reply-cache key:
+// the route's letter, the number (vertex, k or source), and whatever
+// else the route takes. Parsed, not raw — "?v=1&dir=out", "?dir=out&v=1"
+// and "?v=01" are one entry.
 func pointKey(route byte, num uint64, rest ...string) string {
 	var buf [48]byte
 	key := strconv.AppendUint(append(buf[:0], route), num, 10)
@@ -767,54 +746,94 @@ func pointKey(route byte, num uint64, rest ...string) string {
 	return string(key)
 }
 
-// servePoint answers one point read at epoch es: from the epoch's reply
-// cache when the same parsed request was answered before, else by
-// running merge and caching the encoded reply. An epoch is immutable, so
-// the bytes of a hit are the bytes the miss sent; only the X-Cache header
-// tells them apart. Errors are never cached, and neither is anything
-// about one request's trace: ?debug=trace wraps the same bytes outside.
-func (rt *Router) servePoint(w http.ResponseWriter, r *http.Request, es *epochState, key string, merge func() (any, error)) {
-	tr := obs.FromContext(r.Context())
+// computeTimeout bounds a compute behind read, which runs detached from
+// the request that started it.
+const computeTimeout = 120 * time.Second
+
+// read is the router's one read path, the node's heavy path minus its
+// pool: the epoch's reply cache, then the flight group, so concurrent
+// misses of one key share one compute, then compute itself. compute
+// returns the value to cache and its payload size. It runs on its own
+// goroutine under computeTimeout, detached from the leader's request but
+// carrying its trace, and pins the epoch on its own account: it answers
+// every caller that coalesced onto it, whichever returns first. A failed
+// compute is not cached, so the next request retries; a caller whose
+// context ends stops waiting with the context's error. hit reports a
+// cache hit.
+func (rt *Router) read(ctx context.Context, es *epochState, key string, compute func(ctx context.Context) (any, int64, error)) (v any, hit bool, err error) {
+	tr := obs.FromContext(ctx)
 	lookup := time.Now()
-	hit, ok := es.replies.Get(key)
+	v, hit = es.replies.Get(key)
 	tr.Observe("cache", lookup)
-	var body []byte
-	if ok {
+	if hit {
 		rt.cacheHits.Add(1)
-		body = hit.([]byte)
-		w.Header().Set("X-Cache", "hit")
-	} else {
-		rt.cacheMisses.Add(1)
-		reply, err := merge()
-		if err != nil {
-			writeShardError(w, err)
-			return
+		return v, true, nil
+	}
+	rt.cacheMisses.Add(1)
+	flightStart := time.Now()
+	es.refs.Add(1) // the compute's pin; the caller's own keeps the count above zero
+	call, leader := rt.flights.Do(strconv.FormatUint(es.epoch, 10)+"|"+key, func() (any, error) {
+		defer rt.release(es)
+		// A leader that starts after the previous one stored its value and
+		// left the flight finds it here instead of computing twice.
+		if v, ok := es.replies.Get(key); ok {
+			return v, nil
 		}
-		if body, err = json.Marshal(reply); err != nil {
-			writeError(w, http.StatusInternalServerError, "%v", err)
-			return
+		//lint:allow ctxflow a coalesced compute outlives the request that started it
+		cctx, cancel := context.WithTimeout(obs.WithTrace(context.Background(), tr), computeTimeout)
+		defer cancel()
+		v, cost, err := compute(cctx)
+		if err == nil {
+			// A store that loses the race with a cutover lands in the dead
+			// epoch's cache and dies with it.
+			es.replies.Add(key, v, server.EntryCost(key, "", cost))
+		}
+		return v, err
+	})
+	if !leader {
+		rt.release(es)
+	}
+	select {
+	case <-call.Done():
+		if !leader {
+			tr.Observe("flight", flightStart)
+		}
+		v, err = call.Result()
+		return v, false, err
+	case <-ctx.Done():
+		return nil, false, ctx.Err()
+	}
+}
+
+// point answers a point read with its encoded 200 body, which read
+// caches: an epoch is immutable, so the bytes of a hit are the bytes the
+// miss sent and only the X-Cache header tells them apart. Nothing about
+// one request's trace is cached: ?debug=trace wraps the same bytes
+// outside.
+func (rt *Router) point(w http.ResponseWriter, r *http.Request, es *epochState, key string, merge func(ctx context.Context) (any, error)) {
+	body, hit, err := rt.read(r.Context(), es, key, func(ctx context.Context) (any, int64, error) {
+		reply, err := merge(ctx)
+		if err != nil {
+			return nil, 0, err
+		}
+		body, err := json.Marshal(reply)
+		if err != nil {
+			return nil, 0, err
 		}
 		body = append(body, '\n')
-		// A store that loses the race with a cutover lands in the dead
-		// epoch's cache and dies with it.
-		es.replies.Add(key, body, server.EntryCost(key, "", int64(len(body))))
-		w.Header().Set("X-Cache", "miss")
+		return body, int64(len(body)), nil
+	})
+	if err != nil {
+		writeShardError(w, err)
+		return
 	}
+	mark := "miss"
+	if hit {
+		mark = "hit"
+	}
+	w.Header().Set("X-Cache", mark)
 	w.Header().Set("Content-Type", "application/json")
-	w.Write(body)
-}
-
-type shardNeighbors struct {
-	Degree    int              `json:"degree"`
-	Truncated bool             `json:"truncated"`
-	Neighbors []graph.VertexID `json:"neighbors"`
-}
-
-type neighborsReply struct {
-	clusterMeta
-	Vertex graph.VertexID `json:"vertex"`
-	Dir    string         `json:"dir"`
-	shardNeighbors
+	w.Write(body.([]byte))
 }
 
 func (rt *Router) handleNeighbors(w http.ResponseWriter, r *http.Request) {
@@ -824,7 +843,7 @@ func (rt *Router) handleNeighbors(w http.ResponseWriter, r *http.Request) {
 	}
 	defer rt.release(es)
 	q := r.URL.Query()
-	v, err := rt.vertexParam(q, "v")
+	v, err := server.VertexParam(q, "v", rt.placement.NumVertices)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -841,20 +860,19 @@ func (rt *Router) handleNeighbors(w http.ResponseWriter, r *http.Request) {
 		}
 		limit = max(limit, 0)
 	}
-	rt.servePoint(w, r, es, pointKey('n', uint64(v), dir, strconv.Itoa(limit)), func() (any, error) {
+	rt.point(w, r, es, pointKey('n', uint64(v), dir, strconv.Itoa(limit)), func(ctx context.Context) (any, error) {
 		path := fmt.Sprintf("/v1/query/neighbors?snapshot=%s&ids=orig&v=%d&dir=%s", es.snapshot, v, dir)
 		if limit > 0 {
 			// Each shard's list is ascending, so the merged first `limit`
 			// need only each shard's first `limit`.
 			path += fmt.Sprintf("&limit=%d", limit)
 		}
-		parts, err := fanout[shardNeighbors](r.Context(), rt, rt.shardsFor(v, dir != "out"), path)
+		parts, err := fanout[server.NeighborsResult](ctx, rt, rt.shardsFor(v, dir != "out"), path)
 		if err != nil {
 			return nil, err
 		}
 		mergeStart := time.Now()
-		reply := neighborsReply{clusterMeta: rt.metaFor(es), Vertex: v, Dir: dir}
-		reply.Neighbors = []graph.VertexID{}
+		reply := server.NeighborsResult{QueryMeta: rt.metaFor(es), Vertex: v, Dir: dir, Neighbors: []graph.VertexID{}}
 		for _, p := range parts {
 			reply.Degree += p.Degree
 			reply.Truncated = reply.Truncated || p.Truncated
@@ -865,16 +883,9 @@ func (rt *Router) handleNeighbors(w http.ResponseWriter, r *http.Request) {
 			reply.Neighbors = reply.Neighbors[:limit]
 			reply.Truncated = true
 		}
-		obs.FromContext(r.Context()).Observe("merge", mergeStart)
+		obs.FromContext(ctx).Observe("merge", mergeStart)
 		return reply, nil
 	})
-}
-
-type degreeReply struct {
-	clusterMeta
-	Vertex graph.VertexID `json:"vertex"`
-	Kind   string         `json:"kind"`
-	Degree int            `json:"degree"`
 }
 
 func (rt *Router) handleDegree(w http.ResponseWriter, r *http.Request) {
@@ -884,7 +895,7 @@ func (rt *Router) handleDegree(w http.ResponseWriter, r *http.Request) {
 	}
 	defer rt.release(es)
 	q := r.URL.Query()
-	v, err := rt.vertexParam(q, "v")
+	v, err := server.VertexParam(q, "v", rt.placement.NumVertices)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -893,27 +904,18 @@ func (rt *Router) handleDegree(w http.ResponseWriter, r *http.Request) {
 	if kind == "" {
 		kind = "out"
 	}
-	rt.servePoint(w, r, es, pointKey('d', uint64(v), kind), func() (any, error) {
+	rt.point(w, r, es, pointKey('d', uint64(v), kind), func(ctx context.Context) (any, error) {
 		path := fmt.Sprintf("/v1/query/degree?snapshot=%s&ids=orig&v=%d&kind=%s", es.snapshot, v, kind)
-		parts, err := fanout[struct {
-			Degree int `json:"degree"`
-		}](r.Context(), rt, rt.shardsFor(v, kind != "out"), path)
+		parts, err := fanout[server.DegreeResult](ctx, rt, rt.shardsFor(v, kind != "out"), path)
 		if err != nil {
 			return nil, err
 		}
-		reply := degreeReply{clusterMeta: rt.metaFor(es), Vertex: v, Kind: kind}
+		reply := server.DegreeResult{QueryMeta: rt.metaFor(es), Vertex: v, Kind: kind}
 		for _, p := range parts {
 			reply.Degree += p.Degree
 		}
 		return reply, nil
 	})
-}
-
-type rankReply struct {
-	clusterMeta
-	Vertex graph.VertexID `json:"vertex"`
-	Rank   float64        `json:"rank"`
-	Iters  int            `json:"iters"`
 }
 
 func (rt *Router) handleRank(w http.ResponseWriter, r *http.Request) {
@@ -922,34 +924,22 @@ func (rt *Router) handleRank(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer rt.release(es)
-	v, err := rt.vertexParam(r.URL.Query(), "v")
+	v, err := server.VertexParam(r.URL.Query(), "v", rt.placement.NumVertices)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	rt.servePoint(w, r, es, pointKey('r', uint64(v)), func() (any, error) {
+	rt.point(w, r, es, pointKey('r', uint64(v)), func(ctx context.Context) (any, error) {
 		// Rank lookups have exactly one authority: the owner shard.
 		path := fmt.Sprintf("/v1/query/rank?snapshot=%s&ids=orig&v=%d", es.snapshot, v)
-		parts, err := fanout[struct {
-			Rank  float64 `json:"rank"`
-			Iters int     `json:"iters"`
-		}](r.Context(), rt, []int{rt.placement.OwnerOf(v)}, path)
+		parts, err := fanout[server.RankResult](ctx, rt, []int{rt.placement.OwnerOf(v)}, path)
 		if err != nil {
 			return nil, err
 		}
-		return rankReply{clusterMeta: rt.metaFor(es), Vertex: v, Rank: parts[0].Rank, Iters: parts[0].Iters}, nil
+		reply := parts[0]
+		reply.QueryMeta = rt.metaFor(es)
+		return reply, nil
 	})
-}
-
-type rankedVertex struct {
-	Vertex graph.VertexID `json:"vertex"`
-	Rank   float64        `json:"rank"`
-}
-
-type topKReply struct {
-	clusterMeta
-	K   int            `json:"k"`
-	Top []rankedVertex `json:"top"`
 }
 
 func (rt *Router) handleTopK(w http.ResponseWriter, r *http.Request) {
@@ -966,18 +956,16 @@ func (rt *Router) handleTopK(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	rt.servePoint(w, r, es, pointKey('t', uint64(k)), func() (any, error) {
+	rt.point(w, r, es, pointKey('t', uint64(k)), func(ctx context.Context) (any, error) {
 		// Every shard returns its owned top-k; the owned sets partition the
 		// vertices, so the global top-k is exactly the k best of the union.
 		path := fmt.Sprintf("/v1/query/topk?snapshot=%s&ids=orig&k=%d", es.snapshot, k)
-		parts, err := fanout[struct {
-			Top []rankedVertex `json:"top"`
-		}](r.Context(), rt, rt.allShards, path)
+		parts, err := fanout[server.TopKResult](ctx, rt, rt.allShards, path)
 		if err != nil {
 			return nil, err
 		}
 		mergeStart := time.Now()
-		merged := []rankedVertex{}
+		merged := []server.RankedVertex{}
 		for _, p := range parts {
 			merged = append(merged, p.Top...)
 		}
@@ -992,8 +980,8 @@ func (rt *Router) handleTopK(w http.ResponseWriter, r *http.Request) {
 		if len(merged) > k {
 			merged = merged[:k]
 		}
-		obs.FromContext(r.Context()).Observe("merge", mergeStart)
-		return topKReply{clusterMeta: rt.metaFor(es), K: k, Top: merged}, nil
+		obs.FromContext(ctx).Observe("merge", mergeStart)
+		return server.TopKResult{QueryMeta: rt.metaFor(es), K: k, Top: merged}, nil
 	})
 }
 
@@ -1002,59 +990,22 @@ func (rt *Router) handleTopK(w http.ResponseWriter, r *http.Request) {
 // answer into an error instead of an infinite loop.
 const maxSSSPRounds = 1 << 20
 
-// ssspInf marks "unreached" in router-side distance vectors.
-const ssspInf = server.RelaxInf
-
-// ssspVector is one source's distances and the rounds that found them,
-// as an epoch caches them.
-type ssspVector struct {
-	dist   []int64
-	rounds int
-}
-
-// clusterSSSP returns the distance vector from src at epoch es, from the
-// epoch's reply cache or by running the scatter-gather frontier exchange:
-// the node's heavy path without its pool, cache → flight → compute.
-// Concurrent callers coalesce onto one exchange; a failed one is not
-// cached, so the next request retries. Vectors are cached, not
-// responses, so any ?target= is answered from one compute.
-func (rt *Router) clusterSSSP(es *epochState, src graph.VertexID, tr *obs.Trace) ([]int64, int, error) {
-	key := pointKey('s', uint64(src))
-	v, ok := es.replies.Get(key)
-	if !ok {
-		call, _ := rt.flights.Do(strconv.FormatUint(es.epoch, 10)+"|"+key, func() (any, error) {
-			// A leader that starts after the previous one stored the vector
-			// and left the flight finds it here instead of computing twice.
-			if v, ok := es.replies.Get(key); ok {
-				return v, nil
-			}
-			// The exchange pins the epoch on its own account: it answers
-			// every caller that coalesced onto it, whichever returns first.
-			if !es.acquire() {
-				return nil, fmt.Errorf("cluster: epoch %d is retired", es.epoch)
-			}
-			defer rt.release(es)
-			// Detach from the leader's request context: a coalesced compute
-			// must not die with whichever client happened to start it.
-			//lint:allow ctxflow coalesced SSSP outlives the request that triggered it
-			ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
-			defer cancel()
-			dist, rounds, err := rt.runSSSP(ctx, es, src, tr)
-			if err != nil {
-				return nil, err
-			}
-			vec := ssspVector{dist: dist, rounds: rounds}
-			es.replies.Add(key, vec, server.EntryCost(key, "", 8*int64(len(dist))))
-			return vec, nil
-		})
-		<-call.Done()
-		var err error
-		if v, err = call.Result(); err != nil {
+// sssp returns the distances from src at epoch es through read, cached
+// as the node caches them: packed to 2, 4 or 8 bytes per vertex with the
+// summary computed once, so any ?target= is answered from one exchange.
+func (rt *Router) sssp(ctx context.Context, es *epochState, src graph.VertexID) (server.SSSPDistances, error) {
+	v, _, err := rt.read(ctx, es, pointKey('s', uint64(src)), func(ctx context.Context) (any, int64, error) {
+		dist, rounds, err := rt.runSSSP(ctx, es, src)
+		if err != nil {
 			return nil, 0, err
 		}
+		d := server.NewSSSPDistances(dist, rounds)
+		return d, d.Dist.Bytes(), nil
+	})
+	if err != nil {
+		return server.SSSPDistances{}, err
 	}
-	vec := v.(ssspVector)
-	return vec.dist, vec.rounds, nil
+	return v.(server.SSSPDistances), nil
 }
 
 // relaxLeg is one shard's side of the frontier exchange; runSSSP keeps
@@ -1074,12 +1025,14 @@ type relaxLeg struct {
 // Shards are stateless: everything a round needs travels in its frame.
 // Distances are exact; the round count depends on the scatter schedule
 // and is excluded from the cluster-vs-single-node equivalence contract.
-func (rt *Router) runSSSP(ctx context.Context, es *epochState, src graph.VertexID, tr *obs.Trace) ([]int64, int, error) {
+// Unreached vertices hold apps.InfDistance, as the engine leaves them.
+func (rt *Router) runSSSP(ctx context.Context, es *epochState, src graph.VertexID) ([]int64, int, error) {
+	tr := obs.FromContext(ctx)
 	p := rt.placement
 	n := p.NumVertices
 	dist := make([]int64, n)
 	for i := range dist {
-		dist[i] = ssspInf
+		dist[i] = apps.InfDistance
 	}
 	dist[src] = 0
 	frontier := []graph.VertexID{src}   // ascending
@@ -1175,7 +1128,8 @@ func (rt *Router) handleSSSP(w http.ResponseWriter, r *http.Request) {
 	}
 	defer rt.release(es)
 	q := r.URL.Query()
-	src, err := rt.vertexParam(q, "src")
+	n := rt.placement.NumVertices
+	src, err := server.VertexParam(q, "src", n)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -1183,45 +1137,22 @@ func (rt *Router) handleSSSP(w http.ResponseWriter, r *http.Request) {
 	var target graph.VertexID
 	hasTarget := q.Get("target") != ""
 	if hasTarget {
-		if target, err = rt.vertexParam(q, "target"); err != nil {
+		if target, err = server.VertexParam(q, "target", n); err != nil {
 			writeError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
 	}
-	tr := obs.FromContext(r.Context())
-	n := rt.placement.NumVertices
-	dist, rounds, err := rt.clusterSSSP(es, src, tr)
+	d, err := rt.sssp(r.Context(), es, src)
 	if err != nil {
 		writeShardError(w, err)
 		return
 	}
-	reached, unreachable, maxDist := 0, 0, int64(0)
-	for _, d := range dist {
-		if d == ssspInf {
-			unreachable++
-		} else {
-			reached++
-			if d > maxDist {
-				maxDist = d
-			}
-		}
+	summary := d.Summary(rt.metaFor(es), src)
+	if !hasTarget {
+		writeJSON(w, http.StatusOK, summary)
+		return
 	}
-	res := map[string]any{
-		"snapshot": es.snapshot, "epoch": es.epoch,
-		"vertices": n, "edges": es.edges,
-		"source": src, "rounds": rounds,
-		"reached": reached, "unreachable": unreachable,
-		"max_distance": maxDist,
-	}
-	if hasTarget {
-		res["target"] = target
-		reachable := dist[target] != ssspInf
-		res["reachable"] = reachable
-		var d int64
-		if reachable {
-			d = dist[target]
-		}
-		res["distance"] = d
-	}
+	res := server.SSSPTargetResult{SSSPResult: summary, Target: target}
+	res.Distance, res.Reachable = d.Dist.At(int(target))
 	writeJSON(w, http.StatusOK, res)
 }

@@ -99,7 +99,7 @@ type degreeView struct {
 }
 
 type topkView struct {
-	Top []rankedVertex `json:"top"`
+	Top []server.RankedVertex `json:"top"`
 }
 
 type ssspView struct {
@@ -216,11 +216,6 @@ func replyPayload(t *testing.T, url string) map[string]any {
 	}
 	for _, k := range []string{"snapshot", "epoch", "cached", "stale", "rounds"} {
 		delete(m, k)
-	}
-	if _, ok := m["neighbors"]; ok {
-		if _, ok := m["truncated"]; !ok {
-			m["truncated"] = false
-		}
 	}
 	return m
 }

@@ -42,8 +42,8 @@ type RouterReport struct {
 	ShardErrors   uint64                    `json:"shard_errors"`
 	RelaxBytesOut uint64                    `json:"relax_bytes_out"` // relax-frame bytes the SSSP exchange sent to shards
 	RelaxBytesIn  uint64                    `json:"relax_bytes_in"`  // and received from them
-	CacheHits     uint64                    `json:"cache_hits"`      // point reads answered from an epoch's reply cache
-	CacheMisses   uint64                    `json:"cache_misses"`    // and those that went to the shards
+	CacheHits     uint64                    `json:"cache_hits"`      // reads (point and SSSP) answered from an epoch's reply cache
+	CacheMisses   uint64                    `json:"cache_misses"`    // and those computed from the shards or joined to a compute in flight
 	CacheBytes    int64                     `json:"cache_bytes"`     // the serving epoch's reply cache, as charged
 	EpochsRetired uint64                    `json:"epochs_retired"`  // superseded epochs drained and swept off the members
 	RetireErrors  uint64                    `json:"retire_errors"`   // member calls those sweeps could not complete
@@ -125,9 +125,9 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	p.Sample("graphd_cluster_relax_bytes_total", []obs.Label{{Name: "dir", Value: "out"}}, float64(rep.RelaxBytesOut))
 	p.Sample("graphd_cluster_relax_bytes_total", []obs.Label{{Name: "dir", Value: "in"}}, float64(rep.RelaxBytesIn))
 
-	p.Counter("graphd_cluster_cache_hits_total", "Point reads answered from an epoch's reply cache.")
+	p.Counter("graphd_cluster_cache_hits_total", "Reads (point and SSSP) answered from an epoch's reply cache.")
 	p.Sample("graphd_cluster_cache_hits_total", nil, float64(rep.CacheHits))
-	p.Counter("graphd_cluster_cache_misses_total", "Point reads that went to the shards.")
+	p.Counter("graphd_cluster_cache_misses_total", "Reads (point and SSSP) computed from the shards or joined to a compute in flight.")
 	p.Sample("graphd_cluster_cache_misses_total", nil, float64(rep.CacheMisses))
 	p.Gauge("graphd_cluster_cache_bytes", "Bytes charged to the serving epoch's reply cache.")
 	p.Sample("graphd_cluster_cache_bytes", nil, float64(rep.CacheBytes))

@@ -1,11 +1,12 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"slices"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -86,15 +87,16 @@ func TestClusterSSSPDifferential(t *testing.T) {
 						name := fmt.Sprintf("%s/%s/%d-%s/%s-%s", dataset, scale, shards, strategy, layout.backend, layout.technique)
 						es := cl.Router.epoch.Load()
 						for i, src := range sources {
-							got, _, err := cl.Router.clusterSSSP(es, src, nil)
+							got, err := cl.Router.sssp(ctx, es, src)
 							if err != nil {
 								t.Fatalf("%s src=%d: %v", name, src, err)
 							}
-							if len(got) != len(want[i]) {
-								t.Fatalf("%s src=%d: %d distances, want %d", name, src, len(got), len(want[i]))
+							if got.Dist.Len() != len(want[i]) {
+								t.Fatalf("%s src=%d: %d distances, want %d", name, src, got.Dist.Len(), len(want[i]))
 							}
-							for v, d := range got {
-								if d == ssspInf {
+							for v := range want[i] {
+								d, ok := got.Dist.At(v)
+								if !ok {
 									d = graphreorder.InfDistance
 								}
 								if d != want[i][v] {
@@ -110,13 +112,13 @@ func TestClusterSSSPDifferential(t *testing.T) {
 	}
 }
 
-// TestClusterSSSPCoalesces pins the router's heavy path: K concurrent
-// clusterSSSP calls for one source at one epoch run one frontier exchange
-// and all get its rounds and distances, asking again sends no relax
-// frame, and the next epoch runs one exchange of its own. The reference
-// is runSSSP, the bare exchange: the relax bytes the router sends depend
-// only on the frontier sequence, so one exchange sends exactly what it
-// sent.
+// TestClusterSSSPCoalesces pins the router's one read path: K concurrent
+// cold requests for one key at one epoch cost the shards exactly one
+// request's fan-out and all get the same bytes, asking again costs
+// nothing, and the next epoch computes once of its own. The rows are an
+// SSSP, whose reference is runSSSP, the bare exchange (its shard calls
+// depend only on the frontier sequence), an in-neighbors read of the hub,
+// which asks every shard, and a rank, which asks the owner.
 func TestClusterSSSPCoalesces(t *testing.T) {
 	g := genGraph(t, "sd", "tiny")
 	cl := startCluster(t, g, LocalOptions{Shards: 2})
@@ -125,10 +127,16 @@ func TestClusterSSSPCoalesces(t *testing.T) {
 	defer cancel()
 	const callers = 8
 	src := graph.VertexID(0)
-	sent := func(f func()) uint64 {
-		before := rt.relaxBytesOut.Load()
+	hub := graph.VertexID(0)
+	for v := graph.VertexID(0); int(v) < g.NumVertices(); v++ {
+		if g.InDegree(v) > g.InDegree(hub) {
+			hub = v
+		}
+	}
+	asked := func(f func()) uint64 {
+		before := rt.fanouts.Load()
 		f()
-		return rt.relaxBytesOut.Load() - before
+		return rt.fanouts.Load() - before
 	}
 	for epoch := 1; epoch <= 2; epoch++ {
 		if epoch > 1 {
@@ -139,56 +147,58 @@ func TestClusterSSSPCoalesces(t *testing.T) {
 		es := rt.epoch.Load()
 		var want []int64
 		var wantRounds int
-		one := sent(func() {
+		exchange := asked(func() {
 			var err error
-			if want, wantRounds, err = rt.runSSSP(ctx, es, src, nil); err != nil {
+			if want, wantRounds, err = rt.runSSSP(ctx, es, src); err != nil {
 				t.Fatal(err)
 			}
 		})
-		if one == 0 {
-			t.Fatalf("epoch %d: the reference exchange sent no relax bytes", epoch)
+		if exchange == 0 {
+			t.Fatalf("epoch %d: the reference exchange asked no shard", epoch)
 		}
-		dists := make([][]int64, callers)
-		rounds := make([]int, callers)
-		errs := make([]error, callers)
-		got := sent(func() {
-			start := make(chan struct{})
-			var wg sync.WaitGroup
-			for i := range callers {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					<-start
-					dists[i], rounds[i], errs[i] = rt.clusterSSSP(es, src, nil)
-				}()
+		for _, row := range []struct {
+			path   string
+			fanout uint64
+		}{
+			{fmt.Sprintf("/v1/query/sssp?src=%d", src), exchange},
+			{fmt.Sprintf("/v1/query/neighbors?v=%d&dir=in", hub), uint64(len(rt.slots))},
+			{"/v1/query/rank?v=1", 1},
+		} {
+			bodies := make([][]byte, callers)
+			got := asked(func() {
+				start := make(chan struct{})
+				var wg sync.WaitGroup
+				for i := range callers {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						<-start
+						code, _, body := httpRaw(t, cl.RouterURL+row.path)
+						if code != http.StatusOK {
+							t.Errorf("epoch %d %s: status %d: %s", epoch, row.path, code, body)
+						}
+						bodies[i] = body
+					}()
+				}
+				close(start)
+				wg.Wait()
+			})
+			if got != row.fanout {
+				t.Errorf("epoch %d %s: %d concurrent callers cost %d shard requests, one costs %d",
+					epoch, row.path, callers, got, row.fanout)
 			}
-			close(start)
-			wg.Wait()
-		})
-		if got != one {
-			t.Errorf("epoch %d: %d concurrent callers sent %d relax bytes, one exchange sends %d", epoch, callers, got, one)
+			for i := 1; i < callers; i++ {
+				if !bytes.Equal(bodies[i], bodies[0]) {
+					t.Errorf("epoch %d %s: caller %d got other bytes:\n%s%s", epoch, row.path, i, bodies[0], bodies[i])
+				}
+			}
+			if again := asked(func() { httpRaw(t, cl.RouterURL+row.path) }); again != 0 {
+				t.Errorf("epoch %d %s: asking again cost %d shard requests, want 0", epoch, row.path, again)
+			}
 		}
-		for i := range callers {
-			if errs[i] != nil {
-				t.Fatalf("epoch %d caller %d: %v", epoch, i, errs[i])
-			}
-			if rounds[i] != wantRounds || !slices.Equal(dists[i], want) {
-				t.Errorf("epoch %d caller %d: %d rounds and distances equal %v, the exchange took %d",
-					epoch, i, rounds[i], slices.Equal(dists[i], want), wantRounds)
-			}
-		}
-		var again []int64
-		var againRounds int
-		if repeat := sent(func() {
-			var err error
-			if again, againRounds, err = rt.clusterSSSP(es, src, nil); err != nil {
-				t.Fatal(err)
-			}
-		}); repeat != 0 {
-			t.Errorf("epoch %d: asking again sent %d relax bytes, want 0", epoch, repeat)
-		}
-		if againRounds != wantRounds || !slices.Equal(again, want) {
-			t.Errorf("epoch %d: the repeat got %d rounds and other distances", epoch, againRounds)
+		cached, ok := es.replies.Get(pointKey('s', uint64(src)))
+		if !ok || !reflect.DeepEqual(cached, server.NewSSSPDistances(want, wantRounds)) {
+			t.Errorf("epoch %d: the cached vector (cached: %v) is not the bare exchange's", epoch, ok)
 		}
 	}
 }
@@ -221,11 +231,11 @@ func BenchmarkClusterSSSP(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			_, r, err := rt.clusterSSSP(es, source(i), nil)
+			d, err := rt.sssp(ctx, es, source(i))
 			if err != nil {
 				b.Fatal(err)
 			}
-			rounds += r
+			rounds += d.Summary(server.QueryMeta{}, source(i)).Rounds
 		}
 		b.StopTimer()
 		q := float64(b.N)

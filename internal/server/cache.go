@@ -14,7 +14,7 @@ import (
 // embeds the snapshot epoch in every key, so entries for a replaced
 // snapshot simply age out — a hot-swap never serves stale answers and
 // needs no invalidation pass; the cluster router keeps one per epoch
-// (internal/cluster), holding point replies and SSSP distance vectors
+// (internal/cluster), holding encoded point replies and SSSPDistances
 // side by side, and lets it die with the epoch.
 //
 // A secondary index keyed by the epoch-free part of the key ("topk|10")
@@ -45,7 +45,7 @@ type cacheEntry struct {
 	cost     int64
 	// meta identifies the snapshot that produced val — stale serves
 	// report it so the client sees which epoch actually answered.
-	meta queryMeta
+	meta QueryMeta
 }
 
 // EntryCost is what caching a payload of the given size keeps resident:
@@ -86,12 +86,12 @@ func (c *ResultCache) Get(key string) (any, bool) {
 
 // getStale returns the most recent cached result for an epoch-free key,
 // along with the metadata of the (possibly old) snapshot it came from.
-func (c *ResultCache) getStale(staleKey string) (any, queryMeta, bool) {
+func (c *ResultCache) getStale(staleKey string) (any, QueryMeta, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e, ok := c.stale[staleKey]
 	if !ok {
-		return nil, queryMeta{}, false
+		return nil, QueryMeta{}, false
 	}
 	c.staleHits.Add(1)
 	return e.val, e.meta, true
@@ -103,13 +103,13 @@ func (c *ResultCache) getStale(staleKey string) (any, queryMeta, bool) {
 // at a smaller cost, that entry is dropped rather than left serving the
 // superseded value.
 func (c *ResultCache) Add(key string, val any, cost int64) {
-	c.addFallback(key, "", val, cost, queryMeta{})
+	c.addFallback(key, "", val, cost, QueryMeta{})
 }
 
 // addFallback is Add for a node's epoch-keyed entries: a non-empty
 // staleKey also indexes the entry as the degradation fallback for its
 // parameters, answering as the snapshot meta names.
-func (c *ResultCache) addFallback(key, staleKey string, val any, cost int64, meta queryMeta) {
+func (c *ResultCache) addFallback(key, staleKey string, val any, cost int64, meta QueryMeta) {
 	if cost < 1 {
 		cost = 1
 	}

@@ -16,7 +16,7 @@ import (
 )
 
 // TestDistVectorWidths checks the width chosen at each boundary and that
-// at() reads back exactly what the int64 vector held, at every index.
+// At reads back exactly what the int64 vector held, at every index.
 func TestDistVectorWidths(t *testing.T) {
 	const inf = int64(infDistance)
 	cases := []struct {
@@ -41,15 +41,15 @@ func TestDistVectorWidths(t *testing.T) {
 			}
 		}
 		v := packDistances(slices.Clone(c.dist), maxDistance)
-		if v.len() != len(c.dist) || v.bytes() != c.width*int64(len(c.dist)) {
-			t.Errorf("%s: len %d bytes %d, want %d vertices at %d B", c.name, v.len(), v.bytes(), len(c.dist), c.width)
+		if v.Len() != len(c.dist) || v.Bytes() != c.width*int64(len(c.dist)) {
+			t.Errorf("%s: len %d bytes %d, want %d vertices at %d B", c.name, v.Len(), v.Bytes(), len(c.dist), c.width)
 		}
 		populated := map[int64]bool{2: v.u16 != nil, 4: v.u32 != nil, 8: v.i64 != nil}
 		if len(c.dist) > 0 && !populated[c.width] {
 			t.Errorf("%s: wrong slice populated: %+v", c.name, v)
 		}
 		for i, want := range c.dist {
-			got, ok := v.at(i)
+			got, ok := v.At(i)
 			if want == inf {
 				want = 0
 			}
@@ -58,7 +58,7 @@ func TestDistVectorWidths(t *testing.T) {
 			}
 		}
 		// A stale vector may be shorter than the vertex asked about.
-		if got, ok := v.at(len(c.dist)); ok || got != 0 {
+		if got, ok := v.At(len(c.dist)); ok || got != 0 {
 			t.Errorf("%s: at(len) = (%d, %v), want unreachable", c.name, got, ok)
 		}
 	}
@@ -74,7 +74,7 @@ func wideTargetReply(t *testing.T, snap *Snapshot, src, target graph.VertexID, c
 		t.Fatal(err)
 	}
 	dist := res.Distances()
-	sum := ssspResult{queryMeta: metaFor(snap), Source: src, Rounds: res.Iterations}
+	sum := SSSPResult{QueryMeta: metaFor(snap), Source: src, Rounds: res.Iterations}
 	sum.Cached = cached
 	for _, dv := range dist {
 		if dv == infDistance {
@@ -84,7 +84,7 @@ func wideTargetReply(t *testing.T, snap *Snapshot, src, target graph.VertexID, c
 			sum.MaxDistance = max(sum.MaxDistance, dv)
 		}
 	}
-	reply := ssspTargetResult{ssspResult: sum, Target: target}
+	reply := SSSPTargetResult{SSSPResult: sum, Target: target}
 	if dv := dist[target]; dv != infDistance {
 		reply.Reachable, reply.Distance = true, dv
 	}
@@ -142,11 +142,11 @@ func TestSSSPTargetRepliesUnchanged(t *testing.T) {
 		if !ok {
 			t.Fatalf("%s: SSSP result not cached", name)
 		}
-		vec := v.(ssspDistances).dist
-		if vec.bytes() != wantBytes[name]*int64(n) {
-			t.Errorf("%s: cached vector is %d B for %d vertices, want %d B/vertex", name, vec.bytes(), n, wantBytes[name])
+		vec := v.(SSSPDistances).Dist
+		if vec.Bytes() != wantBytes[name]*int64(n) {
+			t.Errorf("%s: cached vector is %d B for %d vertices, want %d B/vertex", name, vec.Bytes(), n, wantBytes[name])
 		}
-		wantCache += EntryCost(key, "sssp|0", vec.bytes())
+		wantCache += EntryCost(key, "sssp|0", vec.Bytes())
 	}
 	// The cache is charged what it holds, and /metrics reports that figure.
 	var rep MetricsReport
@@ -168,7 +168,7 @@ func TestStaleSSSPVectorShorterThanTarget(t *testing.T) {
 		t.Fatal(err)
 	}
 	h := s.Handler()
-	var warm ssspResult
+	var warm SSSPResult
 	if code := get(t, h, "/v1/query/sssp?src=0", &warm); code != http.StatusOK {
 		t.Fatal("warmup sssp failed")
 	}
@@ -189,7 +189,7 @@ func TestStaleSSSPVectorShorterThanTarget(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.pool.release()
-	var degraded ssspTargetResult
+	var degraded SSSPTargetResult
 	code, body, _ := getWithDeadline(t, h, fmt.Sprintf("/v1/query/sssp?src=0&target=%d", newVertex), 50*time.Millisecond, &degraded)
 	if code != http.StatusOK {
 		t.Fatalf("degraded status = %d %s, want 200 (stale fallback cached)", code, body)

@@ -16,10 +16,12 @@
 // (singleflight) and results kept in an LRU keyed by
 // (snapshot epoch, app, params). The LRU is bounded in bytes and charges
 // an entry what it keeps resident (EntryCost): an SSSP result is cached
-// as a distVector — uint16, uint32 or int64 per vertex, the narrowest
-// that holds the largest distance plus an unreachable sentinel — read
-// only through at/len/bytes, so the target lookup and the stale-epoch
-// fallback never see the width.
+// as SSSPDistances, a DistVector — uint16, uint32 or int64 per vertex,
+// the narrowest that holds the largest distance plus an unreachable
+// sentinel — and its summary, read only through At/Len/Bytes, so the
+// target lookup and the stale-epoch fallback never see the width. The
+// cluster router caches the same type and answers with the same reply
+// types.
 //
 // # Live snapshots
 //

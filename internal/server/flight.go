@@ -11,7 +11,8 @@ import (
 // leader runs on its own goroutine so a caller whose context expires can
 // abandon the wait while the result still lands in the cache. It is the
 // one singleflight of both serving tiers: a node keys it by epoch and
-// query, the cluster router by epoch and SSSP source.
+// query, the cluster router by epoch and reply-cache key, so every
+// router read — point replies and SSSP sources alike — coalesces here.
 type FlightGroup struct {
 	mu        sync.Mutex
 	m         map[string]*FlightCall

@@ -29,10 +29,12 @@ func traceProgress(ctx context.Context, opts []graphreorder.RunOption) []graphre
 // infDistance marks unreachable vertices in SSSP distance vectors.
 const infDistance = apps.InfDistance
 
-// Query results. Every response embeds queryMeta so a client (and the
-// race test) can tell exactly which snapshot produced it.
+// Query results. Every response embeds QueryMeta so a client (and the
+// race test) can tell exactly which snapshot produced it. The cluster
+// router answers with the same types.
 
-type queryMeta struct {
+// QueryMeta identifies the snapshot behind a reply.
+type QueryMeta struct {
 	Snapshot string `json:"snapshot"`
 	Epoch    uint64 `json:"epoch"`
 	Vertices int    `json:"vertices"`
@@ -45,8 +47,8 @@ type queryMeta struct {
 	Stale bool `json:"stale,omitempty"`
 }
 
-func metaFor(s *Snapshot) queryMeta {
-	return queryMeta{
+func metaFor(s *Snapshot) QueryMeta {
+	return QueryMeta{
 		Snapshot: s.name,
 		Epoch:    s.epoch,
 		Vertices: s.graph.NumVertices(),
@@ -54,8 +56,9 @@ func metaFor(s *Snapshot) queryMeta {
 	}
 }
 
-type neighborsResult struct {
-	queryMeta
+// NeighborsResult is the reply of GET /v1/query/neighbors.
+type NeighborsResult struct {
+	QueryMeta
 	Vertex    graph.VertexID   `json:"vertex"`
 	Dir       string           `json:"dir"`
 	Degree    int              `json:"degree"`
@@ -63,7 +66,7 @@ type neighborsResult struct {
 	Neighbors []graph.VertexID `json:"neighbors"`
 }
 
-func queryNeighbors(sp idSpace, v graph.VertexID, dir string, limit int) (neighborsResult, error) {
+func queryNeighbors(sp idSpace, v graph.VertexID, dir string, limit int) (NeighborsResult, error) {
 	s := sp.snap
 	cur := sp.in(v)
 	var nbrs []graph.VertexID
@@ -74,10 +77,10 @@ func queryNeighbors(sp idSpace, v graph.VertexID, dir string, limit int) (neighb
 	case "in":
 		nbrs = s.graph.InNeighbors(cur)
 	default:
-		return neighborsResult{}, fmt.Errorf("bad dir %q (want in|out)", dir)
+		return NeighborsResult{}, fmt.Errorf("bad dir %q (want in|out)", dir)
 	}
-	res := neighborsResult{
-		queryMeta: metaFor(s),
+	res := NeighborsResult{
+		QueryMeta: metaFor(s),
 		Vertex:    v,
 		Dir:       dir,
 		Degree:    len(nbrs),
@@ -129,15 +132,16 @@ func siftDown(h []graph.VertexID, i int) {
 	}
 }
 
-type degreeResult struct {
-	queryMeta
+// DegreeResult is the reply of GET /v1/query/degree.
+type DegreeResult struct {
+	QueryMeta
 	Vertex graph.VertexID `json:"vertex"`
 	Kind   string         `json:"kind"`
 	Degree int            `json:"degree"`
 }
 
-func queryDegree(s *Snapshot, v graph.VertexID, kind string) (degreeResult, error) {
-	res := degreeResult{queryMeta: metaFor(s), Vertex: v, Kind: kind}
+func queryDegree(s *Snapshot, v graph.VertexID, kind string) (DegreeResult, error) {
+	res := DegreeResult{QueryMeta: metaFor(s), Vertex: v, Kind: kind}
 	switch kind {
 	case "", "out":
 		res.Kind = "out"
@@ -147,42 +151,45 @@ func queryDegree(s *Snapshot, v graph.VertexID, kind string) (degreeResult, erro
 	case "total":
 		res.Degree = s.graph.InDegree(v) + s.graph.OutDegree(v)
 	default:
-		return degreeResult{}, fmt.Errorf("bad kind %q (want in|out|total)", kind)
+		return DegreeResult{}, fmt.Errorf("bad kind %q (want in|out|total)", kind)
 	}
 	return res, nil
 }
 
-type rankResult struct {
-	queryMeta
+// RankResult is the reply of GET /v1/query/rank.
+type RankResult struct {
+	QueryMeta
 	Vertex graph.VertexID `json:"vertex"`
 	Rank   float64        `json:"rank"`
 	Iters  int            `json:"iters"`
 }
 
-func queryRank(s *Snapshot, v graph.VertexID) rankResult {
-	return rankResult{
-		queryMeta: metaFor(s),
+func queryRank(s *Snapshot, v graph.VertexID) RankResult {
+	return RankResult{
+		QueryMeta: metaFor(s),
 		Vertex:    v,
 		Rank:      s.ranks[v],
 		Iters:     s.rankIters,
 	}
 }
 
-type rankedVertex struct {
+// RankedVertex is one entry of a top-k reply.
+type RankedVertex struct {
 	Vertex graph.VertexID `json:"vertex"`
 	Rank   float64        `json:"rank"`
 }
 
-type topKResult struct {
-	queryMeta
+// TopKResult is the reply of GET /v1/query/topk.
+type TopKResult struct {
+	QueryMeta
 	K   int            `json:"k"`
-	Top []rankedVertex `json:"top"`
+	Top []RankedVertex `json:"top"`
 }
 
 // topKRanks selects the k highest-ranked vertices with a size-k min-heap
 // (O(n log k)); ties break toward the lower vertex ID so results are
 // deterministic.
-func topKRanks(ranks []float64, k int) []rankedVertex {
+func topKRanks(ranks []float64, k int) []RankedVertex {
 	return topKRanksIn(idSpace{}, ranks, nil, k)
 }
 
@@ -193,22 +200,22 @@ func topKRanks(ranks []float64, k int) []rankedVertex {
 // vertices this shard is the rank authority for; ownership partitions
 // the cluster's vertex set, so per-shard answers are disjoint and a
 // router heap-merge reproduces the global top-k exactly.
-func topKRanksIn(sp idSpace, ranks []float64, owned []bool, k int) []rankedVertex {
+func topKRanksIn(sp idSpace, ranks []float64, owned []bool, k int) []RankedVertex {
 	if k > len(ranks) {
 		k = len(ranks)
 	}
 	if k <= 0 {
-		return []rankedVertex{}
+		return []RankedVertex{}
 	}
 	// less reports whether a is strictly worse than b (belongs below it in
 	// the min-heap at the top of which sits the worst kept vertex).
-	less := func(a, b rankedVertex) bool {
+	less := func(a, b RankedVertex) bool {
 		if a.Rank != b.Rank {
 			return a.Rank < b.Rank
 		}
 		return a.Vertex > b.Vertex
 	}
-	heap := make([]rankedVertex, 0, k)
+	heap := make([]RankedVertex, 0, k)
 	down := func(i int) {
 		for {
 			l, r := 2*i+1, 2*i+2
@@ -240,7 +247,7 @@ func topKRanksIn(sp idSpace, ranks []float64, owned []bool, k int) []rankedVerte
 		if owned != nil && !owned[v] {
 			continue
 		}
-		cand := rankedVertex{Vertex: sp.out(graph.VertexID(v)), Rank: r}
+		cand := RankedVertex{Vertex: sp.out(graph.VertexID(v)), Rank: r}
 		if len(heap) < k {
 			heap = append(heap, cand)
 			up(len(heap) - 1)
@@ -252,7 +259,7 @@ func topKRanksIn(sp idSpace, ranks []float64, owned []bool, k int) []rankedVerte
 		}
 	}
 	// Pop into descending order.
-	out := make([]rankedVertex, len(heap))
+	out := make([]RankedVertex, len(heap))
 	for i := len(heap) - 1; i >= 0; i-- {
 		out[i] = heap[0]
 		heap[0] = heap[len(heap)-1]
@@ -262,8 +269,9 @@ func topKRanksIn(sp idSpace, ranks []float64, owned []bool, k int) []rankedVerte
 	return out
 }
 
-type ssspResult struct {
-	queryMeta
+// SSSPResult is the reply of GET /v1/query/sssp without a target.
+type SSSPResult struct {
+	QueryMeta
 	Source      graph.VertexID `json:"source"`
 	Rounds      int            `json:"rounds"`
 	Reached     int            `json:"reached"`
@@ -271,10 +279,10 @@ type ssspResult struct {
 	MaxDistance int64          `json:"max_distance"`
 }
 
-// distVector is an SSSP distance vector stored at the narrowest fixed
+// DistVector is an SSSP distance vector stored at the narrowest fixed
 // width that holds its largest finite distance plus an unreachable
 // sentinel (the width's maximum value). Exactly one slice is non-nil.
-type distVector struct {
+type DistVector struct {
 	u16 []uint16
 	u32 []uint32
 	i64 []int64
@@ -282,14 +290,14 @@ type distVector struct {
 
 // packDistances narrows dist, whose largest finite entry is maxDistance.
 // The int64 form keeps dist itself.
-func packDistances(dist []int64, maxDistance int64) distVector {
+func packDistances(dist []int64, maxDistance int64) DistVector {
 	switch {
 	case maxDistance < math.MaxUint16:
-		return distVector{u16: narrow[uint16](dist)}
+		return DistVector{u16: narrow[uint16](dist)}
 	case maxDistance < math.MaxUint32:
-		return distVector{u32: narrow[uint32](dist)}
+		return DistVector{u32: narrow[uint32](dist)}
 	}
-	return distVector{i64: dist}
+	return DistVector{i64: dist}
 }
 
 // narrow truncates every distance to T; infDistance is all ones in the
@@ -302,13 +310,13 @@ func narrow[T uint16 | uint32](dist []int64) []T {
 	return out
 }
 
-// at returns vertex i's distance, or (0, false) when it is unreachable.
+// At returns vertex i's distance, or (0, false) when it is unreachable.
 // An index past the end reads as unreachable: a stale (older-epoch)
 // vector may predate the vertex.
-func (v distVector) at(i int) (int64, bool) {
+func (v DistVector) At(i int) (int64, bool) {
 	var dv, sentinel int64
 	switch {
-	case i >= v.len():
+	case i >= v.Len():
 		return 0, false
 	case v.u16 != nil:
 		dv, sentinel = int64(v.u16[i]), math.MaxUint16
@@ -323,53 +331,59 @@ func (v distVector) at(i int) (int64, bool) {
 	return dv, true
 }
 
-func (v distVector) len() int { return len(v.u16) + len(v.u32) + len(v.i64) }
+// Len is the number of vertices the vector covers.
+func (v DistVector) Len() int { return len(v.u16) + len(v.u32) + len(v.i64) }
 
-// bytes is the vector's resident size.
-func (v distVector) bytes() int64 {
+// Bytes is the vector's resident size.
+func (v DistVector) Bytes() int64 {
 	return int64(2*len(v.u16) + 4*len(v.u32) + 8*len(v.i64))
 }
 
-// ssspDistances is the cached payload: the full distance vector plus the
-// summary, computed once per (epoch, source) — cache hits serve the
-// summary without rescanning the O(n) vector.
-type ssspDistances struct {
-	dist        distVector
+// SSSPDistances is what both tiers cache per (epoch, source): the full
+// distance vector plus its summary, computed once per vector — cache hits
+// serve the summary without rescanning the O(n) vector.
+type SSSPDistances struct {
+	Dist        DistVector
 	rounds      int
 	reached     int
 	unreachable int
 	maxDistance int64
 }
 
+// NewSSSPDistances packs dist, in which apps.InfDistance marks the
+// unreachable vertices, and summarizes it; rounds is the number of
+// rounds the traversal took.
+func NewSSSPDistances(dist []int64, rounds int) SSSPDistances {
+	d := SSSPDistances{rounds: rounds}
+	for _, dv := range dist {
+		if dv == infDistance {
+			d.unreachable++
+		} else {
+			d.reached++
+			d.maxDistance = max(d.maxDistance, dv)
+		}
+	}
+	d.Dist = packDistances(dist, d.maxDistance)
+	return d
+}
+
 // computeSSSP runs SSSP through the library's context-aware Run API: the
 // request context is passed straight through, so a client disconnect or
 // deadline aborts the traversal cooperatively within one round.
-func computeSSSP(ctx context.Context, s *Snapshot, src graph.VertexID, workers int) (ssspDistances, error) {
+func computeSSSP(ctx context.Context, s *Snapshot, src graph.VertexID, workers int) (SSSPDistances, error) {
 	res, err := graphreorder.Run(ctx, s.graph, graphreorder.AppSSSP,
 		traceProgress(ctx, []graphreorder.RunOption{
 			graphreorder.WithRoot(src), graphreorder.WithWorkers(workers)})...)
 	if err != nil {
-		return ssspDistances{}, err
+		return SSSPDistances{}, err
 	}
-	dist := res.Distances()
-	d := ssspDistances{rounds: res.Iterations}
-	for _, dv := range dist {
-		if dv == apps.InfDistance {
-			d.unreachable++
-		} else {
-			d.reached++
-			if dv > d.maxDistance {
-				d.maxDistance = dv
-			}
-		}
-	}
-	d.dist = packDistances(dist, d.maxDistance)
-	return d, nil
+	return NewSSSPDistances(res.Distances(), res.Iterations), nil
 }
 
-func (d ssspDistances) summary(meta queryMeta, src graph.VertexID) ssspResult {
-	return ssspResult{
-		queryMeta:   meta,
+// Summary is the reply to an SSSP from src without a target.
+func (d SSSPDistances) Summary(meta QueryMeta, src graph.VertexID) SSSPResult {
+	return SSSPResult{
+		QueryMeta:   meta,
 		Source:      src,
 		Rounds:      d.rounds,
 		Reached:     d.reached,
@@ -378,8 +392,9 @@ func (d ssspDistances) summary(meta queryMeta, src graph.VertexID) ssspResult {
 	}
 }
 
-type ssspTargetResult struct {
-	ssspResult
+// SSSPTargetResult is the reply of GET /v1/query/sssp with a target.
+type SSSPTargetResult struct {
+	SSSPResult
 	Target    graph.VertexID `json:"target"`
 	Reachable bool           `json:"reachable"`
 	// Distance is meaningful only when Reachable; note src==target
@@ -388,7 +403,7 @@ type ssspTargetResult struct {
 }
 
 type radiiResult struct {
-	queryMeta
+	QueryMeta
 	Samples    int     `json:"samples"`
 	Seed       uint64  `json:"seed"`
 	MaxRadius  int32   `json:"max_radius"`
@@ -423,7 +438,7 @@ func computeRadii(ctx context.Context, s *Snapshot, samples int, seed uint64, wo
 	}
 	radii := run.Eccentricities()
 	res := radiiResult{
-		queryMeta: metaFor(s),
+		QueryMeta: metaFor(s),
 		Samples:   samples,
 		Seed:      seed,
 	}

@@ -8,6 +8,7 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/pprof"
+	"net/url"
 	"runtime"
 	"strconv"
 	"time"
@@ -222,10 +223,10 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 // snapshotFor resolves the snapshot a query runs on: ?snapshot=name pins
 // one, otherwise the current snapshot is used. The returned release
 // function is non-nil iff the snapshot is.
-func (s *Server) snapshotFor(w http.ResponseWriter, r *http.Request) (*Snapshot, func()) {
+func (s *Server) snapshotFor(w http.ResponseWriter, q url.Values) (*Snapshot, func()) {
 	var snap *Snapshot
 	var release func()
-	if name := r.URL.Query().Get("snapshot"); name != "" {
+	if name := q.Get("snapshot"); name != "" {
 		snap, release = s.store.AcquireNamed(name)
 		if snap == nil {
 			writeError(w, http.StatusNotFound, "unknown snapshot %q", name)
@@ -241,9 +242,10 @@ func (s *Server) snapshotFor(w http.ResponseWriter, r *http.Request) (*Snapshot,
 	return snap, release
 }
 
-// vertexParam parses and range-checks a vertex-ID query parameter.
-func vertexParam(r *http.Request, snap *Snapshot, key string) (graph.VertexID, error) {
-	raw := r.URL.Query().Get(key)
+// VertexParam parses the vertex-ID query parameter key and checks it
+// against a vertex count of n. Node and router handlers share it.
+func VertexParam(q url.Values, key string, n int) (graph.VertexID, error) {
+	raw := q.Get(key)
 	if raw == "" {
 		return 0, fmt.Errorf("missing required parameter %q", key)
 	}
@@ -251,14 +253,14 @@ func vertexParam(r *http.Request, snap *Snapshot, key string) (graph.VertexID, e
 	if err != nil {
 		return 0, fmt.Errorf("bad %s: %v", key, err)
 	}
-	if int(v) >= snap.graph.NumVertices() {
-		return 0, fmt.Errorf("%s=%d out of range [0,%d)", key, v, snap.graph.NumVertices())
+	if int(v) >= n {
+		return 0, fmt.Errorf("%s=%d out of range [0,%d)", key, v, n)
 	}
 	return graph.VertexID(v), nil
 }
 
-func intParam(r *http.Request, key string, def int) (int, error) {
-	raw := r.URL.Query().Get(key)
+func intParam(q url.Values, key string, def int) (int, error) {
+	raw := q.Get(key)
 	if raw == "" {
 		return def, nil
 	}
@@ -380,7 +382,7 @@ func (s *Server) handleSnapshotResolve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release()
-	v, err := vertexParam(r, snap, "v")
+	v, err := VertexParam(r.URL.Query(), "v", snap.graph.NumVertices())
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -509,27 +511,28 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleNeighbors(w http.ResponseWriter, r *http.Request) {
-	snap, release := s.snapshotFor(w, r)
+	q := r.URL.Query()
+	snap, release := s.snapshotFor(w, q)
 	if snap == nil {
 		return
 	}
 	defer release()
-	sp, err := idSpaceFor(r, snap)
+	sp, err := idSpaceFor(q, snap)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	v, err := vertexParam(r, snap, "v")
+	v, err := VertexParam(q, "v", snap.graph.NumVertices())
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	limit, err := intParam(r, "limit", 0)
+	limit, err := intParam(q, "limit", 0)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	res, err := queryNeighbors(sp, v, r.URL.Query().Get("dir"), limit)
+	res, err := queryNeighbors(sp, v, q.Get("dir"), limit)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -538,22 +541,23 @@ func (s *Server) handleNeighbors(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleDegree(w http.ResponseWriter, r *http.Request) {
-	snap, release := s.snapshotFor(w, r)
+	q := r.URL.Query()
+	snap, release := s.snapshotFor(w, q)
 	if snap == nil {
 		return
 	}
 	defer release()
-	sp, err := idSpaceFor(r, snap)
+	sp, err := idSpaceFor(q, snap)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	v, err := vertexParam(r, snap, "v")
+	v, err := VertexParam(q, "v", snap.graph.NumVertices())
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	res, err := queryDegree(snap, sp.in(v), r.URL.Query().Get("kind"))
+	res, err := queryDegree(snap, sp.in(v), q.Get("kind"))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -563,17 +567,18 @@ func (s *Server) handleDegree(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) {
-	snap, release := s.snapshotFor(w, r)
+	q := r.URL.Query()
+	snap, release := s.snapshotFor(w, q)
 	if snap == nil {
 		return
 	}
 	defer release()
-	sp, err := idSpaceFor(r, snap)
+	sp, err := idSpaceFor(q, snap)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	v, err := vertexParam(r, snap, "v")
+	v, err := VertexParam(q, "v", snap.graph.NumVertices())
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -584,17 +589,18 @@ func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
-	snap, release := s.snapshotFor(w, r)
+	q := r.URL.Query()
+	snap, release := s.snapshotFor(w, q)
 	if snap == nil {
 		return
 	}
 	defer release()
-	sp, err := idSpaceFor(r, snap)
+	sp, err := idSpaceFor(q, snap)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	k, err := intParam(r, "k", 10)
+	k, err := intParam(q, "k", 10)
 	if err != nil || k < 1 || k > 10000 {
 		writeError(w, http.StatusBadRequest, "bad k (want 1..10000)")
 		return
@@ -610,11 +616,12 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 		writeHeavyError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, topKResult{queryMeta: out.meta, K: k, Top: out.val.([]rankedVertex)})
+	writeJSON(w, http.StatusOK, TopKResult{QueryMeta: out.meta, K: k, Top: out.val.([]RankedVertex)})
 }
 
 func (s *Server) handleSSSP(w http.ResponseWriter, r *http.Request) {
-	snap, release := s.snapshotFor(w, r)
+	q := r.URL.Query()
+	snap, release := s.snapshotFor(w, q)
 	if snap == nil {
 		return
 	}
@@ -623,20 +630,21 @@ func (s *Server) handleSSSP(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "snapshot %q is unweighted; SSSP needs edge weights", snap.name)
 		return
 	}
-	sp, err := idSpaceFor(r, snap)
+	sp, err := idSpaceFor(q, snap)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	src, err := vertexParam(r, snap, "src")
+	n := snap.graph.NumVertices()
+	src, err := VertexParam(q, "src", n)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	var target graph.VertexID
-	hasTarget := r.URL.Query().Get("target") != ""
+	hasTarget := q.Get("target") != ""
 	if hasTarget {
-		if target, err = vertexParam(r, snap, "target"); err != nil {
+		if target, err = VertexParam(q, "target", n); err != nil {
 			writeError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
@@ -651,25 +659,26 @@ func (s *Server) handleSSSP(w http.ResponseWriter, r *http.Request) {
 			if err != nil {
 				return nil, 0, err
 			}
-			return d, d.dist.bytes(), nil
+			return d, d.Dist.Bytes(), nil
 		})
 	if err != nil {
 		writeHeavyError(w, err)
 		return
 	}
-	d := out.val.(ssspDistances)
-	summary := d.summary(out.meta, src)
+	d := out.val.(SSSPDistances)
+	summary := d.Summary(out.meta, src)
 	if !hasTarget {
 		writeJSON(w, http.StatusOK, summary)
 		return
 	}
-	res := ssspTargetResult{ssspResult: summary, Target: target}
-	res.Distance, res.Reachable = d.dist.at(int(sp.in(target)))
+	res := SSSPTargetResult{SSSPResult: summary, Target: target}
+	res.Distance, res.Reachable = d.Dist.At(int(sp.in(target)))
 	writeJSON(w, http.StatusOK, res)
 }
 
 func (s *Server) handleRadii(w http.ResponseWriter, r *http.Request) {
-	snap, release := s.snapshotFor(w, r)
+	q := r.URL.Query()
+	snap, release := s.snapshotFor(w, q)
 	if snap == nil {
 		return
 	}
@@ -678,12 +687,12 @@ func (s *Server) handleRadii(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "snapshot %q is empty", snap.name)
 		return
 	}
-	samples, err := intParam(r, "samples", 64)
+	samples, err := intParam(q, "samples", 64)
 	if err != nil || samples < 1 || samples > 64 {
 		writeError(w, http.StatusBadRequest, "bad samples (want 1..64)")
 		return
 	}
-	seed, err := intParam(r, "seed", 1)
+	seed, err := intParam(q, "seed", 1)
 	if err != nil || seed < 0 {
 		writeError(w, http.StatusBadRequest, "bad seed")
 		return
@@ -701,7 +710,7 @@ func (s *Server) handleRadii(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	res := out.val.(radiiResult)
-	res.queryMeta = out.meta
+	res.QueryMeta = out.meta
 	writeJSON(w, http.StatusOK, res)
 }
 
@@ -711,7 +720,7 @@ func (s *Server) handleRadii(w http.ResponseWriter, r *http.Request) {
 // with meta.Stale set.
 type heavyOutcome struct {
 	val  any
-	meta queryMeta
+	meta QueryMeta
 }
 
 // runHeavy is the serving path for traversal queries: result cache, then

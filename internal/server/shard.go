@@ -28,6 +28,7 @@ import (
 	"fmt"
 	"math/bits"
 	"net/http"
+	"net/url"
 	"sync"
 
 	"graphreorder/internal/graph"
@@ -44,8 +45,8 @@ type idSpace struct {
 }
 
 // idSpaceFor parses ?ids= for a query against snap.
-func idSpaceFor(r *http.Request, snap *Snapshot) (idSpace, error) {
-	switch ids := r.URL.Query().Get("ids"); ids {
+func idSpaceFor(q url.Values, snap *Snapshot) (idSpace, error) {
+	switch ids := q.Get("ids"); ids {
 	case "", "current":
 		return idSpace{snap: snap}, nil
 	case "orig", "original":
@@ -167,7 +168,7 @@ func (sc *relaxScratch) relax(g graph.View, perm, inv reorder.Permutation) {
 // gather loop needs every shard's answer every round — shedding a hop
 // would stall the whole traversal.
 func (s *Server) handleShardRelax(w http.ResponseWriter, r *http.Request) {
-	snap, release := s.snapshotFor(w, r)
+	snap, release := s.snapshotFor(w, r.URL.Query())
 	if snap == nil {
 		return
 	}

@@ -226,7 +226,7 @@ func TestTopKOwnedFilter(t *testing.T) {
 	owned := []bool{true, false, true, true, true}
 	got := topKRanksIn(idSpace{}, ranks, owned, 3)
 	// Vertex 1 (rank 0.5) is not owned: the winner is 3, then 2, then 4.
-	want := []rankedVertex{{Vertex: 3, Rank: 0.5}, {Vertex: 2, Rank: 0.3}, {Vertex: 4, Rank: 0.2}}
+	want := []RankedVertex{{Vertex: 3, Rank: 0.5}, {Vertex: 2, Rank: 0.3}, {Vertex: 4, Rank: 0.2}}
 	if len(got) != len(want) {
 		t.Fatalf("got %d entries, want %d", len(got), len(want))
 	}

@@ -265,7 +265,7 @@ func TestTopKRanks(t *testing.T) {
 	ranks := []float64{0.1, 0.5, 0.3, 0.5, 0.2}
 	got := topKRanks(ranks, 3)
 	// 0.5 appears twice; the lower vertex ID (1) wins the tie for first.
-	want := []rankedVertex{{1, 0.5}, {3, 0.5}, {2, 0.3}}
+	want := []RankedVertex{{1, 0.5}, {3, 0.5}, {2, 0.3}}
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("got %v, want %v", got, want)
 	}
