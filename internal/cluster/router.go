@@ -72,11 +72,10 @@ type epochState struct {
 
 // replyCacheBytes is each epoch's reply-cache budget. A point reply is
 // under 1 KiB and an SSSP vector 2, 4 or 8 bytes per vertex (the node's
-// packed width, 2 on the repository's generated graphs), so this holds
-// tens of thousands of distinct hot reads beside a hundred hot sources
-// of a graph of 100K vertices; a vector past the whole budget is not
-// cached. A cutover leaves at most the old epoch's cache beside the new
-// one until the old epoch drains.
+// packed width), so this holds tens of thousands of distinct hot reads
+// beside 40 to 160 hot sources of a graph of 100K vertices; a vector
+// past the whole budget is not cached. A cutover leaves at most the old
+// epoch's cache beside the new one until the old epoch drains.
 const replyCacheBytes = 32 << 20
 
 func newEpochState(epoch uint64, snapshot string, edges int) *epochState {
@@ -776,19 +775,19 @@ func (rt *Router) read(ctx context.Context, es *epochState, key string, compute 
 		defer rt.release(es)
 		// A leader that starts after the previous one stored its value and
 		// left the flight finds it here instead of computing twice.
-		if v, ok := es.replies.Get(key); ok {
-			return v, nil
+		if val, ok := es.replies.Get(key); ok {
+			return val, nil
 		}
 		//lint:allow ctxflow a coalesced compute outlives the request that started it
 		cctx, cancel := context.WithTimeout(obs.WithTrace(context.Background(), tr), computeTimeout)
 		defer cancel()
-		v, cost, err := compute(cctx)
+		val, cost, err := compute(cctx)
 		if err == nil {
 			// A store that loses the race with a cutover lands in the dead
 			// epoch's cache and dies with it.
-			es.replies.Add(key, v, server.EntryCost(key, "", cost))
+			es.replies.Add(key, val, server.EntryCost(key, "", cost))
 		}
-		return v, err
+		return val, err
 	})
 	if !leader {
 		rt.release(es)
@@ -816,12 +815,12 @@ func (rt *Router) point(w http.ResponseWriter, r *http.Request, es *epochState, 
 		if err != nil {
 			return nil, 0, err
 		}
-		body, err := json.Marshal(reply)
+		enc, err := json.Marshal(reply)
 		if err != nil {
 			return nil, 0, err
 		}
-		body = append(body, '\n')
-		return body, int64(len(body)), nil
+		enc = append(enc, '\n')
+		return enc, int64(len(enc)), nil
 	})
 	if err != nil {
 		writeShardError(w, err)
