@@ -45,14 +45,15 @@ func runSSSP(in Input) (Output, error) {
 		dist[v] = InfDistance
 	}
 	dist[root] = 0
-	// Relax a vertex's whole out-list per call. dist[src] is read once:
-	// only a self-loop could lower it during the scan, and a non-negative
+	// Relax a vertex's whole out-list per call; the kernel hands over its
+	// weights (Weights), decoded on a compressed graph. dist[src] is read
+	// once: only a self-loop could lower it during the scan, and a non-negative
 	// one never does; a concurrent lowering by another worker re-queues
 	// src, so nothing is lost to the stale read. The atomic min is the
 	// same body at any worker count.
 	wt := ligra.WriteTracer(in.Tracer)
-	fns := ligra.EdgeMapFns{PushList: func(src graph.VertexID, dsts, hits []graph.VertexID) []graph.VertexID {
-		ws := g.OutWeights(src)[:len(dsts)]
+	fns := ligra.EdgeMapFns{Weights: true, PushList: func(src graph.VertexID, dsts []graph.VertexID, ws []uint32, hits []graph.VertexID) []graph.VertexID {
+		ws = ws[:len(dsts)]
 		d := atomic.LoadInt64(&dist[src])
 		for i, dst := range dsts {
 			if atomicMinInt64(&dist[dst], d+int64(ws[i])) {

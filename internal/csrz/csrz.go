@@ -1,6 +1,7 @@
 package csrz
 
 import (
+	"encoding/binary"
 	"fmt"
 	"slices"
 	"sync"
@@ -12,9 +13,13 @@ import (
 // representation's n+1 edge-index array (so degrees, weight slicing and
 // parallel chunk balancing behave exactly like *graph.Graph) but replace
 // the 4-bytes-per-edge neighbor arrays with delta+varint byte streams,
-// addressed by an n+1 byte-offset array. Weights, when present, stay raw
-// uint32 (they have no locality structure to exploit) and are sliced by
-// the edge-index array, index-aligned with the decoded neighbors.
+// addressed by an n+1 byte-offset array. Weights, when present, are stored
+// at the narrowest of 1, 2 or 4 little-endian bytes that holds the graph's
+// largest weight (Encode picks it from the data) and are addressed by the
+// edge-index array, index-aligned with the decoded neighbors. The width
+// never leaves this package: every reader gets []uint32, hot loops through
+// AppendOutWeights (graph.AdjBuffer.OutWeights), the rest through the
+// allocating OutWeights/InWeights.
 //
 // A Graph is immutable after construction and safe for concurrent use.
 // When it was produced by OpenFile its arrays point into a shared
@@ -25,12 +30,14 @@ type Graph struct {
 	outIdx  []uint64 // edge offsets, len n+1; outIdx[n] == m
 	outOff  []uint64 // byte offsets into outData, len n+1
 	outData []byte
-	outW    []uint32 // len m when weighted, else nil
+	outW    []byte // m weights of wb bytes each when weighted, else nil
 
 	inIdx  []uint64
 	inOff  []uint64
 	inData []byte
-	inW    []uint32
+	inW    []byte
+
+	wb int // bytes per stored weight: 1, 2 or 4 when weighted, 0 when not
 
 	mapping *mapping // non-nil when mmap-backed (OpenFile)
 }
@@ -48,7 +55,7 @@ func (g *Graph) NumVertices() int { return g.n }
 func (g *Graph) NumEdges() int { return g.m }
 
 // Weighted reports whether the graph carries edge weights.
-func (g *Graph) Weighted() bool { return g.outW != nil }
+func (g *Graph) Weighted() bool { return g.wb != 0 }
 
 // AvgDegree returns the mean out-degree.
 func (g *Graph) AvgDegree() float64 {
@@ -88,22 +95,91 @@ func (g *Graph) Degrees(kind graph.DegreeKind) []uint32 {
 	return d
 }
 
-// OutWeights returns the weights aligned with v's out-neighbors, nil for
-// unweighted graphs.
+// OutWeights decodes the weights aligned with v's out-neighbors into a
+// fresh slice, nil for unweighted graphs. Like OutNeighbors this is the
+// convenience path; hot loops use AppendOutWeights.
 func (g *Graph) OutWeights(v graph.VertexID) []uint32 {
-	if g.outW == nil {
+	if !g.Weighted() {
 		return nil
 	}
-	return g.outW[g.outIdx[v]:g.outIdx[v+1]]
+	return g.AppendOutWeights(v, nil)
 }
 
-// InWeights returns the weights aligned with v's in-neighbors, nil for
-// unweighted graphs.
+// InWeights decodes the weights aligned with v's in-neighbors into a
+// fresh slice, nil for unweighted graphs.
 func (g *Graph) InWeights(v graph.VertexID) []uint32 {
-	if g.inW == nil {
+	if !g.Weighted() {
 		return nil
 	}
-	return g.inW[g.inIdx[v]:g.inIdx[v+1]]
+	return g.AppendInWeights(v, nil)
+}
+
+// AppendOutWeights decodes the weights aligned with v's out-neighbors into
+// buf and returns it; buf comes back unchanged on an unweighted graph.
+func (g *Graph) AppendOutWeights(v graph.VertexID, buf []uint32) []uint32 {
+	return appendWeights(buf, g.outW, g.wb, g.outIdx[v], g.outIdx[v+1])
+}
+
+// AppendInWeights decodes the weights aligned with v's in-neighbors into
+// buf and returns it.
+func (g *Graph) AppendInWeights(v graph.VertexID, buf []uint32) []uint32 {
+	return appendWeights(buf, g.inW, g.wb, g.inIdx[v], g.inIdx[v+1])
+}
+
+// appendWeights appends weights [lo, hi) of w, stored wb bytes each, to
+// buf. The width is switched on once per list, not once per weight.
+func appendWeights(buf []uint32, w []byte, wb int, lo, hi uint64) []uint32 {
+	if wb == 0 {
+		return buf
+	}
+	base := len(buf)
+	buf = slices.Grow(buf, int(hi-lo))[:base+int(hi-lo)]
+	dst, src := buf[base:], w[lo*uint64(wb):hi*uint64(wb)]
+	switch wb {
+	case 1:
+		for i, b := range src {
+			dst[i] = uint32(b)
+		}
+	case 2:
+		for i := range dst {
+			dst[i] = uint32(binary.LittleEndian.Uint16(src[2*i:]))
+		}
+	default:
+		for i := range dst {
+			dst[i] = binary.LittleEndian.Uint32(src[4*i:])
+		}
+	}
+	return buf
+}
+
+// putWeights stores ws at wb bytes each into dst, the inverse of
+// appendWeights.
+func putWeights(dst []byte, ws []uint32, wb int) {
+	switch wb {
+	case 1:
+		for i, x := range ws {
+			dst[i] = byte(x)
+		}
+	case 2:
+		for i, x := range ws {
+			binary.LittleEndian.PutUint16(dst[2*i:], uint16(x))
+		}
+	default:
+		for i, x := range ws {
+			binary.LittleEndian.PutUint32(dst[4*i:], x)
+		}
+	}
+}
+
+// weightWidth is the narrowest of 1, 2 or 4 bytes that holds maxW.
+func weightWidth(maxW uint32) int {
+	switch {
+	case maxW <= 0xFF:
+		return 1
+	case maxW <= 0xFFFF:
+		return 2
+	}
+	return 4
 }
 
 // OutNeighbors decodes v's out-neighbor list into a fresh slice, in
@@ -219,10 +295,20 @@ func (it *AdjIter) Next() (graph.VertexID, bool) {
 func (it *AdjIter) Remaining() int { return it.rem }
 
 // Encode compresses g. The plain graph is not retained; weights (if any)
-// are copied. Both directions encode concurrently.
+// are packed at the width the largest of them needs. Both directions
+// encode concurrently.
 func Encode(g *graph.Graph) *Graph {
 	n, m := g.NumVertices(), g.NumEdges()
 	z := &Graph{n: n, m: m}
+	if g.Weighted() {
+		var maxW uint32
+		for v := 0; v < n; v++ {
+			for _, w := range g.OutWeights(graph.VertexID(v)) {
+				maxW = max(maxW, w)
+			}
+		}
+		z.wb = weightWidth(maxW)
+	}
 
 	var wg sync.WaitGroup
 	wg.Add(2)
@@ -230,30 +316,30 @@ func Encode(g *graph.Graph) *Graph {
 		defer wg.Done()
 		z.outIdx = append([]uint64(nil), g.OutIndex()...)
 		z.outOff, z.outData = encodeDirection(g.OutIndex(), g.OutEdgeArray(), n)
-		if g.Weighted() {
-			z.outW = copyWeights(g, true)
-		}
+		z.outW = packWeights(n, m, z.wb, g.OutWeights)
 	}()
 	go func() {
 		defer wg.Done()
 		z.inIdx = append([]uint64(nil), g.InIndex()...)
 		z.inOff, z.inData = encodeDirection(g.InIndex(), g.InEdgeArray(), n)
-		if g.Weighted() {
-			z.inW = copyWeights(g, false)
-		}
+		z.inW = packWeights(n, m, z.wb, g.InWeights)
 	}()
 	wg.Wait()
 	return z
 }
 
-func copyWeights(g *graph.Graph, out bool) []uint32 {
-	w := make([]uint32, 0, g.NumEdges())
-	for v := 0; v < g.NumVertices(); v++ {
-		if out {
-			w = append(w, g.OutWeights(graph.VertexID(v))...)
-		} else {
-			w = append(w, g.InWeights(graph.VertexID(v))...)
-		}
+// packWeights stores the m weights that lists returns, vertex by vertex,
+// at wb bytes each; nil when wb is 0 (unweighted).
+func packWeights(n, m, wb int, lists func(graph.VertexID) []uint32) []byte {
+	if wb == 0 {
+		return nil
+	}
+	w := make([]byte, m*wb)
+	pos := 0
+	for v := 0; v < n; v++ {
+		ws := lists(graph.VertexID(v))
+		putWeights(w[pos:], ws, wb)
+		pos += len(ws) * wb
 	}
 	return w
 }
@@ -293,9 +379,9 @@ func (g *Graph) Decode() (*graph.Graph, error) {
 		inEdges = g.AppendInNeighbors(graph.VertexID(v), inEdges)
 	}
 	var outW, inW []uint32
-	if g.outW != nil {
-		outW = append([]uint32(nil), g.outW...)
-		inW = append([]uint32(nil), g.inW...)
+	if g.Weighted() {
+		outW = appendWeights(make([]uint32, 0, g.m), g.outW, g.wb, 0, uint64(g.m))
+		inW = appendWeights(make([]uint32, 0, g.m), g.inW, g.wb, 0, uint64(g.m))
 	}
 	return graph.NewFromCSR(g.n, g.m,
 		append([]uint64(nil), g.outIdx...), outEdges, outW,
@@ -314,7 +400,9 @@ type Stats struct {
 	OutAdjBytes        int64
 	InAdjBytes         int64
 
-	// Whole-representation resident sizes (indexes + weights included).
+	// Whole-representation resident sizes (indexes + weights included):
+	// ResidentBytes charges weights at their stored width, the plain
+	// graph 4 bytes each.
 	ResidentBytes      int64
 	PlainResidentBytes int64
 
@@ -337,9 +425,11 @@ func (g *Graph) Stats() Stats {
 	s.CompressedAdjBytes = s.OutAdjBytes + s.InAdjBytes
 	idxBytes := int64(len(g.outIdx)+len(g.inIdx)) * 8
 	offBytes := int64(len(g.outOff)+len(g.inOff)) * 8
-	wBytes := int64(len(g.outW)+len(g.inW)) * 4
-	s.ResidentBytes = s.CompressedAdjBytes + idxBytes + offBytes + wBytes
-	s.PlainResidentBytes = s.PlainAdjBytes + idxBytes + wBytes
+	s.ResidentBytes = s.CompressedAdjBytes + idxBytes + offBytes + int64(len(g.outW)+len(g.inW))
+	s.PlainResidentBytes = s.PlainAdjBytes + idxBytes
+	if g.Weighted() {
+		s.PlainResidentBytes += int64(g.m) * 4 * 2 // a plain graph's weights are uint32
+	}
 	if s.CompressedAdjBytes > 0 {
 		s.Ratio = float64(s.PlainAdjBytes) / float64(s.CompressedAdjBytes)
 	}

@@ -2,6 +2,7 @@ package csrz
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -162,13 +163,31 @@ func TestIteratorMatchesNeighbors(t *testing.T) {
 	}
 }
 
+// edgelessWeighted is a weighted graph without edges: its weight
+// sections are empty, so only the header says it is weighted.
+func edgelessWeighted(t testing.TB) *graph.Graph {
+	t.Helper()
+	g, err := graph.BuildWith(nil, graph.BuildOptions{NumVertices: 3, Weighted: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !g.Weighted() {
+		t.Fatal("edgeless build dropped the weighted flag")
+	}
+	return g
+}
+
 func TestFileRoundTrip(t *testing.T) {
 	for _, tc := range []struct {
-		name     string
-		weighted bool
-	}{{"lj", false}, {"road", true}} {
+		name  string
+		graph func(testing.TB) *graph.Graph
+	}{
+		{"lj", func(t testing.TB) *graph.Graph { return testGraph(t, "lj", false) }},
+		{"road", func(t testing.TB) *graph.Graph { return testGraph(t, "road", true) }},
+		{"edgeless-weighted", edgelessWeighted},
+	} {
 		t.Run(tc.name, func(t *testing.T) {
-			g := testGraph(t, tc.name, tc.weighted)
+			g := tc.graph(t)
 			z := Encode(g)
 			path := filepath.Join(t.TempDir(), "g.csrz")
 			if err := z.WriteFile(path); err != nil {
@@ -252,24 +271,56 @@ func TestCorruptionDetected(t *testing.T) {
 	}
 }
 
+// TestStats checks the space accounting on an unweighted and a weighted
+// graph. On sd/tiny (weights 1..63) the compressed graph stores one byte
+// per weight and ResidentBytes charges exactly that, while
+// PlainResidentBytes — what graphinfo and the compress experiment
+// compare against — charges a plain graph's four.
 func TestStats(t *testing.T) {
-	g := testGraph(t, "lj", false)
-	z := Encode(g)
-	st := z.Stats()
-	if st.Vertices != g.NumVertices() || st.Edges != g.NumEdges() {
-		t.Fatalf("stats shape mismatch: %+v", st)
+	for _, tc := range []struct {
+		name     string
+		weighted bool
+		wb       int64 // stored bytes per weight
+	}{{"lj", false, 0}, {"sd", true, 1}} {
+		g := testGraph(t, tc.name, tc.weighted)
+		z := Encode(g)
+		st := z.Stats()
+		if st.Vertices != g.NumVertices() || st.Edges != g.NumEdges() {
+			t.Fatalf("%s: stats shape mismatch: %+v", tc.name, st)
+		}
+		if st.PlainAdjBytes != int64(g.NumEdges())*8 {
+			t.Fatalf("%s: plain adjacency bytes %d want %d", tc.name, st.PlainAdjBytes, g.NumEdges()*8)
+		}
+		if st.CompressedAdjBytes <= 0 || st.CompressedAdjBytes >= st.PlainAdjBytes {
+			t.Fatalf("%s: compression did not shrink adjacency: %d vs %d", tc.name, st.CompressedAdjBytes, st.PlainAdjBytes)
+		}
+		if st.Ratio <= 1 {
+			t.Fatalf("%s: ratio %.3f, want > 1", tc.name, st.Ratio)
+		}
+		n, m := int64(g.NumVertices()), int64(g.NumEdges())
+		idx := 2 * (n + 1) * 8
+		if want := st.CompressedAdjBytes + 2*idx + 2*m*tc.wb; st.ResidentBytes != want {
+			t.Errorf("%s: ResidentBytes %d, want %d (adjacency + indexes + offsets + %d B per weight in both directions)",
+				tc.name, st.ResidentBytes, want, tc.wb)
+		}
+		plainW := int64(0)
+		if tc.weighted {
+			plainW = 4
+		}
+		if want := st.PlainAdjBytes + idx + 2*m*plainW; st.PlainResidentBytes != want {
+			t.Errorf("%s: PlainResidentBytes %d, want %d (adjacency + indexes + %d B per weight in both directions)",
+				tc.name, st.PlainResidentBytes, want, plainW)
+		}
 	}
-	if st.PlainAdjBytes != int64(g.NumEdges())*8 {
-		t.Fatalf("plain adjacency bytes %d want %d", st.PlainAdjBytes, g.NumEdges()*8)
-	}
-	if st.CompressedAdjBytes <= 0 || st.CompressedAdjBytes >= st.PlainAdjBytes {
-		t.Fatalf("compression did not shrink adjacency: %d vs %d", st.CompressedAdjBytes, st.PlainAdjBytes)
-	}
-	if st.Ratio <= 1 {
-		t.Fatalf("ratio %.3f, want > 1", st.Ratio)
-	}
-	if st.ResidentBytes <= st.CompressedAdjBytes {
-		t.Fatalf("resident bytes %d should include indexes", st.ResidentBytes)
+}
+
+// TestWeightWidth pins the narrowest width at each boundary: a wider one
+// would still decode correctly, so only this notices the waste.
+func TestWeightWidth(t *testing.T) {
+	for maxW, want := range map[uint32]int{0: 1, 63: 1, 255: 1, 256: 2, 65535: 2, 65536: 4, math.MaxUint32: 4} {
+		if got := weightWidth(maxW); got != want {
+			t.Errorf("largest weight %d: width %d, want %d", maxW, got, want)
+		}
 	}
 }
 

@@ -1,7 +1,18 @@
 // Package csrz is the compressed CSR backend: the same dual-CSR shape as
 // internal/graph, with each neighbor list stored as byte-aligned
-// delta+varint codes instead of 4-byte IDs, and an mmap-able on-disk
-// container (.csrz) for zero-copy snapshot loading.
+// delta+varint codes instead of 4-byte IDs, weights at the narrowest of
+// 1, 2 or 4 bytes that holds the largest of them, and an mmap-able
+// on-disk container (.csrz) for zero-copy snapshot loading.
+//
+// Weights are narrow because they are small, not because they have
+// locality: every generator draws them from 1..63, so one byte each
+// suffices (Ligra+ byte-codes weights for the same reason). Encode picks
+// the width from the data, and it never leaves this package: hot loops
+// decode a list's weights into a reused []uint32 beside its neighbors
+// (AppendOutWeights, reached through graph.AdjBuffer.OutWeights — the
+// engine's push kernel does so only for a callback that set
+// ligra.EdgeMapFns.Weights), and OutWeights/InWeights are the allocating
+// convenience path, as OutNeighbors is.
 //
 // Reordering is what makes this pay: conf_iiswc_FalduDG19-style
 // lightweight reordering shrinks the |neighbor - previous neighbor| gaps

@@ -14,7 +14,7 @@ import (
 //
 //	header (64 bytes)
 //	  [0:8)   magic "CSRZSNP1"
-//	  [8:12)  version (uint32, currently 1)
+//	  [8:12)  version (uint32, currently 2; 1 is still read)
 //	  [12:16) flags (uint32): bit0 = weighted
 //	  [16:24) n (uint64)
 //	  [24:32) m (uint64)
@@ -24,10 +24,15 @@ import (
 //	sections, each zero-padded to a 4096-byte boundary, in table order
 //	trailer (8 bytes at EOF): CRC-32C of file[0:size-8], then "ZRSC"
 //
-// All integers are little-endian. Page alignment lets OpenFile hand out
-// the index sections as []uint64/[]uint32 views straight into the
-// mapping; the whole-file CRC makes torn writes and bit rot detectable
-// before any of those views escape.
+// All integers are little-endian. A weighted file has both weight
+// sections, unweighted neither. The two are equally long, and their
+// length over m is the bytes per weight, which must be 1, 2 or 4. An
+// edgeless graph's empty sections mean 1. Version 1 differs only in that
+// its writer always used 4, so it is read by the same rule. Page
+// alignment lets OpenFile hand out the index sections as []uint64 views
+// and the byte sections as they are, straight into the mapping; the
+// whole-file CRC makes torn writes and bit rot detectable before any of
+// those views escape.
 
 // Magic is the 8-byte signature that opens every .csrz file; callers
 // (graphd's load path, graphinfo) sniff it to route a file to this codec.
@@ -36,7 +41,7 @@ const Magic = formatMagic
 const (
 	formatMagic   = "CSRZSNP1"
 	trailerMagic  = 0x4352535A // "ZRSC" little-endian
-	formatVersion = 1
+	formatVersion = 2
 	headerBytes   = 64
 	sectionAlign  = 4096
 	trailerBytes  = 8
@@ -88,8 +93,8 @@ func layoutSections(g *Graph) ([]section, int64) {
 	}
 	if g.Weighted() {
 		blobs = append(blobs,
-			blob{secOutW, uint64(len(g.outW)) * 4},
-			blob{secInW, uint64(len(g.inW)) * 4})
+			blob{secOutW, uint64(len(g.outW))},
+			blob{secInW, uint64(len(g.inW))})
 	}
 	pos := uint64(headerBytes + 24*len(blobs))
 	secs := make([]section, 0, len(blobs))
@@ -188,7 +193,7 @@ func (g *Graph) Write(w io.Writer) (int64, error) {
 		case secOutData:
 			_, err = cw.Write(g.outData)
 		case secOutW:
-			err = writeUint32s(cw, g.outW)
+			_, err = cw.Write(g.outW)
 		case secInIdx:
 			err = writeUint64s(cw, g.inIdx)
 		case secInOff:
@@ -196,7 +201,7 @@ func (g *Graph) Write(w io.Writer) (int64, error) {
 		case secInData:
 			_, err = cw.Write(g.inData)
 		case secInW:
-			err = writeUint32s(cw, g.inW)
+			_, err = cw.Write(g.inW)
 		}
 		if err != nil {
 			return int64(cw.n), err
@@ -249,21 +254,6 @@ func writeUint64s(w io.Writer, xs []uint64) error {
 	return nil
 }
 
-func writeUint32s(w io.Writer, xs []uint32) error {
-	var buf [ioChunkBytes]byte
-	for len(xs) > 0 {
-		k := min(len(xs), ioChunkBytes/4)
-		for i, x := range xs[:k] {
-			binary.LittleEndian.PutUint32(buf[i*4:], x)
-		}
-		if _, err := w.Write(buf[:k*4]); err != nil {
-			return err
-		}
-		xs = xs[k:]
-	}
-	return nil
-}
-
 type crcReader struct {
 	r   io.Reader
 	crc uint32
@@ -290,26 +280,10 @@ func ReadCSRZ(r io.Reader) (*Graph, error) {
 	if _, err := io.ReadFull(cr, hdr[:]); err != nil {
 		return nil, fmt.Errorf("csrz: reading header: %w", err)
 	}
-	if string(hdr[:8]) != formatMagic {
-		return nil, fmt.Errorf("csrz: bad magic %q", hdr[:8])
+	g, nsec, weighted, err := parseHeader(hdr[:])
+	if err != nil {
+		return nil, err
 	}
-	if v := binary.LittleEndian.Uint32(hdr[8:]); v != formatVersion {
-		return nil, fmt.Errorf("csrz: unsupported version %d", v)
-	}
-	flags := binary.LittleEndian.Uint32(hdr[12:])
-	if flags&^uint32(flagWeighted) != 0 {
-		return nil, fmt.Errorf("csrz: unknown flags %#x", flags)
-	}
-	n := binary.LittleEndian.Uint64(hdr[16:])
-	m := binary.LittleEndian.Uint64(hdr[24:])
-	nsec := binary.LittleEndian.Uint64(hdr[32:])
-	if n > maxVertices || m > maxEdges {
-		return nil, fmt.Errorf("csrz: implausible dimensions n=%d m=%d", n, m)
-	}
-	if nsec == 0 || nsec > maxSections {
-		return nil, fmt.Errorf("csrz: implausible section count %d", nsec)
-	}
-	weighted := flags&flagWeighted != 0
 
 	tab := make([]byte, 24*nsec)
 	if _, err := io.ReadFull(cr, tab); err != nil {
@@ -330,7 +304,6 @@ func ReadCSRZ(r io.Reader) (*Graph, error) {
 		prevEnd = s.off + s.length
 	}
 
-	g := &Graph{n: int(n), m: int(m)}
 	seen := make(map[uint64]bool, nsec)
 	for _, s := range secs {
 		if seen[s.id] {
@@ -349,7 +322,7 @@ func ReadCSRZ(r io.Reader) (*Graph, error) {
 		case secOutData:
 			g.outData, err = readBytesGrow(cr, s.length)
 		case secOutW:
-			g.outW, err = readUint32sGrow(cr, s.length)
+			g.outW, err = readBytesGrow(cr, s.length)
 		case secInIdx:
 			g.inIdx, err = readUint64sGrow(cr, s.length)
 		case secInOff:
@@ -357,7 +330,7 @@ func ReadCSRZ(r io.Reader) (*Graph, error) {
 		case secInData:
 			g.inData, err = readBytesGrow(cr, s.length)
 		case secInW:
-			g.inW, err = readUint32sGrow(cr, s.length)
+			g.inW, err = readBytesGrow(cr, s.length)
 		default:
 			return nil, fmt.Errorf("csrz: unknown section id %d", s.id)
 		}
@@ -376,7 +349,7 @@ func ReadCSRZ(r io.Reader) (*Graph, error) {
 	if got := binary.LittleEndian.Uint32(trailer[0:]); got != bodyCRC {
 		return nil, fmt.Errorf("csrz: checksum mismatch: file says %#x, computed %#x", got, bodyCRC)
 	}
-	if err := checkSections(g, weighted); err != nil {
+	if err := checkSections(g, weighted, seen); err != nil {
 		return nil, err
 	}
 	if err := g.validate(); err != nil {
@@ -385,19 +358,56 @@ func ReadCSRZ(r io.Reader) (*Graph, error) {
 	return g, nil
 }
 
+// parseHeader checks the fixed 64-byte header both readers start from
+// and returns an empty graph of its dimensions, the section count and
+// the weighted flag.
+func parseHeader(hdr []byte) (g *Graph, nsec uint64, weighted bool, err error) {
+	if string(hdr[:8]) != formatMagic {
+		return nil, 0, false, fmt.Errorf("csrz: bad magic %q", hdr[:8])
+	}
+	if v := binary.LittleEndian.Uint32(hdr[8:]); v < 1 || v > formatVersion {
+		return nil, 0, false, fmt.Errorf("csrz: unsupported version %d", v)
+	}
+	flags := binary.LittleEndian.Uint32(hdr[12:])
+	if flags&^uint32(flagWeighted) != 0 {
+		return nil, 0, false, fmt.Errorf("csrz: unknown flags %#x", flags)
+	}
+	n := binary.LittleEndian.Uint64(hdr[16:])
+	m := binary.LittleEndian.Uint64(hdr[24:])
+	nsec = binary.LittleEndian.Uint64(hdr[32:])
+	if n > maxVertices || m > maxEdges {
+		return nil, 0, false, fmt.Errorf("csrz: implausible dimensions n=%d m=%d", n, m)
+	}
+	if nsec == 0 || nsec > maxSections {
+		return nil, 0, false, fmt.Errorf("csrz: implausible section count %d", nsec)
+	}
+	return &Graph{n: int(n), m: int(m)}, nsec, flags&flagWeighted != 0, nil
+}
+
 // checkSections verifies the loaded sections agree with the header
-// dimensions (lengths were attacker-controlled until now).
-func checkSections(g *Graph, weighted bool) error {
+// (lengths were attacker-controlled until now) and sets the weight
+// width: a weighted file has both weight sections, equally long, at 1, 2
+// or 4 bytes per edge; an unweighted file has neither.
+func checkSections(g *Graph, weighted bool, seen map[uint64]bool) error {
 	if len(g.outIdx) != g.n+1 || len(g.inIdx) != g.n+1 ||
 		len(g.outOff) != g.n+1 || len(g.inOff) != g.n+1 {
 		return fmt.Errorf("csrz: index sections disagree with n=%d", g.n)
 	}
-	if weighted {
-		if len(g.outW) != g.m || len(g.inW) != g.m {
-			return fmt.Errorf("csrz: weight sections disagree with m=%d", g.m)
+	if !weighted {
+		if seen[secOutW] || seen[secInW] {
+			return fmt.Errorf("csrz: weight sections present on unweighted snapshot")
 		}
-	} else if g.outW != nil || g.inW != nil {
-		return fmt.Errorf("csrz: weight sections present on unweighted snapshot")
+		return nil
+	}
+	if !seen[secOutW] || !seen[secInW] || len(g.outW) != len(g.inW) {
+		return fmt.Errorf("csrz: weighted snapshot needs two equal weight sections")
+	}
+	g.wb = 1
+	if g.m > 0 {
+		g.wb = len(g.outW) / g.m
+	}
+	if (g.wb != 1 && g.wb != 2 && g.wb != 4) || len(g.outW) != g.wb*g.m {
+		return fmt.Errorf("csrz: weight sections of %d bytes do not hold m=%d weights of 1, 2 or 4 bytes", len(g.outW), g.m)
 	}
 	return nil
 }
@@ -454,31 +464,6 @@ func readUint64sGrow(r io.Reader, length uint64) ([]uint64, error) {
 		}
 		for i := uint64(0); i < k; i += 8 {
 			out = append(out, binary.LittleEndian.Uint64(chunk[i:]))
-		}
-		length -= k
-	}
-	return out, nil
-}
-
-func readUint32sGrow(r io.Reader, length uint64) ([]uint32, error) {
-	if length%4 != 0 {
-		return nil, fmt.Errorf("uint32 section length %d not a multiple of 4", length)
-	}
-	var out []uint32
-	var chunk [ioChunkBytes]byte
-	for length > 0 {
-		k := uint64(len(chunk))
-		if length < k {
-			k = length
-		}
-		if _, err := io.ReadFull(r, chunk[:k]); err != nil {
-			if err == io.EOF {
-				err = io.ErrUnexpectedEOF
-			}
-			return nil, err
-		}
-		for i := uint64(0); i < k; i += 4 {
-			out = append(out, binary.LittleEndian.Uint32(chunk[i:]))
 		}
 		length -= k
 	}
@@ -542,30 +527,13 @@ func parseMapped(data []byte) (*Graph, error) {
 	if got, want := binary.LittleEndian.Uint32(trailer[0:]), crc32.Checksum(body, castagnoli); got != want {
 		return nil, fmt.Errorf("csrz: checksum mismatch: file says %#x, computed %#x", got, want)
 	}
-	hdr := body[:headerBytes]
-	if string(hdr[:8]) != formatMagic {
-		return nil, fmt.Errorf("csrz: bad magic %q", hdr[:8])
-	}
-	if v := binary.LittleEndian.Uint32(hdr[8:]); v != formatVersion {
-		return nil, fmt.Errorf("csrz: unsupported version %d", v)
-	}
-	flags := binary.LittleEndian.Uint32(hdr[12:])
-	if flags&^uint32(flagWeighted) != 0 {
-		return nil, fmt.Errorf("csrz: unknown flags %#x", flags)
-	}
-	n := binary.LittleEndian.Uint64(hdr[16:])
-	m := binary.LittleEndian.Uint64(hdr[24:])
-	nsec := binary.LittleEndian.Uint64(hdr[32:])
-	if n > maxVertices || m > maxEdges {
-		return nil, fmt.Errorf("csrz: implausible dimensions n=%d m=%d", n, m)
-	}
-	if nsec == 0 || nsec > maxSections {
-		return nil, fmt.Errorf("csrz: implausible section count %d", nsec)
+	g, nsec, weighted, err := parseHeader(body[:headerBytes])
+	if err != nil {
+		return nil, err
 	}
 	if uint64(len(body)) < headerBytes+24*nsec {
 		return nil, fmt.Errorf("csrz: truncated section table")
 	}
-	g := &Graph{n: int(n), m: int(m)}
 	seen := make(map[uint64]bool, nsec)
 	for i := uint64(0); i < nsec; i++ {
 		tab := body[headerBytes+24*i:]
@@ -591,7 +559,7 @@ func parseMapped(data []byte) (*Graph, error) {
 		case secOutData:
 			g.outData = raw
 		case secOutW:
-			g.outW, err = u32view(raw)
+			g.outW = raw
 		case secInIdx:
 			g.inIdx, err = u64view(raw)
 		case secInOff:
@@ -599,7 +567,7 @@ func parseMapped(data []byte) (*Graph, error) {
 		case secInData:
 			g.inData = raw
 		case secInW:
-			g.inW, err = u32view(raw)
+			g.inW = raw
 		default:
 			err = fmt.Errorf("csrz: unknown section id %d", s.id)
 		}
@@ -607,7 +575,7 @@ func parseMapped(data []byte) (*Graph, error) {
 			return nil, err
 		}
 	}
-	if err := checkSections(g, flags&flagWeighted != 0); err != nil {
+	if err := checkSections(g, weighted, seen); err != nil {
 		return nil, err
 	}
 	return g, nil
@@ -631,24 +599,6 @@ func u64view(b []byte) ([]uint64, error) {
 	out := make([]uint64, count)
 	for i := range out {
 		out[i] = binary.LittleEndian.Uint64(b[i*8:])
-	}
-	return out, nil
-}
-
-func u32view(b []byte) ([]uint32, error) {
-	if len(b)%4 != 0 {
-		return nil, fmt.Errorf("csrz: uint32 section length %d not a multiple of 4", len(b))
-	}
-	count := len(b) / 4
-	if count == 0 {
-		return []uint32{}, nil
-	}
-	if hostLittleEndian {
-		return unsafe.Slice((*uint32)(unsafe.Pointer(&b[0])), count), nil
-	}
-	out := make([]uint32, count)
-	for i := range out {
-		out[i] = binary.LittleEndian.Uint32(b[i*4:])
 	}
 	return out, nil
 }

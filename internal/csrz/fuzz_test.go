@@ -3,9 +3,11 @@ package csrz
 import (
 	"bytes"
 	"encoding/binary"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strconv"
 	"testing"
 
@@ -44,15 +46,33 @@ func seedInputs(t testing.TB) map[string][]byte {
 		t.Fatal(err)
 	}
 
-	wg, err := graph.BuildWith([]graph.Edge{{Src: 0, Dst: 1, Weight: 5}, {Src: 1, Dst: 0, Weight: 2}},
-		graph.BuildOptions{Weighted: true, SortNeighbors: true})
-	if err != nil {
-		t.Fatal(err)
+	// One weighted graph per stored width, the largest weight deciding.
+	weighted := func(maxW uint32) *Graph {
+		wg, err := graph.BuildWith([]graph.Edge{{Src: 0, Dst: 1, Weight: maxW}, {Src: 1, Dst: 0, Weight: 2}, {Src: 1, Dst: 2, Weight: 1}},
+			graph.BuildOptions{Weighted: true, SortNeighbors: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return Encode(wg)
 	}
-	var weighted bytes.Buffer
-	if _, err := Encode(wg).Write(&weighted); err != nil {
-		t.Fatal(err)
+	write := func(z *Graph) []byte {
+		var b bytes.Buffer
+		if _, err := z.Write(&b); err != nil {
+			t.Fatal(err)
+		}
+		return b.Bytes()
 	}
+
+	// The old container: version 1 always stored weights as 4-byte
+	// uint32s. The same graph as "weighted", widened, stamped version 1
+	// and re-checksummed.
+	v1 := weighted(5)
+	v1.outW = widenWeights(v1.outW)
+	v1.inW = widenWeights(v1.inW)
+	v1.wb = 4
+	old := write(v1)
+	binary.LittleEndian.PutUint32(old[8:], 1)
+	binary.LittleEndian.PutUint32(old[len(old)-trailerBytes:], crc32.Checksum(old[:len(old)-trailerBytes], castagnoli))
 
 	// A header claiming 2^31-1 vertices and a section table promising
 	// gigabytes: the reader must run out of payload cheaply instead of
@@ -73,11 +93,59 @@ func seedInputs(t testing.TB) map[string][]byte {
 
 	return map[string][]byte{
 		"unweighted":   plain.Bytes(),
-		"weighted":     weighted.Bytes(),
+		"weighted":     write(weighted(5)),
+		"weighted-w2":  write(weighted(300)),
+		"weighted-w4":  write(weighted(70000)),
+		"weighted-v1":  old,
 		"lying-header": lying[:],
 		"truncated":    plain.Bytes()[:headerBytes-4],
 		"bitflip":      corrupt,
 	}
+}
+
+// TestReadsVersion1: a version-1 file, whose weights are 4-byte uint32s,
+// reads through both readers as the same graph as its version-2 form,
+// weights included.
+func TestReadsVersion1(t *testing.T) {
+	seeds := seedInputs(t)
+	want, err := ReadCSRZ(bytes.NewReader(seeds["weighted"]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "v1.csrz")
+	if err := os.WriteFile(path, seeds["weighted-v1"], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	mapped, err := OpenFile(path)
+	if err != nil {
+		t.Fatalf("OpenFile: %v", err)
+	}
+	defer mapped.Close()
+	read, err := ReadCSRZ(bytes.NewReader(seeds["weighted-v1"]))
+	if err != nil {
+		t.Fatalf("ReadCSRZ: %v", err)
+	}
+	for name, got := range map[string]*Graph{"ReadCSRZ": read, "OpenFile": mapped} {
+		if got.wb != 4 || !got.Weighted() {
+			t.Errorf("%s: weight width %d, want 4", name, got.wb)
+		}
+		for v := graph.VertexID(0); int(v) < want.n; v++ {
+			if !equalIDs(got.OutNeighbors(v), want.OutNeighbors(v)) ||
+				!slices.Equal(got.OutWeights(v), want.OutWeights(v)) || !slices.Equal(got.InWeights(v), want.InWeights(v)) {
+				t.Errorf("%s: vertex %d reads differently from the version-2 file", name, v)
+			}
+		}
+	}
+}
+
+// widenWeights re-stores 1-byte weights at 4 bytes each, the layout a
+// version-1 writer produced.
+func widenWeights(w []byte) []byte {
+	out := make([]byte, 4*len(w))
+	for i, b := range w {
+		out[4*i] = b
+	}
+	return out
 }
 
 // FuzzReadCSRZ feeds arbitrary bytes to the .csrz container reader.
@@ -86,6 +154,9 @@ func seedInputs(t testing.TB) map[string][]byte {
 // anything it accepts must survive a write/read round trip
 // bit-identically and pass full adjacency validation — the serving path
 // relies on load-time validation so AdjIter can skip per-step checks.
+// The mmap reader must accept exactly what the streaming one accepts and
+// read the same graph from it: the weighted flag, the weight width, and
+// every decoded list and weight.
 func FuzzReadCSRZ(f *testing.F) {
 	for _, data := range seedInputs(f) {
 		f.Add(data)
@@ -104,20 +175,21 @@ func FuzzReadCSRZ(f *testing.F) {
 		if err != nil {
 			t.Fatalf("rereading a rewritten graph failed: %v", err)
 		}
-		if z.n != z2.n || z.m != z2.m ||
+		if z.n != z2.n || z.m != z2.m || z.wb != z2.wb ||
 			!reflect.DeepEqual(z.outIdx, z2.outIdx) ||
 			!reflect.DeepEqual(z.outOff, z2.outOff) ||
 			!bytes.Equal(z.outData, z2.outData) ||
-			!reflect.DeepEqual(z.outW, z2.outW) ||
+			!bytes.Equal(z.outW, z2.outW) ||
 			!reflect.DeepEqual(z.inIdx, z2.inIdx) ||
 			!reflect.DeepEqual(z.inOff, z2.inOff) ||
 			!bytes.Equal(z.inData, z2.inData) ||
-			!reflect.DeepEqual(z.inW, z2.inW) {
+			!bytes.Equal(z.inW, z2.inW) {
 			t.Fatal("write/read round trip diverged")
 		}
 		// The mmap parser must agree with the streaming reader on
 		// accept/reject — a file the store can load must be a file the
-		// fuzz-hardened reader would have accepted, and vice versa.
+		// fuzz-hardened reader would have accepted, and vice versa — and
+		// on what the file holds.
 		path := filepath.Join(t.TempDir(), "f.csrz")
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
@@ -126,6 +198,15 @@ func FuzzReadCSRZ(f *testing.F) {
 		if err != nil {
 			t.Fatalf("OpenFile rejected a stream ReadCSRZ accepted: %v", err)
 		}
-		mg.Close()
+		defer mg.Close()
+		if mg.Weighted() != z.Weighted() || mg.wb != z.wb {
+			t.Fatalf("readers disagree: weighted %v/%v, weight width %d/%d", z.Weighted(), mg.Weighted(), z.wb, mg.wb)
+		}
+		for v := graph.VertexID(0); int(v) < z.n; v++ {
+			if !equalIDs(z.OutNeighbors(v), mg.OutNeighbors(v)) || !equalIDs(z.InNeighbors(v), mg.InNeighbors(v)) ||
+				!slices.Equal(z.OutWeights(v), mg.OutWeights(v)) || !slices.Equal(z.InWeights(v), mg.InWeights(v)) {
+				t.Fatalf("readers disagree on the lists or weights of vertex %d", v)
+			}
+		}
 	})
 }

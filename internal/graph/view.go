@@ -13,10 +13,11 @@ package graph
 // results.
 //
 // Hot loops should not assume the returned slices are free: a compressed
-// View allocates and decodes them per call. Per-edge consumers — the
-// engine's two EdgeMap kernels first among them — go through an
-// AdjBuffer, which borrows the sub-slice on plain graphs and reuses one
-// decode buffer on NeighborStreamer backends.
+// View allocates and decodes them per call, weights included (it stores
+// them narrower than uint32). Per-edge consumers — the engine's two
+// EdgeMap kernels first among them — go through an AdjBuffer, which
+// borrows the sub-slices on plain graphs and reuses one decode buffer for
+// neighbors and one for weights on NeighborStreamer backends.
 type View interface {
 	NumVertices() int
 	NumEdges() int
@@ -31,24 +32,29 @@ type View interface {
 	Degrees(kind DegreeKind) []uint32
 }
 
-// NeighborStreamer is implemented by Views whose neighbor lists are
-// decoded rather than stored (compressed CSR): Append* decode v's list
-// into buf (resliced from buf[:0]) and return it, so a caller holding one
-// buffer per goroutine gets amortized-zero-allocation access. The plain
-// *Graph deliberately does not implement it — callers use AdjBuffer,
-// which prefers the direct sub-slice.
+// NeighborStreamer is implemented by Views whose neighbor lists and
+// weights are decoded rather than stored (compressed CSR): Append* decode
+// v's list or its weights onto buf and return it, so a caller holding
+// one buffer per goroutine gets amortized-zero-allocation access. The
+// plain *Graph deliberately does not implement it — callers use
+// AdjBuffer, which prefers the direct sub-slice.
 type NeighborStreamer interface {
 	AppendOutNeighbors(v VertexID, buf []VertexID) []VertexID
 	AppendInNeighbors(v VertexID, buf []VertexID) []VertexID
+	AppendOutWeights(v VertexID, buf []uint32) []uint32
+	AppendInWeights(v VertexID, buf []uint32) []uint32
 }
 
-// AdjBuffer provides amortized-zero-allocation neighbor access over any
-// View: a direct sub-slice on plain graphs, a reused decode buffer on
-// NeighborStreamer implementations. Not safe for concurrent use — keep
-// one per goroutine. The returned slices are invalidated by the next call.
+// AdjBuffer provides amortized-zero-allocation neighbor and weight access
+// over any View: direct sub-slices on plain graphs, reused decode buffers
+// on NeighborStreamer implementations. Not safe for concurrent use — keep
+// one per goroutine. A returned list is invalidated by the next Out or In
+// call, a returned weight slice by the next OutWeights call; the two use
+// separate buffers, so a list and its weights can be held together.
 type AdjBuffer struct {
-	st  NeighborStreamer
-	buf []VertexID
+	st   NeighborStreamer
+	buf  []VertexID
+	wbuf []uint32
 }
 
 // NewAdjBuffer returns an AdjBuffer for g.
@@ -81,6 +87,17 @@ func (a *AdjBuffer) In(g View, v VertexID) []VertexID {
 	}
 	a.buf = a.st.AppendInNeighbors(v, a.buf[:0])
 	return a.buf
+}
+
+// OutWeights returns the weights aligned with Out(g, v) (read-only, valid
+// until the next OutWeights call on this buffer; empty or nil on an
+// unweighted graph).
+func (a *AdjBuffer) OutWeights(g View, v VertexID) []uint32 {
+	if a.st == nil {
+		return g.OutWeights(v)
+	}
+	a.wbuf = a.st.AppendOutWeights(v, a.wbuf[:0])
+	return a.wbuf
 }
 
 // IsNilView reports whether v is nil or a typed-nil *Graph — the two

@@ -281,20 +281,29 @@ type EdgeMapFns struct {
 	// is not filtered by the frontier — the caller holds the frontier
 	// (VertexSet.Bits) and tests membership where its update needs it —
 	// and is only valid during the call. A callback that wants weights
-	// reads g.InWeights(dst), aligned index for index. Every destination
-	// belongs to one worker, so writes to dst state need no atomics.
+	// reads g.InWeights(dst), aligned index for index (a fresh decode on
+	// a compressed graph: no application pulls weights). Every
+	// destination belongs to one worker, so writes to dst state need no
+	// atomics.
 	PullList func(dst graph.VertexID, srcs []graph.VertexID) bool
 	// PushList, if non-nil, is the push-mode callback: called once per
-	// frontier member with src's whole out-list in stored order (weights:
-	// g.OutWeights(src)). It appends every destination its update hit to
-	// hits and returns the extended slice; a destination may be appended
-	// more than once, in a round or in a call, and the kernel keeps the
-	// first. hits is the kernel's reused output buffer: append to it, do
-	// not read or keep it. With Workers > 1 PushList is invoked
-	// concurrently and must synchronize its own writes (atomics). A
-	// callback that stores to a destination's property reports the store
-	// to a PropertyWriteTracer, if the run has one.
-	PushList func(src graph.VertexID, dsts []graph.VertexID, hits []graph.VertexID) []graph.VertexID
+	// frontier member with src's whole out-list in stored order and, when
+	// Weights is set, the list's weights in ws, aligned index for index
+	// (nil otherwise). Both are only valid during the call: sub-slices on
+	// a plain graph, the worker's decode buffers on a compressed one. It
+	// appends every destination its update hit to hits and returns the
+	// extended slice; a destination may be appended more than once, in a
+	// round or in a call, and the kernel keeps the first. hits is the
+	// kernel's reused output buffer: append to it, do not read or keep
+	// it. With Workers > 1 PushList is invoked concurrently and must
+	// synchronize its own writes (atomics). A callback that stores to a
+	// destination's property reports the store to a PropertyWriteTracer,
+	// if the run has one.
+	PushList func(src graph.VertexID, dsts []graph.VertexID, ws []uint32, hits []graph.VertexID) []graph.VertexID
+	// Weights asks the push kernel for ws. Only a callback that reads
+	// weights sets it: on a compressed graph every list's weights are
+	// decoded for it, work an unweighted push (BC, Radii) never pays.
+	Weights bool
 }
 
 // perEdge adapts the per-edge fields of an EdgeMapFns to the list
@@ -492,8 +501,9 @@ func edgeMapPush(g graph.View, frontier *VertexSet, fns EdgeMapFns, workers int,
 	return out
 }
 
-// pushRange is the push kernel: it hands the out-list of every member to
-// the push callback, which appends the destinations its update hit to
+// pushRange is the push kernel: it hands the out-list of every member
+// (with its weights, if the callback asked for them) to the push
+// callback, which appends the destinations its update hit to
 // out, and keeps the first hit of each destination. claimed deduplicates
 // across all chunks of the round; shared says other workers are claiming
 // too, so a slot is taken with compare-and-swap instead of a plain test
@@ -502,7 +512,7 @@ func edgeMapPush(g graph.View, frontier *VertexSet, fns EdgeMapFns, workers int,
 // worker reuses the buffer it already owns. With a tracer, each list is
 // reported (Tracer) before the callback gets it.
 func pushRange(g graph.View, members []graph.VertexID, fns EdgeMapFns, tr Tracer, claimed Bitset, shared bool, out []graph.VertexID) []graph.VertexID {
-	list := fns.PushList
+	list, weights := fns.PushList, fns.Weights
 	edges := newPerEdge(fns, false, nil)
 	var own graph.AdjBuffer
 	adj, pooled := &own, getAdjBuffer(g)
@@ -519,7 +529,11 @@ func pushRange(g graph.View, members []graph.VertexID, fns EdgeMapFns, tr Tracer
 		}
 		kept := len(out)
 		if list != nil {
-			out = list(u, dsts, out)
+			var ws []uint32
+			if weights {
+				ws = adj.OutWeights(g, u)
+			}
+			out = list(u, dsts, ws, out)
 		} else {
 			edges.hits = out
 			edges.pushList(u, dsts)

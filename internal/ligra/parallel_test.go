@@ -107,8 +107,9 @@ func TestEdgeMapPushParallelSameSet(t *testing.T) {
 			if weighted {
 				// Weights reach a list callback only, aligned with the list.
 				cond := fns.Cond
-				fns.PushList = func(src graph.VertexID, dsts, hits []graph.VertexID) []graph.VertexID {
-					for i, w := range g.OutWeights(src) {
+				fns.Weights = true
+				fns.PushList = func(_ graph.VertexID, dsts []graph.VertexID, ws []uint32, hits []graph.VertexID) []graph.VertexID {
+					for i, w := range ws {
 						if (uint32(dsts[i])+w)%2 == 0 && (cond == nil || cond(dsts[i])) {
 							hits = append(hits, dsts[i])
 						}
@@ -258,20 +259,34 @@ func TestSparseHasUsesLookup(t *testing.T) {
 // the per-edge adapter and through list callbacks alike (the adapter is a
 // value on the kernel's stack, and a push callback's hits go into the
 // output buffer the round already owns), on the plain backend and on the
-// compressed one, whose decode buffers are pooled too.
+// compressed one, whose decode buffers are pooled too. The weighted row
+// is SSSP's shape: a push that asks for its lists' weights, which the
+// compressed backend decodes into the pooled buffer's weight slice.
 func TestEdgeMapSteadyStateZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; exact counts only hold without -race")
 	}
-	plain := skewedGraph(t, false)
+	plain := skewedGraph(t, true)
 	n := plain.NumVertices()
 	callbacks := map[string]EdgeMapFns{
 		"per-edge": {Update: func(_, dst graph.VertexID) bool { return dst%2 == 0 }},
 		"list": {
 			PullList: func(dst graph.VertexID, srcs []graph.VertexID) bool { return dst%2 == 0 && len(srcs) > 0 },
-			PushList: func(_ graph.VertexID, dsts, hits []graph.VertexID) []graph.VertexID {
+			PushList: func(_ graph.VertexID, dsts []graph.VertexID, _ []uint32, hits []graph.VertexID) []graph.VertexID {
 				for _, dst := range dsts {
 					if dst%2 == 0 {
+						hits = append(hits, dst)
+					}
+				}
+				return hits
+			},
+		},
+		"weighted-push": {
+			Weights: true,
+			PushList: func(_ graph.VertexID, dsts []graph.VertexID, ws []uint32, hits []graph.VertexID) []graph.VertexID {
+				ws = ws[:len(dsts)]
+				for i, dst := range dsts {
+					if (uint32(dst)+ws[i])%2 == 0 {
 						hits = append(hits, dst)
 					}
 				}
@@ -285,6 +300,9 @@ func TestEdgeMapSteadyStateZeroAlloc(t *testing.T) {
 				dir      Direction
 				frontier *VertexSet
 			}{{Push, benchPushFrontier(n)}, {Pull, FullVertexSet(n)}} {
+				if round.dir == Pull && fns.PullList == nil && fns.Update == nil {
+					continue // a push-only row
+				}
 				opts := EdgeMapOpts{Dir: round.dir}
 				warm := EdgeMap(g, round.frontier, fns, opts)
 				if warm.Len() < 64 {

@@ -127,7 +127,7 @@ func (sc *relaxScratch) relax(g graph.View, perm, inv reorder.Permutation) {
 			v = perm[v]
 		}
 		d := in.Dists[i]
-		nbrs, wts := sc.adj.Out(g, v), g.OutWeights(v)
+		nbrs, wts := sc.adj.Out(g, v), sc.adj.OutWeights(g, v)
 		out.Relaxed += uint64(len(nbrs))
 		for j, nb := range nbrs {
 			nd := d + int64(wts[j])
