@@ -14,12 +14,13 @@ import (
 // parallel chunk balancing behave exactly like *graph.Graph) but replace
 // the 4-bytes-per-edge neighbor arrays with delta+varint byte streams,
 // addressed by an n+1 byte-offset array. Weights, when present, are stored
-// at the narrowest of 1, 2 or 4 little-endian bytes that holds the graph's
-// largest weight (Encode picks it from the data) and are addressed by the
-// edge-index array, index-aligned with the decoded neighbors. The width
-// never leaves this package: every reader gets []uint32, hot loops through
-// AppendOutWeights (graph.AdjBuffer.OutWeights), the rest through the
-// allocating OutWeights/InWeights.
+// once, for the out-direction, at the narrowest of 1, 2 or 4 little-endian
+// bytes that holds the graph's largest weight (Encode picks it from the
+// data); they are addressed by the out edge-index array, index-aligned
+// with the decoded out-neighbors. The width never leaves this package:
+// every reader gets []uint32, hot loops through AppendOutWeights
+// (graph.AdjBuffer.OutWeights), the rest through the allocating
+// OutWeights.
 //
 // A Graph is immutable after construction and safe for concurrent use.
 // When it was produced by OpenFile its arrays point into a shared
@@ -35,7 +36,6 @@ type Graph struct {
 	inIdx  []uint64
 	inOff  []uint64
 	inData []byte
-	inW    []byte
 
 	wb int // bytes per stored weight: 1, 2 or 4 when weighted, 0 when not
 
@@ -105,25 +105,10 @@ func (g *Graph) OutWeights(v graph.VertexID) []uint32 {
 	return g.AppendOutWeights(v, nil)
 }
 
-// InWeights decodes the weights aligned with v's in-neighbors into a
-// fresh slice, nil for unweighted graphs.
-func (g *Graph) InWeights(v graph.VertexID) []uint32 {
-	if !g.Weighted() {
-		return nil
-	}
-	return g.AppendInWeights(v, nil)
-}
-
 // AppendOutWeights decodes the weights aligned with v's out-neighbors into
 // buf and returns it; buf comes back unchanged on an unweighted graph.
 func (g *Graph) AppendOutWeights(v graph.VertexID, buf []uint32) []uint32 {
 	return appendWeights(buf, g.outW, g.wb, g.outIdx[v], g.outIdx[v+1])
-}
-
-// AppendInWeights decodes the weights aligned with v's in-neighbors into
-// buf and returns it.
-func (g *Graph) AppendInWeights(v graph.VertexID, buf []uint32) []uint32 {
-	return appendWeights(buf, g.inW, g.wb, g.inIdx[v], g.inIdx[v+1])
 }
 
 // appendWeights appends weights [lo, hi) of w, stored wb bytes each, to
@@ -296,7 +281,7 @@ func (it *AdjIter) Remaining() int { return it.rem }
 
 // Encode compresses g. The plain graph is not retained; weights (if any)
 // are packed at the width the largest of them needs. Both directions
-// encode concurrently.
+// encode concurrently, the out-direction with its weights.
 func Encode(g *graph.Graph) *Graph {
 	n, m := g.NumVertices(), g.NumEdges()
 	z := &Graph{n: n, m: m}
@@ -316,28 +301,27 @@ func Encode(g *graph.Graph) *Graph {
 		defer wg.Done()
 		z.outIdx = append([]uint64(nil), g.OutIndex()...)
 		z.outOff, z.outData = encodeDirection(g.OutIndex(), g.OutEdgeArray(), n)
-		z.outW = packWeights(n, m, z.wb, g.OutWeights)
+		z.outW = packWeights(g, z.wb)
 	}()
 	go func() {
 		defer wg.Done()
 		z.inIdx = append([]uint64(nil), g.InIndex()...)
 		z.inOff, z.inData = encodeDirection(g.InIndex(), g.InEdgeArray(), n)
-		z.inW = packWeights(n, m, z.wb, g.InWeights)
 	}()
 	wg.Wait()
 	return z
 }
 
-// packWeights stores the m weights that lists returns, vertex by vertex,
-// at wb bytes each; nil when wb is 0 (unweighted).
-func packWeights(n, m, wb int, lists func(graph.VertexID) []uint32) []byte {
+// packWeights stores g's m out-weights, vertex by vertex, at wb bytes
+// each; nil when wb is 0 (unweighted).
+func packWeights(g *graph.Graph, wb int) []byte {
 	if wb == 0 {
 		return nil
 	}
-	w := make([]byte, m*wb)
+	w := make([]byte, g.NumEdges()*wb)
 	pos := 0
-	for v := 0; v < n; v++ {
-		ws := lists(graph.VertexID(v))
+	for v := 0; v < g.NumVertices(); v++ {
+		ws := g.OutWeights(graph.VertexID(v))
 		putWeights(w[pos:], ws, wb)
 		pos += len(ws) * wb
 	}
@@ -378,14 +362,13 @@ func (g *Graph) Decode() (*graph.Graph, error) {
 		outEdges = g.AppendOutNeighbors(graph.VertexID(v), outEdges)
 		inEdges = g.AppendInNeighbors(graph.VertexID(v), inEdges)
 	}
-	var outW, inW []uint32
+	var outW []uint32
 	if g.Weighted() {
 		outW = appendWeights(make([]uint32, 0, g.m), g.outW, g.wb, 0, uint64(g.m))
-		inW = appendWeights(make([]uint32, 0, g.m), g.inW, g.wb, 0, uint64(g.m))
 	}
 	return graph.NewFromCSR(g.n, g.m,
 		append([]uint64(nil), g.outIdx...), outEdges, outW,
-		append([]uint64(nil), g.inIdx...), inEdges, inW)
+		append([]uint64(nil), g.inIdx...), inEdges)
 }
 
 // Stats describes the space behavior of a compressed graph.
@@ -401,8 +384,8 @@ type Stats struct {
 	InAdjBytes         int64
 
 	// Whole-representation resident sizes (indexes + weights included):
-	// ResidentBytes charges weights at their stored width, the plain
-	// graph 4 bytes each.
+	// both representations store each weight once, ResidentBytes at its
+	// stored width, the plain graph at 4 bytes.
 	ResidentBytes      int64
 	PlainResidentBytes int64
 
@@ -425,10 +408,10 @@ func (g *Graph) Stats() Stats {
 	s.CompressedAdjBytes = s.OutAdjBytes + s.InAdjBytes
 	idxBytes := int64(len(g.outIdx)+len(g.inIdx)) * 8
 	offBytes := int64(len(g.outOff)+len(g.inOff)) * 8
-	s.ResidentBytes = s.CompressedAdjBytes + idxBytes + offBytes + int64(len(g.outW)+len(g.inW))
+	s.ResidentBytes = s.CompressedAdjBytes + idxBytes + offBytes + int64(len(g.outW))
 	s.PlainResidentBytes = s.PlainAdjBytes + idxBytes
 	if g.Weighted() {
-		s.PlainResidentBytes += int64(g.m) * 4 * 2 // a plain graph's weights are uint32
+		s.PlainResidentBytes += int64(g.m) * 4 // a plain graph's weights are uint32
 	}
 	if s.CompressedAdjBytes > 0 {
 		s.Ratio = float64(s.PlainAdjBytes) / float64(s.CompressedAdjBytes)

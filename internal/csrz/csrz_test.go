@@ -272,10 +272,11 @@ func TestCorruptionDetected(t *testing.T) {
 }
 
 // TestStats checks the space accounting on an unweighted and a weighted
-// graph. On sd/tiny (weights 1..63) the compressed graph stores one byte
-// per weight and ResidentBytes charges exactly that, while
-// PlainResidentBytes — what graphinfo and the compress experiment
-// compare against — charges a plain graph's four.
+// graph. Both representations store each weight once, on the out-edges.
+// On sd/tiny (weights 1..63) the compressed graph stores one byte per
+// weight and ResidentBytes charges exactly that, while PlainResidentBytes
+// — what graphinfo and the compress experiment compare against — charges
+// a plain graph's four.
 func TestStats(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
@@ -299,16 +300,16 @@ func TestStats(t *testing.T) {
 		}
 		n, m := int64(g.NumVertices()), int64(g.NumEdges())
 		idx := 2 * (n + 1) * 8
-		if want := st.CompressedAdjBytes + 2*idx + 2*m*tc.wb; st.ResidentBytes != want {
-			t.Errorf("%s: ResidentBytes %d, want %d (adjacency + indexes + offsets + %d B per weight in both directions)",
+		if want := st.CompressedAdjBytes + 2*idx + m*tc.wb; st.ResidentBytes != want {
+			t.Errorf("%s: ResidentBytes %d, want %d (adjacency + indexes + offsets + %d B per weight)",
 				tc.name, st.ResidentBytes, want, tc.wb)
 		}
 		plainW := int64(0)
 		if tc.weighted {
 			plainW = 4
 		}
-		if want := st.PlainAdjBytes + idx + 2*m*plainW; st.PlainResidentBytes != want {
-			t.Errorf("%s: PlainResidentBytes %d, want %d (adjacency + indexes + %d B per weight in both directions)",
+		if want := st.PlainAdjBytes + idx + m*plainW; st.PlainResidentBytes != want {
+			t.Errorf("%s: PlainResidentBytes %d, want %d (adjacency + indexes + %d B per weight)",
 				tc.name, st.PlainResidentBytes, want, plainW)
 		}
 	}

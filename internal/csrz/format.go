@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"os"
 	"unsafe"
 )
@@ -14,7 +15,7 @@ import (
 //
 //	header (64 bytes)
 //	  [0:8)   magic "CSRZSNP1"
-//	  [8:12)  version (uint32, currently 2; 1 is still read)
+//	  [8:12)  version (uint32, currently 3; 1 and 2 are still read)
 //	  [12:16) flags (uint32): bit0 = weighted
 //	  [16:24) n (uint64)
 //	  [24:32) m (uint64)
@@ -24,15 +25,18 @@ import (
 //	sections, each zero-padded to a 4096-byte boundary, in table order
 //	trailer (8 bytes at EOF): CRC-32C of file[0:size-8], then "ZRSC"
 //
-// All integers are little-endian. A weighted file has both weight
-// sections, unweighted neither. The two are equally long, and their
-// length over m is the bytes per weight, which must be 1, 2 or 4. An
-// edgeless graph's empty sections mean 1. Version 1 differs only in that
-// its writer always used 4, so it is read by the same rule. Page
-// alignment lets OpenFile hand out the index sections as []uint64 views
-// and the byte sections as they are, straight into the mapping; the
-// whole-file CRC makes torn writes and bit rot detectable before any of
-// those views escape.
+// All integers are little-endian. A weighted file has one weight section,
+// for the out-direction, and an unweighted file none. Its length over m
+// is the bytes per weight, which must be 1, 2 or 4; an edgeless graph's
+// empty section means 1. Versions 1 and 2 also stored the in-direction's
+// weights (section 8, now reserved), which no reader uses: such a file
+// must still carry that section, exactly as long as the out-weights, and
+// it is checked and dropped unread. Otherwise the same rule reads them
+// (version 1's writer always used 4 bytes per weight). A version-3 file
+// carrying section 8 is rejected. Page alignment lets OpenFile hand out
+// the index sections as []uint64 views and the byte sections as they
+// are, straight into the mapping; the whole-file CRC makes torn writes
+// and bit rot detectable before any of those views escape.
 
 // Magic is the 8-byte signature that opens every .csrz file; callers
 // (graphd's load path, graphinfo) sniff it to route a file to this codec.
@@ -41,7 +45,7 @@ const Magic = formatMagic
 const (
 	formatMagic   = "CSRZSNP1"
 	trailerMagic  = 0x4352535A // "ZRSC" little-endian
-	formatVersion = 2
+	formatVersion = 3
 	headerBytes   = 64
 	sectionAlign  = 4096
 	trailerBytes  = 8
@@ -55,7 +59,10 @@ const (
 	secInIdx   = 5
 	secInOff   = 6
 	secInData  = 7
-	secInW     = 8
+	secInW     = 8 // in-weights: reserved since version 3
+
+	// lastInWVersion is the last version whose weighted files carry secInW.
+	lastInWVersion = 2
 
 	maxSections = 8
 
@@ -92,9 +99,7 @@ func layoutSections(g *Graph) ([]section, int64) {
 		{secInData, uint64(len(g.inData))},
 	}
 	if g.Weighted() {
-		blobs = append(blobs,
-			blob{secOutW, uint64(len(g.outW))},
-			blob{secInW, uint64(len(g.inW))})
+		blobs = append(blobs, blob{secOutW, uint64(len(g.outW))})
 	}
 	pos := uint64(headerBytes + 24*len(blobs))
 	secs := make([]section, 0, len(blobs))
@@ -200,8 +205,6 @@ func (g *Graph) Write(w io.Writer) (int64, error) {
 			err = writeUint64s(cw, g.inOff)
 		case secInData:
 			_, err = cw.Write(g.inData)
-		case secInW:
-			_, err = cw.Write(g.inW)
 		}
 		if err != nil {
 			return int64(cw.n), err
@@ -280,16 +283,16 @@ func ReadCSRZ(r io.Reader) (*Graph, error) {
 	if _, err := io.ReadFull(cr, hdr[:]); err != nil {
 		return nil, fmt.Errorf("csrz: reading header: %w", err)
 	}
-	g, nsec, weighted, err := parseHeader(hdr[:])
+	g, h, err := parseHeader(hdr[:])
 	if err != nil {
 		return nil, err
 	}
 
-	tab := make([]byte, 24*nsec)
+	tab := make([]byte, 24*h.nsec)
 	if _, err := io.ReadFull(cr, tab); err != nil {
 		return nil, fmt.Errorf("csrz: reading section table: %w", err)
 	}
-	secs := make([]section, nsec)
+	secs := make([]section, h.nsec)
 	prevEnd := cr.n
 	for i := range secs {
 		secs[i] = section{
@@ -304,7 +307,8 @@ func ReadCSRZ(r io.Reader) (*Graph, error) {
 		prevEnd = s.off + s.length
 	}
 
-	seen := make(map[uint64]bool, nsec)
+	seen := make(map[uint64]bool, h.nsec)
+	var inWLen uint64
 	for _, s := range secs {
 		if seen[s.id] {
 			return nil, fmt.Errorf("csrz: duplicate section %d", s.id)
@@ -330,7 +334,7 @@ func ReadCSRZ(r io.Reader) (*Graph, error) {
 		case secInData:
 			g.inData, err = readBytesGrow(cr, s.length)
 		case secInW:
-			g.inW, err = readBytesGrow(cr, s.length)
+			inWLen, err = s.length, discardPadding(cr, s.off+s.length)
 		default:
 			return nil, fmt.Errorf("csrz: unknown section id %d", s.id)
 		}
@@ -349,7 +353,7 @@ func ReadCSRZ(r io.Reader) (*Graph, error) {
 	if got := binary.LittleEndian.Uint32(trailer[0:]); got != bodyCRC {
 		return nil, fmt.Errorf("csrz: checksum mismatch: file says %#x, computed %#x", got, bodyCRC)
 	}
-	if err := checkSections(g, weighted, seen); err != nil {
+	if err := checkSections(g, h, seen, inWLen); err != nil {
 		return nil, err
 	}
 	if err := g.validate(); err != nil {
@@ -358,49 +362,65 @@ func ReadCSRZ(r io.Reader) (*Graph, error) {
 	return g, nil
 }
 
+// header is what parseHeader reads besides the graph's dimensions.
+type header struct {
+	version  uint32
+	nsec     uint64
+	weighted bool
+}
+
 // parseHeader checks the fixed 64-byte header both readers start from
-// and returns an empty graph of its dimensions, the section count and
-// the weighted flag.
-func parseHeader(hdr []byte) (g *Graph, nsec uint64, weighted bool, err error) {
+// and returns an empty graph of its dimensions and the rest of the
+// header.
+func parseHeader(hdr []byte) (*Graph, header, error) {
 	if string(hdr[:8]) != formatMagic {
-		return nil, 0, false, fmt.Errorf("csrz: bad magic %q", hdr[:8])
+		return nil, header{}, fmt.Errorf("csrz: bad magic %q", hdr[:8])
 	}
-	if v := binary.LittleEndian.Uint32(hdr[8:]); v < 1 || v > formatVersion {
-		return nil, 0, false, fmt.Errorf("csrz: unsupported version %d", v)
+	h := header{version: binary.LittleEndian.Uint32(hdr[8:]), nsec: binary.LittleEndian.Uint64(hdr[32:])}
+	if h.version < 1 || h.version > formatVersion {
+		return nil, header{}, fmt.Errorf("csrz: unsupported version %d", h.version)
 	}
 	flags := binary.LittleEndian.Uint32(hdr[12:])
 	if flags&^uint32(flagWeighted) != 0 {
-		return nil, 0, false, fmt.Errorf("csrz: unknown flags %#x", flags)
+		return nil, header{}, fmt.Errorf("csrz: unknown flags %#x", flags)
 	}
+	h.weighted = flags&flagWeighted != 0
 	n := binary.LittleEndian.Uint64(hdr[16:])
 	m := binary.LittleEndian.Uint64(hdr[24:])
-	nsec = binary.LittleEndian.Uint64(hdr[32:])
 	if n > maxVertices || m > maxEdges {
-		return nil, 0, false, fmt.Errorf("csrz: implausible dimensions n=%d m=%d", n, m)
+		return nil, header{}, fmt.Errorf("csrz: implausible dimensions n=%d m=%d", n, m)
 	}
-	if nsec == 0 || nsec > maxSections {
-		return nil, 0, false, fmt.Errorf("csrz: implausible section count %d", nsec)
+	if h.nsec == 0 || h.nsec > maxSections {
+		return nil, header{}, fmt.Errorf("csrz: implausible section count %d", h.nsec)
 	}
-	return &Graph{n: int(n), m: int(m)}, nsec, flags&flagWeighted != 0, nil
+	return &Graph{n: int(n), m: int(m)}, h, nil
 }
 
 // checkSections verifies the loaded sections agree with the header
 // (lengths were attacker-controlled until now) and sets the weight
-// width: a weighted file has both weight sections, equally long, at 1, 2
-// or 4 bytes per edge; an unweighted file has neither.
-func checkSections(g *Graph, weighted bool, seen map[uint64]bool) error {
+// width: a weighted file has an out-weight section of 1, 2 or 4 bytes per
+// edge, an unweighted file none. A weighted file of version 1 or 2 also
+// has an in-weight section, inWLen bytes long, which must be exactly as
+// long as the out-weights; a file of a later version has none.
+func checkSections(g *Graph, h header, seen map[uint64]bool, inWLen uint64) error {
 	if len(g.outIdx) != g.n+1 || len(g.inIdx) != g.n+1 ||
 		len(g.outOff) != g.n+1 || len(g.inOff) != g.n+1 {
 		return fmt.Errorf("csrz: index sections disagree with n=%d", g.n)
 	}
-	if !weighted {
+	if h.version > lastInWVersion && seen[secInW] {
+		return fmt.Errorf("csrz: version %d snapshot carries an in-weight section", h.version)
+	}
+	if !h.weighted {
 		if seen[secOutW] || seen[secInW] {
 			return fmt.Errorf("csrz: weight sections present on unweighted snapshot")
 		}
 		return nil
 	}
-	if !seen[secOutW] || !seen[secInW] || len(g.outW) != len(g.inW) {
-		return fmt.Errorf("csrz: weighted snapshot needs two equal weight sections")
+	if !seen[secOutW] {
+		return fmt.Errorf("csrz: weighted snapshot has no weight section")
+	}
+	if h.version <= lastInWVersion && (!seen[secInW] || inWLen != uint64(len(g.outW))) {
+		return fmt.Errorf("csrz: weighted version %d snapshot needs two equal weight sections", h.version)
 	}
 	g.wb = 1
 	if g.m > 0 {
@@ -412,9 +432,14 @@ func checkSections(g *Graph, weighted bool, seen map[uint64]bool) error {
 	return nil
 }
 
+// discardPadding reads and drops the stream up to offset target; the
+// bytes pass through the CRC but are not kept.
 func discardPadding(cr *crcReader, target uint64) error {
 	if target < cr.n {
 		return fmt.Errorf("csrz: section overlaps previous data")
+	}
+	if target-cr.n > math.MaxInt64 {
+		return io.ErrUnexpectedEOF
 	}
 	_, err := io.CopyN(io.Discard, cr, int64(target-cr.n))
 	if err == io.EOF {
@@ -527,15 +552,16 @@ func parseMapped(data []byte) (*Graph, error) {
 	if got, want := binary.LittleEndian.Uint32(trailer[0:]), crc32.Checksum(body, castagnoli); got != want {
 		return nil, fmt.Errorf("csrz: checksum mismatch: file says %#x, computed %#x", got, want)
 	}
-	g, nsec, weighted, err := parseHeader(body[:headerBytes])
+	g, h, err := parseHeader(body[:headerBytes])
 	if err != nil {
 		return nil, err
 	}
-	if uint64(len(body)) < headerBytes+24*nsec {
+	if uint64(len(body)) < headerBytes+24*h.nsec {
 		return nil, fmt.Errorf("csrz: truncated section table")
 	}
-	seen := make(map[uint64]bool, nsec)
-	for i := uint64(0); i < nsec; i++ {
+	seen := make(map[uint64]bool, h.nsec)
+	var inWLen uint64
+	for i := uint64(0); i < h.nsec; i++ {
 		tab := body[headerBytes+24*i:]
 		s := section{
 			id:     binary.LittleEndian.Uint64(tab),
@@ -567,7 +593,7 @@ func parseMapped(data []byte) (*Graph, error) {
 		case secInData:
 			g.inData = raw
 		case secInW:
-			g.inW = raw
+			inWLen = s.length
 		default:
 			err = fmt.Errorf("csrz: unknown section id %d", s.id)
 		}
@@ -575,7 +601,7 @@ func parseMapped(data []byte) (*Graph, error) {
 			return nil, err
 		}
 	}
-	if err := checkSections(g, weighted, seen); err != nil {
+	if err := checkSections(g, h, seen, inWLen); err != nil {
 		return nil, err
 	}
 	return g, nil

@@ -63,16 +63,13 @@ func seedInputs(t testing.TB) map[string][]byte {
 		return b.Bytes()
 	}
 
-	// The old container: version 1 always stored weights as 4-byte
-	// uint32s. The same graph as "weighted", widened, stamped version 1
-	// and re-checksummed.
+	// The old containers, the same graph as "weighted" with the in-weight
+	// section they carried: version 2 at one byte per weight, version 1,
+	// which always stored 4-byte uint32s, widened.
+	v2 := weighted(5)
 	v1 := weighted(5)
 	v1.outW = widenWeights(v1.outW)
-	v1.inW = widenWeights(v1.inW)
 	v1.wb = 4
-	old := write(v1)
-	binary.LittleEndian.PutUint32(old[8:], 1)
-	binary.LittleEndian.PutUint32(old[len(old)-trailerBytes:], crc32.Checksum(old[:len(old)-trailerBytes], castagnoli))
 
 	// A header claiming 2^31-1 vertices and a section table promising
 	// gigabytes: the reader must run out of payload cheaply instead of
@@ -96,7 +93,8 @@ func seedInputs(t testing.TB) map[string][]byte {
 		"weighted":     write(weighted(5)),
 		"weighted-w2":  write(weighted(300)),
 		"weighted-w4":  write(weighted(70000)),
-		"weighted-v1":  old,
+		"weighted-v1":  withInWeights(write(v1), 1, inWeights(v1)),
+		"weighted-v2":  withInWeights(write(v2), 2, inWeights(v2)),
 		"lying-header": lying[:],
 		"truncated":    plain.Bytes()[:headerBytes-4],
 		"bitflip":      corrupt,
@@ -104,7 +102,7 @@ func seedInputs(t testing.TB) map[string][]byte {
 }
 
 // TestReadsVersion1: a version-1 file, whose weights are 4-byte uint32s,
-// reads through both readers as the same graph as its version-2 form,
+// reads through both readers as the same graph as its current form,
 // weights included.
 func TestReadsVersion1(t *testing.T) {
 	seeds := seedInputs(t)
@@ -131,8 +129,8 @@ func TestReadsVersion1(t *testing.T) {
 		}
 		for v := graph.VertexID(0); int(v) < want.n; v++ {
 			if !equalIDs(got.OutNeighbors(v), want.OutNeighbors(v)) ||
-				!slices.Equal(got.OutWeights(v), want.OutWeights(v)) || !slices.Equal(got.InWeights(v), want.InWeights(v)) {
-				t.Errorf("%s: vertex %d reads differently from the version-2 file", name, v)
+				!equalIDs(got.InNeighbors(v), want.InNeighbors(v)) || !slices.Equal(got.OutWeights(v), want.OutWeights(v)) {
+				t.Errorf("%s: vertex %d reads differently from the current file", name, v)
 			}
 		}
 	}
@@ -146,6 +144,105 @@ func widenWeights(w []byte) []byte {
 		out[4*i] = b
 	}
 	return out
+}
+
+// inWeights lays z's weights out along its in-lists at its own width, the
+// section versions 1 and 2 stored: sources ascend, so appending each
+// out-list's weights to its neighbors' lists gives every in-list's order.
+func inWeights(z *Graph) []byte {
+	lists := make([][]uint32, z.n)
+	for v := graph.VertexID(0); int(v) < z.n; v++ {
+		ws := z.OutWeights(v)
+		for i, u := range z.OutNeighbors(v) {
+			lists[u] = append(lists[u], ws[i])
+		}
+	}
+	out := make([]byte, 0, z.m*z.wb)
+	for _, ws := range lists {
+		b := make([]byte, len(ws)*z.wb)
+		putWeights(b, ws, z.wb)
+		out = append(out, b...)
+	}
+	return out
+}
+
+// withInWeights restamps a current file as version and appends an
+// in-weight section holding inW after its last section, the layout the
+// version-1 and -2 writers produced. The other sections stay where they
+// are: the table's extra entry fits in front of the first page-aligned
+// section.
+func withInWeights(file []byte, version uint32, inW []byte) []byte {
+	body := file[:len(file)-trailerBytes]
+	nsec := binary.LittleEndian.Uint64(body[32:])
+	off := alignUp(uint64(len(body)))
+	out := make([]byte, off, off+uint64(len(inW))+trailerBytes)
+	copy(out, body)
+	binary.LittleEndian.PutUint32(out[8:], version)
+	binary.LittleEndian.PutUint64(out[32:], nsec+1)
+	entry := out[headerBytes+24*nsec:]
+	binary.LittleEndian.PutUint64(entry, secInW)
+	binary.LittleEndian.PutUint64(entry[8:], off)
+	binary.LittleEndian.PutUint64(entry[16:], uint64(len(inW)))
+	return checksummed(append(out, inW...))
+}
+
+// checksummed appends the trailer to a file body.
+func checksummed(body []byte) []byte {
+	body = binary.LittleEndian.AppendUint32(body, crc32.Checksum(body, castagnoli))
+	return binary.LittleEndian.AppendUint32(body, trailerMagic)
+}
+
+// TestInWeightSection: a version-2 file's in-weight section is checked
+// and dropped, so the file reads back as its version-3 re-encode, byte for
+// byte; one whose two weight sections differ in length, or that lacks the
+// in-weights, is rejected, and so is a version-3 file that carries them.
+// Both readers agree on every case.
+func TestInWeightSection(t *testing.T) {
+	seeds := seedInputs(t)
+	v3 := seeds["weighted"]
+	z, err := ReadCSRZ(bytes.NewReader(v3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	inW := inWeights(z)
+	restamped := slices.Clone(v3)
+	binary.LittleEndian.PutUint32(restamped[8:], 2)
+	for _, tc := range []struct {
+		name string
+		file []byte
+		ok   bool
+	}{
+		{"v2", seeds["weighted-v2"], true},
+		{"v2, in-weights shorter", withInWeights(v3, 2, inW[1:]), false},
+		{"v2, in-weights longer", withInWeights(v3, 2, append(slices.Clone(inW), 7)), false},
+		{"v2 without in-weights", checksummed(restamped[:len(restamped)-trailerBytes]), false},
+		{"v3 carrying in-weights", withInWeights(v3, formatVersion, inW), false},
+		{"unweighted v2 carrying in-weights", withInWeights(seeds["unweighted"], 2, nil), false},
+	} {
+		path := filepath.Join(t.TempDir(), "g.csrz")
+		if err := os.WriteFile(path, tc.file, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		read, rerr := ReadCSRZ(bytes.NewReader(tc.file))
+		mapped, merr := OpenFile(path)
+		if (rerr == nil) != tc.ok || (merr == nil) != tc.ok {
+			t.Errorf("%s: ReadCSRZ error %v, OpenFile error %v; want accepted = %v", tc.name, rerr, merr, tc.ok)
+			continue
+		}
+		if !tc.ok {
+			continue
+		}
+		for name, got := range map[string]*Graph{"ReadCSRZ": read, "OpenFile": mapped} {
+			var b bytes.Buffer
+			if _, err := got.Write(&b); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(b.Bytes(), v3) {
+				t.Errorf("%s: %s does not read back as the version-3 file", tc.name, name)
+			}
+		}
+		mapped.Close()
+	}
 }
 
 // FuzzReadCSRZ feeds arbitrary bytes to the .csrz container reader.
@@ -182,8 +279,7 @@ func FuzzReadCSRZ(f *testing.F) {
 			!bytes.Equal(z.outW, z2.outW) ||
 			!reflect.DeepEqual(z.inIdx, z2.inIdx) ||
 			!reflect.DeepEqual(z.inOff, z2.inOff) ||
-			!bytes.Equal(z.inData, z2.inData) ||
-			!bytes.Equal(z.inW, z2.inW) {
+			!bytes.Equal(z.inData, z2.inData) {
 			t.Fatal("write/read round trip diverged")
 		}
 		// The mmap parser must agree with the streaming reader on
@@ -204,7 +300,7 @@ func FuzzReadCSRZ(f *testing.F) {
 		}
 		for v := graph.VertexID(0); int(v) < z.n; v++ {
 			if !equalIDs(z.OutNeighbors(v), mg.OutNeighbors(v)) || !equalIDs(z.InNeighbors(v), mg.InNeighbors(v)) ||
-				!slices.Equal(z.OutWeights(v), mg.OutWeights(v)) || !slices.Equal(z.InWeights(v), mg.InWeights(v)) {
+				!slices.Equal(z.OutWeights(v), mg.OutWeights(v)) {
 				t.Fatalf("readers disagree on the lists or weights of vertex %d", v)
 			}
 		}

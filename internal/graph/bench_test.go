@@ -81,7 +81,7 @@ func TestRelabelAllocatesOutputPlusOrderN(t *testing.T) {
 	}
 	output := 2*8*(n+1) + 2*4*m
 	if g.Weighted() {
-		output += 2 * 4 * m
+		output += 4 * m // one weight array, aligned with the out-edges
 	}
 	for _, workers := range []int{2, 8} {
 		var before, after runtime.MemStats

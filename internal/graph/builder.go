@@ -66,13 +66,13 @@ func BuildWith(edges []Edge, opts BuildOptions) (*Graph, error) {
 		return nil, fmt.Errorf("graph: edge endpoint exceeds NumVertices=%d", opts.NumVertices)
 	}
 	if opts.SortNeighbors {
-		// Sources ascend and each sorted out-list holds its parallel edges
-		// in weight order, so the transpose emits every in-list already in
-		// the (neighbor, weight) order: one direction is sorted, not two.
+		// Sources ascend, so the transpose emits every in-list already
+		// sorted: one direction is sorted, not two. The in-CSR carries no
+		// weights; parallel in-edges from one source are the same ID.
 		sortAdjacency(g.outIndex, g.outEdges, g.outWeights, workers)
-		g.inIndex, g.inEdges, g.inWeights = transposeCSR(g.outIndex, g.outEdges, g.outWeights, workers)
+		g.inIndex, g.inEdges = transposeCSR(g.outIndex, g.outEdges, workers)
 	} else {
-		g.inIndex, g.inEdges, g.inWeights, _ = buildCSR(edges, n, opts.Weighted, true, workers)
+		g.inIndex, g.inEdges, _, _ = buildCSR(edges, n, false, true, workers)
 	}
 	return g, nil
 }
@@ -214,19 +214,4 @@ func radixSort(keys, tmp []uint64, counts *[radixDigits][radixBuckets]int) {
 // into the cores.
 func (g *Graph) Relabel(newID []VertexID) (*Graph, error) {
 	return g.RelabelWorkers(newID, 1)
-}
-
-// Transpose returns the graph with every edge reversed. In- and out-CSRs
-// swap roles, so this is O(1) apart from struct copying.
-func (g *Graph) Transpose() *Graph {
-	return &Graph{
-		n:          g.n,
-		m:          g.m,
-		outIndex:   g.inIndex,
-		outEdges:   g.inEdges,
-		outWeights: g.inWeights,
-		inIndex:    g.outIndex,
-		inEdges:    g.outEdges,
-		inWeights:  g.outWeights,
-	}
 }

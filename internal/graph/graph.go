@@ -5,7 +5,8 @@
 // out-edges (for push-based computations) and once over in-edges (for
 // pull-based computations), mirroring §II-B of the paper. Vertices are
 // dense uint32 IDs in [0, N). Optional per-edge weights (used by SSSP) are
-// kept aligned with both edge arrays.
+// stored once, aligned with the out-edge array: only a push reads them,
+// and a pull sees in-neighbor IDs alone.
 //
 // Graphs are immutable after construction; reordering produces a new Graph
 // via Relabel.
@@ -38,9 +39,8 @@ type Graph struct {
 	inIndex []uint64
 	inEdges []VertexID
 
-	// Aligned weights; nil when the graph is unweighted.
+	// Weights aligned with outEdges; nil when the graph is unweighted.
 	outWeights []uint32
-	inWeights  []uint32
 }
 
 // NumVertices returns the number of vertices N.
@@ -89,15 +89,6 @@ func (g *Graph) OutWeights(v VertexID) []uint32 {
 		return nil
 	}
 	return g.outWeights[g.outIndex[v]:g.outIndex[v+1]]
-}
-
-// InWeights returns the weights aligned with InNeighbors(v), or nil for
-// unweighted graphs.
-func (g *Graph) InWeights(v VertexID) []uint32 {
-	if g.inWeights == nil {
-		return nil
-	}
-	return g.inWeights[g.inIndex[v]:g.inIndex[v+1]]
 }
 
 // OutIndex exposes the raw out-CSR offset array (length N+1). It is shared
@@ -222,12 +213,8 @@ func (g *Graph) Validate() error {
 			return fmt.Errorf("graph: in-edge source %d out of range [0,%d)", s, g.n)
 		}
 	}
-	if (g.outWeights == nil) != (g.inWeights == nil) {
-		return errors.New("graph: weight arrays inconsistently present")
-	}
-	if g.outWeights != nil && (len(g.outWeights) != g.m || len(g.inWeights) != g.m) {
-		return fmt.Errorf("graph: weight arrays have lengths %d/%d, want %d",
-			len(g.outWeights), len(g.inWeights), g.m)
+	if g.outWeights != nil && len(g.outWeights) != g.m {
+		return fmt.Errorf("graph: weight array has length %d, want %d", len(g.outWeights), g.m)
 	}
 	return nil
 }

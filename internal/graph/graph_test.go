@@ -152,21 +152,6 @@ func TestBuildIsolatedVertices(t *testing.T) {
 	}
 }
 
-func TestTransposeInvolution(t *testing.T) {
-	g := paperExample(t)
-	tt := g.Transpose().Transpose()
-	if !reflect.DeepEqual(edgeSet(g), edgeSet(tt)) {
-		t.Error("double transpose changed edge set")
-	}
-	tr := g.Transpose()
-	for v := 0; v < g.NumVertices(); v++ {
-		if g.OutDegree(VertexID(v)) != tr.InDegree(VertexID(v)) {
-			t.Errorf("vertex %d: out-degree %d != transposed in-degree %d",
-				v, g.OutDegree(VertexID(v)), tr.InDegree(VertexID(v)))
-		}
-	}
-}
-
 // edgeSet returns a canonical sorted edge multiset representation.
 func edgeSet(g *Graph) []Edge {
 	es := g.Edges()
@@ -378,27 +363,5 @@ func TestValidateCatchesCorruption(t *testing.T) {
 	g.outIndex[2] = g.outIndex[3] + 5 // break monotonicity
 	if err := g.Validate(); err == nil {
 		t.Error("Validate accepted non-monotonic index")
-	}
-}
-
-func TestWeightsAlignedAcrossCSRs(t *testing.T) {
-	edges := []Edge{{0, 1, 10}, {2, 1, 20}, {1, 0, 30}}
-	g, err := BuildWith(edges, BuildOptions{NumVertices: 3, Weighted: true, SortNeighbors: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// In-neighbors of 1 are {0, 2} with weights {10, 20}.
-	nbrs, ws := g.InNeighbors(1), g.InWeights(1)
-	for i, src := range nbrs {
-		var want uint32
-		switch src {
-		case 0:
-			want = 10
-		case 2:
-			want = 20
-		}
-		if ws[i] != want {
-			t.Errorf("in-weight for edge %d->1: got %d want %d", src, ws[i], want)
-		}
 	}
 }

@@ -263,7 +263,7 @@ func readBinary(br *bufio.Reader, remaining int64) (*Graph, error) {
 		outEdges:   outEdges,
 		outWeights: outWeights,
 	}
-	g.inIndex, g.inEdges, g.inWeights = transposeCSR(outIndex, outEdges, outWeights, 1)
+	g.inIndex, g.inEdges = transposeCSR(outIndex, outEdges, 1)
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}

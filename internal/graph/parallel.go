@@ -148,11 +148,11 @@ func buildCSR(edges []Edge, n int, weighted, reverse bool, workers int) ([]uint6
 	return index, adj, ws, true
 }
 
-// transposeCSR returns the opposite direction of a CSR: the same counting
-// sort, fed from the lists instead of an edge list, over edge-balanced
-// vertex ranges. Every output list holds its neighbors in ascending order,
-// parallel edges in the order the input list had them.
-func transposeCSR(index []uint64, adj []VertexID, ws []uint32, workers int) ([]uint64, []VertexID, []uint32) {
+// transposeCSR returns the opposite direction of a CSR, without weights:
+// the same counting sort, fed from the lists instead of an edge list, over
+// edge-balanced vertex ranges. Every output list holds its neighbors in
+// ascending order.
+func transposeCSR(index []uint64, adj []VertexID, workers int) ([]uint64, []VertexID) {
 	n := len(index) - 1
 	bounds := par.BalancedBounds(index, n, countingChunks(workers, n, len(adj)), 1)
 	numChunks := len(bounds) - 1
@@ -170,10 +170,6 @@ func transposeCSR(index []uint64, adj []VertexID, ws []uint32, workers int) ([]u
 	tIndex := prefixCounts(counts, n)
 
 	tAdj := make([]VertexID, len(adj))
-	var tWs []uint32
-	if ws != nil {
-		tWs = make([]uint32, len(ws))
-	}
 	par.For(numChunks, workers, 1, func(clo, chi int) {
 		for c := clo; c < chi; c++ {
 			cursor := counts[c]
@@ -182,14 +178,11 @@ func transposeCSR(index []uint64, adj []VertexID, ws []uint32, workers int) ([]u
 					pos := cursor[adj[i]]
 					cursor[adj[i]]++
 					tAdj[pos] = VertexID(v)
-					if ws != nil {
-						tWs[pos] = ws[i]
-					}
 				}
 			}
 		}
 	})
-	return tIndex, tAdj, tWs
+	return tIndex, tAdj
 }
 
 // sortAdjacency sorts each vertex's neighbor segment in place,
@@ -226,17 +219,17 @@ func (g *Graph) RelabelWorkers(newID []VertexID, workers int) (*Graph, error) {
 		seen[id] = true
 	}
 	workers = buildWorkers(workers, g.m)
-	// The four large arrays are allocated before anything small: a reorder
+	// The large arrays are allocated before anything small: a reorder
 	// usually replaces a layout of the same shape, and taken in this order
 	// they fit the holes it left, where an index array taken in between
 	// splits one and sends the last of them to fresh memory (batch-sd peak
 	// RSS 455 vs 483 MiB; EXPERIMENTS.md "Lightweight reorder").
 	ng := &Graph{n: g.n, m: g.m, outEdges: make([]VertexID, g.m), inEdges: make([]VertexID, g.m)}
 	if g.Weighted() {
-		ng.outWeights, ng.inWeights = make([]uint32, g.m), make([]uint32, g.m)
+		ng.outWeights = make([]uint32, g.m)
 	}
 	ng.outIndex = relabelLists(g.outIndex, g.outEdges, g.outWeights, newID, ng.outEdges, ng.outWeights, workers)
-	ng.inIndex = relabelLists(g.inIndex, g.inEdges, g.inWeights, newID, ng.inEdges, ng.inWeights, workers)
+	ng.inIndex = relabelLists(g.inIndex, g.inEdges, nil, newID, ng.inEdges, nil, workers)
 	return ng, nil
 }
 

@@ -57,7 +57,9 @@ func (g *Graph) Patch(edits []EdgeEdit, n int, rank []VertexID) (*Graph, error) 
 	if err != nil {
 		return nil, err
 	}
-	ng.inIndex, ng.inEdges, ng.inWeights, err = patchCSR(g.inIndex, g.inEdges, g.inWeights, edits, n, rank, true)
+	// The in-CSR carries no weights, so its edits fold on (key, neighbor):
+	// an absent weighted instance was already refused by the out-CSR.
+	ng.inIndex, ng.inEdges, _, err = patchCSR(g.inIndex, g.inEdges, nil, edits, n, rank, true)
 	if err != nil {
 		return nil, err
 	}

@@ -5,12 +5,13 @@ package graph
 // sub-slices; compressed representations (internal/csrz) implement it by
 // decoding on demand. Implementations must be safe for concurrent use.
 //
-// The accessor contract matches *Graph: OutNeighbors/InNeighbors and the
-// weight accessors return read-only slices aligned index-for-index, and
-// the order of a vertex's neighbor list is part of the representation —
-// two Views of the same graph must enumerate each list in the same order
-// for float-accumulating applications (PR, BC) to produce bit-identical
-// results.
+// The accessor contract matches *Graph: OutNeighbors/InNeighbors return
+// read-only slices, OutWeights a read-only slice aligned index-for-index
+// with OutNeighbors (weights are stored once, on the out-edges: no kernel
+// pulls over them), and the order of a vertex's neighbor list is part of
+// the representation — two Views of the same graph must enumerate each
+// list in the same order for float-accumulating applications (PR, BC) to
+// produce bit-identical results.
 //
 // Hot loops should not assume the returned slices are free: a compressed
 // View allocates and decodes them per call, weights included (it stores
@@ -28,13 +29,12 @@ type View interface {
 	OutNeighbors(v VertexID) []VertexID
 	InNeighbors(v VertexID) []VertexID
 	OutWeights(v VertexID) []uint32
-	InWeights(v VertexID) []uint32
 	Degrees(kind DegreeKind) []uint32
 }
 
 // NeighborStreamer is implemented by Views whose neighbor lists and
 // weights are decoded rather than stored (compressed CSR): Append* decode
-// v's list or its weights onto buf and return it, so a caller holding
+// v's list or its out-weights onto buf and return it, so a caller holding
 // one buffer per goroutine gets amortized-zero-allocation access. The
 // plain *Graph deliberately does not implement it — callers use
 // AdjBuffer, which prefers the direct sub-slice.
@@ -42,7 +42,6 @@ type NeighborStreamer interface {
 	AppendOutNeighbors(v VertexID, buf []VertexID) []VertexID
 	AppendInNeighbors(v VertexID, buf []VertexID) []VertexID
 	AppendOutWeights(v VertexID, buf []uint32) []uint32
-	AppendInWeights(v VertexID, buf []uint32) []uint32
 }
 
 // AdjBuffer provides amortized-zero-allocation neighbor and weight access
@@ -113,15 +112,15 @@ func IsNilView(v View) bool {
 
 // NewFromCSR assembles a Graph directly from dual-CSR arrays (the layout
 // Validate checks): index arrays of length n+1, edge arrays of length m,
-// weight arrays either both nil or both length m. The slices are retained,
-// not copied. Used by decoders that already hold both CSRs (internal/csrz)
-// and by tests.
+// out-weights nil or of length m. The slices are retained, not copied.
+// Used by decoders that already hold both CSRs (internal/csrz) and by
+// tests.
 func NewFromCSR(n, m int, outIndex []uint64, outEdges []VertexID, outWeights []uint32,
-	inIndex []uint64, inEdges []VertexID, inWeights []uint32) (*Graph, error) {
+	inIndex []uint64, inEdges []VertexID) (*Graph, error) {
 	g := &Graph{
 		n: n, m: m,
 		outIndex: outIndex, outEdges: outEdges, outWeights: outWeights,
-		inIndex: inIndex, inEdges: inEdges, inWeights: inWeights,
+		inIndex: inIndex, inEdges: inEdges,
 	}
 	if err := g.Validate(); err != nil {
 		return nil, err

@@ -280,11 +280,10 @@ type EdgeMapFns struct {
 	// order, and returns whether dst joins the output frontier. The list
 	// is not filtered by the frontier — the caller holds the frontier
 	// (VertexSet.Bits) and tests membership where its update needs it —
-	// and is only valid during the call. A callback that wants weights
-	// reads g.InWeights(dst), aligned index for index (a fresh decode on
-	// a compressed graph: no application pulls weights). Every
-	// destination belongs to one worker, so writes to dst state need no
-	// atomics.
+	// and is only valid during the call. It gets no weights: a graph
+	// stores them once, on its out-edges, and no application pulls them
+	// (a weighted pull would transpose them first). Every destination
+	// belongs to one worker, so writes to dst state need no atomics.
 	PullList func(dst graph.VertexID, srcs []graph.VertexID) bool
 	// PushList, if non-nil, is the push-mode callback: called once per
 	// frontier member with src's whole out-list in stored order and, when

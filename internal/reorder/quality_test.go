@@ -200,7 +200,7 @@ func TestEvaluateSplitIsExact(t *testing.T) {
 
 // countingView counts the adjacency lists read through it. It embeds the
 // plain graph, so it is not a NeighborStreamer and every list access of an
-// AdjBuffer arrives at the four methods below.
+// AdjBuffer arrives at the three methods below.
 type countingView struct {
 	*graph.Graph
 	outReads []atomic.Int32 // per vertex
@@ -220,11 +220,6 @@ func (c *countingView) InNeighbors(v graph.VertexID) []graph.VertexID {
 func (c *countingView) OutWeights(v graph.VertexID) []uint32 {
 	c.others.Add(1)
 	return c.Graph.OutWeights(v)
-}
-
-func (c *countingView) InWeights(v graph.VertexID) []uint32 {
-	c.others.Add(1)
-	return c.Graph.InWeights(v)
 }
 
 // TestEvaluateReadsEachOutListOnce is the exact successor of a timing
