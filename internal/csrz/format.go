@@ -28,15 +28,16 @@ import (
 // All integers are little-endian. A weighted file has one weight section,
 // for the out-direction, and an unweighted file none. Its length over m
 // is the bytes per weight, which must be 1, 2 or 4; an edgeless graph's
-// empty section means 1. Versions 1 and 2 also stored the in-direction's
-// weights (section 8, now reserved), which no reader uses: such a file
-// must still carry that section, exactly as long as the out-weights, and
-// it is checked and dropped unread. Otherwise the same rule reads them
-// (version 1's writer always used 4 bytes per weight). A version-3 file
-// carrying section 8 is rejected. Page alignment lets OpenFile hand out
-// the index sections as []uint64 views and the byte sections as they
-// are, straight into the mapping; the whole-file CRC makes torn writes
-// and bit rot detectable before any of those views escape.
+// empty section means 1. Versions 1 and 2 are read by the same rules,
+// except that a weighted file also carries the in-direction's weights
+// (section 8, reserved since), which no reader uses: that section must be
+// exactly as long as the out-weights, and it is checked and dropped
+// unread. Version 1's writer always stored 4 bytes per weight. A
+// version-3 file carrying section 8 is rejected. Page alignment lets
+// OpenFile hand out the index sections as []uint64 views and the byte
+// sections as they are, straight into the mapping; the whole-file CRC
+// makes torn writes and bit rot detectable before any of those views
+// escape.
 
 // Magic is the 8-byte signature that opens every .csrz file; callers
 // (graphd's load path, graphinfo) sniff it to route a file to this codec.
@@ -314,7 +315,7 @@ func ReadCSRZ(r io.Reader) (*Graph, error) {
 			return nil, fmt.Errorf("csrz: duplicate section %d", s.id)
 		}
 		seen[s.id] = true
-		if err := discardPadding(cr, s.off); err != nil {
+		if err := discardTo(cr, s.off); err != nil {
 			return nil, err
 		}
 		var err error
@@ -334,7 +335,7 @@ func ReadCSRZ(r io.Reader) (*Graph, error) {
 		case secInData:
 			g.inData, err = readBytesGrow(cr, s.length)
 		case secInW:
-			inWLen, err = s.length, discardPadding(cr, s.off+s.length)
+			inWLen, err = s.length, discardTo(cr, s.off+s.length)
 		default:
 			return nil, fmt.Errorf("csrz: unknown section id %d", s.id)
 		}
@@ -432,9 +433,9 @@ func checkSections(g *Graph, h header, seen map[uint64]bool, inWLen uint64) erro
 	return nil
 }
 
-// discardPadding reads and drops the stream up to offset target; the
-// bytes pass through the CRC but are not kept.
-func discardPadding(cr *crcReader, target uint64) error {
+// discardTo reads and drops the stream up to offset target: padding, or
+// a section no reader keeps. The bytes pass through the CRC only.
+func discardTo(cr *crcReader, target uint64) error {
 	if target < cr.n {
 		return fmt.Errorf("csrz: section overlaps previous data")
 	}
