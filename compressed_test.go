@@ -2,21 +2,24 @@ package graphreorder
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"fmt"
 	"math"
 	"math/rand"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
+
+	"graphreorder/internal/graph"
 )
 
-// weightedGraphUpTo builds a random weighted graph whose weights are drawn
+// weightedEdgesUpTo draws a random weighted edge list whose weights come
 // from 1..maxW, with at least one edge carrying maxW itself, so the
 // largest weight — what decides how wide a stored weight must be — is
 // exactly maxW.
-func weightedGraphUpTo(t *testing.T, maxW uint32) *Graph {
-	t.Helper()
+func weightedEdgesUpTo(maxW uint32) []Edge {
 	const n = 1500
 	rng := rand.New(rand.NewSource(int64(maxW)))
 	edges := make([]Edge, 0, 8*n)
@@ -27,7 +30,13 @@ func weightedGraphUpTo(t *testing.T, maxW uint32) *Graph {
 		}
 	}
 	edges[len(edges)/2].Weight = maxW
-	g, err := BuildGraph(edges)
+	return edges
+}
+
+// weightedGraphUpTo builds weightedEdgesUpTo(maxW) into a graph.
+func weightedGraphUpTo(t *testing.T, maxW uint32) *Graph {
+	t.Helper()
+	g, err := BuildGraph(weightedEdgesUpTo(maxW))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,4 +107,136 @@ func TestCompressedSSSPAtEveryWeightWidth(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestSSSPAtEveryWeightWidth pins the plain backend's weights at the
+// boundaries of every storage width, as TestCompressedSSSPAtEveryWeightWidth
+// does the compressed one's: the largest weight is 63, 255, 256, 65535,
+// 65536 and 2^32-1. Every path that lays out a weighted graph — the
+// sorted and the unsorted build, a relabel at one and two workers, a patch
+// that inserts a weight one width wider and one that removes it again,
+// and the .gr round trip — must give SSSP distances (one and two workers)
+// and Edges() weights equal to those of the graph built from the same
+// edges.
+func TestSSSPAtEveryWeightWidth(t *testing.T) {
+	for _, maxW := range []uint32{63, 255, 256, 65535, 65536, math.MaxUint32} {
+		t.Run(fmt.Sprint(maxW), func(t *testing.T) {
+			edges := weightedEdgesUpTo(maxW)
+			build := func(edges []Edge, sorted bool) *Graph {
+				g, err := graph.BuildWith(edges, graph.BuildOptions{Weighted: true, SortNeighbors: sorted, Workers: 2})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return g
+			}
+			g := build(edges, true)
+
+			check := func(name string, got, want *Graph, perm []VertexID) {
+				t.Helper()
+				if err := sameWeightedEdges(got, want, perm); err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				for _, root := range []VertexID{0, 7, 700} {
+					for _, workers := range []int{1, 2} {
+						w, err := Run(context.Background(), want, AppSSSP, WithRoot(root), WithWorkers(workers))
+						if err != nil {
+							t.Fatal(err)
+						}
+						gotRoot := root
+						if perm != nil {
+							gotRoot = perm[root]
+						}
+						r, err := Run(context.Background(), got, AppSSSP, WithRoot(gotRoot), WithWorkers(workers))
+						if err != nil {
+							t.Fatalf("%s: %v", name, err)
+						}
+						wd, gd := w.Distances(), r.Distances()
+						for v := range wd {
+							u := VertexID(v)
+							if perm != nil {
+								u = perm[v]
+							}
+							if gd[u] != wd[v] {
+								t.Fatalf("%s root %d workers %d: distance of vertex %d is %d, want %d", name, root, workers, v, gd[u], wd[v])
+							}
+						}
+					}
+				}
+			}
+
+			check("unsorted build", build(edges, false), g, nil)
+
+			perm := make([]VertexID, g.NumVertices())
+			for i := range perm {
+				perm[i] = VertexID(i)
+			}
+			rand.New(rand.NewSource(3)).Shuffle(len(perm), func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
+			for _, workers := range []int{1, 2} {
+				rg, err := g.RelabelWorkers(perm, workers)
+				if err != nil {
+					t.Fatal(err)
+				}
+				check(fmt.Sprintf("relabel, %d workers", workers), rg, g, perm)
+			}
+
+			wider := uint32(math.MaxUint32)
+			switch {
+			case maxW < 1<<8:
+				wider = 1 << 8
+			case maxW < 1<<16:
+				wider = 1 << 16
+			}
+			edit := graph.EdgeEdit{Src: 5, Dst: 9, Weight: wider}
+			up, err := g.Patch([]graph.EdgeEdit{edit}, g.NumVertices(), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check("patch inserting a wider weight", up, build(append(slices.Clone(edges), Edge{Src: 5, Dst: 9, Weight: wider}), true), nil)
+			edit.Remove = true
+			down, err := up.Patch([]graph.EdgeEdit{edit}, g.NumVertices(), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check("patch removing it", down, g, nil)
+
+			var buf bytes.Buffer
+			if err := WriteGraphBinary(&buf, g); err != nil {
+				t.Fatal(err)
+			}
+			back, err := ReadGraphBinary(&buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(".gr round trip", back, g, nil)
+		})
+	}
+}
+
+// sameWeightedEdges reports whether got holds want's weighted edges, with
+// want's vertex v named perm[v] in got (nil: the identity), as a multiset:
+// an unsorted build lays the same edges out in another order.
+func sameWeightedEdges(got, want *Graph, perm []VertexID) error {
+	if !got.Weighted() {
+		return fmt.Errorf("not weighted")
+	}
+	inv := make([]VertexID, len(perm))
+	for v, id := range perm {
+		inv[id] = VertexID(v)
+	}
+	a := got.Edges()
+	for i, e := range a {
+		if perm != nil {
+			a[i].Src, a[i].Dst = inv[e.Src], inv[e.Dst]
+		}
+	}
+	b := want.Edges()
+	byTriple := func(x, y Edge) int {
+		return cmp.Or(cmp.Compare(x.Src, y.Src), cmp.Compare(x.Dst, y.Dst), cmp.Compare(x.Weight, y.Weight))
+	}
+	slices.SortFunc(a, byTriple)
+	slices.SortFunc(b, byTriple)
+	if !slices.Equal(a, b) {
+		return fmt.Errorf("edges (with weights) differ from the built graph's")
+	}
+	return nil
 }
