@@ -88,5 +88,8 @@ func main() {
 		st.PlainAdjBytes, st.CompressedAdjBytes, st.Ratio, st.BitsPerEdge)
 	fmt.Printf("  resident bytes:    plain %d, compressed %d (indexes and weights included)\n",
 		st.PlainResidentBytes, st.ResidentBytes)
+	if _, wb := g.OutWeightArray(); wb != 0 {
+		fmt.Printf("  weights:           %d B each, the narrowest width that holds the largest\n", wb)
+	}
 	fmt.Printf("  on-disk .csrz:     %d bytes (%s)\n", onDisk, source)
 }

@@ -147,10 +147,13 @@ func Partition(g *graph.Graph, opt Options) (*Result, error) {
 	load := make([]int, k)
 	replicatedHubs := 0
 
+	// Weights are decoded a list at a time into one reused buffer; wts is
+	// empty on an unweighted graph.
+	adj := graph.NewAdjBuffer(g)
 	appendEdges := func(s int, v graph.VertexID, nbrs []graph.VertexID, wts []uint32) {
 		for i, nb := range nbrs {
 			e := graph.Edge{Src: v, Dst: nb}
-			if wts != nil {
+			if len(wts) != 0 {
 				e.Weight = wts[i]
 			}
 			perShard[s] = append(perShard[s], e)
@@ -165,7 +168,7 @@ func Partition(g *graph.Graph, opt Options) (*Result, error) {
 			owner[v] = int32(s)
 			homes[v] = 1 << s
 			id := graph.VertexID(v)
-			appendEdges(s, id, g.OutNeighbors(id), g.OutWeights(id))
+			appendEdges(s, id, g.OutNeighbors(id), adj.OutWeights(g, id))
 		}
 	case "degree":
 		// Descending out-degree, ID-ascending ties: the LPT order.
@@ -224,11 +227,11 @@ func Partition(g *graph.Graph, opt Options) (*Result, error) {
 				}
 			}
 			targets := lightest(chunks)
-			nbrs, wts := g.OutNeighbors(v), g.OutWeights(v)
+			nbrs, wts := g.OutNeighbors(v), adj.OutWeights(g, v)
 			for c, s := range targets {
 				lo, hi := c*deg/chunks, (c+1)*deg/chunks
 				var cw []uint32
-				if wts != nil {
+				if len(wts) != 0 {
 					cw = wts[lo:hi]
 				}
 				appendEdges(s, v, nbrs[lo:hi], cw)

@@ -1,7 +1,6 @@
 package csrz
 
 import (
-	"encoding/binary"
 	"fmt"
 	"slices"
 	"sync"
@@ -13,14 +12,14 @@ import (
 // representation's n+1 edge-index array (so degrees, weight slicing and
 // parallel chunk balancing behave exactly like *graph.Graph) but replace
 // the 4-bytes-per-edge neighbor arrays with delta+varint byte streams,
-// addressed by an n+1 byte-offset array. Weights, when present, are stored
-// once, for the out-direction, at the narrowest of 1, 2 or 4 little-endian
-// bytes that holds the graph's largest weight (Encode picks it from the
-// data); they are addressed by the out edge-index array, index-aligned
-// with the decoded out-neighbors. The width never leaves this package:
-// every reader gets []uint32, hot loops through AppendOutWeights
-// (graph.AdjBuffer.OutWeights), the rest through the allocating
-// OutWeights.
+// addressed by an n+1 byte-offset array. Weights, when present, are the
+// plain graph's packed weights, byte for byte: stored once, for the
+// out-direction, at the narrowest of 1, 2 or 4 little-endian bytes that
+// holds the graph's largest weight, addressed by the out edge-index array
+// and index-aligned with the decoded out-neighbors. Every reader gets
+// []uint32, decoded by graph.AppendWeights: hot loops through
+// AppendOutWeights (graph.AdjBuffer.OutWeights), the rest through the
+// allocating OutWeights.
 //
 // A Graph is immutable after construction and safe for concurrent use.
 // When it was produced by OpenFile its arrays point into a shared
@@ -96,75 +95,20 @@ func (g *Graph) Degrees(kind graph.DegreeKind) []uint32 {
 }
 
 // OutWeights decodes the weights aligned with v's out-neighbors into a
-// fresh slice, nil for unweighted graphs. Like OutNeighbors this is the
-// convenience path; hot loops use AppendOutWeights.
+// fresh slice (empty, not nil, for an empty list), or returns nil for an
+// unweighted graph. Like OutNeighbors this is the convenience path; hot
+// loops use AppendOutWeights.
 func (g *Graph) OutWeights(v graph.VertexID) []uint32 {
 	if !g.Weighted() {
 		return nil
 	}
-	return g.AppendOutWeights(v, nil)
+	return g.AppendOutWeights(v, make([]uint32, 0, g.OutDegree(v)))
 }
 
 // AppendOutWeights decodes the weights aligned with v's out-neighbors into
 // buf and returns it; buf comes back unchanged on an unweighted graph.
 func (g *Graph) AppendOutWeights(v graph.VertexID, buf []uint32) []uint32 {
-	return appendWeights(buf, g.outW, g.wb, g.outIdx[v], g.outIdx[v+1])
-}
-
-// appendWeights appends weights [lo, hi) of w, stored wb bytes each, to
-// buf. The width is switched on once per list, not once per weight.
-func appendWeights(buf []uint32, w []byte, wb int, lo, hi uint64) []uint32 {
-	if wb == 0 {
-		return buf
-	}
-	base := len(buf)
-	buf = slices.Grow(buf, int(hi-lo))[:base+int(hi-lo)]
-	dst, src := buf[base:], w[lo*uint64(wb):hi*uint64(wb)]
-	switch wb {
-	case 1:
-		for i, b := range src {
-			dst[i] = uint32(b)
-		}
-	case 2:
-		for i := range dst {
-			dst[i] = uint32(binary.LittleEndian.Uint16(src[2*i:]))
-		}
-	default:
-		for i := range dst {
-			dst[i] = binary.LittleEndian.Uint32(src[4*i:])
-		}
-	}
-	return buf
-}
-
-// putWeights stores ws at wb bytes each into dst, the inverse of
-// appendWeights.
-func putWeights(dst []byte, ws []uint32, wb int) {
-	switch wb {
-	case 1:
-		for i, x := range ws {
-			dst[i] = byte(x)
-		}
-	case 2:
-		for i, x := range ws {
-			binary.LittleEndian.PutUint16(dst[2*i:], uint16(x))
-		}
-	default:
-		for i, x := range ws {
-			binary.LittleEndian.PutUint32(dst[4*i:], x)
-		}
-	}
-}
-
-// weightWidth is the narrowest of 1, 2 or 4 bytes that holds maxW.
-func weightWidth(maxW uint32) int {
-	switch {
-	case maxW <= 0xFF:
-		return 1
-	case maxW <= 0xFFFF:
-		return 2
-	}
-	return 4
+	return graph.AppendWeights(buf, g.outW, g.wb, g.outIdx[v], g.outIdx[v+1])
 }
 
 // OutNeighbors decodes v's out-neighbor list into a fresh slice, in
@@ -279,21 +223,14 @@ func (it *AdjIter) Next() (graph.VertexID, bool) {
 // Remaining returns how many neighbors are left to decode.
 func (it *AdjIter) Remaining() int { return it.rem }
 
-// Encode compresses g. The plain graph is not retained; weights (if any)
-// are packed at the width the largest of them needs. Both directions
-// encode concurrently, the out-direction with its weights.
+// Encode compresses g. The plain graph is not retained: its packed
+// weights (if any) are copied as they are, at the width g stores them.
+// Both directions encode concurrently, the out-direction with its weights.
 func Encode(g *graph.Graph) *Graph {
 	n, m := g.NumVertices(), g.NumEdges()
 	z := &Graph{n: n, m: m}
-	if g.Weighted() {
-		var maxW uint32
-		for v := 0; v < n; v++ {
-			for _, w := range g.OutWeights(graph.VertexID(v)) {
-				maxW = max(maxW, w)
-			}
-		}
-		z.wb = weightWidth(maxW)
-	}
+	w, wb := g.OutWeightArray()
+	z.wb = wb
 
 	var wg sync.WaitGroup
 	wg.Add(2)
@@ -301,7 +238,7 @@ func Encode(g *graph.Graph) *Graph {
 		defer wg.Done()
 		z.outIdx = append([]uint64(nil), g.OutIndex()...)
 		z.outOff, z.outData = encodeDirection(g.OutIndex(), g.OutEdgeArray(), n)
-		z.outW = packWeights(g, z.wb)
+		z.outW = slices.Clone(w)
 	}()
 	go func() {
 		defer wg.Done()
@@ -310,22 +247,6 @@ func Encode(g *graph.Graph) *Graph {
 	}()
 	wg.Wait()
 	return z
-}
-
-// packWeights stores g's m out-weights, vertex by vertex, at wb bytes
-// each; nil when wb is 0 (unweighted).
-func packWeights(g *graph.Graph, wb int) []byte {
-	if wb == 0 {
-		return nil
-	}
-	w := make([]byte, g.NumEdges()*wb)
-	pos := 0
-	for v := 0; v < g.NumVertices(); v++ {
-		ws := g.OutWeights(graph.VertexID(v))
-		putWeights(w[pos:], ws, wb)
-		pos += len(ws) * wb
-	}
-	return w
 }
 
 func encodeDirection(index []uint64, edges []graph.VertexID, n int) (off []uint64, data []byte) {
@@ -353,8 +274,9 @@ func encodeDirection(index []uint64, edges []graph.VertexID, n int) (off []uint6
 }
 
 // Decode rebuilds a plain *graph.Graph (fresh arrays, independent of any
-// mapping). Used when a .csrz snapshot must be reordered or mutated, and
-// by round-trip tests.
+// mapping: the packed weights are copied, since a mapped file must not
+// leak into a plain graph). Used when a .csrz snapshot must be reordered
+// or mutated, and by round-trip tests.
 func (g *Graph) Decode() (*graph.Graph, error) {
 	outEdges := make([]graph.VertexID, 0, g.m)
 	inEdges := make([]graph.VertexID, 0, g.m)
@@ -362,12 +284,8 @@ func (g *Graph) Decode() (*graph.Graph, error) {
 		outEdges = g.AppendOutNeighbors(graph.VertexID(v), outEdges)
 		inEdges = g.AppendInNeighbors(graph.VertexID(v), inEdges)
 	}
-	var outW []uint32
-	if g.Weighted() {
-		outW = appendWeights(make([]uint32, 0, g.m), g.outW, g.wb, 0, uint64(g.m))
-	}
 	return graph.NewFromCSR(g.n, g.m,
-		append([]uint64(nil), g.outIdx...), outEdges, outW,
+		append([]uint64(nil), g.outIdx...), outEdges, slices.Clone(g.outW), g.wb,
 		append([]uint64(nil), g.inIdx...), inEdges)
 }
 
@@ -384,8 +302,10 @@ type Stats struct {
 	InAdjBytes         int64
 
 	// Whole-representation resident sizes (indexes + weights included):
-	// both representations store each weight once, ResidentBytes at its
-	// stored width, the plain graph at 4 bytes.
+	// both representations store each weight once, ResidentBytes at the
+	// width this graph stores, PlainResidentBytes at the narrowest that
+	// holds the largest weight, as a plain graph does. The two agree on
+	// every file but a version-1 one.
 	ResidentBytes      int64
 	PlainResidentBytes int64
 
@@ -411,7 +331,9 @@ func (g *Graph) Stats() Stats {
 	s.ResidentBytes = s.CompressedAdjBytes + idxBytes + offBytes + int64(len(g.outW))
 	s.PlainResidentBytes = s.PlainAdjBytes + idxBytes
 	if g.Weighted() {
-		s.PlainResidentBytes += int64(g.m) * 4 // a plain graph's weights are uint32
+		// The width Encode copied, or narrower: a version-1 file stored
+		// four bytes whatever the weights, and Decode narrows them.
+		s.PlainResidentBytes += int64(g.m) * int64(graph.WeightWidth(g.outW, g.wb))
 	}
 	if s.CompressedAdjBytes > 0 {
 		s.Ratio = float64(s.PlainAdjBytes) / float64(s.CompressedAdjBytes)

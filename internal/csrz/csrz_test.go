@@ -272,11 +272,10 @@ func TestCorruptionDetected(t *testing.T) {
 }
 
 // TestStats checks the space accounting on an unweighted and a weighted
-// graph. Both representations store each weight once, on the out-edges.
-// On sd/tiny (weights 1..63) the compressed graph stores one byte per
-// weight and ResidentBytes charges exactly that, while PlainResidentBytes
-// — what graphinfo and the compress experiment compare against — charges
-// a plain graph's four.
+// graph. Both representations store each weight once, on the out-edges,
+// at the same width: on sd/tiny (weights 1..63) one byte, which
+// ResidentBytes and PlainResidentBytes — what graphinfo and the compress
+// experiment compare against — both charge.
 func TestStats(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
@@ -304,23 +303,28 @@ func TestStats(t *testing.T) {
 			t.Errorf("%s: ResidentBytes %d, want %d (adjacency + indexes + offsets + %d B per weight)",
 				tc.name, st.ResidentBytes, want, tc.wb)
 		}
-		plainW := int64(0)
-		if tc.weighted {
-			plainW = 4
-		}
-		if want := st.PlainAdjBytes + idx + m*plainW; st.PlainResidentBytes != want {
+		if want := st.PlainAdjBytes + idx + m*tc.wb; st.PlainResidentBytes != want {
 			t.Errorf("%s: PlainResidentBytes %d, want %d (adjacency + indexes + %d B per weight)",
-				tc.name, st.PlainResidentBytes, want, plainW)
+				tc.name, st.PlainResidentBytes, want, tc.wb)
 		}
 	}
 }
 
-// TestWeightWidth pins the narrowest width at each boundary: a wider one
-// would still decode correctly, so only this notices the waste.
+// TestWeightWidth pins the narrowest width at each boundary, on the plain
+// graph and in what Encode stores: a wider one would still decode
+// correctly, so only this notices the waste.
 func TestWeightWidth(t *testing.T) {
 	for maxW, want := range map[uint32]int{0: 1, 63: 1, 255: 1, 256: 2, 65535: 2, 65536: 4, math.MaxUint32: 4} {
-		if got := weightWidth(maxW); got != want {
-			t.Errorf("largest weight %d: width %d, want %d", maxW, got, want)
+		g, err := graph.BuildWith([]graph.Edge{{Src: 0, Dst: 1, Weight: 1}, {Src: 1, Dst: 0, Weight: maxW}},
+			graph.BuildOptions{Weighted: true, SortNeighbors: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, got := g.OutWeightArray(); got != want {
+			t.Errorf("largest weight %d: plain width %d, want %d", maxW, got, want)
+		}
+		if got := Encode(g).wb; got != want {
+			t.Errorf("largest weight %d: encoded width %d, want %d", maxW, got, want)
 		}
 	}
 }

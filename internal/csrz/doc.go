@@ -1,21 +1,23 @@
 // Package csrz is the compressed CSR backend: the same dual-CSR shape as
 // internal/graph, with each neighbor list stored as byte-aligned
-// delta+varint codes instead of 4-byte IDs, weights stored once (for the
-// out-direction, as on the plain graph) at the narrowest of 1, 2 or 4
-// bytes that holds the largest of them, and an mmap-able on-disk
-// container (.csrz) for zero-copy snapshot loading.
+// delta+varint codes instead of 4-byte IDs, weights stored exactly as the
+// plain graph stores them (once, for the out-direction, at the narrowest
+// of 1, 2 or 4 bytes that holds the largest of them), and an mmap-able
+// on-disk container (.csrz) for zero-copy snapshot loading.
 //
 // Weights are narrow because they are small, not because they have
 // locality: every generator draws them from 1..63, so one byte each
-// suffices (Ligra+ byte-codes weights for the same reason). Encode picks
-// the width from the data, and it never leaves this package: hot loops
+// suffices (Ligra+ byte-codes weights for the same reason). The packing
+// is internal/graph's (graph.AppendWeights): Encode copies the plain
+// graph's packed bytes and width, Decode copies them back, and hot loops
 // decode a list's weights into a reused []uint32 beside its neighbors
 // (AppendOutWeights, reached through graph.AdjBuffer.OutWeights — the
 // engine's push kernel does so only for a callback that set
-// ligra.EdgeMapFns.Weights), and OutWeights is the allocating convenience
-// path, as OutNeighbors is. There are no in-weights: only a push reads
-// weights. Container versions 1 and 2 stored them anyway; their readers
-// check that section's length and drop it unread.
+// ligra.EdgeMapFns.Weights), as on the plain graph; OutWeights is the
+// allocating convenience path, as OutNeighbors is. There are no
+// in-weights: only a push reads weights. Container versions 1 and 2
+// stored them anyway; their readers check that section's length and drop
+// it unread.
 //
 // Reordering is what makes this pay: conf_iiswc_FalduDG19-style
 // lightweight reordering shrinks the |neighbor - previous neighbor| gaps

@@ -158,10 +158,12 @@ func inWeights(z *Graph) []byte {
 		}
 	}
 	out := make([]byte, 0, z.m*z.wb)
+	var b [4]byte
 	for _, ws := range lists {
-		b := make([]byte, len(ws)*z.wb)
-		putWeights(b, ws, z.wb)
-		out = append(out, b...)
+		for _, w := range ws {
+			binary.LittleEndian.PutUint32(b[:], w)
+			out = append(out, b[:z.wb]...)
+		}
 	}
 	return out
 }

@@ -72,8 +72,11 @@ func BenchmarkRelabel(b *testing.B) {
 // carries no per-worker O(N) state": beyond the arrays of the graph it
 // returns, a parallel RelabelWorkers on sd/small allocates the N-byte
 // permutation check and little else, however many workers it is given.
+// Its weight array is charged at the width the largest weight needs
+// (one byte on sd, whose weights are 1..63), so a relabel that widens
+// weights, or decodes them into uint32s, fails here.
 func TestRelabelAllocatesOutputPlusOrderN(t *testing.T) {
-	_, g := benchEdges(t)
+	edges, g := benchEdges(t)
 	n, m := g.NumVertices(), g.NumEdges()
 	perm := make([]graph.VertexID, n)
 	for i := range perm {
@@ -81,7 +84,18 @@ func TestRelabelAllocatesOutputPlusOrderN(t *testing.T) {
 	}
 	output := 2*8*(n+1) + 2*4*m
 	if g.Weighted() {
-		output += 4 * m // one weight array, aligned with the out-edges
+		var maxW uint32
+		for _, e := range edges {
+			maxW = max(maxW, e.Weight)
+		}
+		wb := 4
+		switch {
+		case maxW <= 0xFF:
+			wb = 1
+		case maxW <= 0xFFFF:
+			wb = 2
+		}
+		output += wb * m // one weight array, aligned with the out-edges
 	}
 	for _, workers := range []int{2, 8} {
 		var before, after runtime.MemStats

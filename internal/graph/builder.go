@@ -60,19 +60,24 @@ func BuildWith(edges []Edge, opts BuildOptions) (*Graph, error) {
 
 	workers := buildWorkers(opts.Workers, len(edges))
 	g := &Graph{n: n, m: len(edges)}
-	var inRange bool
-	g.outIndex, g.outEdges, g.outWeights, inRange = buildCSR(edges, n, opts.Weighted, false, workers)
+	outIndex, outEdges, ws, inRange := buildCSR(edges, n, opts.Weighted, false, workers)
 	if !inRange {
 		return nil, fmt.Errorf("graph: edge endpoint exceeds NumVertices=%d", opts.NumVertices)
 	}
+	g.outIndex, g.outEdges = outIndex, outEdges
 	if opts.SortNeighbors {
 		// Sources ascend, so the transpose emits every in-list already
 		// sorted: one direction is sorted, not two. The in-CSR carries no
 		// weights; parallel in-edges from one source are the same ID.
-		sortAdjacency(g.outIndex, g.outEdges, g.outWeights, workers)
+		sortAdjacency(g.outIndex, g.outEdges, ws, workers)
 		g.inIndex, g.inEdges = transposeCSR(g.outIndex, g.outEdges, workers)
 	} else {
 		g.inIndex, g.inEdges, _, _ = buildCSR(edges, n, false, true, workers)
+	}
+	if opts.Weighted {
+		// The lists are laid out and sorted as uint32s; the graph keeps
+		// them at the width their largest weight needs.
+		g.outWeights, g.wb = packWeights(ws)
 	}
 	return g, nil
 }

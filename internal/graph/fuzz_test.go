@@ -56,7 +56,7 @@ func FuzzReadBinary(f *testing.F) {
 		if err != nil {
 			t.Fatalf("rereading a rewritten graph failed: %v", err)
 		}
-		if g.n != g2.n || g.m != g2.m ||
+		if g.n != g2.n || g.m != g2.m || g.wb != g2.wb ||
 			!reflect.DeepEqual(g.outIndex, g2.outIndex) ||
 			!reflect.DeepEqual(g.outEdges, g2.outEdges) ||
 			!reflect.DeepEqual(g.outWeights, g2.outWeights) ||

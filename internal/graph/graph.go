@@ -6,7 +6,10 @@
 // pull-based computations), mirroring §II-B of the paper. Vertices are
 // dense uint32 IDs in [0, N). Optional per-edge weights (used by SSSP) are
 // stored once, aligned with the out-edge array: only a push reads them,
-// and a pull sees in-neighbor IDs alone.
+// and a pull sees in-neighbor IDs alone. They are packed at the narrowest
+// of 1, 2 or 4 bytes that holds the largest of them, the layout
+// internal/csrz stores too, and read a list at a time through
+// AppendOutWeights (AdjBuffer.OutWeights in hot loops).
 //
 // Graphs are immutable after construction; reordering produces a new Graph
 // via Relabel.
@@ -39,8 +42,10 @@ type Graph struct {
 	inIndex []uint64
 	inEdges []VertexID
 
-	// Weights aligned with outEdges; nil when the graph is unweighted.
-	outWeights []uint32
+	// Weights aligned with outEdges, wb little-endian bytes each (see
+	// weights.go); nil when the graph is unweighted.
+	outWeights []byte
+	wb         int // bytes per weight: 1, 2 or 4 when weighted, 0 when not
 }
 
 // NumVertices returns the number of vertices N.
@@ -50,7 +55,7 @@ func (g *Graph) NumVertices() int { return g.n }
 func (g *Graph) NumEdges() int { return g.m }
 
 // Weighted reports whether per-edge weights are present.
-func (g *Graph) Weighted() bool { return g.outWeights != nil }
+func (g *Graph) Weighted() bool { return g.wb != 0 }
 
 // AvgDegree returns the average degree M/N (0 for an empty graph).
 func (g *Graph) AvgDegree() float64 {
@@ -82,13 +87,21 @@ func (g *Graph) InNeighbors(v VertexID) []VertexID {
 	return g.inEdges[g.inIndex[v]:g.inIndex[v+1]]
 }
 
-// OutWeights returns the weights aligned with OutNeighbors(v), or nil for
-// unweighted graphs.
+// OutWeights decodes the weights aligned with OutNeighbors(v) into a
+// fresh slice (empty, not nil, for an empty list), or returns nil for an
+// unweighted graph. This is the convenience path; hot loops decode into a
+// reused buffer through AppendOutWeights.
 func (g *Graph) OutWeights(v VertexID) []uint32 {
-	if g.outWeights == nil {
+	if !g.Weighted() {
 		return nil
 	}
-	return g.outWeights[g.outIndex[v]:g.outIndex[v+1]]
+	return g.AppendOutWeights(v, make([]uint32, 0, g.OutDegree(v)))
+}
+
+// AppendOutWeights decodes the weights aligned with OutNeighbors(v) into
+// buf and returns it; buf comes back unchanged on an unweighted graph.
+func (g *Graph) AppendOutWeights(v VertexID, buf []uint32) []uint32 {
+	return AppendWeights(buf, g.outWeights, g.wb, g.outIndex[v], g.outIndex[v+1])
 }
 
 // OutIndex exposes the raw out-CSR offset array (length N+1). It is shared
@@ -104,6 +117,11 @@ func (g *Graph) OutEdgeArray() []VertexID { return g.outEdges }
 
 // InEdgeArray exposes the raw in-edge array (length M), read-only.
 func (g *Graph) InEdgeArray() []VertexID { return g.inEdges }
+
+// OutWeightArray exposes the raw packed weights (M weights of wb bytes
+// each, as AppendWeights reads them) and wb; nil and 0 when unweighted.
+// Read-only.
+func (g *Graph) OutWeightArray() (w []byte, wb int) { return g.outWeights, g.wb }
 
 // Degrees returns a freshly allocated slice of degrees of the requested
 // kind for all vertices.
@@ -168,12 +186,12 @@ func (k DegreeKind) String() string {
 // Intended for tests and I/O, not hot paths.
 func (g *Graph) Edges() []Edge {
 	edges := make([]Edge, 0, g.m)
+	var ws []uint32
 	for v := 0; v < g.n; v++ {
-		nbrs := g.OutNeighbors(VertexID(v))
-		ws := g.OutWeights(VertexID(v))
-		for i, dst := range nbrs {
+		ws = g.AppendOutWeights(VertexID(v), ws[:0])
+		for i, dst := range g.OutNeighbors(VertexID(v)) {
 			e := Edge{Src: VertexID(v), Dst: dst}
-			if ws != nil {
+			if g.Weighted() {
 				e.Weight = ws[i]
 			}
 			edges = append(edges, e)
@@ -213,8 +231,16 @@ func (g *Graph) Validate() error {
 			return fmt.Errorf("graph: in-edge source %d out of range [0,%d)", s, g.n)
 		}
 	}
-	if g.outWeights != nil && len(g.outWeights) != g.m {
-		return fmt.Errorf("graph: weight array has length %d, want %d", len(g.outWeights), g.m)
+	switch {
+	case g.wb == 0 && g.outWeights != nil:
+		return errors.New("graph: weights present on an unweighted graph")
+	case g.wb == 0:
+	case g.wb != 1 && g.wb != 2 && g.wb != 4:
+		return fmt.Errorf("graph: weight width %d, want 1, 2 or 4", g.wb)
+	case len(g.outWeights) != g.wb*g.m:
+		return fmt.Errorf("graph: weight array has %d bytes, want %d weights of %d", len(g.outWeights), g.m, g.wb)
+	case WeightWidth(g.outWeights, g.wb) != g.wb:
+		return fmt.Errorf("graph: weights stored %d bytes wide, wider than the largest needs", g.wb)
 	}
 	return nil
 }

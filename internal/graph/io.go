@@ -12,7 +12,8 @@ import (
 
 // Text edge-list format: one edge per line, "src dst" or "src dst weight",
 // '#' or '%' comment lines ignored. Binary format (".gr"): a fixed header
-// followed by the out-CSR and weights; the in-CSR is rebuilt on load.
+// followed by the out-CSR and 4-byte weights, whatever width the graph
+// keeps them at in memory; the in-CSR is rebuilt on load.
 //
 // The binary codec encodes and decodes slices through a fixed scratch
 // buffer with explicit little-endian put/get calls. The previous
@@ -118,9 +119,10 @@ func ReadEdgeList(r io.Reader) ([]Edge, error) {
 func WriteEdgeList(w io.Writer, g *Graph) error {
 	bw := bufio.NewWriter(w)
 	weighted := g.Weighted()
+	var ws []uint32
 	for v := 0; v < g.NumVertices(); v++ {
 		nbrs := g.OutNeighbors(VertexID(v))
-		ws := g.OutWeights(VertexID(v))
+		ws = g.AppendOutWeights(VertexID(v), ws[:0])
 		for i, dst := range nbrs {
 			var err error
 			if weighted {
@@ -159,8 +161,15 @@ func WriteBinary(w io.Writer, g *Graph) error {
 		return err
 	}
 	if g.Weighted() {
-		if err := writeUint32s(bw, g.outWeights); err != nil {
-			return err
+		// The format stores 4-byte weights whatever the width in memory:
+		// decode one scratch buffer's worth at a time.
+		const chunk = ioChunkBytes / 4
+		ws := make([]uint32, 0, chunk)
+		for lo := uint64(0); lo < uint64(g.m); lo += chunk {
+			ws = AppendWeights(ws[:0], g.outWeights, g.wb, lo, min(uint64(g.m), lo+chunk))
+			if err := writeUint32s(bw, ws); err != nil {
+				return err
+			}
 		}
 	}
 	return bw.Flush()
@@ -248,20 +257,13 @@ func readBinary(br *bufio.Reader, remaining int64) (*Graph, error) {
 			return nil, fmt.Errorf("graph: edge destination %d out of range", d)
 		}
 	}
-	var outWeights []uint32
+	g := &Graph{n: n, m: m, outIndex: outIndex, outEdges: outEdges}
 	if flags&1 != 0 {
-		outWeights, err = readUint32s(br, m, sized)
+		ws, err := readUint32s(br, m, sized)
 		if err != nil {
 			return nil, fmt.Errorf("graph: reading weights: %w", err)
 		}
-	}
-
-	g := &Graph{
-		n:          n,
-		m:          m,
-		outIndex:   outIndex,
-		outEdges:   outEdges,
-		outWeights: outWeights,
+		g.outWeights, g.wb = packWeights(ws)
 	}
 	g.inIndex, g.inEdges = transposeCSR(outIndex, outEdges, 1)
 	if err := g.Validate(); err != nil {

@@ -224,22 +224,25 @@ func (g *Graph) RelabelWorkers(newID []VertexID, workers int) (*Graph, error) {
 	// they fit the holes it left, where an index array taken in between
 	// splits one and sends the last of them to fresh memory (batch-sd peak
 	// RSS 455 vs 483 MiB; EXPERIMENTS.md "Lightweight reorder").
-	ng := &Graph{n: g.n, m: g.m, outEdges: make([]VertexID, g.m), inEdges: make([]VertexID, g.m)}
+	// The weights come last: at most one byte per edge on generated data,
+	// the smallest of the three.
+	ng := &Graph{n: g.n, m: g.m, outEdges: make([]VertexID, g.m), inEdges: make([]VertexID, g.m), wb: g.wb}
 	if g.Weighted() {
-		ng.outWeights = make([]uint32, g.m)
+		ng.outWeights = make([]byte, len(g.outWeights))
 	}
-	ng.outIndex = relabelLists(g.outIndex, g.outEdges, g.outWeights, newID, ng.outEdges, ng.outWeights, workers)
-	ng.inIndex = relabelLists(g.inIndex, g.inEdges, nil, newID, ng.inEdges, nil, workers)
+	ng.outIndex = relabelLists(g.outIndex, g.outEdges, g.outWeights, g.wb, newID, ng.outEdges, ng.outWeights, workers)
+	ng.inIndex = relabelLists(g.inIndex, g.inEdges, nil, 0, newID, ng.inEdges, nil, workers)
 	return ng, nil
 }
 
-// relabelLists renames one direction of a CSR into newAdj and newWs and
-// returns its index. The new list of newID[v] is old v's list with every
-// neighbor renamed, in the same order, so each old vertex owns a disjoint
-// output segment: scatter the degrees, prefix, then copy the segments
-// over edge-balanced vertex ranges — one sequential read and write per
-// edge and one newID gather.
-func relabelLists(index []uint64, adj []VertexID, ws []uint32, newID, newAdj []VertexID, newWs []uint32, workers int) []uint64 {
+// relabelLists renames one direction of a CSR into newAdj and newWs
+// (weights of wb bytes each, copied as stored) and returns its index. The
+// new list of newID[v] is old v's list with every neighbor renamed, in
+// the same order, so each old vertex owns a disjoint output segment:
+// scatter the degrees, prefix, then copy the segments over edge-balanced
+// vertex ranges — one sequential read and write per edge and one newID
+// gather.
+func relabelLists(index []uint64, adj []VertexID, ws []byte, wb int, newID, newAdj []VertexID, newWs []byte, workers int) []uint64 {
 	n := len(newID)
 	newIndex := make([]uint64, n+1)
 	par.For(n, workers, 1, func(lo, hi int) {
@@ -258,7 +261,8 @@ func relabelLists(index []uint64, adj []VertexID, ws []uint32, newID, newAdj []V
 				out[i] = newID[nbr]
 			}
 			if ws != nil {
-				copy(newWs[base:], ws[s:e])
+				b := uint64(wb)
+				copy(newWs[base*b:], ws[s*b:e*b])
 			}
 		}
 	})

@@ -52,7 +52,7 @@ func graphsEqual(t *testing.T, tag string, a, b *Graph) {
 	if !reflect.DeepEqual(a.inEdges, b.inEdges) {
 		t.Errorf("%s: inEdges differs", tag)
 	}
-	if !reflect.DeepEqual(a.outWeights, b.outWeights) {
+	if a.wb != b.wb || !reflect.DeepEqual(a.outWeights, b.outWeights) {
 		t.Errorf("%s: outWeights differs", tag)
 	}
 }
@@ -161,7 +161,11 @@ func TestBuildMatchesSortedTriples(t *testing.T) {
 		slices.SortFunc(sorted, func(a, b Edge) int {
 			return cmp.Or(cmp.Compare(a.Src, b.Src), cmp.Compare(a.Dst, b.Dst), cmp.Compare(a.Weight, b.Weight))
 		})
-		want.outIndex, want.outEdges, want.outWeights = csrOfSorted(sorted, n, tc.weighted, src, dst)
+		var ws []uint32
+		want.outIndex, want.outEdges, ws = csrOfSorted(sorted, n, tc.weighted, src, dst)
+		if tc.weighted {
+			want.outWeights, want.wb = packWeights(ws)
+		}
 		slices.SortFunc(sorted, func(a, b Edge) int {
 			return cmp.Or(cmp.Compare(a.Dst, b.Dst), cmp.Compare(a.Src, b.Src))
 		})

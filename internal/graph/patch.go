@@ -18,8 +18,8 @@ type EdgeEdit struct {
 
 // Patch returns the graph that results from applying edits to g over n
 // vertices (n >= g's count; the added vertices start isolated). It is
-// defined to equal, array for array, the full rebuild of the edited edge
-// multiset — BuildWith with SortNeighbors for a nil rank, that rebuild
+// defined to equal, array for array and at the same weight width, the
+// full rebuild of the edited edge multiset — BuildWith with SortNeighbors for a nil rank, that rebuild
 // relabeled by a permutation p for rank = p's inverse — at the cost of
 // one sequential copy of the untouched lists plus a merge of the edited
 // vertices' lists, instead of the rebuild's scatter and sorts.
@@ -53,13 +53,13 @@ func (g *Graph) Patch(edits []EdgeEdit, n int, rank []VertexID) (*Graph, error) 
 	}
 	ng := &Graph{n: n}
 	var err error
-	ng.outIndex, ng.outEdges, ng.outWeights, err = patchCSR(g.outIndex, g.outEdges, g.outWeights, edits, n, rank, false)
+	ng.outIndex, ng.outEdges, ng.outWeights, ng.wb, err = patchCSR(g.outIndex, g.outEdges, g.outWeights, g.wb, edits, n, rank, false)
 	if err != nil {
 		return nil, err
 	}
 	// The in-CSR carries no weights, so its edits fold on (key, neighbor):
 	// an absent weighted instance was already refused by the out-CSR.
-	ng.inIndex, ng.inEdges, _, err = patchCSR(g.inIndex, g.inEdges, nil, edits, n, rank, true)
+	ng.inIndex, ng.inEdges, _, _, err = patchCSR(g.inIndex, g.inEdges, nil, 0, edits, n, rank, true)
 	if err != nil {
 		return nil, err
 	}
@@ -78,8 +78,13 @@ type patchItem struct {
 
 var errPatchAbsent = errors.New("graph: patch removes an edge instance the graph does not hold")
 
-// patchCSR patches one direction (reverse: the in-CSR, keyed by Dst).
-func patchCSR(index []uint64, adj []VertexID, ws []uint32, edits []EdgeEdit, n int, rank []VertexID, reverse bool) ([]uint64, []VertexID, []uint32, error) {
+// patchCSR patches one direction (reverse: the in-CSR, keyed by Dst),
+// whose weights, if wb is not 0, are ws at wb bytes each. The result
+// stores them at the rebuild's width, the one its largest weight needs:
+// wider when an insert needs it, narrower when a removal took the last
+// weight that did. Untouched lists are copied as stored (re-stored, when
+// the width moves); only the edited lists' weights are decoded.
+func patchCSR(index []uint64, adj []VertexID, ws []byte, wb int, edits []EdgeEdit, n int, rank []VertexID, reverse bool) ([]uint64, []VertexID, []byte, int, error) {
 	items := make([]patchItem, len(edits))
 	m := len(adj)
 	for i, e := range edits {
@@ -87,7 +92,7 @@ func patchCSR(index []uint64, adj []VertexID, ws []uint32, edits []EdgeEdit, n i
 		if reverse {
 			it.key, it.nbr = e.Dst, e.Src
 		}
-		if ws == nil {
+		if wb == 0 {
 			it.w = 0
 		}
 		it.ord = it.nbr
@@ -101,7 +106,7 @@ func patchCSR(index []uint64, adj []VertexID, ws []uint32, edits []EdgeEdit, n i
 		items[i] = it
 	}
 	if m < 0 {
-		return nil, nil, nil, errPatchAbsent
+		return nil, nil, nil, 0, errPatchAbsent
 	}
 	slices.SortFunc(items, func(a, b patchItem) int {
 		return cmp.Or(cmp.Compare(a.key, b.key), cmp.Compare(a.ord, b.ord), cmp.Compare(a.w, b.w))
@@ -115,6 +120,20 @@ func patchCSR(index []uint64, adj []VertexID, ws []uint32, edits []EdgeEdit, n i
 			groups = append(groups, it)
 		}
 	}
+	// The output width: an insert may widen it. Only a removal of a
+	// weight that needs the old width can narrow it, and only a scan of
+	// the result can tell whether one that needs it is left.
+	nb, mayNarrow := wb, false
+	if wb != 0 {
+		for _, it := range groups {
+			if it.delta > 0 {
+				nb = max(nb, widthFor(it.w))
+			} else if it.delta < 0 && wb > 1 && widthFor(it.w) == wb {
+				mayNarrow = true
+			}
+		}
+		mayNarrow = mayNarrow && nb == wb
+	}
 
 	if oldN := len(index) - 1; n > oldN {
 		grown := make([]uint64, n+1)
@@ -126,9 +145,9 @@ func patchCSR(index []uint64, adj []VertexID, ws []uint32, edits []EdgeEdit, n i
 	}
 	newIndex := make([]uint64, n+1)
 	newAdj := make([]VertexID, m)
-	var newWs []uint32
-	if ws != nil {
-		newWs = make([]uint32, m)
+	var newWs []byte
+	if wb != 0 {
+		newWs = make([]byte, m*nb)
 	}
 	ordOf := func(v VertexID) VertexID {
 		if rank != nil {
@@ -137,72 +156,99 @@ func patchCSR(index []uint64, adj []VertexID, ws []uint32, edits []EdgeEdit, n i
 		return v
 	}
 	pos := 0 // output cursor into newAdj
-	// run appends the old entries [lo, hi) unchanged.
+	// run appends the old entries [lo, hi) unchanged, without weights.
 	run := func(lo, hi uint64) bool {
 		if pos+int(hi-lo) > m {
 			return false
 		}
 		copy(newAdj[pos:], adj[lo:hi])
-		if ws != nil {
-			copy(newWs[pos:], ws[lo:hi])
-		}
 		pos += int(hi - lo)
 		return true
 	}
 	// untouched emits vertices [from, to): their lists are one contiguous
-	// run, their offsets the old ones shifted by the edits before them.
+	// run, their offsets the old ones shifted by the edits before them,
+	// and their weights copied as stored.
 	untouched := func(from, to int) bool {
 		shift := uint64(pos) - index[from]
 		for v := from; v < to; v++ {
 			newIndex[v] = index[v] + shift
 		}
-		return run(index[from], index[to])
+		start := pos
+		if !run(index[from], index[to]) {
+			return false
+		}
+		if wb != 0 {
+			copyWeights(newWs[start*nb:], nb, ws[index[from]*uint64(wb):index[to]*uint64(wb)], wb)
+		}
+		return true
+	}
+	// An edited list's weights: lw holds the old list's from entry base
+	// on, ow the new list's, stored at the list's end.
+	var lw, ow []uint32
+	var base uint64
+	keep := func(lo, hi uint64) bool {
+		if !run(lo, hi) {
+			return false
+		}
+		if wb != 0 {
+			ow = append(ow, lw[lo-base:hi-base]...)
+		}
+		return true
 	}
 
 	next := 0 // first vertex not emitted yet
 	for len(groups) > 0 {
 		key := int(groups[0].key)
 		if !untouched(next, key) {
-			return nil, nil, nil, errPatchAbsent
+			return nil, nil, nil, 0, errPatchAbsent
 		}
+		start := pos
 		newIndex[key] = uint64(pos)
 		i, hi := index[key], index[key+1]
+		base, ow = i, ow[:0]
+		lw = AppendWeights(lw[:0], ws, wb, i, hi)
 		for ; len(groups) > 0 && int(groups[0].key) == key; groups = groups[1:] {
 			it := groups[0]
 			// The first old entry not ordered before the group's instance.
 			j := i + uint64(sort.Search(int(hi-i), func(k int) bool {
 				o := ordOf(adj[i+uint64(k)])
-				return o > it.ord || o == it.ord && (ws == nil || ws[i+uint64(k)] >= it.w)
+				return o > it.ord || o == it.ord && (wb == 0 || lw[i-base+uint64(k)] >= it.w)
 			}))
-			if !run(i, j) {
-				return nil, nil, nil, errPatchAbsent
+			if !keep(i, j) {
+				return nil, nil, nil, 0, errPatchAbsent
 			}
 			i = j
 			for c := it.delta; c > 0; c-- {
 				if pos >= m {
-					return nil, nil, nil, errPatchAbsent
+					return nil, nil, nil, 0, errPatchAbsent
 				}
 				newAdj[pos] = it.nbr
-				if ws != nil {
-					newWs[pos] = it.w
+				if wb != 0 {
+					ow = append(ow, it.w)
 				}
 				pos++
 			}
 			for c := it.delta; c < 0; c++ {
-				if i >= hi || adj[i] != it.nbr || ws != nil && ws[i] != it.w {
-					return nil, nil, nil, errPatchAbsent
+				if i >= hi || adj[i] != it.nbr || wb != 0 && lw[i-base] != it.w {
+					return nil, nil, nil, 0, errPatchAbsent
 				}
 				i++
 			}
 		}
-		if !run(i, hi) {
-			return nil, nil, nil, errPatchAbsent
+		if !keep(i, hi) {
+			return nil, nil, nil, 0, errPatchAbsent
+		}
+		if wb != 0 {
+			putWeights(newWs[start*nb:], ow, nb)
 		}
 		next = key + 1
 	}
 	if !untouched(next, n) || pos != m {
-		return nil, nil, nil, errPatchAbsent
+		return nil, nil, nil, 0, errPatchAbsent
 	}
 	newIndex[n] = uint64(m)
-	return newIndex, newAdj, newWs, nil
+	if mayNarrow {
+		newWs, nb = narrowWeights(newWs, nb)
+	}
+	return newIndex, newAdj, newWs, nb, nil
 }

@@ -15,8 +15,8 @@ func sameArrays(a, b *Graph) error {
 	switch {
 	case a.n != b.n || a.m != b.m:
 		return fmt.Errorf("n/m = %d/%d, want %d/%d", a.n, a.m, b.n, b.m)
-	case a.Weighted() != b.Weighted():
-		return fmt.Errorf("weighted = %v, want %v", a.Weighted(), b.Weighted())
+	case a.wb != b.wb:
+		return fmt.Errorf("weight width = %d, want %d", a.wb, b.wb)
 	case !slices.Equal(a.outIndex, b.outIndex):
 		return fmt.Errorf("out-index differs")
 	case !slices.Equal(a.outEdges, b.outEdges):
@@ -249,6 +249,39 @@ func checkPatch(t *testing.T, c patchCase) {
 }
 
 func TestPatchMatchesRebuild(t *testing.T) {
+	// Patches whose weights cross a width boundary (255 | 256 and
+	// 65535 | 65536), upward by insertion and downward by removal: the
+	// stored width is a function of the edited multiset, as the
+	// rebuild's is, and sameArrays compares it.
+	for _, top := range []uint32{0xFF, 0xFFFF} {
+		wide := top + 1
+		base := []Edge{{Src: 0, Dst: 1, Weight: top}, {Src: 1, Dst: 2, Weight: 1}, {Src: 2, Dst: 0, Weight: top}, {Src: 2, Dst: 2, Weight: 7}}
+		withWide := slices.Concat(base, []Edge{{Src: 0, Dst: 2, Weight: wide}})
+		twoWide := slices.Concat(withWide, []Edge{{Src: 1, Dst: 1, Weight: wide}})
+		insert := EdgeEdit{Src: 0, Dst: 2, Weight: wide}
+		remove := EdgeEdit{Src: 0, Dst: 2, Weight: wide, Remove: true}
+		dropTop := []EdgeEdit{{Src: 0, Dst: 1, Weight: top, Remove: true}, {Src: 2, Dst: 0, Weight: top, Remove: true}}
+		for _, c := range []patchCase{
+			{initial: base, edits: []EdgeEdit{insert}},                                     // widens
+			{initial: base, edits: []EdgeEdit{insert, {Src: 3, Dst: 1, Weight: 2}}},        // widens and grows
+			{initial: withWide, edits: []EdgeEdit{remove}},                                 // narrows
+			{initial: withWide, edits: []EdgeEdit{remove, {Src: 1, Dst: 0, Weight: wide}}}, // stays wide
+			{initial: twoWide, edits: []EdgeEdit{remove}},                                  // stays wide
+			{initial: withWide, edits: []EdgeEdit{remove, insert}},                         // nets to nothing
+			{initial: base, edits: dropTop},                                                // 65535 → 7: narrows
+		} {
+			c.n0, c.n, c.weighted = 3, 3, true
+			for _, ed := range c.edits {
+				c.n = max(c.n, int(ed.Src)+1)
+			}
+			c.perm = make([]VertexID, c.n)
+			for i := range c.perm {
+				c.perm[i] = VertexID(c.n - 1 - i)
+			}
+			checkPatch(t, c)
+		}
+	}
+
 	r := rng.New(5)
 	for i := 0; i < 400; i++ {
 		data := make([]byte, 4+3*r.Intn(40))

@@ -6,19 +6,21 @@ package graph
 // decoding on demand. Implementations must be safe for concurrent use.
 //
 // The accessor contract matches *Graph: OutNeighbors/InNeighbors return
-// read-only slices, OutWeights a read-only slice aligned index-for-index
-// with OutNeighbors (weights are stored once, on the out-edges: no kernel
+// read-only slices, OutWeights a slice aligned index-for-index with
+// OutNeighbors (weights are stored once, on the out-edges: no kernel
 // pulls over them), and the order of a vertex's neighbor list is part of
 // the representation — two Views of the same graph must enumerate each
 // list in the same order for float-accumulating applications (PR, BC) to
 // produce bit-identical results.
 //
-// Hot loops should not assume the returned slices are free: a compressed
-// View allocates and decodes them per call, weights included (it stores
-// them narrower than uint32). Per-edge consumers — the engine's two
-// EdgeMap kernels first among them — go through an AdjBuffer, which
-// borrows the sub-slices on plain graphs and reuses one decode buffer for
-// neighbors and one for weights on NeighborStreamer backends.
+// Weights are decoded on either backend: both store them packed at the
+// width the largest needs, so OutWeights allocates, and AppendOutWeights
+// decodes v's weights onto buf and returns it (buf unchanged on an
+// unweighted graph). Neighbor lists are free sub-slices on a plain graph
+// but decoded per call on a compressed one. Per-edge consumers — the
+// engine's two EdgeMap kernels first among them — go through an
+// AdjBuffer, which reuses one decode buffer for neighbors and one for
+// weights.
 type View interface {
 	NumVertices() int
 	NumEdges() int
@@ -29,25 +31,26 @@ type View interface {
 	OutNeighbors(v VertexID) []VertexID
 	InNeighbors(v VertexID) []VertexID
 	OutWeights(v VertexID) []uint32
+	AppendOutWeights(v VertexID, buf []uint32) []uint32
 	Degrees(kind DegreeKind) []uint32
 }
 
-// NeighborStreamer is implemented by Views whose neighbor lists and
-// weights are decoded rather than stored (compressed CSR): Append* decode
-// v's list or its out-weights onto buf and return it, so a caller holding
-// one buffer per goroutine gets amortized-zero-allocation access. The
-// plain *Graph deliberately does not implement it — callers use
-// AdjBuffer, which prefers the direct sub-slice.
+// NeighborStreamer is implemented by Views whose neighbor lists are
+// decoded rather than stored (compressed CSR): Append* decode v's list
+// onto buf and return it, so a caller holding one buffer per goroutine
+// gets amortized-zero-allocation access. The plain *Graph deliberately
+// does not implement it — callers use AdjBuffer, which prefers the
+// direct sub-slice.
 type NeighborStreamer interface {
 	AppendOutNeighbors(v VertexID, buf []VertexID) []VertexID
 	AppendInNeighbors(v VertexID, buf []VertexID) []VertexID
-	AppendOutWeights(v VertexID, buf []uint32) []uint32
 }
 
 // AdjBuffer provides amortized-zero-allocation neighbor and weight access
-// over any View: direct sub-slices on plain graphs, reused decode buffers
-// on NeighborStreamer implementations. Not safe for concurrent use — keep
-// one per goroutine. A returned list is invalidated by the next Out or In
+// over any View: neighbor lists are direct sub-slices on plain graphs and
+// reused decode buffers on NeighborStreamer implementations, weights a
+// reused decode buffer on both. Not safe for concurrent use — keep one
+// per goroutine. A returned list is invalidated by the next Out or In
 // call, a returned weight slice by the next OutWeights call; the two use
 // separate buffers, so a list and its weights can be held together.
 type AdjBuffer struct {
@@ -62,8 +65,8 @@ func NewAdjBuffer(g View) AdjBuffer {
 	return AdjBuffer{st: st}
 }
 
-// Rebind points a at g, keeping its decode buffer: a pooled AdjBuffer
-// serves one View after another without growing a fresh buffer for each.
+// Rebind points a at g, keeping its decode buffers: a pooled AdjBuffer
+// serves one View after another without growing fresh buffers for each.
 func (a *AdjBuffer) Rebind(g View) {
 	a.st, _ = g.(NeighborStreamer)
 }
@@ -89,13 +92,10 @@ func (a *AdjBuffer) In(g View, v VertexID) []VertexID {
 }
 
 // OutWeights returns the weights aligned with Out(g, v) (read-only, valid
-// until the next OutWeights call on this buffer; empty or nil on an
-// unweighted graph).
+// until the next OutWeights call on this buffer; empty on an unweighted
+// graph).
 func (a *AdjBuffer) OutWeights(g View, v VertexID) []uint32 {
-	if a.st == nil {
-		return g.OutWeights(v)
-	}
-	a.wbuf = a.st.AppendOutWeights(v, a.wbuf[:0])
+	a.wbuf = g.AppendOutWeights(v, a.wbuf[:0])
 	return a.wbuf
 }
 
@@ -112,15 +112,21 @@ func IsNilView(v View) bool {
 
 // NewFromCSR assembles a Graph directly from dual-CSR arrays (the layout
 // Validate checks): index arrays of length n+1, edge arrays of length m,
-// out-weights nil or of length m. The slices are retained, not copied.
-// Used by decoders that already hold both CSRs (internal/csrz) and by
-// tests.
-func NewFromCSR(n, m int, outIndex []uint64, outEdges []VertexID, outWeights []uint32,
+// out-weights nil (wb 0) or m weights of wb = 1, 2 or 4 bytes each, packed
+// as AppendWeights reads them. The slices are retained, not copied, except
+// that weights stored wider than the largest of them needs are re-stored
+// at that width (a version-1 .csrz file holds four bytes each whatever
+// the weights). Used by decoders that already hold both CSRs
+// (internal/csrz) and by tests.
+func NewFromCSR(n, m int, outIndex []uint64, outEdges []VertexID, outWeights []byte, wb int,
 	inIndex []uint64, inEdges []VertexID) (*Graph, error) {
 	g := &Graph{
 		n: n, m: m,
-		outIndex: outIndex, outEdges: outEdges, outWeights: outWeights,
+		outIndex: outIndex, outEdges: outEdges, outWeights: outWeights, wb: wb,
 		inIndex: inIndex, inEdges: inEdges,
+	}
+	if (wb == 1 || wb == 2 || wb == 4) && len(outWeights) == wb*m {
+		g.outWeights, g.wb = narrowWeights(outWeights, wb)
 	}
 	if err := g.Validate(); err != nil {
 		return nil, err

@@ -288,8 +288,9 @@ type EdgeMapFns struct {
 	// PushList, if non-nil, is the push-mode callback: called once per
 	// frontier member with src's whole out-list in stored order and, when
 	// Weights is set, the list's weights in ws, aligned index for index
-	// (nil otherwise). Both are only valid during the call: sub-slices on
-	// a plain graph, the worker's decode buffers on a compressed one. It
+	// (nil otherwise). Both are only valid during the call: dsts is a
+	// sub-slice on a plain graph and the worker's decode buffer on a
+	// compressed one, ws the worker's decode buffer on either. It
 	// appends every destination its update hit to hits and returns the
 	// extended slice; a destination may be appended more than once, in a
 	// round or in a call, and the kernel keeps the first. hits is the
@@ -300,8 +301,9 @@ type EdgeMapFns struct {
 	// if the run has one.
 	PushList func(src graph.VertexID, dsts []graph.VertexID, ws []uint32, hits []graph.VertexID) []graph.VertexID
 	// Weights asks the push kernel for ws. Only a callback that reads
-	// weights sets it: on a compressed graph every list's weights are
-	// decoded for it, work an unweighted push (BC, Radii) never pays.
+	// weights sets it: both backends store weights packed, so every list's
+	// weights are decoded for it, work an unweighted push (BC, Radii)
+	// never pays.
 	Weights bool
 }
 
@@ -514,7 +516,7 @@ func pushRange(g graph.View, members []graph.VertexID, fns EdgeMapFns, tr Tracer
 	list, weights := fns.PushList, fns.Weights
 	edges := newPerEdge(fns, false, nil)
 	var own graph.AdjBuffer
-	adj, pooled := &own, getAdjBuffer(g)
+	adj, pooled := &own, getAdjBuffer(g, weights)
 	if pooled != nil {
 		adj = pooled
 	}
@@ -605,7 +607,7 @@ func pullRange(g graph.View, inFrontier, next Bitset, fns EdgeMapFns, tr Tracer,
 	edges := newPerEdge(fns, true, inFrontier)
 	cond := fns.Cond
 	var own graph.AdjBuffer
-	adj, pooled := &own, getAdjBuffer(g)
+	adj, pooled := &own, getAdjBuffer(g, false)
 	if pooled != nil {
 		adj = pooled
 	}

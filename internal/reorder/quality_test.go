@@ -217,9 +217,9 @@ func (c *countingView) InNeighbors(v graph.VertexID) []graph.VertexID {
 	return c.Graph.InNeighbors(v)
 }
 
-func (c *countingView) OutWeights(v graph.VertexID) []uint32 {
+func (c *countingView) AppendOutWeights(v graph.VertexID, buf []uint32) []uint32 {
 	c.others.Add(1)
-	return c.Graph.OutWeights(v)
+	return c.Graph.AppendOutWeights(v, buf)
 }
 
 // TestEvaluateReadsEachOutListOnce is the exact successor of a timing
