@@ -103,10 +103,15 @@ func seedInputs(t testing.TB) map[string][]byte {
 
 // TestReadsVersion1: a version-1 file, whose weights are 4-byte uint32s,
 // reads through both readers as the same graph as its current form,
-// weights included.
+// weights included, and decodes to the same plain graph: one that stores
+// its weights at the width they need, one byte.
 func TestReadsVersion1(t *testing.T) {
 	seeds := seedInputs(t)
 	want, err := ReadCSRZ(bytes.NewReader(seeds["weighted"]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantPlain, err := want.Decode()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,6 +137,15 @@ func TestReadsVersion1(t *testing.T) {
 				!equalIDs(got.InNeighbors(v), want.InNeighbors(v)) || !slices.Equal(got.OutWeights(v), want.OutWeights(v)) {
 				t.Errorf("%s: vertex %d reads differently from the current file", name, v)
 			}
+		}
+		plain, err := got.Decode()
+		if err != nil {
+			t.Fatalf("%s: Decode: %v", name, err)
+		}
+		w, wb := plain.OutWeightArray()
+		wantW, wantWB := wantPlain.OutWeightArray()
+		if wb != wantWB || !bytes.Equal(w, wantW) {
+			t.Errorf("%s: decoded weights %d bytes wide, want the current file's %d, byte for byte", name, wb, wantWB)
 		}
 	}
 }

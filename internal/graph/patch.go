@@ -120,19 +120,16 @@ func patchCSR(index []uint64, adj []VertexID, ws []byte, wb int, edits []EdgeEdi
 			groups = append(groups, it)
 		}
 	}
-	// The output width: an insert may widen it. Only a removal of a
-	// weight that needs the old width can narrow it, and only a scan of
-	// the result can tell whether one that needs it is left.
-	nb, mayNarrow := wb, false
+	// The output width: an insert may widen it, and a removal may narrow
+	// it, which only a scan of the result can tell (at one byte there is
+	// nothing to scan for).
+	nb := wb
 	if wb != 0 {
 		for _, it := range groups {
 			if it.delta > 0 {
 				nb = max(nb, widthFor(it.w))
-			} else if it.delta < 0 && wb > 1 && widthFor(it.w) == wb {
-				mayNarrow = true
 			}
 		}
-		mayNarrow = mayNarrow && nb == wb
 	}
 
 	if oldN := len(index) - 1; n > oldN {
@@ -247,7 +244,7 @@ func patchCSR(index []uint64, adj []VertexID, ws []byte, wb int, edits []EdgeEdi
 		return nil, nil, nil, 0, errPatchAbsent
 	}
 	newIndex[n] = uint64(m)
-	if mayNarrow {
+	if nb > 1 {
 		newWs, nb = narrowWeights(newWs, nb)
 	}
 	return newIndex, newAdj, newWs, nb, nil

@@ -37,6 +37,7 @@ func AppendWeights(buf []uint32, w []byte, wb int, lo, hi uint64) []uint32 {
 	dst, src := buf[base:], w[lo*uint64(wb):hi*uint64(wb)]
 	switch wb {
 	case 1:
+		dst = dst[:len(src)] // proves every dst[i] in bounds
 		for i, b := range src {
 			dst[i] = uint32(b)
 		}
