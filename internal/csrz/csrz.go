@@ -228,9 +228,8 @@ func (it *AdjIter) Remaining() int { return it.rem }
 // Both directions encode concurrently, the out-direction with its weights.
 func Encode(g *graph.Graph) *Graph {
 	n, m := g.NumVertices(), g.NumEdges()
-	z := &Graph{n: n, m: m}
 	w, wb := g.OutWeightArray()
-	z.wb = wb
+	z := &Graph{n: n, m: m, wb: wb}
 
 	var wg sync.WaitGroup
 	wg.Add(2)

@@ -19,10 +19,11 @@ type EdgeEdit struct {
 // Patch returns the graph that results from applying edits to g over n
 // vertices (n >= g's count; the added vertices start isolated). It is
 // defined to equal, array for array and at the same weight width, the
-// full rebuild of the edited edge multiset — BuildWith with SortNeighbors for a nil rank, that rebuild
-// relabeled by a permutation p for rank = p's inverse — at the cost of
-// one sequential copy of the untouched lists plus a merge of the edited
-// vertices' lists, instead of the rebuild's scatter and sorts.
+// full rebuild of the edited edge multiset — BuildWith with
+// SortNeighbors for a nil rank, that rebuild relabeled by a permutation p
+// for rank = p's inverse — at the cost of one sequential copy of the
+// untouched lists plus a merge of the edited vertices' lists, instead of
+// the rebuild's scatter and sorts.
 //
 // rank gives the position of every vertex in adjacency-list order: lists
 // are ordered by (rank[neighbor], weight), nil meaning the identity. g's
