@@ -86,10 +86,7 @@ func main() {
 	fmt.Printf("\nspace (both adjacency directions):\n")
 	fmt.Printf("  adjacency bytes:   plain %d, compressed %d (ratio %.2fx, %.2f bits/edge)\n",
 		st.PlainAdjBytes, st.CompressedAdjBytes, st.Ratio, st.BitsPerEdge)
-	fmt.Printf("  resident bytes:    plain %d, compressed %d (indexes and weights included)\n",
+	fmt.Printf("  resident bytes:    plain %d, compressed %d (indexes included, weights at the width the largest needs)\n",
 		st.PlainResidentBytes, st.ResidentBytes)
-	if _, wb := g.OutWeightArray(); wb != 0 {
-		fmt.Printf("  weights:           %d B each, the narrowest width that holds the largest\n", wb)
-	}
 	fmt.Printf("  on-disk .csrz:     %d bytes (%s)\n", onDisk, source)
 }

@@ -65,7 +65,7 @@ func runBC(in Input) (Output, error) {
 			// included) add path counts atomically — the same body at any
 			// worker count; each add is a property write to a tracer.
 			// numPaths[src] belongs to the previous level and is stable.
-			PushList: func(src graph.VertexID, dsts []graph.VertexID, _ []uint32, hits []graph.VertexID) []graph.VertexID {
+			PushList: func(src graph.VertexID, dsts []graph.VertexID, _ graph.WeightList, hits []graph.VertexID) []graph.VertexID {
 				paths := numPaths[src]
 				for _, dst := range dsts {
 					l := atomic.LoadInt32(&level[dst])

@@ -61,7 +61,7 @@ func runRadii(in Input) (Output, error) {
 			// body at any worker count; each growth is a property write to
 			// a tracer. Exactly one grower observes the mask still at its
 			// start-of-round value: that one reports dst.
-			PushList: func(src graph.VertexID, dsts []graph.VertexID, _ []uint32, hits []graph.VertexID) []graph.VertexID {
+			PushList: func(src graph.VertexID, dsts []graph.VertexID, _ graph.WeightList, hits []graph.VertexID) []graph.VertexID {
 				mask := visited[src]
 				for _, dst := range dsts {
 					old := atomicOrUint64(&nextVisited[dst], mask)

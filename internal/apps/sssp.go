@@ -1,6 +1,7 @@
 package apps
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"sync/atomic"
@@ -46,21 +47,38 @@ func runSSSP(in Input) (Output, error) {
 	}
 	dist[root] = 0
 	// Relax a vertex's whole out-list per call; the kernel hands over its
-	// weights (Weights), decoded on a compressed graph. dist[src] is read
-	// once: only a self-loop could lower it during the scan, and a non-negative
-	// one never does; a concurrent lowering by another worker re-queues
-	// src, so nothing is lost to the stale read. The atomic min is the
-	// same body at any worker count.
+	// weights (Weights) as stored, read in place after one switch on their
+	// width per list. dist[src] is read once: only a self-loop could lower
+	// it during the scan, and a non-negative one never does; a concurrent
+	// lowering by another worker re-queues src, so nothing is lost to the
+	// stale read. The atomic min is the same body at any worker count.
 	wt := ligra.WriteTracer(in.Tracer)
-	fns := ligra.EdgeMapFns{Weights: true, PushList: func(src graph.VertexID, dsts []graph.VertexID, ws []uint32, hits []graph.VertexID) []graph.VertexID {
-		ws = ws[:len(dsts)]
+	fns := ligra.EdgeMapFns{Weights: true, PushList: func(src graph.VertexID, dsts []graph.VertexID, ws graph.WeightList, hits []graph.VertexID) []graph.VertexID {
 		d := atomic.LoadInt64(&dist[src])
-		for i, dst := range dsts {
-			if atomicMinInt64(&dist[dst], d+int64(ws[i])) {
+		relax := func(dst graph.VertexID, w uint32) {
+			if atomicMinInt64(&dist[dst], d+int64(w)) {
 				hits = append(hits, dst)
 				if wt != nil {
 					wt.PropertyWritten(dst)
 				}
+			}
+		}
+		b := ws.Bytes
+		switch ws.Width {
+		case 1:
+			b = b[:len(dsts)]
+			for i, dst := range dsts {
+				relax(dst, uint32(b[i]))
+			}
+		case 2:
+			b = b[:2*len(dsts)]
+			for i, dst := range dsts {
+				relax(dst, uint32(binary.LittleEndian.Uint16(b[2*i:])))
+			}
+		default:
+			b = b[:4*len(dsts)]
+			for i, dst := range dsts {
+				relax(dst, binary.LittleEndian.Uint32(b[4*i:]))
 			}
 		}
 		return hits

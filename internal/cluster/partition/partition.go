@@ -147,9 +147,13 @@ func Partition(g *graph.Graph, opt Options) (*Result, error) {
 	load := make([]int, k)
 	replicatedHubs := 0
 
-	// Weights are decoded a list at a time into one reused buffer; wts is
-	// empty on an unweighted graph.
-	adj := graph.NewAdjBuffer(g)
+	// Weights are decoded a list at a time into one reused buffer; the
+	// list is empty on an unweighted graph.
+	var wbuf []uint32
+	weights := func(v graph.VertexID) []uint32 {
+		wbuf = g.OutWeightList(v).Append(wbuf[:0])
+		return wbuf
+	}
 	appendEdges := func(s int, v graph.VertexID, nbrs []graph.VertexID, wts []uint32) {
 		for i, nb := range nbrs {
 			e := graph.Edge{Src: v, Dst: nb}
@@ -168,7 +172,7 @@ func Partition(g *graph.Graph, opt Options) (*Result, error) {
 			owner[v] = int32(s)
 			homes[v] = 1 << s
 			id := graph.VertexID(v)
-			appendEdges(s, id, g.OutNeighbors(id), adj.OutWeights(g, id))
+			appendEdges(s, id, g.OutNeighbors(id), weights(id))
 		}
 	case "degree":
 		// Descending out-degree, ID-ascending ties: the LPT order.
@@ -227,7 +231,7 @@ func Partition(g *graph.Graph, opt Options) (*Result, error) {
 				}
 			}
 			targets := lightest(chunks)
-			nbrs, wts := g.OutNeighbors(v), adj.OutWeights(g, v)
+			nbrs, wts := g.OutNeighbors(v), weights(v)
 			for c, s := range targets {
 				lo, hi := c*deg/chunks, (c+1)*deg/chunks
 				var cw []uint32

@@ -16,10 +16,9 @@ import (
 // plain graph's packed weights, byte for byte: stored once, for the
 // out-direction, at the narrowest of 1, 2 or 4 little-endian bytes that
 // holds the graph's largest weight, addressed by the out edge-index array
-// and index-aligned with the decoded out-neighbors. Every reader gets
-// []uint32, decoded by graph.AppendWeights: hot loops through
-// AppendOutWeights (graph.AdjBuffer.OutWeights), the rest through the
-// allocating OutWeights.
+// and index-aligned with the decoded out-neighbors. Hot loops read a
+// list's weights in place (OutWeightList); the rest decode them through
+// the allocating OutWeights.
 //
 // A Graph is immutable after construction and safe for concurrent use.
 // When it was produced by OpenFile its arrays point into a shared
@@ -97,18 +96,19 @@ func (g *Graph) Degrees(kind graph.DegreeKind) []uint32 {
 // OutWeights decodes the weights aligned with v's out-neighbors into a
 // fresh slice (empty, not nil, for an empty list), or returns nil for an
 // unweighted graph. Like OutNeighbors this is the convenience path; hot
-// loops use AppendOutWeights.
+// loops read OutWeightList in place.
 func (g *Graph) OutWeights(v graph.VertexID) []uint32 {
 	if !g.Weighted() {
 		return nil
 	}
-	return g.AppendOutWeights(v, make([]uint32, 0, g.OutDegree(v)))
+	return g.OutWeightList(v).Append(make([]uint32, 0, g.OutDegree(v)))
 }
 
-// AppendOutWeights decodes the weights aligned with v's out-neighbors into
-// buf and returns it; buf comes back unchanged on an unweighted graph.
-func (g *Graph) AppendOutWeights(v graph.VertexID, buf []uint32) []uint32 {
-	return graph.AppendWeights(buf, g.outW, g.wb, g.outIdx[v], g.outIdx[v+1])
+// OutWeightList returns the weights aligned with v's out-neighbors as
+// stored: a read-only sub-slice of the packed weight section.
+func (g *Graph) OutWeightList(v graph.VertexID) graph.WeightList {
+	wb := uint64(g.wb)
+	return graph.WeightList{Bytes: g.outW[g.outIdx[v]*wb : g.outIdx[v+1]*wb], Width: g.wb}
 }
 
 // OutNeighbors decodes v's out-neighbor list into a fresh slice, in

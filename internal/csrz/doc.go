@@ -8,12 +8,11 @@
 // Weights are narrow because they are small, not because they have
 // locality: every generator draws them from 1..63, so one byte each
 // suffices (Ligra+ byte-codes weights for the same reason). The packing
-// is internal/graph's (graph.AppendWeights): Encode copies the plain
-// graph's packed bytes and width, Decode copies them back, and hot loops
-// decode a list's weights into a reused []uint32 beside its neighbors
-// (AppendOutWeights, reached through graph.AdjBuffer.OutWeights — the
-// engine's push kernel does so only for a callback that set
-// ligra.EdgeMapFns.Weights), as on the plain graph; OutWeights is the
+// is internal/graph's (graph.WeightList): Encode copies the plain graph's
+// packed bytes and width, Decode copies them back, and OutWeightList
+// hands out a list's weights as stored, a sub-slice that hot loops read
+// in place (the engine's push kernel fetches it only for a callback that
+// set ligra.EdgeMapFns.Weights), as on the plain graph. OutWeights is the
 // allocating convenience path, as OutNeighbors is. There are no
 // in-weights: only a push reads weights. Container versions 1 and 2
 // stored them anyway; their readers check that section's length and drop

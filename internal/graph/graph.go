@@ -8,8 +8,8 @@
 // stored once, aligned with the out-edge array: only a push reads them,
 // and a pull sees in-neighbor IDs alone. They are packed at the narrowest
 // of 1, 2 or 4 bytes that holds the largest of them, the layout
-// internal/csrz stores too, and read a list at a time through
-// AppendOutWeights (AdjBuffer.OutWeights in hot loops).
+// internal/csrz stores too, and handed out a list at a time as stored
+// (OutWeightList): the SSSP push reads them in place.
 //
 // Graphs are immutable after construction; reordering produces a new Graph
 // via Relabel.
@@ -89,19 +89,20 @@ func (g *Graph) InNeighbors(v VertexID) []VertexID {
 
 // OutWeights decodes the weights aligned with OutNeighbors(v) into a
 // fresh slice (empty, not nil, for an empty list), or returns nil for an
-// unweighted graph. This is the convenience path; hot loops decode into a
-// reused buffer through AppendOutWeights.
+// unweighted graph. This is the convenience path; hot loops read
+// OutWeightList in place.
 func (g *Graph) OutWeights(v VertexID) []uint32 {
 	if !g.Weighted() {
 		return nil
 	}
-	return g.AppendOutWeights(v, make([]uint32, 0, g.OutDegree(v)))
+	return g.OutWeightList(v).Append(make([]uint32, 0, g.OutDegree(v)))
 }
 
-// AppendOutWeights decodes the weights aligned with OutNeighbors(v) into
-// buf and returns it; buf comes back unchanged on an unweighted graph.
-func (g *Graph) AppendOutWeights(v VertexID, buf []uint32) []uint32 {
-	return AppendWeights(buf, g.outWeights, g.wb, g.outIndex[v], g.outIndex[v+1])
+// OutWeightList returns the weights aligned with OutNeighbors(v) as
+// stored: a read-only sub-slice of the packed weight array.
+func (g *Graph) OutWeightList(v VertexID) WeightList {
+	wb := uint64(g.wb)
+	return WeightList{Bytes: g.outWeights[g.outIndex[v]*wb : g.outIndex[v+1]*wb], Width: g.wb}
 }
 
 // OutIndex exposes the raw out-CSR offset array (length N+1). It is shared
@@ -119,7 +120,7 @@ func (g *Graph) OutEdgeArray() []VertexID { return g.outEdges }
 func (g *Graph) InEdgeArray() []VertexID { return g.inEdges }
 
 // OutWeightArray exposes the raw packed weights (M weights of wb bytes
-// each, as AppendWeights reads them) and wb; nil and 0 when unweighted.
+// each, as WeightList holds them) and wb; nil and 0 when unweighted.
 // Read-only.
 func (g *Graph) OutWeightArray() (w []byte, wb int) { return g.outWeights, g.wb }
 
@@ -188,7 +189,7 @@ func (g *Graph) Edges() []Edge {
 	edges := make([]Edge, 0, g.m)
 	var ws []uint32
 	for v := 0; v < g.n; v++ {
-		ws = g.AppendOutWeights(VertexID(v), ws[:0])
+		ws = g.OutWeightList(VertexID(v)).Append(ws[:0])
 		for i, dst := range g.OutNeighbors(VertexID(v)) {
 			e := Edge{Src: VertexID(v), Dst: dst}
 			if g.Weighted() {

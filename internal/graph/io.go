@@ -122,7 +122,7 @@ func WriteEdgeList(w io.Writer, g *Graph) error {
 	var ws []uint32
 	for v := 0; v < g.NumVertices(); v++ {
 		nbrs := g.OutNeighbors(VertexID(v))
-		ws = g.AppendOutWeights(VertexID(v), ws[:0])
+		ws = g.OutWeightList(VertexID(v)).Append(ws[:0])
 		for i, dst := range nbrs {
 			var err error
 			if weighted {
@@ -166,7 +166,7 @@ func WriteBinary(w io.Writer, g *Graph) error {
 		const chunk = ioChunkBytes / 4
 		ws := make([]uint32, 0, chunk)
 		for lo := uint64(0); lo < uint64(g.m); lo += chunk {
-			ws = AppendWeights(ws[:0], g.outWeights, g.wb, lo, min(uint64(g.m), lo+chunk))
+			ws = appendWeights(ws[:0], g.outWeights, g.wb, lo, min(uint64(g.m), lo+chunk))
 			if err := writeUint32s(bw, ws); err != nil {
 				return err
 			}

@@ -135,7 +135,7 @@ func legacyWriteBinary(w io.Writer, g *Graph) error {
 		return err
 	}
 	if g.Weighted() {
-		if err := binary.Write(bw, binary.LittleEndian, AppendWeights(nil, g.outWeights, g.wb, 0, uint64(g.m))); err != nil {
+		if err := binary.Write(bw, binary.LittleEndian, appendWeights(nil, g.outWeights, g.wb, 0, uint64(g.m))); err != nil {
 			return err
 		}
 	}

@@ -204,7 +204,7 @@ func patchCSR(index []uint64, adj []VertexID, ws []byte, wb int, edits []EdgeEdi
 		newIndex[key] = uint64(pos)
 		i, hi := index[key], index[key+1]
 		base, ow = i, ow[:0]
-		lw = AppendWeights(lw[:0], ws, wb, i, hi)
+		lw = appendWeights(lw[:0], ws, wb, i, hi)
 		for ; len(groups) > 0 && int(groups[0].key) == key; groups = groups[1:] {
 			it := groups[0]
 			// The first old entry not ordered before the group's instance.

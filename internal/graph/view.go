@@ -13,14 +13,14 @@ package graph
 // list in the same order for float-accumulating applications (PR, BC) to
 // produce bit-identical results.
 //
-// Weights are decoded on either backend: both store them packed at the
-// width the largest needs, so OutWeights allocates, and AppendOutWeights
-// decodes v's weights onto buf and returns it (buf unchanged on an
-// unweighted graph). Neighbor lists are free sub-slices on a plain graph
-// but decoded per call on a compressed one. Per-edge consumers — the
-// engine's two EdgeMap kernels first among them — go through an
-// AdjBuffer, which reuses one decode buffer for neighbors and one for
-// weights.
+// Both backends store weights packed at the width the largest needs, the
+// same bytes: OutWeights decodes them into a fresh slice, and
+// OutWeightList hands out v's weights as stored, a free sub-slice on
+// either backend that a hot loop reads in place. Neighbor lists are free
+// sub-slices on a plain graph but decoded per call on a compressed one.
+// Per-edge consumers — the engine's two EdgeMap kernels first among them
+// — go through an AdjBuffer, which borrows the sub-slices on plain graphs
+// and reuses one decode buffer on NeighborStreamer backends.
 type View interface {
 	NumVertices() int
 	NumEdges() int
@@ -31,7 +31,7 @@ type View interface {
 	OutNeighbors(v VertexID) []VertexID
 	InNeighbors(v VertexID) []VertexID
 	OutWeights(v VertexID) []uint32
-	AppendOutWeights(v VertexID, buf []uint32) []uint32
+	OutWeightList(v VertexID) WeightList
 	Degrees(kind DegreeKind) []uint32
 }
 
@@ -46,17 +46,13 @@ type NeighborStreamer interface {
 	AppendInNeighbors(v VertexID, buf []VertexID) []VertexID
 }
 
-// AdjBuffer provides amortized-zero-allocation neighbor and weight access
-// over any View: neighbor lists are direct sub-slices on plain graphs and
-// reused decode buffers on NeighborStreamer implementations, weights a
-// reused decode buffer on both. Not safe for concurrent use — keep one
-// per goroutine. A returned list is invalidated by the next Out or In
-// call, a returned weight slice by the next OutWeights call; the two use
-// separate buffers, so a list and its weights can be held together.
+// AdjBuffer provides amortized-zero-allocation neighbor access over any
+// View: direct sub-slices on plain graphs, a reused decode buffer on
+// NeighborStreamer implementations. Not safe for concurrent use — keep
+// one per goroutine. A returned list is invalidated by the next call.
 type AdjBuffer struct {
-	st   NeighborStreamer
-	buf  []VertexID
-	wbuf []uint32
+	st  NeighborStreamer
+	buf []VertexID
 }
 
 // NewAdjBuffer returns an AdjBuffer for g.
@@ -65,8 +61,8 @@ func NewAdjBuffer(g View) AdjBuffer {
 	return AdjBuffer{st: st}
 }
 
-// Rebind points a at g, keeping its decode buffers: a pooled AdjBuffer
-// serves one View after another without growing fresh buffers for each.
+// Rebind points a at g, keeping its decode buffer: a pooled AdjBuffer
+// serves one View after another without growing a fresh buffer for each.
 func (a *AdjBuffer) Rebind(g View) {
 	a.st, _ = g.(NeighborStreamer)
 }
@@ -91,14 +87,6 @@ func (a *AdjBuffer) In(g View, v VertexID) []VertexID {
 	return a.buf
 }
 
-// OutWeights returns the weights aligned with Out(g, v) (read-only, valid
-// until the next OutWeights call on this buffer; empty on an unweighted
-// graph).
-func (a *AdjBuffer) OutWeights(g View, v VertexID) []uint32 {
-	a.wbuf = g.AppendOutWeights(v, a.wbuf[:0])
-	return a.wbuf
-}
-
 // IsNilView reports whether v is nil or a typed-nil *Graph — the two
 // "no graph" shapes an interface parameter can smuggle past a plain nil
 // check.
@@ -113,7 +101,7 @@ func IsNilView(v View) bool {
 // NewFromCSR assembles a Graph directly from dual-CSR arrays (the layout
 // Validate checks): index arrays of length n+1, edge arrays of length m,
 // out-weights nil (wb 0) or m weights of wb = 1, 2 or 4 bytes each, packed
-// as AppendWeights reads them. The slices are retained, not copied, except
+// as WeightList holds them. The slices are retained, not copied, except
 // that weights stored wider than the largest of them needs are re-stored
 // at that width (a version-1 .csrz file holds four bytes each whatever
 // the weights). Used by decoders that already hold both CSRs

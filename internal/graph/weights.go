@@ -11,8 +11,9 @@ import (
 // suffices (Ligra+ byte-codes weights for the same reason). The width is
 // a function of the weight multiset, never an option: every layout path
 // (build, relabel, patch, the .gr reader) stores the width the rebuild
-// would, and internal/csrz stores the same bytes. Readers get []uint32,
-// decoded a list at a time by AppendWeights.
+// would, and internal/csrz stores the same bytes. A list's weights are
+// handed out as stored (WeightList): a hot loop reads them in place,
+// anything else decodes them to []uint32.
 
 // widthFor is the narrowest of 1, 2 or 4 bytes that holds maxW.
 func widthFor(maxW uint32) int {
@@ -25,10 +26,29 @@ func widthFor(maxW uint32) int {
 	return 4
 }
 
-// AppendWeights appends weights [lo, hi) of w, stored wb bytes each, to
+// WeightList is one list's weights as stored: Width little-endian bytes
+// each in Bytes, a read-only sub-slice of the graph's packed array, index-
+// aligned with the list's neighbors. Width is 0 on an unweighted graph.
+// A hot loop switches on Width once per list and reads Bytes in place;
+// Append decodes.
+type WeightList struct {
+	Bytes []byte
+	Width int
+}
+
+// Append decodes the list's weights onto buf and returns it; buf comes
+// back unchanged when the graph is unweighted.
+func (w WeightList) Append(buf []uint32) []uint32 {
+	if w.Width == 0 {
+		return buf
+	}
+	return appendWeights(buf, w.Bytes, w.Width, 0, uint64(len(w.Bytes)/w.Width))
+}
+
+// appendWeights appends weights [lo, hi) of w, stored wb bytes each, to
 // buf and returns it; buf comes back unchanged when wb is 0 (unweighted).
 // The width is switched on once per call, not once per weight.
-func AppendWeights(buf []uint32, w []byte, wb int, lo, hi uint64) []uint32 {
+func appendWeights(buf []uint32, w []byte, wb int, lo, hi uint64) []uint32 {
 	if wb == 0 {
 		return buf
 	}
@@ -54,7 +74,7 @@ func AppendWeights(buf []uint32, w []byte, wb int, lo, hi uint64) []uint32 {
 }
 
 // putWeights stores ws at wb bytes each into dst, the inverse of
-// AppendWeights.
+// appendWeights.
 func putWeights(dst []byte, ws []uint32, wb int) {
 	switch wb {
 	case 1:
@@ -99,7 +119,7 @@ func copyWeights(dst []byte, dw int, src []byte, sw int) {
 	count := uint64(len(src) / sw)
 	for lo := uint64(0); lo < count; lo += weightChunk {
 		hi := min(count, lo+weightChunk)
-		putWeights(dst[lo*uint64(dw):], AppendWeights(buf[:0], src, sw, lo, hi), dw)
+		putWeights(dst[lo*uint64(dw):], appendWeights(buf[:0], src, sw, lo, hi), dw)
 	}
 }
 
@@ -114,7 +134,7 @@ func WeightWidth(w []byte, wb int) int {
 	count := uint64(len(w) / wb)
 	var maxW uint32
 	for lo := uint64(0); lo < count; lo += weightChunk {
-		for _, x := range AppendWeights(buf[:0], w, wb, lo, min(count, lo+weightChunk)) {
+		for _, x := range appendWeights(buf[:0], w, wb, lo, min(count, lo+weightChunk)) {
 			maxW = max(maxW, x)
 		}
 	}

@@ -43,7 +43,7 @@ func benchFns(frontier *VertexSet, lists bool) EdgeMapFns {
 			}
 			return joined
 		},
-		PushList: func(_ graph.VertexID, dsts []graph.VertexID, _ []uint32, hits []graph.VertexID) []graph.VertexID {
+		PushList: func(_ graph.VertexID, dsts []graph.VertexID, _ graph.WeightList, hits []graph.VertexID) []graph.VertexID {
 			for _, dst := range dsts {
 				if dst%4 == 0 {
 					hits = append(hits, dst)

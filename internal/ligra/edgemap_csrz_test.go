@@ -125,7 +125,7 @@ func TestEdgeMapCompressedPushPullParity(t *testing.T) {
 // nothing, so a traced round's log is the kernel's alone.
 var listFns = EdgeMapFns{
 	PullList: func(graph.VertexID, []graph.VertexID) bool { return false },
-	PushList: func(_ graph.VertexID, _ []graph.VertexID, _ []uint32, hits []graph.VertexID) []graph.VertexID {
+	PushList: func(_ graph.VertexID, _ []graph.VertexID, _ graph.WeightList, hits []graph.VertexID) []graph.VertexID {
 		return hits
 	},
 }

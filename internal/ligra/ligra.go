@@ -287,23 +287,23 @@ type EdgeMapFns struct {
 	PullList func(dst graph.VertexID, srcs []graph.VertexID) bool
 	// PushList, if non-nil, is the push-mode callback: called once per
 	// frontier member with src's whole out-list in stored order and, when
-	// Weights is set, the list's weights in ws, aligned index for index
-	// (nil otherwise). Both are only valid during the call: dsts is a
-	// sub-slice on a plain graph and the worker's decode buffer on a
-	// compressed one, ws the worker's decode buffer on either. It
-	// appends every destination its update hit to hits and returns the
-	// extended slice; a destination may be appended more than once, in a
-	// round or in a call, and the kernel keeps the first. hits is the
-	// kernel's reused output buffer: append to it, do not read or keep
-	// it. With Workers > 1 PushList is invoked concurrently and must
-	// synchronize its own writes (atomics). A callback that stores to a
-	// destination's property reports the store to a PropertyWriteTracer,
-	// if the run has one.
-	PushList func(src graph.VertexID, dsts []graph.VertexID, ws []uint32, hits []graph.VertexID) []graph.VertexID
+	// Weights is set, the list's weights in ws as stored, aligned index
+	// for index (the zero WeightList otherwise). Both are only valid
+	// during the call: dsts is a sub-slice on a plain graph and the
+	// worker's decode buffer on a compressed one, ws a sub-slice of the
+	// packed weights on either, read in place. It appends every
+	// destination its update hit to hits and returns the extended slice;
+	// a destination may be appended more than once, in a round or in a
+	// call, and the kernel keeps the first. hits is the kernel's reused
+	// output buffer: append to it, do not read or keep it. With
+	// Workers > 1 PushList is invoked concurrently and must synchronize
+	// its own writes (atomics). A callback that stores to a destination's
+	// property reports the store to a PropertyWriteTracer, if the run has
+	// one.
+	PushList func(src graph.VertexID, dsts []graph.VertexID, ws graph.WeightList, hits []graph.VertexID) []graph.VertexID
 	// Weights asks the push kernel for ws. Only a callback that reads
-	// weights sets it: both backends store weights packed, so every list's
-	// weights are decoded for it, work an unweighted push (BC, Radii)
-	// never pays.
+	// weights sets it, so an unweighted push (BC, Radii) does not pay an
+	// OutWeightList call per list.
 	Weights bool
 }
 
@@ -516,7 +516,7 @@ func pushRange(g graph.View, members []graph.VertexID, fns EdgeMapFns, tr Tracer
 	list, weights := fns.PushList, fns.Weights
 	edges := newPerEdge(fns, false, nil)
 	var own graph.AdjBuffer
-	adj, pooled := &own, getAdjBuffer(g, weights)
+	adj, pooled := &own, getAdjBuffer(g)
 	if pooled != nil {
 		adj = pooled
 	}
@@ -530,9 +530,9 @@ func pushRange(g graph.View, members []graph.VertexID, fns EdgeMapFns, tr Tracer
 		}
 		kept := len(out)
 		if list != nil {
-			var ws []uint32
+			var ws graph.WeightList
 			if weights {
-				ws = adj.OutWeights(g, u)
+				ws = g.OutWeightList(u)
 			}
 			out = list(u, dsts, ws, out)
 		} else {
@@ -607,7 +607,7 @@ func pullRange(g graph.View, inFrontier, next Bitset, fns EdgeMapFns, tr Tracer,
 	edges := newPerEdge(fns, true, inFrontier)
 	cond := fns.Cond
 	var own graph.AdjBuffer
-	adj, pooled := &own, getAdjBuffer(g, false)
+	adj, pooled := &own, getAdjBuffer(g)
 	if pooled != nil {
 		adj = pooled
 	}

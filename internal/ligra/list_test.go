@@ -86,7 +86,7 @@ var listCases = []listCase{
 					}
 					return joined
 				},
-				PushList: func(src graph.VertexID, dsts []graph.VertexID, _ []uint32, hits []graph.VertexID) []graph.VertexID {
+				PushList: func(src graph.VertexID, dsts []graph.VertexID, _ graph.WeightList, hits []graph.VertexID) []graph.VertexID {
 					for _, dst := range dsts {
 						atomic.AddUint64(&acc[dst], edgeTerm(src, dst))
 						if edgeHits(src, dst) {
@@ -124,7 +124,7 @@ var listCases = []listCase{
 					acc[dst] += sum
 					return joined
 				},
-				PushList: func(src graph.VertexID, dsts []graph.VertexID, _ []uint32, hits []graph.VertexID) []graph.VertexID {
+				PushList: func(src graph.VertexID, dsts []graph.VertexID, _ graph.WeightList, hits []graph.VertexID) []graph.VertexID {
 					for _, dst := range dsts {
 						if !skipFifths(dst) {
 							continue
@@ -236,7 +236,7 @@ func TestPushListDuplicateHitsKeptOnce(t *testing.T) {
 	g := skewedGraph(t, false)
 	n := g.NumVertices()
 	frontier := FullVertexSet(n)
-	fns := EdgeMapFns{PushList: func(_ graph.VertexID, dsts []graph.VertexID, _ []uint32, hits []graph.VertexID) []graph.VertexID {
+	fns := EdgeMapFns{PushList: func(_ graph.VertexID, dsts []graph.VertexID, _ graph.WeightList, hits []graph.VertexID) []graph.VertexID {
 		hits = append(hits, dsts...)
 		return append(hits, dsts...)
 	}}

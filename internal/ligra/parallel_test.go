@@ -108,8 +108,8 @@ func TestEdgeMapPushParallelSameSet(t *testing.T) {
 				// Weights reach a list callback only, aligned with the list.
 				cond := fns.Cond
 				fns.Weights = true
-				fns.PushList = func(_ graph.VertexID, dsts []graph.VertexID, ws []uint32, hits []graph.VertexID) []graph.VertexID {
-					for i, w := range ws {
+				fns.PushList = func(_ graph.VertexID, dsts []graph.VertexID, ws graph.WeightList, hits []graph.VertexID) []graph.VertexID {
+					for i, w := range ws.Append(nil) {
 						if (uint32(dsts[i])+w)%2 == 0 && (cond == nil || cond(dsts[i])) {
 							hits = append(hits, dsts[i])
 						}
@@ -272,7 +272,7 @@ func TestEdgeMapSteadyStateZeroAlloc(t *testing.T) {
 		"per-edge": {Update: func(_, dst graph.VertexID) bool { return dst%2 == 0 }},
 		"list": {
 			PullList: func(dst graph.VertexID, srcs []graph.VertexID) bool { return dst%2 == 0 && len(srcs) > 0 },
-			PushList: func(_ graph.VertexID, dsts []graph.VertexID, _ []uint32, hits []graph.VertexID) []graph.VertexID {
+			PushList: func(_ graph.VertexID, dsts []graph.VertexID, _ graph.WeightList, hits []graph.VertexID) []graph.VertexID {
 				for _, dst := range dsts {
 					if dst%2 == 0 {
 						hits = append(hits, dst)
@@ -283,10 +283,11 @@ func TestEdgeMapSteadyStateZeroAlloc(t *testing.T) {
 		},
 		"weighted-push": {
 			Weights: true,
-			PushList: func(_ graph.VertexID, dsts []graph.VertexID, ws []uint32, hits []graph.VertexID) []graph.VertexID {
-				ws = ws[:len(dsts)]
+			PushList: func(_ graph.VertexID, dsts []graph.VertexID, ws graph.WeightList, hits []graph.VertexID) []graph.VertexID {
+				// Read in place: the low byte of a little-endian weight
+				// carries its parity.
 				for i, dst := range dsts {
-					if (uint32(dst)+ws[i])%2 == 0 {
+					if (uint32(dst)+uint32(ws.Bytes[i*ws.Width]))%2 == 0 {
 						hits = append(hits, dst)
 					}
 				}

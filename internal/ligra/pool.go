@@ -80,16 +80,14 @@ func putIDBuf(p *[]graph.VertexID) {
 	}
 }
 
-// getAdjBuffer returns a pooled neighbor buffer bound to g when a read
-// decodes: g's lists when g is a graph.NeighborStreamer, and with weights
-// set the lists' weights, which every backend stores packed. The buffer
-// keeps the decode storage of whichever graph it served last, so a warm
-// pool decodes without allocating. An unweighted read of a plain graph
-// borrows sub-slices and needs no storage: it gets nil, and the caller
-// reads through a zero AdjBuffer of its own. One per goroutine; hand it
-// back to putAdjBuffer.
-func getAdjBuffer(g graph.View, weights bool) *graph.AdjBuffer {
-	if _, decodes := g.(graph.NeighborStreamer); !decodes && !weights {
+// getAdjBuffer returns a pooled neighbor buffer bound to g when g decodes
+// its lists (a graph.NeighborStreamer): the buffer keeps the decode
+// storage of whichever graph it served last, so a warm pool decodes
+// without allocating. A plain graph lends sub-slices and needs no
+// storage: it gets nil, and the caller reads it through a zero AdjBuffer
+// of its own. One per goroutine; hand it back to putAdjBuffer.
+func getAdjBuffer(g graph.View) *graph.AdjBuffer {
+	if _, decodes := g.(graph.NeighborStreamer); !decodes {
 		return nil
 	}
 	a := adjPool.Get().(*graph.AdjBuffer)

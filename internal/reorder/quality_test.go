@@ -200,7 +200,7 @@ func TestEvaluateSplitIsExact(t *testing.T) {
 
 // countingView counts the adjacency lists read through it. It embeds the
 // plain graph, so it is not a NeighborStreamer and every list access of an
-// AdjBuffer arrives at the three methods below.
+// AdjBuffer arrives at the methods below, as does every weight read.
 type countingView struct {
 	*graph.Graph
 	outReads []atomic.Int32 // per vertex
@@ -217,9 +217,14 @@ func (c *countingView) InNeighbors(v graph.VertexID) []graph.VertexID {
 	return c.Graph.InNeighbors(v)
 }
 
-func (c *countingView) AppendOutWeights(v graph.VertexID, buf []uint32) []uint32 {
+func (c *countingView) OutWeights(v graph.VertexID) []uint32 {
 	c.others.Add(1)
-	return c.Graph.AppendOutWeights(v, buf)
+	return c.Graph.OutWeights(v)
+}
+
+func (c *countingView) OutWeightList(v graph.VertexID) graph.WeightList {
+	c.others.Add(1)
+	return c.Graph.OutWeightList(v)
 }
 
 // TestEvaluateReadsEachOutListOnce is the exact successor of a timing

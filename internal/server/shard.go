@@ -25,6 +25,7 @@ package server
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/bits"
 	"net/http"
@@ -127,10 +128,10 @@ func (sc *relaxScratch) relax(g graph.View, perm, inv reorder.Permutation) {
 			v = perm[v]
 		}
 		d := in.Dists[i]
-		nbrs, wts := sc.adj.Out(g, v), sc.adj.OutWeights(g, v)
+		nbrs, ws := sc.adj.Out(g, v), g.OutWeightList(v)
 		out.Relaxed += uint64(len(nbrs))
-		for j, nb := range nbrs {
-			nd := d + int64(wts[j])
+		relax := func(nb graph.VertexID, w uint32) {
+			nd := d + int64(w)
 			if c := cand[nb]; nd < c {
 				if c == RelaxInf { // first candidate for nb: mark it for the sweep
 					o := nb
@@ -140,6 +141,25 @@ func (sc *relaxScratch) relax(g graph.View, perm, inv reorder.Permutation) {
 					sc.emit[o>>6] |= 1 << (o & 63)
 				}
 				cand[nb] = nd
+			}
+		}
+		// The weights are read in place, after one switch on their width.
+		b := ws.Bytes
+		switch ws.Width {
+		case 1:
+			b = b[:len(nbrs)]
+			for j, nb := range nbrs {
+				relax(nb, uint32(b[j]))
+			}
+		case 2:
+			b = b[:2*len(nbrs)]
+			for j, nb := range nbrs {
+				relax(nb, uint32(binary.LittleEndian.Uint16(b[2*j:])))
+			}
+		default:
+			b = b[:4*len(nbrs)]
+			for j, nb := range nbrs {
+				relax(nb, binary.LittleEndian.Uint32(b[4*j:]))
 			}
 		}
 	}

@@ -300,6 +300,51 @@ func TestShardRelax(t *testing.T) {
 	}
 }
 
+// TestRelaxAtEveryWeightWidth holds the relax kernel, which reads weights
+// in place, to the minimum over each target's decoded in-edges at each
+// stored width: the largest weight is 63 (one byte), 65535 (two) and
+// 65536 (four).
+func TestRelaxAtEveryWeightWidth(t *testing.T) {
+	for _, maxW := range []uint32{63, 65535, 65536} {
+		const n = 200
+		var edges []graph.Edge
+		for v := range graph.VertexID(n) {
+			for i := range graph.VertexID(5) {
+				w := 1 + (uint32(v)*7919+uint32(i)*104729)%maxW
+				edges = append(edges, graph.Edge{Src: v, Dst: (v*31 + i*17) % n, Weight: w})
+			}
+		}
+		edges[len(edges)/2].Weight = maxW
+		g, err := graph.Build(edges)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sc relaxScratch
+		for v := range graph.VertexID(n / 2) {
+			sc.in.IDs = append(sc.in.IDs, 2*v)
+			sc.in.Dists = append(sc.in.Dists, int64(v))
+		}
+		sc.relax(g, nil, nil)
+		want := map[graph.VertexID]int64{}
+		for i, v := range sc.in.IDs {
+			for j, w := range g.OutWeights(v) {
+				nb, d := g.OutNeighbors(v)[j], sc.in.Dists[i]+int64(w)
+				if b, ok := want[nb]; !ok || d < b {
+					want[nb] = d
+				}
+			}
+		}
+		if len(sc.out.IDs) != len(want) {
+			t.Fatalf("max weight %d: %d candidates, want %d", maxW, len(sc.out.IDs), len(want))
+		}
+		for i, v := range sc.out.IDs {
+			if d := sc.out.Dists[i]; d != want[v] {
+				t.Errorf("max weight %d: candidate (%d, %d), want distance %d", maxW, v, d, want[v])
+			}
+		}
+	}
+}
+
 func TestTraceIDAdoptionAcrossHop(t *testing.T) {
 	s := testServer(t)
 	h := s.Handler()
