@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -259,11 +260,9 @@ func readBinary(br *bufio.Reader, remaining int64) (*Graph, error) {
 	}
 	g := &Graph{n: n, m: m, outIndex: outIndex, outEdges: outEdges}
 	if flags&1 != 0 {
-		ws, err := readUint32s(br, m, sized)
-		if err != nil {
+		if g.outWeights, g.wb, err = readWeights(br, m, sized); err != nil {
 			return nil, fmt.Errorf("graph: reading weights: %w", err)
 		}
-		g.outWeights, g.wb = packWeights(ws)
 	}
 	g.inIndex, g.inEdges = transposeCSR(outIndex, outEdges, 1)
 	if err := g.Validate(); err != nil {
@@ -313,6 +312,56 @@ func readSlice[T uint32 | uint64](r io.Reader, count, size int, trusted bool, ge
 		}
 	}
 	return dst, nil
+}
+
+// readWeights reads count 4-byte weights through one scratch buffer, as
+// readSlice does, and stores them at the width the largest needs without
+// ever holding 4 bytes of each: the packed array starts one byte wide and
+// is re-stored wider (at most twice) when a chunk holds a weight that
+// needs it. trusted sizes the array as readSlice does.
+func readWeights(r io.Reader, count int, trusted bool) ([]byte, int, error) {
+	var buf [ioChunkBytes]byte
+	const perChunk = ioChunkBytes / 4
+	initial := min(count, perChunk)
+	if trusted {
+		initial = count
+	}
+	w, wb := make([]byte, 0, initial), 1
+	for done := 0; done < count; {
+		chunk := min(count-done, perChunk)
+		src := buf[:chunk*4]
+		if _, err := io.ReadFull(r, src); err != nil {
+			return nil, 0, err
+		}
+		var maxW uint32
+		for i := 0; i < len(src); i += 4 {
+			maxW = max(maxW, binary.LittleEndian.Uint32(src[i:]))
+		}
+		if nb := widthFor(maxW); nb > wb {
+			wider := make([]byte, len(w)/wb*nb, cap(w)/wb*nb)
+			copyWeights(wider, nb, w, wb)
+			w, wb = wider, nb
+		}
+		// A weight's packed form is the low wb bytes of its 4-byte
+		// little-endian form.
+		base := len(w)
+		w = slices.Grow(w, chunk*wb)[:base+chunk*wb]
+		dst := w[base:]
+		switch wb {
+		case 1:
+			for i := range dst {
+				dst[i] = src[4*i]
+			}
+		case 2:
+			for i := 0; i < chunk; i++ {
+				dst[2*i], dst[2*i+1] = src[4*i], src[4*i+1]
+			}
+		default:
+			copy(dst, src)
+		}
+		done += chunk
+	}
+	return w, wb, nil
 }
 
 func writeUint64s(w io.Writer, vals []uint64) error {

@@ -260,9 +260,13 @@ func TestReadBinarySizedReader(t *testing.T) {
 		t.Fatal(err)
 	}
 	data := buf.Bytes()
-	// A load keeps the payload, an in-CSR of the same size and the
-	// in-CSR's cursor array; chunk buffers and the bufio are the slack.
-	keeps := uint64(2*(len(data)-40) + 8*g.NumVertices())
+	// A load keeps the out-CSR, its weights at their width (one byte each:
+	// buildRandom draws them from 1..63), an in-CSR of the same size as
+	// the out-CSR and the in-CSR's cursor array; chunk buffers and the
+	// bufio are the slack, which a 4-byte array of every weight exceeds.
+	m := uint64(g.NumEdges())
+	outCSR := uint64(len(data)-40) - 4*m
+	keeps := 2*outCSR + m + uint64(8*g.NumVertices())
 	var sized, unsized, auto *Graph
 	sizedBytes := allocatedBy(func() { sized, err = ReadBinary(bytes.NewReader(data)) })
 	if err != nil {
@@ -276,7 +280,7 @@ func TestReadBinarySizedReader(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const slack = 1 << 20
+	const slack = 1 << 19
 	if sizedBytes > keeps+slack || autoBytes > keeps+slack {
 		t.Errorf("sized load allocated %d (ReadAuto %d) bytes for a graph that keeps %d", sizedBytes, autoBytes, keeps)
 	}
@@ -286,6 +290,58 @@ func TestReadBinarySizedReader(t *testing.T) {
 	requireSameGraph(t, g, sized, "sized reader")
 	requireSameGraph(t, g, unsized, "unsized reader")
 	requireSameGraph(t, g, auto, "ReadAuto on a sized reader")
+}
+
+// TestReadBinaryWidensWeightsMidStream: the reader packs weights a chunk
+// at a time, so a weight that needs a wider width can arrive after chunks
+// stored narrower, and a second one can widen again. Wherever the wide
+// weights sit in the stream, the graph read back is the built one array
+// for array, its stored width included, on a sized and an unsized stream.
+func TestReadBinaryWidensWeightsMidStream(t *testing.T) {
+	const n = 1 << 10
+	const m = 3*ioChunkBytes/4 + 100 // the weights span four chunks
+	for _, tc := range []struct {
+		name string
+		wide map[VertexID]uint32 // source of an edge -> its weight
+	}{
+		{"narrow", nil},
+		{"first list", map[VertexID]uint32{0: 256}},
+		{"middle list", map[VertexID]uint32{n / 2: 65535}},
+		{"last list", map[VertexID]uint32{n - 1: 1<<32 - 1}},
+		{"twice", map[VertexID]uint32{n / 3: 256, n - 1: 65536}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			edges := randomIOEdges(t, 5, n, m, true)
+			i := 0
+			for src, w := range tc.wide {
+				edges[i] = Edge{Src: src, Dst: 1, Weight: w}
+				i++
+			}
+			g, err := BuildWith(edges, BuildOptions{NumVertices: n, Weighted: true, SortNeighbors: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			if err := WriteBinary(&buf, g); err != nil {
+				t.Fatal(err)
+			}
+			for _, stream := range []struct {
+				name string
+				r    io.Reader
+			}{
+				{"sized", bytes.NewReader(buf.Bytes())},
+				{"unsized", struct{ io.Reader }{bytes.NewReader(buf.Bytes())}},
+			} {
+				h, err := ReadBinary(stream.r)
+				if err != nil {
+					t.Fatalf("%s: %v", stream.name, err)
+				}
+				if err := sameArrays(h, g); err != nil {
+					t.Errorf("%s: %v", stream.name, err)
+				}
+			}
+		})
+	}
 }
 
 func TestReadBinaryPreservesAdjacencyOrder(t *testing.T) {
