@@ -404,6 +404,53 @@ func TestPushDominatedFlags(t *testing.T) {
 	}
 }
 
+// directionTally counts the edges a traced run examines in each
+// direction.
+type directionTally struct{ pull, push uint64 }
+
+func (d *directionTally) EdgeExamined(_, _ graph.VertexID, pull bool) {
+	if pull {
+		d.pull++
+	} else {
+		d.push++
+	}
+}
+
+func (d *directionTally) VertexVisited(graph.VertexID, bool) {}
+
+// TestReorderKeyFollowsKernel holds every application's reorder degree to
+// the §VI-C rule applied to the direction that carries most of its
+// examined edges: a pull reads prop[src], so its hot vertices are those
+// with high out-degree; a push writes prop[dst], so its hot vertices are
+// those with high in-degree.
+func TestReorderKeyFollowsKernel(t *testing.T) {
+	for _, dataset := range []string{"sd", "lj"} {
+		g, err := gen.Generate(gen.MustDataset(dataset, gen.Tiny))
+		if err != nil {
+			t.Fatal(err)
+		}
+		roots := make([]graph.VertexID, 64)
+		roots[0] = hubVertex(g)
+		for i := 1; i < len(roots); i++ {
+			roots[i] = graph.VertexID((i * 61) % g.NumVertices())
+		}
+		for _, spec := range All() {
+			var tally directionTally
+			if _, err := spec.Run(Input{Graph: g, Roots: roots, Workers: 1, Tracer: &tally}); err != nil {
+				t.Fatalf("%s/%s: %v", dataset, spec.Name, err)
+			}
+			want := graph.InDegree
+			if tally.pull > tally.push {
+				want = graph.OutDegree
+			}
+			if got := spec.ReorderDegree; got != want {
+				t.Errorf("%s/%s: reorders by %v, but %d of %d examined edges pull, so §VI-C wants %v",
+					dataset, spec.Name, got, tally.pull, tally.pull+tally.push, want)
+			}
+		}
+	}
+}
+
 func BenchmarkPageRank(b *testing.B) {
 	g, err := gen.Generate(gen.MustDataset("sd", gen.Small))
 	if err != nil {
