@@ -3,11 +3,15 @@
 // PageRank-Delta (PRD), single-source shortest paths (SSSP), betweenness
 // centrality (BC) and Radii estimation.
 //
-// Computation direction and the degree kind used for reordering follow
-// Table VIII: BC and Radii are pull-push with out-degree reordering, PR is
-// pull-only with out-degree, SSSP and PRD reorder by in-degree and SSSP is
-// push-only. PRD departs from the table: the paper pushes, this package
-// runs every round as a destination-owned dense pull (see runPRD).
+// Each application states the EdgeMap direction that carries most of the
+// edges it examines (Spec.Dir), and the degree kind it is reordered by
+// follows from that direction by the rule of §VI-C: a pull reads
+// prop[src], so its hot vertices are those with high out-degree; a push
+// writes prop[dst], so its hot vertices are those with high in-degree. PR,
+// PRD, BC and Radii pull and reorder by out-degree; SSSP pushes and
+// reorders by in-degree. PRD departs from Table VIII, which pushes it and
+// keys it on in-degree: this package runs every PRD round as a
+// destination-owned dense pull (see runPRD), so its key is out-degree.
 //
 // Every application has one form of its edge function: list callbacks
 // (ligra.EdgeMapFns.PullList, PushList) that loop over a whole neighbor
@@ -170,28 +174,33 @@ func (r *recorder) output(values any, checksum float64) Output {
 type Spec struct {
 	// Name is the paper's abbreviation: BC, SSSP, PR, PRD, Radii.
 	Name string
-	// ReorderDegree is the degree kind used when reordering for this
-	// application (Table VIII).
-	ReorderDegree graph.DegreeKind
+	// Dir is the EdgeMap direction that carries most of the application's
+	// examined edges: ligra.Pull or ligra.Push.
+	Dir ligra.Direction
 	// NumRoots is how many root vertices a single run consumes (0 for
 	// rootless applications; Radii consumes a sample of 64).
 	NumRoots int
-	// PushDominated marks the two applications the paper runs push-only,
-	// whose irregular accesses are writes there (SSSP, PRD; Table VIII);
-	// Fig. 9 studies exactly these. PRD here pulls (see runPRD).
-	PushDominated bool
 	// Run executes the application.
 	Run func(Input) (Output, error)
+}
+
+// ReorderDegree is the degree kind to reorder by for this application:
+// out-degree for a pull, in-degree for a push (§VI-C).
+func (s Spec) ReorderDegree() graph.DegreeKind {
+	if s.Dir == ligra.Push {
+		return graph.InDegree
+	}
+	return graph.OutDegree
 }
 
 // All returns the five applications in the paper's presentation order.
 func All() []Spec {
 	return []Spec{
-		{Name: "BC", ReorderDegree: graph.OutDegree, NumRoots: 1, Run: runBC},
-		{Name: "SSSP", ReorderDegree: graph.InDegree, NumRoots: 1, PushDominated: true, Run: runSSSP},
-		{Name: "PR", ReorderDegree: graph.OutDegree, Run: runPR},
-		{Name: "PRD", ReorderDegree: graph.InDegree, PushDominated: true, Run: runPRD},
-		{Name: "Radii", ReorderDegree: graph.OutDegree, NumRoots: radiiSamples, Run: runRadii},
+		{Name: "BC", Dir: ligra.Pull, NumRoots: 1, Run: runBC},
+		{Name: "SSSP", Dir: ligra.Push, NumRoots: 1, Run: runSSSP},
+		{Name: "PR", Dir: ligra.Pull, Run: runPR},
+		{Name: "PRD", Dir: ligra.Pull, Run: runPRD},
+		{Name: "Radii", Dir: ligra.Pull, NumRoots: radiiSamples, Run: runRadii},
 	}
 }
 

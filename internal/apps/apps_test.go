@@ -335,7 +335,7 @@ func TestAllSpecsRunAndChecksumsAreOrderingInvariant(t *testing.T) {
 			t.Fatalf("%s: traversed no edges", spec.Name)
 		}
 		for _, tech := range techniques {
-			res, err := reorder.PlanOf(tech).Apply(g, spec.ReorderDegree)
+			res, err := reorder.PlanOf(tech).Apply(g, spec.ReorderDegree())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -385,25 +385,6 @@ func TestInputValidation(t *testing.T) {
 	}
 }
 
-func TestPushDominatedFlags(t *testing.T) {
-	for _, s := range All() {
-		want := s.Name == "SSSP" || s.Name == "PRD"
-		if s.PushDominated != want {
-			t.Errorf("%s: PushDominated = %v, want %v", s.Name, s.PushDominated, want)
-		}
-	}
-	// Degree kinds per Table VIII.
-	kinds := map[string]graph.DegreeKind{
-		"BC": graph.OutDegree, "SSSP": graph.InDegree, "PR": graph.OutDegree,
-		"PRD": graph.InDegree, "Radii": graph.OutDegree,
-	}
-	for _, s := range All() {
-		if s.ReorderDegree != kinds[s.Name] {
-			t.Errorf("%s: degree kind %v, want %v", s.Name, s.ReorderDegree, kinds[s.Name])
-		}
-	}
-}
-
 // directionTally counts the edges a traced run examines in each
 // direction.
 type directionTally struct{ pull, push uint64 }
@@ -443,7 +424,7 @@ func TestReorderKeyFollowsKernel(t *testing.T) {
 			if tally.pull > tally.push {
 				want = graph.OutDegree
 			}
-			if got := spec.ReorderDegree; got != want {
+			if got := spec.ReorderDegree(); got != want {
 				t.Errorf("%s/%s: reorders by %v, but %d of %d examined edges pull, so §VI-C wants %v",
 					dataset, spec.Name, got, tally.pull, tally.pull+tally.push, want)
 			}

@@ -26,7 +26,7 @@ func (r *Runner) simStats(dataset string, spec apps.Spec, tech reorder.Technique
 	if _, ok := tech.(reorder.IdentityTechnique); ok || tech == nil {
 		return trace.Simulate(spec, g, roots, machine, maxIters)
 	}
-	res, err := r.Reorder(dataset, tech, spec.ReorderDegree)
+	res, err := r.Reorder(dataset, tech, spec.ReorderDegree())
 	if err != nil {
 		return cachesim.Stats{}, err
 	}

@@ -40,9 +40,9 @@ func (r *Runner) CompressTable() error {
 			var quality reorder.QualityReport
 			mappedRoots := roots
 			if _, identity := tech.(reorder.IdentityTechnique); identity {
-				quality = reorder.Evaluate(g, spec.ReorderDegree, nil)
+				quality = reorder.Evaluate(g, spec.ReorderDegree(), nil)
 			} else {
-				res, err := r.Reorder(ds, tech, spec.ReorderDegree)
+				res, err := r.Reorder(ds, tech, spec.ReorderDegree())
 				if err != nil {
 					return err
 				}

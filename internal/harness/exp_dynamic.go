@@ -84,7 +84,7 @@ func (r *Runner) AblationDynamic() error {
 		d := dynamic.FromGraph(g)
 		perm := reorder.Identity(g.NumVertices()) // original -> view IDs
 		if p.every > 0 {
-			res, err := reorder.PlanOf(reorder.NewDBG()).ApplyWorkers(g, spec.ReorderDegree, r.rebuildWorkers())
+			res, err := reorder.PlanOf(reorder.NewDBG()).ApplyWorkers(g, spec.ReorderDegree(), r.rebuildWorkers())
 			if err != nil {
 				return err
 			}
@@ -108,7 +108,7 @@ func (r *Runner) AblationDynamic() error {
 			}
 			sinceRefresh++
 			if p.every > 0 && sinceRefresh >= p.every {
-				res, err := reorder.PlanOf(reorder.NewDBG()).ApplyWorkers(snap, spec.ReorderDegree, r.rebuildWorkers())
+				res, err := reorder.PlanOf(reorder.NewDBG()).ApplyWorkers(snap, spec.ReorderDegree(), r.rebuildWorkers())
 				if err != nil {
 					return err
 				}

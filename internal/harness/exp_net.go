@@ -94,7 +94,7 @@ func (r *Runner) Fig11() error {
 		}
 		tt := &times{basePer: baseM.Mean, techPer: map[string]time.Duration{}, cost: map[string]time.Duration{}}
 		for _, tech := range techs {
-			res, err := r.Reorder(ds, tech, spec.ReorderDegree)
+			res, err := r.Reorder(ds, tech, spec.ReorderDegree())
 			if err != nil {
 				return err
 			}
@@ -166,7 +166,7 @@ func (r *Runner) Table12() error {
 				m, err := r.MeasureApp(oneIterSpec(spec), g, nil)
 				return m.Mean, 0, err
 			}
-			res, err := r.Reorder(ds, tech, spec.ReorderDegree)
+			res, err := r.Reorder(ds, tech, spec.ReorderDegree())
 			if err != nil {
 				return 0, 0, err
 			}

@@ -44,7 +44,7 @@ func (r *Runner) QualityVsSpeedup() error {
 				m.Mean.Round(10*time.Microsecond).String(),
 				fmt.Sprintf("%+.1f", SpeedupPercent(baseM.Mean, m.Mean)))
 		}
-		addRow("Original", reorder.Evaluate(g, spec.ReorderDegree, nil), baseM)
+		addRow("Original", reorder.Evaluate(g, spec.ReorderDegree(), nil), baseM)
 		for _, tech := range r.evaluatedTechniques() {
 			m, res, err := r.appTime(ds, spec, tech)
 			if err != nil {
@@ -52,7 +52,7 @@ func (r *Runner) QualityVsSpeedup() error {
 			}
 			addRow(tech.Name(), res.Quality, m)
 		}
-		rec := reorder.Advise(g, spec.ReorderDegree)
+		rec := reorder.Advise(g, spec.ReorderDegree())
 		verdicts = append(verdicts, fmt.Sprintf("%s -> %s (hot %.0f%%, coverage %.0f%%, gain %.2fx)",
 			ds, rec.Spec, 100*rec.HotFrac, 100*rec.EdgeCoverage, rec.PredictedGain))
 	}

@@ -28,7 +28,7 @@ func (r *Runner) appTime(dataset string, spec apps.Spec, tech reorder.Technique)
 		m, err := r.MeasureApp(spec, g, roots)
 		return m, nil, err
 	}
-	res, err := r.Reorder(dataset, tech, spec.ReorderDegree)
+	res, err := r.Reorder(dataset, tech, spec.ReorderDegree())
 	if err != nil {
 		return Measurement{}, nil, err
 	}

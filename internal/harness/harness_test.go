@@ -51,11 +51,11 @@ func TestGraphCaching(t *testing.T) {
 func TestReorderCaching(t *testing.T) {
 	r := tinyRunner(&bytes.Buffer{})
 	spec, _ := apps.ByName("PR")
-	res1, err := r.Reorder("kr", reorder.NewDBG(), spec.ReorderDegree)
+	res1, err := r.Reorder("kr", reorder.NewDBG(), spec.ReorderDegree())
 	if err != nil {
 		t.Fatal(err)
 	}
-	res2, err := r.Reorder("kr", reorder.NewDBG(), spec.ReorderDegree)
+	res2, err := r.Reorder("kr", reorder.NewDBG(), spec.ReorderDegree())
 	if err != nil {
 		t.Fatal(err)
 	}
