@@ -17,11 +17,7 @@ func (r *Runner) simStats(dataset string, spec apps.Spec, tech reorder.Technique
 	if err != nil {
 		return cachesim.Stats{}, err
 	}
-	nRoots := 1
-	if spec.Name == "Radii" {
-		nRoots = 64
-	}
-	roots := r.Roots(g, nRoots)
+	roots := r.Roots(g, max(spec.NumRoots, 1))
 	machine := trace.MachineFor(r.opts.Scale)
 	if _, ok := tech.(reorder.IdentityTechnique); ok || tech == nil {
 		return trace.Simulate(spec, g, roots, machine, maxIters)

@@ -19,8 +19,8 @@ func (r *Runner) appTime(dataset string, spec apps.Spec, tech reorder.Technique)
 		return Measurement{}, nil, err
 	}
 	nRoots := r.opts.RootsPerApp
-	if spec.Name == "Radii" {
-		nRoots = 64
+	if spec.NumRoots > 1 {
+		nRoots = spec.NumRoots
 	}
 	roots := r.Roots(g, nRoots)
 
@@ -105,8 +105,15 @@ func (r *Runner) renderSpeedupGrid(title string, grid map[string]map[string][]fl
 	t.Render(r.out())
 }
 
-// appNames returns the paper's five applications in order.
-func appNames() []string { return []string{"BC", "SSSP", "PR", "PRD", "Radii"} }
+// appNames returns the names of apps.All(), the paper's five applications
+// in order.
+func appNames() []string {
+	var names []string
+	for _, spec := range apps.All() {
+		names = append(names, spec.Name)
+	}
+	return names
+}
 
 // Fig3 regenerates Fig. 3: slowdown of the Radii application under random
 // reordering at vertex (RV) and cache-block (RCB-1/2/4) granularity.

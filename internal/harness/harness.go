@@ -248,7 +248,7 @@ type Measurement struct {
 func (r *Runner) MeasureApp(spec apps.Spec, g graph.View, roots []graph.VertexID) (Measurement, error) {
 	runOnce := func() (time.Duration, error) {
 		start := time.Now()
-		if spec.NumRoots <= 1 && spec.Name != "Radii" {
+		if spec.NumRoots <= 1 {
 			n := r.opts.RootsPerApp
 			if spec.NumRoots == 0 {
 				n = 1
