@@ -592,8 +592,10 @@ type BuildSpec struct {
 	// defaults to compressed — and serves the file's mapping zero-copy
 	// when no reordering or mutation forces a decode.
 	Backend string `json:"backend,omitempty"`
-	// Degree is the degree kind used for reordering: "in" or "out"
-	// (default "out", the paper's choice for pull-dominated apps).
+	// Degree is the degree kind used for reordering: "in" or "out".
+	// The default, "out", serves the PageRank precompute, a pull: a pull
+	// reads prop[src], so its hot vertices are those with high
+	// out-degree (§VI-C).
 	Degree string `json:"degree,omitempty"`
 	// MaxIters bounds the PageRank precompute (0 = default).
 	MaxIters int `json:"max_iters,omitempty"`

@@ -36,7 +36,8 @@ func (a App) NeedsSamples() bool { return a.spec.NumRoots > 1 }
 var (
 	// AppPR is pull-based PageRank run to convergence (damping 0.85).
 	AppPR = mustApp("PR")
-	// AppPRD is push-based incremental PageRank-Delta.
+	// AppPRD is incremental PageRank-Delta, every round a dense pull
+	// over the active vertices' contributions.
 	AppPRD = mustApp("PRD")
 	// AppSSSP is frontier-based Bellman-Ford single-source shortest
 	// paths; requires a weighted graph and WithRoot.
