@@ -4,14 +4,13 @@
 // centrality (BC) and Radii estimation.
 //
 // Each application states the EdgeMap direction that carries most of the
-// edges it examines (Spec.Dir), and the degree kind it is reordered by
-// follows from that direction by the rule of §VI-C: a pull reads
-// prop[src], so its hot vertices are those with high out-degree; a push
-// writes prop[dst], so its hot vertices are those with high in-degree. PR,
-// PRD, BC and Radii pull and reorder by out-degree; SSSP pushes and
-// reorders by in-degree. PRD departs from Table VIII, which pushes it and
-// keys it on in-degree: this package runs every PRD round as a
-// destination-owned dense pull (see runPRD), so its key is out-degree.
+// edges it examines (Spec.Dir), and Spec.ReorderDegree derives the degree
+// kind to reorder by from it with the rule of §VI-C: a pull reads
+// prop[src], so its hot vertices have high out-degree; a push writes
+// prop[dst], so its hot vertices have high in-degree. PRD departs from
+// Table VIII, which pushes it and keys it on in-degree: every PRD round
+// here is a destination-owned dense pull (see runPRD), so its key is
+// out-degree.
 //
 // Every application has one form of its edge function: list callbacks
 // (ligra.EdgeMapFns.PullList, PushList) that loop over a whole neighbor

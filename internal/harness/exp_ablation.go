@@ -79,22 +79,7 @@ func (r *Runner) AblationGorderDBG() error {
 	if err != nil {
 		return err
 	}
-	t := NewTable("Ablation — Gorder+DBG composition, geomean speed-up % across 5 apps",
-		append([]string{"technique"}, append(gen.SkewedNames(), "ALL")...)...)
-	for ti, tech := range techs {
-		cells := []string{tech.Name()}
-		var all []float64
-		for _, ds := range gen.SkewedNames() {
-			var per []float64
-			for _, appName := range appNames() {
-				per = append(per, grid[appName][ds][ti])
-			}
-			all = append(all, per...)
-			cells = append(cells, fmt.Sprintf("%+.1f", GeoMeanSpeedup(per)))
-		}
-		cells = append(cells, fmt.Sprintf("%+.1f", GeoMeanSpeedup(all)))
-		t.Add(cells...)
-	}
+	t := geomeanTable("Ablation — Gorder+DBG composition, geomean speed-up % across 5 apps", grid, gen.SkewedNames(), techs)
 	t.Note("Paper: Gorder+DBG 17.2%% vs Gorder 18.6%% across 40 datapoints — composition keeps most of the benefit.")
 	t.Render(r.out())
 	return nil

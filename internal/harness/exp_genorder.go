@@ -84,12 +84,8 @@ func (r *Runner) AblationGenOrder() error {
 			fmt.Sprintf("%v / %v / %v", ms(tBuild), ms(res.ReorderTime), ms(res.RebuildTime)),
 			fmt.Sprintf("%v / %v / %v", ms(tPerm), ms(tRename), ms(tBuildI)),
 			fmt.Sprintf("%+.1f%%", saving))
-		verdict := "faster"
-		if saving < 0 {
-			verdict = "slower"
-		}
-		t.Note("%s: integrated trades the %v relabel for a %v rename, perm %v for %v and build %v for %v: %.1f%% %s end to end.",
-			name, ms(res.RebuildTime), ms(tRename), ms(res.ReorderTime), ms(tPerm), ms(tBuild), ms(tBuildI), max(saving, -saving), verdict)
+		t.Note("%s: integrated trades the %v relabel for a %v rename, perm %v for %v and build %v for %v, saving %+.1f%% end to end.",
+			name, ms(res.RebuildTime), ms(tRename), ms(res.ReorderTime), ms(tPerm), ms(tBuild), ms(tBuildI), saving)
 	}
 	t.Note("Both pipelines build, relabel and rename on %d worker(s).", workers)
 	t.Render(r.out())

@@ -34,12 +34,8 @@ func (r *Runner) Fig10() error {
 	techs := r.evaluatedTechniques()
 	datasets := fig10Datasets()
 	perTech := make(map[string][]float64)
-	for _, appName := range appNames() {
-		spec, err := apps.ByName(appName)
-		if err != nil {
-			return err
-		}
-		t := NewTable(fmt.Sprintf("Fig. 10 — %s net speed-up %% (including reordering time)", appName),
+	for _, spec := range apps.All() {
+		t := NewTable(fmt.Sprintf("Fig. 10 — %s net speed-up %% (including reordering time)", spec.Name),
 			append([]string{"technique"}, datasets...)...)
 		for _, tech := range techs {
 			cells := []string{tech.Name()}

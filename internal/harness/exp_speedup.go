@@ -72,9 +72,9 @@ func (r *Runner) speedupGrid(appNames, datasets []string, techs []reorder.Techni
 
 // renderSpeedupGrid prints one table per application plus per-dataset and
 // overall geometric means, in the layout of Fig. 6.
-func (r *Runner) renderSpeedupGrid(title string, grid map[string]map[string][]float64, appNames, datasets []string, techs []reorder.Technique) {
+func (r *Runner) renderSpeedupGrid(title string, grid map[string]map[string][]float64, datasets []string, techs []reorder.Technique) {
 	headers := append([]string{"app \\ dataset"}, datasets...)
-	for _, appName := range appNames {
+	for _, appName := range appNames() {
 		t := NewTable(fmt.Sprintf("%s — %s speed-up %% over no reordering", title, appName), headers...)
 		for ti, tech := range techs {
 			cells := []string{tech.Name()}
@@ -85,15 +85,19 @@ func (r *Runner) renderSpeedupGrid(title string, grid map[string]map[string][]fl
 		}
 		t.Render(r.out())
 	}
-	// Geometric means across apps for each dataset, and overall.
-	t := NewTable(fmt.Sprintf("%s — geomean speed-up %% across %d apps", title, len(appNames)),
-		append([]string{"technique"}, append(datasets, "ALL")...)...)
+	geomeanTable(fmt.Sprintf("%s — geomean speed-up %% across %d apps", title, len(grid)), grid, datasets, techs).Render(r.out())
+}
+
+// geomeanTable tabulates each technique's geometric-mean speed-up across
+// the applications of grid, per dataset and over all of them.
+func geomeanTable(title string, grid map[string]map[string][]float64, datasets []string, techs []reorder.Technique) *Table {
+	t := NewTable(title, append([]string{"technique"}, append(datasets, "ALL")...)...)
 	for ti, tech := range techs {
 		cells := []string{tech.Name()}
 		var all []float64
 		for _, ds := range datasets {
 			var per []float64
-			for _, appName := range appNames {
+			for _, appName := range appNames() {
 				per = append(per, grid[appName][ds][ti])
 			}
 			all = append(all, per...)
@@ -102,7 +106,7 @@ func (r *Runner) renderSpeedupGrid(title string, grid map[string]map[string][]fl
 		cells = append(cells, fmt.Sprintf("%+.1f", GeoMeanSpeedup(all)))
 		t.Add(cells...)
 	}
-	t.Render(r.out())
+	return t
 }
 
 // appNames returns the names of apps.All(), the paper's five applications
@@ -169,22 +173,8 @@ func (r *Runner) Fig5() error {
 	if err != nil {
 		return err
 	}
-	t := NewTable("Fig. 5 — original (-O) vs DBG-framework implementations, geomean speed-up % across 5 apps",
-		append([]string{"technique"}, append(gen.SkewedNames(), "GMean")...)...)
-	for ti, tech := range techs {
-		cells := []string{tech.Name()}
-		var all []float64
-		for _, ds := range gen.SkewedNames() {
-			var per []float64
-			for _, appName := range appNames() {
-				per = append(per, grid[appName][ds][ti])
-			}
-			all = append(all, per...)
-			cells = append(cells, fmt.Sprintf("%+.1f", GeoMeanSpeedup(per)))
-		}
-		cells = append(cells, fmt.Sprintf("%+.1f", GeoMeanSpeedup(all)))
-		t.Add(cells...)
-	}
+	t := geomeanTable("Fig. 5 — original (-O) vs DBG-framework implementations, geomean speed-up % across 5 apps",
+		grid, gen.SkewedNames(), techs)
 	t.Note("Paper: the reimplementations (no suffix) outperform the originals (-O) nearly everywhere.")
 	t.Render(r.out())
 	return nil
@@ -236,7 +226,7 @@ func (r *Runner) Fig6() error {
 	if err != nil {
 		return err
 	}
-	r.renderSpeedupGrid("Fig. 6", grid, appNames(), gen.SkewedNames(), techs)
+	r.renderSpeedupGrid("Fig. 6", grid, gen.SkewedNames(), techs)
 
 	// Unstructured vs structured geomeans (Fig. 6a/6b summary).
 	t := NewTable("Fig. 6 — geomean speed-up % by dataset class",
@@ -270,7 +260,7 @@ func (r *Runner) Fig7() error {
 	if err != nil {
 		return err
 	}
-	r.renderSpeedupGrid("Fig. 7", grid, appNames(), gen.NoSkewNames(), techs)
+	r.renderSpeedupGrid("Fig. 7", grid, gen.NoSkewNames(), techs)
 	fmt.Fprintln(r.out(), "  Paper: skew-aware techniques within ±1.2% on uni and ±0.4% on road; Gorder ~+3.5%.")
 	return nil
 }
