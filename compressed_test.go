@@ -149,7 +149,7 @@ func TestCompressedSSSPAtEveryWeightWidth(t *testing.T) {
 				}
 				for v := 0; v < g.NumVertices(); v++ {
 					id := VertexID(v)
-					if !reflect.DeepEqual(dec.OutWeights(id), g.OutWeights(id)) {
+					if !reflect.DeepEqual(dec.OutWeightList(id).Append(nil), g.OutWeightList(id).Append(nil)) {
 						t.Fatalf("%s: decoded weights of vertex %d differ from the plain graph's", z.name, v)
 					}
 				}

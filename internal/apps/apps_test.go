@@ -90,7 +90,7 @@ func refDijkstra(g *graph.Graph, root graph.VertexID) []int64 {
 		}
 		done[u] = true
 		nbrs := g.OutNeighbors(graph.VertexID(u))
-		ws := g.OutWeights(graph.VertexID(u))
+		ws := g.OutWeightList(graph.VertexID(u)).Append(nil)
 		for j, v := range nbrs {
 			if nd := dist[u] + int64(ws[j]); nd < dist[v] {
 				dist[v] = nd

@@ -33,7 +33,7 @@ func edgeMultiset(gs ...*graph.Graph) map[[3]uint64]int {
 	for _, g := range gs {
 		for v := 0; v < g.NumVertices(); v++ {
 			id := graph.VertexID(v)
-			nbrs, wts := g.OutNeighbors(id), g.OutWeights(id)
+			nbrs, wts := g.OutNeighbors(id), g.OutWeightList(id).Append(nil)
 			for i, nb := range nbrs {
 				var w uint64
 				if wts != nil {

@@ -16,9 +16,9 @@ import (
 // plain graph's packed weights, byte for byte: stored once, for the
 // out-direction, at the narrowest of 1, 2 or 4 little-endian bytes that
 // holds the graph's largest weight, addressed by the out edge-index array
-// and index-aligned with the decoded out-neighbors. Hot loops read a
-// list's weights in place (OutWeightList); the rest decode them through
-// the allocating OutWeights.
+// and index-aligned with the decoded out-neighbors. Readers take a list's
+// weights as stored (OutWeightList): hot loops read them in place, the
+// rest decode them with WeightList.Append.
 //
 // A Graph is immutable after construction and safe for concurrent use.
 // When it was produced by OpenFile its arrays point into a shared
@@ -91,17 +91,6 @@ func (g *Graph) Degrees(kind graph.DegreeKind) []uint32 {
 		}
 	}
 	return d
-}
-
-// OutWeights decodes the weights aligned with v's out-neighbors into a
-// fresh slice (empty, not nil, for an empty list), or returns nil for an
-// unweighted graph. Like OutNeighbors this is the convenience path; hot
-// loops read OutWeightList in place.
-func (g *Graph) OutWeights(v graph.VertexID) []uint32 {
-	if !g.Weighted() {
-		return nil
-	}
-	return g.OutWeightList(v).Append(make([]uint32, 0, g.OutDegree(v)))
 }
 
 // OutWeightList returns the weights aligned with v's out-neighbors as

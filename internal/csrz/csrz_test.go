@@ -64,7 +64,7 @@ func assertSameView(t *testing.T, want *graph.Graph, got graph.View) {
 			t.Fatalf("vertex %d: in neighbors mismatch", v)
 		}
 		if want.Weighted() {
-			if !reflect.DeepEqual(append([]uint32{}, got.OutWeights(id)...), append([]uint32{}, want.OutWeights(id)...)) {
+			if !reflect.DeepEqual(got.OutWeightList(id).Append([]uint32{}), want.OutWeightList(id).Append([]uint32{})) {
 				t.Fatalf("vertex %d: out weights mismatch", v)
 			}
 		}

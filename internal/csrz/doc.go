@@ -12,9 +12,8 @@
 // packed bytes and width, Decode copies them back, and OutWeightList
 // hands out a list's weights as stored, a sub-slice that hot loops read
 // in place (the engine's push kernel fetches it only for a callback that
-// set ligra.EdgeMapFns.Weights), as on the plain graph. OutWeights is the
-// allocating convenience path, as OutNeighbors is. There are no
-// in-weights: only a push reads weights. Container versions 1 and 2
+// set ligra.EdgeMapFns.Weights), as on the plain graph; WeightList.Append
+// decodes them for everyone else. There are no in-weights: only a push reads weights. Container versions 1 and 2
 // stored them anyway; their readers check that section's length and drop
 // it unread.
 //

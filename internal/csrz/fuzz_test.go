@@ -134,7 +134,7 @@ func TestReadsVersion1(t *testing.T) {
 		}
 		for v := graph.VertexID(0); int(v) < want.n; v++ {
 			if !equalIDs(got.OutNeighbors(v), want.OutNeighbors(v)) ||
-				!equalIDs(got.InNeighbors(v), want.InNeighbors(v)) || !slices.Equal(got.OutWeights(v), want.OutWeights(v)) {
+				!equalIDs(got.InNeighbors(v), want.InNeighbors(v)) || !slices.Equal(got.OutWeightList(v).Append(nil), want.OutWeightList(v).Append(nil)) {
 				t.Errorf("%s: vertex %d reads differently from the current file", name, v)
 			}
 		}
@@ -166,7 +166,7 @@ func widenWeights(w []byte) []byte {
 func inWeights(z *Graph) []byte {
 	lists := make([][]uint32, z.n)
 	for v := graph.VertexID(0); int(v) < z.n; v++ {
-		ws := z.OutWeights(v)
+		ws := z.OutWeightList(v).Append(nil)
 		for i, u := range z.OutNeighbors(v) {
 			lists[u] = append(lists[u], ws[i])
 		}
@@ -316,7 +316,7 @@ func FuzzReadCSRZ(f *testing.F) {
 		}
 		for v := graph.VertexID(0); int(v) < z.n; v++ {
 			if !equalIDs(z.OutNeighbors(v), mg.OutNeighbors(v)) || !equalIDs(z.InNeighbors(v), mg.InNeighbors(v)) ||
-				!slices.Equal(z.OutWeights(v), mg.OutWeights(v)) {
+				!slices.Equal(z.OutWeightList(v).Append(nil), mg.OutWeightList(v).Append(nil)) {
 				t.Fatalf("readers disagree on the lists or weights of vertex %d", v)
 			}
 		}

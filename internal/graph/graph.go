@@ -87,17 +87,6 @@ func (g *Graph) InNeighbors(v VertexID) []VertexID {
 	return g.inEdges[g.inIndex[v]:g.inIndex[v+1]]
 }
 
-// OutWeights decodes the weights aligned with OutNeighbors(v) into a
-// fresh slice (empty, not nil, for an empty list), or returns nil for an
-// unweighted graph. This is the convenience path; hot loops read
-// OutWeightList in place.
-func (g *Graph) OutWeights(v VertexID) []uint32 {
-	if !g.Weighted() {
-		return nil
-	}
-	return g.OutWeightList(v).Append(make([]uint32, 0, g.OutDegree(v)))
-}
-
 // OutWeightList returns the weights aligned with OutNeighbors(v) as
 // stored: a read-only sub-slice of the packed weight array.
 func (g *Graph) OutWeightList(v VertexID) WeightList {

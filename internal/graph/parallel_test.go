@@ -272,7 +272,7 @@ func relabelViaEdgeList(t *testing.T, g *Graph, newID []VertexID) *Graph {
 	edges := make([]Edge, 0, g.m)
 	for v := 0; v < g.n; v++ {
 		nbrs := g.OutNeighbors(VertexID(v))
-		ws := g.OutWeights(VertexID(v))
+		ws := g.OutWeightList(VertexID(v)).Append(nil)
 		for i, dst := range nbrs {
 			e := Edge{Src: newID[v], Dst: newID[dst]}
 			if ws != nil {

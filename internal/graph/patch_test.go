@@ -80,7 +80,7 @@ func TestBuildIsFunctionOfEdgeMultiset(t *testing.T) {
 					t.Fatal("the graph does not reach the radix sort or the parallel build")
 				}
 				for v := VertexID(0); v < n; v++ {
-					nbrs, ws := g.OutNeighbors(v), g.OutWeights(v)
+					nbrs, ws := g.OutNeighbors(v), g.OutWeightList(v).Append(nil)
 					for i := 1; i < len(nbrs); i++ {
 						if nbrs[i-1] > nbrs[i] || nbrs[i-1] == nbrs[i] && ws[i-1] > ws[i] {
 							t.Fatalf("%s, workers=%d: out-list of %d is not in (neighbor, weight) order at %d", tc.name, workers, v, i)

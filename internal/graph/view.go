@@ -6,17 +6,17 @@ package graph
 // decoding on demand. Implementations must be safe for concurrent use.
 //
 // The accessor contract matches *Graph: OutNeighbors/InNeighbors return
-// read-only slices, OutWeights a slice aligned index-for-index with
-// OutNeighbors (weights are stored once, on the out-edges: no kernel
+// read-only slices, OutWeightList v's weights aligned index-for-index
+// with OutNeighbors (weights are stored once, on the out-edges: no kernel
 // pulls over them), and the order of a vertex's neighbor list is part of
 // the representation — two Views of the same graph must enumerate each
 // list in the same order for float-accumulating applications (PR, BC) to
 // produce bit-identical results.
 //
 // Both backends store weights packed at the width the largest needs, the
-// same bytes: OutWeights decodes them into a fresh slice, and
-// OutWeightList hands out v's weights as stored, a free sub-slice on
-// either backend that a hot loop reads in place. Neighbor lists are free
+// same bytes: OutWeightList hands out v's weights as stored, a free
+// sub-slice on either backend that a hot loop reads in place and
+// WeightList.Append decodes. Neighbor lists are free
 // sub-slices on a plain graph but decoded per call on a compressed one.
 // Per-edge consumers — the engine's two EdgeMap kernels first among them
 // — go through an AdjBuffer, which borrows the sub-slices on plain graphs
@@ -30,7 +30,6 @@ type View interface {
 	InDegree(v VertexID) int
 	OutNeighbors(v VertexID) []VertexID
 	InNeighbors(v VertexID) []VertexID
-	OutWeights(v VertexID) []uint32
 	OutWeightList(v VertexID) WeightList
 	Degrees(kind DegreeKind) []uint32
 }

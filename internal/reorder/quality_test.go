@@ -217,11 +217,6 @@ func (c *countingView) InNeighbors(v graph.VertexID) []graph.VertexID {
 	return c.Graph.InNeighbors(v)
 }
 
-func (c *countingView) OutWeights(v graph.VertexID) []uint32 {
-	c.others.Add(1)
-	return c.Graph.OutWeights(v)
-}
-
 func (c *countingView) OutWeightList(v graph.VertexID) graph.WeightList {
 	c.others.Add(1)
 	return c.Graph.OutWeightList(v)

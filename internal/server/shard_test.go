@@ -271,7 +271,7 @@ func TestShardRelax(t *testing.T) {
 	if err := rr.Decode([]byte(body), g.NumVertices()); err != nil {
 		t.Fatal(err)
 	}
-	nbrs, wts := g.OutNeighbors(0), g.OutWeights(0)
+	nbrs, wts := g.OutNeighbors(0), g.OutWeightList(0).Append(nil)
 	want := map[graph.VertexID]int64{}
 	for i, nb := range nbrs {
 		d := int64(wts[i])
@@ -327,7 +327,7 @@ func TestRelaxAtEveryWeightWidth(t *testing.T) {
 		sc.relax(g, nil, nil)
 		want := map[graph.VertexID]int64{}
 		for i, v := range sc.in.IDs {
-			for j, w := range g.OutWeights(v) {
+			for j, w := range g.OutWeightList(v).Append(nil) {
 				nb, d := g.OutNeighbors(v)[j], sc.in.Dists[i]+int64(w)
 				if b, ok := want[nb]; !ok || d < b {
 					want[nb] = d
