@@ -42,12 +42,17 @@
 // undoing its edit log to the last published state's mark
 // (dynamic.Graph.RollbackTo): no copy of the graph is kept for it.
 //
-// A publish is the stage list publishStages. Each stage is a span on the
-// trace of every write the publish carries ("apply" precedes them, once
-// per batch) and a sample of graphd_publish_stage_seconds{stage}; the
-// view span's suffix — view.patch, view.relabel, view.refresh — names
-// the path dynamic.Reorderer.View took, and the trace's round count is
-// the precompute's iteration count.
+// A publish is the stage list publishStages (publish.go): view, evaluate,
+// precompute, encode, assemble. A snapshot build runs the same stages;
+// only its view stage differs (it applies the spec's plan to the loaded
+// graph where a live publish asks dynamic.Reorderer.View), and BuildStatus
+// reports the stage running. On a live publish each stage is a span on
+// the trace of every write the publish carries ("apply" precedes them,
+// once per batch) and a sample of graphd_publish_stage_seconds{stage},
+// with "swap" spanning assemble and the publish itself; the view span's
+// suffix — view.patch, view.relabel, view.refresh — names the path
+// dynamic.Reorderer.View took, and the trace's round count is the
+// precompute's iteration count.
 //
 // # Instrumentation contract
 //

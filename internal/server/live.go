@@ -1,7 +1,6 @@
 package server
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"net/http"
@@ -10,8 +9,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"graphreorder"
-	"graphreorder/internal/csrz"
 	"graphreorder/internal/dynamic"
 	"graphreorder/internal/faultinject"
 	"graphreorder/internal/graph"
@@ -25,11 +22,12 @@ import (
 // liveGraph: a single refresher goroutine that is the only writer. Edge
 // mutations arrive over POST /v1/snapshots/{name}/edges, are serialized
 // through the liveGraph's queue, applied atomically batch by batch, and
-// then published as a brand-new immutable Snapshot (fresh epoch) through
-// the store's existing atomic hot-swap path — so the read side keeps its
-// lock-free acquire/drain discipline untouched, readers never block on
-// writers and can never observe a half-applied batch, and the
-// epoch-keyed result cache invalidates itself on every publish.
+// then published as a brand-new immutable Snapshot (fresh epoch), made by
+// the publishStages a snapshot build runs, through the store's atomic
+// hot-swap path — so the read side keeps its lock-free acquire/drain
+// discipline untouched, readers never block on writers and can never
+// observe a half-applied batch, and the epoch-keyed result cache
+// invalidates itself on every publish.
 //
 // The refresher applies the paper's §VIII-B policy (dynamic.Policy): a
 // full re-reorder only every K batches; every publish in between patches the previous epoch's CSR
@@ -121,17 +119,11 @@ type mutateReply struct {
 // liveGraph is one mutable snapshot's write pipeline. All fields below
 // queue are touched only by the refresher goroutine after start.
 type liveGraph struct {
-	store    *Store
-	name     string
-	techName string
-	kind     graph.DegreeKind
-	source   string
-	maxIters int
-	workers  int
-	// backend is the resolved serving representation (plain or
-	// compressed, never auto: the build resolved that once). A
-	// compressed pipeline re-encodes every published epoch.
-	backend string
+	// publishSpec is what every epoch publishes under; its backend is
+	// resolved (plain or compressed, never auto: the build resolved that
+	// once).
+	publishSpec
+	store *Store
 
 	// advised/adviceReason mirror the snapshot fields for "auto" builds;
 	// a refresher re-reorder re-advises, so they track the live graph's
@@ -172,25 +164,19 @@ type liveGraph struct {
 }
 
 // newLiveGraph wires the mutation pipeline for a freshly built snapshot:
-// base is the graph in original order, reordered the plain relabeled
-// graph the build produced (the published snapshot may serve a
-// compressed encoding of it), snap the published snapshot. The Reorderer
-// is seeded with the build's ordering so the first write does not redo
-// it.
-func newLiveGraph(st *Store, spec BuildSpec, base, reordered *graph.Graph, snap *Snapshot, tech reorder.Technique, kind graph.DegreeKind, recovered *recoveredState) *liveGraph {
+// ps is the build's publish spec, base the graph in original order,
+// reordered the plain relabeled graph the build produced (the published
+// snapshot may serve a compressed encoding of it), snap the published
+// snapshot. The Reorderer is seeded with the build's ordering so the
+// first write does not redo it.
+func newLiveGraph(st *Store, ps publishSpec, base, reordered *graph.Graph, snap *Snapshot, tech reorder.Technique, recovered *recoveredState) *liveGraph {
 	lg := &liveGraph{
+		publishSpec:  ps,
 		store:        st,
-		name:         snap.name,
-		techName:     snap.technique,
-		kind:         kind,
-		source:       snap.source,
-		maxIters:     spec.MaxIters,
-		workers:      st.workers,
-		backend:      snap.backend,
 		advised:      snap.advised,
 		adviceReason: snap.adviceReason,
 		dyn:          dynamic.FromGraph(base),
-		reord:        dynamic.NewReorderer(tech, kind, st.livePolicy),
+		reord:        dynamic.NewReorderer(tech, ps.kind, st.livePolicy),
 		queue:        make(chan *mutateReq, liveQueueDepth),
 		stop:         make(chan struct{}),
 	}
@@ -414,129 +400,100 @@ func (lg *liveGraph) noteGood() {
 
 // publishStageNames are the values of graphd_publish_stage_seconds'
 // stage label and the span names a traced write shows: "apply" once per
-// batch, then the publishStages in order, the view span tagged with the
-// path the Reorderer took (patch the previous view from the edit log,
-// relabel a snapshot with the stale permutation, or refresh the ordering).
+// batch, then publishStages in order — the view span tagged with the path
+// the Reorderer took (patch the previous view from the edit log, relabel
+// a snapshot with the stale permutation, or refresh the ordering) — where
+// "swap" spans assembling the snapshot and publishing it.
 var publishStageNames = [...]string{
 	"apply", "view.patch", "view.relabel", "view.refresh", "evaluate", "precompute", "encode", "swap"}
 
-// publishJob carries one publish through publishStages: each stage reads
-// what the earlier ones left and adds its own product.
-type publishJob struct {
-	lg     *liveGraph
-	traces []*obs.Trace             // of the coalesced write requests
-	took   map[string]time.Duration // per finished stage
-
-	g         *graph.Graph // the reordered CSR this epoch serves
-	perm      reorder.Permutation
-	refreshed bool
-	quality   reorder.QualityReport
-	run       *graphreorder.Result
-	cz        *csrz.Graph // the compressed encoding, on a compressed pipeline
-	snap      *Snapshot
-}
-
-// publishStages is what a publish does, in order. A stage returns a tag
-// for its span (the view's path) or "".
-var publishStages = []struct {
-	name string
-	run  func(*publishJob) (tag string, err error)
-}{
-	{"view", (*publishJob).view},
-	{"evaluate", (*publishJob).evaluate},
-	{"precompute", (*publishJob).precompute},
-	{"encode", (*publishJob).encode},
-	{"swap", (*publishJob).swap},
-}
-
 // publish materializes the current dynamic state as an immutable
-// snapshot — re-reordered if the policy says so, the previous view
-// patched (or relabeled with the stale permutation) otherwise —
-// precomputes its ranks, and hot-swaps it into the store under a fresh
-// epoch. Every stage is a span on the traces of the writes it carries
-// and a sample of graphd_publish_stage_seconds.
+// snapshot through publishStages and hot-swaps it into the store under a
+// fresh epoch. Every stage is a span on the traces of the writes it
+// carries and a sample of graphd_publish_stage_seconds.
 func (lg *liveGraph) publish(traces []*obs.Trace) (*Snapshot, bool, error) {
 	// The "live.publish" point lets robustness tests force a publish
 	// failure and observe the rollback path.
 	if err := faultinject.Fire("live.publish"); err != nil {
 		return nil, false, err
 	}
-	p := &publishJob{lg: lg, traces: traces, took: make(map[string]time.Duration, len(publishStages))}
-	for _, st := range publishStages {
-		start := time.Now()
-		tag, err := st.run(p)
-		if err != nil {
-			return nil, false, err
-		}
-		p.took[st.name] = time.Since(start)
-		span := st.name
-		if tag != "" {
-			span += "." + tag
-		}
-		lg.store.writes.stage(span).Observe(p.took[st.name])
+	observe := func(span string, start time.Time) {
+		lg.store.writes.stage(span).Observe(time.Since(start))
 		for _, tr := range traces {
 			tr.Observe(span, start)
 		}
 	}
-	return p.snap, p.refreshed, nil
+	var swapStart time.Time
+	p := &publishJob{publishSpec: lg.publishSpec, store: lg.store, view: lg.view, traces: traces,
+		end: func(stage, tag string, start time.Time) {
+			switch {
+			case stage == "assemble":
+				swapStart = start // the swap span ends once the snapshot is published
+			case tag != "":
+				observe(stage+"."+tag, start)
+			default:
+				observe(stage, start)
+			}
+		}}
+	refreshes := lg.reord.Refreshes
+	snap, err := p.run()
+	if err != nil {
+		return nil, false, err
+	}
+	if !lg.store.publish(snap, false) {
+		// The name is being dropped out from under us: the batch cannot
+		// be acknowledged as visible.
+		return nil, false, errLiveClosed
+	}
+	refreshed := lg.reord.Refreshes > refreshes
+	lg.lastRanks, lg.lastPerm = snap.ranks, snap.perm
+	lg.store.writes.publishes.Add(1)
+	if refreshed {
+		lg.store.writes.refreshes.Add(1)
+	} else {
+		lg.store.writes.relabels.Add(1)
+	}
+	observe("swap", swapStart)
+	return snap, refreshed, nil
 }
 
-func (p *publishJob) view() (string, error) {
-	r := p.lg.reord
+// view is a live publish's view stage: the Reorderer's view of the
+// dynamic graph under the stale permutation (the previous view patched
+// from the edit log, or a snapshot relabeled), or under a refreshed
+// ordering, whose quality report it hands on. A refresh of an "auto"
+// snapshot also re-advises, so its recorded verdict follows the evolving
+// degree distribution. The precompute starts from the last published
+// ranks.
+func (lg *liveGraph) view(p *publishJob) (string, error) {
+	start := time.Now()
+	r := lg.reord
 	refreshes, patches := r.Refreshes, r.Patches
-	g, perm, err := r.View(p.lg.dyn)
+	g, perm, err := r.View(lg.dyn)
 	if err != nil {
 		return "", err
 	}
-	p.g, p.perm = g, perm
+	p.g, p.snap.perm, p.warm = g, perm, lg.warmStart(perm)
+	tag := "relabel"
 	switch {
 	case r.Refreshes > refreshes:
-		p.refreshed = true
-		return "refresh", nil
-	case r.Patches > patches:
-		return "patch", nil
-	}
-	return "relabel", nil
-}
-
-// evaluate attaches fresh quality metrics to the layout — reusing the
-// report a refresh already computed, evaluating only on the stale path.
-// An "auto" snapshot that just re-reordered also re-advises, so its
-// recorded verdict follows the evolving degree distribution.
-func (p *publishJob) evaluate() (string, error) {
-	lg := p.lg
-	if !p.refreshed {
-		p.quality = reorder.Evaluate(p.g, lg.kind, nil)
-		return "", nil
-	}
-	p.quality = lg.reord.LastQuality
-	if lg.techName == "auto" {
-		if pre, err := lg.dyn.Snapshot(); err == nil {
-			rec := reorder.Advise(pre, lg.kind)
-			lg.advised, lg.adviceReason = rec.Spec, rec.Reason
-		}
-	}
-	return "", nil
-}
-
-// precompute runs PageRank from the previous epoch's ranks, which a
-// small batch leaves within an iteration or two of the new fixed point.
-// The result is within PageRank's tolerance of a cold run on the same
-// graph, not bit-equal to it. The iteration count lands on the traces as
-// their round count.
-func (p *publishJob) precompute() (string, error) {
-	lg := p.lg
-	//lint:allow ctxflow epoch rebuild must complete even if the triggering request dies
-	run, err := graphreorder.Run(context.Background(), p.g, graphreorder.AppPR,
-		graphreorder.WithMaxIters(lg.maxIters), graphreorder.WithWorkers(lg.workers),
-		graphreorder.WithInitialRanks(lg.warmStart(p.perm)),
-		graphreorder.WithProgress(func(rs graphreorder.RoundStats) {
-			for _, tr := range p.traces {
-				tr.Round(rs.Edges)
+		tag = "refresh"
+		p.snap.quality, p.evaluated = r.LastQuality, true
+		if lg.techName == "auto" {
+			if pre, err := lg.dyn.Snapshot(); err == nil {
+				rec := reorder.Advise(pre, lg.kind)
+				lg.advised, lg.adviceReason = rec.Spec, rec.Reason
 			}
-		}))
-	p.run = run
-	return "", err
+		}
+	case r.Patches > patches:
+		tag = "patch"
+	}
+	p.snap.advised, p.snap.adviceReason = lg.advised, lg.adviceReason
+	if tag == "refresh" {
+		p.snap.reorderTime = time.Since(start)
+	} else {
+		p.snap.rebuildTime = time.Since(start)
+	}
+	return tag, nil
 }
 
 // warmStart returns the last published ranks in the ID space of perm, or
@@ -553,63 +510,6 @@ func (lg *liveGraph) warmStart(perm reorder.Permutation) []float64 {
 		ranks[id] = lg.lastRanks[lg.lastPerm[v]]
 	}
 	return ranks
-}
-
-// encode re-encodes the fresh layout on a compressed pipeline before it
-// goes live: readers hot-swap between compressed epochs exactly as they
-// do between plain ones.
-func (p *publishJob) encode() (string, error) {
-	if p.lg.backend == backendCompressed {
-		p.cz = csrz.Encode(p.g)
-	}
-	return "", nil
-}
-
-func (p *publishJob) swap() (string, error) {
-	lg := p.lg
-	var view graph.View = p.g
-	if p.cz != nil {
-		view = p.cz
-	}
-	snap := &Snapshot{
-		epoch:          lg.store.nextID.Add(1),
-		name:           lg.name,
-		graph:          view,
-		technique:      lg.techName,
-		degree:         lg.kind,
-		perm:           p.perm,
-		source:         lg.source,
-		live:           true,
-		cz:             p.cz,
-		quality:        p.quality,
-		advised:        lg.advised,
-		adviceReason:   lg.adviceReason,
-		ranks:          p.run.Ranks(),
-		rankIters:      p.run.Iterations,
-		rankSum:        p.run.Checksum,
-		built:          time.Now(),
-		precomputeTime: p.took["precompute"],
-	}
-	snap.finishBackend()
-	if p.refreshed {
-		snap.reorderTime = p.took["view"]
-	} else {
-		snap.rebuildTime = p.took["view"]
-	}
-	if !lg.store.publish(snap, false) {
-		// The name is being dropped out from under us: the batch cannot
-		// be acknowledged as visible.
-		return "", errLiveClosed
-	}
-	p.snap = snap
-	lg.lastRanks, lg.lastPerm = snap.ranks, p.perm
-	lg.store.writes.publishes.Add(1)
-	if p.refreshed {
-		lg.store.writes.refreshes.Add(1)
-	} else {
-		lg.store.writes.relabels.Add(1)
-	}
-	return "", nil
 }
 
 func msSince(t time.Time) float64 {

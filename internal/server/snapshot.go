@@ -12,7 +12,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"graphreorder"
 	"graphreorder/internal/csrz"
 	"graphreorder/internal/dynamic"
 	"graphreorder/internal/gen"
@@ -497,7 +496,8 @@ func (st *Store) Activate(name string) error {
 // Drop removes a named snapshot from the table, then stops its mutation
 // pipeline if it is live. The current snapshot cannot be dropped. If
 // queries are still running on it, the snapshot moves to the draining
-// list until the last one releases it.
+// list until the last one releases it. The name's build status goes
+// with it, unless a rebuild of the name is still running.
 //
 // The check-and-remove happens atomically under mu *before* any side
 // effect, so a Drop that loses a race (e.g. against an Activate of the
@@ -542,6 +542,11 @@ func (st *Store) Drop(name string) error {
 	st.mu.Lock()
 	delete(st.dropping, name)
 	st.mu.Unlock()
+	st.buildMu.Lock()
+	if b := st.builds[name]; b != nil && !b.infoView().Running {
+		delete(st.builds, name)
+	}
+	st.buildMu.Unlock()
 	return nil
 }
 
@@ -619,9 +624,12 @@ type BuildSpec struct {
 
 // BuildStatus tracks one build pipeline for the admin API.
 type BuildStatus struct {
-	mu       sync.Mutex
-	Name     string
-	Stage    string // loading | reordering | precomputing | ready | failed
+	mu   sync.Mutex
+	Name string
+	// Stage is "loading", then the name of the publish stage running
+	// ("view", "evaluate", "precompute", "encode", "assemble"), then
+	// "ready" or "failed".
+	Stage    string
 	Err      string
 	Started  time.Time
 	Finished time.Time
@@ -693,8 +701,8 @@ func (st *Store) Builds() []BuildStatusInfo {
 	return out
 }
 
-// Build runs the full pipeline synchronously: load/generate, reorder,
-// precompute, publish. It returns the published snapshot.
+// Build runs the full pipeline synchronously: load or generate, then
+// publishStages, then publish. It returns the published snapshot.
 func (st *Store) Build(spec BuildSpec) (*Snapshot, error) {
 	status := &BuildStatus{Name: spec.Name, Stage: "loading", Started: time.Now()}
 	st.buildMu.Lock()
@@ -786,8 +794,9 @@ func (st *Store) build(spec BuildSpec, status *BuildStatus) (*Snapshot, error) {
 	case spec.Path != "":
 		// A .csrz file (sniffed by magic) loads through the codec's
 		// zero-copy mapping; everything else goes through the text/binary
-		// auto-reader.
-		isCZ, err := isCSRZFile(spec.Path)
+		// auto-reader (a file too short for the magic is not csrz; that
+		// reader reports the real error).
+		isCZ, err := csrz.SniffFile(spec.Path)
 		if err != nil {
 			return nil, err
 		}
@@ -815,13 +824,6 @@ func (st *Store) build(spec BuildSpec, status *BuildStatus) (*Snapshot, error) {
 	return st.buildFrom(spec, status, g, nil, source, kind, time.Since(start), nil)
 }
 
-// isCSRZFile reports whether path starts with the .csrz magic. A file
-// too short to hold the magic is simply "not csrz" — the auto-reader
-// will produce the real error.
-func isCSRZFile(path string) (bool, error) {
-	return csrz.SniffFile(path)
-}
-
 // resolveBackend normalizes a BuildSpec.Backend, defaulting by input
 // form: plain for plain inputs, compressed when the graph arrived as a
 // .csrz file.
@@ -839,18 +841,19 @@ func resolveBackend(spec string, fromCSRZ bool) (string, error) {
 	return "", fmt.Errorf("server: bad backend %q (want plain|compressed|auto)", spec)
 }
 
-// buildFrom runs the reorder/compress/precompute/publish stages on an
-// already loaded (or recovered) graph. Exactly one of g (plain) and cz
-// (a .csrz load, possibly mmap-backed) is non-nil on entry; cz is served
-// zero-copy when nothing forces the plain form.
+// buildFrom runs publishStages on an already loaded (or recovered) graph
+// and publishes the result. Exactly one of g (plain) and cz (a .csrz load,
+// possibly mmap-backed) is non-nil on entry; cz passes through zero-copy
+// when nothing forces the plain form.
 func (st *Store) buildFrom(spec BuildSpec, status *BuildStatus, g *graph.Graph, cz *csrz.Graph,
 	source string, kind graph.DegreeKind, loadTime time.Duration, recovered *recoveredState) (*Snapshot, error) {
+	p := &publishJob{store: st, begin: status.setStage, g: g, cz: cz}
 	// Any early error must release a load-time mapping; once the snapshot
 	// publishes, its retire path owns the close instead.
 	published := false
 	defer func() {
-		if !published && cz != nil {
-			cz.Close()
+		if !published && p.cz != nil {
+			p.cz.Close()
 		}
 	}()
 
@@ -858,189 +861,44 @@ func (st *Store) buildFrom(spec BuildSpec, status *BuildStatus, g *graph.Graph, 
 	if err != nil {
 		return nil, err
 	}
-
 	// Normalize like the registry does, so "Auto"/"DBG" hit the same
 	// paths (and display the same) as their lowercase spellings.
 	techName := strings.ToLower(strings.TrimSpace(spec.Technique))
 	if techName == "" {
 		techName = "original"
 	}
-	var (
-		perm         reorder.Permutation
-		reorderTime  time.Duration
-		rebuildTime  time.Duration
-		quality      reorder.QualityReport
-		advised      string
-		adviceReason string
-	)
 	// The empty plan is the identity, however the spec spelled it; "auto"
-	// gets its plan from the advisor once the plain graph is at hand.
+	// gets its plan from the advisor in the view stage, and its mutation
+	// pipeline keeps re-advising on refresh, so a live graph whose skew
+	// grows into (or out of) the gate changes plan.
 	auto := techName == "auto"
 	plan := reorder.Compose()
+	var tech reorder.Technique = reorder.Auto{}
 	if !auto {
 		if plan, err = reorder.ParsePlan(techName); err != nil {
 			return nil, err
 		}
+		tech = plan
 	}
-	var tech reorder.Technique = plan
+	p.publishSpec = publishSpec{name: spec.Name, techName: techName, kind: kind, source: source,
+		live: spec.Mutable, maxIters: spec.MaxIters, backend: backend, ranksPath: spec.RanksPath}
+	p.view = planView(plan, auto)
 
 	// A .csrz load serves its mapped arrays directly only when nothing
 	// needs the plain form: reordering, the advisor, a mutation pipeline
 	// and the plain backend all decode first.
-	needPlain := len(plan.Stages()) > 0 || auto || spec.Mutable || backend == backendPlain
-	if cz != nil && needPlain {
-		dg, derr := cz.Decode()
-		cz.Close()
-		cz = nil
-		if derr != nil {
-			return nil, derr
-		}
-		g = dg
-	}
-
-	// Stage 2: reorder. base keeps the as-loaded order alive for the
-	// mutation pipeline of a mutable snapshot. Technique "auto" consults
-	// the skew-gated advisor, recording its verdict; pipeline specs like
-	// "dbg|gorder" run through the same plan path.
-	base := g
-	if auto {
-		rec := reorder.Advise(g, kind)
-		advised = rec.Spec
-		adviceReason = rec.Reason
-		plan = rec.Plan
-		// The mutation pipeline keeps re-advising on refresh, so a live
-		// graph whose skew grows into (or out of) the gate changes plan.
-		tech = reorder.Auto{}
-	}
-	if len(plan.Stages()) > 0 {
-		status.setStage("reordering")
-		//lint:allow ctxflow a snapshot build runs to completion even if the triggering request dies
-		res, err := plan.ApplyContext(context.Background(), g, kind, st.workers)
-		if err != nil {
+	if cz != nil && (len(plan.Stages()) > 0 || auto || spec.Mutable || backend == backendPlain) {
+		if err := p.decode(); err != nil {
 			return nil, err
 		}
-		g = res.Graph
-		perm = res.Perm
-		reorderTime = res.ReorderTime
-		rebuildTime = res.RebuildTime
-		quality = res.Quality
-	} else if g != nil {
-		quality = reorder.Evaluate(g, kind, nil)
-	} else {
-		quality = reorder.Evaluate(cz, kind, nil)
 	}
-
-	// Resolve "auto" now that the published layout's quality is known:
-	// compress exactly when the predicted ratio says the bytes come back.
-	if backend == backendAuto {
-		if quality.PredictedRatio >= autoCompressMinRatio {
-			backend = backendCompressed
-		} else {
-			backend = backendPlain
-		}
+	// base keeps the as-loaded order alive for the mutation pipeline.
+	base := p.g
+	snap, err := p.run()
+	if err != nil {
+		return nil, err
 	}
-	// Stage 2b: materialize the serving representation. Encoding runs
-	// after reorder so the codec sees the final layout; the auto-plain
-	// case on a .csrz input is the one late decode.
-	if backend == backendCompressed {
-		if cz == nil {
-			status.setStage("compressing")
-			cz = csrz.Encode(g)
-		}
-	} else if g == nil {
-		dg, derr := cz.Decode()
-		cz.Close()
-		cz = nil
-		if derr != nil {
-			return nil, derr
-		}
-		g = dg
-	}
-	var view graph.View
-	if backend == backendCompressed {
-		view = cz
-	} else {
-		view = g
-	}
-
-	// Stage 3: precompute PageRank once; point rank lookups and top-k
-	// queries are then O(1)/O(n log k) with no traversal at all. Builds
-	// run to completion (background context): a half-built snapshot is
-	// useless. Shard builds (RanksPath) load the globally computed ranks
-	// from the partitioner's rank file instead and remap them into the
-	// published order.
-	status.setStage("precomputing")
-	start := time.Now()
-	var (
-		ranks    []float64
-		iters    int
-		rankSum  float64
-		owned    []bool
-		extRanks bool
-	)
-	if spec.RanksPath != "" {
-		rf, err := readRankFile(spec.RanksPath, view.NumVertices())
-		if err != nil {
-			return nil, err
-		}
-		ranks, owned = rf.ranks, rf.owned
-		if perm != nil {
-			// The file is in original-ID space; the snapshot serves the
-			// reordered space.
-			ranks = make([]float64, len(rf.ranks))
-			owned = make([]bool, len(rf.owned))
-			for o, c := range perm {
-				ranks[c] = rf.ranks[o]
-				owned[c] = rf.owned[o]
-			}
-		}
-		iters, rankSum, extRanks = rf.iters, rf.checksum, true
-	} else {
-		// Precompute on the plain form when it exists (cheapest), on the
-		// compressed view otherwise — the engine's results are
-		// bit-identical across backends either way.
-		var pg graph.View = view
-		if g != nil {
-			pg = g
-		}
-		//lint:allow ctxflow precompute belongs to the build, not to the request that started it
-		run, err := graphreorder.Run(context.Background(), pg, graphreorder.AppPR,
-			graphreorder.WithMaxIters(spec.MaxIters), graphreorder.WithWorkers(st.workers))
-		if err != nil {
-			return nil, err
-		}
-		ranks, iters = run.Ranks(), run.Iterations
-		rankSum = run.Checksum
-	}
-	precomputeTime := time.Since(start)
-
-	snap := &Snapshot{
-		epoch:          st.nextID.Add(1),
-		name:           spec.Name,
-		graph:          view,
-		technique:      techName,
-		degree:         kind,
-		perm:           perm,
-		source:         source,
-		live:           spec.Mutable,
-		quality:        quality,
-		advised:        advised,
-		adviceReason:   adviceReason,
-		ranks:          ranks,
-		rankIters:      iters,
-		rankSum:        rankSum,
-		externalRanks:  extRanks,
-		owned:          owned,
-		built:          time.Now(),
-		loadTime:       loadTime,
-		reorderTime:    reorderTime,
-		rebuildTime:    rebuildTime,
-		precomputeTime: precomputeTime,
-	}
-	if backend == backendCompressed {
-		snap.cz = cz
-	}
-	snap.finishBackend()
+	snap.loadTime = loadTime
 	// Retire the name's previous mutation pipeline only now that the
 	// rebuild is certain to publish: a spec or load failure above leaves
 	// the old incarnation fully writable. stopLive waits for the old
@@ -1054,9 +912,33 @@ func (st *Store) buildFrom(spec BuildSpec, status *BuildStatus, g *graph.Graph, 
 	}
 	published = true
 	if spec.Mutable {
-		st.registerLive(newLiveGraph(st, spec, base, g, snap, tech, kind, recovered))
+		st.registerLive(newLiveGraph(st, p.publishSpec, base, p.g, snap, tech, recovered))
 	}
 	return snap, nil
+}
+
+// planView is a build's view stage: it applies plan to the loaded graph
+// (the advisor's plan, recording its verdict, for "auto") or, when the
+// plan is the identity, passes the graph through as loaded, a .csrz
+// mapping included.
+func planView(plan *reorder.Plan, auto bool) func(*publishJob) (string, error) {
+	return func(p *publishJob) (string, error) {
+		if auto {
+			rec := reorder.Advise(p.g, p.kind)
+			plan, p.snap.advised, p.snap.adviceReason = rec.Plan, rec.Spec, rec.Reason
+		}
+		if len(plan.Stages()) == 0 {
+			return "", nil
+		}
+		//lint:allow ctxflow a snapshot build runs to completion even if the triggering request dies
+		res, err := plan.ApplyContext(context.Background(), p.g, p.kind, p.store.workers)
+		if err != nil {
+			return "", err
+		}
+		p.g, p.snap.perm, p.snap.quality, p.evaluated = res.Graph, res.Perm, res.Quality, true
+		p.snap.reorderTime, p.snap.rebuildTime = res.ReorderTime, res.RebuildTime
+		return "", nil
+	}
 }
 
 // publish inserts snap into the table, optionally making it current,

@@ -1,8 +1,10 @@
 package server
 
 import (
+	"slices"
 	"strings"
 	"testing"
+	"time"
 )
 
 func buildTest(t *testing.T, st *Store, spec BuildSpec) *Snapshot {
@@ -106,6 +108,32 @@ func TestStoreDropSemantics(t *testing.T) {
 	}
 	if err := st.Drop("b"); err == nil {
 		t.Fatal("double drop succeeded")
+	}
+}
+
+// TestStoreDropForgetsBuildStatus: a dropped name leaves the build list
+// (a cluster member builds one name per epoch and the router drops the
+// old ones, so kept statuses would pile up), unless a rebuild of the name
+// is still running.
+func TestStoreDropForgetsBuildStatus(t *testing.T) {
+	st := NewStore(1)
+	for _, name := range []string{"a", "b", "c"} {
+		buildTest(t, st, BuildSpec{Name: name, Dataset: "uni", Scale: "tiny"})
+	}
+	st.buildMu.Lock()
+	st.builds["c"] = &BuildStatus{Name: "c", Stage: "loading", Started: time.Now()}
+	st.buildMu.Unlock()
+	for _, name := range []string{"b", "c"} {
+		if err := st.Drop(name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var names []string
+	for _, b := range st.Builds() {
+		names = append(names, b.Name)
+	}
+	if !slices.Equal(names, []string{"a", "c"}) {
+		t.Errorf("builds after dropping b and c (c rebuilding): %v, want [a c]", names)
 	}
 }
 
