@@ -16,8 +16,8 @@ import (
 // refresher both run publishStages; they differ in their view stage and
 // in the inputs they hand the job, and each publishes the result itself.
 
-// publishSpec is what every snapshot one build or live graph publishes
-// shares.
+// publishSpec holds what every snapshot of one build, or of one live
+// graph, shares.
 type publishSpec struct {
 	name     string
 	techName string // normalized technique spec: "original", "dbg", "auto", ...
