@@ -1,7 +1,9 @@
 package dynamic
 
 import (
+	"bytes"
 	"math"
+	"slices"
 	"testing"
 
 	"graphreorder/internal/apps"
@@ -577,5 +579,51 @@ func TestRemovalCostIndependentOfEdgeCount(t *testing.T) {
 		}
 	}); got > 5 {
 		t.Errorf("a 16-update batch with removals allocates %v times, want <= 5 (its validation map)", got)
+	}
+}
+
+// TestRecoveredGraphRemovesLikeLive pins what crash recovery relies on: a
+// graph started from another's snapshot (a checkpoint) and fed the same
+// batches ends equal to it, weights included. Which instance of a
+// duplicate (src, dst) a removal takes must therefore be a function of
+// the edge multiset, not of the order the instances arrived in.
+func TestRecoveredGraphRemovesLikeLive(t *testing.T) {
+	d := FromGraph(base(t))
+	// Self-loops are absent from lj, so each bucket holds only these.
+	if err := d.Apply([]Update{
+		{Edge: graph.Edge{Src: 5, Dst: 5, Weight: 9}},
+		{Edge: graph.Edge{Src: 5, Dst: 5, Weight: 5}},
+		{Edge: graph.Edge{Src: 6, Dst: 6, Weight: 2}},
+		{Edge: graph.Edge{Src: 6, Dst: 6, Weight: 7}},
+		{Edge: graph.Edge{Src: 6, Dst: 6, Weight: 4}},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	rec := FromGraph(mustSnapshot(t, d))
+	for i, batch := range [][]Update{
+		{{Remove: true, Edge: graph.Edge{Src: 5, Dst: 5}}},
+		{{Remove: true, Edge: graph.Edge{Src: 6, Dst: 6}}, {Edge: graph.Edge{Src: 6, Dst: 6, Weight: 1}}},
+		{{Remove: true, Edge: graph.Edge{Src: 6, Dst: 6}}},
+	} {
+		if err := d.Apply(batch); err != nil {
+			t.Fatal(err)
+		}
+		if err := rec.Apply(batch); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(csrBytes(t, mustSnapshot(t, d)), csrBytes(t, mustSnapshot(t, rec))) {
+			t.Fatalf("batch %d: the recovered graph diverged from the live one", i)
+		}
+	}
+	// Both took the heaviest instance each time.
+	var left []graph.Edge
+	for _, e := range mustSnapshot(t, d).Edges() {
+		if e.Src == e.Dst && (e.Src == 5 || e.Src == 6) {
+			left = append(left, e)
+		}
+	}
+	want := []graph.Edge{{Src: 5, Dst: 5, Weight: 5}, {Src: 6, Dst: 6, Weight: 1}, {Src: 6, Dst: 6, Weight: 2}}
+	if !slices.Equal(left, want) {
+		t.Errorf("duplicates left %v, want %v", left, want)
 	}
 }

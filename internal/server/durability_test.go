@@ -2,13 +2,16 @@ package server
 
 import (
 	"errors"
+	"fmt"
 	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 
 	"graphreorder/internal/faultinject"
+	"graphreorder/internal/graph"
 	"graphreorder/internal/wal"
 )
 
@@ -104,6 +107,77 @@ func TestCrashRecovery(t *testing.T) {
 	}
 	if res.Edges != before.Edges+1 {
 		t.Fatalf("post-recovery edges = %d, want %d", res.Edges, before.Edges+1)
+	}
+}
+
+// TestRecoveryReplaysRemovalLikeLive: a removal of a duplicate (src, dst)
+// that recovery replays from the WAL onto a checkpoint must take the
+// instance the live graph took. The checkpoint stores the CSR, whose
+// lists are sorted by (neighbor, weight), so the arrival order of the
+// duplicates is gone after a crash; the recovered edges and SSSP
+// distances must equal the acknowledged pre-crash state all the same.
+// Every second publish checkpoints: the duplicates reach a checkpoint and
+// the removal after them is acknowledged from the WAL alone.
+func TestRecoveryReplaysRemovalLikeLive(t *testing.T) {
+	s, _ := durableServer(t, 2)
+	h := s.Handler()
+	spec := BuildSpec{Name: "live", Dataset: "uni", Scale: "tiny", Technique: "original", Mutable: true}
+
+	var info SnapshotInfo
+	if code := get(t, h, "/v1/snapshots/live", &info); code != http.StatusOK {
+		t.Fatal("info failed")
+	}
+	// Two fresh vertices a -> b, so the duplicates are the only a -> b path.
+	a, b := graph.VertexID(info.Vertices), graph.VertexID(info.Vertices+1)
+	var grown MutateResult
+	code, body := postJSON(t, h, "/v1/snapshots/live/edges", MutateRequest{AddVertices: 2, Updates: []MutateUpdate{
+		{Src: a, Dst: b, Weight: 9}, {Src: a, Dst: b, Weight: 5},
+	}}, &grown)
+	if code != http.StatusOK || grown.FirstNewVertex != a {
+		t.Fatalf("grow: %d %s", code, body)
+	}
+	mutate(t, h, []MutateUpdate{{Src: 0, Dst: 1, Weight: 3}})            // the checkpoint holds a -> b twice
+	last := mutate(t, h, []MutateUpdate{{Src: a, Dst: b, Remove: true}}) // in the WAL alone
+
+	type state struct {
+		edges []graph.Edge
+		dist  SSSPTargetResult
+	}
+	read := func(when string) state {
+		t.Helper()
+		snap, release := s.store.AcquireNamed("live")
+		if snap == nil {
+			t.Fatalf("%s: no snapshot", when)
+		}
+		defer release()
+		st := state{edges: snap.graph.(*graph.Graph).Edges()}
+		url := fmt.Sprintf("/v1/query/sssp?snapshot=live&src=%d&target=%d", a, b)
+		if code := get(t, h, url, &st.dist); code != http.StatusOK {
+			t.Fatalf("%s: sssp %d", when, code)
+		}
+		return st
+	}
+	before := read("before the crash")
+	if !before.dist.Reachable {
+		t.Fatalf("a -> b unreachable before the crash: %+v", before.dist)
+	}
+
+	if !s.store.CrashLive("live") {
+		t.Fatal("CrashLive found no pipeline")
+	}
+	if _, err := s.store.Build(spec); err != nil {
+		t.Fatalf("recovery build: %v", err)
+	}
+	if ws := s.store.WALStatsReport(); ws.ReplayedBatches == 0 {
+		t.Fatal("recovery replayed nothing: the removal was checkpointed, not replayed")
+	}
+	after := read("after recovery")
+	if !slices.Equal(after.edges, before.edges) {
+		t.Errorf("recovered edge list differs from the acknowledged one (%d vs %d edges)", len(after.edges), len(before.edges))
+	}
+	if after.dist.Distance != before.dist.Distance || after.dist.Reachable != before.dist.Reachable {
+		t.Errorf("a -> b distance %d after recovery, %d before the crash (receipt epoch %d)",
+			after.dist.Distance, before.dist.Distance, last.Epoch)
 	}
 }
 

@@ -3,13 +3,19 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strconv"
 	"testing"
 	"time"
 
+	"graphreorder/internal/dynamic"
 	"graphreorder/internal/faultinject"
+	"graphreorder/internal/gen"
+	"graphreorder/internal/graph"
+	"graphreorder/internal/reorder"
 )
 
 // shedServer builds a server with a single-slot heavy pool so one
@@ -176,6 +182,103 @@ func TestStaleDegradationServesPreviousEpoch(t *testing.T) {
 	get(t, h, "/metrics", &rep)
 	if rep.Cache.StaleServes == 0 {
 		t.Error("stale_serves counter not incremented")
+	}
+}
+
+// TestStaleSSSPFollowsTheSourceAcrossARefresh: a shed SSSP served from
+// an older epoch answers for the vertex the client named, in either ID
+// space, after a refresh has moved that vertex to another current ID. The
+// write below makes original vertex 0 a hub, so the refreshed DBG order
+// moves it; the test predicts the new order with the library and caches,
+// at the old epoch, the answers for vertex 0 and for the vertex that held
+// 0's new current ID, so a fallback found by current ID answers for the
+// wrong source.
+func TestStaleSSSPFollowsTheSourceAcrossARefresh(t *testing.T) {
+	s := New(Config{Workers: 1, MaxConcurrent: 1, QueryTimeout: 30 * time.Second, RefreshEvery: 1})
+	t.Cleanup(func() { s.store.CloseLive() })
+	if _, err := s.store.Build(BuildSpec{
+		Name: "live", Dataset: "sd", Scale: "tiny", Technique: "dbg", Mutable: true,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	h := s.Handler()
+	snap, release := s.store.AcquireNamed("live")
+	perm1, inv1 := snap.perm, snap.invPerm()
+	release()
+
+	var batch []MutateUpdate
+	var updates []dynamic.Update
+	for k := 1; k <= 64; k++ {
+		batch = append(batch, MutateUpdate{Src: 0, Dst: graph.VertexID(k), Weight: 1})
+		updates = append(updates, dynamic.Update{Edge: graph.Edge{Src: 0, Dst: graph.VertexID(k), Weight: 1}})
+	}
+	g, err := gen.Generate(gen.MustDataset("sd", gen.Tiny))
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := dynamic.FromGraph(g)
+	if err := d.Apply(updates); err != nil {
+		t.Fatal(err)
+	}
+	g2, err := d.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := reorder.PlanOf(reorder.NewDBG()).Apply(g2, graph.OutDegree)
+	if err != nil {
+		t.Fatal(err)
+	}
+	perm2 := res.Perm
+	if perm2[0] == perm1[0] {
+		t.Fatalf("the write does not move vertex 0 (current ID %d)", perm1[0])
+	}
+	other := inv1[perm2[0]] // held vertex 0's new current ID before the refresh
+	const target = 7
+
+	sssp := func(url string, deadline time.Duration) SSSPTargetResult {
+		t.Helper()
+		var r SSSPTargetResult
+		if code, _, _ := getWithDeadline(t, h, url, deadline, &r); code != http.StatusOK {
+			t.Fatalf("GET %s: %d", url, code)
+		}
+		return r
+	}
+	want := sssp(fmt.Sprintf("/v1/query/sssp?ids=orig&src=0&target=%d", target), 30*time.Second)
+	decoy := sssp(fmt.Sprintf("/v1/query/sssp?ids=orig&src=%d&target=%d", other, target), 30*time.Second)
+	if decoy.MaxDistance == want.MaxDistance && decoy.Rounds == want.Rounds && decoy.Distance == want.Distance {
+		t.Fatalf("vertices 0 and %d answer alike; the test cannot tell them apart", other)
+	}
+
+	if code, body := postJSON(t, h, "/v1/snapshots/live/edges", MutateRequest{Updates: batch}, nil); code != http.StatusOK {
+		t.Fatalf("mutate: %d %s", code, body)
+	}
+	snap, release = s.store.AcquireNamed("live")
+	if !slices.Equal(snap.perm, perm2) {
+		release()
+		t.Fatal("the refresh did not produce the predicted order")
+	}
+	release()
+
+	// Saturate the pool: every fresh compute is shed from here on.
+	for i := 0; i < 4; i++ {
+		s.pool.observe(300 * time.Millisecond)
+	}
+	if err := s.pool.acquire(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	defer s.pool.release()
+	for _, url := range []string{
+		fmt.Sprintf("/v1/query/sssp?ids=orig&src=0&target=%d", target),
+		fmt.Sprintf("/v1/query/sssp?src=%d&target=%d", perm2[0], perm2[target]),
+	} {
+		got := sssp(url, 50*time.Millisecond)
+		if !got.Stale || got.Epoch != want.Epoch {
+			t.Fatalf("%s: stale %v from epoch %d, want the stale answer of epoch %d", url, got.Stale, got.Epoch, want.Epoch)
+		}
+		if got.MaxDistance != want.MaxDistance || got.Rounds != want.Rounds || got.Reached != want.Reached ||
+			got.Distance != want.Distance || got.Reachable != want.Reachable {
+			t.Errorf("%s: stale answer %+v, want vertex 0's %+v", url, got, want)
+		}
 	}
 }
 
