@@ -232,9 +232,11 @@ const InfDistance = apps.InfDistance
 // amortizes. graphd's mutable snapshots are built on exactly these.
 type (
 	// DynamicGraph is a directed multigraph under batched mutation.
-	// Batches apply atomically; removals are O(1) amortized via a
-	// (src, dst) multiset index; Snapshot materializes the current
-	// state as a static Graph.
+	// Batches apply atomically. Its edges live in one canonical CSR; a
+	// removal takes the heaviest instance of its (src, dst), found by a
+	// binary search in that CSR plus the edits not yet folded into it;
+	// Snapshot folds them and returns the current state as a static
+	// Graph.
 	DynamicGraph = dynamic.Graph
 	// EdgeUpdate is one edge insertion or removal in a batch.
 	EdgeUpdate = dynamic.Update

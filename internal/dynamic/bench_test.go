@@ -24,9 +24,10 @@ func churnBatch(g *graph.Graph, r *rng.Rand, size int) []Update {
 	return batch
 }
 
-// BenchmarkApplyRemove measures removal throughput through the (src,dst)
-// multiset index: each op applies a batch of 256 remove+reinsert pairs on
-// an ~57k-edge graph. That the cost does not grow with the graph is
+// BenchmarkApplyRemove measures removal throughput — a binary search in
+// the CSR plus the bucket's pending edits per removal, and a fold of the
+// edits into the CSR whenever they pass the retention bound: each op
+// applies a batch of 256 remove+reinsert pairs on an ~57k-edge graph. That the cost does not grow with the graph is
 // pinned deterministically by TestRemovalCostIndependentOfEdgeCount.
 func BenchmarkApplyRemove(b *testing.B) {
 	g, err := gen.Generate(gen.MustDataset("lj", gen.Small))
@@ -80,10 +81,9 @@ func BenchmarkApplyInsert(b *testing.B) {
 }
 
 // BenchmarkReordererView measures the two publish paths the serving
-// refresher alternates between: the cheap stale-permutation view (the
-// first op relabels a rebuilt snapshot — FromGraph's argument is foreign
-// — every later one patches the previous view from the edit log) and the
-// full periodic re-reorder.
+// refresher alternates between: the cheap stale-permutation view (every
+// op patches the previous view from the edit log) and the full periodic
+// re-reorder.
 func BenchmarkReordererView(b *testing.B) {
 	g, err := gen.Generate(gen.MustDataset("lj", gen.Small))
 	if err != nil {

@@ -4,36 +4,34 @@
 // only at periodic intervals so its cost is amortized over many queries.
 //
 // The package provides a batched-update graph whose snapshots are the
-// static CSR graphs the rest of the library consumes — an edge list under
-// a flat, pointer-free (src, dst) multiset index, ~25 bytes per edge in
-// all — and a Reorderer that owns the periodic-reordering policy. The
-// paper's intuition — adding or removing some edges does not drastically
-// change the degree distribution, so hot-vertex classification stays
-// valid between reorderings — is exactly what the staleness policy
-// encodes.
+// static CSR graphs the rest of the library consumes, and a Reorderer that
+// owns the periodic-reordering policy. The paper's intuition — adding or
+// removing some edges does not drastically change the degree
+// distribution, so hot-vertex classification stays valid between
+// reorderings — is exactly what the staleness policy encodes.
 //
-// A few edge updates do not change most of the CSR either, so between
-// refreshes nothing is rebuilt. Beside its edge list a Graph keeps an
-// edit log: every edge instance inserted or removed since, in order,
-// under absolute sequence numbers. A reader that remembers the log
-// position its CSR reflects — the Graph's own cached Snapshot, a
-// Reorderer's View — brings that CSR up to date with graph.Patch, which
-// copies the untouched adjacency lists and re-merges only the edited
-// ones, and is defined to produce exactly the arrays a full rebuild
-// would. That definition needs a canonical order: every list is sorted
-// by (neighbor, weight) in original vertex order, so a CSR is a function
-// of the edge multiset alone — not of the order the edge list is in,
-// which removals (swap with last) and rollbacks scramble.
+// A Graph holds its edges once, as a CSR in canonical order: every list
+// sorted by (neighbor, weight) in original vertex order, so the CSR is a
+// function of the edge multiset alone. Beside it is an edit log, every
+// edge instance inserted or removed under absolute sequence numbers. The
+// edits after the CSR's log position are pending, indexed by (src, dst)
+// bucket, until graph.Patch folds them into a fresh CSR (a copy of the
+// untouched lists and a merge of the edited ones, defined to equal the
+// full rebuild): Snapshot folds, and so does a batch that takes the
+// pending edits past the log's retention bound. A removal takes the
+// heaviest instance of its bucket, the last in canonical order, so every
+// state is a function of the edge multiset: a graph started from
+// another's snapshot (a checkpoint) and fed the same batches stays equal
+// to it, weights included.
 //
-// The full rebuild remains the fallback, taken whenever patching is not
-// well-defined or not worth it: the reader's position has been trimmed
-// off the log, its delta exceeds about an eighth of the edge count, the
-// vertex space shrank under it (a rollback) or, for a View, changed at
-// all, or its CSR was not built by this package (FromGraph accepts
-// graphs with lists in any order). The log is bounded: it retains the
-// last max(1024, edges/8) edits, 16 bytes each — at most two bytes per
-// edge — plus, while a Mark is outstanding, everything after that mark
-// so RollbackTo can always undo it.
+// A Reorderer's View remembers its log position too and patches itself
+// forward. It relabels a snapshot instead when its position has been
+// trimmed off the log or lies more than the retention bound behind, when
+// the log crosses a vertex growth a rollback took back, or when it was
+// seeded from a graph FromGraph had to put in canonical order. The log
+// retains the last max(1024, edges/8) edits, 16 bytes each — at most two
+// bytes per edge — never an edit the CSR has not absorbed, and, while a
+// Mark is outstanding, everything after it so RollbackTo can undo it.
 //
 // Graphs handed out are never touched again: Snapshot and View return
 // freshly allocated CSRs, a patch never writes into or reuses the arrays
@@ -42,9 +40,11 @@
 package dynamic
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"math/bits"
+	"slices"
+	"sort"
 
 	"graphreorder/internal/graph"
 	"graphreorder/internal/reorder"
@@ -57,14 +57,10 @@ type Update struct {
 	Edge   graph.Edge
 }
 
-// edgeKey identifies one (src, dst) multiset bucket in a batch's
-// validation delta.
+// edgeKey identifies one (src, dst) multiset bucket.
 type edgeKey struct {
 	src, dst graph.VertexID
 }
-
-// maxEdges bounds the edge list: index links are uint32(position + 1).
-const maxEdges = math.MaxUint32 - 1
 
 // minLogRetain is the edit-log retention of a small graph; larger graphs
 // retain an eighth of their edge count.
@@ -74,34 +70,16 @@ const minLogRetain = 1024
 const noPin = math.MaxUint64
 
 // Graph is a directed multigraph under batched mutation. It is not safe
-// for concurrent use. The last snapshot is cached, and patched from the
-// edit log rather than rebuilt when a later Snapshot finds it stale.
-//
-// A batch is atomic: Apply either installs every update in the batch or
-// leaves the graph exactly as it was, and the cached snapshot always
-// reflects the current edge set. Removals are O(1) amortized via a
-// (src, dst) → positions multiset index, and per-vertex degrees are
-// maintained incrementally so degree-distribution checks (the paper's
-// hot-vertex classification) never need to materialize a snapshot.
-//
-// The index is flat and pointer-free — three slices the collector never
-// scans, ~12 bytes per edge on top of the 12-byte edge list. A link is
-// an edge position plus one, 0 meaning none. table is an open-addressing
-// (linear probing, load <= 1/2) hash set of the distinct (src, dst) keys:
-// a slot holds the link of the key's most recently inserted instance,
-// and the key itself is read from edges through that link rather than
-// stored. next chains every instance to the next older one of its key.
+// for concurrent use. A batch is atomic: Apply either installs every
+// update in the batch or leaves the graph exactly as it was. Per-vertex
+// degrees are maintained incrementally, so degree-distribution checks
+// (the paper's hot-vertex classification) never materialize a snapshot;
+// beside the CSR they and the log are all a Graph holds.
 type Graph struct {
-	n        int
-	edges    []graph.Edge
+	n, m     int
 	weighted bool
-
-	table  []uint32 // len is a power of two, 1<<(64-shift)
-	shift  uint
-	keys   int      // occupied table slots
-	next   []uint32 // parallel to edges
-	outDeg []int32
-	inDeg  []int32
+	outDeg   []int32
+	inDeg    []int32
 
 	// log[i] is edit number logBase+i of the graph's history: one entry
 	// per edge instance inserted or removed (a removal records the weight
@@ -113,50 +91,68 @@ type Graph struct {
 	logRetain int    // retention override (tests); 0 means max(minLogRetain, edges/8)
 	pin       uint64 // edits from here on are never trimmed: the last Mark, or noPin
 
-	// snapshot is the CSR as of log position snapSeq. canonical reports
-	// that this package built it, so its lists are in canonical order and
-	// it can be patched; a foreign one (FromGraph) is dropped by the first
-	// mutation instead.
-	snapshot  *graph.Graph
-	snapSeq   uint64
-	canonical bool
-	builds    int // full CSR builds from the edge list
+	// csr is the graph as of log position csrSeq. pend maps each bucket
+	// with edits after it to its newest one, and older links each such
+	// edit to its bucket's next older one, both as an offset from csrSeq
+	// plus one, 0 meaning none.
+	csr    *graph.Graph
+	csrSeq uint64
+	pend   map[edgeKey]uint32
+	older  []uint32
+	bucket []graph.EdgeEdit // heaviest's scratch
+
+	// rebuilt reports that FromGraph's argument was not in canonical
+	// order; builds counts the CSRs not made by a fold (that rebuild and a
+	// shrinking rollback's).
+	rebuilt bool
+	builds  int
 
 	batches int // mutation batches applied since creation
 }
 
-// FromGraph starts a dynamic graph from a static snapshot. It panics on
-// a graph of more than 2^32-2 edges, which the index cannot address.
+// FromGraph starts a dynamic graph from a static snapshot. A graph in
+// canonical order — as every graph built with SortNeighbors, patched or
+// generated is — becomes its CSR after one O(E) check; any other is
+// rebuilt in canonical order once.
 func FromGraph(g *graph.Graph) *Graph {
-	edges := g.Edges()
-	if len(edges) > maxEdges {
-		panic(fmt.Sprintf("dynamic: %d edges exceed the index limit %d", len(edges), maxEdges))
+	n := g.NumVertices()
+	d := &Graph{n: n, m: g.NumEdges(), weighted: g.Weighted(), outDeg: make([]int32, n), inDeg: make([]int32, n),
+		pin: noPin, csr: g, pend: make(map[edgeKey]uint32)}
+	for v := range graph.VertexID(n) {
+		d.outDeg[v], d.inDeg[v] = int32(g.OutDegree(v)), int32(g.InDegree(v))
 	}
-	d := &Graph{
-		n:        g.NumVertices(),
-		edges:    edges,
-		weighted: g.Weighted(),
-		next:     make([]uint32, len(edges)),
-		outDeg:   make([]int32, g.NumVertices()),
-		inDeg:    make([]int32, g.NumVertices()),
-		snapshot: g,
-		pin:      noPin,
-	}
-	// Sized for every edge being a distinct key, so linking never rehashes.
-	d.rehash(1 << bits.Len(uint(2*len(edges))|7))
-	for i, e := range edges {
-		d.link(i)
-		d.outDeg[e.Src]++
-		d.inDeg[e.Dst]++
+	if !canonical(g) {
+		c, err := graph.BuildWith(g.Edges(), graph.BuildOptions{NumVertices: n, Weighted: d.weighted, SortNeighbors: true})
+		if err != nil {
+			panic(err) // g's edges lie in g's vertex space
+		}
+		d.csr, d.rebuilt, d.builds = c, true, 1
 	}
 	return d
+}
+
+// canonical reports whether every list of g is in canonical order:
+// out-lists by (neighbor, weight), in-lists by neighbor.
+func canonical(g *graph.Graph) bool {
+	for v := range graph.VertexID(g.NumVertices()) {
+		out, ws := g.OutNeighbors(v), g.OutWeightList(v)
+		for i := 1; i < len(out); i++ {
+			if out[i-1] > out[i] || out[i-1] == out[i] && ws.At(i-1) > ws.At(i) {
+				return false
+			}
+		}
+		if !slices.IsSorted(g.InNeighbors(v)) {
+			return false
+		}
+	}
+	return true
 }
 
 // NumVertices returns the current vertex-space size.
 func (d *Graph) NumVertices() int { return d.n }
 
 // NumEdges returns the current edge count.
-func (d *Graph) NumEdges() int { return len(d.edges) }
+func (d *Graph) NumEdges() int { return d.m }
 
 // Batches returns how many update batches have been applied.
 func (d *Graph) Batches() int { return d.batches }
@@ -172,33 +168,84 @@ func (d *Graph) AvgDegree() float64 {
 	if d.n == 0 {
 		return 0
 	}
-	return float64(len(d.edges)) / float64(d.n)
+	return float64(d.m) / float64(d.n)
 }
 
-// Count returns how many (src, dst) edge instances are present, in time
-// proportional to the answer.
+// Count returns how many (src, dst) edge instances are present: a binary
+// search in src's CSR list plus the bucket's pending edits.
 func (d *Graph) Count(src, dst graph.VertexID) int {
-	return d.count(src, dst, math.MaxInt)
+	lo, hi, _ := d.span(src, dst)
+	c := hi - lo
+	for l := d.pend[edgeKey{src, dst}]; l != 0; l = d.older[l-1] {
+		c += delta(d.pending(l))
+	}
+	return c
+}
+
+// span returns the positions [lo, hi) of src's CSR list that hold dst,
+// and the list's weights.
+func (d *Graph) span(src, dst graph.VertexID) (int, int, graph.WeightList) {
+	if int(src) >= d.csr.NumVertices() {
+		return 0, 0, graph.WeightList{}
+	}
+	list := d.csr.OutNeighbors(src)
+	lo, _ := slices.BinarySearch(list, dst)
+	hi, _ := slices.BinarySearch(list[lo:], dst+1) // a vertex ID is below 2^32-1
+	return lo, lo + hi, d.csr.OutWeightList(src)
+}
+
+// pending returns the pending edit at offset l-1.
+func (d *Graph) pending(l uint32) graph.EdgeEdit {
+	return d.log[d.csrSeq-d.logBase+uint64(l-1)]
+}
+
+// delta is what e adds to its bucket's multiplicity.
+func delta(e graph.EdgeEdit) int {
+	if e.Remove {
+		return -1
+	}
+	return 1
+}
+
+// heaviest returns the weight of the heaviest (src, dst) instance present,
+// the one a removal takes, or false when there is none: of the weights the
+// CSR and the bucket's pending edits hold, the largest whose net
+// multiplicity is positive.
+func (d *Graph) heaviest(src, dst graph.VertexID) (uint32, bool) {
+	b := d.bucket[:0]
+	for l := d.pend[edgeKey{src, dst}]; l != 0; l = d.older[l-1] {
+		b = append(b, d.pending(l))
+	}
+	d.bucket = b
+	slices.SortFunc(b, func(x, y graph.EdgeEdit) int { return cmp.Compare(y.Weight, x.Weight) })
+	lo, hi, ws := d.span(src, dst)
+	for hi > lo || len(b) > 0 {
+		var w uint32
+		if hi > lo {
+			w = ws.At(hi - 1)
+		}
+		if len(b) > 0 {
+			w = max(w, b[0].Weight)
+		}
+		// The CSR's instances of w end at hi.
+		i := lo + sort.Search(hi-lo, func(k int) bool { return ws.At(lo+k) >= w })
+		c := hi - i
+		for hi = i; len(b) > 0 && b[0].Weight == w; b = b[1:] {
+			c += delta(b[0])
+		}
+		if c > 0 {
+			return w, true
+		}
+	}
+	return 0, false
 }
 
 // AddVertices grows the vertex space by k and returns the first new ID.
 // Non-positive k is a no-op (the vertex space never shrinks).
 func (d *Graph) AddVertices(k int) graph.VertexID {
 	first := graph.VertexID(d.n)
-	if k <= 0 {
-		return first
-	}
-	d.grow(k)
-	d.touch()
+	d.grow(max(k, 0))
 	return first
-}
-
-// touch notes a mutation: a foreign snapshot cannot be patched forward,
-// so it is released; a canonical one stays as the base of the next patch.
-func (d *Graph) touch() {
-	if !d.canonical {
-		d.snapshot = nil
-	}
 }
 
 func (d *Graph) grow(k int) {
@@ -207,181 +254,119 @@ func (d *Graph) grow(k int) {
 	d.inDeg = append(d.inDeg, make([]int32, k)...)
 }
 
+// shrink takes the vertex space back to n; no edge touches the rest.
+func (d *Graph) shrink(n int) {
+	d.n, d.outDeg, d.inDeg = n, d.outDeg[:n], d.inDeg[:n]
+}
+
 // Apply applies one batch of updates atomically. Insertions of edges
 // with endpoints outside the vertex space and removals of absent edges
-// are errors (removals delete one matching (src, dst) instance, ignoring
-// weight); on error no update in the batch takes effect.
+// are errors; on error no update in the batch takes effect. See ApplyGrow
+// for which instance a removal takes.
 func (d *Graph) Apply(batch []Update) error {
 	_, err := d.ApplyGrow(0, batch)
 	return err
 }
 
 // ApplyGrow grows the vertex space by addVertices and applies batch as a
-// single atomic operation: the batch is validated up front against the
-// grown vertex space (so it may reference the new vertices), and on error
-// nothing changes — not even the growth. It returns the first new vertex
-// ID (meaningful only when addVertices > 0).
+// single atomic operation: the batch is checked against the grown vertex
+// space (so it may reference the new vertices), and on error nothing
+// changes — not even the growth. It returns the first new vertex ID
+// (meaningful only when addVertices > 0).
+//
+// A removal names a (src, dst) bucket and ignores its weight: it takes the
+// heaviest instance present at its point in the batch, the last in
+// canonical order. On an unweighted graph weights are dropped.
 func (d *Graph) ApplyGrow(addVertices int, batch []Update) (graph.VertexID, error) {
 	if addVertices < 0 {
 		return 0, fmt.Errorf("dynamic: negative vertex growth %d", addVertices)
 	}
-	// Validation pass: check the whole batch against the current state
-	// plus the batch's own net effect per (src, dst) bucket, so a
-	// mid-batch error can never leave earlier updates applied. The delta
-	// map exists only to let removals see earlier in-batch updates, so
-	// it is allocated lazily on the first removal (backfilling the
-	// inserts seen so far) — the common insert-only batch does no map
-	// work at all here.
 	n := d.n + addVertices
-	var delta map[edgeKey]int
-	inserts := 0
-	for i, u := range batch {
+	for _, u := range batch {
 		if int(u.Edge.Src) >= n || int(u.Edge.Dst) >= n {
 			return 0, fmt.Errorf("dynamic: edge %d->%d outside vertex space [0,%d)",
 				u.Edge.Src, u.Edge.Dst, n)
 		}
-		k := edgeKey{u.Edge.Src, u.Edge.Dst}
-		if !u.Remove {
-			if inserts++; len(d.edges)+inserts > maxEdges {
-				return 0, fmt.Errorf("dynamic: batch grows the graph past %d edges", maxEdges)
-			}
-			if delta != nil {
-				delta[k]++
-			}
-			continue
-		}
-		if delta == nil {
-			delta = make(map[edgeKey]int)
-			for _, p := range batch[:i] {
-				delta[edgeKey{p.Edge.Src, p.Edge.Dst}]++
-			}
-		}
-		if need := 1 - delta[k]; need > 0 && d.count(k.src, k.dst, need) < need {
-			return 0, fmt.Errorf("dynamic: removing absent edge %d->%d", u.Edge.Src, u.Edge.Dst)
-		}
-		delta[k]--
 	}
-	// Mutation pass: cannot fail.
-	first := graph.VertexID(d.n)
+	// Updates are logged one by one, so a removal sees those before it; an
+	// absent removal takes the batch's edits, all pending, back off.
+	first, start := d.n, d.seq()
 	d.grow(addVertices)
 	for _, u := range batch {
+		e := graph.EdgeEdit{Src: u.Edge.Src, Dst: u.Edge.Dst, Remove: u.Remove}
 		if u.Remove {
-			d.remove(u.Edge.Src, u.Edge.Dst)
-		} else {
-			d.insert(u.Edge)
+			var ok bool
+			if e.Weight, ok = d.heaviest(e.Src, e.Dst); !ok {
+				for d.seq() > start {
+					d.pop()
+				}
+				d.shrink(first)
+				return 0, fmt.Errorf("dynamic: removing absent edge %d->%d", e.Src, e.Dst)
+			}
+		} else if d.weighted {
+			e.Weight = u.Edge.Weight
 		}
+		d.edit(e)
 	}
 	d.batches++
-	d.touch()
-	d.trimLog()
-	return first, nil
+	d.settle()
+	return graph.VertexID(first), nil
 }
 
-func (d *Graph) insert(e graph.Edge) {
-	if 2*(d.keys+1) > len(d.table) {
-		d.rehash(2 * len(d.table))
-	}
-	d.edges = append(d.edges, e)
-	d.next = append(d.next, 0)
-	d.link(len(d.edges) - 1)
-	d.outDeg[e.Src]++
-	d.inDeg[e.Dst]++
-	d.log = append(d.log, graph.EdgeEdit{Src: e.Src, Dst: e.Dst, Weight: e.Weight})
+// edit logs e as a pending edit; a removal's instance must be present.
+func (d *Graph) edit(e graph.EdgeEdit) {
+	k := edgeKey{e.Src, e.Dst}
+	d.older = append(d.older, d.pend[k])
+	d.pend[k] = uint32(len(d.older))
+	d.log = append(d.log, e)
+	d.count(e, 1)
 }
 
-// remove deletes the most recently inserted (src, dst) instance, which
-// validation has proven present: unlink it from the head of its chain,
-// swap the last edge into the hole, and repoint the one link that
-// addressed the moved edge.
-func (d *Graph) remove(src, dst graph.VertexID) {
-	i := d.slot(src, dst)
-	pos := int(d.table[i]) - 1
-	d.log = append(d.log, graph.EdgeEdit{Src: src, Dst: dst, Weight: d.edges[pos].Weight, Remove: true})
-	if older := d.next[pos]; older != 0 {
-		d.table[i] = older
+// pop takes the newest edit, a pending one, back off the log.
+func (d *Graph) pop() {
+	e, last := d.log[len(d.log)-1], len(d.older)-1
+	if l := d.older[last]; l != 0 {
+		d.pend[edgeKey{e.Src, e.Dst}] = l
 	} else {
-		d.vacate(i)
+		delete(d.pend, edgeKey{e.Src, e.Dst})
 	}
-	last := len(d.edges) - 1
-	if pos != last {
-		moved := d.edges[last]
-		link := &d.table[d.slot(moved.Src, moved.Dst)]
-		for *link != uint32(last+1) {
-			link = &d.next[*link-1]
-		}
-		*link = uint32(pos + 1)
-		d.edges[pos], d.next[pos] = moved, d.next[last]
-	}
-	d.edges, d.next = d.edges[:last], d.next[:last]
-	d.outDeg[src]--
-	d.inDeg[dst]--
+	d.log, d.older = d.log[:len(d.log)-1], d.older[:last]
+	d.count(e, -1)
 }
 
-// home returns the table slot (src, dst) hashes to.
-func (d *Graph) home(src, dst graph.VertexID) int {
-	h := (uint64(src)<<32 | uint64(dst)) * 0x9E3779B97F4A7C15
-	h = (h ^ h>>32) * 0xD6E8FEB86659FD93
-	return int(h >> d.shift)
+// count adds sign times e's effect to the degrees and the edge count.
+func (d *Graph) count(e graph.EdgeEdit, sign int) {
+	sign *= delta(e)
+	d.outDeg[e.Src] += int32(sign)
+	d.inDeg[e.Dst] += int32(sign)
+	d.m += sign
 }
 
-// slot returns the table slot holding (src, dst), or the empty slot that
-// would take it. The load bound guarantees an empty slot exists.
-func (d *Graph) slot(src, dst graph.VertexID) int {
-	mask := len(d.table) - 1
-	for i := d.home(src, dst); ; i = (i + 1) & mask {
-		if l := d.table[i]; l == 0 || d.edges[l-1].Src == src && d.edges[l-1].Dst == dst {
-			return i
-		}
+// fold patches the pending edits into the CSR over the current vertex
+// space. It fails, changing nothing, only when log and CSR disagree or a
+// pending edit lies outside the vertex space (mid-rollback).
+func (d *Graph) fold() error {
+	if len(d.older) == 0 && d.csr.NumVertices() == d.n {
+		return nil
 	}
+	g, err := d.csr.Patch(d.log[d.csrSeq-d.logBase:], d.n, nil)
+	if err != nil {
+		return err
+	}
+	d.csr, d.csrSeq = g, d.seq()
+	clear(d.pend)
+	d.older = d.older[:0]
+	return nil
 }
 
-// count walks the (src, dst) chain and returns its length, or limit if
-// the chain is at least that long.
-func (d *Graph) count(src, dst graph.VertexID, limit int) int {
-	n := 0
-	for l := d.table[d.slot(src, dst)]; l != 0 && n < limit; l = d.next[l-1] {
-		n++
+// settle ends a mutation: it folds the pending edits once they pass the
+// retention bound (a fold cannot fail here; were it to, the edits would
+// stay pending and Snapshot would report it) and trims the log.
+func (d *Graph) settle() {
+	if len(d.older) > d.retain() {
+		d.fold()
 	}
-	return n
-}
-
-// link makes edges[pos] the newest instance of its key.
-func (d *Graph) link(pos int) {
-	i := d.slot(d.edges[pos].Src, d.edges[pos].Dst)
-	if d.table[i] == 0 {
-		d.keys++
-	}
-	d.next[pos] = d.table[i]
-	d.table[i] = uint32(pos + 1)
-}
-
-// vacate empties slot i by backward-shift deletion: each later entry of
-// the probe run moves into the hole when the hole lies on its own probe
-// path, so lookups never need tombstones.
-func (d *Graph) vacate(i int) {
-	mask := len(d.table) - 1
-	for j := (i + 1) & mask; d.table[j] != 0; j = (j + 1) & mask {
-		e := &d.edges[d.table[j]-1]
-		if (j-d.home(e.Src, e.Dst))&mask >= (j-i)&mask {
-			d.table[i] = d.table[j]
-			i = j
-		}
-	}
-	d.table[i] = 0
-	d.keys--
-}
-
-// rehash rebuilds the table at the given power-of-two size.
-func (d *Graph) rehash(size int) {
-	old := d.table
-	d.table = make([]uint32, size)
-	d.shift = uint(64 - bits.TrailingZeros(uint(size)))
-	for _, l := range old {
-		if l != 0 {
-			e := &d.edges[l-1]
-			d.table[d.slot(e.Src, e.Dst)] = l
-		}
-	}
+	d.trimLog()
 }
 
 // RestoreBatches overrides the batch counter, aligning it with an
@@ -404,7 +389,7 @@ func (d *Graph) retain() int {
 	if d.logRetain > 0 {
 		return d.logRetain
 	}
-	return max(minLogRetain, len(d.edges)/8)
+	return max(minLogRetain, d.m/8)
 }
 
 // editsSince returns the edits that take a reader from log position seq
@@ -421,14 +406,14 @@ func (d *Graph) editsSince(seq uint64) ([]graph.EdgeEdit, bool) {
 }
 
 // trimLog drops the oldest edits once the log outgrows its retention,
-// down to half of it so the copy is amortized — but never an edit a
-// Mark still needs.
+// down to half of it so the copy is amortized — but never an edit the
+// CSR has not absorbed or a Mark still needs.
 func (d *Graph) trimLog() {
 	retain := d.retain()
 	if len(d.log) <= retain {
 		return
 	}
-	drop := uint64(len(d.log) - retain/2)
+	drop := min(uint64(len(d.log)-retain/2), d.csrSeq-d.logBase)
 	if d.pin != noPin {
 		drop = min(drop, d.pin-d.logBase)
 	}
@@ -458,14 +443,14 @@ func (d *Graph) Mark() Mark {
 }
 
 // RollbackTo returns the graph to the state it had at m: the edits
-// applied since are undone in reverse order (so every (src, dst) bucket
-// gets back the instances, and the removal order, it had), vertex growth
-// since is taken back, and the batch counter is restored. The undo is
-// itself logged — readers of the log patch across a rollback like across
-// any other edit — and the edge list may come back in a different order,
-// which no snapshot depends on. It fails, changing nothing, for a mark of
-// another graph or one whose edits have been trimmed (only the latest
-// Mark is pinned).
+// applied since are undone in reverse order, vertex growth since is taken
+// back, and the batch counter is restored. Undoing an insert removes an
+// instance of its weight, so the multiset, and with it the instance every
+// later removal takes, is what it was at m. The undo is itself logged —
+// readers of the log patch across a rollback like across any other edit
+// — and a rollback that shrinks the vertex space rebuilds the CSR once.
+// It fails, changing nothing, for a mark of another graph or one whose
+// edits have been trimmed (only the latest Mark is pinned).
 func (d *Graph) RollbackTo(m Mark) error {
 	if m.of != d || m.seq < d.logBase || m.seq > d.seq() {
 		return fmt.Errorf("dynamic: mark at edit %d is not (or no longer) in this graph's log [%d,%d]",
@@ -479,54 +464,39 @@ func (d *Graph) RollbackTo(m Mark) error {
 	}
 	d.grow(room - d.n)
 	for s := d.seq(); s > m.seq; s-- {
-		if e := d.log[s-1-d.logBase]; e.Remove {
-			d.insert(graph.Edge{Src: e.Src, Dst: e.Dst, Weight: e.Weight})
-		} else {
-			d.remove(e.Src, e.Dst)
-		}
+		e := d.log[s-1-d.logBase]
+		e.Remove = !e.Remove
+		d.edit(e)
 	}
-	d.n, d.outDeg, d.inDeg = m.n, d.outDeg[:m.n], d.inDeg[:m.n]
+	if room > m.n {
+		// No edge touches the vertices past m.n any more, but the CSR or
+		// the pending edits may: fold over the room, then rebuild over m.n.
+		if err := d.fold(); err != nil {
+			return err
+		}
+		g, err := graph.BuildWith(d.csr.Edges(), graph.BuildOptions{NumVertices: m.n, Weighted: d.weighted, SortNeighbors: true})
+		if err != nil {
+			return err
+		}
+		d.csr = g
+		d.builds++
+	}
+	d.shrink(m.n)
 	d.batches = m.batches
-	d.touch()
+	d.settle()
 	return nil
 }
 
-// Snapshot materializes the current graph as static CSR in canonical
-// order — every adjacency list sorted by (neighbor, weight) — so the
-// result depends on the edge multiset only. The result is cached; when
-// the graph has changed since, the cached CSR is patched from the edit
-// log (a copy plus work proportional to the edits), and rebuilt from the
-// edge list only when it cannot be: no cached CSR, a foreign one
-// (FromGraph's argument, which is returned as it is until the first
-// mutation), a delta the log no longer covers, or a vertex space that
-// shrank. Either way the result is a fresh graph equal, array for
-// array, to the rebuild; graphs returned earlier are never modified.
+// Snapshot returns the current graph as static CSR in canonical order,
+// so the result depends on the edge multiset only: the CSR with the
+// pending edits folded in, a copy plus work proportional to the edits.
+// Until the first mutation it is FromGraph's argument itself, when that
+// was in canonical order. Graphs returned earlier are never modified.
 func (d *Graph) Snapshot() (*graph.Graph, error) {
-	if s := d.snapshot; s != nil {
-		if d.snapSeq == d.seq() && s.NumVertices() == d.n {
-			return s, nil
-		}
-		// A stale snapshot is a canonical one: touch dropped any other.
-		if edits, ok := d.editsSince(d.snapSeq); ok && s.NumVertices() <= d.n {
-			// An error means log and CSR disagree (or the log crosses a
-			// rolled-back growth); the rebuild below is always right.
-			if g, err := s.Patch(edits, d.n, nil); err == nil {
-				d.snapshot, d.snapSeq = g, d.seq()
-				return g, nil
-			}
-		}
-	}
-	g, err := graph.BuildWith(d.edges, graph.BuildOptions{
-		NumVertices:   d.n,
-		Weighted:      d.weighted,
-		SortNeighbors: true,
-	})
-	if err != nil {
+	if err := d.fold(); err != nil {
 		return nil, err
 	}
-	d.snapshot, d.snapSeq, d.canonical = g, d.seq(), true
-	d.builds++
-	return g, nil
+	return d.csr, nil
 }
 
 // Policy configures when a Reorderer refreshes its ordering.
@@ -552,13 +522,12 @@ type Reorderer struct {
 	perm reorder.Permutation
 	inv  reorder.Permutation // perm's inverse, computed when the first patch needs it
 
-	// view is the reordered CSR of viewOf as of its log position viewSeq;
-	// viewCanonical reports that its lists are in canonical order (those
-	// of a canonical snapshot, relabeled), so it can be patched.
-	view          *graph.Graph
-	viewOf        *Graph
-	viewSeq       uint64
-	viewCanonical bool
+	// view is the reordered CSR of viewOf as of its log position viewSeq:
+	// a canonical snapshot relabeled, so its lists are in canonical order
+	// under the inverse permutation as rank and it can be patched.
+	view    *graph.Graph
+	viewOf  *Graph
+	viewSeq uint64
 
 	batchesAtPerm int
 	// Refreshes counts how many times the ordering was recomputed.
@@ -585,13 +554,17 @@ func NewReorderer(tech reorder.Technique, kind graph.DegreeKind, policy Policy) 
 // current state, so the first View does not redo work the caller already
 // performed (e.g. a snapshot-build pipeline that reordered the graph
 // itself). view must be d's current snapshot relabeled by perm — the
-// graph d.Snapshot() returns, not merely an equal edge set: while that
-// is still the foreign graph d was created from, the seeded view's lists
-// are in that graph's order and the first View after a mutation relabels
-// a rebuilt snapshot instead of patching it.
+// graph d.Snapshot() returns, or, before d's first edit, the graph d was
+// created from. A canonical view is patched by the first View after a
+// mutation. When FromGraph had to put its argument in canonical order, a
+// view of that argument is not canonical: it is dropped, and the first
+// View relabels a snapshot instead.
 func (r *Reorderer) Seed(d *Graph, view *graph.Graph, perm reorder.Permutation) {
 	r.setPerm(d, perm)
-	r.setView(d, view, d.snapshot == nil || d.canonical)
+	if d.rebuilt && d.seq() == 0 {
+		view = nil
+	}
+	r.setView(d, view)
 	r.Refreshes++
 }
 
@@ -600,8 +573,8 @@ func (r *Reorderer) setPerm(d *Graph, perm reorder.Permutation) {
 	r.batchesAtPerm = d.Batches()
 }
 
-func (r *Reorderer) setView(d *Graph, view *graph.Graph, canonical bool) {
-	r.view, r.viewOf, r.viewSeq, r.viewCanonical = view, d, d.seq(), canonical
+func (r *Reorderer) setView(d *Graph, view *graph.Graph) {
+	r.view, r.viewOf, r.viewSeq = view, d, d.seq()
 }
 
 // patchView brings the view up to date from d's edit log, translating
@@ -609,7 +582,7 @@ func (r *Reorderer) setView(d *Graph, view *graph.Graph, canonical bool) {
 // original ID, which is what the inverse permutation as rank says. It
 // returns nil when the view has to be relabeled from a snapshot instead.
 func (r *Reorderer) patchView(d *Graph) *graph.Graph {
-	if r.view == nil || r.viewOf != d || !r.viewCanonical {
+	if r.view == nil || r.viewOf != d {
 		return nil
 	}
 	edits, ok := d.editsSince(r.viewSeq)
@@ -641,10 +614,10 @@ func (r *Reorderer) patchView(d *Graph) *graph.Graph {
 // Only a refresh materializes the original-order snapshot. Between
 // refreshes the previous view is patched from d's edit log through the
 // stale permutation, at a cost of one copy of the CSR plus work
-// proportional to the edits; the stale-permutation relabel of a rebuilt
-// or patched snapshot is the fallback when the log does not cover the
-// delta or the previous view is not in canonical order (see Seed). Views
-// returned earlier are never modified.
+// proportional to the edits; the stale-permutation relabel of a snapshot
+// is the fallback when the log does not cover the delta or there is no
+// previous view to patch (see Seed). Views returned earlier are never
+// modified.
 func (r *Reorderer) View(d *Graph) (*graph.Graph, reorder.Permutation, error) {
 	// A missing ordering or a changed vertex space forces a refresh.
 	due := r.batchesAtPerm < 0 || len(r.perm) != d.NumVertices() ||
@@ -659,7 +632,7 @@ func (r *Reorderer) View(d *Graph) (*graph.Graph, reorder.Permutation, error) {
 			return nil, nil, err
 		}
 		r.setPerm(d, res.Perm)
-		r.setView(d, res.Graph, d.canonical)
+		r.setView(d, res.Graph)
 		r.LastQuality = res.Quality
 		r.Refreshes++
 		return r.view, r.perm, nil
@@ -670,7 +643,7 @@ func (r *Reorderer) View(d *Graph) (*graph.Graph, reorder.Permutation, error) {
 	// Stale permutation, fresh edges — exactly the reuse §VIII-B argues
 	// for.
 	if view := r.patchView(d); view != nil {
-		r.setView(d, view, true)
+		r.setView(d, view)
 		r.Patches++
 	} else {
 		g, err := d.Snapshot()
@@ -681,7 +654,7 @@ func (r *Reorderer) View(d *Graph) (*graph.Graph, reorder.Permutation, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		r.setView(d, view, d.canonical)
+		r.setView(d, view)
 	}
 	r.Relabels++
 	return r.view, r.perm, nil

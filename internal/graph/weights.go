@@ -45,6 +45,19 @@ func (w WeightList) Append(buf []uint32) []uint32 {
 	return appendWeights(buf, w.Bytes, w.Width, 0, uint64(len(w.Bytes)/w.Width))
 }
 
+// At decodes weight i of the list; it is 0 on an unweighted graph.
+func (w WeightList) At(i int) uint32 {
+	switch w.Width {
+	case 0:
+		return 0
+	case 1:
+		return uint32(w.Bytes[i])
+	case 2:
+		return uint32(binary.LittleEndian.Uint16(w.Bytes[2*i:]))
+	}
+	return binary.LittleEndian.Uint32(w.Bytes[4*i:])
+}
+
 // appendWeights appends weights [lo, hi) of w, stored wb bytes each, to
 // buf and returns it; buf comes back unchanged when wb is 0 (unweighted).
 // The width is switched on once per call, not once per weight.

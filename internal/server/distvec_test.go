@@ -137,16 +137,18 @@ func TestSSSPTargetRepliesUnchanged(t *testing.T) {
 				t.Errorf("%s target %d:\n got %s want %s", name, target, body, want)
 			}
 		}
-		key := fmt.Sprintf("%d|sssp|0", snap.epoch)
+		// Entries are keyed by the source's original ID.
+		kind := fmt.Sprintf("sssp|%d", idSpace{snap: snap, orig: true}.out(0))
+		key := fmt.Sprintf("%d|%s", snap.epoch, kind)
 		v, ok := s.cache.Get(key)
 		if !ok {
 			t.Fatalf("%s: SSSP result not cached", name)
 		}
-		vec := v.(SSSPDistances).Dist
+		vec := v.(ssspEntry).Dist
 		if vec.Bytes() != wantBytes[name]*int64(n) {
 			t.Errorf("%s: cached vector is %d B for %d vertices, want %d B/vertex", name, vec.Bytes(), n, wantBytes[name])
 		}
-		wantCache += EntryCost(key, "sssp|0", vec.Bytes())
+		wantCache += EntryCost(key, kind, vec.Bytes())
 	}
 	// The cache is charged what it holds, and /metrics reports that figure.
 	var rep MetricsReport

@@ -42,6 +42,17 @@
 // undoing its edit log to the last published state's mark
 // (dynamic.Graph.RollbackTo): no copy of the graph is kept for it.
 //
+// Recovery restores every acknowledged batch, weights included. With
+// durability on, a batch is on the write-ahead log before it is applied,
+// and a checkpoint (the graph's CSR, its lists sorted by (neighbor,
+// weight)) folds the log every CheckpointEvery publishes; a build of a
+// mutable name that is not live resumes from the last checkpoint and
+// replays the log's batches on it. Replay lands on the acknowledged state
+// because a removal names a (src, dst) and takes its heaviest instance
+// (dynamic.Graph.ApplyGrow): the instance a removal takes is a function
+// of the edge multiset, which the checkpoint holds, not of the order the
+// instances arrived in, which it does not.
+//
 // A publish is the stage list publishStages (publish.go): view, evaluate,
 // precompute, encode, assemble. A snapshot build runs the same stages;
 // only its view stage differs (it applies the spec's plan to the loaded

@@ -77,18 +77,54 @@ func TestPublishStagesTraced(t *testing.T) {
 		}
 		paths[view]++
 	}
-	// The build's base graph is foreign to the dynamic graph, so the first
-	// write relabels a rebuilt snapshot; from then on views are patched,
-	// and every third batch refreshes.
-	if paths["view.relabel"] != 1 || paths["view.refresh"] != 2 || paths["view.patch"] != 4 {
-		t.Fatalf("view paths %v, want 1 relabel, 2 refreshes, 4 patches", paths)
+	// The dynamic graph adopts the build's base graph and the Reorderer
+	// the build's view, so every write patches the previous view, the
+	// first included, except every third, which refreshes.
+	if paths["view.relabel"] != 0 || paths["view.refresh"] != 2 || paths["view.patch"] != 5 {
+		t.Fatalf("view paths %v, want 0 relabels, 2 refreshes, 5 patches", paths)
 	}
 	text := scrape()
-	for stage, want := range map[string]int{"apply": 7, "view.patch": 4, "view.relabel": 1, "view.refresh": 2,
+	for stage, want := range map[string]int{"apply": 7, "view.patch": 5, "view.relabel": 0, "view.refresh": 2,
 		"evaluate": 7, "precompute": 7, "encode": 7, "swap": 7} {
 		if line := fmt.Sprintf(`graphd_publish_stage_seconds_count{stage=%q} %d`, stage, want); !strings.Contains(text, line) {
 			t.Errorf("/metrics lacks %s", line)
 		}
+	}
+}
+
+// TestFirstWriteAfterBuildPatches: a mutable DBG build on sd/tiny hands
+// the dynamic graph the generated graph, which it adopts as its CSR, and
+// the Reorderer the build's view; the first write then patches that view
+// (the write's trace shows view.patch) instead of building a CSR and
+// relabeling it.
+func TestFirstWriteAfterBuildPatches(t *testing.T) {
+	s := New(Config{Workers: 1, QueryTimeout: 30 * time.Second})
+	t.Cleanup(func() { s.store.CloseLive() })
+	if _, err := s.store.Build(BuildSpec{Name: "live", Dataset: "sd", Scale: "tiny", Technique: "dbg", Mutable: true}); err != nil {
+		t.Fatal(err)
+	}
+	h := s.Handler()
+	req := httptest.NewRequest("POST", "/v1/snapshots/live/edges?debug=trace",
+		strings.NewReader(`{"updates":[{"src":0,"dst":1,"weight":3}]}`))
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, req)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("write: %d %s", rec.Code, rec.Body.String())
+	}
+	var out struct {
+		Trace obs.TraceView `json:"trace"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
+		t.Fatal(err)
+	}
+	if len(out.Trace.Spans) < 2 || out.Trace.Spans[1].Name != "view.patch" {
+		t.Fatalf("first write's spans %v, want apply then view.patch", out.Trace.Spans)
+	}
+	// The receipt came after the refresher's last touch of the Reorderer.
+	r := s.store.Live("live").reord
+	if r.Patches != 1 || r.Relabels != 1 || r.Refreshes != 1 {
+		t.Fatalf("after one write: %d patches, %d stale views, %d orderings; want 1, 1, 1 (the build's)",
+			r.Patches, r.Relabels, r.Refreshes)
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"graphreorder/internal/apps"
 	"graphreorder/internal/graph"
 	"graphreorder/internal/obs"
+	"graphreorder/internal/reorder"
 	"graphreorder/internal/rng"
 )
 
@@ -365,6 +366,28 @@ func NewSSSPDistances(dist []int64, rounds int) SSSPDistances {
 	}
 	d.Dist = packDistances(dist, d.maxDistance)
 	return d
+}
+
+// ssspEntry is a node's cached SSSP: the distances, in the current ID
+// space of the snapshot that computed them, and that snapshot's
+// permutation (nil for the identity). The permutation is the snapshot's
+// own slice, shared by every entry computed under it, and is not charged
+// to the entry.
+type ssspEntry struct {
+	SSSPDistances
+	perm reorder.Permutation
+}
+
+// index returns where the distance of original vertex v sits in the
+// vector: past its end for a vertex the producing snapshot did not have.
+func (e ssspEntry) index(v graph.VertexID) int {
+	switch {
+	case e.perm == nil:
+		return int(v)
+	case int(v) < len(e.perm):
+		return int(e.perm[v])
+	}
+	return len(e.perm)
 }
 
 // computeSSSP runs SSSP through the library's context-aware Run API: the

@@ -649,30 +649,34 @@ func (s *Server) handleSSSP(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	// The traversal and its cached distance vector are current-space
-	// regardless of the wire space — only the source key and the target
-	// lookup translate — so both spaces share one cache entry.
+	// The traversal and its cached distance vector are in the current
+	// space of the snapshot that computed them, whatever the wire space.
+	// The entry is keyed by the source's original ID, which a refresh does
+	// not move, so both wire spaces share it and a stale serve from an
+	// older epoch answers for the vertex named; the target is found through
+	// the producing snapshot's permutation.
+	origSpace := idSpace{snap: snap, orig: true}
 	cur := sp.in(src)
-	out, err := s.runHeavy(r.Context(), snap, "query.sssp", fmt.Sprintf("sssp|%d", cur),
+	out, err := s.runHeavy(r.Context(), snap, "query.sssp", fmt.Sprintf("sssp|%d", origSpace.out(cur)),
 		func(ctx context.Context) (any, int64, error) {
 			d, err := computeSSSP(ctx, snap, cur, s.cfg.Workers)
 			if err != nil {
 				return nil, 0, err
 			}
-			return d, d.Dist.Bytes(), nil
+			return ssspEntry{SSSPDistances: d, perm: snap.perm}, d.Dist.Bytes(), nil
 		})
 	if err != nil {
 		writeHeavyError(w, err)
 		return
 	}
-	d := out.val.(SSSPDistances)
+	d := out.val.(ssspEntry)
 	summary := d.Summary(out.meta, src)
 	if !hasTarget {
 		writeJSON(w, http.StatusOK, summary)
 		return
 	}
 	res := SSSPTargetResult{SSSPResult: summary, Target: target}
-	res.Distance, res.Reachable = d.Dist.At(int(sp.in(target)))
+	res.Distance, res.Reachable = d.Dist.At(d.index(origSpace.out(sp.in(target))))
 	writeJSON(w, http.StatusOK, res)
 }
 
