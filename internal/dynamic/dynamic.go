@@ -14,11 +14,11 @@
 // sorted by (neighbor, weight) in original vertex order, so the CSR is a
 // function of the edge multiset alone. Beside it is an edit log, every
 // edge instance inserted or removed under absolute sequence numbers. The
-// edits after the CSR's log position are pending, indexed by (src, dst)
-// bucket, until graph.Patch folds them into a fresh CSR (a copy of the
-// untouched lists and a merge of the edited ones, defined to equal the
-// full rebuild): Snapshot folds, and so does a batch that takes the
-// pending edits past the log's retention bound. A removal takes the
+// edits after the CSR's log position are pending, summed per (src, dst)
+// bucket and weight, until graph.Patch folds them into a fresh CSR (a
+// copy of the untouched lists and a merge of the edited ones, defined to
+// equal the full rebuild): Snapshot folds, and so does a batch that takes
+// the pending edits past the log's retention bound. A removal takes the
 // heaviest instance of its bucket, the last in canonical order, so every
 // state is a function of the edge multiset: a graph started from
 // another's snapshot (a checkpoint) and fed the same batches stays equal
@@ -62,6 +62,13 @@ type edgeKey struct {
 	src, dst graph.VertexID
 }
 
+// pendingWeight is the net count of a bucket's pending edits of one
+// weight, and the position plus one of the bucket's next pendingWeight.
+type pendingWeight struct {
+	w, next uint32
+	net     int32
+}
+
 // minLogRetain is the edit-log retention of a small graph; larger graphs
 // retain an eighth of their edge count.
 const minLogRetain = 1024
@@ -91,15 +98,14 @@ type Graph struct {
 	logRetain int    // retention override (tests); 0 means max(minLogRetain, edges/8)
 	pin       uint64 // edits from here on are never trimmed: the last Mark, or noPin
 
-	// csr is the graph as of log position csrSeq. pend maps each bucket
-	// with edits after it to its newest one, and older links each such
-	// edit to its bucket's next older one, both as an offset from csrSeq
-	// plus one, 0 meaning none.
+	// csr is the graph as of log position csrSeq; the edits after it are
+	// pending, summed per weight. pend maps each bucket with pending edits
+	// to the position plus one of its first entry in sums, 0 meaning none.
 	csr    *graph.Graph
 	csrSeq uint64
 	pend   map[edgeKey]uint32
-	older  []uint32
-	bucket []graph.EdgeEdit // heaviest's scratch
+	sums   []pendingWeight
+	bucket []pendingWeight // heaviest's scratch
 
 	// rebuilt reports that FromGraph's argument was not in canonical
 	// order; builds counts the CSRs not made by a fold (that rebuild and a
@@ -172,12 +178,12 @@ func (d *Graph) AvgDegree() float64 {
 }
 
 // Count returns how many (src, dst) edge instances are present: a binary
-// search in src's CSR list plus the bucket's pending edits.
+// search in src's CSR list plus the bucket's pending weights.
 func (d *Graph) Count(src, dst graph.VertexID) int {
 	lo, hi, _ := d.span(src, dst)
 	c := hi - lo
-	for l := d.pend[edgeKey{src, dst}]; l != 0; l = d.older[l-1] {
-		c += delta(d.pending(l))
+	for l := d.pend[edgeKey{src, dst}]; l != 0; l = d.sums[l-1].next {
+		c += int(d.sums[l-1].net)
 	}
 	return c
 }
@@ -194,11 +200,6 @@ func (d *Graph) span(src, dst graph.VertexID) (int, int, graph.WeightList) {
 	return lo, lo + hi, d.csr.OutWeightList(src)
 }
 
-// pending returns the pending edit at offset l-1.
-func (d *Graph) pending(l uint32) graph.EdgeEdit {
-	return d.log[d.csrSeq-d.logBase+uint64(l-1)]
-}
-
 // delta is what e adds to its bucket's multiplicity.
 func delta(e graph.EdgeEdit) int {
 	if e.Remove {
@@ -209,15 +210,17 @@ func delta(e graph.EdgeEdit) int {
 
 // heaviest returns the weight of the heaviest (src, dst) instance present,
 // the one a removal takes, or false when there is none: of the weights the
-// CSR and the bucket's pending edits hold, the largest whose net
-// multiplicity is positive.
+// CSR and the bucket's pending weights hold, the largest whose net
+// multiplicity is positive. It costs a binary search per weight it looks
+// at, and a sort of the bucket's pending weights, of which a bucket
+// churned by removals and re-inserts holds one.
 func (d *Graph) heaviest(src, dst graph.VertexID) (uint32, bool) {
 	b := d.bucket[:0]
-	for l := d.pend[edgeKey{src, dst}]; l != 0; l = d.older[l-1] {
-		b = append(b, d.pending(l))
+	for l := d.pend[edgeKey{src, dst}]; l != 0; l = d.sums[l-1].next {
+		b = append(b, d.sums[l-1])
 	}
 	d.bucket = b
-	slices.SortFunc(b, func(x, y graph.EdgeEdit) int { return cmp.Compare(y.Weight, x.Weight) })
+	slices.SortFunc(b, func(x, y pendingWeight) int { return cmp.Compare(y.w, x.w) })
 	lo, hi, ws := d.span(src, dst)
 	for hi > lo || len(b) > 0 {
 		var w uint32
@@ -225,13 +228,13 @@ func (d *Graph) heaviest(src, dst graph.VertexID) (uint32, bool) {
 			w = ws.At(hi - 1)
 		}
 		if len(b) > 0 {
-			w = max(w, b[0].Weight)
+			w = max(w, b[0].w)
 		}
 		// The CSR's instances of w end at hi.
 		i := lo + sort.Search(hi-lo, func(k int) bool { return ws.At(lo+k) >= w })
 		c := hi - i
-		for hi = i; len(b) > 0 && b[0].Weight == w; b = b[1:] {
-			c += delta(b[0])
+		if hi = i; len(b) > 0 && b[0].w == w {
+			c, b = c+int(b[0].net), b[1:]
 		}
 		if c > 0 {
 			return w, true
@@ -315,28 +318,32 @@ func (d *Graph) ApplyGrow(addVertices int, batch []Update) (graph.VertexID, erro
 
 // edit logs e as a pending edit; a removal's instance must be present.
 func (d *Graph) edit(e graph.EdgeEdit) {
-	k := edgeKey{e.Src, e.Dst}
-	d.older = append(d.older, d.pend[k])
-	d.pend[k] = uint32(len(d.older))
 	d.log = append(d.log, e)
 	d.count(e, 1)
 }
 
 // pop takes the newest edit, a pending one, back off the log.
 func (d *Graph) pop() {
-	e, last := d.log[len(d.log)-1], len(d.older)-1
-	if l := d.older[last]; l != 0 {
-		d.pend[edgeKey{e.Src, e.Dst}] = l
-	} else {
-		delete(d.pend, edgeKey{e.Src, e.Dst})
-	}
-	d.log, d.older = d.log[:len(d.log)-1], d.older[:last]
+	e := d.log[len(d.log)-1]
+	d.log = d.log[:len(d.log)-1]
 	d.count(e, -1)
 }
 
-// count adds sign times e's effect to the degrees and the edge count.
+// count adds sign times e's effect to its bucket's pending weights, the
+// degrees and the edge count.
 func (d *Graph) count(e graph.EdgeEdit, sign int) {
 	sign *= delta(e)
+	k := edgeKey{e.Src, e.Dst}
+	l := d.pend[k]
+	for l != 0 && d.sums[l-1].w != e.Weight {
+		l = d.sums[l-1].next
+	}
+	if l == 0 {
+		d.sums = append(d.sums, pendingWeight{w: e.Weight, next: d.pend[k]})
+		l = uint32(len(d.sums))
+		d.pend[k] = l
+	}
+	d.sums[l-1].net += int32(sign)
 	d.outDeg[e.Src] += int32(sign)
 	d.inDeg[e.Dst] += int32(sign)
 	d.m += sign
@@ -346,7 +353,7 @@ func (d *Graph) count(e graph.EdgeEdit, sign int) {
 // space. It fails, changing nothing, only when log and CSR disagree or a
 // pending edit lies outside the vertex space (mid-rollback).
 func (d *Graph) fold() error {
-	if len(d.older) == 0 && d.csr.NumVertices() == d.n {
+	if d.csrSeq == d.seq() && d.csr.NumVertices() == d.n {
 		return nil
 	}
 	g, err := d.csr.Patch(d.log[d.csrSeq-d.logBase:], d.n, nil)
@@ -355,16 +362,17 @@ func (d *Graph) fold() error {
 	}
 	d.csr, d.csrSeq = g, d.seq()
 	clear(d.pend)
-	d.older = d.older[:0]
+	d.sums = d.sums[:0]
 	return nil
 }
 
 // settle ends a mutation: it folds the pending edits once they pass the
-// retention bound (a fold cannot fail here; were it to, the edits would
-// stay pending and Snapshot would report it) and trims the log.
+// retention bound, and trims the log.
 func (d *Graph) settle() {
-	if len(d.older) > d.retain() {
-		d.fold()
+	if d.seq()-d.csrSeq > uint64(d.retain()) {
+		// Validated edits always fold; were they refused, they would stay
+		// pending and the next Snapshot would report the error.
+		_ = d.fold()
 	}
 	d.trimLog()
 }
@@ -534,7 +542,7 @@ type Reorderer struct {
 	Refreshes int
 	// Relabels counts cheap stale-permutation views between refreshes;
 	// Patches of them patched the previous view from the edit log instead
-	// of relabeling a rebuilt snapshot.
+	// of relabeling a snapshot.
 	Relabels int
 	Patches  int
 	// LastQuality is the ordering-quality report of the view produced by

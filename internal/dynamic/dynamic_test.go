@@ -217,8 +217,8 @@ func TestRemovalChurnIndexConsistency(t *testing.T) {
 	}
 	// Count every bucket while edits are still pending, then against the
 	// folded CSR.
-	if d.logBase == 0 || len(d.older) == 0 {
-		t.Fatalf("churn left %d edits trimmed and %d pending, want both > 0", d.logBase, len(d.older))
+	if pending := d.seq() - d.csrSeq; d.logBase == 0 || pending == 0 {
+		t.Fatalf("churn left %d edits trimmed and %d pending, want both > 0", d.logBase, pending)
 	}
 	pending := make(map[[2]graph.VertexID]int)
 	for _, e := range touched {
@@ -523,12 +523,12 @@ func TestStaleOrderingStillPacksMostHubs(t *testing.T) {
 // probes returns how many entries a removal's lookup of (src, dst)
 // examines: the two binary searches over src's CSR out-list that bound
 // the bucket, the one over its weights that finds the heaviest's
-// instances, and the bucket's pending edits.
+// instances, and the bucket's pending weights.
 func probes(d *Graph, src, dst graph.VertexID) int {
 	lo, hi, _ := d.span(src, dst)
 	deg := d.csr.OutDegree(src)
 	p := bits.Len(uint(deg)) + bits.Len(uint(deg-lo)) + bits.Len(uint(hi-lo))
-	for l := d.pend[edgeKey{src, dst}]; l != 0; l = d.older[l-1] {
+	for l := d.pend[edgeKey{src, dst}]; l != 0; l = d.sums[l-1].next {
 		p++
 	}
 	return p
@@ -588,6 +588,29 @@ func TestRemovalCostIndependentOfEdgeCount(t *testing.T) {
 	}
 	if diff := means[1] - means[0]; diff > 1 {
 		t.Errorf("entries per lookup grew by %.2f with 10x the edges", diff)
+	}
+	// Pending edits are summed per weight: a bucket of one instance churned
+	// 4096 times in one batch holds one pending weight, not 8192 edits.
+	churned := FromGraph(base(t))
+	churned.logRetain = 1 << 20 // no fold
+	var e graph.Edge
+	for _, e = range churned.csr.Edges() {
+		if churned.Count(e.Src, e.Dst) == 1 {
+			break
+		}
+	}
+	churn := make([]Update, 0, 8192)
+	for range 4096 {
+		churn = append(churn, Update{Remove: true, Edge: e}, Update{Edge: e})
+	}
+	if err := churned.Apply(churn); err != nil {
+		t.Fatal(err)
+	}
+	if churned.csrSeq != 0 {
+		t.Fatal("the churn was folded")
+	}
+	if p, want := probes(churned, e.Src, e.Dst), probes(FromGraph(churned.csr), e.Src, e.Dst)+1; p > want {
+		t.Errorf("after 4096 churns of one edge a lookup examines %d entries, want <= %d", p, want)
 	}
 
 	if raceEnabled {

@@ -36,7 +36,7 @@ func sameArrays(a, b *Graph) error {
 // comparator left to the unstable sort — build the same arrays, on the
 // sequential and the parallel path: shuffled, or sorted so that every list
 // arrives in order; with few weights, or weights over the whole uint32
-// range.
+// range. WeightList.At reads every weight as Append decodes it.
 func TestBuildIsFunctionOfEdgeMultiset(t *testing.T) {
 	const n = 64
 	for _, tc := range []struct {
@@ -80,7 +80,13 @@ func TestBuildIsFunctionOfEdgeMultiset(t *testing.T) {
 					t.Fatal("the graph does not reach the radix sort or the parallel build")
 				}
 				for v := VertexID(0); v < n; v++ {
-					nbrs, ws := g.OutNeighbors(v), g.OutWeightList(v).Append(nil)
+					nbrs, wl := g.OutNeighbors(v), g.OutWeightList(v)
+					ws := wl.Append(nil)
+					for i, w := range ws {
+						if wl.At(i) != w {
+							t.Fatalf("%s: weight %d of %d's list reads %d one at a time, %d decoded", tc.name, i, v, wl.At(i), w)
+						}
+					}
 					for i := 1; i < len(nbrs); i++ {
 						if nbrs[i-1] > nbrs[i] || nbrs[i-1] == nbrs[i] && ws[i-1] > ws[i] {
 							t.Fatalf("%s, workers=%d: out-list of %d is not in (neighbor, weight) order at %d", tc.name, workers, v, i)
