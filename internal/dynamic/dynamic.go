@@ -127,7 +127,7 @@ func FromGraph(g *graph.Graph) *Graph {
 	for v := range graph.VertexID(n) {
 		d.outDeg[v], d.inDeg[v] = int32(g.OutDegree(v)), int32(g.InDegree(v))
 	}
-	if !canonical(g) {
+	if !g.Canonical() {
 		c, err := graph.BuildWith(g.Edges(), graph.BuildOptions{NumVertices: n, Weighted: d.weighted, SortNeighbors: true})
 		if err != nil {
 			panic(err) // g's edges lie in g's vertex space
@@ -135,23 +135,6 @@ func FromGraph(g *graph.Graph) *Graph {
 		d.csr, d.rebuilt, d.builds = c, true, 1
 	}
 	return d
-}
-
-// canonical reports whether every list of g is in canonical order:
-// out-lists by (neighbor, weight), in-lists by neighbor.
-func canonical(g *graph.Graph) bool {
-	for v := range graph.VertexID(g.NumVertices()) {
-		out, ws := g.OutNeighbors(v), g.OutWeightList(v)
-		for i := 1; i < len(out); i++ {
-			if out[i-1] > out[i] || out[i-1] == out[i] && ws.At(i-1) > ws.At(i) {
-				return false
-			}
-		}
-		if !slices.IsSorted(g.InNeighbors(v)) {
-			return false
-		}
-	}
-	return true
 }
 
 // NumVertices returns the current vertex-space size.

@@ -68,6 +68,20 @@ func (g *Graph) Patch(edits []EdgeEdit, n int, rank []VertexID) (*Graph, error) 
 	return ng, nil
 }
 
+// Canonical reports whether g's lists are in the order Patch needs for a
+// nil rank, the order BuildWith with SortNeighbors lays them out in:
+// out-lists by (neighbor, weight), in-lists by neighbor.
+func (g *Graph) Canonical() bool {
+	var ws []uint32
+	for v := range VertexID(g.n) {
+		ws = g.OutWeightList(v).Append(ws[:0])
+		if !inOrder(g.OutNeighbors(v), ws) || !inOrder(g.InNeighbors(v), nil) {
+			return false
+		}
+	}
+	return true
+}
+
 // patchItem is the net change to one (key, neighbor, weight) instance
 // group of one CSR direction.
 type patchItem struct {

@@ -36,7 +36,9 @@ func sameArrays(a, b *Graph) error {
 // comparator left to the unstable sort — build the same arrays, on the
 // sequential and the parallel path: shuffled, or sorted so that every list
 // arrives in order; with few weights, or weights over the whole uint32
-// range. WeightList.At reads every weight as Append decodes it.
+// range. WeightList.At reads every weight as Append decodes it, and
+// Canonical holds for every sorted build, and for an unsorted one only
+// of an edge list already in order.
 func TestBuildIsFunctionOfEdgeMultiset(t *testing.T) {
 	const n = 64
 	for _, tc := range []struct {
@@ -92,6 +94,17 @@ func TestBuildIsFunctionOfEdgeMultiset(t *testing.T) {
 							t.Fatalf("%s, workers=%d: out-list of %d is not in (neighbor, weight) order at %d", tc.name, workers, v, i)
 						}
 					}
+				}
+				if !g.Canonical() {
+					t.Fatalf("%s, workers=%d: a sorted build is not canonical", tc.name, workers)
+				}
+				// Without SortNeighbors the lists keep the edge list's order.
+				unsorted, err := BuildWith(list, BuildOptions{NumVertices: n, Weighted: true, Workers: workers})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := slices.Equal(list, sorted); unsorted.Canonical() != want {
+					t.Fatalf("%s, workers=%d: an unsorted build reports Canonical() = %v, want %v", tc.name, workers, !want, want)
 				}
 				if first == nil {
 					first = g
