@@ -13,8 +13,8 @@ import (
 // and on the multiset model: batches of inserts and removals over a few
 // vertices and weights (so buckets hold many instances, some of equal
 // weight), batches that grow the vertex space or fail part way, marks,
-// rollbacks and bare growth, under an edit-log retention of 1 to 8 edits
-// so folds and trims come often. After every step the two must agree on
+// rollbacks and bare growth, on a weighted or an unweighted graph, under
+// an edit-log retention of 1 to 8 edits so folds and trims come often. After every step the two must agree on
 // errors, counts, degrees and the weight the next removal of each bucket
 // takes; on a snapshot step Snapshot() must equal BuildWith of the
 // model's multiset and View() that rebuild relabeled, array for array.
@@ -47,12 +47,13 @@ func FuzzApplyMatchesModel(f *testing.F) {
 			initial = append(initial, graph.Edge{
 				Src: graph.VertexID(next() % n), Dst: graph.VertexID(next() % n), Weight: uint32(1 + next()%3)})
 		}
-		g, err := graph.BuildWith(initial, graph.BuildOptions{NumVertices: n, Weighted: true, SortNeighbors: true})
+		b := next() // the retention, and whether the graph is weighted
+		g, err := graph.BuildWith(initial, graph.BuildOptions{NumVertices: n, Weighted: b&8 == 0, SortNeighbors: true})
 		if err != nil {
 			t.Fatal(err)
 		}
 		d, r := FromGraph(g), refFromGraph(g)
-		d.logRetain = 1 + next()%8
+		d.logRetain = 1 + b%8
 		rr := NewReorderer(reorder.NewDBG(), graph.OutDegree, Policy{Every: 3})
 		var (
 			mark      Mark
