@@ -81,7 +81,7 @@ const noPin = math.MaxUint64
 // update in the batch or leaves the graph exactly as it was. Per-vertex
 // degrees are maintained incrementally, so degree-distribution checks
 // (the paper's hot-vertex classification) never materialize a snapshot;
-// beside the CSR they and the log are all a Graph holds.
+// beside the CSR a Graph holds only them, the log and the pending sums.
 type Graph struct {
 	n, m     int
 	weighted bool
