@@ -4,9 +4,10 @@
 // ordinary graphd wire format from a scatter-gather router on -addr.
 // graphd -selftest -cluster N instead boots the cluster in-process (real
 // loopback TCP), drives it with the read-mix load generator, kills a
-// shard primary mid-run, and exits non-zero unless zero requests were
-// lost and the replica was promoted — plus a bit-identical spot check
-// of merged answers against a single-node baseline.
+// shard primary once half the load has completed, and exits non-zero
+// unless zero requests were lost and the replica was promoted — plus a
+// bit-identical spot check of merged answers against a single-node
+// baseline.
 package main
 
 import (
@@ -43,7 +44,7 @@ type clusterConfig struct {
 	workers   int
 	selftest  bool
 	clients   int
-	duration  time.Duration
+	ops       int
 	grace     time.Duration
 }
 
@@ -290,10 +291,10 @@ func fetchRaw(url string, out any) error {
 
 // runClusterSelftest boots the cluster in-process with replicated
 // shards, spot-checks merged answers bit-for-bit against a single-node
-// baseline, then runs the load mix and kills a shard primary halfway
-// through. Zero lost requests plus a recorded replica promotion is the
-// pass condition; the equivalence check repeats after the kill to prove
-// the replica serves identical data.
+// baseline, then runs the load mix and kills a shard primary once half
+// of it has completed. Zero lost requests plus a recorded replica
+// promotion is the pass condition; the equivalence check repeats after
+// the kill to prove the replica serves identical data.
 func runClusterSelftest(cfg clusterConfig, g *graph.Graph) int {
 	if cfg.replicas < 2 {
 		cfg.replicas = 2
@@ -392,36 +393,26 @@ func runClusterSelftest(cfg clusterConfig, g *graph.Graph) int {
 		return 1
 	}
 
-	// Kill shard 0's boot-time primary halfway through the load.
-	type killReport struct {
-		at  time.Time
-		err error
-	}
-	killDone := make(chan killReport, 1)
-	go func() {
-		time.Sleep(cfg.duration / 2)
-		cl.Kill(0, 0)
-		fmt.Fprintln(os.Stderr, "graphd: cluster selftest: killed shard 0 primary")
-		killDone <- killReport{at: time.Now()}
-	}()
-
-	loadEnd := time.Now().Add(cfg.duration)
+	// Kill shard 0's boot-time primary once half the load has completed.
 	res, err := loadtest.Run(loadtest.Options{
-		BaseURL:    cl.RouterURL,
-		Clients:    cfg.clients,
-		Duration:   cfg.duration,
-		Mix:        loadtest.ClusterMix(),
-		TraceEvery: 8,
+		BaseURL: cl.RouterURL,
+		Clients: cfg.clients,
+		Ops:     cfg.ops,
+		Mix:     loadtest.ClusterMix(),
+		Drills: []loadtest.Drill{{Name: "shard kill", After: cfg.ops / 2, Do: func(*loadtest.Control) error {
+			cl.Kill(0, 0)
+			fmt.Fprintln(os.Stderr, "graphd: cluster selftest: killed shard 0 primary")
+			return nil
+		}}},
 	})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "graphd:", err)
+		fmt.Fprintln(os.Stderr, "graphd: SELFTEST FAILED:", err)
 		return 1
 	}
-	kill := <-killDone
 	fmt.Print(res.String())
 
-	if kill.at.After(loadEnd) {
-		fmt.Fprintln(os.Stderr, "graphd: SELFTEST FAILED: the shard kill landed after the load ended; increase -duration")
+	if res.Drills[0].After == 0 {
+		fmt.Fprintln(os.Stderr, "graphd: SELFTEST FAILED: no operation completed after the shard kill")
 		return 1
 	}
 	if res.Failures > 0 {

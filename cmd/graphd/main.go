@@ -12,9 +12,10 @@
 //
 // Endpoints: see the graphd section of README.md, or `curl
 // localhost:8090/v1/snapshots` once running. -selftest starts the server
-// on an ephemeral port, drives it with the in-process load generator,
-// hot-swaps a differently-ordered snapshot mid-run, and exits non-zero
-// if any request was lost.
+// on an ephemeral port, drives it with the in-process load generator
+// through a fixed list of -ops operations, hot-swaps a
+// differently-ordered snapshot once half of them have completed, and
+// exits non-zero if any request was lost.
 package main
 
 import (
@@ -67,9 +68,9 @@ func main() {
 		grace    = flag.Duration("shutdown-grace", 10*time.Second, "SIGTERM/SIGINT: how long to drain in-flight requests and flush+fsync the WAL before giving up")
 		selftest = flag.Bool("selftest", false, "run the in-process load test with a mid-run hot swap, then exit")
 		clients  = flag.Int("clients", 8, "selftest: concurrent clients")
-		duration = flag.Duration("duration", 3*time.Second, "selftest: load duration")
-		writeMix = flag.Int("write-mix", 0, "selftest: relative weight of write batches in the query mix (0 = read-only)")
-		chaos    = flag.Bool("chaos", false, "selftest: crash the live graph mid-run, recover it from the WAL, and verify every acked write survived (implies a write mix and durability)")
+		ops      = flag.Int("ops", 10000, "selftest: operations in the load's fixed list; each drill fires once a set share of them has completed")
+		writeMix = flag.Int("write-mix", 0, "selftest: relative weight of write batches in the query mix (0 = read-only; single node only, an error with -cluster)")
+		chaos    = flag.Bool("chaos", false, "selftest: crash the live graph mid-run, recover it from the WAL, and verify every acked write survived (implies a write mix and durability; single node only, an error with -cluster)")
 		trace    = flag.Float64("trace-sample", 0.05, "fraction of requests getting detailed traces (per-round stats + request log; <0 disables tracing entirely, ?debug=trace always traces)")
 		slowMs   = flag.Int("slow-ms", 250, "record traces slower than this (or 5xx) in the /debug/slow ring (<0 disables)")
 		pprof    = flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/")
@@ -91,6 +92,10 @@ func main() {
 		return
 	}
 	if *clusterN > 0 {
+		if *chaos || *writeMix > 0 {
+			fmt.Fprintln(os.Stderr, "graphd: -chaos and -write-mix drill a live graph; -cluster serves read-only epochs")
+			os.Exit(2)
+		}
 		os.Exit(runCluster(clusterConfig{
 			addr:      *addr,
 			dataset:   *dataset,
@@ -103,7 +108,7 @@ func main() {
 			workers:   *workers,
 			selftest:  *selftest,
 			clients:   *clients,
-			duration:  *duration,
+			ops:       *ops,
 			grace:     *grace,
 		}))
 	}
@@ -232,7 +237,7 @@ func main() {
 		if *writeMix > 0 && !*mutable {
 			fatal(fmt.Errorf("-write-mix needs -mutable"))
 		}
-		code := runSelftest(srv, spec, *clients, *duration, *writeMix, *chaos)
+		code := runSelftest(srv, spec, *clients, *ops, *writeMix, *chaos)
 		if chaosTmp != "" {
 			os.RemoveAll(chaosTmp)
 		}
@@ -266,19 +271,19 @@ func main() {
 	}
 }
 
-// runSelftest serves on an ephemeral port, drives the load generator,
-// and hot-swaps a differently-ordered snapshot halfway through. With
-// writeMix > 0 the workload interleaves edge-mutation batches against
-// the live snapshot, and the run additionally proves that
-// policy-triggered re-reorders landed mid-run without losing a request
-// and that every read honored the write receipts' epochs. With chaos,
-// the live graph is additionally killed a third of the way in and
-// recovered from its checkpoint + WAL while the load keeps running:
-// reads must never fail, writes may be refused (503) only during the
-// outage, and after recovery every acked insertion must still be in the
-// graph. Returns the process exit code: non-zero iff any guarantee was
-// violated.
-func runSelftest(srv *server.Server, base server.BuildSpec, clients int, duration time.Duration, writeMix int, chaos bool) int {
+// runSelftest serves on an ephemeral port, drives the load generator
+// through a fixed list of ops operations, and hot-swaps a
+// differently-ordered snapshot once half of them have completed. With
+// writeMix > 0 the list interleaves edge-mutation batches against the
+// live snapshot, and the run additionally proves that policy-triggered
+// re-reorders landed mid-run without losing a request and that every
+// read honored the write receipts' epochs. With chaos, the live graph is
+// additionally killed a third of the way in and recovered from its
+// checkpoint + WAL while the load keeps running: reads must never fail,
+// writes may be refused (503) only during the outage, and after recovery
+// every acked insertion must still be in the graph. Returns the process
+// exit code: non-zero iff any guarantee was violated.
+func runSelftest(srv *server.Server, base server.BuildSpec, clients, ops, writeMix int, chaos bool) int {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		fatal(err)
@@ -287,188 +292,54 @@ func runSelftest(srv *server.Server, base server.BuildSpec, clients int, duratio
 	go httpSrv.Serve(ln)
 	defer httpSrv.Close()
 	baseURL := "http://" + ln.Addr().String()
-	fmt.Fprintf(os.Stderr, "graphd: selftest serving on %s (%d clients, %v)\n", baseURL, clients, duration)
+	fmt.Fprintf(os.Stderr, "graphd: selftest serving on %s (%d clients, %d operations)\n", baseURL, clients, ops)
 
-	// Swap to a differently-ordered snapshot of the same graph at half
-	// time, through the public admin API. The goroutine reports when the
-	// swap actually completed, so we can prove it landed while the load
-	// was still running.
-	type swapReport struct {
-		completed time.Time
-		err       error
-	}
-	swapDone := make(chan swapReport, 1)
-	swapName := base.Name + "-swap"
-	mmapSwap := base.Backend == "compressed"
-	go func() {
-		time.Sleep(duration / 2)
-		swap := base
-		swap.Name = swapName
-		if swap.Technique == "sort" {
-			swap.Technique = "dbg"
-		} else {
-			swap.Technique = "sort"
-		}
-		swap.Activate = true
-		// The swap target is a plain immutable snapshot: writers keep
-		// mutating the original by name while reads follow the swap.
-		swap.Mutable = false
-		var csrzTmp string
-		if mmapSwap {
-			// Compressed mode proves the full .csrz round trip under
-			// load: export the serving snapshot's layout to a container
-			// file and swap to it, so the new current serves straight
-			// from the file mapping.
-			cur, release := srv.Store().Acquire()
-			if cur == nil {
-				swapDone <- swapReport{err: fmt.Errorf("no current snapshot to export")}
-				return
-			}
-			f, err := os.CreateTemp("", "graphd-selftest-*.csrz")
-			if err != nil {
-				release()
-				swapDone <- swapReport{err: err}
-				return
-			}
-			csrzTmp = f.Name()
-			f.Close()
-			err = cur.WriteCSRZ(csrzTmp)
-			release()
-			if err != nil {
-				swapDone <- swapReport{err: fmt.Errorf("export .csrz: %w", err)}
-				return
-			}
-			defer os.Remove(csrzTmp)
-			swap = server.BuildSpec{
-				Name:      swapName,
-				Path:      csrzTmp,
-				Technique: "original", // serve the file's layout as stored
-				Backend:   "compressed",
-				Activate:  true,
-			}
-		}
-		post := func() error {
-			body, _ := json.Marshal(swap)
-			resp, err := http.Post(baseURL+"/v1/snapshots", "application/json", bytes.NewReader(body))
-			if err != nil {
-				return err
-			}
-			resp.Body.Close()
-			if resp.StatusCode != http.StatusAccepted {
-				return fmt.Errorf("swap build rejected: %d", resp.StatusCode)
-			}
-			return nil
-		}
-		if err := post(); err != nil {
-			swapDone <- swapReport{err: err}
-			return
-		}
-		srv.Store().WaitBuilds()
-		if cur := srv.Store().Current(); cur == nil || cur.Name() != swapName {
-			swapDone <- swapReport{err: fmt.Errorf("swap snapshot did not become current")}
-			return
-		}
-		if mmapSwap {
-			info, ok := srv.Store().Info(swapName)
-			if !ok || info.Backend != "compressed" || info.OnDiskBytes == 0 {
-				swapDone <- swapReport{err: fmt.Errorf("swap snapshot is not serving from a .csrz mapping (backend %q, on-disk %d)",
-					info.Backend, info.OnDiskBytes)}
-				return
-			}
-			fmt.Fprintf(os.Stderr, "graphd: selftest swapped to mmap-backed snapshot (%d bytes on disk, ratio %.2fx)\n",
-				info.OnDiskBytes, info.CompressionRatio)
-			// Republish the same name from the same file a moment later:
-			// the replace retires the mmap-backed snapshot while queries
-			// are in flight, which is exactly the drain-before-munmap
-			// race the store must win.
-			time.Sleep(duration / 6)
-			if err := post(); err != nil {
-				swapDone <- swapReport{err: fmt.Errorf("mmap republish: %w", err)}
-				return
-			}
-			srv.Store().WaitBuilds()
-		}
-		swapDone <- swapReport{completed: time.Now()}
-	}()
-
-	// Chaos: kill the live graph a third of the way in, hold the outage
-	// open briefly (writes 503, reads keep serving the last published
-	// snapshot), then rebuild the same name — which recovers it from the
-	// checkpoint + WAL, not from the spec. Two single-edge writes land
-	// right before the kill so the WAL provably holds batches newer than
-	// the last checkpoint: the recovery must replay, not just reload.
-	type chaosReport struct {
-		completed time.Time
-		err       error
-	}
-	var chaosDone chan chaosReport
-	if chaos {
-		chaosDone = make(chan chaosReport, 1)
-		go func() {
-			time.Sleep(duration / 3)
-			for _, dst := range []int{1, 2} {
-				body := fmt.Sprintf(`{"updates":[{"src":0,"dst":%d,"weight":1}]}`, dst)
-				resp, err := http.Post(baseURL+"/v1/snapshots/"+base.Name+"/edges",
-					"application/json", strings.NewReader(body))
-				if err != nil {
-					chaosDone <- chaosReport{err: fmt.Errorf("pre-crash write: %w", err)}
-					return
-				}
-				resp.Body.Close()
-				if resp.StatusCode != http.StatusOK {
-					chaosDone <- chaosReport{err: fmt.Errorf("pre-crash write rejected: %d", resp.StatusCode)}
-					return
-				}
-			}
-			if !srv.Store().CrashLive(base.Name) {
-				chaosDone <- chaosReport{err: fmt.Errorf("no live graph %q to crash", base.Name)}
-				return
-			}
-			fmt.Fprintf(os.Stderr, "graphd: chaos: crashed live graph %q (WAL abandoned unflushed beyond fsync)\n", base.Name)
-			time.Sleep(duration / 6) // keep the outage open under load
-			rebuild := base
-			// Republish under the same name without stealing "current":
-			// the concurrent hot-swap goroutine owns that assertion.
-			rebuild.Activate = false
-			if _, err := srv.Store().Build(rebuild); err != nil {
-				chaosDone <- chaosReport{err: fmt.Errorf("recovery build: %w", err)}
-				return
-			}
-			fmt.Fprintf(os.Stderr, "graphd: chaos: recovered %q from checkpoint + WAL\n", base.Name)
-			chaosDone <- chaosReport{completed: time.Now()}
-		}()
-	}
-
-	loadEnd := time.Now().Add(duration)
 	opts := loadtest.Options{
-		BaseURL:  baseURL,
-		Clients:  clients,
-		Duration: duration,
-		Chaos:    chaos,
-		// Every 8th read goes out with ?debug=trace so the summary can
-		// split heavy-query latency into queue wait vs compute.
-		TraceEvery: 8,
+		BaseURL: baseURL,
+		Clients: clients,
+		Ops:     ops,
+		Drills: []loadtest.Drill{{Name: "hot swap", After: ops / 2, Do: func(ctl *loadtest.Control) error {
+			return hotSwap(ctl, srv, baseURL, base, ops/10)
+		}}},
+	}
+	// Chaos: kill the live graph a third of the way in, hold the outage
+	// open until a write has bounced with 503 (reads keep serving the last
+	// published snapshot), then rebuild the same name — which recovers it
+	// from the checkpoint + WAL, not from the spec.
+	var sentinels [][2]int
+	if chaos {
+		opts.Drills = append(opts.Drills, loadtest.Drill{Name: "crash", After: ops / 3, Do: func(ctl *loadtest.Control) error {
+			return ctl.Outage(func() (err error) {
+				sentinels, err = crashLive(srv, baseURL, base.Name)
+				return err
+			}, func() error {
+				rebuild := base
+				// Republish under the same name without stealing "current":
+				// the concurrent hot-swap drill owns that assertion.
+				rebuild.Activate = false
+				if _, err := srv.Store().Build(rebuild); err != nil {
+					return fmt.Errorf("recovery build: %w", err)
+				}
+				fmt.Fprintf(os.Stderr, "graphd: chaos: recovered %q from checkpoint + WAL\n", base.Name)
+				return nil
+			})
+		}})
 	}
 	if writeMix > 0 {
 		opts.Mix = loadtest.Mix{Neighbors: 60, Rank: 15, TopK: 10, SSSP: 5, Mutate: writeMix}
-		opts.MutateSnapshot = base.Name
 	}
 	res, err := loadtest.Run(opts)
 	if err != nil {
-		fatal(err)
-	}
-	swap := <-swapDone
-	if swap.err != nil {
-		fmt.Fprintln(os.Stderr, "graphd: selftest swap failed:", swap.err)
+		fmt.Fprintln(os.Stderr, "graphd: SELFTEST FAILED:", err)
 		return 1
 	}
-	if swap.completed.After(loadEnd) {
-		fmt.Fprintf(os.Stderr,
-			"graphd: SELFTEST FAILED: hot swap completed %v after the load ended — swap-under-load was not exercised; increase -duration\n",
-			swap.completed.Sub(loadEnd).Round(time.Millisecond))
-		return 1
+	for _, d := range res.Drills {
+		if d.After == 0 {
+			fmt.Fprintf(os.Stderr, "graphd: SELFTEST FAILED: no operation completed after the %s drill returned — it did not run under load\n", d.Name)
+			return 1
+		}
 	}
-	if mmapSwap {
+	if base.Backend == "compressed" {
 		// The retired mmap snapshot must fully drain once the load stops;
 		// a reference leak would hold its munmap open forever.
 		drained := false
@@ -481,20 +352,6 @@ func runSelftest(srv *server.Server, base server.BuildSpec, clients int, duratio
 		}
 		if !drained {
 			fmt.Fprintln(os.Stderr, "graphd: SELFTEST FAILED: retired snapshots never drained after the load ended")
-			return 1
-		}
-	}
-	var crash chaosReport
-	if chaos {
-		crash = <-chaosDone
-		if crash.err != nil {
-			fmt.Fprintln(os.Stderr, "graphd: SELFTEST FAILED: chaos:", crash.err)
-			return 1
-		}
-		if crash.completed.After(loadEnd) {
-			fmt.Fprintf(os.Stderr,
-				"graphd: SELFTEST FAILED: recovery completed %v after the load ended — recovery-under-load was not exercised; increase -duration\n",
-				crash.completed.Sub(loadEnd).Round(time.Millisecond))
 			return 1
 		}
 	}
@@ -525,8 +382,8 @@ func runSelftest(srv *server.Server, base server.BuildSpec, clients int, duratio
 	}
 	if chaos {
 		// Durability: every acked insertion (the load's survivors plus the
-		// two pre-crash sentinel edges) must be in the recovered graph.
-		ackedEdges := append(res.AckedEdges, [2]int{0, 1}, [2]int{0, 2})
+		// pre-crash sentinel edges) must be in the recovered graph.
+		ackedEdges := append(res.AckedEdges, sentinels...)
 		if err := loadtest.VerifyAcked(baseURL, base.Name, ackedEdges); err != nil {
 			fmt.Fprintln(os.Stderr, "graphd: SELFTEST FAILED:", err)
 			return 1
@@ -538,7 +395,7 @@ func runSelftest(srv *server.Server, base server.BuildSpec, clients int, duratio
 			return 1
 		}
 		if res.WriteUnavailable == 0 {
-			fmt.Fprintln(os.Stderr, "graphd: SELFTEST FAILED: no write was refused during the outage — the crash window was not exercised under load; increase -duration or -write-mix")
+			fmt.Fprintln(os.Stderr, "graphd: SELFTEST FAILED: no write was refused during the outage — the crash window was not exercised under load")
 			return 1
 		}
 		fmt.Printf("chaos: %d writes refused during the outage, %d acked edges verified after recovery (%d WAL batches replayed, %.1fms replay)\n",
@@ -550,7 +407,7 @@ func runSelftest(srv *server.Server, base server.BuildSpec, clients int, duratio
 			return 1
 		}
 		if metrics.Writes.Refreshes == 0 {
-			fmt.Fprintln(os.Stderr, "graphd: SELFTEST FAILED: no policy-triggered re-reorder landed during the run; lower -refresh-every or raise -duration")
+			fmt.Fprintln(os.Stderr, "graphd: SELFTEST FAILED: no policy-triggered re-reorder landed during the run; lower -refresh-every or raise -ops")
 			return 1
 		}
 		fmt.Printf("selftest OK: %d requests, %d hot-swaps, %d write batches, %d mid-run re-reorders, zero requests lost\n",
@@ -560,6 +417,126 @@ func runSelftest(srv *server.Server, base server.BuildSpec, clients int, duratio
 	fmt.Printf("selftest OK: %d requests, %d hot-swaps, zero requests lost\n",
 		res.Requests, metrics.Snapshots.Swaps)
 	return 0
+}
+
+// hotSwap is the selftest's swap drill: it publishes a differently-ordered
+// snapshot of the same graph through the public admin API and checks that
+// it became current. On the compressed backend it proves the full .csrz
+// round trip under load instead: it exports the serving snapshot's layout
+// to a container file and swaps to it, so the new current serves straight
+// from the file mapping, then republishes it once republishAfter more
+// operations have completed.
+func hotSwap(ctl *loadtest.Control, srv *server.Server, baseURL string, base server.BuildSpec, republishAfter int) error {
+	swap := base
+	swap.Name = base.Name + "-swap"
+	if swap.Technique == "sort" {
+		swap.Technique = "dbg"
+	} else {
+		swap.Technique = "sort"
+	}
+	swap.Activate = true
+	// The swap target is a plain immutable snapshot: writers keep
+	// mutating the original by name while reads follow the swap.
+	swap.Mutable = false
+	mmapSwap := base.Backend == "compressed"
+	if mmapSwap {
+		cur, release := srv.Store().Acquire()
+		if cur == nil {
+			return fmt.Errorf("no current snapshot to export")
+		}
+		f, err := os.CreateTemp("", "graphd-selftest-*.csrz")
+		if err != nil {
+			release()
+			return err
+		}
+		f.Close()
+		defer os.Remove(f.Name())
+		err = cur.WriteCSRZ(f.Name())
+		release()
+		if err != nil {
+			return fmt.Errorf("export .csrz: %w", err)
+		}
+		swap = server.BuildSpec{
+			Name:      swap.Name,
+			Path:      f.Name(),
+			Technique: "original", // serve the file's layout as stored
+			Backend:   "compressed",
+			Activate:  true,
+		}
+	}
+	post := func() error {
+		body, _ := json.Marshal(swap)
+		resp, err := http.Post(baseURL+"/v1/snapshots", "application/json", bytes.NewReader(body))
+		if err != nil {
+			return err
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusAccepted {
+			return fmt.Errorf("swap build rejected: %d", resp.StatusCode)
+		}
+		srv.Store().WaitBuilds()
+		return nil
+	}
+	if err := post(); err != nil {
+		return err
+	}
+	if cur := srv.Store().Current(); cur == nil || cur.Name() != swap.Name {
+		return fmt.Errorf("swap snapshot did not become current")
+	}
+	if !mmapSwap {
+		return nil
+	}
+	info, ok := srv.Store().Info(swap.Name)
+	if !ok || info.Backend != "compressed" || info.OnDiskBytes == 0 {
+		return fmt.Errorf("swap snapshot is not serving from a .csrz mapping (backend %q, on-disk %d)",
+			info.Backend, info.OnDiskBytes)
+	}
+	fmt.Fprintf(os.Stderr, "graphd: selftest swapped to mmap-backed snapshot (%d bytes on disk, ratio %.2fx)\n",
+		info.OnDiskBytes, info.CompressionRatio)
+	// Republish the same name from the same file once queries have run
+	// on the mapping: the replace retires the mmap-backed snapshot while
+	// queries are in flight, which is exactly the drain-before-munmap race
+	// the store must win.
+	if err := ctl.Await(republishAfter); err != nil {
+		return err
+	}
+	if err := post(); err != nil {
+		return fmt.Errorf("mmap republish: %w", err)
+	}
+	return nil
+}
+
+// crashLive is the chaos drill's crash, run while the load starts no
+// write. It posts single-edge sentinel writes until one lands after the
+// last checkpoint (two at least), so the WAL provably holds batches the
+// recovery must replay, not just reload; then it kills the live graph.
+// It returns the sentinel edges, which the recovered graph must hold.
+func crashLive(srv *server.Server, baseURL, name string) ([][2]int, error) {
+	var sentinels [][2]int
+	for dst := 1; ; dst++ {
+		ckpts := srv.Store().WALStatsReport().Checkpoints
+		body := fmt.Sprintf(`{"updates":[{"src":0,"dst":%d,"weight":1}]}`, dst)
+		resp, err := http.Post(baseURL+"/v1/snapshots/"+name+"/edges", "application/json", strings.NewReader(body))
+		if err != nil {
+			return nil, fmt.Errorf("pre-crash write: %w", err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			return nil, fmt.Errorf("pre-crash write rejected: %d", resp.StatusCode)
+		}
+		sentinels = append(sentinels, [2]int{0, dst})
+		if dst >= 2 && srv.Store().WALStatsReport().Checkpoints == ckpts {
+			break
+		}
+		if dst == 4 {
+			return nil, fmt.Errorf("every pre-crash write was folded into a checkpoint; raise -checkpoint-every")
+		}
+	}
+	if !srv.Store().CrashLive(name) {
+		return nil, fmt.Errorf("no live graph %q to crash", name)
+	}
+	fmt.Fprintf(os.Stderr, "graphd: chaos: crashed live graph %q (WAL abandoned unflushed beyond fsync)\n", name)
+	return sentinels, nil
 }
 
 func fatal(err error) {

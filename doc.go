@@ -211,6 +211,8 @@
 // serves and WAL activity. The
 // fault-injection points behind the chaos tests live in
 // internal/faultinject and compile to no-ops unless armed; `graphd
-// -selftest -chaos` kills and recovers the live graph mid-load and
-// fails if any acked write is missing afterwards.
+// -selftest -chaos` kills the live graph a third of the way through a
+// fixed list of operations, with no write in flight, recovers it while
+// the list runs on, and fails if any acked write is missing afterwards
+// or the recovery replayed no WAL batch.
 package graphreorder

@@ -1,64 +1,53 @@
-// Package loadtest drives a running graphd instance with N concurrent
-// clients issuing a mixed query workload over real HTTP, and reports
-// throughput and latency quantiles. It is the repository's serving
-// benchmark: cmd/graphd -selftest uses it to prove a hot-swap under load
-// loses zero requests.
+// Package loadtest drives a running graphd instance with concurrent
+// clients over real HTTP through a fixed list of operations, and fires
+// drills (a hot swap, a crash, a shard kill) on load events while the
+// list runs. cmd/graphd -selftest uses it to prove no drill loses a
+// request. It measures no latency: bench/ is the serving benchmark.
 package loadtest
 
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
-	"time"
 
 	"graphreorder/internal/rng"
-	"graphreorder/internal/stats"
 )
 
-// Options configures a load-test run.
+// The workload's fixed parameters.
+const (
+	// seed makes the operation list reproducible.
+	seed = 1
+	// ssspSources is how many distinct SSSP sources the list cycles
+	// through. Few sources model "hot" queries: after one traversal per
+	// source, the rest are cache hits or coalesced.
+	ssspSources = 4
+	// mutateBatch is the number of edge insertions per write batch.
+	mutateBatch = 4
+)
+
+// Options configures a run.
 type Options struct {
 	// BaseURL is the server under test, e.g. "http://127.0.0.1:8090".
 	BaseURL string
-	// Clients is the number of concurrent client goroutines (default 8).
+	// Clients is the number of concurrent clients (default 8). Operation
+	// i of the list goes to client i mod Clients.
 	Clients int
-	// Duration is how long to run (default 3s).
-	Duration time.Duration
-	// Seed makes the workload reproducible (default 1).
-	Seed uint64
-	// SSSPSources is how many distinct SSSP sources the workload cycles
-	// through (default 4). Small values model "hot" queries: after one
-	// traversal per source, the rest are cache hits or coalesced.
-	SSSPSources int
+	// Ops is the length of the operation list (default 2000).
+	Ops int
 	// Mix weights the query kinds (default 70/15/10/5/0
-	// neighbors/rank/topk/sssp/mutate).
+	// neighbors/rank/topk/sssp/mutate). Writes go to the first mutable
+	// published snapshot.
 	Mix Mix
-	// MutateSnapshot names the mutable snapshot write operations target;
-	// when empty and Mix.Mutate > 0, the first mutable published
-	// snapshot is used.
-	MutateSnapshot string
-	// MutateBatch is the number of edge insertions per write batch
-	// (default 4). Each batch occasionally also removes an edge the
-	// same client inserted earlier, exercising the deletion path.
-	MutateBatch int
-	// Chaos tolerates write unavailability: a write batch refused with
-	// 503 (the live pipeline is down, crashed or recovering) is counted
-	// in WriteUnavailable instead of Failures — the write was never
-	// acked, so losing it is correct behavior. Reads are never excused.
-	// Chaos runs also record every acked insertion in AckedEdges so the
-	// caller can verify durability after a crash+recovery.
-	Chaos bool
-	// TraceEvery sends every N-th read with ?debug=trace and parses the
-	// inline span breakdown, splitting observed latency into queue wait
-	// vs compute time (0 disables). Only traversal queries that actually
-	// computed (cache misses that won the singleflight race) carry those
-	// spans, so the split describes real work, not cache hits.
-	TraceEvery int
+	// Drills fire mid-run, each on its load event. The last tenth of the
+	// list is held back until every drill has returned, so each drill has
+	// completed operations on both sides of it.
+	Drills []Drill
 }
 
 // Mix holds relative weights for the query kinds. Mutate operations POST
@@ -87,58 +76,52 @@ func ClusterMix() Mix {
 	return Mix{Neighbors: 50, Degree: 15, Rank: 15, TopK: 10, SSSP: 10}
 }
 
-// KindStats aggregates one query kind.
+// Drill is an action fired during a run once After operations have
+// completed. The load keeps running while Do does, and Do may wait on
+// further load events through its Control.
+type Drill struct {
+	Name  string
+	After int
+	Do    func(*Control) error
+}
+
+// DrillResult reports one drill: Before counts the operations completed
+// when it fired, After those completed after it returned.
+type DrillResult struct {
+	Name          string
+	Before, After uint64
+}
+
+// KindStats counts one query kind.
 type KindStats struct {
 	Requests uint64
 	Failures uint64
-	Mean     time.Duration
-	P50      time.Duration
-	P99      time.Duration
-	Max      time.Duration
 }
 
 // Result summarizes a run.
 type Result struct {
-	Duration   time.Duration
-	Requests   uint64
-	Failures   uint64
-	Throughput float64 // requests per second
-	Mean       time.Duration
-	P50        time.Duration
-	P90        time.Duration
-	P99        time.Duration
-	Max        time.Duration
-	ByKind     map[string]KindStats
+	Requests uint64
+	Failures uint64
+	ByKind   map[string]KindStats
 	// FirstErrors holds up to a handful of failure descriptions.
 	FirstErrors []string
-	// WriteUnavailable counts write batches refused with 503 during a
-	// chaos run's outage window; never-acked writes are not failures.
+	// WriteUnavailable counts write batches refused with 503 inside an
+	// outage (see Control.Outage). A never-acked write is not a failure
+	// there; a 503 anywhere else is.
 	WriteUnavailable uint64
 	// AckedEdges holds every edge insertion a receipt acknowledged and
-	// the same client did not later remove, in original vertex-ID space
-	// (chaos runs only). After a crash+recovery, each must still be in
-	// the graph — see VerifyAcked.
+	// the same client did not later remove, in original vertex-ID space.
+	// After a crash+recovery, each must still be in the graph — see
+	// VerifyAcked.
 	AckedEdges [][2]int
-	// TraceSamples counts traced reads whose span breakdown included a
-	// queue or compute span (TraceEvery > 0 only); the quantiles below
-	// split server-side latency into time spent waiting for a worker
-	// slot vs time spent traversing.
-	TraceSamples uint64
-	QueueP50     time.Duration
-	QueueP95     time.Duration
-	QueueP99     time.Duration
-	ComputeP50   time.Duration
-	ComputeP95   time.Duration
-	ComputeP99   time.Duration
+	// Drills reports each drill, in Options.Drills order.
+	Drills []DrillResult
 }
 
 // String renders the result as a small report.
 func (r Result) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%d requests in %v (%.0f req/s), %d failures\n",
-		r.Requests, r.Duration.Round(time.Millisecond), r.Throughput, r.Failures)
-	fmt.Fprintf(&b, "overall latency: mean %v  p50 %v  p90 %v  p99 %v  max %v\n",
-		r.Mean, r.P50, r.P90, r.P99, r.Max)
+	fmt.Fprintf(&b, "%d requests, %d failures\n", r.Requests, r.Failures)
 	kinds := make([]string, 0, len(r.ByKind))
 	for k := range r.ByKind {
 		kinds = append(kinds, k)
@@ -146,13 +129,11 @@ func (r Result) String() string {
 	sort.Strings(kinds)
 	for _, k := range kinds {
 		ks := r.ByKind[k]
-		fmt.Fprintf(&b, "%-10s %8d reqs  %3d fail  mean %10v  p50 %10v  p99 %10v\n",
-			k, ks.Requests, ks.Failures, ks.Mean, ks.P50, ks.P99)
+		fmt.Fprintf(&b, "%-10s %8d reqs  %3d fail\n", k, ks.Requests, ks.Failures)
 	}
-	if r.TraceSamples > 0 {
-		fmt.Fprintf(&b, "trace split (%d samples): queue p50 %v  p95 %v  p99 %v | compute p50 %v  p95 %v  p99 %v\n",
-			r.TraceSamples, r.QueueP50, r.QueueP95, r.QueueP99,
-			r.ComputeP50, r.ComputeP95, r.ComputeP99)
+	for _, d := range r.Drills {
+		fmt.Fprintf(&b, "drill %s: fired after %d operations, %d completed after it returned\n",
+			d.Name, d.Before, d.After)
 	}
 	for _, e := range r.FirstErrors {
 		fmt.Fprintf(&b, "error: %s\n", e)
@@ -160,13 +141,184 @@ func (r Result) String() string {
 	return b.String()
 }
 
-type kindTracker struct {
-	requests atomic.Uint64
-	failures atomic.Uint64
-	lat      stats.LatencyHist
+// op is one planned operation: a read of path, or a write of batch
+// that also removes the client's last surviving insertion when remove
+// is set and there is one.
+type op struct {
+	kind   string
+	path   string
+	batch  []mutateUpdate
+	remove bool
 }
 
-// Run executes the load test and blocks until it finishes.
+// plan draws the operation list from the constant seed: kinds by the
+// mix, vertices Zipf-distributed over [0, n) to model hot-vertex
+// traffic.
+func plan(ops int, mix Mix, n int) []op {
+	r := rng.New(seed)
+	zipf := rng.NewZipfDist(n, 1.1)
+	total := mix.Neighbors + mix.Degree + mix.Rank + mix.TopK + mix.SSSP + mix.Mutate
+	list := make([]op, ops)
+	for i := range list {
+		v := r.ZipfOf(zipf)
+		o := &list[i]
+		switch pick := r.Intn(total); {
+		case pick < mix.Neighbors:
+			o.kind, o.path = "neighbors", fmt.Sprintf("/v1/query/neighbors?v=%d&limit=32", v)
+		case pick < mix.Neighbors+mix.Degree:
+			o.kind, o.path = "degree", fmt.Sprintf("/v1/query/degree?v=%d&kind=total", v)
+		case pick < mix.Neighbors+mix.Degree+mix.Rank:
+			o.kind, o.path = "rank", fmt.Sprintf("/v1/query/rank?v=%d", v)
+		case pick < mix.Neighbors+mix.Degree+mix.Rank+mix.TopK:
+			o.kind, o.path = "topk", "/v1/query/topk?k=10"
+		case pick < mix.Neighbors+mix.Degree+mix.Rank+mix.TopK+mix.SSSP:
+			o.kind, o.path = "sssp", fmt.Sprintf("/v1/query/sssp?src=%d", r.Intn(ssspSources))
+		default:
+			o.kind = "mutate"
+			o.batch = make([]mutateUpdate, mutateBatch)
+			for j := range o.batch {
+				o.batch[j] = mutateUpdate{Src: r.Intn(n), Dst: r.Intn(n), Weight: 1 + r.Intn(8)}
+			}
+			o.remove = r.Intn(4) == 0
+		}
+	}
+	return list
+}
+
+// runner is one run's shared state. The fields after mu are guarded by
+// it, and cond is broadcast on every change to them.
+type runner struct {
+	client   *http.Client
+	baseURL  string
+	snapshot string // the write target
+	clients  int
+	heldFrom int // operations from this index on wait for every drill to return
+	// published records every write receipt's (epoch, edge count); any
+	// read reporting a recorded epoch with a different edge count saw a
+	// torn or mismatched publish.
+	published sync.Map // uint64 -> int
+
+	mu         sync.Mutex
+	cond       *sync.Cond
+	parked     int // clients finished or waiting at the held tail
+	drillsLeft int
+	writesHeld bool
+	writing    int // writes in flight
+	outage     bool
+	res        Result // res.Requests counts the operations completed
+}
+
+// start blocks before operation i until it may begin: a held operation
+// waits for every drill to return, a write for writes to be let
+// through. It reports whether an outage is open.
+func (r *runner) start(i int, write bool) (outage bool) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if i >= r.heldFrom && r.drillsLeft > 0 {
+		r.parked++
+		r.cond.Broadcast()
+		for r.drillsLeft > 0 {
+			r.cond.Wait()
+		}
+		r.parked--
+	}
+	for write && r.writesHeld {
+		r.cond.Wait()
+	}
+	if write {
+		r.writing++
+	}
+	return r.outage
+}
+
+// finish records a completed operation.
+func (r *runner) finish(kind string, ok, refused bool, desc string) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.res.Requests++
+	ks := r.res.ByKind[kind]
+	ks.Requests++
+	if kind == "mutate" {
+		r.writing--
+	}
+	if refused {
+		r.res.WriteUnavailable++
+	}
+	if !ok {
+		r.res.Failures++
+		ks.Failures++
+		if len(r.res.FirstErrors) < 8 {
+			r.res.FirstErrors = append(r.res.FirstErrors, desc)
+		}
+	}
+	r.res.ByKind[kind] = ks
+	r.cond.Broadcast()
+}
+
+// await blocks until ready holds. Once every client has finished or
+// parked at the held tail, no operation is left that could make it
+// hold, and await fails naming event. The caller holds r.mu.
+func (r *runner) await(event string, ready func() bool) error {
+	for !ready() {
+		if r.parked == r.clients {
+			return fmt.Errorf("%s: the %d operations before the held tail ran out first", event, r.heldFrom)
+		}
+		r.cond.Wait()
+	}
+	return nil
+}
+
+// Control is a firing drill's handle on the run's load events.
+type Control struct{ r *runner }
+
+// Await blocks until n more operations have completed.
+func (c *Control) Await(n int) error {
+	r := c.r
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	target := r.res.Requests + uint64(n)
+	return r.await(fmt.Sprintf("waiting for %d more operations", n),
+		func() bool { return r.res.Requests >= target })
+}
+
+// Outage runs a crash and its recovery under load. crash runs with no
+// write in flight and none started, so no write of the load lands
+// between what crash does and the crash itself; reads keep running.
+// Then writes resume, and a write started before restore returns that
+// is refused with 503 counts in WriteUnavailable instead of Failures.
+// restore runs once such a refusal has been seen, so the outage is
+// exercised before it closes.
+func (c *Control) Outage(crash, restore func() error) error {
+	r := c.r
+	r.mu.Lock()
+	r.writesHeld = true
+	for r.writing > 0 {
+		r.cond.Wait()
+	}
+	r.mu.Unlock()
+	err := crash()
+	r.mu.Lock()
+	r.writesHeld = false
+	r.outage = err == nil
+	r.cond.Broadcast()
+	if err == nil {
+		refused := r.res.WriteUnavailable
+		err = r.await("waiting for a write refused with 503",
+			func() bool { return r.res.WriteUnavailable > refused })
+	}
+	r.mu.Unlock()
+	if err == nil {
+		err = restore()
+	}
+	r.mu.Lock()
+	r.outage = false
+	r.mu.Unlock()
+	return err
+}
+
+// Run plans the operation list, runs it and the drills, and blocks until
+// both finish. A drill that fails is reported in the returned error,
+// beside a complete Result.
 func Run(opts Options) (Result, error) {
 	if opts.BaseURL == "" {
 		return Result{}, fmt.Errorf("loadtest: BaseURL required")
@@ -174,19 +326,35 @@ func Run(opts Options) (Result, error) {
 	if opts.Clients <= 0 {
 		opts.Clients = 8
 	}
-	if opts.Duration <= 0 {
-		opts.Duration = 3 * time.Second
-	}
-	if opts.Seed == 0 {
-		opts.Seed = 1
-	}
-	if opts.SSSPSources <= 0 {
-		opts.SSSPSources = 4
-	}
-	if opts.MutateBatch <= 0 {
-		opts.MutateBatch = 4
+	if opts.Ops <= 0 {
+		opts.Ops = 2000
 	}
 	mix := opts.Mix.orDefault()
+	held := 0
+	if len(opts.Drills) > 0 {
+		held = max(1, opts.Ops/10)
+	}
+	r := &runner{
+		client: &http.Client{Transport: &http.Transport{
+			MaxIdleConns:        opts.Clients * 2,
+			MaxIdleConnsPerHost: opts.Clients * 2,
+		}},
+		baseURL:    opts.BaseURL,
+		clients:    opts.Clients,
+		heldFrom:   opts.Ops - held,
+		drillsLeft: len(opts.Drills),
+		res: Result{
+			ByKind: make(map[string]KindStats),
+			Drills: make([]DrillResult, len(opts.Drills)),
+		},
+	}
+	r.cond = sync.NewCond(&r.mu)
+	for _, d := range opts.Drills {
+		if d.After < 0 || d.After > r.heldFrom {
+			return Result{}, fmt.Errorf("loadtest: drill %q fires after %d operations, but %d run before the held tail",
+				d.Name, d.After, r.heldFrom)
+		}
+	}
 
 	// The vertex universe is the smallest published snapshot, so queries
 	// stay valid even if a hot-swap lands on a differently-sized graph.
@@ -198,172 +366,73 @@ func Run(opts Options) (Result, error) {
 	if n == 0 {
 		return Result{}, fmt.Errorf("loadtest: server has no non-empty snapshot")
 	}
-	mutName := opts.MutateSnapshot
-	if mix.Mutate > 0 && mutName == "" {
+	if mix.Mutate > 0 {
 		for _, s := range snaps {
 			if s.Mutable {
-				mutName = s.Name
+				r.snapshot = s.Name
 				break
 			}
 		}
-		if mutName == "" {
+		if r.snapshot == "" {
 			return Result{}, fmt.Errorf("loadtest: write mix requested but no mutable snapshot published")
 		}
 	}
+	list := plan(opts.Ops, mix, n)
 
-	client := &http.Client{
-		Transport: &http.Transport{
-			MaxIdleConns:        opts.Clients * 2,
-			MaxIdleConnsPerHost: opts.Clients * 2,
-		},
-	}
-
-	kinds := map[string]*kindTracker{
-		"neighbors": {}, "degree": {}, "rank": {}, "topk": {}, "sssp": {}, "mutate": {},
-	}
-	var overall stats.LatencyHist
-	var queueLat, computeLat stats.LatencyHist
-	var requests, failures, writeUnavailable, traceSamples atomic.Uint64
-	errCh := make(chan string, 8)
-	var ackedMu sync.Mutex
-	var acked [][2]int
-
-	// published records every write receipt's (epoch, edge count); any
-	// read reporting a recorded epoch with a different edge count saw a
-	// torn or mismatched publish.
-	var published sync.Map // uint64 -> int
-
-	weightTotal := mix.Neighbors + mix.Degree + mix.Rank + mix.TopK + mix.SSSP + mix.Mutate
-	deadline := time.Now().Add(opts.Duration)
+	errs := make([]error, len(opts.Drills))
 	var wg sync.WaitGroup
+	for i, d := range opts.Drills {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			r.mu.Lock()
+			err := r.await(fmt.Sprintf("waiting for %d operations", d.After),
+				func() bool { return r.res.Requests >= uint64(d.After) })
+			before := r.res.Requests
+			r.mu.Unlock()
+			if err == nil {
+				err = d.Do(&Control{r})
+			}
+			if err != nil {
+				errs[i] = fmt.Errorf("drill %q: %w", d.Name, err)
+			}
+			r.mu.Lock()
+			// After holds the count at return until the run ends.
+			r.res.Drills[i] = DrillResult{Name: d.Name, Before: before, After: r.res.Requests}
+			r.drillsLeft--
+			r.cond.Broadcast()
+			r.mu.Unlock()
+		}()
+	}
 	for c := 0; c < opts.Clients; c++ {
 		wg.Add(1)
-		go func(c int) {
+		go func() {
 			defer wg.Done()
-			r := rng.NewStream(opts.Seed, uint64(c))
-			w := &writer{
-				client: client, baseURL: opts.BaseURL, snapshot: mutName,
-				batchSize: opts.MutateBatch, published: &published,
-				chaos: opts.Chaos,
-			}
-			if opts.Chaos {
-				defer func() {
-					ackedMu.Lock()
-					acked = append(acked, w.inserted...)
-					ackedMu.Unlock()
-				}()
-			}
-			var reads uint64
-			for time.Now().Before(deadline) {
-				// Zipf-distributed vertices model hot-vertex traffic.
-				v := r.Zipf(n, 1.1)
-				var kind, url string
-				switch pick := r.Intn(weightTotal); {
-				case pick < mix.Neighbors:
-					kind = "neighbors"
-					url = fmt.Sprintf("%s/v1/query/neighbors?v=%d&limit=32", opts.BaseURL, v)
-				case pick < mix.Neighbors+mix.Degree:
-					kind = "degree"
-					url = fmt.Sprintf("%s/v1/query/degree?v=%d&kind=total", opts.BaseURL, v)
-				case pick < mix.Neighbors+mix.Degree+mix.Rank:
-					kind = "rank"
-					url = fmt.Sprintf("%s/v1/query/rank?v=%d", opts.BaseURL, v)
-				case pick < mix.Neighbors+mix.Degree+mix.Rank+mix.TopK:
-					kind = "topk"
-					url = fmt.Sprintf("%s/v1/query/topk?k=10", opts.BaseURL)
-				case pick < mix.Neighbors+mix.Degree+mix.Rank+mix.TopK+mix.SSSP:
-					kind = "sssp"
-					url = fmt.Sprintf("%s/v1/query/sssp?src=%d", opts.BaseURL, r.Intn(opts.SSSPSources))
-				default:
-					kind = "mutate"
-				}
-				tracker := kinds[kind]
-				start := time.Now()
-				var ok, tolerated bool
+			var inserted [][2]int // this client's surviving acked insertions
+			for i := c; i < len(list); i += opts.Clients {
+				o := list[i]
+				var ok, refused bool
 				var desc string
-				if kind == "mutate" {
-					ok, tolerated, desc = w.writeBatch(r, n)
-					if tolerated {
-						writeUnavailable.Add(1)
-					}
+				if o.kind == "mutate" {
+					ok, refused, desc = r.write(o, &inserted, r.start(i, true))
 				} else {
-					var meta respMeta
-					if opts.TraceEvery > 0 && reads%uint64(opts.TraceEvery) == 0 {
-						// Every read URL already carries a query string.
-						ok, desc, meta = fetchTraced(client, url+"&debug=trace",
-							&queueLat, &computeLat, &traceSamples)
-					} else {
-						ok, desc, meta = fetch(client, url)
-					}
-					reads++
-					if ok && meta.Snapshot == mutName {
-						if e, loaded := published.Load(meta.Epoch); loaded && e.(int) != meta.Edges {
-							ok = false
-							desc = fmt.Sprintf("torn read: epoch %d served %d edges, receipt said %d",
-								meta.Epoch, meta.Edges, e.(int))
-						}
-					}
+					r.start(i, false)
+					ok, desc, _ = r.read(r.baseURL + o.path)
 				}
-				elapsed := time.Since(start)
-				requests.Add(1)
-				tracker.requests.Add(1)
-				overall.Observe(elapsed)
-				tracker.lat.Observe(elapsed)
-				if !ok {
-					failures.Add(1)
-					tracker.failures.Add(1)
-					select {
-					case errCh <- desc:
-					default:
-					}
-				}
+				r.finish(o.kind, ok, refused, desc)
 			}
-		}(c)
+			r.mu.Lock()
+			r.parked++
+			r.res.AckedEdges = append(r.res.AckedEdges, inserted...)
+			r.cond.Broadcast()
+			r.mu.Unlock()
+		}()
 	}
 	wg.Wait()
-
-	res := Result{
-		Duration:         opts.Duration,
-		Requests:         requests.Load(),
-		Failures:         failures.Load(),
-		WriteUnavailable: writeUnavailable.Load(),
-		AckedEdges:       acked,
-		Mean:             overall.Mean(),
-		P50:              overall.Quantile(0.50),
-		P90:              overall.Quantile(0.90),
-		P99:              overall.Quantile(0.99),
-		Max:              overall.Max(),
-		ByKind:           make(map[string]KindStats, len(kinds)),
+	for i := range r.res.Drills {
+		r.res.Drills[i].After = r.res.Requests - r.res.Drills[i].After
 	}
-	res.Throughput = float64(res.Requests) / opts.Duration.Seconds()
-	if ts := traceSamples.Load(); ts > 0 {
-		res.TraceSamples = ts
-		res.QueueP50 = queueLat.Quantile(0.50)
-		res.QueueP95 = queueLat.Quantile(0.95)
-		res.QueueP99 = queueLat.Quantile(0.99)
-		res.ComputeP50 = computeLat.Quantile(0.50)
-		res.ComputeP95 = computeLat.Quantile(0.95)
-		res.ComputeP99 = computeLat.Quantile(0.99)
-	}
-	for name, tr := range kinds {
-		snap := tr.lat.Snapshot()
-		res.ByKind[name] = KindStats{
-			Requests: tr.requests.Load(),
-			Failures: tr.failures.Load(),
-			Mean:     snap.Mean,
-			P50:      snap.P50,
-			P99:      snap.P99,
-			Max:      snap.Max,
-		}
-	}
-	for {
-		select {
-		case e := <-errCh:
-			res.FirstErrors = append(res.FirstErrors, e)
-		default:
-			return res, nil
-		}
-	}
+	return r.res, errors.Join(errs...)
 }
 
 // respMeta is the snapshot-identifying slice of every query response.
@@ -388,74 +457,18 @@ func fetch(client *http.Client, url string) (bool, string, respMeta) {
 	return true, "", meta
 }
 
-// traceEnvelope is the ?debug=trace wrapper the server returns: the
-// finished trace alongside the original response verbatim.
-type traceEnvelope struct {
-	Trace struct {
-		Spans []struct {
-			Name  string  `json:"name"`
-			DurUs float64 `json:"dur_us"`
-		} `json:"spans"`
-	} `json:"trace"`
-	Response json.RawMessage `json:"response"`
-}
-
-// fetchTraced issues a ?debug=trace read and splits its span breakdown
-// into queue-wait and compute time. Reads answered from cache (or by a
-// coalesced singleflight follower) carry neither span and contribute no
-// sample — the split describes requests that did real traversal work.
-// If the server runs with tracing disabled the wrapper is absent and the
-// body is parsed as a plain response.
-func fetchTraced(client *http.Client, url string, queue, compute *stats.LatencyHist, samples *atomic.Uint64) (bool, string, respMeta) {
-	var meta respMeta
-	resp, err := client.Get(url)
-	if err != nil {
-		return false, fmt.Sprintf("GET %s: %v", url, err), meta
+// read fetches url and fails a reply whose (epoch, edges) pair
+// contradicts a write receipt: a torn or mismatched publish.
+func (r *runner) read(url string) (bool, string, respMeta) {
+	ok, desc, meta := fetch(r.client, url)
+	if !ok || meta.Snapshot != r.snapshot {
+		return ok, desc, meta
 	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return false, fmt.Sprintf("GET %s: %d %s", url, resp.StatusCode, string(body)), meta
-	}
-	var env traceEnvelope
-	if json.Unmarshal(body, &env) != nil || env.Response == nil {
-		json.Unmarshal(body, &meta)
-		return true, "", meta
-	}
-	json.Unmarshal(env.Response, &meta)
-	var sampled bool
-	for _, sp := range env.Trace.Spans {
-		d := time.Duration(sp.DurUs * float64(time.Microsecond))
-		switch sp.Name {
-		case "queue":
-			queue.Observe(d)
-			sampled = true
-		case "compute":
-			compute.Observe(d)
-			sampled = true
-		}
-	}
-	if sampled {
-		samples.Add(1)
+	if e, loaded := r.published.Load(meta.Epoch); loaded && e.(int) != meta.Edges {
+		return false, fmt.Sprintf("torn read: epoch %d served %d edges, receipt said %d",
+			meta.Epoch, meta.Edges, e.(int)), meta
 	}
 	return true, "", meta
-}
-
-// writer drives the mutation mix for one client: insert batches with
-// occasional removals of its own earlier insertions, followed by a
-// read-your-writes check against the receipt's epoch.
-type writer struct {
-	client    *http.Client
-	baseURL   string
-	snapshot  string
-	batchSize int
-	published *sync.Map
-	chaos     bool
-
-	// inserted holds edges this client inserted and has not removed: the
-	// removal pool, and on chaos runs the acked-edge record (uncapped
-	// there, so every surviving acked insertion can be verified).
-	inserted [][2]int
 }
 
 type mutateUpdate struct {
@@ -465,34 +478,33 @@ type mutateUpdate struct {
 	Remove bool `json:"remove,omitempty"`
 }
 
-// writeBatch posts one mutation batch. It returns ok for an acked,
-// verified write; tolerated for a chaos-run write refused with 503
-// (live pipeline down — the write was never acked, nothing is owed).
-func (w *writer) writeBatch(r *rng.Rand, n int) (ok, tolerated bool, desc string) {
-	batch := make([]mutateUpdate, 0, w.batchSize+1)
-	for i := 0; i < w.batchSize; i++ {
-		e := mutateUpdate{Src: r.Intn(n), Dst: r.Intn(n), Weight: 1 + r.Intn(8)}
-		batch = append(batch, e)
-	}
-	// Occasionally remove an edge this client inserted earlier; writes
-	// are serialized per client, so the instance is provably present.
-	// (The edge leaves the pool even if this batch fails: skipping its
-	// verification is safe, re-verifying a removed edge would not be.)
-	if len(w.inserted) > 0 && r.Intn(4) == 0 {
-		e := w.inserted[len(w.inserted)-1]
-		w.inserted = w.inserted[:len(w.inserted)-1]
+// write posts one mutation batch for the client whose surviving acked
+// insertions are *inserted, then verifies read-your-writes. It returns
+// ok for an acked, verified write; refused for a write started inside
+// an outage and refused with 503 (the live pipeline is down — the write
+// was never acked, nothing is owed).
+func (r *runner) write(o op, inserted *[][2]int, outage bool) (ok, refused bool, desc string) {
+	batch := o.batch // full to capacity, so the append below copies
+	// Remove an edge this client inserted earlier when the plan says so;
+	// writes are serialized per client, so the instance is provably
+	// present. (The edge leaves the pool even if this batch fails:
+	// skipping its verification is safe, re-verifying a removed edge
+	// would not be.)
+	if pool := *inserted; o.remove && len(pool) > 0 {
+		e := pool[len(pool)-1]
+		*inserted = pool[:len(pool)-1]
 		batch = append(batch, mutateUpdate{Src: e[0], Dst: e[1], Remove: true})
 	}
 	body, _ := json.Marshal(map[string]any{"updates": batch})
-	url := fmt.Sprintf("%s/v1/snapshots/%s/edges", w.baseURL, w.snapshot)
-	resp, err := w.client.Post(url, "application/json", bytes.NewReader(body))
+	url := fmt.Sprintf("%s/v1/snapshots/%s/edges", r.baseURL, r.snapshot)
+	resp, err := r.client.Post(url, "application/json", bytes.NewReader(body))
 	if err != nil {
 		return false, false, fmt.Sprintf("POST %s: %v", url, err)
 	}
 	raw, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		if w.chaos && resp.StatusCode == http.StatusServiceUnavailable {
+		if outage && resp.StatusCode == http.StatusServiceUnavailable {
 			return true, true, ""
 		}
 		return false, false, fmt.Sprintf("POST %s: %d %s", url, resp.StatusCode, string(raw))
@@ -504,26 +516,22 @@ func (w *writer) writeBatch(r *rng.Rand, n int) (ok, tolerated bool, desc string
 	if err := json.Unmarshal(raw, &receipt); err != nil || receipt.Epoch == 0 {
 		return false, false, fmt.Sprintf("POST %s: bad receipt %q", url, string(raw))
 	}
-	w.published.Store(receipt.Epoch, receipt.Edges)
+	r.published.Store(receipt.Epoch, receipt.Edges)
 	for _, u := range batch {
-		if !u.Remove && (w.chaos || len(w.inserted) < 128) {
-			w.inserted = append(w.inserted, [2]int{u.Src, u.Dst})
+		if !u.Remove {
+			*inserted = append(*inserted, [2]int{u.Src, u.Dst})
 		}
 	}
 	// Read-your-writes: a read pinned to the mutated snapshot must see
-	// the receipt's publish (or a newer one).
-	readURL := fmt.Sprintf("%s/v1/query/degree?v=%d&snapshot=%s", w.baseURL, batch[0].Src, w.snapshot)
-	rok, rdesc, meta := fetch(w.client, readURL)
+	// the receipt's publish (or a newer one), and agree with its receipt.
+	readURL := fmt.Sprintf("%s/v1/query/degree?v=%d&snapshot=%s", r.baseURL, batch[0].Src, r.snapshot)
+	rok, rdesc, meta := r.read(readURL)
 	if !rok {
 		return false, false, "read-after-write: " + rdesc
 	}
 	if meta.Epoch < receipt.Epoch {
 		return false, false, fmt.Sprintf("stale read after publish: read epoch %d < receipt epoch %d",
 			meta.Epoch, receipt.Epoch)
-	}
-	if e, loaded := w.published.Load(meta.Epoch); loaded && e.(int) != meta.Edges {
-		return false, false, fmt.Sprintf("torn read-after-write: epoch %d served %d edges, receipt said %d",
-			meta.Epoch, meta.Edges, e.(int))
 	}
 	return true, false, ""
 }
