@@ -84,8 +84,8 @@ type (
 	// Permutation maps original vertex IDs to new IDs.
 	Permutation = reorder.Permutation
 	// ReorderResult bundles the relabeled graph, the permutation, the
-	// measured reordering/rebuild times and the new layout's
-	// ordering-quality report.
+	// measured reordering/rebuild times and the new layout's packing
+	// report (its neighbor gap and Predicted* fields are zero).
 	ReorderResult = reorder.Result
 	// Pipeline is a composable reordering plan: an ordered chain of
 	// techniques, each seeing the graph as relabeled by its predecessors.
@@ -203,8 +203,10 @@ func TechniqueAuto() Technique { return reorder.Auto{} }
 func Advise(g *Graph, kind DegreeKind) Recommendation { return reorder.Advise(g, kind) }
 
 // EvaluateOrdering measures the ordering quality of g's current vertex
-// layout: packing factor, hub working-set bytes and mean neighbor gap.
-// Reordered graphs report this automatically via ReorderResult.Quality.
+// layout: packing factor, hub working-set bytes and, in one O(E) pass,
+// mean neighbor gap and predicted compression ratio. Reordered graphs
+// carry the packing half in ReorderResult.Quality; call
+// EvaluateOrdering(res.Graph, kind) for the rest.
 func EvaluateOrdering(g *Graph, kind DegreeKind) QualityReport {
 	return reorder.Evaluate(g, kind, nil)
 }

@@ -98,7 +98,7 @@ func main() {
 		tech.Name(), g.NumVertices(), g.NumEdges(), res.ReorderTime, res.RebuildTime)
 	if *metrics {
 		printQuality("original", graphreorder.EvaluateOrdering(g, kind))
-		printQuality(tech.Name(), res.Quality)
+		printQuality(tech.Name(), graphreorder.EvaluateOrdering(res.Graph, kind))
 	}
 
 	w := os.Stdout

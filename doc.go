@@ -59,14 +59,14 @@
 // cancellation is phase-grained like ReorderContext's: the context is
 // checked between stages and before the CSR rebuild, never mid-stage.
 //
-// Every executed reordering reports the quality of the layout it
-// produced in ReorderResult.Quality (standalone: EvaluateOrdering): the
-// paper's packing factor — hot vertices per cache block holding at least
-// one — against the contiguous-layout ideal, the hub working-set
-// footprint in bytes, and the mean neighbor ID gap. The contract: the
-// metrics describe the returned graph's physical layout, are computed
-// outside the timed ReorderTime/RebuildTime phases, and an edgeless
-// graph reports zeros (no working set to pack).
+// Every executed reordering reports the packing of the layout it
+// produced in ReorderResult.Quality (an O(V) pass): the paper's packing
+// factor — hot vertices per cache block holding at least one — against
+// the contiguous-layout ideal and the hub working-set footprint in bytes.
+// EvaluateOrdering(res.Graph, kind) adds the O(E) mean neighbor ID gap
+// and predicted compression ratio. The contract: the metrics describe the
+// returned graph's physical layout, are computed outside the timed
+// ReorderTime/RebuildTime phases, and an edgeless graph reports zeros.
 //
 // Advise is the skew-gated ordering advisor. It measures degree skew
 // (hot-vertex fraction, hot edge coverage — Table I) and remaining

@@ -86,9 +86,9 @@ func main() {
 		fail(fmt.Errorf("auto snapshot did not publish"))
 	}
 	fmt.Printf("auto snapshot: advisor chose %q (%s)\n", info.Advised, info.AdviceReason)
-	fmt.Printf("  quality: packing %.2f of ideal %.2f (util %.0f%%), hub working set %d B, avg neighbor gap %.0f\n",
+	fmt.Printf("  quality: packing %.2f of ideal %.2f (util %.0f%%), %d hot vertices, hub working set %d B\n",
 		info.Quality.PackingFactor, info.Quality.Ideal, 100*info.Quality.Utilization,
-		info.Quality.HubWorkingSetBytes, info.Quality.AvgNeighborGap)
+		info.Quality.HotVertices, info.Quality.HubWorkingSetBytes)
 	show("advisor-built snapshot status", "/v1/snapshots/social-auto")
 }
 

@@ -22,9 +22,10 @@
 // that the varints encode, so "reorder, then compress" (a reordering
 // Technique with BuildSpec.Backend "compressed") turns locality directly
 // into bytes.
-// reorder.QualityReport.PredictedRatio computes the exact post-relabel
-// out-direction varint cost from the same O(E) pass that measures
-// AvgNeighborGap, so the advisor can predict the ratio before encoding.
+// reorder.Evaluate's PredictedRatio is the exact post-relabel
+// out-direction varint cost, taken in the same O(E) pass that measures
+// AvgNeighborGap, so a caller can predict the ratio before encoding; it is
+// run on demand (graphd's "auto" backend decision), not by every reorder.
 //
 // # Decode determinism
 //

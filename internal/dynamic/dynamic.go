@@ -528,11 +528,6 @@ type Reorderer struct {
 	// of relabeling a snapshot.
 	Relabels int
 	Patches  int
-	// LastQuality is the ordering-quality report of the view produced by
-	// the most recent refresh (zero until the first refresh). Relabel
-	// reuses do not update it — consumers wanting the current layout's
-	// quality after a relabel evaluate the view themselves.
-	LastQuality reorder.QualityReport
 }
 
 // NewReorderer builds a Reorderer; the first View call performs the
@@ -624,7 +619,6 @@ func (r *Reorderer) View(d *Graph) (*graph.Graph, reorder.Permutation, error) {
 		}
 		r.setPerm(d, res.Perm)
 		r.setView(d, res.Graph)
-		r.LastQuality = res.Quality
 		r.Refreshes++
 		return r.view, r.perm, nil
 	}

@@ -36,20 +36,15 @@ func (r *Runner) CompressTable() error {
 		}
 		roots := r.Roots(g, r.opts.RootsPerApp)
 		for _, tech := range techs {
-			target := g
-			var quality reorder.QualityReport
-			mappedRoots := roots
-			if _, identity := tech.(reorder.IdentityTechnique); identity {
-				quality = reorder.Evaluate(g, spec.ReorderDegree(), nil)
-			} else {
+			target, mappedRoots := g, roots
+			if _, identity := tech.(reorder.IdentityTechnique); !identity {
 				res, err := r.Reorder(ds, tech, spec.ReorderDegree())
 				if err != nil {
 					return err
 				}
-				target = res.Graph
-				quality = res.Quality
-				mappedRoots = MapRoots(roots, res.Perm)
+				target, mappedRoots = res.Graph, MapRoots(roots, res.Perm)
 			}
+			quality := reorder.Evaluate(target, spec.ReorderDegree(), nil)
 			cz := csrz.Encode(target)
 			st := cz.Stats()
 			realizedOut := float64(target.NumEdges()) * 4 / float64(st.OutAdjBytes)

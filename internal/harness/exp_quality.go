@@ -50,7 +50,7 @@ func (r *Runner) QualityVsSpeedup() error {
 			if err != nil {
 				return err
 			}
-			addRow(tech.Name(), res.Quality, m)
+			addRow(tech.Name(), reorder.Evaluate(res.Graph, spec.ReorderDegree(), nil), m)
 		}
 		rec := reorder.Advise(g, spec.ReorderDegree())
 		verdicts = append(verdicts, fmt.Sprintf("%s -> %s (hot %.0f%%, coverage %.0f%%, gain %.2fx)",

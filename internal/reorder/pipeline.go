@@ -16,8 +16,8 @@ import (
 // and the stage permutations are composed into one. A Plan is itself a
 // Technique, so it slots into every Technique-taking entry point, but the
 // plan methods (Apply, ApplyWorkers, ApplyContext) are the canonical way
-// to execute a reordering: they time both phases and attach an
-// ordering-quality report to the Result.
+// to execute a reordering: they time both phases and attach the new
+// layout's packing report to the Result.
 //
 // The empty plan is the identity ordering, and the only spelling of it:
 // len(Stages()) == 0 is how a consumer asks "does this reorder at all".
@@ -115,7 +115,7 @@ func (p *Plan) permuteContext(ctx context.Context, g *graph.Graph, kind graph.De
 }
 
 // Apply executes the plan on g: composed permutation, sequential CSR
-// rebuild, quality report. See ApplyContext for the full contract.
+// rebuild, packing report. See ApplyContext for the full contract.
 func (p *Plan) Apply(g *graph.Graph, kind graph.DegreeKind) (Result, error) {
 	return p.ApplyContext(context.Background(), g, kind, 1)
 }
@@ -134,10 +134,10 @@ func (p *Plan) ApplyWorkers(g *graph.Graph, kind graph.DegreeKind, workers int) 
 // pipeline stage and again before the CSR rebuild, so a deadline aborts
 // between phases with ctx.Err() but never tears a phase apart. The
 // returned Result carries the relabeled graph, the composed permutation,
-// both phase timings (the paper's Fig. 10 cost split), and the ordering-
-// quality report of the new layout — evaluated on the same worker count
-// (the report does not depend on it) outside the timed phases, so
-// ReorderTime/RebuildTime stay comparable with earlier releases.
+// both phase timings (the paper's Fig. 10 cost split), and the new
+// layout's EvaluatePacking report, an O(V) pass taken outside the timed
+// phases. Its neighbor gap and Predicted* fields are zero: a caller that
+// reads them runs Evaluate(res.Graph, kind, nil), an O(E) pass.
 func (p *Plan) ApplyContext(ctx context.Context, g *graph.Graph, kind graph.DegreeKind, workers int) (Result, error) {
 	if err := ctx.Err(); err != nil {
 		return Result{}, err
@@ -162,6 +162,6 @@ func (p *Plan) ApplyContext(ctx context.Context, g *graph.Graph, kind graph.Degr
 		Perm:        perm,
 		ReorderTime: reorderTime,
 		RebuildTime: rebuildTime,
-		Quality:     evaluate(relabeled, kind, nil, workers),
+		Quality:     EvaluatePacking(relabeled, kind, nil),
 	}, nil
 }

@@ -153,6 +153,30 @@ func TestApplyAttachesQuality(t *testing.T) {
 	}
 }
 
+// TestApplyReportsPackingOnly: a plan's Result.Quality is the O(V)
+// packing report of the graph it returns, at any worker count, with the
+// O(E) fields left zero — no Apply pays for a pass its caller may not read.
+func TestApplyReportsPackingOnly(t *testing.T) {
+	g, err := gen.Generate(gen.MustDataset("sd", gen.Tiny))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, plan := range []*Plan{PlanOf(NewDBG()), Compose(HubCluster{}, NewDBG()), Compose()} {
+		for _, workers := range []int{1, 4} {
+			for _, kind := range []graph.DegreeKind{graph.OutDegree, graph.InDegree} {
+				res, err := plan.ApplyWorkers(g, kind, workers)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := EvaluatePacking(res.Graph, kind, nil); res.Quality != want {
+					t.Errorf("%s, %d workers, %v: quality %+v, want the packing report %+v",
+						plan.Name(), workers, kind, res.Quality, want)
+				}
+			}
+		}
+	}
+}
+
 // TestEvaluateSplitIsExact: the O(E) half sums integers over edge-balanced
 // ranges, so the report is equal field for field (== on the floats) at
 // any worker count, on both backends, with and without a permutation; the
@@ -283,7 +307,8 @@ func BenchmarkEvaluate(b *testing.B) {
 }
 
 // TestPredictedRatioIsHonest pins the predictor's central promise: the
-// PredictedAdjBytes a quality report computes from a permutation alone
+// PredictedAdjBytes a quality report computes — from the original graph
+// and a permutation alone, or from the relabeled graph a plan returns —
 // equals, byte for byte, what the csrz encoder produces after actually
 // relabeling and encoding the graph — for the identity layout and for a
 // reordering that changes every list.
@@ -310,6 +335,7 @@ func TestPredictedRatioIsHonest(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		check(tech.Name(), res.Quality, res.Graph)
+		check(tech.Name(), Evaluate(res.Graph, graph.OutDegree, nil), res.Graph)
+		check(tech.Name()+" (permutation)", Evaluate(g, graph.OutDegree, res.Perm), res.Graph)
 	}
 }

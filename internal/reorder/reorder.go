@@ -24,10 +24,11 @@
 //
 // Techniques compose into pipelines (Plan, Compose, ParsePlan — specs
 // like "dbg|gorder" or "dbg:8"), every executed plan reports its layout's
-// ordering quality (Evaluate, QualityReport: the paper's packing factor,
-// hub working-set bytes, neighbor gap), and a skew-gated advisor (Advise,
-// the "auto" technique) picks a pipeline — or the identity, when the
-// degree distribution does not reward reordering — from those metrics.
+// packing (EvaluatePacking: the paper's packing factor and hub working-set
+// bytes; Evaluate adds the O(E) neighbor gap and predicted compression),
+// and a skew-gated advisor (Advise, the "auto" technique) picks a
+// pipeline — or the identity, when the degree distribution does not
+// reward reordering — from those metrics.
 package reorder
 
 import (
@@ -120,8 +121,9 @@ type Result struct {
 	ReorderTime time.Duration
 	// RebuildTime is the time spent rebuilding the CSR in the new order.
 	RebuildTime time.Duration
-	// Quality measures the new layout's hot-vertex packing and neighbor
-	// locality (computed outside the timed phases).
+	// Quality is the new layout's hot-vertex packing (EvaluatePacking,
+	// computed outside the timed phases). AvgNeighborGap and the
+	// Predicted* fields are zero; Evaluate(Graph, kind, nil) fills them.
 	Quality QualityReport
 }
 

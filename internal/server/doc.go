@@ -53,11 +53,13 @@
 // of the edge multiset, which the checkpoint holds, not of the order the
 // instances arrived in, which it does not.
 //
-// A publish is the stage list publishStages (publish.go): view, evaluate,
-// precompute, encode, assemble. A snapshot build runs the same stages;
-// only its view stage differs (it applies the spec's plan to the loaded
-// graph where a live publish asks dynamic.Reorderer.View), and BuildStatus
-// reports the stage running. On a live publish each stage is a span on
+// A publish is the stage list publishStages (publish.go): view,
+// precompute, encode, assemble. The snapshot's quality is its layout's
+// packing (reorder.EvaluatePacking, O(V), in assemble); the O(E) quality
+// pass runs only where encode resolves an "auto" backend. A snapshot
+// build runs the same stages; only its view stage differs (it applies the
+// spec's plan to the loaded graph where a live publish asks
+// dynamic.Reorderer.View), and BuildStatus reports the stage running. On a live publish each stage is a span on
 // the trace of every write the publish carries ("apply" precedes them,
 // once per batch) and a sample of graphd_publish_stage_seconds{stage},
 // with "swap" spanning assemble and the publish itself; the view span's

@@ -39,6 +39,16 @@ import (
 const (
 	// maxMutateUpdates bounds one request's batch size.
 	maxMutateUpdates = 1 << 17
+	// maxMutateBodyBytes bounds a mutation body, so an oversized batch is
+	// refused (413) before it is decoded in full: 128 bytes for each of
+	// maxMutateUpdates updates — the longest compact one,
+	// {"src":4294967295,"dst":4294967295,"weight":4294967295,"remove":false},
+	// is 71 with its comma, the rest is room for indentation — plus 1 KiB
+	// for the envelope. 16 MiB.
+	maxMutateBodyBytes = maxMutateUpdates*128 + 1<<10
+	// maxBuildSpecBytes bounds a build spec body: a handful of names and
+	// paths.
+	maxBuildSpecBytes = 64 << 10
 	// maxAddVertices bounds one request's vertex growth.
 	maxAddVertices = 1 << 20
 	// liveQueueDepth bounds queued write batches per live graph; beyond
@@ -405,7 +415,7 @@ func (lg *liveGraph) noteGood() {
 // a snapshot with the stale permutation, or refresh the ordering) — where
 // "swap" spans assembling the snapshot and publishing it.
 var publishStageNames = [...]string{
-	"apply", "view.patch", "view.relabel", "view.refresh", "evaluate", "precompute", "encode", "swap"}
+	"apply", "view.patch", "view.relabel", "view.refresh", "precompute", "encode", "swap"}
 
 // publish materializes the current dynamic state as an immutable
 // snapshot through publishStages and hot-swaps it into the store under a
@@ -460,10 +470,9 @@ func (lg *liveGraph) publish(traces []*obs.Trace) (*Snapshot, bool, error) {
 // view is a live publish's view stage: the Reorderer's view of the
 // dynamic graph under the stale permutation (the previous view patched
 // from the edit log, or a snapshot relabeled), or under a refreshed
-// ordering, whose quality report it hands on. A refresh of an "auto"
-// snapshot also re-advises, so its recorded verdict follows the evolving
-// degree distribution. The precompute starts from the last published
-// ranks.
+// ordering. A refresh of an "auto" snapshot also re-advises, so its
+// recorded verdict follows the evolving degree distribution. The
+// precompute starts from the last published ranks.
 func (lg *liveGraph) view(p *publishJob) (string, error) {
 	start := time.Now()
 	r := lg.reord
@@ -477,7 +486,6 @@ func (lg *liveGraph) view(p *publishJob) (string, error) {
 	switch {
 	case r.Refreshes > refreshes:
 		tag = "refresh"
-		p.snap.quality, p.evaluated = r.LastQuality, true
 		if lg.techName == "auto" {
 			if pre, err := lg.dyn.Snapshot(); err == nil {
 				rec := reorder.Advise(pre, lg.kind)

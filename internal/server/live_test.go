@@ -289,6 +289,37 @@ func TestMutateValidation(t *testing.T) {
 	}
 }
 
+// TestRequestBodiesBounded: a mutation body or build spec longer than its
+// bound is refused with 413, however well-formed — the decoder stops at
+// the bound instead of reading the whole body — and one just inside the
+// bound is still served.
+func TestRequestBodiesBounded(t *testing.T) {
+	s := liveServer(t, "original", 1000)
+	h := s.Handler()
+	// pad puts JSON whitespace inside the object, so the decoder must
+	// read all of it before the value is complete.
+	pad := func(head string, size int) string {
+		return head + strings.Repeat(" ", size-len(head)-1) + "}"
+	}
+	cases := []struct {
+		name, url, head string
+		limit           int
+		within          int
+	}{
+		{"mutation", "/v1/snapshots/live/edges", `{"updates":[{"src":0,"dst":1}]`, maxMutateBodyBytes, http.StatusOK},
+		{"build spec", "/v1/snapshots", `{"name":"again","dataset":"uni","scale":"tiny"`, maxBuildSpecBytes, http.StatusAccepted},
+	}
+	for _, c := range cases {
+		if code, body := do(t, h, "POST", c.url, pad(c.head, c.limit+1)); code != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s of %d bytes: %d (want 413): %.200s", c.name, c.limit+1, code, body)
+		}
+		if code, body := do(t, h, "POST", c.url, pad(c.head, c.limit)); code != c.within {
+			t.Errorf("%s of %d bytes: %d (want %d): %.200s", c.name, c.limit, code, c.within, body)
+		}
+	}
+	s.store.WaitBuilds()
+}
+
 // TestMutateConcurrentWriters serializes racing writers through the
 // mutation queue; every batch must land exactly once.
 func TestMutateConcurrentWriters(t *testing.T) {

@@ -40,8 +40,8 @@ type publishJob struct {
 	store *Store
 	// view is the first stage. It leaves the layout in g — or, passing a
 	// .csrz load through, in cz — with its permutation in snap.perm (nil
-	// for the order as loaded), and may leave the layout's quality
-	// (evaluated), advice and warm-start ranks behind.
+	// for the order as loaded), and may leave advice and warm-start ranks
+	// behind.
 	view func(*publishJob) (tag string, err error)
 	// begin, when set, runs before every stage; end, when set, after every
 	// stage that succeeded, with the tag its span carries and its start.
@@ -49,11 +49,10 @@ type publishJob struct {
 	end    func(stage, tag string, start time.Time)
 	traces []*obs.Trace // each gets one round per precompute iteration
 
-	g         *graph.Graph // the plain layout; nil while a .csrz load passes through
-	cz        *csrz.Graph  // the compressed layout, when there is one
-	evaluated bool         // snap.quality is the layout's
-	warm      []float64    // the precompute's start, in the layout's IDs; nil starts cold
-	snap      *Snapshot    // unpublished until the caller publishes it
+	g    *graph.Graph // the plain layout; nil while a .csrz load passes through
+	cz   *csrz.Graph  // the compressed layout, when there is one
+	warm []float64    // the precompute's start, in the layout's IDs; nil starts cold
+	snap *Snapshot    // unpublished until the caller publishes it
 }
 
 // publishStages is what a publish does, in order. A stage returns a tag
@@ -63,7 +62,6 @@ var publishStages = []struct {
 	run  func(*publishJob) (tag string, err error)
 }{
 	{"view", func(p *publishJob) (string, error) { return p.view(p) }},
-	{"evaluate", (*publishJob).evaluate},
 	{"precompute", (*publishJob).precompute},
 	{"encode", (*publishJob).encode},
 	{"assemble", (*publishJob).assemble},
@@ -104,15 +102,6 @@ func (p *publishJob) decode() error {
 	p.cz.Close()
 	p.g, p.cz = g, nil
 	return err
-}
-
-// evaluate attaches the layout's ordering quality, unless the view stage
-// already measured it while reordering.
-func (p *publishJob) evaluate() (string, error) {
-	if !p.evaluated {
-		p.snap.quality = reorder.Evaluate(p.layout(), p.kind, nil)
-	}
-	return "", nil
 }
 
 // precompute computes PageRank once, so point rank lookups and top-k
@@ -163,14 +152,15 @@ func (p *publishJob) precompute() (string, error) {
 
 // encode materializes the serving representation of the final layout.
 // "auto" becomes compressed exactly when the layout's predicted ratio
-// says the bytes come back. A compressed snapshot without an encoding
+// says the bytes come back; that decision is the publish's one reader of
+// the O(E) quality pass. A compressed snapshot without an encoding
 // gets one (a compressed live graph re-encodes every epoch, so readers
 // hot-swap between compressed epochs as between plain ones), and a plain
 // one without a plain graph decodes its .csrz load.
 func (p *publishJob) encode() (string, error) {
 	if p.backend == backendAuto {
 		p.backend = backendPlain
-		if p.snap.quality.PredictedRatio >= autoCompressMinRatio {
+		if reorder.Evaluate(p.layout(), p.kind, nil).PredictedRatio >= autoCompressMinRatio {
 			p.backend = backendCompressed
 		}
 	}
@@ -183,10 +173,11 @@ func (p *publishJob) encode() (string, error) {
 	return "", nil
 }
 
-// assemble finishes the snapshot: the representation it serves, its
-// space accounting and a fresh epoch.
+// assemble finishes the snapshot: the layout's packing report, the
+// representation it serves, its space accounting and a fresh epoch.
 func (p *publishJob) assemble() (string, error) {
 	s := p.snap
+	s.quality = reorder.EvaluatePacking(p.layout(), p.kind, nil)
 	s.graph, s.cz = p.g, p.cz
 	if p.cz != nil {
 		s.graph = p.cz

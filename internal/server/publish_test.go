@@ -13,6 +13,7 @@ import (
 	"graphreorder"
 	"graphreorder/internal/graph"
 	"graphreorder/internal/obs"
+	"graphreorder/internal/reorder"
 	"graphreorder/internal/rng"
 )
 
@@ -59,12 +60,12 @@ func TestPublishStagesTraced(t *testing.T) {
 		for _, sp := range out.Trace.Spans {
 			names = append(names, sp.Name)
 		}
-		if len(names) < 6 || !strings.HasPrefix(names[1], "view.") {
-			t.Fatalf("write %d: spans %v, want apply, view.*, evaluate, precompute, encode, swap", i, names)
+		if len(names) < 5 || !strings.HasPrefix(names[1], "view.") {
+			t.Fatalf("write %d: spans %v, want apply, view.*, precompute, encode, swap", i, names)
 		}
 		view := names[1]
 		names[1] = "view"
-		if got := strings.Join(names[:6], " "); got != "apply view evaluate precompute encode swap" {
+		if got := strings.Join(names[:5], " "); got != "apply view precompute encode swap" {
 			t.Fatalf("write %d: spans %q", i, got)
 		}
 		if (view == "view.refresh") != out.Response.Refreshed {
@@ -85,7 +86,7 @@ func TestPublishStagesTraced(t *testing.T) {
 	}
 	text := scrape()
 	for stage, want := range map[string]int{"apply": 7, "view.patch": 5, "view.relabel": 0, "view.refresh": 2,
-		"evaluate": 7, "precompute": 7, "encode": 7, "swap": 7} {
+		"precompute": 7, "encode": 7, "swap": 7} {
 		if line := fmt.Sprintf(`graphd_publish_stage_seconds_count{stage=%q} %d`, stage, want); !strings.Contains(text, line) {
 			t.Errorf("/metrics lacks %s", line)
 		}
@@ -125,6 +126,36 @@ func TestFirstWriteAfterBuildPatches(t *testing.T) {
 	if r.Patches != 1 || r.Relabels != 1 || r.Refreshes != 1 {
 		t.Fatalf("after one write: %d patches, %d stale views, %d orderings; want 1, 1, 1 (the build's)",
 			r.Patches, r.Relabels, r.Refreshes)
+	}
+}
+
+// TestLivePublishReportsPacking: a live publish's quality is its layout's
+// packing report and nothing more, on the patch path and on a refresh —
+// the O(E) neighbor gap and predicted ratio are left to callers that read
+// them, so a write does not pay for them.
+func TestLivePublishReportsPacking(t *testing.T) {
+	s := New(Config{Workers: 1, QueryTimeout: 30 * time.Second, RefreshEvery: 2})
+	t.Cleanup(func() { s.store.CloseLive() })
+	if _, err := s.store.Build(BuildSpec{Name: "live", Dataset: "sd", Scale: "tiny", Technique: "dbg", Mutable: true}); err != nil {
+		t.Fatal(err)
+	}
+	h := s.Handler()
+	for i, want := range []bool{false, true} {
+		var res MutateResult
+		if code, body := postJSON(t, h, "/v1/snapshots/live/edges",
+			MutateRequest{Updates: []MutateUpdate{{Src: 0, Dst: graph.VertexID(i + 1), Weight: 3}}}, &res); code != http.StatusOK {
+			t.Fatalf("write %d: %d %s", i, code, body)
+		}
+		if res.Refreshed != want {
+			t.Fatalf("write %d: refreshed=%v, want %v", i, res.Refreshed, want)
+		}
+		snap := s.store.Current()
+		if got, packing := snap.quality, reorder.EvaluatePacking(snap.graph, graph.OutDegree, nil); got != packing {
+			t.Errorf("write %d (refreshed=%v): quality %+v, want the layout's packing %+v", i, want, got, packing)
+		}
+		if snap.quality.PackingFactor <= 0 {
+			t.Errorf("write %d: no packing reported", i)
+		}
 	}
 }
 

@@ -399,10 +399,26 @@ func (s *Server) handleSnapshotResolve(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// decodeBody decodes r's JSON body into v, reading at most limit bytes:
+// a longer body is answered 413, a malformed one 400. It reports whether
+// v holds the body.
+func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, what string, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit)).Decode(v)
+	var tooLarge *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooLarge):
+		writeError(w, http.StatusRequestEntityTooLarge, "%s over %d bytes", what, limit)
+	case err != nil:
+		writeError(w, http.StatusBadRequest, "bad %s: %v", what, err)
+	default:
+		return true
+	}
+	return false
+}
+
 func (s *Server) handleSnapshotBuild(w http.ResponseWriter, r *http.Request) {
 	var spec BuildSpec
-	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
-		writeError(w, http.StatusBadRequest, "bad build spec: %v", err)
+	if !decodeBody(w, r, maxBuildSpecBytes, "build spec", &spec) {
 		return
 	}
 	if (spec.Path != "" || spec.RanksPath != "") && !s.cfg.AllowPathLoads {
@@ -451,8 +467,7 @@ func (s *Server) handleSnapshotDrop(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	var body MutateRequest
-	if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
-		writeError(w, http.StatusBadRequest, "bad mutation body: %v", err)
+	if !decodeBody(w, r, maxMutateBodyBytes, "mutation body", &body) {
 		return
 	}
 	switch {

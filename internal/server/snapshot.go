@@ -47,7 +47,7 @@ type Snapshot struct {
 	source    string
 	live      bool // published by a mutable snapshot's refresher pipeline
 
-	// Ordering-quality metrics of the published layout, plus — for
+	// The published layout's packing report (EvaluatePacking), plus — for
 	// "auto" builds — what the advisor chose and why.
 	quality      reorder.QualityReport
 	advised      string
@@ -210,7 +210,7 @@ type SnapshotInfo struct {
 	Advised      string `json:"advised,omitempty"`
 	AdviceReason string `json:"advice_reason,omitempty"`
 	// Quality reports the published layout's ordering quality: the
-	// paper's packing factor plus locality metrics. Present on every
+	// paper's packing factor and hub working set. Present on every
 	// snapshot, whatever its technique, so orderings are comparable from
 	// the admin API alone.
 	Quality QualityInfo `json:"quality"`
@@ -233,9 +233,7 @@ type QualityInfo struct {
 	// HubWorkingSetBytes is the cache footprint of blocks holding hot
 	// vertices under this layout.
 	HubWorkingSetBytes int64 `json:"hub_working_set_bytes"`
-	// AvgNeighborGap is the mean |src-dst| ID distance over edges.
-	AvgNeighborGap float64 `json:"avg_neighbor_gap"`
-	HotVertices    int     `json:"hot_vertices"`
+	HotVertices        int   `json:"hot_vertices"`
 }
 
 func qualityInfo(q reorder.QualityReport) QualityInfo {
@@ -244,7 +242,6 @@ func qualityInfo(q reorder.QualityReport) QualityInfo {
 		Ideal:              q.IdealPackingFactor,
 		Utilization:        q.PackingUtilization,
 		HubWorkingSetBytes: q.HubWorkingSetBytes,
-		AvgNeighborGap:     q.AvgNeighborGap,
 		HotVertices:        q.HotVertices,
 	}
 }
@@ -627,7 +624,7 @@ type BuildStatus struct {
 	mu   sync.Mutex
 	Name string
 	// Stage is "loading", then the name of the publish stage running
-	// ("view", "evaluate", "precompute", "encode", "assemble"), then
+	// ("view", "precompute", "encode", "assemble"), then
 	// "ready" or "failed".
 	Stage    string
 	Err      string
@@ -935,7 +932,7 @@ func planView(plan *reorder.Plan, auto bool) func(*publishJob) (string, error) {
 		if err != nil {
 			return "", err
 		}
-		p.g, p.snap.perm, p.snap.quality, p.evaluated = res.Graph, res.Perm, res.Quality, true
+		p.g, p.snap.perm = res.Graph, res.Perm
 		p.snap.reorderTime, p.snap.rebuildTime = res.ReorderTime, res.RebuildTime
 		return "", nil
 	}
