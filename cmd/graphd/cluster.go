@@ -162,6 +162,8 @@ func runClusterServe(cfg clusterConfig, g *graph.Graph) int {
 		"graphd: partitioned %d edges into %d shards (%s) in %v: max/mean balance %.4f, %d replicated hubs\n",
 		g.NumEdges(), cfg.shards, cfg.strategy, time.Since(start).Round(time.Millisecond),
 		res.Balance.Balance, res.Balance.ReplicatedHubs)
+	// A copy, so the router does not keep res.Graphs reachable.
+	placement := res.Placement
 
 	exe, err := os.Executable()
 	if err != nil {
@@ -212,7 +214,7 @@ func runClusterServe(cfg clusterConfig, g *graph.Graph) int {
 	}
 
 	rt, err := cluster.NewRouter(cluster.RouterConfig{
-		Placement: &res.Placement,
+		Placement: &placement,
 		Endpoints: endpoints,
 	})
 	if err != nil {

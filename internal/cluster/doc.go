@@ -36,9 +36,10 @@
 //     union is exact and bit-identical to single-node answers.
 //   - sssp: the router owns the distance array and runs frontier
 //     exchange (below) until the frontier drains. What it caches is the
-//     node's own server.SSSPDistances — the vector packed to 2, 4 or 8
-//     bytes per vertex, its summary computed once — so every reply, hit
-//     or miss, is that summary plus one lookup of ?target=.
+//     node's own server.SSSPDistances — the vector bit-packed at the
+//     width its largest distance needs, its summary computed once — so
+//     every reply, hit or miss, is that summary plus one lookup of
+//     ?target=.
 //
 // Replies are the node's types (server.NeighborsResult and the rest),
 // so a merged answer matches a single node's key for key because it is
@@ -117,8 +118,9 @@
 //     built per request, whose trace shows the lookup as a "cache" span.
 //     Concurrent misses of one read coalesce onto one compute (read,
 //     above). The same LRU holds the SSSP distance vectors, keyed by
-//     source and charged at their packed width of 2, 4 or 8 bytes per
-//     vertex, so hot sources stay as long as the byte budget allows; a
+//     source and charged at their packed size (w bits per vertex, w the
+//     width the largest distance needs), so hot sources stay as long as
+//     the byte budget allows; a
 //     failed exchange is never cached.
 //
 // It is reachable only through the epochState a request acquired, so

@@ -109,6 +109,14 @@ func StartLocal(ctx context.Context, g *graph.Graph, opt LocalOptions) (*Local, 
 	if err != nil {
 		return nil, err
 	}
+	return startLocal(ctx, g, res, opt)
+}
+
+// startLocal is StartLocal from a finished partition. Nothing it returns
+// points into res: the shard subgraphs are written to the layout and then
+// left to the collector, so the cluster keeps only the placement and the
+// members' own snapshots.
+func startLocal(ctx context.Context, g *graph.Graph, res *Result, opt LocalOptions) (*Local, error) {
 	ranks, iters, checksum, err := GlobalRanks(ctx, g, opt.Workers)
 	if err != nil {
 		return nil, err
@@ -118,7 +126,8 @@ func StartLocal(ctx context.Context, g *graph.Graph, opt LocalOptions) (*Local, 
 		return nil, err
 	}
 
-	l := &Local{Layout: lay, Placement: &res.Placement, Balance: res.Balance}
+	placement := res.Placement
+	l := &Local{Layout: lay, Placement: &placement, Balance: res.Balance}
 	ok := false
 	defer func() {
 		if !ok {

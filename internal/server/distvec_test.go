@@ -3,9 +3,10 @@ package server
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"math"
+	"math/bits"
 	"net/http"
 	"slices"
 	"testing"
@@ -15,53 +16,113 @@ import (
 	"graphreorder/internal/graph"
 )
 
-// TestDistVectorWidths checks the width chosen at each boundary and that
-// At reads back exactly what the int64 vector held, at every index.
+// TestDistVectorWidths checks the width in bits chosen at every boundary
+// (max 0 → 1 bit, max 2^k−2 → k bits, max 2^k−1 → k+1 bits, up to
+// infDistance−1 → 63 bits), the packed size 8·⌈n·w/64⌉, and that At
+// reads back exactly what the int64 vector held at every index —
+// including values that straddle a word boundary.
 func TestDistVectorWidths(t *testing.T) {
 	const inf = int64(infDistance)
-	cases := []struct {
-		name  string
-		dist  []int64
-		width int64 // bytes per vertex
-	}{
-		{"empty", []int64{}, 2},
-		{"single vertex", []int64{0}, 2},
-		{"all unreachable", []int64{inf, inf, inf}, 2},
-		{"max 65534", []int64{0, 65534, inf, 7}, 2},
-		{"max 65535", []int64{0, 65535, inf, 7}, 4},
-		{"max 2^32-2", []int64{0, math.MaxUint32 - 1, inf, 65535}, 4},
-		{"max 2^32-1", []int64{0, math.MaxUint32, inf, 65535}, 8},
-		{"max 2^40", []int64{1 << 40, inf, 0}, 8},
-	}
-	for _, c := range cases {
+	check := func(name string, dist []int64, wantW uint) {
+		t.Helper()
 		var maxDistance int64
-		for _, dv := range c.dist {
+		for _, dv := range dist {
 			if dv != inf {
 				maxDistance = max(maxDistance, dv)
 			}
 		}
-		v := packDistances(slices.Clone(c.dist), maxDistance)
-		if v.Len() != len(c.dist) || v.Bytes() != c.width*int64(len(c.dist)) {
-			t.Errorf("%s: len %d bytes %d, want %d vertices at %d B", c.name, v.Len(), v.Bytes(), len(c.dist), c.width)
+		v := packDistances(slices.Clone(dist), maxDistance)
+		wantBytes := 8 * ((int64(len(dist))*int64(wantW) + 63) / 64)
+		if v.w != wantW || v.Len() != len(dist) || v.Bytes() != wantBytes {
+			t.Errorf("%s: w %d len %d bytes %d, want w %d len %d bytes %d",
+				name, v.w, v.Len(), v.Bytes(), wantW, len(dist), wantBytes)
 		}
-		populated := map[int64]bool{2: v.u16 != nil, 4: v.u32 != nil, 8: v.i64 != nil}
-		if len(c.dist) > 0 && !populated[c.width] {
-			t.Errorf("%s: wrong slice populated: %+v", c.name, v)
-		}
-		for i, want := range c.dist {
+		for i, want := range dist {
 			got, ok := v.At(i)
 			if want == inf {
 				want = 0
 			}
-			if got != want || ok != (c.dist[i] != inf) {
-				t.Errorf("%s: at(%d) = (%d, %v), want (%d, %v)", c.name, i, got, ok, want, c.dist[i] != inf)
+			if got != want || ok != (dist[i] != inf) {
+				t.Fatalf("%s: at(%d) = (%d, %v), want (%d, %v)", name, i, got, ok, want, dist[i] != inf)
 			}
 		}
 		// A stale vector may be shorter than the vertex asked about.
-		if got, ok := v.At(len(c.dist)); ok || got != 0 {
-			t.Errorf("%s: at(len) = (%d, %v), want unreachable", c.name, got, ok)
+		for _, i := range []int{len(dist), len(dist) + 64, -1} {
+			if got, ok := v.At(i); ok || got != 0 {
+				t.Errorf("%s: at(%d) = (%d, %v), want unreachable", name, i, got, ok)
+			}
 		}
 	}
+	check("empty", []int64{}, 1)
+	check("single vertex", []int64{0}, 1)
+	check("all unreachable", []int64{inf, inf, inf}, 1)
+	check("max 0", []int64{0, inf, 0, 0, inf}, 1)
+	for k := uint(2); k <= 63; k++ {
+		top := int64(1)<<k - 1 // 2^k−1: the first value that needs k+1 bits
+		// 70 vertices put some value across a word boundary at every w > 1.
+		dist := make([]int64, 70)
+		for i := range dist {
+			switch i % 5 {
+			case 0:
+				dist[i] = inf
+			case 1:
+				dist[i] = top - 1
+			default:
+				dist[i] = int64(i*2654435761) & (top >> 1)
+			}
+		}
+		check(fmt.Sprintf("max 2^%d-2", k), dist, k)
+		if k < 63 {
+			dist[3] = top
+			check(fmt.Sprintf("max 2^%d-1", k), dist, k+1)
+		}
+	}
+	check("max infDistance-1", []int64{inf - 1, 0, inf, 1 << 62, inf - 2}, 63)
+}
+
+// FuzzDistVector packs arbitrary distance vectors: data supplies the
+// values, per bytes each (little-endian, 1–8, the top bit dropped), and
+// every infEvery-th vertex is unreachable. At must read back every
+// value, the vertex past the end must read as unreachable, and the
+// vector must take exactly 8·⌈n·w/64⌉ bytes at w = bits.Len64(max+1).
+func FuzzDistVector(f *testing.F) {
+	f.Add([]byte{}, uint8(1), uint8(0))
+	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}, uint8(1), uint8(3))
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}, uint8(8), uint8(0))
+	f.Fuzz(func(t *testing.T, data []byte, per, infEvery uint8) {
+		per = per%8 + 1
+		var dist []int64
+		var maxDistance int64
+		for i := 0; len(data) > 0; i++ {
+			var buf [8]byte
+			data = data[copy(buf[:per], data):]
+			dv := int64(binary.LittleEndian.Uint64(buf[:]) &^ (1 << 63))
+			if dv == infDistance || infEvery > 0 && i%int(infEvery) == 0 {
+				dv = infDistance
+			} else {
+				maxDistance = max(maxDistance, dv)
+			}
+			dist = append(dist, dv)
+		}
+		v := packDistances(slices.Clone(dist), maxDistance)
+		w := int64(bits.Len64(uint64(maxDistance) + 1))
+		if want := 8 * ((int64(len(dist))*w + 63) / 64); v.Len() != len(dist) || v.Bytes() != want {
+			t.Fatalf("%d vertices at %d bits: len %d, %d B, want %d B", len(dist), w, v.Len(), v.Bytes(), want)
+		}
+		for i, want := range dist {
+			got, ok := v.At(i)
+			if want == infDistance {
+				if ok || got != 0 {
+					t.Fatalf("at(%d) = (%d, true), want unreachable", i, got)
+				}
+			} else if !ok || got != want {
+				t.Fatalf("at(%d) = (%d, %v), want %d", i, got, ok, want)
+			}
+		}
+		if got, ok := v.At(len(dist)); ok || got != 0 {
+			t.Fatalf("at(len) = (%d, %v), want unreachable", got, ok)
+		}
+	})
 }
 
 // wideTargetReply renders the ?target= reply the way the handler did when
@@ -96,16 +157,17 @@ func wideTargetReply(t *testing.T, snap *Snapshot, src, target graph.VertexID, c
 }
 
 // TestSSSPTargetRepliesUnchanged: ?target= answers read through the
-// narrow vector are byte-identical to answers read from the int64 one —
-// on sd/tiny (uint16) and on hand graphs that need uint32 and int64.
+// packed vector are byte-identical to answers read from the int64 one —
+// on sd/tiny (max 143: 8 bits) and on hand graphs that need 18 and 33
+// bits — and the cache holds each vector at exactly 8·⌈n·w/64⌉ bytes.
 func TestSSSPTargetRepliesUnchanged(t *testing.T) {
 	s := New(Config{Workers: 1, QueryTimeout: 30 * time.Second})
 	dir := t.TempDir()
 	hand := map[string]string{
-		// 0 -> 1 -> 2 at 70000 each (max 140000: uint32); 3 is unreachable.
-		"u32": "0 1 70000\n1 2 70000\n3 0 1\n",
-		// Two hops of 2^32-1 (max 2^33-2: int64); 3 is unreachable.
-		"i64": "0 1 4294967295\n1 2 4294967295\n3 0 1\n",
+		// 0 -> 1 -> 2 at 70000 each (max 140000: 18 bits); 3 is unreachable.
+		"w18": "0 1 70000\n1 2 70000\n3 0 1\n",
+		// Two hops of 2^32-1 (max 2^33-2: 33 bits); 3 is unreachable.
+		"w33": "0 1 4294967295\n1 2 4294967295\n3 0 1\n",
 	}
 	for name, text := range hand {
 		if err := writeFile(dir+"/"+name+".txt", text); err != nil {
@@ -119,9 +181,9 @@ func TestSSSPTargetRepliesUnchanged(t *testing.T) {
 		t.Fatal(err)
 	}
 	h := s.Handler()
-	wantBytes := map[string]int64{"u32": 4, "i64": 8, "sd": 2}
+	wantBits := map[string]int64{"w18": 18, "w33": 33, "sd": 8}
 	var wantCache int64
-	for _, name := range []string{"u32", "i64", "sd"} {
+	for _, name := range []string{"w18", "w33", "sd"} {
 		snap := s.store.tab.Load().byName[name]
 		n := snap.graph.NumVertices()
 		targets := []int{0, 1, 2, 3}
@@ -145,8 +207,8 @@ func TestSSSPTargetRepliesUnchanged(t *testing.T) {
 			t.Fatalf("%s: SSSP result not cached", name)
 		}
 		vec := v.(ssspEntry).Dist
-		if vec.Bytes() != wantBytes[name]*int64(n) {
-			t.Errorf("%s: cached vector is %d B for %d vertices, want %d B/vertex", name, vec.Bytes(), n, wantBytes[name])
+		if want := 8 * ((int64(n)*wantBits[name] + 63) / 64); vec.Bytes() != want {
+			t.Errorf("%s: cached vector is %d B for %d vertices, want %d B (%d bits each)", name, vec.Bytes(), n, want, wantBits[name])
 		}
 		wantCache += EntryCost(key, kind, vec.Bytes())
 	}

@@ -16,10 +16,11 @@
 // (singleflight) and results kept in an LRU keyed by
 // (snapshot epoch, app, params). The LRU is bounded in bytes and charges
 // an entry what it keeps resident (EntryCost): an SSSP result is cached
-// as SSSPDistances, a DistVector — uint16, uint32 or int64 per vertex,
-// the narrowest that holds the largest distance plus an unreachable
-// sentinel — and its summary, read only through At/Len/Bytes, so the
-// target lookup and the stale-epoch fallback never see the width. The
+// as SSSPDistances, a DistVector — bit-packed at w = bits.Len64(max+1)
+// bits per vertex, the fewest that hold the largest distance plus an
+// all-ones unreachable sentinel (8 or 9 bits on sd) — and its summary,
+// read only through At/Len/Bytes, so the target lookup and the
+// stale-epoch fallback never see the width. The
 // cluster router caches the same type and answers with the same reply
 // types.
 //

@@ -3,7 +3,7 @@ package server
 import (
 	"context"
 	"fmt"
-	"math"
+	"math/bits"
 	"slices"
 
 	"graphreorder"
@@ -280,69 +280,61 @@ type SSSPResult struct {
 	MaxDistance int64          `json:"max_distance"`
 }
 
-// DistVector is an SSSP distance vector stored at the narrowest fixed
-// width that holds its largest finite distance plus an unreachable
-// sentinel (the width's maximum value). Exactly one slice is non-nil.
+// DistVector is an SSSP distance vector bit-packed at w bits per vertex,
+// the fewest that hold its largest finite distance plus an unreachable
+// sentinel (all ones at width w). Vertex i's bits start at bit i·w of
+// words, low bits first, so a value straddles at most two words.
 type DistVector struct {
-	u16 []uint16
-	u32 []uint32
-	i64 []int64
+	words []uint64
+	n     int
+	w     uint
 }
 
-// packDistances narrows dist, whose largest finite entry is maxDistance.
-// The int64 form keeps dist itself.
+// packDistances packs dist, whose largest finite entry is maxDistance.
+// infDistance is all ones in the low 63 bits and w is at most 63, so
+// masking it lands on the sentinel.
 func packDistances(dist []int64, maxDistance int64) DistVector {
-	switch {
-	case maxDistance < math.MaxUint16:
-		return DistVector{u16: narrow[uint16](dist)}
-	case maxDistance < math.MaxUint32:
-		return DistVector{u32: narrow[uint32](dist)}
-	}
-	return DistVector{i64: dist}
-}
-
-// narrow truncates every distance to T; infDistance is all ones in the
-// low 63 bits, so it lands on T's maximum, the sentinel.
-func narrow[T uint16 | uint32](dist []int64) []T {
-	out := make([]T, len(dist))
+	w := uint(bits.Len64(uint64(maxDistance) + 1))
+	v := DistVector{words: make([]uint64, (len(dist)*int(w)+63)/64), n: len(dist), w: w}
+	mask := uint64(1)<<w - 1
 	for i, dv := range dist {
-		out[i] = T(dv)
+		x, bit := uint64(dv)&mask, uint(i)*w
+		v.words[bit/64] |= x << (bit % 64)
+		if bit%64+w > 64 {
+			v.words[bit/64+1] |= x >> (64 - bit%64)
+		}
 	}
-	return out
+	return v
 }
 
 // At returns vertex i's distance, or (0, false) when it is unreachable.
 // An index past the end reads as unreachable: a stale (older-epoch)
 // vector may predate the vertex.
 func (v DistVector) At(i int) (int64, bool) {
-	var dv, sentinel int64
-	switch {
-	case i >= v.Len():
-		return 0, false
-	case v.u16 != nil:
-		dv, sentinel = int64(v.u16[i]), math.MaxUint16
-	case v.u32 != nil:
-		dv, sentinel = int64(v.u32[i]), math.MaxUint32
-	default:
-		dv, sentinel = v.i64[i], infDistance
-	}
-	if dv == sentinel {
+	if uint(i) >= uint(v.n) {
 		return 0, false
 	}
-	return dv, true
+	bit, mask := uint(i)*v.w, uint64(1)<<v.w-1
+	x := v.words[bit/64] >> (bit % 64)
+	if bit%64+v.w > 64 {
+		x |= v.words[bit/64+1] << (64 - bit%64)
+	}
+	if x &= mask; x == mask {
+		return 0, false
+	}
+	return int64(x), true
 }
 
 // Len is the number of vertices the vector covers.
-func (v DistVector) Len() int { return len(v.u16) + len(v.u32) + len(v.i64) }
+func (v DistVector) Len() int { return v.n }
 
-// Bytes is the vector's resident size.
-func (v DistVector) Bytes() int64 {
-	return int64(2*len(v.u16) + 4*len(v.u32) + 8*len(v.i64))
-}
+// Bytes is the vector's resident size, 8·⌈n·w/64⌉.
+func (v DistVector) Bytes() int64 { return 8 * int64(len(v.words)) }
 
 // SSSPDistances is what both tiers cache per (epoch, source): the full
-// distance vector plus its summary, computed once per vector — cache hits
-// serve the summary without rescanning the O(n) vector.
+// distance vector, bit-packed, plus its summary, computed once per
+// vector — cache hits serve the summary without rescanning the O(n)
+// vector.
 type SSSPDistances struct {
 	Dist        DistVector
 	rounds      int
