@@ -234,11 +234,12 @@ const InfDistance = apps.InfDistance
 // amortizes. graphd's mutable snapshots are built on exactly these.
 type (
 	// DynamicGraph is a directed multigraph under batched mutation.
-	// Batches apply atomically. Its edges live in one canonical CSR; a
+	// Batches apply atomically. Its edges live in one CSR, in the order a
+	// DynamicReorderer last installed (original order until then); a
 	// removal takes the heaviest instance of its (src, dst), found by a
 	// binary search in that CSR plus the edits not yet folded into it;
 	// Snapshot folds them and returns the current state as a static
-	// Graph.
+	// Graph in original order.
 	DynamicGraph = dynamic.Graph
 	// EdgeUpdate is one edge insertion or removal in a batch.
 	EdgeUpdate = dynamic.Update
@@ -246,7 +247,8 @@ type (
 	// ordering: every K batches.
 	RefreshPolicy = dynamic.Policy
 	// DynamicReorderer maintains a reordered view of a DynamicGraph,
-	// reusing the stale permutation (cheap relabel) between refreshes.
+	// reusing the stale permutation (the graph's CSR, patched) between
+	// refreshes.
 	DynamicReorderer = dynamic.Reorderer
 )
 

@@ -145,8 +145,9 @@
 // DynamicGraph and DynamicReorderer implement the paper's §VIII-B
 // evolving-graph deployment: edge updates arrive in batches, queries run
 // against reordered snapshot views, and the ordering is refreshed only
-// when the RefreshPolicy says so (every K batches), with a cheap
-// stale-permutation relabel in between. The contract, both in the library and in graphd's mutable snapshots:
+// when the RefreshPolicy says so (every K batches); in between the
+// reordered CSR, which the DynamicGraph holds as its only copy of the
+// edges, is patched under the stale permutation. The contract, both in the library and in graphd's mutable snapshots:
 //
 //   - Batches are atomic. Apply/ApplyGrow validates the whole batch
 //     (including vertex growth and the batch's own internal

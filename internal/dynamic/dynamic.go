@@ -10,33 +10,25 @@
 // distribution, so hot-vertex classification stays valid between
 // reorderings — is exactly what the staleness policy encodes.
 //
-// A Graph holds its edges once, as a CSR in canonical order: every list
-// sorted by (neighbor, weight) in original vertex order, so the CSR is a
-// function of the edge multiset alone. Beside it is an edit log, every
-// edge instance inserted or removed under absolute sequence numbers. The
-// edits after the CSR's log position are pending, summed per (src, dst)
-// bucket and weight, until graph.Patch folds them into a fresh CSR (a
-// copy of the untouched lists and a merge of the edited ones, defined to
-// equal the full rebuild): Snapshot folds, and so does a batch that takes
-// the pending edits past the log's retention bound. A removal takes the
-// heaviest instance of its bucket, the last in canonical order, so every
-// state is a function of the edge multiset: a graph started from
-// another's snapshot (a checkpoint) and fed the same batches stays equal
-// to it, weights included.
+// A Graph holds its edges once, as the CSR a Reorderer serves: the
+// canonical CSR (lists sorted by (neighbor, weight) in original vertex
+// order, a function of the edge multiset alone) relabeled by the
+// Reorderer's permutation, or by none before one is installed. Beside it
+// is a log of every edge instance inserted or removed, in original IDs.
+// The edits after the CSR's log position are pending, summed per (src,
+// dst) bucket and weight, until graph.Patch folds them into a fresh CSR
+// (a copy of the untouched lists and a merge of the edited ones, defined
+// to equal the full rebuild relabeled): a View folds, and so do Snapshot
+// and a batch that takes the pending edits past max(1024, edges/8). A
+// removal takes the heaviest instance of its bucket, the last in
+// canonical order, so every state is a function of the edge multiset: a
+// graph started from another's snapshot (a checkpoint) and fed the same
+// batches stays equal to it, weights included. The log keeps the pending
+// edits and, while a Mark is outstanding, everything after it.
 //
-// A Reorderer's View remembers its log position too and patches itself
-// forward. It relabels a snapshot instead when its position has been
-// trimmed off the log or lies more than the retention bound behind, when
-// the log crosses a vertex growth a rollback took back, or when it was
-// seeded from a graph FromGraph had to put in canonical order. The log
-// retains the last max(1024, edges/8) edits, 16 bytes each — at most two
-// bytes per edge — never an edit the CSR has not absorbed, and, while a
-// Mark is outstanding, everything after it so RollbackTo can undo it.
-//
-// Graphs handed out are never touched again: Snapshot and View return
-// freshly allocated CSRs, a patch never writes into or reuses the arrays
-// of the graph it patches, and callers may keep any number of old
-// results for as long as they like.
+// Snapshot relabels the CSR into original order, O(E). Graphs handed out
+// are never touched again: a patch never writes into or reuses the
+// arrays of the graph it patches.
 package dynamic
 
 import (
@@ -81,7 +73,8 @@ const noPin = math.MaxUint64
 // update in the batch or leaves the graph exactly as it was. Per-vertex
 // degrees are maintained incrementally, so degree-distribution checks
 // (the paper's hot-vertex classification) never materialize a snapshot;
-// beside the CSR a Graph holds only them, the log and the pending sums.
+// beside the CSR a Graph holds only them, its permutation, the log and
+// the pending sums.
 type Graph struct {
 	n, m     int
 	weighted bool
@@ -91,21 +84,25 @@ type Graph struct {
 	// log[i] is edit number logBase+i of the graph's history: one entry
 	// per edge instance inserted or removed (a removal records the weight
 	// of the instance it took), rollbacks included — RollbackTo appends
-	// the inverse edits instead of truncating, so positions only grow
-	// and every reader, however far along, can patch its way forward.
+	// the inverse edits instead of truncating, so positions only grow.
 	log       []graph.EdgeEdit
 	logBase   uint64
 	logRetain int    // retention override (tests); 0 means max(minLogRetain, edges/8)
 	pin       uint64 // edits from here on are never trimmed: the last Mark, or noPin
 
-	// csr is the graph as of log position csrSeq; the edits after it are
-	// pending, summed per weight. pend maps each bucket with pending edits
-	// to the position plus one of its first entry in sums, 0 meaning none.
-	csr    *graph.Graph
-	csrSeq uint64
-	pend   map[edgeKey]uint32
-	sums   []pendingWeight
-	bucket []pendingWeight // heaviest's scratch
+	// csr is the graph as of log position csrSeq relabeled by perm, so
+	// its lists are ordered by (inv[neighbor], weight), inv being perm's
+	// inverse; nil means the identity for both. layouts counts the
+	// permutations installed. The edits after csrSeq are pending, summed
+	// per weight. pend maps each bucket with pending edits to the
+	// position plus one of its first entry in sums, 0 meaning none.
+	csr       *graph.Graph
+	perm, inv reorder.Permutation
+	layouts   int
+	csrSeq    uint64
+	pend      map[edgeKey]uint32
+	sums      []pendingWeight
+	bucket    []pendingWeight // heaviest's scratch
 
 	// rebuilt reports that FromGraph's argument was not in canonical
 	// order; builds counts the CSRs not made by a fold (that rebuild and a
@@ -172,23 +169,20 @@ func (d *Graph) Count(src, dst graph.VertexID) int {
 }
 
 // span returns the positions [lo, hi) of src's CSR list that hold dst,
-// and the list's weights.
+// and the list's weights. The list is ordered by original ID, so the
+// search compares its entries through inv.
 func (d *Graph) span(src, dst graph.VertexID) (int, int, graph.WeightList) {
 	if int(src) >= d.csr.NumVertices() {
 		return 0, 0, graph.WeightList{}
 	}
-	list := d.csr.OutNeighbors(src)
-	lo, _ := slices.BinarySearch(list, dst)
-	hi, _ := slices.BinarySearch(list[lo:], dst+1) // a vertex ID is below 2^32-1
-	return lo, lo + hi, d.csr.OutWeightList(src)
-}
-
-// delta is what e adds to its bucket's multiplicity.
-func delta(e graph.EdgeEdit) int {
-	if e.Remove {
-		return -1
+	orig := cmp.Compare[graph.VertexID]
+	if d.perm != nil {
+		src, orig = d.perm[src], func(x, v graph.VertexID) int { return cmp.Compare(d.inv[x], v) }
 	}
-	return 1
+	list := d.csr.OutNeighbors(src)
+	lo, _ := slices.BinarySearchFunc(list, dst, orig)
+	hi, _ := slices.BinarySearchFunc(list[lo:], dst+1, orig) // a vertex ID is below 2^32-1
+	return lo, lo + hi, d.csr.OutWeightList(src)
 }
 
 // heaviest returns the weight of the heaviest (src, dst) instance present,
@@ -315,7 +309,9 @@ func (d *Graph) pop() {
 // count adds sign times e's effect to its bucket's pending weights, the
 // degrees and the edge count.
 func (d *Graph) count(e graph.EdgeEdit, sign int) {
-	sign *= delta(e)
+	if e.Remove {
+		sign = -sign
+	}
 	k := edgeKey{e.Src, e.Dst}
 	l := d.pend[k]
 	for l != 0 && d.sums[l-1].w != e.Weight {
@@ -333,20 +329,53 @@ func (d *Graph) count(e graph.EdgeEdit, sign int) {
 }
 
 // fold patches the pending edits into the CSR over the current vertex
-// space. It fails, changing nothing, only when log and CSR disagree or a
-// pending edit lies outside the vertex space (mid-rollback).
+// space, mapped through perm; grown vertices keep their IDs. It fails,
+// changing nothing, only when log and CSR disagree.
 func (d *Graph) fold() error {
 	if d.csrSeq == d.seq() && d.csr.NumVertices() == d.n {
 		return nil
 	}
-	g, err := d.csr.Patch(d.log[d.csrSeq-d.logBase:], d.n, nil)
+	edits := d.log[d.csrSeq-d.logBase:]
+	perm, inv := d.perm, d.inv
+	if perm != nil {
+		if k := len(perm); k < d.n {
+			ids := reorder.Identity(d.n)[k:]
+			perm, inv = append(perm[:k:k], ids...), append(inv[:k:k], ids...)
+		}
+		moved := make([]graph.EdgeEdit, len(edits))
+		for i, e := range edits {
+			moved[i] = graph.EdgeEdit{Src: perm[e.Src], Dst: perm[e.Dst], Weight: e.Weight, Remove: e.Remove}
+		}
+		edits = moved
+	}
+	g, err := d.csr.Patch(edits, d.n, inv)
 	if err != nil {
 		return err
 	}
-	d.csr, d.csrSeq = g, d.seq()
+	d.set(g, perm, inv)
+	return nil
+}
+
+// set makes g, in perm's order (inv its inverse), the CSR, holding every
+// edit in the log.
+func (d *Graph) set(g *graph.Graph, perm, inv reorder.Permutation) {
+	d.csr, d.perm, d.inv, d.csrSeq = g, perm, inv, d.seq()
 	clear(d.pend)
 	d.sums = d.sums[:0]
-	return nil
+}
+
+// degrees returns what graph.Graph.Degrees does on a snapshot.
+func (d *Graph) degrees(kind graph.DegreeKind) []uint32 {
+	degs := make([]uint32, d.n)
+	for v := range degs {
+		if kind != graph.InDegree {
+			degs[v] += uint32(d.outDeg[v])
+		}
+		if kind != graph.OutDegree {
+			degs[v] += uint32(d.inDeg[v])
+		}
+	}
+	return degs
 }
 
 // settle ends a mutation: it folds the pending edits once they pass the
@@ -383,36 +412,16 @@ func (d *Graph) retain() int {
 	return max(minLogRetain, d.m/8)
 }
 
-// editsSince returns the edits that take a reader from log position seq
-// to the current one. It reports false when the reader must rebuild
-// instead: its position has been trimmed, or the delta is past the
-// retention bound (a pinned log can be longer), where a rebuild is the
-// cheaper way forward. The slice aliases the log; it is valid until the
-// next mutation.
-func (d *Graph) editsSince(seq uint64) ([]graph.EdgeEdit, bool) {
-	if seq < d.logBase || d.seq()-seq > uint64(d.retain()) {
-		return nil, false
-	}
-	return d.log[seq-d.logBase:], true
-}
-
-// trimLog drops the oldest edits once the log outgrows its retention,
-// down to half of it so the copy is amortized — but never an edit the
-// CSR has not absorbed or a Mark still needs.
+// trimLog drops every edit the CSR has absorbed and no Mark needs, once
+// the log outgrows the retention bound, so the copy is amortized.
 func (d *Graph) trimLog() {
-	retain := d.retain()
-	if len(d.log) <= retain {
+	if len(d.log) <= d.retain() {
 		return
 	}
-	drop := min(uint64(len(d.log)-retain/2), d.csrSeq-d.logBase)
-	if d.pin != noPin {
-		drop = min(drop, d.pin-d.logBase)
+	if drop := min(d.csrSeq, d.pin) - d.logBase; drop > 0 {
+		d.log = append(d.log[:0], d.log[drop:]...)
+		d.logBase += drop
 	}
-	if drop == 0 {
-		return
-	}
-	d.log = append(d.log[:0], d.log[drop:]...)
-	d.logBase += drop
 }
 
 // Mark is a point in a Graph's history that RollbackTo can return to.
@@ -437,9 +446,9 @@ func (d *Graph) Mark() Mark {
 // applied since are undone in reverse order, vertex growth since is taken
 // back, and the batch counter is restored. Undoing an insert removes an
 // instance of its weight, so the multiset, and with it the instance every
-// later removal takes, is what it was at m. The undo is itself logged —
-// readers of the log patch across a rollback like across any other edit
-// — and a rollback that shrinks the vertex space rebuilds the CSR once.
+// later removal takes, is what it was at m. The undo is itself logged,
+// pending like any other edit, and a rollback that shrinks the vertex
+// space cuts the CSR down once.
 // It fails, changing nothing, for a mark of another graph or one whose
 // edits have been trimmed (only the latest Mark is pinned).
 func (d *Graph) RollbackTo(m Mark) error {
@@ -461,15 +470,27 @@ func (d *Graph) RollbackTo(m Mark) error {
 	}
 	if room > m.n {
 		// No edge touches the vertices past m.n any more, but the CSR or
-		// the pending edits may: fold over the room, then rebuild over m.n.
+		// the pending edits may: fold over the room, then cut the CSR at
+		// m.n. A permutation that maps no vertex past m.n below it keeps
+		// its first m.n entries; any other gives way to original order.
 		if err := d.fold(); err != nil {
 			return err
 		}
-		g, err := graph.BuildWith(d.csr.Edges(), graph.BuildOptions{NumVertices: m.n, Weighted: d.weighted, SortNeighbors: true})
-		if err != nil {
+		g, err := d.csr, error(nil)
+		if d.perm != nil && slices.ContainsFunc(d.perm[m.n:], func(id graph.VertexID) bool { return int(id) < m.n }) {
+			if g, err = d.Snapshot(); err != nil {
+				return err
+			}
+			d.perm, d.inv, d.layouts = nil, nil, d.layouts+1
+		}
+		ws, wb := g.OutWeightArray()
+		if d.csr, err = graph.NewFromCSR(m.n, g.NumEdges(), g.OutIndex()[:m.n+1], g.OutEdgeArray(), ws, wb,
+			g.InIndex()[:m.n+1], g.InEdgeArray()); err != nil {
 			return err
 		}
-		d.csr = g
+		if d.perm != nil {
+			d.perm, d.inv = d.perm[:m.n:m.n], d.inv[:m.n:m.n]
+		}
 		d.builds++
 	}
 	d.shrink(m.n)
@@ -480,14 +501,16 @@ func (d *Graph) RollbackTo(m Mark) error {
 
 // Snapshot returns the current graph as static CSR in canonical order,
 // so the result depends on the edge multiset only: the CSR with the
-// pending edits folded in, a copy plus work proportional to the edits.
-// Until the first mutation it is FromGraph's argument itself, when that
-// was in canonical order. Graphs returned earlier are never modified.
+// pending edits folded in, relabeled into original order (O(E)) once a
+// Reorderer has installed an ordering.
 func (d *Graph) Snapshot() (*graph.Graph, error) {
 	if err := d.fold(); err != nil {
 		return nil, err
 	}
-	return d.csr, nil
+	if d.inv == nil {
+		return d.csr, nil
+	}
+	return d.csr.Relabel(d.inv)
 }
 
 // Policy configures when a Reorderer refreshes its ordering.
@@ -497,43 +520,36 @@ type Policy struct {
 	Every int
 }
 
-// Reorderer maintains a reordered view of a dynamic graph under a
-// periodic-refresh policy. Queries run against the reordered snapshot;
-// between refreshes the stale permutation is reused, per §VIII-B.
+// Reorderer maintains a reordered view of a dynamic graph, the graph's
+// own CSR, under a periodic-refresh policy: between refreshes the stale
+// permutation is reused, per §VIII-B.
 type Reorderer struct {
 	tech   reorder.Technique
 	kind   graph.DegreeKind
 	policy Policy
 
-	// Workers is the worker count for the CSR rebuilds a View performs
-	// (refresh relabel and stale-permutation relabel alike); 0 or 1 pins
+	// Workers is the worker count for a refresh's relabels; 0 or 1 pins
 	// the sequential rebuild. Patching a view is sequential.
 	Workers int
 
-	perm reorder.Permutation
-	inv  reorder.Permutation // perm's inverse, computed when the first patch needs it
-
-	// view is the reordered CSR of viewOf as of its log position viewSeq:
-	// a canonical snapshot relabeled, so its lists are in canonical order
-	// under the inverse permutation as rank and it can be patched.
-	view    *graph.Graph
-	viewOf  *Graph
-	viewSeq uint64
-
+	// perm is the ordering installed in of as its layout number layout,
+	// after batchesAtPerm batches; seq is of's CSR position at last View.
+	of            *Graph
+	layout        int
+	perm          reorder.Permutation
 	batchesAtPerm int
-	// Refreshes counts how many times the ordering was recomputed.
+	seq           uint64
+	// Refreshes counts how many times the ordering was recomputed;
+	// Patches counts the views between refreshes that folded edits into
+	// the previous one.
 	Refreshes int
-	// Relabels counts cheap stale-permutation views between refreshes;
-	// Patches of them patched the previous view from the edit log instead
-	// of relabeling a snapshot.
-	Relabels int
-	Patches  int
+	Patches   int
 }
 
 // NewReorderer builds a Reorderer; the first View call performs the
 // initial reordering.
 func NewReorderer(tech reorder.Technique, kind graph.DegreeKind, policy Policy) *Reorderer {
-	return &Reorderer{tech: tech, kind: kind, policy: policy, batchesAtPerm: -1}
+	return &Reorderer{tech: tech, kind: kind, policy: policy}
 }
 
 // Seed installs an externally computed ordering of d as the Reorderer's
@@ -541,106 +557,89 @@ func NewReorderer(tech reorder.Technique, kind graph.DegreeKind, policy Policy) 
 // performed (e.g. a snapshot-build pipeline that reordered the graph
 // itself). view must be d's current snapshot relabeled by perm — the
 // graph d.Snapshot() returns, or, before d's first edit, the graph d was
-// created from. A canonical view is patched by the first View after a
-// mutation. When FromGraph had to put its argument in canonical order, a
-// view of that argument is not canonical: it is dropped, and the first
-// View relabels a snapshot instead.
+// created from. d adopts view as its CSR, which the first View after a
+// mutation patches — or, when FromGraph had to put its argument in
+// canonical order, the relabel of the CSR FromGraph built.
 func (r *Reorderer) Seed(d *Graph, view *graph.Graph, perm reorder.Permutation) {
-	r.setPerm(d, perm)
 	if d.rebuilt && d.seq() == 0 {
 		view = nil
 	}
-	r.setView(d, view)
-	r.Refreshes++
-}
-
-func (r *Reorderer) setPerm(d *Graph, perm reorder.Permutation) {
-	r.perm, r.inv = perm, nil
-	r.batchesAtPerm = d.Batches()
-}
-
-func (r *Reorderer) setView(d *Graph, view *graph.Graph) {
-	r.view, r.viewOf, r.viewSeq = view, d, d.seq()
-}
-
-// patchView brings the view up to date from d's edit log, translating
-// the edits into view IDs; under perm the view's lists are ordered by
-// original ID, which is what the inverse permutation as rank says. It
-// returns nil when the view has to be relabeled from a snapshot instead.
-func (r *Reorderer) patchView(d *Graph) *graph.Graph {
-	if r.view == nil || r.viewOf != d {
-		return nil
+	if err := r.install(d, view, perm); err != nil {
+		panic(fmt.Sprintf("dynamic: Seed: %v", err)) // perm is not a permutation of d's vertices
 	}
-	edits, ok := d.editsSince(r.viewSeq)
-	if !ok {
-		return nil
-	}
-	moved := make([]graph.EdgeEdit, len(edits))
-	for i, e := range edits {
-		if int(e.Src) >= len(r.perm) || int(e.Dst) >= len(r.perm) {
-			return nil // the log crosses a vertex growth that was rolled back
+}
+
+// install makes perm d's ordering and view, d's graph relabeled by perm,
+// its CSR; a nil view is d's CSR relabeled, with nothing pending.
+func (r *Reorderer) install(d *Graph, view *graph.Graph, perm reorder.Permutation) error {
+	if view == nil {
+		newID := perm
+		if d.inv != nil {
+			newID = d.inv.Compose(perm) // CSR ID -> original ID -> new ID
 		}
-		moved[i] = graph.EdgeEdit{Src: r.perm[e.Src], Dst: r.perm[e.Dst], Weight: e.Weight, Remove: e.Remove}
+		var err error
+		if view, err = d.csr.RelabelWorkers(newID, r.Workers); err != nil {
+			return err
+		}
 	}
-	if r.inv == nil {
-		r.inv = r.perm.Inverse()
+	d.set(view, perm, perm.Inverse())
+	d.layouts++
+	r.of, r.layout, r.perm, r.batchesAtPerm, r.seq = d, d.layouts, perm, d.Batches(), d.csrSeq
+	r.Refreshes++
+	return nil
+}
+
+// Due reports whether the next View of d refreshes the ordering: there
+// is none for d, d's vertex space or permutation changed, or it is time.
+func (r *Reorderer) Due(d *Graph) bool {
+	return r.of != d || r.layout != d.layouts || len(r.perm) != d.NumVertices() ||
+		(r.policy.Every > 0 && d.Batches()-r.batchesAtPerm >= r.policy.Every)
+}
+
+// Refresh recomputes the ordering and relabels d's CSR into it. A plan of
+// one degree-based stage permutes d's maintained degrees, its snapshot's;
+// any other, or an inspect callback, gets the snapshot, which is handed
+// to inspect and dropped before the relabel: two CSRs at most are alive.
+func (r *Reorderer) Refresh(d *Graph, inspect func(original *graph.Graph)) error {
+	var perm reorder.Permutation
+	plan := reorder.PlanOf(r.tech)
+	if db, ok := plan.DegreeBased(); ok && inspect == nil {
+		if err := d.fold(); err != nil {
+			return err
+		}
+		perm = db.PermuteDegrees(d.degrees(r.kind), d.AvgDegree())
+	} else {
+		g, err := d.Snapshot()
+		if err != nil {
+			return err
+		}
+		if perm, err = plan.PermuteWorkers(g, r.kind, r.Workers); err != nil {
+			return err
+		}
+		if inspect != nil {
+			inspect(g)
+		}
 	}
-	view, err := r.view.Patch(moved, len(r.perm), r.inv)
-	if err != nil {
-		return nil // log and view disagree; the relabel is always right
-	}
-	return view
+	return r.install(d, nil, perm)
 }
 
 // View returns the reordered snapshot of d — d.Snapshot() relabeled by
 // the returned permutation, array for array — refreshing the ordering if
-// the policy says it is due. The permutation maps d's vertex IDs to the
-// view's IDs (needed to translate query roots).
-//
-// Only a refresh materializes the original-order snapshot. Between
-// refreshes the previous view is patched from d's edit log through the
-// stale permutation, at a cost of one copy of the CSR plus work
-// proportional to the edits; the stale-permutation relabel of a snapshot
-// is the fallback when the log does not cover the delta or there is no
-// previous view to patch (see Seed). Views returned earlier are never
-// modified.
+// it is Due. The permutation maps d's vertex IDs to the view's IDs
+// (needed to translate query roots). Between refreshes the view is d's
+// CSR, its pending edits folded in: a copy plus work per edit.
 func (r *Reorderer) View(d *Graph) (*graph.Graph, reorder.Permutation, error) {
-	// A missing ordering or a changed vertex space forces a refresh.
-	due := r.batchesAtPerm < 0 || len(r.perm) != d.NumVertices() ||
-		(r.policy.Every > 0 && d.Batches()-r.batchesAtPerm >= r.policy.Every)
-	if due {
-		g, err := d.Snapshot()
-		if err != nil {
-			return nil, nil, err
-		}
-		res, err := reorder.PlanOf(r.tech).ApplyWorkers(g, r.kind, r.Workers)
-		if err != nil {
-			return nil, nil, err
-		}
-		r.setPerm(d, res.Perm)
-		r.setView(d, res.Graph)
-		r.Refreshes++
-		return r.view, r.perm, nil
-	}
-	if r.view != nil && r.viewOf == d && r.viewSeq == d.seq() {
-		return r.view, r.perm, nil
-	}
-	// Stale permutation, fresh edges — exactly the reuse §VIII-B argues
-	// for.
-	if view := r.patchView(d); view != nil {
-		r.setView(d, view)
-		r.Patches++
+	var err error
+	if r.Due(d) {
+		err = r.Refresh(d, nil)
 	} else {
-		g, err := d.Snapshot()
-		if err != nil {
-			return nil, nil, err
-		}
-		view, err := g.RelabelWorkers(r.perm, r.Workers)
-		if err != nil {
-			return nil, nil, err
-		}
-		r.setView(d, view)
+		err = d.fold() // stale permutation, fresh edges: the reuse §VIII-B argues for
 	}
-	r.Relabels++
-	return r.view, r.perm, nil
+	if err != nil {
+		return nil, nil, err
+	}
+	if r.seq != d.csrSeq {
+		r.seq, r.Patches = d.csrSeq, r.Patches+1
+	}
+	return d.csr, r.perm, nil
 }

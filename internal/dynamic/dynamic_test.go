@@ -329,8 +329,8 @@ func TestReordererSeed(t *testing.T) {
 	if _, _, err := r.View(d); err != nil {
 		t.Fatal(err)
 	}
-	if r.Refreshes != 1 || r.Relabels != 1 {
-		t.Errorf("after one batch: refreshes=%d relabels=%d, want 1/1", r.Refreshes, r.Relabels)
+	if r.Refreshes != 1 || r.Patches != 1 {
+		t.Errorf("after one batch: refreshes=%d patches=%d, want 1/1", r.Refreshes, r.Patches)
 	}
 	if err := d.Apply([]Update{{Edge: graph.Edge{Src: 1, Dst: 2, Weight: 1}}}); err != nil {
 		t.Fatal(err)
@@ -696,9 +696,9 @@ func TestRecoveredGraphRemovesLikeLive(t *testing.T) {
 
 // TestFirstWriteAfterSeedPatches follows graphd's mutable build on
 // sd/tiny: the build reorders the generated graph with DBG and seeds the
-// Reorderer with that view. The dynamic graph adopts the generated graph
-// as its CSR, so the first write patches the seeded view: no CSR is
-// built, and the view equals the relabel of the snapshot.
+// Reorderer with that view, which the dynamic graph adopts as its CSR in
+// place of the generated graph. The first write patches the seeded view:
+// no CSR is built, and the view equals the relabel of the snapshot.
 func TestFirstWriteAfterSeedPatches(t *testing.T) {
 	g, err := gen.Generate(gen.MustDataset("sd", gen.Tiny))
 	if err != nil {
@@ -711,6 +711,9 @@ func TestFirstWriteAfterSeedPatches(t *testing.T) {
 	}
 	r := NewReorderer(reorder.NewDBG(), graph.OutDegree, Policy{Every: 8})
 	r.Seed(d, res.Graph, res.Perm)
+	if d.csr != res.Graph {
+		t.Fatal("Seed did not hand the dynamic graph the build's view")
+	}
 	if err := d.Apply([]Update{
 		{Edge: graph.Edge{Src: 0, Dst: 1, Weight: 3}},
 		{Remove: true, Edge: g.Edges()[0]},
@@ -721,9 +724,9 @@ func TestFirstWriteAfterSeedPatches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Patches != 1 || r.Relabels != 1 || r.Refreshes != 1 || d.builds != 0 {
-		t.Fatalf("first write: %d patches, %d relabels, %d refreshes, %d CSR builds; want 1, 1, 1, 0",
-			r.Patches, r.Relabels, r.Refreshes, d.builds)
+	if r.Patches != 1 || r.Refreshes != 1 || d.builds != 0 || d.csr != view {
+		t.Fatalf("first write: %d patches, %d refreshes, %d CSR builds, view held %v; want 1, 1, 0, true",
+			r.Patches, r.Refreshes, d.builds, d.csr == view)
 	}
 	want, err := mustSnapshot(t, d).RelabelWorkers(perm, 1)
 	if err != nil {
@@ -738,8 +741,10 @@ func TestFirstWriteAfterSeedPatches(t *testing.T) {
 }
 
 // TestSeedOfARebuiltGraphRelabels: a graph FromGraph had to put in
-// canonical order cannot patch a view of its argument, so the first View
-// after a write relabels the snapshot instead — and still equals it.
+// canonical order cannot adopt a view of its argument, whose lists are
+// out of order, so Seed relabels the CSR FromGraph built instead; the
+// first View after a write patches that, and still equals the snapshot
+// relabeled.
 func TestSeedOfARebuiltGraphRelabels(t *testing.T) {
 	g := base(t)
 	edges := g.Edges()
@@ -765,8 +770,8 @@ func TestSeedOfARebuiltGraphRelabels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Patches != 0 || r.Relabels != 1 {
-		t.Fatalf("%d patches, %d relabels; want 0, 1", r.Patches, r.Relabels)
+	if r.Patches != 1 || r.Refreshes != 1 || d.builds != 1 {
+		t.Fatalf("%d patches, %d refreshes, %d CSR builds; want 1, 1, 1", r.Patches, r.Refreshes, d.builds)
 	}
 	want, err := mustSnapshot(t, d).RelabelWorkers(perm, 1)
 	if err != nil {
@@ -774,5 +779,43 @@ func TestSeedOfARebuiltGraphRelabels(t *testing.T) {
 	}
 	if !bytes.Equal(csrBytes(t, view), csrBytes(t, want)) {
 		t.Fatal("the view differs from the snapshot relabeled")
+	}
+}
+
+// TestRefreshHandsOverTheSnapshot: a refresh with an inspect callback
+// plans from the original-order snapshot, which the callback sees once
+// and the graph does not keep: the graph holds that snapshot relabeled
+// by the new permutation, the plan's permutation of it.
+func TestRefreshHandsOverTheSnapshot(t *testing.T) {
+	d := FromGraph(base(t))
+	r := NewReorderer(reorder.NewDBG(), graph.OutDegree, Policy{})
+	if _, _, err := r.View(d); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Apply([]Update{{Edge: graph.Edge{Src: 3, Dst: 4, Weight: 2}}}); err != nil {
+		t.Fatal(err)
+	}
+	want := csrBytes(t, mustSnapshot(t, d))
+	var seen []*graph.Graph
+	if err := r.Refresh(d, func(g *graph.Graph) { seen = append(seen, g) }); err != nil {
+		t.Fatal(err)
+	}
+	if len(seen) != 1 || !bytes.Equal(csrBytes(t, seen[0]), want) || d.csr == seen[0] {
+		t.Fatalf("inspect saw %d graphs; want the snapshot once, not kept as the CSR", len(seen))
+	}
+	view, perm, err := r.View(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := reorder.PlanOf(reorder.NewDBG()).Permute(seen[0], graph.OutDegree)
+	if err != nil {
+		t.Fatal(err)
+	}
+	relabeled, err := seen[0].Relabel(perm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Refreshes != 2 || !slices.Equal(perm, plan) || !bytes.Equal(csrBytes(t, view), csrBytes(t, relabeled)) {
+		t.Fatal("the refresh did not install the plan's ordering of the snapshot it handed over")
 	}
 }

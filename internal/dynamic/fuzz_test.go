@@ -17,7 +17,8 @@ import (
 // an edit-log retention of 1 to 8 edits so folds and trims come often. After every step the two must agree on
 // errors, counts, degrees and the weight the next removal of each bucket
 // takes; on a snapshot step Snapshot() must equal BuildWith of the
-// model's multiset and View() that rebuild relabeled, array for array.
+// model's multiset and View() that rebuild relabeled, array for array,
+// and the graph must hold that view as its one CSR.
 func FuzzApplyMatchesModel(f *testing.F) {
 	// Three vertices, no edges, an 8-edit retention: one bucket gets
 	// weights 1, 3 and 2 in one batch, loses one instance (the 3), and is
@@ -115,6 +116,9 @@ func FuzzApplyMatchesModel(f *testing.F) {
 			}
 			if !bytes.Equal(csrBytes(t, view), csrBytes(t, want)) {
 				t.Fatalf("%s: view differs from the model's snapshot relabeled", name)
+			}
+			if d.csr != view {
+				t.Fatalf("%s: the graph does not hold the view it served as its CSR", name)
 			}
 		}
 		checkAgainstModel(t, "end", d, r, true)

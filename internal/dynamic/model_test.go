@@ -198,21 +198,25 @@ func checkAgainstModel(t *testing.T, step string, d *Graph, r *refGraph, withSna
 // pending edits are folded (Snapshot() on every k-th step), whether the
 // log is trimmed under the view (a 16-entry retention, which also folds
 // every 16 edits), and whether the graph started from a foreign CSR with
-// unsorted lists. Every graph the package hands out is kept and
-// re-checked at the end: no later patch may have touched it.
+// unsorted lists. Two schedules order the graph by a two-stage plan,
+// which a refresh plans from the snapshot, where DBG's plans from the
+// maintained degrees: after every refresh the permutation must be the
+// plan's on the model's snapshot. Every graph the package hands out is
+// kept and re-checked at the end: no later patch may have touched it.
 func TestIndexMatchesMapModel(t *testing.T) {
 	for _, sched := range []struct {
 		seed      uint64
 		retain    int  // edit-log retention override
 		snapEvery int  // Snapshot() is called on every snapEvery-th step only
 		foreign   bool // start from a CSR with lists in edge-list order
+		twoStage  bool // order by DBG then HubCluster, not DBG alone
 	}{
 		{seed: 1, snapEvery: 1},
 		{seed: 2, snapEvery: 1, retain: 16},
 		{seed: 3, snapEvery: 5, foreign: true},
-		{seed: 4, snapEvery: 3, retain: 16},
+		{seed: 4, snapEvery: 3, retain: 16, twoStage: true},
 		{seed: 5, snapEvery: 7},
-		{seed: 6, snapEvery: 2, foreign: true},
+		{seed: 6, snapEvery: 2, foreign: true, twoStage: true},
 	} {
 		seed := sched.seed
 		rnd := rng.New(seed)
@@ -237,7 +241,12 @@ func TestIndexMatchesMapModel(t *testing.T) {
 		}
 		d, r := FromGraph(g), refFromGraph(g)
 		d.logRetain = sched.retain
-		rr := NewReorderer(reorder.NewDBG(), graph.OutDegree, Policy{Every: 8})
+		var tech reorder.Technique = reorder.NewDBG()
+		if sched.twoStage {
+			tech = reorder.Compose(reorder.NewDBG(), reorder.HubCluster{})
+		}
+		rr := NewReorderer(tech, graph.OutDegree, Policy{Every: 8})
+		refreshes := 0
 
 		type kept struct {
 			g     *graph.Graph
@@ -256,12 +265,22 @@ func TestIndexMatchesMapModel(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := r.snapshot(t).RelabelWorkers(perm, 1)
+			model := r.snapshot(t)
+			if rr.Refreshes > refreshes {
+				refreshes = rr.Refreshes
+				if want, err := reorder.PlanOf(tech).Permute(model, graph.OutDegree); err != nil || !slices.Equal(perm, want) {
+					t.Fatalf("%s: the refresh's permutation differs from the plan's on the model's snapshot (%v)", step, err)
+				}
+			}
+			want, err := model.RelabelWorkers(perm, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(csrBytes(t, view), csrBytes(t, want)) {
 				t.Fatalf("%s: view differs from the model's snapshot relabeled", step)
+			}
+			if d.csr != view {
+				t.Fatalf("%s: the graph does not hold the view it served as its CSR", step)
 			}
 			keep(view)
 			if withSnapshot {
@@ -346,8 +365,8 @@ func TestIndexMatchesMapModel(t *testing.T) {
 				t.Fatalf("seed %d: graph %d of %d handed out was modified afterwards", seed, i, len(retained))
 			}
 		}
-		t.Logf("seed %d: %d full builds, %d of %d stale views patched, %d refreshes, %d rollbacks, %d graphs retained",
-			seed, d.builds, rr.Patches, rr.Relabels, rr.Refreshes, rollbacks, len(retained))
+		t.Logf("seed %d: %d full builds, %d patched views, %d refreshes, %d rollbacks, %d graphs retained",
+			seed, d.builds, rr.Patches, rr.Refreshes, rollbacks, len(retained))
 		if rollbacks == 0 || rr.Patches == 0 {
 			t.Errorf("seed %d: schedule exercised %d rollbacks and %d patched views", seed, rollbacks, rr.Patches)
 		}
@@ -360,14 +379,7 @@ func TestIndexMatchesMapModel(t *testing.T) {
 		if d.builds > wantBuilds {
 			t.Errorf("seed %d: %d full builds for %d rollbacks", seed, d.builds, rollbacks)
 		}
-		if sched.retain == 0 {
-			// With the default retention the log always covers the view: a
-			// stale view is relabeled rather than patched only when a
-			// rollback left a rolled-back growth in the log.
-			if relabeled := rr.Relabels - rr.Patches; relabeled > rollbacks {
-				t.Errorf("seed %d: %d stale views relabeled for %d rollbacks", seed, relabeled, rollbacks)
-			}
-		} else if d.logBase == 0 {
+		if sched.retain != 0 && d.logBase == 0 {
 			t.Errorf("seed %d: a %d-entry retention never trimmed the log", seed, sched.retain)
 		}
 	}
@@ -375,10 +387,16 @@ func TestIndexMatchesMapModel(t *testing.T) {
 
 // TestFromGraphFootprint pins what a dynamic graph retains beyond the CSR
 // it adopts, for a serving-size graph: at most 4 bytes per edge (the
-// degrees, 8 bytes per vertex), in a handful of allocations — no second
-// copy of the edges, nothing per edge, nothing the collector scans.
+// degrees, 8 bytes per vertex, and once an ordering is seeded its inverse,
+// 4 more), in a handful of allocations — no second copy of the edges,
+// nothing per edge, nothing the collector scans. Seeded with a reordered
+// view, the graph holds that view as its one CSR.
 func TestFromGraphFootprint(t *testing.T) {
 	g, err := gen.Generate(gen.MustDataset("sd", gen.Small))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := reorder.PlanOf(reorder.NewDBG()).Apply(g, graph.OutDegree)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -386,13 +404,17 @@ func TestFromGraphFootprint(t *testing.T) {
 	runtime.GC()
 	runtime.ReadMemStats(&before)
 	d := FromGraph(g)
+	if d.csr != g || d.perm != nil {
+		t.Fatal("FromGraph did not adopt a canonical graph as it is")
+	}
+	NewReorderer(reorder.NewDBG(), graph.OutDegree, Policy{}).Seed(d, res.Graph, res.Perm)
 	runtime.GC()
 	runtime.ReadMemStats(&after)
 	perEdge := float64(after.HeapAlloc-before.HeapAlloc) / float64(d.NumEdges())
 	allocs := after.Mallocs - before.Mallocs
-	t.Logf("FromGraph(sd/small): %.1f B/edge beyond the CSR in %d allocations (%d edges)", perEdge, allocs, d.NumEdges())
-	if d.csr != g {
-		t.Fatal("FromGraph did not adopt a canonical graph")
+	t.Logf("FromGraph(sd/small) seeded with DBG: %.1f B/edge beyond the CSR in %d allocations (%d edges)", perEdge, allocs, d.NumEdges())
+	if d.csr != res.Graph {
+		t.Fatal("the seeded graph does not hold the reordered view as its CSR")
 	}
 	if perEdge > 4 {
 		t.Errorf("FromGraph retains %.1f B/edge beyond the CSR, want <= 4", perEdge)
@@ -401,4 +423,5 @@ func TestFromGraphFootprint(t *testing.T) {
 		t.Errorf("FromGraph made %d allocations, want a constant handful", allocs)
 	}
 	runtime.KeepAlive(d)
+	runtime.KeepAlive(g) // the measure is what d retains, not what it lets go
 }

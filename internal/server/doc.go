@@ -27,7 +27,12 @@
 // # Live snapshots
 //
 // A mutable snapshot republishes itself after every write batch
-// (live.go). Three things hold for what it publishes. Published arrays
+// (live.go). Its dynamic.Graph holds the edges once, as the CSR of the
+// layout it last published: the build hands it the reordered view, so
+// the original-order graph is dropped once the build ends. It exists
+// again only while a checkpoint writes it or a refresh plans from it (one
+// whose plan needs more than degrees, "auto" included), and is dropped
+// after use. Three things hold for what it publishes. Published arrays
 // are never reused: a publish between refreshes patches the previous
 // epoch's CSR into freshly allocated arrays (graph.Patch) and nothing of
 // a snapshot that was ever published — CSR, ranks, permutation — is
@@ -45,8 +50,8 @@
 //
 // Recovery restores every acknowledged batch, weights included. With
 // durability on, a batch is on the write-ahead log before it is applied,
-// and a checkpoint (the graph's CSR, its lists sorted by (neighbor,
-// weight)) folds the log every CheckpointEvery publishes; a build of a
+// and a checkpoint (the graph's CSR in original order, its lists sorted
+// by (neighbor, weight)) folds the log every CheckpointEvery publishes; a build of a
 // mutable name that is not live resumes from the last checkpoint and
 // replays the log's batches on it. Replay lands on the acknowledged state
 // because a removal names a (src, dst) and takes its heaviest instance
@@ -64,9 +69,8 @@
 // the trace of every write the publish carries ("apply" precedes them,
 // once per batch) and a sample of graphd_publish_stage_seconds{stage},
 // with "swap" spanning assemble and the publish itself; the view span's
-// suffix — view.patch, view.relabel, view.refresh — names the path
-// dynamic.Reorderer.View took, and the trace's round count is the
-// precompute's iteration count.
+// suffix — view.patch or view.refresh — names the path the view stage
+// took, and the trace's round count is the precompute's iteration count.
 //
 // # Instrumentation contract
 //

@@ -18,7 +18,8 @@ import (
 )
 
 // The dynamic-serving layer. A snapshot built with BuildSpec.Mutable
-// keeps its pre-reorder graph alive as a dynamic.Graph, owned by a
+// keeps its graph alive as a dynamic.Graph, which holds the served
+// layout as its one CSR, owned by a
 // liveGraph: a single refresher goroutine that is the only writer. Edge
 // mutations arrive over POST /v1/snapshots/{name}/edges, are serialized
 // through the liveGraph's queue, applied atomically batch by batch, and
@@ -31,7 +32,7 @@ import (
 //
 // The refresher applies the paper's §VIII-B policy (dynamic.Policy): a
 // full re-reorder only every K batches; every publish in between patches the previous epoch's CSR
-// from the batch (dynamic.Reorderer.View) and warm-starts PageRank from
+// with the batch (dynamic.Reorderer.View) and warm-starts PageRank from
 // the previous epoch's ranks, so its cost is a copy of the CSR plus work
 // proportional to the batch. What it publishes is still a brand-new
 // snapshot: no array of a published snapshot is ever written or reused.
@@ -178,7 +179,8 @@ type liveGraph struct {
 // reordered the plain relabeled graph the build produced (the published
 // snapshot may serve a compressed encoding of it), snap the published
 // snapshot. The Reorderer is seeded with the build's ordering so the
-// first write does not redo it.
+// first write does not redo it, and the dynamic graph adopts reordered
+// as its CSR in place of base, which nothing holds once the build ends.
 func newLiveGraph(st *Store, ps publishSpec, base, reordered *graph.Graph, snap *Snapshot, tech reorder.Technique, recovered *recoveredState) *liveGraph {
 	lg := &liveGraph{
 		publishSpec:  ps,
@@ -383,10 +385,9 @@ func (lg *liveGraph) process(reqs []*mutateReq) {
 
 // rollback restores the dynamic graph to the last successfully
 // published (and durably committed) state after a failed publish, and
-// rewinds the WAL to match. The reorderer keeps its permutation and its
-// view: the undo is on the edit log like any other edit, and if the
-// vertex space rolled back underneath it the next View detects the size
-// mismatch and forces a refresh.
+// rewinds the WAL to match. The graph keeps its permutation: the undo is
+// on the edit log like any other edit, and if the vertex space rolled
+// back past it the next View detects the change and forces a refresh.
 func (lg *liveGraph) rollback() {
 	if err := lg.dyn.RollbackTo(lg.mark); err != nil {
 		// The mark pins its log, so this is a bug, not a condition.
@@ -411,11 +412,11 @@ func (lg *liveGraph) noteGood() {
 // publishStageNames are the values of graphd_publish_stage_seconds'
 // stage label and the span names a traced write shows: "apply" once per
 // batch, then publishStages in order — the view span tagged with the path
-// the Reorderer took (patch the previous view from the edit log, relabel
-// a snapshot with the stale permutation, or refresh the ordering) — where
-// "swap" spans assembling the snapshot and publishing it.
+// the Reorderer took (patch the held view with the batch, or refresh the
+// ordering) — where "swap" spans assembling the snapshot and publishing
+// it.
 var publishStageNames = [...]string{
-	"apply", "view.patch", "view.relabel", "view.refresh", "precompute", "encode", "swap"}
+	"apply", "view.patch", "view.refresh", "precompute", "encode", "swap"}
 
 // publish materializes the current dynamic state as an immutable
 // snapshot through publishStages and hot-swaps it into the store under a
@@ -469,32 +470,32 @@ func (lg *liveGraph) publish(traces []*obs.Trace) (*Snapshot, bool, error) {
 
 // view is a live publish's view stage: the Reorderer's view of the
 // dynamic graph under the stale permutation (the previous view patched
-// from the edit log, or a snapshot relabeled), or under a refreshed
-// ordering. A refresh of an "auto" snapshot also re-advises, so its
-// recorded verdict follows the evolving degree distribution. The
-// precompute starts from the last published ranks.
+// with the batch), or under a refreshed ordering. A refresh of an "auto"
+// snapshot also re-advises, from the original-order graph the refresh
+// planned from, so its recorded verdict follows the evolving degree
+// distribution. The precompute starts from the last published ranks.
 func (lg *liveGraph) view(p *publishJob) (string, error) {
 	start := time.Now()
 	r := lg.reord
-	refreshes, patches := r.Refreshes, r.Patches
+	tag := "patch"
+	if r.Due(lg.dyn) {
+		tag = "refresh"
+		var advise func(*graph.Graph)
+		if lg.techName == "auto" {
+			advise = func(pre *graph.Graph) {
+				rec := reorder.Advise(pre, lg.kind)
+				lg.advised, lg.adviceReason = rec.Spec, rec.Reason
+			}
+		}
+		if err := r.Refresh(lg.dyn, advise); err != nil {
+			return "", err
+		}
+	}
 	g, perm, err := r.View(lg.dyn)
 	if err != nil {
 		return "", err
 	}
 	p.g, p.snap.perm, p.warm = g, perm, lg.warmStart(perm)
-	tag := "relabel"
-	switch {
-	case r.Refreshes > refreshes:
-		tag = "refresh"
-		if lg.techName == "auto" {
-			if pre, err := lg.dyn.Snapshot(); err == nil {
-				rec := reorder.Advise(pre, lg.kind)
-				lg.advised, lg.adviceReason = rec.Spec, rec.Reason
-			}
-		}
-	case r.Patches > patches:
-		tag = "patch"
-	}
 	p.snap.advised, p.snap.adviceReason = lg.advised, lg.adviceReason
 	if tag == "refresh" {
 		p.snap.reorderTime = time.Since(start)

@@ -6,10 +6,12 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+	"weak"
 
 	"graphreorder/internal/graph"
 )
@@ -451,5 +453,66 @@ func TestLiveShutdownRejectsQueuedWrites(t *testing.T) {
 	// Reads still serve the last published snapshot.
 	if code := get(t, h, "/v1/query/degree?v=0&snapshot=live", nil); code != http.StatusOK {
 		t.Errorf("read after shutdown: %d", code)
+	}
+}
+
+// TestLiveGraphHoldsOneCSR: a mutable snapshot keeps its edges once, as
+// the view it serves. A DBG build on sd/small takes 20 writes, which span
+// two refreshes; then neither the build's base graph nor any view a
+// later publish superseded is reachable, and the live graph retains at
+// most 4 B/edge beyond the served view (its degrees, permutation and edit
+// log), measured as the heap it frees when its pipeline is stopped.
+func TestLiveGraphHoldsOneCSR(t *testing.T) {
+	s := New(Config{Workers: 1, QueryTimeout: 30 * time.Second, RefreshEvery: 8})
+	t.Cleanup(s.store.CloseLive)
+	h := s.Handler()
+	superseded := func() []weak.Pointer[graph.Graph] {
+		base := genGraph(t, "sd", "small")
+		n := base.NumVertices()
+		spec := BuildSpec{Name: "live", Technique: "dbg", Mutable: true}
+		if _, err := s.store.buildFrom(spec, &BuildStatus{}, base, nil, "dataset:sd/small", graph.OutDegree, 0, nil); err != nil {
+			t.Fatal(err)
+		}
+		ptrs := []weak.Pointer[graph.Graph]{weak.Make(base)}
+		refreshes := 0
+		for i := 0; i < 20; i++ {
+			ptrs = append(ptrs, weak.Make(s.store.Current().graph.(*graph.Graph)))
+			var res MutateResult
+			if code, body := postJSON(t, h, "/v1/snapshots/live/edges", MutateRequest{Updates: []MutateUpdate{
+				{Src: graph.VertexID(i), Dst: graph.VertexID(n - 1 - i), Weight: 2}}}, &res); code != http.StatusOK {
+				t.Fatalf("write %d: %d %s", i, code, body)
+			}
+			if res.Refreshed {
+				refreshes++
+			}
+		}
+		if refreshes != 2 {
+			t.Fatalf("20 writes refreshed %d times, want 2", refreshes)
+		}
+		return ptrs
+	}()
+	runtime.GC()
+	for i, p := range superseded {
+		if p.Value() != nil {
+			what := "the build's base graph"
+			if i > 0 {
+				what = fmt.Sprintf("the view write %d superseded", i)
+			}
+			t.Errorf("%s is still reachable", what)
+		}
+	}
+	if raceEnabled {
+		return // the detector's own allocations are counted
+	}
+	var with, without runtime.MemStats
+	runtime.ReadMemStats(&with)
+	s.store.stopLive("live")
+	runtime.GC()
+	runtime.ReadMemStats(&without)
+	edges := s.store.Current().graph.NumEdges()
+	perEdge := float64(int64(with.HeapAlloc)-int64(without.HeapAlloc)) / float64(edges)
+	t.Logf("the live graph retains %.2f B/edge beyond the served view (%d edges)", perEdge, edges)
+	if perEdge > 4 {
+		t.Errorf("the live graph retains %.2f B/edge beyond the served view, want <= 4", perEdge)
 	}
 }

@@ -78,14 +78,14 @@ func TestPublishStagesTraced(t *testing.T) {
 		}
 		paths[view]++
 	}
-	// The dynamic graph adopts the build's base graph and the Reorderer
-	// the build's view, so every write patches the previous view, the
-	// first included, except every third, which refreshes.
-	if paths["view.relabel"] != 0 || paths["view.refresh"] != 2 || paths["view.patch"] != 5 {
-		t.Fatalf("view paths %v, want 0 relabels, 2 refreshes, 5 patches", paths)
+	// The dynamic graph adopts the build's view as its CSR, so every write
+	// patches the previous view, the first included, except every third,
+	// which refreshes.
+	if len(paths) != 2 || paths["view.refresh"] != 2 || paths["view.patch"] != 5 {
+		t.Fatalf("view paths %v, want 2 refreshes, 5 patches", paths)
 	}
 	text := scrape()
-	for stage, want := range map[string]int{"apply": 7, "view.patch": 5, "view.relabel": 0, "view.refresh": 2,
+	for stage, want := range map[string]int{"apply": 7, "view.patch": 5, "view.refresh": 2,
 		"precompute": 7, "encode": 7, "swap": 7} {
 		if line := fmt.Sprintf(`graphd_publish_stage_seconds_count{stage=%q} %d`, stage, want); !strings.Contains(text, line) {
 			t.Errorf("/metrics lacks %s", line)
@@ -94,10 +94,10 @@ func TestPublishStagesTraced(t *testing.T) {
 }
 
 // TestFirstWriteAfterBuildPatches: a mutable DBG build on sd/tiny hands
-// the dynamic graph the generated graph, which it adopts as its CSR, and
-// the Reorderer the build's view; the first write then patches that view
-// (the write's trace shows view.patch) instead of building a CSR and
-// relabeling it.
+// the dynamic graph the build's view, which it adopts as its CSR in place
+// of the generated graph; the first write then patches that view (the
+// write's trace shows view.patch) instead of building a CSR and
+// relabeling it, and the graph holds what it published.
 func TestFirstWriteAfterBuildPatches(t *testing.T) {
 	s := New(Config{Workers: 1, QueryTimeout: 30 * time.Second})
 	t.Cleanup(func() { s.store.CloseLive() })
@@ -122,10 +122,16 @@ func TestFirstWriteAfterBuildPatches(t *testing.T) {
 		t.Fatalf("first write's spans %v, want apply then view.patch", out.Trace.Spans)
 	}
 	// The receipt came after the refresher's last touch of the Reorderer.
-	r := s.store.Live("live").reord
-	if r.Patches != 1 || r.Relabels != 1 || r.Refreshes != 1 {
-		t.Fatalf("after one write: %d patches, %d stale views, %d orderings; want 1, 1, 1 (the build's)",
-			r.Patches, r.Relabels, r.Refreshes)
+	lg := s.store.Live("live")
+	if r := lg.reord; r.Patches != 1 || r.Refreshes != 1 {
+		t.Fatalf("after one write: %d patches, %d orderings; want 1, 1 (the build's)", r.Patches, r.Refreshes)
+	}
+	held, _, err := lg.reord.View(lg.dyn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cur := s.store.Current(); cur.graph != graph.View(held) {
+		t.Fatal("the dynamic graph does not hold the view it published")
 	}
 }
 
@@ -264,7 +270,7 @@ func BenchmarkLivePublish(b *testing.B) {
 			b.Fatalf("write: %d %s", rec.Code, rec.Body.String())
 		}
 	}
-	write() // the first publish relabels the build's foreign base; not the steady state
+	write() // the build's first write; not the steady state
 	var sum [len(publishStageNames)]time.Duration
 	var count [len(publishStageNames)]uint64
 	for i := range sum {

@@ -565,6 +565,9 @@ func (st *Store) sweepDrainedLocked() {
 			s.maybeClose()
 		}
 	}
+	// The dropped tail still points at drained snapshots: clear it, or
+	// the backing array keeps them alive until an append overwrites it.
+	clear(st.draining[len(kept):])
 	st.draining = kept
 }
 

@@ -1,10 +1,14 @@
 package server
 
 import (
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
 	"time"
+	"weak"
+
+	"graphreorder/internal/graph"
 )
 
 func buildTest(t *testing.T, st *Store, spec BuildSpec) *Snapshot {
@@ -90,6 +94,30 @@ func TestStoreRebuildReplacesCurrentInPlace(t *testing.T) {
 	st.mu.Unlock()
 	if pinned != 0 || st.DrainingCount() != 0 {
 		t.Errorf("draining = %d after release, want 0", pinned)
+	}
+}
+
+// TestDrainedSnapshotIsCollected: once the last query on a retired
+// snapshot returns, nothing in the store may keep the snapshot alive —
+// not even the unused tail of the draining list's backing array.
+func TestDrainedSnapshotIsCollected(t *testing.T) {
+	st := NewStore(1)
+	held := func() weak.Pointer[graph.Graph] {
+		buildTest(t, st, BuildSpec{Name: "main", Dataset: "uni", Scale: "tiny"})
+		snap, release := st.Acquire()
+		defer release()
+		buildTest(t, st, BuildSpec{Name: "main", Dataset: "uni", Scale: "tiny", Technique: "dbg"})
+		if !snap.retired.Load() || st.DrainingCount() != 1 {
+			t.Fatalf("retired %v, draining %d: want the held snapshot draining", snap.retired.Load(), st.DrainingCount())
+		}
+		return weak.Make(snap.graph.(*graph.Graph))
+	}()
+	runtime.GC()
+	if held.Value() != nil {
+		t.Fatal("a drained snapshot's graph is still reachable after its last query returned")
+	}
+	if st.DrainingCount() != 0 {
+		t.Fatalf("draining = %d after release, want 0", st.DrainingCount())
 	}
 }
 
