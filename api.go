@@ -246,9 +246,9 @@ type (
 	// RefreshPolicy says when a DynamicReorderer recomputes its
 	// ordering: every K batches.
 	RefreshPolicy = dynamic.Policy
-	// DynamicReorderer maintains a reordered view of a DynamicGraph,
-	// reusing the stale permutation (the graph's CSR, patched) between
-	// refreshes.
+	// DynamicReorderer maintains a reordered view of a DynamicGraph:
+	// between refreshes a batch patches the graph's one CSR under the
+	// current permutation, and a refresh recomputes the ordering.
 	DynamicReorderer = dynamic.Reorderer
 )
 

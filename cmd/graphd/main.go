@@ -61,7 +61,7 @@ func main() {
 		timeout  = flag.Duration("timeout", 15*time.Second, "heavy-query timeout")
 		allowFS  = flag.Bool("allow-path-loads", false, "allow POST /v1/snapshots specs that read server-side files")
 		mutable  = flag.Bool("mutable", true, "serve the initial snapshot as a live graph accepting POST /v1/snapshots/{name}/edges (default false for .csrz inputs so they serve zero-copy from the mapping; pass -mutable to decode one into a live graph)")
-		refresh  = flag.Int("refresh-every", 8, "live snapshots: full re-reorder every N write batches (relabel reuse in between; <0 disables)")
+		refresh  = flag.Int("refresh-every", 8, "live snapshots: full re-reorder every N write batches (in between, a publish patches the served CSR under the current permutation; <0 disables)")
 		walDir   = flag.String("wal-dir", "", "durability directory for mutable snapshots (checkpoint + mutation WAL; empty = off). On startup, a mutable snapshot with durable state here is recovered from it instead of rebuilt")
 		fsync    = flag.String("fsync", "always", "WAL fsync policy: always|never|interval:<dur> (with -wal-dir)")
 		ckptN    = flag.Int("checkpoint-every", 16, "publishes between checkpoint rewrites (with -wal-dir; 1 = checkpoint every publish)")
@@ -365,9 +365,9 @@ func runSelftest(srv *server.Server, base server.BuildSpec, clients, ops, writeM
 			metrics.Cache.Hits, metrics.Cache.Misses, metrics.Cache.Coalesced,
 			metrics.Snapshots.Published, metrics.Snapshots.Swaps, metrics.Snapshots.Draining)
 		if writeMix > 0 {
-			fmt.Printf("writes: %d batches (%d updates), %d publishes (%d re-reorders, %d relabels), p50 %.1fms p99 %.1fms\n",
+			fmt.Printf("writes: %d batches (%d updates), %d publishes (%d re-reorders, %d patches), p50 %.1fms p99 %.1fms\n",
 				metrics.Writes.Batches, metrics.Writes.Updates, metrics.Writes.Publishes,
-				metrics.Writes.Refreshes, metrics.Writes.Relabels,
+				metrics.Writes.Refreshes, metrics.Writes.Publishes-metrics.Writes.Refreshes,
 				metrics.Writes.P50Us/1000, metrics.Writes.P99Us/1000)
 		}
 	}

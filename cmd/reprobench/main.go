@@ -7,7 +7,8 @@
 //	reprobench all
 //
 // Experiments are named after the paper artifacts (table1, fig6,
-// ablation-groups, ...); see DESIGN.md for the full index.
+// ablation-groups, ...); -list prints the full index (harness.Experiments)
+// and EXPERIMENTS.md records their results.
 package main
 
 import (

@@ -25,8 +25,8 @@
 // HubSort, HubCluster, Gorder, random reorderings), a Ligra-style
 // vertex-centric framework with five benchmark applications, a
 // trace-driven multi-core cache simulator, and a harness (cmd/reprobench)
-// that regenerates every table and figure of the paper. See DESIGN.md for
-// the system inventory and EXPERIMENTS.md for measured results.
+// that regenerates every table and figure of the paper. reprobench -list
+// indexes the experiments and EXPERIMENTS.md holds measured results.
 //
 // # The Run API
 //

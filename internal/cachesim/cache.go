@@ -10,9 +10,9 @@
 //   - MPKI accounting (Fig. 8) against an instruction-count model supplied
 //     by the trace engine.
 //
-// Capacities are parameters: the harness scales them with the dataset so
-// the hot-footprint-to-LLC ratio matches the paper's regime (§2 of
-// DESIGN.md describes the substitution).
+// Capacities are parameters: trace.MachineFor scales the L3 with the
+// dataset so the hot-footprint-to-LLC ratio matches the paper's regime;
+// ROADMAP item 2 plans sweeping the capacity instead.
 package cachesim
 
 import "fmt"

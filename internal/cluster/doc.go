@@ -172,9 +172,11 @@
 // are "cache", "flight" (a coalesced caller waiting on the compute),
 // "fanout", "merge" and one "shard<i>" per shard asked; a
 // handler adding a wait point wraps it in tr.Observe or tr.Accumulate.
-// /metrics renders the per-route families from the shared registry
-// under the graphd_cluster prefix; routermetrics.go holds only what a
-// node has no counterpart for.
+// /metrics renders RouterReport as JSON or, from one table
+// (routerFamilies in routermetrics.go), as Prometheus text; the
+// per-route families come from the shared registry under the
+// graphd_cluster prefix, and the node's rule holds: one declaration per
+// signal, each with a consumer in README's exposition table.
 //
 // # Failure handling
 //

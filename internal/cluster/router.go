@@ -146,8 +146,7 @@ type Router struct {
 	retireMu   sync.Mutex
 	superseded []*epochState
 
-	fanouts     atomic.Uint64
-	shardErrors atomic.Uint64
+	fanouts atomic.Uint64
 	// Relax frame bytes the SSSP exchange sent to and received from shards.
 	relaxBytesOut atomic.Uint64
 	relaxBytesIn  atomic.Uint64
@@ -474,7 +473,6 @@ func (rt *Router) shardCall(ctx context.Context, s int, method, pathAndQuery str
 		}
 		if err != nil {
 			sl.errors.Add(1)
-			rt.shardErrors.Add(1)
 			lastErr = err
 			if ctx.Err() != nil {
 				return ctx.Err()
@@ -483,7 +481,6 @@ func (rt *Router) shardCall(ctx context.Context, s int, method, pathAndQuery str
 		}
 		if resp.StatusCode >= 500 {
 			sl.errors.Add(1)
-			rt.shardErrors.Add(1)
 			lastErr = fmt.Errorf("shard %d (%s): %d %s", s, ep, resp.StatusCode, bytes.TrimSpace(reply.Bytes()))
 			continue
 		}

@@ -357,52 +357,6 @@ func TestClusterTracePropagation(t *testing.T) {
 	}
 }
 
-// TestClusterPromExposition: the router's Prometheus output must parse
-// under the repo's own format validator and carry the
-// graphd_cluster_* families the CI promcheck gate requires.
-func TestClusterPromExposition(t *testing.T) {
-	g := genGraph(t, "sd", "tiny")
-	cl := startCluster(t, g, LocalOptions{Shards: 2})
-	httpJSON(t, cl.RouterURL+"/v1/query/topk?k=4", nil) // traffic so route families exist
-	resp, err := http.Get(cl.RouterURL + "/metrics?format=prometheus")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
-		t.Fatalf("content type %q", ct)
-	}
-	samples, families, err := obs.ValidateExposition(bytes.NewReader(body))
-	if err != nil {
-		t.Fatalf("invalid exposition: %v\n%s", err, body)
-	}
-	if samples == 0 {
-		t.Fatal("no samples")
-	}
-	for _, fam := range []string{
-		"graphd_cluster_shards",
-		"graphd_cluster_epoch",
-		"graphd_cluster_requests_total",
-		"graphd_cluster_request_latency_seconds",
-		"graphd_cluster_fanout_total",
-		"graphd_cluster_relax_bytes_total",
-		"graphd_cluster_cache_hits_total",
-		"graphd_cluster_cache_misses_total",
-		"graphd_cluster_cache_bytes",
-		"graphd_cluster_epochs_retired_total",
-		"graphd_cluster_retire_errors_total",
-		"graphd_cluster_shard_healthy",
-		"graphd_cluster_shard_epoch_lag",
-		"graphd_cluster_promotions_total",
-		"graphd_cluster_shard_packing_factor",
-	} {
-		if _, ok := families[fam]; !ok {
-			t.Fatalf("family %q missing from exposition:\n%s", fam, body)
-		}
-	}
-}
-
 // cutShort is a member that dies mid-reply: it promises a body and
 // closes the connection after part of it.
 func cutShort(t *testing.T) string {

@@ -39,7 +39,6 @@ type RouterReport struct {
 	Strategy      string                    `json:"strategy"`
 	MaxReplicas   int                       `json:"max_replicas"`
 	Fanouts       uint64                    `json:"fanout_requests"`
-	ShardErrors   uint64                    `json:"shard_errors"`
 	RelaxBytesOut uint64                    `json:"relax_bytes_out"` // relax-frame bytes the SSSP exchange sent to shards
 	RelaxBytesIn  uint64                    `json:"relax_bytes_in"`  // and received from them
 	CacheHits     uint64                    `json:"cache_hits"`      // reads (point and SSSP) answered from an epoch's reply cache
@@ -59,7 +58,6 @@ func (rt *Router) report() RouterReport {
 		Strategy:      rt.placement.Strategy,
 		MaxReplicas:   rt.placement.MaxReplicas,
 		Fanouts:       rt.fanouts.Load(),
-		ShardErrors:   rt.shardErrors.Load(),
 		RelaxBytesOut: rt.relaxBytesOut.Load(),
 		RelaxBytesIn:  rt.relaxBytesIn.Load(),
 		CacheHits:     rt.cacheHits.Load(),
@@ -102,65 +100,93 @@ func (rt *Router) report() RouterReport {
 }
 
 func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if !obs.WantsPrometheus(r) {
-		writeJSON(w, http.StatusOK, rt.report())
+	rep := rt.report()
+	if obs.WantsPrometheus(r) {
+		obs.WriteFamilies(w, routerScrape{&rep, rt.metrics}, routerFamilies)
 		return
 	}
-	rep := rt.report()
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	p := obs.NewProm(w)
-
-	p.Gauge("graphd_cluster_uptime_seconds", "Seconds since the router started.")
-	p.Sample("graphd_cluster_uptime_seconds", nil, rep.UptimeSeconds)
-	p.Gauge("graphd_cluster_shards", "Shards in the cluster.")
-	p.Sample("graphd_cluster_shards", nil, float64(rep.Shards))
-	p.Gauge("graphd_cluster_epoch", "Serving cluster epoch (0 before the first publish).")
-	p.Sample("graphd_cluster_epoch", nil, float64(rep.Epoch))
-
-	rt.metrics.WriteProm(p, "graphd_cluster")
-
-	p.Counter("graphd_cluster_fanout_total", "Shard sub-requests issued by the router.")
-	p.Sample("graphd_cluster_fanout_total", nil, float64(rep.Fanouts))
-	p.Counter("graphd_cluster_relax_bytes_total", "Relax frame bytes of the SSSP frontier exchange, by direction (out = router to shards).")
-	p.Sample("graphd_cluster_relax_bytes_total", []obs.Label{{Name: "dir", Value: "out"}}, float64(rep.RelaxBytesOut))
-	p.Sample("graphd_cluster_relax_bytes_total", []obs.Label{{Name: "dir", Value: "in"}}, float64(rep.RelaxBytesIn))
-
-	p.Counter("graphd_cluster_cache_hits_total", "Reads (point and SSSP) answered from an epoch's reply cache.")
-	p.Sample("graphd_cluster_cache_hits_total", nil, float64(rep.CacheHits))
-	p.Counter("graphd_cluster_cache_misses_total", "Reads (point and SSSP) computed from the shards or joined to a compute in flight.")
-	p.Sample("graphd_cluster_cache_misses_total", nil, float64(rep.CacheMisses))
-	p.Gauge("graphd_cluster_cache_bytes", "Bytes charged to the serving epoch's reply cache.")
-	p.Sample("graphd_cluster_cache_bytes", nil, float64(rep.CacheBytes))
-	p.Counter("graphd_cluster_epochs_retired_total", "Superseded epochs drained and swept off the members.")
-	p.Sample("graphd_cluster_epochs_retired_total", nil, float64(rep.EpochsRetired))
-	p.Counter("graphd_cluster_retire_errors_total", "Member calls an epoch retirement could not complete.")
-	p.Sample("graphd_cluster_retire_errors_total", nil, float64(rep.RetireErrors))
-
-	p.Gauge("graphd_cluster_shard_healthy", "Shard reachability (1 = some member answering).")
-	p.Gauge("graphd_cluster_shard_epoch", "Last cluster epoch every member of the shard acked.")
-	p.Gauge("graphd_cluster_shard_epoch_lag", "Serving epoch minus the shard's acked epoch.")
-	p.Counter("graphd_cluster_promotions_total", "Replica promotions, by shard.")
-	p.Counter("graphd_cluster_shard_errors_total", "Failed shard sub-requests, by shard.")
-	p.Gauge("graphd_cluster_shard_packing_factor", "Shard ordering quality: hot vertices per occupied cache block.")
-	p.Gauge("graphd_cluster_shard_packing_utilization", "Shard packing factor relative to the contiguous-layout ideal.")
-	p.Gauge("graphd_cluster_shard_hub_working_set_bytes", "Shard cache footprint of blocks holding hot vertices.")
-	for _, st := range rep.PerShard {
-		labels := []obs.Label{{Name: "shard", Value: strconv.Itoa(st.Shard)}}
-		healthy := 0.0
-		if st.Healthy {
-			healthy = 1
-		}
-		p.Sample("graphd_cluster_shard_healthy", labels, healthy)
-		p.Sample("graphd_cluster_shard_epoch", labels, float64(st.AckedEpoch))
-		p.Sample("graphd_cluster_shard_epoch_lag", labels, float64(st.EpochLag))
-		p.Sample("graphd_cluster_promotions_total", labels, float64(st.Promotions))
-		p.Sample("graphd_cluster_shard_errors_total", labels, float64(st.Errors))
-		if st.Quality != nil {
-			p.Sample("graphd_cluster_shard_packing_factor", labels, st.Quality.PackingFactor)
-			p.Sample("graphd_cluster_shard_packing_utilization", labels, st.Quality.Utilization)
-			p.Sample("graphd_cluster_shard_hub_working_set_bytes", labels, float64(st.Quality.HubWorkingSetBytes))
-		}
-	}
-
-	p.Flush()
+	writeJSON(w, http.StatusOK, rep)
 }
+
+// The router's Prometheus exposition (graphd_cluster_ prefix): one table
+// with one entry per family, rendered by obs.WriteFamilies from the
+// report the JSON form serves. Every family has a consumer named in
+// README's "Prometheus exposition" table, and a test fails when the
+// scraped families and that table differ.
+
+// routerScrape is what one exposition reads: the JSON report, and the
+// route registry behind its per-route families.
+type routerScrape struct {
+	*RouterReport
+	routes *obs.MetricsSet
+}
+
+// shardFamily declares a family with one sample per shard, labelled by
+// shard; v reports false for a shard without the value.
+func shardFamily(name, typ, help string, v func(ShardStatus) (float64, bool)) obs.Family[routerScrape] {
+	return obs.Family[routerScrape]{Name: name, Type: typ, Help: help, Samples: func(s routerScrape, out *obs.Series) {
+		for _, st := range s.PerShard {
+			if x, ok := v(st); ok {
+				out.Add(x, obs.Label{Name: "shard", Value: strconv.Itoa(st.Shard)})
+			}
+		}
+	}}
+}
+
+// quality reads a shard's ordering quality, absent until polled.
+func quality(v func(*server.QualityInfo) float64) func(ShardStatus) (float64, bool) {
+	return func(st ShardStatus) (float64, bool) {
+		if st.Quality == nil {
+			return 0, false
+		}
+		return v(st.Quality), true
+	}
+}
+
+var routerFamilies = append(obs.RouteFamilies("graphd_cluster", func(s routerScrape) *obs.MetricsSet { return s.routes }),
+	obs.Gauge("graphd_cluster_uptime_seconds", "Seconds since the router started.",
+		func(s routerScrape) float64 { return s.UptimeSeconds }),
+	obs.Gauge("graphd_cluster_shards", "Shards in the cluster.",
+		func(s routerScrape) float64 { return float64(s.Shards) }),
+	obs.Gauge("graphd_cluster_epoch", "Serving cluster epoch (0 before the first publish).",
+		func(s routerScrape) float64 { return float64(s.Epoch) }),
+	obs.Counter("graphd_cluster_fanout_total", "Shard sub-requests issued by the router.",
+		func(s routerScrape) float64 { return float64(s.Fanouts) }),
+	obs.Family[routerScrape]{Name: "graphd_cluster_relax_bytes_total", Type: "counter",
+		Help: "Relax frame bytes of the SSSP frontier exchange, by direction (out = router to shards).",
+		Samples: func(s routerScrape, out *obs.Series) {
+			out.Add(float64(s.RelaxBytesOut), obs.Label{Name: "dir", Value: "out"})
+			out.Add(float64(s.RelaxBytesIn), obs.Label{Name: "dir", Value: "in"})
+		}},
+	obs.Counter("graphd_cluster_cache_hits_total", "Reads (point and SSSP) answered from an epoch's reply cache.",
+		func(s routerScrape) float64 { return float64(s.CacheHits) }),
+	obs.Counter("graphd_cluster_cache_misses_total", "Reads (point and SSSP) computed from the shards or joined to a compute in flight.",
+		func(s routerScrape) float64 { return float64(s.CacheMisses) }),
+	obs.Gauge("graphd_cluster_cache_bytes", "Bytes charged to the serving epoch's reply cache.",
+		func(s routerScrape) float64 { return float64(s.CacheBytes) }),
+	obs.Counter("graphd_cluster_epochs_retired_total", "Superseded epochs drained and swept off the members.",
+		func(s routerScrape) float64 { return float64(s.EpochsRetired) }),
+	obs.Counter("graphd_cluster_retire_errors_total", "Member calls an epoch retirement could not complete.",
+		func(s routerScrape) float64 { return float64(s.RetireErrors) }),
+	shardFamily("graphd_cluster_shard_healthy", "gauge", "Shard reachability (1 = some member answering).",
+		func(st ShardStatus) (float64, bool) {
+			if st.Healthy {
+				return 1, true
+			}
+			return 0, true
+		}),
+	shardFamily("graphd_cluster_shard_epoch", "gauge", "Last cluster epoch every member of the shard acked.",
+		func(st ShardStatus) (float64, bool) { return float64(st.AckedEpoch), true }),
+	shardFamily("graphd_cluster_shard_epoch_lag", "gauge", "Serving epoch minus the shard's acked epoch.",
+		func(st ShardStatus) (float64, bool) { return float64(st.EpochLag), true }),
+	shardFamily("graphd_cluster_promotions_total", "counter", "Replica promotions, by shard.",
+		func(st ShardStatus) (float64, bool) { return float64(st.Promotions), true }),
+	shardFamily("graphd_cluster_shard_errors_total", "counter", "Failed shard sub-requests, by shard.",
+		func(st ShardStatus) (float64, bool) { return float64(st.Errors), true }),
+	shardFamily("graphd_cluster_shard_packing_factor", "gauge", "Shard ordering quality: hot vertices per occupied cache block.",
+		quality(func(q *server.QualityInfo) float64 { return q.PackingFactor })),
+	shardFamily("graphd_cluster_shard_packing_utilization", "gauge", "Shard packing factor relative to the contiguous-layout ideal.",
+		quality(func(q *server.QualityInfo) float64 { return q.Utilization })),
+	shardFamily("graphd_cluster_shard_hub_working_set_bytes", "gauge", "Shard cache footprint of blocks holding hot vertices.",
+		quality(func(q *server.QualityInfo) float64 { return float64(q.HubWorkingSetBytes) })),
+)

@@ -3,8 +3,9 @@
 // the datasets, applies reordering techniques, runs applications with
 // warm-up and repeated timing, and prints a paper-style table.
 //
-// The per-experiment index in DESIGN.md maps experiment IDs (table1,
-// fig6, ...) to the paper artifacts they regenerate.
+// Experiments() is the per-experiment index: it maps experiment IDs
+// (table1, fig6, ...) to the paper artifacts they regenerate, and
+// reprobench -list prints it. EXPERIMENTS.md records the results.
 package harness
 
 import (

@@ -224,11 +224,12 @@ func TestInstrumentContract(t *testing.T) {
 				t.Errorf("%d request log records, want %d", logged, wantLogged)
 			}
 
-			// One writer, the prefix its only parameter.
+			// One table, the prefix its only parameter.
 			var buf bytes.Buffer
-			p := NewProm(&buf)
-			in.Metrics.WriteProm(p, "tier_"+strings.ReplaceAll(tier.name, "-", "_"))
-			p.Flush()
+			rec = httptest.NewRecorder()
+			rec.Body = &buf
+			WriteFamilies(rec, in.Metrics, RouteFamilies("tier_"+strings.ReplaceAll(tier.name, "-", "_"),
+				func(m *MetricsSet) *MetricsSet { return m }))
 			_, families, err := ValidateExposition(bytes.NewReader(buf.Bytes()))
 			if err != nil {
 				t.Fatalf("exposition: %v\n%s", err, &buf)

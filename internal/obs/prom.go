@@ -2,101 +2,105 @@ package obs
 
 import (
 	"bufio"
-	"io"
 	"math"
+	"net/http"
 	"sort"
 	"strconv"
 	"strings"
+	"time"
+
+	"graphreorder/internal/stats"
 )
 
 // Prometheus text exposition (format version 0.0.4): the de-facto
-// scrape format. The writer is deliberately tiny — families are
-// declared once (HELP + TYPE), then samples stream out with ordered,
-// escaped labels — and its output is held to the same grammar the
-// in-repo validator (ValidateExposition) enforces, so the writer and
-// the CI gate cannot drift apart.
+// scrape format. A tier declares each family once, as one Family entry
+// in a table — name, type, help and how to read its samples off the
+// tier's scrape — and WriteFamilies renders the table. The output is
+// held to the grammar the in-repo validator (ValidateExposition)
+// enforces, so the writer and the CI gate cannot drift apart.
 
 // Label is one name="value" pair on a sample.
 type Label struct{ Name, Value string }
 
-// Prom writes Prometheus text exposition. Errors are sticky: check Err
-// (or Flush) once at the end.
-type Prom struct {
-	w     *bufio.Writer
-	err   error
-	typed map[string]string // family -> declared type
+// Family is one exposed family of a tier whose scrape is an S: its
+// name, type ("counter", "gauge" or "summary") and help, and Samples,
+// which reads the family's samples off one scrape.
+type Family[S any] struct {
+	Name, Type, Help string
+	Samples          func(S, *Series)
 }
 
-// NewProm returns a writer targeting w.
-func NewProm(w io.Writer) *Prom {
-	return &Prom{w: bufio.NewWriter(w), typed: make(map[string]string)}
+// Counter declares a counter family with one unlabelled sample.
+func Counter[S any](name, help string, v func(S) float64) Family[S] {
+	return Family[S]{name, "counter", help, func(s S, out *Series) { out.Add(v(s)) }}
 }
 
-// Counter declares a counter family.
-func (p *Prom) Counter(name, help string) { p.family(name, "counter", help) }
+// Gauge declares a gauge family with one unlabelled sample.
+func Gauge[S any](name, help string, v func(S) float64) Family[S] {
+	return Family[S]{name, "gauge", help, func(s S, out *Series) { out.Add(v(s)) }}
+}
 
-// Gauge declares a gauge family.
-func (p *Prom) Gauge(name, help string) { p.family(name, "gauge", help) }
+// Series takes one family's samples during a scrape. The family's HELP
+// and TYPE lines go out before its first sample, so a family with no
+// sample in a scrape (the current snapshot's before the first publish,
+// a shard's quality before the router polled it) is absent from it,
+// and a promcheck -require on it means the scrape carries its data.
+type Series struct {
+	w    *bufio.Writer
+	name string
+	head string // the HELP and TYPE lines, until written
+}
 
-// Summary declares a summary family (quantile samples plus the _sum
-// and _count series).
-func (p *Prom) Summary(name, help string) { p.family(name, "summary", help) }
+// Add emits one sample. Labels are written in the order given; the
+// value in Go's shortest-roundtrip form.
+func (s *Series) Add(v float64, labels ...Label) { s.sample("", labels, v) }
 
-func (p *Prom) family(name, typ, help string) {
-	if p.err != nil || p.typed[name] != "" {
-		return
+// Latency emits one LatencyHist as summary samples: the standard
+// quantiles plus the exact _sum/_count pair, in seconds (the Prometheus
+// base unit).
+func (s *Series) Latency(h *stats.LatencyHist, labels ...Label) {
+	snap := h.Snapshot()
+	for _, q := range [...]struct {
+		q string
+		v time.Duration
+	}{{"0.5", snap.P50}, {"0.9", snap.P90}, {"0.99", snap.P99}} {
+		s.sample("", append(labels[:len(labels):len(labels)], Label{Name: "quantile", Value: q.q}), q.v.Seconds())
 	}
-	p.typed[name] = typ
-	p.writeString("# HELP " + name + " " + escapeHelp(help) + "\n")
-	p.writeString("# TYPE " + name + " " + typ + "\n")
+	s.sample("_sum", labels, h.Sum().Seconds())
+	s.sample("_count", labels, float64(snap.Count))
 }
 
-// Sample emits one sample of a declared family. Labels are written in
-// the order given; values are rendered in Go's shortest-roundtrip form.
-func (p *Prom) Sample(name string, labels []Label, v float64) {
-	p.series(name, "", labels, v)
-}
-
-// SummarySample emits one series of a summary family: suffix "" with a
-// quantile label, or "_sum"/"_count".
-func (p *Prom) SummarySample(name, suffix string, labels []Label, v float64) {
-	p.series(name, suffix, labels, v)
-}
-
-func (p *Prom) series(name, suffix string, labels []Label, v float64) {
-	if p.err != nil {
-		return
+func (s *Series) sample(suffix string, labels []Label, v float64) {
+	if s.head != "" {
+		s.w.WriteString(s.head)
+		s.head = ""
 	}
-	p.writeString(name + suffix)
+	s.w.WriteString(s.name + suffix)
 	if len(labels) > 0 {
-		p.writeString("{")
+		s.w.WriteString("{")
 		for i, l := range labels {
 			if i > 0 {
-				p.writeString(",")
+				s.w.WriteString(",")
 			}
-			p.writeString(l.Name + "=\"" + escapeLabel(l.Value) + "\"")
+			s.w.WriteString(l.Name + "=\"" + escapeLabel(l.Value) + "\"")
 		}
-		p.writeString("}")
+		s.w.WriteString("}")
 	}
-	p.writeString(" " + formatValue(v) + "\n")
+	s.w.WriteString(" " + formatValue(v) + "\n")
 }
 
-// Flush drains the buffer and returns the first error encountered.
-func (p *Prom) Flush() error {
-	if p.err != nil {
-		return p.err
+// WriteFamilies serves one scrape of a tier as Prometheus text: the
+// families of the table in table order, each with its samples. A
+// bufio.Writer keeps the first write error, so a failed write ends the
+// output.
+func WriteFamilies[S any](w http.ResponseWriter, scrape S, fams []Family[S]) {
+	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+	bw := bufio.NewWriter(w)
+	for _, f := range fams {
+		f.Samples(scrape, &Series{bw, f.Name,
+			"# HELP " + f.Name + " " + escapeHelp(f.Help) + "\n# TYPE " + f.Name + " " + f.Type + "\n"})
 	}
-	return p.w.Flush()
-}
-
-// Err returns the first write error (nil if healthy).
-func (p *Prom) Err() error { return p.err }
-
-func (p *Prom) writeString(s string) {
-	if p.err != nil {
-		return
-	}
-	_, p.err = p.w.WriteString(s)
+	bw.Flush()
 }
 
 func formatValue(v float64) string {
@@ -122,8 +126,8 @@ func escapeLabel(s string) string {
 	return strings.ReplaceAll(s, "\n", `\n`)
 }
 
-// SortedKeys returns a map's keys in sorted order — exposition helpers
-// emit per-route series deterministically so scrapes diff cleanly.
+// SortedKeys returns a map's keys in sorted order — exposition tables
+// emit labelled series deterministically so scrapes diff cleanly.
 func SortedKeys[V any](m map[string]V) []string {
 	out := make([]string, 0, len(m))
 	for k := range m {

@@ -2,53 +2,78 @@ package obs
 
 import (
 	"math"
+	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
+	"time"
+
+	"graphreorder/internal/stats"
 )
 
-func TestPromWriterPassesValidator(t *testing.T) {
-	var sb strings.Builder
-	p := NewProm(&sb)
-	p.Counter("graphd_requests_total", "Requests per route.")
-	p.Sample("graphd_requests_total", []Label{{"route", "neighbors"}}, 42)
-	p.Sample("graphd_requests_total", []Label{{"route", "sssp"}}, 7)
-	p.Gauge("graphd_goroutines", "Current goroutine count.")
-	p.Sample("graphd_goroutines", nil, 12)
-	p.Summary("graphd_latency_seconds", "Latency with \"quotes\" and \\slashes\nnewline.")
-	p.SummarySample("graphd_latency_seconds", "", []Label{{"route", "a\"b\\c\nd"}, {"quantile", "0.99"}}, 0.0015)
-	p.SummarySample("graphd_latency_seconds", "_sum", []Label{{"route", "n"}}, 1.5)
-	p.SummarySample("graphd_latency_seconds", "_count", []Label{{"route", "n"}}, 100)
-	p.Gauge("graphd_oddballs", "Edge-case values.")
-	p.Sample("graphd_oddballs", []Label{{"kind", "nan"}}, math.NaN())
-	p.Sample("graphd_oddballs", []Label{{"kind", "inf"}}, math.Inf(1))
-	p.Sample("graphd_oddballs", []Label{{"kind", "neginf"}}, math.Inf(-1))
-	if err := p.Flush(); err != nil {
-		t.Fatal(err)
+// scrapeTable renders fams over scrape through WriteFamilies.
+func scrapeTable[S any](t *testing.T, scrape S, fams []Family[S]) string {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	WriteFamilies(rec, scrape, fams)
+	if ct := rec.Header().Get("Content-Type"); !strings.HasPrefix(ct, "text/plain; version=0.0.4") {
+		t.Fatalf("Content-Type %q", ct)
 	}
+	return rec.Body.String()
+}
 
-	samples, families, err := ValidateExposition(strings.NewReader(sb.String()))
+func TestPromWriterPassesValidator(t *testing.T) {
+	var lat stats.LatencyHist
+	lat.Observe(1500 * time.Microsecond)
+	out := scrapeTable(t, 12.0, []Family[float64]{
+		{"graphd_requests_total", "counter", "Requests per route.", func(_ float64, s *Series) {
+			s.Add(42, Label{"route", "neighbors"})
+			s.Add(7, Label{"route", "sssp"})
+		}},
+		Gauge("graphd_goroutines", "Current goroutine count.", func(v float64) float64 { return v }),
+		{"graphd_latency_seconds", "summary", "Latency with \"quotes\" and \\slashes\nnewline.", func(_ float64, s *Series) {
+			s.Latency(&lat, Label{"route", "a\"b\\c\nd"})
+		}},
+		{"graphd_oddballs", "gauge", "Edge-case values.", func(_ float64, s *Series) {
+			s.Add(math.NaN(), Label{"kind", "nan"})
+			s.Add(math.Inf(1), Label{"kind", "inf"})
+			s.Add(math.Inf(-1), Label{"kind", "neginf"})
+		}},
+	})
+	samples, families, err := ValidateExposition(strings.NewReader(out))
 	if err != nil {
-		t.Fatalf("own output failed validation: %v\n%s", err, sb.String())
+		t.Fatalf("own output failed validation: %v\n%s", err, out)
 	}
-	if samples != 9 {
-		t.Fatalf("samples = %d, want 9\n%s", samples, sb.String())
+	if samples != 11 {
+		t.Fatalf("samples = %d, want 11\n%s", samples, out)
 	}
 	if families["graphd_requests_total"] != "counter" || families["graphd_latency_seconds"] != "summary" {
 		t.Fatalf("families = %v", families)
 	}
+	if !strings.Contains(out, "graphd_latency_seconds_count{route=\"a\\\"b\\\\c\\nd\"} 1\n") {
+		t.Fatalf("summary count or label escaping wrong:\n%s", out)
+	}
 }
 
+// TestPromDuplicateFamilyDeclaredOnce: a family's HELP and TYPE go out
+// once however many samples it has, and not at all when it has none.
 func TestPromDuplicateFamilyDeclaredOnce(t *testing.T) {
-	var sb strings.Builder
-	p := NewProm(&sb)
-	p.Counter("x_total", "first")
-	p.Counter("x_total", "second")
-	p.Sample("x_total", nil, 1)
-	if err := p.Flush(); err != nil {
-		t.Fatal(err)
+	out := scrapeTable(t, 3, []Family[int]{
+		{"x_total", "counter", "first", func(n int, s *Series) {
+			for i := range n {
+				s.Add(float64(i), Label{"i", strconv.Itoa(i)})
+			}
+		}},
+		{"empty_total", "counter", "no samples", func(int, *Series) {}},
+	})
+	if strings.Count(out, "# TYPE x_total ") != 1 || strings.Count(out, "# HELP x_total ") != 1 {
+		t.Fatalf("x_total declared other than once:\n%s", out)
 	}
-	if strings.Count(sb.String(), "# TYPE x_total") != 1 {
-		t.Fatalf("TYPE declared more than once:\n%s", sb.String())
+	if strings.Contains(out, "empty_total") {
+		t.Fatalf("a family with no sample was declared:\n%s", out)
+	}
+	if _, _, err := ValidateExposition(strings.NewReader(out)); err != nil {
+		t.Fatalf("%v\n%s", err, out)
 	}
 }
 

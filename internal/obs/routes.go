@@ -29,8 +29,8 @@ func (rm *routeMetrics) observe(status int, total time.Duration) {
 
 // MetricsSet is the per-route registry behind /metrics on both tiers:
 // Instrument feeds it, Report renders the JSON route entries and
-// WriteProm the Prometheus families — the graphd / graphd_cluster
-// prefix is the only thing a tier chooses.
+// RouteFamilies declares the Prometheus families — the graphd /
+// graphd_cluster prefix is the only thing a tier chooses.
 type MetricsSet struct {
 	mu     sync.RWMutex
 	routes map[string]*routeMetrics
@@ -96,37 +96,27 @@ func (m *MetricsSet) Report() map[string]RouteStats {
 	return out
 }
 
-// WriteProm renders the per-route families <prefix>_requests_total,
-// <prefix>_request_errors_total and <prefix>_request_latency_seconds.
-func (m *MetricsSet) WriteProm(p *Prom, prefix string) {
-	requests, errors, latency := prefix+"_requests_total", prefix+"_request_errors_total", prefix+"_request_latency_seconds"
-	p.Counter(requests, "Requests served, by route.")
-	p.Counter(errors, "Requests answered with status >= 400, by route.")
-	p.Summary(latency, "Request latency by route (bucketed quantiles, conservative).")
-	routes := m.snapshot()
-	for _, name := range SortedKeys(routes) {
-		rm := routes[name]
-		labels := []Label{{Name: "route", Value: name}}
-		p.Sample(requests, labels, float64(rm.requests.Load()))
-		p.Sample(errors, labels, float64(rm.errors.Load()))
-		WriteLatencySummary(p, latency, labels, &rm.lat)
+// RouteFamilies declares the per-route families under a tier's prefix:
+// <prefix>_requests_total, <prefix>_request_errors_total and
+// <prefix>_request_latency_seconds, read from the registry set picks out
+// of the tier's scrape.
+func RouteFamilies[S any](prefix string, set func(S) *MetricsSet) []Family[S] {
+	perRoute := func(add func(*Series, *routeMetrics, Label)) func(S, *Series) {
+		return func(s S, out *Series) {
+			routes := set(s).snapshot()
+			for _, name := range SortedKeys(routes) {
+				add(out, routes[name], Label{Name: "route", Value: name})
+			}
+		}
 	}
-}
-
-// WriteLatencySummary renders one LatencyHist as a Prometheus summary:
-// the standard quantiles plus the exact _sum/_count pair, in seconds
-// (the Prometheus base unit).
-func WriteLatencySummary(p *Prom, name string, labels []Label, h *stats.LatencyHist) {
-	q := func(quantile string, v time.Duration) {
-		p.SummarySample(name, "", append(append([]Label{}, labels...),
-			Label{Name: "quantile", Value: quantile}), v.Seconds())
+	return []Family[S]{
+		{prefix + "_requests_total", "counter", "Requests served, by route.",
+			perRoute(func(out *Series, rm *routeMetrics, l Label) { out.Add(float64(rm.requests.Load()), l) })},
+		{prefix + "_request_errors_total", "counter", "Requests answered with status >= 400, by route.",
+			perRoute(func(out *Series, rm *routeMetrics, l Label) { out.Add(float64(rm.errors.Load()), l) })},
+		{prefix + "_request_latency_seconds", "summary", "Request latency by route (bucketed quantiles, conservative).",
+			perRoute(func(out *Series, rm *routeMetrics, l Label) { out.Latency(&rm.lat, l) })},
 	}
-	snap := h.Snapshot()
-	q("0.5", snap.P50)
-	q("0.9", snap.P90)
-	q("0.99", snap.P99)
-	p.SummarySample(name, "_sum", labels, h.Sum().Seconds())
-	p.SummarySample(name, "_count", labels, float64(snap.Count))
 }
 
 // WantsPrometheus decides /metrics' exposition format: an explicit

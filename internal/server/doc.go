@@ -109,17 +109,18 @@
 //     slower than Config.SlowThreshold (or answered >= 500) land in the
 //     bounded /debug/slow ring as obs.TraceView values.
 //
-//   - /metrics serves two representations of one dataset: JSON (the
-//     stable, additive-only schema in MetricsReport) and Prometheus text
-//     exposition 0.0.4 under content negotiation (Accept: text/plain or
-//     ?format=prometheus). A new counter must appear in both, and the
-//     Prometheus side must keep passing obs.ValidateExposition — the
-//     in-repo checker CI scrapes through cmd/promcheck. (One family is
-//     Prometheus-only: graphd_publish_stage_seconds, whose other reader
-//     is the traced write itself.) The per-route families — requests,
-//     errors, latency — come from obs.MetricsSet on both tiers; the
-//     node appends graphd_requests_shed_total next to them, because
-//     only a node sheds.
+//   - /metrics renders one report, MetricsReport, as JSON or — under
+//     content negotiation (Accept: text/plain or ?format=prometheus) —
+//     as Prometheus text 0.0.4, which CI checks with
+//     obs.ValidateExposition through cmd/promcheck. A signal is
+//     declared once: a report field, and at most one entry of
+//     nodeFamilies (prom.go) naming its family, type and help. It has a
+//     consumer — a CI gate, a selftest check, a bench metric or a
+//     README recipe, listed in README's exposition table, which a test
+//     holds to the scrape — or it goes. A field stays in the JSON only
+//     while something reads it. The per-route families come from
+//     obs.RouteFamilies on both tiers; the node adds
+//     graphd_requests_shed_total, because only a node sheds.
 //
 // The obs package holds the building blocks (Instrument, MetricsSet,
 // Trace, Sampler, SlowRing, the Prometheus writer and validator); this

@@ -55,12 +55,10 @@ type Durability struct {
 // durability is the store-side state behind a Durability config.
 type durability struct {
 	cfg        Durability
-	walStats   wal.Stats
 	replayUs   atomic.Uint64 // cumulative WAL replay time, microseconds
 	replayed   atomic.Uint64 // WAL batch records applied during recoveries
 	recoveries atomic.Uint64 // successful checkpoint+WAL recoveries
 	ckptWrites atomic.Uint64
-	ckptErrors atomic.Uint64
 }
 
 // SetDurability enables crash-safety for mutable snapshots built
@@ -332,7 +330,6 @@ func (st *Store) openDurableLog(name string, dyn *dynamic.Graph, source string, 
 	l, err := wal.Open(d.walPath(name), -1, wal.Options{
 		Policy:   d.cfg.Fsync,
 		Interval: d.cfg.Interval,
-		Stats:    &d.walStats,
 	})
 	if err != nil {
 		st.logger.Error("WAL unavailable, running without durability", "snapshot", name, "err", err)
@@ -359,7 +356,6 @@ func (dl *durableLog) writeCheckpoint(st *Store, dyn *dynamic.Graph, source stri
 		graph:      g,
 	}
 	if err := writeCheckpoint(dl.d.ckptPath(dl.name), ck); err != nil {
-		dl.d.ckptErrors.Add(1)
 		return err
 	}
 	dl.d.ckptWrites.Add(1)
@@ -408,13 +404,8 @@ func (dl *durableLog) finalize(st *Store, dyn *dynamic.Graph, source string) {
 // flushing, exactly like a kill would.
 func (dl *durableLog) abandon() { dl.log.Abandon() }
 
-// WALStats reports write-ahead-log activity for /metrics.
+// WALStats reports crash recovery and checkpointing for /metrics.
 type WALStats struct {
-	Enabled     bool   `json:"enabled"`
-	Records     uint64 `json:"records"`
-	Bytes       uint64 `json:"bytes"`
-	Fsyncs      uint64 `json:"fsyncs"`
-	Truncations uint64 `json:"truncations"`
 	// ReplayMs is cumulative recovery replay time; ReplayedBatches counts
 	// WAL batch records applied on top of checkpoints during recoveries;
 	// Recoveries counts successful checkpoint+WAL recoveries.
@@ -422,7 +413,6 @@ type WALStats struct {
 	ReplayedBatches uint64  `json:"replayed_batches"`
 	Recoveries      uint64  `json:"recoveries"`
 	Checkpoints     uint64  `json:"checkpoints"`
-	CkptErrors      uint64  `json:"checkpoint_errors"`
 }
 
 // WALStatsReport returns the store's WAL counters (zero when
@@ -433,15 +423,9 @@ func (st *Store) WALStatsReport() WALStats {
 		return WALStats{}
 	}
 	return WALStats{
-		Enabled:         true,
-		Records:         d.walStats.Records.Load(),
-		Bytes:           d.walStats.Bytes.Load(),
-		Fsyncs:          d.walStats.Fsyncs.Load(),
-		Truncations:     d.walStats.Truncations.Load(),
 		ReplayMs:        float64(d.replayUs.Load()) / 1000,
 		ReplayedBatches: d.replayed.Load(),
 		Recoveries:      d.recoveries.Load(),
 		Checkpoints:     d.ckptWrites.Load(),
-		CkptErrors:      d.ckptErrors.Load(),
 	}
 }

@@ -315,8 +315,9 @@ func TestWALMetricsSurface(t *testing.T) {
 	s, _ := durableServer(t, 1)
 	h := s.Handler()
 	mutate(t, h, []MutateUpdate{{Src: 0, Dst: 1, Weight: 5}})
-	ws := s.store.WALStatsReport()
-	if !ws.Enabled || ws.Records == 0 || ws.Bytes == 0 || ws.Fsyncs == 0 || ws.Checkpoints == 0 {
-		t.Fatalf("WAL counters flat: %+v", ws)
+	var m MetricsReport
+	get(t, h, "/metrics", &m)
+	if m.WAL.Checkpoints == 0 || m.WAL.Recoveries != 0 || m.WAL != s.store.WALStatsReport() {
+		t.Fatalf("WAL counters: %+v", m.WAL)
 	}
 }

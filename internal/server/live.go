@@ -461,8 +461,6 @@ func (lg *liveGraph) publish(traces []*obs.Trace) (*Snapshot, bool, error) {
 	lg.store.writes.publishes.Add(1)
 	if refreshed {
 		lg.store.writes.refreshes.Add(1)
-	} else {
-		lg.store.writes.relabels.Add(1)
 	}
 	observe("swap", swapStart)
 	return snap, refreshed, nil
@@ -616,10 +614,8 @@ type writeStats struct {
 	batches   atomic.Uint64
 	updates   atomic.Uint64
 	failed    atomic.Uint64
-	rejected  atomic.Uint64
 	publishes atomic.Uint64
 	refreshes atomic.Uint64
-	relabels  atomic.Uint64
 	lat       stats.LatencyHist
 	stages    [len(publishStageNames)]stats.LatencyHist
 }
@@ -642,18 +638,14 @@ type WriteStats struct {
 	Updates uint64 `json:"updates"`
 	// Failed counts rejected batches (validation or publish errors).
 	Failed uint64 `json:"failed"`
-	// Rejected counts writes refused at the door (queue full/closed).
-	Rejected uint64 `json:"rejected"`
 	// Publishes counts snapshots published by refreshers; Refreshes of
-	// them recomputed the ordering, Relabels reused the stale one.
+	// them recomputed the ordering, and the rest patched the held CSR
+	// under the current permutation.
 	Publishes uint64 `json:"publishes"`
 	Refreshes uint64 `json:"refreshes"`
-	Relabels  uint64 `json:"relabels"`
 	// Write latency (enqueue to published receipt), microseconds.
-	MeanUs float64 `json:"mean_us"`
-	P50Us  float64 `json:"p50_us"`
-	P99Us  float64 `json:"p99_us"`
-	MaxUs  float64 `json:"max_us"`
+	P50Us float64 `json:"p50_us"`
+	P99Us float64 `json:"p99_us"`
 }
 
 func us(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1000 }
@@ -664,13 +656,9 @@ func (st *Store) writeStatsReport() WriteStats {
 		Batches:   st.writes.batches.Load(),
 		Updates:   st.writes.updates.Load(),
 		Failed:    st.writes.failed.Load(),
-		Rejected:  st.writes.rejected.Load(),
 		Publishes: st.writes.publishes.Load(),
 		Refreshes: st.writes.refreshes.Load(),
-		Relabels:  st.writes.relabels.Load(),
-		MeanUs:    us(lat.Mean),
 		P50Us:     us(lat.P50),
 		P99Us:     us(lat.P99),
-		MaxUs:     us(lat.Max),
 	}
 }

@@ -39,18 +39,6 @@ func (c *shedCounters) get(route string) uint64 {
 	return c.n[route]
 }
 
-// total is the pool-wide shed count: every shed is counted once, on its
-// route.
-func (c *shedCounters) total() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var sum uint64
-	for _, n := range c.n {
-		sum += n
-	}
-	return sum
-}
-
 // MetricsReport is the /metrics payload.
 type MetricsReport struct {
 	UptimeSeconds float64               `json:"uptime_seconds"`
@@ -61,20 +49,11 @@ type MetricsReport struct {
 	Writes        WriteStats            `json:"writes"`
 	WAL           WALStats              `json:"wal"`
 	Runtime       RuntimeStats          `json:"runtime"`
-	// SlowTraces counts traces recorded in the /debug/slow ring (slower
-	// than the threshold, or server-fault responses), including evicted
-	// ones.
-	SlowTraces uint64 `json:"slow_traces"`
 }
 
-// RuntimeStats reports Go runtime gauges alongside the service counters,
-// so a scrape correlates latency shifts with GC and heap pressure.
+// RuntimeStats reports the Go runtime beside the service counters.
 type RuntimeStats struct {
-	Goroutines     int     `json:"goroutines"`
-	HeapAllocBytes uint64  `json:"heap_alloc_bytes"`
-	HeapSysBytes   uint64  `json:"heap_sys_bytes"`
-	GCPauseTotalMs float64 `json:"gc_pause_total_ms"`
-	NumGC          uint32  `json:"num_gc"`
+	Goroutines int `json:"goroutines"`
 }
 
 // CacheStats reports result-cache and coalescing effectiveness.
@@ -89,14 +68,10 @@ type CacheStats struct {
 	StaleServes uint64 `json:"stale_serves"`
 }
 
-// PoolStats reports heavy-query pool pressure.
+// PoolStats reports the heavy-query pool; its sheds are counted per
+// route (RouteStats.Shed).
 type PoolStats struct {
-	Capacity int    `json:"capacity"`
-	InUse    int    `json:"in_use"`
-	Rejected uint64 `json:"rejected"`
-	// Shed counts admissions refused because the predicted queue wait
-	// exceeded the request deadline: the sum of the routes' Shed.
-	Shed uint64 `json:"shed"`
+	Capacity int `json:"capacity"`
 }
 
 // SnapshotStats reports snapshot lifecycle counters plus the current

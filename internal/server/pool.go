@@ -19,10 +19,9 @@ import (
 // burn its deadline queueing anyway, so failing fast costs the client
 // nothing and spares the server the wasted slot.
 type workPool struct {
-	sem      chan struct{}
-	rejected atomic.Uint64
-	waiting  atomic.Int64
-	avgNs    atomic.Int64 // EWMA of heavy-query service time
+	sem     chan struct{}
+	waiting atomic.Int64
+	avgNs   atomic.Int64 // EWMA of heavy-query service time
 }
 
 // pessimisticQueueFactor: with no service-time history yet, shed only
@@ -41,7 +40,6 @@ func (p *workPool) acquire(ctx context.Context) error {
 	// arms are ready Go picks one at random, so without this check a
 	// cancelled request could still be admitted and run its traversal.
 	if err := ctx.Err(); err != nil {
-		p.rejected.Add(1)
 		return err
 	}
 	select {
@@ -55,7 +53,6 @@ func (p *workPool) acquire(ctx context.Context) error {
 	case p.sem <- struct{}{}:
 		return nil
 	case <-ctx.Done():
-		p.rejected.Add(1)
 		return ctx.Err()
 	}
 }

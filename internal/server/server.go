@@ -45,9 +45,9 @@ type Config struct {
 	AllowPathLoads bool
 	// RefreshEvery is the re-reordering period of mutable snapshots, in
 	// write batches: every K-th published batch recomputes the ordering,
-	// the ones in between reuse the stale permutation via a cheap
-	// relabel (§VIII-B amortization). 0 means 8; negative disables
-	// periodic re-reordering entirely.
+	// the ones in between patch the served CSR with the batch under the
+	// current permutation (§VIII-B amortization). 0 means 8; negative
+	// disables periodic re-reordering entirely.
 	RefreshEvery int
 	// TraceSample is the fraction of requests promoted to the detailed
 	// trace tier (per-round traversal stats, structured request logs);
@@ -294,8 +294,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // Prometheus exposition paths render the same report.
 func (s *Server) metricsReport() MetricsReport {
 	tab := s.store.tab.Load()
-	var mem runtime.MemStats
-	runtime.ReadMemStats(&mem)
 	routes := make(map[string]RouteStats)
 	for name, rs := range s.metrics.Report() {
 		routes[name] = RouteStats{RouteStats: rs, Shed: s.shed.get(name)}
@@ -311,36 +309,24 @@ func (s *Server) metricsReport() MetricsReport {
 			Coalesced:   s.flight.coalesced.Load(),
 			StaleServes: s.cache.staleHits.Load(),
 		},
-		Pool: PoolStats{
-			Capacity: s.pool.capacity(),
-			InUse:    s.pool.inUse(),
-			Rejected: s.pool.rejected.Load(),
-			Shed:     s.shed.total(),
-		},
+		Pool:      PoolStats{Capacity: s.pool.capacity()},
 		Snapshots: snapshotStatsFor(tab, s.store),
 		Writes:    s.store.writeStatsReport(),
 		WAL:       s.store.WALStatsReport(),
-		Runtime: RuntimeStats{
-			Goroutines:     runtime.NumGoroutine(),
-			HeapAllocBytes: mem.HeapAlloc,
-			HeapSysBytes:   mem.HeapSys,
-			GCPauseTotalMs: float64(mem.PauseTotalNs) / 1e6,
-			NumGC:          mem.NumGC,
-		},
-		SlowTraces: s.slow.Total(),
+		Runtime:   RuntimeStats{Goroutines: runtime.NumGoroutine()},
 	}
 }
 
 // handleMetrics negotiates the exposition format: Prometheus text when
 // the scraper asks for it (Accept: text/plain or ?format=prometheus),
-// the JSON report otherwise. The JSON form only ever gains keys — every
-// pre-existing field stays bit-compatible.
+// the JSON report otherwise. Both render the same report.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
+	rep := s.metricsReport()
 	if obs.WantsPrometheus(r) {
-		s.writePromMetrics(w)
+		obs.WriteFamilies(w, scrape{&rep, s.metrics, &s.store.writes}, nodeFamilies)
 		return
 	}
-	writeJSON(w, http.StatusOK, s.metricsReport())
+	writeJSON(w, http.StatusOK, rep)
 }
 
 // handleSlow serves the slow-query ring: the most recent traces that
@@ -507,7 +493,6 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 		reply:       make(chan mutateReply, 1),
 	}
 	if err := lg.enqueue(req); err != nil {
-		s.store.writes.rejected.Add(1)
 		writeError(w, http.StatusServiceUnavailable, "%v", err)
 		return
 	}

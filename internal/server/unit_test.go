@@ -183,9 +183,6 @@ func TestWorkPoolRejectsDeadContext(t *testing.T) {
 	if p.inUse() != 0 {
 		t.Fatalf("inUse = %d after rejected acquires, want 0", p.inUse())
 	}
-	if p.rejected.Load() != 200 {
-		t.Errorf("rejected = %d, want 200", p.rejected.Load())
-	}
 }
 
 func TestFlightGroupCoalesces(t *testing.T) {
@@ -248,9 +245,6 @@ func TestWorkPoolBoundsAndTimesOut(t *testing.T) {
 	defer cancel()
 	if err := p.acquire(short); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("saturated acquire: err = %v", err)
-	}
-	if p.rejected.Load() != 1 {
-		t.Errorf("rejected = %d, want 1", p.rejected.Load())
 	}
 	p.release()
 	if err := p.acquire(ctx); err != nil {
