@@ -115,8 +115,6 @@ type slot struct {
 
 	mu        sync.Mutex
 	quality   server.QualityInfo
-	technique string
-	advised   string
 	qualityOK bool
 }
 
@@ -532,8 +530,6 @@ func (rt *Router) healthLoop() {
 				if rt.get(ctx, sl.activeEndpoint()+"/v1/snapshots/"+es.snapshot, &info) == nil {
 					sl.mu.Lock()
 					sl.quality = info.Quality
-					sl.technique = info.Technique
-					sl.advised = info.Advised
 					sl.qualityOK = true
 					sl.mu.Unlock()
 				}

@@ -12,10 +12,8 @@ import (
 // ShardStatus is one shard's routing and quality state as /metrics
 // reports it.
 type ShardStatus struct {
-	Shard    int    `json:"shard"`
-	Endpoint string `json:"endpoint"`
-	Members  int    `json:"members"`
-	Healthy  bool   `json:"healthy"`
+	Shard   int  `json:"shard"`
+	Healthy bool `json:"healthy"`
 	// AckedEpoch is the last cluster epoch every member of this shard
 	// acknowledged; EpochLag is how far that trails the serving epoch
 	// (always 0 outside a rollout — the cutover barrier guarantees it).
@@ -23,8 +21,6 @@ type ShardStatus struct {
 	EpochLag   uint64 `json:"epoch_lag"`
 	Promotions uint64 `json:"promotions"`
 	Errors     uint64 `json:"errors"`
-	Technique  string `json:"technique,omitempty"`
-	Advised    string `json:"advised,omitempty"`
 	// Quality is the shard snapshot's ordering-quality report (the
 	// paper's packing factor et al.), polled from the shard's admin API.
 	Quality *server.QualityInfo `json:"quality,omitempty"`
@@ -34,10 +30,7 @@ type ShardStatus struct {
 type RouterReport struct {
 	UptimeSeconds float64                   `json:"uptime_seconds"`
 	Epoch         uint64                    `json:"epoch"`
-	Snapshot      string                    `json:"snapshot,omitempty"`
 	Shards        int                       `json:"shards"`
-	Strategy      string                    `json:"strategy"`
-	MaxReplicas   int                       `json:"max_replicas"`
 	Fanouts       uint64                    `json:"fanout_requests"`
 	RelaxBytesOut uint64                    `json:"relax_bytes_out"` // relax-frame bytes the SSSP exchange sent to shards
 	RelaxBytesIn  uint64                    `json:"relax_bytes_in"`  // and received from them
@@ -55,8 +48,6 @@ func (rt *Router) report() RouterReport {
 	rep := RouterReport{
 		UptimeSeconds: time.Since(rt.started).Seconds(),
 		Shards:        rt.placement.Shards,
-		Strategy:      rt.placement.Strategy,
-		MaxReplicas:   rt.placement.MaxReplicas,
 		Fanouts:       rt.fanouts.Load(),
 		RelaxBytesOut: rt.relaxBytesOut.Load(),
 		RelaxBytesIn:  rt.relaxBytesIn.Load(),
@@ -69,14 +60,11 @@ func (rt *Router) report() RouterReport {
 	es := rt.epoch.Load()
 	if es != nil {
 		rep.Epoch = es.epoch
-		rep.Snapshot = es.snapshot
 		rep.CacheBytes = es.replies.Bytes()
 	}
 	for s, sl := range rt.slots {
 		st := ShardStatus{
 			Shard:      s,
-			Endpoint:   sl.activeEndpoint(),
-			Members:    len(sl.endpoints),
 			Healthy:    sl.healthy.Load(),
 			AckedEpoch: sl.ackedEpoch.Load(),
 			Promotions: sl.promotions.Load(),
@@ -89,8 +77,6 @@ func (rt *Router) report() RouterReport {
 		if sl.qualityOK {
 			q := sl.quality
 			st.Quality = &q
-			st.Technique = sl.technique
-			st.Advised = sl.advised
 		}
 		sl.mu.Unlock()
 		rep.Promotions += st.Promotions

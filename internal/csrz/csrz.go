@@ -56,12 +56,7 @@ func (g *Graph) NumEdges() int { return g.m }
 func (g *Graph) Weighted() bool { return g.wb != 0 }
 
 // AvgDegree returns the mean out-degree.
-func (g *Graph) AvgDegree() float64 {
-	if g.n == 0 {
-		return 0
-	}
-	return float64(g.m) / float64(g.n)
-}
+func (g *Graph) AvgDegree() float64 { return graph.AvgDegreeOf(g.n, g.m) }
 
 // OutDegree returns the out-degree of v.
 func (g *Graph) OutDegree(v graph.VertexID) int {

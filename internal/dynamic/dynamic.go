@@ -150,12 +150,7 @@ func (d *Graph) OutDegree(v graph.VertexID) int { return int(d.outDeg[v]) }
 func (d *Graph) InDegree(v graph.VertexID) int { return int(d.inDeg[v]) }
 
 // AvgDegree returns the current mean out-degree.
-func (d *Graph) AvgDegree() float64 {
-	if d.n == 0 {
-		return 0
-	}
-	return float64(d.m) / float64(d.n)
-}
+func (d *Graph) AvgDegree() float64 { return graph.AvgDegreeOf(d.n, d.m) }
 
 // Count returns how many (src, dst) edge instances are present: a binary
 // search in src's CSR list plus the bucket's pending weights.

@@ -70,7 +70,7 @@ func BuildWith(edges []Edge, opts BuildOptions) (*Graph, error) {
 		// sorted: one direction is sorted, not two. The in-CSR carries no
 		// weights; parallel in-edges from one source are the same ID.
 		sortAdjacency(g.outIndex, g.outEdges, ws, workers)
-		g.inIndex, g.inEdges = transposeCSR(g.outIndex, g.outEdges, workers)
+		g.inIndex, g.inEdges = transposeCSR(g.outIndex, g.outEdges, nil, workers)
 	} else {
 		g.inIndex, g.inEdges, _, _ = buildCSR(edges, n, false, true, workers)
 	}

@@ -3,15 +3,21 @@ package graph
 import (
 	"bytes"
 	"encoding/binary"
+	"hash/fnv"
 	"reflect"
 	"slices"
 	"testing"
+
+	"graphreorder/internal/rng"
 )
 
 // FuzzReadBinary feeds arbitrary bytes to the binary graph codec.
 // ReadBinary must never panic or trust header dimensions ahead of the
 // payload (a lying header on a tiny file must fail, not allocate), and
 // anything it accepts must survive a write/read round trip bit-identically.
+// An ordered load, under a permutation drawn from the input, must reject
+// what ReadBinary rejects, equal load-then-relabel on what it accepts,
+// and allocate no more than a fixed multiple of the bytes it was given.
 func FuzzReadBinary(f *testing.F) {
 	g, err := Build([]Edge{{Src: 0, Dst: 1}, {Src: 1, Dst: 2}, {Src: 2, Dst: 0}, {Src: 0, Dst: 2}})
 	if err != nil {
@@ -45,8 +51,34 @@ func FuzzReadBinary(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g, err := ReadBinary(bytes.NewReader(data))
+		var perm []VertexID
+		choose := func(degs []uint32, _ int) ([]VertexID, error) {
+			perm = fuzzPerm(len(degs), data)
+			return perm, nil
+		}
+		var ordered *Graph
+		var orderedErr error
+		// Every array an ordered load keeps or passes through is backed by
+		// payload bytes (at least 4 a vertex and 4 an edge, 8 an index
+		// entry); the scratch buffers are the constant.
+		if got := allocatedBy(func() { ordered, orderedErr = readOrdered(bytes.NewReader(data), choose) }); got > 16*uint64(len(data))+1<<20 {
+			t.Fatalf("ordered load of %d bytes allocated %d", len(data), got)
+		}
 		if err != nil {
+			if orderedErr == nil {
+				t.Fatalf("ReadBinary rejects the input (%v), the ordered load accepts it", err)
+			}
 			return
+		}
+		if orderedErr != nil {
+			t.Fatalf("ReadBinary accepts the input, the ordered load rejects it: %v", orderedErr)
+		}
+		relabeled, err := g.RelabelWorkers(perm, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sameArrays(ordered, relabeled); err != nil {
+			t.Fatalf("ordered load differs from load-then-relabel: %v", err)
 		}
 		var out bytes.Buffer
 		if err := WriteBinary(&out, g); err != nil {
@@ -65,6 +97,23 @@ func FuzzReadBinary(f *testing.F) {
 			t.Fatal("write/read round trip diverged")
 		}
 	})
+}
+
+// fuzzPerm draws a permutation of n vertices from data: a Fisher-Yates
+// shuffle seeded with the input's hash.
+func fuzzPerm(n int, data []byte) []VertexID {
+	h := fnv.New64a()
+	h.Write(data)
+	r := rng.New(h.Sum64())
+	p := make([]VertexID, n)
+	for i := range p {
+		p[i] = VertexID(i)
+	}
+	for i := n - 1; i > 0; i-- {
+		j := r.Intn(i + 1)
+		p[i], p[j] = p[j], p[i]
+	}
+	return p
 }
 
 // FuzzSortLists holds the radix sort to slices.Sort on keys taken from the

@@ -58,11 +58,15 @@ func (g *Graph) NumEdges() int { return g.m }
 func (g *Graph) Weighted() bool { return g.wb != 0 }
 
 // AvgDegree returns the average degree M/N (0 for an empty graph).
-func (g *Graph) AvgDegree() float64 {
-	if g.n == 0 {
+func (g *Graph) AvgDegree() float64 { return AvgDegreeOf(g.n, g.m) }
+
+// AvgDegreeOf returns the average degree m/n of a graph of n vertices and
+// m edges (0 when n is 0).
+func AvgDegreeOf(n, m int) float64 {
+	if n == 0 {
 		return 0
 	}
-	return float64(g.m) / float64(g.n)
+	return float64(m) / float64(n)
 }
 
 // OutDegree returns the out-degree of v.

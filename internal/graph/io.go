@@ -54,15 +54,35 @@ func (f Format) String() string {
 	}
 }
 
+// OrderChooser picks the vertex order a load lays a graph out in, before
+// any edge is placed. It gets the graph's out-degrees (its own copy) and
+// edge count and returns newID — newID[v] is the new ID of file vertex v,
+// a bijection on [0, len(outDegrees)) — or nil to keep the file's order.
+type OrderChooser func(outDegrees []uint32, m int) ([]VertexID, error)
+
 // ReadAuto loads a graph from r in either supported format, sniffing the
 // binary magic from the first bytes of the stream. It reports which format
 // it found so writers can mirror the input encoding.
 func ReadAuto(r io.Reader) (*Graph, Format, error) {
+	return ReadAutoOrdered(r, nil)
+}
+
+// ReadAutoOrdered is ReadAuto returning the graph in the order choose
+// picks from its out-degrees and edge count (nil keeps the file's order):
+// the graph equals the file's relabeled by that order, array for array.
+// A binary stream asks for the order once its index is validated, before
+// any edge is read; on a stream of known length (a file, a bytes.Reader)
+// no file-order CSR is then ever allocated: every edge and weight is
+// checked and written straight into its relabeled slot, and the in-CSR is
+// built from the relabeled out-CSR. A binary stream of unknown length,
+// where only the data that arrives backs an allocation, and a text one
+// are read in file order, then relabeled.
+func ReadAutoOrdered(r io.Reader, choose OrderChooser) (*Graph, Format, error) {
 	remaining := remainingBytes(r) // asked before bufio hides the Seeker
 	br := bufio.NewReaderSize(r, ioChunkBytes)
 	head, err := br.Peek(8)
 	if len(head) == 8 && binary.LittleEndian.Uint64(head) == binaryMagic {
-		g, err := readBinary(br, remaining)
+		g, err := readBinary(br, remaining, choose)
 		return g, FormatBinary, err
 	}
 	if err != nil && err != io.EOF {
@@ -73,6 +93,14 @@ func ReadAuto(r io.Reader) (*Graph, Format, error) {
 		return nil, FormatText, err
 	}
 	g, err := Build(edges)
+	if err != nil || choose == nil {
+		return g, FormatText, err
+	}
+	newID, err := chooseOrder(choose, g.outIndex, g.m)
+	if err != nil || newID == nil {
+		return g, FormatText, err
+	}
+	g, err = g.RelabelWorkers(newID, 1)
 	return g, FormatText, err
 }
 
@@ -181,7 +209,7 @@ func WriteBinary(w io.Writer, g *Graph) error {
 // sort directly from it (scanning sources in ascending order, so
 // in-neighbor lists come out source-sorted without an explicit sort).
 func ReadBinary(r io.Reader) (*Graph, error) {
-	return readBinary(bufio.NewReaderSize(r, ioChunkBytes), remainingBytes(r))
+	return readBinary(bufio.NewReaderSize(r, ioChunkBytes), remainingBytes(r), nil)
 }
 
 // remainingBytes reports how many bytes r has left to give when r can
@@ -206,8 +234,9 @@ func remainingBytes(r io.Reader) int64 {
 }
 
 // readBinary decodes a graph from br, which stands at the header;
-// remaining is the stream's length from there, or -1 when unknown.
-func readBinary(br *bufio.Reader, remaining int64) (*Graph, error) {
+// remaining is the stream's length from there, or -1 when unknown. A
+// non-nil choose picks the order the graph comes back in.
+func readBinary(br *bufio.Reader, remaining int64, choose OrderChooser) (*Graph, error) {
 	var hdr [40]byte
 	if _, err := io.ReadFull(br, hdr[:]); err != nil {
 		return nil, fmt.Errorf("graph: reading header: %w", err)
@@ -233,8 +262,9 @@ func readBinary(br *bufio.Reader, remaining int64) (*Graph, error) {
 	// does not gets each array allocated once at its final size. A stream
 	// of unknown length grows its arrays as data actually arrives, so a
 	// truncated or lying one costs at most ~2x the bytes it really holds.
+	weighted := flags&1 != 0
 	payload := int64(n+1)*8 + int64(m)*4
-	if flags&1 != 0 {
+	if weighted {
 		payload += int64(m) * 4
 	}
 	sized := remaining >= 0
@@ -249,6 +279,70 @@ func readBinary(br *bufio.Reader, remaining int64) (*Graph, error) {
 	if err := validateIndex(outIndex, m, "out"); err != nil {
 		return nil, err
 	}
+	var newID []VertexID
+	if choose != nil {
+		if newID, err = chooseOrder(choose, outIndex, m); err != nil {
+			return nil, err
+		}
+	}
+	var g *Graph
+	if newID != nil && sized {
+		g, err = readRelabeled(br, outIndex, m, weighted, newID)
+	} else {
+		g, err = readFileOrder(br, outIndex, m, weighted, sized)
+	}
+	if err != nil {
+		return nil, err
+	}
+	if err := g.Validate(); err != nil {
+		return nil, err
+	}
+	if newID != nil && !sized {
+		return g.RelabelWorkers(newID, 1)
+	}
+	return g, nil
+}
+
+// chooseOrder asks choose for an order given a validated out-index and
+// checks that what it returns is nil or a permutation of the vertices.
+func chooseOrder(choose OrderChooser, outIndex []uint64, m int) ([]VertexID, error) {
+	n := len(outIndex) - 1
+	degs := make([]uint32, n)
+	for v := range degs {
+		degs[v] = uint32(outIndex[v+1] - outIndex[v])
+	}
+	newID, err := choose(degs, m)
+	if err != nil {
+		return nil, fmt.Errorf("graph: choosing the load order: %w", err)
+	}
+	if newID == nil {
+		return nil, nil
+	}
+	if err := checkPermutation(newID, n); err != nil {
+		return nil, fmt.Errorf("graph: load order: %w", err)
+	}
+	return newID, nil
+}
+
+// checkPermutation returns an error unless newID is a bijection on [0, n).
+func checkPermutation(newID []VertexID, n int) error {
+	if len(newID) != n {
+		return fmt.Errorf("graph: permutation has length %d, want %d", len(newID), n)
+	}
+	seen := make([]bool, n)
+	for _, id := range newID {
+		if int(id) >= n || seen[id] {
+			return fmt.Errorf("graph: newID is not a permutation (value %d)", id)
+		}
+		seen[id] = true
+	}
+	return nil
+}
+
+// readFileOrder reads the edges and weights that follow a validated index
+// into a graph in the file's order.
+func readFileOrder(br *bufio.Reader, outIndex []uint64, m int, weighted, sized bool) (*Graph, error) {
+	n := len(outIndex) - 1
 	outEdges, err := readUint32s(br, m, sized)
 	if err != nil {
 		return nil, fmt.Errorf("graph: reading edges: %w", err)
@@ -259,15 +353,96 @@ func readBinary(br *bufio.Reader, remaining int64) (*Graph, error) {
 		}
 	}
 	g := &Graph{n: n, m: m, outIndex: outIndex, outEdges: outEdges}
-	if flags&1 != 0 {
+	if weighted {
 		if g.outWeights, g.wb, err = readWeights(br, m, sized); err != nil {
 			return nil, fmt.Errorf("graph: reading weights: %w", err)
 		}
 	}
-	g.inIndex, g.inEdges = transposeCSR(outIndex, outEdges, 1)
-	if err := g.Validate(); err != nil {
-		return nil, err
+	g.inIndex, g.inEdges = transposeCSR(outIndex, outEdges, nil, 1)
+	return g, nil
+}
+
+// readRelabeled reads the edges and weights that follow a validated index
+// straight into the layout newID gives them, on a stream whose length
+// backs m edges: each list keeps its order and moves whole to the segment
+// of its source's new ID, each destination is checked and then renamed.
+// The out-edges are allocated first, then the weights, then the index:
+// large before small, as RelabelWorkers takes them.
+func readRelabeled(br *bufio.Reader, outIndex []uint64, m int, weighted bool, newID []VertexID) (*Graph, error) {
+	n := len(outIndex) - 1
+	g := &Graph{n: n, m: m, outEdges: make([]VertexID, m)}
+	if weighted {
+		g.outWeights, g.wb = make([]byte, m), 1
 	}
+	g.outIndex = relabelIndex(outIndex, newID, 1)
+
+	var buf [ioChunkBytes]byte
+	const perChunk = ioChunkBytes / 4
+	// section reads the m 4-byte values of one section a chunk at a time.
+	// check sees each chunk whole, then place gets it a list at a time:
+	// the chunk's values of one list, from file position pos on, and the
+	// slot pos moves to.
+	section := func(check func(src []byte) error, place func(slot uint64, vals []byte)) error {
+		v := 0
+		for done := 0; done < m; {
+			c := min(m-done, perChunk)
+			src := buf[:c*4]
+			if _, err := io.ReadFull(br, src); err != nil {
+				return err
+			}
+			if err := check(src); err != nil {
+				return err
+			}
+			first, end := uint64(done), uint64(done+c)
+			for pos := first; pos < end; {
+				for pos >= outIndex[v+1] {
+					v++
+				}
+				hi := min(end, outIndex[v+1])
+				place(g.outIndex[newID[v]]+pos-outIndex[v], src[4*(pos-first):4*(hi-first)])
+				pos = hi
+			}
+			done += c
+		}
+		return nil
+	}
+
+	err := section(func(src []byte) error {
+		for i := 0; i < len(src); i += 4 {
+			if d := binary.LittleEndian.Uint32(src[i:]); int(d) >= n {
+				return fmt.Errorf("graph: edge destination %d out of range", d)
+			}
+		}
+		return nil
+	}, func(slot uint64, vals []byte) {
+		dst := g.outEdges[slot : slot+uint64(len(vals)/4)]
+		for i := range dst {
+			dst[i] = newID[binary.LittleEndian.Uint32(vals[4*i:])]
+		}
+	})
+	if err != nil {
+		return nil, fmt.Errorf("graph: reading edges: %w", err)
+	}
+	if weighted {
+		// The packed array starts one byte wide and is re-stored wider
+		// (at most twice) when a chunk holds a weight that needs it, as
+		// readWeights does.
+		err := section(func(src []byte) error {
+			if nb := fileWeightsWidth(src); nb > g.wb {
+				wider := make([]byte, m*nb)
+				copyWeights(wider, nb, g.outWeights, g.wb)
+				g.outWeights, g.wb = wider, nb
+			}
+			return nil
+		}, func(slot uint64, vals []byte) {
+			wb := uint64(g.wb)
+			packFileWeights(g.outWeights[slot*wb:(slot+uint64(len(vals)/4))*wb], vals, g.wb)
+		})
+		if err != nil {
+			return nil, fmt.Errorf("graph: reading weights: %w", err)
+		}
+	}
+	g.inIndex, g.inEdges = transposeCSR(g.outIndex, g.outEdges, newID, 1)
 	return g, nil
 }
 
@@ -333,35 +508,44 @@ func readWeights(r io.Reader, count int, trusted bool) ([]byte, int, error) {
 		if _, err := io.ReadFull(r, src); err != nil {
 			return nil, 0, err
 		}
-		var maxW uint32
-		for i := 0; i < len(src); i += 4 {
-			maxW = max(maxW, binary.LittleEndian.Uint32(src[i:]))
-		}
-		if nb := widthFor(maxW); nb > wb {
+		if nb := fileWeightsWidth(src); nb > wb {
 			wider := make([]byte, len(w)/wb*nb, cap(w)/wb*nb)
 			copyWeights(wider, nb, w, wb)
 			w, wb = wider, nb
 		}
-		// A weight's packed form is the low wb bytes of its 4-byte
-		// little-endian form.
 		base := len(w)
 		w = slices.Grow(w, chunk*wb)[:base+chunk*wb]
-		dst := w[base:]
-		switch wb {
-		case 1:
-			for i := range dst {
-				dst[i] = src[4*i]
-			}
-		case 2:
-			for i := 0; i < chunk; i++ {
-				dst[2*i], dst[2*i+1] = src[4*i], src[4*i+1]
-			}
-		default:
-			copy(dst, src)
-		}
+		packFileWeights(w[base:], src, wb)
 		done += chunk
 	}
 	return w, wb, nil
+}
+
+// fileWeightsWidth returns the width the largest of src's 4-byte
+// little-endian weights needs.
+func fileWeightsWidth(src []byte) int {
+	var maxW uint32
+	for i := 0; i < len(src); i += 4 {
+		maxW = max(maxW, binary.LittleEndian.Uint32(src[i:]))
+	}
+	return widthFor(maxW)
+}
+
+// packFileWeights stores src's 4-byte little-endian weights in dst at wb
+// bytes each: a weight's packed form is the low wb bytes of its file form.
+func packFileWeights(dst, src []byte, wb int) {
+	switch wb {
+	case 1:
+		for i := range dst {
+			dst[i] = src[4*i]
+		}
+	case 2:
+		for i := 0; i < len(dst); i += 2 {
+			dst[i], dst[i+1] = src[2*i], src[2*i+1]
+		}
+	default:
+		copy(dst, src)
+	}
 }
 
 func writeUint64s(w io.Writer, vals []uint64) error {

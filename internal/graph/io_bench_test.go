@@ -76,6 +76,17 @@ func BenchmarkReadBinary(b *testing.B) {
 	}{
 		{"direct", ReadBinary},
 		{"legacy", legacyReadBinary},
+		// A load into a new order, relabeling as it reads, against the
+		// load and relabel it replaces.
+		{"ordered", func(r io.Reader) (*Graph, error) { return readOrdered(r, reverseIDs) }},
+		{"then-relabel", func(r io.Reader) (*Graph, error) {
+			g, err := ReadBinary(r)
+			if err != nil {
+				return nil, err
+			}
+			p, _ := reverseIDs(make([]uint32, g.n), g.m)
+			return g.RelabelWorkers(p, 1)
+		}},
 	} {
 		b.Run(bench.name, func(b *testing.B) {
 			b.SetBytes(int64(len(data)))

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"io"
@@ -292,11 +293,72 @@ func TestReadBinarySizedReader(t *testing.T) {
 	requireSameGraph(t, g, auto, "ReadAuto on a sized reader")
 }
 
+// readOrdered is ReadBinary loading in the order choose picks.
+func readOrdered(r io.Reader, choose OrderChooser) (*Graph, error) {
+	return readBinary(bufio.NewReaderSize(r, ioChunkBytes), remainingBytes(r), choose)
+}
+
+// reverseIDs is an OrderChooser that renames v to n-1-v, moving every
+// list.
+func reverseIDs(degs []uint32, _ int) ([]VertexID, error) {
+	p := make([]VertexID, len(degs))
+	for v := range p {
+		p[v] = VertexID(len(p) - 1 - v)
+	}
+	return p, nil
+}
+
+// TestOrderedLoadAllocatesOneCSR: a load that relabels as it reads
+// a sized stream allocates the graph it returns, the file's index, the
+// degrees and order handed to the chooser and the permutation check, and
+// never a file-order CSR: load-then-relabel allocates an edge array more.
+func TestOrderedLoadAllocatesOneCSR(t *testing.T) {
+	g := buildRandom(t, 19, 1<<14, 1<<18, true)
+	var buf bytes.Buffer
+	if err := WriteBinary(&buf, g); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	n, m := uint64(g.NumVertices()), uint64(g.NumEdges())
+	// The graph: two edge arrays, two indexes, one byte a weight; the
+	// in-CSR's cursors; the file's index, the degrees, the order and the
+	// check's bitmap.
+	outCSR := uint64(len(data)-40) - 4*m
+	keeps := 2*outCSR + m + 8*n + (8+4+4+1)*n
+	const slack = 1 << 19
+	var ordered, relabeled *Graph
+	var err error
+	orderedBytes := allocatedBy(func() { ordered, err = readOrdered(bytes.NewReader(data), reverseIDs) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	twoStepBytes := allocatedBy(func() {
+		if relabeled, err = ReadBinary(bytes.NewReader(data)); err == nil {
+			p, _ := reverseIDs(relabeled.Degrees(OutDegree), int(m))
+			relabeled, err = relabeled.RelabelWorkers(p, 1)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("ordered load %d bytes, load-then-relabel %d, bound %d", orderedBytes, twoStepBytes, keeps+slack)
+	if orderedBytes > keeps+slack {
+		t.Errorf("ordered load allocated %d bytes for a graph that keeps %d", orderedBytes, keeps)
+	}
+	if orderedBytes+4*m > twoStepBytes {
+		t.Errorf("ordered load allocated %d bytes, load-then-relabel %d: less than an edge array apart", orderedBytes, twoStepBytes)
+	}
+	if err := sameArrays(ordered, relabeled); err != nil {
+		t.Error(err)
+	}
+}
+
 // TestReadBinaryWidensWeightsMidStream: the reader packs weights a chunk
 // at a time, so a weight that needs a wider width can arrive after chunks
 // stored narrower, and a second one can widen again. Wherever the wide
 // weights sit in the stream, the graph read back is the built one array
-// for array, its stored width included, on a sized and an unsized stream.
+// for array, its stored width included, on a sized and an unsized stream,
+// and an ordered load is the built one relabeled.
 func TestReadBinaryWidensWeightsMidStream(t *testing.T) {
 	const n = 1 << 10
 	const m = 3*ioChunkBytes/4 + 100 // the weights span four chunks
@@ -339,6 +401,21 @@ func TestReadBinaryWidensWeightsMidStream(t *testing.T) {
 				if err := sameArrays(h, g); err != nil {
 					t.Errorf("%s: %v", stream.name, err)
 				}
+			}
+			// Relabeled as it is read, each list lands in a new place, so
+			// a chunk that widens the weights re-stores slots written in
+			// every order.
+			h, err := readOrdered(bytes.NewReader(buf.Bytes()), reverseIDs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p, _ := reverseIDs(make([]uint32, n), m)
+			want, err := g.Relabel(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := sameArrays(h, want); err != nil {
+				t.Errorf("ordered: %v", err)
 			}
 		})
 	}

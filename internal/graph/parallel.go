@@ -1,7 +1,6 @@
 package graph
 
 import (
-	"fmt"
 	"sync/atomic"
 
 	"graphreorder/internal/par"
@@ -149,20 +148,36 @@ func buildCSR(edges []Edge, n int, weighted, reverse bool, workers int) ([]uint6
 }
 
 // transposeCSR returns the opposite direction of a CSR, without weights:
-// the same counting sort, fed from the lists instead of an edge list, over
-// edge-balanced vertex ranges. Every output list holds its neighbors in
-// ascending order.
-func transposeCSR(index []uint64, adj []VertexID, workers int) ([]uint64, []VertexID) {
+// the same counting sort, fed from the lists instead of an edge list. It
+// visits the sources in ascending order of their original ID — v's list
+// is stored under newID[v], or under v when newID is nil — over ranges of
+// original IDs (edge-balanced without newID), so every output list holds
+// its neighbors in original-ID order, renamed.
+func transposeCSR(index []uint64, adj []VertexID, newID []VertexID, workers int) ([]uint64, []VertexID) {
 	n := len(index) - 1
-	bounds := par.BalancedBounds(index, n, countingChunks(workers, n, len(adj)), 1)
+	var bounds []int
+	if chunks := countingChunks(workers, n, len(adj)); newID == nil {
+		bounds = par.BalancedBounds(index, n, chunks, 1)
+	} else {
+		bounds = evenBounds(n, chunks)
+	}
 	numChunks := len(bounds) - 1
 
 	counts := make([][]uint64, numChunks)
 	par.For(numChunks, workers, 1, func(clo, chi int) {
 		for c := clo; c < chi; c++ {
 			cnt := make([]uint64, n)
-			for _, nbr := range adj[index[bounds[c]]:index[bounds[c+1]]] {
-				cnt[nbr]++
+			if newID == nil { // the chunk's lists are one run of adj
+				for _, nbr := range adj[index[bounds[c]]:index[bounds[c+1]]] {
+					cnt[nbr]++
+				}
+			} else {
+				for v := bounds[c]; v < bounds[c+1]; v++ {
+					u := newID[v]
+					for _, nbr := range adj[index[u]:index[u+1]] {
+						cnt[nbr]++
+					}
+				}
 			}
 			counts[c] = cnt
 		}
@@ -174,10 +189,13 @@ func transposeCSR(index []uint64, adj []VertexID, workers int) ([]uint64, []Vert
 		for c := clo; c < chi; c++ {
 			cursor := counts[c]
 			for v := bounds[c]; v < bounds[c+1]; v++ {
-				for i := index[v]; i < index[v+1]; i++ {
-					pos := cursor[adj[i]]
-					cursor[adj[i]]++
-					tAdj[pos] = VertexID(v)
+				u := v
+				if newID != nil {
+					u = int(newID[v])
+				}
+				for _, nbr := range adj[index[u]:index[u+1]] {
+					tAdj[cursor[nbr]] = VertexID(u)
+					cursor[nbr]++
 				}
 			}
 		}
@@ -208,15 +226,8 @@ func sortAdjacency(index []uint64, adj []VertexID, ws []uint32, workers int) {
 // sequential. Every worker count yields the same graph, and beyond the
 // output arrays it allocates O(N) bytes, whatever the worker count.
 func (g *Graph) RelabelWorkers(newID []VertexID, workers int) (*Graph, error) {
-	if len(newID) != g.n {
-		return nil, fmt.Errorf("graph: permutation has length %d, want %d", len(newID), g.n)
-	}
-	seen := make([]bool, g.n)
-	for _, id := range newID {
-		if int(id) >= g.n || seen[id] {
-			return nil, fmt.Errorf("graph: newID is not a permutation (value %d)", id)
-		}
-		seen[id] = true
+	if err := checkPermutation(newID, g.n); err != nil {
+		return nil, err
 	}
 	workers = buildWorkers(workers, g.m)
 	// The large arrays are allocated before anything small: a reorder
@@ -244,15 +255,7 @@ func (g *Graph) RelabelWorkers(newID []VertexID, workers int) (*Graph, error) {
 // gather.
 func relabelLists(index []uint64, adj []VertexID, ws []byte, wb int, newID, newAdj []VertexID, newWs []byte, workers int) []uint64 {
 	n := len(newID)
-	newIndex := make([]uint64, n+1)
-	par.For(n, workers, 1, func(lo, hi int) {
-		for v := lo; v < hi; v++ {
-			newIndex[newID[v]+1] = index[v+1] - index[v]
-		}
-	})
-	for i := 1; i <= n; i++ {
-		newIndex[i] += newIndex[i-1]
-	}
+	newIndex := relabelIndex(index, newID, workers)
 	par.ForBounds(par.BalancedBounds(index, n, workers*4, 1), workers, func(lo, hi int) {
 		for v := lo; v < hi; v++ {
 			s, e, base := index[v], index[v+1], newIndex[newID[v]]
@@ -266,5 +269,21 @@ func relabelLists(index []uint64, adj []VertexID, ws []byte, wb int, newID, newA
 			}
 		}
 	})
+	return newIndex
+}
+
+// relabelIndex returns the index of the CSR whose list of newID[v] is as
+// long as v's list in index: the degrees scattered, then prefix-summed.
+func relabelIndex(index []uint64, newID []VertexID, workers int) []uint64 {
+	n := len(newID)
+	newIndex := make([]uint64, n+1)
+	par.For(n, workers, 1, func(lo, hi int) {
+		for v := lo; v < hi; v++ {
+			newIndex[newID[v]+1] = index[v+1] - index[v]
+		}
+	})
+	for i := 1; i <= n; i++ {
+		newIndex[i] += newIndex[i-1]
+	}
 	return newIndex
 }

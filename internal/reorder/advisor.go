@@ -59,14 +59,22 @@ func (r Recommendation) Reorder() bool { return r.Spec != "original" }
 // recommends a reordering pipeline — or the identity, per the paper's
 // "reordering can hurt" finding.
 func Advise(g *graph.Graph, kind graph.DegreeKind) Recommendation {
+	return AdviseDegrees(g.Degrees(kind), g.NumEdges())
+}
+
+// AdviseDegrees is Advise from what it reads of a graph: the degree array
+// of the kind the plan will reorder by, and the edge count. A loader that
+// knows the degrees before the edges can therefore advise before it reads
+// an edge.
+func AdviseDegrees(degs []uint32, m int) Recommendation {
 	rec := Recommendation{Spec: "original", Plan: Compose(), PredictedGain: 1}
 
-	if g.NumVertices() == 0 || g.NumEdges() == 0 {
+	if len(degs) == 0 || m == 0 {
 		rec.Reason = "graph has no edges: nothing to reorder"
 		return rec
 	}
-	skew := stats.ComputeSkew(g, kind)
-	q := EvaluatePacking(g, kind, nil)
+	skew := stats.SkewOf(degs, graph.AvgDegreeOf(len(degs), m))
+	q := packingOf(degs, m, nil)
 	rec.HotFrac = skew.HotFrac
 	rec.EdgeCoverage = skew.EdgeCoverage
 	rec.CurrentPacking = q.PackingFactor

@@ -169,19 +169,23 @@ func outEdgeBounds(g graph.View, workers int) []int {
 // It reads no adjacency and leaves AvgNeighborGap and the Predicted*
 // fields zero.
 func EvaluatePacking(g graph.View, kind graph.DegreeKind, perm Permutation) QualityReport {
-	n := g.NumVertices()
+	return packingOf(g.Degrees(kind), g.NumEdges(), perm)
+}
+
+// packingOf is EvaluatePacking from a degree array and the edge count.
+func packingOf(degs []uint32, m int, perm Permutation) QualityReport {
+	n := len(degs)
 	rep := QualityReport{
 		BlockBytes:      stats.CacheBlockBytes,
 		PropertyBytes:   stats.DefaultPropertyBytes,
-		HotThresholdDeg: g.AvgDegree(),
+		HotThresholdDeg: graph.AvgDegreeOf(n, m),
 	}
 	// An edgeless graph has average degree 0, which would classify every
 	// vertex as hot; there is no working set to pack, so report zeros.
-	if n == 0 || g.NumEdges() == 0 {
+	if n == 0 || m == 0 {
 		return rep
 	}
 	const perBlock = VerticesPerCacheBlock
-	degs := g.Degrees(kind)
 
 	// Hot-vertex count per block under the layout.
 	numBlocks := (n + perBlock - 1) / perBlock

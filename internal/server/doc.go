@@ -65,7 +65,17 @@
 // pass runs only where encode resolves an "auto" backend. A snapshot
 // build runs the same stages; only its view stage differs (it applies the
 // spec's plan to the loaded graph where a live publish asks
-// dynamic.Reorderer.View), and BuildStatus reports the stage running. On a live publish each stage is a span on
+// dynamic.Reorderer.View), and BuildStatus reports the stage running. A
+// build that would only relabel by degrees skips that copy: an immutable
+// build from a file (not .csrz) keyed by out-degree, whose plan is one
+// degree-based technique (dbg, sort, hubsort, hubcluster) or "auto",
+// loads through graph.ReadAutoOrdered, which asks the plan — or the
+// advisor, from the degrees alone — for the order once the file's index
+// is read and writes each edge straight into its relabeled slot. Only the
+// served CSR is ever allocated, and the view stage just records the
+// permutation and the advice. Every other build (in-degree keys, plans
+// that read structure, compositions, .csrz sources, mutable builds, whose
+// dynamic graph starts from the as-loaded one) loads, then relabels. On a live publish each stage is a span on
 // the trace of every write the publish carries ("apply" precedes them,
 // once per batch) and a sample of graphd_publish_stage_seconds{stage},
 // with "swap" spanning assemble and the publish itself; the view span's

@@ -468,7 +468,7 @@ func TestLiveGraphHoldsOneCSR(t *testing.T) {
 		base := genGraph(t, "sd", "small")
 		n := base.NumVertices()
 		spec := BuildSpec{Name: "live", Technique: "dbg", Mutable: true}
-		if _, err := s.store.buildFrom(spec, &BuildStatus{}, base, nil, "dataset:sd/small", graph.OutDegree, 0, nil); err != nil {
+		if _, err := s.store.buildFrom(spec, &BuildStatus{}, base, nil, nil, "dataset:sd/small", graph.OutDegree, 0, nil); err != nil {
 			t.Fatal(err)
 		}
 		ptrs := []weak.Pointer[graph.Graph]{weak.Make(base)}

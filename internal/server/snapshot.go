@@ -199,11 +199,17 @@ type SnapshotInfo struct {
 	OnDiskBytes      int64   `json:"on_disk_bytes,omitempty"`
 	CompressionRatio float64 `json:"compression_ratio"`
 	Built            string  `json:"built"`
-	LoadMs           float64 `json:"load_ms"`
-	ReorderMs        float64 `json:"reorder_ms"`
-	RebuildMs        float64 `json:"rebuild_ms"`
-	PrecomputeMs     float64 `json:"precompute_ms"`
-	RankIters        int     `json:"rank_iters"`
+	// LoadMs is reading or generating the graph, ReorderMs computing its
+	// permutation and RebuildMs relabeling the CSR into it. A build from
+	// a file whose plan is one degree-based technique or "auto" (on
+	// out-degrees, immutable) relabels as it reads: the relabel is inside
+	// LoadMs, ReorderMs is choosing the order from the file's degrees
+	// (the advisor's verdict included) and RebuildMs is 0.
+	LoadMs       float64 `json:"load_ms"`
+	ReorderMs    float64 `json:"reorder_ms"`
+	RebuildMs    float64 `json:"rebuild_ms"`
+	PrecomputeMs float64 `json:"precompute_ms"`
+	RankIters    int     `json:"rank_iters"`
 	// Advised is the technique the skew-gated advisor picked when the
 	// snapshot was built with technique "auto"; AdviceReason explains the
 	// verdict.
@@ -769,7 +775,7 @@ func (st *Store) build(spec BuildSpec, status *BuildStatus) (*Snapshot, error) {
 		source = recovered.source
 		st.bumpEpochFloor(recovered.epochFloor)
 		loadTime := time.Since(start)
-		return st.buildFrom(spec, status, g, nil, source, kind, loadTime, recovered)
+		return st.buildFrom(spec, status, g, nil, nil, source, kind, loadTime, recovered)
 	}
 	switch {
 	case spec.Dataset != "" && spec.Path != "":
@@ -806,22 +812,109 @@ func (st *Store) build(spec BuildSpec, status *BuildStatus) (*Snapshot, error) {
 				return nil, err
 			}
 			source = "file:" + spec.Path
-			return st.buildFrom(spec, status, nil, cz, source, kind, time.Since(start), nil)
+			return st.buildFrom(spec, status, nil, cz, nil, source, kind, time.Since(start), nil)
 		}
 		var f *os.File
 		if f, err = os.Open(spec.Path); err != nil {
 			return nil, err
 		}
-		g, _, err = graph.ReadAuto(f)
+		order := loadOrderFor(spec, kind)
+		var choose graph.OrderChooser
+		if order != nil {
+			choose = order.choose
+		}
+		g, _, err = graph.ReadAutoOrdered(f, choose)
 		f.Close()
 		if err != nil {
 			return nil, err
 		}
-		source = "file:" + spec.Path
+		loadTime := time.Since(start)
+		if order != nil {
+			loadTime -= order.took
+		}
+		return st.buildFrom(spec, status, g, nil, order, "file:"+spec.Path, kind, loadTime, nil)
 	default:
 		return nil, errors.New("server: build spec needs dataset or path")
 	}
-	return st.buildFrom(spec, status, g, nil, source, kind, time.Since(start), nil)
+	return st.buildFrom(spec, status, g, nil, nil, source, kind, time.Since(start), nil)
+}
+
+// loadOrder relabels a build's graph as it is read from its file
+// (graph.ReadAutoOrdered), so that a build whose plan is one degree-based
+// technique, or "auto", allocates only the CSR it serves and never a
+// file-order one beside it: both plans need only the out-degrees, which
+// the file's index gives before any edge is read. It then stands in for
+// planView as the build's view stage.
+type loadOrder struct {
+	plan *reorder.Plan           // nil for "auto"
+	rec  *reorder.Recommendation // "auto"'s verdict
+	perm reorder.Permutation     // nil keeps the file's order
+	took time.Duration           // spent choosing the order
+}
+
+// loadOrderFor returns the order a build from a file loads in, or nil
+// when the build loads in file order and relabels in its view stage: an
+// in-degree key, a mutable build (its dynamic graph keeps the as-loaded
+// graph), or a plan that is not one degree-based technique. A spec the
+// view stage would reject also gets nil, so buildFrom reports it.
+func loadOrderFor(spec BuildSpec, kind graph.DegreeKind) *loadOrder {
+	if spec.Mutable || kind != graph.OutDegree {
+		return nil
+	}
+	techName := techniqueName(spec.Technique)
+	if techName == "auto" {
+		return &loadOrder{}
+	}
+	plan, err := reorder.ParsePlan(techName)
+	if err != nil {
+		return nil
+	}
+	if _, ok := plan.DegreeBased(); !ok {
+		return nil
+	}
+	return &loadOrder{plan: plan}
+}
+
+// choose is the load's graph.OrderChooser: the plan's permutation of the
+// file's out-degrees, after the advisor picked the plan for "auto".
+func (o *loadOrder) choose(degs []uint32, m int) ([]graph.VertexID, error) {
+	start := time.Now()
+	defer func() { o.took = time.Since(start) }()
+	plan := o.plan
+	if plan == nil {
+		rec := reorder.AdviseDegrees(degs, m)
+		o.rec, plan = &rec, rec.Plan
+	}
+	if len(plan.Stages()) == 0 {
+		return nil, nil
+	}
+	db, ok := plan.DegreeBased()
+	if !ok {
+		return nil, fmt.Errorf("server: plan %s is not one degree-based technique", plan.Name())
+	}
+	o.perm = db.PermuteDegrees(degs, graph.AvgDegreeOf(len(degs), m))
+	return o.perm, nil
+}
+
+// view is the view stage of a build that loaded in its final order: it
+// records what the load chose. The relabel was part of the load, so the
+// snapshot's rebuild time is zero.
+func (o *loadOrder) view(p *publishJob) (string, error) {
+	p.snap.perm, p.snap.reorderTime = o.perm, o.took
+	if o.rec != nil {
+		p.snap.advised, p.snap.adviceReason = o.rec.Spec, o.rec.Reason
+	}
+	return "", nil
+}
+
+// techniqueName normalizes a BuildSpec.Technique like the registry does,
+// so "Auto"/"DBG" hit the same paths (and display the same) as their
+// lowercase spellings; the empty spec is "original".
+func techniqueName(technique string) string {
+	if name := strings.ToLower(strings.TrimSpace(technique)); name != "" {
+		return name
+	}
+	return "original"
 }
 
 // resolveBackend normalizes a BuildSpec.Backend, defaulting by input
@@ -844,8 +937,9 @@ func resolveBackend(spec string, fromCSRZ bool) (string, error) {
 // buildFrom runs publishStages on an already loaded (or recovered) graph
 // and publishes the result. Exactly one of g (plain) and cz (a .csrz load,
 // possibly mmap-backed) is non-nil on entry; cz passes through zero-copy
-// when nothing forces the plain form.
-func (st *Store) buildFrom(spec BuildSpec, status *BuildStatus, g *graph.Graph, cz *csrz.Graph,
+// when nothing forces the plain form. A non-nil order says g was loaded
+// in the order it chose, which then replaces the plan's view stage.
+func (st *Store) buildFrom(spec BuildSpec, status *BuildStatus, g *graph.Graph, cz *csrz.Graph, order *loadOrder,
 	source string, kind graph.DegreeKind, loadTime time.Duration, recovered *recoveredState) (*Snapshot, error) {
 	p := &publishJob{store: st, begin: status.setStage, g: g, cz: cz}
 	// Any early error must release a load-time mapping; once the snapshot
@@ -861,12 +955,7 @@ func (st *Store) buildFrom(spec BuildSpec, status *BuildStatus, g *graph.Graph, 
 	if err != nil {
 		return nil, err
 	}
-	// Normalize like the registry does, so "Auto"/"DBG" hit the same
-	// paths (and display the same) as their lowercase spellings.
-	techName := strings.ToLower(strings.TrimSpace(spec.Technique))
-	if techName == "" {
-		techName = "original"
-	}
+	techName := techniqueName(spec.Technique)
 	// The empty plan is the identity, however the spec spelled it; "auto"
 	// gets its plan from the advisor in the view stage, and its mutation
 	// pipeline keeps re-advising on refresh, so a live graph whose skew
@@ -883,6 +972,9 @@ func (st *Store) buildFrom(spec BuildSpec, status *BuildStatus, g *graph.Graph, 
 	p.publishSpec = publishSpec{name: spec.Name, techName: techName, kind: kind, source: source,
 		live: spec.Mutable, maxIters: spec.MaxIters, backend: backend, ranksPath: spec.RanksPath}
 	p.view = planView(plan, auto)
+	if order != nil {
+		p.view = order.view
+	}
 
 	// A .csrz load serves its mapped arrays directly only when nothing
 	// needs the plain form: reordering, the advisor, a mutation pipeline

@@ -33,8 +33,12 @@ type Skew struct {
 
 // ComputeSkew computes Table I metrics for g under the given degree kind.
 func ComputeSkew(g *graph.Graph, kind graph.DegreeKind) Skew {
-	degs := g.Degrees(kind)
-	avg := g.AvgDegree()
+	return SkewOf(g.Degrees(kind), g.AvgDegree())
+}
+
+// SkewOf computes the Table I metrics of a degree array whose hot
+// threshold is avg, the graph's average degree.
+func SkewOf(degs []uint32, avg float64) Skew {
 	hot, hotEdges, total := 0, 0, 0
 	for _, d := range degs {
 		total += int(d)
@@ -43,11 +47,11 @@ func ComputeSkew(g *graph.Graph, kind graph.DegreeKind) Skew {
 			hotEdges += int(d)
 		}
 	}
-	if g.NumVertices() == 0 || total == 0 {
+	if len(degs) == 0 || total == 0 {
 		return Skew{}
 	}
 	return Skew{
-		HotFrac:      float64(hot) / float64(g.NumVertices()),
+		HotFrac:      float64(hot) / float64(len(degs)),
 		EdgeCoverage: float64(hotEdges) / float64(total),
 	}
 }
