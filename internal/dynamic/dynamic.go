@@ -149,9 +149,6 @@ func (d *Graph) OutDegree(v graph.VertexID) int { return int(d.outDeg[v]) }
 // InDegree returns v's current in-degree (maintained incrementally).
 func (d *Graph) InDegree(v graph.VertexID) int { return int(d.inDeg[v]) }
 
-// AvgDegree returns the current mean out-degree.
-func (d *Graph) AvgDegree() float64 { return graph.AvgDegreeOf(d.n, d.m) }
-
 // Count returns how many (src, dst) edge instances are present: a binary
 // search in src's CSR list plus the bucket's pending weights.
 func (d *Graph) Count(src, dst graph.VertexID) int {
@@ -539,6 +536,10 @@ type Reorderer struct {
 	// the previous one.
 	Refreshes int
 	Patches   int
+	// Advice is the advisor's verdict behind the last refresh's ordering
+	// when the technique is reorder.Auto, nil for any other. A caller that
+	// Seeds an advised ordering sets it beside.
+	Advice *reorder.Recommendation
 }
 
 // NewReorderer builds a Reorderer; the first View call performs the
@@ -591,30 +592,30 @@ func (r *Reorderer) Due(d *Graph) bool {
 		(r.policy.Every > 0 && d.Batches()-r.batchesAtPerm >= r.policy.Every)
 }
 
-// Refresh recomputes the ordering and relabels d's CSR into it. A plan of
-// one degree-based stage permutes d's maintained degrees, its snapshot's;
-// any other, or an inspect callback, gets the snapshot, which is handed
-// to inspect and dropped before the relabel: two CSRs at most are alive.
-func (r *Reorderer) Refresh(d *Graph, inspect func(original *graph.Graph)) error {
-	var perm reorder.Permutation
-	plan := reorder.PlanOf(r.tech)
-	if db, ok := plan.DegreeBased(); ok && inspect == nil {
-		if err := d.fold(); err != nil {
-			return err
-		}
-		perm = db.PermuteDegrees(d.degrees(r.kind), d.AvgDegree())
-	} else {
+// Refresh recomputes the ordering and relabels d's CSR into it. The
+// ordering is reorder.Resolve's from d's maintained degrees, its
+// snapshot's, so a skew-aware technique or Auto (which re-advises, its
+// verdict kept in Advice) exports nothing. Only a plan that reads more
+// than the degrees gets the snapshot, dropped before the relabel: two
+// CSRs at most are alive.
+func (r *Reorderer) Refresh(d *Graph) error {
+	if err := d.fold(); err != nil {
+		return err
+	}
+	perm, rec, ok := reorder.Resolve(r.tech, d.degrees(r.kind), d.m)
+	if !ok {
 		g, err := d.Snapshot()
 		if err != nil {
 			return err
 		}
-		if perm, err = plan.PermuteWorkers(g, r.kind, r.Workers); err != nil {
+		if perm, err = reorder.PlanOf(r.tech).PermuteWorkers(g, r.kind, r.Workers); err != nil {
 			return err
 		}
-		if inspect != nil {
-			inspect(g)
-		}
 	}
+	if perm == nil {
+		perm = reorder.Identity(d.n)
+	}
+	r.Advice = rec
 	return r.install(d, nil, perm)
 }
 
@@ -626,7 +627,7 @@ func (r *Reorderer) Refresh(d *Graph, inspect func(original *graph.Graph)) error
 func (r *Reorderer) View(d *Graph) (*graph.Graph, reorder.Permutation, error) {
 	var err error
 	if r.Due(d) {
-		err = r.Refresh(d, nil)
+		err = r.Refresh(d)
 	} else {
 		err = d.fold() // stale permutation, fresh edges: the reuse §VIII-B argues for
 	}

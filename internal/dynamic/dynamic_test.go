@@ -782,13 +782,27 @@ func TestSeedOfARebuiltGraphRelabels(t *testing.T) {
 	}
 }
 
-// TestRefreshHandsOverTheSnapshot: a refresh with an inspect callback
-// plans from the original-order snapshot, which the callback sees once
+// recording is a structure-based technique, RandomVertex, that keeps
+// every graph it is asked to order.
+type recording struct {
+	reorder.RandomVertex
+	seen *[]*graph.Graph
+}
+
+func (t recording) Permute(g *graph.Graph, kind graph.DegreeKind) (reorder.Permutation, error) {
+	*t.seen = append(*t.seen, g)
+	return t.RandomVertex.Permute(g, kind)
+}
+
+// TestRefreshHandsOverTheSnapshot: a refresh whose plan reads more than
+// degrees plans from the original-order snapshot, which it exports once
 // and the graph does not keep: the graph holds that snapshot relabeled
 // by the new permutation, the plan's permutation of it.
 func TestRefreshHandsOverTheSnapshot(t *testing.T) {
+	var seen []*graph.Graph
+	tech := recording{RandomVertex: reorder.RandomVertex{Seed: 7}, seen: &seen}
 	d := FromGraph(base(t))
-	r := NewReorderer(reorder.NewDBG(), graph.OutDegree, Policy{})
+	r := NewReorderer(tech, graph.OutDegree, Policy{})
 	if _, _, err := r.View(d); err != nil {
 		t.Fatal(err)
 	}
@@ -796,18 +810,18 @@ func TestRefreshHandsOverTheSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := csrBytes(t, mustSnapshot(t, d))
-	var seen []*graph.Graph
-	if err := r.Refresh(d, func(g *graph.Graph) { seen = append(seen, g) }); err != nil {
+	seen = nil
+	if err := r.Refresh(d); err != nil {
 		t.Fatal(err)
 	}
 	if len(seen) != 1 || !bytes.Equal(csrBytes(t, seen[0]), want) || d.csr == seen[0] {
-		t.Fatalf("inspect saw %d graphs; want the snapshot once, not kept as the CSR", len(seen))
+		t.Fatalf("the plan saw %d graphs; want the snapshot once, not kept as the CSR", len(seen))
 	}
 	view, perm, err := r.View(d)
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := reorder.PlanOf(reorder.NewDBG()).Permute(seen[0], graph.OutDegree)
+	plan, err := reorder.PlanOf(tech.RandomVertex).Permute(seen[0], graph.OutDegree)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -815,7 +829,7 @@ func TestRefreshHandsOverTheSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Refreshes != 2 || !slices.Equal(perm, plan) || !bytes.Equal(csrBytes(t, view), csrBytes(t, relabeled)) {
+	if r.Refreshes != 2 || r.Advice != nil || !slices.Equal(perm, plan) || !bytes.Equal(csrBytes(t, view), csrBytes(t, relabeled)) {
 		t.Fatal("the refresh did not install the plan's ordering of the snapshot it handed over")
 	}
 }

@@ -425,3 +425,47 @@ func TestFromGraphFootprint(t *testing.T) {
 	runtime.KeepAlive(d)
 	runtime.KeepAlive(g) // the measure is what d retains, not what it lets go
 }
+
+// TestAutoRefreshAllocatesLikeDBG pins what an "auto" refresh costs
+// beside a DBG one on sd/small (advised DBG), with one pending edit each:
+// the advisor reads the degrees the graph maintains, so the refresh
+// exports no original-order snapshot and allocates no more than the DBG
+// refresh plus a stated epsilon for the advisor's own O(V) pass.
+// Advising from an exported snapshot allocated 1.5x.
+func TestAutoRefreshAllocatesLikeDBG(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's own allocations are counted")
+	}
+	const eps = 0.02
+	g, err := gen.Generate(gen.MustDataset("sd", gen.Small))
+	if err != nil {
+		t.Fatal(err)
+	}
+	refresh := func(tech reorder.Technique) uint64 {
+		d := FromGraph(g)
+		r := NewReorderer(tech, graph.OutDegree, Policy{})
+		if _, _, err := r.View(d); err != nil {
+			t.Fatal(err)
+		}
+		if err := d.Apply([]Update{{Edge: graph.Edge{Src: 3, Dst: 4, Weight: 2}}}); err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		if err := r.Refresh(d); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		if _, auto := tech.(reorder.Auto); auto && r.Advice.Spec != "dbg" {
+			t.Fatalf("sd/small advised %q, want dbg", r.Advice.Spec)
+		}
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	dbg, auto := refresh(reorder.NewDBG()), refresh(reorder.Auto{})
+	t.Logf("a refresh of sd/small with one pending edit allocates %d B under dbg, %d B under auto (%.3fx)",
+		dbg, auto, float64(auto)/float64(dbg))
+	if float64(auto) > (1+eps)*float64(dbg) {
+		t.Errorf("an auto refresh allocated %d B, more than %.2fx a dbg refresh's %d B", auto, 1+eps, dbg)
+	}
+}

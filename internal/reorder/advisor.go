@@ -115,5 +115,35 @@ func (Auto) Name() string { return "Auto" }
 
 // Permute implements Technique.
 func (Auto) Permute(g *graph.Graph, kind graph.DegreeKind) (Permutation, error) {
-	return Advise(g, kind).Plan.Permute(g, kind)
+	if perm, _, _ := Resolve(Auto{}, g.Degrees(kind), g.NumEdges()); perm != nil {
+		return perm, nil
+	}
+	return Identity(g.NumVertices()), nil
+}
+
+// Resolve turns a technique into a graph's order from what the paper's
+// skew-aware techniques read of it (Table V): degs, the degree array of
+// the kind the order is keyed by, and m, the edge count. perm is nil for
+// the identity. For Auto, and a plan of Auto alone, the advisor picks the
+// plan first (AdviseDegrees) and rec is its verdict; rec is nil for every
+// other technique. ok is false when the plan reads more than the degrees
+// — a structure-based technique (Gorder, random orders) or a composition
+// of stages — and the caller runs PlanOf(t) on the graph itself.
+func Resolve(t Technique, degs []uint32, m int) (perm Permutation, rec *Recommendation, ok bool) {
+	plan := PlanOf(t)
+	if len(plan.stages) == 1 {
+		if _, auto := plan.stages[0].(Auto); auto {
+			r := AdviseDegrees(degs, m)
+			rec, plan = &r, r.Plan
+		}
+	}
+	switch len(plan.stages) {
+	case 0:
+		return nil, rec, true
+	case 1:
+		if db, ok := plan.stages[0].(DegreeBased); ok {
+			return db.PermuteDegrees(degs, graph.AvgDegreeOf(len(degs), m)), rec, true
+		}
+	}
+	return nil, rec, false
 }

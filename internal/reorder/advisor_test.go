@@ -1,6 +1,8 @@
 package reorder
 
 import (
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -131,6 +133,60 @@ func TestAutoTechnique(t *testing.T) {
 	for v, id := range perm {
 		if int(id) != v {
 			t.Fatalf("auto moved vertex %d on a uniform graph", v)
+		}
+	}
+}
+
+// TestResolveMatchesPlans: Resolve, from a graph's degrees and edge
+// count alone, gives the permutation the technique's plan computes on the
+// graph (the advisor's plan for auto; nil for the identity), the verdict
+// Advise gives (for auto only), and declines exactly the plans that read
+// more than degrees: Gorder and a composition.
+func TestResolveMatchesPlans(t *testing.T) {
+	for _, ds := range []string{"sd", "uni", "mp"} {
+		g, err := gen.Generate(gen.MustDataset(ds, gen.Tiny))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, kind := range []graph.DegreeKind{graph.OutDegree, graph.InDegree} {
+			for _, spec := range []string{"original", "dbg", "sort", "hubsort", "hubcluster", "auto", "gorder", "dbg|gorder"} {
+				tech, err := ByName(spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				perm, rec, ok := Resolve(tech, g.Degrees(kind), g.NumEdges())
+				name := ds + "/" + kind.String() + "/" + spec
+				if wantOK := spec != "gorder" && spec != "dbg|gorder"; ok != wantOK {
+					t.Errorf("%s: ok = %v, want %v", name, ok, wantOK)
+					continue
+				}
+				plan := PlanOf(tech)
+				if spec == "auto" {
+					want := Advise(g, kind)
+					if rec == nil || !reflect.DeepEqual(*rec, want) {
+						t.Errorf("%s: recommendation %+v, want %+v", name, rec, want)
+						continue
+					}
+					plan = want.Plan
+				} else if rec != nil {
+					t.Errorf("%s: a recommendation for a technique that is not auto", name)
+				}
+				if !ok {
+					continue
+				}
+				want, err := plan.Permute(g, kind)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if identity := len(plan.Stages()) == 0; (perm == nil) != identity {
+					t.Errorf("%s: nil permutation = %v for a plan whose identity = %v", name, perm == nil, identity)
+				} else if perm == nil {
+					perm = Identity(g.NumVertices())
+				}
+				if !slices.Equal(perm, want) {
+					t.Errorf("%s: permutation differs from the plan's", name)
+				}
+			}
 		}
 	}
 }

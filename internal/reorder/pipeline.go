@@ -82,17 +82,6 @@ func (p *Plan) PermuteWorkers(g *graph.Graph, kind graph.DegreeKind, workers int
 	return p.permuteContext(context.Background(), g, kind, workers)
 }
 
-// DegreeBased returns the plan's stage when the plan is one degree-based
-// technique, whose permutation of a graph is its PermuteDegrees of the
-// graph's degrees and average degree.
-func (p *Plan) DegreeBased() (DegreeBased, bool) {
-	if len(p.stages) != 1 {
-		return nil, false
-	}
-	db, ok := p.stages[0].(DegreeBased)
-	return db, ok
-}
-
 // permuteContext chains the stages, checking the context between them
 // (stage boundaries are the pipeline's cancellation points; a stage is
 // never torn apart). Intermediate relabels — a later stage must see the

@@ -31,8 +31,9 @@
 // layout it last published: the build hands it the reordered view, so
 // the original-order graph is dropped once the build ends. It exists
 // again only while a checkpoint writes it or a refresh plans from it (one
-// whose plan needs more than degrees, "auto" included), and is dropped
-// after use. Three things hold for what it publishes. Published arrays
+// whose plan needs more than degrees; a degree-based plan and "auto"
+// resolve from the degrees the graph maintains), and is dropped after
+// use. Three things hold for what it publishes. Published arrays
 // are never reused: a publish between refreshes patches the previous
 // epoch's CSR into freshly allocated arrays (graph.Patch) and nothing of
 // a snapshot that was ever published — CSR, ranks, permutation — is
@@ -63,19 +64,22 @@
 // precompute, encode, assemble. The snapshot's quality is its layout's
 // packing (reorder.EvaluatePacking, O(V), in assemble); the O(E) quality
 // pass runs only where encode resolves an "auto" backend. A snapshot
-// build runs the same stages; only its view stage differs (it applies the
-// spec's plan to the loaded graph where a live publish asks
-// dynamic.Reorderer.View), and BuildStatus reports the stage running. A
-// build that would only relabel by degrees skips that copy: an immutable
-// build from a file (not .csrz) keyed by out-degree, whose plan is one
-// degree-based technique (dbg, sort, hubsort, hubcluster) or "auto",
-// loads through graph.ReadAutoOrdered, which asks the plan — or the
-// advisor, from the degrees alone — for the order once the file's index
-// is read and writes each edge straight into its relabeled slot. Only the
-// served CSR is ever allocated, and the view stage just records the
-// permutation and the advice. Every other build (in-degree keys, plans
-// that read structure, compositions, .csrz sources, mutable builds, whose
-// dynamic graph starts from the as-loaded one) loads, then relabels. On a live publish each stage is a span on
+// build runs the same stages; only its view stage differs (buildOrder
+// puts the loaded graph in the spec's order where a live publish asks
+// dynamic.Reorderer.View), and BuildStatus reports the stage running.
+// The build, the file loader and a live refresh all turn a technique into
+// an order through reorder.Resolve, from a degree array and an edge count
+// (the advisor's verdict included, for "auto"); only a plan that reads
+// more than degrees (Gorder, random orders, compositions) runs on the
+// graph itself. A build that would only relabel by degrees skips that
+// copy: an immutable build from a file (not .csrz) keyed by out-degree
+// loads through graph.ReadAutoOrdered, which asks the view stage for the
+// order once the file's index is read and writes each edge straight into
+// its relabeled slot. Only the served CSR is ever allocated, and the view
+// stage just records the permutation and the advice. Every other build
+// (in-degree keys, plans that read structure, .csrz sources, mutable
+// builds, whose dynamic graph starts from the as-loaded one) loads, then
+// relabels. On a live publish each stage is a span on
 // the trace of every write the publish carries ("apply" precedes them,
 // once per batch) and a sample of graphd_publish_stage_seconds{stage},
 // with "swap" spanning assemble and the publish itself; the view span's

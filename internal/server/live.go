@@ -136,12 +136,6 @@ type liveGraph struct {
 	publishSpec
 	store *Store
 
-	// advised/adviceReason mirror the snapshot fields for "auto" builds;
-	// a refresher re-reorder re-advises, so they track the live graph's
-	// current skew verdict.
-	advised      string
-	adviceReason string
-
 	dyn   *dynamic.Graph
 	reord *dynamic.Reorderer
 
@@ -178,23 +172,22 @@ type liveGraph struct {
 // ps is the build's publish spec, base the graph in original order,
 // reordered the plain relabeled graph the build produced (the published
 // snapshot may serve a compressed encoding of it), snap the published
-// snapshot. The Reorderer is seeded with the build's ordering so the
-// first write does not redo it, and the dynamic graph adopts reordered
-// as its CSR in place of base, which nothing holds once the build ends.
-func newLiveGraph(st *Store, ps publishSpec, base, reordered *graph.Graph, snap *Snapshot, tech reorder.Technique, recovered *recoveredState) *liveGraph {
+// snapshot, order its view stage. The Reorderer is seeded with the
+// build's ordering and advice so the first write does not redo them, and
+// the dynamic graph adopts reordered as its CSR in place of base, which
+// nothing holds once the build ends.
+func newLiveGraph(st *Store, ps publishSpec, base, reordered *graph.Graph, snap *Snapshot, order *buildOrder, recovered *recoveredState) *liveGraph {
 	lg := &liveGraph{
-		publishSpec:  ps,
-		store:        st,
-		advised:      snap.advised,
-		adviceReason: snap.adviceReason,
-		dyn:          dynamic.FromGraph(base),
-		reord:        dynamic.NewReorderer(tech, ps.kind, st.livePolicy),
-		queue:        make(chan *mutateReq, liveQueueDepth),
-		stop:         make(chan struct{}),
+		publishSpec: ps,
+		store:       st,
+		dyn:         dynamic.FromGraph(base),
+		reord:       dynamic.NewReorderer(order.plan, ps.kind, st.livePolicy),
+		queue:       make(chan *mutateReq, liveQueueDepth),
+		stop:        make(chan struct{}),
 	}
 	// Publishes run on the single refresher goroutine; their CSR rebuilds
 	// (refresh and relabel alike) may use the store's engine workers.
-	lg.reord.Workers = st.workers
+	lg.reord.Workers, lg.reord.Advice = st.workers, order.rec
 	perm := snap.perm
 	if perm == nil {
 		perm = reorder.Identity(base.NumVertices())
@@ -469,32 +462,24 @@ func (lg *liveGraph) publish(traces []*obs.Trace) (*Snapshot, bool, error) {
 // view is a live publish's view stage: the Reorderer's view of the
 // dynamic graph under the stale permutation (the previous view patched
 // with the batch), or under a refreshed ordering. A refresh of an "auto"
-// snapshot also re-advises, from the original-order graph the refresh
-// planned from, so its recorded verdict follows the evolving degree
-// distribution. The precompute starts from the last published ranks.
+// snapshot re-advises from the maintained degrees, so its recorded
+// verdict follows the evolving degree distribution. The precompute
+// starts from the last published ranks.
 func (lg *liveGraph) view(p *publishJob) (string, error) {
 	start := time.Now()
 	r := lg.reord
 	tag := "patch"
 	if r.Due(lg.dyn) {
 		tag = "refresh"
-		var advise func(*graph.Graph)
-		if lg.techName == "auto" {
-			advise = func(pre *graph.Graph) {
-				rec := reorder.Advise(pre, lg.kind)
-				lg.advised, lg.adviceReason = rec.Spec, rec.Reason
-			}
-		}
-		if err := r.Refresh(lg.dyn, advise); err != nil {
-			return "", err
-		}
 	}
 	g, perm, err := r.View(lg.dyn)
 	if err != nil {
 		return "", err
 	}
 	p.g, p.snap.perm, p.warm = g, perm, lg.warmStart(perm)
-	p.snap.advised, p.snap.adviceReason = lg.advised, lg.adviceReason
+	if rec := r.Advice; rec != nil {
+		p.snap.advised, p.snap.adviceReason = rec.Spec, rec.Reason
+	}
 	if tag == "refresh" {
 		p.snap.reorderTime = time.Since(start)
 	} else {

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -14,6 +15,7 @@ import (
 	"weak"
 
 	"graphreorder/internal/graph"
+	"graphreorder/internal/reorder"
 )
 
 // liveServer builds one mutable snapshot named "live".
@@ -184,6 +186,56 @@ func TestMutatePolicyRefresh(t *testing.T) {
 	}
 	if m.Writes.P50Us <= 0 {
 		t.Error("write latency not recorded")
+	}
+}
+
+// TestLiveAutoRefreshReadvises: a mutable "auto" snapshot re-advises on
+// every refresh, from the degrees the live graph maintains. The snapshot
+// a refreshing write publishes carries the verdict Advise gives on the
+// live graph's original-order snapshot, and that verdict's plan's
+// permutation of it: sd is advised dbg, uni the identity.
+func TestLiveAutoRefreshReadvises(t *testing.T) {
+	for ds, advised := range map[string]string{"sd": "dbg", "uni": "original"} {
+		t.Run(ds, func(t *testing.T) {
+			s := New(Config{Workers: 1, QueryTimeout: 30 * time.Second, RefreshEvery: 2})
+			t.Cleanup(s.store.CloseLive)
+			if _, err := s.store.Build(BuildSpec{Name: "live", Dataset: ds, Scale: "tiny", Technique: "auto", Mutable: true}); err != nil {
+				t.Fatal(err)
+			}
+			h := s.Handler()
+			refreshed := false
+			for i := 0; !refreshed; i++ {
+				if i == 4 {
+					t.Fatal("4 writes at RefreshEvery 2 ran no refresh")
+				}
+				var res MutateResult
+				if code, body := postJSON(t, h, "/v1/snapshots/live/edges", MutateRequest{Updates: []MutateUpdate{
+					{Src: graph.VertexID(i), Dst: graph.VertexID(i + 7), Weight: 2}}}, &res); code != http.StatusOK {
+					t.Fatalf("write %d: %d %s", i, code, body)
+				}
+				refreshed = res.Refreshed
+			}
+			// The receipt came after the refresher's last touch of the graph.
+			orig, err := s.store.Live("live").dyn.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec := reorder.Advise(orig, graph.OutDegree)
+			want, err := rec.Plan.Permute(orig, graph.OutDegree)
+			if err != nil {
+				t.Fatal(err)
+			}
+			snap := s.store.Current()
+			if rec.Spec != advised {
+				t.Fatalf("%s advised %q, want %q", ds, rec.Spec, advised)
+			}
+			if snap.advised != rec.Spec || snap.adviceReason != rec.Reason {
+				t.Errorf("published advice %q (%s), want %q (%s)", snap.advised, snap.adviceReason, rec.Spec, rec.Reason)
+			}
+			if !slices.Equal(snap.perm, want) {
+				t.Error("the published permutation is not the advised plan's of the live graph")
+			}
+		})
 	}
 }
 
@@ -468,7 +520,11 @@ func TestLiveGraphHoldsOneCSR(t *testing.T) {
 		base := genGraph(t, "sd", "small")
 		n := base.NumVertices()
 		spec := BuildSpec{Name: "live", Technique: "dbg", Mutable: true}
-		if _, err := s.store.buildFrom(spec, &BuildStatus{}, base, nil, nil, "dataset:sd/small", graph.OutDegree, 0, nil); err != nil {
+		order, err := newBuildOrder(spec.Technique)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.store.buildFrom(spec, &BuildStatus{}, base, nil, order, "dataset:sd/small", graph.OutDegree, 0, nil); err != nil {
 			t.Fatal(err)
 		}
 		ptrs := []weak.Pointer[graph.Graph]{weak.Make(base)}

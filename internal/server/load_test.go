@@ -110,7 +110,11 @@ func TestBuildFromFileLoadsInOrder(t *testing.T) {
 				// The reference store takes the graph as ReadBinary gives
 				// it and relabels it in its view stage.
 				ref := NewStore(workers)
-				want, err := ref.buildFrom(spec, &BuildStatus{}, loaded, nil, nil, "file:"+path, graph.OutDegree, 0, nil)
+				order, err := newBuildOrder(spec.Technique)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := ref.buildFrom(spec, &BuildStatus{}, loaded, nil, order, "file:"+path, graph.OutDegree, 0, nil)
 				if err != nil {
 					t.Fatal(err)
 				}

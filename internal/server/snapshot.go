@@ -1,7 +1,6 @@
 package server
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"log/slog"
@@ -199,12 +198,12 @@ type SnapshotInfo struct {
 	OnDiskBytes      int64   `json:"on_disk_bytes,omitempty"`
 	CompressionRatio float64 `json:"compression_ratio"`
 	Built            string  `json:"built"`
-	// LoadMs is reading or generating the graph, ReorderMs computing its
-	// permutation and RebuildMs relabeling the CSR into it. A build from
-	// a file whose plan is one degree-based technique or "auto" (on
-	// out-degrees, immutable) relabels as it reads: the relabel is inside
-	// LoadMs, ReorderMs is choosing the order from the file's degrees
-	// (the advisor's verdict included) and RebuildMs is 0.
+	// LoadMs is reading or generating the graph, ReorderMs choosing its
+	// order (reorder.Resolve, the advisor's verdict included for "auto",
+	// or the plan's permutation of the graph) and RebuildMs relabeling
+	// the CSR into it. A build from a file whose plan is one degree-based
+	// technique or "auto" (on out-degrees, immutable) relabels as it
+	// reads: the relabel is inside LoadMs and RebuildMs is 0.
 	LoadMs       float64 `json:"load_ms"`
 	ReorderMs    float64 `json:"reorder_ms"`
 	RebuildMs    float64 `json:"rebuild_ms"`
@@ -751,6 +750,10 @@ func (st *Store) build(spec BuildSpec, status *BuildStatus) (*Snapshot, error) {
 	default:
 		return nil, fmt.Errorf("server: bad degree %q (want in|out)", spec.Degree)
 	}
+	order, err := newBuildOrder(spec.Technique)
+	if err != nil {
+		return nil, err
+	}
 
 	// Stage 0: recovery. A mutable name that is not currently live but
 	// left durable state behind (crash, restart) resumes from its last
@@ -768,14 +771,10 @@ func (st *Store) build(spec BuildSpec, status *BuildStatus) (*Snapshot, error) {
 	var (
 		g      *graph.Graph
 		source string
-		err    error
 	)
 	if recovered != nil {
-		g = recovered.base
-		source = recovered.source
 		st.bumpEpochFloor(recovered.epochFloor)
-		loadTime := time.Since(start)
-		return st.buildFrom(spec, status, g, nil, nil, source, kind, loadTime, recovered)
+		return st.buildFrom(spec, status, recovered.base, nil, order, recovered.source, kind, time.Since(start), recovered)
 	}
 	switch {
 	case spec.Dataset != "" && spec.Path != "":
@@ -811,16 +810,16 @@ func (st *Store) build(spec BuildSpec, status *BuildStatus) (*Snapshot, error) {
 			if err != nil {
 				return nil, err
 			}
-			source = "file:" + spec.Path
-			return st.buildFrom(spec, status, nil, cz, nil, source, kind, time.Since(start), nil)
+			return st.buildFrom(spec, status, nil, cz, order, "file:"+spec.Path, kind, time.Since(start), nil)
 		}
 		var f *os.File
 		if f, err = os.Open(spec.Path); err != nil {
 			return nil, err
 		}
-		order := loadOrderFor(spec, kind)
+		// The loader hands the chooser the file's out-degrees; a mutable
+		// build's dynamic graph starts from the as-loaded graph.
 		var choose graph.OrderChooser
-		if order != nil {
+		if !spec.Mutable && kind == graph.OutDegree {
 			choose = order.choose
 		}
 		g, _, err = graph.ReadAutoOrdered(f, choose)
@@ -828,78 +827,75 @@ func (st *Store) build(spec BuildSpec, status *BuildStatus) (*Snapshot, error) {
 		if err != nil {
 			return nil, err
 		}
-		loadTime := time.Since(start)
-		if order != nil {
-			loadTime -= order.took
-		}
-		return st.buildFrom(spec, status, g, nil, order, "file:"+spec.Path, kind, loadTime, nil)
+		return st.buildFrom(spec, status, g, nil, order, "file:"+spec.Path, kind, time.Since(start)-order.took, nil)
 	default:
 		return nil, errors.New("server: build spec needs dataset or path")
 	}
-	return st.buildFrom(spec, status, g, nil, nil, source, kind, time.Since(start), nil)
+	return st.buildFrom(spec, status, g, nil, order, source, kind, time.Since(start), nil)
 }
 
-// loadOrder relabels a build's graph as it is read from its file
-// (graph.ReadAutoOrdered), so that a build whose plan is one degree-based
-// technique, or "auto", allocates only the CSR it serves and never a
-// file-order one beside it: both plans need only the out-degrees, which
-// the file's index gives before any edge is read. It then stands in for
-// planView as the build's view stage.
-type loadOrder struct {
-	plan *reorder.Plan           // nil for "auto"
-	rec  *reorder.Recommendation // "auto"'s verdict
-	perm reorder.Permutation     // nil keeps the file's order
-	took time.Duration           // spent choosing the order
+// buildOrder is a build's view stage: it puts the loaded graph in the
+// order the spec's plan resolves to (reorder.Resolve, from the degrees
+// alone, the advisor's verdict included for "auto") and records that
+// order. A load from a file asks it first, through choose: the loader
+// then writes each edge straight into its relabeled slot, so only the
+// served CSR is ever allocated, and the view stage records what the load
+// chose. A plan that reads more than degrees, or a graph loaded in its
+// source's order, is relabeled in the view stage.
+type buildOrder struct {
+	plan   *reorder.Plan
+	loaded bool                    // the load chose the order and relabeled
+	perm   reorder.Permutation     // nil keeps the loaded order
+	rec    *reorder.Recommendation // the advisor's verdict, for "auto"
+	took   time.Duration           // spent choosing the order
 }
 
-// loadOrderFor returns the order a build from a file loads in, or nil
-// when the build loads in file order and relabels in its view stage: an
-// in-degree key, a mutable build (its dynamic graph keeps the as-loaded
-// graph), or a plan that is not one degree-based technique. A spec the
-// view stage would reject also gets nil, so buildFrom reports it.
-func loadOrderFor(spec BuildSpec, kind graph.DegreeKind) *loadOrder {
-	if spec.Mutable || kind != graph.OutDegree {
-		return nil
-	}
-	techName := techniqueName(spec.Technique)
-	if techName == "auto" {
-		return &loadOrder{}
-	}
-	plan, err := reorder.ParsePlan(techName)
+// newBuildOrder parses a BuildSpec.Technique into a build's order.
+func newBuildOrder(technique string) (*buildOrder, error) {
+	plan, err := reorder.ParsePlan(techniqueName(technique))
 	if err != nil {
-		return nil
+		return nil, err
 	}
-	if _, ok := plan.DegreeBased(); !ok {
-		return nil
-	}
-	return &loadOrder{plan: plan}
+	return &buildOrder{plan: plan}, nil
 }
 
-// choose is the load's graph.OrderChooser: the plan's permutation of the
-// file's out-degrees, after the advisor picked the plan for "auto".
-func (o *loadOrder) choose(degs []uint32, m int) ([]graph.VertexID, error) {
+// choose is a load's graph.OrderChooser: the order resolved from the
+// file's out-degrees, or nil (the file's order) when the plan reads more
+// than degrees.
+func (o *buildOrder) choose(degs []uint32, m int) ([]graph.VertexID, error) {
 	start := time.Now()
-	defer func() { o.took = time.Since(start) }()
-	plan := o.plan
-	if plan == nil {
-		rec := reorder.AdviseDegrees(degs, m)
-		o.rec, plan = &rec, rec.Plan
-	}
-	if len(plan.Stages()) == 0 {
+	perm, rec, ok := reorder.Resolve(o.plan, degs, m)
+	if !ok {
 		return nil, nil
 	}
-	db, ok := plan.DegreeBased()
-	if !ok {
-		return nil, fmt.Errorf("server: plan %s is not one degree-based technique", plan.Name())
-	}
-	o.perm = db.PermuteDegrees(degs, graph.AvgDegreeOf(len(degs), m))
-	return o.perm, nil
+	o.loaded, o.perm, o.rec, o.took = true, perm, rec, time.Since(start)
+	return perm, nil
 }
 
-// view is the view stage of a build that loaded in its final order: it
-// records what the load chose. The relabel was part of the load, so the
-// snapshot's rebuild time is zero.
-func (o *loadOrder) view(p *publishJob) (string, error) {
+// view resolves the order of a graph the load did not order and relabels
+// it; the identity plan passes the graph through as loaded, a .csrz
+// mapping included. It then records the order, the advice and the time
+// spent choosing (for a load that relabeled, its rebuild time stays 0).
+func (o *buildOrder) view(p *publishJob) (string, error) {
+	if !o.loaded && len(o.plan.Stages()) > 0 {
+		start := time.Now()
+		perm, rec, ok := reorder.Resolve(o.plan, p.g.Degrees(p.kind), p.g.NumEdges())
+		if !ok {
+			var err error
+			if perm, err = o.plan.PermuteWorkers(p.g, p.kind, p.store.workers); err != nil {
+				return "", fmt.Errorf("reorder: %s: %w", o.plan.Name(), err)
+			}
+		}
+		o.perm, o.rec, o.took = perm, rec, time.Since(start)
+		if perm != nil {
+			start = time.Now()
+			g, err := p.g.RelabelWorkers(perm, p.store.workers)
+			if err != nil {
+				return "", fmt.Errorf("reorder: %s: relabel: %w", o.plan.Name(), err)
+			}
+			p.g, p.snap.rebuildTime = g, time.Since(start)
+		}
+	}
 	p.snap.perm, p.snap.reorderTime = o.perm, o.took
 	if o.rec != nil {
 		p.snap.advised, p.snap.adviceReason = o.rec.Spec, o.rec.Reason
@@ -937,11 +933,11 @@ func resolveBackend(spec string, fromCSRZ bool) (string, error) {
 // buildFrom runs publishStages on an already loaded (or recovered) graph
 // and publishes the result. Exactly one of g (plain) and cz (a .csrz load,
 // possibly mmap-backed) is non-nil on entry; cz passes through zero-copy
-// when nothing forces the plain form. A non-nil order says g was loaded
-// in the order it chose, which then replaces the plan's view stage.
-func (st *Store) buildFrom(spec BuildSpec, status *BuildStatus, g *graph.Graph, cz *csrz.Graph, order *loadOrder,
+// when nothing forces the plain form. order is the build's view stage,
+// which may already have ordered g as it was loaded.
+func (st *Store) buildFrom(spec BuildSpec, status *BuildStatus, g *graph.Graph, cz *csrz.Graph, order *buildOrder,
 	source string, kind graph.DegreeKind, loadTime time.Duration, recovered *recoveredState) (*Snapshot, error) {
-	p := &publishJob{store: st, begin: status.setStage, g: g, cz: cz}
+	p := &publishJob{store: st, begin: status.setStage, g: g, cz: cz, view: order.view}
 	// Any early error must release a load-time mapping; once the snapshot
 	// publishes, its retire path owns the close instead.
 	published := false
@@ -955,31 +951,13 @@ func (st *Store) buildFrom(spec BuildSpec, status *BuildStatus, g *graph.Graph, 
 	if err != nil {
 		return nil, err
 	}
-	techName := techniqueName(spec.Technique)
-	// The empty plan is the identity, however the spec spelled it; "auto"
-	// gets its plan from the advisor in the view stage, and its mutation
-	// pipeline keeps re-advising on refresh, so a live graph whose skew
-	// grows into (or out of) the gate changes plan.
-	auto := techName == "auto"
-	plan := reorder.Compose()
-	var tech reorder.Technique = reorder.Auto{}
-	if !auto {
-		if plan, err = reorder.ParsePlan(techName); err != nil {
-			return nil, err
-		}
-		tech = plan
-	}
-	p.publishSpec = publishSpec{name: spec.Name, techName: techName, kind: kind, source: source,
+	p.publishSpec = publishSpec{name: spec.Name, techName: techniqueName(spec.Technique), kind: kind, source: source,
 		live: spec.Mutable, maxIters: spec.MaxIters, backend: backend, ranksPath: spec.RanksPath}
-	p.view = planView(plan, auto)
-	if order != nil {
-		p.view = order.view
-	}
 
 	// A .csrz load serves its mapped arrays directly only when nothing
 	// needs the plain form: reordering, the advisor, a mutation pipeline
 	// and the plain backend all decode first.
-	if cz != nil && (len(plan.Stages()) > 0 || auto || spec.Mutable || backend == backendPlain) {
+	if cz != nil && (len(order.plan.Stages()) > 0 || spec.Mutable || backend == backendPlain) {
 		if err := p.decode(); err != nil {
 			return nil, err
 		}
@@ -1004,33 +982,9 @@ func (st *Store) buildFrom(spec BuildSpec, status *BuildStatus, g *graph.Graph, 
 	}
 	published = true
 	if spec.Mutable {
-		st.registerLive(newLiveGraph(st, p.publishSpec, base, p.g, snap, tech, recovered))
+		st.registerLive(newLiveGraph(st, p.publishSpec, base, p.g, snap, order, recovered))
 	}
 	return snap, nil
-}
-
-// planView is a build's view stage: it applies plan to the loaded graph
-// (the advisor's plan, recording its verdict, for "auto") or, when the
-// plan is the identity, passes the graph through as loaded, a .csrz
-// mapping included.
-func planView(plan *reorder.Plan, auto bool) func(*publishJob) (string, error) {
-	return func(p *publishJob) (string, error) {
-		if auto {
-			rec := reorder.Advise(p.g, p.kind)
-			plan, p.snap.advised, p.snap.adviceReason = rec.Plan, rec.Spec, rec.Reason
-		}
-		if len(plan.Stages()) == 0 {
-			return "", nil
-		}
-		//lint:allow ctxflow a snapshot build runs to completion even if the triggering request dies
-		res, err := plan.ApplyContext(context.Background(), p.g, p.kind, p.store.workers)
-		if err != nil {
-			return "", err
-		}
-		p.g, p.snap.perm = res.Graph, res.Perm
-		p.snap.reorderTime, p.snap.rebuildTime = res.ReorderTime, res.RebuildTime
-		return "", nil
-	}
 }
 
 // publish inserts snap into the table, optionally making it current,

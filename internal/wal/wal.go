@@ -31,7 +31,6 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
-	"sync/atomic"
 	"time"
 
 	"graphreorder/internal/dynamic"
@@ -85,20 +84,10 @@ func ParseSyncPolicy(s string) (SyncPolicy, time.Duration, error) {
 	}
 }
 
-// Stats aggregates WAL activity; a Store shares one Stats across all of
-// its logs so /metrics sees totals that survive log close/reopen.
-type Stats struct {
-	Records     atomic.Uint64 // records appended
-	Bytes       atomic.Uint64 // bytes appended
-	Fsyncs      atomic.Uint64 // fsync calls issued
-	Truncations atomic.Uint64 // rewinds + torn/corrupt tails dropped
-}
-
 // Options configures a Log.
 type Options struct {
 	Policy   SyncPolicy
 	Interval time.Duration // for SyncInterval
-	Stats    *Stats        // optional shared counters
 }
 
 const (
@@ -138,7 +127,7 @@ type Log struct {
 	lastSync time.Time
 	dirty    bool
 	broken   bool
-	stats    *Stats
+	fsyncs   int // fsyncs issued, read by the sync policy tests
 	scratch  []byte
 }
 
@@ -164,17 +153,10 @@ func Open(path string, startOff int64, opts Options) (*Log, error) {
 			f.Close()
 			return nil, err
 		}
-		if opts.Stats != nil {
-			opts.Stats.Truncations.Add(1)
-		}
 	}
 	if _, err := f.Seek(startOff, io.SeekStart); err != nil {
 		f.Close()
 		return nil, err
-	}
-	stats := opts.Stats
-	if stats == nil {
-		stats = &Stats{}
 	}
 	return &Log{
 		f:        f,
@@ -183,7 +165,6 @@ func Open(path string, startOff int64, opts Options) (*Log, error) {
 		policy:   opts.Policy,
 		interval: opts.Interval,
 		lastSync: time.Now(),
-		stats:    stats,
 	}, nil
 }
 
@@ -243,8 +224,6 @@ func (l *Log) appendRecord(payload []byte) error {
 	}
 	l.off += int64(len(rec))
 	l.dirty = true
-	l.stats.Records.Add(1)
-	l.stats.Bytes.Add(uint64(len(rec)))
 	return nil
 }
 
@@ -302,7 +281,7 @@ func (l *Log) Sync() error {
 	}
 	l.dirty = false
 	l.lastSync = time.Now()
-	l.stats.Fsyncs.Add(1)
+	l.fsyncs++
 	if err := faultinject.Fire("wal.crash-after-fsync"); err != nil {
 		return err
 	}
@@ -349,7 +328,6 @@ func (l *Log) Rewind(off int64) error {
 	}
 	l.off = off
 	l.dirty = true
-	l.stats.Truncations.Add(1)
 	return nil
 }
 

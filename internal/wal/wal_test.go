@@ -204,8 +204,7 @@ func TestCorruptionRecovery(t *testing.T) {
 
 			// Reopening at GoodOffset drops the bad tail; appending and
 			// replaying again must see old good batches plus the new one.
-			var stats Stats
-			l, err := Open(path, res.GoodOffset, Options{Policy: SyncAlways, Stats: &stats})
+			l, err := Open(path, res.GoodOffset, Options{Policy: SyncAlways})
 			if err != nil {
 				t.Fatalf("reopen: %v", err)
 			}
@@ -287,8 +286,7 @@ func TestResetEmptiesLog(t *testing.T) {
 func TestSyncPolicies(t *testing.T) {
 	t.Run("never", func(t *testing.T) {
 		path := filepath.Join(t.TempDir(), "w.wal")
-		var stats Stats
-		l, err := Open(path, -1, Options{Policy: SyncNever, Stats: &stats})
+		l, err := Open(path, -1, Options{Policy: SyncNever})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -299,7 +297,7 @@ func TestSyncPolicies(t *testing.T) {
 		if err := l.MaybeSync(); err != nil {
 			t.Fatal(err)
 		}
-		if got := stats.Fsyncs.Load(); got != 0 {
+		if got := l.fsyncs; got != 0 {
 			t.Fatalf("SyncNever fsynced %d times", got)
 		}
 		if l.Synced() {
@@ -308,8 +306,7 @@ func TestSyncPolicies(t *testing.T) {
 	})
 	t.Run("always", func(t *testing.T) {
 		path := filepath.Join(t.TempDir(), "w.wal")
-		var stats Stats
-		l, err := Open(path, -1, Options{Policy: SyncAlways, Stats: &stats})
+		l, err := Open(path, -1, Options{Policy: SyncAlways})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -320,7 +317,7 @@ func TestSyncPolicies(t *testing.T) {
 		if err := l.MaybeSync(); err != nil {
 			t.Fatal(err)
 		}
-		if got := stats.Fsyncs.Load(); got != 1 {
+		if got := l.fsyncs; got != 1 {
 			t.Fatalf("fsyncs = %d, want 1", got)
 		}
 		if !l.Synced() {
