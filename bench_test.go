@@ -14,8 +14,8 @@ import (
 )
 
 // benchRunner builds a quiet, minimal-options runner per benchmark
-// iteration set. The runner caches graphs and reorderings, so b.N
-// iterations measure the steady-state cost of the experiment driver.
+// iteration set. The runner keeps nothing between runs, so each of the
+// b.N iterations generates, reorders and measures everything anew.
 func benchRunner() *harness.Runner {
 	return harness.NewRunner(harness.Options{
 		Scale:       gen.Tiny,

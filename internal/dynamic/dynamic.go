@@ -566,9 +566,19 @@ func (r *Reorderer) Seed(d *Graph, view *graph.Graph, perm reorder.Permutation) 
 }
 
 // install makes perm d's ordering and view, d's graph relabeled by perm,
-// its CSR; a nil view is d's CSR relabeled, with nothing pending.
+// its CSR; a nil view is d's CSR relabeled, with nothing pending — or d's
+// CSR as it is when perm is the order it is already in.
 func (r *Reorderer) install(d *Graph, view *graph.Graph, perm reorder.Permutation) error {
-	if view == nil {
+	var inv reorder.Permutation
+	switch {
+	case view != nil:
+	case inLayout(d.csr, d.inv, perm):
+		// d.inv is perm's inverse, or perm is the identity and its own.
+		view, inv = d.csr, d.inv
+		if inv == nil {
+			inv = perm
+		}
+	default:
 		newID := perm
 		if d.inv != nil {
 			newID = d.inv.Compose(perm) // CSR ID -> original ID -> new ID
@@ -578,11 +588,33 @@ func (r *Reorderer) install(d *Graph, view *graph.Graph, perm reorder.Permutatio
 			return err
 		}
 	}
-	d.set(view, perm, perm.Inverse())
+	if inv == nil {
+		inv = perm.Inverse()
+	}
+	d.set(view, perm, inv)
 	d.layouts++
 	r.of, r.layout, r.perm, r.batchesAtPerm, r.seq = d, d.layouts, perm, d.Batches(), d.csrSeq
 	r.Refreshes++
 	return nil
+}
+
+// inLayout reports whether csr, whose vertex c is original vertex inv[c]
+// (c itself for a nil inv), already has every vertex where perm puts it:
+// relabeling it by perm would be the identity.
+func inLayout(csr *graph.Graph, inv, perm reorder.Permutation) bool {
+	if len(perm) != csr.NumVertices() || (inv != nil && len(inv) != len(perm)) {
+		return false
+	}
+	for c := range perm {
+		v := c
+		if inv != nil {
+			v = int(inv[c])
+		}
+		if int(perm[v]) != c {
+			return false
+		}
+	}
+	return true
 }
 
 // Due reports whether the next View of d refreshes the ordering: there

@@ -469,3 +469,62 @@ func TestAutoRefreshAllocatesLikeDBG(t *testing.T) {
 		t.Errorf("an auto refresh allocated %d B, more than %.2fx a dbg refresh's %d B", auto, 1+eps, dbg)
 	}
 }
+
+// TestUnchangedRefreshAllocatesLikeFold pins a refresh whose order is the
+// one the CSR is already in — an original-order snapshot, or a DBG one
+// where the pending edit moved no vertex across a group — to what a View
+// that only folds that edit allocates, within a stated epsilon for the
+// refresh's O(V) arrays: the CSR is installed as the fold left it, not
+// relabeled by the identity (which allocated 2.1x).
+func TestUnchangedRefreshAllocatesLikeFold(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's own allocations are counted")
+	}
+	const eps = 0.05
+	g, err := gen.Generate(gen.MustDataset("sd", gen.Small))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The edit leaves a vertex of the lowest out-degree: under DBG it stays
+	// in the coldest group, so the recomputed order is the installed one.
+	src := graph.VertexID(0)
+	for v := range g.NumVertices() {
+		if g.OutDegree(graph.VertexID(v)) < g.OutDegree(src) {
+			src = graph.VertexID(v)
+		}
+	}
+	edit := []Update{{Edge: graph.Edge{Src: src, Dst: 4, Weight: 2}}}
+	for _, tech := range []reorder.Technique{reorder.IdentityTechnique{}, reorder.NewDBG()} {
+		// measure returns the bytes step allocates on a graph whose view
+		// is installed and which holds one pending edit.
+		measure := func(step func(*Reorderer, *Graph) error) uint64 {
+			d := FromGraph(g)
+			r := NewReorderer(tech, graph.OutDegree, Policy{})
+			if _, _, err := r.View(d); err != nil {
+				t.Fatal(err)
+			}
+			installed := r.perm
+			if err := d.Apply(edit); err != nil {
+				t.Fatal(err)
+			}
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			if err := step(r, d); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			if !slices.Equal(r.perm, installed) {
+				t.Fatalf("%s: the edit changed the order; the pin needs one that does not", tech.Name())
+			}
+			return after.TotalAlloc - before.TotalAlloc
+		}
+		fold := measure(func(r *Reorderer, d *Graph) error { _, _, err := r.View(d); return err })
+		refresh := measure((*Reorderer).Refresh)
+		t.Logf("%s on sd/small, one pending edit: a fold allocates %d B, an unchanged refresh %d B (%.3fx)",
+			tech.Name(), fold, refresh, float64(refresh)/float64(fold))
+		if float64(refresh) > (1+eps)*float64(fold) {
+			t.Errorf("%s: an unchanged refresh allocated %d B, more than %.2fx a fold's %d B", tech.Name(), refresh, 1+eps, fold)
+		}
+	}
+}

@@ -3,6 +3,7 @@ package harness
 import (
 	"fmt"
 
+	"graphreorder/internal/apps"
 	"graphreorder/internal/gen"
 	"graphreorder/internal/reorder"
 	"graphreorder/internal/stats"
@@ -14,56 +15,51 @@ import (
 // Reported on one unstructured (sd) and one structured (mp) dataset for
 // the PR application, plus a structure-disruption proxy.
 func (r *Runner) AblationGroups() error {
-	var configs []ablationConfig
-	configs = append(configs, ablationConfig{"HubCluster (K=2)", reorder.HubCluster{}})
+	labels := []string{"HubCluster (K=2)", "DBG K=4", "DBG K=8", "DBG K=16", "DBG paper-8", "Sort (K=inf)"}
+	techs := []reorder.Technique{reorder.HubCluster{}}
 	for _, k := range []int{4, 8, 16} {
 		d, err := reorder.NewDBGGeometric(k)
 		if err != nil {
 			return err
 		}
-		configs = append(configs, ablationConfig{fmt.Sprintf("DBG K=%d", k), d})
+		techs = append(techs, d)
 	}
-	configs = append(configs, ablationConfig{"DBG paper-8", reorder.NewDBG()})
-	configs = append(configs, ablationConfig{"Sort (K=inf)", reorder.SortTechnique{}})
+	techs = append(techs, reorder.NewDBG(), reorder.SortTechnique{})
 
-	grid, _, err := r.speedupGrid([]string{"PR"}, []string{"sd", "mp"}, techsOf(configs))
+	spec, err := apps.ByName("PR")
+	if err != nil {
+		return err
+	}
+	specs := []apps.Spec{spec}
+	gr := newGrid(specs, []string{"sd", "mp"}, len(techs))
+	var origDist float64
+	dist := make([]float64, len(techs)) // mean |src-dst| on mp per config
+	err = r.walk([]string{"sd", "mp"}, techs, kindsOf(specs), func(l layout) error {
+		if l.ds == "mp" {
+			d := stats.MeanNeighborIDDistance(l.graph())
+			if l.res == nil {
+				origDist = d
+			} else {
+				dist[l.ti] = d
+			}
+		}
+		return r.timeCells(gr, specs, l)
+	})
 	if err != nil {
 		return err
 	}
 	t := NewTable("Ablation — DBG group-count sweep (PR speed-up % and structure disruption)",
 		"config", "sd (unstructured)", "mp (structured)", "mp mean |src-dst| after reorder")
-	for i, c := range configs {
-		res, err := r.Reorder("mp", c.tech, bestKind("mp"))
-		if err != nil {
-			return err
-		}
-		t.Add(c.label,
-			fmt.Sprintf("%+.1f", grid["PR"]["sd"][i]),
-			fmt.Sprintf("%+.1f", grid["PR"]["mp"][i]),
-			fmt.Sprintf("%.0f", stats.MeanNeighborIDDistance(res.Graph)))
+	for i, label := range labels {
+		t.Add(label,
+			fmt.Sprintf("%+.1f", gr["PR"]["sd"][i].speedup()),
+			fmt.Sprintf("%+.1f", gr["PR"]["mp"][i].speedup()),
+			fmt.Sprintf("%.0f", dist[i]))
 	}
-	g, err := r.Graph("mp")
-	if err != nil {
-		return err
-	}
-	t.Note("mp original mean |src-dst| ID distance: %.0f (lower = more ordering locality).", stats.MeanNeighborIDDistance(g))
+	t.Note("mp original mean |src-dst| ID distance: %.0f (lower = more ordering locality).", origDist)
 	t.Note("Expected: speed-up on structured mp degrades as K grows (finer reordering, more disruption).")
 	t.Render(r.out())
 	return nil
-}
-
-// ablationConfig labels a technique variant in an ablation sweep.
-type ablationConfig struct {
-	label string
-	tech  reorder.Technique
-}
-
-func techsOf(configs []ablationConfig) []reorder.Technique {
-	out := make([]reorder.Technique, len(configs))
-	for i, c := range configs {
-		out[i] = c.tech
-	}
-	return out
 }
 
 // AblationGorderDBG reproduces the §VII composition study: DBG applied on
@@ -75,11 +71,11 @@ func (r *Runner) AblationGorderDBG() error {
 		reorder.Compose(reorder.Gorder{}, reorder.NewDBG()),
 		reorder.NewDBG(),
 	}
-	grid, _, err := r.speedupGrid(appNames(), gen.SkewedNames(), techs)
+	gr, err := r.timeGrid(apps.All(), gen.SkewedNames(), techs)
 	if err != nil {
 		return err
 	}
-	t := geomeanTable("Ablation — Gorder+DBG composition, geomean speed-up % across 5 apps", grid, gen.SkewedNames(), techs)
+	t := geomeanTable("Ablation — Gorder+DBG composition, geomean speed-up % across 5 apps", gr, gen.SkewedNames(), techs)
 	t.Note("Paper: Gorder+DBG 17.2%% vs Gorder 18.6%% across 40 datapoints — composition keeps most of the benefit.")
 	t.Render(r.out())
 	return nil

@@ -6,28 +6,9 @@ import (
 	"graphreorder/internal/apps"
 	"graphreorder/internal/cachesim"
 	"graphreorder/internal/gen"
+	"graphreorder/internal/graph"
 	"graphreorder/internal/reorder"
-	"graphreorder/internal/trace"
 )
-
-// simStats runs the trace-driven simulation of spec on dataset reordered
-// by tech and returns the cache statistics.
-func (r *Runner) simStats(dataset string, spec apps.Spec, tech reorder.Technique, maxIters int) (cachesim.Stats, error) {
-	g, err := r.Graph(dataset)
-	if err != nil {
-		return cachesim.Stats{}, err
-	}
-	roots := r.Roots(g, max(spec.NumRoots, 1))
-	machine := trace.MachineFor(r.opts.Scale)
-	if _, ok := tech.(reorder.IdentityTechnique); ok || tech == nil {
-		return trace.Simulate(spec, g, roots, machine, maxIters)
-	}
-	res, err := r.Reorder(dataset, tech, spec.ReorderDegree())
-	if err != nil {
-		return cachesim.Stats{}, err
-	}
-	return trace.Simulate(spec, res.Graph, MapRoots(roots, res.Perm), machine, maxIters)
-}
 
 // fig8Iters caps the simulated PR iterations: MPKI is a steady-state rate,
 // so a couple of iterations after warm-up suffice.
@@ -40,23 +21,22 @@ func (r *Runner) Fig8() error {
 	if err != nil {
 		return err
 	}
-	orderings := append([]reorder.Technique{reorder.IdentityTechnique{}}, reorder.Evaluated()...)
-	// stats[dataset][ordering]
-	all := make(map[string][]cachesim.Stats)
-	for _, ds := range gen.SkewedNames() {
-		for _, tech := range orderings {
-			st, err := r.simStats(ds, spec, tech, fig8Iters)
-			if err != nil {
-				return fmt.Errorf("harness: fig8 %s/%s: %w", ds, tech.Name(), err)
-			}
-			all[ds] = append(all[ds], st)
-		}
+	techs := reorder.Evaluated()
+	all := make(map[string][]cachesim.Stats) // dataset -> Original, then techs
+	err = r.walk(gen.SkewedNames(), techs, []graph.DegreeKind{spec.ReorderDegree()}, func(l layout) error {
+		st, err := r.simulate(spec, l, fig8Iters)
+		all[l.ds] = append(all[l.ds], st)
+		return err
+	})
+	if err != nil {
+		return err
 	}
+	orderings := append([]string{reorder.IdentityTechnique{}.Name()}, techNames(techs)...)
 	for level := 1; level <= 3; level++ {
 		t := NewTable(fmt.Sprintf("Fig. 8(%c) — L%d MPKI for PR (simulated; lower is better)", 'a'+level-1, level),
 			append([]string{"ordering"}, gen.SkewedNames()...)...)
-		for ti, tech := range orderings {
-			cells := []string{tech.Name()}
+		for ti, name := range orderings {
+			cells := []string{name}
 			for _, ds := range gen.SkewedNames() {
 				cells = append(cells, fmt.Sprintf("%.1f", all[ds][ti].MPKI(level)))
 			}
@@ -81,29 +61,46 @@ const fig9Iters = 5
 // ordering and after DBG, from the simulated dual-socket machine. Each is
 // simulated as it executes, so PRD's row is a pull's.
 func (r *Runner) Fig9() error {
-	for _, cfg := range []struct {
-		title string
-		tech  reorder.Technique
-	}{
-		{"Fig. 9(a) — break-up of L2 misses, original ordering", reorder.IdentityTechnique{}},
-		{"Fig. 9(b) — break-up of L2 misses, DBG ordering", reorder.NewDBG()},
-	} {
-		t := NewTable(cfg.title+" (%)",
-			"app/dataset", "L3 hits", "snoop (same socket)", "snoop (remote)", "off-chip")
-		for _, appName := range []string{"SSSP", "PRD"} {
-			spec, err := apps.ByName(appName)
-			if err != nil {
-				return err
+	var specs []apps.Spec
+	for _, name := range []string{"SSSP", "PRD"} {
+		spec, err := apps.ByName(name)
+		if err != nil {
+			return err
+		}
+		specs = append(specs, spec)
+	}
+	// rows[ordering][app] holds one row per dataset: the original
+	// ordering's, then DBG's.
+	var rows [2][2][][]string
+	err := r.walk(gen.SkewedNames(), []reorder.Technique{reorder.NewDBG()}, kindsOf(specs), func(l layout) error {
+		for a, spec := range specs {
+			if !l.serves(spec) {
+				continue
 			}
-			for _, ds := range gen.SkewedNames() {
-				st, err := r.simStats(ds, spec, cfg.tech, fig9Iters)
-				if err != nil {
-					return fmt.Errorf("harness: fig9 %s/%s: %w", appName, ds, err)
-				}
-				l3, sl, sr, off := st.L2MissBreakdown()
-				t.Add(fmt.Sprintf("%s/%s", appName, ds),
-					fmt.Sprintf("%.1f", l3*100), fmt.Sprintf("%.1f", sl*100),
-					fmt.Sprintf("%.1f", sr*100), fmt.Sprintf("%.1f", off*100))
+			st, err := r.simulate(spec, l, fig9Iters)
+			if err != nil {
+				return fmt.Errorf("%s: %w", spec.Name, err)
+			}
+			l3, sl, sr, off := st.L2MissBreakdown()
+			o := l.ti + 1 // -1 for the original ordering, 0 for DBG
+			rows[o][a] = append(rows[o][a], []string{fmt.Sprintf("%s/%s", spec.Name, l.ds),
+				fmt.Sprintf("%.1f", l3*100), fmt.Sprintf("%.1f", sl*100),
+				fmt.Sprintf("%.1f", sr*100), fmt.Sprintf("%.1f", off*100)})
+		}
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+	for o, title := range []string{
+		"Fig. 9(a) — break-up of L2 misses, original ordering",
+		"Fig. 9(b) — break-up of L2 misses, DBG ordering",
+	} {
+		t := NewTable(title+" (%)",
+			"app/dataset", "L3 hits", "snoop (same socket)", "snoop (remote)", "off-chip")
+		for _, appRows := range rows[o] {
+			for _, row := range appRows {
+				t.Add(row...)
 			}
 		}
 		t.Note("Paper: PRD's snoop share (26.9-69.4%% original) far exceeds SSSP's (<15%%);")

@@ -6,6 +6,7 @@ import (
 
 	"graphreorder/internal/apps"
 	"graphreorder/internal/csrz"
+	"graphreorder/internal/graph"
 	"graphreorder/internal/reorder"
 )
 
@@ -25,50 +26,39 @@ func (r *Runner) CompressTable() error {
 	if err != nil {
 		return err
 	}
-	datasets := []string{"sd", "lj", "uni"}
-	techs := []reorder.Technique{reorder.IdentityTechnique{}, reorder.HubCluster{}, reorder.NewDBG()}
 	t := NewTable("Compressed CSR backend — predicted vs realized ratio, PR overhead",
 		"dataset", "technique", "avg gap", "pred ratio", "real ratio", "both dirs", "PR plain", "PR csrz", "overhead %")
-	for _, ds := range datasets {
-		g, err := r.Graph(ds)
+	techs := []reorder.Technique{reorder.HubCluster{}, reorder.NewDBG()}
+	err = r.walk([]string{"sd", "lj", "uni"}, techs, []graph.DegreeKind{spec.ReorderDegree()}, func(l layout) error {
+		target, roots := l.graph(), l.roots(r, r.opts.RootsPerApp)
+		quality := reorder.Evaluate(target, spec.ReorderDegree(), nil)
+		cz := csrz.Encode(target)
+		st := cz.Stats()
+		realizedOut := float64(target.NumEdges()) * 4 / float64(st.OutAdjBytes)
+		plainM, err := r.MeasureApp(spec, target, roots)
 		if err != nil {
 			return err
 		}
-		roots := r.Roots(g, r.opts.RootsPerApp)
-		for _, tech := range techs {
-			target, mappedRoots := g, roots
-			if _, identity := tech.(reorder.IdentityTechnique); !identity {
-				res, err := r.Reorder(ds, tech, spec.ReorderDegree())
-				if err != nil {
-					return err
-				}
-				target, mappedRoots = res.Graph, MapRoots(roots, res.Perm)
-			}
-			quality := reorder.Evaluate(target, spec.ReorderDegree(), nil)
-			cz := csrz.Encode(target)
-			st := cz.Stats()
-			realizedOut := float64(target.NumEdges()) * 4 / float64(st.OutAdjBytes)
-			plainM, err := r.MeasureApp(spec, target, mappedRoots)
-			if err != nil {
-				return err
-			}
-			czM, err := r.MeasureApp(spec, cz, mappedRoots)
-			if err != nil {
-				return err
-			}
-			overhead := 0.0
-			if plainM.Mean > 0 {
-				overhead = 100 * (float64(czM.Mean)/float64(plainM.Mean) - 1)
-			}
-			t.Add(ds, tech.Name(),
-				fmt.Sprintf("%.0f", quality.AvgNeighborGap),
-				fmt.Sprintf("%.2f", quality.PredictedRatio),
-				fmt.Sprintf("%.2f", realizedOut),
-				fmt.Sprintf("%.2f", st.Ratio),
-				plainM.Mean.Round(10*time.Microsecond).String(),
-				czM.Mean.Round(10*time.Microsecond).String(),
-				fmt.Sprintf("%+.0f", overhead))
+		czM, err := r.MeasureApp(spec, cz, roots)
+		if err != nil {
+			return err
 		}
+		overhead := 0.0
+		if plainM.Mean > 0 {
+			overhead = 100 * (float64(czM.Mean)/float64(plainM.Mean) - 1)
+		}
+		t.Add(l.ds, l.name(),
+			fmt.Sprintf("%.0f", quality.AvgNeighborGap),
+			fmt.Sprintf("%.2f", quality.PredictedRatio),
+			fmt.Sprintf("%.2f", realizedOut),
+			fmt.Sprintf("%.2f", st.Ratio),
+			plainM.Mean.Round(10*time.Microsecond).String(),
+			czM.Mean.Round(10*time.Microsecond).String(),
+			fmt.Sprintf("%+.0f", overhead))
+		return nil
+	})
+	if err != nil {
+		return err
 	}
 	t.Note("pred ratio is computed from the permutation alone (exact varint cost, out direction);")
 	t.Note("real ratio is the encoder's out-direction result — the two match by construction.")

@@ -3,7 +3,6 @@ package harness
 import (
 	"fmt"
 	"math"
-	"time"
 
 	"graphreorder/internal/apps"
 	"graphreorder/internal/reorder"
@@ -13,47 +12,28 @@ import (
 // structured datasets, as in the paper's Fig. 10.
 func fig10Datasets() []string { return []string{"tw", "sd", "fr", "mp"} }
 
-// netSpeedup computes end-to-end speed-up including the reordering cost:
-// baseline app time vs (reorder + rebuild + reordered app time).
-func (r *Runner) netSpeedup(dataset string, spec apps.Spec, tech reorder.Technique) (float64, error) {
-	baseM, _, err := r.appTime(dataset, spec, reorder.IdentityTechnique{})
-	if err != nil {
-		return 0, err
-	}
-	m, res, err := r.appTime(dataset, spec, tech)
-	if err != nil {
-		return 0, err
-	}
-	total := m.Mean + r.ReorderCost(res, tech)
-	return SpeedupPercent(baseM.Mean, total), nil
-}
-
 // Fig10 regenerates Fig. 10: net speed-up (including reordering time) for
 // every application on tw, sd, fr and mp.
 func (r *Runner) Fig10() error {
 	techs := r.evaluatedTechniques()
 	datasets := fig10Datasets()
-	perTech := make(map[string][]float64)
+	gr, err := r.timeGrid(apps.All(), datasets, techs)
+	if err != nil {
+		return err
+	}
 	for _, spec := range apps.All() {
-		t := NewTable(fmt.Sprintf("Fig. 10 — %s net speed-up %% (including reordering time)", spec.Name),
-			append([]string{"technique"}, datasets...)...)
-		for _, tech := range techs {
-			cells := []string{tech.Name()}
-			for _, ds := range datasets {
-				s, err := r.netSpeedup(ds, spec, tech)
-				if err != nil {
-					return err
-				}
-				perTech[tech.Name()] = append(perTech[tech.Name()], s)
-				cells = append(cells, fmt.Sprintf("%+.1f", s))
-			}
-			t.Add(cells...)
-		}
-		t.Render(r.out())
+		techTable(fmt.Sprintf("Fig. 10 — %s net speed-up %% (including reordering time)", spec.Name), "technique", techs, datasets,
+			func(ds string, ti int) float64 { return gr[spec.Name][ds][ti].net(1) }).Render(r.out())
 	}
 	t := NewTable("Fig. 10 — geomean net speed-up % across 5 apps x 4 datasets", "technique", "GMean")
-	for _, tech := range techs {
-		t.Add(tech.Name(), fmt.Sprintf("%+.1f", GeoMeanSpeedup(perTech[tech.Name()])))
+	for ti, tech := range techs {
+		var all []float64
+		for _, spec := range apps.All() {
+			for _, ds := range datasets {
+				all = append(all, gr[spec.Name][ds][ti].net(1))
+			}
+		}
+		t.Add(tech.Name(), fmt.Sprintf("%+.1f", GeoMeanSpeedup(all)))
 	}
 	t.Note("Paper: only DBG nets a positive average (+6.2%%); Gorder causes severe slowdowns (to -96.5%%).")
 	t.Render(r.out())
@@ -69,52 +49,19 @@ func (r *Runner) Fig11() error {
 	}
 	techs := r.evaluatedTechniques()
 	datasets := fig10Datasets()
-	traversalCounts := []int{1, 8, 16, 32}
-
-	// Per-traversal times: measure a single traversal on each ordering.
-	type times struct {
-		basePer time.Duration
-		techPer map[string]time.Duration
-		cost    map[string]time.Duration
+	// Per-traversal times: a single traversal on each ordering.
+	gr, err := r.timeGrid([]apps.Spec{singleRootSpec(spec)}, datasets, techs)
+	if err != nil {
+		return err
 	}
-	perDS := make(map[string]*times)
-	for _, ds := range datasets {
-		g, err := r.Graph(ds)
-		if err != nil {
-			return err
-		}
-		roots := r.Roots(g, 1)
-		baseM, err := r.MeasureApp(singleRootSpec(spec), g, roots)
-		if err != nil {
-			return err
-		}
-		tt := &times{basePer: baseM.Mean, techPer: map[string]time.Duration{}, cost: map[string]time.Duration{}}
-		for _, tech := range techs {
-			res, err := r.Reorder(ds, tech, spec.ReorderDegree())
-			if err != nil {
-				return err
-			}
-			m, err := r.MeasureApp(singleRootSpec(spec), res.Graph, MapRoots(roots, res.Perm))
-			if err != nil {
-				return err
-			}
-			tt.techPer[tech.Name()] = m.Mean
-			tt.cost[tech.Name()] = r.ReorderCost(res, tech)
-		}
-		perDS[ds] = tt
-	}
-
-	for _, k := range traversalCounts {
+	for _, k := range []int{1, 8, 16, 32} {
 		t := NewTable(fmt.Sprintf("Fig. 11 — SSSP net speed-up %%, %d traversal(s)", k),
 			append([]string{"technique"}, append(datasets, "GMean")...)...)
-		for _, tech := range techs {
+		for ti, tech := range techs {
 			cells := []string{tech.Name()}
 			var all []float64
 			for _, ds := range datasets {
-				tt := perDS[ds]
-				base := time.Duration(k) * tt.basePer
-				cand := tt.cost[tech.Name()] + time.Duration(k)*tt.techPer[tech.Name()]
-				s := SpeedupPercent(base, cand)
+				s := gr[spec.Name][ds][ti].net(k)
 				all = append(all, s)
 				cells = append(cells, fmt.Sprintf("%+.1f", s))
 			}
@@ -128,7 +75,7 @@ func (r *Runner) Fig11() error {
 }
 
 // singleRootSpec wraps a root-dependent spec so MeasureApp runs exactly
-// one traversal (Fig. 11 and Table XII need per-traversal times).
+// one traversal (Fig. 11 needs per-traversal times).
 func singleRootSpec(spec apps.Spec) apps.Spec {
 	s := spec
 	run := spec.Run
@@ -149,46 +96,22 @@ func (r *Runner) Table12() error {
 	}
 	techs := r.evaluatedTechniques()
 	datasets := fig10Datasets()
+	// Per-iteration times: one PR iteration on each ordering.
+	gr, err := r.timeGrid([]apps.Spec{oneIterSpec(spec)}, datasets, techs)
+	if err != nil {
+		return err
+	}
 	t := NewTable("Table XII — min PR iterations to amortize reordering time",
 		append([]string{"dataset"}, techNames(techs)...)...)
 	for _, ds := range datasets {
-		g, err := r.Graph(ds)
-		if err != nil {
-			return err
-		}
-		// Per-iteration time: one PR iteration on each ordering.
-		perIter := func(tech reorder.Technique) (time.Duration, time.Duration, error) {
-			if _, ok := tech.(reorder.IdentityTechnique); ok {
-				m, err := r.MeasureApp(oneIterSpec(spec), g, nil)
-				return m.Mean, 0, err
-			}
-			res, err := r.Reorder(ds, tech, spec.ReorderDegree())
-			if err != nil {
-				return 0, 0, err
-			}
-			m, err := r.MeasureApp(oneIterSpec(spec), res.Graph, nil)
-			if err != nil {
-				return 0, 0, err
-			}
-			return m.Mean, r.ReorderCost(res, tech), nil
-		}
-		basePer, _, err := perIter(reorder.IdentityTechnique{})
-		if err != nil {
-			return err
-		}
 		cells := []string{ds}
-		for _, tech := range techs {
-			candPer, cost, err := perIter(tech)
-			if err != nil {
-				return err
-			}
-			gain := basePer - candPer
+		for _, c := range gr[spec.Name][ds] {
+			gain := c.base - c.cand
 			if gain <= 0 {
 				cells = append(cells, "never")
 				continue
 			}
-			iters := math.Ceil(float64(cost) / float64(gain))
-			cells = append(cells, fmt.Sprintf("%.0f", iters))
+			cells = append(cells, fmt.Sprintf("%.0f", math.Ceil(float64(c.cost)/float64(gain))))
 		}
 		t.Add(cells...)
 	}

@@ -23,38 +23,40 @@ func (r *Runner) QualityVsSpeedup() error {
 		return err
 	}
 	datasets := []string{"sd", "lj", "uni"}
+	techs := r.evaluatedTechniques()
+	specs := []apps.Spec{spec}
+	gr := newGrid(specs, datasets, len(techs))
+	quality := make(map[string][]reorder.QualityReport) // dataset -> Original, then techs
+	verdicts := make([]string, 0, len(datasets))
+	err = r.walk(datasets, techs, kindsOf(specs), func(l layout) error {
+		quality[l.ds] = append(quality[l.ds], reorder.Evaluate(l.graph(), spec.ReorderDegree(), nil))
+		if l.res == nil {
+			rec := reorder.Advise(l.g, spec.ReorderDegree())
+			verdicts = append(verdicts, fmt.Sprintf("%s -> %s (hot %.0f%%, coverage %.0f%%, gain %.2fx)",
+				l.ds, rec.Spec, 100*rec.HotFrac, 100*rec.EdgeCoverage, rec.PredictedGain))
+		}
+		return r.timeCells(gr, specs, l)
+	})
+	if err != nil {
+		return err
+	}
 	t := NewTable("Ordering quality vs speed-up — packing factor against PR runtime",
 		"dataset", "technique", "packing", "util %", "avg gap", "hub WS KiB", "PR time", "speed-up %")
-	verdicts := make([]string, 0, len(datasets))
 	for _, ds := range datasets {
-		g, err := r.Graph(ds)
-		if err != nil {
-			return err
-		}
-		baseM, _, err := r.appTime(ds, spec, reorder.IdentityTechnique{})
-		if err != nil {
-			return err
-		}
-		addRow := func(name string, q reorder.QualityReport, m Measurement) {
+		cells := gr[spec.Name][ds]
+		addRow := func(name string, q reorder.QualityReport, m time.Duration) {
 			t.Add(ds, name,
 				fmt.Sprintf("%.2f", q.PackingFactor),
 				fmt.Sprintf("%.0f", 100*q.PackingUtilization),
 				fmt.Sprintf("%.0f", q.AvgNeighborGap),
 				fmt.Sprintf("%.0f", float64(q.HubWorkingSetBytes)/1024),
-				m.Mean.Round(10*time.Microsecond).String(),
-				fmt.Sprintf("%+.1f", SpeedupPercent(baseM.Mean, m.Mean)))
+				m.Round(10*time.Microsecond).String(),
+				fmt.Sprintf("%+.1f", SpeedupPercent(cells[0].base, m)))
 		}
-		addRow("Original", reorder.Evaluate(g, spec.ReorderDegree(), nil), baseM)
-		for _, tech := range r.evaluatedTechniques() {
-			m, res, err := r.appTime(ds, spec, tech)
-			if err != nil {
-				return err
-			}
-			addRow(tech.Name(), reorder.Evaluate(res.Graph, spec.ReorderDegree(), nil), m)
+		addRow(reorder.IdentityTechnique{}.Name(), quality[ds][0], cells[0].base)
+		for ti, tech := range techs {
+			addRow(tech.Name(), quality[ds][ti+1], cells[ti].cand)
 		}
-		rec := reorder.Advise(g, spec.ReorderDegree())
-		verdicts = append(verdicts, fmt.Sprintf("%s -> %s (hot %.0f%%, coverage %.0f%%, gain %.2fx)",
-			ds, rec.Spec, 100*rec.HotFrac, 100*rec.EdgeCoverage, rec.PredictedGain))
 	}
 	t.Note("Skew-aware techniques lift packing toward the ideal on sd/lj and speed PR up; on uni")
 	t.Note("the hot set is half the graph, packing has no headroom, and reordering only adds noise.")

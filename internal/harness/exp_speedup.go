@@ -10,95 +10,41 @@ import (
 	"graphreorder/internal/reorder"
 )
 
-// appTime measures spec on the dataset reordered by tech (Identity for the
-// baseline), mapping roots through the permutation so all orderings solve
-// the same problem.
-func (r *Runner) appTime(dataset string, spec apps.Spec, tech reorder.Technique) (Measurement, *reorder.Result, error) {
-	g, err := r.Graph(dataset)
-	if err != nil {
-		return Measurement{}, nil, err
-	}
-	nRoots := r.opts.RootsPerApp
-	if spec.NumRoots > 1 {
-		nRoots = spec.NumRoots
-	}
-	roots := r.Roots(g, nRoots)
-
-	if _, ok := tech.(reorder.IdentityTechnique); ok || tech == nil {
-		m, err := r.MeasureApp(spec, g, roots)
-		return m, nil, err
-	}
-	res, err := r.Reorder(dataset, tech, spec.ReorderDegree())
-	if err != nil {
-		return Measurement{}, nil, err
-	}
-	m, err := r.MeasureApp(spec, res.Graph, MapRoots(roots, res.Perm))
-	return m, res, err
-}
-
-// speedupGrid measures the speed-up (excluding reorder time) of each
-// technique over the no-reorder baseline for every (app, dataset) cell.
-// Returned as grid[app][dataset][techIdx] percentages, plus the baseline
-// times for reuse by net-speed-up experiments.
-func (r *Runner) speedupGrid(appNames, datasets []string, techs []reorder.Technique) (map[string]map[string][]float64, map[string]map[string]time.Duration, error) {
-	grid := make(map[string]map[string][]float64)
-	base := make(map[string]map[string]time.Duration)
-	for _, appName := range appNames {
-		spec, err := apps.ByName(appName)
-		if err != nil {
-			return nil, nil, err
-		}
-		grid[appName] = make(map[string][]float64)
-		base[appName] = make(map[string]time.Duration)
-		for _, ds := range datasets {
-			baseM, _, err := r.appTime(ds, spec, reorder.IdentityTechnique{})
-			if err != nil {
-				return nil, nil, fmt.Errorf("harness: %s/%s baseline: %w", appName, ds, err)
-			}
-			base[appName][ds] = baseM.Mean
-			cells := make([]float64, len(techs))
-			for ti, tech := range techs {
-				m, _, err := r.appTime(ds, spec, tech)
-				if err != nil {
-					return nil, nil, fmt.Errorf("harness: %s/%s/%s: %w", appName, ds, tech.Name(), err)
-				}
-				cells[ti] = SpeedupPercent(baseM.Mean, m.Mean)
-			}
-			grid[appName][ds] = cells
-		}
-	}
-	return grid, base, nil
-}
-
 // renderSpeedupGrid prints one table per application plus per-dataset and
 // overall geometric means, in the layout of Fig. 6.
-func (r *Runner) renderSpeedupGrid(title string, grid map[string]map[string][]float64, datasets []string, techs []reorder.Technique) {
-	headers := append([]string{"app \\ dataset"}, datasets...)
-	for _, appName := range appNames() {
-		t := NewTable(fmt.Sprintf("%s — %s speed-up %% over no reordering", title, appName), headers...)
-		for ti, tech := range techs {
-			cells := []string{tech.Name()}
-			for _, ds := range datasets {
-				cells = append(cells, fmt.Sprintf("%+.1f", grid[appName][ds][ti]))
-			}
-			t.Add(cells...)
-		}
-		t.Render(r.out())
+func (r *Runner) renderSpeedupGrid(title string, gr grid, datasets []string, techs []reorder.Technique) {
+	for _, spec := range apps.All() {
+		techTable(fmt.Sprintf("%s — %s speed-up %% over no reordering", title, spec.Name), "app \\ dataset", techs, datasets,
+			func(ds string, ti int) float64 { return gr[spec.Name][ds][ti].speedup() }).Render(r.out())
 	}
-	geomeanTable(fmt.Sprintf("%s — geomean speed-up %% across %d apps", title, len(grid)), grid, datasets, techs).Render(r.out())
+	geomeanTable(fmt.Sprintf("%s — geomean speed-up %% across %d apps", title, len(gr)), gr, datasets, techs).Render(r.out())
+}
+
+// techTable tabulates value(dataset, technique index) as a signed
+// percentage, one row per technique and one column per dataset.
+func techTable(title, corner string, techs []reorder.Technique, datasets []string, value func(string, int) float64) *Table {
+	t := NewTable(title, append([]string{corner}, datasets...)...)
+	for ti, tech := range techs {
+		cells := []string{tech.Name()}
+		for _, ds := range datasets {
+			cells = append(cells, fmt.Sprintf("%+.1f", value(ds, ti)))
+		}
+		t.Add(cells...)
+	}
+	return t
 }
 
 // geomeanTable tabulates each technique's geometric-mean speed-up across
-// the applications of grid, per dataset and over all of them.
-func geomeanTable(title string, grid map[string]map[string][]float64, datasets []string, techs []reorder.Technique) *Table {
+// the five applications, per dataset and over all of them.
+func geomeanTable(title string, gr grid, datasets []string, techs []reorder.Technique) *Table {
 	t := NewTable(title, append([]string{"technique"}, append(datasets, "ALL")...)...)
 	for ti, tech := range techs {
 		cells := []string{tech.Name()}
 		var all []float64
 		for _, ds := range datasets {
 			var per []float64
-			for _, appName := range appNames() {
-				per = append(per, grid[appName][ds][ti])
+			for _, spec := range apps.All() {
+				per = append(per, gr[spec.Name][ds][ti].speedup())
 			}
 			all = append(all, per...)
 			cells = append(cells, fmt.Sprintf("%+.1f", GeoMeanSpeedup(per)))
@@ -107,16 +53,6 @@ func geomeanTable(title string, grid map[string]map[string][]float64, datasets [
 		t.Add(cells...)
 	}
 	return t
-}
-
-// appNames returns the names of apps.All(), the paper's five applications
-// in order.
-func appNames() []string {
-	var names []string
-	for _, spec := range apps.All() {
-		names = append(names, spec.Name)
-	}
-	return names
 }
 
 // Fig3 regenerates Fig. 3: slowdown of the Radii application under random
@@ -132,29 +68,12 @@ func (r *Runner) Fig3() error {
 	if err != nil {
 		return err
 	}
-	t := NewTable("Fig. 3 — Radii slowdown % after random reordering (lower is better)",
-		append([]string{"config"}, gen.SkewedNames()...)...)
-	rows := make([][]string, len(techs))
-	for ti, tech := range techs {
-		rows[ti] = []string{tech.Name()}
+	gr, err := r.timeGrid([]apps.Spec{spec}, gen.SkewedNames(), techs)
+	if err != nil {
+		return err
 	}
-	for _, ds := range gen.SkewedNames() {
-		baseM, _, err := r.appTime(ds, spec, reorder.IdentityTechnique{})
-		if err != nil {
-			return err
-		}
-		for ti, tech := range techs {
-			m, _, err := r.appTime(ds, spec, tech)
-			if err != nil {
-				return err
-			}
-			slowdown := -SpeedupPercent(baseM.Mean, m.Mean)
-			rows[ti] = append(rows[ti], fmt.Sprintf("%+.1f", slowdown))
-		}
-	}
-	for _, row := range rows {
-		t.Add(row...)
-	}
+	t := techTable("Fig. 3 — Radii slowdown % after random reordering (lower is better)", "config", techs, gen.SkewedNames(),
+		func(ds string, ti int) float64 { return -gr[spec.Name][ds][ti].speedup() })
 	t.Note("Paper: RCB-1 slows real-world datasets 9.6-28.5%%; kr (synthetic) is insensitive;")
 	t.Note("slowdown shrinks as granularity grows (RCB-2, RCB-4); RV worst where hot/block is high.")
 	t.Render(r.out())
@@ -169,12 +88,12 @@ func (r *Runner) Fig5() error {
 		reorder.HubSortO{}, reorder.HubSort{},
 		reorder.HubClusterO{}, reorder.HubCluster{},
 	}
-	grid, _, err := r.speedupGrid(appNames(), gen.SkewedNames(), techs)
+	gr, err := r.timeGrid(apps.All(), gen.SkewedNames(), techs)
 	if err != nil {
 		return err
 	}
 	t := geomeanTable("Fig. 5 — original (-O) vs DBG-framework implementations, geomean speed-up % across 5 apps",
-		grid, gen.SkewedNames(), techs)
+		gr, gen.SkewedNames(), techs)
 	t.Note("Paper: the reimplementations (no suffix) outperform the originals (-O) nearly everywhere.")
 	t.Render(r.out())
 	return nil
@@ -184,27 +103,28 @@ func (r *Runner) Fig5() error {
 // normalized to Sort's (lower is better).
 func (r *Runner) Table11() error {
 	techs := []reorder.Technique{
+		reorder.SortTechnique{},
 		reorder.HubSortO{}, reorder.HubSort{},
 		reorder.HubClusterO{}, reorder.HubCluster{},
 	}
+	times := make(map[string][]time.Duration) // dataset -> ReorderTime per technique
+	err := r.walk(gen.SkewedNames(), techs, []graph.DegreeKind{graph.OutDegree}, func(l layout) error {
+		if l.res == nil {
+			times[l.ds] = make([]time.Duration, len(techs))
+		} else {
+			times[l.ds][l.ti] = l.res.ReorderTime
+		}
+		return nil
+	})
+	if err != nil {
+		return err
+	}
 	t := NewTable("Table XI — reordering time normalized to Sort (lower is better)",
 		append([]string{"technique"}, gen.SkewedNames()...)...)
-	sortTimes := make(map[string]time.Duration)
-	for _, ds := range gen.SkewedNames() {
-		res, err := r.Reorder(ds, reorder.SortTechnique{}, bestKind(ds))
-		if err != nil {
-			return err
-		}
-		sortTimes[ds] = res.ReorderTime
-	}
-	for _, tech := range techs {
+	for ti, tech := range techs[1:] {
 		cells := []string{tech.Name()}
 		for _, ds := range gen.SkewedNames() {
-			res, err := r.Reorder(ds, tech, bestKind(ds))
-			if err != nil {
-				return err
-			}
-			cells = append(cells, fmt.Sprintf("%.2f", float64(res.ReorderTime)/float64(sortTimes[ds])))
+			cells = append(cells, fmt.Sprintf("%.2f", float64(times[ds][ti+1])/float64(times[ds][0])))
 		}
 		t.Add(cells...)
 	}
@@ -213,20 +133,16 @@ func (r *Runner) Table11() error {
 	return nil
 }
 
-// bestKind picks the degree kind for standalone reorder-time comparisons
-// (out-degree, the kind used by the majority of the applications).
-func bestKind(string) graph.DegreeKind { return graph.OutDegree }
-
 // Fig6 regenerates Fig. 6, the headline result: application speed-up
 // excluding reordering time for Sort, HubSort, HubCluster, DBG and Gorder
 // on the eight skewed datasets, with unstructured/structured geomeans.
 func (r *Runner) Fig6() error {
 	techs := r.evaluatedTechniques()
-	grid, _, err := r.speedupGrid(appNames(), gen.SkewedNames(), techs)
+	gr, err := r.timeGrid(apps.All(), gen.SkewedNames(), techs)
 	if err != nil {
 		return err
 	}
-	r.renderSpeedupGrid("Fig. 6", grid, gen.SkewedNames(), techs)
+	r.renderSpeedupGrid("Fig. 6", gr, gen.SkewedNames(), techs)
 
 	// Unstructured vs structured geomeans (Fig. 6a/6b summary).
 	t := NewTable("Fig. 6 — geomean speed-up % by dataset class",
@@ -235,8 +151,8 @@ func (r *Runner) Fig6() error {
 		collect := func(datasets []string) []float64 {
 			var out []float64
 			for _, ds := range datasets {
-				for _, appName := range appNames() {
-					out = append(out, grid[appName][ds][ti])
+				for _, spec := range apps.All() {
+					out = append(out, gr[spec.Name][ds][ti].speedup())
 				}
 			}
 			return out
@@ -256,11 +172,11 @@ func (r *Runner) Fig6() error {
 // (uni, road), where skew-aware techniques should be neutral.
 func (r *Runner) Fig7() error {
 	techs := r.evaluatedTechniques()
-	grid, _, err := r.speedupGrid(appNames(), gen.NoSkewNames(), techs)
+	gr, err := r.timeGrid(apps.All(), gen.NoSkewNames(), techs)
 	if err != nil {
 		return err
 	}
-	r.renderSpeedupGrid("Fig. 7", grid, gen.NoSkewNames(), techs)
+	r.renderSpeedupGrid("Fig. 7", gr, gen.NoSkewNames(), techs)
 	fmt.Fprintln(r.out(), "  Paper: skew-aware techniques within ±1.2% on uni and ±0.4% on road; Gorder ~+3.5%.")
 	return nil
 }

@@ -13,28 +13,21 @@ import (
 // Table1 regenerates Table I: hot-vertex share and hot edge coverage for
 // in- and out-degree on the eight skewed datasets.
 func (r *Runner) Table1() error {
+	pct := func(f float64) string { return fmt.Sprintf("%.0f", f*100) }
+	rows, err := r.datasetColumns(gen.SkewedNames(), []string{
+		"In:  Hot Vertices (%)", "In:  Edge Coverage (%)",
+		"Out: Hot Vertices (%)", "Out: Edge Coverage (%)",
+	}, func(g *graph.Graph) []string {
+		in, out := stats.ComputeSkew(g, graph.InDegree), stats.ComputeSkew(g, graph.OutDegree)
+		return []string{pct(in.HotFrac), pct(in.EdgeCoverage), pct(out.HotFrac), pct(out.EdgeCoverage)}
+	})
+	if err != nil {
+		return err
+	}
 	t := NewTable("Table I — hot vertices (%% of vertices) and edge coverage (%% of edges)",
 		append([]string{"metric"}, gen.SkewedNames()...)...)
-	rows := []struct {
-		label string
-		kind  graph.DegreeKind
-		pick  func(stats.Skew) float64
-	}{
-		{"In:  Hot Vertices (%)", graph.InDegree, func(s stats.Skew) float64 { return s.HotFrac * 100 }},
-		{"In:  Edge Coverage (%)", graph.InDegree, func(s stats.Skew) float64 { return s.EdgeCoverage * 100 }},
-		{"Out: Hot Vertices (%)", graph.OutDegree, func(s stats.Skew) float64 { return s.HotFrac * 100 }},
-		{"Out: Edge Coverage (%)", graph.OutDegree, func(s stats.Skew) float64 { return s.EdgeCoverage * 100 }},
-	}
 	for _, row := range rows {
-		cells := []string{row.label}
-		for _, name := range gen.SkewedNames() {
-			g, err := r.Graph(name)
-			if err != nil {
-				return err
-			}
-			cells = append(cells, fmt.Sprintf("%.0f", row.pick(stats.ComputeSkew(g, row.kind))))
-		}
-		t.Add(cells...)
+		t.Add(row...)
 	}
 	t.Note("Paper: 9-26%% hot vertices covering 80-94%% of edges.")
 	t.Render(r.out())
@@ -45,17 +38,15 @@ func (r *Runner) Table1() error {
 // cache block (8 B properties), counting only blocks with at least one hot
 // vertex.
 func (r *Runner) Table2() error {
+	rows, err := r.datasetColumns(gen.SkewedNames(), []string{"Avg."}, func(g *graph.Graph) []string {
+		return []string{fmt.Sprintf("%.1f", stats.HotPerBlock(g, graph.InDegree, 8))}
+	})
+	if err != nil {
+		return err
+	}
 	t := NewTable("Table II — avg hot vertices per cache block (8 B/vertex, 64 B blocks)",
 		append([]string{"dataset"}, gen.SkewedNames()...)...)
-	cells := []string{"Avg."}
-	for _, name := range gen.SkewedNames() {
-		g, err := r.Graph(name)
-		if err != nil {
-			return err
-		}
-		cells = append(cells, fmt.Sprintf("%.1f", stats.HotPerBlock(g, graph.InDegree, 8)))
-	}
-	t.Add(cells...)
+	t.Add(rows[0]...)
 	t.Note("Paper: 1.3-3.5 across datasets (max possible is 8).")
 	t.Render(r.out())
 	return nil
@@ -64,19 +55,19 @@ func (r *Runner) Table2() error {
 // Table3 regenerates Table III: cache capacity needed to hold all hot
 // vertices at 8 and 16 bytes per property.
 func (r *Runner) Table3() error {
+	rows, err := r.datasetColumns(gen.SkewedNames(), []string{"8 Bytes", "16 Bytes"}, func(g *graph.Graph) []string {
+		return []string{
+			formatBytes(stats.HotFootprintBytes(g, graph.InDegree, 8)),
+			formatBytes(stats.HotFootprintBytes(g, graph.InDegree, 16)),
+		}
+	})
+	if err != nil {
+		return err
+	}
 	t := NewTable("Table III — capacity needed for all hot vertices",
 		append([]string{"per-vertex property"}, gen.SkewedNames()...)...)
-	for _, pb := range []int{8, 16} {
-		cells := []string{fmt.Sprintf("%d Bytes", pb)}
-		for _, name := range gen.SkewedNames() {
-			g, err := r.Graph(name)
-			if err != nil {
-				return err
-			}
-			bytes := stats.HotFootprintBytes(g, graph.InDegree, pb)
-			cells = append(cells, formatBytes(bytes))
-		}
-		t.Add(cells...)
+	for _, row := range rows {
+		t.Add(row...)
 	}
 	t.Note("Paper reports 9-230 MB at full dataset sizes; shapes (relative sizes across datasets) are what reproduce.")
 	t.Render(r.out())
@@ -104,7 +95,7 @@ func (r *Runner) Table4() error {
 	bins := stats.DegreeRanges(g, graph.InDegree, 6, 8)
 	t := NewTable(fmt.Sprintf("Table IV — hot-vertex degree distribution, sd (A = %.0f)", g.AvgDegree()),
 		"degree range", "vertices (% of hot)", "footprint")
-	for i, b := range bins {
+	for _, b := range bins {
 		var rangeLabel string
 		if math.IsInf(b.HiMult, 1) {
 			rangeLabel = fmt.Sprintf("[%.0fA, inf)", b.LoMult)
@@ -112,7 +103,6 @@ func (r *Runner) Table4() error {
 			rangeLabel = fmt.Sprintf("[%.0fA, %.0fA)", b.LoMult, b.HiMult)
 		}
 		t.Add(rangeLabel, fmt.Sprintf("%.0f%%", b.FracOfHot*100), formatBytes(b.FootprintBytes))
-		_ = i
 	}
 	t.Note("Paper (sd): 45%%, 28%%, 15%%, 7%%, 3%%, 2%% — halving per doubling of degree range.")
 	t.Render(r.out())

@@ -1,7 +1,11 @@
 // Package harness regenerates every table and figure of the paper's
-// evaluation. Each experiment is a named driver that loads (synthesizes)
-// the datasets, applies reordering techniques, runs applications with
-// warm-up and repeated timing, and prints a paper-style table.
+// evaluation. Each experiment is a named driver that synthesizes the
+// datasets, applies reordering techniques, runs applications with
+// warm-up and repeated timing, and prints a paper-style table. Every
+// driver walks its cells through one loop (Runner.walk): one dataset at
+// a time, each reorder of it made, visited and dropped in turn, so a run
+// holds at most a dataset and one relabeled copy; the tables are
+// rendered once every cell is in. Nothing is kept between drivers.
 //
 // Experiments() is the per-experiment index: it maps experiment IDs
 // (table1, fig6, ...) to the paper artifacts they regenerate, and
@@ -79,29 +83,16 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Runner executes experiments, caching datasets and reordering results so
-// a multi-experiment session does not regenerate shared state.
+// Runner executes experiments. It keeps no dataset or reorder: each
+// driver generates what it measures as its walk reaches it.
 type Runner struct {
-	opts     Options
-	ctx      context.Context
-	graphs   map[string]*graph.Graph
-	reorders map[reorderKey]*reorder.Result
-}
-
-type reorderKey struct {
-	dataset string
-	tech    string
-	kind    graph.DegreeKind
+	opts Options
+	ctx  context.Context
 }
 
 // NewRunner builds a Runner with the given options.
 func NewRunner(opts Options) *Runner {
-	return &Runner{
-		opts:     opts.withDefaults(),
-		ctx:      context.Background(),
-		graphs:   make(map[string]*graph.Graph),
-		reorders: make(map[reorderKey]*reorder.Result),
-	}
+	return &Runner{opts: opts.withDefaults(), ctx: context.Background()}
 }
 
 // Context returns the context experiment drivers run under: application
@@ -131,11 +122,8 @@ func (r *Runner) out() io.Writer {
 	return r.opts.Out
 }
 
-// Graph returns the named dataset at the runner's scale, cached.
+// Graph generates the named dataset at the runner's scale.
 func (r *Runner) Graph(name string) (*graph.Graph, error) {
-	if g, ok := r.graphs[name]; ok {
-		return g, nil
-	}
 	cfg, err := gen.Dataset(name, r.opts.Scale)
 	if err != nil {
 		return nil, err
@@ -144,27 +132,7 @@ func (r *Runner) Graph(name string) (*graph.Graph, error) {
 	if err != nil {
 		return nil, fmt.Errorf("harness: generating %s: %w", name, err)
 	}
-	r.graphs[name] = g
 	return g, nil
-}
-
-// Reorder applies tech to the named dataset with the given degree kind,
-// cached. Identity requests bypass the cache cheaply.
-func (r *Runner) Reorder(name string, tech reorder.Technique, kind graph.DegreeKind) (*reorder.Result, error) {
-	key := reorderKey{name, tech.Name(), kind}
-	if res, ok := r.reorders[key]; ok {
-		return res, nil
-	}
-	g, err := r.Graph(name)
-	if err != nil {
-		return nil, err
-	}
-	res, err := reorder.PlanOf(tech).ApplyWorkers(g, kind, r.rebuildWorkers())
-	if err != nil {
-		return nil, err
-	}
-	r.reorders[key] = &res
-	return &res, nil
 }
 
 // ReorderCost returns the preprocessing time charged to a technique: the

@@ -3,12 +3,15 @@ package harness
 import (
 	"bytes"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
+	"weak"
 
 	"graphreorder/internal/apps"
 	"graphreorder/internal/gen"
+	"graphreorder/internal/graph"
 	"graphreorder/internal/reorder"
 )
 
@@ -30,37 +33,59 @@ func TestOptionDefaults(t *testing.T) {
 	}
 }
 
-func TestGraphCaching(t *testing.T) {
+// TestUnknownDatasetRejected holds Graph, and so every walk, to the
+// dataset registry.
+func TestUnknownDatasetRejected(t *testing.T) {
 	r := tinyRunner(&bytes.Buffer{})
-	g1, err := r.Graph("kr")
-	if err != nil {
-		t.Fatal(err)
-	}
-	g2, err := r.Graph("kr")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g1 != g2 {
-		t.Error("Graph not cached")
-	}
 	if _, err := r.Graph("bogus"); err == nil {
 		t.Error("unknown dataset accepted")
 	}
+	visited := false
+	err := r.walk([]string{"bogus"}, nil, nil, func(layout) error { visited = true; return nil })
+	if err == nil || visited {
+		t.Errorf("a walk over an unknown dataset visited %v, err %v", visited, err)
+	}
 }
 
-func TestReorderCaching(t *testing.T) {
+// TestWalkDropsEachLayout pins the walk's memory bound with weak
+// pointers: at every visit, after a collection, the previous dataset's
+// graph and each of its reorders are gone, and so is every reorder the
+// walk visited before this one, so a run holds at most one dataset and
+// one relabeled copy of it.
+func TestWalkDropsEachLayout(t *testing.T) {
 	r := tinyRunner(&bytes.Buffer{})
-	spec, _ := apps.ByName("PR")
-	res1, err := r.Reorder("kr", reorder.NewDBG(), spec.ReorderDegree())
+	techs := []reorder.Technique{reorder.SortTechnique{}, reorder.HubCluster{}, reorder.NewDBG()}
+	kinds := []graph.DegreeKind{graph.OutDegree, graph.InDegree}
+	var (
+		datasets []weak.Pointer[graph.Graph] // every earlier dataset
+		reorders []weak.Pointer[graph.Graph] // every earlier reorder
+		visits   int
+	)
+	err := r.walk([]string{"sd", "mp"}, techs, kinds, func(l layout) error {
+		visits++
+		runtime.GC()
+		for i, w := range reorders {
+			if w.Value() != nil {
+				t.Errorf("visit %d (%s/%s): reorder %d of the walk is still reachable", visits, l.ds, l.name(), i)
+			}
+		}
+		if l.res == nil {
+			for i, w := range datasets {
+				if w.Value() != nil {
+					t.Errorf("visit %d (%s): dataset %d of the walk is still reachable", visits, l.ds, i)
+				}
+			}
+			datasets = append(datasets, weak.Make(l.g))
+			return nil
+		}
+		reorders = append(reorders, weak.Make(l.res.Graph))
+		return nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res2, err := r.Reorder("kr", reorder.NewDBG(), spec.ReorderDegree())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res1 != res2 {
-		t.Error("Reorder not cached")
+	if want := 2 * (1 + len(techs)*len(kinds)); visits != want {
+		t.Errorf("the walk made %d visits, want %d", visits, want)
 	}
 }
 
@@ -199,7 +224,8 @@ func TestTimingExperimentsSmoke(t *testing.T) {
 	}
 	var buf bytes.Buffer
 	r := tinyRunner(&buf)
-	for _, id := range []string{"fig3", "table11", "fig9", "table12", "quality", "compress"} {
+	for _, id := range []string{"fig3", "table11", "fig7", "fig9", "fig10", "fig11", "table12",
+		"quality", "compress", "ablation-groups"} {
 		if err := r.RunByID(id); err != nil {
 			t.Fatalf("%s: %v", id, err)
 		}

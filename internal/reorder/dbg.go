@@ -127,18 +127,16 @@ func degreeThreshold(bound float64) uint32 {
 // and DBG differ only in groupOf.
 func stableGroupLayout(degs []uint32, groupOf func(uint32) int, numGroups int) Permutation {
 	counts := make([]uint64, numGroups+1)
-	groups := make([]int32, len(degs))
+	perm := make(Permutation, len(degs))
 	for v, deg := range degs {
 		k := groupOf(deg)
-		groups[v] = int32(k)
+		perm[v] = graph.VertexID(k) // v's group until the scatter below
 		counts[k+1]++
 	}
 	for k := 1; k <= numGroups; k++ {
 		counts[k] += counts[k-1]
 	}
-	perm := make(Permutation, len(degs))
-	for v := range degs {
-		k := groups[v]
+	for v, k := range perm {
 		perm[v] = graph.VertexID(counts[k])
 		counts[k]++
 	}
