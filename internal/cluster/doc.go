@@ -35,11 +35,13 @@
 //     sets partition the vertex space, so the merged k-best of the
 //     union is exact and bit-identical to single-node answers.
 //   - sssp: the router owns the distance array and runs frontier
-//     exchange (below) until the frontier drains. What it caches is the
-//     node's own server.SSSPDistances — the vector bit-packed at the
-//     width its largest distance needs, its summary computed once — so
-//     every reply, hit or miss, is that summary plus one lookup of
-//     ?target=.
+//     exchange (below) until the frontier drains. It caches what the
+//     node caches, by the node's rule: a query without a target keeps
+//     the node's server.SSSPSummary (or reads a vector its epoch already
+//     holds), a query with one keeps server.SSSPDistances — the vector
+//     bit-packed at the width its largest distance needs, its summary
+//     computed once — so every reply, hit or miss, is that summary plus
+//     at most one lookup of ?target=.
 //
 // Replies are the node's types (server.NeighborsResult and the rest),
 // so a merged answer matches a single node's key for key because it is

@@ -65,16 +65,18 @@ type epochState struct {
 	refs atomic.Int64
 
 	// replies holds the encoded 200 bodies of the point routes, keyed by
-	// the handler's parsed parameters, and the SSSP distance vectors,
-	// keyed by source (see read).
+	// the handler's parsed parameters, and the SSSP results, keyed by
+	// source: a summary for a query without a target, the distance vector
+	// for one with (see read).
 	replies *server.ResultCache
 }
 
-// replyCacheBytes is each epoch's reply-cache budget. A point reply is
-// under 1 KiB and an SSSP vector 2, 4 or 8 bytes per vertex (the node's
-// packed width), so this holds tens of thousands of distinct hot reads
-// beside 40 to 160 hot sources of a graph of 100K vertices; a vector
-// past the whole budget is not cached. A cutover leaves at most the old
+// replyCacheBytes is each epoch's reply-cache budget. A point reply or an
+// SSSP summary is under 1 KiB and an SSSP vector bit-packed at the width
+// its largest distance needs (the node's DistVector: 8 to 9 bits per
+// vertex on sd), so this holds tens of thousands of distinct hot reads
+// beside hundreds of hot target sources of a graph of 100K vertices; a
+// vector past the whole budget is not cached. A cutover leaves at most the old
 // epoch's cache beside the new one until the old epoch drains.
 const replyCacheBytes = 32 << 20
 
@@ -751,11 +753,12 @@ const computeTimeout = 120 * time.Second
 // every caller that coalesced onto it, whichever returns first. A failed
 // compute is not cached, so the next request retries; a caller whose
 // context ends stops waiting with the context's error. hit reports a
-// cache hit.
-func (rt *Router) read(ctx context.Context, es *epochState, key string, compute func(ctx context.Context) (any, int64, error)) (v any, hit bool, err error) {
+// cache hit. The entries of also's keys answer the read too (a summary
+// SSSP reads a cached vector); compute's value is cached under key.
+func (rt *Router) read(ctx context.Context, es *epochState, key string, compute func(ctx context.Context) (any, int64, error), also ...string) (v any, hit bool, err error) {
 	tr := obs.FromContext(ctx)
 	lookup := time.Now()
-	v, hit = es.replies.Get(key)
+	v, hit = es.replies.Get(key, also...)
 	tr.Observe("cache", lookup)
 	if hit {
 		rt.cacheHits.Add(1)
@@ -768,7 +771,7 @@ func (rt *Router) read(ctx context.Context, es *epochState, key string, compute 
 		defer rt.release(es)
 		// A leader that starts after the previous one stored its value and
 		// left the flight finds it here instead of computing twice.
-		if val, ok := es.replies.Get(key); ok {
+		if val, ok := es.replies.Get(key, also...); ok {
 			return val, nil
 		}
 		//lint:allow ctxflow a coalesced compute outlives the request that started it
@@ -983,8 +986,9 @@ func (rt *Router) handleTopK(w http.ResponseWriter, r *http.Request) {
 const maxSSSPRounds = 1 << 20
 
 // sssp returns the distances from src at epoch es through read, cached
-// as the node caches them: packed to 2, 4 or 8 bytes per vertex with the
-// summary computed once, so any ?target= is answered from one exchange.
+// as the node caches a target query's: bit-packed at the width the
+// largest distance needs, with the summary computed once, so any
+// ?target= is answered from one exchange.
 func (rt *Router) sssp(ctx context.Context, es *epochState, src graph.VertexID) (server.SSSPDistances, error) {
 	v, _, err := rt.read(ctx, es, pointKey('s', uint64(src)), func(ctx context.Context) (any, int64, error) {
 		dist, rounds, err := rt.runSSSP(ctx, es, src)
@@ -998,6 +1002,26 @@ func (rt *Router) sssp(ctx context.Context, es *epochState, src graph.VertexID) 
 		return server.SSSPDistances{}, err
 	}
 	return v.(server.SSSPDistances), nil
+}
+
+// ssspSummary returns the summary of an SSSP from src at epoch es, as
+// the node answers a query without a target: from a cached vector of the
+// epoch when there is one, else computed and cached without the vector.
+func (rt *Router) ssspSummary(ctx context.Context, es *epochState, src graph.VertexID) (server.SSSPSummary, error) {
+	v, _, err := rt.read(ctx, es, pointKey('S', uint64(src)), func(ctx context.Context) (any, int64, error) {
+		dist, rounds, err := rt.runSSSP(ctx, es, src)
+		if err != nil {
+			return nil, 0, err
+		}
+		return server.SummarizeSSSP(dist, rounds), server.SSSPSummaryBytes, nil
+	}, pointKey('s', uint64(src)))
+	if err != nil {
+		return server.SSSPSummary{}, err
+	}
+	if d, ok := v.(server.SSSPDistances); ok {
+		return d.SSSPSummary, nil
+	}
+	return v.(server.SSSPSummary), nil
 }
 
 // relaxLeg is one shard's side of the frontier exchange; runSSSP keeps
@@ -1134,17 +1158,21 @@ func (rt *Router) handleSSSP(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
+	if !hasTarget {
+		sum, err := rt.ssspSummary(r.Context(), es, src)
+		if err != nil {
+			writeShardError(w, err)
+			return
+		}
+		writeJSON(w, http.StatusOK, sum.Summary(rt.metaFor(es), src))
+		return
+	}
 	d, err := rt.sssp(r.Context(), es, src)
 	if err != nil {
 		writeShardError(w, err)
 		return
 	}
-	summary := d.Summary(rt.metaFor(es), src)
-	if !hasTarget {
-		writeJSON(w, http.StatusOK, summary)
-		return
-	}
-	res := server.SSSPTargetResult{SSSPResult: summary, Target: target}
+	res := server.SSSPTargetResult{SSSPResult: d.Summary(rt.metaFor(es), src), Target: target}
 	res.Distance, res.Reachable = d.Dist.At(int(target))
 	writeJSON(w, http.StatusOK, res)
 }

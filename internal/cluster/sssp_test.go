@@ -116,8 +116,9 @@ func TestClusterSSSPDifferential(t *testing.T) {
 // cold requests for one key at one epoch cost the shards exactly one
 // request's fan-out and all get the same bytes, asking again costs
 // nothing, and the next epoch computes once of its own. The rows are an
-// SSSP, whose reference is runSSSP, the bare exchange (its shard calls
-// depend only on the frontier sequence), an in-neighbors read of the hub,
+// SSSP summary and then an SSSP target query, whose reference is runSSSP,
+// the bare exchange (its shard calls depend only on the frontier
+// sequence), each computing once, an in-neighbors read of the hub,
 // which asks every shard, and a rank, which asks the owner.
 func TestClusterSSSPCoalesces(t *testing.T) {
 	g := genGraph(t, "sd", "tiny")
@@ -161,6 +162,8 @@ func TestClusterSSSPCoalesces(t *testing.T) {
 			fanout uint64
 		}{
 			{fmt.Sprintf("/v1/query/sssp?src=%d", src), exchange},
+			// A summary caches no vector: the first target query computes it.
+			{fmt.Sprintf("/v1/query/sssp?src=%d&target=1", src), exchange},
 			{fmt.Sprintf("/v1/query/neighbors?v=%d&dir=in", hub), uint64(len(rt.slots))},
 			{"/v1/query/rank?v=1", 1},
 		} {

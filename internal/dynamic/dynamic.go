@@ -19,7 +19,8 @@
 // dst) bucket and weight, until graph.Patch folds them into a fresh CSR
 // (a copy of the untouched lists and a merge of the edited ones, defined
 // to equal the full rebuild relabeled): a View folds, and so do Snapshot
-// and a batch that takes the pending edits past max(1024, edges/8). A
+// and a batch that takes the pending edits past max(1024, edges/8); a
+// refresh folds them straight into its new order (graph.PatchRelabel). A
 // removal takes the heaviest instance of its bucket, the last in
 // canonical order, so every state is a function of the edge multiset: a
 // graph started from another's snapshot (a checkpoint) and fed the same
@@ -321,11 +322,17 @@ func (d *Graph) count(e graph.EdgeEdit, sign int) {
 }
 
 // fold patches the pending edits into the CSR over the current vertex
-// space, mapped through perm; grown vertices keep their IDs. It fails,
-// changing nothing, only when log and CSR disagree.
-func (d *Graph) fold() error {
-	if d.csrSeq == d.seq() && d.csr.NumVertices() == d.n {
+// space, mapped through perm; grown vertices keep their IDs. A non-nil to
+// (original ID to new ID, over the vertex space) becomes the graph's
+// permutation: the same pass relabels the CSR into its order
+// (graph.PatchRelabel), unless the CSR is in that order already. It
+// fails, changing nothing, only when log and CSR disagree.
+func (d *Graph) fold(to reorder.Permutation) error {
+	if to == nil && d.csrSeq == d.seq() && d.csr.NumVertices() == d.n {
 		return nil
+	}
+	if to != nil && len(to) != d.n {
+		return fmt.Errorf("dynamic: a permutation of %d vertices for a graph of %d", len(to), d.n)
 	}
 	edits := d.log[d.csrSeq-d.logBase:]
 	perm, inv := d.perm, d.inv
@@ -340,9 +347,29 @@ func (d *Graph) fold() error {
 		}
 		edits = moved
 	}
-	g, err := d.csr.Patch(edits, d.n, inv)
-	if err != nil {
-		return err
+	var newID reorder.Permutation
+	if to != nil {
+		if !inLayout(inv, to) {
+			newID = to
+			if inv != nil {
+				newID = inv.Compose(to) // CSR ID -> original ID -> new ID
+			}
+		} else if inv == nil {
+			inv = to // the identity, its own inverse
+		}
+	}
+	g := d.csr
+	if len(edits) > 0 || g.NumVertices() != d.n || newID != nil {
+		var err error
+		if g, err = g.PatchRelabel(edits, d.n, inv, newID); err != nil {
+			return err
+		}
+	}
+	switch {
+	case newID != nil:
+		perm, inv = to, to.Inverse()
+	case to != nil:
+		perm = to
 	}
 	d.set(g, perm, inv)
 	return nil
@@ -376,7 +403,7 @@ func (d *Graph) settle() {
 	if d.seq()-d.csrSeq > uint64(d.retain()) {
 		// Validated edits always fold; were they refused, they would stay
 		// pending and the next Snapshot would report the error.
-		_ = d.fold()
+		_ = d.fold(nil)
 	}
 	d.trimLog()
 }
@@ -465,7 +492,7 @@ func (d *Graph) RollbackTo(m Mark) error {
 		// the pending edits may: fold over the room, then cut the CSR at
 		// m.n. A permutation that maps no vertex past m.n below it keeps
 		// its first m.n entries; any other gives way to original order.
-		if err := d.fold(); err != nil {
+		if err := d.fold(nil); err != nil {
 			return err
 		}
 		g, err := d.csr, error(nil)
@@ -496,7 +523,7 @@ func (d *Graph) RollbackTo(m Mark) error {
 // pending edits folded in, relabeled into original order (O(E)) once a
 // Reorderer has installed an ordering.
 func (d *Graph) Snapshot() (*graph.Graph, error) {
-	if err := d.fold(); err != nil {
+	if err := d.fold(nil); err != nil {
 		return nil, err
 	}
 	if d.inv == nil {
@@ -520,8 +547,10 @@ type Reorderer struct {
 	kind   graph.DegreeKind
 	policy Policy
 
-	// Workers is the worker count for a refresh's relabels; 0 or 1 pins
-	// the sequential rebuild. Patching a view is sequential.
+	// Workers is the worker count of a refresh that plans from the
+	// snapshot (a plan that reads more than degrees); 0 or 1 pins the
+	// sequential path. Patching a view, and relabeling it as it is
+	// patched, is sequential.
 	Workers int
 
 	// perm is the ordering installed in of as its layout number layout,
@@ -566,43 +595,26 @@ func (r *Reorderer) Seed(d *Graph, view *graph.Graph, perm reorder.Permutation) 
 }
 
 // install makes perm d's ordering and view, d's graph relabeled by perm,
-// its CSR; a nil view is d's CSR relabeled, with nothing pending — or d's
-// CSR as it is when perm is the order it is already in.
+// its CSR; a nil view is d's CSR with the pending edits patched in and
+// relabeled into perm's order in one pass — or only patched, when perm is
+// the order it is already in.
 func (r *Reorderer) install(d *Graph, view *graph.Graph, perm reorder.Permutation) error {
-	var inv reorder.Permutation
-	switch {
-	case view != nil:
-	case inLayout(d.csr, d.inv, perm):
-		// d.inv is perm's inverse, or perm is the identity and its own.
-		view, inv = d.csr, d.inv
-		if inv == nil {
-			inv = perm
-		}
-	default:
-		newID := perm
-		if d.inv != nil {
-			newID = d.inv.Compose(perm) // CSR ID -> original ID -> new ID
-		}
-		var err error
-		if view, err = d.csr.RelabelWorkers(newID, r.Workers); err != nil {
-			return err
-		}
+	if view != nil {
+		d.set(view, perm, perm.Inverse())
+	} else if err := d.fold(perm); err != nil {
+		return err
 	}
-	if inv == nil {
-		inv = perm.Inverse()
-	}
-	d.set(view, perm, inv)
 	d.layouts++
 	r.of, r.layout, r.perm, r.batchesAtPerm, r.seq = d, d.layouts, perm, d.Batches(), d.csrSeq
 	r.Refreshes++
 	return nil
 }
 
-// inLayout reports whether csr, whose vertex c is original vertex inv[c]
-// (c itself for a nil inv), already has every vertex where perm puts it:
+// inLayout reports whether a CSR whose vertex c is original vertex inv[c]
+// (c itself for a nil inv) already has every vertex where perm puts it:
 // relabeling it by perm would be the identity.
-func inLayout(csr *graph.Graph, inv, perm reorder.Permutation) bool {
-	if len(perm) != csr.NumVertices() || (inv != nil && len(inv) != len(perm)) {
+func inLayout(inv, perm reorder.Permutation) bool {
+	if inv != nil && len(inv) != len(perm) {
 		return false
 	}
 	for c := range perm {
@@ -624,16 +636,14 @@ func (r *Reorderer) Due(d *Graph) bool {
 		(r.policy.Every > 0 && d.Batches()-r.batchesAtPerm >= r.policy.Every)
 }
 
-// Refresh recomputes the ordering and relabels d's CSR into it. The
-// ordering is reorder.Resolve's from d's maintained degrees, its
+// Refresh recomputes the ordering and patches d's pending edits into a
+// CSR in its order, relabeling as it patches: one pass and one new CSR.
+// The ordering is reorder.Resolve's from d's maintained degrees, its
 // snapshot's, so a skew-aware technique or Auto (which re-advises, its
 // verdict kept in Advice) exports nothing. Only a plan that reads more
 // than the degrees gets the snapshot, dropped before the relabel: two
 // CSRs at most are alive.
 func (r *Reorderer) Refresh(d *Graph) error {
-	if err := d.fold(); err != nil {
-		return err
-	}
 	perm, rec, ok := reorder.Resolve(r.tech, d.degrees(r.kind), d.m)
 	if !ok {
 		g, err := d.Snapshot()
@@ -661,7 +671,7 @@ func (r *Reorderer) View(d *Graph) (*graph.Graph, reorder.Permutation, error) {
 	if r.Due(d) {
 		err = r.Refresh(d)
 	} else {
-		err = d.fold() // stale permutation, fresh edges: the reuse §VIII-B argues for
+		err = d.fold(nil) // stale permutation, fresh edges: the reuse §VIII-B argues for
 	}
 	if err != nil {
 		return nil, nil, err

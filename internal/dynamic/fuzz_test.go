@@ -16,9 +16,10 @@ import (
 // rollbacks and bare growth, on a weighted or an unweighted graph, under
 // an edit-log retention of 1 to 8 edits so folds and trims come often. After every step the two must agree on
 // errors, counts, degrees and the weight the next removal of each bucket
-// takes; on a snapshot step Snapshot() must equal BuildWith of the
-// model's multiset and View() that rebuild relabeled, array for array,
-// and the graph must hold that view as its one CSR.
+// takes; on a snapshot step View() — taken first, so a refresh patches
+// the pending edits straight into its new order — must equal BuildWith of
+// the model's multiset relabeled, Snapshot() that rebuild, array for
+// array, and the graph must hold that view as its one CSR.
 func FuzzApplyMatchesModel(f *testing.F) {
 	// Three vertices, no edges, an 8-edit retention: one bucket gets
 	// weights 1, 3 and 2 in one batch, loses one instance (the 3), and is
@@ -102,14 +103,18 @@ func FuzzApplyMatchesModel(f *testing.F) {
 			default:
 				snapshot = true
 			}
-			checkAgainstModel(t, name, d, r, snapshot)
 			if !snapshot {
+				checkAgainstModel(t, name, d, r, false)
 				continue
 			}
+			// The view first, so a refresh it makes patches the pending
+			// edits into its new order, then the snapshot, which relabels
+			// that view back.
 			view, perm, err := rr.View(d)
 			if err != nil {
 				t.Fatal(err)
 			}
+			checkAgainstModel(t, name, d, r, true)
 			want, err := r.snapshot(t).RelabelWorkers(perm, 1)
 			if err != nil {
 				t.Fatal(err)

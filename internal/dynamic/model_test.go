@@ -426,12 +426,37 @@ func TestFromGraphFootprint(t *testing.T) {
 	runtime.KeepAlive(g) // the measure is what d retains, not what it lets go
 }
 
+// dbgMovingEdit returns a one-edge batch that moves a vertex of g across
+// a DBG group: the source is the first vertex, one per out-degree, whose
+// extra out-edge changes DBG's order of g's out-degrees.
+func dbgMovingEdit(t *testing.T, g *graph.Graph) []Update {
+	t.Helper()
+	degs := g.Degrees(graph.OutDegree)
+	installed, _, _ := reorder.Resolve(reorder.NewDBG(), degs, g.NumEdges())
+	tried := make(map[uint32]bool)
+	for v, dv := range degs {
+		if tried[dv] {
+			continue
+		}
+		tried[dv] = true
+		degs[v]++
+		moved, _, _ := reorder.Resolve(reorder.NewDBG(), degs, g.NumEdges()+1)
+		degs[v]--
+		if !slices.Equal(moved, installed) {
+			return []Update{{Edge: graph.Edge{Src: graph.VertexID(v), Dst: 4, Weight: 2}}}
+		}
+	}
+	t.Fatal("no single out-edge moves a vertex across a DBG group")
+	return nil
+}
+
 // TestAutoRefreshAllocatesLikeDBG pins what an "auto" refresh costs
-// beside a DBG one on sd/small (advised DBG), with one pending edit each:
-// the advisor reads the degrees the graph maintains, so the refresh
-// exports no original-order snapshot and allocates no more than the DBG
-// refresh plus a stated epsilon for the advisor's own O(V) pass.
-// Advising from an exported snapshot allocated 1.5x.
+// beside a DBG one on sd/small (advised DBG), with one pending edit each
+// that moves a vertex across a DBG group, so both refreshes relabel: the
+// advisor reads the degrees the graph maintains, so the refresh exports
+// no original-order snapshot and allocates no more than the DBG refresh
+// plus a stated epsilon for the advisor's own O(V) pass. Advising from an
+// exported snapshot allocated 1.5x.
 func TestAutoRefreshAllocatesLikeDBG(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's own allocations are counted")
@@ -441,13 +466,15 @@ func TestAutoRefreshAllocatesLikeDBG(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	edit := dbgMovingEdit(t, g)
 	refresh := func(tech reorder.Technique) uint64 {
 		d := FromGraph(g)
 		r := NewReorderer(tech, graph.OutDegree, Policy{})
 		if _, _, err := r.View(d); err != nil {
 			t.Fatal(err)
 		}
-		if err := d.Apply([]Update{{Edge: graph.Edge{Src: 3, Dst: 4, Weight: 2}}}); err != nil {
+		installed := r.perm
+		if err := d.Apply(edit); err != nil {
 			t.Fatal(err)
 		}
 		var before, after runtime.MemStats
@@ -460,13 +487,57 @@ func TestAutoRefreshAllocatesLikeDBG(t *testing.T) {
 		if _, auto := tech.(reorder.Auto); auto && r.Advice.Spec != "dbg" {
 			t.Fatalf("sd/small advised %q, want dbg", r.Advice.Spec)
 		}
+		if slices.Equal(r.perm, installed) {
+			t.Fatalf("%s: the edit left the order as it was; the pin needs one that moves a vertex", tech.Name())
+		}
 		return after.TotalAlloc - before.TotalAlloc
 	}
 	dbg, auto := refresh(reorder.NewDBG()), refresh(reorder.Auto{})
-	t.Logf("a refresh of sd/small with one pending edit allocates %d B under dbg, %d B under auto (%.3fx)",
+	t.Logf("a relabeling refresh of sd/small with one pending edit allocates %d B under dbg, %d B under auto (%.3fx)",
 		dbg, auto, float64(auto)/float64(dbg))
 	if float64(auto) > (1+eps)*float64(dbg) {
 		t.Errorf("an auto refresh allocated %d B, more than %.2fx a dbg refresh's %d B", auto, 1+eps, dbg)
+	}
+}
+
+// TestRelabelingRefreshAllocatesLikeFold pins a refresh whose order moves
+// a vertex to at most 1.2x what a View that only folds the same edit
+// allocates: the refresh patches the edit into a CSR in the new order in
+// one pass. Folding, then relabeling the folded CSR, allocated 2.09x.
+func TestRelabelingRefreshAllocatesLikeFold(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's own allocations are counted")
+	}
+	const bound = 1.2
+	g, err := gen.Generate(gen.MustDataset("sd", gen.Small))
+	if err != nil {
+		t.Fatal(err)
+	}
+	edit := dbgMovingEdit(t, g)
+	measure := func(step func(*Reorderer, *Graph) error) uint64 {
+		d := FromGraph(g)
+		r := NewReorderer(reorder.NewDBG(), graph.OutDegree, Policy{})
+		if _, _, err := r.View(d); err != nil {
+			t.Fatal(err)
+		}
+		if err := d.Apply(edit); err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		if err := step(r, d); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	fold := measure(func(r *Reorderer, d *Graph) error { _, _, err := r.View(d); return err })
+	refresh := measure((*Reorderer).Refresh)
+	t.Logf("DBG on sd/small, one pending edit that moves a vertex: a fold allocates %d B, the refresh %d B (%.3fx)",
+		fold, refresh, float64(refresh)/float64(fold))
+	if float64(refresh) > bound*float64(fold) {
+		t.Errorf("a relabeling refresh allocated %d B, more than %.1fx a fold's %d B", refresh, bound, fold)
 	}
 }
 
@@ -525,6 +596,104 @@ func TestUnchangedRefreshAllocatesLikeFold(t *testing.T) {
 			tech.Name(), fold, refresh, float64(refresh)/float64(fold))
 		if float64(refresh) > (1+eps)*float64(fold) {
 			t.Errorf("%s: an unchanged refresh allocated %d B, more than %.2fx a fold's %d B", tech.Name(), refresh, 1+eps, fold)
+		}
+	}
+}
+
+// TestRefreshEqualsFoldThenRelabel holds a refresh, which patches the
+// pending edits into the new order in one pass, to the two passes it
+// replaces, array for array: on a twin graph fed the same seeded batches
+// (vertex growth included, several batches pending at a refresh), the
+// pending edits folded into the CSR and the result relabeled by
+// RelabelWorkers into the refresh's order. Weighted and unweighted
+// graphs, ordered by DBG from the maintained degrees and by a two-stage
+// plan from the snapshot.
+func TestRefreshEqualsFoldThenRelabel(t *testing.T) {
+	for _, sched := range []struct {
+		seed     uint64
+		weighted bool
+		twoStage bool
+	}{
+		{seed: 1, weighted: true},
+		{seed: 2},
+		{seed: 3, weighted: true, twoStage: true},
+		{seed: 4, weighted: true},
+	} {
+		rnd := rng.New(sched.seed)
+		n := 8 + rnd.Intn(24)
+		vertex := func() graph.VertexID {
+			if rnd.Intn(3) == 0 {
+				return graph.VertexID(rnd.Intn(3)) // hubs
+			}
+			return graph.VertexID(rnd.Intn(n))
+		}
+		var initial []graph.Edge
+		for i := 20 + rnd.Intn(60); i > 0; i-- {
+			initial = append(initial, graph.Edge{Src: vertex(), Dst: vertex(), Weight: uint32(1 + rnd.Intn(300))})
+		}
+		g, err := graph.BuildWith(initial, graph.BuildOptions{NumVertices: n, Weighted: sched.weighted, SortNeighbors: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, twin, model := FromGraph(g), FromGraph(g), refFromGraph(g)
+		var tech reorder.Technique = reorder.NewDBG()
+		if sched.twoStage {
+			tech = reorder.Compose(reorder.NewDBG(), reorder.HubCluster{})
+		}
+		r := NewReorderer(tech, graph.OutDegree, Policy{})
+		relabeled := 0
+		for step := 0; step < 120; step++ {
+			grow := 0
+			if rnd.Intn(8) == 0 {
+				grow = 1 + rnd.Intn(2)
+				n += grow
+			}
+			present := model.edges()
+			var batch []Update
+			for i := 1 + rnd.Intn(6); i > 0; i-- {
+				if rnd.Intn(3) == 0 && len(present) > 0 {
+					batch = append(batch, Update{Remove: true, Edge: present[rnd.Intn(len(present))]})
+				} else {
+					batch = append(batch, Update{Edge: graph.Edge{Src: vertex(), Dst: vertex(), Weight: uint32(1 + rnd.Intn(300))}})
+				}
+			}
+			_, err := d.ApplyGrow(grow, batch)
+			_, twinErr := twin.ApplyGrow(grow, batch)
+			if modelErr := model.applyGrow(grow, batch); (err == nil) != (modelErr == nil) || (twinErr == nil) != (err == nil) {
+				t.Fatalf("seed %d step %d: errors %v, twin %v, model %v", sched.seed, step, err, twinErr, modelErr)
+			}
+			if err != nil {
+				n -= grow
+			}
+			if step%3 != 2 {
+				continue
+			}
+			before := r.perm
+			if err := r.Refresh(d); err != nil {
+				t.Fatalf("seed %d step %d: %v", sched.seed, step, err)
+			}
+			if err := twin.fold(nil); err != nil {
+				t.Fatal(err)
+			}
+			newID := r.perm
+			if twin.inv != nil {
+				newID = twin.inv.Compose(r.perm)
+			}
+			want, err := twin.csr.RelabelWorkers(newID, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(csrBytes(t, d.csr), csrBytes(t, want)) {
+				t.Fatalf("seed %d step %d: the refresh differs from fold then RelabelWorkers", sched.seed, step)
+			}
+			twin.set(want, r.perm, r.perm.Inverse())
+			if !slices.Equal(before, r.perm) {
+				relabeled++
+			}
+		}
+		checkAgainstModel(t, fmt.Sprintf("seed %d end", sched.seed), d, model, true)
+		if relabeled < 5 {
+			t.Errorf("seed %d: %d refreshes moved the order, want at least 5", sched.seed, relabeled)
 		}
 	}
 }

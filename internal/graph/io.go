@@ -465,11 +465,12 @@ func writeSlice[T uint32 | uint64](w io.Writer, vals []T, size int, put func([]b
 }
 
 // readSlice reads count elements by streaming through a fixed scratch
-// buffer, size bytes per element decoded with get. With trusted set the
-// destination is allocated once at count; otherwise it grows with append,
+// buffer, size bytes per element, each chunk decoded into the slice by
+// one call of decode. With trusted set the destination is allocated once
+// at count; otherwise it grows as append grows it, chunk by chunk,
 // bounding the allocation by the bytes actually read: header dimensions
 // are attacker-controlled until the payload backs them up.
-func readSlice[T uint32 | uint64](r io.Reader, count, size int, trusted bool, get func([]byte) T) ([]T, error) {
+func readSlice[T uint32 | uint64](r io.Reader, count, size int, trusted bool, decode func(dst []T, src []byte)) ([]T, error) {
 	var buf [ioChunkBytes]byte
 	perChunk := ioChunkBytes / size
 	initial := min(count, perChunk)
@@ -482,9 +483,9 @@ func readSlice[T uint32 | uint64](r io.Reader, count, size int, trusted bool, ge
 		if _, err := io.ReadFull(r, buf[:chunk*size]); err != nil {
 			return nil, err
 		}
-		for i := 0; i < chunk; i++ {
-			dst = append(dst, get(buf[i*size:]))
-		}
+		base := len(dst)
+		dst = slices.Grow(dst, chunk)[:base+chunk]
+		decode(dst[base:], buf[:chunk*size])
 	}
 	return dst, nil
 }
@@ -557,9 +558,17 @@ func writeUint32s(w io.Writer, vals []uint32) error {
 }
 
 func readUint64s(r io.Reader, count int, trusted bool) ([]uint64, error) {
-	return readSlice(r, count, 8, trusted, binary.LittleEndian.Uint64)
+	return readSlice(r, count, 8, trusted, func(dst []uint64, src []byte) {
+		for i := range dst {
+			dst[i] = binary.LittleEndian.Uint64(src[8*i:])
+		}
+	})
 }
 
 func readUint32s(r io.Reader, count int, trusted bool) ([]uint32, error) {
-	return readSlice(r, count, 4, trusted, binary.LittleEndian.Uint32)
+	return readSlice(r, count, 4, trusted, func(dst []uint32, src []byte) {
+		for i := range dst {
+			dst[i] = binary.LittleEndian.Uint32(src[4*i:])
+		}
+	})
 }

@@ -41,11 +41,24 @@ type EdgeEdit struct {
 // of the returned graph is freshly allocated, so graphs already handed
 // to readers stay valid and immutable however many patches follow.
 func (g *Graph) Patch(edits []EdgeEdit, n int, rank []VertexID) (*Graph, error) {
+	return g.PatchRelabel(edits, n, rank, nil)
+}
+
+// PatchRelabel is Patch followed by RelabelWorkers(newID), array for
+// array, in one pass and one CSR: the patched list of vertex v is stored
+// as the list of newID[v], its neighbors renamed and in the order Patch
+// leaves them. A nil newID is Patch. Edits and rank are in g's IDs.
+func (g *Graph) PatchRelabel(edits []EdgeEdit, n int, rank, newID []VertexID) (*Graph, error) {
 	if n < g.n {
 		return nil, fmt.Errorf("graph: patch shrinks the vertex space from %d to %d", g.n, n)
 	}
 	if rank != nil && len(rank) != n {
 		return nil, fmt.Errorf("graph: rank has length %d, want %d", len(rank), n)
+	}
+	if newID != nil {
+		if err := checkPermutation(newID, n); err != nil {
+			return nil, err
+		}
 	}
 	for _, e := range edits {
 		if int(e.Src) >= n || int(e.Dst) >= n {
@@ -54,13 +67,13 @@ func (g *Graph) Patch(edits []EdgeEdit, n int, rank []VertexID) (*Graph, error) 
 	}
 	ng := &Graph{n: n}
 	var err error
-	ng.outIndex, ng.outEdges, ng.outWeights, ng.wb, err = patchCSR(g.outIndex, g.outEdges, g.outWeights, g.wb, edits, n, rank, false)
+	ng.outIndex, ng.outEdges, ng.outWeights, ng.wb, err = patchCSR(g.outIndex, g.outEdges, g.outWeights, g.wb, edits, n, rank, newID, false)
 	if err != nil {
 		return nil, err
 	}
 	// The in-CSR carries no weights, so its edits fold on (key, neighbor):
 	// an absent weighted instance was already refused by the out-CSR.
-	ng.inIndex, ng.inEdges, _, _, err = patchCSR(g.inIndex, g.inEdges, nil, 0, edits, n, rank, true)
+	ng.inIndex, ng.inEdges, _, _, err = patchCSR(g.inIndex, g.inEdges, nil, 0, edits, n, rank, newID, true)
 	if err != nil {
 		return nil, err
 	}
@@ -94,12 +107,14 @@ type patchItem struct {
 var errPatchAbsent = errors.New("graph: patch removes an edge instance the graph does not hold")
 
 // patchCSR patches one direction (reverse: the in-CSR, keyed by Dst),
-// whose weights, if wb is not 0, are ws at wb bytes each. The result
-// stores them at the rebuild's width, the one its largest weight needs:
-// wider when an insert needs it, narrower when a removal took the last
-// weight that did. Untouched lists are copied as stored (re-stored, when
-// the width moves); only the edited lists' weights are decoded.
-func patchCSR(index []uint64, adj []VertexID, ws []byte, wb int, edits []EdgeEdit, n int, rank []VertexID, reverse bool) ([]uint64, []VertexID, []byte, int, error) {
+// whose weights, if wb is not 0, are ws at wb bytes each, and stores the
+// list of vertex v as the list of newID[v] with its neighbors renamed (v
+// and as they are for a nil newID). The result stores the weights at the
+// rebuild's width, the one its largest weight needs: wider when an insert
+// needs it, narrower when a removal took the last weight that did.
+// Untouched lists are copied as stored (re-stored, when the width moves);
+// only the edited lists' weights are decoded.
+func patchCSR(index []uint64, adj []VertexID, ws []byte, wb int, edits []EdgeEdit, n int, rank, newID []VertexID, reverse bool) ([]uint64, []VertexID, []byte, int, error) {
 	items := make([]patchItem, len(edits))
 	m := len(adj)
 	for i, e := range edits {
@@ -155,7 +170,34 @@ func patchCSR(index []uint64, adj []VertexID, ws []byte, wb int, edits []EdgeEdi
 		}
 		index = grown
 	}
+	// name is a vertex's ID in the output.
+	name := func(v VertexID) VertexID {
+		if newID != nil {
+			return newID[v]
+		}
+		return v
+	}
+	// The output index: every list's new length, its old one plus its
+	// groups' net change, stored under the list's new name and
+	// prefix-summed.
 	newIndex := make([]uint64, n+1)
+	for v := range VertexID(n) {
+		newIndex[name(v)+1] = index[v+1] - index[v]
+	}
+	for k := 0; k < len(groups); {
+		key := groups[k].key
+		deg := int64(newIndex[name(key)+1])
+		for ; k < len(groups) && groups[k].key == key; k++ {
+			deg += int64(groups[k].delta)
+		}
+		if deg < 0 {
+			return nil, nil, nil, 0, errPatchAbsent
+		}
+		newIndex[name(key)+1] = uint64(deg)
+	}
+	for v := 1; v <= n; v++ {
+		newIndex[v] += newIndex[v-1]
+	}
 	newAdj := make([]VertexID, m)
 	var newWs []byte
 	if wb != 0 {
@@ -167,41 +209,46 @@ func patchCSR(index []uint64, adj []VertexID, ws []byte, wb int, edits []EdgeEdi
 		}
 		return v
 	}
-	pos := 0 // output cursor into newAdj
-	// run appends the old entries [lo, hi) unchanged, without weights.
-	run := func(lo, hi uint64) bool {
-		if pos+int(hi-lo) > m {
-			return false
+	// untouched copies the lists of vertices [from, to) as they are, with
+	// their weights as stored: one run without newID, list by list under
+	// their new names, renamed, with it.
+	untouched := func(from, to int) {
+		if from >= to {
+			return
 		}
-		copy(newAdj[pos:], adj[lo:hi])
-		pos += int(hi - lo)
-		return true
-	}
-	// untouched emits vertices [from, to): their lists are one contiguous
-	// run, their offsets the old ones shifted by the edits before them,
-	// and their weights copied as stored.
-	untouched := func(from, to int) bool {
-		shift := uint64(pos) - index[from]
+		if newID == nil {
+			lo, hi, at := index[from], index[to], newIndex[from]
+			copy(newAdj[at:], adj[lo:hi])
+			if wb != 0 {
+				copyWeights(newWs[at*uint64(nb):], nb, ws[lo*uint64(wb):hi*uint64(wb)], wb)
+			}
+			return
+		}
 		for v := from; v < to; v++ {
-			newIndex[v] = index[v] + shift
+			lo, hi, at := index[v], index[v+1], newIndex[newID[v]]
+			out := newAdj[at : at+hi-lo]
+			for i, nbr := range adj[lo:hi] {
+				out[i] = newID[nbr]
+			}
+			if wb != 0 {
+				copyWeights(newWs[at*uint64(nb):], nb, ws[lo*uint64(wb):hi*uint64(wb)], wb)
+			}
 		}
-		start := pos
-		if !run(index[from], index[to]) {
-			return false
-		}
-		if wb != 0 {
-			copyWeights(newWs[start*nb:], nb, ws[index[from]*uint64(wb):index[to]*uint64(wb)], wb)
-		}
-		return true
 	}
-	// An edited list's weights: lw holds the old list's from entry base
-	// on, ow the new list's, stored at the list's end.
+	// An edited list is written from pos up to end, the bounds of its
+	// new name's list. Its weights: lw holds the old list's from entry base on, ow the new
+	// list's, stored at the list's end.
+	var pos, end uint64
 	var lw, ow []uint32
 	var base uint64
 	keep := func(lo, hi uint64) bool {
-		if !run(lo, hi) {
+		if pos+(hi-lo) > end {
 			return false
 		}
+		for i, nbr := range adj[lo:hi] {
+			newAdj[pos+uint64(i)] = name(nbr)
+		}
+		pos += hi - lo
 		if wb != 0 {
 			ow = append(ow, lw[lo-base:hi-base]...)
 		}
@@ -211,11 +258,9 @@ func patchCSR(index []uint64, adj []VertexID, ws []byte, wb int, edits []EdgeEdi
 	next := 0 // first vertex not emitted yet
 	for len(groups) > 0 {
 		key := int(groups[0].key)
-		if !untouched(next, key) {
-			return nil, nil, nil, 0, errPatchAbsent
-		}
-		start := pos
-		newIndex[key] = uint64(pos)
+		untouched(next, key)
+		start := newIndex[name(VertexID(key))]
+		pos, end = start, newIndex[name(VertexID(key))+1]
 		i, hi := index[key], index[key+1]
 		base, ow = i, ow[:0]
 		lw = appendWeights(lw[:0], ws, wb, i, hi)
@@ -231,10 +276,10 @@ func patchCSR(index []uint64, adj []VertexID, ws []byte, wb int, edits []EdgeEdi
 			}
 			i = j
 			for c := it.delta; c > 0; c-- {
-				if pos >= m {
+				if pos >= end {
 					return nil, nil, nil, 0, errPatchAbsent
 				}
-				newAdj[pos] = it.nbr
+				newAdj[pos] = name(it.nbr)
 				if wb != 0 {
 					ow = append(ow, it.w)
 				}
@@ -247,18 +292,15 @@ func patchCSR(index []uint64, adj []VertexID, ws []byte, wb int, edits []EdgeEdi
 				i++
 			}
 		}
-		if !keep(i, hi) {
+		if !keep(i, hi) || pos != end {
 			return nil, nil, nil, 0, errPatchAbsent
 		}
 		if wb != 0 {
-			putWeights(newWs[start*nb:], ow, nb)
+			putWeights(newWs[start*uint64(nb):], ow, nb)
 		}
 		next = key + 1
 	}
-	if !untouched(next, n) || pos != m {
-		return nil, nil, nil, 0, errPatchAbsent
-	}
-	newIndex[n] = uint64(m)
+	untouched(next, n)
 	if nb > 1 {
 		newWs, nb = narrowWeights(newWs, nb)
 	}

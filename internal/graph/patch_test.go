@@ -203,7 +203,9 @@ func (c patchCase) final() ([]Edge, bool) {
 // checkPatch holds Patch to its definition on one case: the patched
 // original-order graph (vertex growth included) equals the rebuild, the
 // patched view equals the rebuild relabeled, both validate, and the
-// inputs are left as they were.
+// inputs are left as they were. PatchRelabel must equal Patch followed by
+// RelabelWorkers on both graphs, array for array, and refuse what Patch
+// refuses.
 func checkPatch(t *testing.T, c patchCase) {
 	t.Helper()
 	build := func(edges []Edge, n int) *Graph {
@@ -221,6 +223,9 @@ func checkPatch(t *testing.T, c patchCase) {
 	if !valid {
 		if err == nil {
 			t.Fatalf("Patch accepted a removal of an absent instance: %+v", c)
+		}
+		if _, err := g0.PatchRelabel(c.edits, c.n, nil, c.perm); err == nil {
+			t.Fatalf("PatchRelabel accepted a removal of an absent instance: %+v", c)
 		}
 		return
 	}
@@ -263,6 +268,35 @@ func checkPatch(t *testing.T, c patchCase) {
 		t.Fatalf("patched view is not the rebuild relabeled: %v\ncase %+v", err, c)
 	}
 	if err := gotView.Validate(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Patch and relabel in one pass: from original order into the view,
+	// and from the view into another order (the view's IDs rotated by one
+	// before perm).
+	fused, err := g0.PatchRelabel(c.edits, c.n, nil, c.perm)
+	if err != nil {
+		t.Fatalf("PatchRelabel: %v on %+v", err, c)
+	}
+	if err := sameArrays(fused, wantView); err != nil {
+		t.Fatalf("PatchRelabel into the view is not Patch then RelabelWorkers: %v\ncase %+v", err, c)
+	}
+	next := make([]VertexID, c.n)
+	for v := range next {
+		next[v] = c.perm[(v+1)%c.n]
+	}
+	fused, err = view0.PatchRelabel(moved, c.n, inv, next)
+	if err != nil {
+		t.Fatalf("PatchRelabel (view): %v on %+v", err, c)
+	}
+	wantNext, err := gotView.RelabelWorkers(next, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sameArrays(fused, wantNext); err != nil {
+		t.Fatalf("PatchRelabel of the view is not Patch then RelabelWorkers: %v\ncase %+v", err, c)
+	}
+	if err := fused.Validate(); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -70,11 +70,16 @@ func NewResultCache(maxBytes int64) *ResultCache {
 	}
 }
 
-// Get returns the value cached under key and marks it most recently used.
-func (c *ResultCache) Get(key string) (any, bool) {
+// Get returns the value cached under key or, when key holds none, under
+// the first of also that holds one, and marks it most recently used. One
+// call counts one hit or one miss.
+func (c *ResultCache) Get(key string, also ...string) (any, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.items[key]
+	for i := 0; !ok && i < len(also); i++ {
+		el, ok = c.items[also[i]]
+	}
 	if !ok {
 		c.misses.Add(1)
 		return nil, false
@@ -84,12 +89,18 @@ func (c *ResultCache) Get(key string) (any, bool) {
 	return el.Value.(*cacheEntry).val, true
 }
 
-// getStale returns the most recent cached result for an epoch-free key,
-// along with the metadata of the (possibly old) snapshot it came from.
-func (c *ResultCache) getStale(staleKey string) (any, QueryMeta, bool) {
+// getStale returns the most recent cached result for an epoch-free key
+// or for one of also, whichever came from the newest epoch, along with
+// the metadata of the (possibly old) snapshot it came from.
+func (c *ResultCache) getStale(staleKey string, also ...string) (any, QueryMeta, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e, ok := c.stale[staleKey]
+	for _, k := range also {
+		if a, found := c.stale[k]; found && (!ok || a.meta.Epoch > e.meta.Epoch) {
+			e, ok = a, true
+		}
+	}
 	if !ok {
 		return nil, QueryMeta{}, false
 	}
@@ -108,7 +119,12 @@ func (c *ResultCache) Add(key string, val any, cost int64) {
 
 // addFallback is Add for a node's epoch-keyed entries: a non-empty
 // staleKey also indexes the entry as the degradation fallback for its
-// parameters, answering as the snapshot meta names.
+// parameters, answering as the snapshot meta names. The entry it takes
+// the index over from is evicted when it belongs to an older epoch of the
+// same snapshot: its key names a replaced epoch, which only a request
+// still holding that snapshot can ask for. For the same reason an entry
+// whose index already holds a newer epoch of its snapshot (a late add
+// from a retired one) is not cached.
 func (c *ResultCache) addFallback(key, staleKey string, val any, cost int64, meta QueryMeta) {
 	if cost < 1 {
 		cost = 1
@@ -120,6 +136,12 @@ func (c *ResultCache) addFallback(key, staleKey string, val any, cost int64, met
 			c.removeLocked(el)
 		}
 		return
+	}
+	if prev, ok := c.stale[staleKey]; ok && prev.key != key && prev.meta.Snapshot == meta.Snapshot {
+		if prev.meta.Epoch > meta.Epoch {
+			return
+		}
+		c.removeLocked(c.items[prev.key])
 	}
 	if el, ok := c.items[key]; ok {
 		entry := el.Value.(*cacheEntry)

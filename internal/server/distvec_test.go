@@ -232,8 +232,9 @@ func TestStaleSSSPVectorShorterThanTarget(t *testing.T) {
 		t.Fatal(err)
 	}
 	h := s.Handler()
+	// A target query: only a vector is a target query's stale fallback.
 	var warm SSSPResult
-	if code := get(t, h, "/v1/query/sssp?src=0", &warm); code != http.StatusOK {
+	if code := get(t, h, "/v1/query/sssp?src=0&target=0", &warm); code != http.StatusOK {
 		t.Fatal("warmup sssp failed")
 	}
 	newVertex := warm.Vertices

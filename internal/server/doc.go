@@ -15,14 +15,21 @@
 // under context deadlines, with duplicate in-flight requests coalesced
 // (singleflight) and results kept in an LRU keyed by
 // (snapshot epoch, app, params). The LRU is bounded in bytes and charges
-// an entry what it keeps resident (EntryCost): an SSSP result is cached
-// as SSSPDistances, a DistVector — bit-packed at w = bits.Len64(max+1)
-// bits per vertex, the fewest that hold the largest distance plus an
-// all-ones unreachable sentinel (8 or 9 bits on sd) — and its summary,
-// read only through At/Len/Bytes, so the target lookup and the
-// stale-epoch fallback never see the width. The
-// cluster router caches the same type and answers with the same reply
-// types.
+// an entry what it keeps resident (EntryCost). An SSSP caches what its
+// reply reads. Without a target that is an SSSPSummary: rounds, reached,
+// unreachable and max distance, 32 bytes, no vector. With a target it is
+// SSSPDistances, a DistVector — bit-packed at w = bits.Len64(max+1) bits
+// per vertex, the fewest that hold the largest distance plus an all-ones
+// unreachable sentinel (8 or 9 bits on sd) — and its summary, read only
+// through At/Len/Bytes, so the target lookup and the stale-epoch
+// fallback never see the width. A summary query is also answered from a
+// vector of its epoch, and falls back to the newer of a stale summary
+// and a stale vector. A target query needs a vector: where its epoch
+// holds only a summary it computes, and when shed it falls back to a
+// stale vector only, failing with 503 where there is none. A cached
+// entry whose epoch a later one of the same snapshot replaced is evicted
+// when that one is cached. The cluster router caches the same types by
+// the same rule and answers with the same reply types.
 //
 // # Live snapshots
 //

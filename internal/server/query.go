@@ -331,37 +331,68 @@ func (v DistVector) Len() int { return v.n }
 // Bytes is the vector's resident size, 8·⌈n·w/64⌉.
 func (v DistVector) Bytes() int64 { return 8 * int64(len(v.words)) }
 
-// SSSPDistances is what both tiers cache per (epoch, source): the full
-// distance vector, bit-packed, plus its summary, computed once per
-// vector — cache hits serve the summary without rescanning the O(n)
-// vector.
-type SSSPDistances struct {
-	Dist        DistVector
+// SSSPSummary is what a reply to an SSSP without a target reads beside
+// its source and snapshot: rounds, reached, unreachable and max
+// distance. It is all both tiers cache for such a query, which never
+// packs or keeps a distance vector.
+type SSSPSummary struct {
 	rounds      int
 	reached     int
 	unreachable int
 	maxDistance int64
 }
 
+// SSSPSummaryBytes is the payload a cached SSSPSummary keeps resident:
+// its four 8-byte fields.
+const SSSPSummaryBytes = 32
+
+// SummarizeSSSP summarizes dist, in which apps.InfDistance marks the
+// unreachable vertices; rounds is the number of rounds the traversal
+// took.
+func SummarizeSSSP(dist []int64, rounds int) SSSPSummary {
+	s := SSSPSummary{rounds: rounds}
+	for _, dv := range dist {
+		if dv == infDistance {
+			s.unreachable++
+		} else {
+			s.reached++
+			s.maxDistance = max(s.maxDistance, dv)
+		}
+	}
+	return s
+}
+
+// Summary is the reply to an SSSP from src without a target.
+func (s SSSPSummary) Summary(meta QueryMeta, src graph.VertexID) SSSPResult {
+	return SSSPResult{
+		QueryMeta:   meta,
+		Source:      src,
+		Rounds:      s.rounds,
+		Reached:     s.reached,
+		Unreachable: s.unreachable,
+		MaxDistance: s.maxDistance,
+	}
+}
+
+// SSSPDistances is what both tiers cache per (epoch, source) for an SSSP
+// with a target: the full distance vector, bit-packed, plus its summary,
+// computed once per vector — a summary query of the same epoch is
+// answered from it without rescanning the O(n) vector.
+type SSSPDistances struct {
+	SSSPSummary
+	Dist DistVector
+}
+
 // NewSSSPDistances packs dist, in which apps.InfDistance marks the
 // unreachable vertices, and summarizes it; rounds is the number of
 // rounds the traversal took.
 func NewSSSPDistances(dist []int64, rounds int) SSSPDistances {
-	d := SSSPDistances{rounds: rounds}
-	for _, dv := range dist {
-		if dv == infDistance {
-			d.unreachable++
-		} else {
-			d.reached++
-			d.maxDistance = max(d.maxDistance, dv)
-		}
-	}
-	d.Dist = packDistances(dist, d.maxDistance)
-	return d
+	s := SummarizeSSSP(dist, rounds)
+	return SSSPDistances{SSSPSummary: s, Dist: packDistances(dist, s.maxDistance)}
 }
 
-// ssspEntry is a node's cached SSSP: the distances, in the current ID
-// space of the snapshot that computed them, and that snapshot's
+// ssspEntry is a node's cached SSSP vector: the distances, in the current
+// ID space of the snapshot that computed them, and that snapshot's
 // permutation (nil for the identity). The permutation is the snapshot's
 // own slice, shared by every entry computed under it, and is not charged
 // to the entry.
@@ -384,27 +415,16 @@ func (e ssspEntry) index(v graph.VertexID) int {
 
 // computeSSSP runs SSSP through the library's context-aware Run API: the
 // request context is passed straight through, so a client disconnect or
-// deadline aborts the traversal cooperatively within one round.
-func computeSSSP(ctx context.Context, s *Snapshot, src graph.VertexID, workers int) (SSSPDistances, error) {
+// deadline aborts the traversal cooperatively within one round. It
+// returns the distances and the rounds the traversal took.
+func computeSSSP(ctx context.Context, s *Snapshot, src graph.VertexID, workers int) ([]int64, int, error) {
 	res, err := graphreorder.Run(ctx, s.graph, graphreorder.AppSSSP,
 		traceProgress(ctx, []graphreorder.RunOption{
 			graphreorder.WithRoot(src), graphreorder.WithWorkers(workers)})...)
 	if err != nil {
-		return SSSPDistances{}, err
+		return nil, 0, err
 	}
-	return NewSSSPDistances(res.Distances(), res.Iterations), nil
-}
-
-// Summary is the reply to an SSSP from src without a target.
-func (d SSSPDistances) Summary(meta QueryMeta, src graph.VertexID) SSSPResult {
-	return SSSPResult{
-		QueryMeta:   meta,
-		Source:      src,
-		Rounds:      d.rounds,
-		Reached:     d.reached,
-		Unreachable: d.unreachable,
-		MaxDistance: d.maxDistance,
-	}
+	return res.Distances(), res.Iterations, nil
 }
 
 // SSSPTargetResult is the reply of GET /v1/query/sssp with a target.

@@ -37,8 +37,9 @@ type Config struct {
 	// slot immediately.
 	QueryTimeout time.Duration
 	// CacheBytes is the byte budget of the LRU result cache, charged what
-	// an entry keeps resident (SSSP distance vectors dominate, at 2, 4 or
-	// 8 bytes/vertex depending on the largest distance); 0 means 256 MiB.
+	// an entry keeps resident (the SSSP distance vectors of target queries
+	// dominate, bit-packed at the width their largest distance needs); 0
+	// means 256 MiB.
 	CacheBytes int64
 	// AllowPathLoads permits POST /v1/snapshots specs that read graph
 	// files from the server's filesystem.
@@ -654,23 +655,38 @@ func (s *Server) handleSSSP(w http.ResponseWriter, r *http.Request) {
 	// The entry is keyed by the source's original ID, which a refresh does
 	// not move, so both wire spaces share it and a stale serve from an
 	// older epoch answers for the vertex named; the target is found through
-	// the producing snapshot's permutation.
+	// the producing snapshot's permutation. A query without a target
+	// caches only the summary its reply reads, and is also answered from a
+	// vector, of its epoch or as the stale fallback.
 	origSpace := idSpace{snap: snap, orig: true}
 	cur := sp.in(src)
-	out, err := s.runHeavy(r.Context(), snap, "query.sssp", fmt.Sprintf("sssp|%d", origSpace.out(cur)),
-		func(ctx context.Context) (any, int64, error) {
-			d, err := computeSSSP(ctx, snap, cur, s.cfg.Workers)
-			if err != nil {
-				return nil, 0, err
-			}
-			return ssspEntry{SSSPDistances: d, perm: snap.perm}, d.Dist.Bytes(), nil
-		})
+	orig := origSpace.out(cur)
+	kind := fmt.Sprintf("sssp|%d", orig)
+	var also []string
+	if !hasTarget {
+		kind, also = fmt.Sprintf("ssspsum|%d", orig), []string{kind}
+	}
+	out, err := s.runHeavy(r.Context(), snap, "query.sssp", kind, func(ctx context.Context) (any, int64, error) {
+		dist, rounds, err := computeSSSP(ctx, snap, cur, s.cfg.Workers)
+		if err != nil {
+			return nil, 0, err
+		}
+		if !hasTarget {
+			return SummarizeSSSP(dist, rounds), SSSPSummaryBytes, nil
+		}
+		d := NewSSSPDistances(dist, rounds)
+		return ssspEntry{SSSPDistances: d, perm: snap.perm}, d.Dist.Bytes(), nil
+	}, also...)
 	if err != nil {
 		writeHeavyError(w, err)
 		return
 	}
-	d := out.val.(ssspEntry)
-	summary := d.Summary(out.meta, src)
+	d, isVector := out.val.(ssspEntry)
+	sum := d.SSSPSummary
+	if !isVector {
+		sum = out.val.(SSSPSummary)
+	}
+	summary := sum.Summary(out.meta, src)
 	if !hasTarget {
 		writeJSON(w, http.StatusOK, summary)
 		return
@@ -742,15 +758,21 @@ type heavyOutcome struct {
 // cache charges that plus the entry's own overhead).
 //
 // route names the caller for the per-route shed counter; kindKey is the
-// epoch-free cache key ("topk|10"). When the predicted queue wait is
-// past the deadline, the previous epoch's cached result is served marked
-// stale; with no fallback cached, the request fails fast with 503 +
-// Retry-After instead of burning its deadline in the queue.
-func (s *Server) runHeavy(ctx context.Context, snap *Snapshot, route, kindKey string, fn func(ctx context.Context) (any, int64, error)) (heavyOutcome, error) {
+// epoch-free cache key ("topk|10"), and the entries of also's epoch-free
+// keys answer the request too (a summary SSSP reads a cached vector).
+// When the predicted queue wait is past the deadline, the previous
+// epoch's cached result is served marked stale; with no fallback cached,
+// the request fails fast with 503 + Retry-After instead of burning its
+// deadline in the queue.
+func (s *Server) runHeavy(ctx context.Context, snap *Snapshot, route, kindKey string, fn func(ctx context.Context) (any, int64, error), also ...string) (heavyOutcome, error) {
 	tr := obs.FromContext(ctx)
 	key := fmt.Sprintf("%d|%s", snap.epoch, kindKey)
+	alsoKeys := make([]string, len(also))
+	for i, k := range also {
+		alsoKeys[i] = fmt.Sprintf("%d|%s", snap.epoch, k)
+	}
 	cacheStart := time.Now()
-	v, ok := s.cache.Get(key)
+	v, ok := s.cache.Get(key, alsoKeys...)
 	tr.Observe("cache", cacheStart)
 	if ok {
 		meta := metaFor(snap)
@@ -773,7 +795,7 @@ func (s *Server) runHeavy(ctx context.Context, snap *Snapshot, route, kindKey st
 	// timeout — shed now, before the wait burns the client's budget.
 	if wait := s.pool.predictWait(); wait > 0 && time.Until(effectiveDeadline) < wait {
 		tr.Observe("admit", admitStart)
-		return s.degrade(route, kindKey, &shedError{
+		return s.degrade(route, kindKey, also, &shedError{
 			reason:     "predicted queue wait exceeds deadline",
 			retryAfter: wait,
 		})
@@ -866,10 +888,11 @@ func runWorker(ctx context.Context, fn func(ctx context.Context) (any, int64, er
 }
 
 // degrade is the refused-admission path: serve the previous epoch's
-// cached result marked stale if one exists, otherwise surface the shed.
-func (s *Server) degrade(route, kindKey string, shed *shedError) (heavyOutcome, error) {
+// cached result for kindKey or also marked stale if one exists, otherwise
+// surface the shed.
+func (s *Server) degrade(route, kindKey string, also []string, shed *shedError) (heavyOutcome, error) {
 	s.shed.add(route)
-	if v, meta, ok := s.cache.getStale(kindKey); ok {
+	if v, meta, ok := s.cache.getStale(kindKey, also...); ok {
 		meta.Cached = true
 		meta.Stale = true
 		return heavyOutcome{val: v, meta: meta}, nil
