@@ -230,8 +230,10 @@ const InfDistance = apps.InfDistance
 
 // Dynamic (evolving-graph) types, re-exported from internal/dynamic —
 // the paper's §VIII-B deployment: a stream of edge updates interleaved
-// with queries, with reordering refreshed only periodically so its cost
-// amortizes. graphd's mutable snapshots are built on exactly these.
+// with queries, with reordering refreshed only now and then so its cost
+// amortizes. graphd's mutable snapshots are built on exactly these, under
+// a zero RefreshPolicy: graphd calls Refresh itself once a snapshot's
+// hot-vertex packing has decayed.
 type (
 	// DynamicGraph is a directed multigraph under batched mutation.
 	// Batches apply atomically. Its edges live in one CSR, in the order a
@@ -268,7 +270,8 @@ type SkewStats struct {
 	// EdgeCoverage is the fraction of edges incident on hot vertices.
 	EdgeCoverage float64
 	// HotPerCacheBlock is the mean number of hot vertices per 64 B block
-	// (8 B properties), counting blocks holding at least one (Table II).
+	// (8 B properties), counting blocks holding at least one (Table II);
+	// 0 for a graph without edges, which has no hot set.
 	HotPerCacheBlock float64
 }
 
@@ -278,7 +281,7 @@ func Skew(g *Graph, kind DegreeKind) SkewStats {
 	return SkewStats{
 		HotVertexFrac:    s.HotFrac,
 		EdgeCoverage:     s.EdgeCoverage,
-		HotPerCacheBlock: stats.HotPerBlock(g, kind, stats.DefaultPropertyBytes),
+		HotPerCacheBlock: reorder.EvaluatePacking(g, kind, nil).PackingFactor,
 	}
 }
 

@@ -60,8 +60,7 @@ func main() {
 		maxConc  = flag.Int("max-concurrent", 0, "concurrent heavy queries (0 = 2*GOMAXPROCS)")
 		timeout  = flag.Duration("timeout", 15*time.Second, "heavy-query timeout")
 		allowFS  = flag.Bool("allow-path-loads", false, "allow POST /v1/snapshots specs that read server-side files")
-		mutable  = flag.Bool("mutable", true, "serve the initial snapshot as a live graph accepting POST /v1/snapshots/{name}/edges (default false for .csrz inputs so they serve zero-copy from the mapping; pass -mutable to decode one into a live graph)")
-		refresh  = flag.Int("refresh-every", 8, "live snapshots: full re-reorder every N write batches (in between, a publish patches the served CSR under the current permutation; <0 disables)")
+		mutable  = flag.Bool("mutable", true, "serve the initial snapshot as a live graph accepting POST /v1/snapshots/{name}/edges, re-reordered once writes have decayed its hot-vertex packing (default false for .csrz inputs so they serve zero-copy from the mapping; pass -mutable to decode one into a live graph)")
 		walDir   = flag.String("wal-dir", "", "durability directory for mutable snapshots (checkpoint + mutation WAL; empty = off). On startup, a mutable snapshot with durable state here is recovered from it instead of rebuilt")
 		fsync    = flag.String("fsync", "always", "WAL fsync policy: always|never|interval:<dur> (with -wal-dir)")
 		ckptN    = flag.Int("checkpoint-every", 16, "publishes between checkpoint rewrites (with -wal-dir; 1 = checkpoint every publish)")
@@ -160,7 +159,6 @@ func main() {
 		QueryTimeout:   *timeout,
 		CacheBytes:     int64(*cacheMB) << 20,
 		AllowPathLoads: *allowFS,
-		RefreshEvery:   *refresh,
 		TraceSample:    *trace,
 		SlowThreshold:  time.Duration(*slowMs) * time.Millisecond,
 		Pprof:          *pprof,
@@ -275,7 +273,7 @@ func main() {
 // through a fixed list of ops operations, and hot-swaps a
 // differently-ordered snapshot once half of them have completed. With
 // writeMix > 0 the list interleaves edge-mutation batches against the
-// live snapshot, and the run additionally proves that policy-triggered
+// live snapshot, and the run additionally proves that decay-triggered
 // re-reorders landed mid-run without losing a request and that every
 // read honored the write receipts' epochs. With chaos, the live graph is
 // additionally killed a third of the way in and recovered from its
@@ -407,7 +405,7 @@ func runSelftest(srv *server.Server, base server.BuildSpec, clients, ops, writeM
 			return 1
 		}
 		if metrics.Writes.Refreshes == 0 {
-			fmt.Fprintln(os.Stderr, "graphd: SELFTEST FAILED: no policy-triggered re-reorder landed during the run; lower -refresh-every or raise -ops")
+			fmt.Fprintln(os.Stderr, "graphd: SELFTEST FAILED: no re-reorder landed during the run (the live order's packing never decayed); raise -ops or -write-mix")
 			return 1
 		}
 		fmt.Printf("selftest OK: %d requests, %d hot-swaps, %d write batches, %d mid-run re-reorders, zero requests lost\n",

@@ -78,8 +78,9 @@
 // (registry spec "auto") is the advisor as a Technique. The advisor is
 // deterministic: equal graphs yield equal recommendations. graphd
 // consults it for BuildSpec.Technique "auto" (recording the verdict in
-// the snapshot status) and re-advises live snapshots on every policy
-// refresh.
+// the snapshot status) and re-advises live snapshots on every refresh;
+// a live "auto" snapshot also refreshes when the verdict on its
+// maintained degrees changes.
 //
 // # Workers and the determinism contract
 //
@@ -145,8 +146,9 @@
 // DynamicGraph and DynamicReorderer implement the paper's §VIII-B
 // evolving-graph deployment: edge updates arrive in batches, queries run
 // against reordered snapshot views, and the ordering is refreshed only
-// when the RefreshPolicy says so (every K batches); in between the
-// reordered CSR, which the DynamicGraph holds as its only copy of the
+// when the RefreshPolicy says so (every K batches) or the caller calls
+// Refresh — graphd does, once a live snapshot's hot-vertex packing has
+// decayed; in between the reordered CSR, which the DynamicGraph holds as its only copy of the
 // edges, is patched under the stale permutation. The contract, both in the library and in graphd's mutable snapshots:
 //
 //   - Batches are atomic. Apply/ApplyGrow validates the whole batch

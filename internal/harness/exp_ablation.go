@@ -5,8 +5,8 @@ import (
 
 	"graphreorder/internal/apps"
 	"graphreorder/internal/gen"
+	"graphreorder/internal/graph"
 	"graphreorder/internal/reorder"
-	"graphreorder/internal/stats"
 )
 
 // AblationGroups sweeps DBG's group count, exposing the trade-off the
@@ -36,7 +36,7 @@ func (r *Runner) AblationGroups() error {
 	dist := make([]float64, len(techs)) // mean |src-dst| on mp per config
 	err = r.walk([]string{"sd", "mp"}, techs, kindsOf(specs), func(l layout) error {
 		if l.ds == "mp" {
-			d := stats.MeanNeighborIDDistance(l.graph())
+			d := reorder.Evaluate(l.graph(), graph.OutDegree, nil).AvgNeighborGap
 			if l.res == nil {
 				origDist = d
 			} else {

@@ -39,7 +39,7 @@ func (r *Runner) Table1() error {
 // vertex.
 func (r *Runner) Table2() error {
 	rows, err := r.datasetColumns(gen.SkewedNames(), []string{"Avg."}, func(g *graph.Graph) []string {
-		return []string{fmt.Sprintf("%.1f", stats.HotPerBlock(g, graph.InDegree, 8))}
+		return []string{fmt.Sprintf("%.1f", reorder.EvaluatePacking(g, graph.InDegree, nil).PackingFactor)}
 	})
 	if err != nil {
 		return err

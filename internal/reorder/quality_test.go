@@ -91,6 +91,80 @@ func TestEvaluateNeighborGap(t *testing.T) {
 	}
 }
 
+// TestAvgNeighborGapHandComputed: the chain 0->1->2 has a mean gap of 1;
+// a graph without edges has none to average and reports 0.
+func TestAvgNeighborGapHandComputed(t *testing.T) {
+	g, err := graph.Build([]graph.Edge{{Src: 0, Dst: 1}, {Src: 1, Dst: 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := Evaluate(g, graph.OutDegree, nil).AvgNeighborGap; got != 1 {
+		t.Errorf("mean gap = %v, want 1", got)
+	}
+	empty, _ := graph.Build(nil)
+	if got := Evaluate(empty, graph.OutDegree, nil).AvgNeighborGap; got != 0 {
+		t.Errorf("empty mean gap = %v, want 0", got)
+	}
+}
+
+// TestPackingFactorHandComputed is Table II's metric by in-degree on 16
+// vertices, 8 to a 64 B block: vertices 0 and 1 are hot in block 0 and
+// vertex 8 in block 1, so the blocks holding a hot vertex average
+// (2+1)/2 = 1.5.
+func TestPackingFactorHandComputed(t *testing.T) {
+	var edges []graph.Edge
+	addIn := func(dst graph.VertexID, k int) {
+		for i := 0; i < k; i++ {
+			edges = append(edges, graph.Edge{Src: graph.VertexID(2 + i%3), Dst: dst})
+		}
+	}
+	addIn(0, 20)
+	addIn(1, 20)
+	addIn(8, 20)
+	g, err := graph.BuildWith(edges, graph.BuildOptions{NumVertices: 16, SortNeighbors: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := EvaluatePacking(g, graph.InDegree, nil).PackingFactor; got != 1.5 {
+		t.Errorf("packing factor = %v, want 1.5", got)
+	}
+}
+
+// TestPackingFactorEdgeless: a graph without edges has average degree 0,
+// which would make every vertex hot (degree >= 0); it has no working set
+// to pack, so the report has no hot vertex, a packing factor of 0 and
+// nothing left to gain — with vertices or without.
+func TestPackingFactorEdgeless(t *testing.T) {
+	for _, n := range []int{0, 16} {
+		g, err := graph.BuildWith(nil, graph.BuildOptions{NumVertices: n})
+		if err != nil {
+			t.Fatal(err)
+		}
+		q := EvaluatePacking(g, graph.InDegree, nil)
+		if q.HotVertices != 0 || q.PackingFactor != 0 || q.HubWorkingSetBytes != 0 || q.PackingGain() != 1 {
+			t.Errorf("%d vertices, no edges: report %+v, want no hot set", n, q)
+		}
+	}
+}
+
+// TestPackingFactorPaperBand: the synthetic stand-ins land near Table
+// II's 1.3-3.5 hot vertices per block at small scale, within [1, 5] —
+// a shape check, not exact numbers.
+func TestPackingFactorPaperBand(t *testing.T) {
+	if testing.Short() {
+		t.Skip("dataset sweep is slow")
+	}
+	for _, name := range gen.SkewedNames() {
+		g, err := gen.Generate(gen.MustDataset(name, gen.Small))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pf := EvaluatePacking(g, graph.InDegree, nil).PackingFactor; pf < 1.0 || pf > 5.0 {
+			t.Errorf("%s: packing factor %.2f outside [1,5]", name, pf)
+		}
+	}
+}
+
 func TestEvaluatePermMatchesRelabeled(t *testing.T) {
 	// Evaluating g under perm must agree with evaluating the physically
 	// relabeled graph under the identity: the layout is the same.

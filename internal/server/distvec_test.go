@@ -224,7 +224,7 @@ func TestSSSPTargetRepliesUnchanged(t *testing.T) {
 // space grew, served stale for a target it predates, answers "unreachable"
 // instead of reading past its end.
 func TestStaleSSSPVectorShorterThanTarget(t *testing.T) {
-	s := New(Config{Workers: 1, MaxConcurrent: 1, QueryTimeout: 30 * time.Second, RefreshEvery: 1000})
+	s := New(Config{Workers: 1, MaxConcurrent: 1, QueryTimeout: 30 * time.Second})
 	t.Cleanup(func() { s.store.CloseLive() })
 	if _, err := s.store.Build(BuildSpec{
 		Name: "live", Dataset: "uni", Scale: "tiny", Technique: "original", Mutable: true,

@@ -34,7 +34,9 @@
 // # Live snapshots
 //
 // A mutable snapshot republishes itself after every write batch
-// (live.go). Its dynamic.Graph holds the edges once, as the CSR of the
+// (live.go), and re-reorders only when the vertex space changed, the
+// served packing of a degree-based order fell more than 5% below the
+// last re-reorder's, or an "auto" verdict changed. Its dynamic.Graph holds the edges once, as the CSR of the
 // layout it last published: the build hands it the reordered view, so
 // the original-order graph is dropped once the build ends. It exists
 // again only while a checkpoint writes it or a refresh plans from it (one

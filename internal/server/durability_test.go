@@ -20,7 +20,7 @@ import (
 func durableServer(t *testing.T, checkpointEvery int) (*Server, string) {
 	t.Helper()
 	dir := t.TempDir()
-	s := New(Config{Workers: 1, QueryTimeout: 30 * time.Second, RefreshEvery: 1000})
+	s := New(Config{Workers: 1, QueryTimeout: 30 * time.Second})
 	t.Cleanup(func() { s.store.CloseLive() })
 	if err := s.store.SetDurability(Durability{
 		Dir: dir, Fsync: wal.SyncAlways, CheckpointEvery: checkpointEvery,

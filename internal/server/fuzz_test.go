@@ -11,8 +11,9 @@ import (
 )
 
 // FuzzMutateRequest posts an arbitrary body twice to the write route of a
-// fresh four-vertex mutable snapshot (DBG, refreshed every second batch,
-// so the two posts take the patch and the refresh path). No reply may be
+// fresh four-vertex mutable snapshot (DBG; a post refreshes the order
+// when it grows the vertex space or after one that decayed its packing,
+// and patches otherwise, so the corpus takes both paths). No reply may be
 // a 5xx, and every 200 receipt must count the batch: the edges it reports
 // are the count before it plus the batch's insertions minus its removals.
 // The committed corpus (testdata/fuzz/FuzzMutateRequest) holds the
@@ -23,7 +24,7 @@ func FuzzMutateRequest(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
-		s := New(Config{Workers: 1, QueryTimeout: 30 * time.Second, RefreshEvery: 2, AllowPathLoads: true})
+		s := New(Config{Workers: 1, QueryTimeout: 30 * time.Second, AllowPathLoads: true})
 		defer s.store.CloseLive()
 		if _, err := s.store.Build(BuildSpec{Name: "live", Path: path, Technique: "dbg", Mutable: true}); err != nil {
 			t.Fatal(err)

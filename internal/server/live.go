@@ -30,8 +30,9 @@ import (
 // observe a half-applied batch, and the epoch-keyed result cache
 // invalidates itself on every publish.
 //
-// The refresher applies the paper's §VIII-B policy (dynamic.Policy): a
-// full re-reorder only every K batches; every publish in between patches the previous epoch's CSR
+// Per the paper's §VIII-B, the refresher reuses an ordering until it has
+// decayed (liveGraph.decayed) or the vertex space changed; every publish
+// in between patches the previous epoch's CSR
 // with the batch (dynamic.Reorderer.View) and warm-starts PageRank from
 // the previous epoch's ranks, so its cost is a copy of the CSR plus work
 // proportional to the batch. What it publishes is still a brand-new
@@ -59,6 +60,14 @@ const (
 	// folds into a single publish (one relabel + one rank precompute
 	// amortized over all of them).
 	maxCoalescedBatches = 16
+	// packingDecay is the fraction of the last refresh's packing
+	// utilization the served layout may lose before a publish re-reorders.
+	// One crossing of the hot threshold (m/n passing 20) costs sd/small's
+	// DBG order 4.55% (a 42,240 B hub working set against a fresh order's
+	// 40,320 B), which then holds for 400 batches: 5% lets it pass without
+	// an O(E) relabel, and still refreshes uni/tiny, whose threshold sweeps
+	// through half the vertices, 9 times in 300 random batches (2%: 20).
+	packingDecay = 0.05
 )
 
 var (
@@ -106,8 +115,8 @@ type MutateResult struct {
 	FirstNewVertex graph.VertexID `json:"first_new_vertex,omitempty"`
 	AddedVertices  int            `json:"added_vertices,omitempty"`
 	// Refreshed reports whether this publish recomputed the ordering
-	// (policy-due full reorder) rather than reusing the stale
-	// permutation via relabel.
+	// (decayed, or the vertex space changed) rather than patching the
+	// held CSR under the current permutation.
 	Refreshed bool    `json:"refreshed"`
 	ApplyMs   float64 `json:"apply_ms"`
 	PublishMs float64 `json:"publish_ms"`
@@ -152,6 +161,12 @@ type liveGraph struct {
 	lastRanks []float64
 	lastPerm  reorder.Permutation
 
+	// degreeBased is set for a plan of one degree-based technique;
+	// packedAt and served are the packing utilizations published by the
+	// last refresh (or the build) and by the last publish.
+	degreeBased      bool
+	packedAt, served float64
+
 	// crashed marks a simulated crash (CrashLive): the refresher then
 	// abandons its WAL without flushing and skips the final checkpoint,
 	// exactly like a kill, so recovery must work from durable state.
@@ -181,7 +196,7 @@ func newLiveGraph(st *Store, ps publishSpec, base, reordered *graph.Graph, snap 
 		publishSpec: ps,
 		store:       st,
 		dyn:         dynamic.FromGraph(base),
-		reord:       dynamic.NewReorderer(order.plan, ps.kind, st.livePolicy),
+		reord:       dynamic.NewReorderer(order.plan, ps.kind, dynamic.Policy{}),
 		queue:       make(chan *mutateReq, liveQueueDepth),
 		stop:        make(chan struct{}),
 	}
@@ -202,6 +217,10 @@ func newLiveGraph(st *Store, ps publishSpec, base, reordered *graph.Graph, snap 
 	lg.dur = st.openDurableLog(lg.name, lg.dyn, lg.source, recovered == nil)
 	lg.mark = lg.dyn.Mark()
 	lg.lastRanks, lg.lastPerm = snap.ranks, perm
+	if stages := order.plan.Stages(); len(stages) == 1 {
+		_, lg.degreeBased = stages[0].(reorder.DegreeBased)
+	}
+	lg.packedAt, lg.served = snap.quality.PackingUtilization, snap.quality.PackingUtilization
 	lg.wg.Add(1)
 	go lg.loop()
 	return lg
@@ -451,8 +470,10 @@ func (lg *liveGraph) publish(traces []*obs.Trace) (*Snapshot, bool, error) {
 	}
 	refreshed := lg.reord.Refreshes > refreshes
 	lg.lastRanks, lg.lastPerm = snap.ranks, snap.perm
+	lg.served = snap.quality.PackingUtilization
 	lg.store.writes.publishes.Add(1)
 	if refreshed {
+		lg.packedAt = lg.served
 		lg.store.writes.refreshes.Add(1)
 	}
 	observe("swap", swapStart)
@@ -469,8 +490,11 @@ func (lg *liveGraph) view(p *publishJob) (string, error) {
 	start := time.Now()
 	r := lg.reord
 	tag := "patch"
-	if r.Due(lg.dyn) {
+	if r.Due(lg.dyn) || lg.decayed() {
 		tag = "refresh"
+		if err := r.Refresh(lg.dyn); err != nil {
+			return "", err
+		}
 	}
 	g, perm, err := r.View(lg.dyn)
 	if err != nil {
@@ -486,6 +510,35 @@ func (lg *liveGraph) view(p *publishJob) (string, error) {
 		p.snap.rebuildTime = time.Since(start)
 	}
 	return tag, nil
+}
+
+// decayed reports whether the ordering stopped earning its reuse: it
+// packs hot vertices (a degree-based technique's, or an "auto" dbg) and the
+// served packing, which assemble measured, fell more than packingDecay
+// below the last refresh's; or the advisor now gives an "auto" snapshot
+// another verdict (an O(V) pass a publish, 0.3 ms on sd/small). The
+// identity and plans that read structure wait for Due: packing is not
+// what they order by, and their refresh is the costly one.
+func (lg *liveGraph) decayed() bool {
+	rec := lg.reord.Advice
+	packs := lg.degreeBased || rec != nil && rec.Reorder()
+	if packs && lg.served < (1-packingDecay)*lg.packedAt {
+		return true
+	}
+	if rec == nil {
+		return false
+	}
+	degs := make([]uint32, lg.dyn.NumVertices())
+	for v := range degs {
+		id := graph.VertexID(v)
+		if lg.kind != graph.InDegree {
+			degs[v] += uint32(lg.dyn.OutDegree(id))
+		}
+		if lg.kind != graph.OutDegree {
+			degs[v] += uint32(lg.dyn.InDegree(id))
+		}
+	}
+	return reorder.AdviseDegrees(degs, lg.dyn.NumEdges()).Spec != rec.Spec
 }
 
 // warmStart returns the last published ranks in the ID space of perm, or

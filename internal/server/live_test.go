@@ -19,9 +19,9 @@ import (
 )
 
 // liveServer builds one mutable snapshot named "live".
-func liveServer(t *testing.T, technique string, refreshEvery int) *Server {
+func liveServer(t *testing.T, technique string) *Server {
 	t.Helper()
-	s := New(Config{Workers: 1, QueryTimeout: 30 * time.Second, RefreshEvery: refreshEvery})
+	s := New(Config{Workers: 1, QueryTimeout: 30 * time.Second})
 	t.Cleanup(func() { s.store.CloseLive() })
 	if _, err := s.store.Build(BuildSpec{
 		Name: "live", Dataset: "uni", Scale: "tiny", Technique: technique, Mutable: true,
@@ -52,7 +52,7 @@ func postJSON(t *testing.T, h http.Handler, url string, body any, out any) (int,
 // receipt arrives, the published snapshot at the receipt's epoch (or
 // newer) contains the batch.
 func TestMutateInsertVisibleAfterPublish(t *testing.T) {
-	s := liveServer(t, "original", 1000) // relabel path only
+	s := liveServer(t, "original") // relabel path only
 	h := s.Handler()
 	var info SnapshotInfo
 	if code := get(t, h, "/v1/snapshots/live", &info); code != http.StatusOK {
@@ -107,7 +107,7 @@ func TestMutateInsertVisibleAfterPublish(t *testing.T) {
 // relabel path on a DBG-ordered snapshot and checks the /resolve
 // contract: mutations use original IDs, queries the serving order.
 func TestMutateReorderedSnapshotRelabels(t *testing.T) {
-	s := liveServer(t, "dbg", 1000)
+	s := liveServer(t, "dbg")
 	h := s.Handler()
 
 	var res MutateResult
@@ -118,7 +118,7 @@ func TestMutateReorderedSnapshotRelabels(t *testing.T) {
 		t.Fatalf("mutate: %d %s", code, body)
 	}
 	if res.Refreshed {
-		t.Error("first batch should relabel, not re-reorder (Every=1000)")
+		t.Error("first batch should patch, not re-reorder: the build's packing had not decayed")
 	}
 	// Resolve original ID 3 into the new serving order and check the
 	// edges are there.
@@ -151,33 +151,40 @@ func TestMutateReorderedSnapshotRelabels(t *testing.T) {
 	}
 }
 
-// TestMutatePolicyRefresh drives enough batches through a small
-// RefreshEvery to force policy-triggered re-reorders, and checks the
-// refresh/patch split in /metrics.
+// TestMutatePolicyRefresh drives five batches, the third and fifth of
+// which grow the vertex space and so re-reorder, and checks the
+// refresh/patch split the receipts report against /metrics.
 func TestMutatePolicyRefresh(t *testing.T) {
-	s := liveServer(t, "dbg", 2)
+	s := liveServer(t, "dbg")
 	h := s.Handler()
-	sawRefresh := false
+	refreshes := uint64(0)
 	for i := 0; i < 5; i++ {
+		grow := 0
+		if i == 2 || i == 4 {
+			grow = 1
+		}
 		var res MutateResult
 		code, body := postJSON(t, h, "/v1/snapshots/live/edges", MutateRequest{
-			Updates: []MutateUpdate{{Src: graph.VertexID(i), Dst: graph.VertexID(i + 1), Weight: 1}},
+			AddVertices: grow,
+			Updates:     []MutateUpdate{{Src: graph.VertexID(i), Dst: graph.VertexID(i + 1), Weight: 1}},
 		}, &res)
 		if code != http.StatusOK {
 			t.Fatalf("batch %d: %d %s", i, code, body)
 		}
-		sawRefresh = sawRefresh || res.Refreshed
-	}
-	if !sawRefresh {
-		t.Error("no batch reported a policy-triggered re-reorder")
+		if grow > 0 && !res.Refreshed {
+			t.Errorf("batch %d grew the vertex space but did not re-reorder", i)
+		}
+		if res.Refreshed {
+			refreshes++
+		}
 	}
 	var m MetricsReport
 	get(t, h, "/metrics", &m)
 	if m.Writes.Batches != 5 || m.Writes.Updates != 5 {
 		t.Errorf("write counters: %+v", m.Writes)
 	}
-	if m.Writes.Refreshes < 2 {
-		t.Errorf("refreshes = %d, want >= 2 with Every=2 over 5 batches", m.Writes.Refreshes)
+	if m.Writes.Refreshes != refreshes || refreshes < 2 {
+		t.Errorf("refreshes = %d, receipts report %d, want the same and >= 2", m.Writes.Refreshes, refreshes)
 	}
 	// Every publish that did not refresh patched the held CSR.
 	if m.Writes.Refreshes > m.Writes.Publishes || m.Writes.Publishes-m.Writes.Refreshes < 1 {
@@ -190,30 +197,28 @@ func TestMutatePolicyRefresh(t *testing.T) {
 }
 
 // TestLiveAutoRefreshReadvises: a mutable "auto" snapshot re-advises on
-// every refresh, from the degrees the live graph maintains. The snapshot
+// every refresh (here one a write that grows the vertex space forces),
+// from the degrees the live graph maintains. The snapshot
 // a refreshing write publishes carries the verdict Advise gives on the
 // live graph's original-order snapshot, and that verdict's plan's
 // permutation of it: sd is advised dbg, uni the identity.
 func TestLiveAutoRefreshReadvises(t *testing.T) {
 	for ds, advised := range map[string]string{"sd": "dbg", "uni": "original"} {
 		t.Run(ds, func(t *testing.T) {
-			s := New(Config{Workers: 1, QueryTimeout: 30 * time.Second, RefreshEvery: 2})
+			s := New(Config{Workers: 1, QueryTimeout: 30 * time.Second})
 			t.Cleanup(s.store.CloseLive)
 			if _, err := s.store.Build(BuildSpec{Name: "live", Dataset: ds, Scale: "tiny", Technique: "auto", Mutable: true}); err != nil {
 				t.Fatal(err)
 			}
 			h := s.Handler()
-			refreshed := false
-			for i := 0; !refreshed; i++ {
-				if i == 4 {
-					t.Fatal("4 writes at RefreshEvery 2 ran no refresh")
-				}
-				var res MutateResult
-				if code, body := postJSON(t, h, "/v1/snapshots/live/edges", MutateRequest{Updates: []MutateUpdate{
-					{Src: graph.VertexID(i), Dst: graph.VertexID(i + 7), Weight: 2}}}, &res); code != http.StatusOK {
-					t.Fatalf("write %d: %d %s", i, code, body)
-				}
-				refreshed = res.Refreshed
+			// A write that grows the vertex space re-reorders.
+			var res MutateResult
+			if code, body := postJSON(t, h, "/v1/snapshots/live/edges", MutateRequest{AddVertices: 1, Updates: []MutateUpdate{
+				{Src: 0, Dst: 7, Weight: 2}}}, &res); code != http.StatusOK {
+				t.Fatalf("write: %d %s", code, body)
+			}
+			if !res.Refreshed {
+				t.Fatal("a write that grew the vertex space ran no refresh")
 			}
 			// The receipt came after the refresher's last touch of the graph.
 			orig, err := s.store.Live("live").dyn.Snapshot()
@@ -242,7 +247,7 @@ func TestLiveAutoRefreshReadvises(t *testing.T) {
 // TestMutateAtomicBatchRejected: a batch failing validation mid-way must
 // leave the published snapshot untouched (no publish, no epoch bump).
 func TestMutateAtomicBatchRejected(t *testing.T) {
-	s := liveServer(t, "original", 1000)
+	s := liveServer(t, "original")
 	h := s.Handler()
 	var before SnapshotInfo
 	get(t, h, "/v1/snapshots/live", &before)
@@ -274,7 +279,7 @@ func TestMutateAtomicBatchRejected(t *testing.T) {
 // TestMutateVertexGrowth grows the vertex space and wires the new
 // vertices in one atomic request.
 func TestMutateVertexGrowth(t *testing.T) {
-	s := liveServer(t, "dbg", 1000)
+	s := liveServer(t, "dbg")
 	h := s.Handler()
 	var before SnapshotInfo
 	get(t, h, "/v1/snapshots/live", &before)
@@ -317,7 +322,7 @@ func TestMutateVertexGrowth(t *testing.T) {
 
 // TestMutateValidation covers the handler-level rejections.
 func TestMutateValidation(t *testing.T) {
-	s := liveServer(t, "original", 1000)
+	s := liveServer(t, "original")
 	// A second, immutable snapshot.
 	if _, err := s.store.Build(BuildSpec{Name: "frozen", Dataset: "uni", Scale: "tiny"}); err != nil {
 		t.Fatal(err)
@@ -346,7 +351,7 @@ func TestMutateValidation(t *testing.T) {
 // the bound instead of reading the whole body — and one just inside the
 // bound is still served.
 func TestRequestBodiesBounded(t *testing.T) {
-	s := liveServer(t, "original", 1000)
+	s := liveServer(t, "original")
 	h := s.Handler()
 	// pad puts JSON whitespace inside the object, so the decoder must
 	// read all of it before the value is complete.
@@ -375,7 +380,7 @@ func TestRequestBodiesBounded(t *testing.T) {
 // TestMutateConcurrentWriters serializes racing writers through the
 // mutation queue; every batch must land exactly once.
 func TestMutateConcurrentWriters(t *testing.T) {
-	s := liveServer(t, "dbg", 3)
+	s := liveServer(t, "dbg")
 	h := s.Handler()
 	var before SnapshotInfo
 	get(t, h, "/v1/snapshots/live", &before)
@@ -429,7 +434,7 @@ func TestMutateConcurrentWriters(t *testing.T) {
 // TestMutateAfterDropAndRebuild: dropping a live snapshot kills its
 // pipeline; rebuilding the name revives a fresh one.
 func TestMutateAfterDropAndRebuild(t *testing.T) {
-	s := liveServer(t, "original", 1000)
+	s := liveServer(t, "original")
 	h := s.Handler()
 	// Publish a second snapshot and make it current so "live" can drop.
 	if _, err := s.store.Build(BuildSpec{Name: "other", Dataset: "uni", Scale: "tiny", Activate: true}); err != nil {
@@ -466,7 +471,7 @@ func TestMutateAfterDropAndRebuild(t *testing.T) {
 // validation or loading must not have retired the existing incarnation's
 // write pipeline.
 func TestFailedRebuildKeepsPipelineAlive(t *testing.T) {
-	s := liveServer(t, "original", 1000)
+	s := liveServer(t, "original")
 	h := s.Handler()
 	for _, bad := range []BuildSpec{
 		{Name: "live", Dataset: "uni", Scale: "tiny", Degree: "sideways"},
@@ -489,7 +494,7 @@ func TestFailedRebuildKeepsPipelineAlive(t *testing.T) {
 // TestLiveShutdownRejectsQueuedWrites: CloseLive stops pipelines and
 // later writes are refused cleanly.
 func TestLiveShutdownRejectsQueuedWrites(t *testing.T) {
-	s := liveServer(t, "original", 1000)
+	s := liveServer(t, "original")
 	h := s.Handler()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
@@ -507,13 +512,14 @@ func TestLiveShutdownRejectsQueuedWrites(t *testing.T) {
 }
 
 // TestLiveGraphHoldsOneCSR: a mutable snapshot keeps its edges once, as
-// the view it serves. A DBG build on sd/small takes 20 writes, which span
-// two refreshes; then neither the build's base graph nor any view a
+// the view it serves. A DBG build on sd/small takes 20 writes, two of
+// which grow the vertex space and so refresh (the rest leave its packing
+// within the decay bound and patch); then neither the build's base graph nor any view a
 // later publish superseded is reachable, and the live graph retains at
 // most 4 B/edge beyond the served view (its degrees, permutation and edit
 // log), measured as the heap it frees when its pipeline is stopped.
 func TestLiveGraphHoldsOneCSR(t *testing.T) {
-	s := New(Config{Workers: 1, QueryTimeout: 30 * time.Second, RefreshEvery: 8})
+	s := New(Config{Workers: 1, QueryTimeout: 30 * time.Second})
 	t.Cleanup(s.store.CloseLive)
 	h := s.Handler()
 	superseded := func() []weak.Pointer[graph.Graph] {
@@ -531,8 +537,12 @@ func TestLiveGraphHoldsOneCSR(t *testing.T) {
 		refreshes := 0
 		for i := 0; i < 20; i++ {
 			ptrs = append(ptrs, weak.Make(s.store.Current().graph.(*graph.Graph)))
+			grow := 0
+			if i == 7 || i == 15 {
+				grow = 1
+			}
 			var res MutateResult
-			if code, body := postJSON(t, h, "/v1/snapshots/live/edges", MutateRequest{Updates: []MutateUpdate{
+			if code, body := postJSON(t, h, "/v1/snapshots/live/edges", MutateRequest{AddVertices: grow, Updates: []MutateUpdate{
 				{Src: graph.VertexID(i), Dst: graph.VertexID(n - 1 - i), Weight: 2}}}, &res); code != http.StatusOK {
 				t.Fatalf("write %d: %d %s", i, code, body)
 			}

@@ -44,12 +44,6 @@ type Config struct {
 	// AllowPathLoads permits POST /v1/snapshots specs that read graph
 	// files from the server's filesystem.
 	AllowPathLoads bool
-	// RefreshEvery is the re-reordering period of mutable snapshots, in
-	// write batches: every K-th published batch recomputes the ordering,
-	// the ones in between patch the served CSR with the batch under the
-	// current permutation (§VIII-B amortization). 0 means 8; negative
-	// disables periodic re-reordering entirely.
-	RefreshEvery int
 	// TraceSample is the fraction of requests promoted to the detailed
 	// trace tier (per-round traversal stats, structured request logs);
 	// every request still gets cheap span timing. 0 means 0.05; negative
@@ -80,11 +74,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.CacheBytes <= 0 {
 		c.CacheBytes = 256 << 20
-	}
-	if c.RefreshEvery == 0 {
-		c.RefreshEvery = 8
-	} else if c.RefreshEvery < 0 {
-		c.RefreshEvery = 0 // dynamic.Policy: 0 disables periodic refresh
 	}
 	if c.TraceSample == 0 {
 		c.TraceSample = 0.05
@@ -118,7 +107,6 @@ type Server struct {
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	store := NewStore(cfg.Workers)
-	store.SetRefreshPolicy(dynamic.Policy{Every: cfg.RefreshEvery})
 	store.SetLogger(cfg.Logger)
 	return &Server{
 		cfg:     cfg,

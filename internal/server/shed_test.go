@@ -126,7 +126,7 @@ func TestShedWithAmpleDeadlineAdmits(t *testing.T) {
 // stale and carrying the producing epoch — so read availability survives
 // overload.
 func TestStaleDegradationServesPreviousEpoch(t *testing.T) {
-	s := New(Config{Workers: 1, MaxConcurrent: 1, QueryTimeout: 30 * time.Second, RefreshEvery: 1000})
+	s := New(Config{Workers: 1, MaxConcurrent: 1, QueryTimeout: 30 * time.Second})
 	t.Cleanup(func() { s.store.CloseLive() })
 	if _, err := s.store.Build(BuildSpec{
 		Name: "live", Dataset: "uni", Scale: "tiny", Technique: "original", Mutable: true,
@@ -192,13 +192,13 @@ func TestStaleDegradationServesPreviousEpoch(t *testing.T) {
 // TestStaleSSSPFollowsTheSourceAcrossARefresh: a shed SSSP served from
 // an older epoch answers for the vertex the client named, in either ID
 // space, after a refresh has moved that vertex to another current ID. The
-// write below makes original vertex 0 a hub, so the refreshed DBG order
-// moves it; the test predicts the new order with the library and caches,
-// at the old epoch, the answers for vertex 0 and for the vertex that held
+// write below grows the vertex space, so its publish refreshes, and makes
+// original vertex 0 a hub, so the refreshed DBG order moves it; the test
+// predicts the new order with the library and caches, at the old epoch, the answers for vertex 0 and for the vertex that held
 // 0's new current ID, so a fallback found by current ID answers for the
 // wrong source.
 func TestStaleSSSPFollowsTheSourceAcrossARefresh(t *testing.T) {
-	s := New(Config{Workers: 1, MaxConcurrent: 1, QueryTimeout: 30 * time.Second, RefreshEvery: 1})
+	s := New(Config{Workers: 1, MaxConcurrent: 1, QueryTimeout: 30 * time.Second})
 	t.Cleanup(func() { s.store.CloseLive() })
 	if _, err := s.store.Build(BuildSpec{
 		Name: "live", Dataset: "sd", Scale: "tiny", Technique: "dbg", Mutable: true,
@@ -221,7 +221,7 @@ func TestStaleSSSPFollowsTheSourceAcrossARefresh(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := dynamic.FromGraph(g)
-	if err := d.Apply(updates); err != nil {
+	if _, err := d.ApplyGrow(1, updates); err != nil {
 		t.Fatal(err)
 	}
 	g2, err := d.Snapshot()
@@ -253,7 +253,7 @@ func TestStaleSSSPFollowsTheSourceAcrossARefresh(t *testing.T) {
 		t.Fatalf("vertices 0 and %d answer alike; the test cannot tell them apart", other)
 	}
 
-	if code, body := postJSON(t, h, "/v1/snapshots/live/edges", MutateRequest{Updates: batch}, nil); code != http.StatusOK {
+	if code, body := postJSON(t, h, "/v1/snapshots/live/edges", MutateRequest{AddVertices: 1, Updates: batch}, nil); code != http.StatusOK {
 		t.Fatalf("mutate: %d %s", code, body)
 	}
 	snap, release = s.store.AcquireNamed("live")

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"graphreorder/internal/csrz"
-	"graphreorder/internal/dynamic"
 	"graphreorder/internal/gen"
 	"graphreorder/internal/graph"
 	"graphreorder/internal/reorder"
@@ -309,10 +308,9 @@ type Store struct {
 	dropping map[string]struct{}
 
 	// Dynamic-update pipelines for mutable snapshots (see live.go).
-	livePolicy dynamic.Policy
-	liveMu     sync.Mutex
-	live       map[string]*liveGraph
-	writes     writeStats
+	liveMu sync.Mutex
+	live   map[string]*liveGraph
+	writes writeStats
 
 	// durable is the crash-safety configuration for mutable snapshots
 	// (see durability.go); nil when durability is off.
@@ -328,24 +326,19 @@ type Store struct {
 }
 
 // NewStore creates an empty store whose build pipelines use the given
-// engine worker count (<= 0 means GOMAXPROCS). Mutable snapshots
-// re-reorder every 8 write batches by default; SetRefreshPolicy tunes it.
+// engine worker count (<= 0 means GOMAXPROCS). A mutable snapshot
+// re-reorders once its served packing has decayed (see live.go).
 func NewStore(workers int) *Store {
 	st := &Store{
-		workers:    workers,
-		builds:     make(map[string]*BuildStatus),
-		dropping:   make(map[string]struct{}),
-		livePolicy: dynamic.Policy{Every: 8},
-		live:       make(map[string]*liveGraph),
-		logger:     slog.New(slog.DiscardHandler),
+		workers:  workers,
+		builds:   make(map[string]*BuildStatus),
+		dropping: make(map[string]struct{}),
+		live:     make(map[string]*liveGraph),
+		logger:   slog.New(slog.DiscardHandler),
 	}
 	st.tab.Store(&snapTable{byName: map[string]*Snapshot{}})
 	return st
 }
-
-// SetRefreshPolicy sets the re-reordering policy applied to mutable
-// snapshots registered afterwards. Call before building them.
-func (st *Store) SetRefreshPolicy(p dynamic.Policy) { st.livePolicy = p }
 
 // SetLogger directs the store's structured logs (nil discards them).
 func (st *Store) SetLogger(l *slog.Logger) {
@@ -614,7 +607,7 @@ type BuildSpec struct {
 	// Mutable keeps the graph's pre-reorder form alive behind a write
 	// pipeline: the snapshot then accepts POST /v1/snapshots/{name}/edges
 	// batches and republishes itself (fresh epoch) after every batch,
-	// re-reordering on the store's refresh policy.
+	// re-reordering once its packing has decayed (see live.go).
 	Mutable bool `json:"mutable,omitempty"`
 	// RanksPath loads precomputed PageRank from a rank file (written by
 	// the cluster partitioner, see WriteRankFile) instead of recomputing

@@ -30,7 +30,7 @@ type ssspOutcome struct {
 // vector where there is one (14, 18). The numbers of every reply equal
 // those of a computed reply of the epoch it names.
 func TestSSSPCacheKeepsReplies(t *testing.T) {
-	s := New(Config{Workers: 1, MaxConcurrent: 1, QueryTimeout: 30 * time.Second, RefreshEvery: 1000})
+	s := New(Config{Workers: 1, MaxConcurrent: 1, QueryTimeout: 30 * time.Second})
 	t.Cleanup(func() { s.store.CloseLive() })
 	if _, err := s.store.Build(BuildSpec{
 		Name: "live", Dataset: "uni", Scale: "tiny", Technique: "dbg", Mutable: true,
@@ -202,7 +202,7 @@ func TestSummarySSSPCachesNoVector(t *testing.T) {
 // evicted when the new epoch's entry is cached, and the cache holds one
 // entry however many publishes go by.
 func TestRepeatedTopKAcrossPublishesStaysBounded(t *testing.T) {
-	s := liveServer(t, "dbg", 1000)
+	s := liveServer(t, "dbg")
 	h := s.Handler()
 	for i := 0; i < 8; i++ {
 		if code := get(t, h, "/v1/query/topk?k=5", nil); code != http.StatusOK {

@@ -1,7 +1,9 @@
 // Package stats computes the dataset characterization metrics the paper
-// reports in Tables I–IV: hot-vertex skew, cache-block packing of hot
-// vertices, hot-vertex footprint, and the degree-range histogram that
-// motivates DBG's geometric groups.
+// reports in Tables I, III and IV: hot-vertex skew, hot-vertex footprint,
+// and the degree-range histogram that motivates DBG's geometric groups.
+// Table II's cache-block packing of hot vertices is
+// reorder.EvaluatePacking's PackingFactor, which measures it under any
+// layout.
 //
 // Throughout, a vertex is hot when its degree is greater than or equal to
 // the dataset's average degree (the paper's classification threshold).
@@ -54,43 +56,6 @@ func SkewOf(degs []uint32, avg float64) Skew {
 		HotFrac:      float64(hot) / float64(len(degs)),
 		EdgeCoverage: float64(hotEdges) / float64(total),
 	}
-}
-
-// HotPerBlock computes the Table II metric: the average number of hot
-// vertices per cache block, counting only blocks that contain at least one
-// hot vertex, assuming propertyBytes per vertex and CacheBlockBytes-sized
-// blocks, with vertices laid out in ID order.
-func HotPerBlock(g *graph.Graph, kind graph.DegreeKind, propertyBytes int) float64 {
-	if propertyBytes <= 0 {
-		propertyBytes = DefaultPropertyBytes
-	}
-	perBlock := CacheBlockBytes / propertyBytes
-	if perBlock < 1 {
-		perBlock = 1
-	}
-	degs := g.Degrees(kind)
-	avg := g.AvgDegree()
-	blocksWithHot, hotTotal := 0, 0
-	for blockStart := 0; blockStart < len(degs); blockStart += perBlock {
-		end := blockStart + perBlock
-		if end > len(degs) {
-			end = len(degs)
-		}
-		hotHere := 0
-		for v := blockStart; v < end; v++ {
-			if float64(degs[v]) >= avg {
-				hotHere++
-			}
-		}
-		if hotHere > 0 {
-			blocksWithHot++
-			hotTotal += hotHere
-		}
-	}
-	if blocksWithHot == 0 {
-		return 0
-	}
-	return float64(hotTotal) / float64(blocksWithHot)
 }
 
 // HotFootprintBytes computes the Table III metric: bytes needed to store
@@ -169,24 +134,4 @@ func DegreeRanges(g *graph.Graph, kind graph.DegreeKind, bins, propertyBytes int
 		out[i].FootprintBytes = int64(out[i].Count) * int64(propertyBytes)
 	}
 	return out
-}
-
-// MeanNeighborIDDistance returns the average |src-dst| over all edges — a
-// structure-locality proxy used by the harness to report how much a
-// reordering disrupted the layout.
-func MeanNeighborIDDistance(g *graph.Graph) float64 {
-	if g.NumEdges() == 0 {
-		return 0
-	}
-	var sum float64
-	for v := 0; v < g.NumVertices(); v++ {
-		for _, dst := range g.OutNeighbors(graph.VertexID(v)) {
-			d := int64(v) - int64(dst)
-			if d < 0 {
-				d = -d
-			}
-			sum += float64(d)
-		}
-	}
-	return sum / float64(g.NumEdges())
 }

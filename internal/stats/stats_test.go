@@ -47,36 +47,6 @@ func TestComputeSkewEmpty(t *testing.T) {
 	}
 }
 
-func TestHotPerBlockHandComputed(t *testing.T) {
-	// 16 vertices, 8 per block (8B properties, 64B blocks). Make vertices
-	// 0 and 1 hot (block 0: 2 hot) and vertex 8 hot (block 1: 1 hot).
-	// Average of (2+1)/2 = 1.5.
-	var edges []graph.Edge
-	addIn := func(dst graph.VertexID, k int) {
-		for i := 0; i < k; i++ {
-			edges = append(edges, graph.Edge{Src: graph.VertexID(2 + i%3), Dst: dst})
-		}
-	}
-	addIn(0, 20)
-	addIn(1, 20)
-	addIn(8, 20)
-	g, err := graph.BuildWith(edges, graph.BuildOptions{NumVertices: 16, SortNeighbors: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := HotPerBlock(g, graph.InDegree, 8)
-	if math.Abs(got-1.5) > 1e-9 {
-		t.Errorf("HotPerBlock = %v, want 1.5", got)
-	}
-}
-
-func TestHotPerBlockDefaultsAndEmpty(t *testing.T) {
-	g, _ := graph.Build(nil)
-	if got := HotPerBlock(g, graph.InDegree, 0); got != 0 {
-		t.Errorf("empty graph HotPerBlock = %v, want 0", got)
-	}
-}
-
 func TestHotFootprintBytes(t *testing.T) {
 	g := starGraph(t, 100)
 	// One hot vertex (in-degree), 8 bytes each.
@@ -138,8 +108,9 @@ func TestDegreeRangesDegenerateArgs(t *testing.T) {
 
 func TestPaperBandsAtSmallScale(t *testing.T) {
 	// The synthetic stand-ins should land near the paper's reported bands:
-	// Table I: hot 9-26%, coverage 80-94%. Table II: 1.3-3.5 hot/block.
-	// Allow generous tolerances; this is a shape check, not exact numbers.
+	// Table I: hot 9-26%, coverage 80-94% (Table II's band is checked
+	// with its metric, in internal/reorder). Allow generous tolerances;
+	// this is a shape check, not exact numbers.
 	if testing.Short() {
 		t.Skip("dataset sweep is slow")
 	}
@@ -157,24 +128,5 @@ func TestPaperBandsAtSmallScale(t *testing.T) {
 				t.Errorf("%s/%s: coverage %.3f < 0.55", name, kind, s.EdgeCoverage)
 			}
 		}
-		hpb := HotPerBlock(g, graph.InDegree, 8)
-		if hpb < 1.0 || hpb > 5.0 {
-			t.Errorf("%s: hot-per-block %.2f outside [1,5]", name, hpb)
-		}
-	}
-}
-
-func TestMeanNeighborIDDistance(t *testing.T) {
-	// Chain 0->1->2: distances 1,1 -> mean 1.
-	g, err := graph.Build([]graph.Edge{{Src: 0, Dst: 1}, {Src: 1, Dst: 2}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := MeanNeighborIDDistance(g); got != 1 {
-		t.Errorf("mean distance = %v, want 1", got)
-	}
-	empty, _ := graph.Build(nil)
-	if got := MeanNeighborIDDistance(empty); got != 0 {
-		t.Errorf("empty mean distance = %v, want 0", got)
 	}
 }
