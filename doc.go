@@ -168,6 +168,12 @@
 //   - Mutations address vertices in the snapshot's original (as-loaded)
 //     ID space — the stable space /resolve translates from — while query
 //     responses stay in the published serving order.
+//   - Views handed out stay as they were. A patched view shares the
+//     edge and weight arrays of the view before it, its edited lists
+//     written into room no earlier view reads (Graph.Patch), so no byte
+//     a handed-out view reads is written again, and every list a view
+//     hands out is capped at its length: appending to it copies.
+//     Graph.Compact lays a patched view out as a build would.
 //
 // # Durability and overload (graphd)
 //

@@ -208,9 +208,12 @@ func (it *AdjIter) Next() (graph.VertexID, bool) {
 func (it *AdjIter) Remaining() int { return it.rem }
 
 // Encode compresses g. The plain graph is not retained: its packed
-// weights (if any) are copied as they are, at the width g stores them.
+// weights (if any) are copied as they are, at the width g stores them
+// once compact — a patched graph that shares its arrays is compacted
+// first (graph.Graph.Compact), so the encoding is a function of the lists.
 // Both directions encode concurrently, the out-direction with its weights.
 func Encode(g *graph.Graph) *Graph {
+	g = g.Compact()
 	n, m := g.NumVertices(), g.NumEdges()
 	w, wb := g.OutWeightArray()
 	z := &Graph{n: n, m: m, wb: wb}

@@ -16,9 +16,10 @@
 // Reorderer's permutation, or by none before one is installed. Beside it
 // is a log of every edge instance inserted or removed, in original IDs.
 // The edits after the CSR's log position are pending, summed per (src,
-// dst) bucket and weight, until graph.Patch folds them into a fresh CSR
-// (a copy of the untouched lists and a merge of the edited ones, defined
-// to equal the full rebuild relabeled): a View folds, and so do Snapshot
+// dst) bucket and weight, until graph.Patch folds them into a new CSR
+// (the edited lists merged and written into room the previous CSR's
+// arrays share, the untouched ones read where they are; defined to equal
+// the full rebuild relabeled, list for list): a View folds, and so do Snapshot
 // and a batch that takes the pending edits past max(1024, edges/8); a
 // refresh folds them straight into its new order (graph.PatchRelabel). A
 // removal takes the heaviest instance of its bucket, the last in
@@ -28,8 +29,8 @@
 // edits and, while a Mark is outstanding, everything after it.
 //
 // Snapshot relabels the CSR into original order, O(E). Graphs handed out
-// are never touched again: a patch never writes into or reuses the
-// arrays of the graph it patches.
+// are never touched again: a patch never writes a byte that a graph it
+// patched, or any earlier one, can read.
 package dynamic
 
 import (
@@ -502,6 +503,7 @@ func (d *Graph) RollbackTo(m Mark) error {
 			}
 			d.perm, d.inv, d.layouts = nil, nil, d.layouts+1
 		}
+		g = g.Compact() // the cut keeps a prefix of each array
 		ws, wb := g.OutWeightArray()
 		if d.csr, err = graph.NewFromCSR(m.n, g.NumEdges(), g.OutIndex()[:m.n+1], g.OutEdgeArray(), ws, wb,
 			g.InIndex()[:m.n+1], g.InEdgeArray()); err != nil {
@@ -662,10 +664,12 @@ func (r *Reorderer) Refresh(d *Graph) error {
 }
 
 // View returns the reordered snapshot of d — d.Snapshot() relabeled by
-// the returned permutation, array for array — refreshing the ordering if
+// the returned permutation, list for list (array for array once
+// compacted, graph.Graph.Compact) — refreshing the ordering if
 // it is Due. The permutation maps d's vertex IDs to the view's IDs
 // (needed to translate query roots). Between refreshes the view is d's
-// CSR, its pending edits folded in: a copy plus work per edit.
+// CSR, its pending edits folded in: work per edited list, plus O(V) for
+// its index, and a copy of the CSR only when graph.Patch makes one.
 func (r *Reorderer) View(d *Graph) (*graph.Graph, reorder.Permutation, error) {
 	var err error
 	if r.Due(d) {

@@ -12,12 +12,15 @@
 // (OutWeightList): the SSSP push reads them in place.
 //
 // Graphs are immutable after construction; reordering produces a new Graph
-// via Relabel.
+// via Relabel. A patched graph (Patch) may share its edge and weight
+// arrays with the graph it was patched from: see patch.go for the layout
+// and Compact for the way back to a build's.
 package graph
 
 import (
 	"errors"
 	"fmt"
+	"sync/atomic"
 )
 
 // VertexID identifies a vertex. IDs are dense in [0, NumVertices).
@@ -30,22 +33,39 @@ type Edge struct {
 }
 
 // Graph is an immutable directed multigraph in dual-CSR form.
+//
+// Each direction's index holds the prefix sums of the list lengths, so
+// outIndex[v+1]-outIndex[v] is v's out-degree on every graph. On a
+// compact graph — every build, load and relabel — the index also places
+// the lists: outEdges[outIndex[v]:outIndex[v+1]] are v's out-neighbors,
+// back to back. A patched graph whose edited lists were written into
+// shared capacity (patch.go) has a start array beside the index: v's
+// list then begins at outEdges[outStart[v]], and the arrays hold entries
+// between its lists that it never reads.
 type Graph struct {
 	n int
 	m int // number of directed edges
 
-	// Out-CSR: outEdges[outIndex[v]:outIndex[v+1]] are v's out-neighbors.
+	// Out-CSR: v's out-list starts at outIndex[v], or at outStart[v] when
+	// outStart is not nil, and is outIndex[v+1]-outIndex[v] long.
 	outIndex []uint64
+	outStart []uint64
 	outEdges []VertexID
 
-	// In-CSR: inEdges[inIndex[v]:inIndex[v+1]] are v's in-neighbors.
+	// In-CSR, laid out like the out-CSR.
 	inIndex []uint64
+	inStart []uint64
 	inEdges []VertexID
 
 	// Weights aligned with outEdges, wb little-endian bytes each (see
 	// weights.go); nil when the graph is unweighted.
 	outWeights []byte
 	wb         int // bytes per weight: 1, 2 or 4 when weighted, 0 when not
+
+	// outTail and inTail count the entries of the out- and in-arrays'
+	// backing storage that patches have claimed; nil when no patch may
+	// write past the arrays (patch.go).
+	outTail, inTail *atomic.Uint64
 }
 
 // NumVertices returns the number of vertices N.
@@ -79,43 +99,87 @@ func (g *Graph) InDegree(v VertexID) int {
 	return int(g.inIndex[v+1] - g.inIndex[v])
 }
 
-// OutNeighbors returns v's out-neighbors as a shared sub-slice; callers
-// must not modify it.
-func (g *Graph) OutNeighbors(v VertexID) []VertexID {
-	return g.outEdges[g.outIndex[v]:g.outIndex[v+1]]
+// listSpan returns the bounds of v's list in a direction's edge array:
+// index holds the prefix sums of the list lengths, start the lists'
+// places when they are not back to back (nil when they are).
+func listSpan(index, start []uint64, v VertexID) (lo, hi uint64) {
+	lo, hi = index[v], index[v+1]
+	if start != nil {
+		lo, hi = start[v], start[v]+hi-lo
+	}
+	return lo, hi
 }
 
-// InNeighbors returns v's in-neighbors as a shared sub-slice; callers must
-// not modify it.
+// OutNeighbors returns v's out-neighbors as a shared sub-slice, capped at
+// its length; callers must not modify it.
+func (g *Graph) OutNeighbors(v VertexID) []VertexID {
+	lo, hi := listSpan(g.outIndex, g.outStart, v)
+	return g.outEdges[lo:hi:hi]
+}
+
+// InNeighbors returns v's in-neighbors as a shared sub-slice, capped at
+// its length; callers must not modify it.
 func (g *Graph) InNeighbors(v VertexID) []VertexID {
-	return g.inEdges[g.inIndex[v]:g.inIndex[v+1]]
+	lo, hi := listSpan(g.inIndex, g.inStart, v)
+	return g.inEdges[lo:hi:hi]
 }
 
 // OutWeightList returns the weights aligned with OutNeighbors(v) as
-// stored: a read-only sub-slice of the packed weight array.
+// stored: a read-only sub-slice of the packed weight array, capped at
+// its length.
 func (g *Graph) OutWeightList(v VertexID) WeightList {
+	lo, hi := listSpan(g.outIndex, g.outStart, v)
 	wb := uint64(g.wb)
-	return WeightList{Bytes: g.outWeights[g.outIndex[v]*wb : g.outIndex[v+1]*wb], Width: g.wb}
+	return WeightList{Bytes: g.outWeights[lo*wb : hi*wb : hi*wb], Width: g.wb}
 }
 
-// OutIndex exposes the raw out-CSR offset array (length N+1). It is shared
-// state: callers must treat it as read-only. Exposed for the trace engine,
-// which models the exact memory layout of the Vertex Array.
+// OutIndex exposes the out-CSR offset array (length N+1): the prefix sums
+// of the out-degrees, which place every list on a compact graph and
+// would after Compact on any other. It is shared state: callers must
+// treat it as read-only. Exposed for the trace engine, which models the
+// memory layout of the Vertex Array, and the engine's pull balancing.
 func (g *Graph) OutIndex() []uint64 { return g.outIndex }
 
-// InIndex exposes the raw in-CSR offset array (length N+1), read-only.
+// InIndex exposes the in-CSR offset array (length N+1), read-only, as
+// OutIndex does the out-CSR's.
 func (g *Graph) InIndex() []uint64 { return g.inIndex }
 
-// OutEdgeArray exposes the raw out-edge array (length M), read-only.
-func (g *Graph) OutEdgeArray() []VertexID { return g.outEdges }
+// IsCompact reports whether g is laid out as a build lays it out: every
+// list at its index offset, back to back, weights at the width the
+// largest needs. Only a patched graph may be otherwise; Compact makes it
+// so.
+func (g *Graph) IsCompact() bool { return g.outStart == nil && g.inStart == nil }
 
-// InEdgeArray exposes the raw in-edge array (length M), read-only.
-func (g *Graph) InEdgeArray() []VertexID { return g.inEdges }
+// mustBeCompact panics on a graph whose raw arrays hold entries it does
+// not read.
+func (g *Graph) mustBeCompact(what string) {
+	if !g.IsCompact() {
+		panic("graph: " + what + " of a patched graph that shares its arrays; call Compact first")
+	}
+}
+
+// OutEdgeArray exposes the raw out-edge array (length M) of a compact
+// graph, read-only. It panics on any other: call Compact first.
+func (g *Graph) OutEdgeArray() []VertexID {
+	g.mustBeCompact("OutEdgeArray")
+	return g.outEdges
+}
+
+// InEdgeArray exposes the raw in-edge array (length M) of a compact
+// graph, read-only. It panics on any other: call Compact first.
+func (g *Graph) InEdgeArray() []VertexID {
+	g.mustBeCompact("InEdgeArray")
+	return g.inEdges
+}
 
 // OutWeightArray exposes the raw packed weights (M weights of wb bytes
-// each, as WeightList holds them) and wb; nil and 0 when unweighted.
-// Read-only.
-func (g *Graph) OutWeightArray() (w []byte, wb int) { return g.outWeights, g.wb }
+// each, as WeightList holds them) and wb of a compact graph; nil and 0
+// when unweighted. Read-only. It panics on a graph that is not compact:
+// call Compact first.
+func (g *Graph) OutWeightArray() (w []byte, wb int) {
+	g.mustBeCompact("OutWeightArray")
+	return g.outWeights, g.wb
+}
 
 // Degrees returns a freshly allocated slice of degrees of the requested
 // kind for all vertices.
@@ -205,25 +269,17 @@ func (g *Graph) Validate() error {
 		return fmt.Errorf("graph: index arrays have lengths %d/%d, want %d",
 			len(g.outIndex), len(g.inIndex), g.n+1)
 	}
-	if len(g.outEdges) != g.m || len(g.inEdges) != g.m {
-		return fmt.Errorf("graph: edge arrays have lengths %d/%d, want %d",
-			len(g.outEdges), len(g.inEdges), g.m)
-	}
 	if err := validateIndex(g.outIndex, g.m, "out"); err != nil {
 		return err
 	}
 	if err := validateIndex(g.inIndex, g.m, "in"); err != nil {
 		return err
 	}
-	for _, d := range g.outEdges {
-		if int(d) >= g.n {
-			return fmt.Errorf("graph: out-edge destination %d out of range [0,%d)", d, g.n)
-		}
+	if err := validateLists(g.outIndex, g.outStart, g.outEdges, g.n, "out"); err != nil {
+		return err
 	}
-	for _, s := range g.inEdges {
-		if int(s) >= g.n {
-			return fmt.Errorf("graph: in-edge source %d out of range [0,%d)", s, g.n)
-		}
+	if err := validateLists(g.inIndex, g.inStart, g.inEdges, g.n, "in"); err != nil {
+		return err
 	}
 	switch {
 	case g.wb == 0 && g.outWeights != nil:
@@ -231,10 +287,44 @@ func (g *Graph) Validate() error {
 	case g.wb == 0:
 	case g.wb != 1 && g.wb != 2 && g.wb != 4:
 		return fmt.Errorf("graph: weight width %d, want 1, 2 or 4", g.wb)
-	case len(g.outWeights) != g.wb*g.m:
-		return fmt.Errorf("graph: weight array has %d bytes, want %d weights of %d", len(g.outWeights), g.m, g.wb)
-	case WeightWidth(g.outWeights, g.wb) != g.wb:
+	case len(g.outWeights) != g.wb*len(g.outEdges):
+		return fmt.Errorf("graph: weight array has %d bytes, want %d weights of %d", len(g.outWeights), len(g.outEdges), g.wb)
+	case g.outStart == nil && WeightWidth(g.outWeights, g.wb) != g.wb:
+		// A patch that shares its arrays keeps their width: only a
+		// compact graph is held to the narrowest.
 		return fmt.Errorf("graph: weights stored %d bytes wide, wider than the largest needs", g.wb)
+	}
+	return nil
+}
+
+// validateLists checks that every list of one direction lies inside adj
+// and names vertices of [0, n): on a compact direction (nil start) adj
+// is the lists back to back, as long as the index says.
+func validateLists(index, start []uint64, adj []VertexID, n int, name string) error {
+	if start == nil {
+		if uint64(len(adj)) != index[n] {
+			return fmt.Errorf("graph: %s-edge array has length %d, want %d", name, len(adj), index[n])
+		}
+		for _, d := range adj {
+			if int(d) >= n {
+				return fmt.Errorf("graph: %s-edge neighbor %d out of range [0,%d)", name, d, n)
+			}
+		}
+		return nil
+	}
+	if len(start) != n {
+		return fmt.Errorf("graph: %s-start array has length %d, want %d", name, len(start), n)
+	}
+	for v := range VertexID(n) {
+		lo, hi := listSpan(index, start, v)
+		if hi < lo || hi > uint64(len(adj)) {
+			return fmt.Errorf("graph: %s-list of %d at [%d,%d) outside an array of %d", name, v, lo, hi, len(adj))
+		}
+		for _, d := range adj[lo:hi] {
+			if int(d) >= n {
+				return fmt.Errorf("graph: %s-edge neighbor %d out of range [0,%d)", name, d, n)
+			}
+		}
 	}
 	return nil
 }

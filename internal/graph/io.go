@@ -186,7 +186,12 @@ func WriteBinary(w io.Writer, g *Graph) error {
 	if err := writeUint64s(bw, g.outIndex); err != nil {
 		return err
 	}
-	if err := writeUint32s(bw, g.outEdges); err != nil {
+	// The lists go out in vertex order, a run of them at a time, so a
+	// patched graph writes what its Compact would.
+	err := forRuns(g.outIndex, g.outStart, 0, g.n, func(_ int, lo, hi uint64) error {
+		return writeUint32s(bw, g.outEdges[lo:hi])
+	})
+	if err != nil {
 		return err
 	}
 	if g.Weighted() {
@@ -194,11 +199,17 @@ func WriteBinary(w io.Writer, g *Graph) error {
 		// decode one scratch buffer's worth at a time.
 		const chunk = ioChunkBytes / 4
 		ws := make([]uint32, 0, chunk)
-		for lo := uint64(0); lo < uint64(g.m); lo += chunk {
-			ws = appendWeights(ws[:0], g.outWeights, g.wb, lo, min(uint64(g.m), lo+chunk))
-			if err := writeUint32s(bw, ws); err != nil {
-				return err
+		err := forRuns(g.outIndex, g.outStart, 0, g.n, func(_ int, lo, hi uint64) error {
+			for ; lo < hi; lo += chunk {
+				ws = appendWeights(ws[:0], g.outWeights, g.wb, lo, min(hi, lo+chunk))
+				if err := writeUint32s(bw, ws); err != nil {
+					return err
+				}
 			}
+			return nil
+		})
+		if err != nil {
+			return err
 		}
 	}
 	return bw.Flush()
@@ -446,17 +457,23 @@ func readRelabeled(br *bufio.Reader, outIndex []uint64, m int, weighted bool, ne
 	return g, nil
 }
 
-// writeSlice streams vals through a fixed scratch buffer, size bytes per
-// element encoded with put.
-func writeSlice[T uint32 | uint64](w io.Writer, vals []T, size int, put func([]byte, T)) error {
-	var buf [ioChunkBytes]byte
-	perChunk := ioChunkBytes / size
+// writeSlice streams vals into bw, size bytes per element encoded with
+// put straight into bw's free buffer, so a writer of many short runs (a
+// patched graph's lists) allocates nothing per run.
+func writeSlice[T uint32 | uint64](bw *bufio.Writer, vals []T, size int, put func([]byte, T)) error {
 	for len(vals) > 0 {
-		chunk := min(len(vals), perChunk)
+		if bw.Available() < size {
+			if err := bw.Flush(); err != nil {
+				return err
+			}
+		}
+		buf := bw.AvailableBuffer()
+		chunk := min(len(vals), cap(buf)/size)
+		buf = buf[:chunk*size]
 		for i, v := range vals[:chunk] {
 			put(buf[i*size:], v)
 		}
-		if _, err := w.Write(buf[:chunk*size]); err != nil {
+		if _, err := bw.Write(buf); err != nil {
 			return err
 		}
 		vals = vals[chunk:]
@@ -549,12 +566,12 @@ func packFileWeights(dst, src []byte, wb int) {
 	}
 }
 
-func writeUint64s(w io.Writer, vals []uint64) error {
-	return writeSlice(w, vals, 8, binary.LittleEndian.PutUint64)
+func writeUint64s(bw *bufio.Writer, vals []uint64) error {
+	return writeSlice(bw, vals, 8, binary.LittleEndian.PutUint64)
 }
 
-func writeUint32s(w io.Writer, vals []uint32) error {
-	return writeSlice(w, vals, 4, binary.LittleEndian.PutUint32)
+func writeUint32s(bw *bufio.Writer, vals []uint32) error {
+	return writeSlice(bw, vals, 4, binary.LittleEndian.PutUint32)
 }
 
 func readUint64s(r io.Reader, count int, trusted bool) ([]uint64, error) {

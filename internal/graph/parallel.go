@@ -147,7 +147,7 @@ func buildCSR(edges []Edge, n int, weighted, reverse bool, workers int) ([]uint6
 	return index, adj, ws, true
 }
 
-// transposeCSR returns the opposite direction of a CSR, without weights:
+// transposeCSR returns the opposite direction of a compact CSR, without weights:
 // the same counting sort, fed from the lists instead of an edge list. It
 // visits the sources in ascending order of their original ID — v's list
 // is stored under newID[v], or under v when newID is nil — over ranges of
@@ -239,33 +239,39 @@ func (g *Graph) RelabelWorkers(newID []VertexID, workers int) (*Graph, error) {
 	// the smallest of the three.
 	ng := &Graph{n: g.n, m: g.m, outEdges: make([]VertexID, g.m), inEdges: make([]VertexID, g.m), wb: g.wb}
 	if g.Weighted() {
-		ng.outWeights = make([]byte, len(g.outWeights))
+		ng.outWeights = make([]byte, g.m*g.wb)
 	}
-	ng.outIndex = relabelLists(g.outIndex, g.outEdges, g.outWeights, g.wb, newID, ng.outEdges, ng.outWeights, workers)
-	ng.inIndex = relabelLists(g.inIndex, g.inEdges, nil, 0, newID, ng.inEdges, nil, workers)
+	ng.outIndex = relabelLists(g.direction(false), newID, ng.outEdges, ng.outWeights, workers)
+	ng.inIndex = relabelLists(g.direction(true), newID, ng.inEdges, nil, workers)
+	if g.outStart != nil && g.wb > 1 {
+		// A patch that shared its arrays kept their width; a relabel is
+		// compact, at the width the weights need.
+		ng.outWeights, ng.wb = narrowWeights(ng.outWeights, ng.wb, g.m)
+	}
 	return ng, nil
 }
 
-// relabelLists renames one direction of a CSR into newAdj and newWs
-// (weights of wb bytes each, copied as stored) and returns its index. The
-// new list of newID[v] is old v's list with every neighbor renamed, in
-// the same order, so each old vertex owns a disjoint output segment:
-// scatter the degrees, prefix, then copy the segments over edge-balanced
-// vertex ranges — one sequential read and write per edge and one newID
-// gather.
-func relabelLists(index []uint64, adj []VertexID, ws []byte, wb int, newID, newAdj []VertexID, newWs []byte, workers int) []uint64 {
+// relabelLists renames one direction of a CSR, c, into newAdj and newWs
+// (c's weights copied as stored) and returns its index. The new list of
+// newID[v] is old v's list with every neighbor renamed, in the same
+// order, so each old vertex owns a disjoint output segment: scatter the
+// degrees, prefix, then copy the segments over edge-balanced vertex
+// ranges — one sequential read and write per edge and one newID gather.
+// c's lists may lie where a patch put them: the output is compact.
+func relabelLists(c csrDir, newID, newAdj []VertexID, newWs []byte, workers int) []uint64 {
 	n := len(newID)
-	newIndex := relabelIndex(index, newID, workers)
-	par.ForBounds(par.BalancedBounds(index, n, workers*4, 1), workers, func(lo, hi int) {
+	newIndex := relabelIndex(c.index, newID, workers)
+	par.ForBounds(par.BalancedBounds(c.index, n, workers*4, 1), workers, func(lo, hi int) {
 		for v := lo; v < hi; v++ {
-			s, e, base := index[v], index[v+1], newIndex[newID[v]]
+			s, e := listSpan(c.index, c.start, VertexID(v))
+			base := newIndex[newID[v]]
 			out := newAdj[base : base+(e-s)]
-			for i, nbr := range adj[s:e] {
+			for i, nbr := range c.adj[s:e] {
 				out[i] = newID[nbr]
 			}
-			if ws != nil {
-				b := uint64(wb)
-				copy(newWs[base*b:], ws[s*b:e*b])
+			if c.ws != nil {
+				b := uint64(c.wb)
+				copy(newWs[base*b:], c.ws[s*b:e*b])
 			}
 		}
 	})

@@ -372,12 +372,15 @@ func TestPatchRejectsBadInput(t *testing.T) {
 	if err := sameArrays(same, g); err != nil {
 		t.Fatalf("empty patch: %v", err)
 	}
+	// A build has no room past its arrays for a patch to write into: even
+	// an empty patch of it copies.
 	if &same.outEdges[0] == &g.outEdges[0] || &same.inIndex[0] == &g.inIndex[0] {
-		t.Fatal("empty patch shares arrays with its receiver")
+		t.Fatal("an empty patch of a build shares its arrays")
 	}
 }
 
-// FuzzPatch: any small graph and edit list, against the rebuild.
+// FuzzPatch: any small graph and edit list, against the rebuild, in one
+// patch and as a chain of patches (checkPatchChain).
 func FuzzPatch(f *testing.F) {
 	f.Add([]byte{5, 1, 2, 7, 0, 1, 2, 1, 2, 3, 0, 1, 0x82, 3, 4, 1})
 	f.Add([]byte{3, 4, 1, 0, 0, 0, 1, 0, 0, 2, 0, 0, 0x81, 0, 0, 0xc1})
@@ -387,5 +390,7 @@ func FuzzPatch(f *testing.F) {
 			return
 		}
 		checkPatch(t, decodePatchCase(data))
+		checkPatchChain(t, data, false)
+		checkPatchChain(t, data, true)
 	})
 }

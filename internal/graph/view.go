@@ -113,7 +113,7 @@ func NewFromCSR(n, m int, outIndex []uint64, outEdges []VertexID, outWeights []b
 		inIndex: inIndex, inEdges: inEdges,
 	}
 	if (wb == 1 || wb == 2 || wb == 4) && len(outWeights) == wb*m {
-		g.outWeights, g.wb = narrowWeights(outWeights, wb)
+		g.outWeights, g.wb = narrowWeights(outWeights, wb, m)
 	}
 	if err := g.Validate(); err != nil {
 		return nil, err

@@ -155,13 +155,14 @@ func WeightWidth(w []byte, wb int) int {
 }
 
 // narrowWeights returns w, wb bytes each, re-stored at the width its
-// largest weight needs: w itself when that is wb.
-func narrowWeights(w []byte, wb int) ([]byte, int) {
+// largest weight needs in an array with room for capacity weights: w
+// itself when that width is wb.
+func narrowWeights(w []byte, wb, capacity int) ([]byte, int) {
 	nb := WeightWidth(w, wb)
 	if nb == wb {
 		return w, wb
 	}
-	out := make([]byte, len(w)/wb*nb)
+	out := make([]byte, len(w)/wb*nb, capacity*nb)
 	copyWeights(out, nb, w, wb)
 	return out, nb
 }

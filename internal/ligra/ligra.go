@@ -561,7 +561,9 @@ func pushRange(g graph.View, members []graph.VertexID, fns EdgeMapFns, tr Tracer
 
 // inEdgeIndexer is implemented by the backends that keep the n+1 in-edge
 // offset array (*graph.Graph and *csrz.Graph): parallel pull balances its
-// chunks by in-edge count through it.
+// chunks by in-edge count through it. It is the prefix sum of the
+// in-degrees on every graph, a patched one whose lists lie apart
+// included (graph.Graph.InIndex), so it reads as one.
 type inEdgeIndexer interface {
 	InIndex() []uint64
 }

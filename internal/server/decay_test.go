@@ -198,3 +198,30 @@ func TestDecayGateOnlyRefreshesOrdersThatPack(t *testing.T) {
 		})
 	}
 }
+
+// TestDecayCheckReusesItsDegrees: an "auto" snapshot's decay check
+// re-advises from the live degrees on every publish, into a buffer the
+// live graph keeps: once that is sized, the check allocates no more than
+// the advisor itself does. Allocating the degrees afresh cost a V-sized
+// array a publish (216 KiB on sd/small).
+func TestDecayCheckReusesItsDegrees(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's own allocations are counted")
+	}
+	s := New(Config{Workers: 1, QueryTimeout: 30 * time.Second})
+	t.Cleanup(s.store.CloseLive)
+	if _, err := s.store.Build(BuildSpec{Name: "live", Dataset: "uni", Scale: "tiny", Technique: "auto", Mutable: true}); err != nil {
+		t.Fatal(err)
+	}
+	lg := s.store.Live("live")
+	if lg.reord.Advice == nil {
+		t.Fatal("an auto snapshot holds no verdict to re-advise")
+	}
+	lg.decayed() // sizes the buffer
+	check := testing.AllocsPerRun(20, func() { lg.decayed() })
+	advise := testing.AllocsPerRun(20, func() { reorder.AdviseDegrees(lg.degs, lg.dyn.NumEdges()) })
+	t.Logf("the decay check allocates %.0f times, the advisor %.0f", check, advise)
+	if check > advise {
+		t.Errorf("the decay check allocates %.0f times a run, more than the advisor's %.0f", check, advise)
+	}
+}

@@ -42,12 +42,21 @@
 // again only while a checkpoint writes it or a refresh plans from it (one
 // whose plan needs more than degrees; a degree-based plan and "auto"
 // resolve from the degrees the graph maintains), and is dropped after
-// use. Three things hold for what it publishes. Published arrays
-// are never reused: a publish between refreshes patches the previous
-// epoch's CSR into freshly allocated arrays (graph.Patch) and nothing of
-// a snapshot that was ever published — CSR, ranks, permutation — is
-// written again or recycled into a later epoch, because Snapshot.Graph
-// hands those arrays out without a reference count. Ranks are warm: a
+// use. Three things hold for what it publishes. No byte a published
+// epoch reads is written again: a publish between refreshes patches the
+// previous epoch's CSR (graph.Patch), writing the lists the batch edited
+// into room past the end of every list an epoch reads and reading the
+// untouched ones where the previous epoch does, under an index and list
+// starts of its own; and nothing else of a snapshot that was ever
+// published — ranks, permutation — is written again or recycled into a
+// later epoch, because Snapshot.Graph hands those arrays out without a
+// reference count. So the epochs alive at once (the served one, one a
+// reader still drains, one being folded) share one set of edge and
+// weight arrays and hold an O(V) index each (32 B a vertex: two
+// directions of index and starts, 1.5 MiB on sd/small); a refresh, an
+// insert that needs wider weights, or room spent (dead entries past an
+// eighth of the live ones, graph.Patch) copies every list once, into
+// fresh arrays. Ranks are warm: a
 // live snapshot's PageRank starts from the previous epoch's vector, so it
 // is within PageRank's tolerance of a cold computation on the same graph
 // (each stops after an iteration that moved the vector by less than

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -34,9 +35,11 @@ import (
 // decayed (liveGraph.decayed) or the vertex space changed; every publish
 // in between patches the previous epoch's CSR
 // with the batch (dynamic.Reorderer.View) and warm-starts PageRank from
-// the previous epoch's ranks, so its cost is a copy of the CSR plus work
-// proportional to the batch. What it publishes is still a brand-new
-// snapshot: no array of a published snapshot is ever written or reused.
+// the previous epoch's ranks, so its cost is O(V) for the view's index
+// plus work proportional to the lists the batch edits: the patched CSR
+// shares the previous epoch's edge and weight arrays. What it publishes
+// is still a brand-new snapshot: no byte a published snapshot reads is
+// ever written again.
 
 const (
 	// maxMutateUpdates bounds one request's batch size.
@@ -166,6 +169,8 @@ type liveGraph struct {
 	// last refresh (or the build) and by the last publish.
 	degreeBased      bool
 	packedAt, served float64
+	// degs is decayed's degree buffer, refilled on every check.
+	degs []uint32
 
 	// crashed marks a simulated crash (CrashLive): the refresher then
 	// abandons its WAL without flushing and skips the final checkpoint,
@@ -516,7 +521,8 @@ func (lg *liveGraph) view(p *publishJob) (string, error) {
 // packs hot vertices (a degree-based technique's, or an "auto" dbg) and the
 // served packing, which assemble measured, fell more than packingDecay
 // below the last refresh's; or the advisor now gives an "auto" snapshot
-// another verdict (an O(V) pass a publish, 0.3 ms on sd/small). The
+// another verdict (an O(V) pass a publish, 0.3 ms on sd/small, over a
+// degree buffer the live graph keeps). The
 // identity and plans that read structure wait for Due: packing is not
 // what they order by, and their refresh is the costly one.
 func (lg *liveGraph) decayed() bool {
@@ -528,17 +534,19 @@ func (lg *liveGraph) decayed() bool {
 	if rec == nil {
 		return false
 	}
-	degs := make([]uint32, lg.dyn.NumVertices())
-	for v := range degs {
-		id := graph.VertexID(v)
+	n := lg.dyn.NumVertices()
+	lg.degs = slices.Grow(lg.degs[:0], n)[:n]
+	for v := range lg.degs {
+		id, d := graph.VertexID(v), uint32(0)
 		if lg.kind != graph.InDegree {
-			degs[v] += uint32(lg.dyn.OutDegree(id))
+			d += uint32(lg.dyn.OutDegree(id))
 		}
 		if lg.kind != graph.OutDegree {
-			degs[v] += uint32(lg.dyn.InDegree(id))
+			d += uint32(lg.dyn.InDegree(id))
 		}
+		lg.degs[v] = d
 	}
-	return reorder.AdviseDegrees(degs, lg.dyn.NumEdges()).Spec != rec.Spec
+	return reorder.AdviseDegrees(lg.degs, lg.dyn.NumEdges()).Spec != rec.Spec
 }
 
 // warmStart returns the last published ranks in the ID space of perm, or

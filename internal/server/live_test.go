@@ -10,12 +10,14 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 	"weak"
 
 	"graphreorder/internal/graph"
 	"graphreorder/internal/reorder"
+	"graphreorder/internal/rng"
 )
 
 // liveServer builds one mutable snapshot named "live".
@@ -578,5 +580,135 @@ func TestLiveGraphHoldsOneCSR(t *testing.T) {
 	t.Logf("the live graph retains %.2f B/edge beyond the served view (%d edges)", perEdge, edges)
 	if perEdge > 4 {
 		t.Errorf("the live graph retains %.2f B/edge beyond the served view, want <= 4", perEdge)
+	}
+}
+
+// TestOldEpochsKeepTheirListsBesidePublishes: readers that acquired
+// earlier epochs of a mutable snapshot re-read every list of them while
+// write batches (inserts, removals, vertex growth) publish newer epochs
+// that share their arrays; each reader must read what it read first. Run
+// under -race, a publish that writes a byte an earlier epoch reads is
+// reported.
+func TestOldEpochsKeepTheirListsBesidePublishes(t *testing.T) {
+	s := liveServer(t, "dbg")
+	h := s.Handler()
+	sum := func(g graph.View) uint64 {
+		var x uint64
+		for v := range graph.VertexID(g.NumVertices()) {
+			ws := g.OutWeightList(v)
+			for i, u := range g.OutNeighbors(v) {
+				x = x*31 + uint64(u)<<8 + uint64(ws.At(i))
+			}
+			for _, u := range g.InNeighbors(v) {
+				x = x*37 + uint64(u)
+			}
+		}
+		return x
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	var reads atomic.Int64
+	for range 2 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				snap, release := s.store.AcquireNamed("live")
+				first := sum(snap.graph)
+				for range 3 {
+					if got := sum(snap.graph); got != first {
+						t.Errorf("epoch %d read checksum %x, then %x", snap.epoch, first, got)
+					}
+				}
+				release()
+				reads.Add(1)
+			}
+		}()
+	}
+	n := s.store.Current().graph.NumVertices()
+	r := rng.New(5)
+	var inserted []MutateUpdate
+	for i := range 60 {
+		req := MutateRequest{}
+		if i%15 == 14 {
+			req.AddVertices = 1
+			n++
+		}
+		for range 4 {
+			u := MutateUpdate{Src: graph.VertexID(r.Intn(n)), Dst: graph.VertexID(r.Intn(n)), Weight: uint32(1 + r.Intn(9))}
+			req.Updates = append(req.Updates, u)
+			inserted = append(inserted, u)
+		}
+		if i%4 == 3 {
+			// Take back an instance an earlier batch inserted.
+			k := r.Intn(len(inserted) - 4)
+			u := inserted[k]
+			inserted = slices.Delete(inserted, k, k+1)
+			req.Updates = append(req.Updates, MutateUpdate{Src: u.Src, Dst: u.Dst, Remove: true})
+		}
+		writeLive(t, h, req)
+	}
+	close(stop)
+	wg.Wait()
+	if reads.Load() == 0 {
+		t.Error("no reader finished a read beside the publishes")
+	}
+}
+
+// TestPatchPublishAllocatesNoCSR pins what a steady-state publish of a
+// 4-insert batch allocates on a mutable DBG sd/small snapshot: the
+// patched view shares the previous one's edge and weight arrays, so the
+// publish allocates per vertex — the view's index and list starts, two
+// directions of 8 + 8 bytes; the precompute's PageRank vectors, three of
+// 8; a degree array of 4; 64 bytes a vertex in all, with room to spare —
+// plus the edited lists, the request and the reply (256 KiB), far under
+// one copy of the CSR, which every publish made while a patch copied
+// every untouched list.
+func TestPatchPublishAllocatesNoCSR(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's own allocations are counted")
+	}
+	s := New(Config{Workers: 1, QueryTimeout: 30 * time.Second})
+	t.Cleanup(s.store.CloseLive)
+	snap, err := s.store.Build(BuildSpec{Name: "live", Dataset: "sd", Scale: "small", Technique: "dbg", Mutable: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := s.Handler()
+	g := snap.graph.(*graph.Graph)
+	n, m := g.NumVertices(), g.NumEdges()
+	_, wb := g.OutWeightArray()
+	csr := uint64(2*8*(n+1) + 2*4*m + wb*m)
+	bound := uint64(64*n + 256<<10)
+	if bound > csr/2 {
+		t.Fatalf("the bound, %d B, is not far under a CSR copy's %d B", bound, csr)
+	}
+	r := rng.New(13)
+	write := func() {
+		var req MutateRequest
+		for range 4 {
+			req.Updates = append(req.Updates, MutateUpdate{Src: graph.VertexID(r.Intn(n)), Dst: graph.VertexID(r.Intn(n)), Weight: uint32(1 + r.Intn(9))})
+		}
+		if res := writeLive(t, h, req); res.Refreshed {
+			t.Fatal("a 4-insert batch refreshed the order")
+		}
+	}
+	write() // the build's view has no room: the first publish copies it
+	const publishes = 8
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range publishes {
+		write()
+	}
+	runtime.ReadMemStats(&after)
+	per := (after.TotalAlloc - before.TotalAlloc) / publishes
+	t.Logf("a 4-insert publish of sd/small allocates %d B (%.1f B a vertex), a CSR copy is %d B; bound %d B", per, float64(per)/float64(n), csr, bound)
+	if per > bound {
+		t.Errorf("a 4-insert publish allocated %d B, more than the %d B of O(V) arrays and the batch", per, bound)
 	}
 }

@@ -288,12 +288,13 @@ func BenchmarkLivePublish(b *testing.B) {
 			b.Fatalf("write: %d %s", rec.Code, rec.Body.String())
 		}
 	}
-	write() // the build's first write; not the steady state
+	write() // the build's first write, which copies the build's CSR; not the steady state
 	var sum [len(publishStageNames)]time.Duration
 	var count [len(publishStageNames)]uint64
 	for i := range sum {
 		sum[i], count[i] = s.store.writes.stages[i].Sum(), s.store.writes.stages[i].Count()
 	}
+	b.ReportAllocs() // B/op: the bytes of a publish, its request and its reply
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		write()

@@ -79,7 +79,10 @@ func (t *Tracer) coreOf(v graph.VertexID) int {
 }
 
 // VertexVisited implements ligra.Tracer: the frontier vertex's Vertex
-// Array entry is read and the edge cursor rewinds to its first edge.
+// Array entry is read and the edge cursor rewinds to its first edge. The
+// cursor follows the graph's index, the prefix sum of the degrees, so the
+// simulated Edge Array is the compact layout (graph.Graph.Compact's) on
+// every graph.
 func (t *Tracer) VertexVisited(v graph.VertexID, pull bool) {
 	core := t.coreOf(v)
 	t.h.AddInstructions(instrPerVertex)
