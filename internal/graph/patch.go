@@ -217,12 +217,12 @@ func forRuns(index, start []uint64, from, to int, f func(v int, lo, hi uint64) e
 // the n, which cost no more than the O(n) index every patch allocates
 // anyway). What it costs is memory: every generation still served holds
 // the one array, room included, and a heap goal twice the live heap
-// counts every byte of it twice at the peak. At 1/8 the room is 12.5 %
-// of the edge arrays — about 1.1 MiB on sd/small (m ≈ 0.98 M, n ≈ 55 k,
-// 9 bytes an edge), whose 4-insert write batches rewrite about 150
-// entries each, so a full copy comes every thousand publishes or so; 1/2
-// would hold 4 MiB more in every served generation for copies that are
-// already rare.
+// counts every byte of it twice at the peak. At 1/8 the room is m/8 + n
+// entries, 17.5 % of the edge arrays on sd/small (m ≈ 0.98 M, n ≈ 49 k,
+// 9 bytes an edge: about 1.5 MB), whose 4-insert write batches rewrite
+// about 150 entries each, so a full copy comes every thousand publishes
+// or so; 1/2 would hold 3.3 MB more in every served generation for
+// copies that are already rare.
 const deadShare = 8
 
 // deadAllowance is how many dead entries an array shared by graphs of m
@@ -351,51 +351,29 @@ func patchCSR(c csrDir, edits []EdgeEdit, n int, rank, newID []VertexID, reverse
 	}
 	// The output index: every list's new length, its old one plus its
 	// groups' net change, stored under the list's new name and
-	// prefix-summed. Without newID that is the old index with each entry
-	// shifted by the changes to the lists before it.
-	var newIndex []uint64
-	if newID == nil {
-		newIndex = slices.Clone(index)
-		var shift int64
-		done := 0 // newIndex[:done+1] is final
-		err := keyRuns(func(key VertexID, gs []patchItem) error {
-			var delta int64
-			for _, it := range gs {
-				delta += int64(it.delta)
-			}
-			if int64(index[key+1]-index[key])+delta < 0 {
-				return errPatchAbsent
-			}
-			shiftBy(newIndex[done+1:key+1], shift)
-			shift, done = shift+delta, int(key)
-			return nil
-		})
-		if err != nil {
-			return csrDir{}, err
+	// prefix-summed.
+	newIndex := make([]uint64, n+1)
+	for v := range VertexID(n) {
+		newIndex[name(v)+1] = index[v+1] - index[v]
+	}
+	err := keyRuns(func(key VertexID, gs []patchItem) error {
+		deg := int64(newIndex[name(key)+1])
+		for _, it := range gs {
+			deg += int64(it.delta)
 		}
-		shiftBy(newIndex[done+1:], shift)
-	} else {
-		newIndex = make([]uint64, n+1)
-		for v := range VertexID(n) {
-			newIndex[newID[v]+1] = index[v+1] - index[v]
+		if deg < 0 {
+			return errPatchAbsent
 		}
-		err := keyRuns(func(key VertexID, gs []patchItem) error {
-			deg := int64(newIndex[newID[key]+1])
-			for _, it := range gs {
-				deg += int64(it.delta)
-			}
-			if deg < 0 {
-				return errPatchAbsent
-			}
-			newIndex[newID[key]+1] = uint64(deg)
-			return nil
-		})
-		if err != nil {
-			return csrDir{}, err
-		}
-		for v := 1; v <= n; v++ {
-			newIndex[v] += newIndex[v-1]
-		}
+		newIndex[name(key)+1] = uint64(deg)
+		return nil
+	})
+	if err != nil {
+		return csrDir{}, err
+	}
+	var sum uint64
+	for v := range newIndex {
+		sum += newIndex[v]
+		newIndex[v] = sum
 	}
 	ordOf := func(v VertexID) VertexID {
 		if rank != nil {
@@ -529,7 +507,7 @@ func patchCSR(c csrDir, edits []EdgeEdit, n int, rank, newID []VertexID, reverse
 		}
 	}
 	next := 0 // first vertex not emitted yet
-	err := keyRuns(func(key VertexID, gs []patchItem) error {
+	err = keyRuns(func(key VertexID, gs []patchItem) error {
 		untouched(next, int(key))
 		lo, hi := newIndex[name(key)], newIndex[name(key)+1]
 		next = int(key) + 1
@@ -548,14 +526,4 @@ func patchCSR(c csrDir, edits []EdgeEdit, n int, rank, newID []VertexID, reverse
 		out.tail.Store(uint64(m))
 	}
 	return out, nil
-}
-
-// shiftBy adds d to every entry of s.
-func shiftBy(s []uint64, d int64) {
-	if d == 0 {
-		return
-	}
-	for i := range s {
-		s[i] = uint64(int64(s[i]) + d)
-	}
 }

@@ -54,9 +54,9 @@
 // reader still drains, one being folded) share one set of edge and
 // weight arrays and hold an O(V) index each (32 B a vertex: two
 // directions of index and starts, 1.5 MiB on sd/small); a refresh, an
-// insert that needs wider weights, or room spent (dead entries past an
-// eighth of the live ones, graph.Patch) copies every list once, into
-// fresh arrays. Ranks are warm: a
+// insert that needs wider weights, or room spent (dead entries past
+// m/8 + n, an eighth of the live entries plus one per vertex;
+// graph.Patch) copies every list once, into fresh arrays. Ranks are warm: a
 // live snapshot's PageRank starts from the previous epoch's vector, so it
 // is within PageRank's tolerance of a cold computation on the same graph
 // (each stops after an iteration that moved the vector by less than
