@@ -61,8 +61,10 @@ func WriteCSRZ(g *CompressedGraph, path string) error { return g.WriteFile(path)
 func OpenCSRZ(path string) (*CompressedGraph, error) { return csrz.OpenFile(path) }
 
 // ReadCSRZ decodes a .csrz stream into a heap-backed compressed graph
-// (no mapping to manage; used where the file may be untrusted or short-
-// lived — this is the fuzz-hardened path).
+// (no mapping to manage), checked exactly as OpenCSRZ checks a file. The
+// graph keeps the stream's bytes in one buffer, its sections views into
+// it, so the page padding (and a version-1 or -2 file's unread in-weight
+// section) stay resident with them.
 func ReadCSRZ(r io.Reader) (*CompressedGraph, error) { return csrz.ReadCSRZ(r) }
 
 // IsCSRZFile reports whether path begins with the .csrz container magic

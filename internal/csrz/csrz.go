@@ -1,6 +1,7 @@
 package csrz
 
 import (
+	"encoding/binary"
 	"fmt"
 	"slices"
 	"sync"
@@ -207,56 +208,86 @@ func (it *AdjIter) Next() (graph.VertexID, bool) {
 // Remaining returns how many neighbors are left to decode.
 func (it *AdjIter) Remaining() int { return it.rem }
 
-// Encode compresses g. The plain graph is not retained: its packed
-// weights (if any) are copied as they are, at the width g stores them
-// once compact — a patched graph that shares its arrays is compacted
-// first (graph.Graph.Compact), so the encoding is a function of the lists.
-// Both directions encode concurrently, the out-direction with its weights.
+// Encode compresses g, reading each list where g stores it: a patched
+// graph that shares its arrays is not compacted first, yet encodes as its
+// Compact would, since the encoding is a function of the lists. The plain
+// graph is not retained: its packed weights (if any) are copied, at the
+// width the lists need. Both directions encode concurrently, the
+// out-direction with its weights.
 func Encode(g *graph.Graph) *Graph {
-	g = g.Compact()
 	n, m := g.NumVertices(), g.NumEdges()
-	w, wb := g.OutWeightArray()
-	z := &Graph{n: n, m: m, wb: wb}
+	z := &Graph{n: n, m: m}
 
 	var wg sync.WaitGroup
 	wg.Add(2)
 	go func() {
 		defer wg.Done()
 		z.outIdx = append([]uint64(nil), g.OutIndex()...)
-		z.outOff, z.outData = encodeDirection(g.OutIndex(), g.OutEdgeArray(), n)
-		z.outW = slices.Clone(w)
+		z.outOff, z.outData = encodeDirection(g.OutNeighbors, n)
+		z.outW, z.wb = copyWeights(g)
 	}()
 	go func() {
 		defer wg.Done()
 		z.inIdx = append([]uint64(nil), g.InIndex()...)
-		z.inOff, z.inData = encodeDirection(g.InIndex(), g.InEdgeArray(), n)
+		z.inOff, z.inData = encodeDirection(g.InNeighbors, n)
 	}()
 	wg.Wait()
 	return z
 }
 
-func encodeDirection(index []uint64, edges []graph.VertexID, n int) (off []uint64, data []byte) {
+func encodeDirection(list func(graph.VertexID) []graph.VertexID, n int) (off []uint64, data []byte) {
 	off = make([]uint64, n+1)
 	// First pass: exact byte size, so the data buffer allocates once.
 	var total uint64
-	for v := 0; v < n; v++ {
+	for v := range n {
 		off[v] = total
 		prev := uint32(v)
-		for _, u := range edges[index[v]:index[v+1]] {
+		for _, u := range list(graph.VertexID(v)) {
 			total += uint64(deltaLen(prev, uint32(u)))
 			prev = uint32(u)
 		}
 	}
 	off[n] = total
 	data = make([]byte, 0, total)
-	for v := 0; v < n; v++ {
+	for v := range n {
 		prev := uint32(v)
-		for _, u := range edges[index[v]:index[v+1]] {
+		for _, u := range list(graph.VertexID(v)) {
 			data = appendUvarint(data, zigzag(int64(uint32(u))-int64(prev)))
 			prev = uint32(u)
 		}
 	}
 	return off, data
+}
+
+// copyWeights returns g's out-weights, list after list, at the width the
+// largest needs, and that width (nil and 0 when g is unweighted). A patch
+// keeps a wider width after a removal took the weight that needed it;
+// its lists are stored narrower here.
+func copyWeights(g *graph.Graph) ([]byte, int) {
+	if !g.Weighted() {
+		return nil, 0
+	}
+	n, wb := graph.VertexID(g.NumVertices()), 1
+	for v := range n {
+		l := g.OutWeightList(v)
+		wb = max(wb, graph.WeightWidth(l.Bytes, l.Width))
+	}
+	w := make([]byte, 0, g.NumEdges()*wb)
+	for v := range n {
+		l := g.OutWeightList(v)
+		if l.Width == wb {
+			w = append(w, l.Bytes...)
+			continue
+		}
+		for i := range len(l.Bytes) / l.Width { // narrower, so one or two bytes
+			if wb == 1 {
+				w = append(w, byte(l.At(i)))
+			} else {
+				w = binary.LittleEndian.AppendUint16(w, uint16(l.At(i)))
+			}
+		}
+	}
+	return w, wb
 }
 
 // Decode rebuilds a plain *graph.Graph (fresh arrays, independent of any

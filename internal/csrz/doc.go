@@ -74,5 +74,9 @@
 //     mapping does the arbitration.
 //
 // Heap-backed graphs (Encode, ReadCSRZ) have a no-op Close and no
-// lifetime rules beyond the GC's.
+// lifetime rules beyond the GC's. ReadCSRZ reads its stream into one
+// buffer and parses it as OpenFile parses a mapping; the graph keeps that
+// buffer whole, page padding and a version-1 or -2 file's unread
+// in-weight section included. graphd and the benchmark load through
+// OpenFile.
 package csrz

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"math"
 	"os"
 	"unsafe"
 )
@@ -24,6 +23,12 @@ import (
 //	section table (count × 24 bytes): {id, offset, length} uint64 each
 //	sections, each zero-padded to a 4096-byte boundary, in table order
 //	trailer (8 bytes at EOF): CRC-32C of file[0:size-8], then "ZRSC"
+//
+// The readers hold a file to that order: every section starts on a
+// 4096-byte boundary past the section table, after the end of the one
+// before it in the table, and the trailer follows the last section's
+// last byte. A table out of file order, a section over the header or
+// table, overlapping sections and bytes before the trailer are rejected.
 //
 // All integers are little-endian. A weighted file has one weight section,
 // for the out-direction, and an unweighted file none. Its length over m
@@ -258,109 +263,19 @@ func writeUint64s(w io.Writer, xs []uint64) error {
 	return nil
 }
 
-type crcReader struct {
-	r   io.Reader
-	crc uint32
-	n   uint64
-}
-
-func (c *crcReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.crc = crc32.Update(c.crc, castagnoli, p[:n])
-	c.n += uint64(n)
-	return n, err
-}
-
 // ReadCSRZ decodes a .csrz stream into a heap-backed compressed graph.
-// It is the hardened path fuzzed by FuzzReadCSRZ: every buffer grows as
-// payload actually arrives, so a header or section table announcing
-// absurd sizes costs nothing before the stream runs dry; the whole-file
-// CRC and a full adjacency decode are verified before the graph is
-// returned.
+// It reads the whole stream into one buffer, grown only as bytes arrive,
+// so a header or section table announcing absurd sizes costs nothing
+// before the stream runs dry, and parses that buffer as OpenFile parses
+// a mapping. The graph keeps the buffer: its sections are views into it,
+// and the padding (and a version-1 or -2 file's unread in-weight section)
+// stay with them.
 func ReadCSRZ(r io.Reader) (*Graph, error) {
-	cr := &crcReader{r: bufio.NewReaderSize(r, 1<<16)}
-
-	var hdr [headerBytes]byte
-	if _, err := io.ReadFull(cr, hdr[:]); err != nil {
-		return nil, fmt.Errorf("csrz: reading header: %w", err)
-	}
-	g, h, err := parseHeader(hdr[:])
+	data, err := io.ReadAll(r)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("csrz: reading: %w", err)
 	}
-
-	tab := make([]byte, 24*h.nsec)
-	if _, err := io.ReadFull(cr, tab); err != nil {
-		return nil, fmt.Errorf("csrz: reading section table: %w", err)
-	}
-	secs := make([]section, h.nsec)
-	prevEnd := cr.n
-	for i := range secs {
-		secs[i] = section{
-			id:     binary.LittleEndian.Uint64(tab[i*24:]),
-			off:    binary.LittleEndian.Uint64(tab[i*24+8:]),
-			length: binary.LittleEndian.Uint64(tab[i*24+16:]),
-		}
-		s := secs[i]
-		if s.off%sectionAlign != 0 || s.off < prevEnd || s.off+s.length < s.off {
-			return nil, fmt.Errorf("csrz: section %d has bad extent [%d,+%d)", s.id, s.off, s.length)
-		}
-		prevEnd = s.off + s.length
-	}
-
-	seen := make(map[uint64]bool, h.nsec)
-	var inWLen uint64
-	for _, s := range secs {
-		if seen[s.id] {
-			return nil, fmt.Errorf("csrz: duplicate section %d", s.id)
-		}
-		seen[s.id] = true
-		if err := discardTo(cr, s.off); err != nil {
-			return nil, err
-		}
-		var err error
-		switch s.id {
-		case secOutIdx:
-			g.outIdx, err = readUint64sGrow(cr, s.length)
-		case secOutOff:
-			g.outOff, err = readUint64sGrow(cr, s.length)
-		case secOutData:
-			g.outData, err = readBytesGrow(cr, s.length)
-		case secOutW:
-			g.outW, err = readBytesGrow(cr, s.length)
-		case secInIdx:
-			g.inIdx, err = readUint64sGrow(cr, s.length)
-		case secInOff:
-			g.inOff, err = readUint64sGrow(cr, s.length)
-		case secInData:
-			g.inData, err = readBytesGrow(cr, s.length)
-		case secInW:
-			inWLen, err = s.length, discardTo(cr, s.off+s.length)
-		default:
-			return nil, fmt.Errorf("csrz: unknown section id %d", s.id)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("csrz: reading section %d: %w", s.id, err)
-		}
-	}
-	bodyCRC := cr.crc
-	var trailer [trailerBytes]byte
-	if _, err := io.ReadFull(cr, trailer[:]); err != nil {
-		return nil, fmt.Errorf("csrz: reading trailer: %w", err)
-	}
-	if binary.LittleEndian.Uint32(trailer[4:]) != trailerMagic {
-		return nil, fmt.Errorf("csrz: bad trailer magic")
-	}
-	if got := binary.LittleEndian.Uint32(trailer[0:]); got != bodyCRC {
-		return nil, fmt.Errorf("csrz: checksum mismatch: file says %#x, computed %#x", got, bodyCRC)
-	}
-	if err := checkSections(g, h, seen, inWLen); err != nil {
-		return nil, err
-	}
-	if err := g.validate(); err != nil {
-		return nil, err
-	}
-	return g, nil
+	return parse(data)
 }
 
 // header is what parseHeader reads besides the graph's dimensions.
@@ -370,8 +285,8 @@ type header struct {
 	weighted bool
 }
 
-// parseHeader checks the fixed 64-byte header both readers start from
-// and returns an empty graph of its dimensions and the rest of the
+// parseHeader checks the fixed 64-byte header parse starts from and
+// returns an empty graph of its dimensions and the rest of the
 // header.
 func parseHeader(hdr []byte) (*Graph, header, error) {
 	if string(hdr[:8]) != formatMagic {
@@ -397,134 +312,19 @@ func parseHeader(hdr []byte) (*Graph, header, error) {
 	return &Graph{n: int(n), m: int(m)}, h, nil
 }
 
-// checkSections verifies the loaded sections agree with the header
-// (lengths were attacker-controlled until now) and sets the weight
-// width: a weighted file has an out-weight section of 1, 2 or 4 bytes per
-// edge, an unweighted file none. A weighted file of version 1 or 2 also
-// has an in-weight section, inWLen bytes long, which must be exactly as
-// long as the out-weights; a file of a later version has none.
-func checkSections(g *Graph, h header, seen map[uint64]bool, inWLen uint64) error {
-	if len(g.outIdx) != g.n+1 || len(g.inIdx) != g.n+1 ||
-		len(g.outOff) != g.n+1 || len(g.inOff) != g.n+1 {
-		return fmt.Errorf("csrz: index sections disagree with n=%d", g.n)
-	}
-	if h.version > lastInWVersion && seen[secInW] {
-		return fmt.Errorf("csrz: version %d snapshot carries an in-weight section", h.version)
-	}
-	if !h.weighted {
-		if seen[secOutW] || seen[secInW] {
-			return fmt.Errorf("csrz: weight sections present on unweighted snapshot")
-		}
-		return nil
-	}
-	if !seen[secOutW] {
-		return fmt.Errorf("csrz: weighted snapshot has no weight section")
-	}
-	if h.version <= lastInWVersion && (!seen[secInW] || inWLen != uint64(len(g.outW))) {
-		return fmt.Errorf("csrz: weighted version %d snapshot needs two equal weight sections", h.version)
-	}
-	g.wb = 1
-	if g.m > 0 {
-		g.wb = len(g.outW) / g.m
-	}
-	if (g.wb != 1 && g.wb != 2 && g.wb != 4) || len(g.outW) != g.wb*g.m {
-		return fmt.Errorf("csrz: weight sections of %d bytes do not hold m=%d weights of 1, 2 or 4 bytes", len(g.outW), g.m)
-	}
-	return nil
-}
-
-// discardTo reads and drops the stream up to offset target: padding, or
-// a section no reader keeps. The bytes pass through the CRC only.
-func discardTo(cr *crcReader, target uint64) error {
-	if target < cr.n {
-		return fmt.Errorf("csrz: section overlaps previous data")
-	}
-	if target-cr.n > math.MaxInt64 {
-		return io.ErrUnexpectedEOF
-	}
-	_, err := io.CopyN(io.Discard, cr, int64(target-cr.n))
-	if err == io.EOF {
-		err = io.ErrUnexpectedEOF
-	}
-	return err
-}
-
-// readBytesGrow reads length bytes without trusting length for the
-// initial allocation: the buffer grows chunk by chunk as data arrives.
-func readBytesGrow(r io.Reader, length uint64) ([]byte, error) {
-	var out []byte
-	var chunk [ioChunkBytes]byte
-	for length > 0 {
-		k := uint64(len(chunk))
-		if length < k {
-			k = length
-		}
-		if _, err := io.ReadFull(r, chunk[:k]); err != nil {
-			if err == io.EOF {
-				err = io.ErrUnexpectedEOF
-			}
-			return nil, err
-		}
-		out = append(out, chunk[:k]...)
-		length -= k
-	}
-	return out, nil
-}
-
-func readUint64sGrow(r io.Reader, length uint64) ([]uint64, error) {
-	if length%8 != 0 {
-		return nil, fmt.Errorf("uint64 section length %d not a multiple of 8", length)
-	}
-	var out []uint64
-	var chunk [ioChunkBytes]byte
-	for length > 0 {
-		k := uint64(len(chunk))
-		if length < k {
-			k = length
-		}
-		if _, err := io.ReadFull(r, chunk[:k]); err != nil {
-			if err == io.EOF {
-				err = io.ErrUnexpectedEOF
-			}
-			return nil, err
-		}
-		for i := uint64(0); i < k; i += 8 {
-			out = append(out, binary.LittleEndian.Uint64(chunk[i:]))
-		}
-		length -= k
-	}
-	return out, nil
-}
-
-// ReadFile loads a .csrz file through the hardened streaming reader
-// (heap-backed, no mapping). Prefer OpenFile for serving.
-func ReadFile(path string) (*Graph, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return ReadCSRZ(f)
-}
-
 // OpenFile maps path read-only and returns a compressed graph whose
-// sections are zero-copy views into the mapping (on little-endian unix
-// hosts; elsewhere sections are copied out and the mapping is released
-// immediately). The whole-file CRC and a full adjacency decode are
-// verified before returning, so a graph that loads is a graph whose
-// iterators cannot fault. The caller owns the mapping: Close the graph
-// after the last reader has drained (see doc.go).
+// sections are views into the mapping (the index sections copied out on
+// a big-endian host; without mmap the file is read into the heap). The
+// whole-file CRC and a full adjacency decode are verified before
+// returning, so a graph that loads is a graph whose iterators cannot
+// fault. The caller owns the mapping: Close the graph after the last
+// reader has drained (see doc.go).
 func OpenFile(path string) (*Graph, error) {
-	if !hostLittleEndian {
-		// The on-disk layout is little-endian; a big-endian host has to
-		// byte-swap every section anyway, so zero-copy buys nothing.
-		return ReadFile(path)
-	}
 	data, mp, err := mapFile(path)
 	if err != nil {
 		return nil, err
 	}
-	g, err := parseMapped(data)
+	g, err := parse(data)
 	if err != nil {
 		if mp != nil {
 			mp.close()
@@ -532,16 +332,17 @@ func OpenFile(path string) (*Graph, error) {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	g.mapping = mp
-	if err := g.validate(); err != nil {
-		g.Close()
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
 	return g, nil
 }
 
-// parseMapped builds a Graph over a fully-loaded .csrz image, sharing
-// the image's memory for every section when the host is little-endian.
-func parseMapped(data []byte) (*Graph, error) {
+// parse builds a Graph over a whole .csrz image, the one parser both
+// ReadCSRZ and OpenFile run: every section a view into data where the
+// host's byte order and data's alignment allow. It checks the trailer's
+// CRC, the header, the section table — every section past the table, in
+// table order, none overlapping the next, the trailer right after the
+// last — and that the sections agree with the header, then decodes every
+// list (validate).
+func parse(data []byte) (*Graph, error) {
 	if len(data) < headerBytes+trailerBytes {
 		return nil, fmt.Errorf("csrz: file too small (%d bytes)", len(data))
 	}
@@ -557,7 +358,8 @@ func parseMapped(data []byte) (*Graph, error) {
 	if err != nil {
 		return nil, err
 	}
-	if uint64(len(body)) < headerBytes+24*h.nsec {
+	prevEnd := headerBytes + 24*h.nsec
+	if uint64(len(body)) < prevEnd {
 		return nil, fmt.Errorf("csrz: truncated section table")
 	}
 	seen := make(map[uint64]bool, h.nsec)
@@ -569,14 +371,15 @@ func parseMapped(data []byte) (*Graph, error) {
 			off:    binary.LittleEndian.Uint64(tab[8:]),
 			length: binary.LittleEndian.Uint64(tab[16:]),
 		}
-		if s.off%sectionAlign != 0 || s.off+s.length < s.off || s.off+s.length > uint64(len(body)) {
+		if s.off%sectionAlign != 0 || s.off < prevEnd || s.off+s.length < s.off || s.off+s.length > uint64(len(body)) {
 			return nil, fmt.Errorf("csrz: section %d has bad extent [%d,+%d)", s.id, s.off, s.length)
 		}
+		prevEnd = s.off + s.length
 		if seen[s.id] {
 			return nil, fmt.Errorf("csrz: duplicate section %d", s.id)
 		}
 		seen[s.id] = true
-		raw := body[s.off : s.off+s.length]
+		raw := body[s.off:prevEnd]
 		var err error
 		switch s.id {
 		case secOutIdx:
@@ -602,16 +405,47 @@ func parseMapped(data []byte) (*Graph, error) {
 			return nil, err
 		}
 	}
-	if err := checkSections(g, h, seen, inWLen); err != nil {
+	if prevEnd != uint64(len(body)) {
+		return nil, fmt.Errorf("csrz: %d bytes between the last section and the trailer", uint64(len(body))-prevEnd)
+	}
+	// The sections' lengths came from the file: they must agree with the
+	// header. A weighted file has an out-weight section of 1, 2 or 4 bytes
+	// per edge, an unweighted file none; a weighted file of version 1 or 2
+	// also has an in-weight section exactly as long, a later version none.
+	if len(g.outIdx) != g.n+1 || len(g.inIdx) != g.n+1 ||
+		len(g.outOff) != g.n+1 || len(g.inOff) != g.n+1 {
+		return nil, fmt.Errorf("csrz: index sections disagree with n=%d", g.n)
+	}
+	if h.version > lastInWVersion && seen[secInW] {
+		return nil, fmt.Errorf("csrz: version %d snapshot carries an in-weight section", h.version)
+	}
+	if !h.weighted && (seen[secOutW] || seen[secInW]) {
+		return nil, fmt.Errorf("csrz: weight sections present on unweighted snapshot")
+	}
+	if h.weighted {
+		if !seen[secOutW] {
+			return nil, fmt.Errorf("csrz: weighted snapshot has no weight section")
+		}
+		if h.version <= lastInWVersion && (!seen[secInW] || inWLen != uint64(len(g.outW))) {
+			return nil, fmt.Errorf("csrz: weighted version %d snapshot needs two equal weight sections", h.version)
+		}
+		g.wb = 1
+		if g.m > 0 {
+			g.wb = len(g.outW) / g.m
+		}
+		if (g.wb != 1 && g.wb != 2 && g.wb != 4) || len(g.outW) != g.wb*g.m {
+			return nil, fmt.Errorf("csrz: weight sections of %d bytes do not hold m=%d weights of 1, 2 or 4 bytes", len(g.outW), g.m)
+		}
+	}
+	if err := g.validate(); err != nil {
 		return nil, err
 	}
 	return g, nil
 }
 
-// u64view reinterprets a little-endian byte section as []uint64 —
-// zero-copy on little-endian hosts (sections are page-aligned, so the
-// 8-byte alignment unsafe.Slice needs always holds), decoded copy
-// otherwise.
+// u64view reinterprets a little-endian byte section as []uint64: a view
+// of b where the host is little-endian and b is 8-byte aligned (always in
+// a mapping, whose sections are page-aligned), a decoded copy otherwise.
 func u64view(b []byte) ([]uint64, error) {
 	if len(b)%8 != 0 {
 		return nil, fmt.Errorf("csrz: uint64 section length %d not a multiple of 8", len(b))
@@ -620,7 +454,7 @@ func u64view(b []byte) ([]uint64, error) {
 	if count == 0 {
 		return []uint64{}, nil
 	}
-	if hostLittleEndian {
+	if hostLittleEndian && uintptr(unsafe.Pointer(&b[0]))%8 == 0 {
 		return unsafe.Slice((*uint64)(unsafe.Pointer(&b[0])), count), nil
 	}
 	out := make([]uint64, count)

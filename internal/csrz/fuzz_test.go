@@ -4,9 +4,10 @@ import (
 	"bytes"
 	"encoding/binary"
 	"hash/crc32"
+	"maps"
 	"os"
 	"path/filepath"
-	"reflect"
+	"runtime"
 	"slices"
 	"strconv"
 	"testing"
@@ -88,7 +89,7 @@ func seedInputs(t testing.TB) map[string][]byte {
 	corrupt := append([]byte(nil), plain.Bytes()...)
 	corrupt[len(corrupt)/2] ^= 0x40
 
-	return map[string][]byte{
+	seeds := map[string][]byte{
 		"unweighted":   plain.Bytes(),
 		"weighted":     write(weighted(5)),
 		"weighted-w2":  write(weighted(300)),
@@ -98,6 +99,56 @@ func seedInputs(t testing.TB) map[string][]byte {
 		"lying-header": lying[:],
 		"truncated":    plain.Bytes()[:headerBytes-4],
 		"bitflip":      corrupt,
+	}
+	maps.Copy(seeds, misplacedSections(seeds["weighted"]))
+	return seeds
+}
+
+// misplacedSections returns three copies of a current weighted file whose
+// sections break the layout's order while every one lies inside the file,
+// each with its CRC made good: the table's second and third entries
+// swapped, the weight section pointed at offset 0 (its weights the bytes
+// "CSR" of the magic), and eight zero bytes before the trailer.
+func misplacedSections(file []byte) map[string][]byte {
+	body := file[:len(file)-trailerBytes]
+	entry := func(b []byte, i int) []byte { return b[headerBytes+24*i : headerBytes+24*(i+1)] }
+
+	swapped := slices.Clone(body)
+	first := slices.Clone(entry(swapped, 1))
+	copy(entry(swapped, 1), entry(swapped, 2))
+	copy(entry(swapped, 2), first)
+
+	overHeader := slices.Clone(body)
+	for i := range int(binary.LittleEndian.Uint64(body[32:])) {
+		if e := entry(overHeader, i); binary.LittleEndian.Uint64(e) == secOutW {
+			binary.LittleEndian.PutUint64(e[8:], 0)
+		}
+	}
+
+	return map[string][]byte{
+		"table-out-of-order":  checksummed(swapped),
+		"weights-over-header": checksummed(overHeader),
+		"gap-before-trailer":  checksummed(append(slices.Clone(body), make([]byte, 8)...)),
+	}
+}
+
+// TestMisplacedSections: both readers reject a file whose sections break
+// the layout's order even though each lies inside the file and the CRC
+// holds — a table out of file order, a weight section over the header, a
+// gap before the trailer — as they reject anything Write cannot produce.
+func TestMisplacedSections(t *testing.T) {
+	for name, file := range misplacedSections(seedInputs(t)["weighted"]) {
+		if _, err := ReadCSRZ(bytes.NewReader(file)); err == nil {
+			t.Errorf("%s: ReadCSRZ accepted it", name)
+		}
+		path := filepath.Join(t.TempDir(), "g.csrz")
+		if err := os.WriteFile(path, file, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if g, err := OpenFile(path); err == nil {
+			g.Close()
+			t.Errorf("%s: OpenFile accepted it", name)
+		}
 	}
 }
 
@@ -261,22 +312,38 @@ func TestInWeightSection(t *testing.T) {
 	}
 }
 
-// FuzzReadCSRZ feeds arbitrary bytes to the .csrz container reader.
+// FuzzReadCSRZ feeds arbitrary bytes to the .csrz container readers.
 // ReadCSRZ must never panic and never let a lying header or section
-// table drive allocation (buffers grow only as payload arrives), and
-// anything it accepts must survive a write/read round trip
-// bit-identically and pass full adjacency validation — the serving path
-// relies on load-time validation so AdjIter can skip per-step checks.
-// The mmap reader must accept exactly what the streaming one accepts and
-// read the same graph from it: the weighted flag, the weight width, and
-// every decoded list and weight.
+// table drive allocation (its buffer grows only as payload arrives: at
+// most 16 bytes per input byte plus 1 MiB), and anything it accepts must
+// survive a write/read round trip bit-identically and pass full
+// adjacency validation — the serving path relies on load-time validation
+// so AdjIter can skip per-step checks. OpenFile, which parses a mapping
+// of the same bytes, must accept exactly what ReadCSRZ accepts and read
+// the same graph from it: the weighted flag, the weight width, and every
+// decoded list and weight.
 func FuzzReadCSRZ(f *testing.F) {
 	for _, data := range seedInputs(f) {
 		f.Add(data)
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		z, err := ReadCSRZ(bytes.NewReader(data))
+		var z *Graph
+		var err error
+		if got := allocatedBy(func() { z, err = ReadCSRZ(bytes.NewReader(data)) }); got > 16*uint64(len(data))+1<<20 {
+			t.Fatalf("reading %d bytes allocated %d", len(data), got)
+		}
+		path := filepath.Join(t.TempDir(), "f.csrz")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		mg, merr := OpenFile(path)
+		if merr == nil {
+			defer mg.Close()
+		}
+		if (err == nil) != (merr == nil) {
+			t.Fatalf("readers disagree: ReadCSRZ error %v, OpenFile error %v", err, merr)
+		}
 		if err != nil {
 			return
 		}
@@ -288,29 +355,9 @@ func FuzzReadCSRZ(f *testing.F) {
 		if err != nil {
 			t.Fatalf("rereading a rewritten graph failed: %v", err)
 		}
-		if z.n != z2.n || z.m != z2.m || z.wb != z2.wb ||
-			!reflect.DeepEqual(z.outIdx, z2.outIdx) ||
-			!reflect.DeepEqual(z.outOff, z2.outOff) ||
-			!bytes.Equal(z.outData, z2.outData) ||
-			!bytes.Equal(z.outW, z2.outW) ||
-			!reflect.DeepEqual(z.inIdx, z2.inIdx) ||
-			!reflect.DeepEqual(z.inOff, z2.inOff) ||
-			!bytes.Equal(z.inData, z2.inData) {
+		if !sameSections(z, z2) {
 			t.Fatal("write/read round trip diverged")
 		}
-		// The mmap parser must agree with the streaming reader on
-		// accept/reject — a file the store can load must be a file the
-		// fuzz-hardened reader would have accepted, and vice versa — and
-		// on what the file holds.
-		path := filepath.Join(t.TempDir(), "f.csrz")
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		mg, err := OpenFile(path)
-		if err != nil {
-			t.Fatalf("OpenFile rejected a stream ReadCSRZ accepted: %v", err)
-		}
-		defer mg.Close()
 		if mg.Weighted() != z.Weighted() || mg.wb != z.wb {
 			t.Fatalf("readers disagree: weighted %v/%v, weight width %d/%d", z.Weighted(), mg.Weighted(), z.wb, mg.wb)
 		}
@@ -321,4 +368,13 @@ func FuzzReadCSRZ(f *testing.F) {
 			}
 		}
 	})
+}
+
+// allocatedBy returns the bytes fn allocates on the heap.
+func allocatedBy(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
 }

@@ -384,18 +384,24 @@ func (d *Graph) set(g *graph.Graph, perm, inv reorder.Permutation) {
 	d.sums = d.sums[:0]
 }
 
-// degrees returns what graph.Graph.Degrees does on a snapshot.
-func (d *Graph) degrees(kind graph.DegreeKind) []uint32 {
-	degs := make([]uint32, d.n)
+// AppendDegrees appends what graph.Graph.Degrees returns on a snapshot,
+// every vertex's degree of the given kind, to dst and returns it: pass
+// dst[:0] to reuse its array.
+func (d *Graph) AppendDegrees(kind graph.DegreeKind, dst []uint32) []uint32 {
+	base := len(dst)
+	dst = slices.Grow(dst, d.n)[:base+d.n]
+	degs := dst[base:]
 	for v := range degs {
+		var deg uint32
 		if kind != graph.InDegree {
-			degs[v] += uint32(d.outDeg[v])
+			deg += uint32(d.outDeg[v])
 		}
 		if kind != graph.OutDegree {
-			degs[v] += uint32(d.inDeg[v])
+			deg += uint32(d.inDeg[v])
 		}
+		degs[v] = deg
 	}
-	return degs
+	return dst
 }
 
 // settle ends a mutation: it folds the pending edits once they pass the
@@ -646,7 +652,7 @@ func (r *Reorderer) Due(d *Graph) bool {
 // than the degrees gets the snapshot, dropped before the relabel: two
 // CSRs at most are alive.
 func (r *Reorderer) Refresh(d *Graph) error {
-	perm, rec, ok := reorder.Resolve(r.tech, d.degrees(r.kind), d.m)
+	perm, rec, ok := reorder.Resolve(r.tech, d.AppendDegrees(r.kind, nil), d.m)
 	if !ok {
 		g, err := d.Snapshot()
 		if err != nil {

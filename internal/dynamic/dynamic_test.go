@@ -184,6 +184,12 @@ func TestIncrementalDegreesAndIndex(t *testing.T) {
 				v, d.OutDegree(id), snap.OutDegree(id), d.InDegree(id), snap.InDegree(id))
 		}
 	}
+	for _, kind := range []graph.DegreeKind{graph.OutDegree, graph.InDegree, graph.TotalDegree} {
+		got := d.AppendDegrees(kind, []uint32{7})
+		if got[0] != 7 || !slices.Equal(got[1:], snap.Degrees(kind)) {
+			t.Fatalf("AppendDegrees(%v) onto a one-element buffer diverges from the snapshot's degrees", kind)
+		}
+	}
 }
 
 // TestRemovalChurnIndexConsistency hammers the pending-edit bookkeeping:

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -534,18 +533,7 @@ func (lg *liveGraph) decayed() bool {
 	if rec == nil {
 		return false
 	}
-	n := lg.dyn.NumVertices()
-	lg.degs = slices.Grow(lg.degs[:0], n)[:n]
-	for v := range lg.degs {
-		id, d := graph.VertexID(v), uint32(0)
-		if lg.kind != graph.InDegree {
-			d += uint32(lg.dyn.OutDegree(id))
-		}
-		if lg.kind != graph.OutDegree {
-			d += uint32(lg.dyn.InDegree(id))
-		}
-		lg.degs[v] = d
-	}
+	lg.degs = lg.dyn.AppendDegrees(lg.kind, lg.degs[:0])
 	return reorder.AdviseDegrees(lg.degs, lg.dyn.NumEdges()).Spec != rec.Spec
 }
 
