@@ -1,12 +1,12 @@
 // Command graphlint is the repo's contract checker: a multichecker over
 // the project-specific analyzers in internal/analysis/... that enforce
-// the determinism, pooled-lifecycle, snapshot-publication and
-// context-flow contracts the compiler cannot see. CI runs it as a
-// hard gate; see the README "Static analysis" section.
+// the determinism, snapshot-publication and context-flow contracts the
+// compiler cannot see. CI runs it as a hard gate; see the README
+// "Static analysis" section.
 //
 // Usage:
 //
-//	graphlint [-maporder] [-bitsetrelease] [-atomicswap] [-ctxflow] [packages]
+//	graphlint [-maporder] [-atomicswap] [-ctxflow] [packages]
 //
 // With no analyzer flags every analyzer runs; with one or more flags
 // only those run (so one contract can be checked alone, e.g. `graphlint
@@ -22,7 +22,6 @@ import (
 
 	"graphreorder/internal/analysis"
 	"graphreorder/internal/analysis/atomicswap"
-	"graphreorder/internal/analysis/bitsetrelease"
 	"graphreorder/internal/analysis/ctxflow"
 	"graphreorder/internal/analysis/maporder"
 )
@@ -30,7 +29,6 @@ import (
 func main() {
 	all := []*analysis.Analyzer{
 		maporder.Analyzer,
-		bitsetrelease.Analyzer,
 		atomicswap.Analyzer,
 		ctxflow.Analyzer,
 	}

@@ -41,7 +41,7 @@
 // Cancellation is cooperative and round-grained: the context is polled
 // once per EdgeMap round — never per edge — so it costs nothing on the
 // hot path, and a cancel or deadline aborts the traversal at the next
-// round boundary, releases the pooled frontier, and returns ctx.Err().
+// round boundary and returns ctx.Err().
 // The same contract holds everywhere a context enters the system:
 // cmd/reorder -timeout and cmd/reprobench -timeout, the harness's
 // RunByIDContext, and graphd's query layer, which passes each request's
@@ -136,10 +136,10 @@
 //     the rounds it always did, and a canceled run returns ctx.Err()
 //     with no partial result.
 //
-// Frontiers returned by EdgeMap/VertexMap come from an internal pool;
-// Release them when done and steady-state iterations allocate nothing.
-// A canceled run releases its frontier on the way out, so the pool stays
-// reusable across cancellations.
+// A run owns its frontiers: each application refills two sets it
+// alternates (BC keeps one per level for its backward sweep), so a
+// steady-state round allocates nothing, and a finished or canceled run
+// leaves nothing behind.
 //
 // # Dynamic graphs and the mutation/consistency contract
 //

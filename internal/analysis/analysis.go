@@ -5,8 +5,8 @@
 // project-specific contract checkers run with full type information
 // using nothing but the standard library and the go command.
 //
-// The analyzers themselves live in subpackages (maporder, bitsetrelease,
-// atomicswap, ctxflow); cmd/graphlint is the multichecker
+// The analyzers themselves live in subpackages (maporder, atomicswap,
+// ctxflow); cmd/graphlint is the multichecker
 // driver that CI runs as a hard gate. See doc.go for the contract each
 // analyzer enforces and the //lint:allow escape hatch.
 package analysis

@@ -6,15 +6,12 @@
 // build cache's export data via go/importer, so the suite runs offline
 // with full go/types fidelity.
 //
-// The four analyzers encode contracts the test suite can only probe,
+// The three analyzers encode contracts the test suite can only probe,
 // not prove:
 //
 //   - maporder: nondeterministic map iteration must not reach ordered
 //     output (the bit-identical equivalence harness, sorted cross-shard
 //     merges, Prometheus exposition).
-//   - bitsetrelease: pooled *ligra.VertexSet frontiers are Release()d on
-//     every exit path — including ctx-cancel early returns — or handed
-//     off, keeping app loops at their zero-alloc steady state.
 //   - atomicswap: atomic.Pointer snapshots are immutable once loaded,
 //     advance only via Store/Swap/CAS, and publish sites live in the
 //     declaring package.

@@ -46,8 +46,8 @@ import (
 type Input struct {
 	// Ctx, when non-nil, cancels the run cooperatively: it is polled once
 	// per traversal round (never per edge), and a done context makes the
-	// run stop between rounds, release its frontier back to the pool, and
-	// return Ctx.Err(). Nil means the run cannot be canceled.
+	// run stop between rounds and return Ctx.Err(). Nil means the run
+	// cannot be canceled.
 	Ctx context.Context
 	// Graph is the input graph: the plain *graph.Graph or any other
 	// backend implementing graph.View (e.g. the compressed *csrz.Graph).

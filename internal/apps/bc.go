@@ -39,21 +39,14 @@ func runBC(in Input) (Output, error) {
 	level[root] = 0
 
 	wt := ligra.WriteTracer(in.Tracer)
+	// Every level is a set of its own, kept for the backward sweep; the
+	// current frontier is the last element of levels while the BFS loop
+	// runs.
 	frontier := ligra.NewVertexSet(n, root)
 	levels := []*ligra.VertexSet{frontier}
-	// The per-level frontiers live until the backward sweep has read
-	// them; release them together on every exit path so the pool stays
-	// warm across runs and cancellations alike. The current frontier is
-	// always the last element of levels while the BFS loop runs.
-	releaseLevels := func() {
-		for _, l := range levels {
-			l.Release()
-		}
-	}
 	depth := int32(0)
 	for !frontier.Empty() {
 		if err := in.canceled(); err != nil {
-			releaseLevels()
 			return Output{}, err
 		}
 		depth++
@@ -104,9 +97,8 @@ func runBC(in Input) (Output, error) {
 			},
 			Cond: func(dst graph.VertexID) bool { return level[dst] == -1 },
 		}
-		next := ligra.EdgeMap(g, frontier, fns, ligra.EdgeMapOpts{Trace: in.Tracer, Workers: workers, Ctx: in.Ctx})
-		if next == nil {
-			releaseLevels()
+		next := new(ligra.VertexSet)
+		if !ligra.EdgeMapInto(g, frontier, next, fns, ligra.EdgeMapOpts{Trace: in.Tracer, Workers: workers, Ctx: in.Ctx}) {
 			return Output{}, in.Ctx.Err()
 		}
 		rec.round(next.Len(), frontier.OutEdgeSum(g, workers))
@@ -121,14 +113,10 @@ func runBC(in Input) (Output, error) {
 	// Members of one level are distinct and only read deeper levels'
 	// results, so the sweep parallelizes over level members without
 	// atomics (edge counting aside).
-	// The BFS loop exited on an empty frontier, which was never appended
-	// to levels; recycle it here and the level sets after the sweep.
-	frontier.Release()
 	dep := make([]float64, n)
 	var swept atomic.Uint64
 	for li := len(levels) - 2; li >= 0; li-- {
 		if err := in.canceled(); err != nil {
-			releaseLevels()
 			return Output{}, err
 		}
 		members := levels[li].Members()
@@ -151,7 +139,6 @@ func runBC(in Input) (Output, error) {
 		})
 	}
 	rec.edges += swept.Load()
-	releaseLevels()
 	// Brandes' dependency delta_s(v) is defined for v != s only.
 	dep[root] = 0
 	var sum float64

@@ -73,10 +73,10 @@ func runPR(in Input) (Output, error) {
 		}
 	}
 	base := (1 - prDamping) / float64(n)
-	full := ligra.FullVertexSet(n)
-	defer full.Release()
 	// The frontier is every vertex, so a destination's sum is its whole
-	// in-list, added in stored order from zero.
+	// in-list, added in stored order from zero. No destination joins out,
+	// which each round refills.
+	full, out := ligra.FullVertexSet(n), new(ligra.VertexSet)
 	pull := ligra.EdgeMapFns{PullList: gatherSum(sum, contrib)}
 	// Fixed-size L1 reduction chunks (worker-count independent; see the
 	// apply pass below).
@@ -100,12 +100,10 @@ func runPR(in Input) (Output, error) {
 			}
 		})
 		// Dense pull pass: the irregular reads.
-		out := ligra.EdgeMap(g, full, pull,
-			ligra.EdgeMapOpts{Dir: ligra.Pull, Trace: in.Tracer, Workers: workers, Ctx: in.Ctx})
-		if out == nil {
+		if !ligra.EdgeMapInto(g, full, out, pull,
+			ligra.EdgeMapOpts{Dir: ligra.Pull, Trace: in.Tracer, Workers: workers, Ctx: in.Ctx}) {
 			return Output{}, in.Ctx.Err()
 		}
-		out.Release()
 
 		// Apply pass with a fixed-size chunk-ordered L1 reduction: partial
 		// deltas combine in chunk order, and the chunking is independent of

@@ -95,29 +95,23 @@ func runPRD(in Input) (Output, error) {
 		}
 		return false
 	}
-	full := ligra.FullVertexSet(n)
-	defer full.Release()
-	frontier := ligra.FullVertexSet(n)
+	// The pull's output stays empty (gatherSum joins no destination); the
+	// absorb pass refills the frontier.
+	full, frontier, out := ligra.FullVertexSet(n), ligra.FullVertexSet(n), new(ligra.VertexSet)
 	for iters := 0; iters < maxIters && !frontier.Empty(); iters++ {
 		if err := in.canceled(); err != nil {
-			frontier.Release()
 			return Output{}, err
 		}
 		// The edges that carry a delta this round.
 		roundEdges := frontier.OutEdgeSum(g, workers)
-		out := ligra.EdgeMap(g, frontier, fns,
-			ligra.EdgeMapOpts{Dir: ligra.Pull, Trace: in.Tracer, Workers: workers, Ctx: in.Ctx})
-		if out == nil {
-			frontier.Release()
+		if !ligra.EdgeMapInto(g, frontier, out, fns,
+			ligra.EdgeMapOpts{Dir: ligra.Pull, Trace: in.Tracer, Workers: workers, Ctx: in.Ctx}) {
 			return Output{}, in.Ctx.Err()
 		}
-		out.Release()
-		frontier.Release()
-		frontier = ligra.VertexMapPar(full, absorb, workers)
+		ligra.VertexMapInto(full, frontier, absorb, workers)
 		first = false
 		rec.round(frontier.Len(), roundEdges)
 	}
-	frontier.Release()
 	var mass float64
 	for _, r := range rank {
 		mass += r

@@ -46,11 +46,10 @@ func runRadii(in Input) (Output, error) {
 		members = append(members, s)
 	}
 	wt := ligra.WriteTracer(in.Tracer)
-	frontier := ligra.NewVertexSet(n, members...)
+	frontier, next := ligra.NewVertexSet(n, members...), new(ligra.VertexSet)
 	round := int32(0)
 	for !frontier.Empty() {
 		if err := in.canceled(); err != nil {
-			frontier.Release()
 			return Output{}, err
 		}
 		round++
@@ -97,19 +96,15 @@ func runRadii(in Input) (Output, error) {
 				return true
 			},
 		}
-		next := ligra.EdgeMap(g, frontier, fns,
-			ligra.EdgeMapOpts{Trace: in.Tracer, Workers: workers, Ctx: in.Ctx})
-		if next == nil {
-			frontier.Release()
+		if !ligra.EdgeMapInto(g, frontier, next, fns,
+			ligra.EdgeMapOpts{Trace: in.Tracer, Workers: workers, Ctx: in.Ctx}) {
 			return Output{}, in.Ctx.Err()
 		}
 		roundEdges := frontier.OutEdgeSum(g, workers)
 		visited, nextVisited = nextVisited, visited
-		frontier.Release()
-		frontier = next
+		frontier, next = next, frontier
 		rec.round(frontier.Len(), roundEdges)
 	}
-	frontier.Release()
 	var sum float64
 	for _, r := range radii {
 		if r >= 0 {

@@ -83,24 +83,19 @@ func runSSSP(in Input) (Output, error) {
 		}
 		return hits
 	}}
-	frontier := ligra.NewVertexSet(n, root)
+	frontier, next := ligra.NewVertexSet(n, root), new(ligra.VertexSet)
+	opts := ligra.EdgeMapOpts{Dir: ligra.Push, Trace: in.Tracer, Workers: workers, Ctx: in.Ctx}
 	for rounds := 0; !frontier.Empty() && rounds <= n; rounds++ {
 		if err := in.canceled(); err != nil {
-			frontier.Release()
 			return Output{}, err
 		}
 		roundEdges := frontier.OutEdgeSum(g, workers)
-		next := ligra.EdgeMap(g, frontier, fns,
-			ligra.EdgeMapOpts{Dir: ligra.Push, Trace: in.Tracer, Workers: workers, Ctx: in.Ctx})
-		if next == nil {
-			frontier.Release()
+		if !ligra.EdgeMapInto(g, frontier, next, fns, opts) {
 			return Output{}, in.Ctx.Err()
 		}
-		frontier.Release()
-		frontier = next
+		frontier, next = next, frontier
 		rec.round(frontier.Len(), roundEdges)
 	}
-	frontier.Release()
 	var sum float64
 	reached := 0
 	for _, d := range dist {

@@ -12,7 +12,7 @@ import (
 // EdgeMap micro-benchmarks on the Small-scale skew dataset. Compare
 // seq vs par sub-benchmarks for the multicore speedup (meaningful at
 // GOMAXPROCS >= 4) and watch the allocs column: steady-state sequential
-// iterations must report 0 allocs/op thanks to the frontier pool.
+// iterations must report 0 allocs/op, refilling one output set.
 
 func benchGraph(b *testing.B) *graph.Graph {
 	b.Helper()
@@ -74,11 +74,12 @@ func benchEdgeMap(b *testing.B, g graph.View, frontier *VertexSet, dir Direction
 		b.Run(bc.name, func(b *testing.B) {
 			fns := benchFns(frontier, bc.lists)
 			opts := EdgeMapOpts{Dir: dir, Workers: bc.workers}
-			EdgeMap(g, frontier, fns, opts).Release() // warm the pool
+			out := new(VertexSet)
+			EdgeMapInto(g, frontier, out, fns, opts) // grow out and its scratch
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				EdgeMap(g, frontier, fns, opts).Release()
+				EdgeMapInto(g, frontier, out, fns, opts)
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(edges), "ns/edge")
 		})

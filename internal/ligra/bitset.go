@@ -24,6 +24,18 @@ func bitsetWords(n int) int { return (n + 63) >> 6 }
 // NewBitset returns a zeroed Bitset able to hold n bits.
 func NewBitset(n int) Bitset { return make(Bitset, bitsetWords(n)) }
 
+// zeroed returns a zeroed Bitset able to hold n bits, reusing b's storage
+// when it is large enough.
+func (b Bitset) zeroed(n int) Bitset {
+	words := bitsetWords(n)
+	if cap(b) < words {
+		return make(Bitset, words)
+	}
+	b = b[:words]
+	b.Clear()
+	return b
+}
+
 // Has reports whether bit v is set.
 func (b Bitset) Has(v graph.VertexID) bool {
 	return b[v>>6]&(1<<(v&63)) != 0

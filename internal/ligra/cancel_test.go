@@ -34,14 +34,12 @@ func TestEdgeMapContext(t *testing.T) {
 			if out == nil || out.Len() != 1 {
 				t.Fatalf("dir=%v workers=%d: live ctx returned %v", dir, workers, out)
 			}
-			out.Release()
 
 			opts.Ctx = nil
 			out = EdgeMap(g, frontier, fns, opts)
 			if out == nil || out.Len() != 1 {
 				t.Fatalf("dir=%v workers=%d: nil ctx returned %v", dir, workers, out)
 			}
-			out.Release()
 		}
 	}
 }

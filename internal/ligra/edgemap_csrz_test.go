@@ -82,7 +82,6 @@ func TestEdgeMapCompressedPushPullParity(t *testing.T) {
 		for _, workers := range []int{1, runtime.GOMAXPROCS(0), 4} {
 			round := func(backend graph.View) []graph.VertexID {
 				out := EdgeMap(backend, NewVertexSet(n, root, root+1), fns, EdgeMapOpts{Dir: dir, Workers: workers})
-				defer out.Release()
 				return sortedMembers(out)
 			}
 			if got, want := round(wrappedView{g}), round(g); !reflect.DeepEqual(got, want) {
@@ -93,7 +92,7 @@ func TestEdgeMapCompressedPushPullParity(t *testing.T) {
 		// hands over, in stored order, right after the list's vertex.
 		trace := func(backend graph.View) visitLog {
 			var log visitLog
-			EdgeMap(backend, NewVertexSet(n, root, root+1), listFns, EdgeMapOpts{Dir: dir, Trace: &log}).Release()
+			EdgeMap(backend, NewVertexSet(n, root, root+1), listFns, EdgeMapOpts{Dir: dir, Trace: &log})
 			return log
 		}
 		var want visitLog
@@ -158,7 +157,6 @@ func TestEdgeMapCompressedParallelMatchesSequential(t *testing.T) {
 				return dst%3 == 0
 			}}
 			out := EdgeMap(cz, NewVertexSet(n, members...), fns, EdgeMapOpts{Dir: dir, Workers: workers})
-			defer out.Release()
 			got := out.Members()
 			res := make([]graph.VertexID, len(got))
 			copy(res, got)

@@ -49,10 +49,10 @@ const sparseHasThreshold = 8
 // VertexSet is a frontier: a subset of vertices, stored sparse (ID list)
 // or dense (word-packed Bitset) depending on size, as in Ligra.
 //
-// Sets returned by EdgeMap/VertexMap come from an internal pool; call
-// Release when a set is no longer referenced to make steady-state
-// iterations allocation-free. Releasing is optional — unreleased sets are
-// ordinary garbage.
+// A set is an ordinary value. EdgeMapInto and VertexMapInto refill a set
+// the caller holds, keeping its storage, so an application loop that
+// alternates two sets allocates nothing once their buffers have grown;
+// EdgeMap returns a fresh one. A set nobody references is garbage.
 type VertexSet struct {
 	n       int
 	sparse  []graph.VertexID
@@ -71,10 +71,13 @@ type VertexSet struct {
 	// membership per edge).
 	lookup      Bitset
 	lookupValid bool
+
+	// scratch is the traversal storage of the set's lineage (see scratch).
+	scratch *scratch
 }
 
-// reset re-initializes a (possibly pooled) set for a universe of n
-// vertices, retaining slice capacity.
+// reset empties the set over a universe of n vertices, retaining slice
+// capacity.
 func (s *VertexSet) reset(n int) {
 	s.n = n
 	s.sparse = s.sparse[:0]
@@ -87,21 +90,18 @@ func (s *VertexSet) reset(n int) {
 
 // ensureDense sizes and zeroes the dense bitset, retaining capacity.
 func (s *VertexSet) ensureDense() {
-	words := bitsetWords(s.n)
-	if cap(s.dense) >= words {
-		s.dense = s.dense[:words]
-		s.dense.Clear()
-	} else {
-		s.dense = NewBitset(s.n)
-	}
+	s.dense = s.dense.zeroed(s.n)
 	s.isDense = true
 }
+
+// Release does nothing: a set is an ordinary value, garbage once nobody
+// references it. It stays for callers written when sets were pooled.
+func (s *VertexSet) Release() {}
 
 // NewVertexSet returns a sparse frontier over n vertices containing the
 // given members (deduplicated by the caller).
 func NewVertexSet(n int, members ...graph.VertexID) *VertexSet {
-	s := &VertexSet{n: n, sparse: append([]graph.VertexID(nil), members...), count: len(members)}
-	return s
+	return &VertexSet{n: n, sparse: append([]graph.VertexID(nil), members...), count: len(members)}
 }
 
 // NewDenseVertexSet returns a dense frontier from a membership bitmap
@@ -163,13 +163,7 @@ func (s *VertexSet) bits() Bitset {
 		return s.dense
 	}
 	if !s.lookupValid {
-		words := bitsetWords(s.n)
-		if cap(s.lookup) >= words {
-			s.lookup = s.lookup[:words]
-			s.lookup.Clear()
-		} else {
-			s.lookup = NewBitset(s.n)
-		}
+		s.lookup = s.lookup.zeroed(s.n)
 		for _, v := range s.sparse {
 			s.lookup.Set(v)
 		}
@@ -386,8 +380,8 @@ type EdgeMapOpts struct {
 	Dir Direction
 	// Ctx, when non-nil, makes the traversal cooperatively cancellable:
 	// it is polled exactly once, on entry — i.e. once per traversal
-	// round — and a done context makes EdgeMap return nil without
-	// scanning any edge. The caller owns translating the nil frontier
+	// round — and a done context makes EdgeMapInto return false (EdgeMap
+	// nil) without scanning any edge. The caller owns translating that
 	// into Ctx.Err(). One poll per round costs a few nanoseconds, so
 	// cancellation is free on the per-edge hot path.
 	Ctx context.Context
@@ -437,12 +431,14 @@ func WriteTracer(tr Tracer) PropertyWriteTracer {
 	return nil
 }
 
-// EdgeMap applies fns over the edges leaving the frontier, returning the
-// next frontier, per the Ligra model. Push mode scans out-edges of
-// frontier members; pull mode scans in-edges of all vertices passing Cond
-// (membership of the source is tested per edge for the per-edge update
-// functions, and left to a PullList). The returned set is pooled; the
-// caller may Release it once done.
+// EdgeMapInto applies fns over the edges leaving the frontier and stores
+// the next frontier in out, per the Ligra model. Push mode scans
+// out-edges of frontier members; pull mode scans in-edges of all vertices
+// passing Cond (membership of the source is tested per edge for the
+// per-edge update functions, and left to a PullList). out's members are
+// replaced and its storage kept, so a loop that alternates two sets stops
+// allocating once they have grown; out must not be frontier. The round's
+// scratch passes from frontier to out (see scratch).
 //
 // g may be any graph.View: there is one push kernel and one pull kernel,
 // and each passes a neighbor list on as a []VertexID handed over by a
@@ -452,11 +448,14 @@ func WriteTracer(tr Tracer) PropertyWriteTracer {
 // a list is enumerated in stored order whatever produced it, and
 // pull-mode destination ownership is 64-aligned on every backend.
 //
-// When opts.Ctx is non-nil and already done, EdgeMap returns nil instead
-// of a frontier (see EdgeMapOpts.Ctx); no other call path returns nil.
-func EdgeMap(g graph.View, frontier *VertexSet, fns EdgeMapFns, opts EdgeMapOpts) *VertexSet {
+// When opts.Ctx is non-nil and already done, EdgeMapInto leaves out as it
+// was and returns false (see EdgeMapOpts.Ctx); otherwise it returns true.
+func EdgeMapInto(g graph.View, frontier, out *VertexSet, fns EdgeMapFns, opts EdgeMapOpts) bool {
+	if out == frontier {
+		panic("ligra: EdgeMapInto's output is its frontier")
+	}
 	if opts.Ctx != nil && opts.Ctx.Err() != nil {
-		return nil
+		return false
 	}
 	workers := opts.Workers
 	if workers <= 1 || opts.Trace != nil {
@@ -474,52 +473,58 @@ func EdgeMap(g graph.View, frontier *VertexSet, fns EdgeMapFns, opts EdgeMapOpts
 		}
 	}
 	if dir == Pull {
-		return edgeMapPull(g, frontier, fns, workers, opts.Trace)
+		edgeMapPull(g, frontier, out, fns, workers, opts.Trace)
+	} else {
+		edgeMapPush(g, frontier, out, fns, workers, opts.Trace)
 	}
-	return edgeMapPush(g, frontier, fns, workers, opts.Trace)
+	return true
+}
+
+// EdgeMap is EdgeMapInto with a fresh output set, which it returns; nil
+// when opts.Ctx is done.
+func EdgeMap(g graph.View, frontier *VertexSet, fns EdgeMapFns, opts EdgeMapOpts) *VertexSet {
+	out := new(VertexSet)
+	if !EdgeMapInto(g, frontier, out, fns, opts) {
+		return nil
+	}
+	return out
 }
 
 // edgeMapPush partitions the frontier's member list across workers. Each
 // chunk runs pushRange into its own buffer and the buffers are
 // concatenated in chunk order; at one worker the whole list is one chunk
 // appended straight onto the output.
-func edgeMapPush(g graph.View, frontier *VertexSet, fns EdgeMapFns, workers int, tr Tracer) *VertexSet {
+func edgeMapPush(g graph.View, frontier, out *VertexSet, fns EdgeMapFns, workers int, tr Tracer) {
 	n := g.NumVertices()
-	members, mbuf := frontierMembers(frontier)
-	claimedBox := getScratchBitset(n)
-	claimed := *claimedBox
-	out := newPooledSparse(n)
+	sc := takeScratch(frontier, out)
+	members := sc.frontierMembers(frontier)
+	sc.claimed = sc.claimed.zeroed(n)
+	out.reset(n)
 	if workers <= 1 {
-		out.sparse = pushRange(g, members, fns, tr, claimed, false, out.sparse)
+		out.sparse = pushRange(g, members, fns, tr, sc, false, out.sparse)
 	} else {
-		out.sparse = gatherIDs(len(members), workers, out.sparse, func(lo, hi int, local []graph.VertexID) []graph.VertexID {
-			return pushRange(g, members[lo:hi], fns, tr, claimed, true, local)
+		out.sparse = sc.gather(len(members), workers, out.sparse, func(lo, hi int, local []graph.VertexID) []graph.VertexID {
+			return pushRange(g, members[lo:hi], fns, tr, sc, true, local)
 		})
 	}
-	putScratchBitset(claimedBox)
-	putIDBuf(mbuf)
 	out.count = len(out.sparse)
-	return out
 }
 
 // pushRange is the push kernel: it hands the out-list of every member
 // (with its weights, if the callback asked for them) to the push
 // callback, which appends the destinations its update hit to
-// out, and keeps the first hit of each destination. claimed deduplicates
-// across all chunks of the round; shared says other workers are claiming
-// too, so a slot is taken with compare-and-swap instead of a plain test
-// and set. out doubles as the callback's scratch: the hits of one list
-// are compacted in place, so nothing is allocated per vertex and every
-// worker reuses the buffer it already owns. With a tracer, each list is
-// reported (Tracer) before the callback gets it.
-func pushRange(g graph.View, members []graph.VertexID, fns EdgeMapFns, tr Tracer, claimed Bitset, shared bool, out []graph.VertexID) []graph.VertexID {
+// out, and keeps the first hit of each destination. The scratch's claim
+// bitset deduplicates across all chunks of the round; shared says other
+// workers are claiming too, so a slot is taken with compare-and-swap
+// instead of a plain test and set. out doubles as the callback's scratch:
+// the hits of one list are compacted in place, so nothing is allocated
+// per vertex and every worker reuses the buffer it already owns. With a
+// tracer, each list is reported (Tracer) before the callback gets it.
+func pushRange(g graph.View, members []graph.VertexID, fns EdgeMapFns, tr Tracer, sc *scratch, shared bool, out []graph.VertexID) []graph.VertexID {
 	list, weights := fns.PushList, fns.Weights
 	edges := newPerEdge(fns, false, nil)
-	var own graph.AdjBuffer
-	adj, pooled := &own, getAdjBuffer(g)
-	if pooled != nil {
-		adj = pooled
-	}
+	claimed := sc.claimed
+	adj := sc.adjBuffer(g)
 	for _, u := range members {
 		dsts := adj.Out(g, u)
 		if tr != nil {
@@ -555,7 +560,7 @@ func pushRange(g graph.View, members []graph.VertexID, fns EdgeMapFns, tr Tracer
 		}
 		out = out[:kept]
 	}
-	putAdjBuffer(pooled)
+	sc.putAdjBuffer(adj)
 	return out
 }
 
@@ -577,17 +582,19 @@ const pullChunksPerWorker = 4
 // otherwise, and runs pullRange over each. The output is the same under
 // any 64-aligned chunking — every destination is fully processed by one
 // worker — so the balancing only spreads the work.
-func edgeMapPull(g graph.View, frontier *VertexSet, fns EdgeMapFns, workers int, tr Tracer) *VertexSet {
+func edgeMapPull(g graph.View, frontier, out *VertexSet, fns EdgeMapFns, workers int, tr Tracer) {
 	n := g.NumVertices()
 	// Build the membership bitmap before spawning: bits() lazily mutates
 	// sparse frontiers and must not race.
 	inFrontier := frontier.bits()
-	out := newPooledDense(n)
+	sc := takeScratch(frontier, out)
+	out.reset(n)
+	out.ensureDense()
 	next := out.dense
 	if workers <= 1 {
-		pullRange(g, inFrontier, next, fns, tr, 0, n)
+		pullRange(g, inFrontier, next, fns, tr, sc, 0, n)
 	} else {
-		body := func(lo, hi int) { pullRange(g, inFrontier, next, fns, tr, lo, hi) }
+		body := func(lo, hi int) { pullRange(g, inFrontier, next, fns, tr, sc, lo, hi) }
 		if ix, ok := g.(inEdgeIndexer); ok {
 			par.ForBounds(par.BalancedBounds(ix.InIndex(), n, workers*pullChunksPerWorker, 64), workers, body)
 		} else {
@@ -595,7 +602,6 @@ func edgeMapPull(g graph.View, frontier *VertexSet, fns EdgeMapFns, workers int,
 		}
 	}
 	out.count = next.Count()
-	return out
 }
 
 // pullRange is the pull kernel: it hands the in-list of every destination
@@ -604,15 +610,11 @@ func edgeMapPull(g graph.View, frontier *VertexSet, fns EdgeMapFns, workers int,
 // each list to the tracer first, if there is one. Callers hand out
 // 64-aligned ranges, so the words of next a range writes are its own: no
 // atomics.
-func pullRange(g graph.View, inFrontier, next Bitset, fns EdgeMapFns, tr Tracer, lo, hi int) {
+func pullRange(g graph.View, inFrontier, next Bitset, fns EdgeMapFns, tr Tracer, sc *scratch, lo, hi int) {
 	list := fns.PullList
 	edges := newPerEdge(fns, true, inFrontier)
 	cond := fns.Cond
-	var own graph.AdjBuffer
-	adj, pooled := &own, getAdjBuffer(g)
-	if pooled != nil {
-		adj = pooled
-	}
+	adj := sc.adjBuffer(g)
 	for v := lo; v < hi; v++ {
 		dst := graph.VertexID(v)
 		if cond != nil && !cond(dst) {
@@ -635,39 +637,35 @@ func pullRange(g graph.View, inFrontier, next Bitset, fns EdgeMapFns, tr Tracer,
 			next.Set(dst)
 		}
 	}
-	putAdjBuffer(pooled)
+	sc.putAdjBuffer(adj)
 }
 
-// VertexMap applies f to every member of the frontier and returns the set
-// of members for which f returned true. The returned set is pooled.
-func VertexMap(s *VertexSet, f func(v graph.VertexID) bool) *VertexSet {
-	return VertexMapPar(s, f, 1)
-}
-
-// VertexMapPar is VertexMap with a worker count. Both representations
-// produce output identical to the sequential VertexMap: dense chunks are
-// disjoint and 64-aligned, and sparse per-chunk outputs are concatenated
-// in chunk order, preserving input order. f may be invoked concurrently
-// when workers > 1.
-func VertexMapPar(s *VertexSet, f func(v graph.VertexID) bool, workers int) *VertexSet {
+// VertexMapInto stores in out the members of s for which f returns true,
+// replacing out's members and keeping its storage; out must not be s.
+// The output is identical at any worker count: dense chunks are disjoint
+// and 64-aligned, and sparse per-chunk outputs are concatenated in chunk
+// order, preserving input order. f may be invoked concurrently when
+// workers > 1.
+func VertexMapInto(s, out *VertexSet, f func(v graph.VertexID) bool, workers int) {
+	if out == s {
+		panic("ligra: VertexMapInto's output is its input")
+	}
+	out.reset(s.n)
 	if s.isDense {
 		// The dense path scans the whole universe bitmap, so parallelism is
 		// bounded by n, not by how many members the scan will find.
-		out := newPooledDense(s.n)
-		par.For(s.n, workers, 64, func(lo, hi int) {
-			for v := lo; v < hi; v++ {
-				if s.dense.Has(graph.VertexID(v)) && f(graph.VertexID(v)) {
-					out.dense.Set(graph.VertexID(v))
-				}
-			}
-		})
+		out.ensureDense()
+		if workers <= 1 {
+			filterDense(s.dense, out.dense, f, 0, s.n)
+		} else {
+			par.For(s.n, workers, 64, func(lo, hi int) { filterDense(s.dense, out.dense, f, lo, hi) })
+		}
 		out.count = out.dense.Count()
-		return out
+		return
 	}
 	if workers > s.count {
 		workers = s.count
 	}
-	out := newPooledSparse(s.n)
 	if workers <= 1 {
 		for _, v := range s.sparse {
 			if f(v) {
@@ -675,7 +673,7 @@ func VertexMapPar(s *VertexSet, f func(v graph.VertexID) bool, workers int) *Ver
 			}
 		}
 	} else {
-		out.sparse = gatherIDs(len(s.sparse), workers, out.sparse, func(lo, hi int, local []graph.VertexID) []graph.VertexID {
+		out.sparse = takeScratch(s, out).gather(len(s.sparse), workers, out.sparse, func(lo, hi int, local []graph.VertexID) []graph.VertexID {
 			for _, v := range s.sparse[lo:hi] {
 				if f(v) {
 					local = append(local, v)
@@ -685,5 +683,15 @@ func VertexMapPar(s *VertexSet, f func(v graph.VertexID) bool, workers int) *Ver
 		})
 	}
 	out.count = len(out.sparse)
-	return out
+}
+
+// filterDense sets in out the members of in within [lo, hi) for which f
+// returns true. Ranges are 64-aligned, so concurrent calls write disjoint
+// words.
+func filterDense(in, out Bitset, f func(v graph.VertexID) bool, lo, hi int) {
+	for v := lo; v < hi; v++ {
+		if in.Has(graph.VertexID(v)) && f(graph.VertexID(v)) {
+			out.Set(graph.VertexID(v))
+		}
+	}
 }

@@ -231,15 +231,37 @@ func TestTracerSeesEveryPushEdge(t *testing.T) {
 
 func TestVertexMap(t *testing.T) {
 	s := NewVertexSet(10, 2, 4, 6)
-	evenOver3 := VertexMap(s, func(v graph.VertexID) bool { return v > 3 })
-	got := append([]graph.VertexID(nil), evenOver3.Members()...)
+	out := new(VertexSet)
+	VertexMapInto(s, out, func(v graph.VertexID) bool { return v > 3 }, 1)
+	got := append([]graph.VertexID(nil), out.Members()...)
 	sort.Slice(got, func(i, j int) bool { return got[i] < got[j] })
 	if !reflect.DeepEqual(got, []graph.VertexID{4, 6}) {
 		t.Errorf("VertexMap = %v", got)
 	}
+	// Refilling the same set from a dense input replaces its members.
 	d := NewDenseVertexSet([]bool{true, true, false, true})
-	kept := VertexMap(d, func(v graph.VertexID) bool { return v != 1 })
-	if kept.Len() != 2 || !kept.Has(0) || !kept.Has(3) {
-		t.Errorf("dense VertexMap wrong: %v", kept.Members())
+	VertexMapInto(d, out, func(v graph.VertexID) bool { return v != 1 }, 1)
+	if out.Len() != 2 || !out.Has(0) || !out.Has(3) || out.Has(4) || out.NumVertices() != 4 {
+		t.Errorf("dense VertexMap wrong: %v", out.Members())
+	}
+}
+
+// TestRefillResetsCaches: a refilled set answers from its new members,
+// not from the membership bitmap or out-edge sum it cached before.
+func TestRefillResetsCaches(t *testing.T) {
+	g := lineGraph(t, 64)
+	members := make([]graph.VertexID, 20)
+	for i := range members {
+		members[i] = graph.VertexID(i)
+	}
+	in, out := NewVertexSet(64, members...), new(VertexSet)
+	VertexMapInto(in, out, func(v graph.VertexID) bool { return v < 15 }, 1)
+	if !out.Has(0) || out.OutEdgeSum(g, 1) != 15 {
+		t.Fatalf("first fill: Has(0) %v, out-edge sum %d, want true and 15", out.Has(0), out.OutEdgeSum(g, 1))
+	}
+	VertexMapInto(in, out, func(v graph.VertexID) bool { return v >= 8 }, 1)
+	if out.Has(0) || !out.Has(19) || out.Len() != 12 || out.OutEdgeSum(g, 1) != 12 {
+		t.Errorf("refill: Has(0) %v, Has(19) %v, Len %d, out-edge sum %d; want false, true, 12, 12",
+			out.Has(0), out.Has(19), out.Len(), out.OutEdgeSum(g, 1))
 	}
 }

@@ -205,7 +205,6 @@ func TestListCallbacksMatchPerEdgeAdapter(t *testing.T) {
 						fns = c.asLists(g, frontier, acc, mark)
 					}
 					out := EdgeMap(g, frontier, fns, EdgeMapOpts{Dir: dir, Workers: workers})
-					defer out.Release()
 					return sortedMembers(out), acc, mark
 				}
 				wantSet, wantAcc, wantMark := run(plain, false, 1)
@@ -254,12 +253,10 @@ func TestPushListDuplicateHitsKeptOnce(t *testing.T) {
 	if got := out.Members(); !reflect.DeepEqual(got, want) {
 		t.Errorf("one worker: %d members, want the %d distinct destinations in first-hit order", len(got), len(want))
 	}
-	out.Release()
 	for _, w := range testWorkers {
 		out := EdgeMap(g, frontier, fns, EdgeMapOpts{Dir: Push, Workers: w})
 		if got := sortedMembers(out); len(got) != len(want) || !reflect.DeepEqual(got, sortedMembers(NewVertexSet(n, want...))) {
 			t.Errorf("workers=%d: %d members, want the %d distinct destinations", w, len(got), len(want))
 		}
-		out.Release()
 	}
 }

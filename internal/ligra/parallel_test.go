@@ -80,7 +80,6 @@ func TestEdgeMapPullParallelBitIdentical(t *testing.T) {
 			if seq.Len() != parOut.Len() {
 				t.Errorf("cond=%v workers=%d: Len %d != %d", withCond, w, parOut.Len(), seq.Len())
 			}
-			parOut.Release()
 		}
 	}
 }
@@ -154,7 +153,6 @@ func TestEdgeMapParallelBFS(t *testing.T) {
 				// worker count, and exactly one updater activates each dst.
 				Update: func(_, dst graph.VertexID) bool { return visited.TrySetAtomic(dst) },
 			}, EdgeMapOpts{Workers: workers})
-			frontier.Release()
 			frontier = next
 		}
 		return visited.ToBools(n)
@@ -173,13 +171,13 @@ func TestVertexMapParMatchesSequential(t *testing.T) {
 	f := func(v graph.VertexID) bool { return g.OutDegree(v) > 2 }
 	t.Run("dense", func(t *testing.T) {
 		in := FullVertexSet(n)
-		want := VertexMap(in, f)
+		want, got := new(VertexSet), new(VertexSet)
+		VertexMapInto(in, want, f, 1)
 		for _, w := range testWorkers {
-			got := VertexMapPar(in, f, w)
+			VertexMapInto(in, got, f, w)
 			if !want.dense.Equal(got.dense) || want.Len() != got.Len() {
 				t.Errorf("workers=%d: dense VertexMap differs", w)
 			}
-			got.Release()
 		}
 	})
 	t.Run("sparse", func(t *testing.T) {
@@ -188,15 +186,15 @@ func TestVertexMapParMatchesSequential(t *testing.T) {
 			members = append(members, graph.VertexID(v))
 		}
 		in := NewVertexSet(n, members...)
-		want := VertexMap(in, f).Members()
+		want, got := new(VertexSet), new(VertexSet)
+		VertexMapInto(in, want, f, 1)
 		for _, w := range testWorkers {
-			got := VertexMapPar(in, f, w)
+			VertexMapInto(in, got, f, w)
 			// Sparse parallel VertexMap preserves input order exactly
 			// (chunk-ordered concatenation), so no sorting before compare.
-			if !reflect.DeepEqual(append([]graph.VertexID(nil), got.Members()...), append([]graph.VertexID(nil), want...)) {
+			if !reflect.DeepEqual(got.Members(), want.Members()) {
 				t.Errorf("workers=%d: sparse VertexMap differs", w)
 			}
-			got.Release()
 		}
 	})
 }
@@ -253,15 +251,16 @@ func TestSparseHasUsesLookup(t *testing.T) {
 	}
 }
 
-// TestEdgeMapSteadyStateZeroAlloc proves the scratch pool claim: once the
-// pool is warm, one-worker EdgeMap iterations allocate nothing in either
-// direction when the caller releases the sets it is done with — through
-// the per-edge adapter and through list callbacks alike (the adapter is a
-// value on the kernel's stack, and a push callback's hits go into the
-// output buffer the round already owns), on the plain backend and on the
-// compressed one, whose decode buffers are pooled too. The weighted row
-// is SSSP's shape: a push that asks for its lists' weights, which the
-// compressed backend decodes into the pooled buffer's weight slice.
+// TestEdgeMapSteadyStateZeroAlloc proves the reuse claim: once two sets
+// that an application loop alternates have grown their buffers, and the
+// scratch they pass back and forth has too, one-worker rounds allocate
+// nothing in either direction — through the per-edge adapter and through
+// list callbacks alike (the adapter is a value on the kernel's stack, and
+// a push callback's hits go into the output buffer the round already
+// owns), on the plain backend and on the compressed one, whose decode
+// buffer lives in the scratch. The weighted row is SSSP's shape: a push
+// that asks for its lists' weights, read in place on either backend. The
+// VertexMapInto rows alternate a filter over a dense and a sparse set.
 func TestEdgeMapSteadyStateZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; exact counts only hold without -race")
@@ -305,36 +304,62 @@ func TestEdgeMapSteadyStateZeroAlloc(t *testing.T) {
 					continue // a push-only row
 				}
 				opts := EdgeMapOpts{Dir: round.dir}
-				warm := EdgeMap(g, round.frontier, fns, opts)
-				if warm.Len() < 64 {
-					t.Fatalf("%s/%s direction %d: %d members out, too few to grow a buffer", name, kind, round.dir, warm.Len())
+				a, b := round.frontier, new(VertexSet)
+				EdgeMapInto(g, a, b, fns, opts)
+				if b.Len() < 64 {
+					t.Fatalf("%s/%s direction %d: %d members out, too few to grow a buffer", name, kind, round.dir, b.Len())
 				}
-				warm.Release()
-				allocs := testing.AllocsPerRun(20, func() {
-					EdgeMap(g, round.frontier, fns, opts).Release()
-				})
-				if allocs > 0 {
-					t.Errorf("%s/%s: steady-state EdgeMap (direction %d) allocates %.1f objects/op, want 0", name, kind, round.dir, allocs)
+				alternate := func() {
+					EdgeMapInto(g, b, a, fns, opts)
+					EdgeMapInto(g, a, b, fns, opts)
+				}
+				for i := 0; i < 4; i++ {
+					alternate()
+				}
+				if allocs := testing.AllocsPerRun(20, alternate); allocs > 0 {
+					t.Errorf("%s/%s: steady-state EdgeMapInto (direction %d) allocates %.1f objects/op, want 0", name, kind, round.dir, allocs)
 				}
 			}
 		}
 	}
-}
-
-func TestReleaseReuse(t *testing.T) {
-	// A released set must come back from the pool fully reset.
-	s := newPooledSparse(10)
-	s.sparse = append(s.sparse, 1, 2, 3)
-	s.count = 3
-	s.computeOutEdgesStub()
-	s.Release()
-	r := newPooledSparse(20)
-	if r.count != 0 || len(r.sparse) != 0 || r.outEdgesValid || r.lookupValid || r.n != 20 {
-		t.Errorf("pooled set not reset: %+v", r)
+	even := func(v graph.VertexID) bool { return v%2 == 0 }
+	for kind, in := range map[string]*VertexSet{"dense": FullVertexSet(n), "sparse": benchPushFrontier(n)} {
+		a, b := in, new(VertexSet)
+		alternate := func() {
+			VertexMapInto(a, b, even, 1)
+			VertexMapInto(b, a, even, 1)
+		}
+		alternate()
+		if allocs := testing.AllocsPerRun(20, alternate); allocs > 0 {
+			t.Errorf("VertexMapInto/%s: steady state allocates %.1f objects/op, want 0", kind, allocs)
+		}
 	}
-	r.Release()
 }
 
-// computeOutEdgesStub marks the cache valid without a graph, emulating a
-// set that has been through the direction heuristic.
-func (s *VertexSet) computeOutEdgesStub() { s.outEdges = 99; s.outEdgesValid = true }
+// TestLineageSharesOneScratch: a round's scratch passes from its input
+// set to its output, so two sets an application alternates share one.
+func TestLineageSharesOneScratch(t *testing.T) {
+	g := skewedGraph(t, false)
+	n := g.NumVertices()
+	fns := EdgeMapFns{Update: func(_, dst graph.VertexID) bool { return dst%2 == 0 }}
+	a, b := benchPushFrontier(n), new(VertexSet)
+	EdgeMapInto(g, a, b, fns, EdgeMapOpts{Dir: Push})
+	sc := b.scratch
+	if sc == nil || a.scratch != nil {
+		t.Fatal("the round's scratch did not pass from its input to its output")
+	}
+	for _, dir := range []Direction{Pull, Push} {
+		EdgeMapInto(g, b, a, fns, EdgeMapOpts{Dir: dir, Workers: 2})
+		EdgeMapInto(g, a, b, fns, EdgeMapOpts{Dir: dir, Workers: 2})
+		if b.scratch != sc || a.scratch != nil {
+			t.Fatalf("direction %d: the lineage's scratch was replaced", dir)
+		}
+	}
+	// A pull from a set that never held one, as PR's full set, takes the
+	// output's.
+	full := FullVertexSet(n)
+	EdgeMapInto(g, full, b, fns, EdgeMapOpts{Dir: Pull})
+	if b.scratch != sc {
+		t.Fatal("a pull from a set without scratch replaced its output's")
+	}
+}

@@ -237,7 +237,7 @@ func (r *Result) Eccentricities() []int32 {
 //
 // Cancellation is cooperative and bounded by one traversal round: when
 // ctx is canceled or its deadline passes, the run stops at the next round
-// boundary, releases its frontier back to the pool, and returns ctx.Err().
+// boundary and returns ctx.Err().
 // A nil ctx means context.Background().
 //
 // Tuning goes through functional options (WithWorkers, WithMaxIters,
