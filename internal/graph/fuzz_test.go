@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"hash/fnv"
+	"io"
 	"reflect"
 	"slices"
 	"testing"
@@ -17,7 +18,9 @@ import (
 // anything it accepts must survive a write/read round trip bit-identically.
 // An ordered load, under a permutation drawn from the input, must reject
 // what ReadBinary rejects, equal load-then-relabel on what it accepts,
-// and allocate no more than a fixed multiple of the bytes it was given.
+// and allocate no more than a fixed multiple of the bytes it was given;
+// so must one from a stream that hides its length, which is staged and
+// may allocate one staging piece more.
 func FuzzReadBinary(f *testing.F) {
 	g, err := Build([]Edge{{Src: 0, Dst: 1}, {Src: 1, Dst: 2}, {Src: 2, Dst: 0}, {Src: 0, Dst: 2}})
 	if err != nil {
@@ -56,22 +59,32 @@ func FuzzReadBinary(f *testing.F) {
 			perm = fuzzPerm(len(degs), data)
 			return perm, nil
 		}
-		var ordered *Graph
-		var orderedErr error
+		var ordered, staged *Graph
+		var orderedErr, stagedErr error
 		// Every array an ordered load keeps or passes through is backed by
 		// payload bytes (at least 4 a vertex and 4 an edge, 8 an index
-		// entry); the scratch buffers are the constant.
-		if got := allocatedBy(func() { ordered, orderedErr = readOrdered(bytes.NewReader(data), choose) }); got > 16*uint64(len(data))+1<<20 {
+		// entry); the scratch buffers are the constant. A staged load also
+		// holds a copy of the input, and may allocate a piece ahead of it.
+		bound := 16*uint64(len(data)) + 1<<20
+		if got := allocatedBy(func() { ordered, orderedErr = readOrdered(bytes.NewReader(data), choose) }); got > bound {
 			t.Fatalf("ordered load of %d bytes allocated %d", len(data), got)
 		}
+		hidden := struct{ io.Reader }{bytes.NewReader(data)}
+		if got := allocatedBy(func() { staged, stagedErr = readOrdered(hidden, choose) }); got > bound+uint64(len(data))+stagePiece {
+			t.Fatalf("staged ordered load of %d bytes allocated %d", len(data), got)
+		}
 		if err != nil {
-			if orderedErr == nil {
-				t.Fatalf("ReadBinary rejects the input (%v), the ordered load accepts it", err)
+			if orderedErr == nil || stagedErr == nil {
+				t.Fatalf("ReadBinary rejects the input (%v), an ordered load accepts it (sized: %v, staged: %v)",
+					err, orderedErr, stagedErr)
 			}
 			return
 		}
-		if orderedErr != nil {
-			t.Fatalf("ReadBinary accepts the input, the ordered load rejects it: %v", orderedErr)
+		if orderedErr != nil || stagedErr != nil {
+			t.Fatalf("ReadBinary accepts the input, an ordered load rejects it (sized: %v, staged: %v)", orderedErr, stagedErr)
+		}
+		if err := sameArrays(staged, ordered); err != nil {
+			t.Fatalf("staged ordered load differs from the sized one: %v", err)
 		}
 		relabeled, err := g.RelabelWorkers(perm, 1)
 		if err != nil {

@@ -2,11 +2,11 @@ package graph
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
-	"slices"
 	"strconv"
 	"strings"
 )
@@ -16,13 +16,14 @@ import (
 // followed by the out-CSR and 4-byte weights, whatever width the graph
 // keeps them at in memory; the in-CSR is rebuilt on load.
 //
-// The binary codec encodes and decodes slices through a fixed scratch
-// buffer with explicit little-endian put/get calls. The previous
-// implementation went through binary.Read/binary.Write, which allocate a
-// staging buffer as large as the slice being transferred and copy every
-// element twice; snapshot load time is a serving-path cost for graphd, so
-// the loader also reconstructs the dual CSR directly instead of
-// materializing an edge list and re-running the builder.
+// Every binary load goes through one decoder (readBinary, then readLists):
+// it reads the index, then writes each list straight into its place in
+// the order the load was asked for, the file's own included, through a
+// fixed scratch buffer, and builds the in-CSR from the out-CSR it wrote.
+// Its arrays are allocated once, after the stream has backed the header's
+// dimensions: a stream that can tell its length is checked against them,
+// and one that cannot is first staged in pieces of at most stagePiece
+// bytes, each allocated only once the bytes before it have arrived.
 
 const (
 	binaryMagic   = 0x47525052 // "GRPR"
@@ -71,12 +72,12 @@ func ReadAuto(r io.Reader) (*Graph, Format, error) {
 // picks from its out-degrees and edge count (nil keeps the file's order):
 // the graph equals the file's relabeled by that order, array for array.
 // A binary stream asks for the order once its index is validated, before
-// any edge is read; on a stream of known length (a file, a bytes.Reader)
-// no file-order CSR is then ever allocated: every edge and weight is
-// checked and written straight into its relabeled slot, and the in-CSR is
-// built from the relabeled out-CSR. A binary stream of unknown length,
-// where only the data that arrives backs an allocation, and a text one
-// are read in file order, then relabeled.
+// any edge is read, and no file-order CSR is then ever allocated: every
+// edge and weight is checked and written straight into its relabeled
+// slot, and the in-CSR is built from the relabeled out-CSR. A stream of
+// unknown length (a pipe, a bufio.Reader) is staged first, so its load
+// also allocates the payload's bytes. A text stream is read in file
+// order, then relabeled.
 func ReadAutoOrdered(r io.Reader, choose OrderChooser) (*Graph, Format, error) {
 	remaining := remainingBytes(r) // asked before bufio hides the Seeker
 	br := bufio.NewReaderSize(r, ioChunkBytes)
@@ -183,13 +184,13 @@ func WriteBinary(w io.Writer, g *Graph) error {
 	if _, err := bw.Write(hdr[:]); err != nil {
 		return err
 	}
-	if err := writeUint64s(bw, g.outIndex); err != nil {
+	if err := writeSlice(bw, g.outIndex, 8, binary.LittleEndian.PutUint64); err != nil {
 		return err
 	}
 	// The lists go out in vertex order, a run of them at a time, so a
 	// patched graph writes what its Compact would.
 	err := forRuns(g.outIndex, g.outStart, 0, g.n, func(_ int, lo, hi uint64) error {
-		return writeUint32s(bw, g.outEdges[lo:hi])
+		return writeSlice(bw, g.outEdges[lo:hi], 4, binary.LittleEndian.PutUint32)
 	})
 	if err != nil {
 		return err
@@ -202,7 +203,7 @@ func WriteBinary(w io.Writer, g *Graph) error {
 		err := forRuns(g.outIndex, g.outStart, 0, g.n, func(_ int, lo, hi uint64) error {
 			for ; lo < hi; lo += chunk {
 				ws = appendWeights(ws[:0], g.outWeights, g.wb, lo, min(hi, lo+chunk))
-				if err := writeUint32s(bw, ws); err != nil {
+				if err := writeSlice(bw, ws, 4, binary.LittleEndian.PutUint32); err != nil {
 					return err
 				}
 			}
@@ -218,7 +219,9 @@ func WriteBinary(w io.Writer, g *Graph) error {
 // ReadBinary loads a Graph written by WriteBinary. The out-CSR is taken
 // from the file after validation; the in-CSR is rebuilt with a counting
 // sort directly from it (scanning sources in ascending order, so
-// in-neighbor lists come out source-sorted without an explicit sort).
+// in-neighbor lists come out source-sorted without an explicit sort). A
+// reader that is an io.Seeker (a file, a bytes.Reader) is decoded as it
+// is read; any other is staged first, at the cost of its payload's bytes.
 func ReadBinary(r io.Reader) (*Graph, error) {
 	return readBinary(bufio.NewReaderSize(r, ioChunkBytes), remainingBytes(r), nil)
 }
@@ -267,23 +270,25 @@ func readBinary(br *bufio.Reader, remaining int64, choose OrderChooser) (*Graph,
 
 	// The dimensions are still untrusted at this point: a corrupt header
 	// could claim n=2^31 on a 50-byte file, and preallocating n+1 uint64s
-	// up front would commit 16 GiB before the first read fails. A stream
-	// of known length settles it here: a header that claims more payload
-	// than is left is rejected before anything is allocated, and one that
-	// does not gets each array allocated once at its final size. A stream
-	// of unknown length grows its arrays as data actually arrives, so a
-	// truncated or lying one costs at most ~2x the bytes it really holds.
+	// up front would commit 16 GiB before the first read fails. So a stream
+	// of known length is checked against the claim, and one of unknown
+	// length is staged, before any array is sized by it.
 	weighted := flags&1 != 0
 	payload := int64(n+1)*8 + int64(m)*4
 	if weighted {
 		payload += int64(m) * 4
 	}
-	sized := remaining >= 0
-	if sized && remaining-int64(len(hdr)) < payload {
+	var r io.Reader = br
+	var err error
+	if remaining < 0 {
+		if r, err = stage(br, payload); err != nil {
+			return nil, fmt.Errorf("graph: reading payload: %w", err)
+		}
+	} else if remaining-int64(len(hdr)) < payload {
 		return nil, fmt.Errorf("graph: header claims %d payload bytes (n=%d m=%d), %d remain: %w",
 			payload, n, m, remaining-int64(len(hdr)), io.ErrUnexpectedEOF)
 	}
-	outIndex, err := readUint64s(br, n+1, sized)
+	outIndex, err := readUint64s(r, n+1)
 	if err != nil {
 		return nil, fmt.Errorf("graph: reading index: %w", err)
 	}
@@ -296,22 +301,39 @@ func readBinary(br *bufio.Reader, remaining int64, choose OrderChooser) (*Graph,
 			return nil, err
 		}
 	}
-	var g *Graph
-	if newID != nil && sized {
-		g, err = readRelabeled(br, outIndex, m, weighted, newID)
-	} else {
-		g, err = readFileOrder(br, outIndex, m, weighted, sized)
-	}
+	g, err := readLists(r, outIndex, m, weighted, newID)
 	if err != nil {
 		return nil, err
 	}
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
-	if newID != nil && !sized {
-		return g.RelabelWorkers(newID, 1)
-	}
 	return g, nil
+}
+
+// stagePiece is the most a staged stream allocates ahead of its data.
+const stagePiece = 1 << 20
+
+// stage reads the payload bytes of a stream that cannot tell its length
+// into pieces of at most stagePiece bytes, each allocated only once the
+// bytes before it have arrived, and returns a reader over them: a header
+// that claims more than the stream holds costs the bytes that did arrive
+// plus one piece. A stream that ends early fails with
+// io.ErrUnexpectedEOF, one that fails otherwise with its own error.
+func stage(r io.Reader, payload int64) (io.Reader, error) {
+	var pieces []io.Reader
+	for left := payload; left > 0; {
+		p := make([]byte, min(left, stagePiece))
+		if _, err := io.ReadFull(r, p); err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return nil, err
+		}
+		pieces = append(pieces, bytes.NewReader(p))
+		left -= int64(len(p))
+	}
+	return io.MultiReader(pieces...), nil
 }
 
 // chooseOrder asks choose for an order given a validated out-index and
@@ -350,85 +372,77 @@ func checkPermutation(newID []VertexID, n int) error {
 	return nil
 }
 
-// readFileOrder reads the edges and weights that follow a validated index
-// into a graph in the file's order.
-func readFileOrder(br *bufio.Reader, outIndex []uint64, m int, weighted, sized bool) (*Graph, error) {
+// readLists reads the edges and weights that follow a validated index,
+// from a stream whose length backs m edges, straight into the layout
+// newID gives them (nil keeps the file's): each list keeps its order and
+// moves whole to the segment of its source's new ID, each destination is
+// checked and then renamed. The out-edges are allocated first, then the
+// weights, then a new order's index: large before small, as
+// RelabelWorkers takes them.
+func readLists(r io.Reader, outIndex []uint64, m int, weighted bool, newID []VertexID) (*Graph, error) {
 	n := len(outIndex) - 1
-	outEdges, err := readUint32s(br, m, sized)
-	if err != nil {
-		return nil, fmt.Errorf("graph: reading edges: %w", err)
-	}
-	for _, d := range outEdges {
-		if int(d) >= n {
-			return nil, fmt.Errorf("graph: edge destination %d out of range", d)
-		}
-	}
-	g := &Graph{n: n, m: m, outIndex: outIndex, outEdges: outEdges}
-	if weighted {
-		if g.outWeights, g.wb, err = readWeights(br, m, sized); err != nil {
-			return nil, fmt.Errorf("graph: reading weights: %w", err)
-		}
-	}
-	g.inIndex, g.inEdges = transposeCSR(outIndex, outEdges, nil, 1)
-	return g, nil
-}
-
-// readRelabeled reads the edges and weights that follow a validated index
-// straight into the layout newID gives them, on a stream whose length
-// backs m edges: each list keeps its order and moves whole to the segment
-// of its source's new ID, each destination is checked and then renamed.
-// The out-edges are allocated first, then the weights, then the index:
-// large before small, as RelabelWorkers takes them.
-func readRelabeled(br *bufio.Reader, outIndex []uint64, m int, weighted bool, newID []VertexID) (*Graph, error) {
-	n := len(outIndex) - 1
-	g := &Graph{n: n, m: m, outEdges: make([]VertexID, m)}
+	g := &Graph{n: n, m: m, outIndex: outIndex, outEdges: make([]VertexID, m)}
 	if weighted {
 		g.outWeights, g.wb = make([]byte, m), 1
 	}
-	g.outIndex = relabelIndex(outIndex, newID, 1)
+	if newID != nil {
+		g.outIndex = relabelIndex(outIndex, newID, 1)
+	}
 
 	var buf [ioChunkBytes]byte
 	const perChunk = ioChunkBytes / 4
 	// section reads the m 4-byte values of one section a chunk at a time.
-	// check sees each chunk whole, then place gets it a list at a time:
-	// the chunk's values of one list, from file position pos on, and the
-	// slot pos moves to.
-	section := func(check func(src []byte) error, place func(slot uint64, vals []byte)) error {
+	// decode sees each chunk whole, then place gets it a piece at a time:
+	// the slot the piece moves to and its bounds in the chunk. In file
+	// order the piece is the chunk; otherwise it is one list's values.
+	section := func(decode func(src []byte) error, place func(slot uint64, lo, hi int)) error {
 		v := 0
 		for done := 0; done < m; {
 			c := min(m-done, perChunk)
-			src := buf[:c*4]
-			if _, err := io.ReadFull(br, src); err != nil {
+			if _, err := io.ReadFull(r, buf[:c*4]); err != nil {
 				return err
 			}
-			if err := check(src); err != nil {
+			if err := decode(buf[:c*4]); err != nil {
 				return err
 			}
 			first, end := uint64(done), uint64(done+c)
-			for pos := first; pos < end; {
-				for pos >= outIndex[v+1] {
-					v++
+			if newID == nil {
+				place(first, 0, c)
+			} else {
+				for pos := first; pos < end; {
+					for pos >= outIndex[v+1] {
+						v++
+					}
+					hi := min(end, outIndex[v+1])
+					place(g.outIndex[newID[v]]+pos-outIndex[v], int(pos-first), int(hi-first))
+					pos = hi
 				}
-				hi := min(end, outIndex[v+1])
-				place(g.outIndex[newID[v]]+pos-outIndex[v], src[4*(pos-first):4*(hi-first)])
-				pos = hi
 			}
 			done += c
 		}
 		return nil
 	}
 
+	// Each chunk's destinations are decoded once and checked by their max.
+	var dsts [perChunk]VertexID
 	err := section(func(src []byte) error {
-		for i := 0; i < len(src); i += 4 {
-			if d := binary.LittleEndian.Uint32(src[i:]); int(d) >= n {
-				return fmt.Errorf("graph: edge destination %d out of range", d)
-			}
+		var top VertexID
+		for i := range len(src) / 4 {
+			d := binary.LittleEndian.Uint32(src[4*i:])
+			dsts[i], top = d, max(top, d)
+		}
+		if int(top) >= n {
+			return fmt.Errorf("graph: edge destination %d out of range", top)
 		}
 		return nil
-	}, func(slot uint64, vals []byte) {
-		dst := g.outEdges[slot : slot+uint64(len(vals)/4)]
-		for i := range dst {
-			dst[i] = newID[binary.LittleEndian.Uint32(vals[4*i:])]
+	}, func(slot uint64, lo, hi int) {
+		dst := g.outEdges[slot : slot+uint64(hi-lo)]
+		if newID == nil {
+			copy(dst, dsts[lo:hi])
+			return
+		}
+		for i, d := range dsts[lo:hi] {
+			dst[i] = newID[d]
 		}
 	})
 	if err != nil {
@@ -436,18 +450,22 @@ func readRelabeled(br *bufio.Reader, outIndex []uint64, m int, weighted bool, ne
 	}
 	if weighted {
 		// The packed array starts one byte wide and is re-stored wider
-		// (at most twice) when a chunk holds a weight that needs it, as
-		// readWeights does.
+		// (at most twice) when a chunk holds a weight that needs it, so
+		// no 4-byte array of every weight is ever held.
 		err := section(func(src []byte) error {
-			if nb := fileWeightsWidth(src); nb > g.wb {
+			var top uint32
+			for i := 0; i < len(src); i += 4 {
+				top = max(top, binary.LittleEndian.Uint32(src[i:]))
+			}
+			if nb := widthFor(top); nb > g.wb {
 				wider := make([]byte, m*nb)
 				copyWeights(wider, nb, g.outWeights, g.wb)
 				g.outWeights, g.wb = wider, nb
 			}
 			return nil
-		}, func(slot uint64, vals []byte) {
+		}, func(slot uint64, lo, hi int) {
 			wb := uint64(g.wb)
-			packFileWeights(g.outWeights[slot*wb:(slot+uint64(len(vals)/4))*wb], vals, g.wb)
+			packFileWeights(g.outWeights[slot*wb:(slot+uint64(hi-lo))*wb], buf[4*lo:4*hi], g.wb)
 		})
 		if err != nil {
 			return nil, fmt.Errorf("graph: reading weights: %w", err)
@@ -481,74 +499,6 @@ func writeSlice[T uint32 | uint64](bw *bufio.Writer, vals []T, size int, put fun
 	return nil
 }
 
-// readSlice reads count elements by streaming through a fixed scratch
-// buffer, size bytes per element, each chunk decoded into the slice by
-// one call of decode. With trusted set the destination is allocated once
-// at count; otherwise it grows as append grows it, chunk by chunk,
-// bounding the allocation by the bytes actually read: header dimensions
-// are attacker-controlled until the payload backs them up.
-func readSlice[T uint32 | uint64](r io.Reader, count, size int, trusted bool, decode func(dst []T, src []byte)) ([]T, error) {
-	var buf [ioChunkBytes]byte
-	perChunk := ioChunkBytes / size
-	initial := min(count, perChunk)
-	if trusted {
-		initial = count
-	}
-	dst := make([]T, 0, initial)
-	for len(dst) < count {
-		chunk := min(count-len(dst), perChunk)
-		if _, err := io.ReadFull(r, buf[:chunk*size]); err != nil {
-			return nil, err
-		}
-		base := len(dst)
-		dst = slices.Grow(dst, chunk)[:base+chunk]
-		decode(dst[base:], buf[:chunk*size])
-	}
-	return dst, nil
-}
-
-// readWeights reads count 4-byte weights through one scratch buffer, as
-// readSlice does, and stores them at the width the largest needs without
-// ever holding 4 bytes of each: the packed array starts one byte wide and
-// is re-stored wider (at most twice) when a chunk holds a weight that
-// needs it. trusted sizes the array as readSlice does.
-func readWeights(r io.Reader, count int, trusted bool) ([]byte, int, error) {
-	var buf [ioChunkBytes]byte
-	const perChunk = ioChunkBytes / 4
-	initial := min(count, perChunk)
-	if trusted {
-		initial = count
-	}
-	w, wb := make([]byte, 0, initial), 1
-	for done := 0; done < count; {
-		chunk := min(count-done, perChunk)
-		src := buf[:chunk*4]
-		if _, err := io.ReadFull(r, src); err != nil {
-			return nil, 0, err
-		}
-		if nb := fileWeightsWidth(src); nb > wb {
-			wider := make([]byte, len(w)/wb*nb, cap(w)/wb*nb)
-			copyWeights(wider, nb, w, wb)
-			w, wb = wider, nb
-		}
-		base := len(w)
-		w = slices.Grow(w, chunk*wb)[:base+chunk*wb]
-		packFileWeights(w[base:], src, wb)
-		done += chunk
-	}
-	return w, wb, nil
-}
-
-// fileWeightsWidth returns the width the largest of src's 4-byte
-// little-endian weights needs.
-func fileWeightsWidth(src []byte) int {
-	var maxW uint32
-	for i := 0; i < len(src); i += 4 {
-		maxW = max(maxW, binary.LittleEndian.Uint32(src[i:]))
-	}
-	return widthFor(maxW)
-}
-
 // packFileWeights stores src's 4-byte little-endian weights in dst at wb
 // bytes each: a weight's packed form is the low wb bytes of its file form.
 func packFileWeights(dst, src []byte, wb int) {
@@ -566,26 +516,20 @@ func packFileWeights(dst, src []byte, wb int) {
 	}
 }
 
-func writeUint64s(bw *bufio.Writer, vals []uint64) error {
-	return writeSlice(bw, vals, 8, binary.LittleEndian.PutUint64)
-}
-
-func writeUint32s(bw *bufio.Writer, vals []uint32) error {
-	return writeSlice(bw, vals, 4, binary.LittleEndian.PutUint32)
-}
-
-func readUint64s(r io.Reader, count int, trusted bool) ([]uint64, error) {
-	return readSlice(r, count, 8, trusted, func(dst []uint64, src []byte) {
-		for i := range dst {
-			dst[i] = binary.LittleEndian.Uint64(src[8*i:])
+// readUint64s reads count little-endian uint64s through a scratch buffer
+// into one array allocated at count.
+func readUint64s(r io.Reader, count int) ([]uint64, error) {
+	var buf [ioChunkBytes]byte
+	dst := make([]uint64, count)
+	for done := 0; done < count; {
+		c := min(count-done, ioChunkBytes/8)
+		if _, err := io.ReadFull(r, buf[:c*8]); err != nil {
+			return nil, err
 		}
-	})
-}
-
-func readUint32s(r io.Reader, count int, trusted bool) ([]uint32, error) {
-	return readSlice(r, count, 4, trusted, func(dst []uint32, src []byte) {
-		for i := range dst {
-			dst[i] = binary.LittleEndian.Uint32(src[4*i:])
+		for i := range c {
+			dst[done+i] = binary.LittleEndian.Uint64(buf[8*i:])
 		}
-	})
+		done += c
+	}
+	return dst, nil
 }

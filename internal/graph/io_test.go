@@ -4,12 +4,14 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"io"
 	"reflect"
 	"runtime"
 	"slices"
 	"strings"
 	"testing"
+	"testing/iotest"
 
 	"graphreorder/internal/rng"
 )
@@ -228,6 +230,29 @@ func TestReadBinaryTruncated(t *testing.T) {
 	}
 }
 
+// TestStagedLoadKeepsStreamError: a stream that hides its length and
+// fails mid-payload fails the load with its own error; one that just ends
+// early fails it with io.ErrUnexpectedEOF, whether the index, the edges
+// or the weights were cut.
+func TestStagedLoadKeepsStreamError(t *testing.T) {
+	g := buildRandom(t, 9, 32, 200, true)
+	var buf bytes.Buffer
+	if err := WriteBinary(&buf, g); err != nil {
+		t.Fatal(err)
+	}
+	good := buf.Bytes()
+	failed := errors.New("disk gone")
+	for _, cut := range []int{41, 40 + 8*(g.NumVertices()+1) + 3, len(good) - 1} {
+		r := io.MultiReader(bytes.NewReader(good[:cut]), iotest.ErrReader(failed))
+		if _, err := ReadBinary(r); !errors.Is(err, failed) {
+			t.Errorf("failing at %d/%d bytes: error %v, want the stream's", cut, len(good), err)
+		}
+		if _, err := ReadBinary(struct{ io.Reader }{bytes.NewReader(good[:cut])}); !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Errorf("ending at %d/%d bytes: error %v, want io.ErrUnexpectedEOF", cut, len(good), err)
+		}
+	}
+}
+
 // allocatedBy reports the heap bytes fn allocated.
 func allocatedBy(fn func()) uint64 {
 	var before, after runtime.MemStats
@@ -240,7 +265,7 @@ func allocatedBy(fn func()) uint64 {
 // TestReadBinarySizedReader: a reader that can tell its length settles
 // the header's claim up front — a lying header is refused before anything
 // is allocated, an honest one gets each array allocated once — and a
-// reader that cannot still loads the same graph on the growing path.
+// reader that cannot still loads the same graph once staged.
 func TestReadBinarySizedReader(t *testing.T) {
 	var lying [40]byte
 	binary.LittleEndian.PutUint64(lying[0:], binaryMagic)
@@ -286,7 +311,7 @@ func TestReadBinarySizedReader(t *testing.T) {
 		t.Errorf("sized load allocated %d (ReadAuto %d) bytes for a graph that keeps %d", sizedBytes, autoBytes, keeps)
 	}
 	if unsizedBytes <= sizedBytes {
-		t.Errorf("growing path allocated %d bytes, the sized one %d: the sized path is not taken", unsizedBytes, sizedBytes)
+		t.Errorf("staged path allocated %d bytes, the sized one %d: the sized path is not taken", unsizedBytes, sizedBytes)
 	}
 	requireSameGraph(t, g, sized, "sized reader")
 	requireSameGraph(t, g, unsized, "unsized reader")
@@ -309,9 +334,11 @@ func reverseIDs(degs []uint32, _ int) ([]VertexID, error) {
 }
 
 // TestOrderedLoadAllocatesOneCSR: a load that relabels as it reads
-// a sized stream allocates the graph it returns, the file's index, the
-// degrees and order handed to the chooser and the permutation check, and
-// never a file-order CSR: load-then-relabel allocates an edge array more.
+// allocates the graph it returns, the file's index, the degrees and order
+// handed to the chooser and the permutation check, and never a file-order
+// CSR: load-then-relabel from the same stream allocates an edge array
+// more. A stream that hides its length is staged, so its load allocates
+// the payload's bytes besides, and still no file-order CSR.
 func TestOrderedLoadAllocatesOneCSR(t *testing.T) {
 	g := buildRandom(t, 19, 1<<14, 1<<18, true)
 	var buf bytes.Buffer
@@ -326,30 +353,42 @@ func TestOrderedLoadAllocatesOneCSR(t *testing.T) {
 	outCSR := uint64(len(data)-40) - 4*m
 	keeps := 2*outCSR + m + 8*n + (8+4+4+1)*n
 	const slack = 1 << 19
-	var ordered, relabeled *Graph
-	var err error
-	orderedBytes := allocatedBy(func() { ordered, err = readOrdered(bytes.NewReader(data), reverseIDs) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	twoStepBytes := allocatedBy(func() {
-		if relabeled, err = ReadBinary(bytes.NewReader(data)); err == nil {
-			p, _ := reverseIDs(relabeled.Degrees(OutDegree), int(m))
-			relabeled, err = relabeled.RelabelWorkers(p, 1)
+	for _, stream := range []struct {
+		name   string
+		open   func() io.Reader
+		staged uint64
+	}{
+		{"sized", func() io.Reader { return bytes.NewReader(data) }, 0},
+		{"unsized", func() io.Reader { return struct{ io.Reader }{bytes.NewReader(data)} }, uint64(len(data) - 40)},
+	} {
+		var ordered, relabeled *Graph
+		var err error
+		orderedBytes := allocatedBy(func() { ordered, err = readOrdered(stream.open(), reverseIDs) })
+		if err != nil {
+			t.Fatal(err)
 		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("ordered load %d bytes, load-then-relabel %d, bound %d", orderedBytes, twoStepBytes, keeps+slack)
-	if orderedBytes > keeps+slack {
-		t.Errorf("ordered load allocated %d bytes for a graph that keeps %d", orderedBytes, keeps)
-	}
-	if orderedBytes+4*m > twoStepBytes {
-		t.Errorf("ordered load allocated %d bytes, load-then-relabel %d: less than an edge array apart", orderedBytes, twoStepBytes)
-	}
-	if err := sameArrays(ordered, relabeled); err != nil {
-		t.Error(err)
+		twoStepBytes := allocatedBy(func() {
+			if relabeled, err = ReadBinary(stream.open()); err == nil {
+				p, _ := reverseIDs(relabeled.Degrees(OutDegree), int(m))
+				relabeled, err = relabeled.RelabelWorkers(p, 1)
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		bound := keeps + stream.staged + slack
+		t.Logf("%s: ordered load %d bytes, load-then-relabel %d, bound %d", stream.name, orderedBytes, twoStepBytes, bound)
+		if orderedBytes > bound {
+			t.Errorf("%s: ordered load allocated %d bytes for a graph that keeps %d and a payload of %d",
+				stream.name, orderedBytes, keeps, stream.staged)
+		}
+		if orderedBytes+4*m > twoStepBytes {
+			t.Errorf("%s: ordered load allocated %d bytes, load-then-relabel %d: less than an edge array apart",
+				stream.name, orderedBytes, twoStepBytes)
+		}
+		if err := sameArrays(ordered, relabeled); err != nil {
+			t.Errorf("%s: %v", stream.name, err)
+		}
 	}
 }
 
